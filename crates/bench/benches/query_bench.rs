@@ -10,10 +10,11 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, Criterion};
 use zerber::baselines::CentralIndex;
 use zerber::{ZerberConfig, ZerberSystem};
+use zerber_bench::experiments::query::eager_topk;
 use zerber_core::merge::MergeConfig;
 use zerber_corpus::{CorpusConfig, SyntheticCorpus};
 use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
-use zerber_index::{block_max_topk, idf, GroupId, InvertedIndex, PostingStore, TermId, UserId};
+use zerber_index::{idf, GroupId, InvertedIndex, PostingStore, TermId, UserId};
 use zerber_postings::CompressedPostingStore;
 
 fn corpus() -> SyntheticCorpus {
@@ -93,10 +94,7 @@ fn bench_topk_lazy_vs_eager(c: &mut Criterion) {
                 })
             });
             group.bench_function(format!("eager_d{docs}_k{k}"), |b| {
-                b.iter(|| {
-                    let lists = store.weighted_block_lists(black_box(&weights));
-                    black_box(block_max_topk(&lists, k).len())
-                })
+                b.iter(|| black_box(eager_topk(&store, black_box(&weights), k).len()))
             });
         }
     }

@@ -59,55 +59,77 @@ fn write_json(dir: &std::path::Path, target: &str, document: String) {
     println!("wrote {}", path.display());
 }
 
+/// Every experiment name `repro` accepts (`all` selects each of them).
+const TARGETS: &str = "all table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 micro bandwidth \
+    storage compression scalability ingest query obs serving security ablation";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    smoke: bool,
+    socket: bool,
+    bulk: bool,
+    json_dir: Option<std::path::PathBuf>,
+    /// Hidden child mode for `scalability --socket`: this process *is*
+    /// shard peer `i` of the multi-process deployment.
+    serve_peer: Option<usize>,
+    /// With `--serve-peer`: start empty and mid-rebuild (the
+    /// replacement process for a SIGKILLed peer).
+    rebuild: bool,
+    /// Selected experiments; empty means all.
+    targets: Vec<String>,
+}
+
+/// Parses the command line, rejecting anything `repro` would not act
+/// on: a CI line naming a renamed or removed target must fail, not
+/// pass vacuously.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--socket" => parsed.socket = true,
+            "--bulk" => parsed.bulk = true,
+            "--rebuild" => parsed.rebuild = true,
+            "--json" => match args.next().filter(|v| !v.starts_with("--")) {
+                Some(dir) => parsed.json_dir = Some(dir.into()),
+                None => return Err("--json needs a directory argument".into()),
+            },
+            "--serve-peer" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(peer) => parsed.serve_peer = Some(peer),
+                None => return Err("--serve-peer needs a peer index".into()),
+            },
+            target if TARGETS.split(' ').any(|t| t == target) => {
+                parsed.targets.push(target.to_string())
+            }
+            unknown => {
+                return Err(format!(
+                    "unknown argument `{unknown}`\nflags: --smoke --json <dir> --socket --bulk\ntargets: {TARGETS}"
+                ))
+            }
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = if smoke { Scale::Smoke } else { Scale::Default };
-    // Hidden child mode for `scalability --socket`: this process *is*
-    // one shard peer of the multi-process deployment.
-    if let Some(i) = args.iter().position(|a| a == "--serve-peer") {
-        let peer: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--serve-peer needs a peer index");
-                std::process::exit(2);
-            });
-        // `--rebuild`: start empty and mid-rebuild (the replacement
-        // process for a SIGKILLed peer) instead of serving shards.
-        let rebuild = args.iter().any(|a| a == "--rebuild");
-        scalability::serve_socket_peer(peer, scale, rebuild);
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
+    let scale = if args.smoke {
+        Scale::Smoke
+    } else {
+        Scale::Default
+    };
+    if let Some(peer) = args.serve_peer {
+        scalability::serve_socket_peer(peer, scale, args.rebuild);
         return;
     }
-    let socket_mode = args.iter().any(|a| a == "--socket");
-    let bulk_only = args.iter().any(|a| a == "--bulk");
-    let json_dir: Option<std::path::PathBuf> = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or_else(|| {
-                eprintln!("--json needs a directory argument");
-                std::process::exit(2);
-            })
-            .into()
-    });
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
     let wanted = |name: &str| -> bool {
-        selected.is_empty() || selected.contains(&"all") || selected.contains(&name)
+        args.targets.is_empty() || args.targets.iter().any(|s| s == "all" || s == name)
     };
 
     println!("Zerber reproduction harness (scale: {scale:?})");
@@ -161,7 +183,7 @@ fn main() {
     }
     if wanted("scalability") {
         let mut result = scalability::run(scale);
-        if socket_mode {
+        if args.socket {
             // Multi-process mode: this binary re-executes itself as
             // the shard peers (`--serve-peer <i>`), each serving its
             // replica shards over a real TCP socket.
@@ -176,7 +198,7 @@ fn main() {
                 if rebuild {
                     command.arg("--rebuild");
                 }
-                if smoke {
+                if args.smoke {
                     command.arg("--smoke");
                 }
                 command.spawn()
@@ -186,21 +208,21 @@ fn main() {
             result.repair.push(repair);
         }
         println!("{}", scalability::render(&result));
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = &args.json_dir {
             write_json(dir, "scalability", scalability::to_json(&result));
         }
     }
     if wanted("ingest") {
-        if bulk_only {
+        if args.bulk {
             let result = ingest::run_bulk(scale);
             println!("{}", ingest::render_bulk(&result));
-            if let Some(dir) = &json_dir {
+            if let Some(dir) = &args.json_dir {
                 write_json(dir, "ingest_bulk", ingest::bulk_to_json(&result));
             }
         } else {
             let result = ingest::run(scale);
             println!("{}", ingest::render(&result));
-            if let Some(dir) = &json_dir {
+            if let Some(dir) = &args.json_dir {
                 write_json(dir, "ingest", ingest::to_json(&result));
             }
         }
@@ -208,21 +230,21 @@ fn main() {
     if wanted("query") {
         let result = query::run(scale);
         println!("{}", query::render(&result));
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = &args.json_dir {
             write_json(dir, "query", query::to_json(&result));
         }
     }
     if wanted("obs") {
         let result = obs::run(scale);
         println!("{}", obs::render(&result));
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = &args.json_dir {
             write_json(dir, "obs", obs::to_json(&result));
         }
     }
     if wanted("serving") {
         let result = serving::run(scale);
         println!("{}", serving::render(&result));
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = &args.json_dir {
             write_json(dir, "serving", serving::to_json(&result));
         }
     }
@@ -233,4 +255,46 @@ fn main() {
         println!("{}", ablation::render(&ablation::run(scale)));
     }
     println!("done in {:.1} s", start.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn unknown_targets_and_flags_are_usage_errors() {
+        assert_eq!(
+            parse("--smoke --json out query fig8").unwrap(),
+            Args {
+                smoke: true,
+                json_dir: Some("out".into()),
+                targets: vec!["query".into(), "fig8".into()],
+                ..Args::default()
+            }
+        );
+        assert_eq!(
+            parse("--serve-peer 2 --rebuild").unwrap().serve_peer,
+            Some(2)
+        );
+        for bad in [
+            "--smoke querry",
+            "--smok",
+            "--json",
+            "--json --smoke",
+            "--serve-peer x",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        // The usage error names what *is* valid.
+        let usage = parse("figure8").unwrap_err();
+        assert!(
+            usage.contains("fig8") && usage.contains("--smoke"),
+            "{usage}"
+        );
+    }
 }

@@ -5,10 +5,10 @@
 //! block-compressed posting store and return bit-identical rankings
 //! (asserted per query). They differ only in *when* postings decode:
 //!
-//! * **eager** — `PostingStore::weighted_block_lists` decompresses
-//!   every posting of every query term into scored lists before
-//!   ranking starts: O(total postings) decode per query, independent
-//!   of `k`;
+//! * **eager** — this harness's own baseline ([`eager_topk`], not a
+//!   production path) decompresses every posting of every query term
+//!   into scored lists before ranking starts: O(total postings) decode
+//!   per query, independent of `k`;
 //! * **lazy** — `PostingStore::query_cursors` +
 //!   `block_max_topk_cursors` peek the stored block maxima first and
 //!   decompress only blocks that survive the upper-bound test; the
@@ -23,9 +23,12 @@
 
 use std::time::Instant;
 
-use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+use zerber_index::cursor::{
+    block_max_topk_cursors, BlockCursor, QueryCost, ScoredListCursor, TopKScratch,
+};
+use zerber_index::store::SCORING_BLOCK;
 use zerber_index::{
-    block_max_topk, idf, DocId, Document, GroupId, InvertedIndex, PostingStore, TermId,
+    idf, BlockScoredList, DocId, Document, GroupId, InvertedIndex, PostingStore, RankedDoc, TermId,
 };
 use zerber_postings::CompressedPostingStore;
 
@@ -70,6 +73,28 @@ pub struct QueryPerf {
     pub selective: QueryPoint,
 }
 
+/// The eager baseline: decodes every posting of every query term into
+/// a scored list up front, then ranks with the same block-max driver
+/// the lazy path uses.
+pub fn eager_topk(store: &dyn PostingStore, weights: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
+    let mut cursors: Vec<Box<dyn BlockCursor>> = weights
+        .iter()
+        .map(|&(term, weight)| {
+            let list = BlockScoredList::from_doc_ordered(
+                store
+                    .postings(term)
+                    .map(|p| (p.doc, p.term_frequency() * weight))
+                    .collect(),
+                SCORING_BLOCK,
+            );
+            Box::new(ScoredListCursor::new(list)) as Box<dyn BlockCursor>
+        })
+        .collect();
+    let mut scratch = TopKScratch::new();
+    block_max_topk_cursors(&mut cursors, k, &mut scratch);
+    scratch.take_ranked()
+}
+
 /// Runs every query through both paths on one store, asserting
 /// bit-identity per query, and folds the latencies and decode
 /// accounting into one [`QueryPoint`].
@@ -92,7 +117,7 @@ fn measure(
             .collect();
 
         let begun = Instant::now();
-        let eager = block_max_topk(&store.weighted_block_lists(&weights), k);
+        let eager = eager_topk(store, &weights, k);
         eager_ms.push(begun.elapsed().as_secs_f64() * 1e3);
 
         let begun = Instant::now();

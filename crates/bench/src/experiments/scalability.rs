@@ -452,8 +452,10 @@ fn socket_query(
     let weights = stats.weights(terms);
     let shards: Vec<(u32, Vec<NodeId>, Arc<[u8]>)> = (0..map.peer_count())
         .map(|shard| {
-            let request = Message::TopKQuery {
+            let request = Message::PlanQuery {
                 shard,
+                shape: 0,
+                forced: 1,
                 terms: weights.clone(),
                 k: K as u32,
             };
@@ -471,15 +473,7 @@ fn socket_query(
     for fetch in fetches {
         let fetch = fetch.ok()?;
         hedges += fetch.hedges();
-        match fetch.response {
-            Message::TopKResponse { candidates, .. } => per_shard.push(
-                candidates
-                    .into_iter()
-                    .map(|(doc, score)| RankedDoc { doc, score })
-                    .collect(),
-            ),
-            _ => return None,
-        }
+        per_shard.push(fetch.answer.candidates);
     }
     Some((gather_topk(&per_shard, K).ranked, hedges))
 }

@@ -1,11 +1,10 @@
 //! Lazy decode-on-demand cursors for block-max top-k.
 //!
-//! The eager query path materializes every posting of every query term
-//! into a [`BlockScoredList`] before ranking starts, so query cost is
-//! O(total postings) regardless of `k`. This module makes the read
-//! path lazy end-to-end: a [`BlockCursor`] exposes a term's scored
-//! postings *by block*, with the block-max skip metadata readable
-//! **without decoding** the block payload, and
+//! Ranking a query by first materializing every posting of every query
+//! term costs O(total postings) regardless of `k`. This module makes
+//! the read path lazy end-to-end: a [`BlockCursor`] exposes a term's
+//! scored postings *by block*, with the block-max skip metadata
+//! readable **without decoding** the block payload, and
 //! [`block_max_topk_cursors`] consults those bounds *before* touching
 //! entries — only blocks that survive the upper-bound test are ever
 //! decompressed.
@@ -13,7 +12,7 @@
 //! Every backend implements the trait at its natural level of
 //! laziness:
 //!
-//! * [`ScoredListCursor`] — the trivial adapter over an eager
+//! * [`ScoredListCursor`] — the trivial adapter over a materialized
 //!   [`BlockScoredList`] (raw posting lists have no stored skip
 //!   metadata to exploit; "decoded" there counts blocks whose entries
 //!   the algorithm actually examined);
@@ -26,9 +25,9 @@
 //!
 //! The cursor algorithm returns **bit-identical** results to the
 //! exhaustive oracle: per-document contributions are accumulated in
-//! list order exactly like [`crate::block_max_topk`] and
-//! [`crate::topk::naive_topk`], and pruning uses strict bounds, so
-//! ties can never be lost (property-tested in `topk_properties.rs`).
+//! list order exactly like [`crate::topk::naive_topk`], and pruning
+//! uses strict bounds, so ties can never be lost (property-tested in
+//! `topk_properties.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -364,14 +363,13 @@ impl BlockCursor for EmptyCursor {
 }
 
 /// The trivial adapter: a [`BlockCursor`] over an already-materialized
-/// [`BlockScoredList`] (borrowed or owned). Raw posting lists carry no
-/// stored skip metadata, so their scored form is built eagerly; the
-/// cursor still skips whole blocks via the computed block index, and
-/// "decoded" counts the blocks whose entries the algorithm actually
-/// examined.
+/// [`BlockScoredList`]. Raw posting lists carry no stored skip
+/// metadata, so their scored form is built up front; the cursor still
+/// skips whole blocks via the computed block index, and "decoded"
+/// counts the blocks whose entries the algorithm actually examined.
 #[derive(Debug)]
-pub struct ScoredListCursor<L> {
-    list: L,
+pub struct ScoredListCursor {
+    list: BlockScoredList,
     /// Static whole-list score bound (max over the block maxima),
     /// computed once at construction for MaxScore partitioning.
     max_score: f64,
@@ -390,30 +388,10 @@ pub struct ScoredListCursor<L> {
     last_touched: usize,
 }
 
-impl ScoredListCursor<BlockScoredList> {
-    /// A cursor owning its list (the shape
-    /// [`crate::store::PostingStore::query_cursors`]'s default
-    /// materializing adapter produces).
-    pub fn owned(list: BlockScoredList) -> Self {
-        Self::new(list)
-    }
-}
-
-impl<'a> ScoredListCursor<&'a BlockScoredList> {
-    /// A cursor borrowing a caller-held list.
-    pub fn borrowed(list: &'a BlockScoredList) -> Self {
-        Self::new(list)
-    }
-}
-
-impl<L: std::borrow::Borrow<BlockScoredList>> ScoredListCursor<L> {
-    fn new(list: L) -> Self {
-        let max_score = list
-            .borrow()
-            .blocks
-            .iter()
-            .map(|&(_, max)| max)
-            .fold(0.0, f64::max);
+impl ScoredListCursor {
+    /// A cursor positioned before the first posting of `list`.
+    pub fn new(list: BlockScoredList) -> Self {
+        let max_score = list.blocks.iter().map(|&(_, max)| max).fold(0.0, f64::max);
         Self {
             list,
             max_score,
@@ -427,23 +405,22 @@ impl<L: std::borrow::Borrow<BlockScoredList>> ScoredListCursor<L> {
     }
 
     fn entries(&self) -> &[(DocId, f64)] {
-        &self.list.borrow().entries
+        &self.list.entries
     }
 
     fn blocks(&self) -> &[(DocId, f64)] {
-        &self.list.borrow().blocks
+        &self.list.blocks
     }
 
     fn block_size(&self) -> usize {
-        self.list.borrow().block_size
+        self.list.block_size
     }
 
     /// Skips blocks that end before `bound` using the block index
     /// alone.
     fn normalize(&mut self) {
-        let blocks = self.list.borrow().blocks.len();
-        while self.block < blocks
-            && u64::from(self.list.borrow().blocks[self.block].0 .0) < self.bound
+        while self.block < self.list.blocks.len()
+            && u64::from(self.list.blocks[self.block].0 .0) < self.bound
         {
             self.block += 1;
         }
@@ -457,7 +434,7 @@ impl<L: std::borrow::Borrow<BlockScoredList>> ScoredListCursor<L> {
     }
 }
 
-impl<L: std::borrow::Borrow<BlockScoredList>> BlockCursor for ScoredListCursor<L> {
+impl BlockCursor for ScoredListCursor {
     fn total_blocks(&self) -> usize {
         self.blocks().len()
     }
@@ -488,7 +465,7 @@ impl<L: std::borrow::Borrow<BlockScoredList>> BlockCursor for ScoredListCursor<L
         }
         let first_of_block = self.entries()[self.block * self.block_size()].0;
         // `first_of_block` is metadata-grade here: reading one entry's
-        // doc id does not decode anything on this eager representation.
+        // doc id does not decode anything on this materialized list.
         DocId(u64::from(first_of_block.0).max(self.bound) as u32)
     }
 
@@ -553,7 +530,7 @@ impl<L: std::borrow::Borrow<BlockScoredList>> BlockCursor for ScoredListCursor<L
 /// source holds the *live* posting of any document (a newer source
 /// holding the `(term, doc)` posting also touches `doc`, shadowing
 /// every older copy); the merged cursor therefore yields exactly the
-/// masked, doc-ascending entry sequence the eager path computes.
+/// masked, doc-ascending sequence of live postings.
 pub struct ShadowedMergeCursor<'a> {
     /// `(source rank, cursor)` pairs; higher rank = newer source.
     subs: Vec<(usize, Box<dyn BlockCursor + 'a>)>,
@@ -731,7 +708,6 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::{block_max_topk, naive_topk, ScoredList};
 
     fn block_list(entries: &[(u32, f64)], block_size: usize) -> BlockScoredList {
         BlockScoredList::from_doc_ordered(
@@ -754,7 +730,7 @@ mod tests {
     #[test]
     fn cursor_walk_yields_every_entry_in_order() {
         let list = block_list(&[(1, 0.5), (4, 0.25), (9, 1.0), (12, 0.125), (20, 0.75)], 2);
-        let mut cursor = ScoredListCursor::borrowed(&list);
+        let mut cursor = ScoredListCursor::new(list);
         let mut seen = Vec::new();
         while let Some((doc, score)) = cursor.materialize() {
             seen.push((doc.0, score));
@@ -772,7 +748,7 @@ mod tests {
     fn advance_past_skips_blocks_without_touching_them() {
         let entries: Vec<(u32, f64)> = (0..100).map(|d| (d, 0.5)).collect();
         let list = block_list(&entries, 10);
-        let mut cursor = ScoredListCursor::borrowed(&list);
+        let mut cursor = ScoredListCursor::new(list);
         cursor.advance_past(DocId(74));
         assert_eq!(cursor.materialize(), Some((DocId(75), 0.5)));
         // Only the landing block was examined.
@@ -784,40 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_topk_matches_the_eager_algorithm() {
-        let raw: Vec<Vec<(u32, f64)>> = vec![
-            vec![(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2), (7, 0.9), (9, 0.1)],
-            vec![(2, 0.2), (4, 0.9), (5, 0.1), (9, 0.8)],
-            vec![(1, 0.6), (5, 0.7)],
-        ];
-        for block_size in [1, 2, 3, 128] {
-            let blocked: Vec<BlockScoredList> =
-                raw.iter().map(|l| block_list(l, block_size)).collect();
-            let scored: Vec<ScoredList> = raw
-                .iter()
-                .map(|l| ScoredList::new(l.iter().map(|&(d, s)| (DocId(d), s)).collect()))
-                .collect();
-            for k in 1..=8 {
-                let eager = block_max_topk(&blocked, k);
-                let slow = naive_topk(&scored, k);
-                let cursors: Vec<Box<dyn BlockCursor + '_>> = blocked
-                    .iter()
-                    .map(|l| Box::new(ScoredListCursor::borrowed(l)) as Box<dyn BlockCursor + '_>)
-                    .collect();
-                let (lazy, cost) = run_cursors(cursors, k);
-                assert_eq!(lazy.len(), slow.len(), "k = {k}, bs = {block_size}");
-                for ((l, e), s) in lazy.iter().zip(&eager).zip(&slow) {
-                    assert_eq!(l.doc, s.doc);
-                    assert_eq!(l.score.to_bits(), s.score.to_bits());
-                    assert_eq!(l.doc, e.doc);
-                    assert_eq!(l.score.to_bits(), e.score.to_bits());
-                }
-                assert!(cost.blocks_decoded <= cost.blocks_total);
-            }
-        }
-    }
-
-    #[test]
     fn selective_query_decodes_strictly_fewer_blocks() {
         // One rare, high-scoring term at the front of the id space and
         // one long, low-scoring common list: once the heap fills with
@@ -826,9 +768,9 @@ mod tests {
         let rare: Vec<(u32, f64)> = (0..4).map(|d| (d, 100.0)).collect();
         let common: Vec<(u32, f64)> = (0..4096).map(|d| (d, 0.001)).collect();
         let lists = [block_list(&rare, 128), block_list(&common, 128)];
-        let cursors: Vec<Box<dyn BlockCursor + '_>> = lists
-            .iter()
-            .map(|l| Box::new(ScoredListCursor::borrowed(l)) as Box<dyn BlockCursor + '_>)
+        let cursors: Vec<Box<dyn BlockCursor>> = lists
+            .into_iter()
+            .map(|l| Box::new(ScoredListCursor::new(l)) as Box<dyn BlockCursor>)
             .collect();
         let (ranked, cost) = run_cursors(cursors, 3);
         assert_eq!(ranked.len(), 3);
@@ -859,8 +801,8 @@ mod tests {
         let old = block_list(&[(1, 0.1), (2, 0.2), (3, 0.3)], 2);
         let new = block_list(&[(2, 0.9)], 2);
         let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> = vec![
-            (0, Box::new(ScoredListCursor::borrowed(&old))),
-            (1, Box::new(ScoredListCursor::borrowed(&new))),
+            (0, Box::new(ScoredListCursor::new(old))),
+            (1, Box::new(ScoredListCursor::new(new))),
         ];
         let shadow =
             move |rank: usize, doc: DocId| rank == 0 && (doc == DocId(2) || doc == DocId(3));
@@ -880,7 +822,7 @@ mod tests {
         // cannot know, but materialize must settle it.
         let only = block_list(&[(5, 0.5)], 2);
         let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> =
-            vec![(0, Box::new(ScoredListCursor::borrowed(&only)))];
+            vec![(0, Box::new(ScoredListCursor::new(only)))];
         let mut merged = ShadowedMergeCursor::new(subs, Box::new(|_, _| true));
         assert!(!merged.at_end());
         assert!(merged.materialize().is_none());

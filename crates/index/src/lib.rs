@@ -56,5 +56,5 @@ pub use postings::{Posting, PostingList};
 pub use stats::CorpusStats;
 pub use store::{PostingBackend, PostingStore, RawPostingStore, SegmentPolicy};
 pub use tokenizer::Tokenizer;
-pub use topk::{block_max_topk, idf, threshold_topk, BlockScoredList, RankedDoc, ScoredList};
+pub use topk::{idf, threshold_topk, BlockScoredList, RankedDoc, ScoredList};
 pub use types::{DocId, GroupId, TermId, UserId};

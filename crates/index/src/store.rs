@@ -21,8 +21,7 @@ use crate::types::{DocId, TermId};
 use crate::InvertedIndex;
 
 /// Posting entries per block when a store materializes scored lists
-/// (matches the compressed engine's physical block granularity, so
-/// its stored block maxima can be reused one-to-one).
+/// (matches the compressed engine's physical block granularity).
 pub const SCORING_BLOCK: usize = 128;
 
 /// Which posting-list representation a deployment stores and serves.
@@ -110,57 +109,33 @@ pub trait PostingStore {
     /// experiments.
     fn posting_bytes(&self) -> usize;
 
-    /// Materializes one block-partitioned scored list per `(term,
-    /// weight)` pair — entry `(doc, tf · weight)` in document order,
-    /// [`SCORING_BLOCK`]-sized blocks — ready for
-    /// [`crate::block_max_topk`]. Weights must be non-negative and
-    /// finite (IDF factors are).
+    /// One lazy [`BlockCursor`] per `(term, weight)` pair — the ranked
+    /// read path every evaluator drives. Each cursor presents the
+    /// term's `(doc, tf · weight)` entries in document order; weights
+    /// must be non-negative and finite (IDF factors are). Entry values
+    /// do not depend on the backend, so ranking is bit-identical across
+    /// backends (property-tested); what differs is the decode work,
+    /// reported through [`BlockCursor::decoded_blocks`]: backends with
+    /// stored per-block skip metadata (the compressed engine, the
+    /// segmented store) only decompress blocks the block-max bound
+    /// cannot rule out.
     ///
-    /// This is the **eager** read path: every posting of every query
-    /// term is decoded before ranking starts, so its cost is O(total
-    /// postings) regardless of `k`. The hot query path uses
-    /// [`PostingStore::query_cursors`] instead, which defers decoding
-    /// until the block-max bounds demand it; this method remains the
-    /// reference baseline (the `query` bench compares the two) and
-    /// the building block of the default cursor adapter.
-    ///
-    /// The default decodes every posting and computes exact block
-    /// maxima; backends with stored skip metadata (the compressed
-    /// engine's per-block `max_tf`) override it to derive the maxima
-    /// without rescanning. Entry values are identical either way, so
-    /// ranking results do not depend on the backend.
-    fn weighted_block_lists(&self, terms: &[(TermId, f64)]) -> Vec<BlockScoredList> {
+    /// The default serves backends without stored skip metadata (raw
+    /// lists, the live [`InvertedIndex`]): it scores every posting of
+    /// the term into [`SCORING_BLOCK`]-sized blocks with exact maxima,
+    /// and the cursor merely counts the blocks the algorithm examines.
+    fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
         terms
             .iter()
             .map(|&(term, weight)| {
-                BlockScoredList::from_doc_ordered(
+                let list = BlockScoredList::from_doc_ordered(
                     self.postings(term)
                         .map(|p| (p.doc, p.term_frequency() * weight))
                         .collect(),
                     SCORING_BLOCK,
-                )
+                );
+                Box::new(ScoredListCursor::new(list)) as Box<dyn BlockCursor + 'a>
             })
-            .collect()
-    }
-
-    /// One lazy [`BlockCursor`] per `(term, weight)` pair — the hot
-    /// query path [`crate::block_max_topk_cursors`] drives. Cursors
-    /// present the same `(doc, tf · weight)` entries as
-    /// [`PostingStore::weighted_block_lists`] (ranking is
-    /// bit-identical either way, property-tested), but defer decoding:
-    /// backends with stored per-block skip metadata (the compressed
-    /// engine, the segmented store) only decompress blocks the
-    /// block-max bound cannot rule out, and report the decode work
-    /// through [`BlockCursor::decoded_blocks`].
-    ///
-    /// The default is the trivial adapter for backends without stored
-    /// skip metadata (raw lists, the live [`InvertedIndex`]): it
-    /// materializes the scored lists eagerly and the cursor merely
-    /// counts the blocks the algorithm examines.
-    fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
-        self.weighted_block_lists(terms)
-            .into_iter()
-            .map(|list| Box::new(ScoredListCursor::owned(list)) as Box<dyn BlockCursor + 'a>)
             .collect()
     }
 

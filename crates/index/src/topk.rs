@@ -127,14 +127,18 @@ pub fn threshold_topk(lists: &[ScoredList], k: usize) -> Vec<RankedDoc> {
         }
         depth += 1;
 
-        // Sort the buffer and test the stopping condition: k docs at or
-        // above the threshold for everything not yet seen.
-        results.sort_by(RankedDoc::result_order);
-        if results.len() >= k && results[k - 1].score >= threshold {
-            break;
+        // The stopping condition — k docs at or above the threshold for
+        // everything not yet seen — cannot fire on a shorter buffer, so
+        // only then is the buffer worth sorting.
+        if results.len() >= k {
+            results.sort_by(RankedDoc::result_order);
+            if results[k - 1].score >= threshold {
+                break;
+            }
         }
     }
 
+    results.sort_by(RankedDoc::result_order);
     results.truncate(k);
     results
 }
@@ -187,41 +191,6 @@ impl BlockScoredList {
         }
     }
 
-    /// Builds a list from doc-ordered entries plus *precomputed* block
-    /// maxima (one per `block_size` chunk, in order) — the path used by
-    /// the compressed posting store, whose blocks already carry their
-    /// maxima. Each supplied maximum must upper-bound the scores of its
-    /// chunk (debug-asserted).
-    pub fn from_blocks(entries: Vec<(DocId, f64)>, block_size: usize, maxes: Vec<f64>) -> Self {
-        assert!(block_size >= 1, "block size must be at least 1");
-        assert_eq!(
-            maxes.len(),
-            entries.len().div_ceil(block_size),
-            "one maximum per block"
-        );
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be sorted by strictly increasing doc id"
-        );
-        debug_assert!(
-            entries
-                .chunks(block_size)
-                .zip(&maxes)
-                .all(|(chunk, &m)| chunk.iter().all(|&(_, s)| s >= 0.0 && s <= m)),
-            "each block maximum must upper-bound its chunk's scores"
-        );
-        let blocks = entries
-            .chunks(block_size)
-            .zip(maxes)
-            .map(|(chunk, max)| (chunk.last().expect("chunks are non-empty").0, max))
-            .collect();
-        Self {
-            entries,
-            block_size,
-            blocks,
-        }
-    }
-
     /// Number of scored documents.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -230,11 +199,6 @@ impl BlockScoredList {
     /// True iff no document matches this term.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
     }
 }
 
@@ -250,30 +214,6 @@ impl Ord for Score {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
-}
-
-/// Block-max variant of the Threshold Algorithm over eager
-/// [`BlockScoredList`]s — a thin wrapper around the cursor-driven
-/// [`crate::cursor::block_max_topk_cursors`], which does the actual
-/// document-at-a-time evaluation and block skipping.
-///
-/// Whenever `k` results are buffered and the sum of the current block
-/// maxima is *strictly* below the current `k`-th best score, no
-/// document inside the overlap of the current blocks can reach the
-/// top-`k`, so every cursor jumps past the nearest block boundary
-/// without examining those postings. Returns exactly the same ranked
-/// results as [`naive_topk`] / [`threshold_topk`] (property-tested):
-/// contributions are accumulated in list order, so even the
-/// floating-point sums match bit for bit.
-pub fn block_max_topk(lists: &[BlockScoredList], k: usize) -> Vec<RankedDoc> {
-    use crate::cursor::{block_max_topk_cursors, BlockCursor, ScoredListCursor, TopKScratch};
-    let mut cursors: Vec<Box<dyn BlockCursor + '_>> = lists
-        .iter()
-        .map(|list| Box::new(ScoredListCursor::borrowed(list)) as Box<dyn BlockCursor + '_>)
-        .collect();
-    let mut scratch = TopKScratch::new();
-    block_max_topk_cursors(&mut cursors, k, &mut scratch);
-    scratch.take_ranked()
 }
 
 /// Reference implementation: aggregates every posting and sorts — used
@@ -398,6 +338,18 @@ mod tests {
         )
     }
 
+    /// Ranks `lists` with the cursor-driven block-max driver.
+    fn block_max_ranked(lists: &[BlockScoredList], k: usize) -> Vec<RankedDoc> {
+        use crate::cursor::{block_max_topk_cursors, BlockCursor, ScoredListCursor, TopKScratch};
+        let mut cursors: Vec<Box<dyn BlockCursor>> = lists
+            .iter()
+            .map(|list| Box::new(ScoredListCursor::new(list.clone())) as Box<dyn BlockCursor>)
+            .collect();
+        let mut scratch = TopKScratch::new();
+        block_max_topk_cursors(&mut cursors, k, &mut scratch);
+        scratch.take_ranked()
+    }
+
     #[test]
     fn block_max_matches_naive_on_fixed_example() {
         let raw: Vec<Vec<(u32, f64)>> = vec![
@@ -413,7 +365,7 @@ mod tests {
                 .map(|l| ScoredList::new(l.iter().map(|&(d, s)| (DocId(d), s)).collect()))
                 .collect();
             for k in 1..=8 {
-                let fast = block_max_topk(&blocked, k);
+                let fast = block_max_ranked(&blocked, k);
                 let slow = naive_topk(&scored, k);
                 assert_eq!(fast.len(), slow.len(), "k = {k}, bs = {block_size}");
                 for (f, s) in fast.iter().zip(&slow) {
@@ -429,7 +381,7 @@ mod tests {
         // Three docs tie at the k-th score; block-max pruning uses a
         // strict bound, so all tied docs must survive for tie-breaking.
         let l = block_list(&[(5, 0.5), (2, 0.5), (9, 0.5), (1, 0.9)], 2);
-        let top = block_max_topk(&[l], 3);
+        let top = block_max_ranked(&[l], 3);
         assert_eq!(
             top.iter().map(|r| r.doc.0).collect::<Vec<_>>(),
             vec![1, 2, 5]
@@ -438,24 +390,14 @@ mod tests {
 
     #[test]
     fn block_max_edge_cases() {
-        assert!(block_max_topk(&[], 3).is_empty());
+        assert!(block_max_ranked(&[], 3).is_empty());
         let l = block_list(&[(1, 0.5)], 4);
-        assert!(block_max_topk(std::slice::from_ref(&l), 0).is_empty());
+        assert!(block_max_ranked(std::slice::from_ref(&l), 0).is_empty());
         let empty = BlockScoredList::from_doc_ordered(vec![], 4);
         assert!(empty.is_empty());
-        assert!(block_max_topk(&[empty], 3).is_empty());
-        let top = block_max_topk(&[l], 10);
+        assert!(block_max_ranked(&[empty], 3).is_empty());
+        let top = block_max_ranked(&[l], 10);
         assert_eq!(top.len(), 1);
-    }
-
-    #[test]
-    fn from_blocks_accepts_precomputed_maxima() {
-        let entries = vec![(DocId(1), 0.2), (DocId(3), 0.4), (DocId(8), 0.1)];
-        let list = BlockScoredList::from_blocks(entries, 2, vec![0.4, 0.1]);
-        assert_eq!(list.len(), 3);
-        let top = block_max_topk(&[list], 2);
-        assert_eq!(top[0].doc, DocId(3));
-        assert_eq!(top[1].doc, DocId(1));
     }
 
     #[test]

@@ -133,29 +133,20 @@ pub enum Message {
     },
     /// User → shard peer: rank the top `k` documents for a weighted
     /// term query (the sharded plaintext serving path of the peer
-    /// runtime). Weights are the per-term IDF factors computed from
-    /// *global* collection statistics, shipped as exact `f64` bit
-    /// patterns so every shard scores with bit-identical floats.
-    TopKQuery {
+    /// runtime) — the one ranked-read frame. It carries the query
+    /// shape and an evaluator override, so it serves disjunctive,
+    /// conjunctive, and phrase evaluation alike. The shape and override
+    /// are raw bytes here (this crate stays independent of the query
+    /// crate); the serving layer converts them. Weights are the
+    /// per-term IDF factors computed from *global* collection
+    /// statistics, shipped as exact `f64` bit patterns so every shard
+    /// scores with bit-identical floats. The peer answers with a
+    /// [`Message::TopKResponse`].
+    PlanQuery {
         /// Which logical shard this peer should answer from. Under
         /// replication a peer hosts several shard stores; the id
         /// routes the query to the right one and lets any replica of
         /// a shard serve the identical request.
-        shard: u32,
-        /// Query terms with their global IDF weights.
-        terms: Vec<(TermId, f64)>,
-        /// How many ranked results to return.
-        k: u32,
-    },
-    /// User → shard peer: a *planned* query — like
-    /// [`Message::TopKQuery`] but carrying the query shape and an
-    /// evaluator override, so one frame serves disjunctive,
-    /// conjunctive, and phrase evaluation. The shape and override are
-    /// raw bytes here (this crate stays independent of the query
-    /// crate); the serving layer converts them. The peer answers with
-    /// a plain [`Message::TopKResponse`].
-    PlanQuery {
-        /// Which logical shard this peer should answer from.
         shard: u32,
         /// Query shape: 0 = disjunctive terms, 1 = conjunctive AND,
         /// 2 = exact phrase. Anything else is malformed.
@@ -351,7 +342,8 @@ const TAG_QUERY: u8 = 3;
 const TAG_RESPONSE: u8 = 4;
 const TAG_SNIPPET_REQ: u8 = 5;
 const TAG_SNIPPET_RESP: u8 = 6;
-const TAG_TOPK_QUERY: u8 = 7;
+// Tag 7 is retired (the pre-`PlanQuery` ranked-read frame) and must
+// never be reused: an old client's frame has to keep failing to decode.
 const TAG_TOPK_RESPONSE: u8 = 8;
 const TAG_INSERT_OK: u8 = 9;
 const TAG_DELETE_OK: u8 = 10;
@@ -416,16 +408,6 @@ impl Message {
                 buffer.put_u8(TAG_SNIPPET_RESP);
                 buffer.put_u32(payload.len() as u32);
                 buffer.put_slice(payload);
-            }
-            Message::TopKQuery { shard, terms, k } => {
-                buffer.put_u8(TAG_TOPK_QUERY);
-                buffer.put_u32(*shard);
-                buffer.put_u32(*k);
-                buffer.put_u32(terms.len() as u32);
-                for (term, weight) in terms {
-                    buffer.put_u32(term.0);
-                    buffer.put_u64(weight.to_bits());
-                }
             }
             Message::PlanQuery {
                 shard,
@@ -612,18 +594,6 @@ impl Message {
                     payload: Bytes::copy_from_slice(&buffer[..len]),
                 })
             }
-            TAG_TOPK_QUERY => {
-                let shard = read_u32(&mut buffer)?;
-                let k = read_u32(&mut buffer)?;
-                let count = read_u32(&mut buffer)? as usize;
-                let mut terms = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let term = TermId(read_u32(&mut buffer)?);
-                    let weight = f64::from_bits(read_u64(&mut buffer)?);
-                    terms.push((term, weight));
-                }
-                Ok(Message::TopKQuery { shard, terms, k })
-            }
             TAG_PLAN_QUERY => {
                 let shard = read_u32(&mut buffer)?;
                 if buffer.remaining() < 2 {
@@ -761,7 +731,6 @@ impl Message {
             }
             Message::SnippetRequest { .. } => 1 + 4,
             Message::SnippetResponse { payload } => 1 + 4 + payload.len(),
-            Message::TopKQuery { terms, .. } => 1 + 4 + 4 + 4 + terms.len() * (4 + 8),
             Message::PlanQuery { terms, .. } => 1 + 4 + 1 + 1 + 4 + 4 + terms.len() * (4 + 8),
             Message::TopKResponse { candidates, .. } => {
                 1 + 8 + 4 + 4 + 4 + candidates.len() * (4 + 8)
@@ -964,8 +933,10 @@ mod tests {
     fn topk_messages_round_trip_exact_floats() {
         // 0.1 has no finite binary expansion; bit-level transport must
         // still reproduce it exactly.
-        let query = Message::TopKQuery {
+        let query = Message::PlanQuery {
             shard: 2,
+            shape: 0,
+            forced: 1,
             terms: vec![(TermId(7), 0.1), (TermId(9), 3.75)],
             k: 10,
         };
@@ -1152,10 +1123,11 @@ mod tests {
 
     #[test]
     fn truncated_topk_errors() {
-        let message = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(1), 2.0)],
-            k: 3,
+        let message = Message::TopKResponse {
+            decode_ns: 1,
+            blocks_decoded: 2,
+            blocks_total: 3,
+            candidates: vec![(DocId(1), 2.0)],
         };
         let encoded = message.encode();
         for cut in 0..encoded.len() {
@@ -1186,6 +1158,12 @@ mod tests {
         assert_eq!(
             Message::decode(&[42]).unwrap_err(),
             WireError::UnknownTag(42)
+        );
+        // The retired ranked-read tag stays undecodable, body or not.
+        let retired = [7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
+        assert_eq!(
+            Message::decode(&retired).unwrap_err(),
+            WireError::UnknownTag(7)
         );
     }
 

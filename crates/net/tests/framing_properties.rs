@@ -57,7 +57,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u32>(),
             prop::collection::vec((any::<u32>().prop_map(TermId), arb_f64()), 0..8)
         )
-            .prop_map(|(shard, k, terms)| Message::TopKQuery { shard, terms, k }),
+            .prop_map(|(shard, k, terms)| Message::PlanQuery {
+                shard,
+                shape: 0,
+                forced: 1,
+                terms,
+                k,
+            }),
         (
             any::<u64>(),
             any::<u32>(),

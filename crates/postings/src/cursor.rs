@@ -19,11 +19,11 @@ use crate::list::CompressedPostingList;
 
 /// A lazy, weighted scoring cursor over one compressed posting list.
 ///
-/// Entries surface as `(doc, tf · weight)` — exactly the values the
-/// eager `weighted_block_lists` path of
-/// [`crate::CompressedPostingStore`] materializes, so rankings are
-/// bit-identical; only the decode work differs. The per-cursor decode counter feeds the query-cost
-/// accounting that proves pruning skipped real decompression.
+/// Entries surface as `(doc, tf · weight)` — exactly the values a
+/// full decode of the list yields, so rankings are bit-identical to
+/// the raw backend's; only the decode work differs. The per-cursor
+/// decode counter feeds the query-cost accounting that proves pruning
+/// skipped real decompression.
 #[derive(Debug)]
 pub struct CompressedBlockCursor<'a> {
     list: &'a CompressedPostingList,

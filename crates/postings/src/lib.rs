@@ -27,8 +27,7 @@
 //!   used to reproduce the share-vs-plaintext compressibility
 //!   experiment,
 //! * [`store`] — [`CompressedPostingStore`], the
-//!   [`zerber_index::store::PostingStore`] backend, whose stored
-//!   block maxima feed `zerber_index::block_max_topk` directly,
+//!   [`zerber_index::store::PostingStore`] backend,
 //! * [`cursor`] — [`CompressedBlockCursor`], the decode-on-demand
 //!   query cursor: block-max peeks and seeks from the skip metadata
 //!   alone, decompression only for blocks that survive the top-k

@@ -2,10 +2,9 @@
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor};
 use zerber_index::store::{PostingBackend, PostingStore, RawPostingStore};
-use zerber_index::topk::BlockScoredList;
 use zerber_index::{DocId, InvertedIndex, Posting, TermId};
 
-use crate::block::{RawEntry, BLOCK_SIZE};
+use crate::block::RawEntry;
 use crate::builder::CompressedPostingBuilder;
 use crate::cursor::CompressedBlockCursor;
 use crate::list::CompressedPostingList;
@@ -24,9 +23,8 @@ fn to_posting(entry: RawEntry) -> Posting {
 ///
 /// Term-addressed like the raw store; each list is delta- and
 /// bit-packed per [`crate::block`] and carries per-block skip
-/// metadata, which [`CompressedPostingStore::block_scored_lists`]
-/// reuses directly as the `block_max_score` bounds of block-max
-/// top-k.
+/// metadata, which [`CompressedBlockCursor`] reuses directly as the
+/// `block_max_score` bounds of block-max top-k.
 #[derive(Debug, Clone, Default)]
 pub struct CompressedPostingStore {
     lists: Vec<CompressedPostingList>,
@@ -86,31 +84,6 @@ impl CompressedPostingStore {
             self.raw_bytes() as f64 / compressed as f64
         }
     }
-
-    /// TF-IDF scored lists for a query, in the block-partitioned form
-    /// [`zerber_index::block_max_topk`] consumes. Block maxima come
-    /// straight from the stored `max_tf` skip metadata (scaled by the
-    /// term's IDF) — no rescan of the entries.
-    ///
-    /// Mirrors `zerber_index::topk::tfidf_lists`: score contribution
-    /// `tf(t, d) · ln(1 + N / df(t))` with `document_count` the
-    /// user-accessible collection size.
-    pub fn block_scored_lists(
-        &self,
-        terms: &[TermId],
-        document_count: usize,
-    ) -> Vec<BlockScoredList> {
-        let weights: Vec<(TermId, f64)> = terms
-            .iter()
-            .map(|&term| {
-                (
-                    term,
-                    zerber_index::idf(document_count, self.document_frequency(term)),
-                )
-            })
-            .collect();
-        self.weighted_block_lists(&weights)
-    }
 }
 
 impl PostingStore for CompressedPostingStore {
@@ -140,29 +113,6 @@ impl PostingStore for CompressedPostingStore {
             .sum()
     }
 
-    /// Override: block maxima come from the stored ceil-quantized
-    /// `max_tf` skip metadata scaled by the weight — no rescan of the
-    /// entries. The entry scores are identical to the default path
-    /// (same decoded postings, same `tf · weight`), and the quantized
-    /// maxima upper-bound them, so ranking results are unchanged;
-    /// only the pruning bounds (and therefore the skipping) differ.
-    fn weighted_block_lists(&self, terms: &[(TermId, f64)]) -> Vec<BlockScoredList> {
-        terms
-            .iter()
-            .map(|&(term, weight)| match self.list(term) {
-                Some(list) if !list.is_empty() => {
-                    let entries = list
-                        .iter()
-                        .map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
-                        .collect();
-                    let maxes = list.blocks().iter().map(|b| b.max_tf * weight).collect();
-                    BlockScoredList::from_blocks(entries, BLOCK_SIZE, maxes)
-                }
-                _ => BlockScoredList::from_doc_ordered(Vec::new(), BLOCK_SIZE),
-            })
-            .collect()
-    }
-
     /// Override: a point lookup through the stored positional column —
     /// one block decoded at most, no scan of the smaller-id lists.
     fn term_positions(&self, term: TermId, doc: DocId) -> Option<Vec<u32>> {
@@ -187,10 +137,6 @@ impl PostingStore for CompressedPostingStore {
             .collect()
     }
 }
-
-// The trait's scored-list blocks must coincide with the physical
-// compression blocks for the stored maxima to be reusable one-to-one.
-const _: () = assert!(BLOCK_SIZE == zerber_index::store::SCORING_BLOCK);
 
 /// Builds the frozen posting store a [`PostingBackend`] selection
 /// names.
@@ -253,25 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_block_lists_rank_identically_across_backends() {
-        // The compressed override derives block maxima from stored
-        // skip metadata instead of rescanning; results must not
-        // change.
-        let index = sample_index(400, 8);
-        let raw = RawPostingStore::from_index(&index);
-        let compressed = CompressedPostingStore::from_index(&index);
-        let weights: Vec<(TermId, f64)> =
-            vec![(TermId(3), 1.7), (TermId(10), 0.4), (TermId(49), 0.0)];
-        let a = zerber_index::block_max_topk(&raw.weighted_block_lists(&weights), 12);
-        let b = zerber_index::block_max_topk(&compressed.weighted_block_lists(&weights), 12);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-    }
-
-    #[test]
     fn compressed_store_is_smaller_than_raw_accounting() {
         let index = sample_index(2_000, 10);
         let store = CompressedPostingStore::from_index(&index);
@@ -293,47 +220,41 @@ mod tests {
     }
 
     #[test]
-    fn block_scored_lists_feed_block_max_topk() {
-        use zerber_index::topk::{naive_topk, tfidf_lists};
-        use zerber_index::{block_max_topk, ScoredList};
-        let index = sample_index(800, 6);
-        let store = CompressedPostingStore::from_index(&index);
-        let terms: Vec<TermId> = (0..6).map(TermId).collect();
-        let blocked = store.block_scored_lists(&terms, index.document_count());
-        let exhaustive: Vec<ScoredList> = tfidf_lists(&index, &terms);
-        for k in [1, 5, 20] {
-            let fast = block_max_topk(&blocked, k);
-            let slow = naive_topk(&exhaustive, k);
-            assert_eq!(fast.len(), slow.len(), "k = {k}");
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.doc, s.doc, "k = {k}");
-                assert!((f.score - s.score).abs() < 1e-12, "k = {k}");
-            }
-        }
-    }
-
-    #[test]
     fn lazy_cursors_rank_identically_and_prune_decode_work() {
         use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+        use zerber_index::RankedDoc;
+        // The reference: the raw backend's default cursors, which score
+        // every posting up front and compute exact block maxima.
+        fn raw_ranked(
+            index: &InvertedIndex,
+            weights: &[(TermId, f64)],
+            k: usize,
+        ) -> Vec<RankedDoc> {
+            let raw = RawPostingStore::from_index(index);
+            let mut cursors = raw.query_cursors(weights);
+            let mut scratch = TopKScratch::new();
+            block_max_topk_cursors(&mut cursors, k, &mut scratch);
+            scratch.take_ranked()
+        }
         let index = sample_index(3_000, 8);
         let store = CompressedPostingStore::from_index(&index);
-        let weights: Vec<(TermId, f64)> = (0..6u32).map(|t| (TermId(t), 1.0 + t as f64)).collect();
+        // Includes a zero-weight term: its stored maxima scale to 0.
+        let weights: Vec<(TermId, f64)> = (0..6u32).map(|t| (TermId(t), t as f64)).collect();
         let mut scratch = TopKScratch::new();
         for k in [1usize, 5, 50] {
-            let eager = zerber_index::block_max_topk(&store.weighted_block_lists(&weights), k);
+            let reference = raw_ranked(&index, &weights, k);
             let mut cursors = store.query_cursors(&weights);
             block_max_topk_cursors(&mut cursors, k, &mut scratch);
             let cost = QueryCost::of(&cursors);
-            assert_eq!(scratch.ranked.len(), eager.len(), "k = {k}");
-            for (lazy, e) in scratch.ranked.iter().zip(&eager) {
-                assert_eq!(lazy.doc, e.doc, "k = {k}");
-                assert_eq!(lazy.score.to_bits(), e.score.to_bits(), "k = {k}");
+            assert_eq!(scratch.ranked.len(), reference.len(), "k = {k}");
+            for (lazy, r) in scratch.ranked.iter().zip(&reference) {
+                assert_eq!(lazy.doc, r.doc, "k = {k}");
+                assert_eq!(lazy.score.to_bits(), r.score.to_bits(), "k = {k}");
             }
             assert!(cost.blocks_decoded <= cost.blocks_total, "k = {k}");
         }
         // A selective query (one dominant rare term, small k) must
-        // decode strictly fewer blocks than exist — the eager path
-        // always decompresses all of them.
+        // decode strictly fewer blocks than exist.
         let mut selective = InvertedIndex::new();
         for d in 0..2_000u32 {
             let mut terms = vec![(TermId(1), 1)];
@@ -351,8 +272,7 @@ mod tests {
             cost.blocks_decoded < cost.blocks_total,
             "pruning must skip decompression: {cost:?}"
         );
-        let eager = zerber_index::block_max_topk(&store.weighted_block_lists(&weights), 3);
-        assert_eq!(scratch.ranked, eager);
+        assert_eq!(scratch.ranked, raw_ranked(&selective, &weights, 3));
     }
 
     #[test]
@@ -379,7 +299,6 @@ mod tests {
         let store = CompressedPostingStore::default();
         assert_eq!(store.document_frequency(TermId(3)), 0);
         assert!(store.postings(TermId(3)).next().is_none());
-        let lists = store.block_scored_lists(&[TermId(3)], 10);
-        assert!(lists[0].is_empty());
+        assert!(store.query_cursors(&[(TermId(3), 1.0)])[0].at_end());
     }
 }

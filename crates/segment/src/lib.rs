@@ -27,8 +27,8 @@
 //!   thread) bounds the segment count via the streaming compressed
 //!   merge and garbage-collects tombstones, a `MANIFEST` names the
 //!   live segment set atomically, and [`SegmentSnapshot`] implements
-//!   `zerber_index::PostingStore` so `block_max_topk` and the sharded
-//!   peer runtime serve from it unchanged.
+//!   `zerber_index::PostingStore` so the query evaluators and the
+//!   sharded peer runtime serve from it unchanged.
 //!
 //! # Open → ingest → crash → recover
 //!

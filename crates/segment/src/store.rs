@@ -967,8 +967,9 @@ impl Drop for SegmentStore {
 }
 
 /// A frozen view of the store: `Arc`'d segment and delta sets.
-/// Implements [`PostingStore`], so `block_max_topk`, `ShardedSearch`,
-/// and the peer runtime's shard service run on it unchanged.
+/// Implements [`PostingStore`], so the query evaluators,
+/// `ShardedSearch`, and the peer runtime's shard service run on it
+/// unchanged.
 #[derive(Clone)]
 pub struct SegmentSnapshot {
     segments: Vec<Arc<Segment>>,
@@ -1132,43 +1133,6 @@ impl PostingStore for SegmentSnapshot {
         None
     }
 
-    /// Like the frozen compressed store, reuses stored block-max skip
-    /// metadata where it is sound: a term whose postings live entirely
-    /// in the newest segment (no deltas, no older copy) cannot be
-    /// shadowed, so its quantity-exact entries pair with the stored
-    /// maxima. Terms touched by newer state fall back to exact maxima
-    /// over the masked merge. Entry values are identical either way,
-    /// so ranking does not depend on which path served a term.
-    fn weighted_block_lists(&self, terms: &[(TermId, f64)]) -> Vec<BlockScoredList> {
-        terms
-            .iter()
-            .map(|&(term, weight)| {
-                if self.deltas.is_empty() && !self.segments.is_empty() {
-                    let (newest, older) = self.segments.split_last().expect("non-empty");
-                    let only_here = older.iter().all(|s| s.list(term.0).is_none());
-                    if only_here {
-                        if let Some(list) = newest.list(term.0) {
-                            let entries: Vec<(DocId, f64)> = list
-                                .iter()
-                                .map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
-                                .collect();
-                            let maxes: Vec<f64> =
-                                list.blocks().iter().map(|b| b.max_tf * weight).collect();
-                            return BlockScoredList::from_blocks(entries, SCORING_BLOCK, maxes);
-                        }
-                    }
-                }
-                BlockScoredList::from_doc_ordered(
-                    self.live_postings(term)
-                        .into_iter()
-                        .map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
-                        .collect(),
-                    SCORING_BLOCK,
-                )
-            })
-            .collect()
-    }
-
     /// Override: the lazy read path. Each term gets one cursor that
     /// merges the memtable deltas *over* the on-disk segments under
     /// the doc-level shadowing rule **without flattening**: segment
@@ -1178,8 +1142,8 @@ impl PostingStore for SegmentSnapshot {
     /// rule it out), deltas — already decoded in memory — ride a
     /// materialized adapter, and the shadow test is a binary search
     /// over the newer sources' doc tables. Entry values coincide with
-    /// the eager [`SegmentSnapshot::weighted_block_lists`] path, so
-    /// ranking is bit-identical (property-tested in
+    /// [`PostingStore::postings`]' masked merge, so ranking is
+    /// bit-identical to a rebuilt index (property-tested in
     /// `store_properties.rs`); only the decode work differs.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
         let sources = self.sources();
@@ -1203,7 +1167,7 @@ impl PostingStore for SegmentSnapshot {
                             .collect();
                         subs.push((
                             self.segments.len() + offset,
-                            Box::new(ScoredListCursor::owned(BlockScoredList::from_doc_ordered(
+                            Box::new(ScoredListCursor::new(BlockScoredList::from_doc_ordered(
                                 scored,
                                 SCORING_BLOCK,
                             ))),

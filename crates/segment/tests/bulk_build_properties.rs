@@ -81,6 +81,19 @@ fn tiny_bulk() -> BulkConfig {
     }
 }
 
+/// A store's bit-pattern top-12 through the cursor pipeline the
+/// runtime serves with.
+fn ranked_bits(store: &dyn PostingStore, weights: &[(TermId, f64)]) -> Vec<(DocId, u64)> {
+    let mut cursors = store.query_cursors(weights);
+    let mut scratch = TopKScratch::new();
+    block_max_topk_cursors(&mut cursors, 12, &mut scratch);
+    scratch
+        .ranked
+        .iter()
+        .map(|r| (r.doc, r.score.to_bits()))
+        .collect()
+}
+
 /// The oracle's bit-pattern top-k over every term, plus df per term —
 /// the full observable surface of a snapshot.
 fn oracle_fingerprint(live: &BTreeMap<u32, Document>) -> (Vec<usize>, Vec<(DocId, u64)>) {
@@ -92,16 +105,10 @@ fn oracle_fingerprint(live: &BTreeMap<u32, Document>) -> (Vec<usize>, Vec<(DocId
     let weights: Vec<(TermId, f64)> = (0..MAX_TERM)
         .map(|t| (TermId(t), zerber_index::idf(live.len(), dfs[t as usize])))
         .collect();
-    let lists = index.weighted_block_lists(&weights);
-    let topk = zerber_index::block_max_topk(&lists, 12)
-        .into_iter()
-        .map(|r| (r.doc, r.score.to_bits()))
-        .collect();
-    (dfs, topk)
+    (dfs, ranked_bits(&index, &weights))
 }
 
-/// A store snapshot's answer to the same fingerprint, through the lazy
-/// cursor pipeline the runtime serves with.
+/// A store snapshot's answer to the same fingerprint.
 fn store_fingerprint(
     snapshot: &zerber_segment::SegmentSnapshot,
     live_count: usize,
@@ -112,15 +119,7 @@ fn store_fingerprint(
     let weights: Vec<(TermId, f64)> = (0..MAX_TERM)
         .map(|t| (TermId(t), zerber_index::idf(live_count, dfs[t as usize])))
         .collect();
-    let mut cursors = snapshot.query_cursors(&weights);
-    let mut scratch = TopKScratch::new();
-    block_max_topk_cursors(&mut cursors, 12, &mut scratch);
-    let topk = scratch
-        .ranked
-        .iter()
-        .map(|r| (r.doc, r.score.to_bits()))
-        .collect();
-    (dfs, topk)
+    (dfs, ranked_bits(snapshot, &weights))
 }
 
 /// Asserts `snapshot` matches the oracle document-for-document,

@@ -9,18 +9,14 @@
 //! *lazy* `PostingStore::query_cursors` + `block_max_topk_cursors`
 //! pipeline the runtime serves queries with (memtable deltas merged
 //! over compressed segment cursors under the shadowing rule, decode on
-//! demand), and every query double-checks the eager
-//! `weighted_block_lists` path against it — three paths, one answer,
-//! bit for bit.
+//! demand).
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
-use zerber_index::{
-    block_max_topk, DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId,
-};
+use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_segment::{scratch_dir, SegmentStore};
 
 /// One step of a schedule.
@@ -96,9 +92,23 @@ fn oracle_topk(live: &BTreeMap<u32, Document>, terms: &[u32], k: usize) -> Vec<(
             )
         })
         .collect();
-    let lists = index.weighted_block_lists(&weights);
-    block_max_topk(&lists, k)
-        .into_iter()
+    ranked_bits(&index, &weights, k)
+}
+
+/// A store's bit-pattern top-k through the cursor pipeline, asserting
+/// the decode accounting stays sane.
+fn ranked_bits(store: &dyn PostingStore, weights: &[(TermId, f64)], k: usize) -> Vec<(DocId, u64)> {
+    let mut cursors = store.query_cursors(weights);
+    let mut scratch = TopKScratch::new();
+    block_max_topk_cursors(&mut cursors, k, &mut scratch);
+    let cost = QueryCost::of(&cursors);
+    assert!(
+        cost.blocks_decoded <= cost.blocks_total,
+        "decode accounting out of range: {cost:?}"
+    );
+    scratch
+        .ranked
+        .iter()
         .map(|r| (r.doc, r.score.to_bits()))
         .collect()
 }
@@ -107,8 +117,7 @@ fn oracle_topk(live: &BTreeMap<u32, Document>, terms: &[u32], k: usize) -> Vec<(
 /// runtime serves with, with IDF weights from the *oracle's*
 /// statistics (both sides must agree on df for the comparison to be
 /// meaningful — and they do, which `document_frequency` asserts
-/// separately). Also asserts the eager `weighted_block_lists` path
-/// agrees bit for bit and the decode accounting stays sane.
+/// separately).
 fn store_topk(
     snapshot: &zerber_segment::SegmentSnapshot,
     live: &BTreeMap<u32, Document>,
@@ -124,25 +133,7 @@ fn store_topk(
             )
         })
         .collect();
-    let mut cursors = snapshot.query_cursors(&weights);
-    let mut scratch = TopKScratch::new();
-    block_max_topk_cursors(&mut cursors, k, &mut scratch);
-    let cost = QueryCost::of(&cursors);
-    assert!(
-        cost.blocks_decoded <= cost.blocks_total,
-        "decode accounting out of range: {cost:?}"
-    );
-    let lazy: Vec<(DocId, u64)> = scratch
-        .ranked
-        .iter()
-        .map(|r| (r.doc, r.score.to_bits()))
-        .collect();
-    let eager: Vec<(DocId, u64)> = block_max_topk(&snapshot.weighted_block_lists(&weights), k)
-        .into_iter()
-        .map(|r| (r.doc, r.score.to_bits()))
-        .collect();
-    assert_eq!(lazy, eager, "lazy cursor path diverged from eager path");
-    lazy
+    ranked_bits(snapshot, &weights, k)
 }
 
 proptest! {

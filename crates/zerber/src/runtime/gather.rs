@@ -4,8 +4,8 @@
 //! Documents are sharded — every document's postings live on exactly
 //! one peer — so each candidate arrives with its *complete* score and
 //! the per-peer candidate sets are disjoint. Each peer's list is
-//! sorted by `(score desc, doc asc)` (the order
-//! [`zerber_index::block_max_topk`] emits), which makes it a *sorted
+//! sorted by `(score desc, doc asc)` (the order every evaluator
+//! emits, [`RankedDoc::result_order`]), which makes it a *sorted
 //! access* path in Fagin's sense: the head of each list upper-bounds
 //! everything behind it. The gather loop therefore only ever pulls
 //! the globally best head, and after `k` pulls the threshold `τ =
@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zerber_index::RankedDoc;
+use zerber_net::message::fault;
 use zerber_net::{AuthToken, Message, NodeId};
 
 use crate::runtime::transport::{PendingReply, Transport, TransportError};
@@ -90,6 +91,20 @@ pub struct AttemptRecord {
     pub outcome: AttemptOutcome,
 }
 
+/// A replica's decoded [`Message::TopKResponse`] — the only message
+/// the hedged fan-out accepts as an answer.
+#[derive(Debug)]
+pub struct ShardAnswer {
+    /// Peer-side wall clock of the shard-local evaluation.
+    pub decode_ns: u64,
+    /// Blocks the evaluation decompressed.
+    pub blocks_decoded: u32,
+    /// Blocks present across the query's posting lists.
+    pub blocks_total: u32,
+    /// The shard-local top-k, `(score desc, doc asc)`.
+    pub candidates: Vec<RankedDoc>,
+}
+
 /// One shard's answer from the hedged fan-out, with the per-attempt
 /// evidence the caller surfaces (and the tracer turns into spans).
 #[derive(Debug)]
@@ -98,8 +113,8 @@ pub struct ShardFetch {
     pub shard: u32,
     /// The replica whose response was used.
     pub peer: NodeId,
-    /// That replica's response message.
-    pub response: Message,
+    /// That replica's answer.
+    pub answer: ShardAnswer,
     /// Every attempt made for this shard, in send order. The first is
     /// the primary; exactly one has [`AttemptOutcome::Answered`].
     pub attempts: Vec<AttemptRecord>,
@@ -123,11 +138,17 @@ impl ShardFetch {
     /// Replicas that failed before one answered — reported, never
     /// silently dropped.
     pub fn failed(&self) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {
-        self.attempts.iter().filter_map(|a| match a.outcome {
-            AttemptOutcome::Failed(error) => Some((a.peer, error)),
-            _ => None,
-        })
+        failed_attempts(&self.attempts)
     }
+}
+
+fn failed_attempts(
+    attempts: &[AttemptRecord],
+) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {
+    attempts.iter().filter_map(|a| match a.outcome {
+        AttemptOutcome::Failed(error) => Some((a.peer, error)),
+        _ => None,
+    })
 }
 
 /// A shard no replica answered for: the query cannot be completed
@@ -141,13 +162,37 @@ pub struct ShardUnavailable {
     pub attempts: Vec<AttemptRecord>,
 }
 
-/// Classifies one resolved attempt: a fault frame is a *failed
-/// attempt* (another replica may serve the identical request), any
-/// other message is the shard's answer.
-fn classify(result: Result<Message, TransportError>) -> Result<Message, TransportError> {
-    match result {
-        Ok(Message::Fault { code, .. }) => Err(TransportError::Rejected(code)),
-        other => other,
+impl ShardUnavailable {
+    /// Each replica's terminal failure, in send order.
+    pub fn failed(&self) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {
+        failed_attempts(&self.attempts)
+    }
+}
+
+/// Classifies one resolved attempt: only a [`Message::TopKResponse`]
+/// is the shard's answer. A fault frame is a *failed attempt* (another
+/// replica may serve the identical request), and so is any other
+/// message — a peer answering a ranked read with the wrong frame is
+/// hostile or buggy, and is hedged around as [`fault::MALFORMED`]
+/// rather than trusted or panicked on.
+fn classify(result: Result<Message, TransportError>) -> Result<ShardAnswer, TransportError> {
+    match result? {
+        Message::TopKResponse {
+            decode_ns,
+            blocks_decoded,
+            blocks_total,
+            candidates,
+        } => Ok(ShardAnswer {
+            decode_ns,
+            blocks_decoded,
+            blocks_total,
+            candidates: candidates
+                .into_iter()
+                .map(|(doc, score)| RankedDoc { doc, score })
+                .collect(),
+        }),
+        Message::Fault { code, .. } => Err(TransportError::Rejected(code)),
+        _ => Err(TransportError::Rejected(fault::MALFORMED)),
     }
 }
 
@@ -246,8 +291,8 @@ fn settle_shard(
             },
         });
         match resolved {
-            Ok(response) => {
-                return Ok(settled(shard, peer, response, attempts, laggards));
+            Ok(answer) => {
+                return Ok(settled(shard, peer, answer, attempts, laggards));
             }
             Err(TransportError::Timeout(_)) => {
                 // Silent so far — keep listening while hedging on.
@@ -283,9 +328,9 @@ fn settle_shard(
                     // supersedes the provisional Timeout record.
                     attempts[laggard.index].duration = laggard.sent_at.elapsed();
                     match classify(result) {
-                        Ok(response) => {
+                        Ok(answer) => {
                             attempts[laggard.index].outcome = AttemptOutcome::Answered;
-                            return Ok(settled(shard, peer, response, attempts, laggards));
+                            return Ok(settled(shard, peer, answer, attempts, laggards));
                         }
                         Err(error) => {
                             attempts[laggard.index].outcome = AttemptOutcome::Failed(error);
@@ -306,7 +351,7 @@ fn settle_shard(
 fn settled(
     shard: u32,
     peer: NodeId,
-    response: Message,
+    answer: ShardAnswer,
     mut attempts: Vec<AttemptRecord>,
     laggards: Vec<Laggard>,
 ) -> ShardFetch {
@@ -322,7 +367,7 @@ fn settled(
     ShardFetch {
         shard,
         peer,
-        response,
+        answer,
         attempts,
     }
 }

@@ -21,9 +21,9 @@
 //!   share-holding index-server role (`ZerberSystem` hosts its `n`
 //!   servers this way); [`ShardService`] serves one *document shard*
 //!   of a plaintext collection behind the
-//!   [`zerber_index::PostingStore`] trait and answers top-k queries
-//!   with the lazy cursor-driven
-//!   [`zerber_index::block_max_topk_cursors`] over
+//!   [`zerber_index::PostingStore`] trait and answers every ranked
+//!   read ([`zerber_net::Message::PlanQuery`]) with the planner-chosen
+//!   `zerber-query` evaluator over the lazy
 //!   [`zerber_index::PostingStore::query_cursors`] — only blocks that
 //!   survive the block-max bound ever decompress.
 //! * [`gather`] — merges per-peer top-k candidates under the
@@ -43,13 +43,18 @@
 //!  client thread                    peer threads (R replicas/shard)
 //!  ─────────────                    ───────────────────────────────
 //!  idf weights (global df)
-//!  TopKQuery ─ hedged fan-out ─┬─▶  shard 0 @ peer 0 ─ block-max ─┐
-//!      (wire bytes             ├─▶  shard 1 @ peer 1 ─ block-max ─┤
+//!  PlanQuery ─ hedged fan-out ─┬─▶  shard 0 @ peer 0 ─ evaluate ──┐
+//!      (wire bytes             ├─▶  shard 1 @ peer 1 ─ evaluate ──┤
 //!       metered per link;      └─▶  shard 2 @ peer 2 ✗ dead       │
-//!       silent replica ⇒ hedge)  └▶ shard 2 @ peer 3 ─ block-max ─┤
+//!       silent replica ⇒ hedge)  └▶ shard 2 @ peer 3 ─ evaluate ──┤
 //!                                                             ▼
 //!  ranked top-k  ◀── gather (TA bound) ◀── TopKResponse (sorted)
 //! ```
+//!
+//! [`ShardedSearch::query`] / [`ShardedSearch::query_from`] (the
+//! uncached `Terms`/block-max-TA read) and
+//! [`ShardedSearch::query_shaped`] (the cached serving read) are both
+//! thin entries over this one path.
 
 pub mod fault;
 pub mod gather;
@@ -78,7 +83,7 @@ use zerber_query::{CacheConfig, Forced, Query, ResultCache};
 pub use fault::{ChaosAction, FaultInjectTransport, FaultPlan};
 pub use gather::{
     gather_topk, gather_topk_with, hedged_fan_out, AttemptOutcome, AttemptRecord, GatherOutcome,
-    GatherScratch, HedgePolicy, ShardFetch, ShardUnavailable,
+    GatherScratch, HedgePolicy, ShardAnswer, ShardFetch, ShardUnavailable,
 };
 pub use handle::RuntimeHandle;
 pub use membership::{MembershipTable, PeerStatus};
@@ -96,7 +101,7 @@ use crate::config::{ConfigError, ZerberConfig};
 
 thread_local! {
     /// Per-client-thread gather scratch: concurrent clients each keep
-    /// their own, so `query_from` stays `&self` without a lock and the
+    /// their own, so queries stay `&self` without a lock and the
     /// gather stage stops allocating per query.
     static GATHER_SCRATCH: std::cell::RefCell<GatherScratch> =
         std::cell::RefCell::new(GatherScratch::default());
@@ -219,8 +224,8 @@ pub enum DegradedMode {
 ///
 /// Documents are placed on `config.peers` peer threads by the
 /// consistent-hash ring; each peer indexes its shard on its own
-/// thread (parallel build) and serves [`Message::TopKQuery`] with the
-/// block-max Threshold Algorithm over the configured
+/// thread (parallel build) and serves [`Message::PlanQuery`] with the
+/// planned evaluator over the configured
 /// [`zerber_index::PostingStore`] backend. `query` is `&self` and
 /// thread-safe: concurrent clients fan out and gather independently,
 /// which is what the `scalability` repro experiment measures.
@@ -320,7 +325,7 @@ pub enum IngestError {
     /// The transport failed (peer gone, wire damage).
     Transport(TransportError),
     /// The shard peer refused the mutation — `code` is the
-    /// `zerber_net::message::fault` discriminant (frozen shard,
+    /// `zerber_net::message::fault` discriminant (shard not hosted,
     /// storage failure, malformed document).
     Rejected {
         /// Fault code from the peer.
@@ -369,10 +374,8 @@ impl std::fmt::Display for QueryError {
                 // The per-replica terminal evidence: a timeout reads
                 // differently from a dead link or a fault frame, and
                 // the operator debugging an outage needs to know which.
-                for attempt in &s.attempts {
-                    if let AttemptOutcome::Failed(error) = attempt.outcome {
-                        write!(f, "; {:?}: {error}", attempt.peer)?;
-                    }
+                for (peer, error) in s.failed() {
+                    write!(f, "; {peer:?}: {error}")?;
                 }
                 Ok(())
             }
@@ -400,6 +403,16 @@ fn replica_backend(
         }
         other => std::borrow::Cow::Borrowed(other),
     }
+}
+
+/// The label a query's trace is filed under.
+fn trace_label(query: &Query, forced: Forced) -> String {
+    format!(
+        "{:?} terms={:?} k={} forced={forced:?}",
+        query.shape(),
+        query.terms(),
+        query.k()
+    )
 }
 
 fn to_wire(doc: &Document) -> WireDocument {
@@ -936,150 +949,31 @@ impl ShardedSearch {
             .collect()
     }
 
-    /// Executes a top-`k` query as anonymous client 0.
+    /// Executes a top-`k` query as anonymous client 0 (see
+    /// [`ShardedSearch::query_from`]).
     pub fn query(&self, terms: &[TermId], k: usize) -> Result<ShardedQueryOutcome, QueryError> {
         self.query_from(0, terms, k)
     }
 
-    /// Executes a top-`k` query as client `client` (distinct clients
-    /// get distinct links in the traffic accounting).
-    ///
-    /// The fan-out is *hedged*: each shard's request goes to its
-    /// primary replica first, and only a replica that is silent for
-    /// [`HedgePolicy::hedge_after`] (or answers with a fault) costs a
-    /// retry on the next replica. Replica stores are identical copies,
-    /// so whichever one answers, the gathered top-k is bit-identical
-    /// to the single-node oracle — a dead peer changes availability
-    /// accounting, never results.
+    /// The uncached disjunctive read: ranks `terms` (in caller order,
+    /// duplicates scoring twice) under the block-max Threshold
+    /// Algorithm as client `client` (distinct clients get distinct
+    /// links in the traffic accounting). It never probes or fills the
+    /// result cache, so every call reaches the transport — which is
+    /// what the fault-injection tests and the `scalability` experiment
+    /// rely on. [`ShardedSearch::query_shaped`] is the cached serving
+    /// read over the same fan-out.
     pub fn query_from(
         &self,
         client: u32,
         terms: &[TermId],
         k: usize,
     ) -> Result<ShardedQueryOutcome, QueryError> {
-        let weights = self.stats.read().stats.weights(terms);
-        // Saturate rather than truncate: document ids are 32-bit, so
-        // no shard can hold more than u32::MAX results anyway.
-        let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
-        let shards = self.query_shards(|shard| Message::TopKQuery {
-            shard,
-            terms: weights.clone(),
-            k: wire_k,
-        });
-        let from = NodeId::User(client);
-        let started = Instant::now();
-        let trace_id = self.obs.next_trace_id();
-        let (fetches, fanout_span) = traced_topk_fanout(
-            &self.obs,
-            self.transport.as_ref(),
-            from,
-            AuthToken(0),
-            trace_id,
-            &shards,
-            &self.policy,
-        );
-
-        let degraded = *self.degraded.read();
-        let mut per_shard: Vec<Vec<RankedDoc>> = Vec::with_capacity(fetches.len());
-        let mut failed_peers: Vec<(NodeId, TransportError)> = Vec::new();
-        let mut partial_shards: Vec<u32> = Vec::new();
-        let mut unavailable_err: Option<ShardUnavailable> = None;
-        for fetch in fetches {
-            let fetch = match fetch {
-                Ok(fetch) => fetch,
-                Err(unavailable) => match degraded {
-                    DegradedMode::FailClosed => {
-                        unavailable_err = Some(unavailable);
-                        break;
-                    }
-                    DegradedMode::FlaggedPartial => {
-                        partial_shards.push(unavailable.shard);
-                        failed_peers.extend(unavailable.attempts.iter().filter_map(|a| {
-                            match a.outcome {
-                                AttemptOutcome::Failed(error) => Some((a.peer, error)),
-                                _ => None,
-                            }
-                        }));
-                        continue;
-                    }
-                },
-            };
-            failed_peers.extend(fetch.failed());
-            match fetch.response {
-                Message::TopKResponse { candidates, .. } => per_shard.push(
-                    candidates
-                        .into_iter()
-                        .map(|(doc, score)| RankedDoc { doc, score })
-                        .collect(),
-                ),
-                other => panic!("protocol violation: unexpected response {other:?}"),
-            }
-        }
-        if let Some(unavailable) = unavailable_err {
-            // A failed-closed query still counts: record its latency,
-            // completion, and a *failure trace* (the slow-query log is
-            // exactly where an operator looks for the terminal
-            // per-replica errors) before surfacing the loss.
-            let total = started.elapsed();
-            let metrics = self.obs.metrics();
-            metrics.latency.record(total.as_nanos() as u64);
-            metrics.total.inc();
-            let root = SpanRecord::new("query", Duration::ZERO, total)
-                .with_counter("k", k as u64)
-                .failed(format!("shard {} unavailable", unavailable.shard))
-                .with_child(fanout_span);
-            self.obs.record_trace(Arc::new(QueryTrace {
-                id: trace_id,
-                label: format!("terms={terms:?} k={k}"),
-                total,
-                root,
-            }));
-            return Err(QueryError::Unavailable(unavailable));
-        }
-        let gather_started = Instant::now();
-        let gathered = GATHER_SCRATCH
-            .with(|scratch| gather_topk_with(&mut scratch.borrow_mut(), &per_shard, k));
-        let gather_span = SpanRecord::new(
-            "gather",
-            gather_started.duration_since(started),
-            gather_started.elapsed(),
-        )
-        .with_counter("candidates_received", gathered.candidates_received as u64)
-        .with_counter("candidates_examined", gathered.candidates_examined as u64);
-
-        let metrics = self.obs.metrics();
-        metrics
-            .candidates_received
-            .add(gathered.candidates_received as u64);
-        metrics
-            .candidates_examined
-            .add(gathered.candidates_examined as u64);
-        let total = started.elapsed();
-        metrics.latency.record(total.as_nanos() as u64);
-        metrics.total.inc();
-        self.obs.sync_traffic(self.traffic());
-
-        let root = SpanRecord::new("query", Duration::ZERO, total)
-            .with_counter("k", k as u64)
-            .with_child(fanout_span)
-            .with_child(gather_span);
-        let trace = Arc::new(QueryTrace {
-            id: trace_id,
-            label: format!("terms={terms:?} k={k}"),
-            total,
-            root,
-        });
-        self.obs.record_trace(Arc::clone(&trace));
-
-        Ok(ShardedQueryOutcome {
-            ranked: gathered.ranked,
-            peers_contacted: per_shard.len(),
-            candidates_received: gathered.candidates_received,
-            candidates_examined: gathered.candidates_examined,
-            failed_peers,
-            partial_shards,
-            trace,
-        })
+        let query = Query::Terms {
+            terms: terms.to_vec(),
+            k,
+        };
+        self.fetch_and_gather(client, &query, Forced::BlockMaxTa, Instant::now())
     }
 
     /// The current serving epoch (the cache-key component writes bump).
@@ -1093,20 +987,18 @@ impl ShardedSearch {
         &self.cache
     }
 
-    /// Executes a shaped top-`k` query ([`Query::Terms`] /
-    /// [`Query::And`] / [`Query::Phrase`]) as client `client`.
+    /// The cached serving read: executes a shaped top-`k` query
+    /// ([`Query::Terms`] / [`Query::And`] / [`Query::Phrase`]) as
+    /// client `client`.
     ///
     /// The query is normalized, then probed against the epoch-keyed
     /// result cache; a hit answers without touching any peer (the
-    /// trace records a `cache` span instead of a fan-out). A miss
-    /// ships [`Message::PlanQuery`] to every shard — each peer runs
-    /// the planned evaluator (block-max TA, MaxScore, conjunctive
-    /// leapfrog, or phrase) over its backend — gathers exactly like
-    /// [`ShardedSearch::query_from`], and fills the cache under the
-    /// epoch the probe used. Because writes bump the epoch *after*
-    /// every replica acknowledges, a key minted before a write can
-    /// never be looked up after it: stale hits are structurally
-    /// impossible, not scrubbed.
+    /// trace records a `cache` span instead of a fan-out). A miss runs
+    /// the same fan-out as [`ShardedSearch::query_from`] and fills the
+    /// cache under the epoch the probe used. Because writes bump the
+    /// epoch *after* every replica acknowledges, a key minted before a
+    /// write can never be looked up after it: stale hits are
+    /// structurally impossible, not scrubbed.
     ///
     /// `forced` overrides the disjunctive planner choice
     /// ([`Forced::BlockMaxTa`] / [`Forced::MaxScore`]) so benchmarks
@@ -1121,12 +1013,6 @@ impl ShardedSearch {
     ) -> Result<ShardedQueryOutcome, QueryError> {
         let started = Instant::now();
         let normalized = query.normalized();
-        let k = normalized.k();
-        let label = format!(
-            "{:?} terms={:?} k={k} forced={forced:?}",
-            normalized.shape(),
-            normalized.terms()
-        );
         let epoch = self.epoch.load(Ordering::Acquire);
         let key = normalized.cache_key(epoch);
         let metrics = self.obs.metrics();
@@ -1139,11 +1025,11 @@ impl ShardedSearch {
                 .with_counter("hit", 1)
                 .with_counter("epoch", epoch);
             let root = SpanRecord::new("query", Duration::ZERO, total)
-                .with_counter("k", k as u64)
+                .with_counter("k", normalized.k() as u64)
                 .with_child(cache_span);
             let trace = Arc::new(QueryTrace {
                 id: self.obs.next_trace_id(),
-                label,
+                label: trace_label(&normalized, forced),
                 total,
                 root,
             });
@@ -1159,30 +1045,67 @@ impl ShardedSearch {
             });
         }
         metrics.cache_misses.inc();
+        let outcome = self.fetch_and_gather(client, &normalized, forced, started)?;
+        // Fill the cache under the epoch the probe used: if a write
+        // landed mid-flight the epoch has moved on, this key names a
+        // dead epoch, and no future probe can ever read it. A partial
+        // answer (flagged-degraded mode with shards missing) never
+        // fills the cache — it is not *the* answer for this epoch.
+        if outcome.partial_shards.is_empty() {
+            let evicted = self.cache.insert(key, Arc::new(outcome.ranked.clone()));
+            metrics.cache_evictions.add(evicted);
+        }
+        Ok(outcome)
+    }
+
+    /// The one ranked-read path behind every public query entry point:
+    /// global IDF weights → one [`Message::PlanQuery`] per shard →
+    /// hedged, traced fan-out → degraded-mode decision → gather →
+    /// metrics → trace. `query`'s terms ship in the order given (the
+    /// caller normalizes, or not); `started` is when the caller's
+    /// query began, so the trace covers any work done before the
+    /// fan-out.
+    ///
+    /// The fan-out is *hedged*: each shard's request goes to its
+    /// primary replica first, and only a replica that is silent for
+    /// [`HedgePolicy::hedge_after`] (or answers with a fault) costs a
+    /// retry on the next replica. Replica stores are identical copies,
+    /// so whichever one answers, the gathered top-k is bit-identical
+    /// to the single-node oracle — a dead peer changes availability
+    /// accounting, never results.
+    fn fetch_and_gather(
+        &self,
+        client: u32,
+        query: &Query,
+        forced: Forced,
+        started: Instant,
+    ) -> Result<ShardedQueryOutcome, QueryError> {
+        let k = query.k();
+        let metrics = self.obs.metrics();
         metrics
             .plan_counter(zerber_query::plan(
-                normalized.shape(),
-                normalized.terms().len(),
+                query.shape(),
+                query.terms().len(),
                 forced,
             ))
             .inc();
 
-        let weights = self.stats.read().stats.weights(normalized.terms());
+        let weights = self.stats.read().stats.weights(query.terms());
+        // Saturate rather than truncate: document ids are 32-bit, so
+        // no shard can hold more than u32::MAX results anyway.
         let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
-        let shape = normalized.shape().as_u8();
         let shards = self.query_shards(|shard| Message::PlanQuery {
             shard,
-            shape,
+            shape: query.shape().as_u8(),
             forced: forced.as_u8(),
             terms: weights.clone(),
             k: wire_k,
         });
-        let from = NodeId::User(client);
         let trace_id = self.obs.next_trace_id();
         let (fetches, fanout_span) = traced_topk_fanout(
             &self.obs,
             self.transport.as_ref(),
-            from,
+            NodeId::User(client),
             AuthToken(0),
             trace_id,
             &shards,
@@ -1193,53 +1116,38 @@ impl ShardedSearch {
         let mut per_shard: Vec<Vec<RankedDoc>> = Vec::with_capacity(fetches.len());
         let mut failed_peers: Vec<(NodeId, TransportError)> = Vec::new();
         let mut partial_shards: Vec<u32> = Vec::new();
-        let mut unavailable_err: Option<ShardUnavailable> = None;
         for fetch in fetches {
-            let fetch = match fetch {
-                Ok(fetch) => fetch,
-                Err(unavailable) => match degraded {
-                    DegradedMode::FailClosed => {
-                        unavailable_err = Some(unavailable);
-                        break;
-                    }
-                    DegradedMode::FlaggedPartial => {
-                        partial_shards.push(unavailable.shard);
-                        failed_peers.extend(unavailable.attempts.iter().filter_map(|a| {
-                            match a.outcome {
-                                AttemptOutcome::Failed(error) => Some((a.peer, error)),
-                                _ => None,
-                            }
-                        }));
-                        continue;
-                    }
-                },
-            };
-            failed_peers.extend(fetch.failed());
-            match fetch.response {
-                Message::TopKResponse { candidates, .. } => per_shard.push(
-                    candidates
-                        .into_iter()
-                        .map(|(doc, score)| RankedDoc { doc, score })
-                        .collect(),
-                ),
-                other => panic!("protocol violation: unexpected response {other:?}"),
+            match fetch {
+                Ok(fetch) => {
+                    failed_peers.extend(fetch.failed());
+                    per_shard.push(fetch.answer.candidates);
+                }
+                Err(unavailable) if degraded == DegradedMode::FlaggedPartial => {
+                    partial_shards.push(unavailable.shard);
+                    failed_peers.extend(unavailable.failed());
+                }
+                Err(unavailable) => {
+                    // A failed-closed query still counts: record its
+                    // latency, completion, and a *failure trace* (the
+                    // slow-query log is exactly where an operator looks
+                    // for the terminal per-replica errors) before
+                    // surfacing the loss.
+                    let total = started.elapsed();
+                    metrics.latency.record(total.as_nanos() as u64);
+                    metrics.total.inc();
+                    let root = SpanRecord::new("query", Duration::ZERO, total)
+                        .with_counter("k", k as u64)
+                        .failed(format!("shard {} unavailable", unavailable.shard))
+                        .with_child(fanout_span);
+                    self.obs.record_trace(Arc::new(QueryTrace {
+                        id: trace_id,
+                        label: trace_label(query, forced),
+                        total,
+                        root,
+                    }));
+                    return Err(QueryError::Unavailable(unavailable));
+                }
             }
-        }
-        if let Some(unavailable) = unavailable_err {
-            let total = started.elapsed();
-            metrics.latency.record(total.as_nanos() as u64);
-            metrics.total.inc();
-            let root = SpanRecord::new("query", Duration::ZERO, total)
-                .with_counter("k", k as u64)
-                .failed(format!("shard {} unavailable", unavailable.shard))
-                .with_child(fanout_span);
-            self.obs.record_trace(Arc::new(QueryTrace {
-                id: trace_id,
-                label,
-                total,
-                root,
-            }));
-            return Err(QueryError::Unavailable(unavailable));
         }
         let gather_started = Instant::now();
         let gathered = GATHER_SCRATCH
@@ -1252,15 +1160,6 @@ impl ShardedSearch {
         .with_counter("candidates_received", gathered.candidates_received as u64)
         .with_counter("candidates_examined", gathered.candidates_examined as u64);
 
-        // Fill the cache under the epoch the probe used: if a write
-        // landed mid-flight the epoch has moved on, this key names a
-        // dead epoch, and no future probe can ever read it. A partial
-        // answer (flagged-degraded mode with shards missing) never
-        // fills the cache — it is not *the* answer for this epoch.
-        if partial_shards.is_empty() {
-            let evicted = self.cache.insert(key, Arc::new(gathered.ranked.clone()));
-            metrics.cache_evictions.add(evicted);
-        }
         metrics
             .candidates_received
             .add(gathered.candidates_received as u64);
@@ -1278,7 +1177,7 @@ impl ShardedSearch {
             .with_child(gather_span);
         let trace = Arc::new(QueryTrace {
             id: trace_id,
-            label,
+            label: trace_label(query, forced),
             total,
             root,
         });
@@ -1555,7 +1454,7 @@ impl ShardedSearch {
 /// replica attempt, a `decode` great-grandchild under each winning
 /// attempt).
 ///
-/// Shared by [`ShardedSearch::query_from`] and hand-wired clusters
+/// Shared by [`ShardedSearch`]'s read path and hand-wired clusters
 /// (`examples/socket_cluster.rs`, the observability tests) so the
 /// in-process and multi-process socket paths assemble identical trace
 /// shapes.
@@ -1603,28 +1502,26 @@ pub fn traced_topk_fanout(
                         .then_some(fetch)
                         .map(|f| f.as_ref())
                     {
-                        if let Message::TopKResponse {
+                        let ShardAnswer {
                             decode_ns,
                             blocks_decoded,
                             blocks_total,
                             ..
-                        } = fetch.response
-                        {
-                            metrics.decode_latency.record(decode_ns);
-                            metrics.blocks_decoded.add(u64::from(blocks_decoded));
-                            metrics
-                                .blocks_skipped
-                                .add(u64::from(blocks_total.saturating_sub(blocks_decoded)));
-                            rpc = rpc.with_child(
-                                SpanRecord::new(
-                                    "decode",
-                                    attempt.started,
-                                    Duration::from_nanos(decode_ns),
-                                )
-                                .with_counter("blocks_decoded", u64::from(blocks_decoded))
-                                .with_counter("blocks_total", u64::from(blocks_total)),
-                            );
-                        }
+                        } = fetch.answer;
+                        metrics.decode_latency.record(decode_ns);
+                        metrics.blocks_decoded.add(u64::from(blocks_decoded));
+                        metrics
+                            .blocks_skipped
+                            .add(u64::from(blocks_total.saturating_sub(blocks_decoded)));
+                        rpc = rpc.with_child(
+                            SpanRecord::new(
+                                "decode",
+                                attempt.started,
+                                Duration::from_nanos(decode_ns),
+                            )
+                            .with_counter("blocks_decoded", u64::from(blocks_decoded))
+                            .with_counter("blocks_total", u64::from(blocks_total)),
+                        );
                     }
                 }
                 AttemptOutcome::Failed(error) => {
@@ -1646,25 +1543,23 @@ pub fn traced_topk_fanout(
     (fetches, span)
 }
 
-/// The single-node reference: the same store backend, the same global
-/// IDF weights, the same lazy cursor-driven block-max Threshold
-/// Algorithm — without sharding. [`ShardedSearch::query`] returns
-/// exactly this (the `sharded_topk` property test proves bit-identity
-/// for arbitrary corpora, peer counts, and `k`).
+/// The single-node reference for [`ShardedSearch::query`]: the same
+/// store backend, the same global IDF weights, the same block-max
+/// Threshold Algorithm over `terms` in caller order — without
+/// sharding. `query` returns exactly this (the `sharded_topk` property
+/// test proves bit-identity for arbitrary corpora, peer counts, and
+/// `k`).
 pub fn local_topk(
     config: &ZerberConfig,
     docs: &[Document],
     terms: &[TermId],
     k: usize,
 ) -> Vec<RankedDoc> {
-    let index = InvertedIndex::from_documents(docs);
-    let store = config.posting_store(&index);
-    let stats = TermStats::from_documents(docs);
-    let mut cursors = store.query_cursors(&stats.weights(terms));
-    let mut scratch = zerber_index::TopKScratch::new();
-    zerber_index::block_max_topk_cursors(&mut cursors, k, &mut scratch);
-    drop(cursors);
-    scratch.take_ranked()
+    let query = Query::Terms {
+        terms: terms.to_vec(),
+        k,
+    };
+    evaluate_locally(config, docs, &query, Forced::BlockMaxTa)
 }
 
 /// The single-node reference for the shaped-query path: the same
@@ -1679,19 +1574,27 @@ pub fn local_planned(
     query: &Query,
     forced: Forced,
 ) -> Vec<RankedDoc> {
+    evaluate_locally(config, docs, &query.clone().normalized(), forced)
+}
+
+/// Evaluates `query` (terms in the order given) over one unsharded
+/// store of `docs` with global IDF weights.
+fn evaluate_locally(
+    config: &ZerberConfig,
+    docs: &[Document],
+    query: &Query,
+    forced: Forced,
+) -> Vec<RankedDoc> {
     let index = InvertedIndex::from_documents(docs);
     let store = config.posting_store(&index);
-    let stats = TermStats::from_documents(docs);
-    let normalized = query.clone().normalized();
-    let slots = stats.weights(normalized.terms());
-    let mut scratch = zerber_index::TopKScratch::new();
+    let slots = TermStats::from_documents(docs).weights(query.terms());
     zerber_query::execute(
         store.as_ref(),
-        normalized.shape(),
+        query.shape(),
         &slots,
-        normalized.k(),
+        query.k(),
         forced,
-        &mut scratch,
+        &mut zerber_index::TopKScratch::new(),
     )
     .ranked
 }
@@ -1834,19 +1737,17 @@ mod tests {
 
     #[test]
     fn frozen_rejection_surfaces_as_ingest_error() {
-        // A deployment whose shards were bulk-built frozen takes no
-        // writes; the typed rejection must reach the caller.
+        // A deployment whose peers refuse every write (here: none of
+        // them hosts the shard a write is routed to) takes no
+        // documents; the typed rejection must reach the caller.
         let docs = corpus(20, 4);
         let config = ZerberConfig::default().with_peers(2);
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let map = ShardMap::new(2);
-        let shards = map.partition(&docs, |doc| doc.id);
-        for (peer, shard) in shards.into_iter().enumerate() {
-            let node = NodeId::IndexServer(peer as u32);
-            let frozen_config = config.clone();
-            runtime.spawn_peer(node, move || {
-                let index = InvertedIndex::from_documents(&shard);
-                ShardService::frozen(frozen_config.posting_store(&index))
+        for peer in 0..2u32 {
+            runtime.spawn_peer(NodeId::IndexServer(peer), move || {
+                // Logical shard 9 is outside the two-shard map.
+                ShardService::hosting([(9, build_shard_store(&PostingBackend::Raw, &[]))])
             });
         }
         let transport: Arc<dyn Transport> = Arc::clone(runtime.transport()) as Arc<dyn Transport>;

@@ -12,9 +12,8 @@
 //!   thread;
 //! * [`ShardService`] hosts the *document shards* this peer carries —
 //!   its own shard plus, under replication, copies of its
-//!   predecessors' — behind the [`PostingStore`] trait, and answers
-//!   [`Message::TopKQuery`] with the addressed shard's block-max
-//!   top-k.
+//!   predecessors' — behind the [`ShardStore`] trait, and answers
+//!   [`Message::PlanQuery`] with the addressed shard's planned top-k.
 //!
 //! Service state is built *inside* the peer thread (the spawn takes an
 //! initializer closure), so expensive shard construction — tokenizing,
@@ -29,13 +28,13 @@ use std::thread;
 use parking_lot::Mutex;
 
 use zerber_index::cursor::TopKScratch;
-use zerber_index::{DocId, Document, GroupId, PostingStore};
+use zerber_index::{DocId, Document, GroupId};
 use zerber_net::framing::crc32;
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Message, NodeId, TrafficMeter, WireDocument};
 use zerber_server::{IndexServer, ServerError};
 
-use crate::runtime::shard::{FrozenShard, ShardStore, ShardStoreError};
+use crate::runtime::shard::{ShardStore, ShardStoreError};
 use crate::runtime::transport::{InProcTransport, PeerInbox};
 
 /// One peer's request handler. `handle` runs on the peer's own thread;
@@ -103,23 +102,21 @@ impl PeerService for ServerService {
 /// Without replication a peer hosts exactly its own shard; with
 /// `R`-fold replication it also carries copies of its `R - 1`
 /// predecessors' shards (see `zerber_dht::ShardMap::hosted_shards`),
-/// and the `shard` field on [`Message::TopKQuery`] /
+/// and the `shard` field on [`Message::PlanQuery`] /
 /// [`Message::IndexDocs`] / [`Message::RemoveDoc`] selects which
 /// store serves the request. A request addressed to a shard this peer
 /// does not host bounces as an `UNSUPPORTED` fault — reported, never
 /// silently misrouted.
 ///
-/// Queries run the lazy [`ShardStore::query_topk`] pipeline — cursor-
-/// driven block-max top-k over
-/// [`PostingStore::query_cursors`], so the compressed and segmented
-/// backends peek their stored block-max skip metadata and only
-/// decompress blocks that survive the upper-bound test. The service
-/// owns the [`TopKScratch`] (top-k heap + result buffer), reused
-/// across every RPC this peer serves: the fan-out hot path stops
-/// allocating per query. [`Message::IndexDocs`] and
-/// [`Message::RemoveDoc`] mutate the addressed shard; a frozen shard
-/// answers them with an `UNSUPPORTED` fault, a durable shard that
-/// fails to persist answers `STORAGE`.
+/// Queries run [`ShardStore::query_planned`] — the planner-chosen
+/// evaluator over the backend's lazy
+/// [`zerber_index::PostingStore::query_cursors`], so the compressed
+/// and segmented backends peek their stored block-max skip metadata
+/// and only decompress blocks that survive the upper-bound test. The
+/// service owns the [`TopKScratch`] (the block-max top-k heap), reused
+/// across every RPC this peer serves. [`Message::IndexDocs`] and
+/// [`Message::RemoveDoc`] mutate the addressed shard; a durable shard
+/// that fails to persist answers `STORAGE`.
 ///
 /// # No access control
 ///
@@ -132,7 +129,7 @@ impl PeerService for ServerService {
 pub struct ShardService {
     /// The stores this peer hosts, by logical shard id.
     stores: HashMap<u32, HostedShard>,
-    /// Per-peer reusable query scratch (heap, result buffer), shared
+    /// Per-peer reusable query scratch (the top-k heap), shared
     /// across all hosted stores (requests are serialized per peer).
     scratch: TopKScratch,
     /// Frozen snapshots awaiting [`Message::FetchSegment`] pulls, per
@@ -199,7 +196,6 @@ fn decode_document(wire: WireDocument) -> Option<Document> {
 fn shard_fault(error: ShardStoreError) -> Message {
     Message::Fault {
         code: match error {
-            ShardStoreError::Frozen => fault::UNSUPPORTED,
             ShardStoreError::Storage(_) => fault::STORAGE,
         },
         group: GroupId(0),
@@ -260,13 +256,6 @@ impl ShardService {
         self.restore = Some(restore);
         self
     }
-
-    /// Serves a frozen posting store (any backend) read-only as shard
-    /// 0 — the pre-ingest constructor, kept for bulk-built
-    /// deployments.
-    pub fn frozen(store: Box<dyn PostingStore>) -> Self {
-        Self::new(Box::new(FrozenShard::new(store)))
-    }
 }
 
 impl PeerService for ShardService {
@@ -291,44 +280,6 @@ impl PeerService for ShardService {
         // BulkLoad share one arm and differ only in the write path.
         let offline = matches!(request, Message::BulkLoad { .. });
         match request {
-            Message::TopKQuery { shard, terms, k } => {
-                // Wire input is untrusted (the transport is designed
-                // to be swappable for sockets): a NaN weight would
-                // panic this thread inside the result ordering, and a
-                // negative one would turn the block maxima into lower
-                // bounds and silently corrupt the pruning. Reject both
-                // as malformed.
-                if terms
-                    .iter()
-                    .any(|&(_, weight)| !weight.is_finite() || weight < 0.0)
-                {
-                    return malformed;
-                }
-                let store = match self.stores.get_mut(&shard) {
-                    Some(HostedShard::Serving(store)) => store,
-                    Some(HostedShard::Rebuilding { .. }) => return rebuilding,
-                    None => return not_hosted,
-                };
-                // Time the shard-local evaluation and ship the decode
-                // accounting back with the candidates: the querying
-                // client assembles its trace (and folds the counters
-                // into *its* registry) from the response alone, so
-                // in-process and remote socket peers report
-                // identically.
-                let started = std::time::Instant::now();
-                let cost = store.query_topk(&terms, k as usize, &mut self.scratch);
-                Message::TopKResponse {
-                    decode_ns: started.elapsed().as_nanos() as u64,
-                    blocks_decoded: cost.blocks_decoded as u32,
-                    blocks_total: cost.blocks_total as u32,
-                    candidates: self
-                        .scratch
-                        .ranked
-                        .iter()
-                        .map(|r| (r.doc, r.score))
-                        .collect(),
-                }
-            }
             Message::PlanQuery {
                 shard,
                 shape,
@@ -336,9 +287,14 @@ impl PeerService for ShardService {
                 terms,
                 k,
             } => {
-                // Same untrusted-input stance as TopKQuery, plus the
-                // two raw bytes the planner consumes: an unknown shape
-                // or override is malformed, not a panic.
+                // Wire input is untrusted (the transport is designed
+                // to be swappable for sockets): a NaN weight would
+                // panic this thread inside the result ordering, and a
+                // negative one would turn the block maxima into lower
+                // bounds and silently corrupt the pruning. Reject both
+                // as malformed — and likewise the two raw bytes the
+                // planner consumes: an unknown shape or override is
+                // malformed, not a panic.
                 if terms
                     .iter()
                     .any(|&(_, weight)| !weight.is_finite() || weight < 0.0)
@@ -356,6 +312,12 @@ impl PeerService for ShardService {
                     Some(HostedShard::Rebuilding { .. }) => return rebuilding,
                     None => return not_hosted,
                 };
+                // Time the shard-local evaluation and ship the decode
+                // accounting back with the candidates: the querying
+                // client assembles its trace (and folds the counters
+                // into *its* registry) from the response alone, so
+                // in-process and remote socket peers report
+                // identically.
                 let started = std::time::Instant::now();
                 let outcome =
                     store.query_planned(shape, &terms, k as usize, forced, &mut self.scratch);
@@ -657,10 +619,26 @@ impl Drop for PeerRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::shard::LiveIndexShard;
     use crate::runtime::transport::Transport;
     use zerber_field::Fp;
-    use zerber_index::{DocId, Document, InvertedIndex, RawPostingStore, TermId, UserId};
+    use zerber_index::{DocId, Document, TermId, UserId};
     use zerber_server::TokenAuth;
+
+    /// A single-term disjunctive ranked read, pinned to block-max TA.
+    fn topk_query(shard: u32, term: u32, weight: f64, k: u32) -> Message {
+        Message::PlanQuery {
+            shard,
+            shape: 0,
+            forced: 1,
+            terms: vec![(TermId(term), weight)],
+            k,
+        }
+    }
+
+    fn live_shard(docs: &[Document]) -> ShardService {
+        ShardService::new(Box::new(LiveIndexShard::raw(docs)))
+    }
 
     #[test]
     fn server_peer_answers_over_the_wire() {
@@ -719,18 +697,11 @@ mod tests {
         let docs: Vec<Document> = (1..=3u32)
             .map(|d| Document::from_term_counts(DocId(d), GroupId(0), vec![(TermId(1), d)]))
             .collect();
-        let index = InvertedIndex::from_documents(&docs);
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, move || {
-            ShardService::frozen(Box::new(RawPostingStore::from_index(&index)))
-        });
+        runtime.spawn_peer(node, move || live_shard(&docs));
 
-        let query = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(1), 1.0)],
-            k: 2,
-        };
+        let query = topk_query(0, 1, 1.0, 2);
         match runtime
             .transport()
             .request(NodeId::User(0), node, AuthToken(0), &query)
@@ -749,33 +720,36 @@ mod tests {
     #[test]
     fn hostile_weights_are_rejected_not_served() {
         let docs = vec![Document::from_term_counts(DocId(1), GroupId(0), vec![(TermId(1), 1)]); 1];
-        let index = InvertedIndex::from_documents(&docs);
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, move || {
-            ShardService::frozen(Box::new(RawPostingStore::from_index(&index)))
-        });
-        for weight in [f64::NAN, f64::INFINITY, -1.0] {
-            let query = Message::TopKQuery {
-                shard: 0,
-                terms: vec![(TermId(1), weight)],
-                k: 1,
-            };
+        runtime.spawn_peer(node, move || live_shard(&docs));
+        let unknown_bytes = |shape, forced| Message::PlanQuery {
+            shard: 0,
+            shape,
+            forced,
+            terms: vec![(TermId(1), 1.0)],
+            k: 1,
+        };
+        for (query, expected) in [
+            (topk_query(0, 1, f64::NAN, 1), fault::MALFORMED),
+            (topk_query(0, 1, f64::INFINITY, 1), fault::MALFORMED),
+            (topk_query(0, 1, -1.0, 1), fault::MALFORMED),
+            (unknown_bytes(3, 0), fault::MALFORMED),
+            (unknown_bytes(0, 3), fault::MALFORMED),
+            // A shard this peer does not host: reported, not misrouted.
+            (topk_query(7, 1, 1.0, 1), fault::UNSUPPORTED),
+        ] {
             match runtime
                 .transport()
                 .request(NodeId::User(0), node, AuthToken(0), &query)
                 .unwrap()
             {
-                Message::Fault { code, .. } => assert_eq!(code, fault::MALFORMED),
-                other => panic!("weight {weight} produced {other:?}"),
+                Message::Fault { code, .. } => assert_eq!(code, expected, "{query:?}"),
+                other => panic!("{query:?} produced {other:?}"),
             }
         }
         // The peer survived and still serves valid queries.
-        let ok = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(1), 1.0)],
-            k: 1,
-        };
+        let ok = topk_query(0, 1, 1.0, 1);
         match runtime
             .transport()
             .request(NodeId::User(0), node, AuthToken(0), &ok)
@@ -790,9 +764,7 @@ mod tests {
     fn wrong_request_type_is_a_typed_fault() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || {
-            ShardService::frozen(Box::new(RawPostingStore::default()))
-        });
+        runtime.spawn_peer(node, || live_shard(&[]));
         match runtime
             .transport()
             .request(NodeId::User(0), node, AuthToken(0), &Message::InsertOk)
@@ -804,25 +776,18 @@ mod tests {
     }
 
     #[test]
-    fn frozen_shards_fault_on_mutation_frames() {
+    fn unhosted_shards_fault_on_mutation_frames() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || {
-            ShardService::frozen(Box::new(RawPostingStore::default()))
-        });
+        runtime.spawn_peer(node, || live_shard(&[]));
         let insert = Message::IndexDocs {
-            shard: 0,
-            docs: vec![zerber_net::WireDocument {
-                doc: DocId(1),
-                group: GroupId(0),
-                length: 1,
-                terms: vec![(TermId(0), 1)],
-            }],
+            shard: 5,
+            docs: vec![wire_doc(1, 0, 1)],
         };
         for request in [
             insert,
             Message::RemoveDoc {
-                shard: 0,
+                shard: 5,
                 doc: DocId(1),
             },
         ] {
@@ -839,12 +804,9 @@ mod tests {
 
     #[test]
     fn mutable_shard_takes_inserts_and_deletes_over_the_wire() {
-        use crate::runtime::shard::LiveIndexShard;
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || {
-            ShardService::new(Box::new(LiveIndexShard::raw(&[])))
-        });
+        runtime.spawn_peer(node, || live_shard(&[]));
         let transport = runtime.transport().clone();
         let insert = Message::IndexDocs {
             shard: 0,
@@ -861,11 +823,7 @@ mod tests {
                 .unwrap(),
             Message::InsertOk
         );
-        let query = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(2), 1.0)],
-            k: 5,
-        };
+        let query = topk_query(0, 2, 1.0, 5);
         match transport
             .request(NodeId::User(0), node, AuthToken(0), &query)
             .unwrap()
@@ -932,11 +890,7 @@ mod tests {
                 NodeId::User(0),
                 node,
                 AuthToken(0),
-                &Message::TopKQuery {
-                    shard: 0,
-                    terms: vec![(TermId(term), 1.0)],
-                    k: 16,
-                },
+                &topk_query(0, term, 1.0, 16),
             )
             .unwrap()
         {
@@ -954,15 +908,13 @@ mod tests {
     /// that overlapped the snapshot (idempotent replay).
     #[test]
     fn rebuild_protocol_ships_a_shard_and_replays_buffered_writes() {
-        use crate::runtime::shard::{restore_shard_store, LiveIndexShard};
+        use crate::runtime::shard::restore_shard_store;
         use zerber_index::PostingBackend;
 
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let source = NodeId::IndexServer(0);
         let target = NodeId::IndexServer(1);
-        runtime.spawn_peer(source, || {
-            ShardService::new(Box::new(LiveIndexShard::raw(&[])))
-        });
+        runtime.spawn_peer(source, || live_shard(&[]));
         runtime.spawn_peer(target, || {
             ShardService::rebuilding([0]).with_restore(Box::new(|_, files| {
                 restore_shard_store(&PostingBackend::Raw, files)
@@ -991,14 +943,7 @@ mod tests {
         }
 
         // Target pre-commit: reads bounce REBUILDING, writes buffer.
-        match rpc(
-            target,
-            &Message::TopKQuery {
-                shard: 0,
-                terms: vec![(TermId(7), 1.0)],
-                k: 4,
-            },
-        ) {
+        match rpc(target, &topk_query(0, 7, 1.0, 4)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REBUILDING),
             other => panic!("unexpected response {other:?}"),
         }
@@ -1141,7 +1086,7 @@ mod tests {
     /// never disturb a serving store.
     #[test]
     fn rebuild_frames_reject_corruption_and_misuse() {
-        use crate::runtime::shard::{restore_shard_store, LiveIndexShard};
+        use crate::runtime::shard::restore_shard_store;
         use zerber_index::PostingBackend;
 
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
@@ -1227,11 +1172,7 @@ mod tests {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
-        match rpc(&Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(3), 1.0)],
-            k: 1,
-        }) {
+        match rpc(&topk_query(0, 3, 1.0, 1)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REBUILDING),
             other => panic!("unexpected response {other:?}"),
         }
@@ -1272,9 +1213,7 @@ mod tests {
     fn ping_pong_and_revive_reregistration() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || {
-            ShardService::frozen(Box::new(RawPostingStore::default()))
-        });
+        runtime.spawn_peer(node, || live_shard(&[]));
         let transport = runtime.transport().clone();
         let ping = |t: &Arc<InProcTransport>| {
             t.request(NodeId::Owner(0), node, AuthToken(0), &Message::Ping)

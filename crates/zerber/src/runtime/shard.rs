@@ -1,10 +1,10 @@
 //! Mutable document-shard storage behind the peer runtime.
 //!
 //! A shard peer needs two capabilities: serve ranked reads
-//! ([`ShardStore::query_topk`], the lazy
-//! [`zerber_index::PostingStore::query_cursors`] pipeline driven with
-//! a caller-owned [`TopKScratch`]) and absorb the *write stream* —
-//! document inserts and deletes arriving as
+//! ([`ShardStore::query_planned`]: the planner-chosen evaluator over
+//! the lazy [`zerber_index::PostingStore::query_cursors`] pipeline,
+//! driven with a caller-owned [`TopKScratch`]) and absorb the *write
+//! stream* — document inserts and deletes arriving as
 //! [`zerber_net::Message::IndexDocs`] / `RemoveDoc` frames. The
 //! backends differ sharply in how they take writes:
 //!
@@ -16,11 +16,8 @@
 //! * [`SegmentShard`] — the `zerber-segment` LSM engine: writes land
 //!   in the WAL + memtable, queries run on cheap MVCC snapshots, and
 //!   crash recovery is free.
-//! * [`FrozenShard`] — any read-only [`PostingStore`]; mutations are
-//!   rejected with [`ShardStoreError::Frozen`] (surfaced to clients
-//!   as an `UNSUPPORTED` fault).
 
-use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+use zerber_index::cursor::TopKScratch;
 use zerber_index::{DocId, Document, InvertedIndex, PostingBackend, PostingStore, TermId};
 use zerber_net::{Message, WireDocument};
 use zerber_postings::CompressedPostingStore;
@@ -31,25 +28,9 @@ use zerber_segment::SegmentStore;
 /// [`Message::BulkLoad`] frame holding the shard's live documents.
 pub const LIVE_SNAPSHOT_FILE: &str = "docs.zdump";
 
-/// Runs the lazy cursor-driven top-k over any [`PostingStore`],
-/// leaving the ranked result in `scratch.ranked` and returning the
-/// decode accounting.
-fn cursor_topk(
-    store: &dyn PostingStore,
-    terms: &[(TermId, f64)],
-    k: usize,
-    scratch: &mut TopKScratch,
-) -> QueryCost {
-    let mut cursors = store.query_cursors(terms);
-    block_max_topk_cursors(&mut cursors, k, scratch);
-    QueryCost::of(&cursors)
-}
-
 /// Why a shard rejected a mutation.
 #[derive(Debug)]
 pub enum ShardStoreError {
-    /// The shard serves a frozen snapshot; it takes no writes.
-    Frozen,
     /// The durable engine failed to persist the mutation.
     Storage(zerber_segment::SegmentError),
 }
@@ -57,7 +38,6 @@ pub enum ShardStoreError {
 impl std::fmt::Display for ShardStoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardStoreError::Frozen => write!(f, "shard is frozen (read-only snapshot)"),
             ShardStoreError::Storage(e) => write!(f, "shard storage failed: {e}"),
         }
     }
@@ -70,27 +50,13 @@ impl std::error::Error for ShardStoreError {}
 /// Not `Send`-bound — a shard store is built and driven entirely on
 /// its peer's thread.
 pub trait ShardStore {
-    /// The lazy ranked read path: drives
-    /// [`PostingStore::query_cursors`] through the cursor-driven
-    /// block-max Threshold Algorithm, reusing the caller's
-    /// [`TopKScratch`] (heap + result buffer) so the fan-out hot path
-    /// allocates nothing per RPC. The top-`k` lands in
-    /// `scratch.ranked`; the return value accounts the decode work
+    /// The ranked read path: dispatches a shaped query (disjunctive /
+    /// conjunctive / phrase) through [`zerber_query::plan()`] to the
+    /// chosen evaluator over the backend's lazy
+    /// [`zerber_index::PostingStore::query_cursors`]. The caller's
+    /// [`TopKScratch`] (the block-max heap) is reused across calls;
+    /// the outcome carries the ranked top-`k` and the decode work
     /// pruning saved.
-    fn query_topk(
-        &mut self,
-        terms: &[(TermId, f64)],
-        k: usize,
-        scratch: &mut TopKScratch,
-    ) -> QueryCost;
-
-    /// The planned read path: dispatches a shaped query (disjunctive /
-    /// conjunctive / phrase, see [`zerber_query::plan()`]) through the
-    /// planner to the chosen evaluator. [`ShardStore::query_topk`]
-    /// remains the scratch-reusing fast path for plain disjunctive
-    /// queries; this entry point adds the shapes that need positional
-    /// or conjunctive evaluation, plus the TA/MaxScore override the
-    /// benchmark harness uses.
     fn query_planned(
         &mut self,
         shape: QueryShape,
@@ -124,59 +90,9 @@ pub trait ShardStore {
     /// ships its sealed segment directory
     /// ([`SegmentStore::export_files`]); the in-memory backends ship
     /// one virtual [`LIVE_SNAPSHOT_FILE`] holding a
-    /// [`Message::BulkLoad`] frame of their live documents. A frozen
-    /// shard exports nothing ([`ShardStoreError::Frozen`]) — it cannot
-    /// diverge, so it never needs repair.
+    /// [`Message::BulkLoad`] frame of their live documents.
     #[allow(clippy::type_complexity)]
     fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError>;
-}
-
-/// A read-only posting store wrapped as a shard (the pre-ingest
-/// deployment shape, still used when a collection is bulk-built and
-/// never mutated).
-pub struct FrozenShard {
-    store: Box<dyn PostingStore>,
-}
-
-impl FrozenShard {
-    /// Wraps a frozen store.
-    pub fn new(store: Box<dyn PostingStore>) -> Self {
-        Self { store }
-    }
-}
-
-impl ShardStore for FrozenShard {
-    fn query_topk(
-        &mut self,
-        terms: &[(TermId, f64)],
-        k: usize,
-        scratch: &mut TopKScratch,
-    ) -> QueryCost {
-        cursor_topk(self.store.as_ref(), terms, k, scratch)
-    }
-
-    fn query_planned(
-        &mut self,
-        shape: QueryShape,
-        slots: &[(TermId, f64)],
-        k: usize,
-        forced: Forced,
-        scratch: &mut TopKScratch,
-    ) -> QueryOutcome {
-        execute(self.store.as_ref(), shape, slots, k, forced, scratch)
-    }
-
-    fn insert_documents(&mut self, _docs: &[Document]) -> Result<usize, ShardStoreError> {
-        Err(ShardStoreError::Frozen)
-    }
-
-    fn delete_document(&mut self, _doc: DocId) -> Result<bool, ShardStoreError> {
-        Err(ShardStoreError::Frozen)
-    }
-
-    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError> {
-        Err(ShardStoreError::Frozen)
-    }
 }
 
 /// The in-memory mutable shard: an [`InvertedIndex`] plus the
@@ -207,23 +123,6 @@ impl LiveIndexShard {
 }
 
 impl ShardStore for LiveIndexShard {
-    fn query_topk(
-        &mut self,
-        terms: &[(TermId, f64)],
-        k: usize,
-        scratch: &mut TopKScratch,
-    ) -> QueryCost {
-        match &mut self.compressed {
-            None => cursor_topk(&self.index, terms, k, scratch),
-            Some(cache) => cursor_topk(
-                cache.get_or_insert_with(|| CompressedPostingStore::from_index(&self.index)),
-                terms,
-                k,
-                scratch,
-            ),
-        }
-    }
-
     fn query_planned(
         &mut self,
         shape: QueryShape,
@@ -232,17 +131,13 @@ impl ShardStore for LiveIndexShard {
         forced: Forced,
         scratch: &mut TopKScratch,
     ) -> QueryOutcome {
-        match &mut self.compressed {
-            None => execute(&self.index, shape, slots, k, forced, scratch),
-            Some(cache) => execute(
-                cache.get_or_insert_with(|| CompressedPostingStore::from_index(&self.index)),
-                shape,
-                slots,
-                k,
-                forced,
-                scratch,
-            ),
-        }
+        let store: &dyn PostingStore = match &mut self.compressed {
+            None => &self.index,
+            Some(cache) => {
+                cache.get_or_insert_with(|| CompressedPostingStore::from_index(&self.index))
+            }
+        };
+        execute(store, shape, slots, k, forced, scratch)
     }
 
     fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
@@ -308,18 +203,6 @@ impl SegmentShard {
 }
 
 impl ShardStore for SegmentShard {
-    fn query_topk(
-        &mut self,
-        terms: &[(TermId, f64)],
-        k: usize,
-        scratch: &mut TopKScratch,
-    ) -> QueryCost {
-        // The MVCC snapshot pins the sources the cursors borrow from
-        // for exactly the duration of this query.
-        let snapshot = self.store.snapshot();
-        cursor_topk(&snapshot, terms, k, scratch)
-    }
-
     fn query_planned(
         &mut self,
         shape: QueryShape,
@@ -328,6 +211,8 @@ impl ShardStore for SegmentShard {
         forced: Forced,
         scratch: &mut TopKScratch,
     ) -> QueryOutcome {
+        // The MVCC snapshot pins the sources the cursors borrow from
+        // for exactly the duration of this query.
         let snapshot = self.store.snapshot();
         execute(&snapshot, shape, slots, k, forced, scratch)
     }
@@ -473,7 +358,7 @@ pub fn restore_shard_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerber_index::{GroupId, RawPostingStore};
+    use zerber_index::GroupId;
 
     fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
         Document::from_term_counts(
@@ -500,10 +385,15 @@ mod tests {
                 )
             })
             .collect();
-        let mut scratch = TopKScratch::new();
-        let cost = store.query_topk(&weights, 8, &mut scratch);
-        assert!(cost.blocks_decoded <= cost.blocks_total);
-        scratch
+        let outcome = store.query_planned(
+            QueryShape::Terms,
+            &weights,
+            8,
+            Forced::BlockMaxTa,
+            &mut TopKScratch::new(),
+        );
+        assert!(outcome.cost.blocks_decoded <= outcome.cost.blocks_total);
+        outcome
             .ranked
             .iter()
             .map(|r| (r.doc, r.score.to_bits()))
@@ -511,10 +401,7 @@ mod tests {
     }
 
     fn oracle(docs_live: &[Document]) -> Vec<(DocId, u64)> {
-        let mut frozen = FrozenShard::new(Box::new(RawPostingStore::from_index(
-            &InvertedIndex::from_documents(docs_live),
-        )));
-        topk_of(&mut frozen, docs_live)
+        topk_of(&mut LiveIndexShard::raw(docs_live), docs_live)
     }
 
     #[test]
@@ -622,26 +509,5 @@ mod tests {
             &[(LIVE_SNAPSHOT_FILE.to_string(), vec![0xFF, 0xFE])],
         )
         .is_err());
-    }
-
-    #[test]
-    fn frozen_shards_reject_writes() {
-        let mut frozen = FrozenShard::new(Box::new(RawPostingStore::default()));
-        assert!(matches!(
-            frozen.insert_documents(&[doc(1, &[(0, 1)])]),
-            Err(ShardStoreError::Frozen)
-        ));
-        assert!(matches!(
-            frozen.bulk_load_documents(&[doc(1, &[(0, 1)])]),
-            Err(ShardStoreError::Frozen)
-        ));
-        assert!(matches!(
-            frozen.delete_document(DocId(1)),
-            Err(ShardStoreError::Frozen)
-        ));
-        assert!(matches!(
-            frozen.export_snapshot(),
-            Err(ShardStoreError::Frozen)
-        ));
     }
 }

@@ -679,6 +679,17 @@ mod tests {
         .unwrap()
     }
 
+    /// A top-`k` ranked read of term 7 on shard 0.
+    fn topk_query(k: u32) -> Message {
+        Message::PlanQuery {
+            shard: 0,
+            shape: 0,
+            forced: 1,
+            terms: vec![(TermId(7), 1.0)],
+            k,
+        }
+    }
+
     fn corpus(n: u32) -> Vec<Document> {
         (0..n)
             .map(|d| {
@@ -702,11 +713,7 @@ mod tests {
         transport.register(node, peer.addr());
 
         let user = NodeId::User(1);
-        let query = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(7), 1.0)],
-            k: 3,
-        };
+        let query = topk_query(3);
         match transport.request(user, node, AuthToken(0), &query).unwrap() {
             Message::TopKResponse { candidates, .. } => assert_eq!(candidates.len(), 3),
             other => panic!("unexpected response {other:?}"),
@@ -735,11 +742,7 @@ mod tests {
         let transport = SocketTransport::new(Arc::new(TrafficMeter::new()));
         transport.register(node, peer.addr());
         for k in 1..=10u32 {
-            let query = Message::TopKQuery {
-                shard: 0,
-                terms: vec![(TermId(7), 1.0)],
-                k,
-            };
+            let query = topk_query(k);
             match transport
                 .request(NodeId::User(0), node, AuthToken(0), &query)
                 .unwrap()
@@ -762,13 +765,7 @@ mod tests {
         let user = NodeId::User(0);
         // Begin many before waiting on any; answers must route to the
         // right pending whatever order they land in.
-        let queries: Vec<Message> = (1..=8u32)
-            .map(|k| Message::TopKQuery {
-                shard: 0,
-                terms: vec![(TermId(7), 1.0)],
-                k,
-            })
-            .collect();
+        let queries: Vec<Message> = (1..=8u32).map(topk_query).collect();
         let mut pendings: Vec<PendingReply> = queries
             .iter()
             .map(|q| transport.begin(user, node, AuthToken(0), Arc::from(q.encode().as_ref())))
@@ -807,11 +804,7 @@ mod tests {
         let mut peer = shard_peer(&corpus(5), node, Arc::new(TrafficMeter::new()));
         let transport = SocketTransport::new(Arc::new(TrafficMeter::new()));
         transport.register(node, peer.addr());
-        let ok = Message::TopKQuery {
-            shard: 0,
-            terms: vec![(TermId(7), 1.0)],
-            k: 1,
-        };
+        let ok = topk_query(1);
         transport
             .request(NodeId::User(0), node, AuthToken(0), &ok)
             .unwrap();

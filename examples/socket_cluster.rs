@@ -101,8 +101,10 @@ fn query(
     let weights = stats.weights(terms);
     let shards: Vec<(u32, Vec<NodeId>, Arc<[u8]>)> = (0..map.peer_count())
         .map(|shard| {
-            let request = Message::TopKQuery {
+            let request = Message::PlanQuery {
                 shard,
+                shape: 0,
+                forced: 1,
                 terms: weights.clone(),
                 k: K as u32,
             };
@@ -132,15 +134,7 @@ fn query(
         let fetch = fetch.ok()?;
         hedges += fetch.hedges();
         failed.extend(fetch.failed().map(|(node, _)| node));
-        match fetch.response {
-            Message::TopKResponse { candidates, .. } => per_shard.push(
-                candidates
-                    .into_iter()
-                    .map(|(doc, score)| RankedDoc { doc, score })
-                    .collect(),
-            ),
-            _ => return None,
-        }
+        per_shard.push(fetch.answer.candidates);
     }
     let gather_started = Instant::now();
     let gathered = gather_topk(&per_shard, K);

@@ -144,8 +144,10 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
     let weights = stats.weights(&terms);
     let requests: Vec<(u32, Vec<NodeId>, Arc<[u8]>)> = (0..map.peer_count())
         .map(|shard| {
-            let request = Message::TopKQuery {
+            let request = Message::PlanQuery {
                 shard,
+                shape: 0,
+                forced: 1,
                 terms: weights.clone(),
                 k: K as u32,
             };
@@ -171,16 +173,7 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
     );
     let per_shard: Vec<Vec<RankedDoc>> = fetches
         .into_iter()
-        .map(|fetch| {
-            let fetch = fetch.expect("healthy cluster");
-            match fetch.response {
-                Message::TopKResponse { candidates, .. } => candidates
-                    .into_iter()
-                    .map(|(doc, score)| RankedDoc { doc, score })
-                    .collect(),
-                other => panic!("unexpected response {other:?}"),
-            }
-        })
+        .map(|fetch| fetch.expect("healthy cluster").answer.candidates)
         .collect();
     let gather_started = Instant::now();
     let gathered = gather_topk(&per_shard, K);
@@ -331,6 +324,49 @@ fn cache_and_plan_counters_track_the_shaped_path() {
             "plan counter for {plan}"
         );
     }
+}
+
+/// `query()` is the uncached read: it never probes or fills the result
+/// cache — not even when the shaped path has cached the very same
+/// query — so every call reaches the peers, and it counts under the
+/// block-max-TA plan it pins.
+#[test]
+fn uncached_query_bypasses_the_result_cache_and_counts_its_plan() {
+    let docs = corpus(100, 11);
+    let config = ZerberConfig::default().with_peers(3);
+    let search = ShardedSearch::launch(&config, &docs).expect("valid config");
+    let terms = [TermId(1), TermId(4)];
+
+    let first = search.query(&terms, 5).expect("healthy");
+    assert!(first.peers_contacted > 0);
+    assert!(search.result_cache().is_empty(), "query() must not fill");
+    let metrics = search.obs().registry().snapshot();
+    assert_eq!(metrics.counter("zerber_cache_hits_total").unwrap_or(0), 0);
+    assert_eq!(metrics.counter("zerber_cache_misses_total").unwrap_or(0), 0);
+
+    // Cache the same query through the shaped path, then ask again.
+    let shaped = Query::Terms {
+        terms: terms.to_vec(),
+        k: 5,
+    };
+    let cached = search
+        .query_shaped(0, shaped, Forced::BlockMaxTa)
+        .expect("healthy");
+    assert_eq!(cached.ranked, first.ranked);
+    assert_eq!(search.result_cache().len(), 1);
+    let again = search.query(&terms, 5).expect("healthy");
+    assert!(again.peers_contacted > 0, "query() must not read the cache");
+    assert!(again.trace.root.find("fan_out").is_some());
+
+    let metrics = search.obs().registry().snapshot();
+    assert_eq!(metrics.counter("zerber_cache_hits_total").unwrap_or(0), 0);
+    assert_eq!(metrics.counter("zerber_cache_misses_total"), Some(1));
+    assert_eq!(search.result_cache().len(), 1);
+    assert_eq!(
+        metrics.counter("zerber_query_plan_total{plan=\"block_max_ta\"}"),
+        Some(3),
+        "two query() calls and one forced shaped miss"
+    );
 }
 
 /// The registry's Prometheus text exposition must parse line-by-line

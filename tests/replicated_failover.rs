@@ -7,11 +7,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zerber::runtime::{
-    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, QueryError, ShardedSearch,
+    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, PendingReply, QueryError,
+    ShardedSearch, Transport, TransportError,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
-use zerber_net::NodeId;
+use zerber_net::message::fault;
+use zerber_net::{AuthToken, Message, NodeId, TrafficMeter};
 
 fn corpus(docs: u32, terms: u32) -> Vec<Document> {
     (0..docs)
@@ -210,4 +212,81 @@ fn hedged_responses_are_metered_but_gathered_once() {
     );
     // And the shard that hedged got its answer from the successor.
     assert!(meter.link_bytes(NodeId::IndexServer(1), user) > 0);
+}
+
+/// A client-side transport on which one peer answers every ranked
+/// read with an `InsertOk` — a well-formed frame of the wrong type, as
+/// a buggy or hostile peer might send.
+struct WrongFrameTransport {
+    inner: Arc<dyn Transport>,
+    liar: NodeId,
+}
+
+impl Transport for WrongFrameTransport {
+    fn meter(&self) -> &Arc<TrafficMeter> {
+        self.inner.meter()
+    }
+
+    fn begin_traced(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        auth: AuthToken,
+        trace: u64,
+        payload: Arc<[u8]>,
+    ) -> PendingReply {
+        if to == self.liar && matches!(Message::decode(&payload), Ok(Message::PlanQuery { .. })) {
+            let (tx, rx) = std::sync::mpsc::channel();
+            tx.send(Message::InsertOk.encode().to_vec()).unwrap();
+            return PendingReply::from_channel(to, rx);
+        }
+        self.inner.begin_traced(from, to, auth, trace, payload)
+    }
+}
+
+#[test]
+fn replica_answering_with_the_wrong_frame_is_hedged_around_not_trusted() {
+    let docs = corpus(150, 13);
+    let liar = NodeId::IndexServer(1);
+    let launch = |replication| {
+        let config = ZerberConfig::default()
+            .with_peers(4)
+            .with_replication(replication);
+        ShardedSearch::launch_with_transport(&config, &docs, |inner| {
+            Arc::new(WrongFrameTransport { inner, liar })
+        })
+        .expect("valid config")
+    };
+    let terms = [TermId(2), TermId(9)];
+    let expected = local_topk(&ZerberConfig::default(), &docs, &terms, 10);
+
+    // Replicated: the lying primary costs a hedge, never the result.
+    let search = launch(2);
+    let outcome = search.query(&terms, 10).expect("replica covers the shard");
+    assert_eq!(outcome.ranked.len(), expected.len());
+    for (got, want) in outcome.ranked.iter().zip(&expected) {
+        assert_eq!(got.doc, want.doc);
+        assert_eq!(got.score.to_bits(), want.score.to_bits(), "bit-identical");
+    }
+    assert!(
+        outcome
+            .failed_peers
+            .contains(&(liar, TransportError::Rejected(fault::MALFORMED))),
+        "lying peer missing from {:?}",
+        outcome.failed_peers
+    );
+    assert!(hedges_total(&search) >= 1, "the shard must have hedged");
+
+    // Unreplicated: every replica of shard 1 answered wrong, so the
+    // query fails closed with that evidence instead of panicking.
+    match launch(1).query(&terms, 10) {
+        Err(QueryError::Unavailable(shard)) => {
+            assert_eq!(shard.shard, 1);
+            assert_eq!(
+                shard.failed().collect::<Vec<_>>(),
+                vec![(liar, TransportError::Rejected(fault::MALFORMED))]
+            );
+        }
+        other => panic!("an all-replicas-wrong shard must fail closed, got {other:?}"),
+    }
 }
