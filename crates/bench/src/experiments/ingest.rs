@@ -18,8 +18,9 @@ use std::time::Instant;
 
 use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
 use zerber_index::{idf, DocId, Document, InvertedIndex, PostingStore, SegmentPolicy, TermId};
+use zerber_obs::MetricsRegistry;
 use zerber_postings::RAW_ELEMENT_BYTES;
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
 
 use crate::report::{percentile, Table};
 use crate::scenario::{OdpScenario, Scale};
@@ -30,6 +31,25 @@ const K: usize = 10;
 /// Every n-th inserted document is deleted again, so the run
 /// exercises tombstones, doc-level shadowing, and compaction GC.
 const DELETE_EVERY: usize = 9;
+
+/// Flushes the deterministic policy run streams over its bulk-loaded
+/// base (the batch size is derived from this, so the shape is the same
+/// at every scale).
+const POLICY_FLUSHES: usize = 32;
+
+/// The policy run's bound on compaction postings written per streamed
+/// posting. Size-balanced windows merge the 32 flushes like a binary
+/// counter — each posting rewritten about log2(32) = 5 times (smoke
+/// corpus: 4.06, default scale: 5.12) — and fold in the equally large base only once a
+/// neighbour has grown to its order of magnitude. A rule that rewrites
+/// the base on every step past the segment cap costs about one base
+/// per flush: ≈ 30 on this shape.
+const MAX_COMPACTION_POSTINGS_PER_STREAMED: f64 = 8.0;
+
+/// The policy run's bound on how often the base segment is rewritten
+/// while the 32 flushes stream in (smoke and default scale: 0; once per flush
+/// past the cap would be 28).
+const MAX_BASE_REWRITES: usize = 3;
 
 /// What one ingest run measured.
 #[derive(Debug)]
@@ -66,6 +86,14 @@ pub struct Ingest {
     pub write_amplification: f64,
     /// Final on-disk bytes over the raw size of the *live* postings.
     pub space_amplification: f64,
+    /// Postings written by compaction merges over the postings
+    /// ingested (`zerber_segment_compaction_postings_total`): the
+    /// compaction policy's rewrite cost, read out rather than inferred
+    /// from wall time.
+    pub compaction_postings_per_posting: f64,
+    /// The same cost on the deterministic bulk-base + stream run, with
+    /// its asserted bounds.
+    pub policy: PolicyCost,
     /// Final on-disk footprint in bytes.
     pub disk_bytes: u64,
     /// Segments after the final compaction.
@@ -102,6 +130,22 @@ pub struct BulkIngest {
     /// Whether the bulk-built store's top-k matched the
     /// rebuild-from-scratch oracle on the reference queries.
     pub matches_oracle: bool,
+}
+
+/// What the deterministic compaction-policy run measured: half the
+/// corpus bulk-loaded as one base segment, the other half streamed
+/// over it in 32 flushes (`POLICY_FLUSHES`) with inline compaction
+/// (`background: false`, so every count repeats exactly).
+#[derive(Debug)]
+pub struct PolicyCost {
+    /// Postings streamed over the base.
+    pub streamed_postings: usize,
+    /// Compaction steps taken.
+    pub compactions: usize,
+    /// Postings written by compaction merges per streamed posting.
+    pub compaction_postings_per_streamed: f64,
+    /// How many times the file holding the base was merged away.
+    pub base_rewrites: usize,
 }
 
 /// Top-k over a posting store with oracle-provided statistics,
@@ -170,6 +214,80 @@ fn measure_bulk(
         segments: stats.segments,
         matches_oracle,
     }
+}
+
+/// The largest segment file in `dir` — in the policy run, the one
+/// holding the bulk-loaded base.
+fn largest_segment(dir: &std::path::Path) -> std::path::PathBuf {
+    std::fs::read_dir(dir)
+        .expect("store directory lists")
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| path.extension().is_some_and(|ext| ext == "zseg"))
+        .max_by_key(|path| std::fs::metadata(path).map_or(0, |m| m.len()))
+        .expect("the base segment exists")
+}
+
+/// Runs the deterministic compaction-policy experiment and asserts its
+/// qualitative shape: the policy's rewrite cost per streamed posting
+/// stays a small constant and the base is rewritten a handful of
+/// times, not once per flush. `repro --smoke ingest` (run by CI)
+/// therefore guards the window rule, not just the unit tests.
+fn measure_policy_cost(docs: &[Document]) -> PolicyCost {
+    let (base, stream) = docs.split_at(docs.len() / 2);
+    let streamed_postings: usize = stream.iter().map(Document::distinct_terms).sum();
+    let policy = SegmentPolicy {
+        flush_postings: usize::MAX, // sealed explicitly, once per batch
+        max_segments: 4,
+        background: false,
+        sync_wal: false,
+    };
+    let dir = scratch_dir("ingest-bench-policy");
+    let registry = MetricsRegistry::new();
+    let store = SegmentStore::open_observed(&dir, policy, &registry).expect("policy store opens");
+    let one_segment = BulkConfig {
+        workers: 1,
+        ..BulkConfig::default()
+    };
+    store.bulk_load(base, one_segment).expect("bulk load");
+    let mut base_file = largest_segment(&dir);
+    let mut base_rewrites = 0usize;
+    for chunk in stream.chunks(stream.len().div_ceil(POLICY_FLUSHES).max(1)) {
+        store.insert(chunk).expect("insert");
+        store.flush().expect("flush");
+        store.compact().expect("compact");
+        if !base_file.exists() {
+            base_rewrites += 1;
+            base_file = largest_segment(&dir);
+        }
+    }
+    let metrics = registry.snapshot();
+    let count = |name: &str| metrics.counter(name).unwrap_or(0);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    let cost = PolicyCost {
+        streamed_postings,
+        compactions: count("zerber_segment_compactions_total") as usize,
+        compaction_postings_per_streamed: count("zerber_segment_compaction_postings_total") as f64
+            / streamed_postings.max(1) as f64,
+        base_rewrites,
+    };
+    assert!(
+        cost.compactions > 0,
+        "the stream must trigger compaction for the read-out to mean anything"
+    );
+    assert!(
+        cost.compaction_postings_per_streamed <= MAX_COMPACTION_POSTINGS_PER_STREAMED,
+        "compaction wrote {:.2} postings per streamed posting (bound {})",
+        cost.compaction_postings_per_streamed,
+        MAX_COMPACTION_POSTINGS_PER_STREAMED
+    );
+    assert!(
+        cost.base_rewrites <= MAX_BASE_REWRITES,
+        "the base segment was rewritten {} times (bound {})",
+        cost.base_rewrites,
+        MAX_BASE_REWRITES
+    );
+    cost
 }
 
 /// Runs only the bulk half of the experiment (`repro ingest --bulk`):
@@ -288,7 +406,8 @@ pub fn run(scale: Scale) -> Ingest {
         background: true,
         sync_wal: false,
     };
-    let store = SegmentStore::open(&dir, policy).expect("store opens");
+    let registry = MetricsRegistry::new();
+    let store = SegmentStore::open_observed(&dir, policy, &registry).expect("store opens");
 
     let done = AtomicBool::new(false);
     let started = Instant::now();
@@ -360,6 +479,11 @@ pub fn run(scale: Scale) -> Ingest {
     let logical = (postings * RAW_ELEMENT_BYTES) as f64;
     let live_logical = (live_postings * RAW_ELEMENT_BYTES) as f64;
     let write_amplification = store.written_bytes() as f64 / logical.max(1.0);
+    let compaction_postings_per_posting = registry
+        .snapshot()
+        .counter("zerber_segment_compaction_postings_total")
+        .unwrap_or(0) as f64
+        / postings.max(1) as f64;
 
     // Crash: drop (memtable gone, WAL + manifest survive) and reopen,
     // timed — this is the recovery path, replaying the live WAL tail.
@@ -387,6 +511,7 @@ pub fn run(scale: Scale) -> Ingest {
     // fresh store.
     let insert_docs_per_sec = docs.len() as f64 / ingest_wall;
     let bulk = measure_bulk(docs, policy, &queries, Some(insert_docs_per_sec));
+    let policy_cost = measure_policy_cost(docs);
 
     let mut insert_sorted = insert_latencies.clone();
     insert_sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -409,6 +534,8 @@ pub fn run(scale: Scale) -> Ingest {
         query_p95_ms: percentile(&query_latencies, 0.95),
         write_amplification,
         space_amplification,
+        compaction_postings_per_posting,
+        policy: policy_cost,
         disk_bytes,
         segments,
         recovery_ms,
@@ -448,8 +575,26 @@ pub fn render(result: &Ingest) -> String {
             format!("{:.2}×", result.write_amplification),
         ),
         (
+            "compaction postings per ingested posting",
+            format!("{:.2}", result.compaction_postings_per_posting),
+        ),
+        (
             "space amplification",
             format!("{:.2}×", result.space_amplification),
+        ),
+        (
+            "policy run: compaction postings per streamed posting",
+            format!(
+                "{:.2} (bound {MAX_COMPACTION_POSTINGS_PER_STREAMED})",
+                result.policy.compaction_postings_per_streamed
+            ),
+        ),
+        (
+            "policy run: base rewrites / compactions",
+            format!(
+                "{} (bound {MAX_BASE_REWRITES}) / {}",
+                result.policy.base_rewrites, result.policy.compactions
+            ),
         ),
         ("disk bytes", result.disk_bytes.to_string()),
         ("segments (post-compaction)", result.segments.to_string()),
@@ -490,7 +635,10 @@ pub fn render(result: &Ingest) -> String {
     let mut out = table.render();
     out.push_str(
         "writes are WAL-acknowledged then absorbed by the memtable; queries run on Arc'd \
-         snapshots and never block ingest; recovery replays the WAL tail over the \
+         snapshots and never block ingest; compaction merges the best-balanced adjacent \
+         segment pair, and the policy rows re-measure its rewrite cost deterministically \
+         (half the corpus bulk-loaded as the base, half streamed over it, inline \
+         compaction) against asserted bounds; recovery replays the WAL tail over the \
          manifest's segment set and is verified against a rebuild-from-scratch oracle; \
          the bulk rows load the same corpus through the offline SPIMI path (parallel \
          sorted runs, k-way merge, one manifest swap, no WAL)\n",
@@ -520,6 +668,18 @@ pub fn to_json(result: &Ingest) -> String {
         ("query_p95_ms", number(result.query_p95_ms)),
         ("write_amplification", number(result.write_amplification)),
         ("space_amplification", number(result.space_amplification)),
+        (
+            "compaction_postings_per_posting",
+            number(result.compaction_postings_per_posting),
+        ),
+        (
+            "policy_compaction_postings_per_streamed",
+            number(result.policy.compaction_postings_per_streamed),
+        ),
+        (
+            "policy_base_rewrites",
+            number(result.policy.base_rewrites as f64),
+        ),
         ("disk_bytes", number(result.disk_bytes as f64)),
         ("segments", number(result.segments as f64)),
         ("recovery_ms", number(result.recovery_ms)),
@@ -554,6 +714,10 @@ mod tests {
         assert!(result.write_amplification >= 1.0);
         assert!(result.space_amplification > 0.0);
         assert!(result.segments <= 4);
+        // The policy read-outs (their bounds are asserted inside the
+        // run itself, so `repro` guards them too).
+        assert!(result.compaction_postings_per_posting > 0.0);
+        assert!(result.policy.compactions > 0 && result.policy.streamed_postings > 0);
         assert!(result.recovery_ms >= 0.0);
         assert!(result.matches_oracle, "recovered store diverged");
         // Bulk section: sane numbers and oracle identity. The ≥ 5×

@@ -59,8 +59,9 @@ pub struct SegmentPolicy {
     /// Seal the memtable into an on-disk segment once it holds at
     /// least this many postings. Must be ≥ 1.
     pub flush_postings: usize,
-    /// Merge the oldest segments whenever more than this many exist
-    /// (tiered compaction down to this count). Must be ≥ 1.
+    /// Merge segments whenever more than this many exist (the adjacent
+    /// pair closest in size, repeatedly, down to this count). Must be
+    /// ≥ 1.
     pub max_segments: usize,
     /// Run compaction on a background thread (`true`) or inline at
     /// flush time (`false`; deterministic, used by tests).

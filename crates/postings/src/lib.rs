@@ -19,7 +19,8 @@
 //!   decoding [`CompressedPostingIter`] with block-skipping
 //!   [`CompressedPostingIter::advance_to`],
 //! * [`merge`] — [`merge_compressed`], a k-way merge that streams
-//!   blocks instead of materializing whole lists,
+//!   blocks instead of materializing whole lists ([`merge_sorted`] is
+//!   the same merge over any sorted posting streams),
 //! * [`run`] — [`RunBuilder`], the SPIMI-style sorted-run
 //!   accumulator parallel bulk-load workers seal their document
 //!   slices with,
@@ -50,6 +51,6 @@ pub use builder::CompressedPostingBuilder;
 pub use column::{compression_ratio, decode_column, encode_column};
 pub use cursor::CompressedBlockCursor;
 pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
-pub use merge::{merge_compressed, naive_merge};
+pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use run::{RunBuilder, SortedRun};
 pub use store::{build_store, CompressedPostingStore};

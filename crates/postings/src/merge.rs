@@ -3,7 +3,8 @@
 //! Segment compaction and server-side list consolidation both need to
 //! combine many sorted lists into one. The merge here streams: each
 //! input contributes one decoded block at a time through its
-//! [`crate::CompressedPostingIter`] and output blocks are sealed as
+//! [`crate::CompressedPostingIter`] (or any other sorted posting
+//! stream, see [`merge_sorted`]) and output blocks are sealed as
 //! they fill, so peak memory is `O(k · BLOCK_SIZE)` instead of the
 //! total posting count a `Vec<Posting>`-materializing merge would
 //! need.
@@ -13,7 +14,7 @@ use std::collections::BinaryHeap;
 
 use crate::block::RawEntry;
 use crate::builder::CompressedPostingBuilder;
-use crate::list::{CompressedPostingIter, CompressedPostingList};
+use crate::list::CompressedPostingList;
 
 /// Merges doc-key-sorted compressed lists into one compressed list.
 ///
@@ -22,9 +23,15 @@ use crate::list::{CompressedPostingIter, CompressedPostingList};
 /// treated as segments in recency order, matching the "only the most
 /// recent copy of the document" semantics of index re-insertion.
 pub fn merge_compressed(lists: &[&CompressedPostingList]) -> CompressedPostingList {
-    let mut iters: Vec<CompressedPostingIter<'_>> = lists.iter().map(|l| l.iter()).collect();
-    // Min-heap keyed on (doc, list index): pops group duplicates of a
-    // doc together, in ascending segment order.
+    merge_sorted(lists.iter().map(|l| l.iter()).collect())
+}
+
+/// [`merge_compressed`] over arbitrary doc-key-sorted posting streams
+/// (same latest-input-wins rule) — block iterators, decoded slices, or
+/// either behind a caller's filter.
+pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> CompressedPostingList {
+    // Min-heap keyed on (doc, input index): pops group duplicates of a
+    // doc together, in ascending recency order.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(iters.len());
     let mut current: Vec<Option<RawEntry>> = Vec::with_capacity(iters.len());
     for (i, iter) in iters.iter_mut().enumerate() {
@@ -60,8 +67,8 @@ pub fn merge_compressed(lists: &[&CompressedPostingList]) -> CompressedPostingLi
     builder.build()
 }
 
-fn refill(
-    iters: &mut [CompressedPostingIter<'_>],
+fn refill<I: Iterator<Item = RawEntry>>(
+    iters: &mut [I],
     current: &mut [Option<RawEntry>],
     heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
     idx: usize,

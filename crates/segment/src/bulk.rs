@@ -9,7 +9,7 @@
 //! documents ──dedup (last copy wins)──► W worker slices
 //!   worker w: RunBuilder ──(≥ run_postings)──► run-E-w-N.zrun
 //!             (segment file format, tmp + fsync + rename)
-//!   k-way merge_compressed per group  ──►  seg-S.zseg  (or rename a
+//!   k-way merge_streaming per group   ──►  seg-S.zseg  (or rename a
 //!                                          single-run group in place)
 //!   writer lock: flush memtable, append bulk segments, MANIFEST
 //!   delete run files

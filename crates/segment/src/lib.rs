@@ -23,9 +23,11 @@
 //!   merge registers them through one atomic manifest swap, and no
 //!   WAL is written on the offline path,
 //! * [`store`] — the engine ([`SegmentStore`]): flush seals deltas
-//!   into segments, tiered compaction (optionally on a background
-//!   thread) bounds the segment count via the streaming compressed
-//!   merge and garbage-collects tombstones, a `MANIFEST` names the
+//!   into segments, size-balanced compaction (optionally on a
+//!   background thread) bounds the segment count by merging the
+//!   adjacent pair closest in size through the same streaming
+//!   shadow-aware merge, garbage-collecting tombstones when a merge
+//!   reaches the oldest segment, a `MANIFEST` names the
 //!   live segment set atomically, and [`SegmentSnapshot`] implements
 //!   `zerber_index::PostingStore` so the query evaluators and the
 //!   sharded peer runtime serve from it unchanged.

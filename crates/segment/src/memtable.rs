@@ -110,9 +110,10 @@ impl MemDelta {
         self.terms.get(&term).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Term ids with at least one posting, ascending.
-    pub fn terms_present(&self) -> impl Iterator<Item = u32> + '_ {
-        self.terms.keys().copied()
+    /// Every term with at least one posting and its doc-ascending
+    /// postings, term-ascending.
+    pub fn term_lists(&self) -> impl Iterator<Item = (u32, &[RawEntry])> + '_ {
+        self.terms.iter().map(|(&t, v)| (t, v.as_slice()))
     }
 
     /// Flush pressure: live postings (≥ 1 per inserted document) plus
@@ -192,6 +193,7 @@ mod tests {
         let delta = MemDelta::from_ops(&ops);
         let docs: Vec<u64> = delta.term_postings(7).iter().map(|e| e.doc).collect();
         assert_eq!(docs, vec![1, 3, 5, 9]);
-        assert_eq!(delta.terms_present().collect::<Vec<_>>(), vec![7]);
+        let terms: Vec<u32> = delta.term_lists().map(|(t, _)| t).collect();
+        assert_eq!(terms, vec![7]);
     }
 }

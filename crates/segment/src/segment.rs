@@ -17,15 +17,17 @@
 //! die even though no newer `(t, d)` posting exists. Every source
 //! therefore records the documents it *touches* (inserts ∪
 //! tombstones), and a posting from source `i` is live iff no newer
-//! source touches its document. The crate-internal `merge_sources`
-//! applies exactly that rule; readers apply it lazily per query.
+//! source touches its document. The crate-internal `merge_streaming`
+//! applies exactly that rule for flush, compaction and the bulk run
+//! merge alike; readers apply it lazily per query.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use zerber_postings::{BlockMeta, CompressedPostingBuilder, CompressedPostingList, RawEntry};
+use zerber_postings::{
+    merge_sorted, BlockMeta, CompressedPostingIter, CompressedPostingList, RawEntry, BLOCK_SIZE,
+};
 
 use crate::crc::crc32;
 use crate::error::SegmentError;
@@ -43,10 +45,43 @@ pub(crate) trait Source {
     fn tombstones(&self) -> &[u32];
     /// Decoded postings for one term, doc-ascending.
     fn term_entries(&self, term: u32) -> Vec<RawEntry>;
-    /// Term ids with at least one posting, ascending.
-    fn terms_present(&self) -> Vec<u32>;
+    /// Every non-empty term with its postings, term-ascending.
+    fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_>;
     /// One past the highest term id.
     fn term_slots(&self) -> u32;
+}
+
+/// One term's postings inside a source, doc-ascending: segments hold
+/// them block-compressed, memtable deltas decoded.
+#[derive(Clone, Copy)]
+pub(crate) enum TermPostings<'a> {
+    Compressed(&'a CompressedPostingList),
+    Decoded(&'a [RawEntry]),
+}
+
+impl<'a> TermPostings<'a> {
+    fn iter(self) -> TermIter<'a> {
+        match self {
+            Self::Compressed(list) => TermIter::Compressed(list.iter()),
+            Self::Decoded(entries) => TermIter::Decoded(entries.iter()),
+        }
+    }
+}
+
+enum TermIter<'a> {
+    Compressed(CompressedPostingIter<'a>),
+    Decoded(std::slice::Iter<'a, RawEntry>),
+}
+
+impl Iterator for TermIter<'_> {
+    type Item = RawEntry;
+
+    fn next(&mut self) -> Option<RawEntry> {
+        match self {
+            Self::Compressed(iter) => iter.next(),
+            Self::Decoded(iter) => iter.next().copied(),
+        }
+    }
 }
 
 impl Source for MemDelta {
@@ -62,8 +97,8 @@ impl Source for MemDelta {
     fn term_entries(&self, term: u32) -> Vec<RawEntry> {
         self.term_postings(term).to_vec()
     }
-    fn terms_present(&self) -> Vec<u32> {
-        MemDelta::terms_present(self).collect()
+    fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_> {
+        Box::new(MemDelta::term_lists(self).map(|(t, entries)| (t, TermPostings::Decoded(entries))))
     }
     fn term_slots(&self) -> u32 {
         MemDelta::term_slots(self)
@@ -80,6 +115,9 @@ pub struct Segment {
     term_slots: u32,
     /// `(term, list)` sorted by term id; only non-empty lists.
     terms: Vec<(u32, CompressedPostingList)>,
+    /// Postings across `terms`, counted once at write/load: the
+    /// compaction window rule reads it for every segment.
+    postings: usize,
     disk_bytes: u64,
 }
 
@@ -114,7 +152,7 @@ impl Segment {
 
     /// Total postings stored.
     pub fn posting_count(&self) -> usize {
-        self.terms.iter().map(|(_, l)| l.len()).sum()
+        self.postings
     }
 
     /// Compressed posting payload bytes (excluding doc/tombstone
@@ -137,8 +175,12 @@ impl Source for Segment {
     fn term_entries(&self, term: u32) -> Vec<RawEntry> {
         self.list(term).map(|l| l.decode_all()).unwrap_or_default()
     }
-    fn terms_present(&self) -> Vec<u32> {
-        self.terms.iter().map(|&(t, _)| t).collect()
+    fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_> {
+        Box::new(
+            self.terms
+                .iter()
+                .map(|(t, list)| (*t, TermPostings::Compressed(list))),
+        )
     }
     fn term_slots(&self) -> u32 {
         self.term_slots
@@ -154,68 +196,95 @@ pub(crate) struct SegmentContent {
 }
 
 /// Merges sources (recency-ordered, oldest first) into one segment
-/// image under the shadowing rule. With `gc_tombstones`, tombstones
+/// image under the shadowing rule — the one merge behind flush,
+/// compaction and the bulk run merge. With `gc_tombstones`, tombstones
 /// are dropped — only sound when the merge covers the *oldest* level,
 /// so no older posting can be left for a tombstone to mask.
-pub(crate) fn merge_sources(sources: &[&dyn Source], gc_tombstones: bool) -> SegmentContent {
-    // Newest source index touching each doc, and the doc's final
-    // liveness.
-    let mut version: BTreeMap<u32, (usize, bool)> = BTreeMap::new();
-    for (i, source) in sources.iter().enumerate() {
-        for &doc in source.live_docs() {
-            version.insert(doc, (i, true));
-        }
-        for &doc in source.tombstones() {
-            version.insert(doc, (i, false));
-        }
-    }
-    let live: Vec<u32> = version
-        .iter()
-        .filter(|&(_, &(_, alive))| alive)
-        .map(|(&doc, _)| doc)
-        .collect();
-    let tombstones: Vec<u32> = if gc_tombstones {
-        Vec::new()
-    } else {
-        version
-            .iter()
-            .filter(|&(_, &(_, alive))| !alive)
-            .map(|(&doc, _)| doc)
-            .collect()
-    };
-
-    let mut all_terms: Vec<u32> = sources.iter().flat_map(|s| s.terms_present()).collect();
-    all_terms.sort_unstable();
-    all_terms.dedup();
-
-    let mut terms = Vec::with_capacity(all_terms.len());
-    for term in all_terms {
-        let mut builder = CompressedPostingBuilder::new();
-        let mut merged: BTreeMap<u64, RawEntry> = BTreeMap::new();
-        for (i, source) in sources.iter().enumerate() {
-            for entry in source.term_entries(term) {
-                let doc = entry.doc as u32;
-                // Exactly one source passes this filter per document:
-                // the one defining its current (live) version.
-                if version.get(&doc) == Some(&(i, true)) {
-                    merged.insert(entry.doc, entry);
-                }
+///
+/// Streaming: document ownership is resolved once from the sorted
+/// doc tables into a (typically tiny) sorted list of shadowed docs per
+/// input; terms are grouped by the inputs that actually hold them; a
+/// list is carried over byte-for-byte when one input holds the term
+/// and none of its docs is shadowed, and otherwise the inputs' block
+/// iterators are k-way merged through the shadow filter straight into
+/// the block compressor.
+pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> SegmentContent {
+    // Newest → oldest, `newer` holds every doc a newer input touches:
+    // an input's live doc found there is shadowed, anything else is the
+    // doc's final version.
+    let mut shadowed: Vec<Vec<u32>> = vec![Vec::new(); inputs.len()];
+    let (mut live, mut tombstones) = (Vec::new(), Vec::new());
+    let mut newer: Vec<u32> = Vec::new();
+    for (i, input) in inputs.iter().enumerate().rev() {
+        for &doc in input.live_docs() {
+            if newer.binary_search(&doc).is_ok() {
+                shadowed[i].push(doc);
+            } else {
+                live.push(doc);
             }
         }
-        for entry in merged.into_values() {
-            builder.push(entry);
+        if !gc_tombstones {
+            let unshadowed = |doc: &&u32| newer.binary_search(doc).is_err();
+            tombstones.extend(input.tombstones().iter().filter(unshadowed));
         }
-        if !builder.is_empty() {
-            terms.push((term, builder.build()));
+        if i > 0 {
+            newer.extend_from_slice(input.live_docs());
+            newer.extend_from_slice(input.tombstones());
+            newer.sort_unstable();
+            newer.dedup();
+        }
+    }
+    live.sort_unstable();
+    tombstones.sort_unstable();
+
+    // One `(term, input)` row per list that exists; the stable sort
+    // keeps each term's rows in recency order.
+    let mut held: Vec<(u32, usize, TermPostings<'_>)> = Vec::new();
+    for (i, input) in inputs.iter().enumerate() {
+        held.extend(input.term_lists().map(|(term, list)| (term, i, list)));
+    }
+    held.sort_by_key(|&(term, _, _)| term);
+
+    let mut terms = Vec::new();
+    for group in held.chunk_by(|a, b| a.0 == b.0) {
+        let merged = match *group {
+            [(_, i, TermPostings::Compressed(list))] if !holds_any(list, &shadowed[i]) => {
+                list.clone()
+            }
+            _ => merge_sorted(
+                group
+                    .iter()
+                    .map(|&(_, i, list)| {
+                        let dead = &shadowed[i];
+                        list.iter()
+                            .filter(move |e| dead.binary_search(&(e.doc as u32)).is_err())
+                    })
+                    .collect(),
+            ),
+        };
+        if !merged.is_empty() {
+            terms.push((group[0].0, merged));
         }
     }
 
     SegmentContent {
         live,
         tombstones,
-        term_slots: sources.iter().map(|s| s.term_slots()).max().unwrap_or(0),
+        term_slots: inputs.iter().map(|s| s.term_slots()).max().unwrap_or(0),
         terms,
     }
+}
+
+/// Does `list` hold a posting of any of `docs`? Exact when probing
+/// (one block decode per doc) costs no more than streaming the list
+/// through the filter would; a conservative `true` otherwise, which
+/// only sends the list down the re-encoding path.
+fn holds_any(list: &CompressedPostingList, docs: &[u32]) -> bool {
+    if docs.len() * BLOCK_SIZE > list.len() {
+        return true;
+    }
+    docs.iter()
+        .any(|&doc| list.entry_for(u64::from(doc)).is_some())
 }
 
 const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
@@ -281,23 +350,23 @@ impl<'a> Reader<'a> {
 /// while dropping the rename's directory entry. Returns the file
 /// size.
 pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<u64, SegmentError> {
-    let mut framed = Vec::with_capacity(20 + body.len());
-    put_u32(&mut framed, MAGIC);
-    put_u32(&mut framed, VERSION);
-    put_u64(&mut framed, body.len() as u64);
-    put_u32(&mut framed, crc32(body));
-    framed.extend_from_slice(body);
+    let mut header = Vec::with_capacity(20);
+    put_u32(&mut header, MAGIC);
+    put_u32(&mut header, VERSION);
+    put_u64(&mut header, body.len() as u64);
+    put_u32(&mut header, crc32(body));
     let tmp: PathBuf = path.with_extension("tmp");
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(&framed)?;
+        file.write_all(&header)?;
+        file.write_all(body)?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     if let Some(parent) = path.parent() {
         File::open(parent)?.sync_all()?;
     }
-    Ok(framed.len() as u64)
+    Ok((header.len() + body.len()) as u64)
 }
 
 /// Reads a framed file back, verifying magic, version, length and
@@ -334,9 +403,8 @@ pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
 }
 
 impl SegmentContent {
-    /// Assembles an image from already-merged parts (the compaction
-    /// fast path merges whole compressed lists without re-deriving
-    /// doc tables).
+    /// Assembles an image from already-built parts (a bulk worker's
+    /// sealed run).
     pub(crate) fn from_parts(
         live: Vec<u32>,
         tombstones: Vec<u32>,
@@ -402,6 +470,7 @@ impl SegmentContent {
             live: self.live,
             tombstones: self.tombstones,
             term_slots: self.term_slots,
+            postings: self.terms.iter().map(|(_, l)| l.len()).sum(),
             terms: self.terms,
             disk_bytes,
         })
@@ -464,6 +533,7 @@ impl Segment {
             live,
             tombstones,
             term_slots,
+            postings: terms.iter().map(|(_, l)| l.len()).sum(),
             terms,
             disk_bytes: (20 + body.len()) as u64,
         })
@@ -475,6 +545,7 @@ mod tests {
     use super::*;
     use crate::scratch_dir;
     use crate::wal::WalOp;
+    use zerber_postings::CompressedPostingBuilder;
 
     fn delta(ops: &[WalOp]) -> MemDelta {
         MemDelta::from_ops(ops)
@@ -488,33 +559,88 @@ mod tests {
         }
     }
 
+    /// Runs `check` over the deltas as they are (decoded inputs) and
+    /// over each sealed into its own segment file (compressed inputs):
+    /// the one merge must decide identically through both.
+    fn through_both_forms(deltas: &[MemDelta], check: impl Fn(&[&dyn Source])) {
+        let decoded: Vec<&dyn Source> = deltas.iter().map(|d| d as &dyn Source).collect();
+        check(&decoded);
+        let dir = scratch_dir("segment-forms");
+        let sealed: Vec<Segment> = deltas
+            .iter()
+            .enumerate()
+            .map(|(i, d)| merge_streaming(&[d], false).write(&dir, i as u64).unwrap())
+            .collect();
+        let compressed: Vec<&dyn Source> = sealed.iter().map(|s| s as &dyn Source).collect();
+        check(&compressed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn merge_applies_doc_level_shadowing() {
         // Doc 1 first has terms {0, 1}; a newer delta re-inserts it
         // with only term 0 — the (1, d1) posting must die.
         let old = delta(&[insert(1, &[(0, 1), (1, 1)]), insert(2, &[(1, 2)])]);
         let new = delta(&[insert(1, &[(0, 5)])]);
-        let content = merge_sources(&[&old, &new], false);
-        assert_eq!(content.live, vec![1, 2]);
-        let term0: Vec<RawEntry> = content.terms[0].1.decode_all();
-        assert_eq!(term0.len(), 1);
-        assert_eq!((term0[0].doc, term0[0].count), (1, 5));
-        let term1: Vec<RawEntry> = content.terms[1].1.decode_all();
-        assert_eq!(term1.len(), 1, "doc 1 dropped term 1");
-        assert_eq!(term1[0].doc, 2);
+        through_both_forms(&[old, new], |inputs| {
+            let content = merge_streaming(inputs, false);
+            assert_eq!(content.live, vec![1, 2]);
+            let term0: Vec<RawEntry> = content.terms[0].1.decode_all();
+            assert_eq!(term0.len(), 1);
+            assert_eq!((term0[0].doc, term0[0].count), (1, 5));
+            let term1: Vec<RawEntry> = content.terms[1].1.decode_all();
+            assert_eq!(term1.len(), 1, "doc 1 dropped term 1");
+            assert_eq!(term1[0].doc, 2);
+        });
     }
 
     #[test]
     fn tombstones_survive_unless_collected() {
         let old = delta(&[insert(1, &[(0, 1)])]);
         let tomb = delta(&[WalOp::Delete { doc: 1 }, WalOp::Delete { doc: 7 }]);
-        let kept = merge_sources(&[&old, &tomb], false);
-        assert!(kept.live.is_empty());
-        assert_eq!(kept.tombstones, vec![1, 7]);
-        assert!(kept.terms.is_empty(), "no live postings remain");
-        let collected = merge_sources(&[&old, &tomb], true);
-        assert!(collected.tombstones.is_empty());
-        assert!(collected.is_empty());
+        through_both_forms(&[old, tomb], |inputs| {
+            let kept = merge_streaming(inputs, false);
+            assert!(kept.live.is_empty());
+            assert_eq!(kept.tombstones, vec![1, 7]);
+            assert!(kept.terms.is_empty(), "no live postings remain");
+            let collected = merge_streaming(inputs, true);
+            assert!(collected.tombstones.is_empty());
+            assert!(collected.is_empty());
+        });
+    }
+
+    #[test]
+    fn unshadowed_single_input_lists_are_carried_over_verbatim() {
+        let dir = scratch_dir("segment-carry");
+        // Term 0 spans three blocks in `base`; doc 400 holds only
+        // term 1.
+        let mut ops: Vec<WalOp> = (0..300u32).map(|d| insert(d, &[(0, 1 + d % 3)])).collect();
+        ops.push(insert(400, &[(1, 1)]));
+        let base = merge_streaming(&[&delta(&ops)], false)
+            .write(&dir, 0)
+            .unwrap();
+        let original = base.list(0).unwrap();
+        assert_eq!(original.blocks().len(), 3);
+
+        // A newer input that shadows nothing, and one that shadows a
+        // doc outside the list: same bytes, same skip metadata.
+        for newer in [
+            delta(&[insert(900, &[(2, 2)])]),
+            delta(&[WalOp::Delete { doc: 400 }]),
+        ] {
+            let merged = merge_streaming(&[&base, &newer], false);
+            assert_eq!(&merged.terms[0].1, original);
+        }
+
+        // Shadow one of the list's docs: the list is re-encoded
+        // without it.
+        let merged = merge_streaming(&[&base, &delta(&[WalOp::Delete { doc: 130 }])], false);
+        let expected =
+            CompressedPostingBuilder::from_sorted(original.iter().filter(|e| e.doc != 130));
+        assert_ne!(&merged.terms[0].1, original);
+        assert_eq!(merged.terms[0].1, expected);
+        assert_eq!(merged.tombstones, vec![130]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -523,7 +649,7 @@ mod tests {
         let many: Vec<WalOp> = (0..400u32)
             .map(|d| insert(d * 3, &[(d % 17, 1 + d % 5), (40, 2)]))
             .collect();
-        let content = merge_sources(&[&delta(&many), &delta(&[WalOp::Delete { doc: 3 }])], false);
+        let content = merge_streaming(&[&delta(&many), &delta(&[WalOp::Delete { doc: 3 }])], false);
         let written = content.write(&dir, 7).unwrap();
         let loaded = Segment::load(&dir.join(written.file_name())).unwrap();
         assert_eq!(loaded.live_docs(), written.live_docs());
@@ -550,7 +676,7 @@ mod tests {
     #[test]
     fn damaged_segment_files_are_rejected() {
         let dir = scratch_dir("segment-damage");
-        let content = merge_sources(&[&delta(&[insert(1, &[(0, 1)])])], false);
+        let content = merge_streaming(&[&delta(&[insert(1, &[(0, 1)])])], false);
         let segment = content.write(&dir, 1).unwrap();
         let path = dir.join(segment.file_name());
         let pristine = std::fs::read(&path).unwrap();

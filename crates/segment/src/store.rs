@@ -1,5 +1,5 @@
 //! The LSM engine: WAL → memtable deltas → immutable segments, with
-//! tiered compaction and MVCC reader snapshots.
+//! size-balanced compaction and MVCC reader snapshots.
 //!
 //! # Write path
 //!
@@ -11,9 +11,21 @@
 //!   ▼
 //! [deltas ...] ──(≥ flush_postings)──► seal: merge deltas → seg-N.zseg
 //!                                      → MANIFEST → truncate WAL
-//! [segments ...] ──(> max_segments)──► compact oldest run → one segment
-//!                                      (tombstone GC) → MANIFEST → rm inputs
+//! [segments ...] ──(> max_segments)──► merge the best-balanced adjacent
+//!                                      pair → one segment (tombstone GC
+//!                                      iff it starts at the oldest)
+//!                                      → MANIFEST → rm inputs
 //! ```
+//!
+//! # Compaction windows
+//!
+//! One step merges the *adjacent pair whose posting counts are closest
+//! in ratio* (`balanced_pair`): adjacent, because recency order is
+//! what the shadowing rule reads; balanced, so a segment is rewritten
+//! only once its neighbour has grown to its own order of magnitude —
+//! O(log n) rewrites per posting instead of the whole base per flush.
+//! Flush, compaction and the bulk run merge all run the same streaming
+//! shadow-aware merge (`segment::merge_streaming`).
 //!
 //! # Crash safety
 //!
@@ -49,14 +61,12 @@ use zerber_index::store::SCORING_BLOCK;
 use zerber_index::{
     BlockScoredList, DocId, Document, Posting, PostingStore, SegmentPolicy, TermId,
 };
-use zerber_postings::{
-    merge_compressed, CompressedBlockCursor, CompressedPostingList, RawEntry, RunBuilder,
-};
+use zerber_postings::{CompressedBlockCursor, RawEntry, RunBuilder};
 
 use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::MemDelta;
-use crate::segment::{merge_sources, read_framed, write_framed, Segment, SegmentContent, Source};
+use crate::segment::{merge_streaming, read_framed, write_framed, Segment, SegmentContent, Source};
 use crate::wal::{replay, Wal, WalOp};
 
 const WAL_FILE: &str = "wal.log";
@@ -91,15 +101,24 @@ struct SegmentMetrics {
     /// `zerber_segment_flush_ns`: memtable-seal (deltas → segment +
     /// manifest + WAL truncate) duration.
     flush: Histogram,
-    /// `zerber_segment_compaction_ns`: one tiered-compaction step.
+    /// `zerber_segment_compaction_ns`: one compaction step (one pair
+    /// merge).
     compaction: Histogram,
     /// `zerber_segment_segments` gauge: current on-disk segment count.
     segments: Gauge,
     /// `zerber_segment_compactions_total`: compaction steps completed.
     compactions: Counter,
     /// `zerber_segment_tombstones_gc_total`: tombstones retired by
-    /// oldest-level compaction merges.
+    /// compaction merges that started at the oldest segment (a
+    /// mid-stack merge carries its tombstones and counts nothing).
     tombstones_gc: Counter,
+    /// `zerber_segment_flush_postings_total`: postings written by
+    /// memtable seals.
+    flush_postings: Counter,
+    /// `zerber_segment_compaction_postings_total`: postings written by
+    /// compaction merges — over the ingested postings, the policy's
+    /// rewrite cost.
+    compaction_postings: Counter,
     /// `zerber_segment_bulk_docs_total`: documents loaded through the
     /// offline bulk path.
     bulk_docs: Counter,
@@ -124,6 +143,8 @@ impl SegmentMetrics {
             segments: registry.gauge("zerber_segment_segments"),
             compactions: registry.counter("zerber_segment_compactions_total"),
             tombstones_gc: registry.counter("zerber_segment_tombstones_gc_total"),
+            flush_postings: registry.counter("zerber_segment_flush_postings_total"),
+            compaction_postings: registry.counter("zerber_segment_compaction_postings_total"),
             bulk_docs: registry.counter("zerber_segment_bulk_docs_total"),
             bulk_runs: registry.counter("zerber_segment_bulk_runs_total"),
             bulk_merge_bytes: registry.counter("zerber_segment_bulk_merge_bytes_total"),
@@ -177,18 +198,6 @@ impl std::fmt::Debug for SegmentStore {
     }
 }
 
-fn manifest_body(next_seq: u64, names: &[&str]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&next_seq.to_le_bytes());
-    body.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    for name in names {
-        let bytes = name.as_bytes();
-        body.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        body.extend_from_slice(bytes);
-    }
-    body
-}
-
 fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
     let body = read_framed(path)?;
     let corrupt = || SegmentError::Corrupt {
@@ -222,11 +231,16 @@ impl Inner {
     /// Writes the manifest naming the given segment order. Called with
     /// the writer lock held, so manifest contents always match the
     /// engine state it was derived from.
-    fn write_manifest(&self, next_seq: u64, names: &[&str]) -> Result<(), SegmentError> {
-        let bytes = write_framed(
-            &self.dir.join(MANIFEST_FILE),
-            &manifest_body(next_seq, names),
-        )?;
+    fn write_manifest(&self, next_seq: u64, segments: &[Arc<Segment>]) -> Result<(), SegmentError> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&next_seq.to_le_bytes());
+        body.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+        for segment in segments {
+            let name = segment.file_name().as_bytes();
+            body.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            body.extend_from_slice(name);
+        }
+        let bytes = write_framed(&self.dir.join(MANIFEST_FILE), &body)?;
         self.written.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
@@ -244,7 +258,7 @@ impl Inner {
         let started = Instant::now();
         let sources: Vec<&dyn Source> = deltas.iter().map(|d| d.as_ref() as &dyn Source).collect();
         // With no older segments a tombstone has nothing to mask.
-        let content = merge_sources(&sources, no_segments);
+        let content = merge_streaming(&sources, no_segments);
         if content.is_empty() {
             let mut state = self.state.write();
             state.deltas.clear();
@@ -258,47 +272,45 @@ impl Inner {
         let segment = Arc::new(content.write(&self.dir, seq)?);
         self.written
             .fetch_add(segment.disk_bytes(), Ordering::Relaxed);
-        let names: Vec<String> = {
+        let postings = segment.posting_count();
+        let segments = {
             let mut state = self.state.write();
             state.segments.push(segment);
             state.deltas.clear();
             state.mem_weight = 0;
             self.epoch.fetch_add(1, Ordering::Relaxed);
-            state
-                .segments
-                .iter()
-                .map(|s| s.file_name().to_owned())
-                .collect()
+            state.segments.clone()
         };
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        self.write_manifest(writer.next_seq, &name_refs)?;
+        self.write_manifest(writer.next_seq, &segments)?;
         // Only now is the WAL redundant.
         writer.wal.truncate()?;
         if let Some(obs) = &self.obs {
             obs.flush.record(started.elapsed().as_nanos() as u64);
-            obs.segments.set(names.len() as i64);
+            obs.flush_postings.add(postings as u64);
+            obs.segments.set(segments.len() as i64);
         }
         Ok(())
     }
 
-    /// One tiered compaction step: when more than `max_segments`
-    /// segments exist, merge the oldest run down so exactly
-    /// `max_segments` remain. Returns whether it did anything.
+    /// One compaction step: when more than `max_segments` segments
+    /// exist, merge the adjacent pair [`balanced_pair`] names into one
+    /// segment. Returns whether it did anything.
     fn compact_once(&self) -> Result<bool, SegmentError> {
         let _at_most_one = self.compaction.lock();
-        let inputs: Vec<Arc<Segment>> = {
+        let (at, inputs) = {
             let state = self.state.read();
-            if state.segments.len() <= self.policy.max_segments.max(1) {
+            let sizes: Vec<usize> = state.segments.iter().map(|s| s.posting_count()).collect();
+            let Some(at) = balanced_pair(&sizes, self.policy.max_segments) else {
                 return Ok(false);
-            }
-            let take = state.segments.len() - self.policy.max_segments.max(1) + 1;
-            state.segments[..take].to_vec()
+            };
+            (at, state.segments[at..at + 2].to_vec())
         };
         let started = Instant::now();
-        let gc_candidates: usize = inputs.iter().map(|s| s.tombstones().len()).sum();
-        // The merge covers the oldest level, so surviving tombstones
-        // have nothing left to mask: garbage-collect them.
-        let content = merge_segments(&inputs, true);
+        // Only a window starting at the oldest segment leaves nothing
+        // older for its tombstones to mask; any other carries them.
+        let gc_tombstones = at == 0;
+        let sources: Vec<&dyn Source> = inputs.iter().map(|s| s.as_ref() as &dyn Source).collect();
+        let content = merge_streaming(&sources, gc_tombstones);
         let mut writer = self.writer.lock();
         let seq = writer.next_seq;
         writer.next_seq += 1;
@@ -310,26 +322,20 @@ impl Inner {
                 .fetch_add(segment.disk_bytes(), Ordering::Relaxed);
             Some(segment)
         };
-        let names: Vec<String> = {
+        let postings = merged.as_ref().map_or(0, |s| s.posting_count());
+        let segments = {
             let mut state = self.state.write();
-            // Only compaction replaces the prefix, and `compaction`
-            // is locked: the inputs are still segments[..inputs.len()].
-            debug_assert!(state.segments[..inputs.len()]
+            // Flushes and bulk loads only append, and `compaction` is
+            // locked: the inputs are still at `at`.
+            debug_assert!(state.segments[at..at + 2]
                 .iter()
                 .zip(&inputs)
                 .all(|(a, b)| Arc::ptr_eq(a, b)));
-            let mut rebuilt: Vec<Arc<Segment>> = merged.into_iter().collect();
-            rebuilt.extend_from_slice(&state.segments[inputs.len()..]);
-            state.segments = rebuilt;
+            state.segments.splice(at..at + 2, merged);
             self.epoch.fetch_add(1, Ordering::Relaxed);
-            state
-                .segments
-                .iter()
-                .map(|s| s.file_name().to_owned())
-                .collect()
+            state.segments.clone()
         };
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        self.write_manifest(writer.next_seq, &name_refs)?;
+        self.write_manifest(writer.next_seq, &segments)?;
         drop(writer);
         // The inputs are no longer reachable from the manifest; their
         // files are garbage (readers still holding snapshot Arcs read
@@ -340,53 +346,36 @@ impl Inner {
         if let Some(obs) = &self.obs {
             obs.compaction.record(started.elapsed().as_nanos() as u64);
             obs.compactions.inc();
-            // The merge covered the oldest level with GC on, so every
-            // input tombstone was retired.
-            obs.tombstones_gc.add(gc_candidates as u64);
-            obs.segments.set(names.len() as i64);
+            obs.compaction_postings.add(postings as u64);
+            if gc_tombstones {
+                let retired: usize = inputs.iter().map(|s| s.tombstones().len()).sum();
+                obs.tombstones_gc.add(retired as u64);
+            }
+            obs.segments.set(segments.len() as i64);
         }
         Ok(true)
     }
 }
 
-/// Merges whole segments, preferring the streaming compressed k-way
-/// merge when it is exactly equivalent: disjoint document sets and no
-/// tombstones mean no shadowing can occur, so
-/// [`merge_compressed`]'s per-(term, doc) recency rule coincides with
-/// the doc-level rule and no list needs re-deriving from decoded
-/// entries. Otherwise falls back to the generic masked merge.
-fn merge_segments(inputs: &[Arc<Segment>], gc_tombstones: bool) -> SegmentContent {
-    let sources: Vec<&dyn Source> = inputs.iter().map(|s| s.as_ref() as &dyn Source).collect();
-    let no_tombstones = inputs.iter().all(|s| s.tombstones().is_empty());
-    let disjoint = {
-        let mut all: Vec<u32> = inputs.iter().flat_map(|s| s.live_docs().to_vec()).collect();
-        let total = all.len();
-        all.sort_unstable();
-        all.dedup();
-        all.len() == total
-    };
-    if !(no_tombstones && disjoint) {
-        return merge_sources(&sources, gc_tombstones);
+/// The compaction window rule, as a pure decision over the segments'
+/// posting counts (oldest first): `None` while at most `max_segments`
+/// exist, otherwise the index of the older half of the adjacent pair
+/// whose counts are closest in ratio — ties go to the smaller combined
+/// size, then to the older pair. Empty segments count as one posting.
+fn balanced_pair(sizes: &[usize], max_segments: usize) -> Option<usize> {
+    if sizes.len() <= max_segments.max(1) {
+        return None;
     }
-    let mut all_terms: Vec<u32> = sources.iter().flat_map(|s| s.terms_present()).collect();
-    all_terms.sort_unstable();
-    all_terms.dedup();
-    let terms: Vec<(u32, CompressedPostingList)> = all_terms
-        .into_iter()
-        .map(|term| {
-            let lists: Vec<&CompressedPostingList> =
-                inputs.iter().filter_map(|s| s.list(term)).collect();
-            let merged = match lists.as_slice() {
-                [single] => (*single).clone(),
-                many => merge_compressed(many),
-            };
-            (term, merged)
-        })
-        .collect();
-    let mut live: Vec<u32> = inputs.iter().flat_map(|s| s.live_docs().to_vec()).collect();
-    live.sort_unstable();
-    let term_slots = sources.iter().map(|s| s.term_slots()).max().unwrap_or(0);
-    SegmentContent::from_parts(live, Vec::new(), term_slots, terms)
+    // (larger, smaller, sum) of the pair starting at `at`; ratios are
+    // compared exactly by cross-multiplication.
+    let pair = |at: usize| {
+        let (a, b) = (sizes[at].max(1) as u128, sizes[at + 1].max(1) as u128);
+        (a.max(b), a.min(b), a + b)
+    };
+    (0..sizes.len() - 1).min_by(|&x, &y| {
+        let ((hi_x, lo_x, sum_x), (hi_y, lo_y, sum_y)) = (pair(x), pair(y));
+        (hi_x * lo_y).cmp(&(hi_y * lo_x)).then(sum_x.cmp(&sum_y))
+    })
 }
 
 impl SegmentStore {
@@ -576,7 +565,7 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Runs tiered compaction to completion on the calling thread
+    /// Runs compaction to completion on the calling thread
     /// (also available with `background: true`; the lock ensures at
     /// most one compaction runs either way).
     pub fn compact(&self) -> Result<(), SegmentError> {
@@ -813,12 +802,13 @@ impl SegmentStore {
                             std::fs::File::open(dir)?.sync_all()?;
                             run.renamed(seg_name)
                         } else {
-                            let inputs: Vec<Arc<Segment>> =
-                                bucket.into_iter().map(Arc::new).collect();
                             // Runs are doc-disjoint and tombstone-free
-                            // by construction, so this takes the exact
-                            // streaming merge_compressed path.
-                            let segment = merge_segments(&inputs, true).write(dir, seq)?;
+                            // by construction: nothing is shadowed, so
+                            // the merge carries single-run lists over
+                            // and k-way merges the rest unfiltered.
+                            let runs: Vec<&dyn Source> =
+                                bucket.iter().map(|run| run as &dyn Source).collect();
+                            let segment = merge_streaming(&runs, true).write(dir, seq)?;
                             merge_bytes.fetch_add(segment.disk_bytes(), Ordering::Relaxed);
                             segment
                         };
@@ -859,18 +849,13 @@ impl SegmentStore {
         // commit point must stay *older* than the bulk segments, which
         // replace overlapping documents like a fresh insert.
         self.inner.flush_locked(&mut writer)?;
-        let names: Vec<String> = {
+        let segments = {
             let mut state = self.inner.state.write();
             state.segments.extend(bulk_segments.iter().cloned());
             self.inner.epoch.fetch_add(1, Ordering::Relaxed);
-            state
-                .segments
-                .iter()
-                .map(|s| s.file_name().to_owned())
-                .collect()
+            state.segments.clone()
         };
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        self.inner.write_manifest(writer.next_seq, &name_refs)?;
+        self.inner.write_manifest(writer.next_seq, &segments)?;
         drop(writer);
         if matches!(failpoint, Some(BulkFailpoint::BeforeRunGc)) {
             return Ok(None);
@@ -887,7 +872,7 @@ impl SegmentStore {
             obs.bulk_merge_bytes
                 .add(merge_bytes.load(Ordering::Relaxed));
             obs.bulk_build.record(started.elapsed().as_nanos() as u64);
-            obs.segments.set(names.len() as i64);
+            obs.segments.set(segments.len() as i64);
         }
         Ok(Some(BulkStats {
             docs: unique.len(),
@@ -1189,5 +1174,133 @@ impl PostingStore for SegmentSnapshot {
                 }
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scratch_dir;
+    use zerber_index::GroupId;
+
+    /// `hi/lo` of the pair starting at `at`, empty segments as one.
+    fn ratio(sizes: &[usize], at: usize) -> (usize, usize) {
+        let (a, b) = (sizes[at].max(1), sizes[at + 1].max(1));
+        (a.max(b), a.min(b))
+    }
+
+    /// Is pair `x` strictly better balanced than pair `y`?
+    fn better_balanced(sizes: &[usize], x: usize, y: usize) -> bool {
+        let ((hi_x, lo_x), (hi_y, lo_y)) = (ratio(sizes, x), ratio(sizes, y));
+        hi_x * lo_y < hi_y * lo_x
+    }
+
+    /// The window rule as a decision table, checked for completeness
+    /// (every over-cap input has a decision), range, and the stated
+    /// priority order — exhaustively over every size vector of up to
+    /// six segments drawn from a domain with zeros, ties and one
+    /// dominant "base" size.
+    #[test]
+    fn window_rule_is_a_total_deterministic_decision_table() {
+        const DOMAIN: [usize; 6] = [0, 1, 2, 3, 8, 1000];
+        for len in 1..=6usize {
+            for code in 0..DOMAIN.len().pow(len as u32) {
+                let sizes: Vec<usize> = (0..len)
+                    .map(|slot| DOMAIN[code / DOMAIN.len().pow(slot as u32) % DOMAIN.len()])
+                    .collect();
+                for max_segments in 0..=4usize {
+                    let decision = balanced_pair(&sizes, max_segments);
+                    if len <= max_segments.max(1) {
+                        assert_eq!(decision, None, "{sizes:?} under cap {max_segments}");
+                        continue;
+                    }
+                    let at = decision.expect("over the cap there is always a window");
+                    assert!(at + 1 < len, "{sizes:?}: pair {at} out of range");
+                    let sum = |p: usize| sizes[p].max(1) + sizes[p + 1].max(1);
+                    for other in (0..len - 1).filter(|&p| p != at) {
+                        // No other pair precedes the chosen one in
+                        // (ratio, combined size, age) order — so the
+                        // decision is unique.
+                        assert!(
+                            !better_balanced(&sizes, other, at),
+                            "{sizes:?}: {other} vs {at}"
+                        );
+                        if !better_balanced(&sizes, at, other) {
+                            assert!(sum(at) <= sum(other), "{sizes:?}: {other} vs {at}");
+                            if sum(at) == sum(other) {
+                                assert!(at < other, "{sizes:?}: ties go to the older pair");
+                            }
+                        }
+                    }
+                    // Corollary, and the reason the rule exists: the
+                    // largest segment is rewritten only when no pair
+                    // is strictly better balanced.
+                    let largest = *sizes.iter().max().expect("non-empty");
+                    if sizes[at] == largest || sizes[at + 1] == largest {
+                        assert!((0..len - 1).all(|p| !better_balanced(&sizes, p, at)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mid_stack_merges_carry_tombstones_and_only_oldest_level_merges_count_gc() {
+        let dir = scratch_dir("store-midstack");
+        let registry = MetricsRegistry::new();
+        let policy = SegmentPolicy {
+            flush_postings: usize::MAX,
+            max_segments: 2,
+            background: false,
+            sync_wal: false,
+        };
+        let store = SegmentStore::open_observed(&dir, policy, &registry).unwrap();
+        let seal = |ids: std::ops::Range<u32>| {
+            let docs: Vec<Document> = ids
+                .map(|d| Document::from_term_counts(DocId(d), GroupId(0), vec![(TermId(0), 1)]))
+                .collect();
+            store.insert(&docs).unwrap();
+            store.flush().unwrap();
+        };
+        let counter = |name: &str| registry.snapshot().counter(name).unwrap_or(0);
+        seal(0..100); // the base
+        seal(200..204);
+        store.delete(DocId(5)).unwrap(); // a base document
+        seal(210..214);
+        // [100, 4, 4]: the balanced pair is the two small segments.
+        store.compact().unwrap();
+        assert_eq!(store.segment_count(), 2);
+        assert_eq!(counter("zerber_segment_tombstones_gc_total"), 0);
+        assert_eq!(store.snapshot().document_frequency(TermId(0)), 107);
+        assert!(
+            !store.snapshot().contains_doc(DocId(5)),
+            "the carried tombstone masks"
+        );
+
+        seal(300..380);
+        // [100, 8, 80]: still mid-stack (10 < 12.5).
+        store.compact().unwrap();
+        assert_eq!(counter("zerber_segment_tombstones_gc_total"), 0);
+        assert!(!store.snapshot().contains_doc(DocId(5)));
+
+        seal(400..405);
+        // [100, 88, 5]: now the base pair is the balanced one, the
+        // window starts at segment 0 and the tombstone is retired.
+        store.compact().unwrap();
+        assert_eq!(counter("zerber_segment_tombstones_gc_total"), 1);
+        assert!(!store.snapshot().contains_doc(DocId(5)));
+        assert_eq!(store.snapshot().document_frequency(TermId(0)), 192);
+
+        assert_eq!(counter("zerber_segment_compactions_total"), 3);
+        assert_eq!(
+            counter("zerber_segment_flush_postings_total"),
+            100 + 4 + 4 + 80 + 5
+        );
+        assert_eq!(
+            counter("zerber_segment_compaction_postings_total"),
+            8 + 88 + 187
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

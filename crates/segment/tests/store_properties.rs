@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
 
 /// One step of a schedule.
 #[derive(Debug, Clone)]
@@ -28,7 +28,7 @@ enum Op {
     Delete(u32),
     /// Seal the memtable.
     Flush,
-    /// Run tiered compaction to completion.
+    /// Run compaction to completion.
     Compact,
     /// Compare a top-k query against the oracle.
     Query(Vec<u32>, usize),
@@ -136,6 +136,113 @@ fn store_topk(
     ranked_bits(snapshot, &weights, k)
 }
 
+/// The snapshot against the rebuild oracle: live set, every document
+/// frequency, and a bit-identical ranked probe.
+fn assert_matches_oracle(
+    snapshot: &zerber_segment::SegmentSnapshot,
+    live: &BTreeMap<u32, Document>,
+    when: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(snapshot.live_doc_count(), live.len(), "live docs {}", when);
+    for term in 0..30u32 {
+        prop_assert_eq!(
+            snapshot.document_frequency(TermId(term)),
+            oracle_df(live, term),
+            "df {}, term {}",
+            when,
+            term
+        );
+    }
+    let probe: Vec<u32> = (0..6).collect();
+    prop_assert_eq!(
+        store_topk(snapshot, live, &probe, 5),
+        oracle_topk(live, &probe, 5),
+        "top-k {}",
+        when
+    );
+    Ok(())
+}
+
+/// Runs one schedule over a store that starts from `base` (bulk-loaded
+/// as a multi-segment base when non-empty), checking the oracle after
+/// every compaction, at the end, and across a reopen.
+fn check_schedule(
+    ops: &[Op],
+    flush_postings: usize,
+    max_segments: usize,
+    base: &[Document],
+) -> Result<(), TestCaseError> {
+    let dir = scratch_dir("props");
+    let policy = SegmentPolicy {
+        flush_postings,
+        max_segments,
+        background: false, // deterministic compaction points
+        sync_wal: false,
+    };
+    let store = SegmentStore::open(&dir, policy).expect("open");
+    let mut live: BTreeMap<u32, Document> = BTreeMap::new();
+    if !base.is_empty() {
+        let config = BulkConfig {
+            workers: 3,
+            run_postings: 16,
+        };
+        let stats = store.bulk_load(base, config).expect("bulk load");
+        prop_assert!(stats.segments > 1, "the base spans several segments");
+        live.extend(base.iter().map(|doc| (doc.id.0, doc.clone())));
+    }
+
+    for op in ops {
+        match op {
+            Op::Insert(batch) => {
+                let docs: Vec<Document> = batch.iter().map(|(id, t)| materialize(*id, t)).collect();
+                store.insert(&docs).expect("insert");
+                for doc in docs {
+                    live.insert(doc.id.0, doc);
+                }
+            }
+            Op::Delete(id) => {
+                let existed = store.delete(DocId(*id)).expect("delete");
+                prop_assert_eq!(existed, live.remove(id).is_some());
+            }
+            Op::Flush => store.flush().expect("flush"),
+            Op::Compact => {
+                store.compact().expect("compact");
+                prop_assert!(store.segment_count() <= max_segments);
+                assert_matches_oracle(&store.snapshot(), &live, "after a compaction")?;
+            }
+            Op::Query(terms, k) => {
+                let snapshot = store.snapshot();
+                for &t in terms {
+                    prop_assert_eq!(
+                        snapshot.document_frequency(TermId(t)),
+                        oracle_df(&live, t),
+                        "df of term {}",
+                        t
+                    );
+                }
+                prop_assert_eq!(
+                    store_topk(&snapshot, &live, terms, *k),
+                    oracle_topk(&live, terms, *k)
+                );
+            }
+        }
+    }
+
+    // Bounded segment count: the policy held after every explicit
+    // compaction; run one more and check the bound.
+    store.compact().expect("compact");
+    prop_assert!(store.segment_count() <= max_segments);
+    assert_matches_oracle(&store.snapshot(), &live, "at the end")?;
+
+    // Durability: reopen from disk and re-verify everything.
+    drop(store);
+    let reopened = SegmentStore::open(&dir, policy).expect("reopen");
+    assert_matches_oracle(&reopened.snapshot(), &live, "after reopen")?;
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
@@ -144,73 +251,26 @@ proptest! {
         flush_postings in 4usize..40,
         max_segments in 1usize..4,
     ) {
-        let dir = scratch_dir("props");
-        let policy = SegmentPolicy {
-            flush_postings,
-            max_segments,
-            background: false, // deterministic compaction points
-            sync_wal: false,
-        };
-        let store = SegmentStore::open(&dir, policy).expect("open");
-        let mut live: BTreeMap<u32, Document> = BTreeMap::new();
+        check_schedule(&ops, flush_postings, max_segments, &[])?;
+    }
 
-        for op in &ops {
-            match op {
-                Op::Insert(batch) => {
-                    let docs: Vec<Document> =
-                        batch.iter().map(|(id, t)| materialize(*id, t)).collect();
-                    store.insert(&docs).expect("insert");
-                    for doc in docs {
-                        live.insert(doc.id.0, doc);
-                    }
-                }
-                Op::Delete(id) => {
-                    let existed = store.delete(DocId(*id)).expect("delete");
-                    prop_assert_eq!(existed, live.remove(id).is_some());
-                }
-                Op::Flush => store.flush().expect("flush"),
-                Op::Compact => store.compact().expect("compact"),
-                Op::Query(terms, k) => {
-                    let snapshot = store.snapshot();
-                    for &t in terms {
-                        prop_assert_eq!(
-                            snapshot.document_frequency(TermId(t)),
-                            oracle_df(&live, t),
-                            "df of term {}", t
-                        );
-                    }
-                    prop_assert_eq!(
-                        store_topk(&snapshot, &live, terms, *k),
-                        oracle_topk(&live, terms, *k)
-                    );
-                }
-            }
+    /// The same schedules over a multi-segment bulk-loaded base whose
+    /// ids the schedule's inserts replace and deletes hit: compaction
+    /// windows now fall anywhere in the stack (mid-stack merges carry
+    /// tombstones that must keep masking base documents), under every
+    /// segment cap.
+    #[test]
+    fn schedules_over_a_bulk_loaded_base_match_the_rebuild_oracle(
+        ops in prop::collection::vec(arb_op(), 1..40),
+        base in prop::collection::vec(arb_doc(), 12..40),
+        flush_postings in 4usize..40,
+        max_segments in 1usize..=4,
+    ) {
+        let mut base_docs: BTreeMap<u32, Document> = BTreeMap::new();
+        for (id, terms) in &base {
+            base_docs.insert(*id, materialize(*id, terms));
         }
-
-        // Bounded segment count: the tiered policy held after every
-        // explicit compaction; run one more and check the bound.
-        store.compact().expect("compact");
-        prop_assert!(store.segment_count() <= max_segments.max(1));
-        prop_assert_eq!(store.snapshot().live_doc_count(), live.len());
-
-        // Durability: reopen from disk and re-verify everything.
-        drop(store);
-        let reopened = SegmentStore::open(&dir, policy).expect("reopen");
-        let snapshot = reopened.snapshot();
-        prop_assert_eq!(snapshot.live_doc_count(), live.len());
-        for term in 0..30u32 {
-            prop_assert_eq!(
-                snapshot.document_frequency(TermId(term)),
-                oracle_df(&live, term),
-                "df after reopen, term {}", term
-            );
-        }
-        let probe: Vec<u32> = (0..6).collect();
-        prop_assert_eq!(
-            store_topk(&snapshot, &live, &probe, 5),
-            oracle_topk(&live, &probe, 5)
-        );
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
+        let base_docs: Vec<Document> = base_docs.into_values().collect();
+        check_schedule(&ops, flush_postings, max_segments, &base_docs)?;
     }
 }
