@@ -3,7 +3,9 @@
 //! central baseline — the paper's claim is that Zerber "answers most
 //! of the queries almost as fast as an ordinary inverted index" —
 //! plus the lazy decode-on-demand top-k against eager materialization
-//! across corpus sizes × k on the block-compressed store.
+//! across corpus sizes × k on the block-compressed store, and the
+//! planned evaluators over a two-segment LSM snapshot — the merged
+//! cursor path the repository benchmark's search workloads measure.
 
 use std::hint::black_box;
 
@@ -14,8 +16,10 @@ use zerber_bench::experiments::query::eager_topk;
 use zerber_core::merge::MergeConfig;
 use zerber_corpus::{CorpusConfig, SyntheticCorpus};
 use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
-use zerber_index::{idf, GroupId, InvertedIndex, PostingStore, TermId, UserId};
+use zerber_index::{idf, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId, UserId};
 use zerber_postings::CompressedPostingStore;
+use zerber_query::{execute, Forced, QueryShape};
+use zerber_segment::{scratch_dir, SegmentStore};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -101,5 +105,69 @@ fn bench_topk_lazy_vs_eager(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_query_paths, bench_topk_lazy_vs_eager);
+/// `execute` under the planner's own choice over a snapshot of two
+/// flushed segments: every term's cursor is a shadow-aware merge of
+/// two compressed sub-cursors, and the phrase filter reads positions
+/// through it.
+fn bench_planned_over_segments(c: &mut Criterion) {
+    let corpus = SyntheticCorpus::generate(&CorpusConfig {
+        num_docs: 4_000,
+        vocabulary_size: 2_000,
+        num_groups: 1,
+        ..CorpusConfig::default()
+    });
+    let dir = scratch_dir("query-bench");
+    let policy = SegmentPolicy {
+        flush_postings: usize::MAX,
+        background: false,
+        ..SegmentPolicy::default()
+    };
+    let store = SegmentStore::open(&dir, policy).expect("open");
+    for half in corpus.documents.chunks(corpus.documents.len().div_ceil(2)) {
+        store.insert(half).expect("insert");
+        store.flush().expect("flush");
+    }
+    let snapshot = store.snapshot();
+    assert_eq!(snapshot.segment_len(), 2);
+    let n = snapshot.live_doc_count();
+    let slots = |terms: &[u32]| -> Vec<(TermId, f64)> {
+        terms
+            .iter()
+            .map(|&t| (TermId(t), idf(n, snapshot.document_frequency(TermId(t)))))
+            .collect()
+    };
+
+    let mut group = c.benchmark_group("query/planned_two_segments_top10");
+    for (name, shape, terms) in [
+        ("terms_2", QueryShape::Terms, slots(&[0, 1])),
+        ("terms_3", QueryShape::Terms, slots(&[0, 1, 2])),
+        ("phrase_2", QueryShape::Phrase, slots(&[0, 1])),
+    ] {
+        group.bench_function(name, |b| {
+            let mut scratch = TopKScratch::new();
+            b.iter(|| {
+                let outcome = execute(
+                    &snapshot,
+                    shape,
+                    black_box(&terms),
+                    10,
+                    Forced::Auto,
+                    &mut scratch,
+                );
+                black_box(outcome.ranked.len())
+            })
+        });
+    }
+    group.finish();
+    drop(snapshot);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+criterion_group!(
+    benches,
+    bench_query_paths,
+    bench_topk_lazy_vs_eager,
+    bench_planned_over_segments
+);
 criterion_main!(benches);

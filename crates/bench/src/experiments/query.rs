@@ -59,6 +59,10 @@ pub struct QueryPoint {
     /// Mean blocks present across the query's posting lists — what the
     /// eager path decompresses every time.
     pub blocks_total_per_query: f64,
+    /// Lazy-path wall time per candidate the evaluator fully scored
+    /// (`QueryCost::postings_scored`), nanoseconds — cursor open,
+    /// decode, selection, scoring and collection all included.
+    pub ns_per_scored_posting: f64,
     /// Whether every query's lazy ranking was bit-identical to the
     /// eager one.
     pub identical: bool,
@@ -124,7 +128,10 @@ fn measure(
         let mut cursors = store.query_cursors(&weights);
         block_max_topk_cursors(&mut cursors, k, &mut scratch);
         lazy_ms.push(begun.elapsed().as_secs_f64() * 1e3);
-        cost.absorb(QueryCost::of(&cursors));
+        cost.absorb(QueryCost {
+            postings_scored: scratch.scored(),
+            ..QueryCost::of(&cursors)
+        });
 
         identical &= scratch.ranked.len() == eager.len()
             && scratch
@@ -133,6 +140,8 @@ fn measure(
                 .zip(&eager)
                 .all(|(l, e)| l.doc == e.doc && l.score.to_bits() == e.score.to_bits());
     }
+    let ns_per_scored_posting =
+        lazy_ms.iter().sum::<f64>() * 1e6 / cost.postings_scored.max(1) as f64;
     lazy_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     eager_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let executed = queries.len().max(1) as f64;
@@ -147,6 +156,7 @@ fn measure(
         eager_p95_ms: percentile(&eager_ms, 0.95),
         blocks_decoded_per_query: cost.blocks_decoded as f64 / executed,
         blocks_total_per_query: cost.blocks_total as f64 / executed,
+        ns_per_scored_posting,
         identical,
     }
 }
@@ -227,6 +237,7 @@ pub fn render(result: &QueryPerf) -> String {
             "eager p95",
             "dec blk/q",
             "tot blk/q",
+            "ns/scored",
             "= eager",
         ],
     );
@@ -246,6 +257,7 @@ pub fn render(result: &QueryPerf) -> String {
             format!("{:.3}", p.eager_p95_ms),
             format!("{:.1}", p.blocks_decoded_per_query),
             format!("{:.1}", p.blocks_total_per_query),
+            format!("{:.0}", p.ns_per_scored_posting),
             if p.identical { "yes" } else { "NO" }.into(),
         ]);
     }
@@ -253,7 +265,8 @@ pub fn render(result: &QueryPerf) -> String {
     out.push_str(
         "latencies in ms; the lazy path decodes only blocks surviving the block-max \
          bound (dec blk/q) while the eager path always materializes every block \
-         (tot blk/q); rankings are bit-identical on every query\n",
+         (tot blk/q); ns/scored is the lazy path's wall time per scored posting \
+         (block-max TA); rankings are bit-identical on every query\n",
     );
     out
 }
@@ -276,6 +289,7 @@ pub fn to_json(result: &QueryPerf) -> String {
                 number(p.blocks_decoded_per_query),
             ),
             ("blocks_total_per_query", number(p.blocks_total_per_query)),
+            ("ns_per_scored_posting", number(p.ns_per_scored_posting)),
             (
                 "identical",
                 if p.identical { "true" } else { "false" }.to_owned(),

@@ -28,7 +28,7 @@ use zerber::runtime::{local_planned, ShardedSearch};
 use zerber::ZerberConfig;
 use zerber_corpus::querylog::{QueryShape, ShapedLogConfig, ShapedQuery, ShapedQueryLog};
 use zerber_corpus::QueryLogConfig;
-use zerber_index::cursor::TopKScratch;
+use zerber_index::cursor::{QueryCost, TopKScratch};
 use zerber_index::{idf, DocId, Document, GroupId, InvertedIndex, PostingStore, TermId};
 use zerber_postings::CompressedPostingStore;
 use zerber_query::{execute, oracle, Forced, Query};
@@ -56,6 +56,10 @@ pub struct EvaluatorPoint {
     pub blocks_decoded_per_query: f64,
     /// Mean blocks present across the query's lists.
     pub blocks_total_per_query: f64,
+    /// Wall time per candidate the evaluator fully scored
+    /// (`QueryCost::postings_scored`), nanoseconds — cursor open,
+    /// decode, selection, scoring and collection all included.
+    pub ns_per_scored_posting: f64,
     /// Whether every ranking was bit-identical to the exhaustive
     /// oracle.
     pub identical: bool,
@@ -178,8 +182,7 @@ fn measure_evaluator(
     let mut latencies = Vec::with_capacity(queries.len());
     let mut scratch = TopKScratch::new();
     let mut identical = true;
-    let mut decoded = 0u64;
-    let mut total = 0u64;
+    let mut cost = QueryCost::default();
     for query in queries {
         let slots: Vec<(TermId, f64)> = query
             .terms
@@ -194,8 +197,7 @@ fn measure_evaluator(
         let begun = Instant::now();
         let outcome = execute(store, shape_enum, &slots, K, forced, &mut scratch);
         latencies.push(begun.elapsed().as_secs_f64() * 1e3);
-        decoded += outcome.cost.blocks_decoded;
-        total += outcome.cost.blocks_total;
+        cost.absorb(outcome.cost);
         let want = match query.shape {
             QueryShape::Terms => oracle::oracle_terms(index, &slots, K),
             QueryShape::And => oracle::oracle_and(index, &slots, K),
@@ -208,6 +210,8 @@ fn measure_evaluator(
                 .zip(&want)
                 .all(|(g, w)| g.doc == w.doc && g.score.to_bits() == w.score.to_bits());
     }
+    let ns_per_scored_posting =
+        latencies.iter().sum::<f64>() * 1e6 / cost.postings_scored.max(1) as f64;
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let executed = queries.len().max(1) as f64;
     EvaluatorPoint {
@@ -216,8 +220,9 @@ fn measure_evaluator(
         queries: queries.len(),
         p50_ms: percentile(&latencies, 0.50),
         p95_ms: percentile(&latencies, 0.95),
-        blocks_decoded_per_query: decoded as f64 / executed,
-        blocks_total_per_query: total as f64 / executed,
+        blocks_decoded_per_query: cost.blocks_decoded as f64 / executed,
+        blocks_total_per_query: cost.blocks_total as f64 / executed,
+        ns_per_scored_posting,
         identical,
     }
 }
@@ -412,6 +417,7 @@ pub fn render(result: &ServingPerf) -> String {
             "p95 ms",
             "dec blk/q",
             "tot blk/q",
+            "ns/scored",
             "= oracle",
         ],
     );
@@ -424,6 +430,7 @@ pub fn render(result: &ServingPerf) -> String {
             format!("{:.3}", p.p95_ms),
             format!("{:.1}", p.blocks_decoded_per_query),
             format!("{:.1}", p.blocks_total_per_query),
+            format!("{:.0}", p.ns_per_scored_posting),
             if p.identical { "yes" } else { "NO" }.into(),
         ]);
     }
@@ -453,7 +460,7 @@ pub fn render(result: &ServingPerf) -> String {
         ]);
     }
     format!(
-        "{}\n{}\noverall hit rate {:.1}% over {} docs on {} peers ({} evictions); \
+        "{}ns/scored: evaluator wall time per fully scored posting\n\n{}\noverall hit rate {:.1}% over {} docs on {} peers ({} evictions); \
          interleaved phase: {} asks, {} writes, {} hits, {} stale hits (must be 0 — \
          writes bump the epoch, epochs key the cache)\n",
         evaluators.render(),
@@ -487,6 +494,7 @@ pub fn to_json(result: &ServingPerf) -> String {
                     number(p.blocks_decoded_per_query),
                 ),
                 ("blocks_total_per_query", number(p.blocks_total_per_query)),
+                ("ns_per_scored_posting", number(p.ns_per_scored_posting)),
                 (
                     "identical",
                     if p.identical { "true" } else { "false" }.to_owned(),

@@ -18,10 +18,17 @@
 //!   the algorithm actually examined);
 //! * `CompressedBlockCursor` (in `zerber-postings`) — decodes straight
 //!   from the stored compressed blocks, skipping via the persisted
-//!   `(first_doc, last_doc, max_tf)` index;
+//!   `(first_doc, last_doc, max_tf)` index; `DecodedEntriesCursor`
+//!   beside it borrows a memtable delta's decoded postings;
 //! * [`ShadowedMergeCursor`] — merges several sub-cursors (memtable
 //!   deltas over on-disk segments) under the doc-level shadowing rule
 //!   without flattening them into one list first.
+//!
+//! Two pieces here are shared by every evaluator (this module's TA and
+//! the MaxScore / conjunctive / phrase evaluators in `zerber-query`):
+//! the [`TopKScratch`] collector, a bounded heap under the one result
+//! order, and — for the evaluators that select candidates lazily — the
+//! one-sweep minimum selection that also drives the merge cursor.
 //!
 //! The cursor algorithm returns **bit-identical** results to the
 //! exhaustive oracle: per-document contributions are accumulated in
@@ -29,10 +36,10 @@
 //! uses strict bounds, so ties can never be lost (property-tested in
 //! `topk_properties.rs`).
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::topk::{BlockScoredList, RankedDoc, Score};
+use crate::topk::{BlockScoredList, RankedDoc};
 use crate::types::DocId;
 
 /// Lazy sorted access over one term's scored postings, at block
@@ -41,8 +48,7 @@ use crate::types::DocId;
 /// A cursor has a *logical position*: the next not-yet-consumed
 /// posting. The position's document id may be known only as a lower
 /// bound until [`BlockCursor::materialize`] decodes the current block
-/// — that deferral is the entire point, since
-/// [`block_max_topk_cursors`] can often prove from
+/// — that deferral is what lets [`block_max_topk_cursors`] prove from
 /// [`BlockCursor::block_max`] alone that a block cannot contend and
 /// skip it via [`BlockCursor::advance_past`] without any decode.
 ///
@@ -61,6 +67,17 @@ use crate::types::DocId;
 ///   merged cursor may discover that everything left is shadowed);
 ///   [`materialize`](Self::materialize) returning `None` settles it,
 ///   after which `at_end` must report `true`.
+/// * Exactness is sticky where it is free: [`step`](Self::step) may
+///   leave the cursor exact on the next posting of a block it has
+///   already decoded, so callers must re-read
+///   [`is_exact`](Self::is_exact) after stepping instead of assuming
+///   `false`. A cursor never decodes a block to *become* exact except
+///   inside `materialize`.
+/// * The document sequence a cursor is asked about only moves forward:
+///   `advance_past` bounds and the documents returned by `materialize`
+///   never decrease over a cursor's lifetime. Implementations rely on
+///   it (the segmented store's shadow test keeps a forward-only finger
+///   per newer source).
 pub trait BlockCursor {
     /// Total blocks in the underlying list(s).
     fn total_blocks(&self) -> usize;
@@ -104,6 +121,17 @@ pub trait BlockCursor {
     /// exhausted.
     fn materialize(&mut self) -> Option<(DocId, f64)>;
 
+    /// The current posting's positional run `(first position, count)`
+    /// in its document's canonical token stream (see
+    /// [`crate::PostingStore::term_positions`]) — read off the posting
+    /// the cursor already holds, no lookup. Callable only while
+    /// [`is_exact`](Self::is_exact). `None` means the backend keeps no
+    /// positional column beside its postings (raw lists, the live
+    /// index) and the caller must ask the store instead.
+    fn positions(&self) -> Option<(u32, u32)> {
+        None
+    }
+
     /// Consumes the current posting. Callable only right after
     /// [`materialize`](Self::materialize) returned `Some` (i.e. while
     /// [`is_exact`](Self::is_exact)).
@@ -116,24 +144,32 @@ pub trait BlockCursor {
     fn advance_past(&mut self, bound: DocId);
 }
 
-/// Decode-work accounting for one query: how many blocks the cursors
-/// actually decompressed versus how many exist across the query's
-/// posting lists. `blocks_decoded < blocks_total` is the proof that
-/// block-max pruning skipped real decode work.
+/// Work accounting for one query: how many blocks the cursors actually
+/// decompressed versus how many exist across the query's posting
+/// lists, and how many candidates the evaluator fully scored.
+/// `blocks_decoded < blocks_total` is the proof that block-max pruning
+/// skipped real decode work; evaluation time over `postings_scored` is
+/// the per-posting cost of the read path. Process-local: only the two
+/// block counts travel in `TopKResponse`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Blocks whose payload was decoded.
     pub blocks_decoded: u64,
     /// Blocks present across all query-term lists.
     pub blocks_total: u64,
+    /// Candidates the evaluator summed a full score for and offered to
+    /// the top-k collector ([`TopKScratch::scored`]).
+    pub postings_scored: u64,
 }
 
 impl QueryCost {
-    /// Sums the accounting over a query's cursors.
+    /// Sums the block accounting over a query's cursors
+    /// (`postings_scored` is the collector's to report).
     pub fn of(cursors: &[Box<dyn BlockCursor + '_>]) -> Self {
         Self {
             blocks_decoded: cursors.iter().map(|c| c.decoded_blocks() as u64).sum(),
             blocks_total: cursors.iter().map(|c| c.total_blocks() as u64).sum(),
+            postings_scored: 0,
         }
     }
 
@@ -141,19 +177,55 @@ impl QueryCost {
     pub fn absorb(&mut self, other: QueryCost) {
         self.blocks_decoded += other.blocks_decoded;
         self.blocks_total += other.blocks_total;
+        self.postings_scored += other.postings_scored;
     }
 }
 
-/// Reusable per-query scratch for [`block_max_topk_cursors`]: the
-/// top-k min-heap and the result buffer. Owning one per serving thread
-/// (the peer runtime's `ShardService` does) removes the per-RPC heap
-/// and vector allocations from the fan-out hot path.
+/// A candidate ordered by [`RankedDoc::result_order`], so a max-heap
+/// keeps the *worst* retained result on top.
+#[derive(Debug)]
+struct ByRank(RankedDoc);
+
+impl PartialEq for ByRank {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ByRank {}
+
+impl PartialOrd for ByRank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByRank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        RankedDoc::result_order(&self.0, &other.0)
+    }
+}
+
+/// The top-k collector every evaluator ranks through, reusable across
+/// queries (the peer runtime's `ShardService` owns one per serving
+/// thread, so the heap is allocated once).
+///
+/// One bounded worst-first heap under [`RankedDoc::result_order`]:
+/// [`offer`](Self::offer) keeps a candidate iff it ranks before the
+/// worst of the `k` retained, [`kth_score`](Self::kth_score) reads the
+/// pruning threshold off the heap's top, and
+/// [`finish`](Self::finish) drains it best-first into
+/// [`ranked`](Self::ranked). The outcome is exactly
+/// `sort_by(result_order)` + `truncate(k)` over everything offered —
+/// the same total order, so which candidates were dropped early can
+/// never show in the result.
 #[derive(Debug, Default)]
 pub struct TopKScratch {
-    pub(crate) best: BinaryHeap<Reverse<Score>>,
-    /// The ranked output of the most recent
-    /// [`block_max_topk_cursors`] call: `(score desc, doc asc)`,
-    /// truncated to `k`.
+    heap: BinaryHeap<ByRank>,
+    k: usize,
+    scored: u64,
+    /// The ranked output of the most recent evaluation: `(score desc,
+    /// doc asc)`, at most `k` long.
     pub ranked: Vec<RankedDoc>,
 }
 
@@ -161,6 +233,50 @@ impl TopKScratch {
     /// A fresh scratch (equivalent to `Default`).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Starts collecting the top `k` of a new evaluation.
+    pub fn begin(&mut self, k: usize) {
+        self.heap.clear();
+        self.ranked.clear();
+        self.k = k;
+        self.scored = 0;
+    }
+
+    /// Offers one fully scored candidate.
+    pub fn offer(&mut self, doc: DocId, score: f64) {
+        self.scored += 1;
+        let candidate = ByRank(RankedDoc { doc, score });
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// The `k`-th best score so far — the threshold a new candidate
+    /// must reach to matter — once `k` candidates are retained.
+    pub fn kth_score(&self) -> Option<f64> {
+        self.heap
+            .peek()
+            .filter(|_| self.heap.len() == self.k)
+            .map(|worst| worst.0.score)
+    }
+
+    /// Candidates offered since [`begin`](Self::begin).
+    pub fn scored(&self) -> u64 {
+        self.scored
+    }
+
+    /// Drains the retained candidates into [`ranked`](Self::ranked),
+    /// best first.
+    pub fn finish(&mut self) {
+        while let Some(ByRank(worst)) = self.heap.pop() {
+            self.ranked.push(worst);
+        }
+        self.ranked.reverse();
     }
 
     /// Moves the most recent result out (the scratch's result buffer
@@ -171,61 +287,53 @@ impl TopKScratch {
     }
 }
 
-/// A slot holding a cursor — lets [`select_exact_min`] serve both the
-/// top-k driver's plain cursor slices and the merge cursor's
-/// `(rank, cursor)` pairs without duplicating the fixpoint.
+/// What candidate selection needs to see of a cursor — lets
+/// [`select_exact_min`] serve both the top-k driver's plain cursor
+/// slices and the merge cursor's ranked sub-cursors without
+/// duplicating the fixpoint.
 trait CursorSlot {
-    fn cursor(&self) -> &dyn BlockCursor;
-    fn cursor_mut(&mut self) -> &mut dyn BlockCursor;
+    /// `None` at end, else the cursor's document lower bound and
+    /// whether it is exact.
+    fn frontier(&self) -> Option<(DocId, bool)>;
+    /// Materializes the cursor.
+    fn pin(&mut self);
 }
 
 impl<'a> CursorSlot for Box<dyn BlockCursor + 'a> {
-    fn cursor(&self) -> &dyn BlockCursor {
-        self.as_ref()
+    fn frontier(&self) -> Option<(DocId, bool)> {
+        (!self.at_end()).then(|| (self.doc_lower_bound(), self.is_exact()))
     }
-    fn cursor_mut(&mut self) -> &mut dyn BlockCursor {
-        self.as_mut()
-    }
-}
-
-impl<'a> CursorSlot for (usize, Box<dyn BlockCursor + 'a>) {
-    fn cursor(&self) -> &dyn BlockCursor {
-        self.1.as_ref()
-    }
-    fn cursor_mut(&mut self) -> &mut dyn BlockCursor {
-        self.1.as_mut()
+    fn pin(&mut self) {
+        let _ = self.materialize();
     }
 }
 
 /// Finds the smallest current document across the slots' cursors,
 /// decoding only the cursors whose lower bound ties the running
 /// minimum: a cursor whose (metadata-only) bound already exceeds the
-/// minimum provably cannot hold the candidate and stays undecoded. On
-/// return every cursor that might contain the candidate
+/// minimum provably cannot hold the candidate and stays undecoded.
+/// Each round materializes *every* bound-tied cursor in one sweep and
+/// re-evaluates — the minimum cannot rise while a tied cursor is still
+/// inexact, so this pins exactly the cursors a one-at-a-time restart
+/// would, in a number of sweeps that does not grow with the cursor
+/// count. On return every cursor that might contain the candidate
 /// [`BlockCursor::is_exact`].
 fn select_exact_min<S: CursorSlot>(slots: &mut [S]) -> Option<DocId> {
     loop {
-        let mut min: Option<DocId> = None;
-        for slot in slots.iter() {
-            let cursor = slot.cursor();
-            if !cursor.at_end() {
-                let bound = cursor.doc_lower_bound();
-                min = Some(min.map_or(bound, |m: DocId| m.min(bound)));
-            }
-        }
-        let min = min?;
-        let mut all_exact = true;
+        let min = slots
+            .iter()
+            .filter_map(|slot| Some(slot.frontier()?.0))
+            .min()?;
+        let mut settled = true;
         for slot in slots.iter_mut() {
-            let cursor = slot.cursor_mut();
-            if !cursor.at_end() && !cursor.is_exact() && cursor.doc_lower_bound() == min {
+            if slot.frontier() == Some((min, false)) {
                 // May pin the position at `min`, raise the bound past
                 // it, or discover exhaustion — re-evaluate either way.
-                let _ = cursor.materialize();
-                all_exact = false;
-                break;
+                slot.pin();
+                settled = false;
             }
         }
-        if all_exact {
+        if settled {
             return Some(min);
         }
     }
@@ -236,7 +344,7 @@ fn select_exact_min<S: CursorSlot>(slots: &mut [S]) -> Option<DocId> {
 /// decoding, decompressing only blocks that survive the upper-bound
 /// test.
 ///
-/// Whenever `k` results are buffered and the sum of the current block
+/// Whenever `k` results are retained and the sum of the current block
 /// maxima is *strictly* below the current `k`-th best score, no
 /// document inside the overlap of the current blocks can reach the
 /// top-`k`: every cursor jumps past the nearest block boundary without
@@ -249,14 +357,13 @@ pub fn block_max_topk_cursors(
     k: usize,
     scratch: &mut TopKScratch,
 ) {
-    scratch.best.clear();
-    scratch.ranked.clear();
+    scratch.begin(k);
     if k == 0 || cursors.is_empty() {
         return;
     }
 
     loop {
-        if scratch.best.len() == k {
+        if let Some(kth) = scratch.kth_score() {
             let mut live = false;
             let mut upper_bound = 0.0;
             for cursor in cursors.iter() {
@@ -268,7 +375,6 @@ pub fn block_max_topk_cursors(
             if !live {
                 break;
             }
-            let kth = scratch.best.peek().expect("heap holds k scores").0 .0;
             if upper_bound < kth {
                 // Skip to just past the nearest current-block boundary:
                 // every document up to it is bounded by `upper_bound`.
@@ -310,20 +416,10 @@ pub fn block_max_topk_cursors(
                 cursor.step();
             }
         }
-        scratch.ranked.push(RankedDoc {
-            doc: candidate,
-            score,
-        });
-        if scratch.best.len() < k {
-            scratch.best.push(Reverse(Score(score)));
-        } else if score > scratch.best.peek().expect("heap holds k scores").0 .0 {
-            scratch.best.pop();
-            scratch.best.push(Reverse(Score(score)));
-        }
+        scratch.offer(candidate, score);
     }
 
-    scratch.ranked.sort_by(RankedDoc::result_order);
-    scratch.ranked.truncate(k);
+    scratch.finish();
 }
 
 /// A cursor over a list that holds no postings at all.
@@ -532,14 +628,44 @@ impl BlockCursor for ScoredListCursor {
 /// every older copy); the merged cursor therefore yields exactly the
 /// masked, doc-ascending sequence of live postings.
 pub struct ShadowedMergeCursor<'a> {
-    /// `(source rank, cursor)` pairs; higher rank = newer source.
-    subs: Vec<(usize, Box<dyn BlockCursor + 'a>)>,
+    subs: Vec<MergeSub<'a>>,
     /// `shadow(rank, doc)`: does any source newer than `rank` touch
-    /// `doc`?
-    shadow: Box<dyn Fn(usize, DocId) -> bool + 'a>,
-    /// The materialized current posting, once found.
-    current: Option<(DocId, f64)>,
+    /// `doc`? Asked with non-decreasing `doc` (the sub-cursor minimum
+    /// only rises), so the storage layer may answer from forward-only
+    /// state.
+    shadow: Box<dyn FnMut(usize, DocId) -> bool + 'a>,
+    /// The materialized current posting and the index in `subs` of the
+    /// sub-cursor holding it, once found.
+    current: Option<(DocId, f64, usize)>,
     done: bool,
+}
+
+/// One sub-cursor of a merge: its source rank (higher = newer) and
+/// the cursor.
+struct MergeSub<'a> {
+    rank: usize,
+    cursor: Box<dyn BlockCursor + 'a>,
+}
+
+impl MergeSub<'_> {
+    /// The sub-cursor's posting when it is pinned on `doc`.
+    fn posting_on(&mut self, doc: DocId) -> Option<f64> {
+        if self.cursor.at_end() || !self.cursor.is_exact() {
+            return None;
+        }
+        self.cursor
+            .materialize()
+            .and_then(|(d, score)| (d == doc).then_some(score))
+    }
+}
+
+impl CursorSlot for MergeSub<'_> {
+    fn frontier(&self) -> Option<(DocId, bool)> {
+        self.cursor.frontier()
+    }
+    fn pin(&mut self) {
+        self.cursor.pin();
+    }
 }
 
 impl std::fmt::Debug for ShadowedMergeCursor<'_> {
@@ -556,11 +682,16 @@ impl<'a> ShadowedMergeCursor<'a> {
     /// Builds a merged cursor. `subs` are `(source rank, cursor)`
     /// pairs over the same term, any order; `shadow(rank, doc)` must
     /// answer whether a source *newer* than `rank` defines `doc`'s
-    /// current version.
+    /// current version, and is only ever asked about non-decreasing
+    /// documents.
     pub fn new(
         subs: Vec<(usize, Box<dyn BlockCursor + 'a>)>,
-        shadow: Box<dyn Fn(usize, DocId) -> bool + 'a>,
+        shadow: Box<dyn FnMut(usize, DocId) -> bool + 'a>,
     ) -> Self {
+        let subs = subs
+            .into_iter()
+            .map(|(rank, cursor)| MergeSub { rank, cursor })
+            .collect();
         Self {
             subs,
             shadow,
@@ -569,34 +700,40 @@ impl<'a> ShadowedMergeCursor<'a> {
         }
     }
 
-    /// The sub-cursor fixpoint: smallest current document across subs,
-    /// decoding only bound-tied subs (shared [`select_exact_min`]).
-    fn select_sub_min(&mut self) -> Option<DocId> {
-        select_exact_min(&mut self.subs)
+    /// Sub-cursors that have postings left.
+    fn live_subs(&self) -> impl Iterator<Item = &MergeSub<'a>> {
+        self.subs.iter().filter(|sub| !sub.cursor.at_end())
+    }
+
+    /// Consumes `doc` from every sub-cursor parked on it.
+    fn step_subs_on(&mut self, doc: DocId) {
+        for sub in self.subs.iter_mut() {
+            if sub.posting_on(doc).is_some() {
+                sub.cursor.step();
+            }
+        }
     }
 }
 
 impl BlockCursor for ShadowedMergeCursor<'_> {
     fn total_blocks(&self) -> usize {
-        self.subs.iter().map(|(_, s)| s.total_blocks()).sum()
+        self.subs.iter().map(|s| s.cursor.total_blocks()).sum()
     }
 
     fn decoded_blocks(&self) -> usize {
-        self.subs.iter().map(|(_, s)| s.decoded_blocks()).sum()
+        self.subs.iter().map(|s| s.cursor.decoded_blocks()).sum()
     }
 
     fn at_end(&self) -> bool {
-        self.done || self.subs.iter().all(|(_, s)| s.at_end())
+        self.done || self.live_subs().next().is_none()
     }
 
     fn block_max(&self) -> f64 {
         // Valid bound for every document ≤ `block_last_doc()`: such a
         // document, if present at all, sits inside some live sub's
         // current block, whose maximum is included in this fold.
-        self.subs
-            .iter()
-            .filter(|(_, s)| !s.at_end())
-            .map(|(_, s)| s.block_max())
+        self.live_subs()
+            .map(|s| s.cursor.block_max())
             .fold(0.0f64, f64::max)
     }
 
@@ -605,27 +742,23 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
         // the subs' static bounds bounds every merged score.
         self.subs
             .iter()
-            .map(|(_, s)| s.list_max_score())
+            .map(|s| s.cursor.list_max_score())
             .fold(0.0f64, f64::max)
     }
 
     fn block_last_doc(&self) -> DocId {
-        self.subs
-            .iter()
-            .filter(|(_, s)| !s.at_end())
-            .map(|(_, s)| s.block_last_doc())
+        self.live_subs()
+            .map(|s| s.cursor.block_last_doc())
             .min()
             .expect("block_last_doc requires a live sub-cursor")
     }
 
     fn doc_lower_bound(&self) -> DocId {
-        if let Some((doc, _)) = self.current {
+        if let Some((doc, ..)) = self.current {
             return doc;
         }
-        self.subs
-            .iter()
-            .filter(|(_, s)| !s.at_end())
-            .map(|(_, s)| s.doc_lower_bound())
+        self.live_subs()
+            .map(|s| s.cursor.doc_lower_bound())
             .min()
             .expect("doc_lower_bound requires a live sub-cursor")
     }
@@ -635,71 +768,60 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
     }
 
     fn materialize(&mut self) -> Option<(DocId, f64)> {
-        if let Some(current) = self.current {
-            return Some(current);
+        if let Some((doc, score, _)) = self.current {
+            return Some((doc, score));
         }
         if self.done {
             return None;
         }
         loop {
-            let Some(doc) = self.select_sub_min() else {
+            let Some(doc) = select_exact_min(&mut self.subs) else {
                 self.done = true;
                 return None;
             };
             // The newest source parked on `doc` holds its candidate
             // posting; it is live iff nothing newer touches the doc.
-            let mut winner: Option<(usize, f64)> = None;
-            for (rank, sub) in self.subs.iter_mut() {
-                if sub.at_end() || !sub.is_exact() {
-                    continue;
-                }
-                let (d, s) = sub.materialize().expect("exact sub has an entry");
-                if d == doc && winner.is_none_or(|(r, _)| *rank > r) {
-                    winner = Some((*rank, s));
-                }
-            }
-            let (rank, score) = winner.expect("select_sub_min parked a sub on the minimum");
+            let (at, rank, score) = self
+                .subs
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(at, sub)| Some((at, sub.rank, sub.posting_on(doc)?)))
+                .max_by_key(|&(_, rank, _)| rank)
+                .expect("select_exact_min parked a sub on the minimum");
             if !(self.shadow)(rank, doc) {
-                self.current = Some((doc, score));
-                return self.current;
+                self.current = Some((doc, score, at));
+                return Some((doc, score));
             }
-            // Dead document: consume it from every sub parked on it.
-            for (_, sub) in self.subs.iter_mut() {
-                if sub.at_end() || !sub.is_exact() {
-                    continue;
-                }
-                if sub.materialize().map(|(d, _)| d) == Some(doc) {
-                    sub.step();
-                }
-            }
+            // Dead document.
+            self.step_subs_on(doc);
         }
+    }
+
+    fn positions(&self) -> Option<(u32, u32)> {
+        let (.., at) = self
+            .current
+            .expect("positions requires a materialized position");
+        self.subs[at].cursor.positions()
     }
 
     fn step(&mut self) {
-        let (doc, _) = self
+        let (doc, ..) = self
             .current
             .take()
             .expect("step requires a materialized position");
-        for (_, sub) in self.subs.iter_mut() {
-            if sub.at_end() || !sub.is_exact() {
-                continue;
-            }
-            if sub.materialize().map(|(d, _)| d) == Some(doc) {
-                sub.step();
-            }
-        }
+        self.step_subs_on(doc);
     }
 
     fn advance_past(&mut self, bound: DocId) {
-        if let Some((doc, _)) = self.current {
+        if let Some((doc, ..)) = self.current {
             if doc > bound {
                 return;
             }
             self.current = None;
         }
-        for (_, sub) in self.subs.iter_mut() {
-            if !sub.at_end() {
-                sub.advance_past(bound);
+        for sub in self.subs.iter_mut() {
+            if !sub.cursor.at_end() {
+                sub.cursor.advance_past(bound);
             }
         }
     }
@@ -779,6 +901,60 @@ mod tests {
             cost.blocks_decoded < cost.blocks_total,
             "pruning must skip decode work: {cost:?}"
         );
+        // One-sweep selection pins exactly the cursors the
+        // one-at-a-time restart did: the count measured before the
+        // sweep replaced it (PR 14: 2 of 33 blocks).
+        assert_eq!((cost.blocks_decoded, cost.blocks_total), (2, 33));
+        assert_eq!(cost.postings_scored, 0, "QueryCost::of counts blocks only");
+    }
+
+    #[test]
+    fn collector_equals_sort_and_truncate() {
+        // Tied scores in both doc orders, so the doc-id tie-break and
+        // the "equal score, later doc never displaces" case both bite.
+        let offered: Vec<RankedDoc> = [
+            (7, 0.5),
+            (3, 0.5),
+            (9, 1.25),
+            (1, 0.25),
+            (4, 0.5),
+            (8, 1.25),
+            (2, 0.0),
+            (6, 0.5),
+        ]
+        .iter()
+        .map(|&(doc, score)| RankedDoc {
+            doc: DocId(doc),
+            score,
+        })
+        .collect();
+        let n = offered.len();
+        let mut scratch = TopKScratch::new();
+        for k in [0, 1, 3, n, n + 1] {
+            let mut want = offered.clone();
+            want.sort_by(RankedDoc::result_order);
+            want.truncate(k);
+            scratch.begin(k);
+            for (i, candidate) in offered.iter().enumerate() {
+                assert_eq!(
+                    scratch.kth_score().is_some(),
+                    k > 0 && i >= k,
+                    "threshold exists iff k are retained (k = {k}, offered {i})"
+                );
+                scratch.offer(candidate.doc, candidate.score);
+            }
+            if let Some(kth) = scratch.kth_score() {
+                assert_eq!(kth, want[k - 1].score, "k = {k}");
+            }
+            scratch.finish();
+            assert_eq!(scratch.ranked, want, "k = {k}");
+            assert_eq!(scratch.scored(), n as u64);
+        }
+        // Reuse across evaluations starts clean.
+        scratch.begin(2);
+        scratch.finish();
+        assert!(scratch.ranked.is_empty());
+        assert_eq!(scratch.scored(), 0);
     }
 
     #[test]

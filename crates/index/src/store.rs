@@ -146,12 +146,14 @@ pub trait PostingStore {
     /// stream is its terms in ascending term-id order, each occupying
     /// `count` consecutive slots, so a term's positions are the
     /// contiguous run starting at the sum of the document's
-    /// smaller-term counts. Phrase evaluation consumes these lists.
+    /// smaller-term counts.
     ///
-    /// The default derives the run by scanning the smaller-id lists —
-    /// acceptable for the in-memory backends; backends with a stored
-    /// positional column (the compressed engine, the segmented store)
-    /// override it with a point lookup.
+    /// This is the point-lookup form, derived by scanning the
+    /// smaller-id lists — no backend overrides it. Phrase evaluation
+    /// reads the same run off the cursors it has aligned
+    /// ([`BlockCursor::positions`]) and falls back to this method only
+    /// for backends whose cursors keep no positional column (raw
+    /// lists, the live index).
     fn term_positions(&self, term: TermId, doc: DocId) -> Option<Vec<u32>> {
         let hit = self.postings(term).find(|p| p.doc == doc)?;
         let start: u32 = (0..term.0)

@@ -202,20 +202,6 @@ impl BlockScoredList {
     }
 }
 
-/// Total-order wrapper for the non-NaN scores tracked by the top-k
-/// heap.
-#[derive(Debug, PartialEq, PartialOrd)]
-pub(crate) struct Score(pub(crate) f64);
-
-impl Eq for Score {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for Score {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Reference implementation: aggregates every posting and sorts — used
 /// to validate [`threshold_topk`] and as the "return all answers" mode
 /// Zerber actually ships to clients (the index returns *all* accessible

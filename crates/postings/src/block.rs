@@ -230,7 +230,12 @@ pub fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> BlockMeta {
 }
 
 /// Decodes the block at `meta` from the list's data buffer into
-/// `out` (cleared first). Returns the number of payload bytes read.
+/// `out` (cleared first; its contents are unspecified after an error).
+/// Returns the number of payload bytes read.
+///
+/// Every column is written straight into `out` — the gap column seeds
+/// the entries, then each bit-packed column fills its field in place —
+/// so a caller that reuses one buffer decodes without allocating.
 pub fn decode_block(
     meta: &BlockMeta,
     data: &[u8],
@@ -250,47 +255,45 @@ pub fn decode_block(
     if count_bits > 32 || length_bits > 32 || pos_bits > 32 {
         return Err(DecodeError::Truncated);
     }
-    let mut docs = Vec::with_capacity(len);
-    docs.push(meta.first_doc);
+    let mut doc = meta.first_doc;
     let mut cursor = 0usize;
-    for _ in 1..len {
-        let (gap, used) = varint::read_u64(&rest[cursor..]).ok_or(DecodeError::BadVarint)?;
-        cursor += used;
-        let prev = *docs.last().expect("seeded with first_doc");
-        let doc = prev.checked_add(gap).ok_or(DecodeError::BadDelta)?;
-        if gap == 0 {
-            return Err(DecodeError::BadDelta);
+    for i in 0..len {
+        if i > 0 {
+            let (gap, used) = varint::read_u64(&rest[cursor..]).ok_or(DecodeError::BadVarint)?;
+            cursor += used;
+            doc = doc.checked_add(gap).ok_or(DecodeError::BadDelta)?;
+            if gap == 0 {
+                return Err(DecodeError::BadDelta);
+            }
         }
-        docs.push(doc);
+        out.push(RawEntry {
+            doc,
+            count: 0,
+            doc_length: 0,
+            pos: 0,
+        });
     }
     let counts_bytes = (len * count_bits as usize).div_ceil(8);
     let lengths_bytes = (len * length_bits as usize).div_ceil(8);
     let pos_bytes = (len * pos_bits as usize).div_ceil(8);
     let columns = rest.get(cursor..).ok_or(DecodeError::Truncated)?;
     let mut counts = BitReader::new(columns);
-    let mut count_values = Vec::with_capacity(len);
-    for _ in 0..len {
-        count_values.push(counts.pull(count_bits)?);
+    for entry in out.iter_mut() {
+        entry.count = counts.pull(count_bits)?;
     }
     debug_assert_eq!(counts.bytes_consumed(), counts_bytes);
     let length_column = columns.get(counts_bytes..).ok_or(DecodeError::Truncated)?;
     let mut lengths = BitReader::new(length_column);
-    let mut length_values = Vec::with_capacity(len);
-    for _ in 0..len {
-        length_values.push(lengths.pull(length_bits)?);
+    for entry in out.iter_mut() {
+        entry.doc_length = lengths.pull(length_bits)?;
     }
     debug_assert_eq!(lengths.bytes_consumed(), lengths_bytes);
     let pos_column = length_column
         .get(lengths_bytes..)
         .ok_or(DecodeError::Truncated)?;
     let mut positions = BitReader::new(pos_column);
-    for ((doc, count), doc_length) in docs.iter().zip(count_values).zip(length_values) {
-        out.push(RawEntry {
-            doc: *doc,
-            count,
-            doc_length,
-            pos: positions.pull(pos_bits)?,
-        });
+    for entry in out.iter_mut() {
+        entry.pos = positions.pull(pos_bits)?;
     }
     Ok(3 + cursor + counts_bytes + lengths_bytes + pos_bytes)
 }

@@ -1,4 +1,4 @@
-//! The decode-on-demand query cursor over a [`CompressedPostingList`].
+//! The query cursors over codec-layer postings.
 //!
 //! [`CompressedBlockCursor`] implements
 //! [`zerber_index::cursor::BlockCursor`] directly against the stored
@@ -10,12 +10,23 @@
 //! position. `advance_past` jumps whole blocks via the metadata alone,
 //! so the block-max Threshold Algorithm skips decode work — not just
 //! score evaluations — for blocks it proves non-contending.
+//!
+//! [`DecodedEntriesCursor`] is the same cursor over postings that are
+//! already decoded in memory (a memtable delta's `&[RawEntry]`): it
+//! borrows the slice, so opening one copies and sorts nothing.
+//!
+//! Both read the positional run of the posting they stand on
+//! ([`BlockCursor::positions`]) from the entry itself.
 
 use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
 
 use crate::block::{decode_block, RawEntry, BLOCK_SIZE};
 use crate::list::CompressedPostingList;
+
+fn doc_id(key: u64) -> DocId {
+    DocId(u32::try_from(key).expect("doc keys originate from 32-bit DocIds"))
+}
 
 /// A lazy, weighted scoring cursor over one compressed posting list.
 ///
@@ -70,19 +81,22 @@ impl<'a> CompressedBlockCursor<'a> {
     }
 
     /// Skips blocks whose `last_doc` precedes the bound — metadata
-    /// only, nothing decodes.
+    /// only, nothing decodes. The current block is tested first:
+    /// sequential reads and short seeks stay inside it.
     fn normalize(&mut self) {
         let blocks = self.list.blocks();
-        self.block += blocks[self.block.min(blocks.len())..]
-            .partition_point(|meta| meta.last_doc < self.bound);
+        if blocks
+            .get(self.block)
+            .is_some_and(|meta| meta.last_doc < self.bound)
+        {
+            self.block += 1;
+            self.block += blocks[self.block..].partition_point(|meta| meta.last_doc < self.bound);
+        }
     }
 
     fn entry(&self) -> (DocId, f64) {
         let entry = self.buffer[self.pos];
-        (
-            DocId(u32::try_from(entry.doc).expect("doc keys originate from 32-bit DocIds")),
-            entry.term_frequency() * self.weight,
-        )
+        (doc_id(entry.doc), entry.term_frequency() * self.weight)
     }
 }
 
@@ -108,18 +122,15 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn block_last_doc(&self) -> DocId {
-        DocId(
-            u32::try_from(self.list.blocks()[self.block].last_doc)
-                .expect("doc keys originate from 32-bit DocIds"),
-        )
+        doc_id(self.list.blocks()[self.block].last_doc)
     }
 
     fn doc_lower_bound(&self) -> DocId {
         if self.exact {
-            return self.entry().0;
+            return doc_id(self.buffer[self.pos].doc);
         }
         let first = self.list.blocks()[self.block].first_doc;
-        DocId(u32::try_from(first.max(self.bound)).expect("doc keys originate from 32-bit DocIds"))
+        doc_id(first.max(self.bound))
     }
 
     fn is_exact(&self) -> bool {
@@ -144,30 +155,195 @@ impl BlockCursor for CompressedBlockCursor<'_> {
                 .expect("builder-produced blocks decode cleanly");
                 self.decoded_block = self.block;
                 self.decoded += 1;
+                self.pos = 0;
             }
+            // `pos` never runs ahead of the bound inside a decoded
+            // block, so the search resumes from it.
             let bound = self.bound;
-            let offset = self.buffer.partition_point(|e| e.doc < bound);
-            if offset < self.buffer.len() {
-                self.pos = offset;
+            self.pos += self.buffer[self.pos..].partition_point(|e| e.doc < bound);
+            if self.pos < self.buffer.len() {
                 self.exact = true;
                 return Some(self.entry());
             }
-            // Every entry of this block is consumed; the metadata said
-            // `last_doc ≥ bound` only because bound == last_doc + … —
-            // move on and re-normalize.
+            // The metadata's `last_doc ≥ bound` cannot hold for a
+            // fully consumed block; kept as a guard — move on and
+            // re-normalize.
             self.block += 1;
         }
     }
 
+    fn positions(&self) -> Option<(u32, u32)> {
+        debug_assert!(self.exact, "positions requires a materialized position");
+        let entry = self.buffer[self.pos];
+        Some((entry.pos, entry.count))
+    }
+
+    /// O(1) inside a decoded block: the next buffered entry becomes
+    /// the (still exact) current posting; only leaving the block drops
+    /// back to the metadata-only state.
     fn step(&mut self) {
         debug_assert!(self.exact, "step requires a materialized position");
         self.bound = self.buffer[self.pos].doc + 1;
-        self.exact = false;
-        self.normalize();
+        self.pos += 1;
+        if self.pos == self.buffer.len() {
+            self.exact = false;
+            self.block += 1;
+        }
     }
 
     fn advance_past(&mut self, bound: DocId) {
         if self.exact && self.buffer[self.pos].doc > u64::from(bound.0) {
+            return;
+        }
+        let target = u64::from(bound.0) + 1;
+        if target > self.bound {
+            self.bound = target;
+        }
+        self.exact = false;
+        self.normalize();
+    }
+}
+
+/// A weighted scoring cursor borrowing postings that are already
+/// decoded (a memtable delta's per-term slice): the same
+/// `(doc, tf · weight)` values and the same [`BLOCK_SIZE`]-entry block
+/// granularity as [`CompressedBlockCursor`], with "decoded" counting
+/// the blocks whose entries the evaluator actually examined. Opening
+/// one costs a single pass for the block maxima — no copy, no sort.
+#[derive(Debug)]
+pub struct DecodedEntriesCursor<'a> {
+    entries: &'a [RawEntry],
+    weight: f64,
+    /// Per block: max term frequency × weight.
+    block_max: Vec<f64>,
+    max_score: f64,
+    /// The logical position's doc key must be ≥ this.
+    bound: u64,
+    /// Index of the next not-yet-consumed entry candidate: every entry
+    /// before it is below the bound.
+    pos: usize,
+    exact: bool,
+    decoded: usize,
+    /// Last block counted as decoded (blocks are touched in
+    /// non-decreasing order, so equality suffices for distinctness).
+    last_touched: usize,
+}
+
+impl<'a> DecodedEntriesCursor<'a> {
+    /// A cursor positioned before the first of `entries` (strictly
+    /// doc-ascending), scoring with `weight`.
+    pub fn new(entries: &'a [RawEntry], weight: f64) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
+        let block_max: Vec<f64> = entries
+            .chunks(BLOCK_SIZE)
+            .map(|block| {
+                block
+                    .iter()
+                    .map(|e| e.term_frequency() * weight)
+                    .fold(0.0, f64::max)
+            })
+            .collect();
+        let max_score = block_max.iter().copied().fold(0.0, f64::max);
+        Self {
+            entries,
+            weight,
+            block_max,
+            max_score,
+            bound: 0,
+            pos: 0,
+            exact: false,
+            decoded: 0,
+            last_touched: usize::MAX,
+        }
+    }
+
+    fn block(&self) -> usize {
+        self.pos / BLOCK_SIZE
+    }
+
+    fn block_end(&self) -> usize {
+        ((self.block() + 1) * BLOCK_SIZE).min(self.entries.len())
+    }
+
+    /// Skips whole blocks that end before the bound by their last
+    /// entry alone, leaving `pos` at the start of the landing block.
+    fn normalize(&mut self) {
+        while self.pos < self.entries.len() && self.entries[self.block_end() - 1].doc < self.bound {
+            self.pos = self.block_end();
+        }
+    }
+}
+
+impl BlockCursor for DecodedEntriesCursor<'_> {
+    fn total_blocks(&self) -> usize {
+        self.block_max.len()
+    }
+
+    fn decoded_blocks(&self) -> usize {
+        self.decoded
+    }
+
+    fn at_end(&self) -> bool {
+        self.pos >= self.entries.len()
+    }
+
+    fn block_max(&self) -> f64 {
+        self.block_max[self.block()]
+    }
+
+    fn list_max_score(&self) -> f64 {
+        self.max_score
+    }
+
+    fn block_last_doc(&self) -> DocId {
+        doc_id(self.entries[self.block_end() - 1].doc)
+    }
+
+    fn doc_lower_bound(&self) -> DocId {
+        doc_id(self.entries[self.pos].doc.max(self.bound))
+    }
+
+    fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    fn materialize(&mut self) -> Option<(DocId, f64)> {
+        if !self.exact {
+            self.normalize();
+            if self.at_end() {
+                return None;
+            }
+            // The landing block's last entry reaches the bound, so the
+            // search ends inside it.
+            let bound = self.bound;
+            let end = self.block_end();
+            self.pos += self.entries[self.pos..end].partition_point(|e| e.doc < bound);
+            self.exact = true;
+            if self.last_touched != self.block() {
+                self.last_touched = self.block();
+                self.decoded += 1;
+            }
+        }
+        let entry = self.entries[self.pos];
+        Some((doc_id(entry.doc), entry.term_frequency() * self.weight))
+    }
+
+    fn positions(&self) -> Option<(u32, u32)> {
+        debug_assert!(self.exact, "positions requires a materialized position");
+        let entry = self.entries[self.pos];
+        Some((entry.pos, entry.count))
+    }
+
+    fn step(&mut self) {
+        debug_assert!(self.exact, "step requires a materialized position");
+        self.bound = self.entries[self.pos].doc + 1;
+        self.pos += 1;
+        // Exact stays free only inside the block already examined.
+        self.exact = self.pos < self.entries.len() && !self.pos.is_multiple_of(BLOCK_SIZE);
+    }
+
+    fn advance_past(&mut self, bound: DocId) {
+        if self.exact && self.entries[self.pos].doc > u64::from(bound.0) {
             return;
         }
         let target = u64::from(bound.0) + 1;
@@ -189,7 +365,7 @@ mod tests {
             doc,
             count: (doc % 7) as u32 + 1,
             doc_length: 100,
-            pos: 0,
+            pos: (doc % 50) as u32,
         }))
     }
 
@@ -236,6 +412,61 @@ mod tests {
         assert_eq!(cursor.doc_lower_bound(), DocId(10));
         assert_eq!(cursor.block_last_doc(), DocId(10 + 127 * 2));
         assert_eq!(cursor.decoded_blocks(), 0);
+    }
+
+    #[test]
+    fn cursors_agree_with_the_entries_under_steps_and_seeks() {
+        // Three blocks with gaps. Every script of steps and seeks must
+        // surface, through both cursors, exactly the entries a plain
+        // scan of the list yields from the same bound — doc, score and
+        // positional run — with identical block accounting.
+        let docs: Vec<u64> = (0..300).map(|i| i * 5 + (i % 3)).collect();
+        let list = list_of(&docs);
+        let entries = list.decode_all();
+        for stride in [1u64, 2, 7, 64, 127, 128, 129, 500, 2000] {
+            let mut compressed = CompressedBlockCursor::new(&list, 1.5);
+            let mut decoded = DecodedEntriesCursor::new(&entries, 1.5);
+            assert_eq!(compressed.total_blocks(), decoded.total_blocks());
+            assert_eq!(compressed.list_max_score(), decoded.list_max_score());
+            let mut bound = 0u64;
+            let mut turn = 0u64;
+            loop {
+                let want = entries.iter().find(|e| e.doc >= bound);
+                for cursor in [&mut compressed as &mut dyn BlockCursor, &mut decoded] {
+                    if let Some(want) = want {
+                        assert!(!cursor.at_end());
+                        assert!(u64::from(cursor.doc_lower_bound().0) <= want.doc);
+                        assert!(cursor.block_max() >= want.term_frequency() * 1.5);
+                        assert!(u64::from(cursor.block_last_doc().0) >= want.doc);
+                    }
+                    let got = cursor.materialize();
+                    assert_eq!(
+                        got,
+                        want.map(|e| (DocId(e.doc as u32), e.term_frequency() * 1.5)),
+                        "stride {stride} bound {bound}"
+                    );
+                    if let Some(want) = want {
+                        assert!(cursor.is_exact());
+                        assert_eq!(cursor.positions(), Some((want.pos, want.count)));
+                    } else {
+                        assert!(cursor.at_end());
+                    }
+                }
+                let Some(want) = want else { break };
+                // Alternate consuming the posting with seeking ahead.
+                turn += 1;
+                if turn.is_multiple_of(3) {
+                    bound = want.doc + stride;
+                    compressed.advance_past(DocId((bound - 1) as u32));
+                    decoded.advance_past(DocId((bound - 1) as u32));
+                } else {
+                    bound = want.doc + 1;
+                    compressed.step();
+                    decoded.step();
+                }
+            }
+            assert_eq!(compressed.decoded_blocks(), decoded.decoded_blocks());
+        }
     }
 
     #[test]

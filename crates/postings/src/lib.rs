@@ -49,7 +49,7 @@ pub mod varint;
 pub use block::{BlockMeta, DecodeError, RawEntry, BLOCK_SIZE};
 pub use builder::CompressedPostingBuilder;
 pub use column::{compression_ratio, decode_column, encode_column};
-pub use cursor::CompressedBlockCursor;
+pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
 pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use run::{RunBuilder, SortedRun};

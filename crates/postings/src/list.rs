@@ -110,9 +110,11 @@ impl CompressedPostingList {
     }
 
     /// The posting for `doc`, if the list contains one: a point lookup
-    /// through the block index (one block decoded at most), used by
-    /// phrase evaluation to fetch a term's positional run in a single
-    /// document.
+    /// through the block index (one block decoded at most). Kept for
+    /// the segment merge, which probes a list for a handful of
+    /// shadowed documents to decide whether it can be carried over
+    /// byte-for-byte; queries never call it — cursors hand out the
+    /// posting they stand on.
     pub fn entry_for(&self, doc: u64) -> Option<RawEntry> {
         let block = self.blocks.partition_point(|b| b.last_doc < doc);
         let meta = self.blocks.get(block)?;

@@ -113,13 +113,6 @@ impl PostingStore for CompressedPostingStore {
             .sum()
     }
 
-    /// Override: a point lookup through the stored positional column —
-    /// one block decoded at most, no scan of the smaller-id lists.
-    fn term_positions(&self, term: TermId, doc: DocId) -> Option<Vec<u32>> {
-        let entry = self.list(term)?.entry_for(u64::from(doc.0))?;
-        Some((entry.pos..entry.pos + entry.count).collect())
-    }
-
     /// Override: one [`CompressedBlockCursor`] per term, decoding
     /// straight from the stored blocks on demand — the lazy hot path.
     /// No posting is touched here at all; the cursor's metadata peeks
@@ -277,20 +270,27 @@ mod tests {
 
     #[test]
     fn stored_positions_match_the_derived_canonical_runs() {
-        // The compressed store's positional column must agree with the
-        // raw backend's scan-derived canonical positions for every
-        // (term, doc) pair — and miss identically on absent pairs.
+        // The positional column a cursor reads off its current posting
+        // must agree with the raw backend's scan-derived canonical
+        // positions for every (term, doc) pair the list holds — and
+        // the list must hold exactly the pairs the raw backend has.
         let index = sample_index(300, 7);
         let raw = RawPostingStore::from_index(&index);
         let compressed = CompressedPostingStore::from_index(&index);
         for term in (0..raw.term_count() as u32).map(TermId) {
-            for doc in (0..300u32).map(DocId) {
-                assert_eq!(
-                    compressed.term_positions(term, doc),
-                    raw.term_positions(term, doc),
-                    "term {term} doc {doc}"
-                );
+            let mut cursors = compressed.query_cursors(&[(term, 1.0)]);
+            let cursor = &mut cursors[0];
+            let mut stored = Vec::new();
+            while let Some((doc, _)) = cursor.materialize() {
+                let (pos, count) = cursor.positions().expect("stored positional column");
+                stored.push((doc, (pos..pos + count).collect::<Vec<u32>>()));
+                cursor.step();
             }
+            let derived: Vec<(DocId, Vec<u32>)> = (0..300u32)
+                .map(DocId)
+                .filter_map(|doc| Some((doc, raw.term_positions(term, doc)?)))
+                .collect();
+            assert_eq!(stored, derived, "term {term}");
         }
     }
 

@@ -14,11 +14,19 @@
 //!    assembled in a different summation order than rule 1 prescribes
 //!    is inflated by a rigorous rounding margin before use, so a
 //!    tie-by-bits can never be skipped.
-//! 3. The final ranking is `sort_by(RankedDoc::result_order)` then
-//!    `truncate(k)` — the same total order everywhere.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! 3. The final ranking is [`RankedDoc::result_order`] cut at `k` —
+//!    the same total order everywhere. Every evaluator ranks through
+//!    the one bounded collector in [`TopKScratch`], which keeps the
+//!    `k` best under exactly that order as candidates arrive (and
+//!    doubles as the pruning threshold), so the rule holds by
+//!    construction rather than by a final sort.
+//!
+//! An evaluator's cost is meant to be its postings' cost: a candidate
+//! is selected, scored and offered in a constant number of cursor
+//! calls, and nothing per candidate allocates, sorts or goes back to
+//! the store — the phrase filter included, which reads positions off
+//! the cursors the conjunctive leapfrog has just aligned
+//! ([`BlockCursor::positions`]).
 
 use zerber_index::{
     block_max_topk_cursors, BlockCursor, DocId, PostingStore, QueryCost, RankedDoc, TermId,
@@ -33,7 +41,7 @@ use crate::plan::{plan, EvaluatorKind, Forced};
 pub struct QueryOutcome {
     /// Top-k documents, `(score desc, doc asc)`.
     pub ranked: Vec<RankedDoc>,
-    /// Block decode accounting across the query's cursors.
+    /// Block decode and scoring accounting for the evaluation.
     pub cost: QueryCost,
     /// The evaluator the planner chose.
     pub plan: EvaluatorKind,
@@ -52,50 +60,40 @@ pub fn execute(
     scratch: &mut TopKScratch,
 ) -> QueryOutcome {
     let plan = plan(shape, slots.len(), forced);
+    // Conjunctive and phrase evaluation score each distinct term once.
+    let distinct;
+    let scoring = match plan {
+        EvaluatorKind::BlockMaxTa | EvaluatorKind::MaxScore => slots,
+        EvaluatorKind::Conjunctive | EvaluatorKind::Phrase => {
+            distinct = distinct_slots(slots);
+            &distinct
+        }
+    };
+    let mut cursors = store.query_cursors(scoring);
     match plan {
-        EvaluatorKind::BlockMaxTa => {
-            let mut cursors = store.query_cursors(slots);
-            block_max_topk_cursors(&mut cursors, k, scratch);
-            QueryOutcome {
-                ranked: scratch.take_ranked(),
-                cost: QueryCost::of(&cursors),
-                plan,
-            }
-        }
-        EvaluatorKind::MaxScore => {
-            let mut cursors = store.query_cursors(slots);
-            let ranked = maxscore_topk(&mut cursors, k);
-            QueryOutcome {
-                ranked,
-                cost: QueryCost::of(&cursors),
-                plan,
-            }
-        }
-        EvaluatorKind::Conjunctive => {
-            let distinct = distinct_slots(slots);
-            let mut cursors = store.query_cursors(&distinct);
-            let ranked = conjunctive_topk(&mut cursors, k, |_| true);
-            QueryOutcome {
-                ranked,
-                cost: QueryCost::of(&cursors),
-                plan,
-            }
-        }
+        EvaluatorKind::BlockMaxTa => block_max_topk_cursors(&mut cursors, k, scratch),
+        EvaluatorKind::MaxScore => maxscore_topk(&mut cursors, k, scratch),
+        EvaluatorKind::Conjunctive => conjunctive_topk(&mut cursors, k, scratch, |_, _| true),
         EvaluatorKind::Phrase => {
-            let phrase: Vec<TermId> = slots.iter().map(|&(t, _)| t).collect();
-            let distinct = distinct_slots(slots);
-            let mut cursors = store.query_cursors(&distinct);
-            let ranked = if phrase.is_empty() {
-                Vec::new()
-            } else {
-                conjunctive_topk(&mut cursors, k, |doc| phrase_match(store, &phrase, doc))
-            };
-            QueryOutcome {
-                ranked,
-                cost: QueryCost::of(&cursors),
-                plan,
-            }
+            // Each phrase slot reads positions from its term's cursor.
+            let phrase: Vec<(TermId, usize)> = slots
+                .iter()
+                .map(|&(term, _)| {
+                    let cursor = scoring.iter().position(|&(t, _)| t == term);
+                    (term, cursor.expect("every slot's term is a scoring slot"))
+                })
+                .collect();
+            conjunctive_topk(&mut cursors, k, scratch, |doc, aligned| {
+                phrase_match(store, &phrase, aligned, doc)
+            });
         }
+    }
+    let mut cost = QueryCost::of(&cursors);
+    cost.postings_scored = scratch.scored();
+    QueryOutcome {
+        ranked: scratch.take_ranked(),
+        cost,
+        plan,
     }
 }
 
@@ -112,76 +110,39 @@ pub fn distinct_slots(slots: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
     distinct
 }
 
-/// Does `doc` contain the exact phrase? Positions are canonical
-/// token-stream runs ([`PostingStore::term_positions`]): the phrase
-/// matches iff some start position `p` of slot 0 has every later slot
-/// `i` occurring at `p + i`.
-pub fn phrase_match(store: &dyn PostingStore, phrase: &[TermId], doc: DocId) -> bool {
-    let mut position_lists = Vec::with_capacity(phrase.len());
-    for &term in phrase {
-        match store.term_positions(term, doc) {
-            Some(positions) if !positions.is_empty() => position_lists.push(positions),
-            _ => return false,
-        }
+/// Does `doc` — the document every cursor in `aligned` stands on —
+/// contain the exact phrase? `phrase` names, per phrase slot, the term
+/// and the index of its cursor in `aligned`.
+///
+/// Positions are canonical token-stream runs: a term occupies
+/// `count` consecutive slots from `pos`, and the cursor holds both for
+/// the posting it stands on ([`BlockCursor::positions`]), so the
+/// filter costs one call per slot. Only a backend without a stored
+/// positional column (raw lists, the live index) answers `None`, and
+/// only then is the store asked ([`PostingStore::term_positions`],
+/// which derives the run by scanning). The phrase matches iff some
+/// start `p` has slot `i` occurring at `p + i` for every `i` — with
+/// runs, iff the intervals `[pos_i − i, pos_i + count_i − i)`
+/// intersect.
+fn phrase_match(
+    store: &dyn PostingStore,
+    phrase: &[(TermId, usize)],
+    aligned: &[Box<dyn BlockCursor + '_>],
+    doc: DocId,
+) -> bool {
+    let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+    for (i, &(term, cursor)) in phrase.iter().enumerate() {
+        let run = aligned[cursor].positions().or_else(|| {
+            let positions = store.term_positions(term, doc)?;
+            Some((*positions.first()?, positions.len() as u32))
+        });
+        let Some((pos, count)) = run else {
+            return false;
+        };
+        lo = lo.max(i64::from(pos) - i as i64);
+        hi = hi.min(i64::from(pos) + i64::from(count) - i as i64);
     }
-    position_lists[0].iter().any(|&start| {
-        (1..phrase.len()).all(|i| match start.checked_add(i as u32) {
-            Some(want) => position_lists[i].binary_search(&want).is_ok(),
-            None => false,
-        })
-    })
-}
-
-/// An f64 score with the total order [`f64::total_cmp`] — the heap key
-/// for the local top-k threshold (scores are non-negative and finite,
-/// where `total_cmp` agrees with the numeric order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdScore(f64);
-
-impl Eq for OrdScore {}
-
-impl PartialOrd for OrdScore {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdScore {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Smallest current document across the cursors selected by `chosen`,
-/// decoding only bound-tied cursors — the fixpoint of
-/// [`zerber_index::block_max_topk_cursors`], restricted to a subset so
-/// MaxScore can enumerate candidates from the essential frontier only.
-fn select_exact_min(cursors: &mut [Box<dyn BlockCursor + '_>], chosen: &[usize]) -> Option<DocId> {
-    loop {
-        let mut min: Option<DocId> = None;
-        for &i in chosen {
-            let cursor = &cursors[i];
-            if !cursor.at_end() {
-                let bound = cursor.doc_lower_bound();
-                min = Some(min.map_or(bound, |m: DocId| m.min(bound)));
-            }
-        }
-        let min = min?;
-        let mut all_exact = true;
-        for &i in chosen {
-            let cursor = &mut cursors[i];
-            if !cursor.at_end() && !cursor.is_exact() && cursor.doc_lower_bound() == min {
-                // May pin the position at `min`, raise the bound past
-                // it, or discover exhaustion — re-evaluate either way.
-                let _ = cursor.materialize();
-                all_exact = false;
-                break;
-            }
-        }
-        if all_exact {
-            return Some(min);
-        }
-    }
+    lo < hi
 }
 
 /// MaxScore top-k: cursors are partitioned by their static whole-list
@@ -195,17 +156,31 @@ fn select_exact_min(cursors: &mut [Box<dyn BlockCursor + '_>], chosen: &[usize])
 /// candidate. As the threshold rises, more lists demote; the demotion
 /// is monotone, so sorted-access work on long low-σ lists stops early.
 ///
+/// Essential cursors are materialized **eagerly**: an essential list
+/// is enumerated in full by definition, so every block of it gets
+/// decoded whether its cursor is pinned now or when the frontier
+/// reaches it, and the candidate is simply the minimum of the pinned
+/// documents — one `materialize` per cursor, no bound-chasing
+/// fixpoint. The only decode laziness could have saved is the block a
+/// cursor stands before at the moment it demotes or the loop ends: at
+/// most one per cursor per query.
+///
 /// Per-document pruning by partial score is deliberately **absent**: a
 /// partial-sum bound would be assembled in σ order, not slot order,
 /// and f64 addition is order-sensitive, so such a bound could undercut
 /// the true slot-order score by ulps and skip a tie. List-level σ
 /// prefix sums face the same hazard, which `safe_upper` covers with
 /// a rigorous rounding margin. Scores themselves are always summed in
-/// original slot order — bit-identical to the exhaustive oracle.
-pub fn maxscore_topk(cursors: &mut [Box<dyn BlockCursor + '_>], k: usize) -> Vec<RankedDoc> {
-    let mut ranked = Vec::new();
+/// original slot order — bit-identical to the exhaustive oracle. The
+/// result lands in `scratch.ranked`.
+pub fn maxscore_topk(
+    cursors: &mut [Box<dyn BlockCursor + '_>],
+    k: usize,
+    scratch: &mut TopKScratch,
+) {
+    scratch.begin(k);
     if k == 0 || cursors.is_empty() {
-        return ranked;
+        return;
     }
 
     // Cursor indices ascending by σ; `prefix[n]` = σ sum of the n
@@ -223,15 +198,15 @@ pub fn maxscore_topk(cursors: &mut [Box<dyn BlockCursor + '_>], k: usize) -> Vec
         prefix.push(prefix.last().unwrap() + cursors[i].list_max_score());
     }
 
-    let mut best: BinaryHeap<Reverse<OrdScore>> = BinaryHeap::new();
     // Count of non-essential cursors (a prefix of `order`); only ever
     // grows, because the k-th score only rises.
     let mut n_non = 0usize;
-    let mut contributions: Vec<Option<f64>> = vec![None; cursors.len()];
+    // Per slot: the essential cursor's pinned posting, then the
+    // candidate's contribution.
+    let mut heads: Vec<Option<(DocId, f64)>> = vec![None; cursors.len()];
 
     loop {
-        if best.len() == k {
-            let kth = best.peek().expect("heap holds k scores").0 .0;
+        if let Some(kth) = scratch.kth_score() {
             while n_non < order.len() && safe_upper(prefix[n_non + 1], n_non + 1) < kth {
                 n_non += 1;
             }
@@ -241,26 +216,23 @@ pub fn maxscore_topk(cursors: &mut [Box<dyn BlockCursor + '_>], k: usize) -> Vec
             // score by the full σ sum.
             break;
         }
-        let Some(candidate) = select_exact_min(cursors, &order[n_non..]) else {
+        heads.fill(None);
+        for &i in &order[n_non..] {
+            heads[i] = cursors[i].materialize();
+        }
+        let Some(candidate) = heads.iter().flatten().map(|&(doc, _)| doc).min() else {
             // Essential lists exhausted; whatever remains lives only
             // in non-essential lists and is bounded below the k-th
-            // score (n_non > 0 implies the heap is full).
+            // score (n_non > 0 implies the collector is full).
             break;
         };
 
         // Essential cursors parked on the candidate contribute and
-        // advance (select_exact_min's postcondition: every cursor that
-        // could hold the candidate is exact).
-        contributions.iter_mut().for_each(|c| *c = None);
+        // advance; the others' pinned postings are not contributions.
         for &i in &order[n_non..] {
-            let cursor = &mut cursors[i];
-            if cursor.at_end() || !cursor.is_exact() {
-                continue;
-            }
-            let (doc, score) = cursor.materialize().expect("exact cursor has an entry");
-            if doc == candidate {
-                contributions[i] = Some(score);
-                cursor.step();
+            match heads[i] {
+                Some((doc, _)) if doc == candidate => cursors[i].step(),
+                _ => heads[i] = None,
             }
         }
         // Non-essential cursors are probed by seek: jump to the first
@@ -278,7 +250,7 @@ pub fn maxscore_topk(cursors: &mut [Box<dyn BlockCursor + '_>], k: usize) -> Vec
             }
             if let Some((doc, score)) = cursor.materialize() {
                 if doc == candidate {
-                    contributions[i] = Some(score);
+                    heads[i] = Some((doc, score));
                     cursor.step();
                 }
             }
@@ -286,24 +258,13 @@ pub fn maxscore_topk(cursors: &mut [Box<dyn BlockCursor + '_>], k: usize) -> Vec
 
         // Sum in original slot order — the bit-identity contract.
         let mut score = 0.0;
-        for contribution in contributions.iter().flatten() {
+        for &(_, contribution) in heads.iter().flatten() {
             score += contribution;
         }
-        ranked.push(RankedDoc {
-            doc: candidate,
-            score,
-        });
-        if best.len() < k {
-            best.push(Reverse(OrdScore(score)));
-        } else if score > best.peek().expect("heap holds k scores").0 .0 {
-            best.pop();
-            best.push(Reverse(OrdScore(score)));
-        }
+        scratch.offer(candidate, score);
     }
 
-    ranked.sort_by(RankedDoc::result_order);
-    ranked.truncate(k);
-    ranked
+    scratch.finish();
 }
 
 /// A rigorous upper bound on the sum of `n` non-negative f64 addends
@@ -318,19 +279,22 @@ fn safe_upper(computed: f64, n: usize) -> f64 {
 
 /// Conjunctive leapfrog top-k: all cursors align on a document via
 /// `advance_past` seeks to the running maximum; each aligned document
-/// passes through `accept` (the phrase filter, or always-true for
-/// plain AND), and accepted documents score as the slot-order sum of
-/// their per-cursor contributions. No threshold pruning — conjunctive
-/// selectivity already bounds the candidate set — so every match is
-/// scored and the final sort/truncate picks the top k.
+/// passes through `accept` (the phrase filter — handed the aligned
+/// cursors, whose current postings are that document's — or
+/// always-true for plain AND), and accepted documents score as the
+/// slot-order sum of their per-cursor contributions. No threshold
+/// pruning — conjunctive selectivity already bounds the candidate set
+/// — so every match is scored and offered. The result lands in
+/// `scratch.ranked`.
 pub fn conjunctive_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
-    mut accept: impl FnMut(DocId) -> bool,
-) -> Vec<RankedDoc> {
-    let mut ranked = Vec::new();
+    scratch: &mut TopKScratch,
+    mut accept: impl FnMut(DocId, &[Box<dyn BlockCursor + '_>]) -> bool,
+) {
+    scratch.begin(k);
     if cursors.is_empty() {
-        return ranked;
+        return;
     }
     'scan: loop {
         // Materialize everyone; the running maximum is the only doc
@@ -358,7 +322,7 @@ pub fn conjunctive_topk(
         if !aligned {
             continue;
         }
-        if accept(target) {
+        if accept(target, cursors) {
             // Slot-order contribution sum — the bit-identity contract.
             let mut score = 0.0;
             for cursor in cursors.iter_mut() {
@@ -367,14 +331,11 @@ pub fn conjunctive_topk(
                 debug_assert_eq!(doc, target);
                 score += contribution;
             }
-            ranked.push(RankedDoc { doc: target, score });
+            scratch.offer(target, score);
         }
         for cursor in cursors.iter_mut() {
-            let _ = cursor.materialize();
             cursor.step();
         }
     }
-    ranked.sort_by(RankedDoc::result_order);
-    ranked.truncate(k);
-    ranked
+    scratch.finish();
 }

@@ -27,7 +27,5 @@ pub mod plan;
 
 pub use ast::{Query, QueryShape};
 pub use cache::{CacheConfig, ResultCache};
-pub use exec::{
-    conjunctive_topk, distinct_slots, execute, maxscore_topk, phrase_match, QueryOutcome,
-};
+pub use exec::{conjunctive_topk, distinct_slots, execute, maxscore_topk, QueryOutcome};
 pub use plan::{plan, EvaluatorKind, Forced};

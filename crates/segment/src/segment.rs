@@ -51,6 +51,66 @@ pub(crate) trait Source {
     fn term_slots(&self) -> u32;
 }
 
+/// A sorted doc table read front to back: membership queries must not
+/// decrease, so each resumes where the last one stopped and gallops
+/// forward — O(log gap) per query, O(table) over a whole scan — where a
+/// cold binary search costs O(log table) every time.
+struct Finger<'a> {
+    table: &'a [u32],
+    /// Every entry before this index is below the last queried doc.
+    at: usize,
+}
+
+impl Finger<'_> {
+    fn contains(&mut self, doc: u32) -> bool {
+        let rest = &self.table[self.at..];
+        // Invariant: rest[..lo] < doc.
+        let (mut lo, mut step) = (0usize, 1usize);
+        while lo + step <= rest.len() && rest[lo + step - 1] < doc {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step).min(rest.len());
+        self.at += lo + rest[lo..hi].partition_point(|&d| d < doc);
+        self.table.get(self.at) == Some(&doc)
+    }
+}
+
+/// The shadow test of one merged query cursor — "does a source newer
+/// than `rank` touch `doc`?" ([`Source::touches`] over
+/// `sources[rank + 1..]`) — for a caller whose documents only ascend:
+/// one [`Finger`] per live and tombstone table, shared by every rank
+/// that probes the source.
+pub(crate) struct ShadowProbe<'a> {
+    /// Per source, oldest first: `[live, tombstones]`.
+    fingers: Vec<[Finger<'a>; 2]>,
+    /// The last probed doc (debug builds check the ascent).
+    last: u32,
+}
+
+impl<'a> ShadowProbe<'a> {
+    pub(crate) fn new(sources: &[&'a dyn Source]) -> Self {
+        let finger = |table| Finger { table, at: 0 };
+        Self {
+            fingers: sources
+                .iter()
+                .map(|s| [finger(s.live_docs()), finger(s.tombstones())])
+                .collect(),
+            last: 0,
+        }
+    }
+
+    /// Does any source newer than `rank` touch `doc`? `doc` must not
+    /// be smaller than in any earlier call.
+    pub(crate) fn shadowed(&mut self, rank: usize, doc: u32) -> bool {
+        debug_assert!(doc >= self.last, "shadow probes must ascend");
+        self.last = doc;
+        self.fingers[rank + 1..]
+            .iter_mut()
+            .any(|[live, tombstones]| live.contains(doc) || tombstones.contains(doc))
+    }
+}
+
 /// One term's postings inside a source, doc-ascending: segments hold
 /// them block-compressed, memtable deltas decoded.
 #[derive(Clone, Copy)]
@@ -574,6 +634,49 @@ mod tests {
         let compressed: Vec<&dyn Source> = sealed.iter().map(|s| s as &dyn Source).collect();
         check(&compressed);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shadow_probe_equals_touches_on_ascending_docs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        for case in 0..200 {
+            // Sparse to dense tables, so the finger takes single steps
+            // and long gallops; sources may be empty.
+            let span = rng.random_range(1..400u32);
+            let deltas: Vec<MemDelta> = (0..rng.random_range(1..5usize))
+                .map(|_| {
+                    let density = rng.random_range(0..=100u32);
+                    let ops: Vec<WalOp> = (0..span)
+                        .filter_map(|doc| match rng.random_range(0..300u32) {
+                            roll if roll >= 3 * density => None,
+                            roll if roll.is_multiple_of(3) => Some(WalOp::Delete { doc }),
+                            _ => Some(insert(doc, &[(0, 1)])),
+                        })
+                        .collect();
+                    delta(&ops)
+                })
+                .collect();
+            let sources: Vec<&dyn Source> = deltas.iter().map(|d| d as &dyn Source).collect();
+            let mut probe = ShadowProbe::new(&sources);
+            // Ascending docs with repeats, each probed from a random
+            // subset of ranks in random order — one source's fingers
+            // serve every rank below it.
+            let mut doc = 0u32;
+            while doc <= span {
+                for _ in 0..rng.random_range(1..4usize) {
+                    let rank = rng.random_range(0..sources.len());
+                    let want = sources[rank + 1..].iter().any(|s| s.touches(doc));
+                    assert_eq!(
+                        probe.shadowed(rank, doc),
+                        want,
+                        "case {case}: rank {rank} doc {doc}"
+                    );
+                }
+                doc += rng.random_range(0..6u32);
+            }
+        }
     }
 
     #[test]

@@ -56,17 +56,16 @@ use parking_lot::{Mutex, RwLock};
 
 use zerber_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use zerber_index::cursor::{BlockCursor, EmptyCursor, ScoredListCursor, ShadowedMergeCursor};
-use zerber_index::store::SCORING_BLOCK;
-use zerber_index::{
-    BlockScoredList, DocId, Document, Posting, PostingStore, SegmentPolicy, TermId,
-};
-use zerber_postings::{CompressedBlockCursor, RawEntry, RunBuilder};
+use zerber_index::cursor::{BlockCursor, EmptyCursor, ShadowedMergeCursor};
+use zerber_index::{DocId, Document, Posting, PostingStore, SegmentPolicy, TermId};
+use zerber_postings::{CompressedBlockCursor, DecodedEntriesCursor, RawEntry, RunBuilder};
 
 use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::MemDelta;
-use crate::segment::{merge_streaming, read_framed, write_framed, Segment, SegmentContent, Source};
+use crate::segment::{
+    merge_streaming, read_framed, write_framed, Segment, SegmentContent, ShadowProbe, Source,
+};
 use crate::wal::{replay, Wal, WalOp};
 
 const WAL_FILE: &str = "wal.log";
@@ -1086,47 +1085,20 @@ impl PostingStore for SegmentSnapshot {
         segments + deltas
     }
 
-    /// Point lookup under doc-level shadowing: the newest source
-    /// touching the doc defines its current version, so the walk goes
-    /// deltas newest→oldest, then segments newest→oldest, and stops at
-    /// the first toucher. Per-source lookups are binary searches (and
-    /// a single block decode for segments) — no merged-list
-    /// materialization.
-    fn term_positions(&self, term: TermId, doc: DocId) -> Option<Vec<u32>> {
-        let run = |entry: RawEntry| (entry.pos..entry.pos + entry.count).collect();
-        for delta in self.deltas.iter().rev() {
-            if delta.touches(doc.0) {
-                if delta.tombstones().binary_search(&doc.0).is_ok() {
-                    return None;
-                }
-                let entries = delta.term_postings(term.0);
-                let at = entries
-                    .binary_search_by_key(&u64::from(doc.0), |e| e.doc)
-                    .ok()?;
-                return Some(run(entries[at]));
-            }
-        }
-        for segment in self.segments.iter().rev() {
-            if segment.touches(doc.0) {
-                if segment.tombstones().binary_search(&doc.0).is_ok() {
-                    return None;
-                }
-                let entry = segment.list(term.0)?.entry_for(u64::from(doc.0))?;
-                return Some(run(entry));
-            }
-        }
-        None
-    }
-
     /// Override: the lazy read path. Each term gets one cursor that
     /// merges the memtable deltas *over* the on-disk segments under
     /// the doc-level shadowing rule **without flattening**: segment
     /// postings stay block-compressed behind a
     /// [`CompressedBlockCursor`] (their stored block maxima serve the
     /// peeks; a block decompresses only when the top-k bound cannot
-    /// rule it out), deltas — already decoded in memory — ride a
-    /// materialized adapter, and the shadow test is a binary search
-    /// over the newer sources' doc tables. Entry values coincide with
+    /// rule it out), deltas — already decoded in memory — are borrowed
+    /// by a [`DecodedEntriesCursor`], and the shadow test walks the
+    /// newer sources' doc tables with one forward-only finger each
+    /// (`ShadowProbe`). Every sub-cursor reads its posting's
+    /// positional run off the entry it stands on, so phrase queries
+    /// need no per-document lookup here (the trait's default
+    /// [`PostingStore::term_positions`] still answers point queries
+    /// from the masked merge). Entry values coincide with
     /// [`PostingStore::postings`]' masked merge, so ranking is
     /// bit-identical to a rebuilt index (property-tested in
     /// `store_properties.rs`); only the decode work differs.
@@ -1146,16 +1118,9 @@ impl PostingStore for SegmentSnapshot {
                 for (offset, delta) in self.deltas.iter().enumerate() {
                     let entries = delta.term_postings(term.0);
                     if !entries.is_empty() {
-                        let scored: Vec<(DocId, f64)> = entries
-                            .iter()
-                            .map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
-                            .collect();
                         subs.push((
                             self.segments.len() + offset,
-                            Box::new(ScoredListCursor::new(BlockScoredList::from_doc_ordered(
-                                scored,
-                                SCORING_BLOCK,
-                            ))),
+                            Box::new(DecodedEntriesCursor::new(entries, weight)),
                         ));
                     }
                 }
@@ -1165,11 +1130,11 @@ impl PostingStore for SegmentSnapshot {
                     // never be shadowed: skip the merge wrapper.
                     1 if subs[0].0 == sources.len() - 1 => subs.pop().expect("one sub").1,
                     _ => {
-                        let shadows = sources.clone();
-                        let shadow = move |rank: usize, doc: DocId| {
-                            shadows[rank + 1..].iter().any(|s| s.touches(doc.0))
-                        };
-                        Box::new(ShadowedMergeCursor::new(subs, Box::new(shadow)))
+                        let mut probe = ShadowProbe::new(&sources);
+                        Box::new(ShadowedMergeCursor::new(
+                            subs,
+                            Box::new(move |rank, doc: DocId| probe.shadowed(rank, doc.0)),
+                        ))
                     }
                 }
             })

@@ -543,6 +543,7 @@ impl ShardedSearch {
                     (shard, store)
                 }))
                 .with_restore(restore)
+                .observed(&registry)
             });
         }
         let transport = wrap(Arc::clone(runtime.transport()));
@@ -1248,8 +1249,11 @@ impl ShardedSearch {
     pub fn revive_peer(&self, peer: u32) -> Result<RepairStats, RepairError> {
         let hosted = self.map.read().hosted_shards(peer, self.replicas);
         let backend = Arc::clone(&self.backend);
+        let registry = self.obs.registry().clone();
         self.runtime.spawn_peer(NodeId::IndexServer(peer), move || {
-            ShardService::rebuilding(hosted).with_restore(restore_factory(backend, peer))
+            ShardService::rebuilding(hosted)
+                .with_restore(restore_factory(backend, peer))
+                .observed(&registry)
         });
         self.repair_peer(peer)
     }
@@ -1403,8 +1407,11 @@ impl ShardedSearch {
         let moves = next.join(peer, self.replicas);
         let hosted = next.hosted_shards(peer, self.replicas);
         let backend = Arc::clone(&self.backend);
+        let registry = self.obs.registry().clone();
         self.runtime.spawn_peer(NodeId::IndexServer(peer), move || {
-            ShardService::rebuilding(hosted).with_restore(restore_factory(backend, peer))
+            ShardService::rebuilding(hosted)
+                .with_restore(restore_factory(backend, peer))
+                .observed(&registry)
         });
         let total = self.migrate(next, &moves)?;
         let mut membership = self.membership.lock();

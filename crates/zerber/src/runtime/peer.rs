@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -113,7 +114,7 @@ impl PeerService for ServerService {
 /// [`zerber_index::PostingStore::query_cursors`], so the compressed
 /// and segmented backends peek their stored block-max skip metadata
 /// and only decompress blocks that survive the upper-bound test. The
-/// service owns the [`TopKScratch`] (the block-max top-k heap), reused
+/// service owns the [`TopKScratch`] (every evaluator's top-k collector), reused
 /// across every RPC this peer serves. [`Message::IndexDocs`] and
 /// [`Message::RemoveDoc`] mutate the addressed shard; a durable shard
 /// that fails to persist answers `STORAGE`.
@@ -140,6 +141,11 @@ pub struct ShardService {
     /// acting as a rebuild *target*). Services launched without one
     /// answer [`Message::InstallShard`] commits with `UNSUPPORTED`.
     restore: Option<RestoreFn>,
+    /// `zerber_peer_postings_scored_total`: candidates this peer's
+    /// evaluators fully scored. Counted here, not by the querying
+    /// client like the block counts beside it — the number never
+    /// travels in `TopKResponse`.
+    postings_scored: Option<zerber_obs::Counter>,
 }
 
 /// Builds a shard store from a shipped snapshot: `(shard, files)` →
@@ -220,6 +226,7 @@ impl ShardService {
             scratch: TopKScratch::new(),
             pending_snapshot: HashMap::new(),
             restore: None,
+            postings_scored: None,
         }
     }
 
@@ -246,6 +253,7 @@ impl ShardService {
             scratch: TopKScratch::new(),
             pending_snapshot: HashMap::new(),
             restore: None,
+            postings_scored: None,
         }
     }
 
@@ -254,6 +262,13 @@ impl ShardService {
     /// Builder-style.
     pub fn with_restore(mut self, restore: RestoreFn) -> Self {
         self.restore = Some(restore);
+        self
+    }
+
+    /// Counts this peer's scored postings into `registry`
+    /// (`zerber_peer_postings_scored_total`). Builder-style.
+    pub fn observed(mut self, registry: &zerber_obs::MetricsRegistry) -> Self {
+        self.postings_scored = Some(registry.counter("zerber_peer_postings_scored_total"));
         self
     }
 }
@@ -321,6 +336,9 @@ impl PeerService for ShardService {
                 let started = std::time::Instant::now();
                 let outcome =
                     store.query_planned(shape, &terms, k as usize, forced, &mut self.scratch);
+                if let Some(scored) = &self.postings_scored {
+                    scored.add(outcome.cost.postings_scored);
+                }
                 Message::TopKResponse {
                     decode_ns: started.elapsed().as_nanos() as u64,
                     blocks_decoded: outcome.cost.blocks_decoded as u32,
@@ -584,7 +602,7 @@ impl PeerRuntime {
             let mut service = init();
             // Ends on an explicit `Shutdown` or when every sender is
             // dropped.
-            while let Ok(PeerInbox::Request(envelope)) = requests.recv() {
+            while let Some(PeerInbox::Request(envelope)) = next_message(&requests) {
                 let response = match Message::decode(&envelope.payload) {
                     // Liveness probes are answered by the peer *loop*,
                     // not the service: any service type is probeable,
@@ -601,6 +619,37 @@ impl PeerRuntime {
             }
         });
         self.peers.lock().push((node, handle));
+    }
+}
+
+/// How long an idle peer polls its inbox before it parks.
+///
+/// In a request/response loop the next request follows a reply within
+/// tens of microseconds. A peer that parks in that gap is re-placed by
+/// the scheduler on every wake-up, and with more runnable threads than
+/// cores (two peers and their coordinator on two cores) the placement
+/// regularly stacks both peers on one core while the other idles, for
+/// stretches of sub-millisecond queries too short for the load balancer
+/// to notice — measured on the repo benchmark as a quarter of all
+/// queries evaluated serially and a run-to-run throughput spread of
+/// 10 %. Polling through the gap keeps a busy peer on its core; a peer
+/// with nothing to do parks after this long and costs nothing.
+const INBOX_SPIN: Duration = Duration::from_micros(50);
+
+/// The next inbox message: polled for [`INBOX_SPIN`], then awaited
+/// blocking. `None` once every sender is gone.
+fn next_message(requests: &mpsc::Receiver<PeerInbox>) -> Option<PeerInbox> {
+    let parked_at = Instant::now() + INBOX_SPIN;
+    loop {
+        match requests.try_recv() {
+            Ok(message) => return Some(message),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+            Err(mpsc::TryRecvError::Empty) => {}
+        }
+        if Instant::now() >= parked_at {
+            return requests.recv().ok();
+        }
+        std::hint::spin_loop();
     }
 }
 
@@ -638,6 +687,24 @@ mod tests {
 
     fn live_shard(docs: &[Document]) -> ShardService {
         ShardService::new(Box::new(LiveIndexShard::raw(docs)))
+    }
+
+    /// The inbox hands over a message whether it lands while the peer
+    /// still polls or after it parked, and ends when the senders do.
+    #[test]
+    fn inbox_delivers_during_the_poll_and_after_parking() {
+        let (inbox, requests) = mpsc::channel();
+        inbox.send(PeerInbox::Shutdown).unwrap();
+        assert!(matches!(next_message(&requests), Some(PeerInbox::Shutdown)));
+
+        let late = thread::spawn(move || {
+            thread::sleep(INBOX_SPIN * 40);
+            inbox.send(PeerInbox::Shutdown).unwrap();
+            // `inbox` drops here: the channel disconnects.
+        });
+        assert!(matches!(next_message(&requests), Some(PeerInbox::Shutdown)));
+        late.join().unwrap();
+        assert!(next_message(&requests).is_none());
     }
 
     #[test]

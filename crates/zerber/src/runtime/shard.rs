@@ -54,7 +54,7 @@ pub trait ShardStore {
     /// conjunctive / phrase) through [`zerber_query::plan()`] to the
     /// chosen evaluator over the backend's lazy
     /// [`zerber_index::PostingStore::query_cursors`]. The caller's
-    /// [`TopKScratch`] (the block-max heap) is reused across calls;
+    /// [`TopKScratch`] (the top-k collector) is reused across calls;
     /// the outcome carries the ranked top-`k` and the decode work
     /// pruning saved.
     fn query_planned(

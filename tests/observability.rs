@@ -324,6 +324,13 @@ fn cache_and_plan_counters_track_the_shaped_path() {
             "plan counter for {plan}"
         );
     }
+    // The peers count what their evaluators scored (the number stays
+    // process-local; the response frames carry only block counts), and
+    // every returned document was scored on some peer.
+    assert!(
+        metrics.counter("zerber_peer_postings_scored_total") >= Some(miss.ranked.len() as u64),
+        "peers must count scored postings"
+    );
 }
 
 /// `query()` is the uncached read: it never probes or fills the result
