@@ -2,22 +2,20 @@
 //! (k servers, decryption, filtering, ranking) against the trusted
 //! central baseline — the paper's claim is that Zerber "answers most
 //! of the queries almost as fast as an ordinary inverted index" —
-//! plus the lazy decode-on-demand top-k against eager materialization
-//! across corpus sizes × k on the block-compressed store, and the
-//! planned evaluators over a two-segment LSM snapshot — the merged
-//! cursor path the repository benchmark's search workloads measure.
+//! plus the planned evaluators over a two-segment LSM snapshot — the
+//! merged cursor path the repository benchmark's search workloads
+//! measure, printed with each case's scored-posting and block counts
+//! so ns/iter reads as ns per scored posting.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use zerber::baselines::CentralIndex;
 use zerber::{ZerberConfig, ZerberSystem};
-use zerber_bench::experiments::query::eager_topk;
 use zerber_core::merge::MergeConfig;
 use zerber_corpus::{CorpusConfig, SyntheticCorpus};
-use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
-use zerber_index::{idf, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId, UserId};
-use zerber_postings::CompressedPostingStore;
+use zerber_index::cursor::TopKScratch;
+use zerber_index::{idf, GroupId, PostingStore, SegmentPolicy, TermId, UserId};
 use zerber_query::{execute, Forced, QueryShape};
 use zerber_segment::{scratch_dir, SegmentStore};
 
@@ -69,42 +67,6 @@ fn bench_query_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lazy cursor-driven block-max top-k vs eager materialization on the
-/// same compressed store: same bit-identical ranking, different decode
-/// work. Swept across corpus sizes × k.
-fn bench_topk_lazy_vs_eager(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query/topk_lazy_vs_eager");
-    for docs in [1_000usize, 4_000] {
-        let corpus = SyntheticCorpus::generate(&CorpusConfig {
-            num_docs: docs,
-            vocabulary_size: 2_000,
-            num_groups: 1,
-            ..CorpusConfig::default()
-        });
-        let index = InvertedIndex::from_documents(&corpus.documents);
-        let store = CompressedPostingStore::from_index(&index);
-        let n = index.document_count();
-        // The head of the vocabulary: long, block-spanning lists.
-        let weights: Vec<(TermId, f64)> = (0..3u32)
-            .map(|t| (TermId(t), idf(n, store.document_frequency(TermId(t)))))
-            .collect();
-        for k in [10usize, 100] {
-            group.bench_function(format!("lazy_d{docs}_k{k}"), |b| {
-                let mut scratch = TopKScratch::new();
-                b.iter(|| {
-                    let mut cursors = store.query_cursors(black_box(&weights));
-                    block_max_topk_cursors(&mut cursors, k, &mut scratch);
-                    black_box(scratch.ranked.len())
-                })
-            });
-            group.bench_function(format!("eager_d{docs}_k{k}"), |b| {
-                b.iter(|| black_box(eager_topk(&store, black_box(&weights), k).len()))
-            });
-        }
-    }
-    group.finish();
-}
-
 /// `execute` under the planner's own choice over a snapshot of two
 /// flushed segments: every term's cursor is a shadow-aware merge of
 /// two compressed sub-cursors, and the phrase filter reads positions
@@ -143,20 +105,25 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         ("terms_3", QueryShape::Terms, slots(&[0, 1, 2])),
         ("phrase_2", QueryShape::Phrase, slots(&[0, 1])),
     ] {
-        group.bench_function(name, |b| {
-            let mut scratch = TopKScratch::new();
-            b.iter(|| {
-                let outcome = execute(
-                    &snapshot,
-                    shape,
-                    black_box(&terms),
-                    10,
-                    Forced::Auto,
-                    &mut scratch,
-                );
-                black_box(outcome.ranked.len())
-            })
-        });
+        let mut scratch = TopKScratch::new();
+        let mut run = || {
+            execute(
+                &snapshot,
+                shape,
+                black_box(&terms),
+                10,
+                Forced::Auto,
+                &mut scratch,
+            )
+        };
+        // The counts repeat exactly on every iteration, so ns/iter over
+        // the scored postings is the read path's cost per posting.
+        let cost = run().cost;
+        println!(
+            "{name}: {} postings scored, {}/{} blocks decoded",
+            cost.postings_scored, cost.blocks_decoded, cost.blocks_total
+        );
+        group.bench_function(name, |b| b.iter(|| black_box(run().ranked.len())));
     }
     group.finish();
     drop(snapshot);
@@ -164,10 +131,5 @@ fn bench_planned_over_segments(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(
-    benches,
-    bench_query_paths,
-    bench_topk_lazy_vs_eager,
-    bench_planned_over_segments
-);
+criterion_group!(benches, bench_query_paths, bench_planned_over_segments);
 criterion_main!(benches);

@@ -1,12 +1,16 @@
 //! Shared harness for the reproduction experiments.
 //!
-//! Each paper artifact (Table 1, Figures 5–12, the Section 7.2/7.3
-//! micro-measurements) has one function here returning a structured
-//! result; the `repro` binary formats them, and tests can assert on
-//! the numbers directly. Everything is deterministic given the
-//! built-in seeds.
+//! Each paper artifact (Table 1, Figures 5–12, the Section 7.1–7.3
+//! security / bandwidth / storage measurements, the Section 7.5
+//! ablations) has one function here returning a structured result; the
+//! `repro` binary formats them, and tests can assert on the numbers
+//! directly. Everything but `micro`'s wall-clock throughput is
+//! deterministic given the built-in seeds.
+//!
+//! This crate reproduces the paper; it does not measure this
+//! repository's own performance. That is the job of the repository
+//! benchmark (`BENCHMARK.json`, package `benchmark/`).
 
-pub mod json;
 pub mod report;
 pub mod scenario;
 
@@ -23,13 +27,8 @@ pub mod experiments {
     pub mod fig7_pt;
     pub mod fig8_r_vs_m;
     pub mod fig9_amplification;
-    pub mod ingest;
     pub mod micro;
-    pub mod obs;
-    pub mod query;
-    pub mod scalability;
     pub mod security;
-    pub mod serving;
     pub mod storage;
     pub mod table1;
 }

@@ -1,17 +1,5 @@
 //! Minimal aligned-table reporting (keeps the harness dependency-free).
 
-/// The ceil-rank percentile of an ascending-sorted sample (0.0 for an
-/// empty one) — the single definition every latency-reporting
-/// experiment (`scalability`, `ingest`, `query`) shares, so their
-/// p50/p95 columns and `BENCH_*.json` fields mean the same thing.
-pub fn percentile(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * pct).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// A simple right-aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {

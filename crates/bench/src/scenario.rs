@@ -14,10 +14,8 @@ use zerber_index::CorpusStats;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Minutes-scale defaults: ~200k documents, ~120k-term vocabulary,
-    /// 200k queries. Same distributional shape as the paper; sized so
-    /// the ingest comparison (offline SPIMI bulk build vs incremental
-    /// WAL ingest) runs at a corpus where the difference matters.
+    /// Minutes-scale defaults: 200k documents, a 120k-term vocabulary,
+    /// 200k queries. Same distributional shape as the paper.
     Default,
     /// Smoke-test scale for CI and unit tests.
     Smoke,

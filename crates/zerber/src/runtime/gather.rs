@@ -372,8 +372,7 @@ fn settled(
     }
 }
 
-/// What the gather stage produced, with the work accounting the
-/// scalability experiment reports.
+/// What the gather stage produced, with its work accounting.
 #[derive(Debug, Clone)]
 pub struct GatherOutcome {
     /// The global top-k, sorted by `(score desc, doc asc)`.

@@ -227,8 +227,7 @@ pub enum DegradedMode {
 /// thread (parallel build) and serves [`Message::PlanQuery`] with the
 /// planned evaluator over the configured
 /// [`zerber_index::PostingStore`] backend. `query` is `&self` and
-/// thread-safe: concurrent clients fan out and gather independently,
-/// which is what the `scalability` repro experiment measures.
+/// thread-safe: concurrent clients fan out and gather independently.
 ///
 /// This is the *plaintext* serving engine: shard peers enforce no
 /// authentication or group ACLs (see [`ShardService`]) — use the
@@ -961,8 +960,8 @@ impl ShardedSearch {
     /// Algorithm as client `client` (distinct clients get distinct
     /// links in the traffic accounting). It never probes or fills the
     /// result cache, so every call reaches the transport — which is
-    /// what the fault-injection tests and the `scalability` experiment
-    /// rely on. [`ShardedSearch::query_shaped`] is the cached serving
+    /// what the fault-injection tests rely on.
+    /// [`ShardedSearch::query_shaped`] is the cached serving
     /// read over the same fan-out.
     pub fn query_from(
         &self,

@@ -39,8 +39,7 @@ use crate::runtime::shard::{ShardStore, ShardStoreError};
 use crate::runtime::transport::{InProcTransport, PeerInbox};
 
 /// One peer's request handler. `handle` runs on the peer's own thread;
-/// requests from concurrent clients are serialized per peer, which is
-/// exactly the contention the scalability experiment measures.
+/// requests from concurrent clients are serialized per peer.
 pub trait PeerService {
     /// Produces the response for one decoded request.
     fn handle(&mut self, from: NodeId, auth: AuthToken, request: Message) -> Message;

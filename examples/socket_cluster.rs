@@ -1,7 +1,9 @@
 //! Multi-process socket cluster: four shard peers, each its own OS
 //! process serving replica shards over length-framed TCP, a client
 //! speaking [`SocketTransport`] — and one peer killed with SIGKILL
-//! mid-session to show the hedged gather absorbing the loss.
+//! mid-session to show the hedged gather absorbing the loss, then
+//! replaced by an empty process that is rebuilt from the surviving
+//! replicas over the same sockets.
 //!
 //! Run with: `cargo run --example socket_cluster`
 //!
@@ -9,8 +11,9 @@
 //! `ZERBER_SOCKET_PEER` is set, the process is a shard peer — it
 //! rebuilds the (deterministic) corpus, serves its shards on an
 //! ephemeral loopback port, prints `READY <addr>`, and holds until its
-//! stdin closes. The parent spawns the children, collects their
-//! addresses, and drives queries over real TCP.
+//! stdin closes (`<peer>:rebuild` starts it empty instead, waiting for
+//! its shards to be shipped). The parent spawns the children, collects
+//! their addresses, and drives queries over real TCP.
 //!
 //! The whole session is observed: every query runs under a trace id
 //! that crosses the process boundary in the request frames, the client
@@ -19,14 +22,15 @@
 //! Prometheus exposition format plus the slowest recorded trace.
 
 use std::io::BufRead as _;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zerber::runtime::socket::{serve_peer, SocketTransport};
 use zerber::runtime::{
-    build_shard_store, gather_topk, local_topk, traced_topk_fanout, HedgePolicy, RuntimeObs,
-    ShardService, TermStats,
+    build_shard_store, gather_topk, local_topk, rebuild_shard, restore_shard_store,
+    traced_topk_fanout, HedgePolicy, RuntimeObs, ShardService, TermStats,
 };
 use zerber::ZerberConfig;
 use zerber_dht::ShardMap;
@@ -56,10 +60,12 @@ fn corpus() -> Vec<Document> {
 }
 
 /// Child role: serve one peer's replica shards until stdin closes.
-fn run_peer(peer: u32) {
-    let docs = corpus();
+/// With `rebuild` the peer starts *empty*, every hosted shard
+/// mid-rebuild — it buffers writes and bounces reads until the parent
+/// ships each shard's snapshot over the socket and commits it: the
+/// replacement process for a SIGKILLed peer.
+fn run_peer(peer: u32, rebuild: bool) {
     let map = ShardMap::new(PEERS);
-    let shards = map.partition(&docs, |doc| doc.id);
     let hosted = map.hosted_shards(peer, REPLICATION);
     let backend = ZerberConfig::default().postings;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -67,6 +73,12 @@ fn run_peer(peer: u32) {
         listener,
         NodeId::IndexServer(peer),
         move || {
+            if rebuild {
+                return ShardService::rebuilding(hosted).with_restore(Box::new(move |_, files| {
+                    restore_shard_store(&backend, files)
+                }));
+            }
+            let shards = map.partition(&corpus(), |doc| doc.id);
             ShardService::hosting(
                 hosted
                     .into_iter()
@@ -80,6 +92,37 @@ fn run_peer(peer: u32) {
     use std::io::Read as _;
     let mut hold = String::new();
     std::io::stdin().read_to_string(&mut hold).ok();
+}
+
+/// Parent side: spawn this executable as peer `peer` (`rebuild`: as
+/// its empty replacement), read its `READY <addr>` handshake, and
+/// register the address with the transport.
+fn spawn_peer(exe: &Path, transport: &SocketTransport, peer: u32, rebuild: bool) -> Child {
+    let role = if rebuild {
+        format!("{peer}:rebuild")
+    } else {
+        peer.to_string()
+    };
+    let mut child = Command::new(exe)
+        .env("ZERBER_SOCKET_PEER", &role)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn peer process");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut ready = String::new();
+    std::io::BufReader::new(stdout)
+        .read_line(&mut ready)
+        .expect("child handshake");
+    let addr = ready
+        .trim()
+        .strip_prefix("READY ")
+        .expect("READY line")
+        .parse()
+        .expect("socket address");
+    transport.register(NodeId::IndexServer(peer), addr);
+    println!("peer {role} (pid {}) listening on {addr}", child.id());
+    child
 }
 
 /// One hedged query over the socket transport — the same client path
@@ -193,8 +236,12 @@ fn durable_store_demo(obs: &RuntimeObs, docs: &[Document]) {
 }
 
 fn main() {
-    if let Ok(peer) = std::env::var("ZERBER_SOCKET_PEER") {
-        run_peer(peer.parse().expect("peer index"));
+    if let Ok(role) = std::env::var("ZERBER_SOCKET_PEER") {
+        let (peer, rebuild) = match role.strip_suffix(":rebuild") {
+            Some(peer) => (peer, true),
+            None => (role.as_str(), false),
+        };
+        run_peer(peer.parse().expect("peer index"), rebuild);
         return;
     }
 
@@ -206,29 +253,9 @@ fn main() {
     let obs = RuntimeObs::new();
     let meter = Arc::new(TrafficMeter::new());
     let transport = SocketTransport::new(Arc::clone(&meter)).observed(obs.registry());
-    let mut children: Vec<Child> = Vec::new();
-    for peer in 0..PEERS {
-        let mut child = Command::new(&exe)
-            .env("ZERBER_SOCKET_PEER", peer.to_string())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn peer process");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut ready = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut ready)
-            .expect("child handshake");
-        let addr = ready
-            .trim()
-            .strip_prefix("READY ")
-            .expect("READY line")
-            .parse()
-            .expect("socket address");
-        transport.register(NodeId::IndexServer(peer), addr);
-        println!("peer {peer} (pid {}) listening on {addr}", child.id());
-        children.push(child);
-    }
+    let mut children: Vec<Child> = (0..PEERS)
+        .map(|peer| spawn_peer(&exe, &transport, peer, false))
+        .collect();
 
     // --- 2. Query the healthy cluster over TCP. ---------------------
     let terms = [TermId(9), TermId(21)];
@@ -242,9 +269,9 @@ fn main() {
     }
 
     // --- 3. SIGKILL one peer; the hedged gather absorbs it. ---------
-    let victim = 1usize;
-    children[victim].kill().expect("kill peer process");
-    children[victim].wait().ok();
+    let victim = 1u32;
+    children[victim as usize].kill().expect("kill peer process");
+    children[victim as usize].wait().ok();
     println!("\nkilled peer {victim} (SIGKILL)");
     let (ranked, hedges, failed) =
         query(&obs, &transport, &map, &stats, &terms).expect("replicas cover every shard");
@@ -253,17 +280,57 @@ fn main() {
         "after kill: results still identical; {hedges} hedge(s), dead peers reported: {failed:?}"
     );
 
-    // --- 4. Durable storage under the same registry. ----------------
+    // --- 4. Replace the dead peer; rebuild it over TCP. -------------
+    // An empty process takes the victim's place, and every shard it
+    // hosts streams from the surviving replica through the same
+    // transport the queries use.
+    children[victim as usize] = spawn_peer(&exe, &transport, victim, true);
+    let hosted = map.hosted_shards(victim, REPLICATION);
+    let (mut files, mut bytes) = (0, 0);
+    for &shard in &hosted {
+        let source = map
+            .replica_peers(shard, REPLICATION)
+            .into_iter()
+            .find(|peer| peer.0 != victim)
+            .expect("R = 2 leaves a live replica");
+        let shipped = rebuild_shard(
+            &transport,
+            NodeId::Owner(0),
+            AuthToken(0),
+            NodeId::IndexServer(source.0),
+            NodeId::IndexServer(victim),
+            shard,
+            Some(&obs),
+        )
+        .expect("the live replica ships the shard over TCP");
+        files += shipped.segments;
+        bytes += shipped.bytes;
+    }
+    assert!(files > 0 && bytes > 0, "a rebuild ships the shard's files");
+    let (ranked, _, failed) =
+        query(&obs, &transport, &map, &stats, &terms).expect("cluster repaired");
+    assert_eq!(
+        ranked, expected,
+        "a rebuilt replica must not change results"
+    );
+    assert!(failed.is_empty(), "every replica answers again: {failed:?}");
+    println!(
+        "peer {victim} rebuilt over TCP: {} shard(s), {files} file(s), {bytes} bytes shipped; \
+         results identical, no replica failed",
+        hosted.len()
+    );
+
+    // --- 5. Durable storage under the same registry. ----------------
     durable_store_demo(&obs, &docs);
 
-    // --- 5. Shut the cluster down. ----------------------------------
+    // --- 6. Shut the cluster down. ----------------------------------
     for child in &mut children {
         child.kill().ok();
         child.wait().ok();
     }
     println!("\ncluster stopped; all {PEERS} peers reaped");
 
-    // --- 6. Observability readout. ----------------------------------
+    // --- 7. Observability readout. ----------------------------------
     println!("\n=== metrics (Prometheus exposition) ===");
     print!("{}", obs.snapshot_with_traffic(&meter).to_prometheus());
 
