@@ -9,20 +9,18 @@
 //! entries — only blocks that survive the upper-bound test are ever
 //! decompressed.
 //!
-//! Every backend implements the trait at its natural level of
-//! laziness:
+//! The trait has four implementations:
 //!
-//! * [`ScoredListCursor`] — the trivial adapter over a materialized
-//!   [`BlockScoredList`] (raw posting lists have no stored skip
-//!   metadata to exploit; "decoded" there counts blocks whose entries
-//!   the algorithm actually examined);
 //! * `CompressedBlockCursor` (in `zerber-postings`) — decodes straight
 //!   from the stored compressed blocks, skipping via the persisted
 //!   `(first_doc, last_doc, max_tf)` index; `DecodedEntriesCursor`
-//!   beside it borrows a memtable delta's decoded postings;
+//!   beside it borrows a memtable delta's decoded postings
+//!   ("decoded" there counts blocks whose entries the algorithm
+//!   actually examined);
 //! * [`ShadowedMergeCursor`] — merges several sub-cursors (memtable
 //!   deltas over on-disk segments) under the doc-level shadowing rule
-//!   without flattening them into one list first.
+//!   without flattening them into one list first;
+//! * [`EmptyCursor`] — a term with no postings.
 //!
 //! Two pieces here are shared by every evaluator (this module's TA and
 //! the MaxScore / conjunctive / phrase evaluators in `zerber-query`):
@@ -34,12 +32,13 @@
 //! exhaustive oracle: per-document contributions are accumulated in
 //! list order exactly like [`crate::topk::naive_topk`], and pruning
 //! uses strict bounds, so ties can never be lost (property-tested in
-//! `topk_properties.rs`).
+//! `zerber-postings`' `topk_properties.rs`, beside the cursors it
+//! needs as fixtures).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::topk::{BlockScoredList, RankedDoc};
+use crate::topk::RankedDoc;
 use crate::types::DocId;
 
 /// Lazy sorted access over one term's scored postings, at block
@@ -122,15 +121,12 @@ pub trait BlockCursor {
     fn materialize(&mut self) -> Option<(DocId, f64)>;
 
     /// The current posting's positional run `(first position, count)`
-    /// in its document's canonical token stream (see
-    /// [`crate::PostingStore::term_positions`]) — read off the posting
-    /// the cursor already holds, no lookup. Callable only while
-    /// [`is_exact`](Self::is_exact). `None` means the backend keeps no
-    /// positional column beside its postings (raw lists, the live
-    /// index) and the caller must ask the store instead.
-    fn positions(&self) -> Option<(u32, u32)> {
-        None
-    }
+    /// in its document's canonical token stream — terms in ascending
+    /// term-id order, each occupying `count` consecutive slots, so the
+    /// run starts at the sum of the document's smaller-term counts.
+    /// Read off the posting the cursor already holds, no lookup.
+    /// Callable only while [`is_exact`](Self::is_exact).
+    fn positions(&self) -> (u32, u32);
 
     /// Consumes the current posting. Callable only right after
     /// [`materialize`](Self::materialize) returned `Some` (i.e. while
@@ -454,165 +450,11 @@ impl BlockCursor for EmptyCursor {
     fn materialize(&mut self) -> Option<(DocId, f64)> {
         None
     }
+    fn positions(&self) -> (u32, u32) {
+        (0, 0)
+    }
     fn step(&mut self) {}
     fn advance_past(&mut self, _bound: DocId) {}
-}
-
-/// The trivial adapter: a [`BlockCursor`] over an already-materialized
-/// [`BlockScoredList`]. Raw posting lists carry no stored skip
-/// metadata, so their scored form is built up front; the cursor still
-/// skips whole blocks via the computed block index, and "decoded"
-/// counts the blocks whose entries the algorithm actually examined.
-#[derive(Debug)]
-pub struct ScoredListCursor {
-    list: BlockScoredList,
-    /// Static whole-list score bound (max over the block maxima),
-    /// computed once at construction for MaxScore partitioning.
-    max_score: f64,
-    /// The logical position's document id must be ≥ this (u64 so
-    /// `last consumed + 1` can never overflow).
-    bound: u64,
-    /// Current block (normalized: the first block whose `last_doc`
-    /// reaches `bound`; `blocks.len()` when exhausted).
-    block: usize,
-    /// Entry index of the current posting, valid while `exact`.
-    pos: usize,
-    exact: bool,
-    decoded: usize,
-    /// Last block counted as decoded (blocks are touched in
-    /// non-decreasing order, so equality suffices for distinctness).
-    last_touched: usize,
-}
-
-impl ScoredListCursor {
-    /// A cursor positioned before the first posting of `list`.
-    pub fn new(list: BlockScoredList) -> Self {
-        let max_score = list.blocks.iter().map(|&(_, max)| max).fold(0.0, f64::max);
-        Self {
-            list,
-            max_score,
-            bound: 0,
-            block: 0,
-            pos: 0,
-            exact: false,
-            decoded: 0,
-            last_touched: usize::MAX,
-        }
-    }
-
-    fn entries(&self) -> &[(DocId, f64)] {
-        &self.list.entries
-    }
-
-    fn blocks(&self) -> &[(DocId, f64)] {
-        &self.list.blocks
-    }
-
-    fn block_size(&self) -> usize {
-        self.list.block_size
-    }
-
-    /// Skips blocks that end before `bound` using the block index
-    /// alone.
-    fn normalize(&mut self) {
-        while self.block < self.list.blocks.len()
-            && u64::from(self.list.blocks[self.block].0 .0) < self.bound
-        {
-            self.block += 1;
-        }
-    }
-
-    fn touch(&mut self, block: usize) {
-        if self.last_touched != block {
-            self.last_touched = block;
-            self.decoded += 1;
-        }
-    }
-}
-
-impl BlockCursor for ScoredListCursor {
-    fn total_blocks(&self) -> usize {
-        self.blocks().len()
-    }
-
-    fn decoded_blocks(&self) -> usize {
-        self.decoded
-    }
-
-    fn at_end(&self) -> bool {
-        self.block >= self.blocks().len()
-    }
-
-    fn block_max(&self) -> f64 {
-        self.blocks()[self.block].1
-    }
-
-    fn list_max_score(&self) -> f64 {
-        self.max_score
-    }
-
-    fn block_last_doc(&self) -> DocId {
-        self.blocks()[self.block].0
-    }
-
-    fn doc_lower_bound(&self) -> DocId {
-        if self.exact {
-            return self.entries()[self.pos].0;
-        }
-        let first_of_block = self.entries()[self.block * self.block_size()].0;
-        // `first_of_block` is metadata-grade here: reading one entry's
-        // doc id does not decode anything on this materialized list.
-        DocId(u64::from(first_of_block.0).max(self.bound) as u32)
-    }
-
-    fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    fn materialize(&mut self) -> Option<(DocId, f64)> {
-        if self.exact {
-            return Some(self.entries()[self.pos]);
-        }
-        loop {
-            self.normalize();
-            if self.at_end() {
-                return None;
-            }
-            let block = self.block;
-            let size = self.block_size();
-            let start = block * size;
-            let end = ((block + 1) * size).min(self.entries().len());
-            self.touch(block);
-            let bound = self.bound;
-            let offset =
-                self.entries()[start..end].partition_point(|&(d, _)| u64::from(d.0) < bound);
-            if start + offset < end {
-                self.pos = start + offset;
-                self.exact = true;
-                return Some(self.entries()[self.pos]);
-            }
-            self.block += 1;
-        }
-    }
-
-    fn step(&mut self) {
-        debug_assert!(self.exact, "step requires a materialized position");
-        self.bound = u64::from(self.entries()[self.pos].0 .0) + 1;
-        self.exact = false;
-        self.normalize();
-    }
-
-    fn advance_past(&mut self, bound: DocId) {
-        if self.exact && self.entries()[self.pos].0 > bound {
-            return;
-        }
-        let target = u64::from(bound.0) + 1;
-        if target > self.bound {
-            self.bound = target;
-        }
-        self.exact = false;
-        self.normalize();
-    }
 }
 
 /// Lazily merges several sub-cursors over the *same term* from a stack
@@ -797,7 +639,7 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
         }
     }
 
-    fn positions(&self) -> Option<(u32, u32)> {
+    fn positions(&self) -> (u32, u32) {
         let (.., at) = self
             .current
             .expect("positions requires a materialized position");
@@ -830,83 +672,6 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn block_list(entries: &[(u32, f64)], block_size: usize) -> BlockScoredList {
-        BlockScoredList::from_doc_ordered(
-            entries.iter().map(|&(d, s)| (DocId(d), s)).collect(),
-            block_size,
-        )
-    }
-
-    fn run_cursors(
-        cursors: Vec<Box<dyn BlockCursor + '_>>,
-        k: usize,
-    ) -> (Vec<RankedDoc>, QueryCost) {
-        let mut cursors = cursors;
-        let mut scratch = TopKScratch::new();
-        block_max_topk_cursors(&mut cursors, k, &mut scratch);
-        let cost = QueryCost::of(&cursors);
-        (scratch.take_ranked(), cost)
-    }
-
-    #[test]
-    fn cursor_walk_yields_every_entry_in_order() {
-        let list = block_list(&[(1, 0.5), (4, 0.25), (9, 1.0), (12, 0.125), (20, 0.75)], 2);
-        let mut cursor = ScoredListCursor::new(list);
-        let mut seen = Vec::new();
-        while let Some((doc, score)) = cursor.materialize() {
-            seen.push((doc.0, score));
-            cursor.step();
-        }
-        assert_eq!(
-            seen,
-            vec![(1, 0.5), (4, 0.25), (9, 1.0), (12, 0.125), (20, 0.75)]
-        );
-        assert!(cursor.at_end());
-        assert_eq!(cursor.decoded_blocks(), cursor.total_blocks());
-    }
-
-    #[test]
-    fn advance_past_skips_blocks_without_touching_them() {
-        let entries: Vec<(u32, f64)> = (0..100).map(|d| (d, 0.5)).collect();
-        let list = block_list(&entries, 10);
-        let mut cursor = ScoredListCursor::new(list);
-        cursor.advance_past(DocId(74));
-        assert_eq!(cursor.materialize(), Some((DocId(75), 0.5)));
-        // Only the landing block was examined.
-        assert_eq!(cursor.decoded_blocks(), 1);
-        assert_eq!(cursor.total_blocks(), 10);
-        // Advancing to a position already behind is a no-op.
-        cursor.advance_past(DocId(3));
-        assert_eq!(cursor.materialize(), Some((DocId(75), 0.5)));
-    }
-
-    #[test]
-    fn selective_query_decodes_strictly_fewer_blocks() {
-        // One rare, high-scoring term at the front of the id space and
-        // one long, low-scoring common list: once the heap fills with
-        // rare-term documents, the common tail's block maxima fall
-        // below the k-th score and those blocks are skipped undecoded.
-        let rare: Vec<(u32, f64)> = (0..4).map(|d| (d, 100.0)).collect();
-        let common: Vec<(u32, f64)> = (0..4096).map(|d| (d, 0.001)).collect();
-        let lists = [block_list(&rare, 128), block_list(&common, 128)];
-        let cursors: Vec<Box<dyn BlockCursor>> = lists
-            .into_iter()
-            .map(|l| Box::new(ScoredListCursor::new(l)) as Box<dyn BlockCursor>)
-            .collect();
-        let (ranked, cost) = run_cursors(cursors, 3);
-        assert_eq!(ranked.len(), 3);
-        assert_eq!(ranked[0].doc, DocId(0));
-        assert!(
-            cost.blocks_decoded < cost.blocks_total,
-            "pruning must skip decode work: {cost:?}"
-        );
-        // One-sweep selection pins exactly the cursors the
-        // one-at-a-time restart did: the count measured before the
-        // sweep replaced it (PR 14: 2 of 33 blocks).
-        assert_eq!((cost.blocks_decoded, cost.blocks_total), (2, 33));
-        assert_eq!(cost.postings_scored, 0, "QueryCost::of counts blocks only");
-    }
 
     #[test]
     fn collector_equals_sort_and_truncate() {
@@ -962,46 +727,10 @@ mod tests {
         let mut cursor = EmptyCursor;
         assert!(cursor.at_end());
         assert!(cursor.materialize().is_none());
+        assert_eq!(cursor.positions(), (0, 0));
         let mut cursors: Vec<Box<dyn BlockCursor + '_>> = vec![Box::new(EmptyCursor)];
         let mut scratch = TopKScratch::new();
         block_max_topk_cursors(&mut cursors, 5, &mut scratch);
         assert!(scratch.ranked.is_empty());
-    }
-
-    #[test]
-    fn shadowed_merge_masks_older_sources() {
-        // Source 0 (old): docs 1, 2, 3. Source 1 (new): doc 2 with a
-        // different score, and it also touches doc 3 (re-inserted
-        // without the term) — so the live postings are 1 (old), 2
-        // (new), and 3 is dead.
-        let old = block_list(&[(1, 0.1), (2, 0.2), (3, 0.3)], 2);
-        let new = block_list(&[(2, 0.9)], 2);
-        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> = vec![
-            (0, Box::new(ScoredListCursor::new(old))),
-            (1, Box::new(ScoredListCursor::new(new))),
-        ];
-        let shadow =
-            move |rank: usize, doc: DocId| rank == 0 && (doc == DocId(2) || doc == DocId(3));
-        let mut merged = ShadowedMergeCursor::new(subs, Box::new(shadow));
-        let mut seen = Vec::new();
-        while let Some((doc, score)) = merged.materialize() {
-            seen.push((doc.0, score));
-            merged.step();
-        }
-        assert_eq!(seen, vec![(1, 0.1), (2, 0.9)]);
-        assert!(merged.at_end());
-    }
-
-    #[test]
-    fn shadowed_merge_discovering_exhaustion_flips_at_end() {
-        // Everything in the only source is shadowed: the metadata
-        // cannot know, but materialize must settle it.
-        let only = block_list(&[(5, 0.5)], 2);
-        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> =
-            vec![(0, Box::new(ScoredListCursor::new(only)))];
-        let mut merged = ShadowedMergeCursor::new(subs, Box::new(|_, _| true));
-        assert!(!merged.at_end());
-        assert!(merged.materialize().is_none());
-        assert!(merged.at_end());
     }
 }

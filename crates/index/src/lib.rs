@@ -10,8 +10,8 @@
 //! * [`doc`] / [`postings`] / [`inverted`] — documents, posting lists
 //!   with term frequencies, and the index itself,
 //! * [`store`] — the pluggable posting-storage abstraction
-//!   ([`store::PostingStore`]): raw `Vec<Posting>` lists here, the
-//!   block-compressed backend in the `zerber-postings` crate,
+//!   ([`store::PostingStore`]); the block-compressed backend lives in
+//!   the `zerber-postings` crate, the durable one in `zerber-segment`,
 //! * [`stats`] — corpus statistics: document frequencies and the
 //!   normalized term-occurrence probability `p_t` of formula (2),
 //! * [`cost`] — the disk cost model of Section 7.4 and the workload
@@ -46,15 +46,14 @@ pub use baseline::CentralIndex;
 pub use bloom::BloomFilter;
 pub use cost::{workload_cost, QueryWorkload};
 pub use cursor::{
-    block_max_topk_cursors, BlockCursor, EmptyCursor, QueryCost, ScoredListCursor,
-    ShadowedMergeCursor, TopKScratch,
+    block_max_topk_cursors, BlockCursor, EmptyCursor, QueryCost, ShadowedMergeCursor, TopKScratch,
 };
 pub use dict::TermDict;
 pub use doc::{Document, RawDocument};
 pub use inverted::InvertedIndex;
 pub use postings::{Posting, PostingList};
 pub use stats::CorpusStats;
-pub use store::{PostingBackend, PostingStore, RawPostingStore, SegmentPolicy};
+pub use store::{PostingBackend, PostingStore, SegmentPolicy};
 pub use tokenizer::Tokenizer;
-pub use topk::{idf, threshold_topk, BlockScoredList, RankedDoc, ScoredList};
+pub use topk::{idf, threshold_topk, RankedDoc, ScoredList};
 pub use types::{DocId, GroupId, TermId, UserId};

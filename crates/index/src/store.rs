@@ -1,45 +1,39 @@
 //! Pluggable posting-list storage backends.
 //!
-//! The index substrate historically hard-wired `Vec<Posting>` lists.
-//! Production-scale corpora want a block-compressed representation
-//! instead (doc-id deltas + bit-packed counts, see the
-//! `zerber-postings` crate), so read access is abstracted behind
-//! [`PostingStore`]: an immutable, term-addressed view of the posting
-//! data that both the raw and the compressed backends implement.
+//! Ranked reads want a block-compressed representation (doc-id deltas
+//! and bit-packed counts, see the `zerber-postings` crate) instead of
+//! the index's `Vec<Posting>` lists, so read access is abstracted
+//! behind [`PostingStore`]: an immutable, term-addressed view of the
+//! posting data that the in-memory compressed store and the durable
+//! segment snapshots implement.
 //!
 //! The mutable [`crate::InvertedIndex`] remains the build/update
 //! surface; a store is a frozen snapshot of it. [`PostingBackend`]
 //! names the backend choice so configuration layers (the `zerber`
 //! facade, the bench harness) can select one without depending on the
-//! compressed implementation directly.
+//! storage implementations directly.
 
-use crate::cursor::{BlockCursor, ScoredListCursor};
-use crate::postings::{Posting, PostingList};
+use crate::cursor::BlockCursor;
+use crate::postings::Posting;
 use crate::stats::CorpusStats;
-use crate::topk::BlockScoredList;
-use crate::types::{DocId, TermId};
+use crate::types::TermId;
 use crate::InvertedIndex;
-
-/// Posting entries per block when a store materializes scored lists
-/// (matches the compressed engine's physical block granularity).
-pub const SCORING_BLOCK: usize = 128;
 
 /// Which posting-list representation a deployment stores and serves.
 ///
 /// Not `Copy`: the segmented backend names an on-disk directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PostingBackend {
-    /// Plain `Vec<Posting>` lists — fastest random access, largest
-    /// footprint.
+    /// In memory: block-compressed lists (varint doc-id deltas,
+    /// bit-packed counts, per-block skip metadata) from
+    /// `zerber-postings`, frozen from a mutable index. Takes live
+    /// inserts and deletes by re-freezing after a write.
     #[default]
-    Raw,
-    /// Block-compressed lists (varint doc-id deltas, bit-packed
-    /// counts, per-block skip metadata) from `zerber-postings`.
     Compressed,
     /// The durable LSM-style store from `zerber-segment`: a
     /// WAL-journaled memtable plus immutable block-compressed on-disk
-    /// segments with background compaction. The only backend that
-    /// supports live inserts and deletes.
+    /// segments with background compaction. Live inserts and deletes
+    /// cost their own postings, not a re-freeze, and survive a crash.
     Segmented {
         /// Root directory of the store. Multi-shard deployments create
         /// one `peer-<p>-shard-<s>` subdirectory per *hosted* replica
@@ -86,7 +80,7 @@ impl Default for SegmentPolicy {
 /// Read-only, term-addressed access to posting data.
 ///
 /// Implementations must present each term's postings in strictly
-/// increasing document-id order, matching [`PostingList`] iteration.
+/// increasing document-id order, matching [`crate::PostingList`] iteration.
 pub trait PostingStore {
     /// Number of term slots (upper bound on distinct terms).
     fn term_count(&self) -> usize;
@@ -116,56 +110,10 @@ pub trait PostingStore {
     /// must be non-negative and finite (IDF factors are). Entry values
     /// do not depend on the backend, so ranking is bit-identical across
     /// backends (property-tested); what differs is the decode work,
-    /// reported through [`BlockCursor::decoded_blocks`]: backends with
-    /// stored per-block skip metadata (the compressed engine, the
-    /// segmented store) only decompress blocks the block-max bound
-    /// cannot rule out.
-    ///
-    /// The default serves backends without stored skip metadata (raw
-    /// lists, the live [`InvertedIndex`]): it scores every posting of
-    /// the term into [`SCORING_BLOCK`]-sized blocks with exact maxima,
-    /// and the cursor merely counts the blocks the algorithm examines.
-    fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
-        terms
-            .iter()
-            .map(|&(term, weight)| {
-                let list = BlockScoredList::from_doc_ordered(
-                    self.postings(term)
-                        .map(|p| (p.doc, p.term_frequency() * weight))
-                        .collect(),
-                    SCORING_BLOCK,
-                );
-                Box::new(ScoredListCursor::new(list)) as Box<dyn BlockCursor + 'a>
-            })
-            .collect()
-    }
-
-    /// The term's occurrence positions in `doc`'s canonical token
-    /// stream — `Some(positions)` when the document contains the term,
-    /// `None` otherwise. The canonical convention: a document's token
-    /// stream is its terms in ascending term-id order, each occupying
-    /// `count` consecutive slots, so a term's positions are the
-    /// contiguous run starting at the sum of the document's
-    /// smaller-term counts.
-    ///
-    /// This is the point-lookup form, derived by scanning the
-    /// smaller-id lists — no backend overrides it. Phrase evaluation
-    /// reads the same run off the cursors it has aligned
-    /// ([`BlockCursor::positions`]) and falls back to this method only
-    /// for backends whose cursors keep no positional column (raw
-    /// lists, the live index).
-    fn term_positions(&self, term: TermId, doc: DocId) -> Option<Vec<u32>> {
-        let hit = self.postings(term).find(|p| p.doc == doc)?;
-        let start: u32 = (0..term.0)
-            .map(|t| {
-                self.postings(TermId(t))
-                    .filter(|p| p.doc == doc)
-                    .map(|p| p.count)
-                    .sum::<u32>()
-            })
-            .sum();
-        Some((start..start + hit.count).collect())
-    }
+    /// reported through [`BlockCursor::decoded_blocks`]: a store only
+    /// decompresses blocks the block-max bound on its stored per-block
+    /// skip metadata cannot rule out.
+    fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>>;
 
     /// Corpus statistics over the stored document frequencies
     /// (formula (2)).
@@ -178,39 +126,14 @@ pub trait PostingStore {
     }
 }
 
-/// The raw backend: posting lists exactly as the mutable index holds
-/// them.
-#[derive(Debug, Clone, Default)]
-pub struct RawPostingStore {
-    lists: Vec<PostingList>,
-}
-
-impl RawPostingStore {
-    /// Snapshots an index's posting lists.
-    pub fn from_index(index: &InvertedIndex) -> Self {
-        Self {
-            lists: index.posting_lists().to_vec(),
-        }
-    }
-
-    /// Wraps pre-built lists (term-id indexed).
-    pub fn from_lists(lists: Vec<PostingList>) -> Self {
-        Self { lists }
-    }
-
-    /// The underlying list for a term (empty slice when unknown).
-    pub fn posting_list(&self, term: TermId) -> &[Posting] {
-        self.lists
-            .get(term.0 as usize)
-            .map(PostingList::as_slice)
-            .unwrap_or(&[])
-    }
-}
-
-/// The mutable index itself is also a valid read backend: a *live*
-/// view over its current posting lists. Unlike [`RawPostingStore`]
-/// (a frozen snapshot), nothing is copied — the runtime's mutable
-/// shard engine serves queries straight from the index it updates.
+/// The mutable index is a [`PostingStore`] for what walks or weighs
+/// its `Vec<Posting>` lists: the exhaustive oracles
+/// ([`PostingStore::postings`]) and the uncompressed footprint of the
+/// Section 7.2/7.3 accounting ([`PostingStore::posting_bytes`]). It is
+/// not a ranked-read backend — its lists carry neither block skip
+/// metadata nor the positional column a cursor reports — so it is
+/// frozen into a store (`zerber_postings::CompressedPostingStore`)
+/// before it is queried.
 impl PostingStore for InvertedIndex {
     fn term_count(&self) -> usize {
         InvertedIndex::term_count(self)
@@ -234,33 +157,12 @@ impl PostingStore for InvertedIndex {
             .map(|l| l.len() * std::mem::size_of::<Posting>())
             .sum()
     }
-}
 
-impl PostingStore for RawPostingStore {
-    fn term_count(&self) -> usize {
-        self.lists.len()
-    }
-
-    fn document_frequency(&self, term: TermId) -> usize {
-        self.lists
-            .get(term.0 as usize)
-            .map(PostingList::len)
-            .unwrap_or(0)
-    }
-
-    fn postings(&self, term: TermId) -> Box<dyn Iterator<Item = Posting> + '_> {
-        Box::new(self.posting_list(term).iter().copied())
-    }
-
-    fn total_postings(&self) -> usize {
-        self.lists.iter().map(PostingList::len).sum()
-    }
-
-    fn posting_bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|l| l.len() * std::mem::size_of::<Posting>())
-            .sum()
+    /// # Panics
+    /// Always — ranking the build surface is a caller bug (see the
+    /// impl docs); freeze the index into a store first.
+    fn query_cursors<'a>(&'a self, _terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
+        panic!("the live index serves no cursors: freeze it into a posting store to rank it")
     }
 }
 
@@ -279,9 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn raw_store_mirrors_the_index() {
+    fn live_index_store_mirrors_the_index() {
         let index = sample_index();
-        let store = RawPostingStore::from_index(&index);
+        let store: &dyn PostingStore = &index;
         assert_eq!(store.term_count(), index.term_count());
         assert_eq!(store.total_postings(), index.total_postings());
         assert_eq!(store.document_frequency(TermId(0)), 2);
@@ -293,24 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn live_index_store_matches_frozen_snapshot() {
-        let index = sample_index();
-        let frozen = RawPostingStore::from_index(&index);
-        assert_eq!(
-            PostingStore::term_count(&index),
-            PostingStore::term_count(&frozen)
-        );
-        assert_eq!(index.posting_bytes(), frozen.posting_bytes());
-        let live: Vec<Posting> = PostingStore::postings(&index, TermId(0)).collect();
-        let snap: Vec<Posting> = frozen.postings(TermId(0)).collect();
-        assert_eq!(live, snap);
-    }
-
-    #[test]
     fn store_statistics_match_index_statistics() {
         let index = sample_index();
-        let store = RawPostingStore::from_index(&index);
-        let a = store.statistics();
+        let a = PostingStore::statistics(&index);
         let b = index.statistics();
         assert_eq!(
             a.document_frequency(TermId(0)),

@@ -143,65 +143,6 @@ pub fn threshold_topk(lists: &[ScoredList], k: usize) -> Vec<RankedDoc> {
     results
 }
 
-/// A document-id-ordered scored list partitioned into fixed-size
-/// blocks, each carrying the maximum score inside the block — the skip
-/// metadata of block-max indexes (the `max_next_weight` idea of
-/// compressed sparse indexes, at block rather than element
-/// granularity).
-///
-/// Scores must be non-negative and finite (TF-IDF contributions are):
-/// the block-max bound treats "document absent from this list" as a
-/// zero contribution, which only upper-bounds correctly when no score
-/// is negative.
-#[derive(Debug, Clone)]
-pub struct BlockScoredList {
-    pub(crate) entries: Vec<(DocId, f64)>,
-    pub(crate) block_size: usize,
-    /// Per block: (last doc id in block, max score in block).
-    pub(crate) blocks: Vec<(DocId, f64)>,
-}
-
-impl BlockScoredList {
-    /// Builds a list from (doc, score) pairs, sorting by document id
-    /// and computing per-block maxima. `block_size` must be ≥ 1;
-    /// document ids must be distinct.
-    pub fn from_doc_ordered(mut entries: Vec<(DocId, f64)>, block_size: usize) -> Self {
-        assert!(block_size >= 1, "block size must be at least 1");
-        entries.sort_by_key(|&(doc, _)| doc);
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "duplicate document id in scored list"
-        );
-        debug_assert!(
-            entries.iter().all(|&(_, s)| s >= 0.0 && s.is_finite()),
-            "block-max lists require non-negative finite scores"
-        );
-        let blocks = entries
-            .chunks(block_size)
-            .map(|chunk| {
-                let last = chunk.last().expect("chunks are non-empty").0;
-                let max = chunk.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
-                (last, max)
-            })
-            .collect();
-        Self {
-            entries,
-            block_size,
-            blocks,
-        }
-    }
-
-    /// Number of scored documents.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True iff no document matches this term.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Reference implementation: aggregates every posting and sorts — used
 /// to validate [`threshold_topk`] and as the "return all answers" mode
 /// Zerber actually ships to clients (the index returns *all* accessible
@@ -315,75 +256,6 @@ mod tests {
             top.iter().map(|r| r.doc.0).collect::<Vec<_>>(),
             vec![2, 5, 9]
         );
-    }
-
-    fn block_list(entries: &[(u32, f64)], block_size: usize) -> BlockScoredList {
-        BlockScoredList::from_doc_ordered(
-            entries.iter().map(|&(d, s)| (DocId(d), s)).collect(),
-            block_size,
-        )
-    }
-
-    /// Ranks `lists` with the cursor-driven block-max driver.
-    fn block_max_ranked(lists: &[BlockScoredList], k: usize) -> Vec<RankedDoc> {
-        use crate::cursor::{block_max_topk_cursors, BlockCursor, ScoredListCursor, TopKScratch};
-        let mut cursors: Vec<Box<dyn BlockCursor>> = lists
-            .iter()
-            .map(|list| Box::new(ScoredListCursor::new(list.clone())) as Box<dyn BlockCursor>)
-            .collect();
-        let mut scratch = TopKScratch::new();
-        block_max_topk_cursors(&mut cursors, k, &mut scratch);
-        scratch.take_ranked()
-    }
-
-    #[test]
-    fn block_max_matches_naive_on_fixed_example() {
-        let raw: Vec<Vec<(u32, f64)>> = vec![
-            vec![(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2), (7, 0.9), (9, 0.1)],
-            vec![(2, 0.2), (4, 0.9), (5, 0.1), (9, 0.8)],
-            vec![(1, 0.6), (5, 0.7)],
-        ];
-        for block_size in [1, 2, 3, 128] {
-            let blocked: Vec<BlockScoredList> =
-                raw.iter().map(|l| block_list(l, block_size)).collect();
-            let scored: Vec<ScoredList> = raw
-                .iter()
-                .map(|l| ScoredList::new(l.iter().map(|&(d, s)| (DocId(d), s)).collect()))
-                .collect();
-            for k in 1..=8 {
-                let fast = block_max_ranked(&blocked, k);
-                let slow = naive_topk(&scored, k);
-                assert_eq!(fast.len(), slow.len(), "k = {k}, bs = {block_size}");
-                for (f, s) in fast.iter().zip(&slow) {
-                    assert_eq!(f.doc, s.doc, "k = {k}, bs = {block_size}");
-                    assert_eq!(f.score, s.score, "k = {k}, bs = {block_size}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_max_skips_cannot_lose_tied_docs() {
-        // Three docs tie at the k-th score; block-max pruning uses a
-        // strict bound, so all tied docs must survive for tie-breaking.
-        let l = block_list(&[(5, 0.5), (2, 0.5), (9, 0.5), (1, 0.9)], 2);
-        let top = block_max_ranked(&[l], 3);
-        assert_eq!(
-            top.iter().map(|r| r.doc.0).collect::<Vec<_>>(),
-            vec![1, 2, 5]
-        );
-    }
-
-    #[test]
-    fn block_max_edge_cases() {
-        assert!(block_max_ranked(&[], 3).is_empty());
-        let l = block_list(&[(1, 0.5)], 4);
-        assert!(block_max_ranked(std::slice::from_ref(&l), 0).is_empty());
-        let empty = BlockScoredList::from_doc_ordered(vec![], 4);
-        assert!(empty.is_empty());
-        assert!(block_max_ranked(&[empty], 3).is_empty());
-        let top = block_max_ranked(&[l], 10);
-        assert_eq!(top.len(), 1);
     }
 
     #[test]

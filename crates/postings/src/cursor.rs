@@ -32,7 +32,7 @@ fn doc_id(key: u64) -> DocId {
 ///
 /// Entries surface as `(doc, tf · weight)` — exactly the values a
 /// full decode of the list yields, so rankings are bit-identical to
-/// the raw backend's; only the decode work differs. The per-cursor
+/// the exhaustive oracle's; only the decode work differs. The per-cursor
 /// decode counter feeds the query-cost accounting that proves pruning
 /// skipped real decompression.
 #[derive(Debug)]
@@ -172,10 +172,10 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         }
     }
 
-    fn positions(&self) -> Option<(u32, u32)> {
+    fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
         let entry = self.buffer[self.pos];
-        Some((entry.pos, entry.count))
+        (entry.pos, entry.count)
     }
 
     /// O(1) inside a decoded block: the next buffered entry becomes
@@ -328,10 +328,10 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
         Some((doc_id(entry.doc), entry.term_frequency() * self.weight))
     }
 
-    fn positions(&self) -> Option<(u32, u32)> {
+    fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
         let entry = self.entries[self.pos];
-        Some((entry.pos, entry.count))
+        (entry.pos, entry.count)
     }
 
     fn step(&mut self) {
@@ -359,6 +359,9 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
 mod tests {
     use super::*;
     use crate::builder::CompressedPostingBuilder;
+    use zerber_index::cursor::{
+        block_max_topk_cursors, QueryCost, ShadowedMergeCursor, TopKScratch,
+    };
 
     fn list_of(docs: &[u64]) -> CompressedPostingList {
         CompressedPostingBuilder::from_sorted(docs.iter().map(|&doc| RawEntry {
@@ -367,6 +370,55 @@ mod tests {
             doc_length: 100,
             pos: (doc % 50) as u32,
         }))
+    }
+
+    /// Entries scoring `count / 10` under weight 1.
+    fn tenths(entries: &[(u64, u32)]) -> Vec<RawEntry> {
+        entries
+            .iter()
+            .map(|&(doc, count)| RawEntry {
+                doc,
+                count,
+                doc_length: 10,
+                pos: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cursor_walk_yields_every_entry_in_order() {
+        let entries = tenths(
+            &(0..300)
+                .map(|i| (i * 3, 1 + i as u32 % 9))
+                .collect::<Vec<_>>(),
+        );
+        let mut cursor = DecodedEntriesCursor::new(&entries, 1.0);
+        let mut seen = Vec::new();
+        while let Some((doc, score)) = cursor.materialize() {
+            seen.push((u64::from(doc.0), score));
+            cursor.step();
+        }
+        let expected: Vec<(u64, f64)> = entries
+            .iter()
+            .map(|e| (e.doc, e.term_frequency()))
+            .collect();
+        assert_eq!(seen, expected);
+        assert!(cursor.at_end());
+        assert_eq!(cursor.decoded_blocks(), cursor.total_blocks());
+    }
+
+    #[test]
+    fn advance_past_skips_blocks_without_touching_them() {
+        let entries = tenths(&(0..1024).map(|doc| (doc, 5)).collect::<Vec<_>>());
+        let mut cursor = DecodedEntriesCursor::new(&entries, 1.0);
+        cursor.advance_past(DocId(899));
+        assert_eq!(cursor.materialize(), Some((DocId(900), 0.5)));
+        // Only the landing block was examined.
+        assert_eq!(cursor.decoded_blocks(), 1);
+        assert_eq!(cursor.total_blocks(), 8);
+        // Advancing to a position already behind is a no-op.
+        cursor.advance_past(DocId(3));
+        assert_eq!(cursor.materialize(), Some((DocId(900), 0.5)));
     }
 
     #[test]
@@ -447,7 +499,7 @@ mod tests {
                     );
                     if let Some(want) = want {
                         assert!(cursor.is_exact());
-                        assert_eq!(cursor.positions(), Some((want.pos, want.count)));
+                        assert_eq!(cursor.positions(), (want.pos, want.count));
                     } else {
                         assert!(cursor.at_end());
                     }
@@ -475,5 +527,74 @@ mod tests {
         let mut cursor = CompressedBlockCursor::new(&list, 1.0);
         assert!(cursor.at_end());
         assert!(cursor.materialize().is_none());
+    }
+
+    #[test]
+    fn selective_query_decodes_strictly_fewer_blocks() {
+        // One rare, high-scoring term at the front of the id space and
+        // one long, low-scoring common list: once the heap fills with
+        // rare-term documents, the common tail's block maxima fall
+        // below the k-th score and those blocks are skipped undecoded.
+        let rare = tenths(&(0..4).map(|doc| (doc, 10)).collect::<Vec<_>>());
+        let common = tenths(&(0..4096).map(|doc| (doc, 10)).collect::<Vec<_>>());
+        let rare_list = CompressedPostingBuilder::from_sorted(rare.iter().copied());
+        let common_list = CompressedPostingBuilder::from_sorted(common.iter().copied());
+        let decoded: Vec<Box<dyn BlockCursor + '_>> = vec![
+            Box::new(DecodedEntriesCursor::new(&rare, 100.0)),
+            Box::new(DecodedEntriesCursor::new(&common, 0.001)),
+        ];
+        let compressed: Vec<Box<dyn BlockCursor + '_>> = vec![
+            Box::new(CompressedBlockCursor::new(&rare_list, 100.0)),
+            Box::new(CompressedBlockCursor::new(&common_list, 0.001)),
+        ];
+        let mut scratch = TopKScratch::new();
+        for mut cursors in [decoded, compressed] {
+            block_max_topk_cursors(&mut cursors, 3, &mut scratch);
+            let cost = QueryCost::of(&cursors);
+            assert_eq!(scratch.ranked.len(), 3);
+            assert_eq!(scratch.ranked[0].doc, DocId(0));
+            // One-sweep selection pins exactly the cursors the
+            // one-at-a-time restart did: the count measured before the
+            // sweep replaced it (PR 14: 2 of 33 blocks).
+            assert_eq!((cost.blocks_decoded, cost.blocks_total), (2, 33));
+            assert_eq!(cost.postings_scored, 0, "QueryCost::of counts blocks only");
+        }
+    }
+
+    #[test]
+    fn shadowed_merge_masks_older_sources() {
+        // Source 0 (old, a segment): docs 1, 2, 3. Source 1 (new, a
+        // delta): doc 2 with a different score, and it also touches
+        // doc 3 (re-inserted without the term) — so the live postings
+        // are 1 (old), 2 (new), and 3 is dead.
+        let old = CompressedPostingBuilder::from_sorted(tenths(&[(1, 1), (2, 2), (3, 3)]));
+        let new = tenths(&[(2, 9)]);
+        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> = vec![
+            (0, Box::new(CompressedBlockCursor::new(&old, 1.0))),
+            (1, Box::new(DecodedEntriesCursor::new(&new, 1.0))),
+        ];
+        let shadow =
+            move |rank: usize, doc: DocId| rank == 0 && (doc == DocId(2) || doc == DocId(3));
+        let mut merged = ShadowedMergeCursor::new(subs, Box::new(shadow));
+        let mut seen = Vec::new();
+        while let Some((doc, score)) = merged.materialize() {
+            seen.push((doc.0, score));
+            merged.step();
+        }
+        assert_eq!(seen, vec![(1, 0.1), (2, 0.9)]);
+        assert!(merged.at_end());
+    }
+
+    #[test]
+    fn shadowed_merge_discovering_exhaustion_flips_at_end() {
+        // Everything in the only source is shadowed: the metadata
+        // cannot know, but materialize must settle it.
+        let only = tenths(&[(5, 5)]);
+        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> =
+            vec![(0, Box::new(DecodedEntriesCursor::new(&only, 1.0)))];
+        let mut merged = ShadowedMergeCursor::new(subs, Box::new(|_, _| true));
+        assert!(!merged.at_end());
+        assert!(merged.materialize().is_none());
+        assert!(merged.at_end());
     }
 }

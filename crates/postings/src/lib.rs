@@ -32,7 +32,8 @@
 //! * [`cursor`] — [`CompressedBlockCursor`], the decode-on-demand
 //!   query cursor: block-max peeks and seeks from the skip metadata
 //!   alone, decompression only for blocks that survive the top-k
-//!   upper-bound test.
+//!   upper-bound test; [`DecodedEntriesCursor`] is the same contract
+//!   over postings already decoded in memory.
 
 #![deny(missing_docs)]
 
@@ -53,4 +54,4 @@ pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
 pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use run::{RunBuilder, SortedRun};
-pub use store::{build_store, CompressedPostingStore};
+pub use store::CompressedPostingStore;

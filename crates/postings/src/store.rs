@@ -1,7 +1,7 @@
-//! The compressed posting-store backend and backend selection.
+//! The compressed posting-store backend.
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor};
-use zerber_index::store::{PostingBackend, PostingStore, RawPostingStore};
+use zerber_index::store::PostingStore;
 use zerber_index::{DocId, InvertedIndex, Posting, TermId};
 
 use crate::block::RawEntry;
@@ -21,7 +21,7 @@ fn to_posting(entry: RawEntry) -> Posting {
 
 /// A frozen, block-compressed snapshot of an index's posting lists.
 ///
-/// Term-addressed like the raw store; each list is delta- and
+/// Term-addressed like the index it snapshots; each list is delta- and
 /// bit-packed per [`crate::block`] and carries per-block skip
 /// metadata, which [`CompressedBlockCursor`] reuses directly as the
 /// `block_max_score` bounds of block-max top-k.
@@ -113,7 +113,7 @@ impl PostingStore for CompressedPostingStore {
             .sum()
     }
 
-    /// Override: one [`CompressedBlockCursor`] per term, decoding
+    /// One [`CompressedBlockCursor`] per term, decoding
     /// straight from the stored blocks on demand — the lazy hot path.
     /// No posting is touched here at all; the cursor's metadata peeks
     /// serve the block-max bounds and only surviving blocks ever
@@ -131,34 +131,14 @@ impl PostingStore for CompressedPostingStore {
     }
 }
 
-/// Builds the frozen posting store a [`PostingBackend`] selection
-/// names.
-///
-/// Serves the two in-memory backends. `Segmented` is *not* buildable
-/// here — the durable engine lives in `zerber-segment`, which sits
-/// above this crate; configuration layers (the `zerber` facade)
-/// dispatch it themselves.
-///
-/// # Panics
-/// Panics on [`PostingBackend::Segmented`].
-pub fn build_store(backend: &PostingBackend, index: &InvertedIndex) -> Box<dyn PostingStore> {
-    match backend {
-        PostingBackend::Raw => Box::new(RawPostingStore::from_index(index)),
-        PostingBackend::Compressed => Box::new(CompressedPostingStore::from_index(index)),
-        PostingBackend::Segmented { .. } => {
-            panic!("segmented stores are built by zerber-segment, not zerber-postings")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use zerber_index::Document;
     use zerber_index::GroupId;
 
-    fn sample_index(docs: usize, terms_per_doc: u32) -> InvertedIndex {
-        let documents: Vec<Document> = (0..docs)
+    fn sample_docs(docs: usize, terms_per_doc: u32) -> Vec<Document> {
+        (0..docs)
             .map(|d| {
                 Document::from_term_counts(
                     DocId(d as u32),
@@ -168,14 +148,18 @@ mod tests {
                         .collect(),
                 )
             })
-            .collect();
-        InvertedIndex::from_documents(&documents)
+            .collect()
+    }
+
+    fn sample_index(docs: usize, terms_per_doc: u32) -> InvertedIndex {
+        InvertedIndex::from_documents(&sample_docs(docs, terms_per_doc))
     }
 
     #[test]
     fn compressed_store_agrees_with_raw_store() {
+        // "Raw" is the index's own uncompressed `Vec<Posting>` lists.
         let index = sample_index(500, 8);
-        let raw = RawPostingStore::from_index(&index);
+        let raw: &dyn PostingStore = &index;
         let compressed = CompressedPostingStore::from_index(&index);
         assert_eq!(raw.term_count(), compressed.term_count());
         assert_eq!(raw.total_postings(), compressed.total_postings());
@@ -204,30 +188,30 @@ mod tests {
     }
 
     #[test]
-    fn build_store_honors_the_backend_choice() {
-        let index = sample_index(100, 4);
-        let raw = build_store(&PostingBackend::Raw, &index);
-        let compressed = build_store(&PostingBackend::Compressed, &index);
-        assert_eq!(raw.total_postings(), compressed.total_postings());
-        assert!(compressed.posting_bytes() < raw.posting_bytes());
-    }
-
-    #[test]
     fn lazy_cursors_rank_identically_and_prune_decode_work() {
         use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
-        use zerber_index::RankedDoc;
-        // The reference: the raw backend's default cursors, which score
-        // every posting up front and compute exact block maxima.
+        use zerber_index::topk::naive_topk;
+        use zerber_index::{RankedDoc, ScoredList};
+        // The reference: every posting of the index's uncompressed
+        // lists scored and summed in weight order, then sorted.
         fn raw_ranked(
             index: &InvertedIndex,
             weights: &[(TermId, f64)],
             k: usize,
         ) -> Vec<RankedDoc> {
-            let raw = RawPostingStore::from_index(index);
-            let mut cursors = raw.query_cursors(weights);
-            let mut scratch = TopKScratch::new();
-            block_max_topk_cursors(&mut cursors, k, &mut scratch);
-            scratch.take_ranked()
+            let lists: Vec<ScoredList> = weights
+                .iter()
+                .map(|&(term, weight)| {
+                    ScoredList::new(
+                        index
+                            .posting_list(term)
+                            .iter()
+                            .map(|p| (p.doc, p.term_frequency() * weight))
+                            .collect(),
+                    )
+                })
+                .collect();
+            naive_topk(&lists, k)
         }
         let index = sample_index(3_000, 8);
         let store = CompressedPostingStore::from_index(&index);
@@ -271,24 +255,27 @@ mod tests {
     #[test]
     fn stored_positions_match_the_derived_canonical_runs() {
         // The positional column a cursor reads off its current posting
-        // must agree with the raw backend's scan-derived canonical
-        // positions for every (term, doc) pair the list holds — and
-        // the list must hold exactly the pairs the raw backend has.
-        let index = sample_index(300, 7);
-        let raw = RawPostingStore::from_index(&index);
-        let compressed = CompressedPostingStore::from_index(&index);
-        for term in (0..raw.term_count() as u32).map(TermId) {
+        // must be the canonical run derived from the documents
+        // themselves — terms in ascending id order, each occupying
+        // `count` consecutive slots — for every (term, doc) pair, and
+        // the list must hold exactly the pairs the documents have.
+        let docs = sample_docs(300, 7);
+        let compressed = CompressedPostingStore::from_index(&InvertedIndex::from_documents(&docs));
+        for term in (0..compressed.term_count() as u32).map(TermId) {
             let mut cursors = compressed.query_cursors(&[(term, 1.0)]);
             let cursor = &mut cursors[0];
             let mut stored = Vec::new();
             while let Some((doc, _)) = cursor.materialize() {
-                let (pos, count) = cursor.positions().expect("stored positional column");
-                stored.push((doc, (pos..pos + count).collect::<Vec<u32>>()));
+                stored.push((doc, cursor.positions()));
                 cursor.step();
             }
-            let derived: Vec<(DocId, Vec<u32>)> = (0..300u32)
-                .map(DocId)
-                .filter_map(|doc| Some((doc, raw.term_positions(term, doc)?)))
+            let derived: Vec<(DocId, (u32, u32))> = docs
+                .iter()
+                .filter_map(|doc| {
+                    let at = doc.terms.iter().position(|&(t, _)| t == term)?;
+                    let start: u32 = doc.terms[..at].iter().map(|&(_, count)| count).sum();
+                    Some((doc.id, (start, doc.terms[at].1)))
+                })
                 .collect();
             assert_eq!(stored, derived, "term {term}");
         }

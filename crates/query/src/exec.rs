@@ -73,18 +73,18 @@ pub fn execute(
     match plan {
         EvaluatorKind::BlockMaxTa => block_max_topk_cursors(&mut cursors, k, scratch),
         EvaluatorKind::MaxScore => maxscore_topk(&mut cursors, k, scratch),
-        EvaluatorKind::Conjunctive => conjunctive_topk(&mut cursors, k, scratch, |_, _| true),
+        EvaluatorKind::Conjunctive => conjunctive_topk(&mut cursors, k, scratch, |_| true),
         EvaluatorKind::Phrase => {
             // Each phrase slot reads positions from its term's cursor.
-            let phrase: Vec<(TermId, usize)> = slots
+            let phrase: Vec<usize> = slots
                 .iter()
                 .map(|&(term, _)| {
                     let cursor = scoring.iter().position(|&(t, _)| t == term);
-                    (term, cursor.expect("every slot's term is a scoring slot"))
+                    cursor.expect("every slot's term is a scoring slot")
                 })
                 .collect();
-            conjunctive_topk(&mut cursors, k, scratch, |doc, aligned| {
-                phrase_match(store, &phrase, aligned, doc)
+            conjunctive_topk(&mut cursors, k, scratch, |aligned| {
+                phrase_match(&phrase, aligned)
             });
         }
     }
@@ -110,35 +110,20 @@ pub fn distinct_slots(slots: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
     distinct
 }
 
-/// Does `doc` — the document every cursor in `aligned` stands on —
-/// contain the exact phrase? `phrase` names, per phrase slot, the term
-/// and the index of its cursor in `aligned`.
+/// Does the document every cursor in `aligned` stands on contain the
+/// exact phrase? `phrase` names, per phrase slot, the index of its
+/// term's cursor in `aligned`.
 ///
 /// Positions are canonical token-stream runs: a term occupies
 /// `count` consecutive slots from `pos`, and the cursor holds both for
 /// the posting it stands on ([`BlockCursor::positions`]), so the
-/// filter costs one call per slot. Only a backend without a stored
-/// positional column (raw lists, the live index) answers `None`, and
-/// only then is the store asked ([`PostingStore::term_positions`],
-/// which derives the run by scanning). The phrase matches iff some
-/// start `p` has slot `i` occurring at `p + i` for every `i` — with
-/// runs, iff the intervals `[pos_i − i, pos_i + count_i − i)`
-/// intersect.
-fn phrase_match(
-    store: &dyn PostingStore,
-    phrase: &[(TermId, usize)],
-    aligned: &[Box<dyn BlockCursor + '_>],
-    doc: DocId,
-) -> bool {
+/// filter costs one call per slot. The phrase matches iff some start
+/// `p` has slot `i` occurring at `p + i` for every `i` — with runs,
+/// iff the intervals `[pos_i − i, pos_i + count_i − i)` intersect.
+fn phrase_match(phrase: &[usize], aligned: &[Box<dyn BlockCursor + '_>]) -> bool {
     let (mut lo, mut hi) = (i64::MIN, i64::MAX);
-    for (i, &(term, cursor)) in phrase.iter().enumerate() {
-        let run = aligned[cursor].positions().or_else(|| {
-            let positions = store.term_positions(term, doc)?;
-            Some((*positions.first()?, positions.len() as u32))
-        });
-        let Some((pos, count)) = run else {
-            return false;
-        };
+    for (i, &cursor) in phrase.iter().enumerate() {
+        let (pos, count) = aligned[cursor].positions();
         lo = lo.max(i64::from(pos) - i as i64);
         hi = hi.min(i64::from(pos) + i64::from(count) - i as i64);
     }
@@ -290,7 +275,7 @@ pub fn conjunctive_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
     scratch: &mut TopKScratch,
-    mut accept: impl FnMut(DocId, &[Box<dyn BlockCursor + '_>]) -> bool,
+    mut accept: impl FnMut(&[Box<dyn BlockCursor + '_>]) -> bool,
 ) {
     scratch.begin(k);
     if cursors.is_empty() {
@@ -322,7 +307,7 @@ pub fn conjunctive_topk(
         if !aligned {
             continue;
         }
-        if accept(target, cursors) {
+        if accept(cursors) {
             // Slot-order contribution sum — the bit-identity contract.
             let mut score = 0.0;
             for cursor in cursors.iter_mut() {

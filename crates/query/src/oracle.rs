@@ -5,10 +5,10 @@
 //! (no cursors, no pruning, no stored skip metadata) and accumulates
 //! each document's score slot-by-slot **in slot order** — the same
 //! floating-point summation sequence the evaluators use, so agreement
-//! is checked bit for bit, not approximately. The phrase oracle even
+//! is checked bit for bit, not approximately. The phrase oracle
 //! re-derives positions from scratch (summing smaller-term counts)
-//! instead of trusting [`PostingStore::term_positions`], so a backend
-//! with a buggy positional column cannot agree with it by accident.
+//! instead of reading any stored positional column, so a backend with
+//! a buggy one cannot agree with it by accident.
 
 use std::collections::HashMap;
 

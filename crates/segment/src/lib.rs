@@ -1,10 +1,10 @@
 //! Durable LSM-style posting storage for the Zerber reproduction.
 //!
 //! The paper's index is not a one-shot artifact: peers continuously
-//! insert and delete document postings. The in-memory backends
-//! (`zerber_index::RawPostingStore`, the block-compressed store in
-//! `zerber-postings`) are frozen snapshots; this crate supplies the
-//! storage engine that absorbs a *write stream* and survives crashes:
+//! insert and delete document postings. The in-memory backend (the
+//! block-compressed store in `zerber-postings`) is a frozen snapshot;
+//! this crate supplies the storage engine that absorbs a *write
+//! stream* and survives crashes:
 //!
 //! * [`wal`] — the checksummed write-ahead log: a batch is
 //!   acknowledged only after its CRC'd record is on the log, and

@@ -1085,7 +1085,7 @@ impl PostingStore for SegmentSnapshot {
         segments + deltas
     }
 
-    /// Override: the lazy read path. Each term gets one cursor that
+    /// The lazy read path. Each term gets one cursor that
     /// merges the memtable deltas *over* the on-disk segments under
     /// the doc-level shadowing rule **without flattening**: segment
     /// postings stay block-compressed behind a
@@ -1096,9 +1096,7 @@ impl PostingStore for SegmentSnapshot {
     /// newer sources' doc tables with one forward-only finger each
     /// (`ShadowProbe`). Every sub-cursor reads its posting's
     /// positional run off the entry it stands on, so phrase queries
-    /// need no per-document lookup here (the trait's default
-    /// [`PostingStore::term_positions`] still answers point queries
-    /// from the masked merge). Entry values coincide with
+    /// need no per-document lookup here. Entry values coincide with
     /// [`PostingStore::postings`]' masked merge, so ranking is
     /// bit-identical to a rebuilt index (property-tested in
     /// `store_properties.rs`); only the decode work differs.

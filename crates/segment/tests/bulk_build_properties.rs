@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
+use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_segment::bulk::BulkFailpoint;
 use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
@@ -94,18 +95,19 @@ fn ranked_bits(store: &dyn PostingStore, weights: &[(TermId, f64)]) -> Vec<(DocI
         .collect()
 }
 
-/// The oracle's bit-pattern top-k over every term, plus df per term —
-/// the full observable surface of a snapshot.
+/// The oracle's bit-pattern top-12 over every term (all postings of
+/// the rebuilt index scored and sorted), plus df per term — the full
+/// observable surface of a snapshot.
 fn oracle_fingerprint(live: &BTreeMap<u32, Document>) -> (Vec<usize>, Vec<(DocId, u64)>) {
     let docs: Vec<Document> = live.values().cloned().collect();
     let index = InvertedIndex::from_documents(&docs);
-    let dfs: Vec<usize> = (0..MAX_TERM)
-        .map(|t| index.document_frequency(TermId(t)))
+    let terms: Vec<TermId> = (0..MAX_TERM).map(TermId).collect();
+    let dfs: Vec<usize> = terms.iter().map(|&t| index.document_frequency(t)).collect();
+    let topk = naive_topk(&tfidf_lists(&index, &terms), 12)
+        .iter()
+        .map(|r| (r.doc, r.score.to_bits()))
         .collect();
-    let weights: Vec<(TermId, f64)> = (0..MAX_TERM)
-        .map(|t| (TermId(t), zerber_index::idf(live.len(), dfs[t as usize])))
-        .collect();
-    (dfs, ranked_bits(&index, &weights))
+    (dfs, topk)
 }
 
 /// A store snapshot's answer to the same fingerprint.

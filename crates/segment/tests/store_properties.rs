@@ -5,7 +5,8 @@
 //! reopening the store from disk preserves all of it.
 //!
 //! The oracle is the plain mutable [`InvertedIndex`] rebuilt from the
-//! current live document set. The store side answers through the
+//! current live document set, ranked exhaustively (`naive_topk` over
+//! every posting). The store side answers through the
 //! *lazy* `PostingStore::query_cursors` + `block_max_topk_cursors`
 //! pipeline the runtime serves queries with (memtable deltas merged
 //! over compressed segment cursors under the shadowing rule, decode on
@@ -16,6 +17,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
 
@@ -79,20 +81,16 @@ fn oracle_df(live: &BTreeMap<u32, Document>, term: u32) -> usize {
         .count()
 }
 
-/// The rebuilt oracle's ranked answer.
+/// The rebuilt oracle's ranked answer: every posting of the rebuilt
+/// index scored and summed in term order, then sorted.
 fn oracle_topk(live: &BTreeMap<u32, Document>, terms: &[u32], k: usize) -> Vec<(DocId, u64)> {
     let docs: Vec<Document> = live.values().cloned().collect();
     let index = InvertedIndex::from_documents(&docs);
-    let weights: Vec<(TermId, f64)> = terms
+    let terms: Vec<TermId> = terms.iter().map(|&t| TermId(t)).collect();
+    naive_topk(&tfidf_lists(&index, &terms), k)
         .iter()
-        .map(|&t| {
-            (
-                TermId(t),
-                zerber_index::idf(live.len(), index.document_frequency(TermId(t))),
-            )
-        })
-        .collect();
-    ranked_bits(&index, &weights, k)
+        .map(|r| (r.doc, r.score.to_bits()))
+        .collect()
 }
 
 /// A store's bit-pattern top-k through the cursor pipeline, asserting

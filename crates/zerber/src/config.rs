@@ -98,12 +98,12 @@ pub struct ZerberConfig {
     pub codec: ElementCodec,
     /// Owner-side update batching.
     pub batch: BatchPolicy,
-    /// Posting-list storage backend used when freezing plaintext index
-    /// snapshots via [`ZerberConfig::posting_store`] (the storage
-    /// experiments and baseline accounting honor it): raw
-    /// `Vec<Posting>` lists or the block-compressed engine. Share
-    /// columns are unaffected — they are incompressible by design
-    /// (Section 7.3).
+    /// Posting-list storage backend each shard replica of the
+    /// plaintext peer runtime (`runtime::ShardedSearch`) builds and
+    /// serves from: block-compressed lists in memory, or the durable
+    /// segmented engine under a directory. The share path
+    /// ([`crate::ZerberSystem`]) does not read it — share columns are
+    /// incompressible by design (Section 7.3).
     pub postings: PostingBackend,
     /// Master RNG seed (coordinates, BFM redistribution, element
     /// encryption).
@@ -122,7 +122,7 @@ impl Default for ZerberConfig {
             merge: MergeConfig::dfm(1024),
             codec: ElementCodec::default(),
             batch: BatchPolicy::immediate(),
-            postings: PostingBackend::Raw,
+            postings: PostingBackend::default(),
             seed: 0xEDB7_2008,
         }
     }
@@ -158,11 +158,10 @@ impl ZerberConfig {
     }
 
     /// Checks the structural invariants: `1 ≤ threshold ≤ servers ≤
-    /// peers`, and a sane segmented-storage policy when that backend
-    /// is selected. Called by `ZerberSystem::bootstrap` and the peer
-    /// runtime so a misconfiguration fails fast with a typed error
-    /// instead of panicking deep in placement or wedging the storage
-    /// engine.
+    /// peers`, at least one replica, and
+    /// [`ZerberConfig::validate_storage`]. Called by
+    /// `ZerberSystem::bootstrap` so a misconfiguration fails fast with
+    /// a typed error instead of panicking deep in placement.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threshold == 0 {
             return Err(ConfigError::ThresholdZero);
@@ -182,6 +181,15 @@ impl ZerberConfig {
         if self.replication == 0 {
             return Err(ConfigError::NoReplicas);
         }
+        self.validate_storage()
+    }
+
+    /// Checks the posting backend alone: a segmented backend needs a
+    /// storage directory and a policy that cannot wedge the engine.
+    /// Called by `runtime::ShardedSearch::launch*` — the consumer of
+    /// [`ZerberConfig::postings`] — whose ring is deliberately not
+    /// held to the sharing invariants above.
+    pub fn validate_storage(&self) -> Result<(), ConfigError> {
         if let PostingBackend::Segmented { dir, compaction } = &self.postings {
             if dir.as_os_str().is_empty() {
                 return Err(ConfigError::InvalidSegmentPolicy {
@@ -219,40 +227,6 @@ impl ZerberConfig {
         self.postings = postings;
         self
     }
-
-    /// Builds the configured posting store from a plaintext index
-    /// snapshot (see [`zerber_index::PostingStore`]).
-    ///
-    /// For the segmented backend this opens (or creates) the durable
-    /// store at the configured directory, bulk-loads the index's
-    /// documents, seals and compacts, and returns a snapshot —
-    /// re-opening an existing directory upserts on top of whatever it
-    /// already holds, matching re-insertion semantics. Multi-shard
-    /// deployments derive one subdirectory per shard (see
-    /// `runtime::ShardedSearch`) so stores never collide.
-    ///
-    /// # Panics
-    /// Panics if the segmented store cannot be opened or written (the
-    /// mutable ingest path returns typed errors instead; a frozen
-    /// snapshot build has no caller able to recover).
-    pub fn posting_store(
-        &self,
-        index: &zerber_index::InvertedIndex,
-    ) -> Box<dyn zerber_index::PostingStore> {
-        match &self.postings {
-            PostingBackend::Segmented { dir, compaction } => {
-                let store = zerber_segment::SegmentStore::open(dir.clone(), *compaction)
-                    .expect("segmented posting store opens");
-                store
-                    .insert(&index.export_documents())
-                    .expect("bulk load fits the store");
-                store.flush().expect("flush succeeds");
-                store.compact().expect("compaction succeeds");
-                Box::new(store.snapshot())
-            }
-            backend => zerber_postings::build_store(backend, index),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,16 +242,20 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
+        let segmented = PostingBackend::Segmented {
+            dir: std::path::PathBuf::from("/tmp/zerber-builders-never-created"),
+            compaction: zerber_index::SegmentPolicy::default(),
+        };
         let config = ZerberConfig::default()
             .with_sharing(5, 3)
             .with_seed(1)
             .with_batch(BatchPolicy::batched(50))
-            .with_postings(PostingBackend::Compressed);
+            .with_postings(segmented.clone());
         assert_eq!(config.servers, 5);
         assert_eq!(config.threshold, 3);
         assert_eq!(config.seed, 1);
         assert_eq!(config.batch, BatchPolicy::batched(50));
-        assert_eq!(config.postings, PostingBackend::Compressed);
+        assert_eq!(config.postings, segmented);
     }
 
     #[test]
@@ -377,59 +355,5 @@ mod tests {
             empty_dir.validate(),
             Err(ConfigError::InvalidSegmentPolicy { .. })
         ));
-    }
-
-    #[test]
-    fn segmented_posting_store_serves_the_same_postings() {
-        use zerber_index::{DocId, Document, GroupId, InvertedIndex, SegmentPolicy, TermId};
-        let docs: Vec<Document> = (0..120u32)
-            .map(|d| {
-                Document::from_term_counts(
-                    DocId(d),
-                    GroupId(0),
-                    (0..4).map(|t| (TermId((d + t) % 15), 1 + t)).collect(),
-                )
-            })
-            .collect();
-        let index = InvertedIndex::from_documents(&docs);
-        let dir = zerber_segment::scratch_dir("config-posting-store");
-        let segmented = ZerberConfig::default()
-            .with_postings(PostingBackend::Segmented {
-                dir: dir.clone(),
-                compaction: SegmentPolicy {
-                    background: false,
-                    ..SegmentPolicy::default()
-                },
-            })
-            .posting_store(&index);
-        let raw = ZerberConfig::default().posting_store(&index);
-        assert_eq!(segmented.total_postings(), raw.total_postings());
-        for term in 0..15u32 {
-            let a: Vec<_> = segmented.postings(TermId(term)).collect();
-            let b: Vec<_> = raw.postings(TermId(term)).collect();
-            assert_eq!(a, b, "term {term}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn posting_store_follows_the_backend() {
-        use zerber_index::{DocId, Document, GroupId, InvertedIndex, TermId};
-        let docs: Vec<Document> = (0..200u32)
-            .map(|d| {
-                Document::from_term_counts(
-                    DocId(d),
-                    GroupId(0),
-                    (0..6).map(|t| (TermId((d + t) % 20), 1)).collect(),
-                )
-            })
-            .collect();
-        let index = InvertedIndex::from_documents(&docs);
-        let raw = ZerberConfig::default().posting_store(&index);
-        let compressed = ZerberConfig::default()
-            .with_postings(PostingBackend::Compressed)
-            .posting_store(&index);
-        assert_eq!(raw.total_postings(), compressed.total_postings());
-        assert!(compressed.posting_bytes() < raw.posting_bytes());
     }
 }

@@ -78,6 +78,7 @@ use zerber_dht::ShardMap;
 use zerber_index::{DocId, Document, InvertedIndex, PostingBackend, RankedDoc, TermId};
 use zerber_net::{AuthToken, Message, NodeId, TrafficMeter, WireDocument};
 use zerber_obs::{QueryTrace, SpanRecord, TraceId};
+use zerber_postings::CompressedPostingStore;
 use zerber_query::{CacheConfig, Forced, Query, ResultCache};
 
 pub use fault::{ChaosAction, FaultInjectTransport, FaultPlan};
@@ -262,7 +263,7 @@ pub enum DegradedMode {
 /// assert_eq!(outcome.peers_contacted, 4);
 ///
 /// // The sharded result is identical to single-node evaluation…
-/// assert_eq!(outcome.ranked, local_topk(&config, &docs, &query, 5));
+/// assert_eq!(outcome.ranked, local_topk(&docs, &query, 5));
 /// // …and every byte that crossed a link was accounted for.
 /// assert!(search.traffic().total() > 0);
 /// ```
@@ -386,21 +387,14 @@ impl std::error::Error for QueryError {}
 
 /// The backend one replica store should build: the segmented backend
 /// gets a per-(peer, shard) subdirectory so replica stores never
-/// collide on disk; the in-memory backends are borrowed as-is (no
-/// clone).
-fn replica_backend(
-    backend: &PostingBackend,
-    peer: usize,
-    shard: u32,
-) -> std::borrow::Cow<'_, PostingBackend> {
+/// collide on disk.
+fn replica_backend(backend: &PostingBackend, peer: usize, shard: u32) -> PostingBackend {
     match backend {
-        PostingBackend::Segmented { dir, compaction } => {
-            std::borrow::Cow::Owned(PostingBackend::Segmented {
-                dir: dir.join(format!("peer-{peer:03}-shard-{shard:03}")),
-                compaction: *compaction,
-            })
-        }
-        other => std::borrow::Cow::Borrowed(other),
+        PostingBackend::Segmented { dir, compaction } => PostingBackend::Segmented {
+            dir: dir.join(format!("peer-{peer:03}-shard-{shard:03}")),
+            compaction: *compaction,
+        },
+        PostingBackend::Compressed => PostingBackend::Compressed,
     }
 }
 
@@ -443,10 +437,7 @@ fn merge_write_ack(best: &mut Option<Message>, response: Message) {
 /// own replica directory).
 fn restore_factory(backend: Arc<PostingBackend>, peer: u32) -> peer::RestoreFn {
     Box::new(move |shard, files| {
-        shard::restore_shard_store(
-            replica_backend(&backend, peer as usize, shard).as_ref(),
-            files,
-        )
+        shard::restore_shard_store(&replica_backend(&backend, peer as usize, shard), files)
     })
 }
 
@@ -458,14 +449,15 @@ impl ShardedSearch {
     /// only ring requirement is `peers ≥ 1` — a single-peer deployment
     /// is the legitimate scaling baseline. (Share-placement rings are
     /// validated by [`ZerberConfig::validate`] at
-    /// `ZerberSystem::bootstrap`.) Like the share path, this engine
-    /// honors `config.postings` for the per-shard store backend; with
+    /// `ZerberSystem::bootstrap`.) This engine is what
+    /// `config.postings` configures: every replica builds its store on
+    /// that backend, after [`ZerberConfig::validate_storage`] has
+    /// accepted it. Both backends take live
+    /// [`ShardedSearch::insert_documents`] /
+    /// [`ShardedSearch::delete_document`] traffic; with
     /// [`PostingBackend::Segmented`], each replica owns a durable
     /// store in a `peer-<p>-shard-<s>` subdirectory — created only for
-    /// the shards that peer actually hosts — and the deployment
-    /// supports live
-    /// [`ShardedSearch::insert_documents`] /
-    /// [`ShardedSearch::delete_document`] traffic. The segmented
+    /// the shards that peer actually hosts. The segmented
     /// directories must be *fresh*: global statistics are computed
     /// from `docs`, so a shard peer panics rather than silently merge
     /// previously recovered state (reopen such stores with
@@ -500,6 +492,7 @@ impl ShardedSearch {
         if config.replication == 0 {
             return Err(ConfigError::NoReplicas);
         }
+        config.validate_storage()?;
         let replicas = (config.replication as u32).min(config.peers as u32);
         let map = ShardMap::new(config.peers as u32);
         // Every peer needs read access to the shards it hosts (its own
@@ -516,8 +509,7 @@ impl ShardedSearch {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         // One shared backend description for every peer; the
         // per-replica variant (a subdirectory for the segmented
-        // engine) is derived on the peer's own thread without cloning
-        // the in-memory backends.
+        // engine) is derived on the peer's own thread.
         let backend = Arc::new(config.postings.clone());
         for peer in 0..config.peers {
             let node = NodeId::IndexServer(peer as u32);
@@ -529,13 +521,13 @@ impl ShardedSearch {
             // across all peers (instruments aggregate).
             let registry = obs.registry().clone();
             // The initializer runs on the peer's thread: every hosted
-            // replica store builds (index, compress, or seed the
-            // durable engine) in parallel across all peers.
+            // replica store builds (index, or seed the durable engine)
+            // in parallel across all peers.
             runtime.spawn_peer(node, move || {
                 let restore = restore_factory(Arc::clone(&backend), peer as u32);
                 ShardService::hosting(hosted.into_iter().map(|shard| {
                     let store = shard::build_shard_store_observed(
-                        replica_backend(&backend, peer, shard).as_ref(),
+                        &replica_backend(&backend, peer, shard),
                         &shards[shard as usize],
                         Some(&registry),
                     );
@@ -1550,52 +1542,35 @@ pub fn traced_topk_fanout(
 }
 
 /// The single-node reference for [`ShardedSearch::query`]: the same
-/// store backend, the same global IDF weights, the same block-max
-/// Threshold Algorithm over `terms` in caller order — without
-/// sharding. `query` returns exactly this (the `sharded_topk` property
+/// global IDF weights, the same block-max Threshold Algorithm over
+/// `terms` in caller order — on one unsharded in-memory store. `query`
+/// returns exactly this on either backend (the `sharded_topk` property
 /// test proves bit-identity for arbitrary corpora, peer counts, and
 /// `k`).
-pub fn local_topk(
-    config: &ZerberConfig,
-    docs: &[Document],
-    terms: &[TermId],
-    k: usize,
-) -> Vec<RankedDoc> {
+pub fn local_topk(docs: &[Document], terms: &[TermId], k: usize) -> Vec<RankedDoc> {
     let query = Query::Terms {
         terms: terms.to_vec(),
         k,
     };
-    evaluate_locally(config, docs, &query, Forced::BlockMaxTa)
+    evaluate_locally(docs, &query, Forced::BlockMaxTa)
 }
 
 /// The single-node reference for the shaped-query path: the same
-/// backend, the same global IDF weights, the same planned evaluator —
-/// without sharding, caching, or the wire.
-/// [`ShardedSearch::query_shaped`] returns exactly this (the
-/// `sharded_topk` shaped properties prove bit-identity for arbitrary
-/// corpora, shapes, peer counts, and `k`).
-pub fn local_planned(
-    config: &ZerberConfig,
-    docs: &[Document],
-    query: &Query,
-    forced: Forced,
-) -> Vec<RankedDoc> {
-    evaluate_locally(config, docs, &query.clone().normalized(), forced)
+/// global IDF weights, the same planned evaluator — without sharding,
+/// caching, or the wire. [`ShardedSearch::query_shaped`] returns
+/// exactly this (the `sharded_topk` shaped properties prove
+/// bit-identity for arbitrary corpora, shapes, peer counts, and `k`).
+pub fn local_planned(docs: &[Document], query: &Query, forced: Forced) -> Vec<RankedDoc> {
+    evaluate_locally(docs, &query.clone().normalized(), forced)
 }
 
 /// Evaluates `query` (terms in the order given) over one unsharded
 /// store of `docs` with global IDF weights.
-fn evaluate_locally(
-    config: &ZerberConfig,
-    docs: &[Document],
-    query: &Query,
-    forced: Forced,
-) -> Vec<RankedDoc> {
-    let index = InvertedIndex::from_documents(docs);
-    let store = config.posting_store(&index);
+fn evaluate_locally(docs: &[Document], query: &Query, forced: Forced) -> Vec<RankedDoc> {
+    let store = CompressedPostingStore::from_index(&InvertedIndex::from_documents(docs));
     let slots = TermStats::from_documents(docs).weights(query.terms());
     zerber_query::execute(
-        store.as_ref(),
+        &store,
         query.shape(),
         &slots,
         query.k(),
@@ -1635,7 +1610,7 @@ mod tests {
             vec![TermId(1), TermId(1), TermId(16)],
         ] {
             let outcome = search.query(&terms, 10).unwrap();
-            assert_eq!(outcome.ranked, local_topk(&config, &docs, &terms, 10));
+            assert_eq!(outcome.ranked, local_topk(&docs, &terms, 10));
             assert!(outcome.candidates_examined <= 10);
             assert!(outcome.candidates_received >= outcome.candidates_examined);
         }
@@ -1643,16 +1618,25 @@ mod tests {
 
     #[test]
     fn compressed_backend_serves_identically() {
+        // The cross-backend theorem at the deployment level: the
+        // in-memory and the durable backend serve the same bits.
         let docs = corpus(200, 9);
-        let raw = ZerberConfig::default().with_peers(4);
-        let compressed = raw.clone().with_postings(PostingBackend::Compressed);
-        let a = ShardedSearch::launch(&raw, &docs).unwrap();
-        let b = ShardedSearch::launch(&compressed, &docs).unwrap();
+        let dir = zerber_segment::scratch_dir("sharded-backends-unit");
+        let compressed = ZerberConfig::default().with_peers(4);
+        let segmented = compressed.clone().with_postings(PostingBackend::Segmented {
+            dir: dir.clone(),
+            compaction: zerber_index::SegmentPolicy::default(),
+        });
+        assert_eq!(compressed.postings, PostingBackend::Compressed);
+        let a = ShardedSearch::launch(&compressed, &docs).unwrap();
+        let b = ShardedSearch::launch(&segmented, &docs).unwrap();
         let terms = [TermId(2), TermId(5)];
         assert_eq!(
             a.query(&terms, 15).unwrap().ranked,
             b.query(&terms, 15).unwrap().ranked
         );
+        drop(b);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1660,7 +1644,7 @@ mod tests {
         let docs = corpus(150, 11);
         let config = ZerberConfig::default().with_peers(4);
         let search = ShardedSearch::launch(&config, &docs).unwrap();
-        let reference = local_topk(&config, &docs, &[TermId(4)], 8);
+        let reference = local_topk(&docs, &[TermId(4)], 8);
         std::thread::scope(|scope| {
             for client in 0..6u32 {
                 let search = &search;
@@ -1694,7 +1678,6 @@ mod tests {
         let initial = corpus(90, 13);
         let dir = zerber_segment::scratch_dir("sharded-mutation-unit");
         let backends = vec![
-            PostingBackend::Raw,
             PostingBackend::Compressed,
             PostingBackend::Segmented {
                 dir: dir.clone(),
@@ -1726,10 +1709,9 @@ mod tests {
             live.push(replacement.clone());
             live.push(addition.clone());
 
-            let raw_reference = ZerberConfig::default();
             for terms in [vec![TermId(0)], vec![TermId(12), TermId(3)]] {
                 let outcome = search.query(&terms, 10).unwrap();
-                let expected = local_topk(&raw_reference, &live, &terms, 10);
+                let expected = local_topk(&live, &terms, 10);
                 assert_eq!(outcome.ranked.len(), expected.len());
                 for (got, want) in outcome.ranked.iter().zip(&expected) {
                     assert_eq!(got.doc, want.doc);
@@ -1753,7 +1735,7 @@ mod tests {
         for peer in 0..2u32 {
             runtime.spawn_peer(NodeId::IndexServer(peer), move || {
                 // Logical shard 9 is outside the two-shard map.
-                ShardService::hosting([(9, build_shard_store(&PostingBackend::Raw, &[]))])
+                ShardService::hosting([(9, build_shard_store(&PostingBackend::Compressed, &[]))])
             });
         }
         let transport: Arc<dyn Transport> = Arc::clone(runtime.transport()) as Arc<dyn Transport>;
@@ -1792,9 +1774,37 @@ mod tests {
         let search = ShardedSearch::launch(&single, &docs).unwrap();
         assert_eq!(
             search.query(&[TermId(1)], 3).unwrap().ranked,
-            local_topk(&single, &docs, &[TermId(1)], 3)
+            local_topk(&docs, &[TermId(1)], 3)
         );
         let zero = ZerberConfig::default().with_peers(0);
         assert!(ShardedSearch::launch(&zero, &docs).is_err());
+    }
+
+    #[test]
+    fn launch_validates_the_segment_backend() {
+        // An empty directory would put `peer-000-shard-000/` under the
+        // process's working directory; a zero threshold wedges the
+        // engine. Neither may get as far as opening a store.
+        let docs = corpus(20, 4);
+        let policy = zerber_index::SegmentPolicy::default();
+        for (dir, compaction) in [
+            (std::path::PathBuf::new(), policy),
+            (
+                std::path::PathBuf::from("/tmp/zerber-launch-never-created"),
+                zerber_index::SegmentPolicy {
+                    flush_postings: 0,
+                    ..policy
+                },
+            ),
+        ] {
+            let config = ZerberConfig::default()
+                .with_peers(2)
+                .with_postings(PostingBackend::Segmented { dir, compaction });
+            assert!(matches!(
+                ShardedSearch::launch(&config, &docs),
+                Err(ConfigError::InvalidSegmentPolicy { .. })
+            ));
+        }
+        assert!(!std::path::Path::new("peer-000-shard-000").exists());
     }
 }

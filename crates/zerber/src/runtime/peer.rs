@@ -685,7 +685,7 @@ mod tests {
     }
 
     fn live_shard(docs: &[Document]) -> ShardService {
-        ShardService::new(Box::new(LiveIndexShard::raw(docs)))
+        ShardService::new(Box::new(LiveIndexShard::new(docs)))
     }
 
     /// The inbox hands over a message whether it lands while the peer
@@ -983,7 +983,7 @@ mod tests {
         runtime.spawn_peer(source, || live_shard(&[]));
         runtime.spawn_peer(target, || {
             ShardService::rebuilding([0]).with_restore(Box::new(|_, files| {
-                restore_shard_store(&PostingBackend::Raw, files)
+                restore_shard_store(&PostingBackend::Compressed, files)
             }))
         });
         let transport = runtime.transport().clone();
@@ -1158,9 +1158,9 @@ mod tests {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
         runtime.spawn_peer(node, || {
-            ShardService::hosting([(0, Box::new(LiveIndexShard::raw(&[])) as Box<dyn ShardStore>)])
+            ShardService::hosting([(0, Box::new(LiveIndexShard::new(&[])) as Box<dyn ShardStore>)])
                 .with_restore(Box::new(|_, files| {
-                    restore_shard_store(&PostingBackend::Raw, files)
+                    restore_shard_store(&PostingBackend::Compressed, files)
                 }))
         });
         let transport = runtime.transport().clone();

@@ -8,23 +8,23 @@
 //! [`zerber_net::Message::IndexDocs`] / `RemoveDoc` frames. The
 //! backends differ sharply in how they take writes:
 //!
-//! * [`LiveIndexShard`] — the in-memory backends. `Raw` serves
-//!   straight from the mutable [`InvertedIndex`] (no snapshot copy at
-//!   all); `Compressed` re-freezes its block-compressed store lazily
-//!   on the first query after a mutation (correct, but pays a full
-//!   recompression — the measured reason the durable engine exists).
+//! * [`LiveIndexShard`] — the in-memory backend: writes go to a mutable
+//!   [`InvertedIndex`], and the block-compressed store reads are served
+//!   from is re-frozen lazily on the first query after a mutation
+//!   (correct, but pays a full recompression — the measured reason the
+//!   durable engine exists).
 //! * [`SegmentShard`] — the `zerber-segment` LSM engine: writes land
 //!   in the WAL + memtable, queries run on cheap MVCC snapshots, and
 //!   crash recovery is free.
 
 use zerber_index::cursor::TopKScratch;
-use zerber_index::{DocId, Document, InvertedIndex, PostingBackend, PostingStore, TermId};
+use zerber_index::{DocId, Document, InvertedIndex, PostingBackend, TermId};
 use zerber_net::{Message, WireDocument};
 use zerber_postings::CompressedPostingStore;
 use zerber_query::{execute, Forced, QueryOutcome, QueryShape};
 use zerber_segment::SegmentStore;
 
-/// The virtual snapshot file the in-memory backends export: one
+/// The virtual snapshot file the in-memory backend exports: one
 /// [`Message::BulkLoad`] frame holding the shard's live documents.
 pub const LIVE_SNAPSHOT_FILE: &str = "docs.zdump";
 
@@ -77,7 +77,7 @@ pub trait ShardStore {
     /// the batch replaces any older copies of its documents — but a
     /// durable backend is free to skip its WAL and build segments
     /// directly (the SPIMI path in `zerber-segment`). The in-memory
-    /// backends simply forward to the insert path.
+    /// backend simply forwards to the insert path.
     fn bulk_load_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
         self.insert_documents(docs)
     }
@@ -88,36 +88,27 @@ pub trait ShardStore {
     /// Exports the shard's full state as a `(epoch, named files)`
     /// snapshot — the replica-rebuild shipping unit. A durable backend
     /// ships its sealed segment directory
-    /// ([`SegmentStore::export_files`]); the in-memory backends ship
+    /// ([`SegmentStore::export_files`]); the in-memory backend ships
     /// one virtual [`LIVE_SNAPSHOT_FILE`] holding a
-    /// [`Message::BulkLoad`] frame of their live documents.
+    /// [`Message::BulkLoad`] frame of its live documents.
     #[allow(clippy::type_complexity)]
     fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError>;
 }
 
-/// The in-memory mutable shard: an [`InvertedIndex`] plus the
-/// configured read representation.
+/// The in-memory mutable shard: an [`InvertedIndex`] taking the writes
+/// and the [`CompressedPostingStore`] frozen from it serving the reads.
 pub struct LiveIndexShard {
     index: InvertedIndex,
-    /// `None` = serve raw from the live index; `Some` = compressed,
-    /// with the frozen store rebuilt lazily after mutations.
-    compressed: Option<Option<CompressedPostingStore>>,
+    /// `None` after a mutation; rebuilt by the next read.
+    frozen: Option<CompressedPostingStore>,
 }
 
 impl LiveIndexShard {
-    /// A raw-backend shard over `docs`.
-    pub fn raw(docs: &[Document]) -> Self {
+    /// A shard over `docs`.
+    pub fn new(docs: &[Document]) -> Self {
         Self {
             index: InvertedIndex::from_documents(docs),
-            compressed: None,
-        }
-    }
-
-    /// A compressed-backend shard over `docs`.
-    pub fn compressed(docs: &[Document]) -> Self {
-        Self {
-            index: InvertedIndex::from_documents(docs),
-            compressed: Some(None),
+            frozen: None,
         }
     }
 }
@@ -131,29 +122,22 @@ impl ShardStore for LiveIndexShard {
         forced: Forced,
         scratch: &mut TopKScratch,
     ) -> QueryOutcome {
-        let store: &dyn PostingStore = match &mut self.compressed {
-            None => &self.index,
-            Some(cache) => {
-                cache.get_or_insert_with(|| CompressedPostingStore::from_index(&self.index))
-            }
-        };
+        let store = self
+            .frozen
+            .get_or_insert_with(|| CompressedPostingStore::from_index(&self.index));
         execute(store, shape, slots, k, forced, scratch)
     }
 
     fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
         self.index.insert_batch(docs);
-        if let Some(cache) = &mut self.compressed {
-            *cache = None; // refreeze on the next read
-        }
+        self.frozen = None;
         Ok(docs.iter().map(Document::distinct_terms).sum())
     }
 
     fn delete_document(&mut self, doc: DocId) -> Result<bool, ShardStoreError> {
         let removed = self.index.remove(doc);
         if removed {
-            if let Some(cache) = &mut self.compressed {
-                *cache = None;
-            }
+            self.frozen = None;
         }
         Ok(removed)
     }
@@ -259,7 +243,7 @@ pub fn build_shard_store(backend: &PostingBackend, docs: &[Document]) -> Box<dyn
 /// [`build_shard_store`], but a segmented backend registers its
 /// `zerber_segment_*` instruments (WAL fsync latency, flush and
 /// compaction durations, segment count) in `registry` when one is
-/// given. The in-memory backends carry no write-path instruments, so
+/// given. The in-memory backend carries no write-path instruments, so
 /// the registry only matters for [`PostingBackend::Segmented`].
 ///
 /// # Panics
@@ -270,8 +254,7 @@ pub fn build_shard_store_observed(
     registry: Option<&zerber_obs::MetricsRegistry>,
 ) -> Box<dyn ShardStore> {
     match backend {
-        PostingBackend::Raw => Box::new(LiveIndexShard::raw(docs)),
-        PostingBackend::Compressed => Box::new(LiveIndexShard::compressed(docs)),
+        PostingBackend::Compressed => Box::new(LiveIndexShard::new(docs)),
         PostingBackend::Segmented { dir, compaction } => {
             let store = match registry {
                 Some(registry) => SegmentStore::open_observed(dir.clone(), *compaction, registry),
@@ -309,14 +292,14 @@ fn corrupt_snapshot(reason: &'static str) -> ShardStoreError {
 /// replica) and the store is reopened directly with
 /// [`SegmentStore::open`], bypassing [`build_shard_store`]'s
 /// fresh-directory assertion: recovered documents are exactly what a
-/// rebuild installs. The in-memory backends decode the virtual
+/// rebuild installs. The in-memory backend decodes the virtual
 /// [`LIVE_SNAPSHOT_FILE`] bulk-load frame back into documents.
 pub fn restore_shard_store(
     backend: &PostingBackend,
     files: &[(String, Vec<u8>)],
 ) -> Result<Box<dyn ShardStore>, ShardStoreError> {
     match backend {
-        PostingBackend::Raw | PostingBackend::Compressed => {
+        PostingBackend::Compressed => {
             let (_, bytes) = files
                 .iter()
                 .find(|(name, _)| name == LIVE_SNAPSHOT_FILE)
@@ -338,10 +321,7 @@ pub fn restore_shard_store(
                     length: doc.length,
                 });
             }
-            Ok(match backend {
-                PostingBackend::Compressed => Box::new(LiveIndexShard::compressed(&docs)),
-                _ => Box::new(LiveIndexShard::raw(&docs)),
-            })
+            Ok(Box::new(LiveIndexShard::new(&docs)))
         }
         PostingBackend::Segmented { dir, compaction } => {
             // A rebuild replaces the replica wholesale; stale segments
@@ -374,10 +354,12 @@ mod tests {
             .collect()
     }
 
-    fn topk_of(store: &mut dyn ShardStore, docs_live: &[Document]) -> Vec<(DocId, u64)> {
+    /// The rebuilt index over `docs_live` and its IDF weights for
+    /// terms 0..10.
+    fn rebuilt(docs_live: &[Document]) -> (InvertedIndex, Vec<(TermId, f64)>) {
         let index = InvertedIndex::from_documents(docs_live);
         let n = index.document_count();
-        let weights: Vec<(TermId, f64)> = (0..10)
+        let weights = (0..10)
             .map(|t| {
                 (
                     TermId(t),
@@ -385,6 +367,15 @@ mod tests {
                 )
             })
             .collect();
+        (index, weights)
+    }
+
+    fn bits(ranked: &[zerber_index::RankedDoc]) -> Vec<(DocId, u64)> {
+        ranked.iter().map(|r| (r.doc, r.score.to_bits())).collect()
+    }
+
+    fn topk_of(store: &mut dyn ShardStore, docs_live: &[Document]) -> Vec<(DocId, u64)> {
+        let (_, weights) = rebuilt(docs_live);
         let outcome = store.query_planned(
             QueryShape::Terms,
             &weights,
@@ -393,15 +384,13 @@ mod tests {
             &mut TopKScratch::new(),
         );
         assert!(outcome.cost.blocks_decoded <= outcome.cost.blocks_total);
-        outcome
-            .ranked
-            .iter()
-            .map(|r| (r.doc, r.score.to_bits()))
-            .collect()
+        bits(&outcome.ranked)
     }
 
+    /// Every posting of the rebuilt index scored and sorted.
     fn oracle(docs_live: &[Document]) -> Vec<(DocId, u64)> {
-        topk_of(&mut LiveIndexShard::raw(docs_live), docs_live)
+        let (index, weights) = rebuilt(docs_live);
+        bits(&zerber_query::oracle::oracle_terms(&index, &weights, 8))
     }
 
     #[test]
@@ -418,7 +407,6 @@ mod tests {
             },
         };
         let mut shards: Vec<Box<dyn ShardStore>> = vec![
-            build_shard_store(&PostingBackend::Raw, &initial),
             build_shard_store(&PostingBackend::Compressed, &initial),
             build_shard_store(&segmented_backend, &initial),
         ];
@@ -466,7 +454,6 @@ mod tests {
             sync_wal: false,
         };
         let backends = [
-            (PostingBackend::Raw, PostingBackend::Raw),
             (PostingBackend::Compressed, PostingBackend::Compressed),
             (
                 PostingBackend::Segmented {
@@ -503,9 +490,9 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_rejected_typed() {
-        assert!(restore_shard_store(&PostingBackend::Raw, &[]).is_err());
+        assert!(restore_shard_store(&PostingBackend::Compressed, &[]).is_err());
         assert!(restore_shard_store(
-            &PostingBackend::Raw,
+            &PostingBackend::Compressed,
             &[(LIVE_SNAPSHOT_FILE.to_string(), vec![0xFF, 0xFE])],
         )
         .is_err());

@@ -673,7 +673,7 @@ mod tests {
         serve_peer(
             listener,
             node,
-            move || ShardService::new(Box::new(LiveIndexShard::raw(&docs))),
+            move || ShardService::new(Box::new(LiveIndexShard::new(&docs))),
             meter,
         )
         .unwrap()

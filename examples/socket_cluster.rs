@@ -259,7 +259,7 @@ fn main() {
 
     // --- 2. Query the healthy cluster over TCP. ---------------------
     let terms = [TermId(9), TermId(21)];
-    let expected = local_topk(&ZerberConfig::default(), &docs, &terms, K);
+    let expected = local_topk(&docs, &terms, K);
     let (ranked, hedges, _) =
         query(&obs, &transport, &map, &stats, &terms).expect("cluster healthy");
     assert_eq!(ranked, expected, "socket top-k must match single-node");

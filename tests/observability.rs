@@ -194,10 +194,7 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
     obs.record_trace(Arc::new(trace.clone()));
 
     // Correctness first: the traced socket query returns the oracle.
-    assert_eq!(
-        gathered.ranked,
-        local_topk(&ZerberConfig::default(), &docs, &terms, K)
-    );
+    assert_eq!(gathered.ranked, local_topk(&docs, &terms, K));
 
     // Completeness: one shard span per shard, each with at least one
     // RPC attempt, and every settled shard carries the winning peer's

@@ -71,7 +71,7 @@ fn peer_killed_between_fanout_and_gather_does_not_lose_the_query() {
     let config = ZerberConfig::default().with_peers(4).with_replication(2);
     let (search, chaos) = launch_chaotic(&config, &docs, FaultPlan::quiet(0));
     let terms = [TermId(2), TermId(9)];
-    let expected = local_topk(&ZerberConfig::default(), &docs, &terms, 10);
+    let expected = local_topk(&docs, &terms, 10);
 
     // Baseline: healthy replicated deployment matches the oracle.
     let healthy = search.query(&terms, 10).expect("all peers alive");
@@ -120,7 +120,7 @@ fn hard_killed_peer_fails_over_too() {
     let mut search = ShardedSearch::launch(&config, &docs).expect("valid config");
     search.set_hedge_policy(fast_hedging());
     let terms = [TermId(4), TermId(7)];
-    let expected = local_topk(&ZerberConfig::default(), &docs, &terms, 8);
+    let expected = local_topk(&docs, &terms, 8);
 
     search.kill_peer(3);
     let outcome = search.query(&terms, 8).expect("replicas cover every shard");
@@ -155,10 +155,7 @@ fn hard_killed_peer_fails_over_too() {
         ));
     }
     let post = search.query(&[TermId(1)], 12).expect("still serving");
-    assert_eq!(
-        post.ranked,
-        local_topk(&ZerberConfig::default(), &live, &[TermId(1)], 12)
-    );
+    assert_eq!(post.ranked, local_topk(&live, &[TermId(1)], 12));
 }
 
 #[test]
@@ -192,10 +189,7 @@ fn hedged_responses_are_metered_but_gathered_once() {
 
     let terms = [TermId(3)];
     let outcome = search.query(&terms, 6).expect("replicated");
-    assert_eq!(
-        outcome.ranked,
-        local_topk(&ZerberConfig::default(), &docs, &terms, 6)
-    );
+    assert_eq!(outcome.ranked, local_topk(&docs, &terms, 6));
     assert_eq!(outcome.peers_contacted, 3, "one primary per shard");
     assert!(hedges_total(&search) >= 1);
 
@@ -258,7 +252,7 @@ fn replica_answering_with_the_wrong_frame_is_hedged_around_not_trusted() {
         .expect("valid config")
     };
     let terms = [TermId(2), TermId(9)];
-    let expected = local_topk(&ZerberConfig::default(), &docs, &terms, 10);
+    let expected = local_topk(&docs, &terms, 10);
 
     // Replicated: the lying primary costs a hedge, never the result.
     let search = launch(2);

@@ -97,7 +97,7 @@ fn observe(result: Result<zerber::runtime::ShardedQueryOutcome, QueryError>) -> 
 }
 
 fn oracle_bits(docs: &[Document], terms: &[TermId], k: usize) -> Vec<(u32, u64)> {
-    local_topk(&ZerberConfig::default(), docs, terms, k)
+    local_topk(docs, terms, k)
         .iter()
         .map(|r| (r.doc.0, r.score.to_bits()))
         .collect()

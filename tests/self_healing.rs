@@ -56,7 +56,7 @@ fn launch_chaotic(
 }
 
 fn oracle_bits(docs: &[Document], terms: &[TermId], k: usize) -> Vec<(u32, u64)> {
-    local_topk(&ZerberConfig::default(), docs, terms, k)
+    local_topk(docs, terms, k)
         .iter()
         .map(|r| (r.doc.0, r.score.to_bits()))
         .collect()
@@ -292,7 +292,7 @@ fn flagged_partial_serves_covered_shards_without_caching() {
     // The answer is exactly the oracle restricted to the covered
     // shards: global ranking, minus the lost shard's documents.
     let map = search.shard_map();
-    let expected: Vec<(u32, u64)> = local_topk(&ZerberConfig::default(), &docs, &terms, docs.len())
+    let expected: Vec<(u32, u64)> = local_topk(&docs, &terms, docs.len())
         .iter()
         .filter(|r| map.shard_of(r.doc).0 != 2)
         .take(6)

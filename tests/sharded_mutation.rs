@@ -9,8 +9,8 @@
 //! traffic: inserts and deletes travel as `IndexDocs`/`RemoveDoc` wire
 //! frames to the owning shard peers (`zerber-segment` stores
 //! underneath, background compaction enabled), the global IDF
-//! statistics are maintained incrementally, and the oracle rebuilds a
-//! raw in-memory index from scratch each time — two maximally
+//! statistics are maintained incrementally, and the oracle rebuilds an
+//! in-memory store from scratch each time — two maximally
 //! different code paths that must agree to the last float bit.
 
 use std::collections::BTreeMap;
@@ -94,7 +94,6 @@ proptest! {
             live.values().cloned().collect()
         };
         let search = ShardedSearch::launch(&config, &initial_docs).expect("valid config");
-        let oracle_config = ZerberConfig::default();
 
         for step in &steps {
             match step {
@@ -124,7 +123,7 @@ proptest! {
                 Step::Query(terms, k) => {
                     let terms: Vec<TermId> = terms.iter().map(|&t| TermId(t)).collect();
                     let docs: Vec<Document> = live.values().cloned().collect();
-                    let expected = local_topk(&oracle_config, &docs, &terms, *k);
+                    let expected = local_topk(&docs, &terms, *k);
                     let outcome = search.query(&terms, *k).expect("peers alive");
                     prop_assert_eq!(outcome.ranked.len(), expected.len());
                     for (got, want) in outcome.ranked.iter().zip(&expected) {

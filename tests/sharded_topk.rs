@@ -1,7 +1,10 @@
 //! Property test for the sharded peer runtime: fan-out/gather top-k
 //! must be *bit-identical* to single-node `block_max_topk` — same
 //! documents, same order, same f64 score bits — for arbitrary
-//! corpora, peer counts, and k.
+//! corpora, peer counts, and k. Deployments run on the default
+//! in-memory backend; that the segmented backend serves the same bits
+//! is `runtime::tests::compressed_backend_serves_identically` and the
+//! mutation battery in `sharded_mutation.rs`.
 //!
 //! Why this holds: documents are sharded (each document's postings
 //! live on exactly one peer), every peer scores with the same global
@@ -15,7 +18,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use zerber::runtime::{local_planned, local_topk, ShardedSearch};
 use zerber::ZerberConfig;
-use zerber_index::{DocId, Document, GroupId, PostingBackend, TermId};
+use zerber_index::{DocId, Document, GroupId, TermId};
 use zerber_query::{Forced, Query};
 
 /// An arbitrary corpus: doc id → (term → count), with gaps in the doc
@@ -54,18 +57,12 @@ proptest! {
         peers in 1usize..9,
         k in 1usize..15,
         query in arb_query(),
-        compressed in any::<bool>(),
     ) {
         let docs = materialize(&corpus);
         let terms: Vec<TermId> = query.into_iter().map(TermId).collect();
-        let backend = if compressed {
-            PostingBackend::Compressed
-        } else {
-            PostingBackend::Raw
-        };
-        let config = ZerberConfig::default().with_peers(peers).with_postings(backend);
+        let config = ZerberConfig::default().with_peers(peers);
 
-        let expected = local_topk(&config, &docs, &terms, k);
+        let expected = local_topk(&docs, &terms, k);
         let search = ShardedSearch::launch(&config, &docs).expect("valid config");
         let outcome = search.query(&terms, k).expect("peers alive");
 
@@ -91,7 +88,6 @@ proptest! {
         query in arb_query(),
         shape in 0u8..3,
         force_maxscore in any::<bool>(),
-        compressed in any::<bool>(),
     ) {
         let docs = materialize(&corpus);
         let terms: Vec<TermId> = query.into_iter().map(TermId).collect();
@@ -105,14 +101,9 @@ proptest! {
         } else {
             Forced::Auto
         };
-        let backend = if compressed {
-            PostingBackend::Compressed
-        } else {
-            PostingBackend::Raw
-        };
-        let config = ZerberConfig::default().with_peers(peers).with_postings(backend);
+        let config = ZerberConfig::default().with_peers(peers);
 
-        let expected = local_planned(&config, &docs, &shaped, forced);
+        let expected = local_planned(&docs, &shaped, forced);
         let search = ShardedSearch::launch(&config, &docs).expect("valid config");
         let miss = search
             .query_shaped(0, shaped.clone(), forced)
@@ -180,7 +171,7 @@ fn writes_invalidate_the_shaped_result_cache() {
     assert!(after_insert.peers_contacted > 0, "stale hit after insert");
     assert_eq!(
         after_insert.ranked,
-        local_planned(&config, &docs, &query, Forced::Auto)
+        local_planned(&docs, &query, Forced::Auto)
     );
 
     assert!(search.delete_document(0, DocId(2)).expect("delete"));
@@ -191,7 +182,7 @@ fn writes_invalidate_the_shaped_result_cache() {
     assert!(after_delete.peers_contacted > 0, "stale hit after delete");
     assert_eq!(
         after_delete.ranked,
-        local_planned(&config, &docs, &query, Forced::Auto)
+        local_planned(&docs, &query, Forced::Auto)
     );
 
     let bulk: Vec<Document> = (1000..1010u32)
@@ -205,7 +196,7 @@ fn writes_invalidate_the_shaped_result_cache() {
     assert!(after_bulk.peers_contacted > 0, "stale hit after bulk load");
     assert_eq!(
         after_bulk.ranked,
-        local_planned(&config, &docs, &query, Forced::Auto)
+        local_planned(&docs, &query, Forced::Auto)
     );
 
     // And with no further writes, the refreshed entry serves again.
