@@ -1,12 +1,19 @@
 //! Criterion micro-benchmarks for the secret-sharing layer
-//! (Section 5.1/7.3: share creation and the two decryption paths).
+//! (Section 5.1/7.3: share creation and the two decryption paths) and
+//! for the client pass that consumes the shares (Algorithm 2).
 
 use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zerber_client::{BatchPolicy, DocumentOwner, QueryClient, ServerHandle};
+use zerber_core::{ElementCodec, MappingTable};
 use zerber_field::Fp;
+use zerber_index::{DocId, Document, GroupId, TermId, UserId};
+use zerber_server::{IndexServer, TokenAuth};
 use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
 
 fn bench_split(c: &mut Criterion) {
@@ -61,5 +68,75 @@ fn bench_k_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_split, bench_reconstruct, bench_k_scaling);
+/// `QueryClient::execute` over direct server handles: fetch (no
+/// transport), recombination, decryption, filtering and ranking of a
+/// two-list query with a few thousand elements per list.
+fn bench_client_execute(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
+    let auth = Arc::new(TokenAuth::new());
+    let reader = UserId(1);
+    let servers: Vec<Arc<dyn ServerHandle>> = scheme
+        .coordinates()
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let server = IndexServer::new(i as u32, x, auth.clone());
+            server.add_user_to_group(reader, GroupId(0));
+            Arc::new(server) as Arc<dyn ServerHandle>
+        })
+        .collect();
+    let token = auth.issue(reader);
+    let table = Arc::new(MappingTable::hash_only(4, 4));
+    let codec = ElementCodec::default();
+    let mut owner = DocumentOwner::new(
+        0,
+        token,
+        codec,
+        scheme,
+        table.clone(),
+        BatchPolicy::batched(4_096),
+    );
+    // 4 000 documents x 5 of 40 terms over 4 merged lists: ~5 000
+    // elements per list, a tenth of them any one term's.
+    for d in 0..4_000u32 {
+        let terms = (0..5).map(|i| (TermId((d * 7 + i * 9) % 40), 1 + (d + i) % 4));
+        let doc = Document::from_term_counts(DocId(d), GroupId(0), terms.collect());
+        owner.index_document(&doc, &servers, &mut rng).unwrap();
+    }
+    owner.flush(&servers).unwrap();
+
+    let other = (1..40)
+        .map(TermId)
+        .find(|&t| table.lookup(t) != table.lookup(TermId(0)))
+        .expect("40 terms over 4 lists");
+    let terms = [TermId(0), other];
+    let client = QueryClient::new(token, codec, table, 2);
+    let run = || client.execute(black_box(&terms), &servers, 10).unwrap();
+    // The counts repeat exactly on every iteration, so time over the
+    // shares fetched is the share path's cost per share.
+    let outcome = run();
+    let (shares, ranked) = (outcome.elements_received, outcome.matching_elements.len());
+    let mut iterations = 0u32;
+    let started = Instant::now();
+    c.bench_function("client/execute_2of3", |b| {
+        b.iter(|| {
+            iterations += 1;
+            black_box(run().ranked.len())
+        })
+    });
+    let ns_per_share = started.elapsed().as_nanos() as f64 / f64::from(iterations) / shares as f64;
+    println!(
+        "client/execute_2of3: {shares} shares recombined, {ranked} elements ranked, \
+         {ns_per_share:.1} ns/share"
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_split,
+    bench_reconstruct,
+    bench_k_scaling,
+    bench_client_execute
+);
 criterion_main!(benches);

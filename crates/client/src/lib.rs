@@ -10,10 +10,14 @@
 //!   elements of one document.
 //! * **Processing queries** (5.4.2, Algorithm 2): the user maps her
 //!   query terms to merged posting-list ids, fetches the accessible
-//!   share sets from k servers, aligns shares by global element id,
-//!   decrypts with Algorithm 1b, filters out false positives (elements
-//!   of co-merged terms), ranks locally with a threshold algorithm,
-//!   and finally pulls snippets from the hosting peers.
+//!   share sets from k servers, and recombines them list by list —
+//!   the k rows of a list walked in lock-step on the global element
+//!   id, sorted and merge-joined only where servers disagree on the
+//!   order — decrypting each complete set with Algorithm 1b as it is
+//!   summed and dropping false positives (elements of co-merged
+//!   terms); she then ranks the rest in one sort and two passes with
+//!   statistics personalised to what she may read, and finally pulls
+//!   snippets from the hosting peers.
 //!
 //! Modules: [`transport`] (the narrow server interface), [`owner`],
 //! [`batching`], [`query`], [`ranking`], [`snippets`].
@@ -29,6 +33,6 @@ pub mod transport;
 pub use batching::{BatchPolicy, UpdateQueue};
 pub use mixing::UpdateMixer;
 pub use owner::DocumentOwner;
-pub use query::{QueryClient, QueryOutcome};
+pub use query::{recombine, QueryClient, QueryError, QueryOutcome};
 pub use snippets::{OwnerSnippetService, SnippetProvider};
 pub use transport::ServerHandle;

@@ -1,20 +1,83 @@
 //! Query execution — Algorithm 2, client side.
 //!
 //! The client maps query terms to merged posting-list ids (never
-//! revealing the terms themselves), gathers share sets from `k` index
-//! servers, aligns shares by global element id, decrypts, removes
-//! false positives (elements of co-merged terms), and ranks locally.
+//! revealing the terms themselves), fetches those lists' share sets
+//! from `k` index servers, and turns them into a ranking in one
+//! streaming pass: [`recombine`] walks the `k` rows of each list in
+//! lock-step and hands every complete share set's weighted sum straight
+//! to the decoder, false positives (elements of co-merged terms) are
+//! dropped as they are decrypted, and [`crate::ranking::rank`] scores
+//! what is left. Nothing on this path hashes; a response that does not
+//! have the requested shape is a [`QueryError`], not a panic.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
 use zerber_field::{lagrange_weights_at_zero, Fp};
-use zerber_index::{threshold_topk, RankedDoc, ScoredList, TermId};
-use zerber_net::AuthToken;
+use zerber_index::{RankedDoc, TermId};
+use zerber_net::{AuthToken, StoredShare};
+use zerber_obs::SpanRecord;
 use zerber_server::ServerError;
 
+use crate::ranking::rank;
 use crate::transport::ServerHandle;
+
+/// Why a query produced no outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryError {
+    /// Fewer servers were offered than the sharing threshold `k`;
+    /// nothing can be decrypted, so nothing is fetched.
+    TooFewServers {
+        /// The scheme's threshold.
+        need: usize,
+        /// Servers offered.
+        got: usize,
+    },
+    /// A server's answer does not list exactly the requested posting
+    /// lists in request order.
+    MalformedResponse {
+        /// Index of the server among those contacted.
+        server: usize,
+        /// First list position that differs.
+        position: usize,
+        /// The list requested there (`None` past the request's end).
+        requested: Option<PlId>,
+        /// The list answered there (`None` past the answer's end).
+        answered: Option<PlId>,
+    },
+    /// A server rejected the request.
+    Server(ServerError),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::TooFewServers { need, got } => {
+                write!(f, "need at least k = {need} servers, got {got}")
+            }
+            QueryError::MalformedResponse {
+                server,
+                position,
+                requested,
+                answered,
+            } => write!(
+                f,
+                "server {server} answered {answered:?} at list position {position}, \
+                 requested {requested:?}"
+            ),
+            QueryError::Server(e) => write!(f, "server error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+impl From<ServerError> for QueryError {
+    fn from(e: ServerError) -> Self {
+        QueryError::Server(e)
+    }
+}
 
 /// Everything a query run produces, including the accounting the
 /// bandwidth experiments need.
@@ -22,7 +85,8 @@ use crate::transport::ServerHandle;
 pub struct QueryOutcome {
     /// Top-K ranked documents.
     pub ranked: Vec<RankedDoc>,
-    /// All decrypted elements that matched the query terms.
+    /// All decrypted elements that matched the query terms, in the
+    /// order their lists were requested and answered.
     pub matching_elements: Vec<PostingElement>,
     /// Posting elements received from each contacted server (the
     /// response-size driver of Section 7.3).
@@ -31,6 +95,78 @@ pub struct QueryOutcome {
     pub false_positives: usize,
     /// Merged posting lists requested.
     pub lists_requested: usize,
+    /// Where the time went: an `execute` span with children `fetch`
+    /// (counters `lists`, `shares`), `recombine` (`realigned_lists`,
+    /// `matching`) and `rank` (`docs`).
+    pub trace: SpanRecord,
+}
+
+/// Recombines one posting list from the `k` servers' rows: calls `emit`
+/// with the element id and `Σ wⱼ·shareⱼ` of every element all `k` rows
+/// hold, and returns whether the rows had to be realigned.
+///
+/// Honest servers apply the same batches in the same order, so row `j`
+/// holds at position `i` its share of the element row 0 holds there:
+/// the rows are walked in lock-step, one id comparison per share. From
+/// the first position where the ids disagree (concurrent owners'
+/// batches applied in different orders, an element deleted between two
+/// servers' answers) the remaining rows are sorted by element id and
+/// merge-joined instead; an element missing from any row cannot be
+/// decrypted and is skipped. Element ids are unique within a list, so
+/// both walks emit each complete share set exactly once.
+///
+/// # Panics
+/// Panics if `rows` is empty or `weights` has a different length.
+pub fn recombine(
+    rows: &[&[StoredShare]],
+    weights: &[Fp],
+    mut emit: impl FnMut(ElementId, Fp),
+) -> bool {
+    assert_eq!(rows.len(), weights.len(), "one Lagrange weight per row");
+    let (first, others) = rows.split_first().expect("at least one row");
+    let mut aligned = 0;
+    'lockstep: for (i, head) in first.iter().enumerate() {
+        let mut sum = head.share * weights[0];
+        for (row, &weight) in others.iter().zip(&weights[1..]) {
+            match row.get(i) {
+                Some(share) if share.element == head.element => sum += share.share * weight,
+                _ => break 'lockstep,
+            }
+        }
+        emit(head.element, sum);
+        aligned = i + 1;
+    }
+    if rows.iter().all(|row| row.len() == aligned) {
+        return false;
+    }
+
+    let sorted: Vec<Vec<StoredShare>> = rows
+        .iter()
+        .map(|row| {
+            let mut rest = row[aligned..].to_vec();
+            rest.sort_unstable_by_key(|share| share.element);
+            rest
+        })
+        .collect();
+    let mut cursors = vec![0usize; sorted.len()];
+    'elements: for head in &sorted[0] {
+        let mut sum = head.share * weights[0];
+        for ((row, cursor), &weight) in sorted.iter().zip(&mut cursors).zip(weights).skip(1) {
+            while row
+                .get(*cursor)
+                .is_some_and(|share| share.element < head.element)
+            {
+                *cursor += 1;
+            }
+            match row.get(*cursor) {
+                Some(share) if share.element == head.element => sum += share.share * weight,
+                _ => continue 'elements,
+            }
+            *cursor += 1;
+        }
+        emit(head.element, sum);
+    }
+    true
 }
 
 /// The querying client.
@@ -66,13 +202,14 @@ impl QueryClient {
         terms: &[TermId],
         servers: &[Arc<dyn ServerHandle>],
         k_results: usize,
-    ) -> Result<QueryOutcome, ServerError> {
-        assert!(
-            servers.len() >= self.threshold,
-            "need at least k = {} servers, got {}",
-            self.threshold,
-            servers.len()
-        );
+    ) -> Result<QueryOutcome, QueryError> {
+        let started = Instant::now();
+        if servers.len() < self.threshold {
+            return Err(QueryError::TooFewServers {
+                need: self.threshold,
+                got: servers.len(),
+            });
+        }
         let contacted = &servers[..self.threshold];
 
         // 1. Map query terms to merged posting lists (deduplicated —
@@ -105,104 +242,96 @@ impl QueryClient {
                 .collect()
         });
         let mut responses = Vec::with_capacity(contacted.len());
-        for fetch in fetched {
-            responses.push(fetch?);
+        for (server, fetch) in fetched.into_iter().enumerate() {
+            let lists = fetch?;
+            check_shape(server, &pl_ids, &lists)?;
+            responses.push(lists);
         }
+        let fetched_at = started.elapsed();
 
-        // 3. Align shares across servers by (list, element id).
+        // 3. Recombine list by list; 4. decrypt each complete share
+        //    set as it is summed and drop false positives. ACLs are
+        //    identical on honest servers, so an element arrives from
+        //    all k servers or none.
         let coordinates: Vec<Fp> = contacted.iter().map(|s| s.coordinate()).collect();
         let weights = lagrange_weights_at_zero(&coordinates);
-        let mut elements_received = 0usize;
-
-        // (pl, element) -> accumulated weighted sum + how many servers
-        // contributed. ACLs are identical on honest servers, so an
-        // element either arrives from all k servers or none.
-        let mut accumulator: HashMap<(PlId, ElementId), (Fp, usize)> = HashMap::new();
-        for (server_index, lists) in responses.into_iter().enumerate() {
-            for (pl, shares) in lists {
-                elements_received += shares.len();
-                for share in shares {
-                    let entry = accumulator
-                        .entry((pl, share.element))
-                        .or_insert((Fp::ZERO, 0));
-                    entry.0 += share.share * weights[server_index];
-                    entry.1 += 1;
-                }
-            }
-        }
-
-        // 4. Decrypt complete share sets and filter false positives.
-        let query_set: std::collections::HashSet<TermId> = terms.iter().copied().collect();
+        let mut query_terms = terms.to_vec();
+        query_terms.sort_unstable();
+        query_terms.dedup();
         let mut matching: Vec<PostingElement> = Vec::new();
         let mut false_positives = 0usize;
-        for ((_, _), (sum, contributions)) in accumulator {
-            if contributions < self.threshold {
-                // Partial share set (e.g. a server dropped the element
-                // mid-flight); cannot decrypt, skip defensively.
-                continue;
-            }
-            let Ok(element) = self.codec.decode(sum) else {
-                // Not produced by this codec (corrupt or foreign).
-                continue;
-            };
-            if query_set.contains(&element.term) {
-                matching.push(element);
-            } else {
-                false_positives += 1;
-            }
+        let mut elements_received = 0usize;
+        let mut realigned_lists = 0u64;
+        let mut rows: Vec<&[StoredShare]> = Vec::with_capacity(responses.len());
+        for position in 0..pl_ids.len() {
+            rows.clear();
+            rows.extend(responses.iter().map(|lists| lists[position].1.as_slice()));
+            elements_received += rows.iter().map(|row| row.len()).sum::<usize>();
+            let realigned = recombine(&rows, &weights, |_, sum| {
+                // A sum this codec did not produce (a corrupt or
+                // foreign share) is skipped.
+                if let Ok(element) = self.codec.decode(sum) {
+                    if query_terms.contains(&element.term) {
+                        matching.push(element);
+                    } else {
+                        false_positives += 1;
+                    }
+                }
+            });
+            realigned_lists += u64::from(realigned);
         }
+        let recombined_at = started.elapsed();
 
         // 5. Client-side ranking with personalized statistics derived
         //    from the accessible result set itself (Section 5.4.2).
-        let ranked = rank(&matching, &self.codec, terms, k_results);
+        let (ranked, stats) = rank(&matching, &self.codec, terms, k_results);
+        let ranked_at = started.elapsed();
 
+        let trace = SpanRecord::new("execute", Duration::ZERO, ranked_at)
+            .with_child(
+                SpanRecord::new("fetch", Duration::ZERO, fetched_at)
+                    .with_counter("lists", pl_ids.len() as u64)
+                    .with_counter("shares", elements_received as u64),
+            )
+            .with_child(
+                SpanRecord::new("recombine", fetched_at, recombined_at - fetched_at)
+                    .with_counter("realigned_lists", realigned_lists)
+                    .with_counter("matching", matching.len() as u64),
+            )
+            .with_child(
+                SpanRecord::new("rank", recombined_at, ranked_at - recombined_at)
+                    .with_counter("docs", stats.accessible_docs() as u64),
+            );
         Ok(QueryOutcome {
             ranked,
             matching_elements: matching,
             elements_received,
             false_positives,
             lists_requested: pl_ids.len(),
+            trace,
         })
     }
 }
 
-/// Ranks decrypted elements with TF-IDF over the personalized
-/// collection (the documents visible in the response) and a threshold
-/// top-K cut.
-fn rank(
-    elements: &[PostingElement],
-    codec: &ElementCodec,
-    terms: &[TermId],
-    k: usize,
-) -> Vec<RankedDoc> {
-    if elements.is_empty() || k == 0 {
-        return Vec::new();
+/// A server must answer exactly the requested lists in request order —
+/// what lets `execute` index its answer by list position.
+fn check_shape(
+    server: usize,
+    requested: &[PlId],
+    lists: &[(PlId, Vec<StoredShare>)],
+) -> Result<(), QueryError> {
+    let answered = |position: usize| lists.get(position).map(|&(pl, _)| pl);
+    match (0..requested.len().max(lists.len()))
+        .find(|&position| requested.get(position).copied() != answered(position))
+    {
+        None => Ok(()),
+        Some(position) => Err(QueryError::MalformedResponse {
+            server,
+            position,
+            requested: requested.get(position).copied(),
+            answered: answered(position),
+        }),
     }
-    // Personalized statistics: df over the accessible elements, N =
-    // distinct accessible documents.
-    let mut df: HashMap<TermId, usize> = HashMap::new();
-    let mut docs: std::collections::HashSet<zerber_index::DocId> = std::collections::HashSet::new();
-    for element in elements {
-        *df.entry(element.term).or_insert(0) += 1;
-        docs.insert(element.doc);
-    }
-    let n = docs.len();
-
-    let lists: Vec<ScoredList> = terms
-        .iter()
-        .map(|&term| {
-            let term_df = df.get(&term).copied().unwrap_or(0);
-            let weight = zerber_index::idf(n, term_df);
-            ScoredList::new(
-                elements
-                    .iter()
-                    .filter(|e| e.term == term)
-                    .map(|e| (e.doc, e.term_frequency(codec) * weight))
-                    .collect(),
-            )
-        })
-        .collect();
-    threshold_topk(&lists, k)
 }
 
 #[cfg(test)]
@@ -396,10 +525,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "need at least k")]
-    fn too_few_servers_panics() {
+    fn too_few_servers_is_an_error() {
         let w = world();
-        let c = client(&w, 1);
-        let _ = c.execute(&[TermId(1)], &w.servers[..1], 10);
+        let error = client(&w, 1)
+            .execute(&[TermId(1)], &w.servers[..1], 10)
+            .unwrap_err();
+        assert_eq!(error, QueryError::TooFewServers { need: 2, got: 1 });
+        assert_eq!(error.to_string(), "need at least k = 2 servers, got 1");
+    }
+
+    #[test]
+    fn a_rejected_fetch_is_a_server_error() {
+        let w = world();
+        let stranger = QueryClient::new(AuthToken(7), ElementCodec::default(), w.table.clone(), 2);
+        assert_eq!(
+            stranger.execute(&[TermId(1)], &w.servers, 10).unwrap_err(),
+            QueryError::Server(ServerError::AuthFailed)
+        );
     }
 }

@@ -1,42 +1,62 @@
-//! Standalone ranking helpers shared by the query client and the
-//! baselines.
+//! Personalised ranking — the last stage of Algorithm 2.
 //!
 //! Zerber ranks on the client with *personalized collection
 //! statistics* (Section 5.4.2): document frequencies computed over the
-//! set of documents the user can access, not the global corpus. This
-//! module exposes that computation for reuse and inspection.
-
-use std::collections::{HashMap, HashSet};
+//! set of documents the user can access, not the global corpus. By the
+//! time the client ranks it holds every matching element decrypted, so
+//! there is no list left to avoid scanning: one sort by
+//! `(doc, term, tf)` groups each document's elements, a first pass
+//! reads the statistics off the groups, and a second sums each
+//! document's TF-IDF contributions and offers it to the bounded top-k
+//! collector. The result is exactly what Fagin's Threshold Algorithm
+//! in `zerber_index::topk` returns over per-term scored lists of the
+//! same elements — the reference `tests/query_properties.rs` holds
+//! this against — down to the bits of the scores, because the
+//! contributions are the same products summed in the same
+//! (query-term) order.
 
 use zerber_core::{ElementCodec, PostingElement};
-use zerber_index::{DocId, TermId};
+use zerber_index::{RankedDoc, TermId, TopKScratch};
 
-/// Personalized collection statistics derived from an accessible
-/// result set.
-#[derive(Debug, Clone)]
+/// Personalized collection statistics of one result set: what
+/// [`rank`]'s first pass computes and its second pass weighs with.
+#[derive(Debug, Clone, Default)]
 pub struct PersonalizedStats {
-    document_frequency: HashMap<TermId, usize>,
+    /// `(term, df)` per distinct term of the result set. A result set
+    /// holds only the query's terms — a handful — so lookups scan.
+    document_frequency: Vec<(TermId, usize)>,
     accessible_docs: usize,
 }
 
 impl PersonalizedStats {
-    /// Computes statistics from the decrypted, ACL-filtered elements.
-    pub fn from_elements(elements: &[PostingElement]) -> Self {
-        let mut document_frequency: HashMap<TermId, usize> = HashMap::new();
-        let mut docs: HashSet<DocId> = HashSet::new();
-        for element in elements {
-            *document_frequency.entry(element.term).or_insert(0) += 1;
-            docs.insert(element.doc);
+    /// Counts over elements ordered by document: a document is new
+    /// when it differs from its predecessor.
+    fn from_sorted(sorted: &[PostingElement]) -> Self {
+        let mut stats = Self::default();
+        let mut previous = None;
+        for element in sorted {
+            if previous != Some(element.doc) {
+                previous = Some(element.doc);
+                stats.accessible_docs += 1;
+            }
+            match stats
+                .document_frequency
+                .iter_mut()
+                .find(|(term, _)| *term == element.term)
+            {
+                Some((_, df)) => *df += 1,
+                None => stats.document_frequency.push((element.term, 1)),
+            }
         }
-        Self {
-            document_frequency,
-            accessible_docs: docs.len(),
-        }
+        stats
     }
 
     /// Document frequency of a term within the accessible set.
     pub fn document_frequency(&self, term: TermId) -> usize {
-        self.document_frequency.get(&term).copied().unwrap_or(0)
+        self.document_frequency
+            .iter()
+            .find(|(t, _)| *t == term)
+            .map_or(0, |&(_, df)| df)
     }
 
     /// Number of distinct accessible documents.
@@ -46,23 +66,52 @@ impl PersonalizedStats {
 
     /// Inverse document frequency `ln(1 + N/df)`, 0 for unseen terms.
     pub fn idf(&self, term: TermId) -> f64 {
-        let df = self.document_frequency(term) as f64;
-        if df == 0.0 {
-            0.0
-        } else {
-            (1.0 + self.accessible_docs as f64 / df).ln()
-        }
+        zerber_index::idf(self.accessible_docs, self.document_frequency(term))
     }
+}
 
-    /// TF-IDF score contribution of one element.
-    pub fn score(&self, element: &PostingElement, codec: &ElementCodec) -> f64 {
-        element.term_frequency(codec) * self.idf(element.term)
+/// Ranks decrypted, ACL-filtered elements with TF-IDF over the
+/// personalized collection they form and returns the top `k` under
+/// [`RankedDoc::result_order`], with the statistics used.
+///
+/// A document's score sums one contribution per entry of `terms`, in
+/// that order — a repeated query term counts twice, an absent one adds
+/// `0.0`. Should a `(doc, term)` pair occur more than once (no honest
+/// owner produces that), its lowest term frequency counts.
+pub fn rank(
+    elements: &[PostingElement],
+    codec: &ElementCodec,
+    terms: &[TermId],
+    k: usize,
+) -> (Vec<RankedDoc>, PersonalizedStats) {
+    let mut sorted = elements.to_vec();
+    sorted.sort_unstable_by_key(|e| (e.doc, e.term, e.tf_quantized));
+    let stats = PersonalizedStats::from_sorted(&sorted);
+    let weights: Vec<f64> = terms.iter().map(|&term| stats.idf(term)).collect();
+
+    let mut top = TopKScratch::new();
+    top.begin(k);
+    for document in sorted.chunk_by(|a, b| a.doc == b.doc) {
+        let score: f64 = terms
+            .iter()
+            .zip(&weights)
+            .map(|(&term, &weight)| {
+                document
+                    .iter()
+                    .find(|e| e.term == term)
+                    .map_or(0.0, |e| e.term_frequency(codec) * weight)
+            })
+            .sum();
+        top.offer(document[0].doc, score);
     }
+    top.finish();
+    (top.take_ranked(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zerber_index::DocId;
 
     fn element(doc: u32, term: u32, tf_q: u32) -> PostingElement {
         PostingElement {
@@ -72,14 +121,20 @@ mod tests {
         }
     }
 
+    fn stats_of(elements: &[PostingElement], terms: &[u32]) -> PersonalizedStats {
+        let terms: Vec<TermId> = terms.iter().map(|&t| TermId(t)).collect();
+        rank(elements, &ElementCodec::default(), &terms, 10).1
+    }
+
     #[test]
     fn statistics_count_distinct_documents() {
+        // Arrival order, not document order: `rank` sorts.
         let elements = vec![
-            element(1, 10, 100),
-            element(1, 20, 100),
             element(2, 10, 100),
+            element(1, 20, 100),
+            element(1, 10, 100),
         ];
-        let stats = PersonalizedStats::from_elements(&elements);
+        let stats = stats_of(&elements, &[10, 20]);
         assert_eq!(stats.accessible_docs(), 2);
         assert_eq!(stats.document_frequency(TermId(10)), 2);
         assert_eq!(stats.document_frequency(TermId(20)), 1);
@@ -93,7 +148,7 @@ mod tests {
             element(2, 10, 100),
             element(2, 20, 100),
         ];
-        let stats = PersonalizedStats::from_elements(&elements);
+        let stats = stats_of(&elements, &[10, 20]);
         assert!(stats.idf(TermId(20)) > stats.idf(TermId(10)));
         assert_eq!(stats.idf(TermId(99)), 0.0);
     }
@@ -102,16 +157,56 @@ mod tests {
     fn score_is_tf_times_idf() {
         let codec = ElementCodec::default();
         let elements = vec![element(1, 10, codec.quantize_tf(0.5))];
-        let stats = PersonalizedStats::from_elements(&elements);
-        let score = stats.score(&elements[0], &codec);
+        let (ranked, _) = rank(&elements, &codec, &[TermId(10)], 1);
         let expected = 0.5 * (1.0f64 + 1.0).ln();
-        assert!((score - expected).abs() < 1e-3);
+        assert_eq!(ranked[0].doc, DocId(1));
+        assert!((ranked[0].score - expected).abs() < 1e-3);
     }
 
     #[test]
     fn empty_result_set_is_benign() {
-        let stats = PersonalizedStats::from_elements(&[]);
+        let (ranked, stats) = rank(&[], &ElementCodec::default(), &[TermId(0)], 10);
+        assert!(ranked.is_empty());
         assert_eq!(stats.accessible_docs(), 0);
         assert_eq!(stats.idf(TermId(0)), 0.0);
+    }
+
+    #[test]
+    fn repeated_and_absent_query_terms_follow_query_order() {
+        let codec = ElementCodec::default();
+        // doc 1 holds term 10 only; doc 2 holds both query terms.
+        let elements = vec![
+            element(1, 10, 2_000),
+            element(2, 10, 1_000),
+            element(2, 20, 1_000),
+        ];
+        let once = rank(&elements, &codec, &[TermId(10), TermId(20)], 10).0;
+        let twice = rank(&elements, &codec, &[TermId(10), TermId(20), TermId(10)], 10).0;
+        let score = |ranked: &[RankedDoc], doc| {
+            ranked
+                .iter()
+                .find(|r| r.doc == DocId(doc))
+                .expect("every matching document is ranked")
+                .score
+        };
+        let idf10 = zerber_index::idf(2, 2);
+        let tf = codec.dequantize_tf(2_000);
+        assert_eq!(score(&once, 1), tf * idf10 + 0.0);
+        assert_eq!(score(&twice, 1), tf * idf10 + 0.0 + tf * idf10);
+        // k = 0 keeps nothing, but the statistics are still those of
+        // the whole result set.
+        let (none, stats) = rank(&elements, &codec, &[TermId(10)], 0);
+        assert!(none.is_empty());
+        assert_eq!(stats.accessible_docs(), 2);
+    }
+
+    #[test]
+    fn a_duplicated_pair_counts_its_lowest_frequency() {
+        let codec = ElementCodec::default();
+        let elements = vec![element(1, 10, 3_000), element(1, 10, 1_000)];
+        let (ranked, stats) = rank(&elements, &codec, &[TermId(10)], 10);
+        assert_eq!(stats.document_frequency(TermId(10)), 2);
+        let expected = codec.dequantize_tf(1_000) * zerber_index::idf(1, 2);
+        assert_eq!(ranked[0].score.to_bits(), expected.to_bits());
     }
 }

@@ -1,0 +1,512 @@
+//! Property tests for the query client's streaming pass, each against
+//! the hashing implementation it replaced (kept here, outside the
+//! crate, as the oracle): `recombine` against a
+//! `(list, element id)`-keyed accumulator, and the one-pass
+//! personalised ranking against `zerber_index`'s Threshold Algorithm
+//! and full-sort references over per-term scored lists. Two fixed
+//! examples pin what a tampered answer turns into.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+use zerber_client::{
+    recombine, BatchPolicy, DocumentOwner, QueryClient, QueryError, QueryOutcome, ServerHandle,
+};
+use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
+use zerber_field::{lagrange_weights_at_zero, Fp};
+use zerber_index::topk::naive_topk;
+use zerber_index::{
+    threshold_topk, DocId, Document, GroupId, RankedDoc, ScoredList, TermId, UserId,
+};
+use zerber_net::{AuthToken, StoredShare};
+use zerber_server::{IndexServer, ServerError, TokenAuth};
+use zerber_shamir::SharingScheme;
+
+const READER: UserId = UserId(1);
+const GROUPS: u32 = 3;
+const VOCABULARY: u32 = 30;
+/// Far fewer lists than terms: every list is co-merged.
+const LISTS: u32 = 4;
+
+type Lists = Vec<(PlId, Vec<StoredShare>)>;
+
+fn arb_corpus() -> impl Strategy<Value = Vec<Document>> {
+    let document = |index: u32| {
+        (
+            prop::collection::btree_map(0..VOCABULARY, 1u32..8, 1..8),
+            0..GROUPS,
+        )
+            .prop_map(move |(terms, group)| {
+                Document::from_term_counts(
+                    DocId(index),
+                    GroupId(group),
+                    terms.into_iter().map(|(t, c)| (TermId(t), c)).collect(),
+                )
+            })
+    };
+    (3u32..24).prop_flat_map(move |n| (0..n).map(document).collect::<Vec<_>>())
+}
+
+/// One to four terms, the first optionally asked twice.
+fn arb_query() -> impl Strategy<Value = Vec<TermId>> {
+    (
+        prop::collection::vec(0..VOCABULARY, 1..4),
+        any::<u8>().prop_map(|b| b % 2 == 0),
+    )
+        .prop_map(|(mut terms, repeat_first)| {
+            if repeat_first {
+                terms.push(terms[0]);
+            }
+            terms.into_iter().map(TermId).collect()
+        })
+}
+
+/// `(k, n)`: 2-of-3 or 3-of-5.
+fn arb_scheme() -> impl Strategy<Value = (usize, usize)> {
+    (0u8..2).prop_map(|wide| if wide == 1 { (3, 5) } else { (2, 3) })
+}
+
+struct World {
+    servers: Vec<Arc<dyn ServerHandle>>,
+    token: AuthToken,
+    table: Arc<MappingTable>,
+    codec: ElementCodec,
+    threshold: usize,
+}
+
+impl World {
+    fn build(corpus: &[Document], (threshold, servers): (usize, usize), seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let auth = Arc::new(TokenAuth::new());
+        let scheme = SharingScheme::random(threshold, servers, &mut rng).unwrap();
+        let handles: Vec<Arc<dyn ServerHandle>> = scheme
+            .coordinates()
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let server = IndexServer::new(i as u32, x, auth.clone());
+                for group in 0..GROUPS {
+                    server.add_user_to_group(READER, GroupId(group));
+                }
+                Arc::new(server) as Arc<dyn ServerHandle>
+            })
+            .collect();
+        let token = auth.issue(READER);
+        let table = Arc::new(MappingTable::hash_only(LISTS, seed));
+        let codec = ElementCodec::default();
+        let mut owner = DocumentOwner::new(
+            0,
+            token,
+            codec,
+            scheme,
+            table.clone(),
+            BatchPolicy::batched(16),
+        );
+        for doc in corpus {
+            owner.index_document(doc, &handles, &mut rng).unwrap();
+        }
+        owner.flush(&handles).unwrap();
+        Self {
+            servers: handles,
+            token,
+            table,
+            codec,
+            threshold,
+        }
+    }
+
+    fn client(&self) -> QueryClient {
+        QueryClient::new(self.token, self.codec, self.table.clone(), self.threshold)
+    }
+
+    fn requested(&self, terms: &[TermId]) -> Vec<PlId> {
+        let mut lists: Vec<PlId> = terms.iter().map(|&t| self.table.lookup(t)).collect();
+        lists.sort_unstable();
+        lists.dedup();
+        lists
+    }
+}
+
+/// What a racing or dishonest server does to its answer, replayed
+/// identically on every fetch.
+#[derive(Clone, Copy, Debug)]
+struct Disorder {
+    seed: u64,
+    /// Every list in an order of the server's own.
+    shuffle: bool,
+    /// This server lost about a third of its elements.
+    lossy_server: Option<usize>,
+    /// This server holds one share of some other polynomial.
+    foreign_server: Option<usize>,
+}
+
+fn arb_disorder() -> impl Strategy<Value = Disorder> {
+    (any::<u64>(), 0u8..2, 0usize..6, 0usize..6).prop_map(|(seed, shuffle, lossy, foreign)| {
+        // Servers 0..3 exist under both schemes and the first two are
+        // always contacted; 3.. stands for "none".
+        Disorder {
+            seed,
+            shuffle: shuffle == 1,
+            lossy_server: Some(lossy).filter(|&s| s < 3),
+            foreign_server: Some(foreign).filter(|&s| s < 3),
+        }
+    })
+}
+
+/// A server that rewrites its answer before the client sees it.
+struct Tampering<F> {
+    inner: Arc<dyn ServerHandle>,
+    tamper: F,
+}
+
+impl<F: Fn(&mut Lists) + Send + Sync> ServerHandle for Tampering<F> {
+    fn coordinate(&self) -> Fp {
+        self.inner.coordinate()
+    }
+    fn insert_batch(
+        &self,
+        token: AuthToken,
+        entries: &[(PlId, StoredShare)],
+    ) -> Result<(), ServerError> {
+        self.inner.insert_batch(token, entries)
+    }
+    fn delete(
+        &self,
+        token: AuthToken,
+        elements: &[(PlId, ElementId)],
+    ) -> Result<usize, ServerError> {
+        self.inner.delete(token, elements)
+    }
+    fn get_posting_lists(&self, token: AuthToken, pl_ids: &[PlId]) -> Result<Lists, ServerError> {
+        let mut lists = self.inner.get_posting_lists(token, pl_ids)?;
+        (self.tamper)(&mut lists);
+        Ok(lists)
+    }
+}
+
+/// `world`'s servers with server `index` answering through `tamper`.
+fn tampered<F>(world: &World, index: usize, tamper: F) -> Vec<Arc<dyn ServerHandle>>
+where
+    F: Fn(&mut Lists) + Send + Sync + 'static,
+{
+    let mut servers = world.servers.clone();
+    servers[index] = Arc::new(Tampering {
+        inner: servers[index].clone(),
+        tamper,
+    });
+    servers
+}
+
+/// Every server of `world` under `disorder`.
+fn disordered(world: &World, disorder: Disorder) -> Vec<Arc<dyn ServerHandle>> {
+    let tamper = move |index: usize, lists: &mut Lists| {
+        let mut rng = StdRng::seed_from_u64(disorder.seed ^ index as u64);
+        for (_, shares) in lists.iter_mut() {
+            if disorder.shuffle {
+                shares.shuffle(&mut rng);
+            }
+            if disorder.lossy_server == Some(index) {
+                shares.retain(|_| rng.random_range(0..3) != 0);
+            }
+        }
+        if disorder.foreign_server == Some(index) {
+            if let Some(share) = lists.iter_mut().flat_map(|(_, s)| s.iter_mut()).next() {
+                share.share = Fp::new(rng.random_range(0..u64::MAX >> 4));
+            }
+        }
+    };
+    world
+        .servers
+        .iter()
+        .enumerate()
+        .map(|(index, inner)| {
+            Arc::new(Tampering {
+                inner: inner.clone(),
+                tamper: move |lists: &mut Lists| tamper(index, lists),
+            }) as Arc<dyn ServerHandle>
+        })
+        .collect()
+}
+
+/// The accumulator `QueryClient::execute` used to fill: every fetched
+/// share hashed under `(list, element id)`, complete sets kept.
+fn oracle_recombine(responses: &[Lists], weights: &[Fp]) -> Vec<(PlId, ElementId, Fp)> {
+    let mut accumulator: HashMap<(PlId, ElementId), (Fp, usize)> = HashMap::new();
+    for (lists, &weight) in responses.iter().zip(weights) {
+        for (pl, shares) in lists {
+            for share in shares {
+                let entry = accumulator
+                    .entry((*pl, share.element))
+                    .or_insert((Fp::ZERO, 0));
+                entry.0 += share.share * weight;
+                entry.1 += 1;
+            }
+        }
+    }
+    let mut complete: Vec<_> = accumulator
+        .into_iter()
+        .filter(|&(_, (_, contributions))| contributions >= responses.len())
+        .map(|((pl, element), (sum, _))| (pl, element, sum))
+        .collect();
+    complete.sort_unstable_by_key(|&(pl, element, sum)| (pl, element, sum.value()));
+    complete
+}
+
+/// Per-query-term scored lists built the way `execute` used to build
+/// them: `df` and `N` hashed out of the matching elements.
+fn oracle_lists(
+    elements: &[PostingElement],
+    codec: &ElementCodec,
+    terms: &[TermId],
+) -> Vec<ScoredList> {
+    let mut df: HashMap<TermId, usize> = HashMap::new();
+    let mut docs: HashSet<DocId> = HashSet::new();
+    for element in elements {
+        *df.entry(element.term).or_insert(0) += 1;
+        docs.insert(element.doc);
+    }
+    let n = docs.len();
+    terms
+        .iter()
+        .map(|&term| {
+            let weight = zerber_index::idf(n, df.get(&term).copied().unwrap_or(0));
+            ScoredList::new(
+                elements
+                    .iter()
+                    .filter(|e| e.term == term)
+                    .map(|e| (e.doc, e.term_frequency(codec) * weight))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+fn bits(ranked: &[RankedDoc]) -> Vec<(u32, u64)> {
+    ranked
+        .iter()
+        .map(|r| (r.doc.0, r.score.to_bits()))
+        .collect()
+}
+
+fn element_key(e: &PostingElement) -> (u32, u32, u32) {
+    (e.doc.0, e.term.0, e.tf_quantized)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) `recombine` yields the oracle's complete share sets — as a
+    /// multiset — whatever order each server answers in, whichever
+    /// elements one server lost, and whatever a foreign share sums to;
+    /// `execute` decrypts exactly the decodable, matching ones.
+    #[test]
+    fn recombine_equals_the_hashing_accumulator(
+        corpus in arb_corpus(),
+        scheme in arb_scheme(),
+        terms in arb_query(),
+        disorder in arb_disorder(),
+    ) {
+        let world = World::build(&corpus, scheme, disorder.seed);
+        let servers = disordered(&world, disorder);
+        let contacted = &servers[..world.threshold];
+        let requested = world.requested(&terms);
+        let responses: Vec<Lists> = contacted
+            .iter()
+            .map(|s| s.get_posting_lists(world.token, &requested).unwrap())
+            .collect();
+        let coordinates: Vec<Fp> = contacted.iter().map(|s| s.coordinate()).collect();
+        let weights = lagrange_weights_at_zero(&coordinates);
+
+        let mut recombined = Vec::new();
+        let mut any_realigned = false;
+        for (position, &pl) in requested.iter().enumerate() {
+            let rows: Vec<&[StoredShare]> = responses
+                .iter()
+                .map(|lists| lists[position].1.as_slice())
+                .collect();
+            any_realigned |= recombine(&rows, &weights, |element, sum| {
+                recombined.push((pl, element, sum));
+            });
+        }
+        recombined.sort_unstable_by_key(|&(pl, element, sum)| (pl, element, sum.value()));
+        let expected = oracle_recombine(&responses, &weights);
+        prop_assert_eq!(&recombined, &expected);
+        let contacted_loses = disorder.lossy_server.is_some_and(|s| s < world.threshold);
+        if !disorder.shuffle && !contacted_loses {
+            prop_assert!(!any_realigned, "honest rows are walked in lock-step");
+        }
+
+        // Through `execute`: the same sets, decoded and filtered.
+        let outcome = world.client().execute(&terms, &servers, 10).unwrap();
+        let mut matching: Vec<_> = outcome.matching_elements.iter().map(element_key).collect();
+        matching.sort_unstable();
+        let decodable: Vec<PostingElement> = expected
+            .iter()
+            .filter_map(|&(_, _, sum)| world.codec.decode(sum).ok())
+            .collect();
+        let mut wanted: Vec<_> = decodable
+            .iter()
+            .filter(|e| terms.contains(&e.term))
+            .map(element_key)
+            .collect();
+        wanted.sort_unstable();
+        prop_assert_eq!(&matching, &wanted);
+        prop_assert_eq!(outcome.false_positives, decodable.len() - wanted.len());
+        prop_assert_eq!(
+            outcome.elements_received,
+            responses.iter().flatten().map(|(_, shares)| shares.len()).sum::<usize>()
+        );
+    }
+
+    /// (b) `ranked` is the Threshold Algorithm's and the full sort's
+    /// answer over the old per-term scored lists, score bits included,
+    /// at every result budget — `usize::MAX`, where the old path went
+    /// quadratic, among them.
+    #[test]
+    fn ranked_equals_the_threshold_algorithm(
+        corpus in arb_corpus(),
+        scheme in arb_scheme(),
+        terms in arb_query(),
+        seed in any::<u64>(),
+    ) {
+        let world = World::build(&corpus, scheme, seed);
+        let client = world.client();
+        for k in [0, 1, 10, usize::MAX] {
+            let outcome = client.execute(&terms, &world.servers, k).unwrap();
+            let lists = oracle_lists(&outcome.matching_elements, &world.codec, &terms);
+            let ranked = bits(&outcome.ranked);
+            let everything = naive_topk(&lists, usize::MAX);
+            let sorted = bits(&naive_topk(&lists, k));
+            prop_assert!(ranked == sorted, "k = {}: {:?} != full sort {:?}", k, ranked, sorted);
+            let fagin = bits(&threshold_topk(&lists, k));
+            // Where the cut falls inside a run of equal scores the
+            // Threshold Algorithm may stop before it has seen every
+            // document of the run, and keeps the ones it saw: the
+            // scores still agree, which documents carry them need not.
+            let cut_splits_a_tie = k > 0
+                && everything.len() > k
+                && everything[k - 1].score == everything[k].score;
+            if cut_splits_a_tie {
+                let scores = |ranked: &[(u32, u64)]| -> Vec<u64> {
+                    ranked.iter().map(|&(_, score)| score).collect()
+                };
+                prop_assert_eq!(scores(&ranked), scores(&fagin));
+            } else {
+                prop_assert!(ranked == fagin, "k = {}: {:?} != TA {:?}", k, ranked, fagin);
+            }
+        }
+    }
+
+    /// (c) The same query over the same servers decrypts the same
+    /// elements in the same order.
+    #[test]
+    fn matching_elements_are_deterministic(
+        corpus in arb_corpus(),
+        scheme in arb_scheme(),
+        terms in arb_query(),
+        disorder in arb_disorder(),
+    ) {
+        let world = World::build(&corpus, scheme, disorder.seed);
+        let servers = disordered(&world, disorder);
+        let client = world.client();
+        let first = client.execute(&terms, &servers, 10).unwrap();
+        let again = client.execute(&terms, &servers, 10).unwrap();
+        prop_assert_eq!(&first.matching_elements, &again.matching_elements);
+        prop_assert_eq!(bits(&first.ranked), bits(&again.ranked));
+    }
+}
+
+/// Six one-term documents of group 0, so `TermId(10)`'s list holds six
+/// elements on every server.
+fn six_documents() -> Vec<Document> {
+    (1..=6u32)
+        .map(|id| Document::from_term_counts(DocId(id), GroupId(0), vec![(TermId(10), id)]))
+        .collect()
+}
+
+#[test]
+fn a_misshapen_answer_is_an_error_not_a_panic() {
+    let world = World::build(&six_documents(), (2, 3), 7);
+    // Two query terms in distinct lists, so the request names two.
+    let other = (11..200u32)
+        .map(TermId)
+        .find(|&t| world.table.lookup(t) != world.table.lookup(TermId(10)))
+        .expect("4 lists");
+    let terms = [TermId(10), other];
+    let requested = world.requested(&terms);
+    let client = world.client();
+    let malformed = |servers: &[Arc<dyn ServerHandle>]| {
+        client
+            .execute(&terms, servers, 10)
+            .expect_err("misshapen answer")
+    };
+
+    let short = tampered(&world, 1, |lists| {
+        lists.pop();
+    });
+    assert_eq!(
+        malformed(&short),
+        QueryError::MalformedResponse {
+            server: 1,
+            position: 1,
+            requested: Some(requested[1]),
+            answered: None,
+        }
+    );
+    let long = tampered(&world, 0, |lists| lists.push((PlId(77), Vec::new())));
+    assert_eq!(
+        malformed(&long),
+        QueryError::MalformedResponse {
+            server: 0,
+            position: 2,
+            requested: None,
+            answered: Some(PlId(77)),
+        }
+    );
+    let swapped = tampered(&world, 1, |lists| lists.swap(0, 1));
+    assert_eq!(
+        malformed(&swapped),
+        QueryError::MalformedResponse {
+            server: 1,
+            position: 0,
+            requested: Some(requested[0]),
+            answered: Some(requested[1]),
+        }
+    );
+}
+
+#[test]
+fn misaligned_rows_are_realigned_and_partial_sets_skipped() {
+    let world = World::build(&six_documents(), (2, 3), 8);
+    let client = world.client();
+    let recombine_counters = |outcome: &QueryOutcome| {
+        let span = outcome.trace.find("recombine").expect("stage span");
+        span.counters.clone()
+    };
+    let honest = client.execute(&[TermId(10)], &world.servers, 10).unwrap();
+    assert_eq!(
+        recombine_counters(&honest),
+        vec![("realigned_lists", 0), ("matching", 6)]
+    );
+
+    // The same shares in another order decrypt to the same ranking.
+    let reversed = tampered(&world, 1, |lists| lists[0].1.reverse());
+    let outcome = client.execute(&[TermId(10)], &reversed, 10).unwrap();
+    assert_eq!(bits(&outcome.ranked), bits(&honest.ranked));
+    assert_eq!(recombine_counters(&outcome)[0], ("realigned_lists", 1));
+
+    // One server lost an element mid-list: that element cannot be
+    // decrypted and is skipped; the others still align.
+    let lossy = tampered(&world, 0, |lists| {
+        lists[0].1.remove(2);
+    });
+    let outcome = client.execute(&[TermId(10)], &lossy, 10).unwrap();
+    assert_eq!(outcome.matching_elements.len(), 5);
+    assert_eq!(outcome.elements_received, 11);
+    assert_eq!(recombine_counters(&outcome)[0], ("realigned_lists", 1));
+}

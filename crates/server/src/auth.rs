@@ -46,6 +46,11 @@ impl TokenAuth {
         token
     }
 
+    /// How many unrevoked tokens `user` holds.
+    pub fn live_tokens(&self, user: UserId) -> usize {
+        self.tokens.read().values().filter(|&&u| u == user).count()
+    }
+
     /// Revokes a token; returns true iff it existed.
     pub fn revoke(&self, token: AuthToken) -> bool {
         self.tokens.write().remove(&token.0).is_some()
@@ -93,5 +98,9 @@ mod tests {
         // Both remain valid (multiple sessions).
         assert_eq!(auth.authenticate(a), Some(UserId(1)));
         assert_eq!(auth.authenticate(b), Some(UserId(1)));
+        assert_eq!(auth.live_tokens(UserId(1)), 2);
+        auth.revoke(a);
+        assert_eq!(auth.live_tokens(UserId(1)), 1);
+        assert_eq!(auth.live_tokens(UserId(2)), 0);
     }
 }

@@ -3,14 +3,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use zerber_client::{DocumentOwner, QueryClient, QueryOutcome, ServerHandle};
+use zerber_client::{DocumentOwner, QueryClient, QueryError, QueryOutcome, ServerHandle};
 use zerber_core::merge::{MergeError, MergePlan};
 use zerber_core::MappingTable;
 use zerber_index::{CorpusStats, Document, GroupId, TermId, UserId};
-use zerber_net::{NodeId, TrafficMeter};
+use zerber_net::{AuthToken, NodeId, TrafficMeter};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
 
 use crate::runtime::transport::Transport;
@@ -30,6 +31,8 @@ pub enum SystemError {
     Sharing(ShamirError),
     /// An index server rejected a request.
     Server(ServerError),
+    /// A query could not be answered from what the servers returned.
+    Query(QueryError),
 }
 
 impl std::fmt::Display for SystemError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for SystemError {
             SystemError::Merge(e) => write!(f, "merge error: {e}"),
             SystemError::Sharing(e) => write!(f, "sharing error: {e}"),
             SystemError::Server(e) => write!(f, "server error: {e}"),
+            SystemError::Query(e) => write!(f, "query error: {e}"),
         }
     }
 }
@@ -69,6 +73,17 @@ impl From<ServerError> for SystemError {
     }
 }
 
+impl From<QueryError> for SystemError {
+    /// A server's rejection stays [`SystemError::Server`] whichever
+    /// path it arrived by.
+    fn from(e: QueryError) -> Self {
+        match e {
+            QueryError::Server(e) => SystemError::Server(e),
+            other => SystemError::Query(other),
+        }
+    }
+}
+
 /// User-id namespace for the per-group owner daemons (kept out of the
 /// way of ordinary users).
 const OWNER_USER_BASE: u32 = 0x4000_0000;
@@ -93,6 +108,8 @@ pub struct ZerberSystem {
     plan: MergePlan,
     owners: HashMap<GroupId, DocumentOwner>,
     owner_handles: HashMap<GroupId, Vec<Arc<dyn ServerHandle>>>,
+    /// One session token per querying user, issued on first use.
+    sessions: Mutex<HashMap<UserId, AuthToken>>,
     rng: StdRng,
 }
 
@@ -136,6 +153,7 @@ impl ZerberSystem {
             plan,
             owners: HashMap::new(),
             owner_handles: HashMap::new(),
+            sessions: Mutex::new(HashMap::new()),
             rng,
         })
     }
@@ -245,7 +263,11 @@ impl ZerberSystem {
         terms: &[TermId],
         k_results: usize,
     ) -> Result<QueryOutcome, SystemError> {
-        let token = self.auth.issue(user);
+        let token = *self
+            .sessions
+            .lock()
+            .entry(user)
+            .or_insert_with(|| self.auth.issue(user));
         let client = QueryClient::new(
             token,
             self.config.codec,
@@ -355,6 +377,36 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn queries_reuse_one_session_token_per_user() {
+        let mut sys = system();
+        sys.add_membership(UserId(1), GroupId(0));
+        sys.add_membership(UserId(2), GroupId(0));
+        sys.index_document(&doc(1, 0, &[(5, 2)])).unwrap();
+        for _ in 0..100 {
+            sys.query(UserId(1), &[TermId(5)], 10).unwrap();
+        }
+        sys.query(UserId(2), &[TermId(5)], 10).unwrap();
+        assert_eq!(sys.auth.live_tokens(UserId(1)), 1);
+        assert_eq!(sys.auth.live_tokens(UserId(2)), 1);
+    }
+
+    #[test]
+    fn a_rejected_query_is_a_server_error() {
+        // Whoever holds the session token, the servers decide: once
+        // the authority revokes it the facade reports their rejection.
+        let mut sys = system();
+        sys.add_membership(UserId(1), GroupId(0));
+        sys.index_document(&doc(1, 0, &[(5, 2)])).unwrap();
+        sys.query(UserId(1), &[TermId(5)], 10).unwrap();
+        let token = sys.sessions.lock()[&UserId(1)];
+        assert!(sys.auth.revoke(token));
+        match sys.query(UserId(1), &[TermId(5)], 10) {
+            Err(SystemError::Server(ServerError::AuthFailed)) => {}
+            other => panic!("expected AuthFailed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use zerber::{ZerberConfig, ZerberSystem};
 use zerber_client::{OwnerSnippetService, SnippetProvider};
 use zerber_core::merge::MergeConfig;
 use zerber_index::{DocId, GroupId, RawDocument, TermDict, Tokenizer, UserId};
+use zerber_obs::{QueryTrace, TraceId};
 
 fn main() {
     // --- 1. The sensitive documents of two collaboration groups. ----
@@ -112,7 +113,17 @@ fn main() {
         after.ranked.len()
     );
 
-    // --- 7. Everything above was metered. ----------------------------
+    // --- 7. Every query says where its time went. ---------------------
+    let outcome = system.query(bob, &[term], 10).expect("query");
+    let trace = QueryTrace {
+        id: TraceId(0),
+        label: "bob searches \"layoff\"".to_owned(),
+        total: outcome.trace.duration,
+        root: outcome.trace,
+    };
+    print!("\n{}", trace.render());
+
+    // --- 8. Everything above was metered. ----------------------------
     println!(
         "total simulated network traffic: {} bytes",
         system.traffic().total()

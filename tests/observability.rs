@@ -34,6 +34,60 @@ fn corpus(docs: u32, terms: u32) -> Vec<Document> {
         .collect()
 }
 
+/// The confidential path's client reports its own stages: one
+/// `execute` span whose children — fetch, recombine, rank — tile it in
+/// order, with the counts each stage worked through.
+#[test]
+fn confidential_query_splits_into_fetch_recombine_rank() {
+    let docs = corpus(60, 7);
+    let index = zerber_index::InvertedIndex::from_documents(&docs);
+    let config = ZerberConfig::default().with_merge(zerber_core::merge::MergeConfig::dfm(4));
+    let mut system = zerber::ZerberSystem::bootstrap(config, &index.statistics()).expect("config");
+    let reader = zerber_index::UserId(1);
+    system.add_membership(reader, GroupId(0));
+    system.index_corpus(&docs).expect("index");
+
+    let outcome = system
+        .query(reader, &[TermId(1), TermId(4)], 8)
+        .expect("query");
+    let execute = &outcome.trace;
+    assert_eq!(execute.name, "execute");
+    let names: Vec<&str> = execute.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["fetch", "recombine", "rank"]);
+    let staged: Duration = execute.children.iter().map(|c| c.duration).sum();
+    assert!(
+        staged <= execute.duration,
+        "stages {staged:?} exceed the query's {:?}",
+        execute.duration
+    );
+    for pair in execute.children.windows(2) {
+        assert_eq!(pair[0].start + pair[0].duration, pair[1].start);
+    }
+    let counter = |span: &str, name: &str| {
+        let span = execute.find(span).expect("stage span");
+        let found = span.counters.iter().find(|(n, _)| *n == name);
+        found
+            .unwrap_or_else(|| panic!("{name} missing from {span:?}"))
+            .1
+    };
+    assert_eq!(counter("fetch", "lists"), outcome.lists_requested as u64);
+    assert_eq!(counter("fetch", "shares"), outcome.elements_received as u64);
+    assert_eq!(counter("recombine", "realigned_lists"), 0);
+    assert_eq!(
+        counter("recombine", "matching"),
+        outcome.matching_elements.len() as u64
+    );
+    let holders = docs
+        .iter()
+        .filter(|doc| {
+            doc.terms
+                .iter()
+                .any(|&(t, _)| t == TermId(1) || t == TermId(4))
+        })
+        .count();
+    assert_eq!(counter("rank", "docs"), holders as u64);
+}
+
 /// A traced query through the chaos harness: muting a primary forces a
 /// hedge, and both the failed attempt and the hedge must be visible in
 /// the query's span tree and the registry.
