@@ -1,5 +1,5 @@
-//! r-Confidential indexing over a DHT — the future-work direction the
-//! paper names in Section 3:
+//! Placement over a ring of peers — the direction the paper names as
+//! future work in Section 3:
 //!
 //! > "Zerber distributes complete instances of an encrypted index to
 //! > multiple servers for security reasons, while in DHTs each peer
@@ -7,29 +7,22 @@
 //! > r-confidential indexing to a DHT-based infrastructure is an
 //! > interesting area for future research."
 //!
-//! This crate realizes the obvious design point: merged posting lists
-//! are placed on a consistent-hash **ring** of peers; the `n` Shamir
-//! shares of every element go to the list's `n` *distinct* successor
-//! peers. The security argument carries over locally: a peer holds at
-//! most one share per element it stores, so any `k-1` colluding peers
-//! still learn nothing about element contents, while each peer stores
-//! only `~n/P` of the index instead of a full replica.
+//! Two pieces, both used by the peer runtime (`zerber::runtime`):
 //!
-//! What changes relative to centralized Zerber (and is exercised in
-//! the tests):
+//! * [`ConsistentHashRing`] — keys hash onto a 64-bit ring of virtual
+//!   nodes; a key's replica set is its first `n` *distinct* physical
+//!   successors, stable under unrelated joins.
+//! * [`ShardMap`] — documents hash onto a fixed set of logical shards,
+//!   each shard is homed on a live peer and replicated on its
+//!   successors, and a join or leave moves whole shard assignments
+//!   ([`ShardMove`]) instead of re-partitioning documents.
 //!
-//! * **storage** drops from `1.5 n ×` per server to `1.5 n / P ×` per
-//!   peer in expectation,
-//! * **queries** are routed per posting list — a multi-term query may
-//!   touch many peers (the DHT trade-off),
-//! * **churn**: a joining peer takes over arcs of the ring; new
-//!   inserts route to it immediately, and the affected lists can be
-//!   migrated share-by-share without decryption (shares are opaque).
+//! Share placement over the ring (one Shamir share per element per
+//! successor peer) is not implemented here: the share path keeps the
+//! paper's `n` full index servers (`zerber::ZerberSystem`).
 
-pub mod placement;
 pub mod ring;
 pub mod shard;
 
-pub use placement::{DhtIndex, DhtStats};
 pub use ring::{ConsistentHashRing, PeerId};
 pub use shard::{ShardMap, ShardMove};

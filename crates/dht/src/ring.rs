@@ -1,9 +1,8 @@
 //! A consistent-hash ring with virtual nodes.
 //!
-//! Posting-list ids hash onto a 64-bit ring; each physical peer owns
-//! several virtual points so load stays balanced. A key's replica set
-//! is its first `n` *distinct* physical successors — the peers that
-//! will hold the n Shamir shares.
+//! Keys hash onto a 64-bit ring; each physical peer owns several
+//! virtual points so load stays balanced. A key's replica set is its
+//! first `n` *distinct* physical successors.
 
 use std::collections::BTreeMap;
 

@@ -4,8 +4,8 @@
 //! document's postings live on exactly one logical shard, so a peer
 //! can rank its shard locally (each candidate's full score is
 //! computable from one shard) and the gather stage merges disjoint
-//! candidate sets. Placement reuses the same [`ConsistentHashRing`]
-//! that places posting-list share replicas.
+//! candidate sets. Placement is a [`ConsistentHashRing`] over the
+//! logical shards.
 //!
 //! Since PR 10 the map separates *logical shards* (fixed at launch;
 //! the unit documents hash onto) from *live peers* (which may join and
@@ -19,7 +19,7 @@ use zerber_index::DocId;
 
 use crate::ring::{ConsistentHashRing, PeerId};
 
-/// Virtual ring points per peer (matches the share-placement ring).
+/// Virtual ring points per peer.
 const VIRTUAL_NODES: u32 = 32;
 
 /// One shard whose replica set changes under a join/leave transition:

@@ -1,14 +1,8 @@
-//! Property tests for DHT placement: determinism, replica
-//! distinctness, round-trip correctness and bounded per-peer load for
-//! random workloads.
+//! Property tests for the consistent-hash ring: replica-set
+//! determinism and distinctness for random rings and keys.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use zerber_core::{ElementCodec, PlId, PostingElement};
-use zerber_dht::{ConsistentHashRing, DhtIndex, PeerId};
-use zerber_index::{DocId, GroupId, TermId};
-use zerber_shamir::SharingScheme;
+use zerber_dht::{ConsistentHashRing, PeerId};
 
 proptest! {
     /// Replica sets are stable under unrelated joins: peers that keep
@@ -25,78 +19,5 @@ proptest! {
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(unique.len(), 3);
-    }
-
-    /// Every inserted element is retrievable through its list, and
-    /// elements of co-merged terms are filtered out, for random
-    /// element batches.
-    #[test]
-    fn inserted_elements_round_trip(
-        elements in prop::collection::vec(
-            (0u32..200, 0u32..100, 0u32..50),
-            1..40,
-        ),
-        peers in 4u32..12,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
-        let mut dht = DhtIndex::new(peers, scheme, ElementCodec::default());
-        let mut per_list: std::collections::HashMap<u32, Vec<(u32, u32)>> =
-            std::collections::HashMap::new();
-        for (i, &(pl, doc, term)) in elements.iter().enumerate() {
-            dht.insert(
-                PlId(pl % 8),
-                PostingElement {
-                    doc: DocId(doc + i as u32 * 1_000), // distinct docs
-                    term: TermId(term),
-                    tf_quantized: 1,
-                },
-                GroupId(0),
-                &mut rng,
-            );
-            per_list
-                .entry(pl % 8)
-                .or_default()
-                .push((doc + i as u32 * 1_000, term));
-        }
-        for (pl, expected) in per_list {
-            for &(doc, term) in &expected {
-                let hits = dht.query(PlId(pl), &[TermId(term)]);
-                prop_assert!(
-                    hits.iter().any(|e| e.doc == DocId(doc) && e.term == TermId(term)),
-                    "pl {pl} doc {doc} term {term} missing"
-                );
-                // Nothing of another term leaks through the filter.
-                prop_assert!(hits.iter().all(|e| e.term == TermId(term)));
-            }
-        }
-    }
-
-    /// Total stored shares are exactly n per element, and no single
-    /// peer holds more than one share of any element.
-    #[test]
-    fn share_counts_are_exact(
-        count in 1usize..60,
-        peers in 4u32..10,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
-        let mut dht = DhtIndex::new(peers, scheme, ElementCodec::default());
-        for i in 0..count {
-            dht.insert(
-                PlId(i as u32),
-                PostingElement {
-                    doc: DocId(i as u32),
-                    term: TermId(0),
-                    tf_quantized: 1,
-                },
-                GroupId(0),
-                &mut rng,
-            );
-        }
-        let stats = dht.stats();
-        prop_assert_eq!(stats.total_shares, count * 3);
     }
 }

@@ -13,9 +13,8 @@
 //!   deployments concurrently in one process, and a process-global
 //!   registry would interleave their counters.
 //! * [`MetricsSnapshot`] — a point-in-time copy of every instrument,
-//!   serializable to the workspace's hand-rolled JSON style
-//!   ([`MetricsSnapshot::to_json`]) and to Prometheus text exposition
-//!   format ([`MetricsSnapshot::to_prometheus`]). Histogram snapshots
+//!   serializable to Prometheus text exposition format
+//!   ([`MetricsSnapshot::to_prometheus`]). Histogram snapshots
 //!   merge bucket-wise, which makes merging commutative and
 //!   associative — property-tested order-independent.
 //! * [`QueryTrace`] / [`SpanRecord`] — the structured per-query span

@@ -454,19 +454,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl MetricsSnapshot {
     /// Looks up a counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -484,47 +471,6 @@ impl MetricsSnapshot {
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Serializes to the workspace's hand-rolled flat JSON style:
-    /// counters and gauges as `name: value` maps, histograms as
-    /// `{count, sum, p50, p95, p99}` objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_escape(&mut out, &c.name);
-            out.push(':');
-            out.push_str(&c.value.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_escape(&mut out, &g.name);
-            out.push(':');
-            out.push_str(&g.value.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_escape(&mut out, &h.name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count,
-                h.sum,
-                h.p50(),
-                h.p95(),
-                h.p99()
-            ));
-        }
-        out.push_str("}}");
-        out
     }
 
     /// Serializes to Prometheus text exposition format: `# TYPE`
@@ -640,18 +586,6 @@ mod tests {
             last = value;
         }
         assert_eq!(last, 5);
-    }
-
-    #[test]
-    fn json_has_percentiles() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("zerber_test_ns");
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let json = registry.snapshot().to_json();
-        assert!(json.contains("\"zerber_test_ns\":{\"count\":100"));
-        assert!(json.contains("\"p50\":"));
     }
 
     /// Exact ceil-rank order statistic, mirroring the bench crate's

@@ -136,16 +136,26 @@ impl IndexServer {
     }
 
     /// Delete elements by id (one request per element — the server
-    /// cannot group them by document, Section 7.3).
+    /// cannot group them by document, Section 7.3). Like an insert, a
+    /// delete is an update the server "accepts if appropriate"
+    /// (Section 5.4.1): the user must be a member of the group of
+    /// every element the request addresses, or the whole request is
+    /// rejected and nothing is removed — element ids are guessable
+    /// (`owner << 40 | sequence`), so a valid token alone must not be
+    /// enough. Ids that match nothing stay a silent no-op.
     pub fn delete(
         &self,
         token: AuthToken,
         elements: &[(PlId, ElementId)],
     ) -> Result<usize, ServerError> {
-        self.auth
+        let user = self
+            .auth
             .authenticate(token)
             .ok_or(ServerError::AuthFailed)?;
-        Ok(self.store.delete(elements))
+        let groups = self.groups.groups_of(user);
+        self.store
+            .delete_permitted(elements, |group| groups.contains(&group))
+            .map_err(ServerError::NotGroupMember)
     }
 
     /// Algorithm 2 (server side): authenticate, load the user's
@@ -351,6 +361,35 @@ mod tests {
         let removed = server.delete(token, &[(PlId(0), ElementId(9))]).unwrap();
         assert_eq!(removed, 1);
         assert_eq!(server.total_elements(), 0);
+    }
+
+    #[test]
+    fn member_of_another_group_cannot_delete() {
+        let (server, auth) = setup();
+        server.add_user_to_group(UserId(1), GroupId(0));
+        server.add_user_to_group(UserId(1), GroupId(1));
+        server.add_user_to_group(UserId(2), GroupId(1));
+        let owner = auth.issue(UserId(1));
+        server
+            .insert_batch(owner, &[(PlId(0), share(9, 0)), (PlId(0), share(10, 1))])
+            .unwrap();
+        // User 2 may touch group 1's element but not group 0's: the
+        // whole request bounces and *neither* element goes.
+        let outsider = auth.issue(UserId(2));
+        let both = [(PlId(0), ElementId(10)), (PlId(0), ElementId(9))];
+        assert_eq!(
+            server.delete(outsider, &both),
+            Err(ServerError::NotGroupMember(GroupId(0)))
+        );
+        assert_eq!(
+            server.total_elements(),
+            2,
+            "rejected delete removed nothing"
+        );
+        // Unknown ids are nobody's: a silent no-op, not a rejection.
+        assert_eq!(server.delete(outsider, &[(PlId(7), ElementId(77))]), Ok(0));
+        assert_eq!(server.delete(outsider, &both[..1]), Ok(1));
+        assert_eq!(server.delete(owner, &both), Ok(1));
     }
 
     #[test]

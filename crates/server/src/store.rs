@@ -35,10 +35,30 @@ impl ShareStore {
         }
     }
 
-    /// Deletes elements by `(list, element-id)`. Returns how many were
+    /// Deletes elements by `(list, element-id)` if `permit` accepts the
+    /// group of every share the request addresses; otherwise removes
+    /// nothing and returns the first refused group. Both passes run
+    /// under one write lock, so no insert can slip an unchecked share
+    /// under an addressed id between the check and the removal. Ids
+    /// that match nothing are a no-op. Returns how many shares were
     /// actually removed.
-    pub fn delete(&self, elements: &[(PlId, ElementId)]) -> usize {
+    pub fn delete_permitted<F>(
+        &self,
+        elements: &[(PlId, ElementId)],
+        mut permit: F,
+    ) -> Result<usize, GroupId>
+    where
+        F: FnMut(GroupId) -> bool,
+    {
         let mut lists = self.lists.write();
+        for &(pl, element) in elements {
+            let addressed = lists.get(&pl).into_iter().flatten();
+            for share in addressed.filter(|share| share.element == element) {
+                if !permit(share.group) {
+                    return Err(share.group);
+                }
+            }
+        }
         let mut removed = 0usize;
         for &(pl, element) in elements {
             if let Some(list) = lists.get_mut(&pl) {
@@ -47,7 +67,7 @@ impl ShareStore {
                 removed += before - list.len();
             }
         }
-        removed
+        Ok(removed)
     }
 
     /// Returns the shares of one list whose group passes `filter`.
@@ -139,10 +159,16 @@ mod tests {
             (PlId(1), share(2, 0)),
             (PlId(2), share(3, 0)),
         ]);
-        assert_eq!(store.delete(&[(PlId(1), ElementId(1))]), 1);
+        assert_eq!(
+            store.delete_permitted(&[(PlId(1), ElementId(1))], |_| true),
+            Ok(1)
+        );
         assert_eq!(store.list_len(PlId(1)), 1);
         // Deleting in the wrong list removes nothing.
-        assert_eq!(store.delete(&[(PlId(1), ElementId(3))]), 0);
+        assert_eq!(
+            store.delete_permitted(&[(PlId(1), ElementId(3))], |_| true),
+            Ok(0)
+        );
         assert_eq!(store.list_len(PlId(2)), 1);
     }
 

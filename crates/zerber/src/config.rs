@@ -7,7 +7,7 @@ use zerber_index::PostingBackend;
 
 /// A structurally invalid [`ZerberConfig`], caught by
 /// [`ZerberConfig::validate`] at bootstrap time instead of deep inside
-/// placement or sharing code.
+/// sharing or storage code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `threshold` must be at least 1 — a 0-of-n sharing reconstructs
@@ -22,10 +22,9 @@ pub enum ConfigError {
     },
     /// The peer count is zero — nothing can host a shard or a share.
     NoPeers,
-    /// The peer ring is smaller than the sharing degree: placing the
-    /// `n` shares of an element on `n` *distinct* peers (and hence
-    /// assembling any `k`-quorum) is impossible. Previously this was
-    /// only caught as a panic deep in `zerber_dht` placement.
+    /// The peer ring is smaller than the sharing degree: the `n`
+    /// share-holding servers could not each sit on a *distinct* peer
+    /// (see [`ZerberConfig::validate`] for what that guards).
     TooFewPeers {
         /// The configured ring width.
         peers: usize,
@@ -54,8 +53,8 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::TooFewPeers { peers, need } => write!(
                 f,
-                "peer ring has {peers} peers but share placement needs at least n = {need} \
-                 distinct peers (which also covers the k-quorum)"
+                "peer ring has {peers} peers but the n = {need} share-holding servers need \
+                 distinct peers"
             ),
             ConfigError::InvalidSegmentPolicy { reason } => {
                 write!(f, "segmented posting backend misconfigured: {reason}")
@@ -78,11 +77,10 @@ pub struct ZerberConfig {
     /// Reconstruction threshold `k` (the paper's experiments use
     /// 2-out-of-3).
     pub threshold: usize,
-    /// Width of the distributed peer ring for DHT-placed deployments
-    /// (share placement in `zerber-dht`, document shards in the peer
-    /// runtime). Must be at least `servers` so every element's `n`
-    /// shares land on distinct peers; [`ZerberConfig::with_sharing`]
-    /// widens it automatically.
+    /// Width of the peer ring: how many peers (and logical document
+    /// shards) `runtime::ShardedSearch` launches.
+    /// [`ZerberConfig::validate`] also holds it to at least `servers`;
+    /// [`ZerberConfig::with_sharing`] widens it automatically.
     pub peers: usize,
     /// Copies of each document shard in the peer runtime: shard `s`
     /// lives on peers `s, s+1, …, s+R-1 (mod peers)` (chord-style
@@ -136,7 +134,7 @@ impl ZerberConfig {
     }
 
     /// Overrides `n` and `k`. Widens the peer ring to at least `n` so
-    /// the configuration stays placeable (see
+    /// the configuration keeps validating (see
     /// [`ZerberConfig::validate`]).
     pub fn with_sharing(mut self, servers: usize, threshold: usize) -> Self {
         self.servers = servers;
@@ -161,7 +159,16 @@ impl ZerberConfig {
     /// peers`, at least one replica, and
     /// [`ZerberConfig::validate_storage`]. Called by
     /// `ZerberSystem::bootstrap` so a misconfiguration fails fast with
-    /// a typed error instead of panicking deep in placement.
+    /// a typed error.
+    ///
+    /// `servers ≤ peers` guards no code path today: `ZerberSystem`
+    /// runs its `n` servers as `n` peer threads whatever `peers` says,
+    /// and nothing places shares on the ring. It is kept as the
+    /// paper's security precondition stated on the config — no box may
+    /// hold two shares of one element (Section 5.1), i.e. `n` servers
+    /// need `n` distinct peers — so that a configuration accepted now
+    /// stays valid when the share path is hosted on the peer ring
+    /// (ROADMAP item 3(c)).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threshold == 0 {
             return Err(ConfigError::ThresholdZero);
@@ -272,8 +279,7 @@ mod tests {
 
     #[test]
     fn undersized_ring_is_rejected() {
-        // Fewer ring peers than share replicas: previously only caught
-        // as a panic deep in DHT placement.
+        // Fewer ring peers than share-holding servers.
         let config = ZerberConfig::default().with_peers(2);
         assert_eq!(
             config.validate(),

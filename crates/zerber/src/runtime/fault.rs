@@ -49,7 +49,7 @@ use parking_lot::Mutex;
 
 use zerber_net::{AuthToken, NodeId, TrafficMeter};
 
-use crate::runtime::transport::{PendingReply, Transport, TransportError};
+use crate::runtime::transport::{link_key, mix, node_key, PendingReply, Transport, TransportError};
 
 /// The fault mix: per-mille rates per request, drawn deterministically
 /// from the seed. Rates are applied in the order of the fields below
@@ -122,25 +122,6 @@ pub struct FaultCounts {
     pub torn: usize,
     /// Responses delayed.
     pub delayed: usize,
-}
-
-/// SplitMix64: a tiny, high-quality mixer — each per-request roll is
-/// one application over the (seed, link, seq) key.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A collision-free 64-bit key per node (tag in the high half).
-fn node_key(node: NodeId) -> u64 {
-    match node {
-        NodeId::User(i) => (1 << 32) | u64::from(i),
-        NodeId::Owner(i) => (2 << 32) | u64::from(i),
-        NodeId::IndexServer(i) => (3 << 32) | u64::from(i),
-    }
 }
 
 /// One scheduled membership transition in a chaos run (see
@@ -280,8 +261,7 @@ impl FaultInjectTransport {
 
     /// The deterministic roll for one request on one link.
     fn roll(&self, from: NodeId, to: NodeId, seq: u64) -> u64 {
-        let link = splitmix64(node_key(from) ^ node_key(to).rotate_left(17));
-        splitmix64(self.plan.seed ^ link.wrapping_add(splitmix64(seq))) % 1000
+        mix(self.plan.seed ^ link_key(from, to).wrapping_add(mix(seq))) % 1000
     }
 }
 

@@ -126,15 +126,6 @@ impl ShardFetch {
         self.attempts.len().saturating_sub(1)
     }
 
-    /// Late answers from hedged-away replicas that had already arrived
-    /// when the shard settled.
-    pub fn duplicate_responses(&self) -> usize {
-        self.attempts
-            .iter()
-            .filter(|a| a.outcome == AttemptOutcome::Duplicate)
-            .count()
-    }
-
     /// Replicas that failed before one answered — reported, never
     /// silently dropped.
     pub fn failed(&self) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {

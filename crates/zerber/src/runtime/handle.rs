@@ -112,7 +112,7 @@ impl ServerHandle for RuntimeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::peer::{PeerRuntime, ServerService};
+    use crate::runtime::{PeerRuntime, ServerService};
     use zerber_index::{GroupId, UserId};
     use zerber_net::TrafficMeter;
     use zerber_server::{IndexServer, TokenAuth};

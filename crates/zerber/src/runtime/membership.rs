@@ -156,11 +156,6 @@ impl MembershipTable {
         down.sort_by_key(|node| format!("{node:?}"));
         down
     }
-
-    /// Every tracked peer with its status, in arbitrary order.
-    pub fn statuses(&self) -> impl Iterator<Item = (NodeId, PeerStatus)> + '_ {
-        self.peers.iter().map(|(&node, h)| (node, h.status))
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,17 @@
-//! Peer threads and the services they run.
+//! Peer threads: how a service gets its frames.
 //!
-//! A *peer* is one OS thread with an inbox on the
-//! [`InProcTransport`]. The thread
-//! decodes each request from its wire bytes, hands it to its
-//! [`PeerService`], and replies with the encoded response. Two
-//! services exist:
-//!
-//! * [`ServerService`] hosts a share-holding
-//!   [`IndexServer`] — the paper's index-server role
-//!   (insert/delete/lookup, Section 5), now executing off the caller's
-//!   thread;
-//! * [`ShardService`] hosts the *document shards* this peer carries —
-//!   its own shard plus, under replication, copies of its
-//!   predecessors' — behind the [`ShardStore`] trait, and answers
-//!   [`Message::PlanQuery`] with the addressed shard's planned top-k.
+//! A *peer* is one OS thread with an inbox. The thread decodes each
+//! request from its wire bytes, hands it to its [`PeerService`], and
+//! replies with the encoded response — `serve`, the one service loop
+//! both the in-process [`PeerRuntime`] and the TCP
+//! [`serve_peer`](crate::runtime::socket::serve_peer) run. What the
+//! frames *do* is [`crate::runtime::service`]'s business.
 //!
 //! Service state is built *inside* the peer thread (the spawn takes an
 //! initializer closure), so expensive shard construction — tokenizing,
 //! compressing posting blocks — runs on all peers in parallel and the
 //! state never needs to be `Send`.
 
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -28,14 +19,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use zerber_index::cursor::TopKScratch;
-use zerber_index::{DocId, Document, GroupId};
-use zerber_net::framing::crc32;
+use zerber_index::GroupId;
 use zerber_net::message::fault;
-use zerber_net::{AuthToken, Message, NodeId, TrafficMeter, WireDocument};
-use zerber_server::{IndexServer, ServerError};
+use zerber_net::{AuthToken, Message, NodeId, TrafficMeter};
 
-use crate::runtime::shard::{ShardStore, ShardStoreError};
 use crate::runtime::transport::{InProcTransport, PeerInbox};
 
 /// One peer's request handler. `handle` runs on the peer's own thread;
@@ -45,506 +32,30 @@ pub trait PeerService {
     fn handle(&mut self, from: NodeId, auth: AuthToken, request: Message) -> Message;
 }
 
-/// Translates a server-side rejection into its wire fault frame
-/// (the mapping itself lives with [`ServerError`]).
-fn fault_of(error: ServerError) -> Message {
-    let (code, group) = error.to_fault();
-    Message::Fault { code, group }
-}
-
-/// The index-server role as a peer service: the narrow
-/// insert/delete/lookup interface, driven by decoded wire messages.
-pub struct ServerService {
-    server: Arc<IndexServer>,
-}
-
-impl ServerService {
-    /// Wraps a server. The `Arc` is shared with the control plane
-    /// (membership administration, proactive refresh, adversary
-    /// views), which stays direct — only the data plane crosses the
-    /// transport.
-    pub fn new(server: Arc<IndexServer>) -> Self {
-        Self { server }
-    }
-}
-
-impl PeerService for ServerService {
-    fn handle(&mut self, _from: NodeId, auth: AuthToken, request: Message) -> Message {
-        match request {
-            Message::InsertBatch { entries } => match self.server.insert_batch(auth, &entries) {
-                Ok(()) => Message::InsertOk,
-                Err(e) => fault_of(e),
-            },
-            Message::Delete { elements } => match self.server.delete(auth, &elements) {
-                Ok(removed) => Message::DeleteOk {
-                    removed: removed as u64,
-                },
-                Err(e) => fault_of(e),
-            },
-            // Queries carry their token in the message body (the wire
-            // format of Section 5.4.2); the envelope token is the same
-            // session token and is ignored here.
-            Message::Query { auth, pl_ids } => match self.server.get_posting_lists(auth, &pl_ids) {
-                Ok(lists) => Message::QueryResponse { lists },
-                Err(e) => fault_of(e),
-            },
-            _ => Message::Fault {
-                code: fault::UNSUPPORTED,
-                group: GroupId(0),
-            },
-        }
-    }
-}
-
-/// The document shards one peer hosts: ranked reads plus the live
-/// write stream, each request addressed to a logical shard by id.
-///
-/// Without replication a peer hosts exactly its own shard; with
-/// `R`-fold replication it also carries copies of its `R - 1`
-/// predecessors' shards (see `zerber_dht::ShardMap::hosted_shards`),
-/// and the `shard` field on [`Message::PlanQuery`] /
-/// [`Message::IndexDocs`] / [`Message::RemoveDoc`] selects which
-/// store serves the request. A request addressed to a shard this peer
-/// does not host bounces as an `UNSUPPORTED` fault — reported, never
-/// silently misrouted.
-///
-/// Queries run [`ShardStore::query_planned`] — the planner-chosen
-/// evaluator over the backend's lazy
-/// [`zerber_index::PostingStore::query_cursors`], so the compressed
-/// and segmented backends peek their stored block-max skip metadata
-/// and only decompress blocks that survive the upper-bound test. The
-/// service owns the [`TopKScratch`] (every evaluator's top-k collector), reused
-/// across every RPC this peer serves. [`Message::IndexDocs`] and
-/// [`Message::RemoveDoc`] mutate the addressed shard; a durable shard
-/// that fails to persist answers `STORAGE`.
-///
-/// # No access control
-///
-/// Unlike the share path (where [`ServerService`] authenticates every
-/// request and filters by group ACL), a shard peer serves its whole
-/// collection to any caller and ignores the session token: it models
-/// the *plaintext baseline* serving engine, where confidentiality is
-/// out of scope and scale is the subject. Do not put
-/// access-controlled collections behind it.
-pub struct ShardService {
-    /// The stores this peer hosts, by logical shard id.
-    stores: HashMap<u32, HostedShard>,
-    /// Per-peer reusable query scratch (the top-k heap), shared
-    /// across all hosted stores (requests are serialized per peer).
-    scratch: TopKScratch,
-    /// Frozen snapshots awaiting [`Message::FetchSegment`] pulls, per
-    /// shard (this peer acting as a rebuild *source*). Replaced by the
-    /// next [`Message::PrepareSnapshot`] for the same shard.
-    pending_snapshot: HashMap<u32, Vec<(String, Vec<u8>)>>,
-    /// Builds a shard store from installed snapshot files (this peer
-    /// acting as a rebuild *target*). Services launched without one
-    /// answer [`Message::InstallShard`] commits with `UNSUPPORTED`.
-    restore: Option<RestoreFn>,
-    /// `zerber_peer_postings_scored_total`: candidates this peer's
-    /// evaluators fully scored. Counted here, not by the querying
-    /// client like the block counts beside it — the number never
-    /// travels in `TopKResponse`.
-    postings_scored: Option<zerber_obs::Counter>,
-}
-
-/// Builds a shard store from a shipped snapshot: `(shard, files)` →
-/// store. Runs on the peer's own thread (it is handed to the service
-/// inside the spawn initializer), so it needs no `Send` bound of its
-/// own.
-pub type RestoreFn =
-    Box<dyn FnMut(u32, &[(String, Vec<u8>)]) -> Result<Box<dyn ShardStore>, ShardStoreError>>;
-
-/// One write frame buffered while its shard rebuilds, replayed in
-/// arrival order at commit. Replay is idempotent — a write that also
-/// made the shipped snapshot re-applies as a same-bytes replacement
-/// (doc-level shadowing), so the buffer may safely overlap the
-/// snapshot.
-enum BufferedWrite {
-    /// A live [`Message::IndexDocs`] batch.
-    Insert(Vec<Document>),
-    /// An offline [`Message::BulkLoad`] batch.
-    Bulk(Vec<Document>),
-    /// A [`Message::RemoveDoc`].
-    Remove(DocId),
-}
-
-/// The serving state of one hosted shard.
-enum HostedShard {
-    /// Normal operation: reads and writes hit the store directly.
-    Serving(Box<dyn ShardStore>),
-    /// Mid-rebuild: snapshot files stage here, reads bounce with
-    /// [`fault::REBUILDING`] (the hedged gather fails over to a live
-    /// replica), and writes are acknowledged into the replay buffer so
-    /// the cluster-wide all-replicas-ack write discipline keeps
-    /// working while the copy is shipped.
-    Rebuilding {
-        staged: Vec<(String, Vec<u8>)>,
-        buffered: Vec<BufferedWrite>,
-    },
-}
-
-/// Validates and converts one wire document. Wire input is untrusted:
-/// unsorted or duplicate terms would violate `Document`'s invariant
-/// (and panic deep in the index), so they bounce as `MALFORMED`.
-fn decode_document(wire: WireDocument) -> Option<Document> {
-    if !wire.terms.windows(2).all(|w| w[0].0 < w[1].0) {
-        return None;
-    }
-    Some(Document {
-        id: wire.doc,
-        group: wire.group,
-        terms: wire.terms,
-        length: wire.length,
-    })
-}
-
-fn shard_fault(error: ShardStoreError) -> Message {
+/// A transport-level fault frame (one of
+/// [`zerber_net::message::fault`]'s codes that names no group).
+pub(crate) fn fault_frame(code: u8) -> Message {
     Message::Fault {
-        code: match error {
-            ShardStoreError::Storage(_) => fault::STORAGE,
-        },
+        code,
         group: GroupId(0),
     }
 }
 
-impl ShardService {
-    /// Serves a single store as logical shard 0 (the unreplicated
-    /// deployment shape).
-    pub fn new(shard: Box<dyn ShardStore>) -> Self {
-        Self::hosting(std::iter::once((0, shard)))
-    }
-
-    /// Serves several shard stores, each addressed by its logical
-    /// shard id.
-    pub fn hosting(stores: impl IntoIterator<Item = (u32, Box<dyn ShardStore>)>) -> Self {
-        Self {
-            stores: stores
-                .into_iter()
-                .map(|(shard, store)| (shard, HostedShard::Serving(store)))
-                .collect(),
-            scratch: TopKScratch::new(),
-            pending_snapshot: HashMap::new(),
-            restore: None,
-            postings_scored: None,
-        }
-    }
-
-    /// A service whose every hosted shard starts mid-rebuild: writes
-    /// buffer from the first request, reads bounce with
-    /// [`fault::REBUILDING`]. This is the *revived replica* launch
-    /// shape — a peer respawned after a kill must never serve the
-    /// stale (or empty) state it woke up with; it buffers until the
-    /// repair controller ships it a snapshot and commits.
-    pub fn rebuilding(shards: impl IntoIterator<Item = u32>) -> Self {
-        Self {
-            stores: shards
-                .into_iter()
-                .map(|shard| {
-                    (
-                        shard,
-                        HostedShard::Rebuilding {
-                            staged: Vec::new(),
-                            buffered: Vec::new(),
-                        },
-                    )
-                })
-                .collect(),
-            scratch: TopKScratch::new(),
-            pending_snapshot: HashMap::new(),
-            restore: None,
-            postings_scored: None,
-        }
-    }
-
-    /// Installs the snapshot-restore factory, enabling this service to
-    /// be a rebuild *target* (see [`Message::InstallShard`]).
-    /// Builder-style.
-    pub fn with_restore(mut self, restore: RestoreFn) -> Self {
-        self.restore = Some(restore);
-        self
-    }
-
-    /// Counts this peer's scored postings into `registry`
-    /// (`zerber_peer_postings_scored_total`). Builder-style.
-    pub fn observed(mut self, registry: &zerber_obs::MetricsRegistry) -> Self {
-        self.postings_scored = Some(registry.counter("zerber_peer_postings_scored_total"));
-        self
-    }
-}
-
-impl PeerService for ShardService {
-    fn handle(&mut self, _from: NodeId, _auth: AuthToken, request: Message) -> Message {
-        let malformed = Message::Fault {
-            code: fault::MALFORMED,
-            group: GroupId(0),
+/// The service loop of one peer: decode → answer → encode → reply,
+/// until an explicit [`PeerInbox::Shutdown`] or until every sender is
+/// dropped.
+pub(crate) fn serve(mut service: impl PeerService, requests: &mpsc::Receiver<PeerInbox>) {
+    while let Some(PeerInbox::Request(envelope)) = next_message(requests) {
+        let response = match Message::decode(&envelope.payload) {
+            // Liveness probes are answered by the peer *loop*, not the
+            // service: any service type is probeable, and a Pong
+            // proves the thread itself is draining its inbox.
+            Ok(Message::Ping) => Message::Pong,
+            Ok(request) => service.handle(envelope.from, envelope.auth, request),
+            Err(_) => fault_frame(fault::MALFORMED),
         };
-        let not_hosted = Message::Fault {
-            code: fault::UNSUPPORTED,
-            group: GroupId(0),
-        };
-        let rebuilding = Message::Fault {
-            code: fault::REBUILDING,
-            group: GroupId(0),
-        };
-        let repair_fault = Message::Fault {
-            code: fault::REPAIR,
-            group: GroupId(0),
-        };
-        // Captured before the match consumes `request`: IndexDocs and
-        // BulkLoad share one arm and differ only in the write path.
-        let offline = matches!(request, Message::BulkLoad { .. });
-        match request {
-            Message::PlanQuery {
-                shard,
-                shape,
-                forced,
-                terms,
-                k,
-            } => {
-                // Wire input is untrusted (the transport is designed
-                // to be swappable for sockets): a NaN weight would
-                // panic this thread inside the result ordering, and a
-                // negative one would turn the block maxima into lower
-                // bounds and silently corrupt the pruning. Reject both
-                // as malformed — and likewise the two raw bytes the
-                // planner consumes: an unknown shape or override is
-                // malformed, not a panic.
-                if terms
-                    .iter()
-                    .any(|&(_, weight)| !weight.is_finite() || weight < 0.0)
-                {
-                    return malformed;
-                }
-                let (Some(shape), Some(forced)) = (
-                    zerber_query::QueryShape::from_u8(shape),
-                    zerber_query::Forced::from_u8(forced),
-                ) else {
-                    return malformed;
-                };
-                let store = match self.stores.get_mut(&shard) {
-                    Some(HostedShard::Serving(store)) => store,
-                    Some(HostedShard::Rebuilding { .. }) => return rebuilding,
-                    None => return not_hosted,
-                };
-                // Time the shard-local evaluation and ship the decode
-                // accounting back with the candidates: the querying
-                // client assembles its trace (and folds the counters
-                // into *its* registry) from the response alone, so
-                // in-process and remote socket peers report
-                // identically.
-                let started = std::time::Instant::now();
-                let outcome =
-                    store.query_planned(shape, &terms, k as usize, forced, &mut self.scratch);
-                if let Some(scored) = &self.postings_scored {
-                    scored.add(outcome.cost.postings_scored);
-                }
-                Message::TopKResponse {
-                    decode_ns: started.elapsed().as_nanos() as u64,
-                    blocks_decoded: outcome.cost.blocks_decoded as u32,
-                    blocks_total: outcome.cost.blocks_total as u32,
-                    candidates: outcome.ranked.iter().map(|r| (r.doc, r.score)).collect(),
-                }
-            }
-            Message::IndexDocs { shard, docs } | Message::BulkLoad { shard, docs } => {
-                let mut decoded = Vec::with_capacity(docs.len());
-                for wire in docs {
-                    match decode_document(wire) {
-                        Some(doc) => decoded.push(doc),
-                        None => return malformed,
-                    }
-                }
-                match self.stores.get_mut(&shard) {
-                    Some(HostedShard::Serving(store)) => {
-                        let written = if offline {
-                            store.bulk_load_documents(&decoded)
-                        } else {
-                            store.insert_documents(&decoded)
-                        };
-                        match written {
-                            Ok(_) => Message::InsertOk,
-                            Err(e) => shard_fault(e),
-                        }
-                    }
-                    Some(HostedShard::Rebuilding { buffered, .. }) => {
-                        // Acknowledge into the replay buffer: the
-                        // cluster-wide all-replicas-ack discipline keeps
-                        // committing while this copy is shipped, and the
-                        // buffer replays (idempotently) at commit.
-                        buffered.push(if offline {
-                            BufferedWrite::Bulk(decoded)
-                        } else {
-                            BufferedWrite::Insert(decoded)
-                        });
-                        Message::InsertOk
-                    }
-                    None => not_hosted,
-                }
-            }
-            Message::RemoveDoc { shard, doc } => {
-                match self.stores.get_mut(&shard) {
-                    Some(HostedShard::Serving(store)) => match store.delete_document(doc) {
-                        Ok(removed) => Message::DeleteOk {
-                            removed: u64::from(removed),
-                        },
-                        Err(e) => shard_fault(e),
-                    },
-                    Some(HostedShard::Rebuilding { buffered, .. }) => {
-                        // `removed: 0` — this copy cannot know whether the
-                        // doc exists; a live replica's count wins at the
-                        // coordinator.
-                        buffered.push(BufferedWrite::Remove(doc));
-                        Message::DeleteOk { removed: 0 }
-                    }
-                    None => not_hosted,
-                }
-            }
-            Message::PrepareSnapshot { shard } => {
-                // Rebuild *source* side: freeze a consistent file-set
-                // snapshot of the shard and advertise it. The files are
-                // cached whole until the next PrepareSnapshot for the
-                // same shard, so FetchSegment pulls are repeatable.
-                let store = match self.stores.get_mut(&shard) {
-                    Some(HostedShard::Serving(store)) => store,
-                    Some(HostedShard::Rebuilding { .. }) => return rebuilding,
-                    None => return not_hosted,
-                };
-                match store.export_snapshot() {
-                    Ok((epoch, files)) => {
-                        let manifest = files
-                            .iter()
-                            .map(|(name, bytes)| (name.clone(), bytes.len() as u64, crc32(bytes)))
-                            .collect();
-                        self.pending_snapshot.insert(shard, files);
-                        Message::SnapshotManifest {
-                            shard,
-                            epoch,
-                            files: manifest,
-                        }
-                    }
-                    Err(e) => shard_fault(e),
-                }
-            }
-            Message::FetchSegment { shard, name } => {
-                let Some(files) = self.pending_snapshot.get(&shard) else {
-                    return repair_fault;
-                };
-                match files.iter().find(|(n, _)| *n == name) {
-                    Some((_, bytes)) => Message::SegmentData {
-                        crc: crc32(bytes),
-                        payload: zerber_net::Bytes::copy_from_slice(bytes),
-                    },
-                    None => repair_fault,
-                }
-            }
-            Message::InstallShard {
-                shard,
-                name,
-                crc,
-                commit,
-                payload,
-                ..
-            } => {
-                // Rebuild *target* side. Three frame shapes:
-                //   begin  — empty name, commit=false: enter Rebuilding
-                //            (writes start buffering *before* the source
-                //            snapshots, so no write can fall between),
-                //   file   — named, commit=false: stage one CRC-checked
-                //            snapshot file,
-                //   commit — commit=true: restore a store from the staged
-                //            files, replay the buffer, cut over.
-                if !commit && name.is_empty() {
-                    match self.stores.entry(shard) {
-                        std::collections::hash_map::Entry::Occupied(mut slot) => {
-                            match slot.get_mut() {
-                                // Restart of a failed ship: keep the
-                                // buffered writes (they are still owed),
-                                // drop stale staged files.
-                                HostedShard::Rebuilding { staged, .. } => staged.clear(),
-                                serving => {
-                                    *serving = HostedShard::Rebuilding {
-                                        staged: Vec::new(),
-                                        buffered: Vec::new(),
-                                    };
-                                }
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            // A shard this peer is *gaining* (join
-                            // rebalance): host it, buffering from now.
-                            slot.insert(HostedShard::Rebuilding {
-                                staged: Vec::new(),
-                                buffered: Vec::new(),
-                            });
-                        }
-                    }
-                    return Message::InsertOk;
-                }
-                if !commit {
-                    if crc32(&payload) != crc {
-                        return repair_fault;
-                    }
-                    return match self.stores.get_mut(&shard) {
-                        Some(HostedShard::Rebuilding { staged, .. }) => {
-                            staged.push((name, payload.to_vec()));
-                            Message::InsertOk
-                        }
-                        // File frame without a begin: protocol error.
-                        _ => repair_fault,
-                    };
-                }
-                let Some(restore) = self.restore.as_mut() else {
-                    return not_hosted;
-                };
-                let (staged, buffered) = match self.stores.remove(&shard) {
-                    Some(HostedShard::Rebuilding { staged, buffered }) => (staged, buffered),
-                    // Commit without a begin (or on a serving shard):
-                    // protocol error, and the serving store must stay.
-                    Some(serving) => {
-                        self.stores.insert(shard, serving);
-                        return repair_fault;
-                    }
-                    None => return repair_fault,
-                };
-                let mut store = match restore(shard, &staged) {
-                    Ok(store) => store,
-                    Err(_) => {
-                        // Keep the owed writes; the controller re-ships.
-                        self.stores.insert(
-                            shard,
-                            HostedShard::Rebuilding {
-                                staged: Vec::new(),
-                                buffered,
-                            },
-                        );
-                        return repair_fault;
-                    }
-                };
-                for write in buffered {
-                    let applied = match write {
-                        BufferedWrite::Insert(docs) => store.insert_documents(&docs).map(|_| ()),
-                        BufferedWrite::Bulk(docs) => store.bulk_load_documents(&docs).map(|_| ()),
-                        BufferedWrite::Remove(doc) => store.delete_document(doc).map(|_| ()),
-                    };
-                    if let Err(e) = applied {
-                        // Never serve a possibly-diverged store: drop it
-                        // and stay rebuilding (the controller restarts the
-                        // whole ship, which re-captures these writes in
-                        // its fresh snapshot).
-                        self.stores.insert(
-                            shard,
-                            HostedShard::Rebuilding {
-                                staged: Vec::new(),
-                                buffered: Vec::new(),
-                            },
-                        );
-                        return shard_fault(e);
-                    }
-                }
-                self.stores.insert(shard, HostedShard::Serving(store));
-                Message::InsertOk
-            }
-            _ => not_hosted,
-        }
+        // The ReplySink meters the response before delivery.
+        envelope.reply.send(response.encode().to_vec());
     }
 }
 
@@ -574,16 +85,6 @@ impl PeerRuntime {
         &self.transport
     }
 
-    /// Addresses of all spawned peers, in spawn order.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.peers.lock().iter().map(|(node, _)| *node).collect()
-    }
-
-    /// Number of live peers.
-    pub fn peer_count(&self) -> usize {
-        self.peers.lock().len()
-    }
-
     /// Spawns one peer thread at `node`. `init` runs *on the new
     /// thread* to build the service state, so per-peer construction
     /// (e.g. indexing a document shard) parallelizes across peers.
@@ -597,26 +98,7 @@ impl PeerRuntime {
     {
         let (inbox, requests) = mpsc::channel();
         self.transport.register(node, inbox);
-        let handle = thread::spawn(move || {
-            let mut service = init();
-            // Ends on an explicit `Shutdown` or when every sender is
-            // dropped.
-            while let Some(PeerInbox::Request(envelope)) = next_message(&requests) {
-                let response = match Message::decode(&envelope.payload) {
-                    // Liveness probes are answered by the peer *loop*,
-                    // not the service: any service type is probeable,
-                    // and a Pong proves the thread itself is draining
-                    // its inbox.
-                    Ok(Message::Ping) => Message::Pong,
-                    Ok(request) => service.handle(envelope.from, envelope.auth, request),
-                    Err(_) => Message::Fault {
-                        code: fault::MALFORMED,
-                        group: GroupId(0),
-                    },
-                };
-                envelope.reply.send(response.encode().to_vec());
-            }
-        });
+        let handle = thread::spawn(move || serve(init(), &requests));
         self.peers.lock().push((node, handle));
     }
 }
@@ -667,11 +149,14 @@ impl Drop for PeerRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::shard::LiveIndexShard;
+    use crate::runtime::repair::InstallFrame;
+    use crate::runtime::service::{ServerService, ShardService};
+    use crate::runtime::shard::{LiveIndexShard, ShardStore};
     use crate::runtime::transport::Transport;
     use zerber_field::Fp;
     use zerber_index::{DocId, Document, TermId, UserId};
-    use zerber_server::TokenAuth;
+    use zerber_net::framing::crc32;
+    use zerber_server::{IndexServer, ServerError, TokenAuth};
 
     /// A single-term disjunctive ranked read, pinned to block-max TA.
     fn topk_query(shard: u32, term: u32, weight: f64, k: u32) -> Message {
@@ -1016,17 +501,7 @@ mod tests {
 
         // Begin: from here on the target owes every write it acks.
         assert_eq!(
-            rpc(
-                target,
-                &Message::InstallShard {
-                    shard: 0,
-                    epoch: 0,
-                    name: String::new(),
-                    crc: 0,
-                    commit: false,
-                    payload: zerber_net::Bytes::new(),
-                }
-            ),
+            rpc(target, &InstallFrame::Begin.message(0, 0)),
             Message::InsertOk
         );
         // A write lands on both the source (pre-snapshot, so it is in
@@ -1098,31 +573,14 @@ mod tests {
             assert_eq!(
                 rpc(
                     target,
-                    &Message::InstallShard {
-                        shard: 0,
-                        epoch,
-                        name,
-                        crc,
-                        commit: false,
-                        payload,
-                    }
+                    &InstallFrame::File { name, crc, payload }.message(0, epoch)
                 ),
                 Message::InsertOk
             );
         }
         // Commit: restore + replay + cut over.
         assert_eq!(
-            rpc(
-                target,
-                &Message::InstallShard {
-                    shard: 0,
-                    epoch,
-                    name: String::new(),
-                    crc: 0,
-                    commit: true,
-                    payload: zerber_net::Bytes::new(),
-                }
-            ),
+            rpc(target, &InstallFrame::Commit.message(0, epoch)),
             Message::InsertOk
         );
 
@@ -1179,14 +637,7 @@ mod tests {
 
         // Commit on a *serving* shard is a protocol error — and the
         // store must survive it.
-        match rpc(&Message::InstallShard {
-            shard: 0,
-            epoch: 0,
-            name: String::new(),
-            crc: 0,
-            commit: true,
-            payload: zerber_net::Bytes::new(),
-        }) {
+        match rpc(&InstallFrame::Commit.message(0, 0)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
@@ -1203,38 +654,19 @@ mod tests {
 
         // Begin, then a torn file frame (CRC mismatch): rejected, and
         // the stage stays clean for a clean retry.
-        assert_eq!(
-            rpc(&Message::InstallShard {
-                shard: 0,
-                epoch: 0,
-                name: String::new(),
-                crc: 0,
-                commit: false,
-                payload: zerber_net::Bytes::new(),
-            }),
-            Message::InsertOk
-        );
-        match rpc(&Message::InstallShard {
-            shard: 0,
-            epoch: 0,
+        assert_eq!(rpc(&InstallFrame::Begin.message(0, 0)), Message::InsertOk);
+        let torn = InstallFrame::File {
             name: "docs.zdump".into(),
             crc: 0xDEAD_BEEF,
-            commit: false,
             payload: zerber_net::Bytes::from_static(b"not the right bytes"),
-        }) {
+        };
+        match rpc(&torn.message(0, 0)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
         // Committing garbage staged files re-enters Rebuilding rather
         // than serving a broken store.
-        match rpc(&Message::InstallShard {
-            shard: 0,
-            epoch: 0,
-            name: String::new(),
-            crc: 0,
-            commit: true,
-            payload: zerber_net::Bytes::new(),
-        }) {
+        match rpc(&InstallFrame::Commit.message(0, 0)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
@@ -1257,14 +689,7 @@ mod tests {
                 NodeId::Owner(0),
                 node,
                 AuthToken(0),
-                &Message::InstallShard {
-                    shard: 0,
-                    epoch: 0,
-                    name: String::new(),
-                    crc: 0,
-                    commit: true,
-                    payload: zerber_net::Bytes::new(),
-                },
+                &InstallFrame::Commit.message(0, 0),
             )
             .unwrap()
         {

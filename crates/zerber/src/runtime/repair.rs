@@ -35,10 +35,10 @@
 use std::time::{Duration, Instant};
 
 use zerber_net::framing::crc32;
-use zerber_net::{AuthToken, Message, NodeId};
+use zerber_net::{AuthToken, Bytes, Message, NodeId};
 
 use crate::runtime::obs::RuntimeObs;
-use crate::runtime::transport::{Transport, TransportError};
+use crate::runtime::transport::{link_key, mix, Transport, TransportError};
 
 /// How many times each repair RPC is attempted before the rebuild is
 /// abandoned (transport errors only; faults never retry).
@@ -49,15 +49,6 @@ pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(2);
 
 /// Default retry-delay ceiling.
 pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-/// SplitMix64 — the same tiny deterministic scrambler the fault
-/// harness uses, so jitter is reproducible from a seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Capped exponential backoff with deterministic jitter.
 ///
@@ -99,7 +90,7 @@ impl Backoff {
             .saturating_mul(1u32 << self.attempt.min(16))
             .min(self.cap);
         self.attempt = self.attempt.saturating_add(1);
-        self.state = splitmix64(self.state);
+        self.state = mix(self.state);
         let nanos = exp.as_nanos() as u64;
         if nanos == 0 {
             return Duration::ZERO;
@@ -185,13 +176,120 @@ pub fn retry_request(
     Err(last.expect("at least one attempt"))
 }
 
-/// Expects a non-fault response; converts faults into
-/// [`RepairError::Refused`].
-fn accept(node: NodeId, response: Message) -> Result<Message, RepairError> {
-    match response {
-        Message::Fault { code, .. } => Err(RepairError::Refused { node, code }),
-        other => Ok(other),
+/// One repair RPC: transport failures retry [`REPAIR_RPC_ATTEMPTS`]
+/// times under `backoff`; a fault is the peer answering "no" and
+/// becomes [`RepairError::Refused`] at once.
+fn repair_rpc(
+    transport: &dyn Transport,
+    from: NodeId,
+    auth: AuthToken,
+    to: NodeId,
+    message: &Message,
+    backoff: &mut Backoff,
+) -> Result<Message, RepairError> {
+    let attempts = REPAIR_RPC_ATTEMPTS;
+    match retry_request(transport, from, to, auth, message, attempts, backoff) {
+        Ok(Message::Fault { code, .. }) => Err(RepairError::Refused { node: to, code }),
+        Ok(response) => Ok(response),
+        Err(error) => Err(RepairError::Transport(error)),
     }
+}
+
+/// Expects the plain acknowledgement every install frame is answered
+/// with.
+fn expect_ack(what: &str, response: Message) -> Result<(), RepairError> {
+    match response {
+        Message::InsertOk => Ok(()),
+        other => Err(RepairError::Protocol(format!("{what} answered {other:?}"))),
+    }
+}
+
+/// The three shapes of the one rebuild-target frame,
+/// [`Message::InstallShard`]. The wire convention — which field values
+/// mean which shape — lives in this block only:
+/// [`InstallFrame::message`] writes a shape, [`InstallFrame::classify`]
+/// reads it back.
+#[derive(Debug, PartialEq)]
+pub(crate) enum InstallFrame {
+    /// Enter `Rebuilding`: buffer every write from now on. Sent before
+    /// the snapshot exists, so by convention under epoch `0`.
+    Begin,
+    /// Stage one CRC-checked snapshot file.
+    File {
+        /// The file's name inside the snapshot.
+        name: String,
+        /// CRC32 the payload must hash to.
+        crc: u32,
+        /// The file's bytes.
+        payload: Bytes,
+    },
+    /// Restore from the staged files, replay the buffer, serve.
+    Commit,
+}
+
+impl InstallFrame {
+    /// This shape as a frame for `shard`, of snapshot `epoch`: only a
+    /// file frame is named, only a commit frame sets the flag.
+    pub(crate) fn message(self, shard: u32, epoch: u64) -> Message {
+        let (name, crc, commit, payload) = match self {
+            InstallFrame::Begin => (String::new(), 0, false, Bytes::new()),
+            InstallFrame::File { name, crc, payload } => (name, crc, false, payload),
+            InstallFrame::Commit => (String::new(), 0, true, Bytes::new()),
+        };
+        Message::InstallShard {
+            shard,
+            epoch,
+            name,
+            crc,
+            commit,
+            payload,
+        }
+    }
+
+    /// Reads an install frame back as `(shard, shape)`; any other
+    /// message comes back unchanged. The commit flag wins over a name,
+    /// and an unnamed uncommitted frame is a begin whatever else it
+    /// carries.
+    pub(crate) fn classify(message: Message) -> Result<(u32, InstallFrame), Message> {
+        let Message::InstallShard {
+            shard,
+            name,
+            crc,
+            commit,
+            payload,
+            ..
+        } = message
+        else {
+            return Err(message);
+        };
+        let shape = match (commit, name.is_empty()) {
+            (true, _) => InstallFrame::Commit,
+            (false, true) => InstallFrame::Begin,
+            (false, false) => InstallFrame::File { name, crc, payload },
+        };
+        Ok((shard, shape))
+    }
+}
+
+/// Phase 1 of a rebuild on its own: tells `target` to start
+/// write-buffering `shard`. [`rebuild_shard`] opens with it, and a
+/// join/leave migration sends it to every peer *gaining* a shard
+/// before writes start fanning to the new placement, so a gained peer
+/// acks (buffers) writes it cannot yet serve instead of rejecting
+/// them.
+pub(crate) fn begin_install(
+    transport: &dyn Transport,
+    from: NodeId,
+    auth: AuthToken,
+    target: NodeId,
+    shard: u32,
+    backoff: &mut Backoff,
+) -> Result<(), RepairError> {
+    let begin = InstallFrame::Begin.message(shard, 0);
+    expect_ack(
+        "begin",
+        repair_rpc(transport, from, auth, target, &begin, backoff)?,
+    )
 }
 
 /// Rebuilds `target`'s copy of `shard` from live replica `source`:
@@ -211,39 +309,15 @@ pub fn rebuild_shard(
     // Jitter seeded from the (shard, source, target) triple: two
     // controllers repairing different shards never share a schedule,
     // and reruns of the same repair reproduce exactly.
-    let mut backoff = Backoff::for_seed(
-        (u64::from(shard) << 32)
-            ^ splitmix64(node_seed(source) ^ node_seed(target).rotate_left(17)),
-    );
+    let mut backoff = Backoff::for_seed((u64::from(shard) << 32) ^ link_key(source, target));
     let rpc = |to: NodeId, message: &Message, backoff: &mut Backoff| {
-        retry_request(
-            transport,
-            from,
-            to,
-            auth,
-            message,
-            REPAIR_RPC_ATTEMPTS,
-            backoff,
-        )
-        .map_err(RepairError::Transport)
-        .and_then(|response| accept(to, response))
+        repair_rpc(transport, from, auth, to, message, backoff)
     };
 
     // Phase 1 — begin: the target buffers every write it acks from
     // here on, *before* the source freezes its snapshot, so the
     // buffer ∪ snapshot covers all acknowledged writes.
-    let begin = Message::InstallShard {
-        shard,
-        epoch: 0,
-        name: String::new(),
-        crc: 0,
-        commit: false,
-        payload: zerber_net::Bytes::new(),
-    };
-    match rpc(target, &begin, &mut backoff)? {
-        Message::InsertOk => {}
-        other => return Err(RepairError::Protocol(format!("begin answered {other:?}"))),
-    }
+    begin_install(transport, from, auth, target, shard, &mut backoff)?;
 
     // Phase 2 — snapshot the source.
     let (epoch, manifest) = match rpc(source, &Message::PrepareSnapshot { shard }, &mut backoff)? {
@@ -269,14 +343,11 @@ pub fn rebuild_shard(
     // Phase 3 — stream every file, verifying each hop.
     let mut stats = RepairStats::default();
     for (name, len, crc) in manifest {
-        let payload = match rpc(
-            source,
-            &Message::FetchSegment {
-                shard,
-                name: name.clone(),
-            },
-            &mut backoff,
-        )? {
+        let fetch = Message::FetchSegment {
+            shard,
+            name: name.clone(),
+        };
+        let payload = match rpc(source, &fetch, &mut backoff)? {
             Message::SegmentData {
                 crc: framed,
                 payload,
@@ -293,38 +364,15 @@ pub fn rebuild_shard(
         };
         stats.segments += 1;
         stats.bytes += payload.len() as u64;
-        let install = Message::InstallShard {
-            shard,
-            epoch,
-            name: name.clone(),
-            crc,
-            commit: false,
-            payload,
-        };
-        match rpc(target, &install, &mut backoff)? {
-            Message::InsertOk => {}
-            other => {
-                return Err(RepairError::Protocol(format!(
-                    "install of {name:?} answered {other:?}"
-                )))
-            }
-        }
+        let what = format!("install of {name:?}");
+        let install = InstallFrame::File { name, crc, payload }.message(shard, epoch);
+        expect_ack(&what, rpc(target, &install, &mut backoff)?)?;
     }
 
     // Phase 4 — commit: the target restores, replays its buffer, and
     // cuts over to serving.
-    let commit = Message::InstallShard {
-        shard,
-        epoch,
-        name: String::new(),
-        crc: 0,
-        commit: true,
-        payload: zerber_net::Bytes::new(),
-    };
-    match rpc(target, &commit, &mut backoff)? {
-        Message::InsertOk => {}
-        other => return Err(RepairError::Protocol(format!("commit answered {other:?}"))),
-    }
+    let commit = InstallFrame::Commit.message(shard, epoch);
+    expect_ack("commit", rpc(target, &commit, &mut backoff)?)?;
 
     if let Some(obs) = obs {
         let metrics = obs.metrics();
@@ -346,14 +394,6 @@ pub fn probe(transport: &dyn Transport, from: NodeId, node: NodeId) -> bool {
         transport.request(from, node, AuthToken(0), &Message::Ping),
         Ok(Message::Pong) | Ok(Message::Fault { .. })
     )
-}
-
-fn node_seed(node: NodeId) -> u64 {
-    match node {
-        NodeId::User(i) => (1u64 << 32) | u64::from(i),
-        NodeId::Owner(i) => (2u64 << 32) | u64::from(i),
-        NodeId::IndexServer(i) => (3u64 << 32) | u64::from(i),
-    }
 }
 
 #[cfg(test)]
@@ -389,5 +429,35 @@ mod tests {
         }
         b.reset();
         assert!(b.next_delay() <= Duration::from_millis(4));
+    }
+
+    /// The wire convention of the install frame, pinned from both
+    /// sides: what each shape puts on the wire, and that the
+    /// classifier reads each shape (and nothing else) back.
+    #[test]
+    fn install_frames_round_trip_through_the_classifier() {
+        assert_eq!(
+            InstallFrame::Begin.message(3, 0),
+            Message::InstallShard {
+                shard: 3,
+                epoch: 0,
+                name: String::new(),
+                crc: 0,
+                commit: false,
+                payload: Bytes::new(),
+            }
+        );
+        let file = || InstallFrame::File {
+            name: "a.zseg".into(),
+            crc: 7,
+            payload: Bytes::from_static(b"segment bytes"),
+        };
+        for shape in [|| InstallFrame::Begin, file, || InstallFrame::Commit] {
+            assert_eq!(
+                InstallFrame::classify(shape().message(3, 9)),
+                Ok((3, shape()))
+            );
+        }
+        assert_eq!(InstallFrame::classify(Message::Ping), Err(Message::Ping));
     }
 }

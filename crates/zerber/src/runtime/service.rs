@@ -1,0 +1,753 @@
+//! The services a peer runs: what each decoded frame does.
+//!
+//! * [`ServerService`] hosts a share-holding [`IndexServer`] — the
+//!   paper's index-server role (insert/delete/lookup, Section 5),
+//!   executing off the caller's thread;
+//! * [`ShardService`] hosts the *document shards* this peer carries —
+//!   its own shard plus, under replication, copies of its
+//!   predecessors' — behind the [`ShardStore`] trait, and answers
+//!   [`Message::PlanQuery`] with the addressed shard's planned top-k.
+//!
+//! This module owns one decision: *what a frame does to a shard in a
+//! given serving state*. [`ShardService`] is a decision table over
+//! (state × frame) — its `handle` picks the row, one method per row
+//! holds the three cells — and the table-driven test at the bottom
+//! checks every cell, so the table is complete and non-overlapping by
+//! test, not by reading. How a peer *gets* its frames (thread, inbox,
+//! socket) is [`crate::runtime::peer`]'s business.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use zerber_index::cursor::TopKScratch;
+use zerber_index::{DocId, Document, TermId};
+use zerber_net::framing::crc32;
+use zerber_net::message::fault;
+use zerber_net::{AuthToken, Bytes, Message, NodeId, WireDocument};
+use zerber_server::IndexServer;
+
+use crate::runtime::peer::{fault_frame, PeerService};
+use crate::runtime::repair::InstallFrame;
+use crate::runtime::shard::{from_wire, ShardStore, ShardStoreError};
+
+/// The index-server role as a peer service: the narrow
+/// insert/delete/lookup interface, driven by decoded wire messages.
+pub struct ServerService {
+    server: Arc<IndexServer>,
+}
+
+impl ServerService {
+    /// Wraps a server. The `Arc` is shared with the control plane
+    /// (membership administration, proactive refresh, adversary
+    /// views), which stays direct — only the data plane crosses the
+    /// transport.
+    pub fn new(server: Arc<IndexServer>) -> Self {
+        Self { server }
+    }
+}
+
+impl PeerService for ServerService {
+    fn handle(&mut self, _from: NodeId, auth: AuthToken, request: Message) -> Message {
+        let answer = match request {
+            Message::InsertBatch { entries } => self
+                .server
+                .insert_batch(auth, &entries)
+                .map(|()| Message::InsertOk),
+            Message::Delete { elements } => {
+                self.server
+                    .delete(auth, &elements)
+                    .map(|removed| Message::DeleteOk {
+                        removed: removed as u64,
+                    })
+            }
+            // Queries carry their token in the message body (the wire
+            // format of Section 5.4.2); the envelope token is the same
+            // session token and is ignored here.
+            Message::Query { auth, pl_ids } => self
+                .server
+                .get_posting_lists(auth, &pl_ids)
+                .map(|lists| Message::QueryResponse { lists }),
+            _ => return fault_frame(fault::UNSUPPORTED),
+        };
+        // A server-side rejection travels as its wire fault frame (the
+        // mapping itself lives with `ServerError`).
+        answer.unwrap_or_else(|error| {
+            let (code, group) = error.to_fault();
+            Message::Fault { code, group }
+        })
+    }
+}
+
+/// The document shards one peer hosts: ranked reads plus the live
+/// write stream, each request addressed to a logical shard by id.
+///
+/// Without replication a peer hosts exactly its own shard; with
+/// `R`-fold replication it also carries copies of its `R - 1`
+/// predecessors' shards (see `zerber_dht::ShardMap::hosted_shards`),
+/// and the `shard` field on [`Message::PlanQuery`] /
+/// [`Message::IndexDocs`] / [`Message::RemoveDoc`] selects which
+/// store serves the request. A request addressed to a shard this peer
+/// does not host bounces as an `UNSUPPORTED` fault — reported, never
+/// silently misrouted.
+///
+/// Queries run [`ShardStore::query_planned`] — the planner-chosen
+/// evaluator over the backend's lazy
+/// [`zerber_index::PostingStore::query_cursors`], so the compressed
+/// and segmented backends peek their stored block-max skip metadata
+/// and only decompress blocks that survive the upper-bound test. The
+/// service owns the [`TopKScratch`] (every evaluator's top-k collector), reused
+/// across every RPC this peer serves. [`Message::IndexDocs`] and
+/// [`Message::RemoveDoc`] mutate the addressed shard; a durable shard
+/// that fails to persist answers `STORAGE`.
+///
+/// # The (state × frame) table
+///
+/// ```text
+///                   Serving            Rebuilding           not hosted
+///  PlanQuery        TopKResponse       REBUILDING           UNSUPPORTED
+///  IndexDocs        InsertOk           InsertOk (buffered)  UNSUPPORTED
+///  BulkLoad         InsertOk           InsertOk (buffered)  UNSUPPORTED
+///  RemoveDoc        DeleteOk{n}        DeleteOk{0} (buff.)  UNSUPPORTED
+///  PrepareSnapshot  SnapshotManifest   REBUILDING           UNSUPPORTED
+///  FetchSegment     SegmentData if that file was prepared, else REPAIR
+///  install begin    InsertOk → Rebuilding (a restart keeps the buffer)
+///  install file     REPAIR             InsertOk (staged)    REPAIR
+///  install commit   REPAIR             InsertOk → Serving   REPAIR
+/// ```
+///
+/// Only the two arrows change a shard's state; a commit whose restore
+/// or replay fails answers `REPAIR` / `STORAGE` and stays `Rebuilding`.
+/// Malformed input (`MALFORMED`) and a commit on a service without a
+/// restore factory (`UNSUPPORTED`) are rejected before the state is
+/// looked at.
+///
+/// # No access control
+///
+/// Unlike the share path (where [`ServerService`] authenticates every
+/// request and filters by group ACL), a shard peer serves its whole
+/// collection to any caller and ignores the session token: it models
+/// the *plaintext baseline* serving engine, where confidentiality is
+/// out of scope and scale is the subject. Do not put
+/// access-controlled collections behind it.
+pub struct ShardService {
+    /// The stores this peer hosts, by logical shard id.
+    stores: HashMap<u32, HostedShard>,
+    /// Per-peer reusable query scratch (the top-k heap), shared
+    /// across all hosted stores (requests are serialized per peer).
+    scratch: TopKScratch,
+    /// Frozen snapshots awaiting [`Message::FetchSegment`] pulls, per
+    /// shard (this peer acting as a rebuild *source*). Replaced by the
+    /// next [`Message::PrepareSnapshot`] for the same shard.
+    pending_snapshot: HashMap<u32, Vec<(String, Vec<u8>)>>,
+    /// Builds a shard store from installed snapshot files (this peer
+    /// acting as a rebuild *target*). Services launched without one
+    /// answer install commits with `UNSUPPORTED`.
+    restore: Option<RestoreFn>,
+    /// `zerber_peer_postings_scored_total`: candidates this peer's
+    /// evaluators fully scored. Counted here, not by the querying
+    /// client like the block counts beside it — the number never
+    /// travels in `TopKResponse`.
+    postings_scored: Option<zerber_obs::Counter>,
+}
+
+/// Builds a shard store from a shipped snapshot: `(shard, files)` →
+/// store. Runs on the peer's own thread (it is handed to the service
+/// inside the spawn initializer), so it needs no `Send` bound of its
+/// own.
+pub type RestoreFn =
+    Box<dyn FnMut(u32, &[(String, Vec<u8>)]) -> Result<Box<dyn ShardStore>, ShardStoreError>>;
+
+/// One decoded write frame: applied at once to a serving shard,
+/// buffered by a rebuilding one and replayed in arrival order at
+/// commit. Replay is idempotent — a write that also made the shipped
+/// snapshot re-applies as a same-bytes replacement (doc-level
+/// shadowing), so the buffer may safely overlap the snapshot.
+enum WriteOp {
+    /// A live [`Message::IndexDocs`] batch.
+    Insert(Vec<Document>),
+    /// An offline [`Message::BulkLoad`] batch.
+    Bulk(Vec<Document>),
+    /// A [`Message::RemoveDoc`].
+    Remove(DocId),
+}
+
+impl WriteOp {
+    /// Applies the write; returns how many documents it removed.
+    fn apply(&self, store: &mut dyn ShardStore) -> Result<u64, ShardStoreError> {
+        match self {
+            WriteOp::Insert(docs) => store.insert_documents(docs).map(|_| 0),
+            WriteOp::Bulk(docs) => store.bulk_load_documents(docs).map(|_| 0),
+            WriteOp::Remove(doc) => store.delete_document(*doc).map(u64::from),
+        }
+    }
+
+    /// The acknowledgement of this write once it removed `removed`
+    /// documents (`0` from a buffering copy, which cannot know — a
+    /// live replica's count wins at the coordinator).
+    fn ack(&self, removed: u64) -> Message {
+        match self {
+            WriteOp::Insert(_) | WriteOp::Bulk(_) => Message::InsertOk,
+            WriteOp::Remove(_) => Message::DeleteOk { removed },
+        }
+    }
+}
+
+/// The serving state of one hosted shard.
+enum HostedShard {
+    /// Normal operation: reads and writes hit the store directly.
+    Serving(Box<dyn ShardStore>),
+    /// Mid-rebuild: snapshot files stage here, reads bounce with
+    /// [`fault::REBUILDING`] (the hedged gather fails over to a live
+    /// replica), and writes are acknowledged into the replay buffer so
+    /// the cluster-wide all-replicas-ack write discipline keeps
+    /// working while the copy is shipped.
+    Rebuilding {
+        staged: Vec<(String, Vec<u8>)>,
+        buffered: Vec<WriteOp>,
+    },
+}
+
+impl HostedShard {
+    /// A rebuilding shard with nothing staged, still owing `buffered`.
+    fn rebuilding(buffered: Vec<WriteOp>) -> Self {
+        HostedShard::Rebuilding {
+            staged: Vec::new(),
+            buffered,
+        }
+    }
+}
+
+fn shard_fault(error: ShardStoreError) -> Message {
+    fault_frame(match error {
+        ShardStoreError::Storage(_) => fault::STORAGE,
+    })
+}
+
+impl ShardService {
+    /// Serves a single store as logical shard 0 (the unreplicated
+    /// deployment shape).
+    pub fn new(shard: Box<dyn ShardStore>) -> Self {
+        Self::hosting(std::iter::once((0, shard)))
+    }
+
+    /// Serves several shard stores, each addressed by its logical
+    /// shard id.
+    pub fn hosting(stores: impl IntoIterator<Item = (u32, Box<dyn ShardStore>)>) -> Self {
+        Self::with_shards(
+            stores
+                .into_iter()
+                .map(|(shard, store)| (shard, HostedShard::Serving(store)))
+                .collect(),
+        )
+    }
+
+    /// A service whose every hosted shard starts mid-rebuild: writes
+    /// buffer from the first request, reads bounce with
+    /// [`fault::REBUILDING`]. This is the *revived replica* launch
+    /// shape — a peer respawned after a kill must never serve the
+    /// stale (or empty) state it woke up with; it buffers until the
+    /// repair controller ships it a snapshot and commits.
+    pub fn rebuilding(shards: impl IntoIterator<Item = u32>) -> Self {
+        Self::with_shards(
+            shards
+                .into_iter()
+                .map(|shard| (shard, HostedShard::rebuilding(Vec::new())))
+                .collect(),
+        )
+    }
+
+    fn with_shards(stores: HashMap<u32, HostedShard>) -> Self {
+        Self {
+            stores,
+            scratch: TopKScratch::new(),
+            pending_snapshot: HashMap::new(),
+            restore: None,
+            postings_scored: None,
+        }
+    }
+
+    /// Installs the snapshot-restore factory, enabling this service to
+    /// be a rebuild *target* (see [`Message::InstallShard`]).
+    /// Builder-style.
+    pub fn with_restore(mut self, restore: RestoreFn) -> Self {
+        self.restore = Some(restore);
+        self
+    }
+
+    /// Counts this peer's scored postings into `registry`
+    /// (`zerber_peer_postings_scored_total`). Builder-style.
+    pub fn observed(mut self, registry: &zerber_obs::MetricsRegistry) -> Self {
+        self.postings_scored = Some(registry.counter("zerber_peer_postings_scored_total"));
+        self
+    }
+}
+
+impl PeerService for ShardService {
+    /// Picks the table row; each row method holds its three cells.
+    fn handle(&mut self, _from: NodeId, _auth: AuthToken, request: Message) -> Message {
+        match request {
+            Message::PlanQuery {
+                shard,
+                shape,
+                forced,
+                terms,
+                k,
+            } => self.plan_query(shard, shape, forced, &terms, k),
+            Message::IndexDocs { shard, docs } => self.write_docs(shard, docs, WriteOp::Insert),
+            Message::BulkLoad { shard, docs } => self.write_docs(shard, docs, WriteOp::Bulk),
+            Message::RemoveDoc { shard, doc } => self.write(shard, WriteOp::Remove(doc)),
+            Message::PrepareSnapshot { shard } => self.prepare_snapshot(shard),
+            Message::FetchSegment { shard, name } => self.fetch_segment(shard, &name),
+            other => match InstallFrame::classify(other) {
+                Ok((shard, InstallFrame::Begin)) => self.install_begin(shard),
+                Ok((shard, InstallFrame::File { name, crc, payload })) => {
+                    self.install_file(shard, name, crc, &payload)
+                }
+                Ok((shard, InstallFrame::Commit)) => self.install_commit(shard),
+                Err(_) => fault_frame(fault::UNSUPPORTED),
+            },
+        }
+    }
+}
+
+impl ShardService {
+    fn plan_query(
+        &mut self,
+        shard: u32,
+        shape: u8,
+        forced: u8,
+        terms: &[(TermId, f64)],
+        k: u32,
+    ) -> Message {
+        // Wire input is untrusted (the transport is designed to be
+        // swappable for sockets): a NaN weight would panic this thread
+        // inside the result ordering, and a negative one would turn
+        // the block maxima into lower bounds and silently corrupt the
+        // pruning. Reject both as malformed — and likewise the two raw
+        // bytes the planner consumes: an unknown shape or override is
+        // malformed, not a panic.
+        if terms
+            .iter()
+            .any(|&(_, weight)| !weight.is_finite() || weight < 0.0)
+        {
+            return fault_frame(fault::MALFORMED);
+        }
+        let (Some(shape), Some(forced)) = (
+            zerber_query::QueryShape::from_u8(shape),
+            zerber_query::Forced::from_u8(forced),
+        ) else {
+            return fault_frame(fault::MALFORMED);
+        };
+        let store = match self.stores.get_mut(&shard) {
+            Some(HostedShard::Serving(store)) => store,
+            Some(HostedShard::Rebuilding { .. }) => return fault_frame(fault::REBUILDING),
+            None => return fault_frame(fault::UNSUPPORTED),
+        };
+        // Time the shard-local evaluation and ship the decode
+        // accounting back with the candidates: the querying client
+        // assembles its trace (and folds the counters into *its*
+        // registry) from the response alone, so in-process and remote
+        // socket peers report identically.
+        let started = std::time::Instant::now();
+        let outcome = store.query_planned(shape, terms, k as usize, forced, &mut self.scratch);
+        if let Some(scored) = &self.postings_scored {
+            scored.add(outcome.cost.postings_scored);
+        }
+        Message::TopKResponse {
+            decode_ns: started.elapsed().as_nanos() as u64,
+            blocks_decoded: outcome.cost.blocks_decoded as u32,
+            blocks_total: outcome.cost.blocks_total as u32,
+            candidates: outcome.ranked.iter().map(|r| (r.doc, r.score)).collect(),
+        }
+    }
+
+    /// The `IndexDocs` / `BulkLoad` rows: validate the batch, then it
+    /// is a write like any other.
+    fn write_docs(
+        &mut self,
+        shard: u32,
+        docs: Vec<WireDocument>,
+        op: fn(Vec<Document>) -> WriteOp,
+    ) -> Message {
+        match docs.into_iter().map(from_wire).collect() {
+            Some(decoded) => self.write(shard, op(decoded)),
+            None => fault_frame(fault::MALFORMED),
+        }
+    }
+
+    fn write(&mut self, shard: u32, op: WriteOp) -> Message {
+        match self.stores.get_mut(&shard) {
+            Some(HostedShard::Serving(store)) => match op.apply(store.as_mut()) {
+                Ok(removed) => op.ack(removed),
+                Err(e) => shard_fault(e),
+            },
+            Some(HostedShard::Rebuilding { buffered, .. }) => {
+                // Acknowledge into the replay buffer: the cluster-wide
+                // all-replicas-ack discipline keeps committing while
+                // this copy is shipped, and the buffer replays
+                // (idempotently) at commit.
+                let ack = op.ack(0);
+                buffered.push(op);
+                ack
+            }
+            None => fault_frame(fault::UNSUPPORTED),
+        }
+    }
+
+    /// Rebuild *source* side: freeze a consistent file-set snapshot of
+    /// the shard and advertise it. The files are cached whole until
+    /// the next `PrepareSnapshot` for the same shard, so
+    /// `FetchSegment` pulls are repeatable.
+    fn prepare_snapshot(&mut self, shard: u32) -> Message {
+        let store = match self.stores.get_mut(&shard) {
+            Some(HostedShard::Serving(store)) => store,
+            Some(HostedShard::Rebuilding { .. }) => return fault_frame(fault::REBUILDING),
+            None => return fault_frame(fault::UNSUPPORTED),
+        };
+        match store.export_snapshot() {
+            Ok((epoch, files)) => {
+                let manifest = files
+                    .iter()
+                    .map(|(name, bytes)| (name.clone(), bytes.len() as u64, crc32(bytes)))
+                    .collect();
+                self.pending_snapshot.insert(shard, files);
+                Message::SnapshotManifest {
+                    shard,
+                    epoch,
+                    files: manifest,
+                }
+            }
+            Err(e) => shard_fault(e),
+        }
+    }
+
+    /// Answers from the prepared file set alone, whatever the shard's
+    /// state has become since.
+    fn fetch_segment(&mut self, shard: u32, name: &str) -> Message {
+        let mut prepared = self.pending_snapshot.get(&shard).into_iter().flatten();
+        match prepared.find(|(n, _)| n == name) {
+            Some((_, bytes)) => Message::SegmentData {
+                crc: crc32(bytes),
+                payload: Bytes::copy_from_slice(bytes),
+            },
+            None => fault_frame(fault::REPAIR),
+        }
+    }
+
+    /// Rebuild *target* side, begin: enter `Rebuilding`, so writes
+    /// start buffering *before* the source snapshots and none can fall
+    /// between. A shard this peer does not host yet is one it is
+    /// *gaining* (join rebalance): host it, buffering from now.
+    fn install_begin(&mut self, shard: u32) -> Message {
+        let empty = || HostedShard::rebuilding(Vec::new());
+        match self.stores.entry(shard).or_insert_with(empty) {
+            // Restart of a failed ship: keep the buffered writes (they
+            // are still owed), drop stale staged files.
+            HostedShard::Rebuilding { staged, .. } => staged.clear(),
+            serving => *serving = empty(),
+        }
+        Message::InsertOk
+    }
+
+    /// Stages one CRC-checked snapshot file. A file frame without a
+    /// begin is a protocol error.
+    fn install_file(&mut self, shard: u32, name: String, crc: u32, payload: &[u8]) -> Message {
+        match self.stores.get_mut(&shard) {
+            Some(HostedShard::Rebuilding { staged, .. }) if crc32(payload) == crc => {
+                staged.push((name, payload.to_vec()));
+                Message::InsertOk
+            }
+            _ => fault_frame(fault::REPAIR),
+        }
+    }
+
+    /// Restores a store from the staged files, replays the buffer,
+    /// cuts over. A commit without a begin (or on a serving shard) is
+    /// a protocol error, and the serving store stays.
+    fn install_commit(&mut self, shard: u32) -> Message {
+        let Some(restore) = self.restore.as_mut() else {
+            return fault_frame(fault::UNSUPPORTED);
+        };
+        // Taking both lists leaves the shard `Rebuilding` and empty
+        // while the store is built.
+        let (staged, buffered) = match self.stores.get_mut(&shard) {
+            Some(HostedShard::Rebuilding { staged, buffered }) => {
+                (std::mem::take(staged), std::mem::take(buffered))
+            }
+            _ => return fault_frame(fault::REPAIR),
+        };
+        let mut store = match restore(shard, &staged) {
+            Ok(store) => store,
+            Err(_) => {
+                // Keep the owed writes; the controller re-ships.
+                self.stores.insert(shard, HostedShard::rebuilding(buffered));
+                return fault_frame(fault::REPAIR);
+            }
+        };
+        for write in &buffered {
+            if let Err(e) = write.apply(store.as_mut()) {
+                // Never serve a possibly-diverged store: drop it and
+                // stay rebuilding with nothing owed (the controller
+                // restarts the whole ship, which re-captures these
+                // writes in its fresh snapshot).
+                return shard_fault(e);
+            }
+        }
+        self.stores.insert(shard, HostedShard::Serving(store));
+        Message::InsertOk
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::shard::{restore_shard_store, LiveIndexShard, LIVE_SNAPSHOT_FILE};
+    use zerber_index::{GroupId, PostingBackend};
+
+    /// The shard every frame of the table addresses.
+    const SHARD: u32 = 0;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum State {
+        Serving,
+        Rebuilding,
+        NotHosted,
+    }
+
+    /// What a cell answers, by frame kind (payloads are checked by the
+    /// over-the-wire tests in `runtime::peer`).
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        TopK,
+        InsertOk,
+        DeleteOk(u64),
+        Manifest,
+        SegmentData,
+        Fault(u8),
+    }
+
+    fn answer_of(response: Message) -> Answer {
+        match response {
+            Message::TopKResponse { .. } => Answer::TopK,
+            Message::InsertOk => Answer::InsertOk,
+            Message::DeleteOk { removed } => Answer::DeleteOk(removed),
+            Message::SnapshotManifest { .. } => Answer::Manifest,
+            Message::SegmentData { .. } => Answer::SegmentData,
+            Message::Fault { code, .. } => Answer::Fault(code),
+            other => panic!("no cell answers {other:?}"),
+        }
+    }
+
+    fn wire_doc(id: u32) -> WireDocument {
+        WireDocument {
+            doc: DocId(id),
+            group: GroupId(0),
+            length: 1,
+            terms: vec![(TermId(7), 1)],
+        }
+    }
+
+    fn live_store() -> Box<dyn ShardStore> {
+        let doc = from_wire(wire_doc(1)).expect("sorted terms");
+        Box::new(LiveIndexShard::new(&[doc]))
+    }
+
+    /// The one file of a valid snapshot, as `(crc, bytes)`.
+    fn snapshot_file() -> (u32, Vec<u8>) {
+        let (_, mut files) = live_store().export_snapshot().expect("in-memory export");
+        let (name, bytes) = files.pop().expect("one virtual file");
+        assert_eq!(name, LIVE_SNAPSHOT_FILE);
+        (crc32(&bytes), bytes)
+    }
+
+    fn file_frame() -> Message {
+        let (crc, bytes) = snapshot_file();
+        let name = LIVE_SNAPSHOT_FILE.into();
+        let payload = Bytes::from(bytes);
+        InstallFrame::File { name, crc, payload }.message(SHARD, 1)
+    }
+
+    /// A service with `SHARD` in `state`. The serving copy has a
+    /// snapshot prepared (it can be a rebuild source); the rebuilding
+    /// copy has a valid snapshot staged (it can commit).
+    fn service_in(state: State) -> ShardService {
+        let hosted = match state {
+            State::Serving => vec![(SHARD, live_store())],
+            State::Rebuilding | State::NotHosted => vec![(SHARD + 1, live_store())],
+        };
+        let mut service = ShardService::hosting(hosted).with_restore(Box::new(|_, files| {
+            restore_shard_store(&PostingBackend::Compressed, files)
+        }));
+        let owner = NodeId::Owner(0);
+        let setup: Vec<Message> = match state {
+            State::Serving => vec![Message::PrepareSnapshot { shard: SHARD }],
+            State::Rebuilding => vec![InstallFrame::Begin.message(SHARD, 0), file_frame()],
+            State::NotHosted => vec![],
+        };
+        for frame in setup {
+            let answer = answer_of(service.handle(owner, AuthToken(0), frame));
+            assert!(!matches!(answer, Answer::Fault(_)), "{state:?} setup");
+        }
+        assert_eq!(state_of(&service), state);
+        service
+    }
+
+    fn state_of(service: &ShardService) -> State {
+        match service.stores.get(&SHARD) {
+            Some(HostedShard::Serving(_)) => State::Serving,
+            Some(HostedShard::Rebuilding { .. }) => State::Rebuilding,
+            None => State::NotHosted,
+        }
+    }
+
+    /// Every cell of the (state × frame) table: 9 frames × 3 states,
+    /// each asserting the answer frame and the state it leaves.
+    #[test]
+    fn every_cell_of_the_state_by_frame_table() {
+        use fault::{REBUILDING, REPAIR, UNSUPPORTED};
+        use Answer::{DeleteOk, Fault, InsertOk, Manifest, SegmentData, TopK};
+        use State::{NotHosted, Rebuilding, Serving};
+
+        type Row = (&'static str, fn() -> Message, [(Answer, State); 3]);
+        // Cells in the order Serving, Rebuilding, NotHosted.
+        let table: [Row; 9] = [
+            (
+                "PlanQuery",
+                || Message::PlanQuery {
+                    shard: SHARD,
+                    shape: 0,
+                    forced: 1,
+                    terms: vec![(TermId(7), 1.0)],
+                    k: 4,
+                },
+                [
+                    (TopK, Serving),
+                    (Fault(REBUILDING), Rebuilding),
+                    (Fault(UNSUPPORTED), NotHosted),
+                ],
+            ),
+            (
+                "IndexDocs",
+                || Message::IndexDocs {
+                    shard: SHARD,
+                    docs: vec![wire_doc(2)],
+                },
+                [
+                    (InsertOk, Serving),
+                    (InsertOk, Rebuilding),
+                    (Fault(UNSUPPORTED), NotHosted),
+                ],
+            ),
+            (
+                "BulkLoad",
+                || Message::BulkLoad {
+                    shard: SHARD,
+                    docs: vec![wire_doc(2)],
+                },
+                [
+                    (InsertOk, Serving),
+                    (InsertOk, Rebuilding),
+                    (Fault(UNSUPPORTED), NotHosted),
+                ],
+            ),
+            (
+                "RemoveDoc",
+                || Message::RemoveDoc {
+                    shard: SHARD,
+                    doc: DocId(1),
+                },
+                [
+                    (DeleteOk(1), Serving),
+                    (DeleteOk(0), Rebuilding),
+                    (Fault(UNSUPPORTED), NotHosted),
+                ],
+            ),
+            (
+                "PrepareSnapshot",
+                || Message::PrepareSnapshot { shard: SHARD },
+                [
+                    (Manifest, Serving),
+                    (Fault(REBUILDING), Rebuilding),
+                    (Fault(UNSUPPORTED), NotHosted),
+                ],
+            ),
+            (
+                "FetchSegment",
+                || Message::FetchSegment {
+                    shard: SHARD,
+                    name: LIVE_SNAPSHOT_FILE.into(),
+                },
+                [
+                    (SegmentData, Serving),
+                    (Fault(REPAIR), Rebuilding),
+                    (Fault(REPAIR), NotHosted),
+                ],
+            ),
+            (
+                "install begin",
+                || InstallFrame::Begin.message(SHARD, 0),
+                [
+                    (InsertOk, Rebuilding),
+                    (InsertOk, Rebuilding),
+                    (InsertOk, Rebuilding),
+                ],
+            ),
+            (
+                "install file",
+                file_frame,
+                [
+                    (Fault(REPAIR), Serving),
+                    (InsertOk, Rebuilding),
+                    (Fault(REPAIR), NotHosted),
+                ],
+            ),
+            (
+                "install commit",
+                || InstallFrame::Commit.message(SHARD, 1),
+                [
+                    (Fault(REPAIR), Serving),
+                    (InsertOk, Serving),
+                    (Fault(REPAIR), NotHosted),
+                ],
+            ),
+        ];
+        for (frame, build, cells) in table {
+            for (state, (answer, next)) in [Serving, Rebuilding, NotHosted].into_iter().zip(cells) {
+                let mut service = service_in(state);
+                let got = answer_of(service.handle(NodeId::Owner(0), AuthToken(0), build()));
+                assert_eq!(got, answer, "{frame} × {state:?}: answer");
+                assert_eq!(state_of(&service), next, "{frame} × {state:?}: next state");
+            }
+        }
+    }
+
+    /// What the table's footnotes say: a restart of a failed ship
+    /// keeps the owed writes, and they replay at commit.
+    #[test]
+    fn restarted_ship_keeps_and_replays_the_buffer() {
+        let mut service = service_in(State::Rebuilding);
+        let mut rpc = |frame| answer_of(service.handle(NodeId::Owner(0), AuthToken(0), frame));
+        let write = Message::IndexDocs {
+            shard: SHARD,
+            docs: vec![wire_doc(2)],
+        };
+        assert_eq!(rpc(write), Answer::InsertOk);
+        // The restart drops the staged file (a commit now has nothing
+        // to restore from) but not the buffered write.
+        assert_eq!(rpc(InstallFrame::Begin.message(SHARD, 0)), Answer::InsertOk);
+        assert_eq!(
+            rpc(InstallFrame::Commit.message(SHARD, 1)),
+            Answer::Fault(fault::REPAIR)
+        );
+        assert_eq!(rpc(file_frame()), Answer::InsertOk);
+        assert_eq!(
+            rpc(InstallFrame::Commit.message(SHARD, 1)),
+            Answer::InsertOk
+        );
+        let removed = Message::RemoveDoc {
+            shard: SHARD,
+            doc: DocId(2),
+        };
+        assert_eq!(rpc(removed), Answer::DeleteOk(1), "the buffered doc landed");
+    }
+}

@@ -28,6 +28,31 @@ use zerber_segment::SegmentStore;
 /// [`Message::BulkLoad`] frame holding the shard's live documents.
 pub const LIVE_SNAPSHOT_FILE: &str = "docs.zdump";
 
+/// A document as it crosses the wire.
+pub(crate) fn to_wire(doc: &Document) -> WireDocument {
+    WireDocument {
+        doc: doc.id,
+        group: doc.group,
+        length: doc.length,
+        terms: doc.terms.clone(),
+    }
+}
+
+/// Validates and converts one wire document. Wire input is untrusted:
+/// unsorted or duplicate terms would violate `Document`'s invariant
+/// (and panic deep in the index), so they are refused here.
+pub(crate) fn from_wire(wire: WireDocument) -> Option<Document> {
+    wire.terms
+        .windows(2)
+        .all(|w| w[0].0 < w[1].0)
+        .then_some(Document {
+            id: wire.doc,
+            group: wire.group,
+            terms: wire.terms,
+            length: wire.length,
+        })
+}
+
 /// Why a shard rejected a mutation.
 #[derive(Debug)]
 pub enum ShardStoreError {
@@ -151,15 +176,7 @@ impl ShardStore for LiveIndexShard {
         docs.sort_unstable_by_key(|doc| doc.id);
         let frame = Message::BulkLoad {
             shard: 0,
-            docs: docs
-                .iter()
-                .map(|doc| WireDocument {
-                    doc: doc.id,
-                    group: doc.group,
-                    length: doc.length,
-                    terms: doc.terms.clone(),
-                })
-                .collect(),
+            docs: docs.iter().map(to_wire).collect(),
         };
         Ok((
             docs.len() as u64,
@@ -307,20 +324,13 @@ pub fn restore_shard_store(
             let Ok(Message::BulkLoad { docs: wire, .. }) = Message::decode(bytes) else {
                 return Err(corrupt_snapshot("document dump does not decode"));
             };
-            let mut docs = Vec::with_capacity(wire.len());
-            for doc in wire {
-                // Snapshot bytes crossed a wire: re-validate the
-                // Document invariant rather than panic on it.
-                if !doc.terms.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(corrupt_snapshot("document dump has unsorted terms"));
-                }
-                docs.push(Document {
-                    id: doc.doc,
-                    group: doc.group,
-                    terms: doc.terms,
-                    length: doc.length,
-                });
-            }
+            // Snapshot bytes crossed a wire: re-validate the Document
+            // invariant rather than panic on it.
+            let docs: Vec<Document> = wire
+                .into_iter()
+                .map(from_wire)
+                .collect::<Option<_>>()
+                .ok_or_else(|| corrupt_snapshot("document dump has unsorted terms"))?;
             Ok(Box::new(LiveIndexShard::new(&docs)))
         }
         PostingBackend::Segmented { dir, compaction } => {

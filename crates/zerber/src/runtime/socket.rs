@@ -18,9 +18,9 @@
 //! request on it; requests pipeline (the correlation `id` matches a
 //! response to its [`PendingReply`], whatever order answers arrive
 //! in). A per-link in-flight cap provides backpressure: `begin` blocks
-//! once [`SocketConfig::max_in_flight`] requests are unanswered, so a
+//! once `MAX_IN_FLIGHT` requests are unanswered, so a
 //! slow peer throttles its callers instead of buffering unboundedly.
-//! Writes carry [`SocketConfig::write_timeout`]; a failed or timed-out
+//! Writes carry `WRITE_TIMEOUT`; a failed or timed-out
 //! write, a torn frame, or a closed socket kills the link — every
 //! pending request on it resolves to [`TransportError::PeerGone`], and
 //! the next `begin` dials a fresh connection (so a restarted peer is
@@ -32,7 +32,7 @@
 //! [`TrafficMeter`]: the client meters request payloads when they are
 //! written and response payloads when they arrive; a peer serving via
 //! [`serve_peer`] meters the same two directions as it sees them.
-//! Metered bytes are the exact [`Message::wire_size`] payload bytes —
+//! Metered bytes are the exact [`zerber_net::Message::wire_size`] payload bytes —
 //! framing overhead (length prefix, correlation id, CRC) is the
 //! socket's envelope, excluded just as the in-process envelope is, so
 //! the paper's bandwidth accounting is identical whichever transport
@@ -49,46 +49,33 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use zerber_net::{AuthToken, Frame, FrameDecoder, Message, NodeId, TrafficMeter};
+use zerber_net::{AuthToken, Frame, FrameDecoder, NodeId, TrafficMeter};
 use zerber_obs::{Counter, Gauge, MetricsRegistry};
 
-use crate::runtime::peer::PeerService;
+use crate::runtime::peer::{self, PeerService};
 use crate::runtime::transport::{
-    PendingReply, ReplySink, RequestEnvelope, Transport, TransportError,
+    PeerInbox, PendingReply, ReplySink, RequestEnvelope, Transport, TransportError,
 };
 
-/// Socket-level knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SocketConfig {
-    /// Dial timeout for a new link.
-    pub connect_timeout: Duration,
-    /// Per-write deadline; a link that cannot accept a frame within it
-    /// is declared dead.
-    pub write_timeout: Duration,
-    /// Unanswered requests allowed per link before `begin` blocks
-    /// (backpressure toward the caller).
-    pub max_in_flight: usize,
-    /// Extra attempts after a failed dial or a write that killed the
-    /// link; each retry re-dials a fresh connection, so a peer that
-    /// restarts mid-burst is picked up without the caller noticing.
-    /// `0` restores fail-fast.
-    pub retries: u32,
-    /// Base delay of the capped-exponential, seeded-jitter backoff
-    /// between retries (the cap is eight doublings above it).
-    pub retry_backoff: Duration,
-}
+/// Dial timeout for a new link.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-impl Default for SocketConfig {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_in_flight: 64,
-            retries: 2,
-            retry_backoff: Duration::from_millis(10),
-        }
-    }
-}
+/// Per-write deadline; a link that cannot accept a frame within it is
+/// declared dead.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Unanswered requests allowed per link before `begin` blocks
+/// (backpressure toward the caller).
+const MAX_IN_FLIGHT: usize = 64;
+
+/// Extra attempts after a failed dial or a write that killed the
+/// link; each retry re-dials a fresh connection, so a peer that
+/// restarts mid-burst is picked up without the caller noticing.
+const RETRIES: u32 = 2;
+
+/// Base delay of the capped-exponential, seeded-jitter backoff
+/// between retries (the cap is eight doublings above it).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The in-flight gate of one link: counts unanswered requests and
 /// wakes writers as responses drain them. Uses the std primitives
@@ -204,7 +191,6 @@ struct SocketMetrics {
 /// [`Transport`] over real TCP links. See the [module docs](self).
 pub struct SocketTransport {
     meter: Arc<TrafficMeter>,
-    config: SocketConfig,
     /// Client-side counters/gauges when observed; `None` costs nothing.
     obs: Option<SocketMetrics>,
     /// Where each peer listens.
@@ -214,16 +200,10 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// A transport accounting on `meter` with default socket knobs.
+    /// A transport accounting on `meter`.
     pub fn new(meter: Arc<TrafficMeter>) -> Self {
-        Self::with_config(meter, SocketConfig::default())
-    }
-
-    /// A transport with explicit socket knobs.
-    pub fn with_config(meter: Arc<TrafficMeter>, config: SocketConfig) -> Self {
         Self {
             meter,
-            config,
             obs: None,
             addrs: Mutex::new(HashMap::new()),
             links: Mutex::new(HashMap::new()),
@@ -267,12 +247,10 @@ impl SocketTransport {
         }
         // Dial outside the pool lock: a slow connect must not stall
         // every other link.
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
             .map_err(|_| TransportError::PeerGone(to))?;
         stream.set_nodelay(true).ok();
-        stream
-            .set_write_timeout(Some(self.config.write_timeout))
-            .ok();
+        stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
         let reader_stream = stream
             .try_clone()
             .map_err(|_| TransportError::PeerGone(to))?;
@@ -305,12 +283,38 @@ impl SocketTransport {
     }
 }
 
+/// Reads `stream` until EOF or a read error, handing each whole frame
+/// to `on_frame`. Stops early when `on_frame` returns `false` or a
+/// frame is damaged: framing is stateful, so a corrupt frame forfeits
+/// the whole connection.
+fn pump_frames(mut stream: &TcpStream, mut on_frame: impl FnMut(Frame) -> bool) {
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 64 * 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => decoder.push(&buf[..n]),
+        }
+        loop {
+            match decoder.next_frame() {
+                Ok(None) => break,
+                Ok(Some(frame)) => {
+                    if !on_frame(frame) {
+                        return;
+                    }
+                }
+                Err(_) => return,
+            }
+        }
+    }
+}
+
 /// Demuxes one link's responses to their pending requests, metering
 /// each payload as it arrives. Exits — failing every outstanding
-/// request closed — on EOF, a read error, or a damaged frame (framing
-/// is stateful, so a corrupt frame forfeits the whole connection).
+/// request closed — when the link does (see [`pump_frames`]) or on a
+/// request frame on the response path (a protocol violation).
 fn spawn_link_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     pending: PendingMap,
     inflight: Arc<InFlight>,
     meter: Arc<TrafficMeter>,
@@ -318,35 +322,21 @@ fn spawn_link_reader(
     client: NodeId,
 ) {
     thread::spawn(move || {
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 64 * 1024];
-        'link: loop {
-            let n = match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break 'link,
-                Ok(n) => n,
+        pump_frames(&stream, |frame| {
+            let Frame::Response { id, payload } = frame else {
+                return false;
             };
-            decoder.push(&buf[..n]);
-            loop {
-                match decoder.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some(Frame::Response { id, payload })) => {
-                        // Response bytes arrived whether or not anyone
-                        // is still waiting (the requester may have
-                        // hedged away) — they count either way.
-                        meter.record(peer, client, payload.len());
-                        inflight.release();
-                        let waiter = pending.lock().as_mut().and_then(|map| map.remove(&id));
-                        if let Some(tx) = waiter {
-                            let _ = tx.send(payload);
-                        }
-                    }
-                    // A request frame on the response path, or any
-                    // framing damage: protocol violation, drop the
-                    // link.
-                    Ok(Some(Frame::Request { .. })) | Err(_) => break 'link,
-                }
+            // Response bytes arrived whether or not anyone is still
+            // waiting (the requester may have hedged away) — they
+            // count either way.
+            meter.record(peer, client, payload.len());
+            inflight.release();
+            let waiter = pending.lock().as_mut().and_then(|map| map.remove(&id));
+            if let Some(tx) = waiter {
+                let _ = tx.send(payload);
             }
-        }
+            true
+        });
         // Fail everything closed: dropping the senders disconnects
         // every waiting PendingReply (→ PeerGone).
         pending.lock().take();
@@ -367,7 +357,7 @@ impl SocketTransport {
         payload: &Arc<[u8]>,
     ) -> Result<PendingReply, TransportError> {
         let link = self.link(from, to)?;
-        if !link.inflight.acquire(self.config.max_in_flight) {
+        if !link.inflight.acquire(MAX_IN_FLIGHT) {
             return Err(TransportError::PeerGone(to));
         }
         let id = link.next_id.fetch_add(1, Ordering::Relaxed);
@@ -437,12 +427,12 @@ impl Transport for SocketTransport {
             obs.requests.inc();
         }
         let mut backoff = crate::runtime::repair::Backoff::new(
-            self.config.retry_backoff,
-            self.config.retry_backoff.saturating_mul(1 << 8),
+            RETRY_BACKOFF,
+            RETRY_BACKOFF.saturating_mul(1 << 8),
             link_seed(from, to),
         );
         let mut last = TransportError::PeerGone(to);
-        for attempt in 0..=self.config.retries {
+        for attempt in 0..=RETRIES {
             if attempt > 0 {
                 thread::sleep(backoff.next_delay());
             }
@@ -534,26 +524,12 @@ where
     let closing = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
 
-    // The service thread: owns the state, drains the shared inbox.
-    let (inbox, requests) = std::sync::mpsc::channel::<RequestEnvelope>();
-    thread::spawn(move || {
-        let mut service = init();
-        while let Ok(envelope) = requests.recv() {
-            let response = match Message::decode(&envelope.payload) {
-                // Liveness probes answer ahead of the service: any
-                // socket peer is probeable, whatever role it hosts.
-                Ok(Message::Ping) => Message::Pong,
-                Ok(request) => service.handle(envelope.from, envelope.auth, request),
-                Err(_) => Message::Fault {
-                    code: zerber_net::message::fault::MALFORMED,
-                    group: zerber_index::GroupId(0),
-                },
-            };
-            // The ReplySink meters the response on the peer's meter
-            // before handing it to the connection thread for framing.
-            envelope.reply.send(response.encode().to_vec());
-        }
-    });
+    // The service thread: owns the state and runs the same service
+    // loop over the shared inbox as an in-process peer (the ReplySink
+    // meters each response on the peer's meter before handing it to
+    // the connection thread for framing).
+    let (inbox, requests) = std::sync::mpsc::channel::<PeerInbox>();
+    thread::spawn(move || peer::serve(init(), &requests));
 
     let accept = {
         let closing = Arc::clone(&closing);
@@ -603,69 +579,54 @@ where
 
 /// One client connection: decode request frames, forward them to the
 /// service thread, answer with correlated response frames. Any
-/// framing damage drops the connection (fail closed) — the client's
-/// reader resolves its pendings to `PeerGone` and a fresh connection
-/// re-dials.
+/// framing damage (or a response frame on the request path) drops the
+/// connection (fail closed) — the client's reader resolves its
+/// pendings to `PeerGone` and a fresh connection re-dials.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     node: NodeId,
-    inbox: std::sync::mpsc::Sender<RequestEnvelope>,
+    inbox: std::sync::mpsc::Sender<PeerInbox>,
     meter: Arc<TrafficMeter>,
 ) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    'conn: loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break 'conn,
-            Ok(n) => n,
+    pump_frames(&stream, |frame| {
+        let Frame::Request {
+            id,
+            from,
+            auth,
+            trace,
+            payload,
+        } = frame
+        else {
+            return false;
         };
-        decoder.push(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(None) => break,
-                Ok(Some(Frame::Request {
-                    id,
-                    from,
-                    auth,
-                    trace,
-                    payload,
-                })) => {
-                    meter.record(from, node, payload.len());
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    let envelope = RequestEnvelope {
-                        from,
-                        auth,
-                        trace,
-                        payload: Arc::from(payload.as_slice()),
-                        reply: ReplySink::new(Arc::clone(&meter), node, from, tx),
-                    };
-                    if inbox.send(envelope).is_err() {
-                        break 'conn;
-                    }
-                    // One request at a time per connection: the
-                    // service inbox is shared with other connections,
-                    // but this link's answers go out in request order.
-                    let Ok(encoded) = rx.recv() else { break 'conn };
-                    let frame = Frame::Response {
-                        id,
-                        payload: encoded,
-                    };
-                    if stream.write_all(&frame.encode()).is_err() {
-                        break 'conn;
-                    }
-                }
-                Ok(Some(Frame::Response { .. })) | Err(_) => break 'conn,
-            }
+        meter.record(from, node, payload.len());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let envelope = RequestEnvelope {
+            from,
+            auth,
+            trace,
+            payload: Arc::from(payload.as_slice()),
+            reply: ReplySink::new(Arc::clone(&meter), node, from, tx),
+        };
+        if inbox.send(PeerInbox::Request(envelope)).is_err() {
+            return false;
         }
-    }
+        // One request at a time per connection: the service inbox is
+        // shared with other connections, but this link's answers go
+        // out in request order.
+        let Ok(payload) = rx.recv() else { return false };
+        let frame = Frame::Response { id, payload };
+        (&stream).write_all(&frame.encode()).is_ok()
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::peer::ShardService;
+    use crate::runtime::service::ShardService;
     use crate::runtime::shard::LiveIndexShard;
     use zerber_index::{DocId, Document, GroupId, TermId};
+    use zerber_net::Message;
 
     fn shard_peer(docs: &[Document], node: NodeId, meter: Arc<TrafficMeter>) -> SocketPeer {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

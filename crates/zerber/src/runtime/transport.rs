@@ -42,13 +42,35 @@ use parking_lot::Mutex;
 
 use zerber_net::{AuthToken, Message, NodeId, TrafficMeter, WireError};
 
-/// How long the blocking convenience calls ([`Transport::request`],
-/// [`Transport::fan_out`]) wait before declaring a peer unresponsive.
+/// How long the blocking convenience call ([`Transport::request`])
+/// and the write path wait before declaring a peer unresponsive.
 /// Deliberately generous: a healthy in-process peer answers in
 /// microseconds, and a *dead* one is detected immediately through the
 /// closed channel — the timeout only catches a peer that is alive but
 /// wedged.
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A collision-free 64-bit key per node (tag in the high half).
+pub(crate) fn node_key(node: NodeId) -> u64 {
+    match node {
+        NodeId::User(i) => (1 << 32) | u64::from(i),
+        NodeId::Owner(i) => (2 << 32) | u64::from(i),
+        NodeId::IndexServer(i) => (3 << 32) | u64::from(i),
+    }
+}
+
+/// One step of the workspace's integer mixer
+/// ([`zerber_field::splitmix64`]) by value: `x` in, mixed word out.
+pub(crate) fn mix(mut x: u64) -> u64 {
+    zerber_field::splitmix64(&mut x)
+}
+
+/// The well-mixed key of the directed link `from → to` — what every
+/// seeded schedule (injected faults, repair jitter) keys on, so two
+/// links never share one and a rerun reproduces it.
+pub(crate) fn link_key(from: NodeId, to: NodeId) -> u64 {
+    mix(node_key(from) ^ node_key(to).rotate_left(17))
+}
 
 /// Transport-level failures (distinct from server-side
 /// [`zerber_server::ServerError`]s, which travel as
@@ -339,29 +361,6 @@ pub trait Transport: Send + Sync {
         self.begin(from, to, auth, Arc::from(message.encode().as_ref()))
             .wait(DEFAULT_RPC_TIMEOUT)
     }
-
-    /// Scatter-gathers one request to many peers: all sends complete
-    /// before any receive blocks, so the round trip costs the *slowest
-    /// peer*, not the sum. Responses align with `peers` order.
-    fn fan_out(
-        &self,
-        from: NodeId,
-        peers: &[NodeId],
-        auth: AuthToken,
-        message: &Message,
-    ) -> Vec<Result<Message, TransportError>> {
-        // One serialization and one allocation for the whole fan-out;
-        // each peer's envelope bumps a refcount instead of copying.
-        let payload: Arc<[u8]> = Arc::from(message.encode().as_ref());
-        let pending: Vec<PendingReply> = peers
-            .iter()
-            .map(|&to| self.begin(from, to, auth, Arc::clone(&payload)))
-            .collect();
-        pending
-            .into_iter()
-            .map(|mut reply| reply.wait(DEFAULT_RPC_TIMEOUT))
-            .collect()
-    }
 }
 
 /// The in-process transport: one mpsc inbox per registered peer.
@@ -484,25 +483,6 @@ mod tests {
             result,
             Err(TransportError::UnknownPeer(NodeId::IndexServer(9)))
         );
-    }
-
-    #[test]
-    fn fan_out_reaches_every_peer_in_order() {
-        let transport = InProcTransport::new(Arc::new(TrafficMeter::new()));
-        let peers: Vec<NodeId> = (0..4).map(NodeId::IndexServer).collect();
-        let handles: Vec<_> = peers.iter().map(|&p| echo_peer(&transport, p)).collect();
-        let message = Message::DeleteOk { removed: 3 };
-        let responses = transport.fan_out(NodeId::User(0), &peers, AuthToken(0), &message);
-        assert_eq!(responses.len(), 4);
-        for response in responses {
-            assert_eq!(response.unwrap(), message);
-        }
-        for peer in peers {
-            transport.shutdown(peer);
-        }
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]

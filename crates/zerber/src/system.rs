@@ -263,19 +263,25 @@ impl ZerberSystem {
         terms: &[TermId],
         k_results: usize,
     ) -> Result<QueryOutcome, SystemError> {
-        let token = *self
-            .sessions
-            .lock()
-            .entry(user)
-            .or_insert_with(|| self.auth.issue(user));
         let client = QueryClient::new(
-            token,
+            self.session(user),
             self.config.codec,
             self.table.clone(),
             self.config.threshold,
         );
         let handles = self.handles_for(NodeId::User(user.0));
         Ok(client.execute(terms, &handles, k_results)?)
+    }
+
+    /// The session token `user` is logged in under (issued on first
+    /// use, then reused): what every query of theirs presents, and all
+    /// a malicious insider holds — the servers decide what it may do.
+    pub fn session(&self, user: UserId) -> AuthToken {
+        *self
+            .sessions
+            .lock()
+            .entry(user)
+            .or_insert_with(|| self.auth.issue(user))
     }
 
     /// Applies one proactive refresh round to every server (Section
@@ -346,7 +352,7 @@ mod tests {
     #[test]
     fn bootstrap_rejects_invalid_configs() {
         // A ring narrower than the sharing degree fails fast at
-        // bootstrap instead of panicking deep in placement.
+        // bootstrap.
         let config = ZerberConfig::default().with_peers(1);
         match ZerberSystem::bootstrap(config, &stats()) {
             Err(SystemError::Config(crate::config::ConfigError::TooFewPeers {

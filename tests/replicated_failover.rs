@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zerber::runtime::{
-    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, PendingReply, QueryError,
-    ShardedSearch, Transport, TransportError,
+    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, IngestError, PeerRuntime,
+    PeerService, PendingReply, QueryError, ShardedSearch, Transport, TransportError,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
@@ -283,4 +283,47 @@ fn replica_answering_with_the_wrong_frame_is_hedged_around_not_trusted() {
         }
         other => panic!("an all-replicas-wrong shard must fail closed, got {other:?}"),
     }
+}
+
+/// A shard service that acknowledges every frame with a `Pong` — a
+/// well-formed frame no write expects.
+struct PongService;
+
+impl PeerService for PongService {
+    fn handle(&mut self, _from: NodeId, _auth: AuthToken, _request: Message) -> Message {
+        Message::Pong
+    }
+}
+
+#[test]
+fn replica_acking_a_write_with_the_wrong_frame_is_an_error_not_a_panic() {
+    let docs = corpus(40, 7);
+    let config = ZerberConfig::default().with_peers(2);
+    // The deployment's clients speak to a second runtime whose peers
+    // answer everything wrong; the real peers never see a write.
+    let liars = PeerRuntime::new(Arc::new(TrafficMeter::new()));
+    for peer in 0..2 {
+        liars.spawn_peer(NodeId::IndexServer(peer), || PongService);
+    }
+    let search = ShardedSearch::launch_with_transport(&config, &docs, |_honest| {
+        Arc::clone(liars.transport()) as Arc<dyn Transport>
+    })
+    .expect("valid config");
+
+    let epoch = search.serving_epoch();
+    let write = Document::from_term_counts(DocId(900), GroupId(0), vec![(TermId(1), 1)]);
+    for outcome in [
+        search.insert_documents(0, std::slice::from_ref(&write)),
+        search.bulk_load(0, std::slice::from_ref(&write)),
+        search.delete_document(0, DocId(3)).map(usize::from),
+    ] {
+        assert!(
+            matches!(outcome, Err(IngestError::Protocol(_))),
+            "a wrong-frame ack must be a typed error, got {outcome:?}"
+        );
+    }
+    // An answer of the wrong type proves nothing landed: nothing is
+    // accounted and no cached result is invalidated.
+    assert_eq!(search.document_count(), docs.len());
+    assert_eq!(search.serving_epoch(), epoch);
 }

@@ -223,3 +223,47 @@ fn proactive_refresh_invalidates_leaked_shares() {
         "stale+fresh shares reconstructed true elements {leaked}/{checked}"
     );
 }
+
+/// Section 5.4.1: the server "authenticates the user, checks his group
+/// membership and accepts the update if appropriate" — for deletes as
+/// for inserts. Element ids are stored in the clear and guessable, so
+/// a logged-in member of one group must not be able to delete another
+/// group's elements with them.
+#[test]
+fn a_member_of_one_group_cannot_delete_another_groups_elements() {
+    let (mut system, corpus) = deployed(8);
+    system.add_membership(UserId(2), GroupId(1));
+    let insider = system.session(UserId(2));
+    let before = system.elements_per_server();
+
+    // What the insider needs is all readable off any one server.
+    let view = system.servers()[0].adversary_view();
+    let (pl, victim) = view
+        .list_lengths()
+        .into_keys()
+        .find_map(|pl| {
+            let foreign = view
+                .raw_list(pl)
+                .into_iter()
+                .find(|s| s.group == GroupId(0))?;
+            Some((pl, foreign))
+        })
+        .expect("group 0 has elements");
+    for server in system.servers() {
+        assert_eq!(
+            server.delete(insider, &[(pl, victim.element)]),
+            Err(zerber_server::ServerError::NotGroupMember(GroupId(0)))
+        );
+    }
+    assert_eq!(system.elements_per_server(), before, "nothing was removed");
+
+    // The group's own owner still deletes a whole document everywhere.
+    let doc = corpus
+        .documents
+        .iter()
+        .find(|d| d.group == GroupId(0))
+        .expect("group 0 has documents");
+    let removed = system.delete_document(GroupId(0), doc.id).unwrap();
+    assert_eq!(removed, doc.terms.len());
+    assert_eq!(system.elements_per_server(), before - removed);
+}
