@@ -31,9 +31,9 @@
 //! header or payload — is detected before `Message::decode` ever sees
 //! the bytes.
 //!
-//! The *accounted* wire bytes of an RPC remain the payload's
-//! [`Message::wire_size`](crate::Message::wire_size): framing overhead (17–38 B per frame) plays
-//! the role of the envelope in the in-process transport, which the
+//! The *accounted* wire bytes of an RPC remain the encoded payload's
+//! length: framing overhead (17–38 B per frame) plays the role of the
+//! envelope in the in-process transport, which the
 //! paper's bandwidth model also excludes (it sizes payloads only).
 
 use bytes::{Buf, BufMut};

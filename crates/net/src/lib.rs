@@ -9,8 +9,8 @@
 //! ineffective". This crate provides:
 //!
 //! * [`message`] — binary wire formats for every Zerber RPC (insert
-//!   batches, deletes, posting-list queries and responses, snippet
-//!   fetches) with exact byte sizes,
+//!   batches, deletes, posting-list queries and responses) and every
+//!   frame of the sharded peer runtime, length-exact,
 //! * [`framing`] — length-prefixed, CRC-protected frames that carry
 //!   those messages over real byte streams (TCP / Unix sockets),
 //! * [`bandwidth`] — per-link traffic accounting and transfer-time

@@ -82,14 +82,6 @@ pub struct WireDocument {
     pub terms: Vec<(TermId, u32)>,
 }
 
-impl WireDocument {
-    /// Serialized size: id + group + length + count prefix + 8 B per
-    /// term pair.
-    pub fn wire_size(&self) -> usize {
-        4 + 4 + 4 + 4 + self.terms.len() * 8
-    }
-}
-
 /// Every message of the Zerber wire protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -119,17 +111,6 @@ pub enum Message {
     QueryResponse {
         /// One entry per requested list.
         lists: Vec<(PlId, Vec<StoredShare>)>,
-    },
-    /// User → document host: fetch a result snippet (Section 5.4.2).
-    SnippetRequest {
-        /// The document to excerpt.
-        doc: DocId,
-    },
-    /// Document host → user: the snippet bytes (~250 B of XML in the
-    /// paper's measurement).
-    SnippetResponse {
-        /// Raw snippet payload.
-        payload: Bytes,
     },
     /// User → shard peer: rank the top `k` documents for a weighted
     /// term query (the sharded plaintext serving path of the peer
@@ -340,10 +321,10 @@ const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_QUERY: u8 = 3;
 const TAG_RESPONSE: u8 = 4;
-const TAG_SNIPPET_REQ: u8 = 5;
-const TAG_SNIPPET_RESP: u8 = 6;
-// Tag 7 is retired (the pre-`PlanQuery` ranked-read frame) and must
-// never be reused: an old client's frame has to keep failing to decode.
+// Tags 5–7 are retired (5 and 6 the snippet frames no service ever
+// answered — snippets are served by direct call — and 7 the
+// pre-`PlanQuery` ranked-read frame) and must never be reused: an old
+// client's frame has to keep failing to decode.
 const TAG_TOPK_RESPONSE: u8 = 8;
 const TAG_INSERT_OK: u8 = 9;
 const TAG_DELETE_OK: u8 = 10;
@@ -363,7 +344,7 @@ const TAG_PONG: u8 = 22;
 impl Message {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        let mut buffer = BytesMut::with_capacity(self.wire_size());
+        let mut buffer = BytesMut::new();
         match self {
             Message::InsertBatch { entries } => {
                 buffer.put_u8(TAG_INSERT);
@@ -399,15 +380,6 @@ impl Message {
                         put_share(&mut buffer, share);
                     }
                 }
-            }
-            Message::SnippetRequest { doc } => {
-                buffer.put_u8(TAG_SNIPPET_REQ);
-                buffer.put_u32(doc.0);
-            }
-            Message::SnippetResponse { payload } => {
-                buffer.put_u8(TAG_SNIPPET_RESP);
-                buffer.put_u32(payload.len() as u32);
-                buffer.put_slice(payload);
             }
             Message::PlanQuery {
                 shard,
@@ -582,18 +554,6 @@ impl Message {
                 }
                 Ok(Message::QueryResponse { lists })
             }
-            TAG_SNIPPET_REQ => Ok(Message::SnippetRequest {
-                doc: DocId(read_u32(&mut buffer)?),
-            }),
-            TAG_SNIPPET_RESP => {
-                let len = read_u32(&mut buffer)? as usize;
-                if buffer.remaining() < len {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Message::SnippetResponse {
-                    payload: Bytes::copy_from_slice(&buffer[..len]),
-                })
-            }
             TAG_PLAN_QUERY => {
                 let shard = read_u32(&mut buffer)?;
                 if buffer.remaining() < 2 {
@@ -713,53 +673,6 @@ impl Message {
             other => Err(WireError::UnknownTag(other)),
         }
     }
-
-    /// Exact serialized size in bytes, without materializing the
-    /// buffer.
-    pub fn wire_size(&self) -> usize {
-        const SHARE: usize = 8 + 4 + 8; // element id + group + y-share
-        match self {
-            Message::InsertBatch { entries } => 1 + 4 + entries.len() * (4 + SHARE),
-            Message::Delete { elements } => 1 + 4 + elements.len() * (4 + 8),
-            Message::Query { pl_ids, .. } => 1 + 8 + 4 + pl_ids.len() * 4,
-            Message::QueryResponse { lists } => {
-                1 + 4
-                    + lists
-                        .iter()
-                        .map(|(_, shares)| 4 + 4 + shares.len() * SHARE)
-                        .sum::<usize>()
-            }
-            Message::SnippetRequest { .. } => 1 + 4,
-            Message::SnippetResponse { payload } => 1 + 4 + payload.len(),
-            Message::PlanQuery { terms, .. } => 1 + 4 + 1 + 1 + 4 + 4 + terms.len() * (4 + 8),
-            Message::TopKResponse { candidates, .. } => {
-                1 + 8 + 4 + 4 + 4 + candidates.len() * (4 + 8)
-            }
-            Message::IndexDocs { docs, .. } | Message::BulkLoad { docs, .. } => {
-                1 + 4 + 4 + docs.iter().map(WireDocument::wire_size).sum::<usize>()
-            }
-            Message::RemoveDoc { .. } => 1 + 4 + 4,
-            Message::InsertOk => 1,
-            Message::DeleteOk { .. } => 1 + 8,
-            Message::Fault { .. } => 1 + 1 + 4,
-            Message::PrepareSnapshot { .. } => 1 + 4,
-            Message::SnapshotManifest { files, .. } => {
-                1 + 4
-                    + 8
-                    + 4
-                    + files
-                        .iter()
-                        .map(|(name, _, _)| 4 + name.len() + 8 + 4)
-                        .sum::<usize>()
-            }
-            Message::FetchSegment { name, .. } => 1 + 4 + 4 + name.len(),
-            Message::SegmentData { payload, .. } => 1 + 4 + 4 + payload.len(),
-            Message::InstallShard { name, payload, .. } => {
-                1 + 4 + 8 + 4 + name.len() + 4 + 1 + 4 + payload.len()
-            }
-            Message::Ping | Message::Pong => 1,
-        }
-    }
 }
 
 fn put_wire_document(buffer: &mut BytesMut, doc: &WireDocument) {
@@ -877,7 +790,6 @@ mod tests {
             ],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
@@ -887,7 +799,6 @@ mod tests {
             elements: vec![(PlId(4), ElementId(77)), (PlId(4), ElementId(78))],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
@@ -898,7 +809,6 @@ mod tests {
             pl_ids: vec![PlId(0), PlId(31_999)],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
@@ -911,22 +821,7 @@ mod tests {
             ],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
-    }
-
-    #[test]
-    fn snippets_round_trip() {
-        let request = Message::SnippetRequest {
-            doc: DocId::from_parts(3, 17),
-        };
-        assert_eq!(Message::decode(&request.encode()).unwrap(), request);
-        let response = Message::SnippetResponse {
-            payload: Bytes::from_static(b"<snippet>Martha ... ImClone</snippet>"),
-        };
-        let encoded = response.encode();
-        assert_eq!(encoded.len(), response.wire_size());
-        assert_eq!(Message::decode(&encoded).unwrap(), response);
     }
 
     #[test]
@@ -941,7 +836,6 @@ mod tests {
             k: 10,
         };
         let encoded = query.encode();
-        assert_eq!(encoded.len(), query.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), query);
 
         let response = Message::TopKResponse {
@@ -951,7 +845,6 @@ mod tests {
             candidates: vec![(DocId(3), 1.0 / 3.0), (DocId(1), 0.0)],
         };
         let encoded = response.encode();
-        assert_eq!(encoded.len(), response.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), response);
     }
 
@@ -966,7 +859,6 @@ mod tests {
                 k: 10,
             };
             let encoded = message.encode();
-            assert_eq!(encoded.len(), message.wire_size());
             assert_eq!(Message::decode(&encoded).unwrap(), message);
             for cut in 0..encoded.len() {
                 assert!(
@@ -997,7 +889,6 @@ mod tests {
             ],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
         for cut in 0..encoded.len() {
             assert!(
@@ -1027,7 +918,6 @@ mod tests {
             ],
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
         for cut in 0..encoded.len() {
             assert!(
@@ -1044,7 +934,6 @@ mod tests {
             doc: DocId::from_parts(3, 99),
         };
         let encoded = message.encode();
-        assert_eq!(encoded.len(), message.wire_size());
         assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
@@ -1059,7 +948,6 @@ mod tests {
             },
         ] {
             let encoded = message.encode();
-            assert_eq!(encoded.len(), message.wire_size());
             assert_eq!(Message::decode(&encoded).unwrap(), message);
         }
     }
@@ -1110,7 +998,6 @@ mod tests {
         ];
         for message in messages {
             let encoded = message.encode();
-            assert_eq!(encoded.len(), message.wire_size(), "{message:?}");
             assert_eq!(Message::decode(&encoded).unwrap(), message);
             for cut in 0..encoded.len() {
                 assert!(
@@ -1159,12 +1046,15 @@ mod tests {
             Message::decode(&[42]).unwrap_err(),
             WireError::UnknownTag(42)
         );
-        // The retired ranked-read tag stays undecodable, body or not.
-        let retired = [7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
-        assert_eq!(
-            Message::decode(&retired).unwrap_err(),
-            WireError::UnknownTag(7)
-        );
+        // The retired tags (snippet request / response, the old
+        // ranked read) stay undecodable, body or not.
+        for tag in [5, 6, 7] {
+            let retired = [tag, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
+            assert_eq!(
+                Message::decode(&retired).unwrap_err(),
+                WireError::UnknownTag(tag)
+            );
+        }
     }
 
     #[test]
@@ -1179,6 +1069,6 @@ mod tests {
         let one = Message::QueryResponse {
             lists: vec![(PlId(0), vec![share(1, 1, 1)])],
         };
-        assert_eq!(one.wire_size() - empty.wire_size(), 20);
+        assert_eq!(one.encode().len() - empty.encode().len(), 20);
     }
 }

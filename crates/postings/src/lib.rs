@@ -54,4 +54,4 @@ pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
 pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use run::{RunBuilder, SortedRun};
-pub use store::CompressedPostingStore;
+pub use store::{to_posting, CompressedPostingStore};

@@ -9,7 +9,12 @@ use crate::builder::CompressedPostingBuilder;
 use crate::cursor::CompressedBlockCursor;
 use crate::list::CompressedPostingList;
 
-fn to_posting(entry: RawEntry) -> Posting {
+/// A decoded block entry as the index layer's [`Posting`].
+///
+/// # Panics
+/// Panics on a doc key wider than [`DocId`]: every key in a list was
+/// built from a `DocId`, so this is a corrupted or foreign list.
+pub fn to_posting(entry: RawEntry) -> Posting {
     Posting {
         // Doc keys built from `DocId` round-trip losslessly: the codec
         // layer is wider (u64) than today's 32-bit ids by design.

@@ -58,7 +58,9 @@ use zerber_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor, ShadowedMergeCursor};
 use zerber_index::{DocId, Document, Posting, PostingStore, SegmentPolicy, TermId};
-use zerber_postings::{CompressedBlockCursor, DecodedEntriesCursor, RawEntry, RunBuilder};
+use zerber_postings::{
+    to_posting, CompressedBlockCursor, DecodedEntriesCursor, RawEntry, RunBuilder,
+};
 
 use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
@@ -1051,14 +1053,6 @@ impl SegmentSnapshot {
     /// that makes epoch-keyed result caches write-consistent.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-}
-
-fn to_posting(entry: RawEntry) -> Posting {
-    Posting {
-        doc: DocId(u32::try_from(entry.doc).expect("doc keys originate from 32-bit DocIds")),
-        count: entry.count,
-        doc_length: entry.doc_length,
     }
 }
 

@@ -19,8 +19,9 @@
 //! calls are serialized to their exact wire bytes, metered per link,
 //! and executed off the caller's thread, and the same layer provides
 //! [`runtime::ShardedSearch`] — a document-sharded, concurrent top-k
-//! serving engine with a fan-out/gather query path (see its docs for
-//! a 4-peer end-to-end example).
+//! serving engine with a fan-out/gather query path, whose coordinator
+//! launches its peers in-process or connects to peers already serving
+//! over TCP (see its docs for a 4-peer end-to-end example).
 //!
 //! The [`baselines`] module provides the comparators used throughout
 //! the paper: the trusted central index ("ideal scheme", Section 2),

@@ -9,27 +9,29 @@
 //! have cut over is it untainted and readmitted. The wire protocol of
 //! one shipment is [`crate::runtime::repair`]'s.
 
-use std::sync::Arc;
-
 use zerber_dht::{ShardMap, ShardMove};
 use zerber_net::{AuthToken, NodeId};
 
 use super::membership::{MembershipTable, PeerStatus};
 use super::repair::{self, rebuild_shard, Backoff, RepairError, RepairStats};
 use super::service::ShardService;
-use super::{restore_factory, ShardedSearch};
+use super::ShardedSearch;
 
 impl ShardedSearch {
     /// The identity control-plane RPCs (heartbeats, shard rebuilds)
     /// travel as.
     const CONTROLLER: NodeId = NodeId::Owner(0);
 
-    /// Kills one peer: its thread shuts down and every later request
-    /// to it fails. With replication, queries keep answering from the
-    /// survivors; without, its shard becomes unavailable. (The
-    /// availability experiment and the failover tests use this.)
+    /// Kills one hosted peer: its thread shuts down and every later
+    /// request to it fails. With replication, queries keep answering
+    /// from the survivors; without, its shard becomes unavailable. On
+    /// a connected deployment there is no thread to stop — the caller
+    /// stops the peer's process (the table on
+    /// [`ShardedSearch::connect`]).
     pub fn kill_peer(&self, peer: u32) {
-        self.runtime.transport().shutdown(NodeId::IndexServer(peer));
+        if let Some(host) = &self.host {
+            host.transport().shutdown(NodeId::IndexServer(peer));
+        }
     }
 
     /// Applies `update` to the membership table and refreshes the
@@ -78,14 +80,15 @@ impl ShardedSearch {
 
     /// Spawns `peer`'s thread with every shard in `hosted` mid-rebuild:
     /// it buffers writes and bounces reads from its very first
-    /// request, so it can never serve a state it was not shipped.
+    /// request, so it can never serve a state it was not shipped. On a
+    /// connected deployment the caller has already started exactly
+    /// that service and registered its address.
     fn spawn_rebuilding(&self, peer: u32, hosted: Vec<u32>) {
-        let backend = Arc::clone(&self.backend);
+        let Some(host) = &self.host else { return };
+        let backend = self.backend.clone();
         let registry = self.obs.registry().clone();
-        self.runtime.spawn_peer(NodeId::IndexServer(peer), move || {
-            ShardService::rebuilding(hosted)
-                .with_restore(restore_factory(backend, peer))
-                .observed(&registry)
+        host.spawn_peer(NodeId::IndexServer(peer), move || {
+            ShardService::for_peer(&backend, peer, hosted, None, &registry)
         });
     }
 
@@ -114,7 +117,7 @@ impl ShardedSearch {
                 NodeId::IndexServer(source),
                 NodeId::IndexServer(target),
                 shard,
-                Some(&self.obs),
+                &self.obs,
             )?;
             total.segments += stats.segments;
             total.bytes += stats.bytes;
@@ -122,8 +125,9 @@ impl ShardedSearch {
         Ok(())
     }
 
-    /// Respawns a killed peer and rebuilds every shard it hosts from
-    /// live replicas. The revived service starts mid-rebuild — it
+    /// Respawns a killed peer (a connected deployment's caller has
+    /// done that part) and rebuilds every shard it hosts from live
+    /// replicas. The revived service starts mid-rebuild — it
     /// buffers writes and bounces reads from its very first request,
     /// so it can never serve the stale state it died with — and each
     /// shard starts serving again only when its snapshot commit (plus

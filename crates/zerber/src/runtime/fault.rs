@@ -464,7 +464,7 @@ mod tests {
         }
         assert_eq!(
             chaos.meter().link_bytes(peer, NodeId::User(0)),
-            message.wire_size() as u64
+            message.encode().len() as u64
         );
         chaos.revive(peer);
         assert_eq!(
@@ -512,7 +512,7 @@ mod tests {
             message
         );
         assert_eq!(chaos.counts().duplicated, 1);
-        let wire = message.wire_size() as u64;
+        let wire = message.encode().len() as u64;
         assert_eq!(chaos.meter().link_bytes(user, peer), 2 * wire);
         // Both responses may still be in flight for an instant; the
         // peer thread meters before sending, so join it first.
@@ -535,7 +535,7 @@ mod tests {
         );
         assert_eq!(
             chaos.meter().link_bytes(user, peer),
-            message.wire_size() as u64
+            message.encode().len() as u64
         );
         assert_eq!(chaos.meter().link_bytes(peer, user), 0, "never delivered");
         drop(chaos);

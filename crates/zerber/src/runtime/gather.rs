@@ -31,7 +31,7 @@ use crate::runtime::transport::{PendingReply, Transport, TransportError};
 
 /// One shard's fan-out unit: `(shard, replica list in placement
 /// order, encoded request payload)`.
-pub type ShardRequest = (u32, Vec<NodeId>, Arc<[u8]>);
+pub(crate) type ShardRequest = (u32, Vec<NodeId>, Arc<[u8]>);
 
 /// When to give up on a replica and try the next one.
 ///
@@ -94,7 +94,7 @@ pub struct AttemptRecord {
 /// A replica's decoded [`Message::TopKResponse`] — the only message
 /// the hedged fan-out accepts as an answer.
 #[derive(Debug)]
-pub struct ShardAnswer {
+pub(crate) struct ShardAnswer {
     /// Peer-side wall clock of the shard-local evaluation.
     pub decode_ns: u64,
     /// Blocks the evaluation decompressed.
@@ -108,7 +108,7 @@ pub struct ShardAnswer {
 /// One shard's answer from the hedged fan-out, with the per-attempt
 /// evidence the caller surfaces (and the tracer turns into spans).
 #[derive(Debug)]
-pub struct ShardFetch {
+pub(crate) struct ShardFetch {
     /// The logical shard this answer covers.
     pub shard: u32,
     /// The replica whose response was used.
@@ -198,7 +198,7 @@ fn classify(result: Result<Message, TransportError>) -> Result<ShardAnswer, Tran
 /// answers cannot change the result — the replicated top-k stays
 /// bit-identical to the single-node oracle (property-tested in
 /// `tests/seeded_chaos.rs`).
-pub fn hedged_fan_out(
+pub(crate) fn hedged_fan_out(
     transport: &dyn Transport,
     from: NodeId,
     auth: AuthToken,
@@ -365,7 +365,7 @@ fn settled(
 
 /// What the gather stage produced, with its work accounting.
 #[derive(Debug, Clone)]
-pub struct GatherOutcome {
+pub(crate) struct GatherOutcome {
     /// The global top-k, sorted by `(score desc, doc asc)`.
     pub ranked: Vec<RankedDoc>,
     /// Candidates shipped by all peers (`≤ peers · k`).
@@ -373,18 +373,13 @@ pub struct GatherOutcome {
     /// Candidates the merge actually examined (`≤ k`): the rest were
     /// pruned by the threshold bound without being looked at.
     pub candidates_examined: usize,
-    /// The threshold `τ` at the stop point — the best score any
-    /// unexamined candidate could have. `None` when every candidate
-    /// was examined. When present, `ranked.last().score ≥ τ` is the
-    /// gather's correctness certificate.
-    pub threshold_bound: Option<f64>,
 }
 
-/// Reusable scratch for [`gather_topk_with`]: the per-peer head
-/// cursors. One lives per querying thread so the fan-out/gather path
-/// does not allocate per query.
+/// Reusable scratch for [`gather_topk`]: the per-peer head cursors.
+/// One lives per querying thread so the fan-out/gather path does not
+/// allocate per query.
 #[derive(Debug, Default)]
-pub struct GatherScratch {
+pub(crate) struct GatherScratch {
     cursors: Vec<usize>,
 }
 
@@ -393,13 +388,7 @@ pub struct GatherScratch {
 /// Each inner list must be sorted by [`RankedDoc::result_order`]
 /// (debug-asserted) — the order peers produce. Lists may be shorter
 /// than `k` (small shards) or empty.
-pub fn gather_topk(per_peer: &[Vec<RankedDoc>], k: usize) -> GatherOutcome {
-    gather_topk_with(&mut GatherScratch::default(), per_peer, k)
-}
-
-/// [`gather_topk`] with a caller-owned [`GatherScratch`] (the hot-path
-/// form `ShardedSearch::query_from` uses).
-pub fn gather_topk_with(
+pub(crate) fn gather_topk(
     scratch: &mut GatherScratch,
     per_peer: &[Vec<RankedDoc>],
     k: usize,
@@ -434,16 +423,7 @@ pub fn gather_topk_with(
         ranked.push(candidate);
     }
 
-    // The threshold at the stop point: the best head still unexamined.
-    let threshold_bound = per_peer
-        .iter()
-        .zip(cursors.iter())
-        .filter_map(|(list, &cursor)| list.get(cursor))
-        .map(|head| head.score)
-        .fold(None, |acc: Option<f64>, s| {
-            Some(acc.map_or(s, |a| a.max(s)))
-        });
-    if let (Some(bound), Some(last)) = (threshold_bound, ranked.last()) {
+    if let (Some(bound), Some(last)) = (threshold_bound(per_peer, cursors), ranked.last()) {
         debug_assert!(
             last.score >= bound,
             "gather certificate violated: kth = {}, τ = {bound}",
@@ -455,8 +435,22 @@ pub fn gather_topk_with(
         candidates_examined: ranked.len(),
         ranked,
         candidates_received,
-        threshold_bound,
     }
+}
+
+/// The threshold `τ` once the merge stopped with its heads at
+/// `cursors`: the best score any unexamined candidate could have,
+/// `None` when every candidate was examined. `kth score ≥ τ` is the
+/// gather's correctness certificate.
+fn threshold_bound(per_peer: &[Vec<RankedDoc>], cursors: &[usize]) -> Option<f64> {
+    per_peer
+        .iter()
+        .zip(cursors)
+        .filter_map(|(list, &cursor)| list.get(cursor))
+        .map(|head| head.score)
+        .fold(None, |acc: Option<f64>, s| {
+            Some(acc.map_or(s, |a| a.max(s)))
+        })
 }
 
 #[cfg(test)]
@@ -471,6 +465,13 @@ mod tests {
         }
     }
 
+    /// One merge on a fresh scratch, with the threshold it stopped at.
+    fn gather(per_peer: &[Vec<RankedDoc>], k: usize) -> (GatherOutcome, Option<f64>) {
+        let mut scratch = GatherScratch::default();
+        let outcome = gather_topk(&mut scratch, per_peer, k);
+        (outcome, threshold_bound(per_peer, &scratch.cursors))
+    }
+
     #[test]
     fn merges_disjoint_shards_in_global_order() {
         let peers = vec![
@@ -478,19 +479,19 @@ mod tests {
             vec![doc(2, 0.8), doc(5, 0.1)],
             vec![doc(3, 0.7)],
         ];
-        let outcome = gather_topk(&peers, 3);
+        let (outcome, bound) = gather(&peers, 3);
         let docs: Vec<u32> = outcome.ranked.iter().map(|r| r.doc.0).collect();
         assert_eq!(docs, vec![1, 2, 3]);
         assert_eq!(outcome.candidates_received, 5);
         assert_eq!(outcome.candidates_examined, 3);
         // τ = 0.5 (doc 4), and the 3rd result scores 0.7 ≥ τ.
-        assert_eq!(outcome.threshold_bound, Some(0.5));
+        assert_eq!(bound, Some(0.5));
     }
 
     #[test]
     fn ties_across_peers_break_by_doc_id() {
         let peers = vec![vec![doc(9, 0.5)], vec![doc(2, 0.5)], vec![doc(5, 0.5)]];
-        let outcome = gather_topk(&peers, 2);
+        let (outcome, _) = gather(&peers, 2);
         let docs: Vec<u32> = outcome.ranked.iter().map(|r| r.doc.0).collect();
         assert_eq!(docs, vec![2, 5]);
     }
@@ -498,15 +499,15 @@ mod tests {
     #[test]
     fn k_exceeding_supply_returns_everything() {
         let peers = vec![vec![doc(1, 0.3)], vec![]];
-        let outcome = gather_topk(&peers, 10);
+        let (outcome, bound) = gather(&peers, 10);
         assert_eq!(outcome.ranked.len(), 1);
-        assert_eq!(outcome.threshold_bound, None);
+        assert_eq!(bound, None);
     }
 
     #[test]
     fn empty_input_is_empty() {
-        assert!(gather_topk(&[], 5).ranked.is_empty());
-        let outcome = gather_topk(&[vec![], vec![]], 5);
+        assert!(gather(&[], 5).0.ranked.is_empty());
+        let (outcome, _) = gather(&[vec![], vec![]], 5);
         assert!(outcome.ranked.is_empty());
         assert_eq!(outcome.candidates_examined, 0);
     }
@@ -514,9 +515,9 @@ mod tests {
     #[test]
     fn k_zero_examines_nothing() {
         let peers = vec![vec![doc(1, 1.0)]];
-        let outcome = gather_topk(&peers, 0);
+        let (outcome, bound) = gather(&peers, 0);
         assert!(outcome.ranked.is_empty());
         assert_eq!(outcome.candidates_examined, 0);
-        assert_eq!(outcome.threshold_bound, Some(1.0));
+        assert_eq!(bound, Some(1.0));
     }
 }

@@ -37,7 +37,7 @@ pub enum PeerStatus {
     /// Missed at least one probe; queries still try it (hedging
     /// covers the risk) but no repair is triggered yet.
     Suspect,
-    /// Missed [`MembershipTable::down_after`] consecutive probes:
+    /// Missed three consecutive probes (`DEFAULT_DOWN_AFTER`):
     /// eligible for replacement and shard rebuild.
     Down,
 }
@@ -51,7 +51,7 @@ struct PeerHealth {
 
 /// The controller's view of every peer's health.
 #[derive(Debug, Clone)]
-pub struct MembershipTable {
+pub(crate) struct MembershipTable {
     peers: HashMap<NodeId, PeerHealth>,
     down_after: u32,
 }
@@ -84,11 +84,6 @@ impl MembershipTable {
         }
     }
 
-    /// The failure-streak threshold in force.
-    pub fn down_after(&self) -> u32 {
-        self.down_after
-    }
-
     /// Starts (or resets) tracking `node` as `Up` — the join /
     /// post-repair path.
     pub fn admit(&mut self, node: NodeId) {
@@ -118,7 +113,7 @@ impl MembershipTable {
 
     /// Records a failed probe and returns the new status. The first
     /// failure demotes `Up` → `Suspect`; a streak of
-    /// [`Self::down_after`] declares `Down`.
+    /// `down_after` declares `Down`.
     pub fn note_failure(&mut self, node: NodeId) -> Option<PeerStatus> {
         let down_after = self.down_after;
         let health = self.peers.get_mut(&node)?;
@@ -143,18 +138,6 @@ impl MembershipTable {
             .values()
             .filter(|h| h.status == PeerStatus::Up)
             .count()
-    }
-
-    /// Peers declared `Down`, sorted for deterministic repair order.
-    pub fn down_peers(&self) -> Vec<NodeId> {
-        let mut down: Vec<NodeId> = self
-            .peers
-            .iter()
-            .filter(|(_, h)| h.status == PeerStatus::Down)
-            .map(|(&node, _)| node)
-            .collect();
-        down.sort_by_key(|node| format!("{node:?}"));
-        down
     }
 }
 
@@ -186,10 +169,10 @@ mod tests {
         assert_eq!(table.up_count(), 2);
         table.note_failure(b);
         assert_eq!(table.up_count(), 1);
-        assert_eq!(table.down_peers(), vec![b]);
+        assert_eq!(table.status(b), Some(PeerStatus::Down));
         table.admit(b);
         assert_eq!(table.up_count(), 2);
-        assert!(table.down_peers().is_empty());
+        assert_eq!(table.status(b), Some(PeerStatus::Up));
         table.evict(a);
         assert_eq!(table.up_count(), 1);
         assert_eq!(table.status(a), None);

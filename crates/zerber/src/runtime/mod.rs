@@ -4,25 +4,30 @@
 //! peers*, each doing its own work: index servers hold share columns,
 //! DHT peers hold fractions of the index (Section 3's future-work
 //! direction), and clients talk to all of them over a network. This
-//! module makes that structure real inside one process. One module
-//! per seam, each owning one decision:
+//! module is that structure in two halves that meet only at a
+//! [`Transport`]: the *peer side* — a [`PeerService`] behind an inbox,
+//! hosted as a thread of a [`PeerRuntime`] or as a process behind
+//! [`socket::serve_peer`] — and the *coordinator*, [`ShardedSearch`],
+//! which drives whatever peers its transport reaches.
+//! [`ShardedSearch::launch`] is "host the peers in this process, then
+//! [`ShardedSearch::connect`]"; `connect` alone coordinates peers
+//! somebody else runs. One module per seam, each owning one decision:
 //!
-//! | module | owns |
-//! |---|---|
-//! | this file | [`ShardedSearch`]'s fields, `launch*`, accessors — what a deployment *is* |
-//! | `read` | the ranked-read path: cache probe → hedged fan-out → degraded-mode decision → gather → one epilogue; the single-node references `local_topk` / `local_planned` |
-//! | `write` | the write fan-out: route → begin every shard → settle (retry, then taint) → account, for insert, bulk load and delete |
-//! | `driver` | membership and repair: heartbeat, kill / revive / repair, join / leave, the membership gauge |
-//! | `stats` | [`TermStats`] (the global IDF source) and the per-document registry that keeps it exact |
-//! | [`repair`] | the wire protocol of one shard shipment ([`rebuild_shard`]), the three install-frame shapes, [`Backoff`] |
-//! | [`service`] | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table |
-//! | [`peer`] | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
-//! | [`transport`] | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`transport::PendingReply`] per request ([`InProcTransport`]; [`socket::SocketTransport`] over length-framed TCP) |
-//! | [`gather`] | [`gather::hedged_fan_out`] (first live replica per shard wins, the dead are reported) and the threshold-bounded top-k merge, provably identical to single-node evaluation (`tests/sharded_topk.rs`) |
-//! | [`fault`] | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
-//! | [`membership`] | the Up / Suspect / Down table heartbeats feed |
-//! | [`shard`] | [`ShardStore`] and its two backends |
-//! | [`handle`], [`obs`] | the share path's client stub; the per-deployment metrics and trace sinks |
+//! | module | side | owns |
+//! |---|---|---|
+//! | this file | coordinator | [`ShardedSearch`]'s fields, `launch*` (host) and `connect` (the one place the struct is built), accessors — what a deployment *is* |
+//! | `read` | coordinator | the ranked-read path: cache probe → hedged fan-out → degraded-mode decision → gather → one epilogue; the single-node references [`local_topk`] / [`local_planned`] |
+//! | `write` | coordinator | the write fan-out: route → begin every shard → settle (retry, then taint) → account, for insert, bulk load and delete |
+//! | `driver` | coordinator | membership and repair: heartbeat, kill / revive / repair, join / leave, the membership gauge — and the only two host-dependent steps (the table on [`ShardedSearch::connect`]) |
+//! | `gather` | coordinator | the hedged fan-out (first live replica per shard wins, the dead are reported) and the threshold-bounded top-k merge, provably identical to single-node evaluation (`tests/sharded_topk.rs`) |
+//! | `repair` | coordinator | the wire protocol of one shard shipment, the three install-frame shapes, the retry backoff |
+//! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; [`TermStats`] (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
+//! | `service` | peer | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table with one constructor, [`ShardService::for_peer`] |
+//! | `shard` | peer | the shard store and its two backends, in memory and segmented |
+//! | `peer` | peer | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
+//! | [`transport`], [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
+//! | [`fault`] | between | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
+//! | `handle` | share path | [`RuntimeHandle`], the share path's client stub |
 //!
 //! # Query path
 //!
@@ -45,15 +50,15 @@
 
 mod driver;
 pub mod fault;
-pub mod gather;
-pub mod handle;
-pub mod membership;
-pub mod obs;
-pub mod peer;
+mod gather;
+mod handle;
+mod membership;
+mod obs;
+mod peer;
 mod read;
-pub mod repair;
-pub mod service;
-pub mod shard;
+mod repair;
+mod service;
+mod shard;
 pub mod socket;
 mod stats;
 pub mod transport;
@@ -71,27 +76,20 @@ use zerber_net::{NodeId, TrafficMeter};
 use zerber_query::{CacheConfig, ResultCache};
 
 pub use fault::{ChaosAction, FaultInjectTransport, FaultPlan};
-pub use gather::{
-    gather_topk, gather_topk_with, hedged_fan_out, AttemptOutcome, AttemptRecord, GatherOutcome,
-    GatherScratch, HedgePolicy, ShardAnswer, ShardFetch, ShardUnavailable,
-};
+pub use gather::{AttemptOutcome, AttemptRecord, HedgePolicy, ShardUnavailable};
 pub use handle::RuntimeHandle;
-pub use membership::{MembershipTable, PeerStatus};
+pub use membership::PeerStatus;
 pub use obs::RuntimeObs;
 pub use peer::{PeerRuntime, PeerService};
-pub use read::{
-    local_planned, local_topk, traced_topk_fanout, DegradedMode, QueryError, ShardedQueryOutcome,
-};
-pub use repair::{rebuild_shard, Backoff, RepairError, RepairStats};
-pub use service::{RestoreFn, ServerService, ShardService};
-pub use shard::{
-    build_shard_store, build_shard_store_observed, restore_shard_store, ShardStore, ShardStoreError,
-};
+pub use read::{local_planned, local_topk, DegradedMode, QueryError, ShardedQueryOutcome};
+pub use repair::{RepairError, RepairStats};
+pub use service::{ServerService, ShardService};
 pub use stats::TermStats;
 pub use transport::{InProcTransport, PendingReply, Transport, TransportError};
 pub use write::IngestError;
 
 use crate::config::{ConfigError, ZerberConfig};
+use membership::MembershipTable;
 use stats::StatsState;
 
 /// A concurrent, document-sharded top-k search deployment.
@@ -142,11 +140,16 @@ use stats::StatsState;
 /// assert!(search.traffic().total() > 0);
 /// ```
 pub struct ShardedSearch {
-    runtime: PeerRuntime,
-    /// The transport clients speak through. Normally the runtime's own
-    /// [`InProcTransport`]; [`ShardedSearch::launch_with_transport`]
-    /// lets a caller wrap it (the chaos harness injects faults here
-    /// without the peers knowing).
+    /// The in-process peer threads of a *launched* deployment; `None`
+    /// on a *connected* one, whose peers are somebody else's processes.
+    /// Only [`ShardedSearch::kill_peer`] and the spawn step of
+    /// `revive_peer` / `join_peer` look at it.
+    host: Option<PeerRuntime>,
+    /// The transport every read, write, probe and repair goes through:
+    /// the host's own [`InProcTransport`], a wrapper around it
+    /// ([`ShardedSearch::launch_with_transport`] — the chaos harness
+    /// injects faults here without the peers knowing), or whatever
+    /// [`ShardedSearch::connect`] was given.
     transport: Arc<dyn Transport>,
     /// The serving shard → peer assignment. Queries read it; only a
     /// join/leave cutover writes it.
@@ -166,9 +169,9 @@ pub struct ShardedSearch {
     membership: Mutex<MembershipTable>,
     /// What queries do about a shard with no live replica.
     degraded: RwLock<DegradedMode>,
-    /// The per-replica store backend — kept so repaired/joining peers
-    /// rebuild their stores from shipped snapshots.
-    backend: Arc<PostingBackend>,
+    /// The backend a host-spawned replacement peer builds its stores
+    /// on (a connected deployment's peers bring their own).
+    backend: PostingBackend,
     /// Copies per shard (`1` = unreplicated).
     replicas: u32,
     /// When queries hedge to the next replica.
@@ -186,29 +189,6 @@ pub struct ShardedSearch {
     /// (insert, bulk load, effective delete). Cache keys embed it, so
     /// entries minted before a write can never be looked up after it.
     epoch: AtomicU64,
-}
-
-/// The backend one replica store should build: the segmented backend
-/// gets a per-(peer, shard) subdirectory so replica stores never
-/// collide on disk.
-fn replica_backend(backend: &PostingBackend, peer: usize, shard: u32) -> PostingBackend {
-    match backend {
-        PostingBackend::Segmented { dir, compaction } => PostingBackend::Segmented {
-            dir: dir.join(format!("peer-{peer:03}-shard-{shard:03}")),
-            compaction: *compaction,
-        },
-        PostingBackend::Compressed => PostingBackend::Compressed,
-    }
-}
-
-/// The snapshot-restore factory one peer's [`ShardService`] uses to
-/// become a rebuild target: installed files build a fresh store on the
-/// peer's own backend (and, for the segmented engine, in the peer's
-/// own replica directory).
-fn restore_factory(backend: Arc<PostingBackend>, peer: u32) -> RestoreFn {
-    Box::new(move |shard, files| {
-        shard::restore_shard_store(&replica_backend(&backend, peer as usize, shard), files)
-    })
 }
 
 impl ShardedSearch {
@@ -243,11 +223,15 @@ impl ShardedSearch {
     }
 
     /// [`ShardedSearch::launch`] with a transport wrapper: `wrap`
-    /// receives the runtime's [`InProcTransport`] and returns the
-    /// transport *clients* will speak through. Peers always reply via
-    /// the inner transport; only the client side is wrapped — which is
-    /// exactly where the fault-injection harness
+    /// receives the host's [`InProcTransport`] and returns the
+    /// transport the *coordinator* will speak through. Peers always
+    /// reply via the inner transport; only the client side is wrapped
+    /// — which is exactly where the fault-injection harness
     /// ([`FaultInjectTransport`]) sits.
+    ///
+    /// Launching is *host, then coordinate*: spawn one peer thread per
+    /// ring position, each running [`ShardService::for_peer`] over its
+    /// partition of `docs`, then [`ShardedSearch::connect`] to them.
     pub fn launch_with_transport<F>(
         config: &ZerberConfig,
         docs: &[Document],
@@ -256,64 +240,89 @@ impl ShardedSearch {
     where
         F: FnOnce(Arc<InProcTransport>) -> Arc<dyn Transport>,
     {
+        let (map, replicas) = Self::ring(config)?;
+        config.validate_storage()?;
+        // Every peer needs read access to the shards it hosts (its own
+        // plus, under replication, its predecessors'), so the
+        // partition is shared rather than moved into one initializer.
+        let shards = Arc::new(map.partition(docs, |doc| doc.id));
+        let obs = RuntimeObs::new();
+        let host = PeerRuntime::new(Arc::new(TrafficMeter::new()));
+        for &peer in map.peer_ids() {
+            let backend = config.postings.clone();
+            let shards = Arc::clone(&shards);
+            let hosted = map.hosted_shards(peer, replicas);
+            // One registry for the whole deployment: instruments
+            // aggregate across peers.
+            let registry = obs.registry().clone();
+            // The initializer runs on the peer's thread: every hosted
+            // replica store builds (index, or seed the durable engine)
+            // in parallel across all peers.
+            host.spawn_peer(NodeId::IndexServer(peer), move || {
+                ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry)
+            });
+        }
+        let transport = wrap(Arc::clone(host.transport()));
+        let mut search = Self::connect(config, docs, transport, obs)?;
+        search.host = Some(host);
+        Ok(search)
+    }
+
+    /// The ring a configuration describes: its shard map and its
+    /// replication degree, clamped to one copy per peer.
+    fn ring(config: &ZerberConfig) -> Result<(ShardMap, u32), ConfigError> {
         if config.peers == 0 {
             return Err(ConfigError::NoPeers);
         }
         if config.replication == 0 {
             return Err(ConfigError::NoReplicas);
         }
-        config.validate_storage()?;
         let replicas = (config.replication as u32).min(config.peers as u32);
-        let map = ShardMap::new(config.peers as u32);
-        // Every peer needs read access to the shards it hosts (its own
-        // plus, under replication, its predecessors'), so the
-        // partition is shared rather than moved into one initializer.
-        let shards = Arc::new(map.partition(docs, |doc| doc.id));
+        Ok((ShardMap::new(config.peers as u32), replicas))
+    }
 
-        let obs = RuntimeObs::new();
-        let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
-        // One shared backend description for every peer; the
-        // per-replica variant (a subdirectory for the segmented
-        // engine) is derived on the peer's own thread.
-        let backend = Arc::new(config.postings.clone());
-        for peer in 0..config.peers {
-            let node = NodeId::IndexServer(peer as u32);
-            let backend = Arc::clone(&backend);
-            let shards = Arc::clone(&shards);
-            let hosted = map.hosted_shards(peer as u32, replicas);
-            // Segmented stores report WAL/flush/compaction timings
-            // into the deployment's registry; the registry is shared
-            // across all peers (instruments aggregate).
-            let registry = obs.registry().clone();
-            // The initializer runs on the peer's thread: every hosted
-            // replica store builds (index, or seed the durable engine)
-            // in parallel across all peers.
-            runtime.spawn_peer(node, move || {
-                let restore = restore_factory(Arc::clone(&backend), peer as u32);
-                ShardService::hosting(hosted.into_iter().map(|shard| {
-                    let store = shard::build_shard_store_observed(
-                        &replica_backend(&backend, peer, shard),
-                        &shards[shard as usize],
-                        Some(&registry),
-                    );
-                    (shard, store)
-                }))
-                .with_restore(restore)
-                .observed(&registry)
-            });
-        }
-        let transport = wrap(Arc::clone(runtime.transport()));
+    /// Coordinates peers it did not spawn: `transport` already reaches
+    /// one [`ShardService::for_peer`] per ring position of `config`
+    /// (`NodeId::IndexServer(0..peers)`, hosting what
+    /// `ShardMap::hosted_shards` says, under `config.replication`),
+    /// between them holding exactly `docs` — over TCP
+    /// ([`socket::SocketTransport`] + [`socket::serve_peer`]) or any
+    /// other [`Transport`]. Everything a deployment does besides
+    /// running its peers is built here, once: shard map, global
+    /// statistics from `docs`, result cache, serving epoch, taint set,
+    /// membership, hedge policy; `obs` receives the metrics and traces
+    /// (hand the same registry to the transport to see both).
+    ///
+    /// Every read, every write, [`ShardedSearch::heartbeat`],
+    /// [`ShardedSearch::repair_peer`] and the migration inside
+    /// `join_peer` / `leave_peer` work as on a launched deployment.
+    /// What differs is who runs the peers:
+    ///
+    /// | | launched (`launch*`) | connected (`connect`) |
+    /// |---|---|---|
+    /// | `kill_peer` | stops the peer's thread | no-op: the caller stops its process |
+    /// | `revive_peer` | spawns the peer rebuilding, then repairs it | the caller has started it rebuilding and registered its address; repairs it |
+    /// | `join_peer` | spawns the joiner rebuilding, then migrates | the caller has started the joiner rebuilding and registered its address; migrates |
+    /// | `leave_peer` | migrates, then stops the leaver's thread | migrates; the caller stops the leaver |
+    /// | `repair_peer` | re-ships every hosted shard | the same |
+    pub fn connect(
+        config: &ZerberConfig,
+        docs: &[Document],
+        transport: Arc<dyn Transport>,
+        obs: RuntimeObs,
+    ) -> Result<Self, ConfigError> {
+        let (map, replicas) = Self::ring(config)?;
         let membership =
             MembershipTable::new(map.peer_ids().iter().map(|&p| NodeId::IndexServer(p)));
         let search = Self {
-            runtime,
+            host: None,
             transport,
             map: RwLock::new(map),
             transition: Mutex::new(None),
             tainted: Mutex::new(HashSet::new()),
             membership: Mutex::new(membership),
             degraded: RwLock::new(DegradedMode::default()),
-            backend,
+            backend: config.postings.clone(),
             replicas,
             policy: HedgePolicy::default(),
             stats: RwLock::new(StatsState::from_documents(docs)),
@@ -391,7 +400,7 @@ impl ShardedSearch {
 
     /// The per-link wire-byte accounting for this deployment.
     pub fn traffic(&self) -> &Arc<TrafficMeter> {
-        self.runtime.transport().meter()
+        self.transport.meter()
     }
 
     /// The current serving epoch (the cache-key component writes bump).
@@ -409,7 +418,6 @@ impl ShardedSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use zerber_index::{DocId, GroupId, TermId};
 
     fn corpus(docs: u32, terms: u32) -> Vec<Document> {
@@ -557,36 +565,16 @@ mod tests {
         // documents; the typed rejection must reach the caller.
         let docs = corpus(20, 4);
         let config = ZerberConfig::default().with_peers(2);
-        let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
-        let map = ShardMap::new(2);
+        let host = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         for peer in 0..2u32 {
-            runtime.spawn_peer(NodeId::IndexServer(peer), move || {
+            host.spawn_peer(NodeId::IndexServer(peer), move || {
                 // Logical shard 9 is outside the two-shard map.
-                ShardService::hosting([(9, build_shard_store(&PostingBackend::Compressed, &[]))])
+                let registry = zerber_obs::MetricsRegistry::new();
+                ShardService::for_peer(&PostingBackend::Compressed, peer, [9], None, &registry)
             });
         }
-        let transport: Arc<dyn Transport> = Arc::clone(runtime.transport()) as Arc<dyn Transport>;
-        let membership =
-            MembershipTable::new(map.peer_ids().iter().map(|&p| NodeId::IndexServer(p)));
-        let search = ShardedSearch {
-            runtime,
-            transport,
-            map: RwLock::new(map),
-            transition: Mutex::new(None),
-            tainted: Mutex::new(HashSet::new()),
-            membership: Mutex::new(membership),
-            degraded: RwLock::new(DegradedMode::default()),
-            backend: Arc::new(config.postings.clone()),
-            replicas: 1,
-            policy: HedgePolicy::default(),
-            stats: RwLock::new(StatsState {
-                stats: TermStats::from_documents(&docs),
-                doc_terms: HashMap::new(),
-            }),
-            obs: RuntimeObs::new(),
-            cache: ResultCache::new(CacheConfig::default()),
-            epoch: AtomicU64::new(0),
-        };
+        let transport = Arc::clone(host.transport()) as Arc<dyn Transport>;
+        let search = ShardedSearch::connect(&config, &docs, transport, RuntimeObs::new()).unwrap();
         let doc = Document::from_term_counts(DocId(900), GroupId(0), vec![(TermId(1), 1)]);
         assert!(matches!(
             search.insert_documents(0, &[doc]),

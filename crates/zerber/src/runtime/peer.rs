@@ -151,11 +151,11 @@ mod tests {
     use super::*;
     use crate::runtime::repair::InstallFrame;
     use crate::runtime::service::{ServerService, ShardService};
-    use crate::runtime::shard::{LiveIndexShard, ShardStore};
     use crate::runtime::transport::Transport;
     use zerber_field::Fp;
-    use zerber_index::{DocId, Document, TermId, UserId};
+    use zerber_index::{DocId, Document, PostingBackend, TermId, UserId};
     use zerber_net::framing::crc32;
+    use zerber_obs::MetricsRegistry;
     use zerber_server::{IndexServer, ServerError, TokenAuth};
 
     /// A single-term disjunctive ranked read, pinned to block-max TA.
@@ -169,8 +169,17 @@ mod tests {
         }
     }
 
+    /// Peer 0 of an in-memory deployment hosting shard 0: serving
+    /// `docs`, or (`None`) waiting to be shipped them.
+    fn shard_zero(docs: Option<&[Document]>) -> ShardService {
+        let partition = docs.map(|docs| [docs.to_vec()]);
+        let partition = partition.as_ref().map(|p| p.as_slice());
+        let registry = MetricsRegistry::new();
+        ShardService::for_peer(&PostingBackend::Compressed, 0, [0], partition, &registry)
+    }
+
     fn live_shard(docs: &[Document]) -> ShardService {
-        ShardService::new(Box::new(LiveIndexShard::new(docs)))
+        shard_zero(Some(docs))
     }
 
     /// The inbox hands over a message whether it lands while the peer
@@ -459,18 +468,11 @@ mod tests {
     /// that overlapped the snapshot (idempotent replay).
     #[test]
     fn rebuild_protocol_ships_a_shard_and_replays_buffered_writes() {
-        use crate::runtime::shard::restore_shard_store;
-        use zerber_index::PostingBackend;
-
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let source = NodeId::IndexServer(0);
         let target = NodeId::IndexServer(1);
         runtime.spawn_peer(source, || live_shard(&[]));
-        runtime.spawn_peer(target, || {
-            ShardService::rebuilding([0]).with_restore(Box::new(|_, files| {
-                restore_shard_store(&PostingBackend::Compressed, files)
-            }))
-        });
+        runtime.spawn_peer(target, || shard_zero(None));
         let transport = runtime.transport().clone();
         let controller = NodeId::Owner(0);
         let rpc = |node, message: &Message| {
@@ -610,17 +612,9 @@ mod tests {
     /// never disturb a serving store.
     #[test]
     fn rebuild_frames_reject_corruption_and_misuse() {
-        use crate::runtime::shard::restore_shard_store;
-        use zerber_index::PostingBackend;
-
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || {
-            ShardService::hosting([(0, Box::new(LiveIndexShard::new(&[])) as Box<dyn ShardStore>)])
-                .with_restore(Box::new(|_, files| {
-                    restore_shard_store(&PostingBackend::Compressed, files)
-                }))
-        });
+        runtime.spawn_peer(node, || live_shard(&[]));
         let transport = runtime.transport().clone();
         let rpc = |message: &Message| {
             transport
@@ -676,28 +670,6 @@ mod tests {
         }
     }
 
-    /// A commit on a service launched without a restore factory is
-    /// `UNSUPPORTED` — distinct from retryable `REPAIR` faults.
-    #[test]
-    fn commit_without_restore_factory_is_unsupported() {
-        let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
-        let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || ShardService::rebuilding([0]));
-        match runtime
-            .transport()
-            .request(
-                NodeId::Owner(0),
-                node,
-                AuthToken(0),
-                &InstallFrame::Commit.message(0, 0),
-            )
-            .unwrap()
-        {
-            Message::Fault { code, .. } => assert_eq!(code, fault::UNSUPPORTED),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
     /// Every peer answers `Ping` from its loop — even one whose service
     /// would bounce the frame — and revived nodes re-register.
     #[test]
@@ -714,7 +686,7 @@ mod tests {
         transport.shutdown(node);
         assert!(ping(&transport).is_err());
         // ...until a respawn re-registers the same address.
-        runtime.spawn_peer(node, || ShardService::rebuilding([0]));
+        runtime.spawn_peer(node, || shard_zero(None));
         assert_eq!(ping(&transport).unwrap(), Message::Pong);
     }
 }

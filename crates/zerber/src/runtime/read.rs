@@ -18,12 +18,11 @@ use zerber_postings::CompressedPostingStore;
 use zerber_query::{Forced, Query};
 
 use super::gather::{
-    self, gather_topk_with, hedged_fan_out, AttemptOutcome, GatherScratch, HedgePolicy,
-    ShardAnswer, ShardFetch, ShardUnavailable,
+    self, gather_topk, hedged_fan_out, AttemptOutcome, GatherScratch, ShardAnswer, ShardFetch,
+    ShardUnavailable,
 };
-use super::obs::RuntimeObs;
 use super::stats::TermStats;
-use super::transport::{Transport, TransportError};
+use super::transport::TransportError;
 use super::ShardedSearch;
 
 thread_local! {
@@ -271,15 +270,7 @@ impl ShardedSearch {
             k: wire_k,
         });
         let trace_id = self.obs.next_trace_id();
-        let (fetches, fanout_span) = traced_topk_fanout(
-            &self.obs,
-            self.transport.as_ref(),
-            NodeId::User(client),
-            AuthToken(0),
-            trace_id,
-            &shards,
-            &self.policy,
-        );
+        let (fetches, fanout_span) = self.traced_fanout(NodeId::User(client), trace_id, &shards);
 
         let degraded = *self.degraded.read();
         let mut per_shard: Vec<Vec<RankedDoc>> = Vec::with_capacity(fetches.len());
@@ -308,8 +299,8 @@ impl ShardedSearch {
             }
         }
         let gather_started = Instant::now();
-        let gathered = GATHER_SCRATCH
-            .with(|scratch| gather_topk_with(&mut scratch.borrow_mut(), &per_shard, k));
+        let gathered =
+            GATHER_SCRATCH.with(|scratch| gather_topk(&mut scratch.borrow_mut(), &per_shard, k));
         let gather_span = SpanRecord::new(
             "gather",
             gather_started.duration_since(started),
@@ -379,101 +370,96 @@ impl ShardedSearch {
         self.obs.record_trace(Arc::clone(&trace));
         trace
     }
-}
 
-/// Runs [`hedged_fan_out`] under `trace`, folds the per-attempt RPC
-/// timings and the peers' decode accounting into `obs`'s registry, and
-/// builds the `fan_out` span (one child per shard, one grandchild per
-/// replica attempt, a `decode` great-grandchild under each winning
-/// attempt).
-///
-/// Shared by [`ShardedSearch`]'s read path and hand-wired clusters
-/// (`examples/socket_cluster.rs`, the observability tests) so the
-/// in-process and multi-process socket paths assemble identical trace
-/// shapes.
-pub fn traced_topk_fanout(
-    obs: &RuntimeObs,
-    transport: &dyn Transport,
-    from: NodeId,
-    auth: AuthToken,
-    trace: TraceId,
-    shards: &[gather::ShardRequest],
-    policy: &HedgePolicy,
-) -> (Vec<Result<ShardFetch, ShardUnavailable>>, SpanRecord) {
-    let started = Instant::now();
-    let fetches = hedged_fan_out(transport, from, auth, trace.0, shards, policy);
-    let fanout_wall = started.elapsed();
-    let metrics = obs.metrics();
+    /// Runs [`hedged_fan_out`] under `trace`, folds the per-attempt
+    /// RPC timings and the peers' decode accounting into the registry,
+    /// and builds the `fan_out` span (one child per shard, one
+    /// grandchild per replica attempt, a `decode` great-grandchild
+    /// under each winning attempt) — from numbers that crossed the
+    /// wire, so it reads the same whatever transport carried them.
+    fn traced_fanout(
+        &self,
+        from: NodeId,
+        trace: TraceId,
+        shards: &[gather::ShardRequest],
+    ) -> (Vec<Result<ShardFetch, ShardUnavailable>>, SpanRecord) {
+        let started = Instant::now();
+        let transport = self.transport.as_ref();
+        let fetches = hedged_fan_out(transport, from, AuthToken(0), trace.0, shards, &self.policy);
+        let fanout_wall = started.elapsed();
+        let metrics = self.obs.metrics();
 
-    let mut span = SpanRecord::new("fan_out", Duration::ZERO, fanout_wall);
-    for fetch in &fetches {
-        let (shard, attempts, settled_peer) = match fetch {
-            Ok(fetch) => (fetch.shard, &fetch.attempts, Some(fetch.peer)),
-            Err(unavailable) => (unavailable.shard, &unavailable.attempts, None),
-        };
-        let shard_wall = attempts
-            .iter()
-            .map(|a| a.started + a.duration)
-            .max()
-            .unwrap_or(Duration::ZERO);
-        let mut shard_span = SpanRecord::new(format!("shard {shard}"), Duration::ZERO, shard_wall);
-        if settled_peer.is_none() {
-            shard_span = shard_span.failed("no replica answered");
-        }
-        for attempt in attempts {
-            metrics
-                .rpc_latency
-                .record(attempt.duration.as_nanos() as u64);
-            let mut rpc = SpanRecord::new(
-                format!("rpc {:?}", attempt.peer),
-                attempt.started,
-                attempt.duration,
-            );
-            match attempt.outcome {
-                AttemptOutcome::Answered => {
-                    if let Some(Ok(fetch)) = (settled_peer == Some(attempt.peer))
-                        .then_some(fetch)
-                        .map(|f| f.as_ref())
-                    {
-                        let ShardAnswer {
-                            decode_ns,
-                            blocks_decoded,
-                            blocks_total,
-                            ..
-                        } = fetch.answer;
-                        metrics.decode_latency.record(decode_ns);
-                        metrics.blocks_decoded.add(u64::from(blocks_decoded));
-                        metrics
-                            .blocks_skipped
-                            .add(u64::from(blocks_total.saturating_sub(blocks_decoded)));
-                        rpc = rpc.with_child(
-                            SpanRecord::new(
-                                "decode",
-                                attempt.started,
-                                Duration::from_nanos(decode_ns),
-                            )
-                            .with_counter("blocks_decoded", u64::from(blocks_decoded))
-                            .with_counter("blocks_total", u64::from(blocks_total)),
-                        );
+        let mut span = SpanRecord::new("fan_out", Duration::ZERO, fanout_wall);
+        for fetch in &fetches {
+            let (shard, attempts, settled_peer) = match fetch {
+                Ok(fetch) => (fetch.shard, &fetch.attempts, Some(fetch.peer)),
+                Err(unavailable) => (unavailable.shard, &unavailable.attempts, None),
+            };
+            let shard_wall = attempts
+                .iter()
+                .map(|a| a.started + a.duration)
+                .max()
+                .unwrap_or(Duration::ZERO);
+            let mut shard_span =
+                SpanRecord::new(format!("shard {shard}"), Duration::ZERO, shard_wall);
+            if settled_peer.is_none() {
+                shard_span = shard_span.failed("no replica answered");
+            }
+            for attempt in attempts {
+                metrics
+                    .rpc_latency
+                    .record(attempt.duration.as_nanos() as u64);
+                let mut rpc = SpanRecord::new(
+                    format!("rpc {:?}", attempt.peer),
+                    attempt.started,
+                    attempt.duration,
+                );
+                match attempt.outcome {
+                    AttemptOutcome::Answered => {
+                        if let Some(Ok(fetch)) = (settled_peer == Some(attempt.peer))
+                            .then_some(fetch)
+                            .map(|f| f.as_ref())
+                        {
+                            let ShardAnswer {
+                                decode_ns,
+                                blocks_decoded,
+                                blocks_total,
+                                ..
+                            } = fetch.answer;
+                            metrics.decode_latency.record(decode_ns);
+                            metrics.blocks_decoded.add(u64::from(blocks_decoded));
+                            metrics
+                                .blocks_skipped
+                                .add(u64::from(blocks_total.saturating_sub(blocks_decoded)));
+                            rpc = rpc.with_child(
+                                SpanRecord::new(
+                                    "decode",
+                                    attempt.started,
+                                    Duration::from_nanos(decode_ns),
+                                )
+                                .with_counter("blocks_decoded", u64::from(blocks_decoded))
+                                .with_counter("blocks_total", u64::from(blocks_total)),
+                            );
+                        }
+                    }
+                    AttemptOutcome::Failed(error) => {
+                        metrics.failed_attempts.inc();
+                        rpc = rpc.failed(format!("{error}"));
+                    }
+                    AttemptOutcome::Duplicate => {
+                        metrics.duplicate_responses.inc();
+                        rpc = rpc.with_counter("duplicate", 1);
                     }
                 }
-                AttemptOutcome::Failed(error) => {
-                    metrics.failed_attempts.inc();
-                    rpc = rpc.failed(format!("{error}"));
-                }
-                AttemptOutcome::Duplicate => {
-                    metrics.duplicate_responses.inc();
-                    rpc = rpc.with_counter("duplicate", 1);
-                }
+                shard_span = shard_span.with_child(rpc);
             }
-            shard_span = shard_span.with_child(rpc);
+            if let Ok(fetch) = fetch {
+                metrics.hedges.add(fetch.hedges() as u64);
+            }
+            span = span.with_child(shard_span);
         }
-        if let Ok(fetch) = fetch {
-            metrics.hedges.add(fetch.hedges() as u64);
-        }
-        span = span.with_child(shard_span);
+        (fetches, span)
     }
-    (fetches, span)
 }
 
 /// The single-node reference for [`ShardedSearch::query`]: the same

@@ -58,7 +58,7 @@ pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 /// half-to-full jitter window desynchronizes concurrent retriers
 /// without ever collapsing the delay to zero.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
@@ -98,11 +98,6 @@ impl Backoff {
         // Uniform in [nanos/2, nanos].
         let jittered = nanos / 2 + self.state % (nanos / 2 + 1);
         Duration::from_nanos(jittered)
-    }
-
-    /// Restarts the schedule (e.g. after a success).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
     }
 }
 
@@ -154,7 +149,7 @@ pub struct RepairStats {
 /// `attempts` times with `backoff` sleeps in between. A decoded
 /// response — fault or not — returns immediately: the peer is alive
 /// and has spoken.
-pub fn retry_request(
+fn retry_request(
     transport: &dyn Transport,
     from: NodeId,
     to: NodeId,
@@ -295,15 +290,15 @@ pub(crate) fn begin_install(
 /// Rebuilds `target`'s copy of `shard` from live replica `source`:
 /// begin → snapshot → stream → commit, as documented on this module.
 /// Returns what was shipped; records the `zerber_repair_*` metrics
-/// and the rebuild-latency histogram into `obs` when given.
-pub fn rebuild_shard(
+/// and the rebuild-latency histogram into `obs`.
+pub(crate) fn rebuild_shard(
     transport: &dyn Transport,
     from: NodeId,
     auth: AuthToken,
     source: NodeId,
     target: NodeId,
     shard: u32,
-    obs: Option<&RuntimeObs>,
+    obs: &RuntimeObs,
 ) -> Result<RepairStats, RepairError> {
     let started = Instant::now();
     // Jitter seeded from the (shard, source, target) triple: two
@@ -374,22 +369,20 @@ pub fn rebuild_shard(
     let commit = InstallFrame::Commit.message(shard, epoch);
     expect_ack("commit", rpc(target, &commit, &mut backoff)?)?;
 
-    if let Some(obs) = obs {
-        let metrics = obs.metrics();
-        metrics.repair_rebuilds.inc();
-        metrics.repair_segments_shipped.add(stats.segments);
-        metrics.repair_bytes_shipped.add(stats.bytes);
-        metrics
-            .repair_rebuild_ns
-            .record(started.elapsed().as_nanos() as u64);
-    }
+    let metrics = obs.metrics();
+    metrics.repair_rebuilds.inc();
+    metrics.repair_segments_shipped.add(stats.segments);
+    metrics.repair_bytes_shipped.add(stats.bytes);
+    metrics
+        .repair_rebuild_ns
+        .record(started.elapsed().as_nanos() as u64);
     Ok(stats)
 }
 
 /// One liveness probe: does `node` answer [`Message::Ping`]? A fault
 /// response still counts as alive — the peer's loop is draining its
 /// inbox, which is what the probe measures.
-pub fn probe(transport: &dyn Transport, from: NodeId, node: NodeId) -> bool {
+pub(crate) fn probe(transport: &dyn Transport, from: NodeId, node: NodeId) -> bool {
     matches!(
         transport.request(from, node, AuthToken(0), &Message::Ping),
         Ok(Message::Pong) | Ok(Message::Fault { .. })
@@ -419,16 +412,6 @@ mod tests {
         // Different seeds give different jitter somewhere.
         let mut c = Backoff::new(base, cap, 43);
         assert_ne!(delays, (0..12).map(|_| c.next_delay()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn backoff_reset_restarts_the_schedule() {
-        let mut b = Backoff::new(Duration::from_millis(4), Duration::from_secs(1), 7);
-        for _ in 0..6 {
-            b.next_delay();
-        }
-        b.reset();
-        assert!(b.next_delay() <= Duration::from_millis(4));
     }
 
     /// The wire convention of the install frame, pinned from both

@@ -20,15 +20,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use zerber_index::cursor::TopKScratch;
-use zerber_index::{DocId, Document, TermId};
+use zerber_index::{DocId, Document, PostingBackend, TermId};
 use zerber_net::framing::crc32;
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Bytes, Message, NodeId, WireDocument};
+use zerber_obs::MetricsRegistry;
+use zerber_segment::SegmentError;
 use zerber_server::IndexServer;
 
 use crate::runtime::peer::{fault_frame, PeerService};
 use crate::runtime::repair::InstallFrame;
-use crate::runtime::shard::{from_wire, ShardStore, ShardStoreError};
+use crate::runtime::shard::{
+    build_shard_store, from_wire, replica_backend, restore_shard_store, ShardStore,
+};
 
 /// The index-server role as a peer service: the narrow
 /// insert/delete/lookup interface, driven by decoded wire messages.
@@ -90,7 +94,7 @@ impl PeerService for ServerService {
 /// does not host bounces as an `UNSUPPORTED` fault — reported, never
 /// silently misrouted.
 ///
-/// Queries run [`ShardStore::query_planned`] — the planner-chosen
+/// Queries run `ShardStore::query_planned` — the planner-chosen
 /// evaluator over the backend's lazy
 /// [`zerber_index::PostingStore::query_cursors`], so the compressed
 /// and segmented backends peek their stored block-max skip metadata
@@ -117,8 +121,7 @@ impl PeerService for ServerService {
 ///
 /// Only the two arrows change a shard's state; a commit whose restore
 /// or replay fails answers `REPAIR` / `STORAGE` and stays `Rebuilding`.
-/// Malformed input (`MALFORMED`) and a commit on a service without a
-/// restore factory (`UNSUPPORTED`) are rejected before the state is
+/// Malformed input (`MALFORMED`) is rejected before the state is
 /// looked at.
 ///
 /// # No access control
@@ -139,23 +142,21 @@ pub struct ShardService {
     /// shard (this peer acting as a rebuild *source*). Replaced by the
     /// next [`Message::PrepareSnapshot`] for the same shard.
     pending_snapshot: HashMap<u32, Vec<(String, Vec<u8>)>>,
-    /// Builds a shard store from installed snapshot files (this peer
-    /// acting as a rebuild *target*). Services launched without one
-    /// answer install commits with `UNSUPPORTED`.
-    restore: Option<RestoreFn>,
+    /// This peer's ring position and the deployment's backend: every
+    /// store this service builds — at launch or from an installed
+    /// snapshot (this peer acting as a rebuild *target*) — lives on
+    /// [`replica_backend`]`(backend, peer, shard)`.
+    peer: u32,
+    backend: PostingBackend,
+    /// Where this peer's segmented stores report their
+    /// `zerber_segment_*` instruments, rebuilt ones included.
+    registry: MetricsRegistry,
     /// `zerber_peer_postings_scored_total`: candidates this peer's
     /// evaluators fully scored. Counted here, not by the querying
     /// client like the block counts beside it — the number never
     /// travels in `TopKResponse`.
-    postings_scored: Option<zerber_obs::Counter>,
+    postings_scored: zerber_obs::Counter,
 }
-
-/// Builds a shard store from a shipped snapshot: `(shard, files)` →
-/// store. Runs on the peer's own thread (it is handed to the service
-/// inside the spawn initializer), so it needs no `Send` bound of its
-/// own.
-pub type RestoreFn =
-    Box<dyn FnMut(u32, &[(String, Vec<u8>)]) -> Result<Box<dyn ShardStore>, ShardStoreError>>;
 
 /// One decoded write frame: applied at once to a serving shard,
 /// buffered by a rebuilding one and replayed in arrival order at
@@ -173,7 +174,7 @@ enum WriteOp {
 
 impl WriteOp {
     /// Applies the write; returns how many documents it removed.
-    fn apply(&self, store: &mut dyn ShardStore) -> Result<u64, ShardStoreError> {
+    fn apply(&self, store: &mut dyn ShardStore) -> Result<u64, SegmentError> {
         match self {
             WriteOp::Insert(docs) => store.insert_documents(docs).map(|_| 0),
             WriteOp::Bulk(docs) => store.bulk_load_documents(docs).map(|_| 0),
@@ -217,68 +218,62 @@ impl HostedShard {
     }
 }
 
-fn shard_fault(error: ShardStoreError) -> Message {
-    fault_frame(match error {
-        ShardStoreError::Storage(_) => fault::STORAGE,
-    })
+/// Every way a store can refuse a mutation is the durable engine
+/// failing to persist it.
+fn shard_fault(_: SegmentError) -> Message {
+    fault_frame(fault::STORAGE)
 }
 
 impl ShardService {
-    /// Serves a single store as logical shard 0 (the unreplicated
-    /// deployment shape).
-    pub fn new(shard: Box<dyn ShardStore>) -> Self {
-        Self::hosting(std::iter::once((0, shard)))
-    }
-
-    /// Serves several shard stores, each addressed by its logical
-    /// shard id.
-    pub fn hosting(stores: impl IntoIterator<Item = (u32, Box<dyn ShardStore>)>) -> Self {
-        Self::with_shards(
-            stores
-                .into_iter()
-                .map(|(shard, store)| (shard, HostedShard::Serving(store)))
-                .collect(),
-        )
-    }
-
-    /// A service whose every hosted shard starts mid-rebuild: writes
-    /// buffer from the first request, reads bounce with
-    /// [`fault::REBUILDING`]. This is the *revived replica* launch
-    /// shape — a peer respawned after a kill must never serve the
-    /// stale (or empty) state it woke up with; it buffers until the
-    /// repair controller ships it a snapshot and commits.
-    pub fn rebuilding(shards: impl IntoIterator<Item = u32>) -> Self {
-        Self::with_shards(
-            shards
-                .into_iter()
-                .map(|shard| (shard, HostedShard::rebuilding(Vec::new())))
-                .collect(),
-        )
-    }
-
-    fn with_shards(stores: HashMap<u32, HostedShard>) -> Self {
+    /// The service ring position `peer` runs — the one constructor,
+    /// under either transport. With `Some(partition)` every shard in
+    /// `hosted` serves `partition[shard]` (the output of
+    /// `zerber_dht::ShardMap::partition` over the launch corpus); with
+    /// `None` every one of them starts mid-rebuild — writes buffer
+    /// from the first request, reads bounce with
+    /// [`fault::REBUILDING`] — which is the *replacement* shape: a
+    /// peer started in place of a dead one, or joining the ring, must
+    /// never serve the stale (or empty) state it woke up with, only
+    /// what the repair controller ships it.
+    ///
+    /// Each store builds on its own replica of `backend` (a
+    /// `peer-<p>-shard-<s>` subdirectory for the segmented engine) and
+    /// reports into `registry`, as does every store later restored
+    /// from an installed snapshot.
+    ///
+    /// # Panics
+    /// Panics if a segmented store cannot open a fresh directory — see
+    /// `ShardedSearch::launch`.
+    pub fn for_peer(
+        backend: &PostingBackend,
+        peer: u32,
+        hosted: impl IntoIterator<Item = u32>,
+        partition: Option<&[Vec<Document>]>,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let stores = hosted
+            .into_iter()
+            .map(|shard| {
+                let state = match partition {
+                    Some(partition) => HostedShard::Serving(build_shard_store(
+                        &replica_backend(backend, peer, shard),
+                        &partition[shard as usize],
+                        registry,
+                    )),
+                    None => HostedShard::rebuilding(Vec::new()),
+                };
+                (shard, state)
+            })
+            .collect();
         Self {
             stores,
             scratch: TopKScratch::new(),
             pending_snapshot: HashMap::new(),
-            restore: None,
-            postings_scored: None,
+            peer,
+            backend: backend.clone(),
+            registry: registry.clone(),
+            postings_scored: registry.counter("zerber_peer_postings_scored_total"),
         }
-    }
-
-    /// Installs the snapshot-restore factory, enabling this service to
-    /// be a rebuild *target* (see [`Message::InstallShard`]).
-    /// Builder-style.
-    pub fn with_restore(mut self, restore: RestoreFn) -> Self {
-        self.restore = Some(restore);
-        self
-    }
-
-    /// Counts this peer's scored postings into `registry`
-    /// (`zerber_peer_postings_scored_total`). Builder-style.
-    pub fn observed(mut self, registry: &zerber_obs::MetricsRegistry) -> Self {
-        self.postings_scored = Some(registry.counter("zerber_peer_postings_scored_total"));
-        self
     }
 }
 
@@ -350,9 +345,7 @@ impl ShardService {
         // socket peers report identically.
         let started = std::time::Instant::now();
         let outcome = store.query_planned(shape, terms, k as usize, forced, &mut self.scratch);
-        if let Some(scored) = &self.postings_scored {
-            scored.add(outcome.cost.postings_scored);
-        }
+        self.postings_scored.add(outcome.cost.postings_scored);
         Message::TopKResponse {
             decode_ns: started.elapsed().as_nanos() as u64,
             blocks_decoded: outcome.cost.blocks_decoded as u32,
@@ -465,9 +458,6 @@ impl ShardService {
     /// cuts over. A commit without a begin (or on a serving shard) is
     /// a protocol error, and the serving store stays.
     fn install_commit(&mut self, shard: u32) -> Message {
-        let Some(restore) = self.restore.as_mut() else {
-            return fault_frame(fault::UNSUPPORTED);
-        };
         // Taking both lists leaves the shard `Rebuilding` and empty
         // while the store is built.
         let (staged, buffered) = match self.stores.get_mut(&shard) {
@@ -476,7 +466,8 @@ impl ShardService {
             }
             _ => return fault_frame(fault::REPAIR),
         };
-        let mut store = match restore(shard, &staged) {
+        let backend = replica_backend(&self.backend, self.peer, shard);
+        let mut store = match restore_shard_store(&backend, &staged, &self.registry) {
             Ok(store) => store,
             Err(_) => {
                 // Keep the owed writes; the controller re-ships.
@@ -501,8 +492,8 @@ impl ShardService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::shard::{restore_shard_store, LiveIndexShard, LIVE_SNAPSHOT_FILE};
-    use zerber_index::{GroupId, PostingBackend};
+    use crate::runtime::shard::{LiveIndexShard, LIVE_SNAPSHOT_FILE};
+    use zerber_index::GroupId;
 
     /// The shard every frame of the table addresses.
     const SHARD: u32 = 0;
@@ -547,14 +538,14 @@ mod tests {
         }
     }
 
-    fn live_store() -> Box<dyn ShardStore> {
-        let doc = from_wire(wire_doc(1)).expect("sorted terms");
-        Box::new(LiveIndexShard::new(&[doc]))
+    fn live_docs() -> Vec<Document> {
+        vec![from_wire(wire_doc(1)).expect("sorted terms")]
     }
 
     /// The one file of a valid snapshot, as `(crc, bytes)`.
     fn snapshot_file() -> (u32, Vec<u8>) {
-        let (_, mut files) = live_store().export_snapshot().expect("in-memory export");
+        let mut store = LiveIndexShard::new(&live_docs());
+        let (_, mut files) = store.export_snapshot().expect("in-memory export");
         let (name, bytes) = files.pop().expect("one virtual file");
         assert_eq!(name, LIVE_SNAPSHOT_FILE);
         (crc32(&bytes), bytes)
@@ -572,12 +563,17 @@ mod tests {
     /// copy has a valid snapshot staged (it can commit).
     fn service_in(state: State) -> ShardService {
         let hosted = match state {
-            State::Serving => vec![(SHARD, live_store())],
-            State::Rebuilding | State::NotHosted => vec![(SHARD + 1, live_store())],
+            State::Serving => SHARD,
+            State::Rebuilding | State::NotHosted => SHARD + 1,
         };
-        let mut service = ShardService::hosting(hosted).with_restore(Box::new(|_, files| {
-            restore_shard_store(&PostingBackend::Compressed, files)
-        }));
+        let partition = vec![live_docs(); 2];
+        let mut service = ShardService::for_peer(
+            &PostingBackend::Compressed,
+            0,
+            [hosted],
+            Some(&partition),
+            &MetricsRegistry::new(),
+        );
         let owner = NodeId::Owner(0);
         let setup: Vec<Message> = match state {
             State::Serving => vec![Message::PrepareSnapshot { shard: SHARD }],

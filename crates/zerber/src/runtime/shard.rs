@@ -20,13 +20,14 @@
 use zerber_index::cursor::TopKScratch;
 use zerber_index::{DocId, Document, InvertedIndex, PostingBackend, TermId};
 use zerber_net::{Message, WireDocument};
+use zerber_obs::MetricsRegistry;
 use zerber_postings::CompressedPostingStore;
 use zerber_query::{execute, Forced, QueryOutcome, QueryShape};
-use zerber_segment::SegmentStore;
+use zerber_segment::{SegmentError, SegmentStore};
 
 /// The virtual snapshot file the in-memory backend exports: one
 /// [`Message::BulkLoad`] frame holding the shard's live documents.
-pub const LIVE_SNAPSHOT_FILE: &str = "docs.zdump";
+pub(crate) const LIVE_SNAPSHOT_FILE: &str = "docs.zdump";
 
 /// A document as it crosses the wire.
 pub(crate) fn to_wire(doc: &Document) -> WireDocument {
@@ -53,28 +54,11 @@ pub(crate) fn from_wire(wire: WireDocument) -> Option<Document> {
         })
 }
 
-/// Why a shard rejected a mutation.
-#[derive(Debug)]
-pub enum ShardStoreError {
-    /// The durable engine failed to persist the mutation.
-    Storage(zerber_segment::SegmentError),
-}
-
-impl std::fmt::Display for ShardStoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardStoreError::Storage(e) => write!(f, "shard storage failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardStoreError {}
-
 /// One document shard's storage: ranked reads plus the write stream.
 ///
 /// Not `Send`-bound — a shard store is built and driven entirely on
 /// its peer's thread.
-pub trait ShardStore {
+pub(crate) trait ShardStore {
     /// The ranked read path: dispatches a shaped query (disjunctive /
     /// conjunctive / phrase) through [`zerber_query::plan()`] to the
     /// chosen evaluator over the backend's lazy
@@ -93,7 +77,7 @@ pub trait ShardStore {
 
     /// Inserts (or replaces) documents; returns posting elements
     /// written.
-    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError>;
+    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, SegmentError>;
 
     /// Bulk-indexes documents along the offline path; returns posting
     /// elements written.
@@ -103,12 +87,12 @@ pub trait ShardStore {
     /// durable backend is free to skip its WAL and build segments
     /// directly (the SPIMI path in `zerber-segment`). The in-memory
     /// backend simply forwards to the insert path.
-    fn bulk_load_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
+    fn bulk_load_documents(&mut self, docs: &[Document]) -> Result<usize, SegmentError> {
         self.insert_documents(docs)
     }
 
     /// Removes one document; returns whether it was live.
-    fn delete_document(&mut self, doc: DocId) -> Result<bool, ShardStoreError>;
+    fn delete_document(&mut self, doc: DocId) -> Result<bool, SegmentError>;
 
     /// Exports the shard's full state as a `(epoch, named files)`
     /// snapshot — the replica-rebuild shipping unit. A durable backend
@@ -117,12 +101,12 @@ pub trait ShardStore {
     /// one virtual [`LIVE_SNAPSHOT_FILE`] holding a
     /// [`Message::BulkLoad`] frame of its live documents.
     #[allow(clippy::type_complexity)]
-    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError>;
+    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), SegmentError>;
 }
 
 /// The in-memory mutable shard: an [`InvertedIndex`] taking the writes
 /// and the [`CompressedPostingStore`] frozen from it serving the reads.
-pub struct LiveIndexShard {
+pub(crate) struct LiveIndexShard {
     index: InvertedIndex,
     /// `None` after a mutation; rebuilt by the next read.
     frozen: Option<CompressedPostingStore>,
@@ -130,7 +114,7 @@ pub struct LiveIndexShard {
 
 impl LiveIndexShard {
     /// A shard over `docs`.
-    pub fn new(docs: &[Document]) -> Self {
+    pub(crate) fn new(docs: &[Document]) -> Self {
         Self {
             index: InvertedIndex::from_documents(docs),
             frozen: None,
@@ -153,13 +137,13 @@ impl ShardStore for LiveIndexShard {
         execute(store, shape, slots, k, forced, scratch)
     }
 
-    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
+    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, SegmentError> {
         self.index.insert_batch(docs);
         self.frozen = None;
         Ok(docs.iter().map(Document::distinct_terms).sum())
     }
 
-    fn delete_document(&mut self, doc: DocId) -> Result<bool, ShardStoreError> {
+    fn delete_document(&mut self, doc: DocId) -> Result<bool, SegmentError> {
         let removed = self.index.remove(doc);
         if removed {
             self.frozen = None;
@@ -167,7 +151,7 @@ impl ShardStore for LiveIndexShard {
         Ok(removed)
     }
 
-    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError> {
+    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), SegmentError> {
         // One virtual file: a BulkLoad frame of the live documents,
         // sorted by id so identical states export identical bytes. The
         // `shard` field is a placeholder — restore addresses by the
@@ -187,20 +171,8 @@ impl ShardStore for LiveIndexShard {
 
 /// The durable shard: every mutation journaled and crash-safe, reads
 /// on MVCC snapshots.
-pub struct SegmentShard {
+pub(crate) struct SegmentShard {
     store: SegmentStore,
-}
-
-impl SegmentShard {
-    /// Wraps an open store.
-    pub fn new(store: SegmentStore) -> Self {
-        Self { store }
-    }
-
-    /// The underlying engine (bench instrumentation).
-    pub fn store(&self) -> &SegmentStore {
-        &self.store
-    }
 }
 
 impl ShardStore for SegmentShard {
@@ -218,30 +190,44 @@ impl ShardStore for SegmentShard {
         execute(&snapshot, shape, slots, k, forced, scratch)
     }
 
-    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
-        self.store.insert(docs).map_err(ShardStoreError::Storage)
+    fn insert_documents(&mut self, docs: &[Document]) -> Result<usize, SegmentError> {
+        self.store.insert(docs)
     }
 
-    fn bulk_load_documents(&mut self, docs: &[Document]) -> Result<usize, ShardStoreError> {
+    fn bulk_load_documents(&mut self, docs: &[Document]) -> Result<usize, SegmentError> {
         self.store
             .bulk_load(docs, zerber_segment::BulkConfig::default())
             .map(|stats| stats.postings)
-            .map_err(ShardStoreError::Storage)
     }
 
-    fn delete_document(&mut self, doc: DocId) -> Result<bool, ShardStoreError> {
-        self.store.delete(doc).map_err(ShardStoreError::Storage)
+    fn delete_document(&mut self, doc: DocId) -> Result<bool, SegmentError> {
+        self.store.delete(doc)
     }
 
-    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), ShardStoreError> {
-        self.store.export_files().map_err(ShardStoreError::Storage)
+    fn export_snapshot(&mut self) -> Result<(u64, Vec<(String, Vec<u8>)>), SegmentError> {
+        self.store.export_files()
+    }
+}
+
+/// The backend one replica store builds on: the segmented engine gets
+/// a per-(peer, shard) subdirectory so replica stores never collide on
+/// disk.
+pub(crate) fn replica_backend(backend: &PostingBackend, peer: u32, shard: u32) -> PostingBackend {
+    match backend {
+        PostingBackend::Segmented { dir, compaction } => PostingBackend::Segmented {
+            dir: dir.join(format!("peer-{peer:03}-shard-{shard:03}")),
+            compaction: *compaction,
+        },
+        PostingBackend::Compressed => PostingBackend::Compressed,
     }
 }
 
 /// Builds the shard store a backend selection names, over an initial
-/// document set. Runs on the peer's own thread (see
-/// `PeerRuntime::spawn_peer`), so per-shard construction — indexing,
-/// compressing, seeding the durable store — parallelizes across peers.
+/// document set. Runs on the peer's own thread, so per-shard
+/// construction — indexing, compressing, seeding the durable store —
+/// parallelizes across peers. A segmented store reports its
+/// `zerber_segment_*` instruments (WAL, flush, compaction) into
+/// `registry`; the in-memory backend has none.
 ///
 /// # Panics
 /// Panics if the segmented backend cannot open or seed its directory,
@@ -253,31 +239,16 @@ impl ShardStore for SegmentShard {
 /// recovered stores with [`SegmentStore::open`] directly, or launch
 /// into a fresh directory. (A shard that cannot come up correctly is
 /// a deployment bug, matching the runtime's dead-peer stance.)
-pub fn build_shard_store(backend: &PostingBackend, docs: &[Document]) -> Box<dyn ShardStore> {
-    build_shard_store_observed(backend, docs, None)
-}
-
-/// [`build_shard_store`], but a segmented backend registers its
-/// `zerber_segment_*` instruments (WAL fsync latency, flush and
-/// compaction durations, segment count) in `registry` when one is
-/// given. The in-memory backend carries no write-path instruments, so
-/// the registry only matters for [`PostingBackend::Segmented`].
-///
-/// # Panics
-/// Same contract as [`build_shard_store`].
-pub fn build_shard_store_observed(
+pub(crate) fn build_shard_store(
     backend: &PostingBackend,
     docs: &[Document],
-    registry: Option<&zerber_obs::MetricsRegistry>,
+    registry: &MetricsRegistry,
 ) -> Box<dyn ShardStore> {
     match backend {
         PostingBackend::Compressed => Box::new(LiveIndexShard::new(docs)),
         PostingBackend::Segmented { dir, compaction } => {
-            let store = match registry {
-                Some(registry) => SegmentStore::open_observed(dir.clone(), *compaction, registry),
-                None => SegmentStore::open(dir.clone(), *compaction),
-            }
-            .expect("segmented shard store opens");
+            let store = SegmentStore::open_observed(dir.clone(), *compaction, registry)
+                .expect("segmented shard store opens");
             let recovered = store.snapshot().live_doc_count();
             assert_eq!(
                 recovered,
@@ -288,16 +259,16 @@ pub fn build_shard_store_observed(
                 dir.display()
             );
             store.insert(docs).expect("segmented shard store seeds");
-            Box::new(SegmentShard::new(store))
+            Box::new(SegmentShard { store })
         }
     }
 }
 
-fn corrupt_snapshot(reason: &'static str) -> ShardStoreError {
-    ShardStoreError::Storage(zerber_segment::SegmentError::Corrupt {
+fn corrupt_snapshot(reason: &'static str) -> SegmentError {
+    SegmentError::Corrupt {
         file: LIVE_SNAPSHOT_FILE.to_string(),
         reason,
-    })
+    }
 }
 
 /// Rebuilds a shard store of backend `backend` from a shipped
@@ -306,15 +277,16 @@ fn corrupt_snapshot(reason: &'static str) -> ShardStoreError {
 /// For [`PostingBackend::Segmented`] the snapshot files are installed
 /// into the backend's directory (tmp + fsync + rename per file; any
 /// previous contents are discarded first — a rebuild *replaces* the
-/// replica) and the store is reopened directly with
-/// [`SegmentStore::open`], bypassing [`build_shard_store`]'s
+/// replica) and the store is reopened, observed into `registry` like
+/// the store it replaces, without [`build_shard_store`]'s
 /// fresh-directory assertion: recovered documents are exactly what a
 /// rebuild installs. The in-memory backend decodes the virtual
 /// [`LIVE_SNAPSHOT_FILE`] bulk-load frame back into documents.
-pub fn restore_shard_store(
+pub(crate) fn restore_shard_store(
     backend: &PostingBackend,
     files: &[(String, Vec<u8>)],
-) -> Result<Box<dyn ShardStore>, ShardStoreError> {
+    registry: &MetricsRegistry,
+) -> Result<Box<dyn ShardStore>, SegmentError> {
     match backend {
         PostingBackend::Compressed => {
             let (_, bytes) = files
@@ -337,10 +309,9 @@ pub fn restore_shard_store(
             // A rebuild replaces the replica wholesale; stale segments
             // or WAL records must not survive into the installed state.
             std::fs::remove_dir_all(dir).ok();
-            SegmentStore::install_files(dir, files).map_err(ShardStoreError::Storage)?;
-            let store =
-                SegmentStore::open(dir.clone(), *compaction).map_err(ShardStoreError::Storage)?;
-            Ok(Box::new(SegmentShard::new(store)))
+            SegmentStore::install_files(dir, files)?;
+            let store = SegmentStore::open_observed(dir.clone(), *compaction, registry)?;
+            Ok(Box::new(SegmentShard { store }))
         }
     }
 }
@@ -416,9 +387,10 @@ mod tests {
                 sync_wal: false,
             },
         };
+        let registry = MetricsRegistry::new();
         let mut shards: Vec<Box<dyn ShardStore>> = vec![
-            build_shard_store(&PostingBackend::Compressed, &initial),
-            build_shard_store(&segmented_backend, &initial),
+            build_shard_store(&PostingBackend::Compressed, &initial, &registry),
+            build_shard_store(&segmented_backend, &initial, &registry),
         ];
         let mut live = initial.clone();
         // Mutate: replace doc 3 (dropping its old terms), delete doc 9,
@@ -476,14 +448,15 @@ mod tests {
                 },
             ),
         ];
+        let registry = MetricsRegistry::new();
         for (source_backend, target_backend) in backends {
-            let mut source = build_shard_store(&source_backend, &initial);
+            let mut source = build_shard_store(&source_backend, &initial, &registry);
             source
                 .insert_documents(&[doc(100, &[(0, 2), (9, 4)])])
                 .unwrap();
             assert!(source.delete_document(DocId(9)).unwrap());
             let (_, files) = source.export_snapshot().unwrap();
-            let mut restored = restore_shard_store(&target_backend, &files).unwrap();
+            let mut restored = restore_shard_store(&target_backend, &files, &registry).unwrap();
             let mut live = initial.clone();
             live.retain(|d| d.id != DocId(9));
             live.push(doc(100, &[(0, 2), (9, 4)]));
@@ -500,11 +473,9 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_rejected_typed() {
-        assert!(restore_shard_store(&PostingBackend::Compressed, &[]).is_err());
-        assert!(restore_shard_store(
-            &PostingBackend::Compressed,
-            &[(LIVE_SNAPSHOT_FILE.to_string(), vec![0xFF, 0xFE])],
-        )
-        .is_err());
+        let registry = MetricsRegistry::new();
+        assert!(restore_shard_store(&PostingBackend::Compressed, &[], &registry).is_err());
+        let garbage = [(LIVE_SNAPSHOT_FILE.to_string(), vec![0xFF, 0xFE])];
+        assert!(restore_shard_store(&PostingBackend::Compressed, &garbage, &registry).is_err());
     }
 }

@@ -32,7 +32,7 @@
 //! [`TrafficMeter`]: the client meters request payloads when they are
 //! written and response payloads when they arrive; a peer serving via
 //! [`serve_peer`] meters the same two directions as it sees them.
-//! Metered bytes are the exact [`zerber_net::Message::wire_size`] payload bytes —
+//! Metered bytes are the exact encoded [`zerber_net::Message`] payload bytes —
 //! framing overhead (length prefix, correlation id, CRC) is the
 //! socket's envelope, excluded just as the in-process envelope is, so
 //! the paper's bandwidth accounting is identical whichever transport
@@ -624,20 +624,23 @@ fn serve_connection(
 mod tests {
     use super::*;
     use crate::runtime::service::ShardService;
-    use crate::runtime::shard::LiveIndexShard;
-    use zerber_index::{DocId, Document, GroupId, TermId};
+    use zerber_index::{DocId, Document, GroupId, PostingBackend, TermId};
     use zerber_net::Message;
 
     fn shard_peer(docs: &[Document], node: NodeId, meter: Arc<TrafficMeter>) -> SocketPeer {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let docs = docs.to_vec();
-        serve_peer(
-            listener,
-            node,
-            move || ShardService::new(Box::new(LiveIndexShard::new(&docs))),
-            meter,
-        )
-        .unwrap()
+        let partition = [docs.to_vec()];
+        let init = move || {
+            let registry = MetricsRegistry::new();
+            ShardService::for_peer(
+                &PostingBackend::Compressed,
+                0,
+                [0],
+                Some(&partition),
+                &registry,
+            )
+        };
+        serve_peer(listener, node, init, meter).unwrap()
     }
 
     /// A top-`k` ranked read of term 7 on shard 0.
@@ -683,7 +686,7 @@ mod tests {
         // excluded: request on user→peer, response on peer→user.
         assert_eq!(
             client_meter.link_bytes(user, node),
-            query.wire_size() as u64
+            query.encode().len() as u64
         );
         assert_eq!(
             client_meter.link_bytes(user, node),

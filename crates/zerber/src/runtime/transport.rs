@@ -456,15 +456,13 @@ mod tests {
         let handle = echo_peer(&transport, peer);
 
         let user = NodeId::User(1);
-        let message = Message::SnippetRequest {
-            doc: zerber_index::DocId(7),
-        };
+        let message = Message::Ping;
         let echoed = transport
             .request(user, peer, AuthToken(1), &message)
             .unwrap();
         assert_eq!(echoed, message);
-        assert_eq!(meter.link_bytes(user, peer), message.wire_size() as u64);
-        assert_eq!(meter.link_bytes(peer, user), message.wire_size() as u64);
+        assert_eq!(meter.link_bytes(user, peer), message.encode().len() as u64);
+        assert_eq!(meter.link_bytes(peer, user), message.encode().len() as u64);
 
         transport.shutdown(peer);
         handle.join().unwrap();
@@ -556,7 +554,7 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(
             meter.link_bytes(peer, user),
-            message.wire_size() as u64,
+            message.encode().len() as u64,
             "the abandoned response still crossed the link"
         );
     }

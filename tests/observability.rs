@@ -9,14 +9,13 @@ use std::time::{Duration, Instant};
 
 use zerber::runtime::socket::{serve_peer, SocketTransport};
 use zerber::runtime::{
-    build_shard_store, gather_topk, local_topk, traced_topk_fanout, FaultInjectTransport,
-    FaultPlan, HedgePolicy, RuntimeObs, ShardService, ShardedSearch, TermStats,
+    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, RuntimeObs, ShardService,
+    ShardedSearch,
 };
 use zerber::{SegmentPolicy, ZerberConfig};
 use zerber_dht::ShardMap;
-use zerber_index::{DocId, Document, GroupId, RankedDoc, TermId};
-use zerber_net::{AuthToken, Message, NodeId, TrafficMeter};
-use zerber_obs::{QueryTrace, SpanRecord};
+use zerber_index::{DocId, Document, GroupId, TermId};
+use zerber_net::{NodeId, TrafficMeter};
 use zerber_query::{Forced, Query};
 use zerber_segment::SegmentStore;
 
@@ -154,10 +153,11 @@ fn hedged_failover_is_recorded_in_the_span_tree() {
     );
 }
 
-/// One traced query through a real 4-peer replicated socket cluster:
-/// the client-side span tree must be complete — fan-out, one span per
-/// shard, per-replica RPC attempts, the peers' decode spans, gather —
-/// and every stage must fit inside the externally measured end-to-end
+/// One traced query through a real 4-peer replicated socket cluster,
+/// driven by the same coordinator as an in-process deployment: the
+/// span tree must be complete — fan-out, one span per shard,
+/// per-replica RPC attempts, the peers' decode spans, gather — and
+/// every stage must fit inside the externally measured end-to-end
 /// latency.
 #[test]
 fn socket_cluster_query_yields_a_complete_consistent_trace() {
@@ -166,89 +166,39 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
     const K: usize = 6;
 
     let docs = corpus(200, 17);
+    let config = ZerberConfig::default()
+        .with_peers(PEERS as usize)
+        .with_replication(REPLICATION as usize);
     let map = ShardMap::new(PEERS);
-    let shards = map.partition(&docs, |doc| doc.id);
-    let stats = TermStats::from_documents(&docs);
+    let shards = Arc::new(map.partition(&docs, |doc| doc.id));
     let obs = RuntimeObs::new();
-    let meter = Arc::new(TrafficMeter::new());
-    let transport = SocketTransport::new(Arc::clone(&meter)).observed(obs.registry());
+    let transport = SocketTransport::new(Arc::new(TrafficMeter::new())).observed(obs.registry());
     let mut peers = Vec::new();
     for peer in 0..PEERS {
         let hosted = map.hosted_shards(peer, REPLICATION);
-        let backend = ZerberConfig::default().postings;
-        let shard_docs = shards.clone();
+        let (backend, shards) = (config.postings.clone(), Arc::clone(&shards));
+        let init = move || {
+            let registry = zerber_obs::MetricsRegistry::new();
+            ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry)
+        };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let handle = serve_peer(
-            listener,
-            NodeId::IndexServer(peer),
-            move || {
-                ShardService::hosting(hosted.into_iter().map(|shard| {
-                    let store = build_shard_store(&backend, &shard_docs[shard as usize]);
-                    (shard, store)
-                }))
-            },
-            Arc::new(TrafficMeter::new()),
-        )
-        .expect("serve on loopback");
-        transport.register(NodeId::IndexServer(peer), handle.addr());
+        let node = NodeId::IndexServer(peer);
+        let handle = serve_peer(listener, node, init, Arc::new(TrafficMeter::new()))
+            .expect("serve on loopback");
+        transport.register(node, handle.addr());
         peers.push(handle);
     }
+    let search =
+        ShardedSearch::connect(&config, &docs, Arc::new(transport), obs).expect("valid config");
 
     let terms = [TermId(3), TermId(9)];
-    let weights = stats.weights(&terms);
-    let requests: Vec<(u32, Vec<NodeId>, Arc<[u8]>)> = (0..map.peer_count())
-        .map(|shard| {
-            let request = Message::PlanQuery {
-                shard,
-                shape: 0,
-                forced: 1,
-                terms: weights.clone(),
-                k: K as u32,
-            };
-            let replicas = map
-                .replica_peers(shard, REPLICATION)
-                .into_iter()
-                .map(|peer| NodeId::IndexServer(peer.0))
-                .collect();
-            (shard, replicas, Arc::from(request.encode().as_ref()))
-        })
-        .collect();
-
     let started = Instant::now();
-    let trace_id = obs.next_trace_id();
-    let (fetches, fanout_span) = traced_topk_fanout(
-        &obs,
-        &transport,
-        NodeId::User(0),
-        AuthToken(0),
-        trace_id,
-        &requests,
-        &HedgePolicy::default(),
-    );
-    let per_shard: Vec<Vec<RankedDoc>> = fetches
-        .into_iter()
-        .map(|fetch| fetch.expect("healthy cluster").answer.candidates)
-        .collect();
-    let gather_started = Instant::now();
-    let gathered = gather_topk(&per_shard, K);
-    let gather_span = SpanRecord::new(
-        "gather",
-        gather_started.duration_since(started),
-        gather_started.elapsed(),
-    );
+    let outcome = search.query(&terms, K).expect("healthy cluster");
     let total = started.elapsed();
-    let trace = QueryTrace {
-        id: trace_id,
-        label: format!("terms={terms:?} k={K}"),
-        total,
-        root: SpanRecord::new("query", Duration::ZERO, total)
-            .with_child(fanout_span)
-            .with_child(gather_span),
-    };
-    obs.record_trace(Arc::new(trace.clone()));
+    let trace = &outcome.trace;
 
     // Correctness first: the traced socket query returns the oracle.
-    assert_eq!(gathered.ranked, local_topk(&docs, &terms, K));
+    assert_eq!(outcome.ranked, local_topk(&docs, &terms, K));
 
     // Completeness: one shard span per shard, each with at least one
     // RPC attempt, and every settled shard carries the winning peer's
@@ -276,7 +226,8 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
     let gather = trace.root.find("gather").expect("gather span");
 
     // Consistency: stages nest inside the measured end-to-end latency.
-    assert!(fan_out.duration + gather.duration <= total);
+    assert!(trace.total <= total);
+    assert!(fan_out.duration + gather.duration <= trace.total);
     for shard_span in &fan_out.children {
         assert!(shard_span.duration <= fan_out.duration);
         for rpc in &shard_span.children {
@@ -292,12 +243,13 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
 
     // The trace landed in both forensics sinks, and the transport's
     // client-side metrics saw the session.
+    let obs = search.obs();
     assert_eq!(obs.flight_recorder().len(), 1);
     assert_eq!(
         obs.slow_queries().slowest().expect("one trace").id,
-        trace_id
+        trace.id
     );
-    let metrics = obs.snapshot_with_traffic(&meter);
+    let metrics = obs.snapshot_with_traffic(search.traffic());
     assert!(metrics.counter("zerber_socket_requests_total").unwrap_or(0) >= PEERS as u64);
     assert!(metrics.gauge("zerber_transport_bytes_total").unwrap_or(0) > 0);
     assert_eq!(

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use zerber::runtime::{
     local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, IngestError, PeerRuntime,
-    PeerService, PendingReply, QueryError, ShardedSearch, Transport, TransportError,
+    PeerService, PendingReply, QueryError, RuntimeObs, ShardedSearch, Transport, TransportError,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
@@ -299,16 +299,15 @@ impl PeerService for PongService {
 fn replica_acking_a_write_with_the_wrong_frame_is_an_error_not_a_panic() {
     let docs = corpus(40, 7);
     let config = ZerberConfig::default().with_peers(2);
-    // The deployment's clients speak to a second runtime whose peers
-    // answer everything wrong; the real peers never see a write.
+    // The coordinator is connected to peers that answer everything
+    // wrong.
     let liars = PeerRuntime::new(Arc::new(TrafficMeter::new()));
     for peer in 0..2 {
         liars.spawn_peer(NodeId::IndexServer(peer), || PongService);
     }
-    let search = ShardedSearch::launch_with_transport(&config, &docs, |_honest| {
-        Arc::clone(liars.transport()) as Arc<dyn Transport>
-    })
-    .expect("valid config");
+    let transport = Arc::clone(liars.transport()) as Arc<dyn Transport>;
+    let search =
+        ShardedSearch::connect(&config, &docs, transport, RuntimeObs::new()).expect("valid config");
 
     let epoch = search.serving_epoch();
     let write = Document::from_term_counts(DocId(900), GroupId(0), vec![(TermId(1), 1)]);

@@ -136,6 +136,48 @@ fn kill_revive_rebuild_converges_to_from_scratch() {
     }
 }
 
+/// A rebuilt replica stays observed: the store restored from the
+/// shipped snapshot reports its WAL appends into the deployment's
+/// registry exactly like the store it replaces. With the other replica
+/// dead, the revived one is the only store left to record the write.
+#[test]
+fn a_revived_replica_keeps_reporting_its_segment_metrics() {
+    let docs = corpus(60, 9);
+    let dir = zerber_segment::scratch_dir("revived-metrics");
+    let config = ZerberConfig::default()
+        .with_peers(2)
+        .with_replication(2)
+        .with_postings(zerber::PostingBackend::Segmented {
+            dir: dir.clone(),
+            compaction: zerber::SegmentPolicy {
+                background: false,
+                ..zerber::SegmentPolicy::default()
+            },
+        });
+    let search = ShardedSearch::launch(&config, &docs).expect("valid config");
+    let wal_appends = |search: &ShardedSearch| {
+        let metrics = search.obs().registry().snapshot();
+        let appends = metrics.histogram("zerber_segment_wal_append_ns");
+        appends.expect("segmented peers register it").count
+    };
+
+    // A peer answers only once every store it hosts is seeded.
+    search.query(&[TermId(1)], 3).expect("healthy");
+    let before = wal_appends(&search);
+    search.kill_peer(0);
+    search.revive_peer(0).expect("rebuild from peer 1");
+    search.kill_peer(1);
+    search
+        .insert_documents(0, &[tagged(900), tagged(901)])
+        .expect("the revived replica acknowledges");
+    assert!(
+        wal_appends(&search) > before,
+        "the revived replica journaled the batch but reported nothing"
+    );
+    drop(search);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A peer joining the ring: the joiner spawns write-buffering, moved
 /// shards stream from live sources while queries keep serving the old
 /// assignment, and after cutover both reads and writes use the new
