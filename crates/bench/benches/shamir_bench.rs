@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the secret-sharing layer
-//! (Section 5.1/7.3: share creation and the two decryption paths) and
-//! for the client pass that consumes the shares (Algorithm 2).
+//! (Section 5.1/7.3: share creation and the two decryption paths), for
+//! the client pass that consumes the shares (Algorithm 2) and for the
+//! frame that carries them.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -10,9 +11,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zerber_client::{BatchPolicy, DocumentOwner, QueryClient, ServerHandle};
-use zerber_core::{ElementCodec, MappingTable};
+use zerber_core::{ElementCodec, MappingTable, PlId};
 use zerber_field::Fp;
 use zerber_index::{DocId, Document, GroupId, TermId, UserId};
+use zerber_net::{AuthToken, Message};
 use zerber_server::{IndexServer, TokenAuth};
 use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
 
@@ -68,22 +70,30 @@ fn bench_k_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// `QueryClient::execute` over direct server handles: fetch (no
-/// transport), recombination, decryption, filtering and ranking of a
-/// two-list query with a few thousand elements per list.
-fn bench_client_execute(c: &mut Criterion) {
+/// Three direct servers holding 4 000 documents x 5 of 40 terms over 4
+/// merged lists — ~5 000 elements per list, a tenth of them any one
+/// term's — and a two-term query that asks for two of the lists.
+struct SharePath {
+    servers: Vec<Arc<IndexServer>>,
+    token: AuthToken,
+    table: Arc<MappingTable>,
+    codec: ElementCodec,
+    terms: [TermId; 2],
+}
+
+fn share_path() -> SharePath {
     let mut rng = StdRng::seed_from_u64(4);
     let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
     let auth = Arc::new(TokenAuth::new());
     let reader = UserId(1);
-    let servers: Vec<Arc<dyn ServerHandle>> = scheme
+    let servers: Vec<Arc<IndexServer>> = scheme
         .coordinates()
         .iter()
         .enumerate()
         .map(|(i, &x)| {
             let server = IndexServer::new(i as u32, x, auth.clone());
             server.add_user_to_group(reader, GroupId(0));
-            Arc::new(server) as Arc<dyn ServerHandle>
+            Arc::new(server)
         })
         .collect();
     let token = auth.issue(reader);
@@ -97,22 +107,46 @@ fn bench_client_execute(c: &mut Criterion) {
         table.clone(),
         BatchPolicy::batched(4_096),
     );
-    // 4 000 documents x 5 of 40 terms over 4 merged lists: ~5 000
-    // elements per list, a tenth of them any one term's.
+    let handles = handles(&servers);
     for d in 0..4_000u32 {
         let terms = (0..5).map(|i| (TermId((d * 7 + i * 9) % 40), 1 + (d + i) % 4));
         let doc = Document::from_term_counts(DocId(d), GroupId(0), terms.collect());
-        owner.index_document(&doc, &servers, &mut rng).unwrap();
+        owner.index_document(&doc, &handles, &mut rng).unwrap();
     }
-    owner.flush(&servers).unwrap();
+    owner.flush(&handles).unwrap();
 
     let other = (1..40)
         .map(TermId)
         .find(|&t| table.lookup(t) != table.lookup(TermId(0)))
         .expect("40 terms over 4 lists");
-    let terms = [TermId(0), other];
-    let client = QueryClient::new(token, codec, table, 2);
-    let run = || client.execute(black_box(&terms), &servers, 10).unwrap();
+    SharePath {
+        servers,
+        token,
+        table,
+        codec,
+        terms: [TermId(0), other],
+    }
+}
+
+fn handles(servers: &[Arc<IndexServer>]) -> Vec<Arc<dyn ServerHandle>> {
+    servers
+        .iter()
+        .map(|server| server.clone() as Arc<dyn ServerHandle>)
+        .collect()
+}
+
+/// `QueryClient::execute` over direct server handles: fetch (no
+/// transport), recombination, decryption, filtering and ranking of a
+/// two-list query with a few thousand elements per list.
+fn bench_client_execute(c: &mut Criterion) {
+    let world = share_path();
+    let servers = handles(&world.servers);
+    let client = QueryClient::new(world.token, world.codec, world.table, 2);
+    let run = || {
+        client
+            .execute(black_box(&world.terms), &servers, 10)
+            .unwrap()
+    };
     // The counts repeat exactly on every iteration, so time over the
     // shares fetched is the share path's cost per share.
     let outcome = run();
@@ -132,11 +166,41 @@ fn bench_client_execute(c: &mut Criterion) {
     );
 }
 
+/// One server's answer to that query across the wire: encode and
+/// decode of the `QueryResponse` frame, and what a share costs in it.
+fn bench_share_response(c: &mut Criterion) {
+    let world = share_path();
+    let mut pl_ids: Vec<PlId> = world.terms.iter().map(|&t| world.table.lookup(t)).collect();
+    pl_ids.sort_unstable();
+    let lists = world.servers[0]
+        .get_posting_lists(world.token, &pl_ids)
+        .unwrap();
+    let shares: usize = lists.iter().map(|list| list.len()).sum();
+    let response = Message::QueryResponse { lists };
+    let bytes = response.encode().len();
+    let mut iterations = 0u32;
+    let started = Instant::now();
+    c.bench_function("net/share_response", |b| {
+        b.iter(|| {
+            iterations += 1;
+            let encoded = black_box(&response).encode();
+            black_box(Message::decode(&encoded).unwrap())
+        })
+    });
+    let ns_per_share = started.elapsed().as_nanos() as f64 / f64::from(iterations) / shares as f64;
+    println!(
+        "net/share_response: {shares} shares in {bytes} B, {:.2} B/share on the wire \
+         (8 B of it the y-share), {ns_per_share:.1} ns/share to encode and decode",
+        bytes as f64 / shares as f64
+    );
+}
+
 criterion_group!(
     benches,
     bench_split,
     bench_reconstruct,
     bench_k_scaling,
-    bench_client_execute
+    bench_client_execute,
+    bench_share_response
 );
 criterion_main!(benches);

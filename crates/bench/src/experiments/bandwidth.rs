@@ -39,6 +39,10 @@ pub struct Bandwidth {
     pub baseline_compression_savings: f64,
     /// KB per query measured on the wire format (one server).
     pub kb_per_query_wire: f64,
+    /// Response bytes per share element measured on the wire format
+    /// (frame and list headers included) — what the paper's model
+    /// prices at 1.5 × 8 B.
+    pub wire_bytes_per_element: f64,
     /// Total top-10 response size (elements + 10 snippets), bytes.
     pub top10_response_bytes: f64,
     /// Queries/second one user can sustain over 55 Mb/s WLAN
@@ -128,6 +132,7 @@ pub fn run(scale: Scale) -> Bandwidth {
             && matches!(to, zerber_net::NodeId::User(_))
     });
     let kb_per_query_wire = wire_down as f64 / k / queries.max(1) as f64 / 1024.0;
+    let wire_bytes_per_element = wire_down as f64 / elements.max(1) as f64;
 
     let elements_per_query = elements_per_term * terms_per_query;
     let top10_response_bytes =
@@ -167,6 +172,7 @@ pub fn run(scale: Scale) -> Bandwidth {
         kb_per_term_zerber_raw: zerber_raw as f64 / 1024.0,
         baseline_compression_savings,
         kb_per_query_wire,
+        wire_bytes_per_element,
         top10_response_bytes,
         user_queries_per_sec: 1_000.0 / user_ms.max(1e-9),
         server_queries_per_sec: 1_000.0 / server_ms.max(1e-9),
@@ -200,6 +206,11 @@ pub fn render(bw: &Bandwidth) -> String {
         "KB / query on the wire (per server)".into(),
         format!("{:.1}", bw.kb_per_query_wire),
         "-".into(),
+    ]);
+    table.row(&[
+        "B / share element on the wire".into(),
+        format!("{:.1}", bw.wire_bytes_per_element),
+        format!("{} (1.5 x 8)", SizeModel::default().zerber_element_bytes()),
     ]);
     table.row(&[
         "KB / term, baseline after compression".into(),
@@ -264,6 +275,13 @@ mod tests {
         assert!(bw.kb_per_term_baseline_compressed < bw.kb_per_term_model);
         assert!(bw.kb_per_term_zerber_raw > bw.kb_per_term_model);
         assert!(bw.baseline_compression_savings > 0.0);
+        // On the wire an element is its 8-byte y-share plus a delta-
+        // coded id: well under the 20 B a row of clear-text ids cost.
+        assert!(
+            (8.0..14.0).contains(&bw.wire_bytes_per_element),
+            "{} B per element",
+            bw.wire_bytes_per_element
+        );
         // Interactive rates.
         assert!(bw.user_queries_per_sec > 1.0);
         assert!(bw.server_queries_per_sec > bw.user_queries_per_sec * 0.5);

@@ -10,10 +10,12 @@
 //!   elements of one document.
 //! * **Processing queries** (5.4.2, Algorithm 2): the user maps her
 //!   query terms to merged posting-list ids, fetches the accessible
-//!   share sets from k servers, and recombines them list by list —
-//!   the k rows of a list walked in lock-step on the global element
-//!   id, sorted and merge-joined only where servers disagree on the
-//!   order — decrypting each complete set with Algorithm 1b as it is
+//!   share columns from k servers (all k fetches begun before the
+//!   first is waited for), and recombines them list by list — one
+//!   comparison of the k element-id columns, then a straight weighted
+//!   sum down the share columns, sorted and merge-joined only where
+//!   servers disagree on the order — decrypting each complete set
+//!   with Algorithm 1b as it is
 //!   summed and dropping false positives (elements of co-merged
 //!   terms); she then ranks the rest in one sort and two passes with
 //!   statistics personalised to what she may read, and finally pulls
@@ -35,4 +37,4 @@ pub use mixing::UpdateMixer;
 pub use owner::DocumentOwner;
 pub use query::{recombine, QueryClient, QueryError, QueryOutcome};
 pub use snippets::{OwnerSnippetService, SnippetProvider};
-pub use transport::ServerHandle;
+pub use transport::{FetchResult, PendingFetch, ServerHandle};

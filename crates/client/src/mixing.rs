@@ -174,10 +174,11 @@ mod tests {
 
         let reader = auth.issue(UserId(0));
         let total: usize = servers[0]
-            .get_posting_lists(reader, &[PlId(0), PlId(1)])
+            .begin_fetch(reader, &[PlId(0), PlId(1)])
+            .wait()
             .unwrap()
             .iter()
-            .map(|(_, shares)| shares.len())
+            .map(|list| list.len())
             .sum();
         assert_eq!(total, 4);
     }

@@ -260,9 +260,7 @@ mod tests {
         for server in &servers {
             let mut total = 0;
             for pl in 0..8u32 {
-                total += server.get_posting_lists(token, &[PlId(pl)]).unwrap()[0]
-                    .1
-                    .len();
+                total += server.begin_fetch(token, &[PlId(pl)]).wait().unwrap()[0].len();
             }
             assert_eq!(total, 3);
         }
@@ -290,9 +288,7 @@ mod tests {
         let token = auth.issue(UserId(1));
         for server in &servers {
             for pl in 0..8u32 {
-                assert!(server.get_posting_lists(token, &[PlId(pl)]).unwrap()[0]
-                    .1
-                    .is_empty());
+                assert!(server.begin_fetch(token, &[PlId(pl)]).wait().unwrap()[0].is_empty());
             }
         }
     }

@@ -1,14 +1,16 @@
 //! Query execution — Algorithm 2, client side.
 //!
 //! The client maps query terms to merged posting-list ids (never
-//! revealing the terms themselves), fetches those lists' share sets
-//! from `k` index servers, and turns them into a ranking in one
-//! streaming pass: [`recombine`] walks the `k` rows of each list in
-//! lock-step and hands every complete share set's weighted sum straight
-//! to the decoder, false positives (elements of co-merged terms) are
-//! dropped as they are decrypted, and [`crate::ranking::rank`] scores
-//! what is left. Nothing on this path hashes; a response that does not
-//! have the requested shape is a [`QueryError`], not a panic.
+//! revealing the terms themselves), fetches those lists' share columns
+//! from `k` index servers — every fetch begun before the first is
+//! waited for, nothing spawned — and turns them into a ranking in one
+//! streaming pass: [`recombine`] compares the `k` element-id columns of
+//! each list once, sums straight down the share columns and hands
+//! every complete share set's weighted sum to the decoder, false
+//! positives (elements of co-merged terms) are dropped as they are
+//! decrypted, and [`crate::ranking::rank`] scores what is left. Nothing
+//! on this path hashes; a response that does not have the requested
+//! shape is a [`QueryError`], not a panic.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,12 +18,12 @@ use std::time::{Duration, Instant};
 use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
 use zerber_field::{lagrange_weights_at_zero, Fp};
 use zerber_index::{RankedDoc, TermId};
-use zerber_net::{AuthToken, StoredShare};
+use zerber_net::{AuthToken, ShareColumns};
 use zerber_obs::SpanRecord;
 use zerber_server::ServerError;
 
 use crate::ranking::rank;
-use crate::transport::ServerHandle;
+use crate::transport::{PendingFetch, ServerHandle};
 
 /// Why a query produced no outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,85 +88,92 @@ pub struct QueryOutcome {
     /// Top-K ranked documents.
     pub ranked: Vec<RankedDoc>,
     /// All decrypted elements that matched the query terms, in the
-    /// order their lists were requested and answered.
+    /// order their lists were requested and answered — within a list
+    /// group by group (ascending group id), insert order inside a
+    /// group. `ranked` does not depend on this order.
     pub matching_elements: Vec<PostingElement>,
     /// Posting elements received from each contacted server (the
     /// response-size driver of Section 7.3).
     pub elements_received: usize,
     /// Elements discarded as false positives (co-merged terms).
     pub false_positives: usize,
+    /// Complete share sets whose sum is not a codeword (a corrupt or
+    /// foreign share, or shares from different refresh rounds). They
+    /// are left out of the result; above zero, the result may be short.
+    pub undecodable: usize,
     /// Merged posting lists requested.
     pub lists_requested: usize,
     /// Where the time went: an `execute` span with children `fetch`
     /// (counters `lists`, `shares`), `recombine` (`realigned_lists`,
-    /// `matching`) and `rank` (`docs`).
+    /// `matching`, `undecodable`) and `rank` (`docs`).
     pub trace: SpanRecord,
 }
 
-/// Recombines one posting list from the `k` servers' rows: calls `emit`
-/// with the element id and `Σ wⱼ·shareⱼ` of every element all `k` rows
-/// hold, and returns whether the rows had to be realigned.
+/// Recombines one posting list from the `k` servers' columns: calls
+/// `emit` with the element id and `Σ wⱼ·shareⱼ` of every element all
+/// `k` servers hold, and returns whether the rows had to be realigned.
 ///
-/// Honest servers apply the same batches in the same order, so row `j`
-/// holds at position `i` its share of the element row 0 holds there:
-/// the rows are walked in lock-step, one id comparison per share. From
-/// the first position where the ids disagree (concurrent owners'
-/// batches applied in different orders, an element deleted between two
-/// servers' answers) the remaining rows are sorted by element id and
-/// merge-joined instead; an element missing from any row cannot be
-/// decrypted and is skipped. Element ids are unique within a list, so
-/// both walks emit each complete share set exactly once.
+/// Honest servers apply the same batches in the same order, so server
+/// `j` holds at row `i` its share of the element server 0 holds there:
+/// one slice comparison per server establishes that, and the sums run
+/// straight down the share columns. Where the id columns differ
+/// (concurrent owners' batches applied in different orders, an element
+/// deleted between two servers' answers) the rows from the first
+/// differing position on are sorted by element id and merge-joined
+/// instead; an element missing from any server cannot be decrypted and
+/// is skipped. Element ids are unique within a list, so both walks
+/// emit each complete share set exactly once.
 ///
 /// # Panics
-/// Panics if `rows` is empty or `weights` has a different length.
+/// Panics if `lists` is empty or `weights` has a different length.
 pub fn recombine(
-    rows: &[&[StoredShare]],
+    lists: &[&ShareColumns],
     weights: &[Fp],
     mut emit: impl FnMut(ElementId, Fp),
 ) -> bool {
-    assert_eq!(rows.len(), weights.len(), "one Lagrange weight per row");
-    let (first, others) = rows.split_first().expect("at least one row");
-    let mut aligned = 0;
-    'lockstep: for (i, head) in first.iter().enumerate() {
-        let mut sum = head.share * weights[0];
-        for (row, &weight) in others.iter().zip(&weights[1..]) {
-            match row.get(i) {
-                Some(share) if share.element == head.element => sum += share.share * weight,
-                _ => break 'lockstep,
-            }
-        }
-        emit(head.element, sum);
-        aligned = i + 1;
+    assert_eq!(lists.len(), weights.len(), "one Lagrange weight per list");
+    let (first, others) = lists.split_first().expect("at least one list");
+    let ids = first.elements();
+    let aligned = if others.iter().all(|list| list.elements() == ids) {
+        ids.len()
+    } else {
+        let agreeing = |list: &&ShareColumns| {
+            let pairs = ids.iter().zip(list.elements());
+            pairs.take_while(|(ours, theirs)| ours == theirs).count()
+        };
+        others.iter().map(agreeing).min().unwrap_or(ids.len())
+    };
+    let columns: Vec<&[Fp]> = lists.iter().map(|list| &list.shares()[..aligned]).collect();
+    for (row, &id) in ids[..aligned].iter().enumerate() {
+        let sum = columns.iter().zip(weights).map(|(c, &w)| c[row] * w).sum();
+        emit(ElementId(id), sum);
     }
-    if rows.iter().all(|row| row.len() == aligned) {
+    if lists.iter().all(|list| list.len() == aligned) {
         return false;
     }
 
-    let sorted: Vec<Vec<StoredShare>> = rows
+    let sorted: Vec<Vec<(ElementId, Fp)>> = lists
         .iter()
-        .map(|row| {
-            let mut rest = row[aligned..].to_vec();
-            rest.sort_unstable_by_key(|share| share.element);
+        .map(|list| {
+            let mut rest: Vec<_> = list.rows().skip(aligned).collect();
+            rest.sort_unstable_by_key(|&(element, _)| element);
             rest
         })
         .collect();
     let mut cursors = vec![0usize; sorted.len()];
-    'elements: for head in &sorted[0] {
-        let mut sum = head.share * weights[0];
+    'elements: for &(element, share) in &sorted[0] {
+        let mut sum = share * weights[0];
         for ((row, cursor), &weight) in sorted.iter().zip(&mut cursors).zip(weights).skip(1) {
-            while row
-                .get(*cursor)
-                .is_some_and(|share| share.element < head.element)
-            {
+            while row.get(*cursor).is_some_and(|&(other, _)| other < element) {
                 *cursor += 1;
             }
             match row.get(*cursor) {
-                Some(share) if share.element == head.element => sum += share.share * weight,
+                Some(&(other, share)) if other == element => sum += share * weight,
                 _ => continue 'elements,
             }
             *cursor += 1;
         }
-        emit(head.element, sum);
+        emit(element, sum);
     }
     true
 }
@@ -218,32 +227,19 @@ impl QueryClient {
         pl_ids.sort_unstable();
         pl_ids.dedup();
 
-        // 2. Fetch the accessible share sets from k servers — in
-        //    parallel, one fetch thread per server, so the round trip
-        //    costs the slowest server rather than the sum (the servers
-        //    run on their own peer threads behind the runtime
-        //    transport). Responses stay aligned with `contacted` order
-        //    for the Lagrange weights below.
-        let fetched: Vec<Result<_, ServerError>> = std::thread::scope(|scope| {
-            let pl_ids = &pl_ids;
-            let token = self.token;
-            let fetches: Vec<_> = contacted
-                .iter()
-                .map(|server| scope.spawn(move || server.get_posting_lists(token, pl_ids)))
-                .collect();
-            fetches
-                .into_iter()
-                .map(|fetch| match fetch.join() {
-                    Ok(response) => response,
-                    // Re-raise the original payload (e.g. a dead-peer
-                    // panic with its context) instead of masking it.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
+        // 2. Fetch the accessible share columns from k servers: every
+        //    request is on its way before the first answer is waited
+        //    for, so the round trip costs the slowest server rather
+        //    than the sum (the servers run on their own peer threads
+        //    behind the runtime transport). Responses stay aligned
+        //    with `contacted` order for the Lagrange weights below.
+        let fetches: Vec<PendingFetch> = contacted
+            .iter()
+            .map(|server| server.begin_fetch(self.token, &pl_ids))
+            .collect();
         let mut responses = Vec::with_capacity(contacted.len());
-        for (server, fetch) in fetched.into_iter().enumerate() {
-            let lists = fetch?;
+        for (server, fetch) in fetches.into_iter().enumerate() {
+            let lists = fetch.wait()?;
             check_shape(server, &pl_ids, &lists)?;
             responses.push(lists);
         }
@@ -261,21 +257,20 @@ impl QueryClient {
         let mut matching: Vec<PostingElement> = Vec::new();
         let mut false_positives = 0usize;
         let mut elements_received = 0usize;
+        let mut undecodable = 0usize;
         let mut realigned_lists = 0u64;
-        let mut rows: Vec<&[StoredShare]> = Vec::with_capacity(responses.len());
+        let mut rows: Vec<&ShareColumns> = Vec::with_capacity(responses.len());
         for position in 0..pl_ids.len() {
             rows.clear();
-            rows.extend(responses.iter().map(|lists| lists[position].1.as_slice()));
+            rows.extend(responses.iter().map(|lists| &lists[position]));
             elements_received += rows.iter().map(|row| row.len()).sum::<usize>();
             let realigned = recombine(&rows, &weights, |_, sum| {
                 // A sum this codec did not produce (a corrupt or
-                // foreign share) is skipped.
-                if let Ok(element) = self.codec.decode(sum) {
-                    if query_terms.contains(&element.term) {
-                        matching.push(element);
-                    } else {
-                        false_positives += 1;
-                    }
+                // foreign share) is left out, and counted.
+                match self.codec.decode(sum) {
+                    Ok(element) if query_terms.contains(&element.term) => matching.push(element),
+                    Ok(_) => false_positives += 1,
+                    Err(_) => undecodable += 1,
                 }
             });
             realigned_lists += u64::from(realigned);
@@ -296,7 +291,8 @@ impl QueryClient {
             .with_child(
                 SpanRecord::new("recombine", fetched_at, recombined_at - fetched_at)
                     .with_counter("realigned_lists", realigned_lists)
-                    .with_counter("matching", matching.len() as u64),
+                    .with_counter("matching", matching.len() as u64)
+                    .with_counter("undecodable", undecodable as u64),
             )
             .with_child(
                 SpanRecord::new("rank", recombined_at, ranked_at - recombined_at)
@@ -307,6 +303,7 @@ impl QueryClient {
             matching_elements: matching,
             elements_received,
             false_positives,
+            undecodable,
             lists_requested: pl_ids.len(),
             trace,
         })
@@ -318,9 +315,9 @@ impl QueryClient {
 fn check_shape(
     server: usize,
     requested: &[PlId],
-    lists: &[(PlId, Vec<StoredShare>)],
+    lists: &[ShareColumns],
 ) -> Result<(), QueryError> {
-    let answered = |position: usize| lists.get(position).map(|&(pl, _)| pl);
+    let answered = |position: usize| lists.get(position).map(|list| list.pl);
     match (0..requested.len().max(lists.len()))
         .find(|&position| requested.get(position).copied() != answered(position))
     {
@@ -522,6 +519,89 @@ mod tests {
         assert_eq!(element.doc, DocId(1));
         assert_eq!(element.term, TermId(10));
         assert!((element.term_frequency(&codec) - 0.75).abs() < 1e-3);
+    }
+
+    /// A server whose share of one element is not the one it was sent.
+    struct Forging {
+        inner: Arc<dyn ServerHandle>,
+        element: ElementId,
+        share: Fp,
+    }
+
+    impl ServerHandle for Forging {
+        fn coordinate(&self) -> Fp {
+            self.inner.coordinate()
+        }
+        fn insert_batch(
+            &self,
+            token: AuthToken,
+            entries: &[(PlId, zerber_net::StoredShare)],
+        ) -> Result<(), ServerError> {
+            self.inner.insert_batch(token, entries)
+        }
+        fn delete(
+            &self,
+            token: AuthToken,
+            elements: &[(PlId, ElementId)],
+        ) -> Result<usize, ServerError> {
+            self.inner.delete(token, elements)
+        }
+        fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
+            let forge = |honest: ShareColumns| {
+                let mut list = ShareColumns::new(honest.pl);
+                for (element, share) in honest.rows() {
+                    list.push(
+                        element,
+                        if element == self.element {
+                            self.share
+                        } else {
+                            share
+                        },
+                    );
+                }
+                list
+            };
+            let answer = self.inner.begin_fetch(token, pl_ids).wait();
+            PendingFetch::ready(answer.map(|lists| lists.into_iter().map(forge).collect()))
+        }
+    }
+
+    #[test]
+    fn an_undecodable_sum_is_counted_and_the_rest_still_ranked() {
+        let mut w = world();
+        let mut rng = StdRng::seed_from_u64(7);
+        for id in 1..=3 {
+            w.owner
+                .index_document(&doc(id, 0, &[(10, id)]), &w.servers, &mut rng)
+                .unwrap();
+        }
+        // Move server 1's share of one element so that the pair sums
+        // to 2^60, one past the codec's 60 payload bits.
+        let token = w.auth.issue(UserId(2));
+        let pl = [w.table.lookup(TermId(10))];
+        let honest: Vec<ShareColumns> = w.servers[..2]
+            .iter()
+            .map(|server| server.begin_fetch(token, &pl).wait().unwrap().remove(0))
+            .collect();
+        let weights =
+            lagrange_weights_at_zero(&[w.servers[0].coordinate(), w.servers[1].coordinate()]);
+        let (element, share_0) = honest[0].rows().next().unwrap();
+        assert_eq!(honest[1].elements()[0], element.0);
+        w.servers[1] = Arc::new(Forging {
+            inner: w.servers[1].clone(),
+            element,
+            share: (Fp::new(1 << 60) - share_0 * weights[0]) / weights[1],
+        });
+
+        let outcome = client(&w, 2)
+            .execute(&[TermId(10)], &w.servers, 10)
+            .unwrap();
+        assert_eq!(outcome.undecodable, 1);
+        assert_eq!(outcome.matching_elements.len(), 2);
+        assert_eq!(outcome.ranked.len(), 2, "the other elements still rank");
+        assert_eq!(outcome.false_positives, 0);
+        let recombine = outcome.trace.find("recombine").expect("stage span");
+        assert!(recombine.counters.contains(&("undecodable", 1)));
     }
 
     #[test]

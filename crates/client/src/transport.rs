@@ -3,11 +3,50 @@
 //! Exactly the narrow surface of Section 5 — insert, delete, look up —
 //! plus the public Shamir x-coordinate. The facade crate wraps
 //! implementations with traffic metering; tests call servers directly.
+//!
+//! The lookup is a begin/wait pair: [`ServerHandle::begin_fetch`]
+//! sends the request and returns at once, [`PendingFetch::wait`]
+//! collects the answer. A query begins all `k` of its fetches on its
+//! own thread before waiting for the first, so servers behind a
+//! transport work in parallel and nothing is spawned.
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
-use zerber_net::{AuthToken, StoredShare};
+use zerber_net::{AuthToken, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError};
+
+/// What a lookup answers: one [`ShareColumns`] per requested list.
+pub type FetchResult = Result<Vec<ShareColumns>, ServerError>;
+
+/// A lookup in flight — what [`ServerHandle::begin_fetch`] returns.
+pub struct PendingFetch(Fetch);
+
+enum Fetch {
+    Ready(FetchResult),
+    Waiting(Box<dyn FnOnce() -> FetchResult>),
+}
+
+impl PendingFetch {
+    /// A lookup that was answered on the spot (a server called
+    /// directly).
+    pub fn ready(result: FetchResult) -> Self {
+        Self(Fetch::Ready(result))
+    }
+
+    /// A lookup whose answer `wait` will block for (a server behind a
+    /// transport).
+    pub fn waiting(wait: impl FnOnce() -> FetchResult + 'static) -> Self {
+        Self(Fetch::Waiting(Box::new(wait)))
+    }
+
+    /// Blocks until the server has answered.
+    pub fn wait(self) -> FetchResult {
+        match self.0 {
+            Fetch::Ready(result) => result,
+            Fetch::Waiting(wait) => wait(),
+        }
+    }
+}
 
 /// What a client can ask of one index server.
 pub trait ServerHandle: Send + Sync {
@@ -28,12 +67,10 @@ pub trait ServerHandle: Send + Sync {
         elements: &[(PlId, ElementId)],
     ) -> Result<usize, ServerError>;
 
-    /// Fetch the accessible parts of the requested posting lists.
-    fn get_posting_lists(
-        &self,
-        token: AuthToken,
-        pl_ids: &[PlId],
-    ) -> Result<Vec<(PlId, Vec<StoredShare>)>, ServerError>;
+    /// Begins fetching the accessible parts of the requested posting
+    /// lists. Must not block on the server; its answer — or its
+    /// rejection — comes out of [`PendingFetch::wait`].
+    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch;
 }
 
 impl ServerHandle for IndexServer {
@@ -57,12 +94,8 @@ impl ServerHandle for IndexServer {
         IndexServer::delete(self, token, elements)
     }
 
-    fn get_posting_lists(
-        &self,
-        token: AuthToken,
-        pl_ids: &[PlId],
-    ) -> Result<Vec<(PlId, Vec<StoredShare>)>, ServerError> {
-        IndexServer::get_posting_lists(self, token, pl_ids)
+    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
+        PendingFetch::ready(self.get_posting_lists(token, pl_ids))
     }
 }
 
@@ -82,6 +115,6 @@ mod tests {
         let handle: &dyn ServerHandle = &server;
         assert_eq!(handle.coordinate(), Fp::new(5));
         assert!(handle.insert_batch(token, &[]).is_ok());
-        assert_eq!(handle.get_posting_lists(token, &[]).unwrap().len(), 0);
+        assert_eq!(handle.begin_fetch(token, &[]).wait().unwrap().len(), 0);
     }
 }

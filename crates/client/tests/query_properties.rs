@@ -7,6 +7,7 @@
 //! examples pin what a tampered answer turns into.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -15,7 +16,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use zerber_client::{
-    recombine, BatchPolicy, DocumentOwner, QueryClient, QueryError, QueryOutcome, ServerHandle,
+    recombine, BatchPolicy, DocumentOwner, PendingFetch, QueryClient, QueryError, QueryOutcome,
+    ServerHandle,
 };
 use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
 use zerber_field::{lagrange_weights_at_zero, Fp};
@@ -23,7 +25,7 @@ use zerber_index::topk::naive_topk;
 use zerber_index::{
     threshold_topk, DocId, Document, GroupId, RankedDoc, ScoredList, TermId, UserId,
 };
-use zerber_net::{AuthToken, StoredShare};
+use zerber_net::{AuthToken, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
 use zerber_shamir::SharingScheme;
 
@@ -33,7 +35,44 @@ const VOCABULARY: u32 = 30;
 /// Far fewer lists than terms: every list is co-merged.
 const LISTS: u32 = 4;
 
-type Lists = Vec<(PlId, Vec<StoredShare>)>;
+/// One row of an answer, as the oracles and the tampering closures
+/// read it.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    element: ElementId,
+    share: Fp,
+}
+
+/// A server's answer row by row: what the tampering closures rewrite
+/// and the hashing oracle consumes.
+type Lists = Vec<(PlId, Vec<Row>)>;
+
+fn to_rows(answer: Vec<ShareColumns>) -> Lists {
+    let rows = |list: &ShareColumns| {
+        list.rows()
+            .map(|(element, share)| Row { element, share })
+            .collect()
+    };
+    answer.iter().map(|list| (list.pl, rows(list))).collect()
+}
+
+fn to_columns(lists: &Lists) -> Vec<ShareColumns> {
+    lists
+        .iter()
+        .map(|(pl, rows)| {
+            let mut list = ShareColumns::new(*pl);
+            for row in rows {
+                list.push(row.element, row.share);
+            }
+            list
+        })
+        .collect()
+}
+
+/// Lists `recombine` summed straight down after one slice comparison,
+/// and lists it had to realign, over the whole run of property (a).
+static STRAIGHT_LISTS: AtomicUsize = AtomicUsize::new(0);
+static REALIGNED_LISTS: AtomicUsize = AtomicUsize::new(0);
 
 fn arb_corpus() -> impl Strategy<Value = Vec<Document>> {
     let document = |index: u32| {
@@ -182,10 +221,12 @@ impl<F: Fn(&mut Lists) + Send + Sync> ServerHandle for Tampering<F> {
     ) -> Result<usize, ServerError> {
         self.inner.delete(token, elements)
     }
-    fn get_posting_lists(&self, token: AuthToken, pl_ids: &[PlId]) -> Result<Lists, ServerError> {
-        let mut lists = self.inner.get_posting_lists(token, pl_ids)?;
-        (self.tamper)(&mut lists);
-        Ok(lists)
+    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
+        PendingFetch::ready(self.inner.begin_fetch(token, pl_ids).wait().map(|answer| {
+            let mut lists = to_rows(answer);
+            (self.tamper)(&mut lists);
+            to_columns(&lists)
+        }))
     }
 }
 
@@ -304,8 +345,7 @@ proptest! {
     /// multiset — whatever order each server answers in, whichever
     /// elements one server lost, and whatever a foreign share sums to;
     /// `execute` decrypts exactly the decodable, matching ones.
-    #[test]
-    fn recombine_equals_the_hashing_accumulator(
+    fn recombine_equals_the_hashing_accumulator_in_every_case(
         corpus in arb_corpus(),
         scheme in arb_scheme(),
         terms in arb_query(),
@@ -315,23 +355,24 @@ proptest! {
         let servers = disordered(&world, disorder);
         let contacted = &servers[..world.threshold];
         let requested = world.requested(&terms);
-        let responses: Vec<Lists> = contacted
+        let answers: Vec<Vec<ShareColumns>> = contacted
             .iter()
-            .map(|s| s.get_posting_lists(world.token, &requested).unwrap())
+            .map(|s| s.begin_fetch(world.token, &requested).wait().unwrap())
             .collect();
+        let responses: Vec<Lists> = answers.iter().cloned().map(to_rows).collect();
         let coordinates: Vec<Fp> = contacted.iter().map(|s| s.coordinate()).collect();
         let weights = lagrange_weights_at_zero(&coordinates);
 
         let mut recombined = Vec::new();
         let mut any_realigned = false;
         for (position, &pl) in requested.iter().enumerate() {
-            let rows: Vec<&[StoredShare]> = responses
-                .iter()
-                .map(|lists| lists[position].1.as_slice())
-                .collect();
-            any_realigned |= recombine(&rows, &weights, |element, sum| {
+            let rows: Vec<&ShareColumns> = answers.iter().map(|lists| &lists[position]).collect();
+            let realigned = recombine(&rows, &weights, |element, sum| {
                 recombined.push((pl, element, sum));
             });
+            let taken = if realigned { &REALIGNED_LISTS } else { &STRAIGHT_LISTS };
+            taken.fetch_add(1, Ordering::Relaxed);
+            any_realigned |= realigned;
         }
         recombined.sort_unstable_by_key(|&(pl, element, sum)| (pl, element, sum.value()));
         let expected = oracle_recombine(&responses, &weights);
@@ -421,6 +462,20 @@ proptest! {
     }
 }
 
+/// Property (a) over its generated cases — which must have taken
+/// `recombine` down both of its paths, or the property says nothing
+/// about one of them.
+#[test]
+fn recombine_equals_the_hashing_accumulator() {
+    recombine_equals_the_hashing_accumulator_in_every_case();
+    let straight = STRAIGHT_LISTS.load(Ordering::Relaxed);
+    let realigned = REALIGNED_LISTS.load(Ordering::Relaxed);
+    assert!(
+        straight > 0 && realigned > 0,
+        "{straight} lists summed straight, {realigned} realigned"
+    );
+}
+
 /// Six one-term documents of group 0, so `TermId(10)`'s list holds six
 /// elements on every server.
 fn six_documents() -> Vec<Document> {
@@ -491,7 +546,7 @@ fn misaligned_rows_are_realigned_and_partial_sets_skipped() {
     let honest = client.execute(&[TermId(10)], &world.servers, 10).unwrap();
     assert_eq!(
         recombine_counters(&honest),
-        vec![("realigned_lists", 0), ("matching", 6)]
+        vec![("realigned_lists", 0), ("matching", 6), ("undecodable", 0)]
     );
 
     // The same shares in another order decrypt to the same ranking.

@@ -32,5 +32,5 @@ pub use bandwidth::{LinkSpec, NodeId, TrafficMeter};
 pub use bytes::Bytes;
 pub use entropy::entropy_bits_per_byte;
 pub use framing::{Frame, FrameDecoder, FrameError};
-pub use message::{AuthToken, Message, StoredShare, WireDocument, WireError};
+pub use message::{AuthToken, Message, ShareColumns, StoredShare, WireDocument, WireError};
 pub use sizes::SizeModel;

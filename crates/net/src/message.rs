@@ -10,13 +10,31 @@
 //!
 //! Two posting payload encodings exist in the stack:
 //!
-//! * **Share columns (this module).** Zerber responses carry
-//!   [`StoredShare`]s verbatim — element id (8 B) + group id (4 B) +
-//!   y-share (8 B). Shares are near-uniform field elements
-//!   (`crate::entropy` measures ≈ 8 bits/byte), so no compressed
-//!   variant exists: re-coding them buys nothing, which is exactly the
-//!   paper's Section 7.3 claim and what the `compression` experiment
-//!   demonstrates empirically.
+//! * **Share columns (this module).** A [`Message::QueryResponse`]
+//!   carries, per requested list, one [`ShareColumns`]: the element-id
+//!   column and the y-share column of the runs the caller may read,
+//!   and no group column (the client never read it). The routing
+//!   column compresses — ids are `owner << 40 | sequence`, monotone
+//!   within a `(list, group)` run — so it goes through
+//!   `zerber_postings::column`, the codec the `compression`
+//!   experiment measures. The y column does not: shares are
+//!   near-uniform field elements (`crate::entropy` measures ≈ 8
+//!   bits/byte), re-coding them buys nothing, which is the paper's
+//!   Section 7.3 claim, so they go out raw. Byte by byte:
+//!
+//!   ```text
+//!   tag u8 = 23 | list count u32
+//!   per list:     pl u32
+//!                 id column:    LEB128 count
+//!                               per ≤ 128 ids: tag u8
+//!                                 1 → ZigZag LEB128 deltas (first from 0)
+//!                                 0 → ids raw, 8 B little-endian each
+//!                 share column: count × u64 big-endian, each < p
+//!   ```
+//!
+//!   One count serves both columns, so they cannot disagree in
+//!   length. [`Message::InsertBatch`] still ships [`StoredShare`]s row
+//!   by row (element id 8 B + group id 4 B + y-share 8 B).
 //!
 //! * **Block-compressed plaintext postings (`zerber-postings`).**
 //!   Baseline engines ship plaintext posting lists, which do
@@ -38,11 +56,13 @@
 //!   metadata: readers seek (`advance_to`) and prune (block-max
 //!   top-k) from the block index without decoding payloads.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use zerber_core::{ElementId, PlId};
-use zerber_field::Fp;
+use zerber_field::{Fp, MODULUS};
 use zerber_index::{DocId, GroupId, TermId};
+use zerber_postings::column::{decode_column_prefix, encode_column_into};
+use zerber_postings::varint;
 
 /// An opaque authentication token (the enterprise authentication
 /// service of Section 5.4.2 is a black box to Zerber).
@@ -64,6 +84,84 @@ pub struct StoredShare {
     pub group: GroupId,
     /// The Shamir y-share of the encoded `[doc, term, tf]` triple.
     pub share: Fp,
+}
+
+/// One merged posting list of a [`Message::QueryResponse`]: the
+/// element ids and y-shares the caller may read, as two parallel
+/// columns. Row `i` is the share `shares()[i]` of element
+/// `elements()[i]`; the columns are private so they cannot differ in
+/// length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShareColumns {
+    /// The merged posting list these columns belong to.
+    pub pl: PlId,
+    elements: Vec<u64>,
+    shares: Vec<Fp>,
+}
+
+impl ShareColumns {
+    /// The empty answer for one list.
+    pub fn new(pl: PlId) -> Self {
+        Self {
+            pl,
+            elements: Vec::new(),
+            shares: Vec::new(),
+        }
+    }
+
+    /// The empty answer for one list, with room for `rows` rows.
+    pub fn with_capacity(pl: PlId, rows: usize) -> Self {
+        Self {
+            pl,
+            elements: Vec::with_capacity(rows),
+            shares: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Appends one row.
+    pub fn push(&mut self, element: ElementId, share: Fp) {
+        self.elements.push(element.0);
+        self.shares.push(share);
+    }
+
+    /// Appends a run of rows held as columns already.
+    ///
+    /// # Panics
+    /// Panics if the two columns differ in length.
+    pub fn extend_from_columns(&mut self, elements: &[u64], shares: &[Fp]) {
+        assert_eq!(elements.len(), shares.len(), "one share per element id");
+        self.elements.extend_from_slice(elements);
+        self.shares.extend_from_slice(shares);
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        self.elements.len()
+    }
+
+    /// Whether the list has no readable element.
+    pub fn is_empty(&self) -> bool {
+        self.elements.is_empty()
+    }
+
+    /// The element-id column ([`ElementId`] values, unwrapped so two
+    /// servers' columns compare as one slice equality).
+    pub fn elements(&self) -> &[u64] {
+        &self.elements
+    }
+
+    /// The y-share column.
+    pub fn shares(&self) -> &[Fp] {
+        &self.shares
+    }
+
+    /// The rows, in column order.
+    pub fn rows(&self) -> impl Iterator<Item = (ElementId, Fp)> + '_ {
+        self.elements
+            .iter()
+            .zip(&self.shares)
+            .map(|(&element, &share)| (ElementId(element), share))
+    }
 }
 
 /// One plaintext document as shipped to a shard peer by
@@ -107,10 +205,10 @@ pub enum Message {
         /// Requested merged posting lists.
         pl_ids: Vec<PlId>,
     },
-    /// Server → user: per-list share sets, ACL-filtered.
+    /// Server → user: per-list share columns, ACL-filtered.
     QueryResponse {
-        /// One entry per requested list.
-        lists: Vec<(PlId, Vec<StoredShare>)>,
+        /// One entry per requested list, in request order.
+        lists: Vec<ShareColumns>,
     },
     /// User → shard peer: rank the top `k` documents for a weighted
     /// term query (the sharded plaintext serving path of the peer
@@ -304,6 +402,9 @@ pub enum WireError {
     Truncated,
     /// Unknown message tag.
     UnknownTag(u8),
+    /// The bytes are all there but do not say what the frame's layout
+    /// allows; the payload names the rule they break.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -311,6 +412,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "truncated message"),
             WireError::UnknownTag(tag) => write!(f, "unknown message tag {tag}"),
+            WireError::Malformed(rule) => write!(f, "malformed message: {rule}"),
         }
     }
 }
@@ -320,11 +422,12 @@ impl std::error::Error for WireError {}
 const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_QUERY: u8 = 3;
-const TAG_RESPONSE: u8 = 4;
-// Tags 5–7 are retired (5 and 6 the snippet frames no service ever
-// answered — snippets are served by direct call — and 7 the
-// pre-`PlanQuery` ranked-read frame) and must never be reused: an old
-// client's frame has to keep failing to decode.
+// Tags 4–7 are retired (4, once `TAG_RESPONSE`, the row-wise share
+// response that spent 12 of every 20 bytes on clear-text routing
+// fields; 5 and 6 the snippet frames no service ever answered —
+// snippets are served by direct call — and 7 the pre-`PlanQuery`
+// ranked-read frame) and must never be reused: an old client's frame
+// has to keep failing to decode.
 const TAG_TOPK_RESPONSE: u8 = 8;
 const TAG_INSERT_OK: u8 = 9;
 const TAG_DELETE_OK: u8 = 10;
@@ -340,11 +443,12 @@ const TAG_SEGMENT_DATA: u8 = 19;
 const TAG_INSTALL_SHARD: u8 = 20;
 const TAG_PING: u8 = 21;
 const TAG_PONG: u8 = 22;
+const TAG_SHARE_COLUMNS: u8 = 23;
 
 impl Message {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        let mut buffer = BytesMut::new();
+        let mut buffer: Vec<u8> = Vec::new();
         match self {
             Message::InsertBatch { entries } => {
                 buffer.put_u8(TAG_INSERT);
@@ -371,13 +475,17 @@ impl Message {
                 }
             }
             Message::QueryResponse { lists } => {
-                buffer.put_u8(TAG_RESPONSE);
+                // A delta-coded id rarely needs more than two bytes.
+                buffer.reserve(5 + lists.iter().map(|list| 9 + 10 * list.len()).sum::<usize>());
+                buffer.put_u8(TAG_SHARE_COLUMNS);
                 buffer.put_u32(lists.len() as u32);
-                for (pl, shares) in lists {
-                    buffer.put_u32(pl.0);
-                    buffer.put_u32(shares.len() as u32);
-                    for share in shares {
-                        put_share(&mut buffer, share);
+                for list in lists {
+                    buffer.put_u32(list.pl.0);
+                    encode_column_into(&list.elements, &mut buffer);
+                    let column = buffer.len();
+                    buffer.resize(column + 8 * list.shares.len(), 0);
+                    for (bytes, share) in buffer[column..].chunks_exact_mut(8).zip(&list.shares) {
+                        bytes.copy_from_slice(&share.value().to_be_bytes());
                     }
                 }
             }
@@ -502,7 +610,7 @@ impl Message {
                 buffer.put_u8(TAG_PONG);
             }
         }
-        buffer.freeze()
+        Bytes::from(buffer)
     }
 
     /// Deserializes a message.
@@ -540,17 +648,48 @@ impl Message {
                 }
                 Ok(Message::Query { auth, pl_ids })
             }
-            TAG_RESPONSE => {
+            TAG_SHARE_COLUMNS => {
+                // Every declared count is checked against the bytes
+                // left before anything is allocated for it: a list is
+                // at least its id and an empty column's count byte.
                 let list_count = read_u32(&mut buffer)? as usize;
-                let mut lists = Vec::with_capacity(list_count.min(1 << 20));
+                if list_count > buffer.remaining() / 5 {
+                    return Err(WireError::Truncated);
+                }
+                let mut lists = Vec::with_capacity(list_count);
                 for _ in 0..list_count {
                     let pl = PlId(read_u32(&mut buffer)?);
-                    let share_count = read_u32(&mut buffer)? as usize;
-                    let mut shares = Vec::with_capacity(share_count.min(1 << 20));
-                    for _ in 0..share_count {
-                        shares.push(read_share(&mut buffer)?);
+                    // A row is at least one id byte and eight share
+                    // bytes; the id column leads with its row count.
+                    let rows = varint::read_u64(buffer).map_or(0, |(rows, _)| rows);
+                    if rows > (buffer.remaining() / 9) as u64 {
+                        return Err(WireError::Truncated);
                     }
-                    lists.push((pl, shares));
+                    let (elements, used) = decode_column_prefix(buffer)
+                        .ok_or(WireError::Malformed("id column does not decode"))?;
+                    buffer.advance(used);
+                    let share_bytes = elements.len() * 8;
+                    if buffer.remaining() < share_bytes {
+                        return Err(WireError::Truncated);
+                    }
+                    // `Fp::new` would quietly reduce a value ≥ p; on
+                    // the wire that is a second spelling of one share.
+                    let y =
+                        |bytes: &[u8]| u64::from_be_bytes(bytes.try_into().expect("chunks of 8"));
+                    let column = buffer[..share_bytes].chunks_exact(8);
+                    if column.clone().any(|bytes| y(bytes) >= MODULUS) {
+                        return Err(WireError::Malformed("y-share not below the modulus"));
+                    }
+                    let shares = column.map(|bytes| Fp::from_canonical(y(bytes))).collect();
+                    buffer.advance(share_bytes);
+                    lists.push(ShareColumns {
+                        pl,
+                        elements,
+                        shares,
+                    });
+                }
+                if !buffer.is_empty() {
+                    return Err(WireError::Malformed("bytes after the last list"));
                 }
                 Ok(Message::QueryResponse { lists })
             }
@@ -675,7 +814,7 @@ impl Message {
     }
 }
 
-fn put_wire_document(buffer: &mut BytesMut, doc: &WireDocument) {
+fn put_wire_document(buffer: &mut Vec<u8>, doc: &WireDocument) {
     buffer.put_u32(doc.doc.0);
     buffer.put_u32(doc.group.0);
     buffer.put_u32(doc.length);
@@ -713,7 +852,7 @@ fn read_document_batch(buffer: &mut &[u8]) -> Result<(u32, Vec<WireDocument>), W
     Ok((shard, docs))
 }
 
-fn put_share(buffer: &mut BytesMut, share: &StoredShare) {
+fn put_share(buffer: &mut Vec<u8>, share: &StoredShare) {
     buffer.put_u64(share.element.0);
     buffer.put_u32(share.group.0);
     buffer.put_u64(share.share.value());
@@ -733,7 +872,7 @@ fn read_u64(buffer: &mut &[u8]) -> Result<u64, WireError> {
     Ok(buffer.get_u64())
 }
 
-fn put_string(buffer: &mut BytesMut, value: &str) {
+fn put_string(buffer: &mut Vec<u8>, value: &str) {
     buffer.put_u32(value.len() as u32);
     buffer.put_slice(value.as_bytes());
 }
@@ -812,16 +951,69 @@ mod tests {
         assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
+    fn columns(pl: u32, rows: &[(u64, u64)]) -> ShareColumns {
+        let mut list = ShareColumns::new(PlId(pl));
+        for &(element, y) in rows {
+            list.push(ElementId(element), Fp::new(y));
+        }
+        list
+    }
+
     #[test]
     fn response_round_trips() {
         let message = Message::QueryResponse {
-            lists: vec![
-                (PlId(5), vec![share(1, 1, 1), share(2, 1, 2)]),
-                (PlId(6), vec![]),
-            ],
+            lists: vec![columns(5, &[(1, 1), (2, 2)]), columns(6, &[])],
         };
         let encoded = message.encode();
         assert_eq!(Message::decode(&encoded).unwrap(), message);
+        for cut in 0..encoded.len() {
+            assert!(
+                Message::decode(&encoded[..cut]).is_err(),
+                "cut at {cut} should fail"
+            );
+        }
+    }
+
+    #[test]
+    fn the_share_response_decoder_fails_closed() {
+        let encoded = Message::QueryResponse {
+            lists: vec![columns(5, &[(1, 1), (2, 2)])],
+        }
+        .encode();
+        // tag | list count | pl | column (count, block tag, 2 deltas) |
+        // two 8-byte shares.
+        assert_eq!(encoded.len(), 1 + 4 + 4 + 4 + 16);
+
+        let mut trailing = encoded.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            Message::decode(&trailing).unwrap_err(),
+            WireError::Malformed("bytes after the last list")
+        );
+
+        // p itself is the non-canonical spelling of a zero share.
+        let mut reducible = encoded.to_vec();
+        let last_share = reducible.len() - 8;
+        reducible[last_share..].copy_from_slice(&MODULUS.to_be_bytes());
+        assert_eq!(
+            Message::decode(&reducible).unwrap_err(),
+            WireError::Malformed("y-share not below the modulus")
+        );
+
+        let mut bad_block_tag = encoded.to_vec();
+        bad_block_tag[10] = 9;
+        assert_eq!(
+            Message::decode(&bad_block_tag).unwrap_err(),
+            WireError::Malformed("id column does not decode")
+        );
+
+        // Counts nothing backs are refused before any allocation: 2^32
+        // lists, then one list of 2^56 ids.
+        let lists = [TAG_SHARE_COLUMNS, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0];
+        assert_eq!(Message::decode(&lists).unwrap_err(), WireError::Truncated);
+        let mut ids = vec![TAG_SHARE_COLUMNS, 0, 0, 0, 1, 0, 0, 0, 1];
+        ids.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 0]);
+        assert_eq!(Message::decode(&ids).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
@@ -1046,9 +1238,10 @@ mod tests {
             Message::decode(&[42]).unwrap_err(),
             WireError::UnknownTag(42)
         );
-        // The retired tags (snippet request / response, the old
-        // ranked read) stay undecodable, body or not.
-        for tag in [5, 6, 7] {
+        // The retired tags (the row-wise share response, snippet
+        // request / response, the old ranked read) stay undecodable,
+        // body or not.
+        for tag in [4, 5, 6, 7] {
             let retired = [tag, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
             assert_eq!(
                 Message::decode(&retired).unwrap_err(),
@@ -1058,17 +1251,22 @@ mod tests {
     }
 
     #[test]
-    fn per_element_response_overhead_is_20_bytes() {
-        // 8 B element id + 4 B group + 8 B share: the response share of
-        // one element. The paper's accounting (21.5 KB for ~2700
-        // elements) uses 8 B/element; our richer wire format is
-        // reported side by side in the experiments.
+    fn a_response_element_costs_its_share_plus_a_short_id_delta() {
+        // One owner's run: ids `owner << 40 | sequence` a couple of
+        // hundred apart. 8 B of y-share and a two-byte delta each
+        // (one byte under a gap of 64), plus a tag byte per 128 ids —
+        // against 20 B when element and group id travelled in full.
+        let rows: Vec<(u64, u64)> = (0..1_000u64).map(|i| ((3 << 40) | (i * 200), i)).collect();
         let empty = Message::QueryResponse {
-            lists: vec![(PlId(0), vec![])],
+            lists: vec![columns(0, &[])],
         };
-        let one = Message::QueryResponse {
-            lists: vec![(PlId(0), vec![share(1, 1, 1)])],
+        let full = Message::QueryResponse {
+            lists: vec![columns(0, &rows)],
         };
-        assert_eq!(one.encode().len() - empty.encode().len(), 20);
+        let per_element = (full.encode().len() - empty.encode().len()) as f64 / 1_000.0;
+        assert!(
+            (10.0..10.1).contains(&per_element),
+            "{per_element} B per element"
+        );
     }
 }

@@ -8,6 +8,15 @@
 //! Since Zerber replicates the index on n servers, the total index
 //! space required is 1.5n times more than for an ordinary inverted
 //! index."
+//!
+//! That is the paper's model — 12 B an element — and this module is
+//! its arithmetic. What this repository *measures* sits beside it in
+//! the `repro` tables: on the wire a share element is its 8-byte
+//! y-share plus a delta-coded element id, ≈ 10.1 B at the repository
+//! benchmark's scale (≈ 1.26× a plain posting, under the model's 1.5×;
+//! `crate::message` has the layout), and in an index server's store it
+//! is 16 B once its list has been read (id and y-share columns, the
+//! group id kept once per run) and a 24-byte row until then.
 
 /// The byte-size model of the paper's accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]

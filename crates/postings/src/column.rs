@@ -27,63 +27,90 @@ const TAG_DELTA: u8 = 1;
 /// followed by tagged blocks.
 pub fn encode_column(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len());
-    varint::write_u64(&mut out, values.len() as u64);
+    encode_column_into(values, &mut out);
+    out
+}
+
+/// Appends the [`encode_column`] layout of `values` to `out`. Each
+/// block is delta-coded straight into `out` and rolled back to the raw
+/// escape if that came out no smaller.
+pub fn encode_column_into(values: &[u64], out: &mut Vec<u8>) {
+    varint::write_u64(out, values.len() as u64);
     for chunk in values.chunks(COLUMN_BLOCK) {
-        let mut encoded = Vec::with_capacity(chunk.len() * 2);
+        let block_start = out.len();
+        out.push(TAG_DELTA);
         let mut prev = 0u64;
         for &value in chunk {
             // Wrapping difference + ZigZag: round-trips the full u64
             // range while keeping small moves (of either sign) small.
-            varint::write_u64(
-                &mut encoded,
-                varint::zigzag(value.wrapping_sub(prev) as i64),
-            );
+            varint::write_u64(out, varint::zigzag(value.wrapping_sub(prev) as i64));
             prev = value;
         }
-        if encoded.len() < chunk.len() * RAW_COLUMN_BYTES {
-            out.push(TAG_DELTA);
-            out.extend_from_slice(&encoded);
-        } else {
+        if out.len() - block_start > chunk.len() * RAW_COLUMN_BYTES {
+            out.truncate(block_start);
             out.push(TAG_RAW);
             for &value in chunk {
                 out.extend_from_slice(&value.to_le_bytes());
             }
         }
     }
-    out
 }
 
 /// Decodes a column produced by [`encode_column`]. Returns `None` on
-/// malformed input.
+/// malformed input; bytes after the column are ignored.
 pub fn decode_column(input: &[u8]) -> Option<Vec<u64>> {
+    decode_column_prefix(input).map(|(values, _)| values)
+}
+
+/// Decodes the column at the front of `input` and returns it with the
+/// number of bytes it occupied. The declared count is checked against
+/// the bytes present (a value takes at least one) before anything is
+/// allocated for it.
+pub fn decode_column_prefix(input: &[u8]) -> Option<(Vec<u64>, usize)> {
     let (count, mut cursor) = varint::read_u64(input)?;
     let count = usize::try_from(count).ok()?;
-    let mut values = Vec::with_capacity(count.min(1 << 20));
-    while values.len() < count {
-        let chunk_len = (count - values.len()).min(COLUMN_BLOCK);
+    if count > input.len() - cursor {
+        return None;
+    }
+    let mut values = vec![0u64; count];
+    for block in values.chunks_mut(COLUMN_BLOCK) {
         let tag = *input.get(cursor)?;
         cursor += 1;
         match tag {
             TAG_RAW => {
-                for _ in 0..chunk_len {
-                    let bytes = input.get(cursor..cursor + RAW_COLUMN_BYTES)?;
-                    values.push(u64::from_le_bytes(bytes.try_into().ok()?));
-                    cursor += RAW_COLUMN_BYTES;
+                let raw = input.get(cursor..cursor + block.len() * RAW_COLUMN_BYTES)?;
+                for (value, bytes) in block.iter_mut().zip(raw.chunks_exact(RAW_COLUMN_BYTES)) {
+                    *value = u64::from_le_bytes(bytes.try_into().expect("chunks of 8"));
                 }
+                cursor += raw.len();
             }
             TAG_DELTA => {
                 let mut prev = 0u64;
-                for _ in 0..chunk_len {
-                    let (delta, used) = varint::read_u64(input.get(cursor..)?)?;
-                    cursor += used;
+                for value in block {
+                    let delta = match input.get(cursor..cursor + 2) {
+                        // One- and two-byte deltas (moves under 64 and
+                        // under 8 192) alternate unpredictably in an
+                        // id column, so they are told apart by
+                        // arithmetic, not by a branch.
+                        Some(&[low, high]) if low & high & 0x80 == 0 => {
+                            let long = u64::from(low >> 7);
+                            cursor += 1 + long as usize;
+                            u64::from(low & 0x7f) | ((u64::from(high) << 7) * long)
+                        }
+                        _ => {
+                            let (delta, used) = varint::read_u64(input.get(cursor..)?)?;
+                            cursor += used;
+                            delta
+                        }
+                    };
                     prev = prev.wrapping_add(varint::unzigzag(delta) as u64);
-                    values.push(prev);
+                    *value = prev;
                 }
             }
             _ => return None,
         }
     }
-    Some(values)
+    Some((values, cursor))
 }
 
 /// `raw bytes / encoded bytes` for a column (1.0 for an empty one):
@@ -130,6 +157,32 @@ mod tests {
         assert!((ratio - 1.0).abs() < 0.05, "ratio {ratio}");
         // The escape also bounds adversarial expansion.
         assert!(ratio <= 1.0);
+    }
+
+    #[test]
+    fn prefix_decoding_reports_the_bytes_the_column_occupied() {
+        let mut rng = StdRng::seed_from_u64(3);
+        // Three blocks: delta, raw escape, short delta tail.
+        let mut column: Vec<u64> = (0..128).map(|i| i * 5).collect();
+        column.extend((0..128).map(|_| rng.random::<u64>()));
+        column.extend([7, 9]);
+        let mut framed = vec![0xAA];
+        encode_column_into(&column, &mut framed);
+        assert_eq!(framed[1..], encode_column(&column)[..]);
+        let column_bytes = framed.len() - 1;
+        framed.extend([1, 2, 3]);
+        assert_eq!(
+            decode_column_prefix(&framed[1..]),
+            Some((column, column_bytes))
+        );
+    }
+
+    #[test]
+    fn a_count_the_input_cannot_hold_is_rejected_before_allocating() {
+        let mut huge = Vec::new();
+        varint::write_u64(&mut huge, u64::MAX >> 1);
+        huge.extend([TAG_DELTA, 0, 0]);
+        assert!(decode_column(&huge).is_none());
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub mod varint;
 
 pub use block::{BlockMeta, DecodeError, RawEntry, BLOCK_SIZE};
 pub use builder::CompressedPostingBuilder;
-pub use column::{compression_ratio, decode_column, encode_column};
+pub use column::{
+    compression_ratio, decode_column, decode_column_prefix, encode_column, encode_column_into,
+};
 pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
 pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};

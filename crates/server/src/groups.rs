@@ -8,15 +8,20 @@
 //! re-encryption, no re-indexing).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use zerber_index::{GroupId, UserId};
 
 /// Thread-safe user → groups table.
+///
+/// A user's set is shared, not copied, with the requests reading it:
+/// [`GroupTable::groups_of`] hands out the `Arc`, and a membership
+/// change copies the set only while such a snapshot is still held.
 #[derive(Debug, Default)]
 pub struct GroupTable {
-    memberships: RwLock<HashMap<UserId, HashSet<GroupId>>>,
+    memberships: RwLock<HashMap<UserId, Arc<HashSet<GroupId>>>>,
 }
 
 impl GroupTable {
@@ -27,11 +32,8 @@ impl GroupTable {
 
     /// Adds a membership.
     pub fn add(&self, user: UserId, group: GroupId) {
-        self.memberships
-            .write()
-            .entry(user)
-            .or_default()
-            .insert(group);
+        let mut memberships = self.memberships.write();
+        Arc::make_mut(memberships.entry(user).or_default()).insert(group);
     }
 
     /// Removes a membership; returns true iff it existed. Takes effect
@@ -40,25 +42,18 @@ impl GroupTable {
         self.memberships
             .write()
             .get_mut(&user)
-            .is_some_and(|groups| groups.remove(&group))
+            // Looked up first: `make_mut` may copy the set.
+            .is_some_and(|groups| groups.contains(&group) && Arc::make_mut(groups).remove(&group))
     }
 
     /// Snapshot of a user's groups (the `SELECT groupID FROM groups
     /// WHERE userID = ?` of Algorithm 2).
-    pub fn groups_of(&self, user: UserId) -> HashSet<GroupId> {
+    pub fn groups_of(&self, user: UserId) -> Arc<HashSet<GroupId>> {
         self.memberships
             .read()
             .get(&user)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Membership test.
-    pub fn is_member(&self, user: UserId, group: GroupId) -> bool {
-        self.memberships
-            .read()
-            .get(&user)
-            .is_some_and(|groups| groups.contains(&group))
     }
 
     /// Number of users with at least one membership.
@@ -75,9 +70,9 @@ mod tests {
     fn add_remove_round_trip() {
         let table = GroupTable::new();
         table.add(UserId(1), GroupId(2));
-        assert!(table.is_member(UserId(1), GroupId(2)));
+        assert!(table.groups_of(UserId(1)).contains(&GroupId(2)));
         assert!(table.remove(UserId(1), GroupId(2)));
-        assert!(!table.is_member(UserId(1), GroupId(2)));
+        assert!(!table.groups_of(UserId(1)).contains(&GroupId(2)));
         assert!(!table.remove(UserId(1), GroupId(2)));
     }
 
@@ -97,6 +92,5 @@ mod tests {
     fn unknown_users_have_no_groups() {
         let table = GroupTable::new();
         assert!(table.groups_of(UserId(9)).is_empty());
-        assert!(!table.is_member(UserId(9), GroupId(0)));
     }
 }

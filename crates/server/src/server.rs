@@ -7,7 +7,7 @@ use std::sync::Arc;
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::{GroupId, UserId};
-use zerber_net::{AuthToken, StoredShare};
+use zerber_net::{AuthToken, ShareColumns, StoredShare};
 use zerber_shamir::RefreshRound;
 
 use crate::auth::AuthService;
@@ -126,10 +126,9 @@ impl IndexServer {
             .auth
             .authenticate(token)
             .ok_or(ServerError::AuthFailed)?;
-        for (_, share) in entries {
-            if !self.groups.is_member(user, share.group) {
-                return Err(ServerError::NotGroupMember(share.group));
-            }
+        let groups = self.groups.groups_of(user);
+        if let Some((_, refused)) = entries.iter().find(|(_, s)| !groups.contains(&s.group)) {
+            return Err(ServerError::NotGroupMember(refused.group));
         }
         self.store.insert_batch(entries);
         Ok(())
@@ -159,21 +158,23 @@ impl IndexServer {
     }
 
     /// Algorithm 2 (server side): authenticate, load the user's
-    /// groups, return the accessible parts of the requested lists.
+    /// groups, return the accessible parts of the requested lists —
+    /// one [`ShareColumns`] per list, in request order, each the runs
+    /// of the user's groups in group-id order. The answer depends on
+    /// the request and on what the server already stores in the clear
+    /// (group table, group and element id of every share), so serving
+    /// it this way reveals nothing Section 5.3 did not already grant.
     pub fn get_posting_lists(
         &self,
         token: AuthToken,
         pl_ids: &[PlId],
-    ) -> Result<Vec<(PlId, Vec<StoredShare>)>, ServerError> {
+    ) -> Result<Vec<ShareColumns>, ServerError> {
         let user = self
             .auth
             .authenticate(token)
             .ok_or(ServerError::AuthFailed)?;
         let groups = self.groups.groups_of(user);
-        Ok(pl_ids
-            .iter()
-            .map(|&pl| (pl, self.store.filtered(pl, |g| groups.contains(&g))))
-            .collect())
+        Ok(self.store.lookup(pl_ids, |group| groups.contains(&group)))
     }
 
     /// Applies a proactive refresh round (Section 5.1 / \[21\]): every
@@ -182,9 +183,9 @@ impl IndexServer {
     /// its own zero-constant delta polynomial).
     pub fn apply_refresh(&self, round: &RefreshRound) {
         let server = zerber_shamir::ServerId(self.id);
-        self.store.update_all(|share| {
-            share.share += round
-                .delta_for(server, share.element.0)
+        self.store.update_shares(|element, share| {
+            *share += round
+                .delta_for(server, element.0)
                 .expect("refresh round covers this server");
         });
     }
@@ -192,6 +193,12 @@ impl IndexServer {
     /// Total elements stored (for storage accounting).
     pub fn total_elements(&self) -> usize {
         self.store.total_elements()
+    }
+
+    /// Payload bytes those elements occupy in the store (see
+    /// [`ShareStore::stored_bytes`]).
+    pub fn stored_bytes(&self) -> usize {
+        self.store.stored_bytes()
     }
 
     /// What an adversary who owns this box can see: every stored share
@@ -226,7 +233,7 @@ impl AdversaryView<'_> {
 
     /// The groups a given user belongs to (the user-group table is
     /// stored in the clear, Section 5.3).
-    pub fn groups_of(&self, user: UserId) -> std::collections::HashSet<GroupId> {
+    pub fn groups_of(&self, user: UserId) -> Arc<std::collections::HashSet<GroupId>> {
         self.server.groups.groups_of(user)
     }
 }
@@ -259,7 +266,7 @@ mod tests {
             .insert_batch(token, &[(PlId(3), share(1, 0))])
             .unwrap();
         let lists = server.get_posting_lists(token, &[PlId(3)]).unwrap();
-        assert_eq!(lists[0].1.len(), 1);
+        assert_eq!(lists[0].len(), 1);
     }
 
     #[test]
@@ -322,8 +329,7 @@ mod tests {
 
         let other_token = auth.issue(UserId(2));
         let lists = server.get_posting_lists(other_token, &[PlId(0)]).unwrap();
-        assert_eq!(lists[0].1.len(), 1);
-        assert_eq!(lists[0].1[0].group, GroupId(1));
+        assert_eq!(lists[0].elements(), [2], "group 1's element only");
     }
 
     #[test]
@@ -335,16 +341,12 @@ mod tests {
             .insert_batch(token, &[(PlId(0), share(1, 0))])
             .unwrap();
         assert_eq!(
-            server.get_posting_lists(token, &[PlId(0)]).unwrap()[0]
-                .1
-                .len(),
+            server.get_posting_lists(token, &[PlId(0)]).unwrap()[0].len(),
             1
         );
         server.remove_user_from_group(UserId(1), GroupId(0));
         assert_eq!(
-            server.get_posting_lists(token, &[PlId(0)]).unwrap()[0]
-                .1
-                .len(),
+            server.get_posting_lists(token, &[PlId(0)]).unwrap()[0].len(),
             0,
             "membership change reflected on the very next query"
         );

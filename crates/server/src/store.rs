@@ -1,23 +1,128 @@
 //! The per-server share store: merged posting lists of encrypted
 //! element shares.
 //!
-//! Keys are merged posting-list ids ([`PlId`]); values are append-mostly
-//! vectors of [`StoredShare`]s. The store never sees terms, document
-//! ids or term frequencies — only opaque y-shares plus the clear-text
-//! routing fields (element id, group id) the protocol requires.
+//! A merged list ([`PlId`]) is kept as one *run* per group that has
+//! elements in it, and a run is two parallel columns: element ids and
+//! y-shares, 16 bytes a stored share. A lookup is then the
+//! concatenation of the runs of the caller's groups, in group-id order
+//! — one probe per list and one ACL check per run, not one per share —
+//! and already has the shape the response frame ships
+//! ([`ShareColumns`]).
+//!
+//! Inserts do not pay for that layout: a batch scatters over every
+//! `(list, group)` pair there is, and appending to a hundred thousand
+//! run tails in arrival order is a cache miss or four per share. An
+//! insert appends the row to its list's *unsettled* tail instead (one
+//! probe, one push), and whoever next needs the list's runs — a
+//! lookup, a delete — sorts the tail into them first, a list's worth
+//! at a time, while that list's runs are in cache.
+//!
+//! The store never sees terms, document ids or term frequencies — only
+//! opaque y-shares plus the clear-text routing fields (element id,
+//! group id) the protocol requires. Laying a list out by group teaches
+//! the server nothing new (Section 5.3): both ids were stored beside
+//! every share before, and which run a share sits in is a function of
+//! them.
 
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
 use zerber_core::{ElementId, PlId};
+use zerber_field::Fp;
 use zerber_index::GroupId;
-use zerber_net::StoredShare;
+use zerber_net::{ShareColumns, StoredShare};
+
+/// The shares one group holds in one merged list, in insert order.
+#[derive(Debug, Default)]
+struct Run {
+    elements: Vec<u64>,
+    shares: Vec<Fp>,
+}
+
+impl Run {
+    /// Drops every row of `element`; returns how many there were.
+    fn remove(&mut self, element: u64) -> usize {
+        let before = self.elements.len();
+        let mut kept = self.elements.iter().map(|&id| id != element);
+        self.shares
+            .retain(|_| kept.next().expect("one share per id"));
+        self.elements.retain(|&id| id != element);
+        before - self.elements.len()
+    }
+}
+
+/// One merged posting list: its runs in ascending group order — the
+/// order a lookup concatenates them in; `runs[i]` is the run of
+/// `groups[i]`, and a run emptied by deletes stays — and the rows
+/// inserted since the runs were last needed.
+#[derive(Debug, Default)]
+struct MergedList {
+    groups: Vec<GroupId>,
+    runs: Vec<Run>,
+    unsettled: Vec<StoredShare>,
+}
+
+impl MergedList {
+    /// Moves the unsettled rows into their runs, in insert order: a
+    /// stable sort by group, then each group's rows appended to its run
+    /// in one reservation.
+    fn settle(&mut self) {
+        let mut rows = std::mem::take(&mut self.unsettled);
+        rows.sort_by_key(|row| row.group);
+        for rows in rows.chunk_by(|a, b| a.group == b.group) {
+            let at = match self.groups.binary_search(&rows[0].group) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.groups.insert(at, rows[0].group);
+                    self.runs.insert(at, Run::default());
+                    at
+                }
+            };
+            let run = &mut self.runs[at];
+            run.elements.extend(rows.iter().map(|row| row.element.0));
+            run.shares.extend(rows.iter().map(|row| row.share));
+        }
+    }
+
+    /// The settled rows, run by run.
+    fn runs(&self) -> impl Iterator<Item = (GroupId, &Run)> + '_ {
+        self.groups.iter().copied().zip(&self.runs)
+    }
+
+    fn len(&self) -> usize {
+        self.unsettled.len() + self.runs.iter().map(|run| run.shares.len()).sum::<usize>()
+    }
+}
+
+type Lists = HashMap<PlId, MergedList>;
+
+/// The answer to a lookup over settled lists.
+fn readable_columns(
+    lists: &Lists,
+    pl_ids: &[PlId],
+    mut permit: impl FnMut(GroupId) -> bool,
+) -> Vec<ShareColumns> {
+    let columns = |&pl: &PlId| {
+        let runs = lists.get(&pl).into_iter().flat_map(MergedList::runs);
+        let readable: Vec<&Run> = runs
+            .filter(|&(group, _)| permit(group))
+            .map(|(_, run)| run)
+            .collect();
+        let rows = readable.iter().map(|run| run.shares.len()).sum();
+        let mut columns = ShareColumns::with_capacity(pl, rows);
+        for run in readable {
+            columns.extend_from_columns(&run.elements, &run.shares);
+        }
+        columns
+    };
+    pl_ids.iter().map(columns).collect()
+}
 
 /// Thread-safe share storage for one index server.
 #[derive(Debug, Default)]
 pub struct ShareStore {
-    lists: RwLock<HashMap<PlId, Vec<StoredShare>>>,
+    lists: RwLock<Lists>,
 }
 
 impl ShareStore {
@@ -31,7 +136,7 @@ impl ShareStore {
     pub fn insert_batch(&self, entries: &[(PlId, StoredShare)]) {
         let mut lists = self.lists.write();
         for &(pl, share) in entries {
-            lists.entry(pl).or_default().push(share);
+            lists.entry(pl).or_default().unsettled.push(share);
         }
     }
 
@@ -52,45 +157,58 @@ impl ShareStore {
     {
         let mut lists = self.lists.write();
         for &(pl, element) in elements {
-            let addressed = lists.get(&pl).into_iter().flatten();
-            for share in addressed.filter(|share| share.element == element) {
-                if !permit(share.group) {
-                    return Err(share.group);
+            let Some(list) = lists.get_mut(&pl) else {
+                continue;
+            };
+            list.settle();
+            for (group, run) in list.runs() {
+                if run.elements.contains(&element.0) && !permit(group) {
+                    return Err(group);
                 }
             }
         }
         let mut removed = 0usize;
         for &(pl, element) in elements {
-            if let Some(list) = lists.get_mut(&pl) {
-                let before = list.len();
-                list.retain(|share| share.element != element);
-                removed += before - list.len();
+            for run in lists
+                .get_mut(&pl)
+                .into_iter()
+                .flat_map(|list| &mut list.runs)
+            {
+                removed += run.remove(element.0);
             }
         }
         Ok(removed)
     }
 
-    /// Returns the shares of one list whose group passes `filter`.
-    pub fn filtered<F>(&self, pl: PlId, mut filter: F) -> Vec<StoredShare>
+    /// Algorithm 2's lookup: per requested list, in request order, the
+    /// runs of the groups `permit` accepts, concatenated in group-id
+    /// order. One lock for the whole request, one `permit` call per
+    /// run.
+    pub fn lookup<F>(&self, pl_ids: &[PlId], permit: F) -> Vec<ShareColumns>
     where
         F: FnMut(GroupId) -> bool,
     {
-        self.lists
-            .read()
-            .get(&pl)
-            .map(|list| {
-                list.iter()
-                    .filter(|share| filter(share.group))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
+        let lists = self.lists.read();
+        let settled = |pl| lists.get(pl).is_none_or(|list| list.unsettled.is_empty());
+        if pl_ids.iter().all(settled) {
+            return readable_columns(&lists, pl_ids, permit);
+        }
+        // First read since an insert: settle under the write lock and
+        // answer from there, so no insert gets in between.
+        drop(lists);
+        let mut lists = self.lists.write();
+        for pl in pl_ids {
+            if let Some(list) = lists.get_mut(pl) {
+                list.settle();
+            }
+        }
+        readable_columns(&lists, pl_ids, permit)
     }
 
     /// Length of one merged posting list — the only statistic a
     /// compromised server can read off directly.
     pub fn list_len(&self, pl: PlId) -> usize {
-        self.lists.read().get(&pl).map_or(0, Vec::len)
+        self.lists.read().get(&pl).map_or(0, MergedList::len)
     }
 
     /// Snapshot of all list lengths.
@@ -104,24 +222,63 @@ impl ShareStore {
 
     /// Total stored shares.
     pub fn total_elements(&self) -> usize {
-        self.lists.read().values().map(Vec::len).sum()
+        self.lists.read().values().map(MergedList::len).sum()
     }
 
-    /// Raw dump of one list (what an adversary on the box sees).
+    /// Bytes the stored shares occupy (payload only: no allocator slack,
+    /// no map overhead): a padded [`StoredShare`] per unsettled row, an
+    /// id and a y-share per settled one plus one group id per run.
+    pub fn stored_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let settled_row = size_of::<u64>() + size_of::<Fp>();
+        let list_bytes = |list: &MergedList| {
+            let settled: usize = list.runs.iter().map(|run| run.shares.len()).sum();
+            size_of::<StoredShare>() * list.unsettled.len()
+                + settled_row * settled
+                + size_of::<GroupId>() * list.groups.len()
+        };
+        self.lists.read().values().map(list_bytes).sum()
+    }
+
+    /// Raw dump of one list (what an adversary on the box sees): run
+    /// after run, then the unsettled rows.
     pub fn raw_list(&self, pl: PlId) -> Vec<StoredShare> {
-        self.lists.read().get(&pl).cloned().unwrap_or_default()
+        let lists = self.lists.read();
+        let Some(list) = lists.get(&pl) else {
+            return Vec::new();
+        };
+        let mut dump = Vec::with_capacity(list.len());
+        for (group, run) in list.runs() {
+            dump.extend(
+                run.elements
+                    .iter()
+                    .zip(&run.shares)
+                    .map(|(&element, &share)| StoredShare {
+                        element: ElementId(element),
+                        group,
+                        share,
+                    }),
+            );
+        }
+        dump.extend_from_slice(&list.unsettled);
+        dump
     }
 
-    /// Applies a mutation to every stored share (proactive refresh
+    /// Applies a mutation to every stored y-share (proactive refresh
     /// applies the per-server delta this way).
-    pub fn update_all<F>(&self, mut update: F)
+    pub fn update_shares<F>(&self, mut update: F)
     where
-        F: FnMut(&mut StoredShare),
+        F: FnMut(ElementId, &mut Fp),
     {
         let mut lists = self.lists.write();
         for list in lists.values_mut() {
-            for share in list.iter_mut() {
-                update(share);
+            for run in &mut list.runs {
+                for (&element, share) in run.elements.iter().zip(&mut run.shares) {
+                    update(ElementId(element), share);
+                }
+            }
+            for row in &mut list.unsettled {
+                update(row.element, &mut row.share);
             }
         }
     }
@@ -130,7 +287,6 @@ impl ShareStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerber_field::Fp;
 
     fn share(element: u64, group: u32) -> StoredShare {
         StoredShare {
@@ -146,9 +302,9 @@ mod tests {
         store.insert_batch(&[(PlId(1), share(1, 0)), (PlId(1), share(2, 1))]);
         assert_eq!(store.list_len(PlId(1)), 2);
         assert_eq!(store.total_elements(), 2);
-        let group0 = store.filtered(PlId(1), |g| g == GroupId(0));
-        assert_eq!(group0.len(), 1);
-        assert_eq!(group0[0].element, ElementId(1));
+        let group0 = &store.lookup(&[PlId(1)], |g| g == GroupId(0))[0];
+        assert_eq!(group0.elements(), [1]);
+        assert_eq!(group0.shares(), [Fp::new(31)]);
     }
 
     #[test]
@@ -176,7 +332,7 @@ mod tests {
     fn unknown_list_is_empty() {
         let store = ShareStore::new();
         assert_eq!(store.list_len(PlId(42)), 0);
-        assert!(store.filtered(PlId(42), |_| true).is_empty());
+        assert!(store.lookup(&[PlId(42)], |_| true)[0].is_empty());
         assert!(store.raw_list(PlId(42)).is_empty());
     }
 
@@ -193,8 +349,50 @@ mod tests {
     fn update_all_visits_every_share() {
         let store = ShareStore::new();
         store.insert_batch(&[(PlId(0), share(1, 0)), (PlId(1), share(2, 0))]);
-        store.update_all(|s| s.share += Fp::ONE);
+        store.update_shares(|_, share| *share += Fp::ONE);
         assert_eq!(store.raw_list(PlId(0))[0].share, Fp::new(32));
         assert_eq!(store.raw_list(PlId(1))[0].share, Fp::new(63));
+    }
+
+    #[test]
+    fn a_lookup_concatenates_the_permitted_runs_in_group_order() {
+        let store = ShareStore::new();
+        store.insert_batch(&[
+            (PlId(1), share(10, 2)),
+            (PlId(1), share(11, 0)),
+            (PlId(1), share(12, 2)),
+            (PlId(1), share(13, 1)),
+            (PlId(2), share(14, 1)),
+        ]);
+        // Unsettled rows dump in insert order; settled ones run by run.
+        let dump = |store: &ShareStore| -> Vec<u64> {
+            let rows = store.raw_list(PlId(1));
+            rows.iter().map(|s| s.element.0).collect()
+        };
+        assert_eq!(dump(&store), [10, 11, 12, 13]);
+        let lists = store.lookup(&[PlId(2), PlId(1)], |g| g != GroupId(1));
+        assert_eq!(lists[0].pl, PlId(2));
+        assert!(lists[0].is_empty());
+        assert_eq!(lists[1].elements(), [11, 10, 12]);
+        assert_eq!(dump(&store), [11, 13, 10, 12]);
+        store.insert_batch(&[(PlId(1), share(15, 0))]);
+        assert_eq!(dump(&store), [11, 13, 10, 12, 15]);
+        assert_eq!(store.list_len(PlId(1)), 5);
+        assert_eq!(
+            store.delete_permitted(&[(PlId(1), ElementId(15))], |_| true),
+            Ok(1)
+        );
+
+        // A refused group blocks the whole delete; a run emptied by one
+        // stays listed at length zero.
+        let both = [(PlId(1), ElementId(13)), (PlId(1), ElementId(10))];
+        assert_eq!(
+            store.delete_permitted(&both, |g| g == GroupId(1)),
+            Err(GroupId(2))
+        );
+        assert_eq!(store.delete_permitted(&both, |_| true), Ok(2));
+        assert_eq!(store.lookup(&[PlId(1)], |_| true)[0].elements(), [11, 12]);
+        assert_eq!(store.list_lengths()[&PlId(1)], 2);
+        assert_eq!(store.total_elements(), 3);
     }
 }

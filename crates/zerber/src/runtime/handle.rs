@@ -8,6 +8,12 @@
 //! response frame. This replaces the old `MeteredHandle`, which
 //! serialized messages purely for byte accounting and then dispatched
 //! inline on the caller's thread.
+//!
+//! A lookup is split at the transport's own seam: `begin_fetch` is
+//! [`Transport::begin`], and the [`PendingFetch`] it returns waits on
+//! the [`PendingReply`](crate::runtime::PendingReply) — the discipline
+//! the sharded read path gathers with — so a query has all `k` servers
+//! working before it blocks on the first.
 
 use std::sync::Arc;
 
@@ -16,9 +22,9 @@ use zerber_field::Fp;
 use zerber_net::{AuthToken, Message, NodeId, StoredShare};
 use zerber_server::ServerError;
 
-use zerber_client::ServerHandle;
+use zerber_client::{PendingFetch, ServerHandle};
 
-use crate::runtime::transport::Transport;
+use crate::runtime::transport::{Transport, TransportError, DEFAULT_RPC_TIMEOUT};
 
 /// A [`ServerHandle`] backed by a peer thread behind a transport.
 pub struct RuntimeHandle {
@@ -41,14 +47,17 @@ impl RuntimeHandle {
         }
     }
 
-    /// One round trip. Peers are in-process threads owned by the same
-    /// deployment object, so a dead peer is a bug, not a recoverable
-    /// condition — transport failures panic with context.
+    /// One round trip.
     fn round_trip(&self, auth: AuthToken, request: &Message) -> Message {
-        self.transport
-            .request(self.from, self.to, auth, request)
-            .expect("index-server peer thread is alive for the deployment's lifetime")
+        alive(self.transport.request(self.from, self.to, auth, request))
     }
+}
+
+/// Peers are in-process threads owned by the same deployment object,
+/// so a dead peer is a bug, not a recoverable condition — transport
+/// failures panic with context.
+fn alive(response: Result<Message, TransportError>) -> Message {
+    response.expect("index-server peer thread is alive for the deployment's lifetime")
 }
 
 /// Decodes a fault frame into the `ServerError` it carries.
@@ -93,19 +102,17 @@ impl ServerHandle for RuntimeHandle {
         }
     }
 
-    fn get_posting_lists(
-        &self,
-        token: AuthToken,
-        pl_ids: &[PlId],
-    ) -> Result<Vec<(PlId, Vec<StoredShare>)>, ServerError> {
+    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
         let request = Message::Query {
             auth: token,
             pl_ids: pl_ids.to_vec(),
         };
-        match self.round_trip(token, &request) {
+        let payload = Arc::from(request.encode().as_ref());
+        let mut reply = self.transport.begin(self.from, self.to, token, payload);
+        PendingFetch::waiting(move || match alive(reply.wait(DEFAULT_RPC_TIMEOUT)) {
             Message::QueryResponse { lists } => Ok(lists),
             other => Err(server_error(other)),
-        }
+        })
     }
 }
 
@@ -149,8 +156,8 @@ mod tests {
         let upstream = meter.link_bytes(user, node);
         assert!(upstream > 0, "insert bytes recorded");
 
-        let lists = handle.get_posting_lists(token, &[PlId(0)]).unwrap();
-        assert_eq!(lists[0].1.len(), 1);
+        let lists = handle.begin_fetch(token, &[PlId(0)]).wait().unwrap();
+        assert_eq!(lists[0].len(), 1);
         assert!(meter.link_bytes(node, user) > 0, "response bytes recorded");
         assert!(meter.link_bytes(user, node) > upstream, "query bytes added");
 
@@ -162,7 +169,7 @@ mod tests {
         let (_runtime, handle, _token, _meter) = world();
         let bogus = AuthToken(4242);
         assert_eq!(
-            handle.get_posting_lists(bogus, &[PlId(0)]).unwrap_err(),
+            handle.begin_fetch(bogus, &[PlId(0)]).wait().unwrap_err(),
             ServerError::AuthFailed
         );
         let share = StoredShare {

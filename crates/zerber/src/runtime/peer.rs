@@ -233,7 +233,7 @@ mod tests {
             .request(NodeId::User(1), node, token, &query)
             .unwrap()
         {
-            Message::QueryResponse { lists } => assert_eq!(lists[0].1.len(), 1),
+            Message::QueryResponse { lists } => assert_eq!(lists[0].len(), 1),
             other => panic!("unexpected response {other:?}"),
         }
 
