@@ -17,7 +17,7 @@ use zerber_corpus::{CorpusConfig, SyntheticCorpus};
 use zerber_index::cursor::TopKScratch;
 use zerber_index::{idf, GroupId, PostingStore, SegmentPolicy, TermId, UserId};
 use zerber_query::{execute, Forced, QueryShape};
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentStore};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -78,7 +78,7 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         num_groups: 1,
         ..CorpusConfig::default()
     });
-    let dir = scratch_dir("query-bench");
+    let dir = ScratchDir::new("query-bench");
     let policy = SegmentPolicy {
         flush_postings: usize::MAX,
         background: false,
@@ -126,9 +126,6 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         group.bench_function(name, |b| b.iter(|| black_box(run().ranked.len())));
     }
     group.finish();
-    drop(snapshot);
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 criterion_group!(benches, bench_query_paths, bench_planned_over_segments);

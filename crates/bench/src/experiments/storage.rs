@@ -6,7 +6,6 @@
 //! an ordinary inverted index."
 
 use zerber::{ZerberConfig, ZerberSystem};
-use zerber_client::BatchPolicy;
 use zerber_core::merge::MergeConfig;
 use zerber_core::PlId;
 use zerber_index::{GroupId, PostingStore, UserId};
@@ -53,9 +52,7 @@ pub struct Storage {
 /// reader in every group has fetched every list.
 fn measured_share_store(scenario: &OdpScenario) -> (f64, f64) {
     let docs = &scenario.corpus.documents[..scenario.corpus.documents.len().min(2_000)];
-    let config = ZerberConfig::default()
-        .with_merge(MergeConfig::dfm(256))
-        .with_batch(BatchPolicy::batched(4_096));
+    let config = ZerberConfig::default().with_merge(MergeConfig::dfm(256));
     let mut system = ZerberSystem::bootstrap(config, &scenario.stats).expect("bootstrap");
     let reader = UserId(1);
     for topic in 0..scenario.corpus.num_topics {

@@ -106,11 +106,6 @@ impl MappingTable {
         let mut state = (term.0 as u64) ^ self.hash_salt;
         (zerber_field::splitmix64(&mut state) % self.list_count as u64) as u32
     }
-
-    /// Iterates the explicit entries (the published part of the table).
-    pub fn explicit_entries(&self) -> impl Iterator<Item = (TermId, PlId)> + '_ {
-        self.explicit.iter().map(|(&t, &pl)| (t, pl))
-    }
 }
 
 #[cfg(test)]

@@ -90,8 +90,6 @@ pub struct MergeConfig {
     /// table and are routed by hash (Section 6.4). `0.0` disables hash
     /// merging.
     pub rare_term_cutoff: f64,
-    /// Salt of the public hash route.
-    pub hash_salt: u64,
 }
 
 impl MergeConfig {
@@ -101,7 +99,6 @@ impl MergeConfig {
             heuristic: MergeHeuristic::DepthFirst,
             target: MergeTarget::Lists(m),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         }
     }
 
@@ -111,7 +108,6 @@ impl MergeConfig {
             heuristic: MergeHeuristic::BreadthFirst,
             target: MergeTarget::Confidentiality(r),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         }
     }
 
@@ -121,7 +117,6 @@ impl MergeConfig {
             heuristic: MergeHeuristic::BreadthFirst,
             target: MergeTarget::Lists(m),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         }
     }
 
@@ -131,19 +126,12 @@ impl MergeConfig {
             heuristic: MergeHeuristic::Uniform,
             target: MergeTarget::Lists(m),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         }
     }
 
     /// Sets the rare-term hash cut-off.
     pub fn with_rare_term_cutoff(mut self, cutoff: f64) -> Self {
         self.rare_term_cutoff = cutoff;
-        self
-    }
-
-    /// Sets the hash salt.
-    pub fn with_hash_salt(mut self, salt: u64) -> Self {
-        self.hash_salt = salt;
         self
     }
 }
@@ -251,7 +239,9 @@ impl MergePlan {
             });
         }
 
-        let table = MappingTable::from_lists(&explicit_lists, config.hash_salt);
+        // The public hash route is unsalted: every party must compute
+        // the same route, and nothing varies it.
+        let table = MappingTable::from_lists(&explicit_lists, 0);
 
         // Route the rare tail through the public hash and fold it into
         // the analytical assignment.
@@ -311,15 +301,6 @@ impl MergePlan {
             .iter()
             .map(|&m| rconf::amplification_bound(m))
             .fold(1.0, f64::max)
-    }
-
-    /// Best (smallest) amplification across lists — for reporting the
-    /// spread alongside [`achieved_r`](Self::achieved_r).
-    pub fn min_amplification(&self) -> f64 {
-        self.masses
-            .iter()
-            .map(|&m| rconf::amplification_bound(m))
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -458,7 +439,6 @@ mod tests {
             heuristic: MergeHeuristic::Uniform,
             target: MergeTarget::Confidentiality(4.0),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         };
         assert!(matches!(
             MergePlan::build(bad_udm, &stats, &mut rng),
@@ -468,7 +448,6 @@ mod tests {
             heuristic: MergeHeuristic::DepthFirst,
             target: MergeTarget::Confidentiality(4.0),
             rare_term_cutoff: 0.0,
-            hash_salt: 0,
         };
         assert!(MergePlan::build(bad_dfm, &stats, &mut rng).is_err());
     }

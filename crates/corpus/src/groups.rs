@@ -118,13 +118,6 @@ impl GroupAssignments {
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         sizes
     }
-
-    /// Distribution of memberships per user.
-    pub fn groups_per_user(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.user_groups.values().map(HashSet::len).collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        sizes
-    }
 }
 
 #[cfg(test)]

@@ -95,11 +95,6 @@ impl BloomFilter {
         let fill = set_bits as f64 / self.bit_count as f64;
         fill.powi(self.hash_count as i32)
     }
-
-    /// Size of the filter in bytes (for bandwidth/storage accounting).
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

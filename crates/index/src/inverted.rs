@@ -22,7 +22,6 @@ pub struct InvertedIndex {
 #[derive(Debug, Clone)]
 struct DocMeta {
     group: GroupId,
-    length: u32,
     terms: Vec<TermId>,
 }
 
@@ -67,7 +66,6 @@ impl InvertedIndex {
                 doc.id,
                 DocMeta {
                     group: doc.group,
-                    length: doc.length,
                     terms: doc.terms.iter().map(|&(t, _)| t).collect(),
                 },
             );
@@ -143,40 +141,10 @@ impl InvertedIndex {
                 doc.id,
                 DocMeta {
                     group: doc.group,
-                    length: doc.length,
                     terms: doc.terms.iter().map(|&(t, _)| t).collect(),
                 },
             );
         }
-    }
-
-    /// Reconstructs the indexed documents (term counts, group, length)
-    /// from the posting lists — the bulk-export surface for seeding
-    /// document-oriented stores (e.g. the segmented engine's initial
-    /// load) from a frozen index. Order is unspecified.
-    pub fn export_documents(&self) -> Vec<Document> {
-        let mut counts: HashMap<DocId, Vec<(TermId, u32)>> = HashMap::new();
-        for (slot, list) in self.postings.iter().enumerate() {
-            for posting in list.iter() {
-                counts
-                    .entry(posting.doc)
-                    .or_default()
-                    .push((TermId(slot as u32), posting.count));
-            }
-        }
-        self.documents
-            .iter()
-            .map(|(&id, meta)| {
-                let mut terms = counts.remove(&id).unwrap_or_default();
-                terms.sort_unstable_by_key(|&(t, _)| t);
-                Document {
-                    id,
-                    group: meta.group,
-                    terms,
-                    length: meta.length,
-                }
-            })
-            .collect()
     }
 
     /// Inserts (or re-inserts) a document. Re-inserting a document id
@@ -202,7 +170,6 @@ impl InvertedIndex {
             doc.id,
             DocMeta {
                 group: doc.group,
-                length: doc.length,
                 terms: doc.terms.iter().map(|&(t, _)| t).collect(),
             },
         );
@@ -261,11 +228,6 @@ impl InvertedIndex {
     /// The owning group of a document, if indexed.
     pub fn document_group(&self, doc: DocId) -> Option<GroupId> {
         self.documents.get(&doc).map(|m| m.group)
-    }
-
-    /// The token length of a document, if indexed.
-    pub fn document_length(&self, doc: DocId) -> Option<u32> {
-        self.documents.get(&doc).map(|m| m.length)
     }
 
     /// Iterates all indexed document ids (arbitrary order).
@@ -346,7 +308,6 @@ mod tests {
         let mut index = InvertedIndex::new();
         index.insert(&doc(5, 3, &[(0, 2), (1, 3)]));
         assert_eq!(index.document_group(DocId(5)), Some(GroupId(3)));
-        assert_eq!(index.document_length(DocId(5)), Some(5));
         assert_eq!(index.document_group(DocId(6)), None);
     }
 
@@ -404,21 +365,6 @@ mod tests {
             );
         }
         assert_eq!(batched.document_frequency(TermId(1)), 1); // doc 3 only
-    }
-
-    #[test]
-    fn export_documents_round_trips_through_rebuild() {
-        let docs = vec![
-            doc(1, 0, &[(0, 1), (1, 2)]),
-            doc(2, 1, &[(2, 1), (0, 3)]),
-            doc(3, 2, &[(2, 4)]),
-        ];
-        let index = InvertedIndex::from_documents(&docs);
-        let mut exported = index.export_documents();
-        exported.sort_by_key(|d| d.id);
-        assert_eq!(exported, docs);
-        let rebuilt = InvertedIndex::from_documents(&exported);
-        assert_eq!(rebuilt.total_postings(), index.total_postings());
     }
 
     #[test]

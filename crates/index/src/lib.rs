@@ -9,9 +9,10 @@
 //! * [`tokenizer`] / [`dict`] — document parsing and term interning,
 //! * [`doc`] / [`postings`] / [`inverted`] — documents, posting lists
 //!   with term frequencies, and the index itself,
-//! * [`store`] — the pluggable posting-storage abstraction
-//!   ([`store::PostingStore`]); the block-compressed backend lives in
-//!   the `zerber-postings` crate, the durable one in `zerber-segment`,
+//! * [`store`] — the posting-storage read contract
+//!   ([`store::PostingStore`]); the frozen block-compressed store lives
+//!   in the `zerber-postings` crate, the engine shard peers serve from
+//!   in `zerber-segment`,
 //! * [`stats`] — corpus statistics: document frequencies and the
 //!   normalized term-occurrence probability `p_t` of formula (2),
 //! * [`cost`] — the disk cost model of Section 7.4 and the workload

@@ -1,4 +1,4 @@
-//! Pluggable posting-list storage backends.
+//! Read access to posting-list storage, and where a deployment keeps it.
 //!
 //! Ranked reads want a block-compressed representation (doc-id deltas
 //! and bit-packed counts, see the `zerber-postings` crate) instead of
@@ -8,10 +8,10 @@
 //! segment snapshots implement.
 //!
 //! The mutable [`crate::InvertedIndex`] remains the build/update
-//! surface; a store is a frozen snapshot of it. [`PostingBackend`]
-//! names the backend choice so configuration layers (the `zerber`
-//! facade, the bench harness) can select one without depending on the
-//! storage implementations directly.
+//! surface of the single-node paths; a store is a frozen snapshot of
+//! it. [`PostingBackend`] names *where* a deployment's shard stores
+//! live, so configuration layers (the `zerber` facade, the bench
+//! harness) can say so without depending on the storage engine.
 
 use crate::cursor::BlockCursor;
 use crate::postings::Posting;
@@ -19,21 +19,27 @@ use crate::stats::CorpusStats;
 use crate::types::TermId;
 use crate::InvertedIndex;
 
-/// Which posting-list representation a deployment stores and serves.
+/// Where a deployment's shard peers keep their posting stores.
 ///
-/// Not `Copy`: the segmented backend names an on-disk directory.
+/// A deployment setting, not an engine choice: every shard replica is
+/// served from the `zerber-segment` LSM store — a WAL-journaled
+/// memtable over immutable block-compressed segments (varint doc-id
+/// deltas, bit-packed counts, per-block skip metadata) with
+/// compaction — so live inserts and deletes cost their own postings.
+/// The variants differ in where the files live and how long.
+///
+/// Not `Copy`: a directory is named.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PostingBackend {
-    /// In memory: block-compressed lists (varint doc-id deltas,
-    /// bit-packed counts, per-block skip metadata) from
-    /// `zerber-postings`, frozen from a mutable index. Takes live
-    /// inserts and deletes by re-freezing after a write.
+    /// Under a scratch directory each hosting peer service creates
+    /// below the system temp dir and removes when it is dropped, with
+    /// [`SegmentPolicy::default`]: nothing to configure, nothing
+    /// outlives the deployment.
     #[default]
-    Compressed,
-    /// The durable LSM-style store from `zerber-segment`: a
-    /// WAL-journaled memtable plus immutable block-compressed on-disk
-    /// segments with background compaction. Live inserts and deletes
-    /// cost their own postings, not a re-freeze, and survive a crash.
+    Ephemeral,
+    /// Under a directory the caller names and keeps: the store
+    /// survives a crash and can be reopened with
+    /// `zerber_segment::SegmentStore::open`.
     Segmented {
         /// Root directory of the store. Multi-shard deployments create
         /// one `peer-<p>-shard-<s>` subdirectory per *hosted* replica
@@ -45,7 +51,7 @@ pub enum PostingBackend {
     },
 }
 
-/// Flush/compaction tuning of the segmented backend. Defined here (and
+/// Flush/compaction tuning of the segment store. Defined here (and
 /// not in `zerber-segment`) so configuration layers can name it without
 /// depending on the storage engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -288,39 +288,10 @@ impl FrameDecoder {
     }
 }
 
-/// Lookup table for the reflected CRC-32 polynomial `0xEDB88320`
-/// (ISO-HDLC — the same variant `zerber-segment` uses for WAL
-/// records), built at compile time.
-const TABLE: [u32; 256] = build_table();
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// The CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
-    }
-    !crc
-}
+/// The frame checksum: the workspace's one CRC-32 (ISO-HDLC — the
+/// same function `zerber-segment` seals WAL records and segment files
+/// with), defined in `zerber-postings`.
+pub use zerber_postings::crc::crc32;
 
 #[cfg(test)]
 mod tests {

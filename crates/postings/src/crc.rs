@@ -1,9 +1,11 @@
-//! CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) for WAL records
-//! and segment/manifest bodies.
+//! CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) — the one
+//! checksum of the workspace: WAL records and segment/manifest bodies
+//! (`zerber_segment::crc`), socket frames (`zerber_net::framing`) and
+//! the files of a rebuild shipment.
 //!
 //! A torn or bit-flipped tail must be *detected*, not decoded: every
-//! durable byte range in this crate travels with its checksum, and
-//! readers verify before trusting a single field.
+//! durable or framed byte range travels with its checksum, and readers
+//! verify before trusting a single field.
 
 /// Slice-by-8 lookup tables for the reflected polynomial
 /// `0xEDB88320`, built once at compile time: `TABLES[0]` is the

@@ -9,6 +9,9 @@
 //! engine:
 //!
 //! * [`varint`] — LEB128 integers and the ZigZag mapping,
+//! * [`crc`] — the workspace's one CRC-32 (slice-by-8), kept in the
+//!   lowest crate both its users (`zerber-segment`, `zerber-net`)
+//!   depend on,
 //! * [`block`] — the block codec: sorted doc-key deltas (varint) plus
 //!   bit-packed count/length columns in [`block::BLOCK_SIZE`]-posting
 //!   blocks, each carrying `(first_doc, last_doc, block_max_score)`
@@ -40,6 +43,7 @@
 pub mod block;
 pub mod builder;
 pub mod column;
+pub mod crc;
 pub mod cursor;
 pub mod list;
 pub mod merge;

@@ -212,20 +212,6 @@ impl CompressedPostingIter<'_> {
             self.block += 1;
         }
     }
-
-    /// The doc key the iterator is currently positioned at (the next
-    /// entry `next` would yield), without consuming it.
-    pub fn peek_doc(&mut self) -> Option<u64> {
-        loop {
-            if !self.ensure_decoded() {
-                return None;
-            }
-            if let Some(entry) = self.buffer.get(self.pos) {
-                return Some(entry.doc);
-            }
-            self.block += 1;
-        }
-    }
 }
 
 impl Iterator for CompressedPostingIter<'_> {

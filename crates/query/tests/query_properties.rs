@@ -16,7 +16,7 @@ use zerber_index::{
 };
 use zerber_postings::CompressedPostingStore;
 use zerber_query::{execute, oracle, Forced, QueryShape};
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentStore};
 
 const TERMS: u32 = 12;
 
@@ -90,7 +90,7 @@ fn for_each_backend(docs: &[Document], mut check: impl FnMut(&str, &dyn PostingS
     // that exist only to be deleted from a newer source. Merged
     // cursors, positions read through a shadowed posting, the delta
     // cursor and the forward-only shadow finger all serve these reads.
-    let dir = scratch_dir("query-props");
+    let dir = ScratchDir::new("query-props");
     let store = SegmentStore::open(
         &dir,
         SegmentPolicy {
@@ -137,9 +137,6 @@ fn for_each_backend(docs: &[Document], mut check: impl FnMut(&str, &dyn PostingS
         (2, true)
     );
     check("segmented", &snapshot);
-    drop(snapshot);
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn assert_bit_identical(label: &str, got: &[RankedDoc], want: &[RankedDoc]) {

@@ -1,9 +1,9 @@
 //! Durable LSM-style posting storage for the Zerber reproduction.
 //!
 //! The paper's index is not a one-shot artifact: peers continuously
-//! insert and delete document postings. The in-memory backend (the
-//! block-compressed store in `zerber-postings`) is a frozen snapshot;
-//! this crate supplies the storage engine that absorbs a *write
+//! insert and delete document postings. The block-compressed store in
+//! `zerber-postings` is a frozen snapshot; this crate supplies the
+//! storage engine every shard peer serves from, which absorbs a *write
 //! stream* and survives crashes:
 //!
 //! * [`wal`] — the checksummed write-ahead log: a batch is
@@ -36,9 +36,9 @@
 //!
 //! ```
 //! use zerber_index::{DocId, Document, GroupId, PostingStore, SegmentPolicy, TermId};
-//! use zerber_segment::{scratch_dir, SegmentStore};
+//! use zerber_segment::{ScratchDir, SegmentStore};
 //!
-//! let dir = scratch_dir("doctest");
+//! let dir = ScratchDir::new("doctest"); // removed again when dropped
 //! let policy = SegmentPolicy {
 //!     flush_postings: 4, // tiny, to force a segment seal below
 //!     ..SegmentPolicy::default()
@@ -70,14 +70,11 @@
 //! assert_eq!(snapshot.document_frequency(TermId(7)), 3); // docs 1, 2, 9
 //! assert!(!snapshot.contains_doc(DocId(0)), "the delete survived");
 //! assert!(snapshot.contains_doc(DocId(9)), "the unflushed insert survived");
-//! # drop(recovered);
-//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod bulk;
-pub mod crc;
 pub mod error;
 pub mod memtable;
 pub mod segment;
@@ -90,16 +87,19 @@ pub use memtable::MemDelta;
 pub use segment::Segment;
 pub use store::{SegmentSnapshot, SegmentStore};
 pub use wal::WalOp;
+/// The checksum of every durable byte range in this crate (the
+/// workspace's one CRC-32, defined in `zerber-postings`).
+pub use zerber_postings::crc;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Creates a unique empty directory under the system temp dir —
-/// shared by this crate's tests, the repository's persistence tests,
-/// and the `ingest` bench target, so every run stays hermetic.
+/// Creates a unique empty directory under the system temp dir, so
+/// every run stays hermetic.
 ///
 /// The caller owns cleanup (`std::fs::remove_dir_all`); a leaked
-/// directory under `$TMPDIR` is the worst failure mode.
+/// directory under `$TMPDIR` is the worst failure mode. [`ScratchDir`]
+/// is the same directory with the cleanup attached.
 pub fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nanos = std::time::SystemTime::now()
@@ -113,4 +113,44 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&path).expect("temp dir is writable");
     path
+}
+
+/// A [`scratch_dir`] that removes itself — contents included — when
+/// dropped, a panicking test's unwind included. Shared by this crate's
+/// tests, the repository's persistence tests and examples, and the
+/// peer runtime's ephemeral shard stores.
+///
+/// Drop every [`SegmentStore`] opened underneath *before* the guard
+/// (declare the guard first, or as the last field): a store's
+/// background compactor writes into the directory until it is joined.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// A fresh directory named after `tag`.
+    pub fn new(tag: &str) -> Self {
+        Self(scratch_dir(tag))
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// So `SegmentStore::open(&dir, ..)` reads the same with a guard as
+/// with a plain path.
+impl From<&ScratchDir> for PathBuf {
+    fn from(dir: &ScratchDir) -> PathBuf {
+        dir.0.clone()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

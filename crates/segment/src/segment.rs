@@ -361,34 +361,60 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Reader<'a> {
+/// A bounds-checked little-endian reader over a CRC-verified body
+/// (segment files and the manifest): running past the end — or not
+/// reaching it — is [`SegmentError::Corrupt`], never a panic.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     file: &'a str,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
+    pub(crate) fn new(bytes: &'a [u8], file: &'a str) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            file,
+        }
+    }
+
+    pub(crate) fn corrupt(&self, reason: &'static str) -> SegmentError {
+        SegmentError::Corrupt {
+            file: self.file.to_owned(),
+            reason,
+        }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
+        // `n` is read from the file: the end may not even fit a usize.
         let slice = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or(SegmentError::Corrupt {
-                file: self.file.to_owned(),
-                reason: "body shorter than declared layout",
-            })?;
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or_else(|| self.corrupt("body shorter than declared layout"))?;
         self.pos += n;
         Ok(slice)
     }
 
-    fn u16(&mut self) -> Result<u16, SegmentError> {
+    /// Every byte must have been consumed.
+    pub(crate) fn finish(self) -> Result<(), SegmentError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.corrupt("trailing bytes after declared layout"))
+        }
+    }
+
+    pub(crate) fn u16(&mut self) -> Result<u16, SegmentError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 B")))
     }
 
-    fn u32(&mut self) -> Result<u32, SegmentError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SegmentError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 B")))
     }
 
-    fn u64(&mut self) -> Result<u64, SegmentError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, SegmentError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 B")))
     }
 
@@ -554,11 +580,7 @@ impl Segment {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| name.clone());
-        let mut r = Reader {
-            bytes: &body,
-            pos: 0,
-            file: &name,
-        };
+        let mut r = Reader::new(&body, &name);
         let term_slots = r.u32()?;
         let live = r.u32_vec()?;
         let tombstones = r.u32_vec()?;
@@ -582,12 +604,7 @@ impl Segment {
             }
             terms.push((term, CompressedPostingList::from_parts(data, blocks, len)));
         }
-        if r.pos != body.len() {
-            return Err(SegmentError::Corrupt {
-                file: name,
-                reason: "trailing bytes after declared layout",
-            });
-        }
+        r.finish()?;
         Ok(Segment {
             file_name,
             live,
@@ -603,8 +620,8 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch_dir;
     use crate::wal::WalOp;
+    use crate::ScratchDir;
     use zerber_postings::CompressedPostingBuilder;
 
     fn delta(ops: &[WalOp]) -> MemDelta {
@@ -625,7 +642,7 @@ mod tests {
     fn through_both_forms(deltas: &[MemDelta], check: impl Fn(&[&dyn Source])) {
         let decoded: Vec<&dyn Source> = deltas.iter().map(|d| d as &dyn Source).collect();
         check(&decoded);
-        let dir = scratch_dir("segment-forms");
+        let dir = ScratchDir::new("segment-forms");
         let sealed: Vec<Segment> = deltas
             .iter()
             .enumerate()
@@ -633,7 +650,6 @@ mod tests {
             .collect();
         let compressed: Vec<&dyn Source> = sealed.iter().map(|s| s as &dyn Source).collect();
         check(&compressed);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -714,7 +730,7 @@ mod tests {
 
     #[test]
     fn unshadowed_single_input_lists_are_carried_over_verbatim() {
-        let dir = scratch_dir("segment-carry");
+        let dir = ScratchDir::new("segment-carry");
         // Term 0 spans three blocks in `base`; doc 400 holds only
         // term 1.
         let mut ops: Vec<WalOp> = (0..300u32).map(|d| insert(d, &[(0, 1 + d % 3)])).collect();
@@ -743,12 +759,11 @@ mod tests {
         assert_ne!(&merged.terms[0].1, original);
         assert_eq!(merged.terms[0].1, expected);
         assert_eq!(merged.tombstones, vec![130]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn segment_round_trips_through_its_file() {
-        let dir = scratch_dir("segment-roundtrip");
+        let dir = ScratchDir::new("segment-roundtrip");
         let many: Vec<WalOp> = (0..400u32)
             .map(|d| insert(d * 3, &[(d % 17, 1 + d % 5), (40, 2)]))
             .collect();
@@ -773,12 +788,11 @@ mod tests {
                 _ => panic!("presence mismatch for term {term}"),
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn damaged_segment_files_are_rejected() {
-        let dir = scratch_dir("segment-damage");
+        let dir = ScratchDir::new("segment-damage");
         let content = merge_streaming(&[&delta(&[insert(1, &[(0, 1)])])], false);
         let segment = content.write(&dir, 1).unwrap();
         let path = dir.join(segment.file_name());
@@ -795,8 +809,17 @@ mod tests {
             std::fs::write(&path, &pristine[..cut]).unwrap();
             assert!(Segment::load(&path).is_err(), "cut {cut}");
         }
+        // A checksummed body that declares a posting payload of
+        // u64::MAX bytes (the field after term_slots, one live doc, no
+        // tombstones, term_count, term id and posting count).
+        let mut hostile = pristine[20..].to_vec();
+        hostile[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        write_framed(&path, &hostile).unwrap();
+        assert!(matches!(
+            Segment::load(&path),
+            Err(SegmentError::Corrupt { .. })
+        ));
         std::fs::write(&path, &pristine).unwrap();
         assert!(Segment::load(&path).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -66,7 +66,8 @@ use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::MemDelta;
 use crate::segment::{
-    merge_streaming, read_framed, write_framed, Segment, SegmentContent, ShadowProbe, Source,
+    merge_streaming, read_framed, write_framed, Reader, Segment, SegmentContent, ShadowProbe,
+    Source,
 };
 use crate::wal::{replay, Wal, WalOp};
 
@@ -89,8 +90,8 @@ struct Writer {
     next_seq: u64,
 }
 
-/// Pre-registered instrument handles for one observed store. Lives on
-/// [`Inner`] so the background compactor thread (which only holds an
+/// Pre-registered instrument handles of one store. Lives on [`Inner`]
+/// so the background compactor thread (which only holds an
 /// `Arc<Inner>`) can record as well.
 struct SegmentMetrics {
     /// `zerber_segment_wal_fsync_ns`: WAL append+fsync latency when
@@ -174,8 +175,8 @@ struct Inner {
     /// batches, flushes, compactions, bulk commits). Result caches key
     /// on it, so any write invalidates cached results for free.
     epoch: AtomicU64,
-    /// Instrument handles when the store was opened observed.
-    obs: Option<SegmentMetrics>,
+    /// Instrument handles, in the registry the store was opened with.
+    obs: SegmentMetrics,
 }
 
 /// A durable, crash-safe posting store with live inserts and deletes.
@@ -201,30 +202,18 @@ impl std::fmt::Debug for SegmentStore {
 
 fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
     let body = read_framed(path)?;
-    let corrupt = || SegmentError::Corrupt {
-        file: path.display().to_string(),
-        reason: "manifest layout",
-    };
-    let next_seq = u64::from_le_bytes(body.get(0..8).ok_or_else(corrupt)?.try_into().unwrap());
-    let count =
-        u32::from_le_bytes(body.get(8..12).ok_or_else(corrupt)?.try_into().unwrap()) as usize;
+    let file = path.display().to_string();
+    let mut r = Reader::new(&body, &file);
+    let next_seq = r.u64()?;
+    let count = r.u32()? as usize;
     let mut names = Vec::with_capacity(count.min(1 << 16));
-    let mut pos = 12usize;
     for _ in 0..count {
-        let len = u16::from_le_bytes(
-            body.get(pos..pos + 2)
-                .ok_or_else(corrupt)?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        pos += 2;
-        let bytes = body.get(pos..pos + len).ok_or_else(corrupt)?;
-        pos += len;
-        names.push(String::from_utf8(bytes.to_vec()).map_err(|_| corrupt())?);
+        let len = usize::from(r.u16()?);
+        let name = std::str::from_utf8(r.take(len)?)
+            .map_err(|_| r.corrupt("segment name is not UTF-8"))?;
+        names.push(name.to_owned());
     }
-    if pos != body.len() {
-        return Err(corrupt());
-    }
+    r.finish()?;
     Ok((next_seq, names))
 }
 
@@ -285,11 +274,9 @@ impl Inner {
         self.write_manifest(writer.next_seq, &segments)?;
         // Only now is the WAL redundant.
         writer.wal.truncate()?;
-        if let Some(obs) = &self.obs {
-            obs.flush.record(started.elapsed().as_nanos() as u64);
-            obs.flush_postings.add(postings as u64);
-            obs.segments.set(segments.len() as i64);
-        }
+        self.obs.flush.record(started.elapsed().as_nanos() as u64);
+        self.obs.flush_postings.add(postings as u64);
+        self.obs.segments.set(segments.len() as i64);
         Ok(())
     }
 
@@ -344,16 +331,15 @@ impl Inner {
         for input in &inputs {
             let _ = std::fs::remove_file(self.dir.join(input.file_name()));
         }
-        if let Some(obs) = &self.obs {
-            obs.compaction.record(started.elapsed().as_nanos() as u64);
-            obs.compactions.inc();
-            obs.compaction_postings.add(postings as u64);
-            if gc_tombstones {
-                let retired: usize = inputs.iter().map(|s| s.tombstones().len()).sum();
-                obs.tombstones_gc.add(retired as u64);
-            }
-            obs.segments.set(segments.len() as i64);
+        let obs = &self.obs;
+        obs.compaction.record(started.elapsed().as_nanos() as u64);
+        obs.compactions.inc();
+        obs.compaction_postings.add(postings as u64);
+        if gc_tombstones {
+            let retired: usize = inputs.iter().map(|s| s.tombstones().len()).sum();
+            obs.tombstones_gc.add(retired as u64);
         }
+        obs.segments.set(segments.len() as i64);
         Ok(true)
     }
 }
@@ -384,12 +370,14 @@ impl SegmentStore {
     /// durable state: the manifest's segment set is loaded and
     /// CRC-verified, stray files from interrupted flushes or
     /// compactions are deleted, and the WAL is replayed — every fully
-    /// written batch back into the memtable, a torn tail ignored.
+    /// written batch back into the memtable, a torn tail ignored. The
+    /// store's instruments go to a registry of its own, which nobody
+    /// reads; pass one to [`SegmentStore::open_observed`] to see them.
     pub fn open(dir: impl Into<PathBuf>, policy: SegmentPolicy) -> Result<Self, SegmentError> {
-        Self::open_with(dir.into(), policy, None)
+        Self::open_observed(dir, policy, &MetricsRegistry::new())
     }
 
-    /// Like [`SegmentStore::open`], but with its write-path instruments
+    /// [`SegmentStore::open`] with the write-path instruments
     /// (`zerber_segment_*` WAL fsync/append, flush and compaction
     /// histograms, segment-count gauge, compaction and tombstone-GC
     /// counters) registered in `registry`. The background compactor
@@ -399,14 +387,8 @@ impl SegmentStore {
         policy: SegmentPolicy,
         registry: &MetricsRegistry,
     ) -> Result<Self, SegmentError> {
-        Self::open_with(dir.into(), policy, Some(SegmentMetrics::register(registry)))
-    }
-
-    fn open_with(
-        dir: PathBuf,
-        policy: SegmentPolicy,
-        obs: Option<SegmentMetrics>,
-    ) -> Result<Self, SegmentError> {
+        let dir = dir.into();
+        let obs = SegmentMetrics::register(registry);
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST_FILE);
         let (next_seq, names) = if manifest.exists() {
@@ -438,9 +420,7 @@ impl SegmentStore {
             .collect();
         let mem_weight = deltas.iter().map(|d| d.weight()).sum();
         let wal = Wal::open(&dir.join(WAL_FILE))?;
-        if let Some(obs) = &obs {
-            obs.segments.set(segments.len() as i64);
-        }
+        obs.segments.set(segments.len() as i64);
         let inner = Arc::new(Inner {
             dir,
             policy,
@@ -526,13 +506,11 @@ impl SegmentStore {
         let sync = self.inner.policy.sync_wal;
         let appended = Instant::now();
         let bytes = writer.wal.append(&ops, sync)?;
-        if let Some(obs) = &self.inner.obs {
-            let nanos = appended.elapsed().as_nanos() as u64;
-            if sync {
-                obs.wal_fsync.record(nanos);
-            } else {
-                obs.wal_append.record(nanos);
-            }
+        let nanos = appended.elapsed().as_nanos() as u64;
+        if sync {
+            self.inner.obs.wal_fsync.record(nanos);
+        } else {
+            self.inner.obs.wal_append.record(nanos);
         }
         self.inner.written.fetch_add(bytes, Ordering::Relaxed);
         let delta = Arc::new(MemDelta::from_ops(&ops));
@@ -867,14 +845,13 @@ impl SegmentStore {
             let _ = std::fs::remove_file(dir.join(name));
         }
         self.wake_compactor();
-        if let Some(obs) = &self.inner.obs {
-            obs.bulk_docs.add(unique.len() as u64);
-            obs.bulk_runs.add(run_count as u64);
-            obs.bulk_merge_bytes
-                .add(merge_bytes.load(Ordering::Relaxed));
-            obs.bulk_build.record(started.elapsed().as_nanos() as u64);
-            obs.segments.set(segments.len() as i64);
-        }
+        let obs = &self.inner.obs;
+        obs.bulk_docs.add(unique.len() as u64);
+        obs.bulk_runs.add(run_count as u64);
+        obs.bulk_merge_bytes
+            .add(merge_bytes.load(Ordering::Relaxed));
+        obs.bulk_build.record(started.elapsed().as_nanos() as u64);
+        obs.segments.set(segments.len() as i64);
         Ok(Some(BulkStats {
             docs: unique.len(),
             postings,
@@ -890,9 +867,10 @@ impl SegmentStore {
     /// segments don't), then — with compaction quiesced so no listed
     /// file can be rewritten or deleted mid-read — returns the MVCC
     /// epoch plus the manifest and every live segment file as named
-    /// byte blobs. Feeding the returned set to
-    /// [`SegmentStore::install_files`] and opening the target
-    /// directory yields a store with identical query results.
+    /// byte blobs. The manifest always ships, an empty store's too: it
+    /// is what tells [`SegmentStore::install_files`] a whole snapshot
+    /// arrived. Feeding the returned set to `install_files` and opening
+    /// the target directory yields a store with identical query results.
     #[allow(clippy::type_complexity)]
     pub fn export_files(&self) -> Result<(u64, Vec<(String, Vec<u8>)>), SegmentError> {
         // Same order as `compact_once`: compaction lock before writer
@@ -902,14 +880,15 @@ impl SegmentStore {
         self.inner.flush_locked(&mut writer)?;
         let epoch = self.inner.epoch.load(Ordering::Relaxed);
         let manifest = self.inner.dir.join(MANIFEST_FILE);
-        let mut files = Vec::new();
-        if manifest.exists() {
-            let (_, names) = parse_manifest(&manifest)?;
-            files.push((MANIFEST_FILE.to_string(), std::fs::read(&manifest)?));
-            for name in names {
-                let bytes = std::fs::read(self.inner.dir.join(&name))?;
-                files.push((name, bytes));
-            }
+        if !manifest.exists() {
+            // A store that never sealed a segment has written none.
+            self.inner.write_manifest(writer.next_seq, &[])?;
+        }
+        let (_, names) = parse_manifest(&manifest)?;
+        let mut files = vec![(MANIFEST_FILE.to_string(), std::fs::read(&manifest)?)];
+        for name in names {
+            let bytes = std::fs::read(self.inner.dir.join(&name))?;
+            files.push((name, bytes));
         }
         Ok((epoch, files))
     }
@@ -918,21 +897,31 @@ impl SegmentStore {
     /// durability protocol as the store's own commits (tmp + fsync +
     /// rename, then directory fsync). File names are confined to the
     /// target directory — anything resembling a path escapes with a
-    /// `Corrupt` error. After staging, open the directory with
+    /// `Corrupt` error — and a set without a manifest is refused the
+    /// same way: it is no snapshot, and opening it would serve an empty
+    /// store. After staging, open the directory with
     /// [`SegmentStore::open`] (or `open_observed`) to serve from it.
     pub fn install_files(
         dir: impl Into<PathBuf>,
         files: &[(String, Vec<u8>)],
     ) -> Result<(), SegmentError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        for (name, bytes) in files {
+        for (name, _) in files {
             if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
                 return Err(SegmentError::Corrupt {
                     file: name.clone(),
                     reason: "snapshot file name escapes the target directory",
                 });
             }
+        }
+        if !files.iter().any(|(name, _)| name == MANIFEST_FILE) {
+            return Err(SegmentError::Corrupt {
+                file: MANIFEST_FILE.to_string(),
+                reason: "snapshot carries no manifest",
+            });
+        }
+        std::fs::create_dir_all(&dir)?;
+        for (name, bytes) in files {
             let tmp = dir.join(format!("{name}.tmp"));
             std::fs::write(&tmp, bytes)?;
             std::fs::File::open(&tmp)?.sync_all()?;
@@ -1137,7 +1126,7 @@ impl PostingStore for SegmentSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch_dir;
+    use crate::ScratchDir;
     use zerber_index::GroupId;
 
     /// `hi/lo` of the pair starting at `at`, empty segments as one.
@@ -1203,7 +1192,7 @@ mod tests {
 
     #[test]
     fn mid_stack_merges_carry_tombstones_and_only_oldest_level_merges_count_gc() {
-        let dir = scratch_dir("store-midstack");
+        let dir = ScratchDir::new("store-midstack");
         let registry = MetricsRegistry::new();
         let policy = SegmentPolicy {
             flush_postings: usize::MAX,
@@ -1257,7 +1246,5 @@ mod tests {
             counter("zerber_segment_compaction_postings_total"),
             8 + 88 + 187
         );
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

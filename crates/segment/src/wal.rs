@@ -211,7 +211,7 @@ pub fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch_dir;
+    use crate::ScratchDir;
 
     fn sample_batches() -> Vec<Vec<WalOp>> {
         vec![
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_round_trips() {
-        let dir = scratch_dir("wal-roundtrip");
+        let dir = ScratchDir::new("wal-roundtrip");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path).unwrap();
         for batch in sample_batches() {
@@ -247,19 +247,17 @@ mod tests {
         assert!(wal.bytes() > 0);
         drop(wal);
         assert_eq!(replay(&path).unwrap(), sample_batches());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_log_is_empty() {
-        let dir = scratch_dir("wal-missing");
+        let dir = ScratchDir::new("wal-missing");
         assert!(replay(&dir.join("absent.log")).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncation_keeps_only_whole_records() {
-        let dir = scratch_dir("wal-trunc");
+        let dir = ScratchDir::new("wal-trunc");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path).unwrap();
         let batches = sample_batches();
@@ -279,12 +277,11 @@ mod tests {
             assert_eq!(recovered.len(), expect, "cut at {cut}");
             assert_eq!(recovered, batches[..expect], "cut at {cut}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupted_byte_ends_the_replay_at_that_record() {
-        let dir = scratch_dir("wal-corrupt");
+        let dir = ScratchDir::new("wal-corrupt");
         let path = dir.join("wal.log");
         let mut wal = Wal::open(&path).unwrap();
         let batches = sample_batches();
@@ -305,12 +302,11 @@ mod tests {
             assert!(recovered.len() >= intact, "byte {at}");
             assert_eq!(recovered[..intact], batches[..intact], "byte {at}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reopening_appends_after_existing_records() {
-        let dir = scratch_dir("wal-reopen");
+        let dir = ScratchDir::new("wal-reopen");
         let path = dir.join("wal.log");
         let batches = sample_batches();
         for batch in &batches {
@@ -318,6 +314,5 @@ mod tests {
             wal.append(batch, true).unwrap();
         }
         assert_eq!(replay(&path).unwrap(), batches);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

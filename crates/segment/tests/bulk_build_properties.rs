@@ -24,7 +24,7 @@ use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_segment::bulk::BulkFailpoint;
-use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
+use zerber_segment::{BulkConfig, ScratchDir, SegmentStore};
 
 const MAX_DOC: u32 = 80;
 const MAX_TERM: u32 = 20;
@@ -177,8 +177,8 @@ proptest! {
         corpus in prop::collection::vec(arb_doc(), 0..40),
         ops in prop::collection::vec(arb_op(), 0..12),
     ) {
-        let bulk_dir = scratch_dir("bulk-diff-b");
-        let wal_dir = scratch_dir("bulk-diff-w");
+        let bulk_dir = ScratchDir::new("bulk-diff-b");
+        let wal_dir = ScratchDir::new("bulk-diff-w");
         let bulk_store = SegmentStore::open(&bulk_dir, tiny_policy()).expect("open bulk");
         let wal_store = SegmentStore::open(&wal_dir, tiny_policy()).expect("open wal");
 
@@ -237,10 +237,6 @@ proptest! {
         drop(bulk_store);
         let reopened = SegmentStore::open(&bulk_dir, tiny_policy()).expect("reopen");
         check_snapshot(&reopened.snapshot(), &live)?;
-        drop(reopened);
-        drop(wal_store);
-        std::fs::remove_dir_all(&bulk_dir).ok();
-        std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 
@@ -260,7 +256,7 @@ proptest! {
             3 => BulkFailpoint::BeforeManifest,
             _ => BulkFailpoint::BeforeRunGc,
         };
-        let dir = scratch_dir("bulk-crash");
+        let dir = ScratchDir::new("bulk-crash");
         let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
 
         // Pre-bulk state that must survive the crash untouched.
@@ -311,7 +307,5 @@ proptest! {
             all.insert(doc.id.0, doc.clone());
         }
         check_snapshot(&reopened.snapshot(), &all)?;
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use zerber_index::{DocId, Document, GroupId, SegmentPolicy, TermId};
 use zerber_obs::MetricsRegistry;
-use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
+use zerber_segment::{BulkConfig, ScratchDir, SegmentStore};
 
 /// Flushes streamed over the bulk-loaded base.
 const FLUSHES: usize = 32;
@@ -77,7 +77,7 @@ fn policy_cost(docs: &[Document], max_segments: usize) -> PolicyCost {
         background: false,
         sync_wal: false,
     };
-    let dir = scratch_dir("compaction-policy");
+    let dir = ScratchDir::new("compaction-policy");
     let registry = MetricsRegistry::new();
     let store = SegmentStore::open_observed(&dir, policy, &registry).unwrap();
     let one_segment = BulkConfig {
@@ -102,7 +102,6 @@ fn policy_cost(docs: &[Document], max_segments: usize) -> PolicyCost {
     let metrics = registry.snapshot();
     let count = |name: &str| metrics.counter(name).unwrap_or(0);
     drop(store);
-    std::fs::remove_dir_all(&dir).ok();
     PolicyCost {
         compactions: count("zerber_segment_compactions_total"),
         compaction_postings_per_streamed: count("zerber_segment_compaction_postings_total") as f64

@@ -7,7 +7,7 @@
 //! snapshot reports.
 
 use zerber_index::{DocId, Document, GroupId, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{scratch_dir, BulkConfig, SegmentSnapshot, SegmentStore};
+use zerber_segment::{BulkConfig, ScratchDir, SegmentSnapshot, SegmentStore};
 
 fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
     Document::from_term_counts(
@@ -38,7 +38,7 @@ fn bumps(store: &SegmentStore, what: &str, mutate: impl FnOnce(&SegmentStore)) {
 
 #[test]
 fn every_mutation_path_bumps_the_epoch() {
-    let dir = scratch_dir("epoch");
+    let dir = ScratchDir::new("epoch");
     let store = SegmentStore::open(&dir, policy()).expect("open");
 
     bumps(&store, "insert", |s| {
@@ -77,13 +77,11 @@ fn every_mutation_path_bumps_the_epoch() {
     let before = store.epoch();
     store.flush().expect("no-op flush");
     assert!(store.epoch() >= before, "the epoch never decreases");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn snapshots_capture_the_epoch_and_stay_pinned() {
-    let dir = scratch_dir("epoch-snap");
+    let dir = ScratchDir::new("epoch-snap");
     let store = SegmentStore::open(&dir, policy()).expect("open");
     store.insert(&[doc(1, &[(0, 1)])]).expect("insert");
 
@@ -99,8 +97,6 @@ fn snapshots_capture_the_epoch_and_stay_pinned() {
     // The pinned snapshot still answers from its own world.
     assert_eq!(old.document_frequency(TermId(0)), 1);
     assert_eq!(new.document_frequency(TermId(0)), 2);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The positional run `(first position, count)` the snapshot's cursor
@@ -124,7 +120,7 @@ fn stored_run(snapshot: &SegmentSnapshot, term: u32, doc: u32) -> Option<(u32, u
 /// over older — and yield nothing once it is tombstoned.
 #[test]
 fn stored_positions_respect_shadowing_across_sources() {
-    let dir = scratch_dir("epoch-pos");
+    let dir = ScratchDir::new("epoch-pos");
     let store = SegmentStore::open(&dir, policy()).expect("open");
 
     // v1 of doc 1 in a segment: terms 2 (count 2) then 5 (count 1).
@@ -176,6 +172,4 @@ fn stored_positions_respect_shadowing_across_sources() {
             );
         }
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,14 +2,16 @@
 //! plus `install_files` into a fresh directory must reproduce a store
 //! with identical query-visible state — including un-flushed memtable
 //! contents (export seals them first) — and installed stores must
-//! survive reopening like any other store.
+//! survive reopening like any other store. Hostile snapshot files —
+//! path-escaping names, a set without a manifest, a CRC-valid manifest
+//! with a malformed body — are refused as `SegmentError::Corrupt`.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use zerber_index::{DocId, Document, GroupId, SegmentPolicy, TermId};
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
 fn policy() -> SegmentPolicy {
     SegmentPolicy {
@@ -43,7 +45,7 @@ fn postings_table(store: &SegmentStore, terms: u32) -> BTreeMap<u32, Vec<(u32, u
 
 #[test]
 fn export_then_install_reproduces_the_store() {
-    let source_dir = scratch_dir("export-src");
+    let source_dir = ScratchDir::new("export-src");
     let source = SegmentStore::open(&source_dir, policy()).unwrap();
     source
         .insert(&[doc(1, &[(0, 2), (3, 1)]), doc(2, &[(0, 1)])])
@@ -60,7 +62,7 @@ fn export_then_install_reproduces_the_store() {
         "manifest must ship with the snapshot"
     );
 
-    let clone_dir = scratch_dir("export-dst");
+    let clone_dir = ScratchDir::new("export-dst");
     SegmentStore::install_files(&clone_dir, &files).unwrap();
     let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
     assert_eq!(postings_table(&source, 8), postings_table(&clone, 8));
@@ -77,9 +79,10 @@ fn export_then_install_reproduces_the_store() {
 
 #[test]
 fn empty_store_exports_and_installs_cleanly() {
-    let source = SegmentStore::open(scratch_dir("export-empty-src"), policy()).unwrap();
+    let source_dir = ScratchDir::new("export-empty-src");
+    let source = SegmentStore::open(&source_dir, policy()).unwrap();
     let (_, files) = source.export_files().unwrap();
-    let clone_dir = scratch_dir("export-empty-dst");
+    let clone_dir = ScratchDir::new("export-empty-dst");
     SegmentStore::install_files(&clone_dir, &files).unwrap();
     let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
     assert_eq!(clone.snapshot().live_doc_count(), 0);
@@ -89,7 +92,7 @@ fn empty_store_exports_and_installs_cleanly() {
 fn install_rejects_path_escaping_names() {
     for name in ["../evil", "a/b", "a\\b", ""] {
         let err = SegmentStore::install_files(
-            scratch_dir("export-escape"),
+            &ScratchDir::new("export-escape"),
             &[(name.to_string(), vec![1, 2, 3])],
         )
         .unwrap_err();
@@ -98,6 +101,75 @@ fn install_rejects_path_escaping_names() {
             "{name:?} should be rejected, got {err}"
         );
     }
+}
+
+#[test]
+fn install_rejects_a_set_without_a_manifest() {
+    // No files at all, or segments alone, is not a snapshot: opening
+    // it would serve an empty store.
+    for files in [vec![], vec![("seg-000001.zseg".to_string(), vec![1, 2, 3])]] {
+        let dir = ScratchDir::new("export-no-manifest");
+        assert!(matches!(
+            SegmentStore::install_files(&dir, &files),
+            Err(SegmentError::Corrupt { .. })
+        ));
+        assert!(std::fs::read_dir(&*dir).unwrap().next().is_none());
+    }
+}
+
+/// A manifest whose frame (magic, version, length, CRC-32) is valid
+/// but whose body is malformed must open as `Corrupt`, never panic:
+/// every strict prefix of a real body, an over-long segment count, a
+/// non-UTF-8 name, trailing bytes.
+#[test]
+fn hostile_manifests_open_as_corrupt() {
+    let dir = ScratchDir::new("export-hostile-manifest");
+    let manifest = dir.join("MANIFEST.zman");
+    let store = SegmentStore::open(&dir, policy()).unwrap();
+    for id in 0..2 {
+        store.insert(&[doc(id, &[(0, 1)])]).unwrap();
+        store.flush().unwrap();
+    }
+    drop(store);
+    let valid = std::fs::read(&manifest).unwrap();
+    // Frame layout: magic u32 | version u32 | body length u64 | CRC-32
+    // of the body | body; the body is next_seq u64 | count u32 | count ×
+    // (length u16 | name).
+    let (header, body) = valid.split_at(20);
+    assert_eq!(u32::from_le_bytes(body[8..12].try_into().unwrap()), 2);
+    let reframed = |body: &[u8]| {
+        let mut file = header[..8].to_vec();
+        file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        file.extend_from_slice(&zerber_segment::crc::crc32(body).to_le_bytes());
+        file.extend_from_slice(body);
+        file
+    };
+    assert_eq!(reframed(body), valid, "the test frames like the store");
+
+    let mut hostile: Vec<(String, Vec<u8>)> = (0..body.len())
+        .map(|cut| (format!("prefix of {cut} B"), body[..cut].to_vec()))
+        .collect();
+    let mut overlong = body.to_vec();
+    overlong[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    hostile.push(("count of u32::MAX".into(), overlong));
+    let mut not_utf8 = body.to_vec();
+    not_utf8[14..16].copy_from_slice(&[0xFF, 0xFE]);
+    hostile.push(("non-UTF-8 name".into(), not_utf8));
+    let mut trailing = body.to_vec();
+    trailing.push(0);
+    hostile.push(("trailing byte".into(), trailing));
+
+    for (what, body) in hostile {
+        std::fs::write(&manifest, reframed(&body)).unwrap();
+        match SegmentStore::open(&dir, policy()) {
+            Err(SegmentError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+    // Nothing was collected on the way: the real manifest still opens.
+    std::fs::write(&manifest, &valid).unwrap();
+    let reopened = SegmentStore::open(&dir, policy()).unwrap();
+    assert_eq!(reopened.snapshot().live_doc_count(), 2);
 }
 
 proptest! {
@@ -121,7 +193,8 @@ proptest! {
             1..20,
         ),
     ) {
-        let source = SegmentStore::open(scratch_dir("export-prop-src"), policy()).unwrap();
+        let source_dir = ScratchDir::new("export-prop-src");
+        let source = SegmentStore::open(&source_dir, policy()).unwrap();
         for (id, terms, action) in &steps {
             if *action == 0 {
                 source.delete(DocId(*id)).unwrap();
@@ -133,7 +206,7 @@ proptest! {
             }
         }
         let (_, files) = source.export_files().unwrap();
-        let clone_dir = scratch_dir("export-prop-dst");
+        let clone_dir = ScratchDir::new("export-prop-dst");
         SegmentStore::install_files(&clone_dir, &files).unwrap();
         let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
         prop_assert_eq!(postings_table(&source, 10), postings_table(&clone, 10));

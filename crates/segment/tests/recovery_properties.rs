@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use zerber_index::{DocId, Document, GroupId, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{scratch_dir, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentStore};
 
 /// One batch: inserts and deletes, applied atomically.
 #[derive(Debug, Clone)]
@@ -104,7 +104,7 @@ proptest! {
         damage_at in 0.0f64..1.0,
         flip in any::<bool>(),
     ) {
-        let dir = scratch_dir("recovery");
+        let dir = ScratchDir::new("recovery");
         let policy = SegmentPolicy {
             flush_postings: usize::MAX, // flush only at explicit points
             max_segments: 2,
@@ -187,7 +187,5 @@ proptest! {
             .insert(&[materialize(39, &[(14, 3)])])
             .expect("post-recovery insert");
         prop_assert!(reopened.snapshot().contains_doc(DocId(39)));
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

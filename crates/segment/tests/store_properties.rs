@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{scratch_dir, BulkConfig, SegmentStore};
+use zerber_segment::{BulkConfig, ScratchDir, SegmentStore};
 
 /// One step of a schedule.
 #[derive(Debug, Clone)]
@@ -170,7 +170,7 @@ fn check_schedule(
     max_segments: usize,
     base: &[Document],
 ) -> Result<(), TestCaseError> {
-    let dir = scratch_dir("props");
+    let dir = ScratchDir::new("props");
     let policy = SegmentPolicy {
         flush_postings,
         max_segments,
@@ -237,7 +237,6 @@ fn check_schedule(
     let reopened = SegmentStore::open(&dir, policy).expect("reopen");
     assert_matches_oracle(&reopened.snapshot(), &live, "after reopen")?;
     drop(reopened);
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
 

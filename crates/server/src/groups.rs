@@ -55,11 +55,6 @@ impl GroupTable {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Number of users with at least one membership.
-    pub fn user_count(&self) -> usize {
-        self.memberships.read().len()
-    }
 }
 
 #[cfg(test)]

@@ -31,8 +31,9 @@ pub enum ConfigError {
         /// The minimum ring width (`servers`).
         need: usize,
     },
-    /// The segmented posting backend's policy is degenerate (a zero
-    /// flush threshold or segment bound would wedge the engine).
+    /// The posting backend's directory is empty or its policy is
+    /// degenerate (a zero flush threshold or segment bound would wedge
+    /// the engine).
     InvalidSegmentPolicy {
         /// Which knob is broken.
         reason: &'static str,
@@ -57,7 +58,7 @@ impl std::fmt::Display for ConfigError {
                  distinct peers"
             ),
             ConfigError::InvalidSegmentPolicy { reason } => {
-                write!(f, "segmented posting backend misconfigured: {reason}")
+                write!(f, "posting backend misconfigured: {reason}")
             }
             ConfigError::NoReplicas => write!(f, "shard replication must be at least 1"),
         }
@@ -68,8 +69,8 @@ impl std::error::Error for ConfigError {}
 
 /// Everything needed to bootstrap a Zerber deployment.
 ///
-/// `Clone` but not `Copy` since the segmented posting backend carries
-/// its storage directory.
+/// `Clone` but not `Copy` since the posting backend can name a
+/// storage directory.
 #[derive(Debug, Clone)]
 pub struct ZerberConfig {
     /// Number of index servers `n`.
@@ -96,12 +97,11 @@ pub struct ZerberConfig {
     pub codec: ElementCodec,
     /// Owner-side update batching.
     pub batch: BatchPolicy,
-    /// Posting-list storage backend each shard replica of the
-    /// plaintext peer runtime (`runtime::ShardedSearch`) builds and
-    /// serves from: block-compressed lists in memory, or the durable
-    /// segmented engine under a directory. The share path
-    /// ([`crate::ZerberSystem`]) does not read it — share columns are
-    /// incompressible by design (Section 7.3).
+    /// Where each shard replica of the plaintext peer runtime
+    /// (`runtime::ShardedSearch`) keeps its segment store: scratch
+    /// space that goes away with the peer, or a directory the caller
+    /// names. The share path ([`crate::ZerberSystem`]) does not read
+    /// it — share columns are incompressible by design (Section 7.3).
     pub postings: PostingBackend,
     /// Master RNG seed (coordinates, BFM redistribution, element
     /// encryption).
@@ -110,7 +110,9 @@ pub struct ZerberConfig {
 
 impl Default for ZerberConfig {
     /// The paper's experimental setup: 2-out-of-3 sharing, DFM
-    /// merging, immediate updates.
+    /// merging; owners batch their updates (4096 elements per server
+    /// RPC), and `ZerberSystem::index_document` flushes before it
+    /// returns.
     fn default() -> Self {
         Self {
             servers: 3,
@@ -119,7 +121,7 @@ impl Default for ZerberConfig {
             replication: 1,
             merge: MergeConfig::dfm(1024),
             codec: ElementCodec::default(),
-            batch: BatchPolicy::immediate(),
+            batch: BatchPolicy::batched(4096),
             postings: PostingBackend::default(),
             seed: 0xEDB7_2008,
         }
@@ -191,8 +193,9 @@ impl ZerberConfig {
         self.validate_storage()
     }
 
-    /// Checks the posting backend alone: a segmented backend needs a
-    /// storage directory and a policy that cannot wedge the engine.
+    /// Checks the posting backend alone: a named directory must not be
+    /// empty and its policy must not be able to wedge the engine (the
+    /// ephemeral default has neither to get wrong).
     /// Called by `runtime::ShardedSearch::launch*` — the consumer of
     /// [`ZerberConfig::postings`] — whose ring is deliberately not
     /// held to the sharing invariants above.

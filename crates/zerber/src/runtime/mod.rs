@@ -23,7 +23,7 @@
 //! | `repair` | coordinator | the wire protocol of one shard shipment, the three install-frame shapes, the retry backoff |
 //! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; [`TermStats`] (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
 //! | `service` | peer | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table with one constructor, [`ShardService::for_peer`] |
-//! | `shard` | peer | the shard store and its two backends, in memory and segmented |
+//! | `shard` | peer | what sits around a shard's one store (`zerber_segment::SegmentStore`): wire ↔ `Document`, where a replica's files live, open-and-seed, install-and-reopen |
 //! | `peer` | peer | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
 //! | [`transport`], [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
 //! | [`fault`] | between | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
@@ -98,8 +98,7 @@ use stats::StatsState;
 /// consistent-hash ring; each peer indexes its shard on its own
 /// thread (parallel build) and serves
 /// [`zerber_net::Message::PlanQuery`] with the planned evaluator over
-/// the configured
-/// [`zerber_index::PostingStore`] backend. `query` is `&self` and
+/// snapshots of its segment store. `query` is `&self` and
 /// thread-safe: concurrent clients fan out and gather independently.
 ///
 /// This is the *plaintext* serving engine: shard peers enforce no
@@ -169,8 +168,8 @@ pub struct ShardedSearch {
     membership: Mutex<MembershipTable>,
     /// What queries do about a shard with no live replica.
     degraded: RwLock<DegradedMode>,
-    /// The backend a host-spawned replacement peer builds its stores
-    /// on (a connected deployment's peers bring their own).
+    /// Where a host-spawned replacement peer keeps its stores (a
+    /// connected deployment's peers bring their own).
     backend: PostingBackend,
     /// Copies per shard (`1` = unreplicated).
     replicas: u32,
@@ -200,17 +199,20 @@ impl ShardedSearch {
     /// is the legitimate scaling baseline. (The sharing invariants
     /// are [`ZerberConfig::validate`]'s, checked at
     /// `ZerberSystem::bootstrap`.) This engine is what
-    /// `config.postings` configures: every replica builds its store on
-    /// that backend, after [`ZerberConfig::validate_storage`] has
-    /// accepted it. Both backends take live
+    /// `config.postings` places: every replica is a
+    /// `zerber_segment::SegmentStore` — seeded from `docs` as one
+    /// sealed, block-compressed segment, then taking live
     /// [`ShardedSearch::insert_documents`] /
-    /// [`ShardedSearch::delete_document`] traffic; with
-    /// [`PostingBackend::Segmented`], each replica owns a durable
-    /// store in a `peer-<p>-shard-<s>` subdirectory — created only for
-    /// the shards that peer actually hosts. The segmented
-    /// directories must be *fresh*: global statistics are computed
-    /// from `docs`, so a shard peer panics rather than silently merge
-    /// previously recovered state (reopen such stores with
+    /// [`ShardedSearch::delete_document`] traffic — in a
+    /// `peer-<p>-shard-<s>` subdirectory created only for the shards
+    /// that peer actually hosts, after
+    /// [`ZerberConfig::validate_storage`] has accepted the setting.
+    /// Under the default [`PostingBackend::Ephemeral`] the directories
+    /// sit in per-peer scratch space that goes away with the peer;
+    /// under [`PostingBackend::Segmented`] they are the caller's, and
+    /// must be *fresh*: global statistics are computed from `docs`,
+    /// so a shard peer panics rather than silently merge previously
+    /// recovered state (reopen such stores with
     /// `zerber_segment::SegmentStore` directly).
     ///
     /// With `config.replication = R > 1`, every logical shard is also
@@ -248,7 +250,9 @@ impl ShardedSearch {
         let shards = Arc::new(map.partition(docs, |doc| doc.id));
         let obs = RuntimeObs::new();
         let host = PeerRuntime::new(Arc::new(TrafficMeter::new()));
+        let (built, all_built) = std::sync::mpsc::channel::<()>();
         for &peer in map.peer_ids() {
+            let built = built.clone();
             let backend = config.postings.clone();
             let shards = Arc::clone(&shards);
             let hosted = map.hosted_shards(peer, replicas);
@@ -256,12 +260,20 @@ impl ShardedSearch {
             // aggregate across peers.
             let registry = obs.registry().clone();
             // The initializer runs on the peer's thread: every hosted
-            // replica store builds (index, or seed the durable engine)
-            // in parallel across all peers.
+            // replica store opens and seeds in parallel across all peers.
             host.spawn_peer(NodeId::IndexServer(peer), move || {
-                ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry)
+                let service =
+                    ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry);
+                drop(built);
+                service
             });
         }
+        // A launched deployment is a serving one: wait until every peer
+        // has let go of its handle (built its stores, or died trying —
+        // which its first request reports), so no first query hedges
+        // around a peer that is still writing its seed segment.
+        drop(built);
+        let _ = all_built.recv();
         let transport = wrap(Arc::clone(host.transport()));
         let mut search = Self::connect(config, docs, transport, obs)?;
         search.host = Some(host);
@@ -452,26 +464,25 @@ mod tests {
     }
 
     #[test]
-    fn compressed_backend_serves_identically() {
-        // The cross-backend theorem at the deployment level: the
-        // in-memory and the durable backend serve the same bits.
+    fn ephemeral_and_named_directories_serve_identically() {
+        // Where the files live is a deployment setting, not an engine:
+        // scratch space and a caller's directory serve the same bits.
         let docs = corpus(200, 9);
-        let dir = zerber_segment::scratch_dir("sharded-backends-unit");
-        let compressed = ZerberConfig::default().with_peers(4);
-        let segmented = compressed.clone().with_postings(PostingBackend::Segmented {
-            dir: dir.clone(),
+        let dir = zerber_segment::ScratchDir::new("sharded-backends-unit");
+        let ephemeral = ZerberConfig::default().with_peers(4);
+        let named = ephemeral.clone().with_postings(PostingBackend::Segmented {
+            dir: dir.to_path_buf(),
             compaction: zerber_index::SegmentPolicy::default(),
         });
-        assert_eq!(compressed.postings, PostingBackend::Compressed);
-        let a = ShardedSearch::launch(&compressed, &docs).unwrap();
-        let b = ShardedSearch::launch(&segmented, &docs).unwrap();
+        assert_eq!(ephemeral.postings, PostingBackend::Ephemeral);
+        let a = ShardedSearch::launch(&ephemeral, &docs).unwrap();
+        let b = ShardedSearch::launch(&named, &docs).unwrap();
         let terms = [TermId(2), TermId(5)];
         assert_eq!(
             a.query(&terms, 15).unwrap().ranked,
             b.query(&terms, 15).unwrap().ranked
         );
-        drop(b);
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(dir.join("peer-003-shard-003").is_dir());
     }
 
     #[test]
@@ -511,11 +522,11 @@ mod tests {
     #[test]
     fn live_mutation_tracks_the_rebuild_oracle_on_every_backend() {
         let initial = corpus(90, 13);
-        let dir = zerber_segment::scratch_dir("sharded-mutation-unit");
+        let dir = zerber_segment::ScratchDir::new("sharded-mutation-unit");
         let backends = vec![
-            PostingBackend::Compressed,
+            PostingBackend::Ephemeral,
             PostingBackend::Segmented {
-                dir: dir.clone(),
+                dir: dir.to_path_buf(),
                 compaction: zerber_index::SegmentPolicy {
                     flush_postings: 32,
                     max_segments: 2,
@@ -555,7 +566,6 @@ mod tests {
             }
             assert_eq!(search.document_count(), live.len());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -570,7 +580,7 @@ mod tests {
             host.spawn_peer(NodeId::IndexServer(peer), move || {
                 // Logical shard 9 is outside the two-shard map.
                 let registry = zerber_obs::MetricsRegistry::new();
-                ShardService::for_peer(&PostingBackend::Compressed, peer, [9], None, &registry)
+                ShardService::for_peer(&PostingBackend::Ephemeral, peer, [9], None, &registry)
             });
         }
         let transport = Arc::clone(host.transport()) as Arc<dyn Transport>;

@@ -169,13 +169,13 @@ mod tests {
         }
     }
 
-    /// Peer 0 of an in-memory deployment hosting shard 0: serving
-    /// `docs`, or (`None`) waiting to be shipped them.
+    /// Peer 0 of a default (ephemeral) deployment hosting shard 0:
+    /// serving `docs`, or (`None`) waiting to be shipped them.
     fn shard_zero(docs: Option<&[Document]>) -> ShardService {
         let partition = docs.map(|docs| [docs.to_vec()]);
         let partition = partition.as_ref().map(|p| p.as_slice());
         let registry = MetricsRegistry::new();
-        ShardService::for_peer(&PostingBackend::Compressed, 0, [0], partition, &registry)
+        ShardService::for_peer(&PostingBackend::Ephemeral, 0, [0], partition, &registry)
     }
 
     fn live_shard(docs: &[Document]) -> ShardService {
@@ -650,7 +650,7 @@ mod tests {
         // the stage stays clean for a clean retry.
         assert_eq!(rpc(&InstallFrame::Begin.message(0, 0)), Message::InsertOk);
         let torn = InstallFrame::File {
-            name: "docs.zdump".into(),
+            name: "MANIFEST.zman".into(),
             crc: 0xDEAD_BEEF,
             payload: zerber_net::Bytes::from_static(b"not the right bytes"),
         };

@@ -465,9 +465,9 @@ impl ShardedSearch {
 /// The single-node reference for [`ShardedSearch::query`]: the same
 /// global IDF weights, the same block-max Threshold Algorithm over
 /// `terms` in caller order — on one unsharded in-memory store. `query`
-/// returns exactly this on either backend (the `sharded_topk` property
-/// test proves bit-identity for arbitrary corpora, peer counts, and
-/// `k`).
+/// returns exactly this wherever the shards' files live (the
+/// `sharded_topk` property test proves bit-identity for arbitrary
+/// corpora, peer counts, and `k`).
 pub fn local_topk(docs: &[Document], terms: &[TermId], k: usize) -> Vec<RankedDoc> {
     let query = Query::Terms {
         terms: terms.to_vec(),

@@ -5,7 +5,7 @@
 //!   executing off the caller's thread;
 //! * [`ShardService`] hosts the *document shards* this peer carries —
 //!   its own shard plus, under replication, copies of its
-//!   predecessors' — behind the [`ShardStore`] trait, and answers
+//!   predecessors' — each in a [`SegmentStore`], and answers
 //!   [`Message::PlanQuery`] with the addressed shard's planned top-k.
 //!
 //! This module owns one decision: *what a frame does to a shard in a
@@ -25,14 +25,12 @@ use zerber_net::framing::crc32;
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Bytes, Message, NodeId, WireDocument};
 use zerber_obs::MetricsRegistry;
-use zerber_segment::SegmentError;
+use zerber_segment::{BulkConfig, SegmentError, SegmentStore};
 use zerber_server::IndexServer;
 
 use crate::runtime::peer::{fault_frame, PeerService};
 use crate::runtime::repair::InstallFrame;
-use crate::runtime::shard::{
-    build_shard_store, from_wire, replica_backend, restore_shard_store, ShardStore,
-};
+use crate::runtime::shard::{from_wire, ShardHome};
 
 /// The index-server role as a peer service: the narrow
 /// insert/delete/lookup interface, driven by decoded wire messages.
@@ -94,15 +92,15 @@ impl PeerService for ServerService {
 /// does not host bounces as an `UNSUPPORTED` fault — reported, never
 /// silently misrouted.
 ///
-/// Queries run `ShardStore::query_planned` — the planner-chosen
-/// evaluator over the backend's lazy
-/// [`zerber_index::PostingStore::query_cursors`], so the compressed
-/// and segmented backends peek their stored block-max skip metadata
-/// and only decompress blocks that survive the upper-bound test. The
-/// service owns the [`TopKScratch`] (every evaluator's top-k collector), reused
-/// across every RPC this peer serves. [`Message::IndexDocs`] and
-/// [`Message::RemoveDoc`] mutate the addressed shard; a durable shard
-/// that fails to persist answers `STORAGE`.
+/// Queries run [`zerber_query::execute`] — the planner-chosen
+/// evaluator — over an MVCC snapshot of the addressed store and its
+/// lazy [`zerber_index::PostingStore::query_cursors`], which peek the
+/// segments' stored block-max skip metadata and only decompress blocks
+/// that survive the upper-bound test. The service owns the
+/// [`TopKScratch`] (every evaluator's top-k collector), reused across
+/// every RPC this peer serves. [`Message::IndexDocs`] and
+/// [`Message::RemoveDoc`] mutate the addressed shard; a store that
+/// fails to persist answers `STORAGE`.
 ///
 /// # The (state × frame) table
 ///
@@ -133,7 +131,9 @@ impl PeerService for ServerService {
 /// out of scope and scale is the subject. Do not put
 /// access-controlled collections behind it.
 pub struct ShardService {
-    /// The stores this peer hosts, by logical shard id.
+    /// The stores this peer hosts, by logical shard id. Declared
+    /// before `home`: the stores drop (and join their compactors)
+    /// before an ephemeral home removes their directories.
     stores: HashMap<u32, HostedShard>,
     /// Per-peer reusable query scratch (the top-k heap), shared
     /// across all hosted stores (requests are serialized per peer).
@@ -142,15 +142,10 @@ pub struct ShardService {
     /// shard (this peer acting as a rebuild *source*). Replaced by the
     /// next [`Message::PrepareSnapshot`] for the same shard.
     pending_snapshot: HashMap<u32, Vec<(String, Vec<u8>)>>,
-    /// This peer's ring position and the deployment's backend: every
-    /// store this service builds — at launch or from an installed
-    /// snapshot (this peer acting as a rebuild *target*) — lives on
-    /// [`replica_backend`]`(backend, peer, shard)`.
-    peer: u32,
-    backend: PostingBackend,
-    /// Where this peer's segmented stores report their
-    /// `zerber_segment_*` instruments, rebuilt ones included.
-    registry: MetricsRegistry,
+    /// Where every store this service builds — at launch or from an
+    /// installed snapshot (this peer acting as a rebuild *target*) —
+    /// keeps its files and reports its `zerber_segment_*` instruments.
+    home: ShardHome,
     /// `zerber_peer_postings_scored_total`: candidates this peer's
     /// evaluators fully scored. Counted here, not by the querying
     /// client like the block counts beside it — the number never
@@ -174,11 +169,14 @@ enum WriteOp {
 
 impl WriteOp {
     /// Applies the write; returns how many documents it removed.
-    fn apply(&self, store: &mut dyn ShardStore) -> Result<u64, SegmentError> {
+    /// A bulk batch replaces older copies of its documents exactly
+    /// like an insert batch, but skips the WAL and builds segments
+    /// directly (the SPIMI path in `zerber-segment`).
+    fn apply(&self, store: &SegmentStore) -> Result<u64, SegmentError> {
         match self {
-            WriteOp::Insert(docs) => store.insert_documents(docs).map(|_| 0),
-            WriteOp::Bulk(docs) => store.bulk_load_documents(docs).map(|_| 0),
-            WriteOp::Remove(doc) => store.delete_document(*doc).map(u64::from),
+            WriteOp::Insert(docs) => store.insert(docs).map(|_| 0),
+            WriteOp::Bulk(docs) => store.bulk_load(docs, BulkConfig::default()).map(|_| 0),
+            WriteOp::Remove(doc) => store.delete(*doc).map(u64::from),
         }
     }
 
@@ -196,7 +194,7 @@ impl WriteOp {
 /// The serving state of one hosted shard.
 enum HostedShard {
     /// Normal operation: reads and writes hit the store directly.
-    Serving(Box<dyn ShardStore>),
+    Serving(SegmentStore),
     /// Mid-rebuild: snapshot files stage here, reads bounce with
     /// [`fault::REBUILDING`] (the hedged gather fails over to a live
     /// replica), and writes are acknowledged into the replay buffer so
@@ -218,8 +216,8 @@ impl HostedShard {
     }
 }
 
-/// Every way a store can refuse a mutation is the durable engine
-/// failing to persist it.
+/// Every way a store can refuse a mutation is the engine failing to
+/// persist it.
 fn shard_fault(_: SegmentError) -> Message {
     fault_frame(fault::STORAGE)
 }
@@ -236,13 +234,14 @@ impl ShardService {
     /// never serve the stale (or empty) state it woke up with, only
     /// what the repair controller ships it.
     ///
-    /// Each store builds on its own replica of `backend` (a
-    /// `peer-<p>-shard-<s>` subdirectory for the segmented engine) and
-    /// reports into `registry`, as does every store later restored
-    /// from an installed snapshot.
+    /// Each store lives in its own `peer-<p>-shard-<s>` subdirectory of
+    /// where `backend` says (for [`PostingBackend::Ephemeral`], a
+    /// scratch directory this service creates and removes when
+    /// dropped) and reports into `registry`, as does every store later
+    /// restored from an installed snapshot.
     ///
     /// # Panics
-    /// Panics if a segmented store cannot open a fresh directory — see
+    /// Panics if a store cannot open a fresh directory — see
     /// `ShardedSearch::launch`.
     pub fn for_peer(
         backend: &PostingBackend,
@@ -251,15 +250,15 @@ impl ShardService {
         partition: Option<&[Vec<Document>]>,
         registry: &MetricsRegistry,
     ) -> Self {
+        let home = ShardHome::new(backend, peer, registry);
         let stores = hosted
             .into_iter()
             .map(|shard| {
                 let state = match partition {
-                    Some(partition) => HostedShard::Serving(build_shard_store(
-                        &replica_backend(backend, peer, shard),
-                        &partition[shard as usize],
-                        registry,
-                    )),
+                    Some(partition) => {
+                        let docs = &partition[shard as usize];
+                        HostedShard::Serving(home.build(shard, docs))
+                    }
                     None => HostedShard::rebuilding(Vec::new()),
                 };
                 (shard, state)
@@ -269,9 +268,7 @@ impl ShardService {
             stores,
             scratch: TopKScratch::new(),
             pending_snapshot: HashMap::new(),
-            peer,
-            backend: backend.clone(),
-            registry: registry.clone(),
+            home,
             postings_scored: registry.counter("zerber_peer_postings_scored_total"),
         }
     }
@@ -344,7 +341,17 @@ impl ShardService {
         // registry) from the response alone, so in-process and remote
         // socket peers report identically.
         let started = std::time::Instant::now();
-        let outcome = store.query_planned(shape, terms, k as usize, forced, &mut self.scratch);
+        // The snapshot pins the sources the cursors borrow from for
+        // exactly the duration of this query.
+        let snapshot = store.snapshot();
+        let outcome = zerber_query::execute(
+            &snapshot,
+            shape,
+            terms,
+            k as usize,
+            forced,
+            &mut self.scratch,
+        );
         self.postings_scored.add(outcome.cost.postings_scored);
         Message::TopKResponse {
             decode_ns: started.elapsed().as_nanos() as u64,
@@ -370,7 +377,7 @@ impl ShardService {
 
     fn write(&mut self, shard: u32, op: WriteOp) -> Message {
         match self.stores.get_mut(&shard) {
-            Some(HostedShard::Serving(store)) => match op.apply(store.as_mut()) {
+            Some(HostedShard::Serving(store)) => match op.apply(store) {
                 Ok(removed) => op.ack(removed),
                 Err(e) => shard_fault(e),
             },
@@ -397,7 +404,7 @@ impl ShardService {
             Some(HostedShard::Rebuilding { .. }) => return fault_frame(fault::REBUILDING),
             None => return fault_frame(fault::UNSUPPORTED),
         };
-        match store.export_snapshot() {
+        match store.export_files() {
             Ok((epoch, files)) => {
                 let manifest = files
                     .iter()
@@ -466,8 +473,7 @@ impl ShardService {
             }
             _ => return fault_frame(fault::REPAIR),
         };
-        let backend = replica_backend(&self.backend, self.peer, shard);
-        let mut store = match restore_shard_store(&backend, &staged, &self.registry) {
+        let store = match self.home.restore(shard, &staged) {
             Ok(store) => store,
             Err(_) => {
                 // Keep the owed writes; the controller re-ships.
@@ -476,7 +482,7 @@ impl ShardService {
             }
         };
         for write in &buffered {
-            if let Err(e) = write.apply(store.as_mut()) {
+            if let Err(e) = write.apply(&store) {
                 // Never serve a possibly-diverged store: drop it and
                 // stay rebuilding with nothing owed (the controller
                 // restarts the whole ship, which re-captures these
@@ -492,7 +498,6 @@ impl ShardService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::shard::{LiveIndexShard, LIVE_SNAPSHOT_FILE};
     use zerber_index::GroupId;
 
     /// The shard every frame of the table addresses.
@@ -542,20 +547,28 @@ mod tests {
         vec![from_wire(wire_doc(1)).expect("sorted terms")]
     }
 
-    /// The one file of a valid snapshot, as `(crc, bytes)`.
-    fn snapshot_file() -> (u32, Vec<u8>) {
-        let mut store = LiveIndexShard::new(&live_docs());
-        let (_, mut files) = store.export_snapshot().expect("in-memory export");
-        let (name, bytes) = files.pop().expect("one virtual file");
-        assert_eq!(name, LIVE_SNAPSHOT_FILE);
-        (crc32(&bytes), bytes)
+    /// The file every snapshot carries, listed first.
+    const MANIFEST: &str = "MANIFEST.zman";
+
+    /// A valid snapshot of `live_docs()`, one install frame per file.
+    fn file_frames() -> Vec<Message> {
+        let home = ShardHome::new(&PostingBackend::Ephemeral, 0, &MetricsRegistry::new());
+        let store = home.build(SHARD, &live_docs());
+        let (_, files) = store.export_files().expect("export");
+        assert_eq!(files[0].0, MANIFEST);
+        assert!(files.len() > 1, "the seed is a sealed segment");
+        files
+            .into_iter()
+            .map(|(name, bytes)| {
+                let crc = crc32(&bytes);
+                let payload = Bytes::from(bytes);
+                InstallFrame::File { name, crc, payload }.message(SHARD, 1)
+            })
+            .collect()
     }
 
     fn file_frame() -> Message {
-        let (crc, bytes) = snapshot_file();
-        let name = LIVE_SNAPSHOT_FILE.into();
-        let payload = Bytes::from(bytes);
-        InstallFrame::File { name, crc, payload }.message(SHARD, 1)
+        file_frames().swap_remove(0)
     }
 
     /// A service with `SHARD` in `state`. The serving copy has a
@@ -568,7 +581,7 @@ mod tests {
         };
         let partition = vec![live_docs(); 2];
         let mut service = ShardService::for_peer(
-            &PostingBackend::Compressed,
+            &PostingBackend::Ephemeral,
             0,
             [hosted],
             Some(&partition),
@@ -577,7 +590,9 @@ mod tests {
         let owner = NodeId::Owner(0);
         let setup: Vec<Message> = match state {
             State::Serving => vec![Message::PrepareSnapshot { shard: SHARD }],
-            State::Rebuilding => vec![InstallFrame::Begin.message(SHARD, 0), file_frame()],
+            State::Rebuilding => std::iter::once(InstallFrame::Begin.message(SHARD, 0))
+                .chain(file_frames())
+                .collect(),
             State::NotHosted => vec![],
         };
         for frame in setup {
@@ -671,7 +686,7 @@ mod tests {
                 "FetchSegment",
                 || Message::FetchSegment {
                     shard: SHARD,
-                    name: LIVE_SNAPSHOT_FILE.into(),
+                    name: MANIFEST.into(),
                 },
                 [
                     (SegmentData, Serving),
@@ -728,14 +743,16 @@ mod tests {
             docs: vec![wire_doc(2)],
         };
         assert_eq!(rpc(write), Answer::InsertOk);
-        // The restart drops the staged file (a commit now has nothing
+        // The restart drops the staged files (a commit now has nothing
         // to restore from) but not the buffered write.
         assert_eq!(rpc(InstallFrame::Begin.message(SHARD, 0)), Answer::InsertOk);
         assert_eq!(
             rpc(InstallFrame::Commit.message(SHARD, 1)),
             Answer::Fault(fault::REPAIR)
         );
-        assert_eq!(rpc(file_frame()), Answer::InsertOk);
+        for frame in file_frames() {
+            assert_eq!(rpc(frame), Answer::InsertOk);
+        }
         assert_eq!(
             rpc(InstallFrame::Commit.message(SHARD, 1)),
             Answer::InsertOk

@@ -633,7 +633,7 @@ mod tests {
         let init = move || {
             let registry = MetricsRegistry::new();
             ShardService::for_peer(
-                &PostingBackend::Compressed,
+                &PostingBackend::Ephemeral,
                 0,
                 [0],
                 Some(&partition),

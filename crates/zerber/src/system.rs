@@ -199,8 +199,21 @@ impl ZerberSystem {
     }
 
     /// Indexes a document through its group's owner daemon (created on
-    /// first use). Returns the number of posting elements produced.
+    /// first use) and flushes that owner, so the document is searchable
+    /// when this returns: one RPC per server per *document* under the
+    /// default batch policy. Returns the number of posting elements
+    /// produced.
     pub fn index_document(&mut self, doc: &Document) -> Result<usize, SystemError> {
+        let produced = self.enqueue_document(doc)?;
+        let owner = self.owners.get_mut(&doc.group).expect("just enqueued");
+        owner.flush(&self.owner_handles[&doc.group])?;
+        Ok(produced)
+    }
+
+    /// Hands a document to its group's owner, which ships whatever its
+    /// [`BatchPolicy`](zerber_client::BatchPolicy) says is due and
+    /// keeps the rest queued.
+    fn enqueue_document(&mut self, doc: &Document) -> Result<usize, SystemError> {
         let group = doc.group;
         if !self.owners.contains_key(&group) {
             let owner_user = UserId(OWNER_USER_BASE + group.0);
@@ -223,11 +236,12 @@ impl ZerberSystem {
         Ok(owner.index_document(doc, handles, &mut self.rng)?)
     }
 
-    /// Indexes a whole corpus; returns total elements produced.
+    /// Indexes a whole corpus, batching across documents, and flushes
+    /// every owner once at the end; returns total elements produced.
     pub fn index_corpus(&mut self, docs: &[Document]) -> Result<usize, SystemError> {
         let mut total = 0;
         for doc in docs {
-            total += self.index_document(doc)?;
+            total += self.enqueue_document(doc)?;
         }
         self.flush_owners()?;
         Ok(total)

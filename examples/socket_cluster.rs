@@ -171,7 +171,7 @@ fn main() {
     }
 
     // --- 1. Spawn one child process per ring position; connect. -----
-    let root = zerber_segment::scratch_dir("socket-cluster");
+    let root = zerber_segment::ScratchDir::new("socket-cluster");
     let mut live = corpus();
     let obs = RuntimeObs::new();
     let meter = Arc::new(TrafficMeter::new());
@@ -275,7 +275,6 @@ fn main() {
         peer.stop();
     }
     println!("\ncluster stopped; all {PEERS} peers reaped");
-    std::fs::remove_dir_all(&root).ok();
 
     // --- 6. The coordinator's observability readout. ----------------
     println!("\n=== coordinator metrics (Prometheus exposition) ===");

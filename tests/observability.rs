@@ -215,13 +215,15 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
         let decode = shard_span
             .find("decode")
             .unwrap_or_else(|| panic!("decode span missing:\n{}", trace.render()));
-        assert!(
-            decode
-                .counters
-                .iter()
-                .any(|&(name, _)| name == "blocks_total"),
-            "decode span must carry the peer's block accounting"
-        );
+        // …and the accounting counts blocks: a launched corpus is
+        // served from sealed, block-compressed segments with skip
+        // metadata, not from one decoded memtable.
+        let blocks_total = decode
+            .counters
+            .iter()
+            .find(|&&(name, _)| name == "blocks_total")
+            .expect("decode span must carry the peer's block accounting");
+        assert!(blocks_total.1 > 0, "{}", trace.render());
     }
     let gather = trace.root.find("gather").expect("gather span");
 
@@ -396,8 +398,7 @@ fn prometheus_exposition_parses_with_required_families() {
     // A durable store observed into the same registry: drive enough
     // synced WAL appends, flushes, and one compaction that the segment
     // families carry samples, not just empty buckets.
-    let dir = std::env::temp_dir().join(format!("zerber-obs-prom-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = zerber_segment::ScratchDir::new("obs-prom");
     let store = SegmentStore::open_observed(
         &dir,
         SegmentPolicy {
@@ -421,28 +422,24 @@ fn prometheus_exposition_parses_with_required_families() {
             Document::from_term_counts(DocId(d), GroupId(0), vec![(TermId(d % 13), 1 + d % 4)])
         })
         .collect();
+    let before = search.obs().registry().snapshot();
     let bulk_stats = store
         .bulk_load(&bulk, zerber_segment::BulkConfig::default())
         .expect("bulk load");
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 
-    // The bulk counters reflect the load that just ran.
+    // The bulk counters moved by the load that just ran (the
+    // deployment's own stores were bulk-seeded into the same registry).
     let metrics = search.obs().registry().snapshot();
+    let moved = |name: &str| metrics.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    assert_eq!(moved("zerber_segment_bulk_docs_total"), bulk.len() as u64);
     assert_eq!(
-        metrics.counter("zerber_segment_bulk_docs_total"),
-        Some(bulk.len() as u64),
-        "bulk docs counter"
+        moved("zerber_segment_bulk_runs_total"),
+        bulk_stats.runs as u64
     );
     assert_eq!(
-        metrics.counter("zerber_segment_bulk_runs_total"),
-        Some(bulk_stats.runs as u64),
-        "bulk runs counter"
-    );
-    assert_eq!(
-        metrics.counter("zerber_segment_bulk_merge_bytes_total"),
-        Some(bulk_stats.merge_bytes),
-        "bulk merge bytes counter"
+        moved("zerber_segment_bulk_merge_bytes_total"),
+        bulk_stats.merge_bytes
     );
 
     let text = search

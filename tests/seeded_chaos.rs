@@ -208,12 +208,12 @@ fn pinned_seed_replays_identically_and_covers_every_fault_family() {
 /// apply the batch before going silent converges all the same.
 #[test]
 fn replica_killed_mid_bulk_load_taints_then_repairs_clean() {
-    let dir = zerber_segment::scratch_dir("chaos-bulk");
+    let dir = zerber_segment::ScratchDir::new("chaos-bulk");
     let config = ZerberConfig::default()
         .with_peers(3)
         .with_replication(2)
         .with_postings(zerber::PostingBackend::Segmented {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             compaction: zerber::SegmentPolicy {
                 flush_postings: 32,
                 max_segments: 2,
@@ -272,8 +272,6 @@ fn replica_killed_mid_bulk_load_taints_then_repairs_clean() {
             "query {q} after repair"
         );
     }
-    drop(search);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

@@ -143,12 +143,12 @@ fn kill_revive_rebuild_converges_to_from_scratch() {
 #[test]
 fn a_revived_replica_keeps_reporting_its_segment_metrics() {
     let docs = corpus(60, 9);
-    let dir = zerber_segment::scratch_dir("revived-metrics");
+    let dir = zerber_segment::ScratchDir::new("revived-metrics");
     let config = ZerberConfig::default()
         .with_peers(2)
         .with_replication(2)
         .with_postings(zerber::PostingBackend::Segmented {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             compaction: zerber::SegmentPolicy {
                 background: false,
                 ..zerber::SegmentPolicy::default()
@@ -174,8 +174,6 @@ fn a_revived_replica_keeps_reporting_its_segment_metrics() {
         wal_appends(&search) > before,
         "the revived replica journaled the batch but reported nothing"
     );
-    drop(search);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A peer joining the ring: the joiner spawns write-buffering, moved

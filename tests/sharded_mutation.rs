@@ -72,11 +72,11 @@ proptest! {
         peers in 1usize..5,
         flush_postings in 4usize..40,
     ) {
-        let dir = zerber_segment::scratch_dir("sharded-mutation");
+        let dir = zerber_segment::ScratchDir::new("sharded-mutation");
         let config = ZerberConfig::default()
             .with_peers(peers)
             .with_postings(PostingBackend::Segmented {
-                dir: dir.clone(),
+                dir: dir.to_path_buf(),
                 compaction: SegmentPolicy {
                     flush_postings,
                     max_segments: 2,
@@ -136,8 +136,6 @@ proptest! {
             }
         }
         prop_assert_eq!(search.document_count(), live.len());
-        drop(search);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -147,14 +145,14 @@ proptest! {
 /// [`ShardedSearch::bulk_load`] path writes only into those.
 #[test]
 fn segmented_replicas_create_only_hosted_shard_dirs() {
-    let dir = zerber_segment::scratch_dir("hosted-dirs");
+    let dir = zerber_segment::ScratchDir::new("hosted-dirs");
     let peers = 4u32;
     let replication = 2u32;
     let config = ZerberConfig::default()
         .with_peers(peers as usize)
         .with_replication(replication as usize)
         .with_postings(PostingBackend::Segmented {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             compaction: SegmentPolicy {
                 flush_postings: 16,
                 max_segments: 2,
@@ -181,7 +179,7 @@ fn segmented_replicas_create_only_hosted_shard_dirs() {
         })
         .collect();
     expected.sort();
-    let mut found: Vec<String> = std::fs::read_dir(&dir)
+    let mut found: Vec<String> = std::fs::read_dir(&*dir)
         .expect("store root exists")
         .map(|e| {
             e.expect("dir entry")
@@ -192,6 +190,4 @@ fn segmented_replicas_create_only_hosted_shard_dirs() {
         .collect();
     found.sort();
     assert_eq!(found, expected, "replica directory layout");
-    drop(search);
-    std::fs::remove_dir_all(&dir).ok();
 }

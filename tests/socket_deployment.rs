@@ -87,12 +87,12 @@ fn bits(ranked: &[RankedDoc]) -> Vec<(u32, u64)> {
 
 #[test]
 fn a_connected_deployment_writes_caches_fails_over_and_repairs_over_tcp() {
-    let dir = zerber_segment::scratch_dir("socket-deployment");
+    let dir = zerber_segment::ScratchDir::new("socket-deployment");
     let config = ZerberConfig::default()
         .with_peers(PEERS as usize)
         .with_replication(REPLICATION as usize)
         .with_postings(PostingBackend::Segmented {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             compaction: SegmentPolicy {
                 background: false,
                 ..SegmentPolicy::default()
@@ -209,8 +209,4 @@ fn a_connected_deployment_writes_caches_fails_over_and_repairs_over_tcp() {
     let beat = search.heartbeat();
     assert_eq!(beat.len(), PEERS as usize);
     assert!(beat.iter().all(|&(_, status)| status == PeerStatus::Up));
-
-    drop(search);
-    drop(peers);
-    std::fs::remove_dir_all(&dir).ok();
 }
