@@ -33,9 +33,7 @@ pub mod zipf;
 
 pub use groups::GroupAssignments;
 pub use odp::{OdpConfig, OdpCorpus};
-pub use querylog::{
-    QueryLog, QueryLogConfig, QueryShape, ShapedLogConfig, ShapedQuery, ShapedQueryLog,
-};
+pub use querylog::{QueryLog, QueryLogConfig};
 pub use studip::{StudipConfig, StudipData};
 pub use synth::{CorpusConfig, SyntheticCorpus};
 pub use zipf::ZipfSampler;

@@ -14,7 +14,7 @@
 //! exactly the 'although' effect.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use zerber_index::cost::QueryWorkload;
 use zerber_index::{CorpusStats, TermId};
@@ -195,173 +195,6 @@ impl QueryLog {
     }
 }
 
-/// The shape of one replayed query. Byte-for-byte the serving layer's
-/// shape encoding (`Terms = 0`, `And = 1`, `Phrase = 2`) but defined
-/// here so the corpus generators stay leaf-level — the serving crates
-/// depend on corpora, never the reverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryShape {
-    /// Disjunctive bag-of-words ranking.
-    Terms,
-    /// Conjunctive: every term must match.
-    And,
-    /// Exact phrase over consecutive canonical positions.
-    Phrase,
-}
-
-impl QueryShape {
-    /// The wire byte the serving layer's shape enum uses.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            QueryShape::Terms => 0,
-            QueryShape::And => 1,
-            QueryShape::Phrase => 2,
-        }
-    }
-}
-
-/// One shaped query: a shape plus its term list (list order is phrase
-/// order for [`QueryShape::Phrase`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShapedQuery {
-    /// How the terms combine.
-    pub shape: QueryShape,
-    /// The query terms.
-    pub terms: Vec<TermId>,
-}
-
-/// Shaped-query-log parameters: the flat generator's popularity model
-/// ([`QueryLogConfig`] — its `zipf_exponent` is the workload's `s`
-/// parameter) plus a shape mix, a vocabulary slice, and phrase sizing.
-#[derive(Debug, Clone)]
-pub struct ShapedLogConfig {
-    /// Term-popularity model (Zipf `s`, rank noise, seed, query count).
-    pub base: QueryLogConfig,
-    /// Relative weights of the `[Terms, And, Phrase]` shapes.
-    pub shape_mix: [u32; 3],
-    /// Candidate-pool slice `[lo, hi)` as fractions of the noisy
-    /// popularity ranking: `(0.0, 1.0)` replays the whole pool,
-    /// `(0.0, 0.05)` only head terms (a cache-friendly workload),
-    /// `(0.5, 1.0)` only the tail.
-    pub vocab_slice: (f64, f64),
-    /// Inclusive phrase length bounds `[min, max]`.
-    pub phrase_len: (usize, usize),
-}
-
-impl Default for ShapedLogConfig {
-    fn default() -> Self {
-        Self {
-            base: QueryLogConfig::default(),
-            shape_mix: [6, 3, 1],
-            vocab_slice: (0.0, 1.0),
-            phrase_len: (2, 3),
-        }
-    }
-}
-
-impl ShapedLogConfig {
-    /// A deliberately small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            base: QueryLogConfig::tiny(),
-            ..Self::default()
-        }
-    }
-}
-
-/// A generated shaped query log — the serving benchmark's replay input.
-#[derive(Debug, Clone)]
-pub struct ShapedQueryLog {
-    /// The queries, in replay order.
-    pub queries: Vec<ShapedQuery>,
-}
-
-impl ShapedQueryLog {
-    /// Generates a shaped log against corpus statistics. Term
-    /// popularity is Zipf over the noisy DF ranking exactly like
-    /// [`QueryLog::generate`]; each query first draws its shape from
-    /// `shape_mix`, then its terms from the `vocab_slice` of the
-    /// candidate pool. Phrases are runs of *consecutive term ids*
-    /// starting at a sampled term — the shape the canonical position
-    /// convention (ascending term-id runs) makes matchable.
-    pub fn generate(config: &ShapedLogConfig, stats: &CorpusStats) -> Self {
-        let base = &config.base;
-        assert!(base.mean_terms_per_query >= 1.0, "queries have >= 1 term");
-        let (lo_frac, hi_frac) = config.vocab_slice;
-        assert!(
-            (0.0..=1.0).contains(&lo_frac) && (0.0..=1.0).contains(&hi_frac) && lo_frac < hi_frac,
-            "vocab_slice must satisfy 0 <= lo < hi <= 1"
-        );
-        let (min_phrase, max_phrase) = config.phrase_len;
-        assert!(
-            (1..=max_phrase).contains(&min_phrase),
-            "phrase_len must satisfy 1 <= min <= max"
-        );
-        let mix_total: u32 = config.shape_mix.iter().sum();
-        assert!(mix_total > 0, "shape_mix must have positive weight");
-
-        let mut rng = StdRng::seed_from_u64(base.seed);
-        let ranking = noisy_query_ranking(base, stats, &mut rng);
-        assert!(!ranking.is_empty(), "no candidate query terms");
-        let lo = ((ranking.len() as f64) * lo_frac) as usize;
-        let hi = (((ranking.len() as f64) * hi_frac).ceil() as usize).min(ranking.len());
-        let pool = &ranking[lo.min(hi.saturating_sub(1))..hi];
-        let popularity = ZipfSampler::new(pool.len(), base.zipf_exponent);
-        let vocabulary = stats.term_count() as u32;
-
-        let mut queries = Vec::with_capacity(base.num_queries);
-        for _ in 0..base.num_queries {
-            let roll = (rng.random::<f64>() * f64::from(mix_total)) as u32;
-            let shape = if roll < config.shape_mix[0] {
-                QueryShape::Terms
-            } else if roll < config.shape_mix[0] + config.shape_mix[1] {
-                QueryShape::And
-            } else {
-                QueryShape::Phrase
-            };
-            let terms = match shape {
-                QueryShape::Terms | QueryShape::And => {
-                    let extra = crate::zipf::poisson(base.mean_terms_per_query - 1.0, &mut rng);
-                    sample_distinct(pool, &popularity, (1 + extra) as usize, &mut rng)
-                }
-                QueryShape::Phrase => {
-                    let start = pool[popularity.sample(&mut rng)];
-                    let span = max_phrase - min_phrase + 1;
-                    let len = min_phrase + (rng.random::<f64>() * span as f64) as usize;
-                    (0..len as u32)
-                        .map_while(|offset| {
-                            let id = start.0.checked_add(offset)?;
-                            (id < vocabulary).then_some(TermId(id))
-                        })
-                        .collect()
-                }
-            };
-            queries.push(ShapedQuery { shape, terms });
-        }
-        Self { queries }
-    }
-
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// True iff the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// How many queries have each shape, in `[Terms, And, Phrase]`
-    /// order.
-    pub fn shape_counts(&self) -> [usize; 3] {
-        let mut counts = [0usize; 3];
-        for query in &self.queries {
-            counts[query.shape.as_u8() as usize] += 1;
-        }
-        counts
-    }
-}
-
 /// Rank correlation (Spearman's ρ over shared terms) between document
 /// frequency and query frequency — used to validate the generator
 /// against the paper's "these are correlated" observation.
@@ -500,77 +333,5 @@ mod tests {
         let a = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
         let b = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
         assert_eq!(a.queries, b.queries);
-    }
-
-    #[test]
-    fn shaped_generation_is_deterministic_and_covers_the_mix() {
-        let stats = zipf_stats(2_000);
-        let a = ShapedQueryLog::generate(&ShapedLogConfig::tiny(), &stats);
-        let b = ShapedQueryLog::generate(&ShapedLogConfig::tiny(), &stats);
-        assert_eq!(a.queries, b.queries, "same seed, same log");
-        let counts = a.shape_counts();
-        assert_eq!(counts.iter().sum::<usize>(), a.len());
-        for (shape, count) in ["terms", "and", "phrase"].iter().zip(counts) {
-            assert!(count > 0, "{shape} never drawn from the default mix");
-        }
-        // Terms and And queries never repeat a term (phrases may: a
-        // run can legitimately revisit an id only via wrap, which
-        // consecutive construction excludes — so check those too).
-        for query in &a.queries {
-            let mut sorted: Vec<u32> = query.terms.iter().map(|t| t.0).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), query.terms.len(), "{query:?}");
-        }
-    }
-
-    #[test]
-    fn shaped_phrases_are_consecutive_runs() {
-        let stats = zipf_stats(2_000);
-        let log = ShapedQueryLog::generate(&ShapedLogConfig::tiny(), &stats);
-        let config = ShapedLogConfig::tiny();
-        for query in log.queries.iter().filter(|q| q.shape == QueryShape::Phrase) {
-            assert!(
-                (config.phrase_len.0..=config.phrase_len.1).contains(&query.terms.len())
-                    // Runs clipped at the vocabulary edge may fall short.
-                    || query.terms.len() < config.phrase_len.0,
-                "{query:?}"
-            );
-            for pair in query.terms.windows(2) {
-                assert_eq!(
-                    pair[1].0,
-                    pair[0].0 + 1,
-                    "phrase not consecutive: {query:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vocab_slice_restricts_the_candidate_pool() {
-        let stats = zipf_stats(2_000);
-        let whole = ShapedQueryLog::generate(&ShapedLogConfig::tiny(), &stats);
-        let head = ShapedQueryLog::generate(
-            &ShapedLogConfig {
-                vocab_slice: (0.0, 0.02),
-                ..ShapedLogConfig::tiny()
-            },
-            &stats,
-        );
-        let distinct = |log: &ShapedQueryLog| {
-            let mut seen = std::collections::HashSet::new();
-            // Count only sampled terms; phrase runs extend beyond the
-            // pool by construction.
-            for q in log.queries.iter().filter(|q| q.shape != QueryShape::Phrase) {
-                seen.extend(q.terms.iter().copied());
-            }
-            seen.len()
-        };
-        assert!(
-            distinct(&head) < distinct(&whole) / 2,
-            "head slice should shrink the sampled vocabulary: {} vs {}",
-            distinct(&head),
-            distinct(&whole)
-        );
     }
 }

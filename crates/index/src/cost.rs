@@ -1,4 +1,4 @@
-//! The disk cost model and workload cost of formula (6).
+//! The workload cost of formula (6).
 //!
 //! Section 7.4: "The time to scan a posting list is the sum of the seek
 //! time … and the transfer time (the time to read the posting list). …
@@ -83,34 +83,6 @@ pub fn unmerged_workload_cost(df: &[u64], workload: &QueryWorkload) -> u128 {
         .sum()
 }
 
-/// A simple seek+transfer disk model for absolute (rather than
-/// relative) cost estimates: `seek_ms + elements * per_element_ms`.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskModel {
-    /// Positioning cost per posting-list scan, in milliseconds.
-    pub seek_ms: f64,
-    /// Transfer cost per posting element, in milliseconds.
-    pub per_element_ms: f64,
-}
-
-impl Default for DiskModel {
-    fn default() -> Self {
-        // Commodity 2008-era disk: ~8 ms average seek; sequential
-        // transfer of small (8-byte) elements at ~60 MB/s.
-        Self {
-            seek_ms: 8.0,
-            per_element_ms: 8.0 / (60.0 * 1024.0 * 1024.0) * 1000.0,
-        }
-    }
-}
-
-impl DiskModel {
-    /// Time to scan one posting list of `elements` elements.
-    pub fn scan_ms(&self, elements: usize) -> f64 {
-        self.seek_ms + elements as f64 * self.per_element_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,15 +144,5 @@ mod tests {
             vec![tid(1), tid(2), tid(0), tid(3)]
         );
         assert_eq!(workload.total(), 22);
-    }
-
-    #[test]
-    fn disk_model_is_affine_in_elements() {
-        let model = DiskModel {
-            seek_ms: 10.0,
-            per_element_ms: 0.5,
-        };
-        assert!((model.scan_ms(0) - 10.0).abs() < 1e-12);
-        assert!((model.scan_ms(100) - 60.0).abs() < 1e-12);
     }
 }

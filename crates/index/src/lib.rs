@@ -15,8 +15,7 @@
 //!   in `zerber-segment`,
 //! * [`stats`] — corpus statistics: document frequencies and the
 //!   normalized term-occurrence probability `p_t` of formula (2),
-//! * [`cost`] — the disk cost model of Section 7.4 and the workload
-//!   cost `Q` of formula (6),
+//! * [`cost`] — the workload cost `Q` of formula (6),
 //! * [`topk`] — TF-IDF scoring and the Fagin-style Threshold Algorithm
 //!   used for client-side ranking (Section 5.4.2),
 //! * [`cursor`] — the lazy decode-on-demand query pipeline:

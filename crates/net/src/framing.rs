@@ -36,10 +36,10 @@
 //! envelope in the in-process transport, which the
 //! paper's bandwidth model also excludes (it sizes payloads only).
 
-use bytes::{Buf, BufMut};
+use std::io::{self, Read};
 
 use crate::bandwidth::NodeId;
-use crate::message::AuthToken;
+use crate::message::{put_u32, put_u64, take, AuthToken};
 
 /// Upper bound on one frame's body, rejecting absurd length prefixes
 /// (a corrupted or hostile length would otherwise ask the reader to
@@ -48,6 +48,10 @@ pub const MAX_FRAME_BODY: usize = 64 << 20;
 
 /// Fixed framing overhead per frame: length prefix + CRC.
 pub const FRAME_OVERHEAD: usize = 4 + 4;
+
+/// The longer of the two headers (a request's): kind, id, node, auth,
+/// trace.
+const MAX_HEADER: usize = 1 + 8 + 5 + 8 + 8;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
@@ -86,9 +90,13 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One reassembled frame.
+/// One frame, holding its payload as `P`: its own bytes by default
+/// (`Frame`), or — a [`FrameRef`] — a borrow of the buffer a sender
+/// already holds or of the stream buffer a [`FrameDecoder`] read the
+/// frame into, so that writing or reading one costs a single copy of
+/// the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<P = Vec<u8>> {
     /// Client → peer: an RPC request envelope.
     Request {
         /// Correlation id, echoed by the response.
@@ -100,83 +108,101 @@ pub enum Frame {
         /// The caller's query-trace id (zero = untraced).
         trace: u64,
         /// Encoded request [`crate::Message`] bytes.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Peer → client: the response to the request with the same id.
     Response {
         /// Correlation id of the request being answered.
         id: u64,
         /// Encoded response [`crate::Message`] bytes.
-        payload: Vec<u8>,
+        payload: P,
     },
 }
 
-impl Frame {
-    /// Serializes the frame (length prefix + body + CRC).
+/// A [`Frame`] whose payload lives elsewhere.
+pub type FrameRef<'a> = Frame<&'a [u8]>;
+
+impl<P: AsRef<[u8]>> Frame<P> {
+    /// Serializes the frame (length prefix + body + CRC) into one
+    /// buffer of its final size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32 + self.payload().len());
+        let payload = self.payload();
+        let mut out = Vec::with_capacity(FRAME_OVERHEAD + MAX_HEADER + payload.len());
+        // The length prefix counts body + CRC; written last.
+        put_u32(&mut out, 0);
         match self {
             Frame::Request {
                 id,
                 from,
                 auth,
                 trace,
-                payload,
+                ..
             } => {
-                body.put_u8(KIND_REQUEST);
-                body.put_u64(*id);
-                put_node(&mut body, *from);
-                body.put_u64(auth.0);
-                body.put_u64(*trace);
-                body.extend_from_slice(payload);
+                out.push(KIND_REQUEST);
+                put_u64(&mut out, *id);
+                put_node(&mut out, *from);
+                put_u64(&mut out, auth.0);
+                put_u64(&mut out, *trace);
             }
-            Frame::Response { id, payload } => {
-                body.put_u8(KIND_RESPONSE);
-                body.put_u64(*id);
-                body.extend_from_slice(payload);
+            Frame::Response { id, .. } => {
+                out.push(KIND_RESPONSE);
+                put_u64(&mut out, *id);
             }
         }
-        let mut out = Vec::with_capacity(FRAME_OVERHEAD + body.len());
-        out.put_u32((body.len() + 4) as u32);
-        let crc = crc32(&body);
-        out.extend_from_slice(&body);
-        out.put_u32(crc);
+        out.extend_from_slice(payload);
+        let crc = crc32(&out[4..]);
+        put_u32(&mut out, crc);
+        let framed_len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&framed_len.to_be_bytes());
         out
     }
 
     /// The encoded [`crate::Message`] bytes this frame carries.
     pub fn payload(&self) -> &[u8] {
         match self {
-            Frame::Request { payload, .. } | Frame::Response { payload, .. } => payload,
+            Frame::Request { payload, .. } | Frame::Response { payload, .. } => payload.as_ref(),
+        }
+    }
+}
+
+impl<'a> FrameRef<'a> {
+    /// The same frame holding its own copy of the payload.
+    pub fn to_frame(&self) -> Frame {
+        match *self {
+            Frame::Request {
+                id,
+                from,
+                auth,
+                trace,
+                payload,
+            } => Frame::Request {
+                id,
+                from,
+                auth,
+                trace,
+                payload: payload.to_vec(),
+            },
+            Frame::Response { id, payload } => Frame::Response {
+                id,
+                payload: payload.to_vec(),
+            },
         }
     }
 
-    fn decode_body(mut body: &[u8]) -> Result<Frame, FrameError> {
-        if body.is_empty() {
-            return Err(FrameError::Malformed);
-        }
-        let kind = body.get_u8();
+    fn decode_body(mut body: &'a [u8]) -> Result<Self, FrameError> {
+        let [kind] = take(&mut body).ok_or(FrameError::Malformed)?;
         match kind {
-            KIND_REQUEST => {
-                let id = take_u64(&mut body)?;
-                let from = take_node(&mut body)?;
-                let auth = AuthToken(take_u64(&mut body)?);
-                let trace = take_u64(&mut body)?;
-                Ok(Frame::Request {
-                    id,
-                    from,
-                    auth,
-                    trace,
-                    payload: body.to_vec(),
-                })
-            }
-            KIND_RESPONSE => {
-                let id = take_u64(&mut body)?;
-                Ok(Frame::Response {
-                    id,
-                    payload: body.to_vec(),
-                })
-            }
+            KIND_REQUEST => Ok(Frame::Request {
+                id: take_u64(&mut body)?,
+                from: take_node(&mut body)?,
+                auth: AuthToken(take_u64(&mut body)?),
+                trace: take_u64(&mut body)?,
+                payload: body,
+            }),
+            KIND_RESPONSE => Ok(Frame::Response {
+                id: take_u64(&mut body)?,
+                payload: body,
+            }),
             other => Err(FrameError::BadKind(other)),
         }
     }
@@ -188,16 +214,13 @@ fn put_node(buffer: &mut Vec<u8>, node: NodeId) {
         NodeId::Owner(i) => (NODE_OWNER, i),
         NodeId::IndexServer(i) => (NODE_SERVER, i),
     };
-    buffer.put_u8(tag);
-    buffer.put_u32(index);
+    buffer.push(tag);
+    put_u32(buffer, index);
 }
 
 fn take_node(buffer: &mut &[u8]) -> Result<NodeId, FrameError> {
-    if buffer.remaining() < 5 {
-        return Err(FrameError::Malformed);
-    }
-    let tag = buffer.get_u8();
-    let index = buffer.get_u32();
+    let [tag] = take(buffer).ok_or(FrameError::Malformed)?;
+    let index = u32::from_be_bytes(take(buffer).ok_or(FrameError::Malformed)?);
     match tag {
         NODE_USER => Ok(NodeId::User(index)),
         NODE_OWNER => Ok(NodeId::Owner(index)),
@@ -207,17 +230,17 @@ fn take_node(buffer: &mut &[u8]) -> Result<NodeId, FrameError> {
 }
 
 fn take_u64(buffer: &mut &[u8]) -> Result<u64, FrameError> {
-    if buffer.remaining() < 8 {
-        return Err(FrameError::Malformed);
-    }
-    Ok(buffer.get_u64())
+    take(buffer)
+        .map(u64::from_be_bytes)
+        .ok_or(FrameError::Malformed)
 }
 
 /// Incremental frame reassembly over an arbitrarily chunked byte
 /// stream.
 ///
-/// Feed whatever the socket read returned with [`FrameDecoder::push`]
-/// and drain complete frames with [`FrameDecoder::next_frame`]; bytes
+/// Feed it with [`FrameDecoder::read_from`] (a stream) or
+/// [`FrameDecoder::push`] (bytes already in hand) and drain complete
+/// frames with [`FrameDecoder::next_frame_ref`]; bytes
 /// split mid-frame (torn writes, small MTUs, byte-at-a-time reads)
 /// reassemble transparently. Any decode error is terminal for the
 /// stream: framing is stateful (a bad length prefix loses record
@@ -238,8 +261,39 @@ impl FrameDecoder {
 
     /// Appends raw stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by one
-        // frame plus one read's worth of bytes.
+        self.compact();
+        self.buffer.extend_from_slice(bytes);
+    }
+
+    /// Reads from `source`, straight into the reassembly buffer,
+    /// exactly the bytes the frame in progress still needs — the rest
+    /// of its length prefix, then the rest of the frame — so a payload
+    /// is not copied on its way in and nothing of the frame after it
+    /// is held. Blocks until they have arrived; `Ok(false)` means
+    /// `source` ended first. Look at [`FrameDecoder::next_frame_ref`]
+    /// after every call: that is where a bad length prefix is refused.
+    pub fn read_from(&mut self, source: &mut impl Read) -> io::Result<bool> {
+        self.compact();
+        // Never reserve for a length `next_frame_ref` will refuse.
+        let whole = self
+            .framed_len()
+            .map_or(4, |len| 4 + len.min(MAX_FRAME_BODY + 4));
+        let need = whole.saturating_sub(self.pending_bytes());
+        self.buffer.reserve(need);
+        let read = source.take(need as u64).read_to_end(&mut self.buffer)?;
+        Ok(read == need)
+    }
+
+    /// The length prefix of the frame in progress (it counts body +
+    /// trailing CRC), once its four bytes are in.
+    fn framed_len(&self) -> Option<usize> {
+        let prefix = self.buffer[self.consumed..].first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*prefix) as usize)
+    }
+
+    /// Drops the consumed prefix before the buffer grows: keeps it
+    /// bounded by one frame plus one read's worth of bytes.
+    fn compact(&mut self) {
         if self.consumed > 0 && self.consumed == self.buffer.len() {
             self.buffer.clear();
             self.consumed = 0;
@@ -247,25 +301,28 @@ impl FrameDecoder {
             self.buffer.drain(..self.consumed);
             self.consumed = 0;
         }
-        self.buffer.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed by a complete frame.
+    /// How many bytes are buffered but not yet consumed by a complete
+    /// frame.
     pub fn pending_bytes(&self) -> usize {
         self.buffer.len() - self.consumed
     }
 
-    /// Pops the next complete frame, `Ok(None)` if more bytes are
-    /// needed, or the terminal [`FrameError`] for this stream.
+    /// [`FrameDecoder::next_frame_ref`] with the payload copied out.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let pending = &self.buffer[self.consumed..];
-        if pending.len() < 4 {
+        Ok(self.next_frame_ref()?.map(|frame| frame.to_frame()))
+    }
+
+    /// Pops the next complete frame, its payload still in the
+    /// reassembly buffer; `Ok(None)` if more bytes are needed, or the
+    /// terminal [`FrameError`] for this stream.
+    pub fn next_frame_ref(&mut self) -> Result<Option<FrameRef<'_>>, FrameError> {
+        let Some(framed_len) = self.framed_len() else {
             return Ok(None);
-        }
-        let framed_len =
-            u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        // The length prefix counts body + trailing CRC; reject before
-        // buffering anything near the bogus size.
+        };
+        let pending = &self.buffer[self.consumed..];
+        // Reject before buffering anything near a bogus size.
         if framed_len < 4 || framed_len - 4 > MAX_FRAME_BODY {
             return Err(FrameError::TooLarge(framed_len.saturating_sub(4)));
         }
@@ -282,7 +339,7 @@ impl FrameDecoder {
         if crc32(body) != stated {
             return Err(FrameError::Corrupt);
         }
-        let frame = Frame::decode_body(body)?;
+        let frame = FrameRef::decode_body(body)?;
         self.consumed += 4 + framed_len;
         Ok(Some(frame))
     }
@@ -340,6 +397,53 @@ mod tests {
                 assert_eq!(got, Some(frame.clone()));
             }
         }
+    }
+
+    /// A stream that hands out at most `chunk` bytes per read.
+    struct Trickle<'a> {
+        left: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.left.len().min(self.chunk).min(buf.len());
+            buf[..n].copy_from_slice(&self.left[..n]);
+            self.left = &self.left[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_stops_at_every_frame_boundary() {
+        let frames = [request(b"first"), request(b""), request(&[7u8; 300])];
+        let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        for chunk in [1, 3, 64, 4096] {
+            let mut source = Trickle {
+                left: &stream,
+                chunk,
+            };
+            let mut decoder = FrameDecoder::new();
+            let mut got = Vec::new();
+            while decoder.read_from(&mut source).unwrap() {
+                if let Some(frame) = decoder.next_frame_ref().unwrap() {
+                    got.push(frame.to_frame());
+                    assert_eq!(decoder.pending_bytes(), 0, "nothing of the next frame");
+                }
+            }
+            assert_eq!(got, frames, "chunks of {chunk}");
+        }
+        // A stream that ends mid-frame reports the end, not a frame.
+        let mut torn = Trickle {
+            left: &stream[..stream.len() - 1],
+            chunk: 64,
+        };
+        let mut decoder = FrameDecoder::new();
+        let mut whole = 0;
+        while decoder.read_from(&mut torn).unwrap() {
+            whole += usize::from(decoder.next_frame_ref().unwrap().is_some());
+        }
+        assert_eq!(whole, 2);
     }
 
     #[test]

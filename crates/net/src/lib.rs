@@ -27,10 +27,7 @@ pub mod message;
 pub mod sizes;
 
 pub use bandwidth::{LinkSpec, NodeId, TrafficMeter};
-/// Re-exported so message constructors (e.g. the repair frames'
-/// payloads) can be built without a direct `bytes` dependency.
-pub use bytes::Bytes;
 pub use entropy::entropy_bits_per_byte;
-pub use framing::{Frame, FrameDecoder, FrameError};
+pub use framing::{Frame, FrameDecoder, FrameError, FrameRef};
 pub use message::{AuthToken, Message, ShareColumns, StoredShare, WireDocument, WireError};
 pub use sizes::SizeModel;

@@ -56,8 +56,6 @@
 //!   metadata: readers seek (`advance_to`) and prune (block-max
 //!   top-k) from the block index without decoding payloads.
 
-use bytes::{Buf, BufMut, Bytes};
-
 use zerber_core::{ElementId, PlId};
 use zerber_field::{Fp, MODULUS};
 use zerber_index::{DocId, GroupId, TermId};
@@ -344,7 +342,7 @@ pub enum Message {
         /// CRC32 of `payload`.
         crc: u32,
         /// The file bytes.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// Repair controller → rebuilding replica: install one snapshot
     /// file into the shard's staging directory (tmp + fsync + rename,
@@ -364,7 +362,7 @@ pub enum Message {
         /// True on the final frame: cut over and start serving.
         commit: bool,
         /// The file bytes (empty for control frames).
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// Membership prober → peer: liveness probe. Any reachable peer
     /// answers [`Message::Pong`] regardless of role.
@@ -446,41 +444,44 @@ const TAG_PONG: u8 = 22;
 const TAG_SHARE_COLUMNS: u8 = 23;
 
 impl Message {
-    /// Serializes the message.
-    pub fn encode(&self) -> Bytes {
-        let mut buffer: Vec<u8> = Vec::new();
+    /// Serializes the message into the buffer a transport sends: the
+    /// caller owns it and nothing downstream needs another type.
+    pub fn encode(&self) -> Vec<u8> {
+        // Room for a query and its top-10 answer: the frames of the
+        // read path never regrow, the bulky ones grow or reserve below.
+        let mut buffer: Vec<u8> = Vec::with_capacity(256);
         match self {
             Message::InsertBatch { entries } => {
-                buffer.put_u8(TAG_INSERT);
-                buffer.put_u32(entries.len() as u32);
+                buffer.push(TAG_INSERT);
+                put_u32(&mut buffer, entries.len() as u32);
                 for (pl, share) in entries {
-                    buffer.put_u32(pl.0);
+                    put_u32(&mut buffer, pl.0);
                     put_share(&mut buffer, share);
                 }
             }
             Message::Delete { elements } => {
-                buffer.put_u8(TAG_DELETE);
-                buffer.put_u32(elements.len() as u32);
+                buffer.push(TAG_DELETE);
+                put_u32(&mut buffer, elements.len() as u32);
                 for (pl, element) in elements {
-                    buffer.put_u32(pl.0);
-                    buffer.put_u64(element.0);
+                    put_u32(&mut buffer, pl.0);
+                    put_u64(&mut buffer, element.0);
                 }
             }
             Message::Query { auth, pl_ids } => {
-                buffer.put_u8(TAG_QUERY);
-                buffer.put_u64(auth.0);
-                buffer.put_u32(pl_ids.len() as u32);
+                buffer.push(TAG_QUERY);
+                put_u64(&mut buffer, auth.0);
+                put_u32(&mut buffer, pl_ids.len() as u32);
                 for pl in pl_ids {
-                    buffer.put_u32(pl.0);
+                    put_u32(&mut buffer, pl.0);
                 }
             }
             Message::QueryResponse { lists } => {
                 // A delta-coded id rarely needs more than two bytes.
                 buffer.reserve(5 + lists.iter().map(|list| 9 + 10 * list.len()).sum::<usize>());
-                buffer.put_u8(TAG_SHARE_COLUMNS);
-                buffer.put_u32(lists.len() as u32);
+                buffer.push(TAG_SHARE_COLUMNS);
+                put_u32(&mut buffer, lists.len() as u32);
                 for list in lists {
-                    buffer.put_u32(list.pl.0);
+                    put_u32(&mut buffer, list.pl.0);
                     encode_column_into(&list.elements, &mut buffer);
                     let column = buffer.len();
                     buffer.resize(column + 8 * list.shares.len(), 0);
@@ -496,15 +497,15 @@ impl Message {
                 terms,
                 k,
             } => {
-                buffer.put_u8(TAG_PLAN_QUERY);
-                buffer.put_u32(*shard);
-                buffer.put_u8(*shape);
-                buffer.put_u8(*forced);
-                buffer.put_u32(*k);
-                buffer.put_u32(terms.len() as u32);
+                buffer.push(TAG_PLAN_QUERY);
+                put_u32(&mut buffer, *shard);
+                buffer.push(*shape);
+                buffer.push(*forced);
+                put_u32(&mut buffer, *k);
+                put_u32(&mut buffer, terms.len() as u32);
                 for (term, weight) in terms {
-                    buffer.put_u32(term.0);
-                    buffer.put_u64(weight.to_bits());
+                    put_u32(&mut buffer, term.0);
+                    put_u64(&mut buffer, weight.to_bits());
                 }
             }
             Message::TopKResponse {
@@ -513,78 +514,78 @@ impl Message {
                 blocks_total,
                 candidates,
             } => {
-                buffer.put_u8(TAG_TOPK_RESPONSE);
-                buffer.put_u64(*decode_ns);
-                buffer.put_u32(*blocks_decoded);
-                buffer.put_u32(*blocks_total);
-                buffer.put_u32(candidates.len() as u32);
+                buffer.push(TAG_TOPK_RESPONSE);
+                put_u64(&mut buffer, *decode_ns);
+                put_u32(&mut buffer, *blocks_decoded);
+                put_u32(&mut buffer, *blocks_total);
+                put_u32(&mut buffer, candidates.len() as u32);
                 for (doc, score) in candidates {
-                    buffer.put_u32(doc.0);
-                    buffer.put_u64(score.to_bits());
+                    put_u32(&mut buffer, doc.0);
+                    put_u64(&mut buffer, score.to_bits());
                 }
             }
             Message::IndexDocs { shard, docs } => {
-                buffer.put_u8(TAG_INDEX_DOCS);
-                buffer.put_u32(*shard);
-                buffer.put_u32(docs.len() as u32);
+                buffer.push(TAG_INDEX_DOCS);
+                put_u32(&mut buffer, *shard);
+                put_u32(&mut buffer, docs.len() as u32);
                 for doc in docs {
                     put_wire_document(&mut buffer, doc);
                 }
             }
             Message::BulkLoad { shard, docs } => {
-                buffer.put_u8(TAG_BULK_LOAD);
-                buffer.put_u32(*shard);
-                buffer.put_u32(docs.len() as u32);
+                buffer.push(TAG_BULK_LOAD);
+                put_u32(&mut buffer, *shard);
+                put_u32(&mut buffer, docs.len() as u32);
                 for doc in docs {
                     put_wire_document(&mut buffer, doc);
                 }
             }
             Message::RemoveDoc { shard, doc } => {
-                buffer.put_u8(TAG_REMOVE_DOC);
-                buffer.put_u32(*shard);
-                buffer.put_u32(doc.0);
+                buffer.push(TAG_REMOVE_DOC);
+                put_u32(&mut buffer, *shard);
+                put_u32(&mut buffer, doc.0);
             }
             Message::InsertOk => {
-                buffer.put_u8(TAG_INSERT_OK);
+                buffer.push(TAG_INSERT_OK);
             }
             Message::DeleteOk { removed } => {
-                buffer.put_u8(TAG_DELETE_OK);
-                buffer.put_u64(*removed);
+                buffer.push(TAG_DELETE_OK);
+                put_u64(&mut buffer, *removed);
             }
             Message::Fault { code, group } => {
-                buffer.put_u8(TAG_FAULT);
-                buffer.put_u8(*code);
-                buffer.put_u32(group.0);
+                buffer.push(TAG_FAULT);
+                buffer.push(*code);
+                put_u32(&mut buffer, group.0);
             }
             Message::PrepareSnapshot { shard } => {
-                buffer.put_u8(TAG_PREPARE_SNAPSHOT);
-                buffer.put_u32(*shard);
+                buffer.push(TAG_PREPARE_SNAPSHOT);
+                put_u32(&mut buffer, *shard);
             }
             Message::SnapshotManifest {
                 shard,
                 epoch,
                 files,
             } => {
-                buffer.put_u8(TAG_SNAPSHOT_MANIFEST);
-                buffer.put_u32(*shard);
-                buffer.put_u64(*epoch);
-                buffer.put_u32(files.len() as u32);
+                buffer.push(TAG_SNAPSHOT_MANIFEST);
+                put_u32(&mut buffer, *shard);
+                put_u64(&mut buffer, *epoch);
+                put_u32(&mut buffer, files.len() as u32);
                 for (name, len, crc) in files {
                     put_string(&mut buffer, name);
-                    buffer.put_u64(*len);
-                    buffer.put_u32(*crc);
+                    put_u64(&mut buffer, *len);
+                    put_u32(&mut buffer, *crc);
                 }
             }
             Message::FetchSegment { shard, name } => {
-                buffer.put_u8(TAG_FETCH_SEGMENT);
-                buffer.put_u32(*shard);
+                buffer.push(TAG_FETCH_SEGMENT);
+                put_u32(&mut buffer, *shard);
                 put_string(&mut buffer, name);
             }
             Message::SegmentData { crc, payload } => {
-                buffer.put_u8(TAG_SEGMENT_DATA);
-                buffer.put_u32(*crc);
-                buffer.put_u32(payload.len() as u32);
-                buffer.put_slice(payload);
+                buffer.push(TAG_SEGMENT_DATA);
+                put_u32(&mut buffer, *crc);
+                put_u32(&mut buffer, payload.len() as u32);
+                buffer.extend_from_slice(payload);
             }
             Message::InstallShard {
                 shard,
@@ -594,31 +595,28 @@ impl Message {
                 commit,
                 payload,
             } => {
-                buffer.put_u8(TAG_INSTALL_SHARD);
-                buffer.put_u32(*shard);
-                buffer.put_u64(*epoch);
+                buffer.push(TAG_INSTALL_SHARD);
+                put_u32(&mut buffer, *shard);
+                put_u64(&mut buffer, *epoch);
                 put_string(&mut buffer, name);
-                buffer.put_u32(*crc);
-                buffer.put_u8(u8::from(*commit));
-                buffer.put_u32(payload.len() as u32);
-                buffer.put_slice(payload);
+                put_u32(&mut buffer, *crc);
+                buffer.push(u8::from(*commit));
+                put_u32(&mut buffer, payload.len() as u32);
+                buffer.extend_from_slice(payload);
             }
             Message::Ping => {
-                buffer.put_u8(TAG_PING);
+                buffer.push(TAG_PING);
             }
             Message::Pong => {
-                buffer.put_u8(TAG_PONG);
+                buffer.push(TAG_PONG);
             }
         }
-        Bytes::from(buffer)
+        buffer
     }
 
     /// Deserializes a message.
     pub fn decode(mut buffer: &[u8]) -> Result<Self, WireError> {
-        if buffer.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let tag = buffer.get_u8();
+        let tag = read_u8(&mut buffer)?;
         match tag {
             TAG_INSERT => {
                 let count = read_u32(&mut buffer)? as usize;
@@ -653,7 +651,7 @@ impl Message {
                 // left before anything is allocated for it: a list is
                 // at least its id and an empty column's count byte.
                 let list_count = read_u32(&mut buffer)? as usize;
-                if list_count > buffer.remaining() / 5 {
+                if list_count > buffer.len() / 5 {
                     return Err(WireError::Truncated);
                 }
                 let mut lists = Vec::with_capacity(list_count);
@@ -662,14 +660,14 @@ impl Message {
                     // A row is at least one id byte and eight share
                     // bytes; the id column leads with its row count.
                     let rows = varint::read_u64(buffer).map_or(0, |(rows, _)| rows);
-                    if rows > (buffer.remaining() / 9) as u64 {
+                    if rows > (buffer.len() / 9) as u64 {
                         return Err(WireError::Truncated);
                     }
                     let (elements, used) = decode_column_prefix(buffer)
                         .ok_or(WireError::Malformed("id column does not decode"))?;
-                    buffer.advance(used);
+                    buffer = &buffer[used..];
                     let share_bytes = elements.len() * 8;
-                    if buffer.remaining() < share_bytes {
+                    if buffer.len() < share_bytes {
                         return Err(WireError::Truncated);
                     }
                     // `Fp::new` would quietly reduce a value ≥ p; on
@@ -681,7 +679,7 @@ impl Message {
                         return Err(WireError::Malformed("y-share not below the modulus"));
                     }
                     let shares = column.map(|bytes| Fp::from_canonical(y(bytes))).collect();
-                    buffer.advance(share_bytes);
+                    buffer = &buffer[share_bytes..];
                     lists.push(ShareColumns {
                         pl,
                         elements,
@@ -695,11 +693,8 @@ impl Message {
             }
             TAG_PLAN_QUERY => {
                 let shard = read_u32(&mut buffer)?;
-                if buffer.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let shape = buffer.get_u8();
-                let forced = buffer.get_u8();
+                let shape = read_u8(&mut buffer)?;
+                let forced = read_u8(&mut buffer)?;
                 let k = read_u32(&mut buffer)?;
                 let count = read_u32(&mut buffer)? as usize;
                 let mut terms = Vec::with_capacity(count.min(1 << 20));
@@ -751,10 +746,7 @@ impl Message {
                 removed: read_u64(&mut buffer)?,
             }),
             TAG_FAULT => {
-                if buffer.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                let code = buffer.get_u8();
+                let code = read_u8(&mut buffer)?;
                 let group = GroupId(read_u32(&mut buffer)?);
                 Ok(Message::Fault { code, group })
             }
@@ -785,7 +777,7 @@ impl Message {
             }
             TAG_SEGMENT_DATA => {
                 let crc = read_u32(&mut buffer)?;
-                let payload = read_bytes(&mut buffer)?;
+                let payload = read_slice(&mut buffer)?.to_vec();
                 Ok(Message::SegmentData { crc, payload })
             }
             TAG_INSTALL_SHARD => {
@@ -793,11 +785,8 @@ impl Message {
                 let epoch = read_u64(&mut buffer)?;
                 let name = read_string(&mut buffer)?;
                 let crc = read_u32(&mut buffer)?;
-                if buffer.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                let commit = buffer.get_u8() != 0;
-                let payload = read_bytes(&mut buffer)?;
+                let commit = read_u8(&mut buffer)? != 0;
+                let payload = read_slice(&mut buffer)?.to_vec();
                 Ok(Message::InstallShard {
                     shard,
                     epoch,
@@ -815,13 +804,13 @@ impl Message {
 }
 
 fn put_wire_document(buffer: &mut Vec<u8>, doc: &WireDocument) {
-    buffer.put_u32(doc.doc.0);
-    buffer.put_u32(doc.group.0);
-    buffer.put_u32(doc.length);
-    buffer.put_u32(doc.terms.len() as u32);
+    put_u32(buffer, doc.doc.0);
+    put_u32(buffer, doc.group.0);
+    put_u32(buffer, doc.length);
+    put_u32(buffer, doc.terms.len() as u32);
     for (term, count) in &doc.terms {
-        buffer.put_u32(term.0);
-        buffer.put_u32(*count);
+        put_u32(buffer, term.0);
+        put_u32(buffer, *count);
     }
 }
 
@@ -838,9 +827,9 @@ fn read_document_batch(buffer: &mut &[u8]) -> Result<(u32, Vec<WireDocument>), W
         let term_count = read_u32(buffer)? as usize;
         let mut terms = Vec::with_capacity(term_count.min(1 << 20));
         for _ in 0..term_count {
-            let term = TermId(read_u32(buffer)?);
-            let count = read_u32(buffer)?;
-            terms.push((term, count));
+            // One read per `term u32 | count u32` pair.
+            let pair = read_u64(buffer)?;
+            terms.push((TermId((pair >> 32) as u32), pair as u32));
         }
         docs.push(WireDocument {
             doc,
@@ -853,47 +842,61 @@ fn read_document_batch(buffer: &mut &[u8]) -> Result<(u32, Vec<WireDocument>), W
 }
 
 fn put_share(buffer: &mut Vec<u8>, share: &StoredShare) {
-    buffer.put_u64(share.element.0);
-    buffer.put_u32(share.group.0);
-    buffer.put_u64(share.share.value());
+    put_u64(buffer, share.element.0);
+    put_u32(buffer, share.group.0);
+    put_u64(buffer, share.share.value());
+}
+
+pub(crate) fn put_u32(buffer: &mut Vec<u8>, value: u32) {
+    buffer.extend_from_slice(&value.to_be_bytes());
+}
+
+pub(crate) fn put_u64(buffer: &mut Vec<u8>, value: u64) {
+    buffer.extend_from_slice(&value.to_be_bytes());
+}
+
+/// Splits `N` bytes off the front of `buffer`; `None`, and nothing
+/// consumed, if fewer are left. Every integer this crate reads off the
+/// wire — big-endian, like the ones it writes — comes through here.
+pub(crate) fn take<const N: usize>(buffer: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buffer.split_first_chunk::<N>()?;
+    *buffer = rest;
+    Some(*head)
+}
+
+fn read_u8(buffer: &mut &[u8]) -> Result<u8, WireError> {
+    take(buffer).map(|[byte]| byte).ok_or(WireError::Truncated)
 }
 
 fn read_u32(buffer: &mut &[u8]) -> Result<u32, WireError> {
-    if buffer.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buffer.get_u32())
+    take(buffer)
+        .map(u32::from_be_bytes)
+        .ok_or(WireError::Truncated)
 }
 
 fn read_u64(buffer: &mut &[u8]) -> Result<u64, WireError> {
-    if buffer.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buffer.get_u64())
+    take(buffer)
+        .map(u64::from_be_bytes)
+        .ok_or(WireError::Truncated)
 }
 
 fn put_string(buffer: &mut Vec<u8>, value: &str) {
-    buffer.put_u32(value.len() as u32);
-    buffer.put_slice(value.as_bytes());
+    put_u32(buffer, value.len() as u32);
+    buffer.extend_from_slice(value.as_bytes());
 }
 
 fn read_string(buffer: &mut &[u8]) -> Result<String, WireError> {
-    let len = read_u32(buffer)? as usize;
-    if buffer.remaining() < len {
-        return Err(WireError::Truncated);
-    }
-    let value = String::from_utf8_lossy(&buffer[..len]).into_owned();
-    buffer.advance(len);
-    Ok(value)
+    Ok(String::from_utf8_lossy(read_slice(buffer)?).into_owned())
 }
 
-fn read_bytes(buffer: &mut &[u8]) -> Result<Bytes, WireError> {
+/// A `u32` length and that many bytes after it.
+fn read_slice<'a>(buffer: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
     let len = read_u32(buffer)? as usize;
-    if buffer.remaining() < len {
+    if buffer.len() < len {
         return Err(WireError::Truncated);
     }
-    let value = Bytes::copy_from_slice(&buffer[..len]);
-    buffer.advance(len);
+    let (value, rest) = buffer.split_at(len);
+    *buffer = rest;
     Ok(value)
 }
 
@@ -1167,7 +1170,7 @@ mod tests {
             },
             Message::SegmentData {
                 crc: 0xcafe_f00d,
-                payload: Bytes::from_static(b"segment bytes"),
+                payload: b"segment bytes".to_vec(),
             },
             Message::InstallShard {
                 shard: 3,
@@ -1175,7 +1178,7 @@ mod tests {
                 name: "seg-000001.zseg".to_string(),
                 crc: 0xcafe_f00d,
                 commit: false,
-                payload: Bytes::from_static(b"segment bytes"),
+                payload: b"segment bytes".to_vec(),
             },
             Message::InstallShard {
                 shard: 3,
@@ -1183,7 +1186,7 @@ mod tests {
                 name: String::new(),
                 crc: 0,
                 commit: true,
-                payload: Bytes::new(),
+                payload: Vec::new(),
             },
             Message::Ping,
             Message::Pong,

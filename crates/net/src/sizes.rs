@@ -21,13 +21,13 @@
 /// The byte-size model of the paper's accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeModel {
-    /// Bytes per ordinary-index posting element ("encoded using 64
-    /// bits" ⇒ 8).
+    /// Size in bytes of an ordinary-index posting element ("encoded
+    /// using 64 bits" ⇒ 8).
     pub plain_element_bytes: usize,
     /// Multiplier for the Zerber element's extra fields (term id in
     /// the merged set + global element id ⇒ ~1.5).
     pub zerber_element_factor: f64,
-    /// Bytes per result snippet ("about 250 B including XML
+    /// Size in bytes of a result snippet ("about 250 B including XML
     /// formatting").
     pub snippet_bytes: usize,
     /// Reference top-10 response sizes from the paper's measurements
@@ -47,7 +47,7 @@ impl Default for SizeModel {
 }
 
 impl SizeModel {
-    /// Bytes per Zerber posting element on one index server.
+    /// Size in bytes of a Zerber posting element on one index server.
     pub fn zerber_element_bytes(&self) -> usize {
         (self.plain_element_bytes as f64 * self.zerber_element_factor).round() as usize
     }
@@ -73,13 +73,13 @@ impl SizeModel {
         self.zerber_element_factor * n as f64
     }
 
-    /// Bytes shipped per query-term response of `elements` posting
-    /// elements, per the paper's 64-bit element accounting.
+    /// How many bytes a query-term response of `elements` posting
+    /// elements ships, per the paper's 64-bit element accounting.
     pub fn response_bytes(&self, elements: usize) -> usize {
         elements * self.plain_element_bytes
     }
 
-    /// Bytes a *baseline* (plaintext) engine ships for the same
+    /// How many bytes a *baseline* (plaintext) engine ships for the same
     /// response after posting-list compression at `compression_ratio`
     /// (raw/compressed, as measured by the `zerber-postings` codec on
     /// the corpus). Ratios below 1 are clamped: a real stack ships raw
@@ -92,7 +92,7 @@ impl SizeModel {
         (self.response_bytes(elements) as f64 / compression_ratio.max(1.0)).ceil() as usize
     }
 
-    /// Bytes one Zerber index server ships for a response of
+    /// How many bytes one Zerber index server ships for a response of
     /// `elements` share elements. Share columns are near-uniform bytes
     /// ("Zerber's element shares are almost random, so standard HTML
     /// compression is ineffective", Section 7.3), so they always go

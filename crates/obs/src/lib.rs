@@ -5,13 +5,10 @@
 //! * [`MetricsRegistry`] — a per-deployment registry of lock-cheap
 //!   instruments: [`Counter`] and [`Gauge`] (single relaxed atomics on
 //!   the hot path) and [`Histogram`] (fixed-bucket log-scale, four
-//!   sub-buckets per power of two, p50/p95/p99 readout). A runtime
-//!   kill switch ([`MetricsRegistry::set_enabled`]) turns every
-//!   `record`/`inc` into one relaxed load, so instrumented code can
-//!   stay permanently wired in. Registries are deliberately
-//!   *per-deployment* (not global): the test suite runs many
-//!   deployments concurrently in one process, and a process-global
-//!   registry would interleave their counters.
+//!   sub-buckets per power of two, p50/p95/p99 readout). Registries
+//!   are deliberately *per-deployment* (not global): the test suite
+//!   runs many deployments concurrently in one process, and a
+//!   process-global registry would interleave their counters.
 //! * [`MetricsSnapshot`] — a point-in-time copy of every instrument,
 //!   serializable to Prometheus text exposition format
 //!   ([`MetricsSnapshot::to_prometheus`]). Histogram snapshots

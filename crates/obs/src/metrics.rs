@@ -2,11 +2,10 @@
 //! histograms, and point-in-time snapshots.
 //!
 //! Hot-path cost model: every instrument holds an `Arc` to its own
-//! atomic state plus a shared kill switch. `inc`/`set`/`record` are
-//! one relaxed load (the switch) plus one or three relaxed RMWs; no
-//! locks are ever taken outside registration and snapshotting.
+//! atomic state. `inc`/`set`/`record` are one or three relaxed RMWs;
+//! no locks are ever taken outside registration and snapshotting.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of histogram buckets: values 0–3 get exact buckets, then
@@ -59,7 +58,6 @@ fn relock<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 struct CounterInner {
     name: String,
-    switch: Arc<AtomicBool>,
     value: AtomicU64,
 }
 
@@ -72,11 +70,9 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds `n` (no-op while the registry is disabled).
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.inner.switch.load(Ordering::Relaxed) {
-            self.inner.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -101,8 +97,7 @@ struct GaugeInner {
 }
 
 /// An instantaneous level (queue depth, in-flight requests, segment
-/// count). Unlike counters it may go down, and `set` applies even
-/// while disabled so levels never go stale across a kill-switch flip.
+/// count). Unlike counters it may go down.
 #[derive(Clone)]
 pub struct Gauge {
     inner: Arc<GaugeInner>,
@@ -142,7 +137,6 @@ impl Gauge {
 
 struct HistogramInner {
     name: String,
-    switch: Arc<AtomicBool>,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -157,11 +151,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation (no-op while the registry is disabled).
+    /// Records one observation.
     pub fn record(&self, value: u64) {
-        if !self.inner.switch.load(Ordering::Relaxed) {
-            return;
-        }
         self.inner.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
@@ -194,7 +185,6 @@ impl Histogram {
 }
 
 struct RegistryInner {
-    switch: Arc<AtomicBool>,
     counters: Mutex<Vec<Counter>>,
     gauges: Mutex<Vec<Gauge>>,
     histograms: Mutex<Vec<Histogram>>,
@@ -244,27 +234,15 @@ fn assert_metric_name(name: &str) {
 }
 
 impl MetricsRegistry {
-    /// A fresh, enabled registry.
+    /// A fresh registry.
     pub fn new() -> Self {
         Self {
             inner: Arc::new(RegistryInner {
-                switch: Arc::new(AtomicBool::new(true)),
                 counters: Mutex::new(Vec::new()),
                 gauges: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// The runtime kill switch: while disabled, every `inc`/`record`
-    /// is a single relaxed load and nothing is written.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.switch.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether instruments currently record.
-    pub fn enabled(&self) -> bool {
-        self.inner.switch.load(Ordering::Relaxed)
     }
 
     /// Registers (or retrieves) the counter named `name`.
@@ -277,7 +255,6 @@ impl MetricsRegistry {
         let counter = Counter {
             inner: Arc::new(CounterInner {
                 name: name.to_string(),
-                switch: Arc::clone(&self.inner.switch),
                 value: AtomicU64::new(0),
             }),
         };
@@ -312,7 +289,6 @@ impl MetricsRegistry {
         let histogram = Histogram {
             inner: Arc::new(HistogramInner {
                 name: name.to_string(),
-                switch: Arc::clone(&self.inner.switch),
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
@@ -530,23 +506,6 @@ mod tests {
         }
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn kill_switch_stops_recording() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("zerber_test_total");
-        let h = registry.histogram("zerber_test_ns");
-        c.inc();
-        h.record(10);
-        registry.set_enabled(false);
-        c.inc();
-        h.record(10);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.count(), 1);
-        registry.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 2);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! from its own clocks plus the per-stage numbers peers return on the
 //! wire), and this module renders them for the slow-query log and the
 //! flight recorder. No background collection thread exists — a trace
-//! costs exactly the allocations the assembling code performs, and
-//! nothing at all when the registry kill switch is off.
+//! costs exactly the allocations the assembling code performs.
 
 use std::fmt;
 use std::time::Duration;

@@ -163,7 +163,7 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
-    /// Bytes consumed so far (buffered-but-unread bits count as
+    /// How many bytes are consumed so far (buffered-but-unread bits count as
     /// consumed — call only at column boundaries after whole-byte
     /// alignment).
     fn bytes_consumed(&self) -> usize {

@@ -4,7 +4,7 @@
 use crate::block::{decode_block, BlockMeta, RawEntry, BLOCK_SIZE};
 use crate::varint;
 
-/// Bytes one posting element occupies uncompressed on the wire — the
+/// How many bytes one posting element occupies uncompressed on the wire — the
 /// paper's Section 7.3 accounting ("each posting element is encoded
 /// using 64 bits").
 pub const RAW_ELEMENT_BYTES: usize = 8;

@@ -165,7 +165,7 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Bytes currently charged (across all shards).
+    /// How many bytes are currently charged (across all shards).
     pub fn bytes(&self) -> usize {
         self.shards
             .iter()

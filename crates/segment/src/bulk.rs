@@ -67,9 +67,9 @@ pub struct BulkStats {
     pub postings: usize,
     /// Sorted runs the workers emitted.
     pub runs: usize,
-    /// Bytes written for the run files.
+    /// How many bytes were written for the run files.
     pub run_bytes: u64,
-    /// Bytes rewritten by the merge phase (single-run groups are
+    /// How many bytes the merge phase rewrote (single-run groups are
     /// renamed in place and cost nothing here).
     pub merge_bytes: u64,
     /// L1 segments registered in the manifest.

@@ -21,6 +21,10 @@ pub enum ServerError {
     AuthFailed,
     /// The authenticated user is not a member of the required group.
     NotGroupMember(GroupId),
+    /// No answer from the server: it is down, unreachable, or replied
+    /// with something that is not an answer. Raised by the caller's
+    /// side of a remote [`IndexServer`], never by the server itself.
+    Unavailable,
 }
 
 impl std::fmt::Display for ServerError {
@@ -30,6 +34,7 @@ impl std::fmt::Display for ServerError {
             ServerError::NotGroupMember(group) => {
                 write!(f, "user is not a member of group {group}")
             }
+            ServerError::Unavailable => write!(f, "index server unavailable"),
         }
     }
 }
@@ -45,6 +50,10 @@ impl ServerError {
         match self {
             ServerError::AuthFailed => (fault::AUTH_FAILED, GroupId(0)),
             ServerError::NotGroupMember(group) => (fault::NOT_GROUP_MEMBER, *group),
+            // Relayed, a server that could not be asked is a request
+            // this peer could not serve — the transport-level fault
+            // [`ServerError::from_fault`] maps to no server error.
+            ServerError::Unavailable => (fault::UNSUPPORTED, GroupId(0)),
         }
     }
 

@@ -225,9 +225,10 @@ impl ShareStore {
         self.lists.read().values().map(MergedList::len).sum()
     }
 
-    /// Bytes the stored shares occupy (payload only: no allocator slack,
-    /// no map overhead): a padded [`StoredShare`] per unsettled row, an
-    /// id and a y-share per settled one plus one group id per run.
+    /// How many bytes the stored shares occupy (payload only: no
+    /// allocator slack, no map overhead): a padded [`StoredShare`] per
+    /// unsettled row, an id and a y-share per settled one plus one
+    /// group id per run.
     pub fn stored_bytes(&self) -> usize {
         use std::mem::size_of;
         let settled_row = size_of::<u64>() + size_of::<Fp>();

@@ -49,7 +49,9 @@ use parking_lot::Mutex;
 
 use zerber_net::{AuthToken, NodeId, TrafficMeter};
 
-use crate::runtime::transport::{link_key, mix, node_key, PendingReply, Transport, TransportError};
+use crate::runtime::transport::{
+    link_key, mix, node_key, PendingReply, RequestPayload, Transport, TransportError,
+};
 
 /// The fault mix: per-mille rates per request, drawn deterministically
 /// from the seed. Rates are applied in the order of the fields below
@@ -276,7 +278,7 @@ impl Transport for FaultInjectTransport {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: RequestPayload,
     ) -> PendingReply {
         // The membership script runs on the global request clock,
         // armed or not — churn is part of the scenario, not the noise.
@@ -334,7 +336,7 @@ impl Transport for FaultInjectTransport {
         bound += u64::from(plan.torn);
         if roll < bound {
             self.counts.lock().torn += 1;
-            let torn: Arc<[u8]> = Arc::from(&payload[..payload.len() / 2]);
+            let torn = RequestPayload::from(&payload[..payload.len() / 2]);
             return self.inner.begin_traced(from, to, auth, trace, torn);
         }
         bound += u64::from(plan.delay);
@@ -352,8 +354,7 @@ impl Transport for FaultInjectTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::transport::InProcTransport;
-    use crate::runtime::transport::PeerInbox;
+    use crate::runtime::transport::{request_payload, InProcTransport, PeerInbox};
     use std::sync::mpsc;
     use std::thread;
     use zerber_net::Message;
@@ -447,7 +448,7 @@ mod tests {
             NodeId::User(0),
             peer,
             AuthToken(0),
-            Arc::from(message.encode().as_ref()),
+            request_payload(&message),
         );
         assert_eq!(
             pending.wait(Duration::from_millis(5)),

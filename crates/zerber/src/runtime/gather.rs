@@ -27,11 +27,11 @@ use zerber_index::RankedDoc;
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Message, NodeId};
 
-use crate::runtime::transport::{PendingReply, Transport, TransportError};
+use crate::runtime::transport::{PendingReply, RequestPayload, Transport, TransportError};
 
 /// One shard's fan-out unit: `(shard, replica list in placement
 /// order, encoded request payload)`.
-pub(crate) type ShardRequest = (u32, Vec<NodeId>, Arc<[u8]>);
+pub(crate) type ShardRequest = (u32, Vec<NodeId>, RequestPayload);
 
 /// When to give up on a replica and try the next one.
 ///
@@ -256,7 +256,7 @@ fn settle_shard(
     trace: u64,
     shard: u32,
     replicas: &[NodeId],
-    payload: &Arc<[u8]>,
+    payload: &RequestPayload,
     primary: Option<PendingReply>,
     policy: &HedgePolicy,
     base: Instant,

@@ -24,7 +24,7 @@ use zerber_server::ServerError;
 
 use zerber_client::{PendingFetch, ServerHandle};
 
-use crate::runtime::transport::{Transport, TransportError, DEFAULT_RPC_TIMEOUT};
+use crate::runtime::transport::{request_payload, Transport, TransportError, DEFAULT_RPC_TIMEOUT};
 
 /// A [`ServerHandle`] backed by a peer thread behind a transport.
 pub struct RuntimeHandle {
@@ -48,24 +48,22 @@ impl RuntimeHandle {
     }
 
     /// One round trip.
-    fn round_trip(&self, auth: AuthToken, request: &Message) -> Message {
-        alive(self.transport.request(self.from, self.to, auth, request))
+    fn round_trip(&self, auth: AuthToken, request: &Message) -> Result<Message, ServerError> {
+        answered(self.transport.request(self.from, self.to, auth, request))
     }
 }
 
-/// Peers are in-process threads owned by the same deployment object,
-/// so a dead peer is a bug, not a recoverable condition — transport
-/// failures panic with context.
-fn alive(response: Result<Message, TransportError>) -> Message {
-    response.expect("index-server peer thread is alive for the deployment's lifetime")
-}
-
-/// Decodes a fault frame into the `ServerError` it carries.
-fn server_error(response: Message) -> ServerError {
-    match response {
-        Message::Fault { code, group } => ServerError::from_fault(code, group)
-            .unwrap_or_else(|| panic!("peer returned a transport fault (code {code})")),
-        other => panic!("protocol violation: unexpected response {other:?}"),
+/// A reply as the caller sees it: a server's rejection is the
+/// `ServerError` its fault frame carries, and a server that did not
+/// answer — the transport failed, or the fault is a transport-level
+/// one — is [`ServerError::Unavailable`]. Any other frame passes.
+fn answered(reply: Result<Message, TransportError>) -> Result<Message, ServerError> {
+    match reply {
+        Ok(Message::Fault { code, group }) => {
+            Err(ServerError::from_fault(code, group).unwrap_or(ServerError::Unavailable))
+        }
+        Ok(frame) => Ok(frame),
+        Err(_) => Err(ServerError::Unavailable),
     }
 }
 
@@ -82,9 +80,9 @@ impl ServerHandle for RuntimeHandle {
         let request = Message::InsertBatch {
             entries: entries.to_vec(),
         };
-        match self.round_trip(token, &request) {
+        match self.round_trip(token, &request)? {
             Message::InsertOk => Ok(()),
-            other => Err(server_error(other)),
+            _ => Err(ServerError::Unavailable),
         }
     }
 
@@ -96,9 +94,9 @@ impl ServerHandle for RuntimeHandle {
         let request = Message::Delete {
             elements: elements.to_vec(),
         };
-        match self.round_trip(token, &request) {
+        match self.round_trip(token, &request)? {
             Message::DeleteOk { removed } => Ok(removed as usize),
-            other => Err(server_error(other)),
+            _ => Err(ServerError::Unavailable),
         }
     }
 
@@ -107,11 +105,11 @@ impl ServerHandle for RuntimeHandle {
             auth: token,
             pl_ids: pl_ids.to_vec(),
         };
-        let payload = Arc::from(request.encode().as_ref());
+        let payload = request_payload(&request);
         let mut reply = self.transport.begin(self.from, self.to, token, payload);
-        PendingFetch::waiting(move || match alive(reply.wait(DEFAULT_RPC_TIMEOUT)) {
+        PendingFetch::waiting(move || match answered(reply.wait(DEFAULT_RPC_TIMEOUT))? {
             Message::QueryResponse { lists } => Ok(lists),
-            other => Err(server_error(other)),
+            _ => Err(ServerError::Unavailable),
         })
     }
 }
@@ -180,6 +178,29 @@ mod tests {
         assert_eq!(
             handle.insert_batch(bogus, &[(PlId(0), share)]).unwrap_err(),
             ServerError::AuthFailed
+        );
+    }
+
+    #[test]
+    fn a_dead_server_is_a_typed_error_not_a_panic() {
+        let (runtime, handle, token, _meter) = world();
+        runtime.transport().shutdown(NodeId::IndexServer(0));
+        let share = StoredShare {
+            element: ElementId(1),
+            group: GroupId(0),
+            share: Fp::new(9),
+        };
+        assert_eq!(
+            handle.insert_batch(token, &[(PlId(0), share)]),
+            Err(ServerError::Unavailable)
+        );
+        assert_eq!(
+            handle.delete(token, &[(PlId(0), ElementId(1))]),
+            Err(ServerError::Unavailable)
+        );
+        assert_eq!(
+            handle.begin_fetch(token, &[PlId(0)]).wait().unwrap_err(),
+            ServerError::Unavailable
         );
     }
 }

@@ -173,8 +173,7 @@ impl RuntimeObs {
         }
     }
 
-    /// The underlying registry (snapshot it, share it, or flip its
-    /// kill switch via [`MetricsRegistry::set_enabled`]).
+    /// The underlying registry (snapshot it or share it).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.inner.registry
     }
@@ -212,8 +211,6 @@ impl RuntimeObs {
     }
 
     /// Updates the `zerber_transport_bytes_total` gauge from `meter`.
-    /// Gauges ignore the kill switch, so the traffic level stays fresh
-    /// even while recording is disabled.
     pub fn sync_traffic(&self, meter: &TrafficMeter) {
         self.inner.metrics.bytes_total.set(meter.total() as i64);
     }

@@ -55,7 +55,7 @@ pub(crate) fn serve(mut service: impl PeerService, requests: &mpsc::Receiver<Pee
             Err(_) => fault_frame(fault::MALFORMED),
         };
         // The ReplySink meters the response before delivery.
-        envelope.reply.send(response.encode().to_vec());
+        envelope.reply.send(response.encode());
     }
 }
 
@@ -652,7 +652,7 @@ mod tests {
         let torn = InstallFrame::File {
             name: "MANIFEST.zman".into(),
             crc: 0xDEAD_BEEF,
-            payload: zerber_net::Bytes::from_static(b"not the right bytes"),
+            payload: b"not the right bytes".to_vec(),
         };
         match rpc(&torn.message(0, 0)) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),

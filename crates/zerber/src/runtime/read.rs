@@ -22,7 +22,7 @@ use super::gather::{
     ShardUnavailable,
 };
 use super::stats::TermStats;
-use super::transport::TransportError;
+use super::transport::{request_payload, TransportError};
 use super::ShardedSearch;
 
 thread_local! {
@@ -134,7 +134,7 @@ impl ShardedSearch {
                     .filter(|peer| !tainted.contains(&peer.0))
                     .map(|peer| NodeId::IndexServer(peer.0))
                     .collect();
-                (shard, replicas, Arc::from(build(shard).encode().as_ref()))
+                (shard, replicas, request_payload(&build(shard)))
             })
             .collect()
     }

@@ -35,7 +35,7 @@
 use std::time::{Duration, Instant};
 
 use zerber_net::framing::crc32;
-use zerber_net::{AuthToken, Bytes, Message, NodeId};
+use zerber_net::{AuthToken, Message, NodeId};
 
 use crate::runtime::obs::RuntimeObs;
 use crate::runtime::transport::{link_key, mix, Transport, TransportError};
@@ -216,7 +216,7 @@ pub(crate) enum InstallFrame {
         /// CRC32 the payload must hash to.
         crc: u32,
         /// The file's bytes.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// Restore from the staged files, replay the buffer, serve.
     Commit,
@@ -227,9 +227,9 @@ impl InstallFrame {
     /// file frame is named, only a commit frame sets the flag.
     pub(crate) fn message(self, shard: u32, epoch: u64) -> Message {
         let (name, crc, commit, payload) = match self {
-            InstallFrame::Begin => (String::new(), 0, false, Bytes::new()),
+            InstallFrame::Begin => (String::new(), 0, false, Vec::new()),
             InstallFrame::File { name, crc, payload } => (name, crc, false, payload),
-            InstallFrame::Commit => (String::new(), 0, true, Bytes::new()),
+            InstallFrame::Commit => (String::new(), 0, true, Vec::new()),
         };
         Message::InstallShard {
             shard,
@@ -427,13 +427,13 @@ mod tests {
                 name: String::new(),
                 crc: 0,
                 commit: false,
-                payload: Bytes::new(),
+                payload: Vec::new(),
             }
         );
         let file = || InstallFrame::File {
             name: "a.zseg".into(),
             crc: 7,
-            payload: Bytes::from_static(b"segment bytes"),
+            payload: b"segment bytes".to_vec(),
         };
         for shape in [|| InstallFrame::Begin, file, || InstallFrame::Commit] {
             assert_eq!(

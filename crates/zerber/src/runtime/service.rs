@@ -23,7 +23,7 @@ use zerber_index::cursor::TopKScratch;
 use zerber_index::{DocId, Document, PostingBackend, TermId};
 use zerber_net::framing::crc32;
 use zerber_net::message::fault;
-use zerber_net::{AuthToken, Bytes, Message, NodeId, WireDocument};
+use zerber_net::{AuthToken, Message, NodeId, WireDocument};
 use zerber_obs::MetricsRegistry;
 use zerber_segment::{BulkConfig, SegmentError, SegmentStore};
 use zerber_server::IndexServer;
@@ -293,7 +293,7 @@ impl PeerService for ShardService {
             other => match InstallFrame::classify(other) {
                 Ok((shard, InstallFrame::Begin)) => self.install_begin(shard),
                 Ok((shard, InstallFrame::File { name, crc, payload })) => {
-                    self.install_file(shard, name, crc, &payload)
+                    self.install_file(shard, name, crc, payload)
                 }
                 Ok((shard, InstallFrame::Commit)) => self.install_commit(shard),
                 Err(_) => fault_frame(fault::UNSUPPORTED),
@@ -422,13 +422,14 @@ impl ShardService {
     }
 
     /// Answers from the prepared file set alone, whatever the shard's
-    /// state has become since.
+    /// state has become since. The file stays prepared — a fetch whose
+    /// answer was lost is retried — so the frame gets a copy.
     fn fetch_segment(&mut self, shard: u32, name: &str) -> Message {
         let mut prepared = self.pending_snapshot.get(&shard).into_iter().flatten();
         match prepared.find(|(n, _)| n == name) {
             Some((_, bytes)) => Message::SegmentData {
                 crc: crc32(bytes),
-                payload: Bytes::copy_from_slice(bytes),
+                payload: bytes.clone(),
             },
             None => fault_frame(fault::REPAIR),
         }
@@ -451,10 +452,10 @@ impl ShardService {
 
     /// Stages one CRC-checked snapshot file. A file frame without a
     /// begin is a protocol error.
-    fn install_file(&mut self, shard: u32, name: String, crc: u32, payload: &[u8]) -> Message {
+    fn install_file(&mut self, shard: u32, name: String, crc: u32, payload: Vec<u8>) -> Message {
         match self.stores.get_mut(&shard) {
-            Some(HostedShard::Rebuilding { staged, .. }) if crc32(payload) == crc => {
-                staged.push((name, payload.to_vec()));
+            Some(HostedShard::Rebuilding { staged, .. }) if crc32(&payload) == crc => {
+                staged.push((name, payload));
                 Message::InsertOk
             }
             _ => fault_frame(fault::REPAIR),
@@ -559,9 +560,8 @@ mod tests {
         assert!(files.len() > 1, "the seed is a sealed segment");
         files
             .into_iter()
-            .map(|(name, bytes)| {
-                let crc = crc32(&bytes);
-                let payload = Bytes::from(bytes);
+            .map(|(name, payload)| {
+                let crc = crc32(&payload);
                 InstallFrame::File { name, crc, payload }.message(SHARD, 1)
             })
             .collect()

@@ -40,7 +40,7 @@
 //! both live in one process, or every payload double-counts.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -49,12 +49,13 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use zerber_net::{AuthToken, Frame, FrameDecoder, NodeId, TrafficMeter};
+use zerber_net::{AuthToken, Frame, FrameDecoder, FrameRef, NodeId, TrafficMeter};
 use zerber_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::runtime::peer::{self, PeerService};
 use crate::runtime::transport::{
-    PeerInbox, PendingReply, ReplySink, RequestEnvelope, Transport, TransportError,
+    link_key, PeerInbox, PendingReply, ReplyPayload, ReplySink, RequestEnvelope, RequestPayload,
+    Transport, TransportError,
 };
 
 /// Dial timeout for a new link.
@@ -85,8 +86,8 @@ struct InFlight {
     state: StdMutex<InFlightState>,
     drained: Condvar,
     /// Aggregated `zerber_socket_in_flight` gauge (shared across
-    /// links) when the transport is observed.
-    gauge: Option<Gauge>,
+    /// links).
+    gauge: Gauge,
 }
 
 struct InFlightState {
@@ -95,7 +96,7 @@ struct InFlightState {
 }
 
 impl InFlight {
-    fn new(gauge: Option<Gauge>) -> Self {
+    fn new(gauge: Gauge) -> Self {
         Self {
             state: StdMutex::new(InFlightState {
                 count: 0,
@@ -117,9 +118,7 @@ impl InFlight {
             return false;
         }
         state.count += 1;
-        if let Some(gauge) = &self.gauge {
-            gauge.inc();
-        }
+        self.gauge.inc();
         true
     }
 
@@ -129,9 +128,7 @@ impl InFlight {
         // never double-decrement.
         if state.count > 0 {
             state.count -= 1;
-            if let Some(gauge) = &self.gauge {
-                gauge.dec();
-            }
+            self.gauge.dec();
         }
         drop(state);
         self.drained.notify_one();
@@ -142,9 +139,7 @@ impl InFlight {
         state.dead = true;
         // Requests still in flight on a dead link will never be
         // released; keep the aggregate gauge honest.
-        if let Some(gauge) = &self.gauge {
-            gauge.add(-(state.count as i64));
-        }
+        self.gauge.add(-(state.count as i64));
         state.count = 0;
         drop(state);
         self.drained.notify_all();
@@ -154,7 +149,7 @@ impl InFlight {
 /// The demux table of one link: `request id → reply channel` for
 /// unanswered requests; `None` once the link is dead (dropping the
 /// senders fails every waiter closed).
-type PendingMap = Arc<Mutex<Option<HashMap<u64, std::sync::mpsc::Sender<Vec<u8>>>>>>;
+type PendingMap = Arc<Mutex<Option<HashMap<u64, std::sync::mpsc::Sender<ReplyPayload>>>>>;
 
 /// One pooled connection: the writer half, the demux table its reader
 /// thread feeds, and the in-flight gate.
@@ -173,7 +168,6 @@ impl Link {
 
 /// Client-side socket instrumentation handles, pre-registered so the
 /// hot path never touches the registry's name table.
-#[derive(Clone)]
 struct SocketMetrics {
     /// `zerber_socket_requests_total`: frames handed to `begin_traced`.
     requests: Counter,
@@ -188,11 +182,23 @@ struct SocketMetrics {
     in_flight: Gauge,
 }
 
+impl SocketMetrics {
+    fn on(registry: &MetricsRegistry) -> Self {
+        Self {
+            requests: registry.counter("zerber_socket_requests_total"),
+            write_failures: registry.counter("zerber_socket_write_failures_total"),
+            links_dialed: registry.counter("zerber_socket_links_dialed_total"),
+            in_flight: registry.gauge("zerber_socket_in_flight"),
+        }
+    }
+}
+
 /// [`Transport`] over real TCP links. See the [module docs](self).
 pub struct SocketTransport {
     meter: Arc<TrafficMeter>,
-    /// Client-side counters/gauges when observed; `None` costs nothing.
-    obs: Option<SocketMetrics>,
+    /// Client-side counters and gauge: on a registry of the
+    /// transport's own until [`SocketTransport::observed`] names one.
+    obs: SocketMetrics,
     /// Where each peer listens.
     addrs: Mutex<HashMap<NodeId, SocketAddr>>,
     /// Pooled connections, one per `(from, to)` link.
@@ -204,7 +210,7 @@ impl SocketTransport {
     pub fn new(meter: Arc<TrafficMeter>) -> Self {
         Self {
             meter,
-            obs: None,
+            obs: SocketMetrics::on(&MetricsRegistry::new()),
             addrs: Mutex::new(HashMap::new()),
             links: Mutex::new(HashMap::new()),
         }
@@ -214,12 +220,7 @@ impl SocketTransport {
     /// (`zerber_socket_*`) on `registry` and records into them from
     /// now on. Call before the first request; builder-style.
     pub fn observed(mut self, registry: &MetricsRegistry) -> Self {
-        self.obs = Some(SocketMetrics {
-            requests: registry.counter("zerber_socket_requests_total"),
-            write_failures: registry.counter("zerber_socket_write_failures_total"),
-            links_dialed: registry.counter("zerber_socket_links_dialed_total"),
-            in_flight: registry.gauge("zerber_socket_in_flight"),
-        });
+        self.obs = SocketMetrics::on(registry);
         self
     }
 
@@ -254,16 +255,12 @@ impl SocketTransport {
         let reader_stream = stream
             .try_clone()
             .map_err(|_| TransportError::PeerGone(to))?;
-        if let Some(obs) = &self.obs {
-            obs.links_dialed.inc();
-        }
+        self.obs.links_dialed.inc();
         let link = Arc::new(Link {
             writer: Mutex::new(stream),
             pending: Arc::new(Mutex::new(Some(HashMap::new()))),
             next_id: AtomicU64::new(1),
-            inflight: Arc::new(InFlight::new(
-                self.obs.as_ref().map(|obs| obs.in_flight.clone()),
-            )),
+            inflight: Arc::new(InFlight::new(self.obs.in_flight.clone())),
         });
         spawn_link_reader(
             reader_stream,
@@ -284,27 +281,24 @@ impl SocketTransport {
 }
 
 /// Reads `stream` until EOF or a read error, handing each whole frame
-/// to `on_frame`. Stops early when `on_frame` returns `false` or a
-/// frame is damaged: framing is stateful, so a corrupt frame forfeits
-/// the whole connection.
-fn pump_frames(mut stream: &TcpStream, mut on_frame: impl FnMut(Frame) -> bool) {
+/// to `on_frame` with its payload still in the stream buffer — the
+/// handler copies it out once, into the type it travels on as. Stops
+/// early when `on_frame` returns `false` or a frame is damaged:
+/// framing is stateful, so a corrupt frame forfeits the whole
+/// connection.
+fn pump_frames(mut stream: &TcpStream, mut on_frame: impl FnMut(FrameRef<'_>) -> bool) {
     let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => decoder.push(&buf[..n]),
-        }
-        loop {
-            match decoder.next_frame() {
-                Ok(None) => break,
-                Ok(Some(frame)) => {
-                    if !on_frame(frame) {
-                        return;
-                    }
+    // Each read stops at the end of a length prefix or of a frame, so
+    // it completes at most one.
+    while let Ok(true) = decoder.read_from(&mut stream) {
+        match decoder.next_frame_ref() {
+            Ok(None) => {}
+            Ok(Some(frame)) => {
+                if !on_frame(frame) {
+                    return;
                 }
-                Err(_) => return,
             }
+            Err(_) => return,
         }
     }
 }
@@ -333,7 +327,7 @@ fn spawn_link_reader(
             inflight.release();
             let waiter = pending.lock().as_mut().and_then(|map| map.remove(&id));
             if let Some(tx) = waiter {
-                let _ = tx.send(payload);
+                let _ = tx.send(payload.to_vec());
             }
             true
         });
@@ -354,7 +348,7 @@ impl SocketTransport {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: &Arc<[u8]>,
+        payload: &RequestPayload,
     ) -> Result<PendingReply, TransportError> {
         let link = self.link(from, to)?;
         if !link.inflight.acquire(MAX_IN_FLIGHT) {
@@ -379,16 +373,15 @@ impl SocketTransport {
             from,
             auth,
             trace,
-            payload: payload.to_vec(),
-        };
+            payload,
+        }
+        .encode();
         // The request leaves the client here: meter the payload (not
         // the framing envelope), then write the frame.
         self.meter.record(from, to, payload.len());
         let wrote = {
             let mut writer = link.writer.lock();
-            let result = writer
-                .write_all(&frame.encode())
-                .and_then(|()| writer.flush());
+            let result = writer.write_all(&frame).and_then(|()| writer.flush());
             if result.is_err() {
                 // Kill the whole link: record alignment after a
                 // partial write is unknowable, so every request on it
@@ -399,9 +392,7 @@ impl SocketTransport {
             result
         };
         if wrote.is_err() {
-            if let Some(obs) = &self.obs {
-                obs.write_failures.inc();
-            }
+            self.obs.write_failures.inc();
             link.pending.lock().take();
             link.inflight.kill();
             return Err(TransportError::PeerGone(to));
@@ -421,15 +412,13 @@ impl Transport for SocketTransport {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: RequestPayload,
     ) -> PendingReply {
-        if let Some(obs) = &self.obs {
-            obs.requests.inc();
-        }
+        self.obs.requests.inc();
         let mut backoff = crate::runtime::repair::Backoff::new(
             RETRY_BACKOFF,
             RETRY_BACKOFF.saturating_mul(1 << 8),
-            link_seed(from, to),
+            link_key(from, to),
         );
         let mut last = TransportError::PeerGone(to);
         for attempt in 0..=RETRIES {
@@ -449,15 +438,6 @@ impl Transport for SocketTransport {
         }
         PendingReply::failed(to, last)
     }
-}
-
-/// A per-link jitter seed: distinct links never share a retry
-/// schedule, and the same link reproduces it exactly.
-fn link_seed(from: NodeId, to: NodeId) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    (from, to).hash(&mut hasher);
-    hasher.finish()
 }
 
 /// A running socket peer: its accept loop, service thread, connection
@@ -605,7 +585,7 @@ fn serve_connection(
             from,
             auth,
             trace,
-            payload: Arc::from(payload.as_slice()),
+            payload: RequestPayload::from(payload),
             reply: ReplySink::new(Arc::clone(&meter), node, from, tx),
         };
         if inbox.send(PeerInbox::Request(envelope)).is_err() {
@@ -624,6 +604,7 @@ fn serve_connection(
 mod tests {
     use super::*;
     use crate::runtime::service::ShardService;
+    use crate::runtime::transport::request_payload;
     use zerber_index::{DocId, Document, GroupId, PostingBackend, TermId};
     use zerber_net::Message;
 
@@ -732,7 +713,7 @@ mod tests {
         let queries: Vec<Message> = (1..=8u32).map(topk_query).collect();
         let mut pendings: Vec<PendingReply> = queries
             .iter()
-            .map(|q| transport.begin(user, node, AuthToken(0), Arc::from(q.encode().as_ref())))
+            .map(|q| transport.begin(user, node, AuthToken(0), request_payload(q)))
             .collect();
         for (k, pending) in (1..=8usize).zip(pendings.iter_mut()) {
             match pending.wait(Duration::from_secs(10)).unwrap() {
@@ -805,7 +786,7 @@ mod tests {
             NodeId::User(0),
             node,
             AuthToken(0),
-            Arc::from(&b"\xFF\xFE\xFD"[..]),
+            RequestPayload::from(&b"\xFF\xFE\xFD"[..]),
         );
         match pending.wait(Duration::from_secs(10)).unwrap() {
             Message::Fault { code, .. } => {

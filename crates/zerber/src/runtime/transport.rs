@@ -32,6 +32,15 @@
 //! is carried by the envelope, not the message body, and is therefore
 //! *not* counted in wire bytes — matching the paper's accounting,
 //! which sizes payloads only.
+//!
+//! # Payloads
+//!
+//! What carries an encoded frame is decided here: a request travels as
+//! a [`RequestPayload`], a reply as a [`ReplyPayload`], and there is no
+//! third type, so no hop converts. In process a request is copied once
+//! after it is built and a reply never; the socket transport copies a
+//! payload once into the frame it writes and once out of the stream
+//! buffer it was read into.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -108,6 +117,19 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// An encoded request [`Message`]: shared, because a write fan-out and
+/// a hedged read send the same bytes to several replicas.
+pub type RequestPayload = Arc<[u8]>;
+
+/// An encoded response [`Message`]: the buffer [`Message::encode`]
+/// returned, moved from the peer to the caller.
+pub type ReplyPayload = Vec<u8>;
+
+/// Encodes `message` for sending — the one copy of a request payload.
+pub fn request_payload(message: &Message) -> RequestPayload {
+    Arc::from(message.encode())
+}
+
 /// The response path of one request: meters the bytes on the
 /// `peer → client` link *before* delivery, so a response the client
 /// abandoned (hedged away, timed out) is still accounted — it crossed
@@ -118,7 +140,7 @@ pub struct ReplySink {
     peer: NodeId,
     /// The requesting node (destination of the response link).
     client: NodeId,
-    tx: mpsc::Sender<Vec<u8>>,
+    tx: mpsc::Sender<ReplyPayload>,
 }
 
 impl ReplySink {
@@ -129,7 +151,7 @@ impl ReplySink {
         meter: Arc<TrafficMeter>,
         peer: NodeId,
         client: NodeId,
-        tx: mpsc::Sender<Vec<u8>>,
+        tx: mpsc::Sender<ReplyPayload>,
     ) -> Self {
         Self {
             meter,
@@ -141,7 +163,7 @@ impl ReplySink {
 
     /// Meters and delivers one encoded response. A vanished requester
     /// is not the peer's problem — the send outcome is ignored.
-    pub fn send(&self, bytes: Vec<u8>) {
+    pub fn send(&self, bytes: ReplyPayload) {
         self.meter.record(self.peer, self.client, bytes.len());
         let _ = self.tx.send(bytes);
     }
@@ -160,10 +182,8 @@ pub struct RequestEnvelope {
     /// token it is envelope metadata, not payload, and is not counted
     /// in wire bytes.
     pub trace: u64,
-    /// Encoded request [`Message`]. Shared, not copied: a fan-out
-    /// serializes the message once and every peer's envelope holds the
-    /// same buffer.
-    pub payload: Arc<[u8]>,
+    /// Encoded request [`Message`].
+    pub payload: RequestPayload,
     /// Channel for the encoded response [`Message`].
     pub reply: ReplySink,
 }
@@ -178,7 +198,7 @@ pub enum PeerInbox {
 
 enum PendingState {
     /// The response will arrive on this channel.
-    Channel(mpsc::Receiver<Vec<u8>>),
+    Channel(mpsc::Receiver<ReplyPayload>),
     /// The request already failed (unknown peer, dead peer, injected
     /// fault); every wait reports the same error.
     Failed(TransportError),
@@ -204,7 +224,7 @@ pub struct PendingReply {
 impl PendingReply {
     /// A pending whose response arrives on `rx` (the transport
     /// implementations' normal case).
-    pub fn from_channel(peer: NodeId, rx: mpsc::Receiver<Vec<u8>>) -> Self {
+    pub fn from_channel(peer: NodeId, rx: mpsc::Receiver<ReplyPayload>) -> Self {
         Self {
             peer,
             state: PendingState::Channel(rx),
@@ -339,13 +359,19 @@ pub trait Transport: Send + Sync {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: RequestPayload,
     ) -> PendingReply;
 
     /// Sends one pre-encoded untraced request (trace id zero) — the
     /// convenience form for control-plane and ingest traffic that no
     /// span tree follows.
-    fn begin(&self, from: NodeId, to: NodeId, auth: AuthToken, payload: Arc<[u8]>) -> PendingReply {
+    fn begin(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        auth: AuthToken,
+        payload: RequestPayload,
+    ) -> PendingReply {
         self.begin_traced(from, to, auth, 0, payload)
     }
 
@@ -358,7 +384,7 @@ pub trait Transport: Send + Sync {
         auth: AuthToken,
         message: &Message,
     ) -> Result<Message, TransportError> {
-        self.begin(from, to, auth, Arc::from(message.encode().as_ref()))
+        self.begin(from, to, auth, request_payload(message))
             .wait(DEFAULT_RPC_TIMEOUT)
     }
 }
@@ -405,7 +431,7 @@ impl Transport for InProcTransport {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: RequestPayload,
     ) -> PendingReply {
         let Some(inbox) = self.inboxes.lock().get(&to).cloned() else {
             return PendingReply::failed(to, TransportError::UnknownPeer(to));
@@ -493,7 +519,7 @@ mod tests {
         let slow = thread::spawn(move || {
             if let Ok(PeerInbox::Request(envelope)) = rx.recv() {
                 thread::sleep(Duration::from_millis(40));
-                envelope.reply.send(Message::InsertOk.encode().to_vec());
+                envelope.reply.send(Message::InsertOk.encode());
             }
         });
 
@@ -501,7 +527,7 @@ mod tests {
             NodeId::User(0),
             peer,
             AuthToken(0),
-            Arc::from(Message::InsertOk.encode().as_ref()),
+            request_payload(&Message::InsertOk),
         );
         assert_eq!(
             pending.wait(Duration::from_millis(1)),
@@ -521,7 +547,7 @@ mod tests {
         let transport = InProcTransport::new(Arc::new(TrafficMeter::new()));
         let peer = NodeId::IndexServer(0);
         let handle = echo_peer(&transport, peer);
-        let payload: Arc<[u8]> = Arc::from(Message::InsertOk.encode().as_ref());
+        let payload = request_payload(&Message::InsertOk);
         let mut pending = transport
             .begin(NodeId::User(0), peer, AuthToken(0), payload)
             .delayed(Duration::from_millis(30));
@@ -543,12 +569,7 @@ mod tests {
         let handle = echo_peer(&transport, peer);
         let user = NodeId::User(0);
         let message = Message::DeleteOk { removed: 1 };
-        let pending = transport.begin(
-            user,
-            peer,
-            AuthToken(0),
-            Arc::from(message.encode().as_ref()),
-        );
+        let pending = transport.begin(user, peer, AuthToken(0), request_payload(&message));
         drop(pending); // the client hedged away; the peer answers anyway
         transport.shutdown(peer);
         handle.join().unwrap();

@@ -17,7 +17,7 @@ use zerber_net::{AuthToken, Message, NodeId, WireDocument};
 
 use super::repair::Backoff;
 use super::shard::to_wire;
-use super::transport::{PendingReply, TransportError, DEFAULT_RPC_TIMEOUT};
+use super::transport::{request_payload, PendingReply, TransportError, DEFAULT_RPC_TIMEOUT};
 use super::ShardedSearch;
 
 /// Why a live mutation did not land.
@@ -103,7 +103,7 @@ impl ShardedSearch {
     /// Begins `request` on every replica of `shard` (all sends leave
     /// before any wait, so the round trip costs the slowest replica).
     fn begin_write(&self, from: NodeId, shard: u32, request: Message) -> ShardWrite {
-        let payload: Arc<[u8]> = Arc::from(request.encode().as_ref());
+        let payload = request_payload(&request);
         let replicas = self
             .write_peers(shard)
             .into_iter()
