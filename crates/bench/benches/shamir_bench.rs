@@ -9,9 +9,10 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use zerber_client::ranking::rank;
 use zerber_client::{BatchPolicy, DocumentOwner, QueryClient, ServerHandle};
-use zerber_core::{ElementCodec, MappingTable, PlId};
+use zerber_core::{ElementCodec, MappingTable, PlId, PostingElement};
 use zerber_field::Fp;
 use zerber_index::{DocId, Document, GroupId, TermId, UserId};
 use zerber_net::{AuthToken, Message};
@@ -166,6 +167,43 @@ fn bench_client_execute(c: &mut Criterion) {
     );
 }
 
+/// `rank` over what a `confidential` benchmark query decrypts: three
+/// query terms, each held by about 22 % of 20 000 documents — about
+/// 13 k elements over about 10 k documents — arriving list by list.
+fn bench_client_rank(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let codec = ElementCodec::default();
+    let terms = [TermId(3), TermId(17), TermId(40)];
+    let mut elements = Vec::new();
+    for &term in &terms {
+        for doc in 0..20_000u32 {
+            if rng.random_range(0..100) < 22 {
+                elements.push(PostingElement {
+                    doc: DocId(doc),
+                    term,
+                    tf_quantized: rng.random_range(1..4_096),
+                });
+            }
+        }
+    }
+    let (_, stats) = rank(&elements, &codec, &terms, 10);
+    let mut iterations = 0u32;
+    let started = Instant::now();
+    c.bench_function("client/rank", |b| {
+        b.iter(|| {
+            iterations += 1;
+            black_box(rank(black_box(&elements), &codec, &terms, 10))
+        })
+    });
+    let ns_per_element =
+        started.elapsed().as_nanos() as f64 / f64::from(iterations) / elements.len() as f64;
+    println!(
+        "client/rank: {} elements over {} documents, {ns_per_element:.1} ns/element",
+        elements.len(),
+        stats.accessible_docs()
+    );
+}
+
 /// One server's answer to that query across the wire: encode and
 /// decode of the `QueryResponse` frame, and what a share costs in it.
 fn bench_share_response(c: &mut Criterion) {
@@ -201,6 +239,7 @@ criterion_group!(
     bench_reconstruct,
     bench_k_scaling,
     bench_client_execute,
+    bench_client_rank,
     bench_share_response
 );
 criterion_main!(benches);

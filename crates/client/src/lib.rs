@@ -17,9 +17,10 @@
 //!   servers disagree on the order — decrypting each complete set
 //!   with Algorithm 1b as it is
 //!   summed and dropping false positives (elements of co-merged
-//!   terms); she then ranks the rest in one sort and two passes with
-//!   statistics personalised to what she may read, and finally pulls
-//!   snippets from the hosting peers.
+//!   terms); the rest are grouped by document with a radix pass over
+//!   `doc` (no comparison sort) and ranked with statistics
+//!   personalised to what the user may read, and snippets are finally
+//!   pulled from the hosting peers.
 //!
 //! Modules: [`transport`] (the narrow server interface), [`owner`],
 //! [`batching`], [`query`], [`ranking`], [`snippets`].
@@ -34,7 +35,7 @@ pub mod transport;
 
 pub use batching::{BatchPolicy, UpdateQueue};
 pub use mixing::UpdateMixer;
-pub use owner::DocumentOwner;
+pub use owner::{DocumentOwner, OwnerError};
 pub use query::{recombine, QueryClient, QueryError, QueryOutcome};
 pub use snippets::{OwnerSnippetService, SnippetProvider};
 pub use transport::{FetchResult, PendingFetch, ServerHandle};

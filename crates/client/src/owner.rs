@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use zerber_core::MappingTable;
-use zerber_core::{ElementCodec, ElementId, PlId, PostingElement};
+use zerber_core::{CodecError, ElementCodec, ElementId, PlId, PostingElement};
 use zerber_index::{DocId, Document, InvertedIndex};
 use zerber_net::{AuthToken, StoredShare};
 use zerber_server::ServerError;
@@ -22,6 +22,40 @@ use zerber_shamir::SharingScheme;
 
 use crate::batching::{BatchPolicy, UpdateQueue};
 use crate::transport::ServerHandle;
+
+/// Why an owner did not index a document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OwnerError {
+    /// An element of the document does not fit the owner's codec (a
+    /// document id or term beyond its bit widths). Nothing of the
+    /// document was retracted, queued or sent.
+    Codec(CodecError),
+    /// A server rejected a request.
+    Server(ServerError),
+}
+
+impl std::fmt::Display for OwnerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OwnerError::Codec(e) => write!(f, "codec error: {e}"),
+            OwnerError::Server(e) => write!(f, "server error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for OwnerError {}
+
+impl From<CodecError> for OwnerError {
+    fn from(e: CodecError) -> Self {
+        OwnerError::Codec(e)
+    }
+}
+
+impl From<ServerError> for OwnerError {
+    fn from(e: ServerError) -> Self {
+        OwnerError::Server(e)
+    }
+}
 
 /// A document owner: encrypts and distributes posting elements for the
 /// documents it hosts.
@@ -83,30 +117,26 @@ impl DocumentOwner {
     /// per distinct term (Algorithm 1a is O(n·N)); flushes according
     /// to the batch policy.
     ///
-    /// Returns the number of elements produced.
+    /// Returns the number of elements produced. A document the codec
+    /// cannot hold is an [`OwnerError::Codec`] that leaves the owner as
+    /// it was: every element is encoded before anything is retracted,
+    /// numbered or queued.
     pub fn index_document<R: Rng + ?Sized>(
         &mut self,
         doc: &Document,
         servers: &[Arc<dyn ServerHandle>],
         rng: &mut R,
-    ) -> Result<usize, ServerError> {
+    ) -> Result<usize, OwnerError> {
         assert_eq!(
             servers.len(),
             self.scheme.server_count(),
             "one handle per scheme server"
         );
-        // Re-indexing a changed document first retracts the old
-        // version's elements.
-        if self.elements_by_doc.contains_key(&doc.id) {
-            self.delete_document(doc.id, servers)?;
-        }
-
         // Encode every element first, then split the whole document in
         // one `split_batch` call: the per-server coordinate powers are
         // computed once and the polynomial coefficients live in one
         // reused scratch — no per-element allocation (Section 7.3's
         // 33 ms-per-document number rests on this amortization).
-        let mut inventory = Vec::with_capacity(doc.terms.len());
         let mut secrets = Vec::with_capacity(doc.terms.len());
         for &(term, count) in &doc.terms {
             let tf = if doc.length == 0 {
@@ -114,16 +144,20 @@ impl DocumentOwner {
             } else {
                 count as f64 / doc.length as f64
             };
-            let element = PostingElement {
+            secrets.push(self.codec.encode(PostingElement {
                 doc: doc.id,
                 term,
                 tf_quantized: self.codec.quantize_tf(tf),
-            };
-            secrets.push(
-                self.codec
-                    .encode(element)
-                    .expect("document ids and terms fit the configured codec"),
-            );
+            })?);
+        }
+
+        // Re-indexing a changed document first retracts the old
+        // version's elements.
+        if self.elements_by_doc.contains_key(&doc.id) {
+            self.delete_document(doc.id, servers)?;
+        }
+        let mut inventory = Vec::with_capacity(doc.terms.len());
+        for &(term, _) in &doc.terms {
             inventory.push((self.table.lookup(term), self.fresh_element_id()));
         }
         let rows = self.scheme.split_batch(&secrets, rng);
@@ -305,6 +339,44 @@ mod tests {
             .unwrap();
         assert_eq!(owner.document_elements(DocId(1)).unwrap().len(), 1);
         assert_eq!(owner.local_index().document_frequency(TermId(1)), 0);
+    }
+
+    #[test]
+    fn a_document_the_codec_cannot_hold_leaves_the_owner_untouched() {
+        let (servers, mut owner, _) = setup(3, 2);
+        let mut rng = StdRng::seed_from_u64(7);
+        owner
+            .index_document(&doc(1, &[(0, 1)]), &servers, &mut rng)
+            .unwrap();
+        let indexed = owner.document_elements(DocId(1)).unwrap().to_vec();
+
+        // A new version of document 1 with a term past the default
+        // codec's 22 bits, then a document id past its 26.
+        let term = owner.index_document(&doc(1, &[(0, 1), (1 << 22, 1)]), &servers, &mut rng);
+        assert!(matches!(
+            term,
+            Err(OwnerError::Codec(CodecError::FieldOverflow {
+                field: "term",
+                ..
+            }))
+        ));
+        let id = owner.index_document(&doc(1 << 26, &[(0, 1)]), &servers, &mut rng);
+        assert!(matches!(
+            id,
+            Err(OwnerError::Codec(CodecError::FieldOverflow {
+                field: "doc",
+                ..
+            }))
+        ));
+
+        assert_eq!(owner.document_elements(DocId(1)).unwrap(), indexed);
+        assert_eq!(owner.local_index().document_count(), 1);
+        assert_eq!(owner.pending_elements(), 0);
+        owner
+            .index_document(&doc(2, &[(0, 1)]), &servers, &mut rng)
+            .unwrap();
+        let next = owner.document_elements(DocId(2)).unwrap()[0].1;
+        assert_eq!(next.0, indexed[0].1 .0 + 1, "no element id was spent");
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct QueryOutcome {
     pub lists_requested: usize,
     /// Where the time went: an `execute` span with children `fetch`
     /// (counters `lists`, `shares`), `recombine` (`realigned_lists`,
-    /// `matching`, `undecodable`) and `rank` (`docs`).
+    /// `matching`, `undecodable`) and `rank` (`elements`, `docs`).
     pub trace: SpanRecord,
 }
 
@@ -296,6 +296,7 @@ impl QueryClient {
             )
             .with_child(
                 SpanRecord::new("rank", recombined_at, ranked_at - recombined_at)
+                    .with_counter("elements", matching.len() as u64)
                     .with_counter("docs", stats.accessible_docs() as u64),
             );
         Ok(QueryOutcome {

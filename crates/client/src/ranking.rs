@@ -4,22 +4,26 @@
 //! statistics* (Section 5.4.2): document frequencies computed over the
 //! set of documents the user can access, not the global corpus. By the
 //! time the client ranks it holds every matching element decrypted, so
-//! there is no list left to avoid scanning: one sort by
-//! `(doc, term, tf)` groups each document's elements, a first pass
-//! reads the statistics off the groups, and a second sums each
+//! there is no list left to avoid scanning, and ranking only has to
+//! group the elements by document. One read pass builds the four byte
+//! histograms of `doc` and the per-term document frequencies; a stable
+//! LSD radix pass per byte that not every element shares (two of four
+//! below 65 536 documents) groups each document's elements, in arrival
+//! order, under ascending document ids; the boundaries between groups
+//! count the documents; a last walk over the groups sums each
 //! document's TF-IDF contributions and offers it to the bounded top-k
-//! collector. The result is exactly what Fagin's Threshold Algorithm
-//! in `zerber_index::topk` returns over per-term scored lists of the
-//! same elements — the reference `tests/query_properties.rs` holds
-//! this against — down to the bits of the scores, because the
-//! contributions are the same products summed in the same
-//! (query-term) order.
+//! collector. The result is exactly what Fagin's
+//! Threshold Algorithm in `zerber_index::topk` returns over per-term
+//! scored lists of the same elements — the reference
+//! `tests/query_properties.rs` holds this against — down to the bits of
+//! the scores, because the contributions are the same products summed
+//! in the same (query-term) order.
 
 use zerber_core::{ElementCodec, PostingElement};
 use zerber_index::{RankedDoc, TermId, TopKScratch};
 
 /// Personalized collection statistics of one result set: what
-/// [`rank`]'s first pass computes and its second pass weighs with.
+/// [`rank`] reads off the elements and weighs with.
 #[derive(Debug, Clone, Default)]
 pub struct PersonalizedStats {
     /// `(term, df)` per distinct term of the result set. A result set
@@ -29,26 +33,12 @@ pub struct PersonalizedStats {
 }
 
 impl PersonalizedStats {
-    /// Counts over elements ordered by document: a document is new
-    /// when it differs from its predecessor.
-    fn from_sorted(sorted: &[PostingElement]) -> Self {
-        let mut stats = Self::default();
-        let mut previous = None;
-        for element in sorted {
-            if previous != Some(element.doc) {
-                previous = Some(element.doc);
-                stats.accessible_docs += 1;
-            }
-            match stats
-                .document_frequency
-                .iter_mut()
-                .find(|(term, _)| *term == element.term)
-            {
-                Some((_, df)) => *df += 1,
-                None => stats.document_frequency.push((element.term, 1)),
-            }
+    /// Counts one element of `term`.
+    fn count(&mut self, term: TermId) {
+        match self.document_frequency.iter_mut().find(|(t, _)| *t == term) {
+            Some((_, df)) => *df += 1,
+            None => self.document_frequency.push((term, 1)),
         }
-        stats
     }
 
     /// Document frequency of a term within the accessible set.
@@ -70,6 +60,9 @@ impl PersonalizedStats {
     }
 }
 
+/// One histogram per byte of a document id, least significant first.
+type DocHistograms = [[usize; 256]; 4];
+
 /// Ranks decrypted, ACL-filtered elements with TF-IDF over the
 /// personalized collection they form and returns the top `k` under
 /// [`RankedDoc::result_order`], with the statistics used.
@@ -77,35 +70,73 @@ impl PersonalizedStats {
 /// A document's score sums one contribution per entry of `terms`, in
 /// that order — a repeated query term counts twice, an absent one adds
 /// `0.0`. Should a `(doc, term)` pair occur more than once (no honest
-/// owner produces that), its lowest term frequency counts.
+/// owner produces that), the lowest `tf_quantized` among them counts.
 pub fn rank(
     elements: &[PostingElement],
     codec: &ElementCodec,
     terms: &[TermId],
     k: usize,
 ) -> (Vec<RankedDoc>, PersonalizedStats) {
-    let mut sorted = elements.to_vec();
-    sorted.sort_unstable_by_key(|e| (e.doc, e.term, e.tf_quantized));
-    let stats = PersonalizedStats::from_sorted(&sorted);
+    let mut stats = PersonalizedStats::default();
+    let mut histograms: DocHistograms = [[0; 256]; 4];
+    for element in elements {
+        for (histogram, byte) in histograms.iter_mut().zip(element.doc.0.to_le_bytes()) {
+            histogram[usize::from(byte)] += 1;
+        }
+        stats.count(element.term);
+    }
+    let grouped = group_by_doc(elements, &histograms);
+    let boundaries = grouped.windows(2).filter(|pair| pair[0].doc != pair[1].doc);
+    stats.accessible_docs = boundaries.count() + usize::from(!grouped.is_empty());
     let weights: Vec<f64> = terms.iter().map(|&term| stats.idf(term)).collect();
 
     let mut top = TopKScratch::new();
     top.begin(k);
-    for document in sorted.chunk_by(|a, b| a.doc == b.doc) {
+    for document in grouped.chunk_by(|a, b| a.doc == b.doc) {
         let score: f64 = terms
             .iter()
             .zip(&weights)
             .map(|(&term, &weight)| {
                 document
                     .iter()
-                    .find(|e| e.term == term)
-                    .map_or(0.0, |e| e.term_frequency(codec) * weight)
+                    .filter(|e| e.term == term)
+                    .map(|e| e.tf_quantized)
+                    .min()
+                    .map_or(0.0, |tf| codec.dequantize_tf(tf) * weight)
             })
             .sum();
         top.offer(document[0].doc, score);
     }
     top.finish();
     (top.take_ranked(), stats)
+}
+
+/// `elements` ordered by document id, each document's elements in
+/// arrival order: a stable LSD radix sort, one scatter pass per byte of
+/// `doc` that some two elements differ in (`histograms` counts every
+/// byte's values).
+fn group_by_doc(elements: &[PostingElement], histograms: &DocHistograms) -> Vec<PostingElement> {
+    let mut grouped = elements.to_vec();
+    let mut spare = Vec::new();
+    for (digit, histogram) in histograms.iter().enumerate() {
+        if histogram.contains(&elements.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (next, &count) in next.iter_mut().zip(histogram) {
+            *next = start;
+            start += count;
+        }
+        spare.resize(elements.len(), elements[0]);
+        for element in &grouped {
+            let slot = &mut next[usize::from(element.doc.0.to_le_bytes()[digit])];
+            spare[*slot] = *element;
+            *slot += 1;
+        }
+        std::mem::swap(&mut grouped, &mut spare);
+    }
+    grouped
 }
 
 #[cfg(test)]
@@ -208,5 +239,29 @@ mod tests {
         assert_eq!(stats.document_frequency(TermId(10)), 2);
         let expected = codec.dequantize_tf(1_000) * zerber_index::idf(1, 2);
         assert_eq!(ranked[0].score.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn grouping_keeps_arrival_order_within_a_document() {
+        // Ids differing only in bytes 0 and 3, interleaved in arrival
+        // order.
+        let elements = vec![
+            element(0x0100_0002, 1, 1),
+            element(2, 1, 2),
+            element(0x0100_0002, 2, 3),
+            element(1, 1, 4),
+            element(2, 2, 5),
+        ];
+        let mut histograms: DocHistograms = [[0; 256]; 4];
+        for e in &elements {
+            for (histogram, byte) in histograms.iter_mut().zip(e.doc.0.to_le_bytes()) {
+                histogram[usize::from(byte)] += 1;
+            }
+        }
+        let order: Vec<u32> = group_by_doc(&elements, &histograms)
+            .iter()
+            .map(|e| e.tf_quantized)
+            .collect();
+        assert_eq!(order, [4, 2, 5, 1, 3]);
     }
 }

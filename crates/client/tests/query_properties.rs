@@ -1,10 +1,10 @@
 //! Property tests for the query client's streaming pass, each against
-//! the hashing implementation it replaced (kept here, outside the
-//! crate, as the oracle): `recombine` against a
-//! `(list, element id)`-keyed accumulator, and the one-pass
-//! personalised ranking against `zerber_index`'s Threshold Algorithm
-//! and full-sort references over per-term scored lists. Two fixed
-//! examples pin what a tampered answer turns into.
+//! the implementation it replaced (kept here, outside the crate, as
+//! the oracle): `recombine` against a `(list, element id)`-keyed
+//! accumulator, the personalised ranking against `zerber_index`'s
+//! Threshold Algorithm and full-sort references over per-term scored
+//! lists, and `rank`'s radix grouping against the comparison sort it
+//! replaced. Two fixed examples pin what a tampered answer turns into.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use zerber_client::ranking::rank;
 use zerber_client::{
     recombine, BatchPolicy, DocumentOwner, PendingFetch, QueryClient, QueryError, QueryOutcome,
     ServerHandle,
@@ -23,7 +24,7 @@ use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
 use zerber_field::{lagrange_weights_at_zero, Fp};
 use zerber_index::topk::naive_topk;
 use zerber_index::{
-    threshold_topk, DocId, Document, GroupId, RankedDoc, ScoredList, TermId, UserId,
+    threshold_topk, DocId, Document, GroupId, RankedDoc, ScoredList, TermId, TopKScratch, UserId,
 };
 use zerber_net::{AuthToken, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
@@ -327,6 +328,74 @@ fn oracle_lists(
         .collect()
 }
 
+/// The ranking `rank` replaced: a copy of the elements sorted by
+/// `(doc, term, tf)`, the statistics counted off it, and per document
+/// and query term the first (lowest-tf) element of that term. Returns
+/// the ranking, the number of documents and every term's df.
+fn oracle_rank(
+    elements: &[PostingElement],
+    codec: &ElementCodec,
+    terms: &[TermId],
+    k: usize,
+) -> (Vec<RankedDoc>, usize, HashMap<TermId, usize>) {
+    let mut sorted = elements.to_vec();
+    sorted.sort_unstable_by_key(|e| (e.doc, e.term, e.tf_quantized));
+    let mut df: HashMap<TermId, usize> = HashMap::new();
+    for element in &sorted {
+        *df.entry(element.term).or_insert(0) += 1;
+    }
+    let docs = sorted.chunk_by(|a, b| a.doc == b.doc).count();
+    let weights: Vec<f64> = terms
+        .iter()
+        .map(|term| zerber_index::idf(docs, df.get(term).copied().unwrap_or(0)))
+        .collect();
+    let mut top = TopKScratch::new();
+    top.begin(k);
+    for document in sorted.chunk_by(|a, b| a.doc == b.doc) {
+        let score: f64 = terms
+            .iter()
+            .zip(&weights)
+            .map(|(&term, &weight)| {
+                document
+                    .iter()
+                    .find(|e| e.term == term)
+                    .map_or(0.0, |e| e.term_frequency(codec) * weight)
+            })
+            .sum();
+        top.offer(document[0].doc, score);
+    }
+    top.finish();
+    (top.take_ranked(), docs, df)
+}
+
+/// Terms the arbitrary elements carry; queries also ask for two more.
+const ELEMENT_TERMS: u32 = 6;
+
+/// Up to 96 elements over up to 24 documents, so `(doc, term)` pairs
+/// repeat with different frequencies at arbitrary positions. The ids
+/// share a random base outside a random subset of their four bytes:
+/// every byte of a `u32` varies in some cases and is shared in others.
+fn arb_elements() -> impl Strategy<Value = Vec<PostingElement>> {
+    (
+        any::<u32>(),
+        0u32..16,
+        prop::collection::vec(any::<u32>(), 1..24),
+        prop::collection::vec((any::<usize>(), 0..ELEMENT_TERMS, 0u32..4096), 0..96),
+    )
+        .prop_map(|(base, varying, pool, raw)| {
+            let mask = (0..4)
+                .filter(|byte| varying >> byte & 1 == 1)
+                .fold(0u32, |mask, byte| mask | 0xff << (8 * byte));
+            raw.into_iter()
+                .map(|(doc, term, tf)| PostingElement {
+                    doc: DocId(base ^ (pool[doc % pool.len()] & mask)),
+                    term: TermId(term),
+                    tf_quantized: tf,
+                })
+                .collect()
+        })
+}
+
 fn bits(ranked: &[RankedDoc]) -> Vec<(u32, u64)> {
     ranked
         .iter()
@@ -443,7 +512,29 @@ proptest! {
         }
     }
 
-    /// (c) The same query over the same servers decrypts the same
+    /// (c) `rank` groups by radix exactly as the sort it replaced
+    /// did: the same documents, score bits and statistics for
+    /// repeated, absent and missing query terms at every budget.
+    #[test]
+    fn rank_equals_the_sorting_reference(
+        elements in arb_elements(),
+        terms in prop::collection::vec(0..ELEMENT_TERMS + 2, 0..5),
+    ) {
+        let codec = ElementCodec::default();
+        let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
+        for k in [0, 1, 10, usize::MAX] {
+            let (ranked, stats) = rank(&elements, &codec, &terms, k);
+            let (expected, docs, df) = oracle_rank(&elements, &codec, &terms, k);
+            prop_assert_eq!(bits(&ranked), bits(&expected));
+            prop_assert_eq!(stats.accessible_docs(), docs);
+            for term in (0..ELEMENT_TERMS + 2).map(TermId) {
+                let expected = df.get(&term).copied().unwrap_or(0);
+                prop_assert_eq!(stats.document_frequency(term), expected);
+            }
+        }
+    }
+
+    /// (d) The same query over the same servers decrypts the same
     /// elements in the same order.
     #[test]
     fn matching_elements_are_deterministic(

@@ -7,9 +7,11 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use zerber_client::{DocumentOwner, QueryClient, QueryError, QueryOutcome, ServerHandle};
+use zerber_client::{
+    DocumentOwner, OwnerError, QueryClient, QueryError, QueryOutcome, ServerHandle,
+};
 use zerber_core::merge::{MergeError, MergePlan};
-use zerber_core::MappingTable;
+use zerber_core::{CodecError, MappingTable};
 use zerber_index::{CorpusStats, Document, GroupId, TermId, UserId};
 use zerber_net::{AuthToken, NodeId, TrafficMeter};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
@@ -33,6 +35,8 @@ pub enum SystemError {
     Server(ServerError),
     /// A query could not be answered from what the servers returned.
     Query(QueryError),
+    /// A document does not fit the configured element codec.
+    Codec(CodecError),
 }
 
 impl std::fmt::Display for SystemError {
@@ -43,6 +47,7 @@ impl std::fmt::Display for SystemError {
             SystemError::Sharing(e) => write!(f, "sharing error: {e}"),
             SystemError::Server(e) => write!(f, "server error: {e}"),
             SystemError::Query(e) => write!(f, "query error: {e}"),
+            SystemError::Codec(e) => write!(f, "codec error: {e}"),
         }
     }
 }
@@ -80,6 +85,17 @@ impl From<QueryError> for SystemError {
         match e {
             QueryError::Server(e) => SystemError::Server(e),
             other => SystemError::Query(other),
+        }
+    }
+}
+
+impl From<OwnerError> for SystemError {
+    /// A server's rejection stays [`SystemError::Server`] whichever
+    /// path it arrived by.
+    fn from(e: OwnerError) -> Self {
+        match e {
+            OwnerError::Server(e) => SystemError::Server(e),
+            OwnerError::Codec(e) => SystemError::Codec(e),
         }
     }
 }
@@ -238,12 +254,15 @@ impl ZerberSystem {
 
     /// Indexes a whole corpus, batching across documents, and flushes
     /// every owner once at the end; returns total elements produced.
+    /// Indexing stops at the first document that fails, and the owners
+    /// are flushed anyway: the documents before it are searchable.
     pub fn index_corpus(&mut self, docs: &[Document]) -> Result<usize, SystemError> {
-        let mut total = 0;
-        for doc in docs {
-            total += self.enqueue_document(doc)?;
-        }
-        self.flush_owners()?;
+        let enqueued: Result<usize, SystemError> = docs
+            .iter()
+            .try_fold(0, |total, doc| Ok(total + self.enqueue_document(doc)?));
+        let flushed = self.flush_owners();
+        let total = enqueued?;
+        flushed?;
         Ok(total)
     }
 
@@ -469,6 +488,33 @@ mod tests {
             .ranked
             .is_empty());
         assert_eq!(sys.elements_per_server(), 0);
+    }
+
+    #[test]
+    fn a_document_the_codec_cannot_hold_is_an_error_not_a_panic() {
+        let mut sys = system();
+        sys.add_membership(UserId(1), GroupId(0));
+        let beyond = 1 << 26;
+        let corpus = [
+            doc(1, 0, &[(5, 2)]),
+            doc(2, 0, &[(5, 1)]),
+            doc(beyond, 0, &[(5, 1)]),
+            doc(3, 0, &[(5, 1)]),
+        ];
+        match sys.index_corpus(&corpus) {
+            Err(SystemError::Codec(CodecError::FieldOverflow { field: "doc", .. })) => {}
+            other => panic!("expected a doc-id overflow, got {other:?}"),
+        }
+        let mut found: Vec<u32> = sys
+            .query(UserId(1), &[TermId(5)], 10)
+            .unwrap()
+            .ranked
+            .iter()
+            .map(|r| r.doc.0)
+            .collect();
+        found.sort_unstable();
+        assert_eq!(found, [1, 2]);
+        assert_eq!(sys.elements_per_server(), 2);
     }
 
     #[test]

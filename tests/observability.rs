@@ -76,6 +76,10 @@ fn confidential_query_splits_into_fetch_recombine_rank() {
         counter("recombine", "matching"),
         outcome.matching_elements.len() as u64
     );
+    assert_eq!(
+        counter("rank", "elements"),
+        counter("recombine", "matching")
+    );
     let holders = docs
         .iter()
         .filter(|doc| {
