@@ -2,10 +2,11 @@
 //! (k servers, decryption, filtering, ranking) against the trusted
 //! central baseline — the paper's claim is that Zerber "answers most
 //! of the queries almost as fast as an ordinary inverted index" —
-//! plus the planned evaluators over a two-segment LSM snapshot — the
-//! merged cursor path the repository benchmark's search workloads
-//! measure, printed with each case's scored-posting and block counts
-//! so ns/iter reads as ns per scored posting.
+//! plus the planned evaluators over the same corpus as a two-segment
+//! LSM snapshot (the shadowed merge a memtable delta puts under every
+//! read) and as one bulk-loaded segment (the cursor path of a freshly
+//! loaded shard), printed with each case's scored-posting and block
+//! counts so ns/iter reads as ns per scored posting.
 
 use std::hint::black_box;
 
@@ -17,7 +18,7 @@ use zerber_corpus::{CorpusConfig, SyntheticCorpus};
 use zerber_index::cursor::TopKScratch;
 use zerber_index::{idf, GroupId, PostingStore, SegmentPolicy, TermId, UserId};
 use zerber_query::{execute, Forced, QueryShape};
-use zerber_segment::{ScratchDir, SegmentStore};
+use zerber_segment::{BulkConfig, ScratchDir, SegmentSnapshot, SegmentStore};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -67,10 +68,12 @@ fn bench_query_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// `execute` under the planner's own choice over a snapshot of two
-/// flushed segments: every term's cursor is a shadow-aware merge of
-/// two compressed sub-cursors, and the phrase filter reads positions
-/// through it.
+/// `execute` under the planner's own choice over the same corpus
+/// stored two ways: as two flushed segments, where every term's cursor
+/// is a shadow-aware merge of two compressed sub-cursors (the shape a
+/// memtable delta still gives every read), and as one bulk-loaded
+/// segment, one compressed cursor per term. The phrase filter reads
+/// positions through either.
 fn bench_planned_over_segments(c: &mut Criterion) {
     let corpus = SyntheticCorpus::generate(&CorpusConfig {
         num_docs: 4_000,
@@ -78,19 +81,36 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         num_groups: 1,
         ..CorpusConfig::default()
     });
-    let dir = ScratchDir::new("query-bench");
     let policy = SegmentPolicy {
         flush_postings: usize::MAX,
         background: false,
         ..SegmentPolicy::default()
     };
-    let store = SegmentStore::open(&dir, policy).expect("open");
+    let (two_dir, one_dir) = (
+        ScratchDir::new("query-bench-two"),
+        ScratchDir::new("query-bench-one"),
+    );
+    let two = SegmentStore::open(&two_dir, policy).expect("open");
     for half in corpus.documents.chunks(corpus.documents.len().div_ceil(2)) {
-        store.insert(half).expect("insert");
-        store.flush().expect("flush");
+        two.insert(half).expect("insert");
+        two.flush().expect("flush");
     }
-    let snapshot = store.snapshot();
-    assert_eq!(snapshot.segment_len(), 2);
+    let one = SegmentStore::open(&one_dir, policy).expect("open");
+    one.bulk_load(&corpus.documents, BulkConfig::default())
+        .expect("bulk load");
+
+    for (group, store, segments) in [
+        ("query/planned_two_segments_top10", &two, 2),
+        ("query/planned_one_segment_top10", &one, 1),
+    ] {
+        let snapshot = store.snapshot();
+        assert_eq!(snapshot.segment_len(), segments);
+        bench_planned(c, group, &snapshot);
+    }
+}
+
+/// One group of three planned top-10 queries over `snapshot`.
+fn bench_planned(c: &mut Criterion, group: &str, snapshot: &SegmentSnapshot) {
     let n = snapshot.live_doc_count();
     let slots = |terms: &[u32]| -> Vec<(TermId, f64)> {
         terms
@@ -99,7 +119,7 @@ fn bench_planned_over_segments(c: &mut Criterion) {
             .collect()
     };
 
-    let mut group = c.benchmark_group("query/planned_two_segments_top10");
+    let mut bench_group = c.benchmark_group(group);
     for (name, shape, terms) in [
         ("terms_2", QueryShape::Terms, slots(&[0, 1])),
         ("terms_3", QueryShape::Terms, slots(&[0, 1, 2])),
@@ -108,7 +128,7 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         let mut scratch = TopKScratch::new();
         let mut run = || {
             execute(
-                &snapshot,
+                snapshot,
                 shape,
                 black_box(&terms),
                 10,
@@ -120,12 +140,12 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         // the scored postings is the read path's cost per posting.
         let cost = run().cost;
         println!(
-            "{name}: {} postings scored, {}/{} blocks decoded",
+            "{group}/{name}: {} postings scored, {}/{} blocks decoded",
             cost.postings_scored, cost.blocks_decoded, cost.blocks_total
         );
-        group.bench_function(name, |b| b.iter(|| black_box(run().ranked.len())));
+        bench_group.bench_function(name, |b| b.iter(|| black_box(run().ranked.len())));
     }
-    group.finish();
+    bench_group.finish();
 }
 
 criterion_group!(benches, bench_query_paths, bench_planned_over_segments);

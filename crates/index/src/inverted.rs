@@ -225,6 +225,13 @@ impl InvertedIndex {
         self.postings.iter().map(PostingList::len).sum()
     }
 
+    /// Heap footprint of the uncompressed `Vec<Posting>` lists in
+    /// bytes — the raw side of the Section 7.2/7.3 storage accounting,
+    /// beside a frozen store's `PostingStore::posting_bytes`.
+    pub fn posting_bytes(&self) -> usize {
+        self.total_postings() * std::mem::size_of::<Posting>()
+    }
+
     /// The owning group of a document, if indexed.
     pub fn document_group(&self, doc: DocId) -> Option<GroupId> {
         self.documents.get(&doc).map(|m| m.group)

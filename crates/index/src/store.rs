@@ -17,7 +17,6 @@ use crate::cursor::BlockCursor;
 use crate::postings::Posting;
 use crate::stats::CorpusStats;
 use crate::types::TermId;
-use crate::InvertedIndex;
 
 /// Where a deployment's shard peers keep their posting stores.
 ///
@@ -132,51 +131,12 @@ pub trait PostingStore {
     }
 }
 
-/// The mutable index is a [`PostingStore`] for what walks or weighs
-/// its `Vec<Posting>` lists: the exhaustive oracles
-/// ([`PostingStore::postings`]) and the uncompressed footprint of the
-/// Section 7.2/7.3 accounting ([`PostingStore::posting_bytes`]). It is
-/// not a ranked-read backend — its lists carry neither block skip
-/// metadata nor the positional column a cursor reports — so it is
-/// frozen into a store (`zerber_postings::CompressedPostingStore`)
-/// before it is queried.
-impl PostingStore for InvertedIndex {
-    fn term_count(&self) -> usize {
-        InvertedIndex::term_count(self)
-    }
-
-    fn document_frequency(&self, term: TermId) -> usize {
-        InvertedIndex::document_frequency(self, term)
-    }
-
-    fn postings(&self, term: TermId) -> Box<dyn Iterator<Item = Posting> + '_> {
-        Box::new(self.posting_list(term).iter().copied())
-    }
-
-    fn total_postings(&self) -> usize {
-        InvertedIndex::total_postings(self)
-    }
-
-    fn posting_bytes(&self) -> usize {
-        self.posting_lists()
-            .iter()
-            .map(|l| l.len() * std::mem::size_of::<Posting>())
-            .sum()
-    }
-
-    /// # Panics
-    /// Always — ranking the build surface is a caller bug (see the
-    /// impl docs); freeze the index into a store first.
-    fn query_cursors<'a>(&'a self, _terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
-        panic!("the live index serves no cursors: freeze it into a posting store to rank it")
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::doc::Document;
-    use crate::types::{DocId, GroupId};
+    use crate::postings::Posting;
+    use crate::types::{DocId, GroupId, TermId};
+    use crate::InvertedIndex;
 
     fn sample_index() -> InvertedIndex {
         let docs = vec![
@@ -189,26 +149,26 @@ mod tests {
     #[test]
     fn live_index_store_mirrors_the_index() {
         let index = sample_index();
-        let store: &dyn PostingStore = &index;
-        assert_eq!(store.term_count(), index.term_count());
-        assert_eq!(store.total_postings(), index.total_postings());
-        assert_eq!(store.document_frequency(TermId(0)), 2);
-        assert_eq!(store.document_frequency(TermId(9)), 0);
-        let docs: Vec<u32> = store.postings(TermId(0)).map(|p| p.doc.0).collect();
+        assert_eq!(index.term_count(), 2);
+        assert_eq!(index.total_postings(), 3);
+        assert_eq!(index.document_frequency(TermId(0)), 2);
+        assert_eq!(index.document_frequency(TermId(9)), 0);
+        let docs: Vec<u32> = index
+            .posting_list(TermId(0))
+            .iter()
+            .map(|p| p.doc.0)
+            .collect();
         assert_eq!(docs, vec![1, 2]);
-        assert!(store.postings(TermId(9)).next().is_none());
-        assert_eq!(store.posting_bytes(), 3 * std::mem::size_of::<Posting>());
+        assert!(index.posting_list(TermId(9)).is_empty());
+        assert_eq!(index.posting_bytes(), 3 * std::mem::size_of::<Posting>());
     }
 
     #[test]
     fn store_statistics_match_index_statistics() {
         let index = sample_index();
-        let a = PostingStore::statistics(&index);
-        let b = index.statistics();
-        assert_eq!(
-            a.document_frequency(TermId(0)),
-            b.document_frequency(TermId(0))
-        );
-        assert_eq!(a.total_document_frequency(), b.total_document_frequency());
+        let stats = index.statistics();
+        assert_eq!(stats.document_frequency(TermId(0)), 2);
+        assert_eq!(stats.document_frequency(TermId(1)), 1);
+        assert_eq!(stats.total_document_frequency(), 3);
     }
 }

@@ -1,8 +1,9 @@
 //! Exhaustive reference evaluators — the ground truth the cursor
 //! evaluators in [`crate::exec`] are property-tested against.
 //!
-//! Every oracle walks raw postings through [`PostingStore::postings`]
-//! (no cursors, no pruning, no stored skip metadata) and accumulates
+//! Every oracle walks the raw `Vec<Posting>` lists of a rebuilt
+//! [`InvertedIndex`] (no cursors, no pruning, no stored skip metadata,
+//! no compressed backend under test) and accumulates
 //! each document's score slot-by-slot **in slot order** — the same
 //! floating-point summation sequence the evaluators use, so agreement
 //! is checked bit for bit, not approximately. The phrase oracle
@@ -12,16 +13,16 @@
 
 use std::collections::HashMap;
 
-use zerber_index::{DocId, PostingStore, RankedDoc, TermId};
+use zerber_index::{DocId, InvertedIndex, RankedDoc, TermId};
 
 use crate::exec::distinct_slots;
 
 /// Exhaustive disjunctive top-k: every posting of every slot scored,
 /// per-document sums accumulated in slot order.
-pub fn oracle_terms(store: &dyn PostingStore, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
+pub fn oracle_terms(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
     let mut scores: HashMap<u32, f64> = HashMap::new();
     for &(term, weight) in slots {
-        for posting in store.postings(term) {
+        for posting in index.posting_list(term) {
             *scores.entry(posting.doc.0).or_insert(0.0) += posting.term_frequency() * weight;
         }
     }
@@ -35,23 +36,19 @@ pub fn oracle_terms(store: &dyn PostingStore, slots: &[(TermId, f64)], k: usize)
 }
 
 /// Exhaustive conjunctive top-k over the distinct slots.
-pub fn oracle_and(store: &dyn PostingStore, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
-    rank(conjunctive_matches(store, &distinct_slots(slots)), k)
+pub fn oracle_and(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
+    rank(conjunctive_matches(index, &distinct_slots(slots)), k)
 }
 
 /// Exhaustive phrase top-k: conjunctive matches over the distinct
 /// slots, filtered by an independently derived positional check.
-pub fn oracle_phrase(
-    store: &dyn PostingStore,
-    slots: &[(TermId, f64)],
-    k: usize,
-) -> Vec<RankedDoc> {
+pub fn oracle_phrase(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
     let phrase: Vec<TermId> = slots.iter().map(|&(t, _)| t).collect();
     if phrase.is_empty() {
         return Vec::new();
     }
-    let matches = conjunctive_matches(store, &distinct_slots(slots))
-        .filter(|ranked| naive_phrase_match(store, &phrase, ranked.doc));
+    let matches = conjunctive_matches(index, &distinct_slots(slots))
+        .filter(|ranked| naive_phrase_match(index, &phrase, ranked.doc));
     rank(matches, k)
 }
 
@@ -59,12 +56,12 @@ pub fn oracle_phrase(
 /// order (iteration order of the result is arbitrary; [`rank`]
 /// imposes the total order).
 fn conjunctive_matches<'a>(
-    store: &'a dyn PostingStore,
+    index: &'a InvertedIndex,
     distinct: &[(TermId, f64)],
 ) -> impl Iterator<Item = RankedDoc> + 'a {
     let mut hits: HashMap<u32, (f64, usize)> = HashMap::new();
     for &(term, weight) in distinct {
-        for posting in store.postings(term) {
+        for posting in index.posting_list(term) {
             let slot = hits.entry(posting.doc.0).or_insert((0.0, 0));
             slot.0 += posting.term_frequency() * weight;
             slot.1 += 1;
@@ -83,11 +80,15 @@ fn conjunctive_matches<'a>(
 /// re-derived as `[start, start + count)` with `start` = the sum of
 /// the document's smaller-term counts, scanned straight off the raw
 /// posting lists.
-fn naive_phrase_match(store: &dyn PostingStore, phrase: &[TermId], doc: DocId) -> bool {
+fn naive_phrase_match(index: &InvertedIndex, phrase: &[TermId], doc: DocId) -> bool {
     // One pass over every term's list collects the doc's term counts.
     let mut counts: Vec<(u32, u32)> = Vec::new();
-    for term in 0..store.term_count() as u32 {
-        if let Some(posting) = store.postings(TermId(term)).find(|p| p.doc == doc) {
+    for term in 0..index.term_count() as u32 {
+        if let Some(posting) = index
+            .posting_list(TermId(term))
+            .iter()
+            .find(|p| p.doc == doc)
+        {
             counts.push((term, posting.count));
         }
     }

@@ -9,11 +9,16 @@
 //! documents ──dedup (last copy wins)──► W worker slices
 //!   worker w: RunBuilder ──(≥ run_postings)──► run-E-w-N.zrun
 //!             (segment file format, tmp + fsync + rename)
-//!   k-way merge_streaming per group   ──►  seg-S.zseg  (or rename a
-//!                                          single-run group in place)
-//!   writer lock: flush memtable, append bulk segments, MANIFEST
+//!   one k-way merge_streaming of every run ──► seg-S.zseg  (or rename
+//!                                              a lone run in place)
+//!   writer lock: flush memtable, append the bulk segment, MANIFEST
 //!   delete run files
 //! ```
+//!
+//! The workers parallelize run building only: however many there are,
+//! one load commits exactly one segment, so a bulk-loaded term is read
+//! by one cursor rather than a shadowed merge of the load's own
+//! doc-disjoint parts.
 //!
 //! No WAL record is ever written: the MANIFEST swap is the atomic
 //! commit point, and any file a crash strands (`.tmp`, `.zrun`, or an
@@ -63,17 +68,15 @@ impl BulkConfig {
 pub struct BulkStats {
     /// Distinct documents loaded (after last-copy-wins dedup).
     pub docs: usize,
-    /// Postings stored across all bulk segments.
+    /// Postings stored in the bulk segment.
     pub postings: usize,
     /// Sorted runs the workers emitted.
     pub runs: usize,
     /// How many bytes were written for the run files.
     pub run_bytes: u64,
-    /// How many bytes the merge phase rewrote (single-run groups are
-    /// renamed in place and cost nothing here).
+    /// How many bytes the merge phase rewrote (a lone run is renamed
+    /// in place and costs nothing here).
     pub merge_bytes: u64,
-    /// L1 segments registered in the manifest.
-    pub segments: usize,
 }
 
 /// Crash-injection points for the recovery tests: the bulk build
@@ -87,11 +90,12 @@ pub enum BulkFailpoint {
     AfterRun(usize),
     /// Die with every run on disk, before any merge output exists.
     BeforeMerge,
-    /// Die once `n` merged segment files have been written (mid
-    /// phase 2, nothing registered).
-    AfterMergedSegment(usize),
-    /// Die with every merged segment on disk, just before the
-    /// MANIFEST swap — the last moment the load must be invisible.
+    /// Die once the merged segment file is written (end of phase 2,
+    /// nothing registered).
+    AfterMerge,
+    /// Die with the memtable sealed under the writer lock, just before
+    /// the bulk segment's MANIFEST swap — the last moment the load
+    /// must be invisible.
     BeforeManifest,
     /// Die after the MANIFEST swap but before run-file deletion — the
     /// load must be fully visible and the strays collectable.

@@ -615,10 +615,12 @@ impl SegmentStore {
     /// emit sorted `run-*.zrun` files *in the segment file format*
     /// (per-term compressed posting lists with block-max skip
     /// metadata, written tmp + fsync + rename), k-way merged into
-    /// [`BulkConfig`]-many L1 segments, and registered in the
-    /// `MANIFEST` under the writer lock — after sealing any live
-    /// memtable, so the bulk segments are strictly newest and replace
-    /// overlapping documents exactly like a fresh insert would.
+    /// exactly one L1 segment (a lone run is renamed into place), and
+    /// registered in the `MANIFEST` under the writer lock — after
+    /// sealing any live memtable, so the bulk segment is strictly
+    /// newest and replaces overlapping documents exactly like a fresh
+    /// insert would. One load is one segment whatever the worker
+    /// count, so each of its terms is read by one cursor.
     ///
     /// **No WAL record is written.** The manifest swap is the single
     /// atomic commit point: a crash at any earlier step leaves only
@@ -741,96 +743,63 @@ impl SegmentStore {
             return Ok(None);
         }
 
-        // --- Phase 2: k-way merge run groups into L1 segments. ------
+        // --- Phase 2: merge every run into one L1 segment. ---------
         let postings: usize = runs.iter().map(Segment::posting_count).sum();
         let run_count = runs.len();
         let run_names: Vec<String> = runs.iter().map(|r| r.file_name().to_owned()).collect();
-        let groups = workers.min(run_count).max(1);
-        // Reserve a contiguous seq range under the writer lock. The
+        // Reserve the segment's seq under the writer lock. The
         // reservation only becomes durable with the registration
-        // manifest; after a crash the numbers are simply reused (any
-        // stray file wearing one was collected at open).
-        let first_seq = {
+        // manifest; after a crash the number is simply reused (any
+        // stray file wearing it was collected at open).
+        let seq = {
             let mut writer = self.inner.writer.lock();
-            let seq = writer.next_seq;
-            writer.next_seq += groups as u64;
-            seq
+            writer.next_seq += 1;
+            writer.next_seq - 1
         };
-        let mut buckets: Vec<Vec<Segment>> = (0..groups).map(|_| Vec::new()).collect();
-        for (i, run) in runs.into_iter().enumerate() {
-            buckets[i % groups].push(run);
-        }
-        let merges_written = AtomicUsize::new(0);
-        let merge_bytes = AtomicU64::new(0);
-        let merged_results: Vec<Result<Arc<Segment>, SegmentError>> = thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(g, mut bucket)| {
-                    let (dir, died) = (&dir, &died);
-                    let (merges_written, merge_bytes) = (&merges_written, &merge_bytes);
-                    scope.spawn(move || -> Result<Arc<Segment>, SegmentError> {
-                        let seq = first_seq + g as u64;
-                        let segment = if bucket.len() == 1 {
-                            // A group of one run *is* its segment:
-                            // adopt it with an atomic rename instead
-                            // of a rewrite (no write amplification).
-                            let run = bucket.pop().expect("one run");
-                            let seg_name = format!("seg-{seq:06}.zseg");
-                            std::fs::rename(dir.join(run.file_name()), dir.join(&seg_name))?;
-                            std::fs::File::open(dir)?.sync_all()?;
-                            run.renamed(seg_name)
-                        } else {
-                            // Runs are doc-disjoint and tombstone-free
-                            // by construction: nothing is shadowed, so
-                            // the merge carries single-run lists over
-                            // and k-way merges the rest unfiltered.
-                            let runs: Vec<&dyn Source> =
-                                bucket.iter().map(|run| run as &dyn Source).collect();
-                            let segment = merge_streaming(&runs, true).write(dir, seq)?;
-                            merge_bytes.fetch_add(segment.disk_bytes(), Ordering::Relaxed);
-                            segment
-                        };
-                        let total = merges_written.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(BulkFailpoint::AfterMergedSegment(n)) = failpoint {
-                            if total >= n {
-                                died.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(Arc::new(segment))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bulk merge worker panicked"))
-                .collect()
-        });
-        let mut bulk_segments: Vec<Arc<Segment>> = Vec::with_capacity(groups);
-        for result in merged_results {
-            bulk_segments.push(result?);
-        }
-        if died.load(Ordering::Relaxed) || matches!(failpoint, Some(BulkFailpoint::BeforeManifest))
-        {
+        let (segment, merge_bytes) = match <[Segment; 1]>::try_from(runs) {
+            // One run *is* the segment: adopt it with an atomic rename
+            // instead of a rewrite (no write amplification).
+            Ok([run]) => {
+                let seg_name = format!("seg-{seq:06}.zseg");
+                std::fs::rename(dir.join(run.file_name()), dir.join(&seg_name))?;
+                std::fs::File::open(&dir)?.sync_all()?;
+                (run.renamed(seg_name), 0)
+            }
+            // Runs are doc-disjoint and tombstone-free by construction:
+            // nothing is shadowed, so the merge carries single-run lists
+            // over and k-way merges the rest unfiltered.
+            Err(runs) => {
+                let sources: Vec<&dyn Source> = runs.iter().map(|run| run as &dyn Source).collect();
+                let content = merge_streaming(&sources, true);
+                // Free the runs before serializing the merged image, so
+                // at most two copies of the load are resident, not three.
+                drop(sources);
+                drop(runs);
+                let segment = content.write(&dir, seq)?;
+                let bytes = segment.disk_bytes();
+                (segment, bytes)
+            }
+        };
+        if matches!(failpoint, Some(BulkFailpoint::AfterMerge)) {
             return Ok(None);
         }
-        // Deterministic recency order among the (doc-disjoint) bulk
-        // segments, so a rebuilt store is file-for-file identical.
-        bulk_segments.sort_by(|a, b| a.file_name().cmp(b.file_name()));
 
         // --- Phase 3: register atomically under the writer lock. ----
         self.inner.written.fetch_add(
-            run_bytes.load(Ordering::Relaxed) + merge_bytes.load(Ordering::Relaxed),
+            run_bytes.load(Ordering::Relaxed) + merge_bytes,
             Ordering::Relaxed,
         );
         let mut writer = self.inner.writer.lock();
         // Seal any live memtable first: state ingested before this
-        // commit point must stay *older* than the bulk segments, which
-        // replace overlapping documents like a fresh insert.
+        // commit point must stay *older* than the bulk segment, which
+        // replaces overlapping documents like a fresh insert.
         self.inner.flush_locked(&mut writer)?;
+        if matches!(failpoint, Some(BulkFailpoint::BeforeManifest)) {
+            return Ok(None);
+        }
         let segments = {
             let mut state = self.inner.state.write();
-            state.segments.extend(bulk_segments.iter().cloned());
+            state.segments.push(Arc::new(segment));
             self.inner.epoch.fetch_add(1, Ordering::Relaxed);
             state.segments.clone()
         };
@@ -848,8 +817,7 @@ impl SegmentStore {
         let obs = &self.inner.obs;
         obs.bulk_docs.add(unique.len() as u64);
         obs.bulk_runs.add(run_count as u64);
-        obs.bulk_merge_bytes
-            .add(merge_bytes.load(Ordering::Relaxed));
+        obs.bulk_merge_bytes.add(merge_bytes);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);
         obs.segments.set(segments.len() as i64);
         Ok(Some(BulkStats {
@@ -857,8 +825,7 @@ impl SegmentStore {
             postings,
             runs: run_count,
             run_bytes: run_bytes.load(Ordering::Relaxed),
-            merge_bytes: merge_bytes.load(Ordering::Relaxed),
-            segments: groups,
+            merge_bytes,
         }))
     }
 

@@ -11,10 +11,13 @@
 //!    from a rebuild-from-scratch [`InvertedIndex`] oracle, including
 //!    after interleaved post-bulk inserts and deletes.
 //! 2. **Crash safety**: the bulk load killed at *every* step boundary
-//!    (after each run file, before the merge, after each merged
-//!    segment, before the manifest swap, before run GC) reopens to an
-//!    all-or-nothing state with every stray `run-*.zrun` / `*.tmp`
-//!    file garbage-collected, and the store keeps working.
+//!    (after each run file, before the merge, after the merge, before
+//!    the manifest swap, before run GC) reopens to an all-or-nothing
+//!    state with every stray `run-*.zrun` / `*.tmp` file
+//!    garbage-collected, and the store keeps working.
+//! 3. **One load, one segment**: whatever the worker count and however
+//!    many runs the workers seal, a load registers exactly one segment,
+//!    and a load of one run is adopted by rename, rewriting nothing.
 
 use std::collections::BTreeMap;
 
@@ -252,7 +255,7 @@ proptest! {
         let failpoint = match boundary {
             0 => BulkFailpoint::AfterRun(step),
             1 => BulkFailpoint::BeforeMerge,
-            2 => BulkFailpoint::AfterMergedSegment(step),
+            2 => BulkFailpoint::AfterMerge,
             3 => BulkFailpoint::BeforeManifest,
             _ => BulkFailpoint::BeforeRunGc,
         };
@@ -307,5 +310,71 @@ proptest! {
             all.insert(doc.id.0, doc.clone());
         }
         check_snapshot(&reopened.snapshot(), &all)?;
+    }
+}
+
+/// Applies a WAL-path history (inserts, deletes, plain flushes) to
+/// `store`, mirroring it into `live`.
+fn replay(store: &SegmentStore, history: &[Op], live: &mut BTreeMap<u32, Document>) {
+    for op in history {
+        match op {
+            Op::Insert(batch) => {
+                let batch: Vec<Document> =
+                    batch.iter().map(|(id, t)| materialize(*id, t)).collect();
+                store.insert(&batch).expect("history insert");
+                live.extend(batch.into_iter().map(|doc| (doc.id.0, doc)));
+            }
+            Op::Delete(id) => {
+                store.delete(DocId(*id)).expect("history delete");
+                live.remove(id);
+            }
+            Op::Flush => store.flush().expect("history flush"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn one_bulk_load_commits_one_segment(
+        history in prop::collection::vec(arb_op(), 0..8),
+        corpus in prop::collection::vec(arb_doc(), 1..40),
+        workers in 1usize..=4,
+        run_postings in prop_oneof![1usize..8, Just(1usize << 20)],
+    ) {
+        // The store under test and a twin with the same history: the
+        // twin's plain flush counts what the load's own memtable seal
+        // adds (nothing for an empty or self-cancelling memtable).
+        let (dir, twin_dir) = (ScratchDir::new("bulk-one"), ScratchDir::new("bulk-one-twin"));
+        let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+        let twin = SegmentStore::open(&twin_dir, tiny_policy()).expect("open twin");
+        let mut live: BTreeMap<u32, Document> = BTreeMap::new();
+        replay(&store, &history, &mut live);
+        replay(&twin, &history, &mut BTreeMap::new());
+        let before = store.segment_count();
+        prop_assert_eq!(twin.segment_count(), before);
+        twin.flush().expect("twin flush");
+        let sealed = twin.segment_count() - before;
+
+        let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
+        let config = BulkConfig { workers, run_postings };
+        let stats = store.bulk_load(&docs, config).expect("bulk load");
+        prop_assert_eq!(
+            store.segment_count(),
+            before + sealed + 1,
+            "{} runs from {} workers commit one segment",
+            stats.runs,
+            workers
+        );
+        if stats.runs == 1 {
+            prop_assert_eq!(stats.merge_bytes, 0, "a lone run is renamed, not rewritten");
+        } else {
+            prop_assert!(stats.merge_bytes > 0);
+        }
+        prop_assert_eq!(stray_files(&dir), Vec::<String>::new());
+        for doc in docs {
+            live.insert(doc.id.0, doc);
+        }
+        check_snapshot(&store.snapshot(), &live)?;
     }
 }

@@ -162,7 +162,7 @@ fn assert_matches_oracle(
 }
 
 /// Runs one schedule over a store that starts from `base` (bulk-loaded
-/// as a multi-segment base when non-empty), checking the oracle after
+/// by two overlapping loads when non-empty), checking the oracle after
 /// every compaction, at the end, and across a reopen.
 fn check_schedule(
     ops: &[Op],
@@ -180,12 +180,31 @@ fn check_schedule(
     let store = SegmentStore::open(&dir, policy).expect("open");
     let mut live: BTreeMap<u32, Document> = BTreeMap::new();
     if !base.is_empty() {
+        // Two overlapping loads, one segment each: the second re-loads
+        // the middle third, whose copies in the first are stale (other
+        // counts, plus a term no base document has), so a newer load
+        // must shadow an older one.
         let config = BulkConfig {
             workers: 3,
             run_postings: 16,
         };
-        let stats = store.bulk_load(base, config).expect("bulk load");
-        prop_assert!(stats.segments > 1, "the base spans several segments");
+        let (lo, hi) = (base.len() / 3, (2 * base.len()).div_ceil(3));
+        let stale = |doc: &Document| {
+            let mut terms: Vec<(TermId, u32)> =
+                doc.terms.iter().map(|&(t, c)| (t, c + 1)).collect();
+            terms.push((TermId(29), 1));
+            Document::from_term_counts(doc.id, doc.group, terms)
+        };
+        let first: Vec<Document> = base[..lo]
+            .iter()
+            .cloned()
+            .chain(base[lo..hi].iter().map(stale))
+            .collect();
+        store.bulk_load(&first, config).expect("first bulk load");
+        store
+            .bulk_load(&base[lo..], config)
+            .expect("second bulk load");
+        prop_assert!(store.segment_count() > 1, "the base spans several segments");
         live.extend(base.iter().map(|doc| (doc.id.0, doc.clone())));
     }
 

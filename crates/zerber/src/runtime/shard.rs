@@ -93,12 +93,10 @@ impl ShardHome {
     }
 
     /// Opens `shard`'s store in its fresh directory and seeds it with
-    /// `docs`. Runs on the peer's own thread, so per-shard construction
-    /// parallelizes across peers — which is why the seed is bulk-built
-    /// by *one* worker: a launch already runs a builder per peer, and
-    /// one run sealed as one block-compressed segment is what a
-    /// shard's reads should start from whatever the machine's core
-    /// count.
+    /// `docs` through [`SegmentStore::bulk_load`], exactly as a
+    /// `BulkLoad` frame loads a batch: one load commits one
+    /// block-compressed segment, which is what a shard's reads should
+    /// start from whatever the machine's core count.
     ///
     /// # Panics
     /// Panics if the directory cannot be opened or seeded, **or if it
@@ -123,12 +121,8 @@ impl ShardHome {
              stores with SegmentStore::open directly)",
             dir.display()
         );
-        let one_worker = BulkConfig {
-            workers: 1,
-            ..BulkConfig::default()
-        };
         store
-            .bulk_load(docs, one_worker)
+            .bulk_load(docs, BulkConfig::default())
             .expect("shard store seeds");
         store
     }
