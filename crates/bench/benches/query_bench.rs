@@ -3,10 +3,12 @@
 //! central baseline — the paper's claim is that Zerber "answers most
 //! of the queries almost as fast as an ordinary inverted index" —
 //! plus the planned evaluators over the same corpus as a two-segment
-//! LSM snapshot (the shadowed merge a memtable delta puts under every
-//! read) and as one bulk-loaded segment (the cursor path of a freshly
-//! loaded shard), printed with each case's scored-posting and block
-//! counts so ns/iter reads as ns per scored posting.
+//! LSM snapshot (a shadowed merge of two compressed cursors per term),
+//! as one bulk-loaded segment (the cursor path of a freshly loaded
+//! shard), and as that segment under a memtable fed twenty write
+//! batches (the read path of a shard taking writes), printed with each
+//! case's scored-posting and block counts so ns/iter reads as ns per
+//! scored posting.
 
 use std::hint::black_box;
 
@@ -69,11 +71,14 @@ fn bench_query_paths(c: &mut Criterion) {
 }
 
 /// `execute` under the planner's own choice over the same corpus
-/// stored two ways: as two flushed segments, where every term's cursor
-/// is a shadow-aware merge of two compressed sub-cursors (the shape a
-/// memtable delta still gives every read), and as one bulk-loaded
-/// segment, one compressed cursor per term. The phrase filter reads
-/// positions through either.
+/// stored three ways: as two flushed segments, where every term's
+/// cursor is a shadow-aware merge of two compressed sub-cursors; as one
+/// bulk-loaded segment, one compressed cursor per term; and as that
+/// segment under a memtable that twenty small insert batches (each
+/// rewriting ten segment documents) and five deletes of segment
+/// documents were folded into, so a term merges at most the one
+/// memtable list over the segment's cursor. The phrase filter reads
+/// positions through each.
 fn bench_planned_over_segments(c: &mut Criterion) {
     let corpus = SyntheticCorpus::generate(&CorpusConfig {
         num_docs: 4_000,
@@ -86,9 +91,10 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         background: false,
         ..SegmentPolicy::default()
     };
-    let (two_dir, one_dir) = (
+    let (two_dir, one_dir, churned_dir) = (
         ScratchDir::new("query-bench-two"),
         ScratchDir::new("query-bench-one"),
+        ScratchDir::new("query-bench-churned"),
     );
     let two = SegmentStore::open(&two_dir, policy).expect("open");
     for half in corpus.documents.chunks(corpus.documents.len().div_ceil(2)) {
@@ -98,10 +104,21 @@ fn bench_planned_over_segments(c: &mut Criterion) {
     let one = SegmentStore::open(&one_dir, policy).expect("open");
     one.bulk_load(&corpus.documents, BulkConfig::default())
         .expect("bulk load");
+    let churned = SegmentStore::open(&churned_dir, policy).expect("open");
+    churned
+        .bulk_load(&corpus.documents, BulkConfig::default())
+        .expect("bulk load");
+    for batch in corpus.documents.chunks(10).take(20) {
+        churned.insert(batch).expect("insert");
+    }
+    for doc in corpus.documents.iter().rev().step_by(97).take(5) {
+        churned.delete(doc.id).expect("delete");
+    }
 
     for (group, store, segments) in [
         ("query/planned_two_segments_top10", &two, 2),
         ("query/planned_one_segment_top10", &one, 1),
+        ("query/planned_segment_under_memtable_top10", &churned, 1),
     ] {
         let snapshot = store.snapshot();
         assert_eq!(snapshot.segment_len(), segments);

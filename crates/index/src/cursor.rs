@@ -14,12 +14,13 @@
 //! * `CompressedBlockCursor` (in `zerber-postings`) — decodes straight
 //!   from the stored compressed blocks, skipping via the persisted
 //!   `(first_doc, last_doc, max_tf)` index; `DecodedEntriesCursor`
-//!   beside it borrows a memtable delta's decoded postings
-//!   ("decoded" there counts blocks whose entries the algorithm
-//!   actually examined);
-//! * [`ShadowedMergeCursor`] — merges several sub-cursors (memtable
-//!   deltas over on-disk segments) under the doc-level shadowing rule
-//!   without flattening them into one list first;
+//!   beside it borrows the memtable's decoded postings ("decoded"
+//!   there counts blocks whose entries the algorithm actually
+//!   examined);
+//! * [`ShadowedMergeCursor`] — merges several sub-cursors (the
+//!   memtable's list over on-disk segments, at most one sub-cursor per
+//!   source) under the doc-level shadowing rule without flattening them
+//!   into one list first;
 //! * [`EmptyCursor`] — a term with no postings.
 //!
 //! Two pieces here are shared by every evaluator (this module's TA and

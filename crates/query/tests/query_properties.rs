@@ -4,7 +4,7 @@
 //! the exhaustive oracles (which walk the live index's lists), on
 //! arbitrary corpora, across both posting backends (compressed blocks
 //! in memory, and an LSM snapshot straddling two flushed segments and
-//! live memtable deltas, with rewritten and deleted documents shadowed
+//! a live memtable, with rewritten and deleted documents shadowed
 //! across them). Plus the pruning claims: MaxScore never decodes more
 //! blocks than exist, and on a selective workload decodes strictly
 //! fewer.
@@ -83,12 +83,12 @@ fn for_each_backend(docs: &[Document], mut check: impl FnMut(&str, &dyn PostingS
 
     // LSM snapshot whose net content is exactly `docs`, reached by a
     // history that puts every shadowing case on the query path: two
-    // flushed segments under live memtable deltas, every third
+    // flushed segments under a live memtable, every third
     // document first written in a stale version holding *all* terms
     // (so its rewrite in a newer source keeps the query terms the
     // document really has and drops the others), and ghost documents
     // that exist only to be deleted from a newer source. Merged
-    // cursors, positions read through a shadowed posting, the delta
+    // cursors, positions read through a shadowed posting, the memtable
     // cursor and the forward-only shadow finger all serve these reads.
     let dir = ScratchDir::new("query-props");
     let store = SegmentStore::open(
@@ -123,9 +123,10 @@ fn for_each_backend(docs: &[Document], mut check: impl FnMut(&str, &dyn PostingS
         store.delete(ghost.id).expect("delete");
     }
     store.flush().expect("flush");
-    // Deltas: the rest, the remaining rewrites (`first`'s stale
+    // The memtable: the rest, the remaining rewrites (`first`'s stale
     // versions sit under their real ones in segment 1 already — write
-    // them again so a delta shadows a segment too), the last deletions.
+    // them again so the memtable shadows a segment too), the last
+    // deletions.
     store.insert(live).expect("insert");
     store.insert(first).expect("insert");
     for ghost in &ghosts[2..] {

@@ -104,7 +104,7 @@ pub enum BulkFailpoint {
 
 /// Keeps the last copy of every document id ("only the most recent
 /// copy of the document"), preserving first-occurrence order — the
-/// same batch semantics as the WAL path's `MemDelta::from_ops`.
+/// same batch semantics as the WAL path's `Memtable::apply`.
 pub(crate) fn dedup_last(docs: &[Document]) -> Vec<&Document> {
     let mut last: std::collections::HashMap<u32, usize> =
         std::collections::HashMap::with_capacity(docs.len());

@@ -10,9 +10,10 @@
 //!   acknowledged only after its CRC'd record is on the log, and
 //!   recovery ignores torn tails without losing any acknowledged
 //!   batch,
-//! * [`memtable`] — immutable per-batch deltas ([`MemDelta`]): the
-//!   memtable is a list of frozen `Arc`'d batch effects, so reader
-//!   snapshots are pointer copies,
+//! * [`memtable`] — the one [`Memtable`] every acknowledged batch is
+//!   folded into, newest op per document winning; it sits behind an
+//!   `Arc`, so reader snapshots are pointer copies and a write copies
+//!   it only while a snapshot still holds it,
 //! * [`segment`] — immutable on-disk segments ([`Segment`]): per-term
 //!   `zerber_postings::CompressedPostingList`s with their block-max
 //!   skip metadata, the documents whose current version the segment
@@ -22,8 +23,8 @@
 //!   parallel workers emit sorted runs in the segment format, one k-way
 //!   merge folds them into one segment registered through one atomic
 //!   manifest swap, and no WAL is written on the offline path,
-//! * [`store`] — the engine ([`SegmentStore`]): flush seals deltas
-//!   into segments, size-balanced compaction (optionally on a
+//! * [`store`] — the engine ([`SegmentStore`]): flush seals the
+//!   memtable into a segment, size-balanced compaction (optionally on a
 //!   background thread) bounds the segment count by merging the
 //!   adjacent pair closest in size through the same streaming
 //!   shadow-aware merge, garbage-collecting tombstones when a merge
@@ -83,7 +84,7 @@ pub mod wal;
 
 pub use bulk::{BulkConfig, BulkStats};
 pub use error::SegmentError;
-pub use memtable::MemDelta;
+pub use memtable::Memtable;
 pub use segment::Segment;
 pub use store::{SegmentSnapshot, SegmentStore};
 pub use wal::WalOp;

@@ -31,10 +31,10 @@ use zerber_postings::{
 
 use crate::crc::crc32;
 use crate::error::SegmentError;
-use crate::memtable::MemDelta;
+use crate::memtable::Memtable;
 
 /// A read source in the engine's recency order (segments oldest →
-/// newest, then memtable deltas oldest → newest).
+/// newest, then the memtable).
 pub(crate) trait Source {
     /// Does this source define `doc`'s current version (insert or
     /// tombstone)?
@@ -112,7 +112,7 @@ impl<'a> ShadowProbe<'a> {
 }
 
 /// One term's postings inside a source, doc-ascending: segments hold
-/// them block-compressed, memtable deltas decoded.
+/// them block-compressed, the memtable decoded.
 #[derive(Clone, Copy)]
 pub(crate) enum TermPostings<'a> {
     Compressed(&'a CompressedPostingList),
@@ -144,24 +144,24 @@ impl Iterator for TermIter<'_> {
     }
 }
 
-impl Source for MemDelta {
+impl Source for Memtable {
     fn touches(&self, doc: u32) -> bool {
-        MemDelta::touches(self, doc)
+        Memtable::touches(self, doc)
     }
     fn live_docs(&self) -> &[u32] {
-        MemDelta::live_docs(self)
+        Memtable::live_docs(self)
     }
     fn tombstones(&self) -> &[u32] {
-        MemDelta::tombstones(self)
+        Memtable::tombstones(self)
     }
     fn term_entries(&self, term: u32) -> Vec<RawEntry> {
         self.term_postings(term).to_vec()
     }
     fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_> {
-        Box::new(MemDelta::term_lists(self).map(|(t, entries)| (t, TermPostings::Decoded(entries))))
+        Box::new(Memtable::term_lists(self).map(|(t, entries)| (t, TermPostings::Decoded(entries))))
     }
     fn term_slots(&self) -> u32 {
-        MemDelta::term_slots(self)
+        Memtable::term_slots(self)
     }
 }
 
@@ -624,8 +624,11 @@ mod tests {
     use crate::ScratchDir;
     use zerber_postings::CompressedPostingBuilder;
 
-    fn delta(ops: &[WalOp]) -> MemDelta {
-        MemDelta::from_ops(ops)
+    /// A memtable holding one batch: one input of a merge.
+    fn delta(ops: &[WalOp]) -> Memtable {
+        let mut memtable = Memtable::default();
+        memtable.apply(ops);
+        memtable
     }
 
     fn insert(doc: u32, terms: &[(u32, u32)]) -> WalOp {
@@ -639,7 +642,7 @@ mod tests {
     /// Runs `check` over the deltas as they are (decoded inputs) and
     /// over each sealed into its own segment file (compressed inputs):
     /// the one merge must decide identically through both.
-    fn through_both_forms(deltas: &[MemDelta], check: impl Fn(&[&dyn Source])) {
+    fn through_both_forms(deltas: &[Memtable], check: impl Fn(&[&dyn Source])) {
         let decoded: Vec<&dyn Source> = deltas.iter().map(|d| d as &dyn Source).collect();
         check(&decoded);
         let dir = ScratchDir::new("segment-forms");
@@ -661,7 +664,7 @@ mod tests {
             // Sparse to dense tables, so the finger takes single steps
             // and long gallops; sources may be empty.
             let span = rng.random_range(1..400u32);
-            let deltas: Vec<MemDelta> = (0..rng.random_range(1..5usize))
+            let deltas: Vec<Memtable> = (0..rng.random_range(1..5usize))
                 .map(|_| {
                     let density = rng.random_range(0..=100u32);
                     let ops: Vec<WalOp> = (0..span)

@@ -1,4 +1,4 @@
-//! The LSM engine: WAL → memtable deltas → immutable segments, with
+//! The LSM engine: WAL → memtable → immutable segments, with
 //! size-balanced compaction and MVCC reader snapshots.
 //!
 //! # Write path
@@ -6,10 +6,9 @@
 //! ```text
 //! insert/delete batch
 //!   │ 1. append checksummed WAL record (ack point)
-//!   │ 2. freeze the batch into an Arc'd MemDelta
-//!   │ 3. push it onto the engine state (brief write lock)
+//!   │ 2. fold the batch into the memtable (brief write lock)
 //!   ▼
-//! [deltas ...] ──(≥ flush_postings)──► seal: merge deltas → seg-N.zseg
+//! memtable ──(≥ flush_postings)──────► seal: memtable → seg-N.zseg
 //!                                      → MANIFEST → truncate WAL
 //! [segments ...] ──(> max_segments)──► merge the best-balanced adjacent
 //!                                      pair → one segment (tombstone GC
@@ -41,9 +40,11 @@
 //!
 //! # Snapshots
 //!
-//! Readers clone `Arc`s of the current segment list and delta list —
+//! Readers clone `Arc`s of the current segment list and the memtable —
 //! no locks are held while a query runs, so sustained top-k load never
-//! blocks ingest and vice versa.
+//! blocks ingest and vice versa. A write folds into the memtable in
+//! place (`Arc::make_mut`); while a snapshot still holds the old one,
+//! that write folds into a copy, so the snapshot keeps its world.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -64,7 +65,7 @@ use zerber_postings::{
 
 use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
-use crate::memtable::MemDelta;
+use crate::memtable::Memtable;
 use crate::segment::{
     merge_streaming, read_framed, write_framed, Reader, Segment, SegmentContent, ShadowProbe,
     Source,
@@ -74,12 +75,13 @@ use crate::wal::{replay, Wal, WalOp};
 const WAL_FILE: &str = "wal.log";
 const MANIFEST_FILE: &str = "MANIFEST.zman";
 
-/// The engine's current world: segments oldest → newest, then memtable
-/// deltas oldest → newest. Read access clones the `Arc`s.
+/// The engine's current world: segments oldest → newest, then the
+/// memtable over them. Read access clones the `Arc`s.
 struct EngineState {
     segments: Vec<Arc<Segment>>,
-    deltas: Vec<Arc<MemDelta>>,
-    /// Flush pressure: live postings + tombstones across `deltas`.
+    memtable: Arc<Memtable>,
+    /// Flush pressure: the sum of the weights of the batches applied
+    /// since the last flush.
     mem_weight: usize,
 }
 
@@ -100,7 +102,7 @@ struct SegmentMetrics {
     /// `zerber_segment_wal_append_ns`: buffered WAL append latency
     /// when `sync_wal` is off.
     wal_append: Histogram,
-    /// `zerber_segment_flush_ns`: memtable-seal (deltas → segment +
+    /// `zerber_segment_flush_ns`: memtable-seal (memtable → segment +
     /// manifest + WAL truncate) duration.
     flush: Histogram,
     /// `zerber_segment_compaction_ns`: one compaction step (one pair
@@ -235,23 +237,23 @@ impl Inner {
         Ok(())
     }
 
-    /// Seals every current delta into one segment. Writer lock held by
-    /// the caller: the delta list cannot change underneath.
+    /// Seals the memtable into one segment and resets it to empty.
+    /// Writer lock held by the caller: the memtable cannot change
+    /// underneath.
     fn flush_locked(&self, writer: &mut Writer) -> Result<(), SegmentError> {
-        let (deltas, no_segments) = {
+        let (memtable, no_segments) = {
             let state = self.state.read();
-            (state.deltas.clone(), state.segments.is_empty())
+            (Arc::clone(&state.memtable), state.segments.is_empty())
         };
-        if deltas.is_empty() {
+        if memtable.is_empty() {
             return Ok(());
         }
         let started = Instant::now();
-        let sources: Vec<&dyn Source> = deltas.iter().map(|d| d.as_ref() as &dyn Source).collect();
         // With no older segments a tombstone has nothing to mask.
-        let content = merge_streaming(&sources, no_segments);
+        let content = merge_streaming(&[memtable.as_ref()], no_segments);
         if content.is_empty() {
             let mut state = self.state.write();
-            state.deltas.clear();
+            state.memtable = Arc::default();
             state.mem_weight = 0;
             self.epoch.fetch_add(1, Ordering::Relaxed);
             drop(state);
@@ -266,7 +268,7 @@ impl Inner {
         let segments = {
             let mut state = self.state.write();
             state.segments.push(segment);
-            state.deltas.clear();
+            state.memtable = Arc::default();
             state.mem_weight = 0;
             self.epoch.fetch_add(1, Ordering::Relaxed);
             state.segments.clone()
@@ -414,11 +416,11 @@ impl SegmentStore {
         for name in &names {
             segments.push(Arc::new(Segment::load(&dir.join(name))?));
         }
-        let deltas: Vec<Arc<MemDelta>> = replay(&dir.join(WAL_FILE))?
+        let mut memtable = Memtable::default();
+        let mem_weight = replay(&dir.join(WAL_FILE))?
             .iter()
-            .map(|batch| Arc::new(MemDelta::from_ops(batch)))
-            .collect();
-        let mem_weight = deltas.iter().map(|d| d.weight()).sum();
+            .map(|batch| memtable.apply(batch))
+            .sum();
         let wal = Wal::open(&dir.join(WAL_FILE))?;
         obs.segments.set(segments.len() as i64);
         let inner = Arc::new(Inner {
@@ -426,7 +428,7 @@ impl SegmentStore {
             policy,
             state: RwLock::new(EngineState {
                 segments,
-                deltas,
+                memtable: Arc::new(memtable),
                 mem_weight,
             }),
             writer: Mutex::new(Writer { wal, next_seq }),
@@ -513,14 +515,15 @@ impl SegmentStore {
             self.inner.obs.wal_append.record(nanos);
         }
         self.inner.written.fetch_add(bytes, Ordering::Relaxed);
-        let delta = Arc::new(MemDelta::from_ops(&ops));
-        let added = delta.weight();
-        let over_threshold = {
+        let (added, over_threshold) = {
             let mut state = self.inner.state.write();
-            state.mem_weight += delta.weight();
-            state.deltas.push(delta);
+            let added = Arc::make_mut(&mut state.memtable).apply(&ops);
+            state.mem_weight += added;
             self.inner.epoch.fetch_add(1, Ordering::Relaxed);
-            state.mem_weight >= self.inner.policy.flush_postings.max(1)
+            (
+                added,
+                state.mem_weight >= self.inner.policy.flush_postings.max(1),
+            )
         };
         if over_threshold {
             self.inner.flush_locked(writer)?;
@@ -559,7 +562,7 @@ impl SegmentStore {
         let state = self.inner.state.read();
         SegmentSnapshot {
             segments: state.segments.clone(),
-            deltas: state.deltas.clone(),
+            memtable: Arc::clone(&state.memtable),
             epoch: self.inner.epoch.load(Ordering::Relaxed),
         }
     }
@@ -908,14 +911,14 @@ impl Drop for SegmentStore {
     }
 }
 
-/// A frozen view of the store: `Arc`'d segment and delta sets.
+/// A frozen view of the store: the `Arc`'d segments and memtable.
 /// Implements [`PostingStore`], so the query evaluators,
 /// `ShardedSearch`, and the peer runtime's shard service run on it
 /// unchanged.
 #[derive(Clone)]
 pub struct SegmentSnapshot {
     segments: Vec<Arc<Segment>>,
-    deltas: Vec<Arc<MemDelta>>,
+    memtable: Arc<Memtable>,
     /// The store's MVCC epoch at capture time.
     epoch: u64,
 }
@@ -924,17 +927,19 @@ impl std::fmt::Debug for SegmentSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentSnapshot")
             .field("segments", &self.segments.len())
-            .field("deltas", &self.deltas.len())
+            .field("memtable", &self.delta_len())
             .finish()
     }
 }
 
 impl SegmentSnapshot {
+    /// Segments oldest → newest, then the memtable unless it is empty.
     fn sources(&self) -> Vec<&dyn Source> {
+        let memtable = (!self.memtable.is_empty()).then_some(self.memtable.as_ref() as &dyn Source);
         self.segments
             .iter()
             .map(|s| s.as_ref() as &dyn Source)
-            .chain(self.deltas.iter().map(|d| d.as_ref() as &dyn Source))
+            .chain(memtable)
             .collect()
     }
 
@@ -999,9 +1004,10 @@ impl SegmentSnapshot {
         self.segments.len()
     }
 
-    /// Number of memtable deltas in view.
+    /// Number of in-memory sources in view: 1 while the memtable holds
+    /// a batch applied since the last flush, else 0.
     pub fn delta_len(&self) -> usize {
-        self.deltas.len()
+        usize::from(!self.memtable.is_empty())
     }
 
     /// The store's MVCC epoch at capture time. Snapshots with equal
@@ -1031,25 +1037,26 @@ impl PostingStore for SegmentSnapshot {
 
     fn posting_bytes(&self) -> usize {
         let segments: usize = self.segments.iter().map(|s| s.compressed_bytes()).sum();
-        let deltas: usize = self.deltas.iter().map(|d| d.approx_bytes()).sum();
-        segments + deltas
+        segments + self.memtable.approx_bytes()
     }
 
     /// The lazy read path. Each term gets one cursor that
-    /// merges the memtable deltas *over* the on-disk segments under
-    /// the doc-level shadowing rule **without flattening**: segment
+    /// merges the memtable *over* the on-disk segments under the
+    /// doc-level shadowing rule **without flattening**: segment
     /// postings stay block-compressed behind a
     /// [`CompressedBlockCursor`] (their stored block maxima serve the
     /// peeks; a block decompresses only when the top-k bound cannot
-    /// rule it out), deltas — already decoded in memory — are borrowed
-    /// by a [`DecodedEntriesCursor`], and the shadow test walks the
-    /// newer sources' doc tables with one forward-only finger each
-    /// (`ShadowProbe`). Every sub-cursor reads its posting's
-    /// positional run off the entry it stands on, so phrase queries
-    /// need no per-document lookup here. Entry values coincide with
-    /// [`PostingStore::postings`]' masked merge, so ranking is
-    /// bit-identical to a rebuilt index (property-tested in
-    /// `store_properties.rs`); only the decode work differs.
+    /// rule it out), the memtable's list — already decoded in memory —
+    /// is borrowed by a [`DecodedEntriesCursor`], so a term has at most
+    /// `segments + 1` sub-cursors, and the shadow test walks the newer
+    /// sources' doc tables with one forward-only finger each
+    /// (`ShadowProbe`; the memtable is one live/tombstone pair). Every
+    /// sub-cursor reads its posting's positional run off the entry it
+    /// stands on, so phrase queries need no per-document lookup here.
+    /// Entry values coincide with [`PostingStore::postings`]' masked
+    /// merge, so ranking is bit-identical to a rebuilt index
+    /// (property-tested in `store_properties.rs`); only the decode work
+    /// differs.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
         let sources = self.sources();
         terms
@@ -1063,28 +1070,26 @@ impl PostingStore for SegmentSnapshot {
                         }
                     }
                 }
-                for (offset, delta) in self.deltas.iter().enumerate() {
-                    let entries = delta.term_postings(term.0);
-                    if !entries.is_empty() {
-                        subs.push((
-                            self.segments.len() + offset,
-                            Box::new(DecodedEntriesCursor::new(entries, weight)),
-                        ));
-                    }
+                let entries = self.memtable.term_postings(term.0);
+                if !entries.is_empty() {
+                    subs.push((
+                        self.segments.len(),
+                        Box::new(DecodedEntriesCursor::new(entries, weight)),
+                    ));
                 }
-                match subs.len() {
-                    0 => Box::new(EmptyCursor) as Box<dyn BlockCursor + 'a>,
+                let subs = match <[_; 1]>::try_from(subs) {
+                    Err(none) if none.is_empty() => return Box::new(EmptyCursor) as Box<_>,
                     // A term living entirely in the newest source can
                     // never be shadowed: skip the merge wrapper.
-                    1 if subs[0].0 == sources.len() - 1 => subs.pop().expect("one sub").1,
-                    _ => {
-                        let mut probe = ShadowProbe::new(&sources);
-                        Box::new(ShadowedMergeCursor::new(
-                            subs,
-                            Box::new(move |rank, doc: DocId| probe.shadowed(rank, doc.0)),
-                        ))
-                    }
-                }
+                    Ok([(rank, cursor)]) if rank + 1 == sources.len() => return cursor,
+                    Ok(one) => one.into(),
+                    Err(many) => many,
+                };
+                let mut probe = ShadowProbe::new(&sources);
+                Box::new(ShadowedMergeCursor::new(
+                    subs,
+                    Box::new(move |rank, doc: DocId| probe.shadowed(rank, doc.0)),
+                )) as Box<dyn BlockCursor + 'a>
             })
             .collect()
     }

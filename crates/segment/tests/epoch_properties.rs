@@ -116,7 +116,7 @@ fn stored_run(snapshot: &SegmentSnapshot, term: u32, doc: u32) -> Option<(u32, u
 /// The positional column under shadowing: a snapshot's cursors must
 /// report the canonical run (terms in ascending id order, each
 /// occupying `count` consecutive slots) of the *newest* version of a
-/// document, wherever it lives — delta over segment, newer segment
+/// document, wherever it lives — memtable over segment, newer segment
 /// over older — and yield nothing once it is tombstoned.
 #[test]
 fn stored_positions_respect_shadowing_across_sources() {
@@ -138,7 +138,7 @@ fn stored_positions_respect_shadowing_across_sources() {
     assert_eq!(
         stored_run(&v2, 2, 1),
         None,
-        "the segment copy of term 2 is dead under the newer delta"
+        "the segment copy of term 2 is dead under the memtable"
     );
 
     // A tombstone hides every position; the pinned v2 still sees them.
@@ -147,7 +147,7 @@ fn stored_positions_respect_shadowing_across_sources() {
     assert_eq!(stored_run(&v3, 7, 1), None);
     assert_eq!(stored_run(&v2, 7, 1), Some((0, 3)));
 
-    // And on a multi-doc corpus split over a segment and a delta, every
+    // And on a multi-doc corpus split over a segment and the memtable, every
     // stored run is the one the documents themselves define.
     let store2 = SegmentStore::open(dir.join("agree"), policy()).expect("open");
     let docs: Vec<Document> = (0..40u32)

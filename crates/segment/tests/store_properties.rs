@@ -8,8 +8,8 @@
 //! current live document set, ranked exhaustively (`naive_topk` over
 //! every posting). The store side answers through the
 //! *lazy* `PostingStore::query_cursors` + `block_max_topk_cursors`
-//! pipeline the runtime serves queries with (memtable deltas merged
-//! over compressed segment cursors under the shadowing rule, decode on
+//! pipeline the runtime serves queries with (the memtable merged over
+//! compressed segment cursors under the shadowing rule, decode on
 //! demand).
 
 use std::collections::BTreeMap;
@@ -19,7 +19,8 @@ use proptest::prelude::*;
 use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{BulkConfig, ScratchDir, SegmentStore};
+use zerber_postings::RawEntry;
+use zerber_segment::{BulkConfig, ScratchDir, SegmentSnapshot, SegmentStore};
 
 /// One step of a schedule.
 #[derive(Debug, Clone)]
@@ -243,6 +244,8 @@ fn check_schedule(
                 );
             }
         }
+        // Every batch folds into one memtable: never a stack.
+        prop_assert!(store.snapshot().delta_len() <= 1, "after {:?}", op);
     }
 
     // Bounded segment count: the policy held after every explicit
@@ -289,4 +292,71 @@ proptest! {
         let base_docs: Vec<Document> = base_docs.into_values().collect();
         check_schedule(&ops, flush_postings, max_segments, &base_docs)?;
     }
+}
+
+/// The live postings of the probe terms, as a snapshot serves them.
+fn posting_image(snapshot: &SegmentSnapshot) -> Vec<Vec<RawEntry>> {
+    (0..30u32)
+        .map(|term| snapshot.live_postings(TermId(term)))
+        .collect()
+}
+
+/// MVCC over the one memtable: a snapshot pinned before an insert, a
+/// rewrite and a delete keeps its top-k and live postings (those
+/// writes fold into a copy of the memtable it holds), while a fresh
+/// snapshot — and the store reopened by replaying its WAL into one
+/// memtable — match the rebuild oracle.
+#[test]
+fn a_pinned_snapshot_keeps_its_world_while_writes_fold_in() -> Result<(), TestCaseError> {
+    let dir = ScratchDir::new("props-mvcc");
+    let policy = SegmentPolicy {
+        flush_postings: usize::MAX,
+        max_segments: 4,
+        background: false,
+        sync_wal: false,
+    };
+    let store = SegmentStore::open(&dir, policy).expect("open");
+    let base: Vec<Document> = (0..24u32)
+        .map(|id| materialize(id, &[(id % 6, 1 + id % 3), (6 + id % 4, 2)]))
+        .collect();
+    // Half the base in a segment, half in the memtable over it.
+    store.insert(&base[..12]).expect("insert");
+    store.flush().expect("flush");
+    store.insert(&base[12..]).expect("insert");
+    let mut live: BTreeMap<u32, Document> = base.iter().map(|d| (d.id.0, d.clone())).collect();
+
+    let pinned = store.snapshot();
+    let pinned_live = live.clone();
+    let probe: Vec<u32> = (0..6).collect();
+    let pinned_topk = store_topk(&pinned, &pinned_live, &probe, 5);
+    let pinned_image = posting_image(&pinned);
+    assert_matches_oracle(&pinned, &pinned_live, "before the writes")?;
+
+    // An insert of a new document, a rewrite of a memtable document that
+    // drops one of its terms, and a delete of a segment document.
+    let writes = [
+        materialize(40, &[(0, 4), (1, 1)]),
+        materialize(14, &[(2, 3)]),
+    ];
+    store.insert(&writes[..1]).expect("insert");
+    store.insert(&writes[1..]).expect("rewrite");
+    prop_assert!(store.delete(DocId(3)).expect("delete"));
+    for doc in writes {
+        live.insert(doc.id.0, doc);
+    }
+    live.remove(&3);
+
+    prop_assert_eq!(store_topk(&pinned, &pinned_live, &probe, 5), pinned_topk);
+    prop_assert_eq!(posting_image(&pinned), pinned_image);
+    assert_matches_oracle(&pinned, &pinned_live, "pinned, after the writes")?;
+    let fresh = store.snapshot();
+    prop_assert_eq!((fresh.segment_len(), fresh.delta_len()), (1, 1));
+    assert_matches_oracle(&fresh, &live, "after the writes")?;
+
+    drop((pinned, fresh, store));
+    let reopened = SegmentStore::open(&dir, policy).expect("reopen");
+    let replayed = reopened.snapshot();
+    prop_assert_eq!((replayed.segment_len(), replayed.delta_len()), (1, 1));
+    assert_matches_oracle(&replayed, &live, "after the WAL replay")?;
+    Ok(())
 }
