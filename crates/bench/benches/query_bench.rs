@@ -5,10 +5,11 @@
 //! plus the planned evaluators over the same corpus as a two-segment
 //! LSM snapshot (a shadowed merge of two compressed cursors per term),
 //! as one bulk-loaded segment (the cursor path of a freshly loaded
-//! shard), and as that segment under a memtable fed twenty write
-//! batches (the read path of a shard taking writes), printed with each
-//! case's scored-posting and block counts so ns/iter reads as ns per
-//! scored posting.
+//! shard), as that segment under a memtable fed twenty write batches,
+//! and in `search_churn`'s layout of a bulk segment, two flushed
+//! segments and a memtable (the read path of a shard taking writes),
+//! printed with each case's scored-posting and block counts so ns/iter
+//! reads as ns per scored posting.
 
 use std::hint::black_box;
 
@@ -71,14 +72,20 @@ fn bench_query_paths(c: &mut Criterion) {
 }
 
 /// `execute` under the planner's own choice over the same corpus
-/// stored three ways: as two flushed segments, where every term's
+/// stored four ways: as two flushed segments, where every term's
 /// cursor is a shadow-aware merge of two compressed sub-cursors; as one
-/// bulk-loaded segment, one compressed cursor per term; and as that
-/// segment under a memtable that twenty small insert batches (each
+/// bulk-loaded segment, one compressed cursor per term; as that
+/// segment under a memtable that twenty insert batches (each
 /// rewriting ten segment documents) and five deletes of segment
-/// documents were folded into, so a term merges at most the one
-/// memtable list over the segment's cursor. The phrase filter reads
-/// positions through each.
+/// documents were folded into, so a term merges the memtable's list
+/// over the segment's; and in the layout a shard reaches under
+/// `search_churn`'s write stream: most of the corpus bulk-loaded, then
+/// batches of ten fresh documents, one bulk-loaded document deleted
+/// every fourth batch, the first forty batches flushed into two
+/// segments and the last twenty left in the memtable — a term merges
+/// up to three segments and the memtable, but its postings come from
+/// the bulk segment in long runs. The phrase filter reads positions
+/// through each.
 fn bench_planned_over_segments(c: &mut Criterion) {
     let corpus = SyntheticCorpus::generate(&CorpusConfig {
         num_docs: 4_000,
@@ -91,10 +98,11 @@ fn bench_planned_over_segments(c: &mut Criterion) {
         background: false,
         ..SegmentPolicy::default()
     };
-    let (two_dir, one_dir, churned_dir) = (
+    let (two_dir, one_dir, churned_dir, layout_dir) = (
         ScratchDir::new("query-bench-two"),
         ScratchDir::new("query-bench-one"),
         ScratchDir::new("query-bench-churned"),
+        ScratchDir::new("query-bench-churn-layout"),
     );
     let two = SegmentStore::open(&two_dir, policy).expect("open");
     for half in corpus.documents.chunks(corpus.documents.len().div_ceil(2)) {
@@ -114,11 +122,26 @@ fn bench_planned_over_segments(c: &mut Criterion) {
     for doc in corpus.documents.iter().rev().step_by(97).take(5) {
         churned.delete(doc.id).expect("delete");
     }
+    let (base, fresh) = corpus.documents.split_at(3_400);
+    let layout = SegmentStore::open(&layout_dir, policy).expect("open");
+    layout
+        .bulk_load(base, BulkConfig::default())
+        .expect("bulk load");
+    for (i, batch) in fresh.chunks(10).enumerate() {
+        layout.insert(batch).expect("insert");
+        if i % 4 == 3 {
+            layout.delete(base[i * 61 % base.len()].id).expect("delete");
+        }
+        if i == 19 || i == 39 {
+            layout.flush().expect("flush");
+        }
+    }
 
     for (group, store, segments) in [
         ("query/planned_two_segments_top10", &two, 2),
         ("query/planned_one_segment_top10", &one, 1),
         ("query/planned_segment_under_memtable_top10", &churned, 1),
+        ("query/planned_churn_layout_top10", &layout, 3),
     ] {
         let snapshot = store.snapshot();
         assert_eq!(snapshot.segment_len(), segments);

@@ -458,6 +458,17 @@ impl BlockCursor for EmptyCursor {
     fn advance_past(&mut self, _bound: DocId) {}
 }
 
+/// The shadow test a [`ShadowedMergeCursor`] asks of the storage layer
+/// that stacks its sources.
+pub trait Shadow {
+    /// The first document `≥ doc` that a source newer than `rank`
+    /// touches (inserts or tombstones), or `None` when no newer source
+    /// touches any. Asked with non-decreasing `doc` (the merge's
+    /// minimum only rises), so an implementation may answer from
+    /// forward-only state.
+    fn next_touched(&mut self, rank: usize, doc: DocId) -> Option<DocId>;
+}
+
 /// Lazily merges several sub-cursors over the *same term* from a stack
 /// of sources (oldest first) under the doc-level shadowing rule: a
 /// posting from source `i` is live iff no newer source touches its
@@ -470,27 +481,40 @@ impl BlockCursor for EmptyCursor {
 /// holding the `(term, doc)` posting also touches `doc`, shadowing
 /// every older copy); the merged cursor therefore yields exactly the
 /// masked, doc-ascending sequence of live postings.
-pub struct ShadowedMergeCursor<'a> {
-    subs: Vec<MergeSub<'a>>,
-    /// `shadow(rank, doc)`: does any source newer than `rank` touch
-    /// `doc`? Asked with non-decreasing `doc` (the sub-cursor minimum
-    /// only rises), so the storage layer may answer from forward-only
-    /// state.
-    shadow: Box<dyn FnMut(usize, DocId) -> bool + 'a>,
+///
+/// A term's postings tend to come from one source in long runs, so
+/// while one sub leads the merge costs O(1) per posting: each sub keeps
+/// a shadow watermark below which its postings are live without a
+/// probe, and a selected posting remembers the other subs' lowest
+/// frontier, so [`step`](BlockCursor::step) moves only the leading sub
+/// and stays exact while its next (already decoded) posting sits below
+/// both. Every other case takes the general one-sweep selection.
+pub struct ShadowedMergeCursor<C, S> {
+    subs: Vec<MergeSub<C>>,
+    shadow: S,
     /// The materialized current posting and the index in `subs` of the
     /// sub-cursor holding it, once found.
     current: Option<(DocId, f64, usize)>,
+    /// While `current` is set: the lowest document lower bound of the
+    /// other live subs when it was selected (`u64::MAX`: none). They
+    /// have not moved since, so it bounds every posting they hold.
+    rest_min: u64,
     done: bool,
 }
 
-/// One sub-cursor of a merge: its source rank (higher = newer) and
-/// the cursor.
-struct MergeSub<'a> {
+/// One sub-cursor of a merge: its source rank (higher = newer), the
+/// cursor and its shadow watermark.
+struct MergeSub<C> {
     rank: usize,
-    cursor: Box<dyn BlockCursor + 'a>,
+    cursor: C,
+    /// Every posting of this sub below this document is live: the last
+    /// probe found no newer source touching anything from its document
+    /// up to here, the sources are immutable, and the sub's documents
+    /// only ascend. `u64::MAX` once nothing further is touched.
+    live_below: u64,
 }
 
-impl MergeSub<'_> {
+impl<C: BlockCursor> MergeSub<C> {
     /// The sub-cursor's posting when it is pinned on `doc`.
     fn posting_on(&mut self, doc: DocId) -> Option<f64> {
         if self.cursor.at_end() || !self.cursor.is_exact() {
@@ -502,16 +526,17 @@ impl MergeSub<'_> {
     }
 }
 
-impl CursorSlot for MergeSub<'_> {
+impl<C: BlockCursor> CursorSlot for MergeSub<C> {
     fn frontier(&self) -> Option<(DocId, bool)> {
-        self.cursor.frontier()
+        let cursor = &self.cursor;
+        (!cursor.at_end()).then(|| (cursor.doc_lower_bound(), cursor.is_exact()))
     }
     fn pin(&mut self) {
-        self.cursor.pin();
+        let _ = self.cursor.materialize();
     }
 }
 
-impl std::fmt::Debug for ShadowedMergeCursor<'_> {
+impl<C, S> std::fmt::Debug for ShadowedMergeCursor<C, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShadowedMergeCursor")
             .field("subs", &self.subs.len())
@@ -521,30 +546,30 @@ impl std::fmt::Debug for ShadowedMergeCursor<'_> {
     }
 }
 
-impl<'a> ShadowedMergeCursor<'a> {
+impl<C: BlockCursor, S: Shadow> ShadowedMergeCursor<C, S> {
     /// Builds a merged cursor. `subs` are `(source rank, cursor)`
-    /// pairs over the same term, any order; `shadow(rank, doc)` must
-    /// answer whether a source *newer* than `rank` defines `doc`'s
-    /// current version, and is only ever asked about non-decreasing
-    /// documents.
-    pub fn new(
-        subs: Vec<(usize, Box<dyn BlockCursor + 'a>)>,
-        shadow: Box<dyn FnMut(usize, DocId) -> bool + 'a>,
-    ) -> Self {
+    /// pairs over the same term, any order; `shadow` answers for the
+    /// sources stacked by rank.
+    pub fn new(subs: Vec<(usize, C)>, shadow: S) -> Self {
         let subs = subs
             .into_iter()
-            .map(|(rank, cursor)| MergeSub { rank, cursor })
+            .map(|(rank, cursor)| MergeSub {
+                rank,
+                cursor,
+                live_below: 0,
+            })
             .collect();
         Self {
             subs,
             shadow,
             current: None,
+            rest_min: 0,
             done: false,
         }
     }
 
     /// Sub-cursors that have postings left.
-    fn live_subs(&self) -> impl Iterator<Item = &MergeSub<'a>> {
+    fn live_subs(&self) -> impl Iterator<Item = &MergeSub<C>> {
         self.subs.iter().filter(|sub| !sub.cursor.at_end())
     }
 
@@ -556,9 +581,25 @@ impl<'a> ShadowedMergeCursor<'a> {
             }
         }
     }
+
+    /// Is sub `at`'s posting on `doc` live? Below the sub's watermark
+    /// it is; otherwise the probe decides and raises the watermark.
+    fn is_live(&mut self, at: usize, doc: DocId) -> bool {
+        let sub = &mut self.subs[at];
+        if u64::from(doc.0) < sub.live_below {
+            return true;
+        }
+        match self.shadow.next_touched(sub.rank, doc) {
+            Some(touched) if touched == doc => false,
+            next => {
+                sub.live_below = next.map_or(u64::MAX, |d| u64::from(d.0));
+                true
+            }
+        }
+    }
 }
 
-impl BlockCursor for ShadowedMergeCursor<'_> {
+impl<C: BlockCursor, S: Shadow> BlockCursor for ShadowedMergeCursor<C, S> {
     fn total_blocks(&self) -> usize {
         self.subs.iter().map(|s| s.cursor.total_blocks()).sum()
     }
@@ -568,7 +609,7 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
     }
 
     fn at_end(&self) -> bool {
-        self.done || self.live_subs().next().is_none()
+        self.current.is_none() && (self.done || self.live_subs().next().is_none())
     }
 
     fn block_max(&self) -> f64 {
@@ -593,7 +634,7 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
         self.live_subs()
             .map(|s| s.cursor.block_last_doc())
             .min()
-            .expect("block_last_doc requires a live sub-cursor")
+            .unwrap_or(DocId(0))
     }
 
     fn doc_lower_bound(&self) -> DocId {
@@ -603,7 +644,7 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
         self.live_subs()
             .map(|s| s.cursor.doc_lower_bound())
             .min()
-            .expect("doc_lower_bound requires a live sub-cursor")
+            .unwrap_or(DocId(0))
     }
 
     fn is_exact(&self) -> bool {
@@ -624,14 +665,26 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
             };
             // The newest source parked on `doc` holds its candidate
             // posting; it is live iff nothing newer touches the doc.
-            let (at, rank, score) = self
+            // (select_exact_min parks at least one sub on it.)
+            let newest = self
                 .subs
                 .iter_mut()
                 .enumerate()
                 .filter_map(|(at, sub)| Some((at, sub.rank, sub.posting_on(doc)?)))
-                .max_by_key(|&(_, rank, _)| rank)
-                .expect("select_exact_min parked a sub on the minimum");
-            if !(self.shadow)(rank, doc) {
+                .max_by_key(|&(_, rank, _)| rank);
+            let Some((at, _, score)) = newest else {
+                self.done = true;
+                return None;
+            };
+            if self.is_live(at, doc) {
+                self.rest_min = self
+                    .subs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(other, sub)| other != at && !sub.cursor.at_end())
+                    .map(|(_, sub)| u64::from(sub.cursor.doc_lower_bound().0))
+                    .min()
+                    .unwrap_or(u64::MAX);
                 self.current = Some((doc, score, at));
                 return Some((doc, score));
             }
@@ -641,18 +694,33 @@ impl BlockCursor for ShadowedMergeCursor<'_> {
     }
 
     fn positions(&self) -> (u32, u32) {
-        let (.., at) = self
-            .current
-            .expect("positions requires a materialized position");
-        self.subs[at].cursor.positions()
+        self.current
+            .map_or((0, 0), |(.., at)| self.subs[at].cursor.positions())
     }
 
     fn step(&mut self) {
-        let (doc, ..) = self
-            .current
-            .take()
-            .expect("step requires a materialized position");
-        self.step_subs_on(doc);
+        let Some((doc, _, at)) = self.current.take() else {
+            return;
+        };
+        if self.rest_min <= u64::from(doc.0) {
+            self.step_subs_on(doc);
+            return;
+        }
+        // Only the leading sub holds `doc`. Its next posting, if
+        // already decoded, below every other sub's frontier and under
+        // its watermark, is the merge's next live posting: nothing is
+        // probed, selected or decoded.
+        let sub = &mut self.subs[at];
+        sub.cursor.step();
+        if !sub.cursor.is_exact() {
+            return;
+        }
+        if let Some((next, score)) = sub.cursor.materialize() {
+            let key = u64::from(next.0);
+            if key < self.rest_min && key < sub.live_below {
+                self.current = Some((next, score, at));
+            }
+        }
     }
 
     fn advance_past(&mut self, bound: DocId) {

@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use crate::builder::CompressedPostingBuilder;
     use zerber_index::cursor::{
-        block_max_topk_cursors, QueryCost, ShadowedMergeCursor, TopKScratch,
+        block_max_topk_cursors, QueryCost, Shadow, ShadowedMergeCursor, TopKScratch,
     };
 
     fn list_of(docs: &[u64]) -> CompressedPostingList {
@@ -561,27 +561,38 @@ mod tests {
         }
     }
 
+    /// Per source rank, the sorted docs its newer sources touch.
+    struct NewerTouch(Vec<Vec<u32>>);
+
+    impl Shadow for NewerTouch {
+        fn next_touched(&mut self, rank: usize, doc: DocId) -> Option<DocId> {
+            self.0[rank]
+                .iter()
+                .find(|&&d| d >= doc.0)
+                .map(|&d| DocId(d))
+        }
+    }
+
     #[test]
     fn shadowed_merge_masks_older_sources() {
-        // Source 0 (old, a segment): docs 1, 2, 3. Source 1 (new, a
-        // delta): doc 2 with a different score, and it also touches
-        // doc 3 (re-inserted without the term) — so the live postings
-        // are 1 (old), 2 (new), and 3 is dead.
-        let old = CompressedPostingBuilder::from_sorted(tenths(&[(1, 1), (2, 2), (3, 3)]));
-        let new = tenths(&[(2, 9)]);
-        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> = vec![
-            (0, Box::new(CompressedBlockCursor::new(&old, 1.0))),
-            (1, Box::new(DecodedEntriesCursor::new(&new, 1.0))),
+        // Source 0 (old): docs 1, 2, 3, 5. Source 1 (new): doc 2 with
+        // a different score, and it also touches doc 3 (re-inserted
+        // without the term) — so the live postings are 1 (old), 2
+        // (new) and 5 (old), and 3 is dead.
+        let old = CompressedPostingBuilder::from_sorted(tenths(&[(1, 1), (2, 2), (3, 3), (5, 4)]));
+        let new = CompressedPostingBuilder::from_sorted(tenths(&[(2, 9)]));
+        let subs = vec![
+            (0, CompressedBlockCursor::new(&old, 1.0)),
+            (1, CompressedBlockCursor::new(&new, 1.0)),
         ];
-        let shadow =
-            move |rank: usize, doc: DocId| rank == 0 && (doc == DocId(2) || doc == DocId(3));
-        let mut merged = ShadowedMergeCursor::new(subs, Box::new(shadow));
+        let shadow = NewerTouch(vec![vec![2, 3], vec![]]);
+        let mut merged = ShadowedMergeCursor::new(subs, shadow);
         let mut seen = Vec::new();
         while let Some((doc, score)) = merged.materialize() {
             seen.push((doc.0, score));
             merged.step();
         }
-        assert_eq!(seen, vec![(1, 0.1), (2, 0.9)]);
+        assert_eq!(seen, vec![(1, 0.1), (2, 0.9), (5, 0.4)]);
         assert!(merged.at_end());
     }
 
@@ -590,9 +601,8 @@ mod tests {
         // Everything in the only source is shadowed: the metadata
         // cannot know, but materialize must settle it.
         let only = tenths(&[(5, 5)]);
-        let subs: Vec<(usize, Box<dyn BlockCursor + '_>)> =
-            vec![(0, Box::new(DecodedEntriesCursor::new(&only, 1.0)))];
-        let mut merged = ShadowedMergeCursor::new(subs, Box::new(|_, _| true));
+        let subs = vec![(0, DecodedEntriesCursor::new(&only, 1.0))];
+        let mut merged = ShadowedMergeCursor::new(subs, NewerTouch(vec![vec![5]]));
         assert!(!merged.at_end());
         assert!(merged.materialize().is_none());
         assert!(merged.at_end());

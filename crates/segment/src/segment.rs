@@ -25,6 +25,8 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use zerber_index::cursor::Shadow;
+use zerber_index::DocId;
 use zerber_postings::{
     merge_sorted, BlockMeta, CompressedPostingIter, CompressedPostingList, RawEntry, BLOCK_SIZE,
 };
@@ -51,18 +53,19 @@ pub(crate) trait Source {
     fn term_slots(&self) -> u32;
 }
 
-/// A sorted doc table read front to back: membership queries must not
-/// decrease, so each resumes where the last one stopped and gallops
-/// forward — O(log gap) per query, O(table) over a whole scan — where a
-/// cold binary search costs O(log table) every time.
+/// A sorted doc table read front to back: seeks must not decrease, so
+/// each resumes where the last one stopped and gallops forward —
+/// O(log gap) per seek, O(table) over a whole scan — where a cold
+/// binary search costs O(log table) every time.
 struct Finger<'a> {
     table: &'a [u32],
-    /// Every entry before this index is below the last queried doc.
+    /// Every entry before this index is below the last sought doc.
     at: usize,
 }
 
 impl Finger<'_> {
-    fn contains(&mut self, doc: u32) -> bool {
+    /// The first entry `≥ doc`.
+    fn seek(&mut self, doc: u32) -> Option<u32> {
         let rest = &self.table[self.at..];
         // Invariant: rest[..lo] < doc.
         let (mut lo, mut step) = (0usize, 1usize);
@@ -72,15 +75,15 @@ impl Finger<'_> {
         }
         let hi = (lo + step).min(rest.len());
         self.at += lo + rest[lo..hi].partition_point(|&d| d < doc);
-        self.table.get(self.at) == Some(&doc)
+        self.table.get(self.at).copied()
     }
 }
 
-/// The shadow test of one merged query cursor — "does a source newer
-/// than `rank` touch `doc`?" ([`Source::touches`] over
-/// `sources[rank + 1..]`) — for a caller whose documents only ascend:
-/// one [`Finger`] per live and tombstone table, shared by every rank
-/// that probes the source.
+/// The shadow test of one merged query cursor — "which is the first
+/// document from `doc` on that a source newer than `rank` touches?"
+/// ([`Source::touches`] over `sources[rank + 1..]`) — for a caller
+/// whose documents only ascend: one [`Finger`] per live and tombstone
+/// table, shared by every rank that probes the source.
 pub(crate) struct ShadowProbe<'a> {
     /// Per source, oldest first: `[live, tombstones]`.
     fingers: Vec<[Finger<'a>; 2]>,
@@ -99,15 +102,18 @@ impl<'a> ShadowProbe<'a> {
             last: 0,
         }
     }
+}
 
-    /// Does any source newer than `rank` touch `doc`? `doc` must not
-    /// be smaller than in any earlier call.
-    pub(crate) fn shadowed(&mut self, rank: usize, doc: u32) -> bool {
-        debug_assert!(doc >= self.last, "shadow probes must ascend");
-        self.last = doc;
+impl Shadow for ShadowProbe<'_> {
+    fn next_touched(&mut self, rank: usize, doc: DocId) -> Option<DocId> {
+        debug_assert!(doc.0 >= self.last, "shadow probes must ascend");
+        self.last = doc.0;
         self.fingers[rank + 1..]
             .iter_mut()
-            .any(|[live, tombstones]| live.contains(doc) || tombstones.contains(doc))
+            .flat_map(|[live, tombstones]| [live.seek(doc.0), tombstones.seek(doc.0)])
+            .flatten()
+            .min()
+            .map(DocId)
     }
 }
 
@@ -681,14 +687,17 @@ mod tests {
             let mut probe = ShadowProbe::new(&sources);
             // Ascending docs with repeats, each probed from a random
             // subset of ranks in random order — one source's fingers
-            // serve every rank below it.
+            // serve every rank below it. The answer is the first doc
+            // from `doc` on that a newer source touches, brute-forced.
             let mut doc = 0u32;
             while doc <= span {
                 for _ in 0..rng.random_range(1..4usize) {
                     let rank = rng.random_range(0..sources.len());
-                    let want = sources[rank + 1..].iter().any(|s| s.touches(doc));
+                    let want = (doc..=span)
+                        .find(|&d| sources[rank + 1..].iter().any(|s| s.touches(d)))
+                        .map(DocId);
                     assert_eq!(
-                        probe.shadowed(rank, doc),
+                        probe.next_touched(rank, DocId(doc)),
                         want,
                         "case {case}: rank {rank} doc {doc}"
                     );

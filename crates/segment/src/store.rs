@@ -1048,11 +1048,12 @@ impl PostingStore for SegmentSnapshot {
     /// peeks; a block decompresses only when the top-k bound cannot
     /// rule it out), the memtable's list — already decoded in memory —
     /// is borrowed by a [`DecodedEntriesCursor`], so a term has at most
-    /// `segments + 1` sub-cursors, and the shadow test walks the newer
-    /// sources' doc tables with one forward-only finger each
-    /// (`ShadowProbe`; the memtable is one live/tombstone pair). Every
-    /// sub-cursor reads its posting's positional run off the entry it
-    /// stands on, so phrase queries need no per-document lookup here.
+    /// `segments + 1` sub-cursors (held in a `SourceCursor` enum, not
+    /// a box), and the shadow test walks the newer sources' doc tables
+    /// with one forward-only finger each (`ShadowProbe`; the memtable
+    /// is one live/tombstone pair). Every sub-cursor reads its
+    /// posting's positional run off the entry it stands on, so phrase
+    /// queries need no per-document lookup here.
     /// Entry values coincide with [`PostingStore::postings`]' masked
     /// merge, so ranking is bit-identical to a rebuilt index
     /// (property-tested in `store_properties.rs`); only the decode work
@@ -1062,36 +1063,97 @@ impl PostingStore for SegmentSnapshot {
         terms
             .iter()
             .map(|&(term, weight)| {
-                let mut subs: Vec<(usize, Box<dyn BlockCursor + 'a>)> = Vec::new();
+                let mut subs: Vec<(usize, SourceCursor<'a>)> = Vec::new();
                 for (rank, segment) in self.segments.iter().enumerate() {
                     if let Some(list) = segment.list(term.0) {
                         if !list.is_empty() {
-                            subs.push((rank, Box::new(CompressedBlockCursor::new(list, weight))));
+                            let cursor = CompressedBlockCursor::new(list, weight);
+                            subs.push((rank, SourceCursor::Segment(cursor)));
                         }
                     }
                 }
                 let entries = self.memtable.term_postings(term.0);
                 if !entries.is_empty() {
-                    subs.push((
-                        self.segments.len(),
-                        Box::new(DecodedEntriesCursor::new(entries, weight)),
-                    ));
+                    let cursor = DecodedEntriesCursor::new(entries, weight);
+                    subs.push((self.segments.len(), SourceCursor::Memtable(cursor)));
                 }
                 let subs = match <[_; 1]>::try_from(subs) {
                     Err(none) if none.is_empty() => return Box::new(EmptyCursor) as Box<_>,
                     // A term living entirely in the newest source can
                     // never be shadowed: skip the merge wrapper.
-                    Ok([(rank, cursor)]) if rank + 1 == sources.len() => return cursor,
+                    Ok([(rank, cursor)]) if rank + 1 == sources.len() => return cursor.boxed(),
                     Ok(one) => one.into(),
                     Err(many) => many,
                 };
-                let mut probe = ShadowProbe::new(&sources);
-                Box::new(ShadowedMergeCursor::new(
-                    subs,
-                    Box::new(move |rank, doc: DocId| probe.shadowed(rank, doc.0)),
-                )) as Box<dyn BlockCursor + 'a>
+                Box::new(ShadowedMergeCursor::new(subs, ShadowProbe::new(&sources)))
+                    as Box<dyn BlockCursor + 'a>
             })
             .collect()
+    }
+}
+
+/// A merge's sub-cursor over one source: a segment's compressed list
+/// or the memtable's decoded one. An enum, not a box, so the merge
+/// calls its sub-cursors without dynamic dispatch.
+enum SourceCursor<'a> {
+    Segment(CompressedBlockCursor<'a>),
+    Memtable(DecodedEntriesCursor<'a>),
+}
+
+/// Runs `$call` on whichever cursor a [`SourceCursor`] holds, bound
+/// to `$cursor`.
+macro_rules! each {
+    ($source:expr, $cursor:ident => $call:expr) => {
+        match $source {
+            SourceCursor::Segment($cursor) => $call,
+            SourceCursor::Memtable($cursor) => $call,
+        }
+    };
+}
+
+impl<'a> SourceCursor<'a> {
+    /// The cursor itself, boxed without the enum around it.
+    fn boxed(self) -> Box<dyn BlockCursor + 'a> {
+        each!(self, cursor => Box::new(cursor))
+    }
+}
+
+impl BlockCursor for SourceCursor<'_> {
+    fn total_blocks(&self) -> usize {
+        each!(self, cursor => cursor.total_blocks())
+    }
+    fn decoded_blocks(&self) -> usize {
+        each!(self, cursor => cursor.decoded_blocks())
+    }
+    fn at_end(&self) -> bool {
+        each!(self, cursor => cursor.at_end())
+    }
+    fn block_max(&self) -> f64 {
+        each!(self, cursor => cursor.block_max())
+    }
+    fn list_max_score(&self) -> f64 {
+        each!(self, cursor => cursor.list_max_score())
+    }
+    fn block_last_doc(&self) -> DocId {
+        each!(self, cursor => cursor.block_last_doc())
+    }
+    fn doc_lower_bound(&self) -> DocId {
+        each!(self, cursor => cursor.doc_lower_bound())
+    }
+    fn is_exact(&self) -> bool {
+        each!(self, cursor => cursor.is_exact())
+    }
+    fn materialize(&mut self) -> Option<(DocId, f64)> {
+        each!(self, cursor => cursor.materialize())
+    }
+    fn positions(&self) -> (u32, u32) {
+        each!(self, cursor => cursor.positions())
+    }
+    fn step(&mut self) {
+        each!(self, cursor => cursor.step())
+    }
+    fn advance_past(&mut self, bound: DocId) {
+        each!(self, cursor => cursor.advance_past(bound))
     }
 }
 

@@ -15,8 +15,10 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+use zerber_index::cursor::{block_max_topk_cursors, BlockCursor, QueryCost, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_postings::RawEntry;
@@ -291,6 +293,159 @@ proptest! {
         }
         let base_docs: Vec<Document> = base_docs.into_values().collect();
         check_schedule(&ops, flush_postings, max_segments, &base_docs)?;
+    }
+}
+
+/// One layer of writes over the sources below it: per document, its
+/// new terms, or `None` for a delete.
+type Layer = BTreeMap<u32, Option<Vec<(u32, u32)>>>;
+
+/// Rewrites `doc` with term 0 (replacing its older term-0 posting) or
+/// without it (shadowing that posting), deletes it, or leaves it.
+fn touch(layer: &mut Layer, doc: u32, rng: &mut StdRng) {
+    let terms = match rng.random_range(0..4u32) {
+        0 => Some(vec![(0, rng.random_range(1..9u32)), (3, 1)]),
+        1 => Some(vec![(1, 2), (3, rng.random_range(1..4u32))]),
+        2 => None,
+        _ => return,
+    };
+    layer.insert(doc, terms);
+}
+
+/// Drives `cursor` through a random script of `materialize`, `step`
+/// and `advance_past`: every posting it yields must be the first of
+/// `live` at or past the script's bound, with that entry's score and
+/// positional run, and its metadata must bound what is left.
+fn drive_script(
+    cursor: &mut dyn BlockCursor,
+    live: &[RawEntry],
+    weight: f64,
+    rng: &mut StdRng,
+) -> Result<(), TestCaseError> {
+    // The next posting the script may see is at or past `bound`.
+    let mut bound = 0u64;
+    let mut pinned: Option<RawEntry> = None;
+    loop {
+        let want = live.iter().find(|e| e.doc >= bound);
+        if let Some(want) = want {
+            prop_assert!(!cursor.at_end());
+            prop_assert!(u64::from(cursor.doc_lower_bound().0) <= want.doc);
+            if want.doc <= u64::from(cursor.block_last_doc().0) {
+                prop_assert!(cursor.block_max() >= want.term_frequency() * weight);
+            }
+        }
+        match (rng.random_range(0..5u32), pinned) {
+            (0 | 1, Some(entry)) => {
+                cursor.step();
+                bound = entry.doc + 1;
+                pinned = None;
+            }
+            (2, _) => {
+                // Within a block, across a boundary, or far ahead.
+                let reach = [1u64, 3, 64, 256, 700][rng.random_range(0..5usize)];
+                let past = bound.saturating_sub(1) + rng.random_range(0..reach);
+                cursor.advance_past(DocId(past as u32));
+                bound = bound.max(past + 1);
+                pinned = pinned.filter(|entry| entry.doc >= bound);
+            }
+            _ => {
+                let got = cursor.materialize();
+                prop_assert_eq!(
+                    got,
+                    want.map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
+                );
+                let Some(&want) = want else {
+                    prop_assert!(cursor.at_end());
+                    return Ok(());
+                };
+                prop_assert!(cursor.is_exact());
+                prop_assert_eq!(cursor.positions(), (want.pos, want.count));
+                pinned = Some(want);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Every term's cursor over 1–3 segments plus a memtable streams
+    /// exactly the live postings under arbitrary scripts. The base
+    /// list's postings 127/128/129 straddle its first block boundary
+    /// and each newer source may rewrite, drop or delete them (and the
+    /// previous layer's 127–129th fresh documents); each newer source
+    /// starts its fresh odd ids in the middle of a base block, so the
+    /// lead passes between sources mid-block.
+    #[test]
+    fn merged_cursors_stream_the_live_postings_under_any_script(
+        segments in 1usize..=3,
+        base_len in 260u32..420,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dir = ScratchDir::new("props-merge");
+        let policy = SegmentPolicy {
+            flush_postings: usize::MAX,
+            max_segments: 4,
+            background: false,
+            sync_wal: false,
+        };
+        let store = SegmentStore::open(&dir, policy).expect("open");
+        let base: Vec<Document> = (0..base_len)
+            .map(|i| {
+                let mut terms = vec![(0, 1 + i % 4)];
+                if i % 3 != 0 {
+                    terms.push((1, 1 + i % 3));
+                }
+                if i % 5 == 0 {
+                    terms.push((2, 2));
+                }
+                materialize(2 * i, &terms)
+            })
+            .collect();
+        store.bulk_load(&base, BulkConfig::default()).expect("bulk load");
+
+        let mut fresh: Vec<u32> = Vec::new();
+        for layer_no in 0..segments {
+            let mut layer = Layer::new();
+            for at in [127usize, 128, 129] {
+                touch(&mut layer, 2 * at as u32, &mut rng);
+                if let Some(&doc) = fresh.get(at) {
+                    touch(&mut layer, doc, &mut rng);
+                }
+            }
+            for _ in 0..rng.random_range(0..6u32) {
+                touch(&mut layer, 2 * rng.random_range(0..base_len), &mut rng);
+            }
+            let start = rng.random_range(1..base_len);
+            fresh = (0..rng.random_range(1..300u32))
+                .map(|j| 2 * (start + j) + 1)
+                .collect();
+            for (j, &doc) in fresh.iter().enumerate() {
+                layer.insert(doc, Some(vec![(0, 1 + j as u32 % 5), (3, 1)]));
+            }
+            let docs: Vec<Document> = layer
+                .iter()
+                .filter_map(|(&id, terms)| Some(materialize(id, terms.as_ref()?)))
+                .collect();
+            store.insert(&docs).expect("insert");
+            for (&id, _) in layer.iter().filter(|(_, terms)| terms.is_none()) {
+                store.delete(DocId(id)).expect("delete");
+            }
+            if layer_no + 1 < segments {
+                store.flush().expect("flush");
+            }
+        }
+
+        let snapshot = store.snapshot();
+        prop_assert_eq!((snapshot.segment_len(), snapshot.delta_len()), (segments, 1));
+        for term in 0..4u32 {
+            let live = snapshot.live_postings(TermId(term));
+            let weight = 0.5 + f64::from(term);
+            for _ in 0..3 {
+                let mut cursors = snapshot.query_cursors(&[(TermId(term), weight)]);
+                drive_script(&mut *cursors[0], &live, weight, &mut rng)?;
+            }
+        }
     }
 }
 
