@@ -14,7 +14,6 @@
 //! able to violate r-confidentiality for newly created documents"),
 //! and precision decays roughly as `1 / docs_per_batch`.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Outcome of one correlation experiment.
@@ -67,22 +66,6 @@ pub fn correlation_attack_precision<R: Rng + ?Sized>(
     }
 }
 
-/// Generates a shuffled arrival order for one batch (exposed for
-/// simulations that need the actual element stream, e.g. to feed a
-/// clustering adversary rather than the analytic one above).
-pub fn shuffled_batch_stream<R: Rng + ?Sized>(
-    batch_doc_sizes: &[usize],
-    rng: &mut R,
-) -> Vec<usize> {
-    let mut stream: Vec<usize> = batch_doc_sizes
-        .iter()
-        .enumerate()
-        .flat_map(|(doc, &elements)| std::iter::repeat_n(doc, elements))
-        .collect();
-    stream.shuffle(rng);
-    stream
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,17 +110,6 @@ mod tests {
         let report = correlation_attack_precision(&[0, 0, 0], 2, &mut rng);
         assert_eq!(report.guessed_pairs, 0);
         assert_eq!(report.precision, 1.0);
-    }
-
-    #[test]
-    fn stream_contains_every_element_shuffled() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let stream = shuffled_batch_stream(&[3, 2, 4], &mut rng);
-        assert_eq!(stream.len(), 9);
-        let count = |d: usize| stream.iter().filter(|&&x| x == d).count();
-        assert_eq!(count(0), 3);
-        assert_eq!(count(1), 2);
-        assert_eq!(count(2), 4);
     }
 
     #[test]

@@ -10,21 +10,21 @@
 //!
 //! * [`df_attack`] — document-frequency reconstruction from merged
 //!   list lengths; quantifies the information destroyed by merging,
-//! * [`amplification`] — empirical verification that the posterior /
+//! * `amplification` — empirical verification that the posterior /
 //!   prior ratio never exceeds the plan's achieved `r` (Definition 1),
-//! * [`share_uniformity`] — statistical indistinguishability of
+//! * `share_uniformity` — statistical indistinguishability of
 //!   sub-threshold share sets (the k-1 compromise guarantee),
-//! * [`correlation`] — the update-watching correlation attack of
+//! * `correlation` — the update-watching correlation attack of
 //!   Section 5.4.1/7.1 and how batching blunts it.
 
-pub mod amplification;
-pub mod correlation;
+pub(crate) mod amplification;
+pub(crate) mod correlation;
 pub mod df_attack;
 pub mod query_leakage;
-pub mod share_uniformity;
+pub(crate) mod share_uniformity;
 
 pub use amplification::{verify_plan_r_bound, AmplificationReport};
 pub use correlation::{correlation_attack_precision, CorrelationReport};
-pub use df_attack::{DfAttackReport, DfReconstructionAttack};
-pub use query_leakage::{query_leakage, QueryLeakageReport};
+pub use df_attack::DfReconstructionAttack;
+pub use query_leakage::query_leakage;
 pub use share_uniformity::{chi_square_uniform, share_distribution_test, UniformityReport};

@@ -17,7 +17,6 @@
 
 use zerber_core::merge::MergePlan;
 use zerber_index::cost::QueryWorkload;
-use zerber_index::TermId;
 
 /// Leakage metrics for one plan under one query workload.
 #[derive(Debug, Clone)]
@@ -83,25 +82,6 @@ pub fn query_leakage(plan: &MergePlan, workload: &QueryWorkload) -> QueryLeakage
     }
 }
 
-/// Expected posterior for a *specific* term's queries under the plan
-/// (diagnostic helper).
-pub fn term_query_posterior(
-    plan: &MergePlan,
-    workload: &QueryWorkload,
-    term: TermId,
-) -> Option<f64> {
-    let qf = workload.frequency(term) as f64;
-    if qf == 0.0 {
-        return None;
-    }
-    let list = &plan.lists()[plan.list_of(term).0 as usize];
-    let mass: f64 = list.iter().map(|&u| workload.frequency(u) as f64).sum();
-    if mass <= 0.0 {
-        return None;
-    }
-    Some(qf / mass)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +142,30 @@ mod tests {
 
     #[test]
     fn per_term_posterior_matches_definition() {
+        // The expected posterior is the query-weighted mean of each
+        // queried term's `qf_t / Σ_{u∈L} qf_u` over its own list.
         let (plan, workload) = setup(32);
-        for t in [0u32, 5, 100, 700] {
-            if let Some(p) = term_query_posterior(&plan, &workload, TermId(t)) {
-                assert!(p > 0.0 && p <= 1.0);
-                let list = &plan.lists()[plan.list_of(TermId(t)).0 as usize];
-                if list.len() == 1 {
-                    assert!((p - 1.0).abs() < 1e-12);
+        let (mut mass, mut queries) = (0.0f64, 0.0f64);
+        for list in plan.lists() {
+            let list_qf: f64 = list.iter().map(|&u| workload.frequency(u) as f64).sum();
+            for &term in list {
+                let qf = workload.frequency(term) as f64;
+                if qf > 0.0 {
+                    let posterior = qf / list_qf;
+                    assert!(posterior > 0.0 && posterior <= 1.0);
+                    mass += qf * posterior;
+                    queries += qf;
                 }
             }
         }
+        let report = query_leakage(&plan, &workload);
+        assert!((report.expected_posterior - mass / queries).abs() < 1e-12);
     }
 
     #[test]
     fn unqueried_terms_have_no_posterior() {
         let (plan, _) = setup(8);
         let empty = QueryWorkload::from_frequencies(vec![0; 800]);
-        assert!(term_query_posterior(&plan, &empty, TermId(0)).is_none());
         let report = query_leakage(&plan, &empty);
         assert_eq!(report.queried_terms, 0);
         assert_eq!(report.expected_posterior, 0.0);

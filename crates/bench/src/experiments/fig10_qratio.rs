@@ -38,7 +38,7 @@ pub struct Fig10Cell {
 }
 
 /// DF targets scaled from the paper's {1, 1000, 3500} @ 237k docs.
-pub fn df_targets(num_docs: usize) -> [u64; 3] {
+pub(crate) fn df_targets(num_docs: usize) -> [u64; 3] {
     let scale = num_docs as f64 / 237_000.0;
     [
         1,

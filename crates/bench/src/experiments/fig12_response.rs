@@ -56,7 +56,7 @@ pub fn run(scale: Scale) -> Fig12 {
 
 /// Measures batch-decryption throughput with precomputed Lagrange
 /// weights (2-out-of-3, like the paper's setup).
-pub fn measure_decrypt_throughput() -> f64 {
+pub(crate) fn measure_decrypt_throughput() -> f64 {
     use zerber_field::Fp;
     use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
 

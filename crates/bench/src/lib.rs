@@ -11,8 +11,8 @@
 //! repository's own performance. That is the job of the repository
 //! benchmark (`BENCHMARK.json`, package `benchmark/`).
 
-pub mod report;
-pub mod scenario;
+pub(crate) mod report;
+pub(crate) mod scenario;
 
 pub mod experiments {
     //! One module per paper artifact.
@@ -33,5 +33,4 @@ pub mod experiments {
     pub mod table1;
 }
 
-pub use report::Table;
-pub use scenario::{OdpScenario, Scale};
+pub use scenario::Scale;

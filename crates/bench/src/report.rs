@@ -2,7 +2,7 @@
 
 /// A simple right-aligned text table.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -10,7 +10,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Self {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -19,14 +19,14 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "cell count mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -57,13 +57,8 @@ impl Table {
 
 /// Formats a float in scientific notation like the paper's tables
 /// (e.g. `9.30e-4`).
-pub fn sci(value: f64) -> String {
+pub(crate) fn sci(value: f64) -> String {
     format!("{value:.3e}")
-}
-
-/// Formats a ratio/percentage.
-pub fn pct(value: f64) -> String {
-    format!("{:.1}%", value * 100.0)
 }
 
 #[cfg(test)]
@@ -91,6 +86,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(sci(9.30e-4), "9.300e-4");
-        assert_eq!(pct(0.123), "12.3%");
     }
 }

@@ -28,13 +28,6 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Immediate flushing — "if the user trusts that no index servers
-    /// are compromised, then the indexes can be updated whenever a
-    /// shared document changes, rather than in batches".
-    pub fn immediate() -> Self {
-        Self { max_elements: 1 }
-    }
-
     /// Batch up to `max_elements` elements before flushing.
     pub fn batched(max_elements: usize) -> Self {
         assert!(max_elements >= 1, "batch size must be at least 1");
@@ -44,14 +37,14 @@ impl BatchPolicy {
 
 /// Per-server queues of pending insert entries.
 #[derive(Debug, Clone)]
-pub struct UpdateQueue {
+pub(crate) struct UpdateQueue {
     per_server: Vec<Vec<(PlId, StoredShare)>>,
     queued_elements: usize,
 }
 
 impl UpdateQueue {
     /// A queue for `n` servers.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             per_server: vec![Vec::new(); n],
             queued_elements: 0,
@@ -63,7 +56,7 @@ impl UpdateQueue {
     ///
     /// # Panics
     /// Panics if `shares.len()` differs from the server count.
-    pub fn push(&mut self, pl: PlId, shares: &[StoredShare]) {
+    pub(crate) fn push(&mut self, pl: PlId, shares: &[StoredShare]) {
         assert_eq!(
             shares.len(),
             self.per_server.len(),
@@ -76,22 +69,22 @@ impl UpdateQueue {
     }
 
     /// Number of queued elements (not shares).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queued_elements
     }
 
     /// True iff nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queued_elements == 0
     }
 
     /// Whether the policy says it is time to flush.
-    pub fn should_flush(&self, policy: BatchPolicy) -> bool {
+    pub(crate) fn should_flush(&self, policy: BatchPolicy) -> bool {
         self.queued_elements >= policy.max_elements
     }
 
     /// Drains all queues, returning one entry vector per server.
-    pub fn drain(&mut self) -> Vec<Vec<(PlId, StoredShare)>> {
+    pub(crate) fn drain(&mut self) -> Vec<Vec<(PlId, StoredShare)>> {
         self.queued_elements = 0;
         self.per_server.iter_mut().map(std::mem::take).collect()
     }
@@ -144,7 +137,7 @@ mod tests {
     fn immediate_policy_flushes_every_element() {
         let mut queue = UpdateQueue::new(1);
         queue.push(PlId(0), &shares(1, 1));
-        assert!(queue.should_flush(BatchPolicy::immediate()));
+        assert!(queue.should_flush(BatchPolicy::default()));
     }
 
     #[test]

@@ -22,20 +22,20 @@
 //!   personalised to what the user may read, and snippets are finally
 //!   pulled from the hosting peers.
 //!
-//! Modules: [`transport`] (the narrow server interface), [`owner`],
-//! [`batching`], [`query`], [`ranking`], [`snippets`].
+//! Modules: `transport` (the narrow server interface), `owner`,
+//! `batching`, `query`, [`ranking`], `snippets`.
 
-pub mod batching;
-pub mod mixing;
-pub mod owner;
-pub mod query;
+pub(crate) mod batching;
+pub(crate) mod mixing;
+pub(crate) mod owner;
+pub(crate) mod query;
 pub mod ranking;
-pub mod snippets;
-pub mod transport;
+pub(crate) mod snippets;
+pub(crate) mod transport;
 
-pub use batching::{BatchPolicy, UpdateQueue};
+pub use batching::BatchPolicy;
 pub use mixing::UpdateMixer;
 pub use owner::{DocumentOwner, OwnerError};
 pub use query::{recombine, QueryClient, QueryError, QueryOutcome};
 pub use snippets::{OwnerSnippetService, SnippetProvider};
-pub use transport::{FetchResult, PendingFetch, ServerHandle};
+pub use transport::{PendingFetch, ServerHandle};

@@ -43,8 +43,8 @@ impl UpdateMixer {
     }
 
     /// Submits one owner's pending per-server batches (as produced by
-    /// [`crate::batching::UpdateQueue::drain`]) under that owner's
-    /// token.
+    /// [`DocumentOwner::drain_pending`](crate::DocumentOwner::drain_pending))
+    /// under that owner's token.
     ///
     /// # Panics
     /// Panics if the batch shape does not match the server count.

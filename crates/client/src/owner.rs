@@ -15,7 +15,7 @@ use rand::Rng;
 
 use zerber_core::MappingTable;
 use zerber_core::{CodecError, ElementCodec, ElementId, PlId, PostingElement};
-use zerber_index::{DocId, Document, InvertedIndex};
+use zerber_index::{DocId, Document};
 use zerber_net::{AuthToken, StoredShare};
 use zerber_server::ServerError;
 use zerber_shamir::SharingScheme;
@@ -67,7 +67,6 @@ pub struct DocumentOwner {
     table: Arc<MappingTable>,
     policy: BatchPolicy,
     queue: UpdateQueue,
-    local_index: InvertedIndex,
     /// Per-document element inventory for deletion: `(list, element)`
     /// pairs.
     elements_by_doc: HashMap<DocId, Vec<(PlId, ElementId)>>,
@@ -97,15 +96,9 @@ impl DocumentOwner {
             table,
             policy,
             queue: UpdateQueue::new(n),
-            local_index: InvertedIndex::new(),
             elements_by_doc: HashMap::new(),
             next_sequence: 0,
         }
-    }
-
-    /// The owner's local inverted index over its own documents.
-    pub fn local_index(&self) -> &InvertedIndex {
-        &self.local_index
     }
 
     /// Elements currently queued but not yet flushed.
@@ -176,7 +169,6 @@ impl DocumentOwner {
             }
         }
 
-        self.local_index.insert(doc);
         self.elements_by_doc.insert(doc.id, inventory);
         Ok(doc.terms.len())
     }
@@ -210,7 +202,6 @@ impl DocumentOwner {
         for server in servers {
             server.delete(self.token, &inventory)?;
         }
-        self.local_index.remove(doc);
         Ok(inventory.len())
     }
 
@@ -226,11 +217,6 @@ impl DocumentOwner {
     /// on the owner's behalf).
     pub fn token(&self) -> AuthToken {
         self.token
-    }
-
-    /// The `(list, element-id)` inventory of a document, if indexed.
-    pub fn document_elements(&self, doc: DocId) -> Option<&[(PlId, ElementId)]> {
-        self.elements_by_doc.get(&doc).map(Vec::as_slice)
     }
 
     fn fresh_element_id(&mut self) -> ElementId {
@@ -269,9 +255,14 @@ mod tests {
             ElementCodec::default(),
             scheme,
             table,
-            BatchPolicy::immediate(),
+            BatchPolicy::default(),
         );
         (handles, owner, auth)
+    }
+
+    /// The `(list, element-id)` inventory of an indexed document.
+    fn elements(owner: &DocumentOwner, doc: u32) -> &[(PlId, ElementId)] {
+        &owner.elements_by_doc[&DocId(doc)]
     }
 
     fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
@@ -306,8 +297,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let d = doc(1, &[(0, 1), (1, 1)]);
         owner.index_document(&d, &servers, &mut rng).unwrap();
-        assert_eq!(owner.local_index().document_count(), 1);
-        assert_eq!(owner.document_elements(DocId(1)).unwrap().len(), 2);
+        assert_eq!(owner.elements_by_doc.len(), 1);
+        assert_eq!(elements(&owner, 1).len(), 2);
     }
 
     #[test]
@@ -318,7 +309,7 @@ mod tests {
         owner.index_document(&d, &servers, &mut rng).unwrap();
         let removed = owner.delete_document(DocId(1), &servers).unwrap();
         assert_eq!(removed, 2);
-        assert_eq!(owner.local_index().document_count(), 0);
+        assert!(owner.elements_by_doc.is_empty());
         let token = auth.issue(UserId(1));
         for server in &servers {
             for pl in 0..8u32 {
@@ -337,8 +328,7 @@ mod tests {
         owner
             .index_document(&doc(1, &[(0, 5)]), &servers, &mut rng)
             .unwrap();
-        assert_eq!(owner.document_elements(DocId(1)).unwrap().len(), 1);
-        assert_eq!(owner.local_index().document_frequency(TermId(1)), 0);
+        assert_eq!(elements(&owner, 1).len(), 1);
     }
 
     #[test]
@@ -348,7 +338,7 @@ mod tests {
         owner
             .index_document(&doc(1, &[(0, 1)]), &servers, &mut rng)
             .unwrap();
-        let indexed = owner.document_elements(DocId(1)).unwrap().to_vec();
+        let indexed = elements(&owner, 1).to_vec();
 
         // A new version of document 1 with a term past the default
         // codec's 22 bits, then a document id past its 26.
@@ -369,13 +359,13 @@ mod tests {
             }))
         ));
 
-        assert_eq!(owner.document_elements(DocId(1)).unwrap(), indexed);
-        assert_eq!(owner.local_index().document_count(), 1);
+        assert_eq!(elements(&owner, 1), indexed);
+        assert_eq!(owner.elements_by_doc.len(), 1);
         assert_eq!(owner.pending_elements(), 0);
         owner
             .index_document(&doc(2, &[(0, 1)]), &servers, &mut rng)
             .unwrap();
-        let next = owner.document_elements(DocId(2)).unwrap()[0].1;
+        let next = elements(&owner, 2)[0].1;
         assert_eq!(next.0, indexed[0].1 .0 + 1, "no element id was spent");
     }
 
@@ -415,11 +405,9 @@ mod tests {
         owner
             .index_document(&doc(2, &[(0, 1)]), &servers, &mut rng)
             .unwrap();
-        let mut all: Vec<u64> = owner
-            .document_elements(DocId(1))
-            .unwrap()
+        let mut all: Vec<u64> = elements(&owner, 1)
             .iter()
-            .chain(owner.document_elements(DocId(2)).unwrap())
+            .chain(elements(&owner, 2))
             .map(|(_, e)| e.0)
             .collect();
         all.sort_unstable();

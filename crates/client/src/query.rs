@@ -374,7 +374,7 @@ mod tests {
             ElementCodec::default(),
             scheme,
             table.clone(),
-            BatchPolicy::immediate(),
+            BatchPolicy::default(),
         );
         World {
             servers,

@@ -55,7 +55,7 @@ impl PersonalizedStats {
     }
 
     /// Inverse document frequency `ln(1 + N/df)`, 0 for unseen terms.
-    pub fn idf(&self, term: TermId) -> f64 {
+    pub(crate) fn idf(&self, term: TermId) -> f64 {
         zerber_index::idf(self.accessible_docs, self.document_frequency(term))
     }
 }

@@ -41,11 +41,6 @@ impl OwnerSnippetService {
     pub fn store(&self, doc: DocId, text: impl Into<String>) {
         self.texts.write().insert(doc, text.into());
     }
-
-    /// Forgets a document.
-    pub fn remove(&self, doc: DocId) -> bool {
-        self.texts.write().remove(&doc).is_some()
-    }
 }
 
 impl SnippetProvider for OwnerSnippetService {
@@ -97,15 +92,6 @@ mod tests {
         service.store(DocId(1), "the beginning of a long document body");
         let snippet = service.snippet(DocId(1), "zzzznothere").unwrap();
         assert!(snippet.contains("the begin"));
-    }
-
-    #[test]
-    fn remove_forgets_documents() {
-        let service = OwnerSnippetService::new(50);
-        service.store(DocId(1), "text");
-        assert!(service.remove(DocId(1)));
-        assert!(!service.remove(DocId(1)));
-        assert!(service.snippet(DocId(1), "text").is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use zerber_net::{AuthToken, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError};
 
 /// What a lookup answers: one [`ShareColumns`] per requested list.
-pub type FetchResult = Result<Vec<ShareColumns>, ServerError>;
+pub(crate) type FetchResult = Result<Vec<ShareColumns>, ServerError>;
 
 /// A lookup in flight — what [`ServerHandle::begin_fetch`] returns.
 pub struct PendingFetch(Fetch);

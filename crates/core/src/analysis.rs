@@ -22,7 +22,7 @@ use crate::merge::MergePlan;
 /// Terms with zero prior probability get amplification 1 (the index
 /// cannot amplify a prior of zero — Definition 1's ratio is taken over
 /// terms the adversary deems possible).
-pub fn term_amplification(plan: &MergePlan, stats: &CorpusStats, term: TermId) -> f64 {
+pub(crate) fn term_amplification(plan: &MergePlan, stats: &CorpusStats, term: TermId) -> f64 {
     if stats.probability(term) <= 0.0 {
         return 1.0;
     }
@@ -116,7 +116,11 @@ pub fn response_sizes(plan: &MergePlan, dfs: &[u64]) -> Vec<u64> {
 }
 
 /// Total workload cost `Q` of the merged index (formula (6)).
-pub fn merged_workload_cost(plan: &MergePlan, dfs: &[u64], workload: &QueryWorkload) -> u128 {
+pub(crate) fn merged_workload_cost(
+    plan: &MergePlan,
+    dfs: &[u64],
+    workload: &QueryWorkload,
+) -> u128 {
     zerber_index::cost::workload_cost(plan.lists(), dfs, workload)
 }
 

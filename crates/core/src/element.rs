@@ -55,8 +55,6 @@ pub enum CodecError {
         /// The configured bit width.
         bits: u32,
     },
-    /// The configured widths exceed the field capacity (61 bits).
-    WidthsTooWide,
     /// A decoded field element was not produced by this codec.
     OutOfRange,
 }
@@ -67,7 +65,6 @@ impl std::fmt::Display for CodecError {
             CodecError::FieldOverflow { field, value, bits } => {
                 write!(f, "{field} = {value} does not fit in {bits} bits")
             }
-            CodecError::WidthsTooWide => write!(f, "codec widths exceed 60 usable bits"),
             CodecError::OutOfRange => write!(f, "encoded value out of codec range"),
         }
     }
@@ -102,21 +99,6 @@ impl Default for ElementCodec {
 }
 
 impl ElementCodec {
-    /// Creates a codec with explicit widths.
-    pub fn new(doc_bits: u32, term_bits: u32, tf_bits: u32) -> Result<Self, CodecError> {
-        if doc_bits + term_bits + tf_bits > 60 {
-            return Err(CodecError::WidthsTooWide);
-        }
-        if doc_bits == 0 || term_bits == 0 || tf_bits == 0 {
-            return Err(CodecError::WidthsTooWide);
-        }
-        Ok(Self {
-            doc_bits,
-            term_bits,
-            tf_bits,
-        })
-    }
-
     /// Quantizes a normalized term frequency in `[0, 1]` to the codec's
     /// fixed-point resolution. Non-zero inputs always map to a non-zero
     /// quantum so presence is never rounded away.
@@ -236,20 +218,18 @@ mod tests {
 
     #[test]
     fn widths_must_fit_the_field() {
-        assert_eq!(
-            ElementCodec::new(30, 22, 12).unwrap_err(),
-            CodecError::WidthsTooWide
-        );
-        assert_eq!(
-            ElementCodec::new(0, 22, 12).unwrap_err(),
-            CodecError::WidthsTooWide
-        );
-        assert!(ElementCodec::new(26, 22, 12).is_ok());
+        // The three fields pack below the 61-bit modulus.
+        let codec = ElementCodec::default();
+        assert!(codec.doc_bits + codec.term_bits + codec.tf_bits <= 60);
     }
 
     #[test]
     fn decode_rejects_out_of_range_values() {
-        let codec = ElementCodec::new(10, 10, 10).unwrap();
+        let codec = ElementCodec {
+            doc_bits: 10,
+            term_bits: 10,
+            tf_bits: 10,
+        };
         let giant = Fp::new(1 << 40);
         assert_eq!(codec.decode(giant).unwrap_err(), CodecError::OutOfRange);
     }

@@ -17,11 +17,11 @@
 //!
 //! Modules:
 //!
-//! * [`element`] — the posting element `[document_ID, term_ID, tf]` and
+//! * `element` — the posting element `[document_ID, term_ID, tf]` and
 //!   its packing into a single field element for secret sharing,
 //! * [`rconf`] — the r-confidentiality measure itself (formulas (3)–(5)
 //!   and (7)),
-//! * [`mapping`] — the public term → posting-list mapping table with
+//! * `mapping` — the public term → posting-list mapping table with
 //!   hash-based routing for rare terms (Section 6.4),
 //! * [`merge`] — the DFM, BFM and UDM merging heuristics (Section 6),
 //! * [`analysis`] — amplification, workload-cost ratio QRatio (formula
@@ -48,12 +48,11 @@
 //! ```
 
 pub mod analysis;
-pub mod element;
-pub mod mapping;
+pub(crate) mod element;
+pub(crate) mod mapping;
 pub mod merge;
 pub mod rconf;
 
 pub use element::{CodecError, ElementCodec, ElementId, PostingElement};
 pub use mapping::{MappingTable, PlId};
-pub use merge::{MergeConfig, MergeHeuristic, MergePlan};
-pub use rconf::{achieved_r, amplification_bound, is_r_confidential, list_mass};
+pub use rconf::{achieved_r, is_r_confidential};

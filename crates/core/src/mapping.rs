@@ -52,7 +52,7 @@ impl MappingTable {
     ///
     /// # Panics
     /// Panics if `lists` is empty or a term appears twice.
-    pub fn from_lists(lists: &[Vec<TermId>], hash_salt: u64) -> Self {
+    pub(crate) fn from_lists(lists: &[Vec<TermId>], hash_salt: u64) -> Self {
         assert!(
             !lists.is_empty(),
             "an index needs at least one posting list"
@@ -80,12 +80,6 @@ impl MappingTable {
     /// size.
     pub fn explicit_len(&self) -> usize {
         self.explicit.len()
-    }
-
-    /// True iff `term` has an explicit entry (i.e. would be visible in
-    /// the published table).
-    pub fn is_explicit(&self, term: TermId) -> bool {
-        self.explicit.contains_key(&term)
     }
 
     /// Resolves the posting list for a term: explicit entry if present,
@@ -155,8 +149,8 @@ mod tests {
         // site or not".
         let lists = vec![vec![TermId(0)], vec![TermId(1)]];
         let table = MappingTable::from_lists(&lists, 5);
-        assert!(table.is_explicit(TermId(0)));
-        assert!(!table.is_explicit(TermId(12345)));
+        assert!(table.explicit.contains_key(&TermId(0)));
+        assert!(!table.explicit.contains_key(&TermId(12345)));
         // ...yet the rare term still resolves to a list.
         assert!(table.lookup(TermId(12345)).0 < 2);
     }

@@ -18,7 +18,7 @@ use zerber_index::TermId;
 ///
 /// # Panics
 /// Panics if `r < 1` or the slices are misaligned.
-pub fn breadth_first_merge<R: Rng + ?Sized>(
+pub(crate) fn breadth_first_merge<R: Rng + ?Sized>(
     terms: &[TermId],
     probabilities: &[f64],
     r: f64,
@@ -67,7 +67,7 @@ pub fn breadth_first_merge<R: Rng + ?Sized>(
 /// List count is monotone in `r` (a smaller `1/r` threshold closes
 /// lists sooner), so bisection converges; if `m` is not exactly
 /// attainable the closest achievable count is returned.
-pub fn breadth_first_merge_with_list_target<R: Rng + ?Sized>(
+pub(crate) fn breadth_first_merge_with_list_target<R: Rng + ?Sized>(
     terms: &[TermId],
     probabilities: &[f64],
     m: u32,

@@ -27,7 +27,7 @@ use zerber_index::TermId;
 ///
 /// # Panics
 /// Panics if `m == 0` or the slices are misaligned.
-pub fn depth_first_merge(
+pub(crate) fn depth_first_merge(
     terms: &[TermId],
     probabilities: &[f64],
     m: u32,

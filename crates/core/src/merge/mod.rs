@@ -23,9 +23,9 @@ mod bfm;
 mod dfm;
 mod udm;
 
-pub use bfm::{breadth_first_merge, breadth_first_merge_with_list_target};
-pub use dfm::depth_first_merge;
-pub use udm::uniform_distribution_merge;
+pub(crate) use bfm::{breadth_first_merge, breadth_first_merge_with_list_target};
+pub(crate) use dfm::depth_first_merge;
+pub(crate) use udm::uniform_distribution_merge;
 
 use rand::Rng;
 
@@ -169,7 +169,6 @@ impl std::error::Error for MergeError {}
 /// term assignment (including hash-routed rare terms) for analysis.
 #[derive(Debug, Clone)]
 pub struct MergePlan {
-    heuristic: MergeHeuristic,
     table: MappingTable,
     lists: Vec<Vec<TermId>>,
     masses: Vec<f64>,
@@ -257,16 +256,10 @@ impl MergePlan {
             .collect();
 
         Ok(Self {
-            heuristic: config.heuristic,
             table,
             lists,
             masses,
         })
-    }
-
-    /// The heuristic that produced this plan.
-    pub fn heuristic(&self) -> MergeHeuristic {
-        self.heuristic
     }
 
     /// The public mapping table.

@@ -16,7 +16,7 @@ use zerber_index::TermId;
 ///
 /// # Panics
 /// Panics if `m == 0`.
-pub fn uniform_distribution_merge(terms: &[TermId], m: u32) -> Vec<Vec<TermId>> {
+pub(crate) fn uniform_distribution_merge(terms: &[TermId], m: u32) -> Vec<Vec<TermId>> {
     assert!(m > 0, "UDM needs at least one posting list");
     let m = m as usize;
     let mut lists: Vec<Vec<TermId>> = vec![Vec::new(); m];

@@ -15,7 +15,7 @@ use zerber_index::{CorpusStats, TermId};
 
 /// Total occurrence-probability mass of one merged list:
 /// `Σ_{t∈L} p_t`.
-pub fn list_mass(list: &[TermId], stats: &CorpusStats) -> f64 {
+pub(crate) fn list_mass(list: &[TermId], stats: &CorpusStats) -> f64 {
     list.iter().map(|&t| stats.probability(t)).sum()
 }
 
@@ -25,7 +25,7 @@ pub fn list_mass(list: &[TermId], stats: &CorpusStats) -> f64 {
 ///
 /// Returns `f64::INFINITY` for an empty (zero-mass) list, which would
 /// leak its terms' document frequencies outright.
-pub fn amplification_bound(mass: f64) -> f64 {
+pub(crate) fn amplification_bound(mass: f64) -> f64 {
     if mass <= 0.0 {
         f64::INFINITY
     } else {

@@ -23,7 +23,7 @@ pub struct GroupAssignments {
 
 impl GroupAssignments {
     /// An empty relation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -33,7 +33,12 @@ impl GroupAssignments {
     /// per-user group count and the chosen groups are Zipf-skewed so a
     /// few groups (large courses / popular projects) end up big, as in
     /// Figure 5c.
-    pub fn generate(num_users: u32, num_groups: u32, max_groups_per_user: u32, seed: u64) -> Self {
+    pub(crate) fn generate(
+        num_users: u32,
+        num_groups: u32,
+        max_groups_per_user: u32,
+        seed: u64,
+    ) -> Self {
         assert!(num_groups > 0 && num_users > 0, "need users and groups");
         assert!(max_groups_per_user >= 1, "users join at least one group");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -60,23 +65,9 @@ impl GroupAssignments {
     }
 
     /// Adds one membership.
-    pub fn add(&mut self, user: UserId, group: GroupId) {
+    pub(crate) fn add(&mut self, user: UserId, group: GroupId) {
         self.user_groups.entry(user).or_default().insert(group);
         self.group_users.entry(group).or_default().insert(user);
-    }
-
-    /// Removes one membership; returns true iff it existed.
-    pub fn remove(&mut self, user: UserId, group: GroupId) -> bool {
-        let removed = self
-            .user_groups
-            .get_mut(&user)
-            .is_some_and(|g| g.remove(&group));
-        if removed {
-            if let Some(users) = self.group_users.get_mut(&group) {
-                users.remove(&user);
-            }
-        }
-        removed
     }
 
     /// Groups of a user.
@@ -87,33 +78,13 @@ impl GroupAssignments {
             .flat_map(|set| set.iter().copied())
     }
 
-    /// Users of a group.
-    pub fn users_of(&self, group: GroupId) -> impl Iterator<Item = UserId> + '_ {
-        self.group_users
-            .get(&group)
-            .into_iter()
-            .flat_map(|set| set.iter().copied())
-    }
-
-    /// Whether a user belongs to a group.
-    pub fn is_member(&self, user: UserId, group: GroupId) -> bool {
-        self.user_groups
-            .get(&user)
-            .is_some_and(|set| set.contains(&group))
-    }
-
     /// All users with at least one membership.
     pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
         self.user_groups.keys().copied()
     }
 
-    /// All groups with at least one member.
-    pub fn groups(&self) -> impl Iterator<Item = GroupId> + '_ {
-        self.group_users.keys().copied()
-    }
-
     /// Distribution of group sizes (users per group) — Figure 5c.
-    pub fn users_per_group(&self) -> Vec<usize> {
+    pub(crate) fn users_per_group(&self) -> Vec<usize> {
         let mut sizes: Vec<usize> = self.group_users.values().map(HashSet::len).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         sizes
@@ -123,16 +94,6 @@ impl GroupAssignments {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_remove_round_trip() {
-        let mut assignments = GroupAssignments::new();
-        assignments.add(UserId(1), GroupId(2));
-        assert!(assignments.is_member(UserId(1), GroupId(2)));
-        assert!(assignments.remove(UserId(1), GroupId(2)));
-        assert!(!assignments.is_member(UserId(1), GroupId(2)));
-        assert!(!assignments.remove(UserId(1), GroupId(2)));
-    }
 
     #[test]
     fn generated_users_all_have_memberships() {
@@ -177,7 +138,7 @@ mod tests {
         let assignments = GroupAssignments::generate(100, 10, 5, 13);
         for user in assignments.users() {
             for group in assignments.groups_of(user) {
-                assert!(assignments.users_of(group).any(|u| u == user));
+                assert!(assignments.group_users[&group].contains(&user));
             }
         }
     }

@@ -13,27 +13,26 @@
 //! generates synthetic equivalents with exactly those shapes, with all
 //! scale parameters configurable up to paper scale.
 //!
-//! * [`zipf`] — an O(log n) cumulative-table Zipf sampler plus
+//! * `zipf` — an O(log n) cumulative-table Zipf sampler plus
 //!   dependency-free normal/Poisson helpers,
-//! * [`synth`] — the generic Zipfian document generator,
-//! * [`odp`] — the ODP-like profile (topic groups with local
+//! * `synth` — the generic Zipfian document generator,
+//! * `odp` — the ODP-like profile (topic groups with local
 //!   vocabulary skew),
-//! * [`studip`] — the Stud-IP-like profile reproducing the four
+//! * `studip` — the Stud-IP-like profile reproducing the four
 //!   distributions of Figure 5,
-//! * [`querylog`] — the web-search-log generator behind Figures 6, 10
+//! * `querylog` — the web-search-log generator behind Figures 6, 10
 //!   and 11,
-//! * [`groups`] — user ↔ group membership generation.
+//! * `groups` — user ↔ group membership generation.
 
-pub mod groups;
-pub mod odp;
-pub mod querylog;
-pub mod studip;
-pub mod synth;
-pub mod zipf;
+pub(crate) mod groups;
+pub(crate) mod odp;
+pub(crate) mod querylog;
+pub(crate) mod studip;
+pub(crate) mod synth;
+pub(crate) mod zipf;
 
 pub use groups::GroupAssignments;
 pub use odp::{OdpConfig, OdpCorpus};
 pub use querylog::{QueryLog, QueryLogConfig};
 pub use studip::{StudipConfig, StudipData};
 pub use synth::{CorpusConfig, SyntheticCorpus};
-pub use zipf::ZipfSampler;

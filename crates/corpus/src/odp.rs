@@ -61,20 +61,6 @@ impl Default for OdpConfig {
     }
 }
 
-impl OdpConfig {
-    /// A deliberately small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            num_docs: 400,
-            vocabulary_size: 6_000,
-            num_topics: 10,
-            avg_doc_length: 80,
-            topic_vocabulary: 200,
-            ..Self::default()
-        }
-    }
-}
-
 /// A generated ODP-like corpus.
 #[derive(Debug, Clone)]
 pub struct OdpCorpus {
@@ -199,6 +185,18 @@ impl OdpCorpus {
 mod tests {
     use super::*;
 
+    /// A deliberately small configuration.
+    fn tiny() -> OdpConfig {
+        OdpConfig {
+            num_docs: 400,
+            vocabulary_size: 6_000,
+            num_topics: 10,
+            avg_doc_length: 80,
+            topic_vocabulary: 200,
+            ..OdpConfig::default()
+        }
+    }
+
     /// Regression: with more than 64 topics the old 6-bit host wrap in
     /// `doc_id_for` aliased topic 64+ ids onto topic 0+, producing
     /// duplicate document ids at the default ODP scale (100 topics)
@@ -208,7 +206,7 @@ mod tests {
         let corpus = OdpCorpus::generate(&OdpConfig {
             num_docs: 2_000,
             num_topics: 100,
-            ..OdpConfig::tiny()
+            ..tiny()
         });
         let mut ids: Vec<u32> = corpus.documents.iter().map(|d| d.id.0).collect();
         ids.sort_unstable();
@@ -218,7 +216,7 @@ mod tests {
 
     #[test]
     fn every_topic_gets_documents() {
-        let corpus = OdpCorpus::generate(&OdpConfig::tiny());
+        let corpus = OdpCorpus::generate(&tiny());
         let mut counts = [0usize; 10];
         for doc in &corpus.documents {
             counts[doc.group.0 as usize] += 1;
@@ -228,7 +226,7 @@ mod tests {
 
     #[test]
     fn frequencies_are_heavy_tailed() {
-        let corpus = OdpCorpus::generate(&OdpConfig::tiny());
+        let corpus = OdpCorpus::generate(&tiny());
         let stats = corpus.statistics();
         let sorted = stats.terms_by_descending_frequency();
         let top = stats.probability(sorted[0]);
@@ -240,7 +238,7 @@ mod tests {
     fn topic_vocabulary_is_group_specific() {
         // Terms from a topic's slice should be much more frequent in
         // that topic's documents than in others'.
-        let config = OdpConfig::tiny();
+        let config = tiny();
         let corpus = OdpCorpus::generate(&config);
         // Find, for each of two topics, the most frequent term that is
         // NOT in the global head (rank >= vocab/2 => topical slice).
@@ -267,7 +265,7 @@ mod tests {
 
     #[test]
     fn prefix_statistics_cover_fewer_documents() {
-        let corpus = OdpCorpus::generate(&OdpConfig::tiny());
+        let corpus = OdpCorpus::generate(&tiny());
         let full = corpus.statistics();
         let prefix = corpus.prefix_statistics(0.3);
         assert!(prefix.total_document_frequency() < full.total_document_frequency());
@@ -276,8 +274,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = OdpCorpus::generate(&OdpConfig::tiny());
-        let b = OdpCorpus::generate(&OdpConfig::tiny());
+        let a = OdpCorpus::generate(&tiny());
+        let b = OdpCorpus::generate(&tiny());
         assert_eq!(a.documents, b.documents);
     }
 }

@@ -54,17 +54,6 @@ impl Default for QueryLogConfig {
     }
 }
 
-impl QueryLogConfig {
-    /// A deliberately small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            num_queries: 2_000,
-            distinct_terms: 500,
-            ..Self::default()
-        }
-    }
-}
-
 /// A generated query log.
 #[derive(Debug, Clone)]
 pub struct QueryLog {
@@ -195,21 +184,35 @@ impl QueryLog {
     }
 }
 
-/// Rank correlation (Spearman's ρ over shared terms) between document
-/// frequency and query frequency — used to validate the generator
-/// against the paper's "these are correlated" observation.
-pub fn df_qf_rank_correlation(stats: &CorpusStats, workload: &QueryWorkload) -> f64 {
-    // Collect terms with both signals.
-    let mut terms: Vec<TermId> = (0..stats.term_count() as u32)
-        .map(TermId)
-        .filter(|&t| stats.document_frequency(t) > 0 && workload.frequency(t) > 0)
-        .collect();
-    let n = terms.len();
-    if n < 3 {
-        return 0.0;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deliberately small configuration.
+    fn tiny() -> QueryLogConfig {
+        QueryLogConfig {
+            num_queries: 2_000,
+            distinct_terms: 500,
+            ..QueryLogConfig::default()
+        }
     }
-    let rank_of =
-        |key: &dyn Fn(TermId) -> u64, terms: &[TermId]| -> std::collections::HashMap<TermId, f64> {
+
+    /// Rank correlation (Spearman's ρ over shared terms) between document
+    /// frequency and query frequency — used to validate the generator
+    /// against the paper's "these are correlated" observation.
+    fn df_qf_rank_correlation(stats: &CorpusStats, workload: &QueryWorkload) -> f64 {
+        // Collect terms with both signals.
+        let mut terms: Vec<TermId> = (0..stats.term_count() as u32)
+            .map(TermId)
+            .filter(|&t| stats.document_frequency(t) > 0 && workload.frequency(t) > 0)
+            .collect();
+        let n = terms.len();
+        if n < 3 {
+            return 0.0;
+        }
+        let rank_of = |key: &dyn Fn(TermId) -> u64,
+                       terms: &[TermId]|
+         -> std::collections::HashMap<TermId, f64> {
             let mut sorted = terms.to_vec();
             sorted.sort_by(|&a, &b| key(b).cmp(&key(a)).then(a.0.cmp(&b.0)));
             sorted
@@ -218,23 +221,19 @@ pub fn df_qf_rank_correlation(stats: &CorpusStats, workload: &QueryWorkload) -> 
                 .map(|(i, t)| (t, i as f64))
                 .collect()
         };
-    terms.sort_by_key(|t| t.0);
-    let df_rank = rank_of(&|t| stats.document_frequency(t), &terms);
-    let qf_rank = rank_of(&|t| workload.frequency(t), &terms);
-    let d2: f64 = terms
-        .iter()
-        .map(|t| {
-            let d = df_rank[t] - qf_rank[t];
-            d * d
-        })
-        .sum();
-    let n = n as f64;
-    1.0 - 6.0 * d2 / (n * (n * n - 1.0))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
+        terms.sort_by_key(|t| t.0);
+        let df_rank = rank_of(&|t| stats.document_frequency(t), &terms);
+        let qf_rank = rank_of(&|t| workload.frequency(t), &terms);
+        let d2: f64 = terms
+            .iter()
+            .map(|t| {
+                let d = df_rank[t] - qf_rank[t];
+                d * d
+            })
+            .sum();
+        let n = n as f64;
+        1.0 - 6.0 * d2 / (n * (n * n - 1.0))
+    }
 
     fn zipf_stats(n: usize) -> CorpusStats {
         let dfs: Vec<u64> = (1..=n as u64).map(|rank| 1 + 50_000 / rank).collect();
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn mean_query_length_matches_target() {
         let stats = zipf_stats(2_000);
-        let log = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
+        let log = QueryLog::generate(&tiny(), &stats);
         let mean = log.mean_terms_per_query();
         assert!((mean - 2.45).abs() < 0.25, "mean terms/query {mean}");
     }
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn queries_have_distinct_terms() {
         let stats = zipf_stats(2_000);
-        let log = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
+        let log = QueryLog::generate(&tiny(), &stats);
         for query in &log.queries {
             let mut sorted: Vec<u32> = query.iter().map(|t| t.0).collect();
             sorted.sort_unstable();
@@ -264,7 +263,7 @@ mod tests {
     #[test]
     fn workload_totals_match_query_terms() {
         let stats = zipf_stats(2_000);
-        let log = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
+        let log = QueryLog::generate(&tiny(), &stats);
         let expected: u64 = log.queries.iter().map(|q| q.len() as u64).sum();
         assert_eq!(log.workload().total(), expected);
     }
@@ -276,7 +275,7 @@ mod tests {
         let log = QueryLog::generate(
             &QueryLogConfig {
                 num_queries: 20_000,
-                ..QueryLogConfig::tiny()
+                ..tiny()
             },
             &stats,
         );
@@ -301,7 +300,7 @@ mod tests {
         let log = QueryLog::generate(
             &QueryLogConfig {
                 num_queries: 30_000,
-                ..QueryLogConfig::tiny()
+                ..tiny()
             },
             &stats,
         );
@@ -319,7 +318,7 @@ mod tests {
                 rank_noise: 0.0,
                 num_queries: 30_000,
                 distinct_terms: 300,
-                ..QueryLogConfig::tiny()
+                ..tiny()
             },
             &stats,
         );
@@ -330,8 +329,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let stats = zipf_stats(500);
-        let a = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
-        let b = QueryLog::generate(&QueryLogConfig::tiny(), &stats);
+        let a = QueryLog::generate(&tiny(), &stats);
+        let b = QueryLog::generate(&tiny(), &stats);
         assert_eq!(a.queries, b.queries);
     }
 }

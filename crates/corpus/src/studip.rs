@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use zerber_index::{Document, GroupId, TermId, UserId};
+use zerber_index::{Document, GroupId, TermId};
 
 use crate::groups::GroupAssignments;
 use crate::synth::{doc_id_for, sample_length};
@@ -66,20 +66,6 @@ impl Default for StudipConfig {
             max_groups_per_user: 20,
             semester_days: 120,
             seed: 5,
-        }
-    }
-}
-
-impl StudipConfig {
-    /// A deliberately small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            num_courses: 20,
-            num_users: 100,
-            num_docs: 300,
-            vocabulary_size: 4_000,
-            avg_doc_length: 60,
-            ..Self::default()
         }
     }
 }
@@ -218,17 +204,23 @@ impl StudipData {
         }
         zerber_index::CorpusStats::from_document_frequencies(dfs)
     }
-
-    /// The users that may read a document (members of its group).
-    pub fn readers_of(&self, doc_index: usize) -> Vec<UserId> {
-        let group = self.documents[doc_index].group;
-        self.memberships.users_of(group).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A deliberately small configuration.
+    fn tiny() -> StudipConfig {
+        StudipConfig {
+            num_courses: 20,
+            num_users: 100,
+            num_docs: 300,
+            vocabulary_size: 4_000,
+            avg_doc_length: 60,
+            ..StudipConfig::default()
+        }
+    }
 
     /// Regression: per-course sequence counters used to collide for
     /// courses 64 apart (which share a 6-bit host slot), duplicating
@@ -238,7 +230,7 @@ mod tests {
         let data = StudipData::generate(&StudipConfig {
             num_docs: 2_000,
             num_courses: 300,
-            ..StudipConfig::tiny()
+            ..tiny()
         });
         let mut ids: Vec<u32> = data.documents.iter().map(|d| d.id.0).collect();
         ids.sort_unstable();
@@ -248,14 +240,14 @@ mod tests {
 
     #[test]
     fn document_count_matches_config() {
-        let data = StudipData::generate(&StudipConfig::tiny());
+        let data = StudipData::generate(&tiny());
         assert_eq!(data.documents.len(), 300);
         assert_eq!(data.upload_day.len(), 300);
     }
 
     #[test]
     fn docs_per_group_is_skewed() {
-        let data = StudipData::generate(&StudipConfig::tiny());
+        let data = StudipData::generate(&tiny());
         let counts = data.documents_per_group();
         assert!(counts[0] >= 3 * counts[counts.len() / 2].max(1));
     }
@@ -264,7 +256,7 @@ mod tests {
     fn uploads_grow_roughly_linearly() {
         let config = StudipConfig {
             num_docs: 3_000,
-            ..StudipConfig::tiny()
+            ..tiny()
         };
         let data = StudipData::generate(&config);
         let cumulative = data.cumulative_uploads(config.semester_days);
@@ -283,26 +275,16 @@ mod tests {
         // Figure 5d: "most users … can access fewer than 200
         // documents" — at tiny() scale (300 docs) the analogous bound
         // is that the median user accesses well under half the corpus.
-        let data = StudipData::generate(&StudipConfig::tiny());
+        let data = StudipData::generate(&tiny());
         let accessible = data.documents_accessible_per_user();
         let median = accessible[accessible.len() / 2];
         assert!(median < 150, "median accessible {median}");
     }
 
     #[test]
-    fn readers_are_group_members() {
-        let data = StudipData::generate(&StudipConfig::tiny());
-        let readers = data.readers_of(0);
-        let group = data.documents[0].group;
-        for user in readers {
-            assert!(data.memberships.is_member(user, group));
-        }
-    }
-
-    #[test]
     fn generation_is_deterministic() {
-        let a = StudipData::generate(&StudipConfig::tiny());
-        let b = StudipData::generate(&StudipConfig::tiny());
+        let a = StudipData::generate(&tiny());
+        let b = StudipData::generate(&tiny());
         assert_eq!(a.documents, b.documents);
         assert_eq!(a.upload_day, b.upload_day);
     }

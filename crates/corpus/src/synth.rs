@@ -120,11 +120,11 @@ impl SyntheticCorpus {
 /// default wire codec packs a document id into 26 bits (6-bit host +
 /// 20-bit local number), so generators must wrap group ids into this
 /// space.
-pub const DOC_HOST_SLOTS: usize = 1 << 6;
+pub(crate) const DOC_HOST_SLOTS: usize = 1 << 6;
 
 /// The host a group's documents live on (host id = group id, wrapped
 /// into the 6-bit host space the default wire codec can carry).
-pub fn doc_host(group: GroupId) -> u16 {
+pub(crate) fn doc_host(group: GroupId) -> u16 {
     (group.0 as usize % DOC_HOST_SLOTS) as u16
 }
 
@@ -136,12 +136,12 @@ pub fn doc_host(group: GroupId) -> u16 {
 /// be allocated **per host** (not per group) or ids collide — the
 /// generators in this crate all keep a `DOC_HOST_SLOTS`-sized counter
 /// array indexed by [`doc_host`] for exactly this reason.
-pub fn doc_id_for(group: GroupId, sequence: u32) -> DocId {
+pub(crate) fn doc_id_for(group: GroupId, sequence: u32) -> DocId {
     DocId::from_parts(doc_host(group), sequence)
 }
 
 /// Generates a single document with Zipf-drawn tokens.
-pub fn generate_document<R: Rng + ?Sized>(
+pub(crate) fn generate_document<R: Rng + ?Sized>(
     id: DocId,
     group: GroupId,
     sampler: &ZipfSampler,
@@ -159,7 +159,7 @@ pub fn generate_document<R: Rng + ?Sized>(
 }
 
 /// Log-normal document length with mean `avg_len`, at least 1 token.
-pub fn sample_length<R: Rng + ?Sized>(avg_len: usize, sigma: f64, rng: &mut R) -> usize {
+pub(crate) fn sample_length<R: Rng + ?Sized>(avg_len: usize, sigma: f64, rng: &mut R) -> usize {
     if sigma <= 0.0 {
         return avg_len.max(1);
     }

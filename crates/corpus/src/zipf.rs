@@ -11,7 +11,7 @@ use rand::Rng;
 /// Samples ranks `0..n` with probability proportional to
 /// `1 / (rank + 1)^s`.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cumulative: Vec<f64>,
     total: f64,
 }
@@ -21,7 +21,7 @@ impl ZipfSampler {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is not finite and non-negative.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(
             s.is_finite() && s >= 0.0,
@@ -36,29 +36,8 @@ impl ZipfSampler {
         Self { cumulative, total }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True iff the sampler has a single rank.
-    pub fn is_empty(&self) -> bool {
-        false // guaranteed non-empty by construction
-    }
-
-    /// Probability of one rank.
-    pub fn probability(&self, rank: usize) -> f64 {
-        let hi = self.cumulative[rank];
-        let lo = if rank == 0 {
-            0.0
-        } else {
-            self.cumulative[rank - 1]
-        };
-        (hi - lo) / self.total
-    }
-
     /// Draws one rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let needle = rng.random::<f64>() * self.total;
         // partition_point returns the first index with cumulative >
         // needle, i.e. the sampled rank.
@@ -70,7 +49,7 @@ impl ZipfSampler {
 
 /// One standard-normal draw via Box–Muller (keeps `rand_distr` out of
 /// the dependency set).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1 = rng.random::<f64>();
         let u2 = rng.random::<f64>();
@@ -82,7 +61,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// One Poisson draw (Knuth's method; fine for the small λ used for
 /// query lengths).
-pub fn poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u32 {
+pub(crate) fn poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u32 {
     assert!(lambda >= 0.0, "Poisson rate must be non-negative");
     let limit = (-lambda).exp();
     let mut k = 0u32;
@@ -105,10 +84,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability of one rank, read off the cumulative table.
+    fn probability(sampler: &ZipfSampler, rank: usize) -> f64 {
+        let hi = sampler.cumulative[rank];
+        let lo = if rank == 0 {
+            0.0
+        } else {
+            sampler.cumulative[rank - 1]
+        };
+        (hi - lo) / sampler.total
+    }
+
     #[test]
     fn probabilities_sum_to_one() {
         let sampler = ZipfSampler::new(100, 1.0);
-        let sum: f64 = (0..100).map(|r| sampler.probability(r)).sum();
+        let sum: f64 = (0..100).map(|r| probability(&sampler, r)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
@@ -116,7 +106,7 @@ mod tests {
     fn rank_zero_is_most_likely() {
         let sampler = ZipfSampler::new(50, 1.2);
         for rank in 1..50 {
-            assert!(sampler.probability(0) >= sampler.probability(rank));
+            assert!(probability(&sampler, 0) >= probability(&sampler, rank));
         }
     }
 
@@ -124,7 +114,7 @@ mod tests {
     fn exponent_zero_is_uniform() {
         let sampler = ZipfSampler::new(10, 0.0);
         for rank in 0..10 {
-            assert!((sampler.probability(rank) - 0.1).abs() < 1e-9);
+            assert!((probability(&sampler, rank) - 0.1).abs() < 1e-9);
         }
     }
 
@@ -139,7 +129,7 @@ mod tests {
         }
         for (rank, &count) in counts.iter().enumerate() {
             let observed = count as f64 / draws as f64;
-            let expected = sampler.probability(rank);
+            let expected = probability(&sampler, rank);
             assert!(
                 (observed - expected).abs() < 0.01,
                 "rank {rank}: {observed} vs {expected}"

@@ -78,7 +78,7 @@ impl Fp {
     }
 
     /// Raises `self` to the power `exp` by square-and-multiply.
-    pub fn pow(self, mut exp: u64) -> Self {
+    pub(crate) fn pow(self, mut exp: u64) -> Self {
         let mut base = self;
         let mut acc = Fp::ONE;
         while exp != 0 {

@@ -11,9 +11,9 @@
 //! The crate provides:
 //!
 //! * [`Fp`] — an element of Z_p with full operator overloads,
-//! * [`poly`] — polynomial evaluation, random polynomials with a fixed
+//! * `poly` — polynomial evaluation, random polynomials with a fixed
 //!   constant term (the secret), and Lagrange interpolation,
-//! * [`linalg`] — Gaussian elimination over Z_p, matching the O(k^3)
+//! * `linalg` — Gaussian elimination over Z_p, matching the O(k^3)
 //!   system-of-equations decryption the paper describes (Algorithm 1b).
 
 //! # Example
@@ -32,10 +32,10 @@
 //! assert_eq!(interpolate_at_zero(&points), secret);
 //! ```
 
-pub mod fp;
-pub mod linalg;
-pub mod mix;
-pub mod poly;
+pub(crate) mod fp;
+pub(crate) mod linalg;
+pub(crate) mod mix;
+pub(crate) mod poly;
 
 pub use fp::{Fp, MODULUS};
 pub use linalg::{solve_vandermonde_gaussian, GaussianError};

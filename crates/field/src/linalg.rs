@@ -124,9 +124,7 @@ mod tests {
             let coefficients = solve_vandermonde_gaussian(&xs, &ys).unwrap();
             assert_eq!(coefficients.len(), k);
             assert_eq!(coefficients[0], secret, "k = {k}");
-            for (got, expected) in coefficients.iter().zip(f.coefficients()) {
-                assert_eq!(got, expected);
-            }
+            assert_eq!(Polynomial::new(coefficients), f);
         }
     }
 

@@ -1,8 +1,8 @@
 //! The workspace's one integer mixing function.
 //!
 //! Several layers need a fixed *public* pseudo-random mapping of 64-bit
-//! ids — hash-routing terms to posting lists, placing virtual nodes on
-//! the DHT ring, deriving per-element refresh deltas. They all use this
+//! ids — hash-routing terms to posting lists, placing documents on
+//! shards, deriving per-element refresh deltas. They all use this
 //! splitmix64 step so the mixer has exactly one definition.
 
 /// One splitmix64 step: advances `state` by the golden-ratio increment

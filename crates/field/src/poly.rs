@@ -46,33 +46,6 @@ impl Polynomial {
         Self { coefficients }
     }
 
-    /// Samples a polynomial with constant term zero, used by proactive
-    /// share refresh: adding `f(x_i)` to each share re-randomizes the
-    /// sharing without changing the secret.
-    pub fn random_zero_constant<R: Rng + ?Sized>(degree: usize, rng: &mut R) -> Self {
-        Self::random_with_constant(Fp::ZERO, degree, rng)
-    }
-
-    /// The coefficients, constant term first.
-    pub fn coefficients(&self) -> &[Fp] {
-        &self.coefficients
-    }
-
-    /// The constant term `a_0` (the secret).
-    pub fn constant(&self) -> Fp {
-        self.coefficients.first().copied().unwrap_or(Fp::ZERO)
-    }
-
-    /// Number of coefficient slots (scheme degree + 1).
-    pub fn len(&self) -> usize {
-        self.coefficients.len()
-    }
-
-    /// True iff the polynomial has no coefficient slots.
-    pub fn is_empty(&self) -> bool {
-        self.coefficients.is_empty()
-    }
-
     /// Evaluates the polynomial at `x` using Horner's rule — O(k).
     pub fn evaluate(&self, x: Fp) -> Fp {
         let mut acc = Fp::ZERO;
@@ -80,19 +53,6 @@ impl Polynomial {
             acc = acc * x + coefficient;
         }
         acc
-    }
-
-    /// Adds another polynomial coefficient-wise (used by proactive
-    /// refresh on the dealer side in tests).
-    pub fn add(&self, other: &Polynomial) -> Polynomial {
-        let len = self.coefficients.len().max(other.coefficients.len());
-        let mut coefficients = Vec::with_capacity(len);
-        for i in 0..len {
-            let a = self.coefficients.get(i).copied().unwrap_or(Fp::ZERO);
-            let b = other.coefficients.get(i).copied().unwrap_or(Fp::ZERO);
-            coefficients.push(a + b);
-        }
-        Polynomial { coefficients }
     }
 }
 
@@ -197,17 +157,15 @@ mod tests {
     #[test]
     fn empty_polynomial_evaluates_to_zero() {
         let f = Polynomial::new(vec![]);
-        assert!(f.is_empty());
         assert_eq!(f.evaluate(fp(17)).value(), 0);
-        assert_eq!(f.constant().value(), 0);
     }
 
     #[test]
     fn random_with_constant_pins_the_secret() {
         let mut rng = StdRng::seed_from_u64(1);
         let f = Polynomial::random_with_constant(fp(424_242), 4, &mut rng);
-        assert_eq!(f.len(), 5);
-        assert_eq!(f.constant().value(), 424_242);
+        assert_eq!(f.coefficients.len(), 5);
+        assert_eq!(f.coefficients[0].value(), 424_242);
         assert_eq!(f.evaluate(Fp::ZERO).value(), 424_242);
     }
 
@@ -277,9 +235,13 @@ mod tests {
     fn zero_constant_polynomial_refreshes_without_changing_secret() {
         let mut rng = StdRng::seed_from_u64(6);
         let f = Polynomial::random_with_constant(fp(777), 3, &mut rng);
-        let delta = Polynomial::random_zero_constant(3, &mut rng);
-        let refreshed = f.add(&delta);
-        assert_eq!(refreshed.constant().value(), 777);
+        let delta = Polynomial::random_with_constant(Fp::ZERO, 3, &mut rng);
+        let refreshed = Polynomial::new(
+            (f.coefficients.iter().zip(&delta.coefficients))
+                .map(|(&a, &b)| a + b)
+                .collect(),
+        );
+        assert_eq!(refreshed.coefficients[0].value(), 777);
         // Shares move, secret stays.
         assert_ne!(refreshed.evaluate(fp(5)), f.evaluate(fp(5)));
         let points: Vec<(Fp, Fp)> = (1..=4u64)

@@ -34,7 +34,7 @@ impl CentralIndex {
     }
 
     /// Indexes a batch of documents with one merge pass per posting
-    /// list (see [`InvertedIndex::insert_batch`]) — use this for bulk
+    /// list (see `InvertedIndex::insert_batch`) — use this for bulk
     /// construction instead of an `insert` loop, whose per-posting
     /// `upsert` cost is quadratic in list length.
     pub fn insert_batch(&mut self, docs: &[Document]) {
@@ -49,22 +49,6 @@ impl CentralIndex {
     /// Grants a user membership of a group.
     pub fn add_user_to_group(&mut self, user: UserId, group: GroupId) {
         self.user_groups.entry(user).or_default().insert(group);
-    }
-
-    /// Revokes a user's membership. "Changes in group membership will
-    /// be immediately reflected in the query answers" (Section 2).
-    pub fn remove_user_from_group(&mut self, user: UserId, group: GroupId) {
-        if let Some(groups) = self.user_groups.get_mut(&user) {
-            groups.remove(&group);
-        }
-    }
-
-    /// The groups a user belongs to.
-    pub fn groups_of(&self, user: UserId) -> impl Iterator<Item = GroupId> + '_ {
-        self.user_groups
-            .get(&user)
-            .into_iter()
-            .flat_map(|groups| groups.iter().copied())
     }
 
     /// Ranked keyword search: ranks over the *whole* corpus, then
@@ -134,7 +118,11 @@ mod tests {
         central.insert(&doc(1, 0, &[(0, 5)]));
         central.add_user_to_group(UserId(1), GroupId(0));
         assert_eq!(central.search(UserId(1), &[TermId(0)], 10).len(), 1);
-        central.remove_user_from_group(UserId(1), GroupId(0));
+        central
+            .user_groups
+            .get_mut(&UserId(1))
+            .unwrap()
+            .remove(&GroupId(0));
         assert!(central.search(UserId(1), &[TermId(0)], 10).is_empty());
     }
 

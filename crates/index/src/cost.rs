@@ -30,11 +30,6 @@ impl QueryWorkload {
         self.frequencies.get(term.0 as usize).copied().unwrap_or(0)
     }
 
-    /// All frequencies.
-    pub fn frequencies(&self) -> &[u64] {
-        &self.frequencies
-    }
-
     /// Total number of term occurrences across all queries.
     pub fn total(&self) -> u64 {
         self.frequencies.iter().sum()

@@ -169,13 +169,6 @@ impl QueryCost {
             postings_scored: 0,
         }
     }
-
-    /// Accumulates another query's accounting.
-    pub fn absorb(&mut self, other: QueryCost) {
-        self.blocks_decoded += other.blocks_decoded;
-        self.blocks_total += other.blocks_total;
-        self.postings_scored += other.postings_scored;
-    }
 }
 
 /// A candidate ordered by [`RankedDoc::result_order`], so a max-heap

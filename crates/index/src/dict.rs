@@ -23,7 +23,7 @@ impl TermDict {
     }
 
     /// Interns `term`, returning its stable id (existing or fresh).
-    pub fn intern(&mut self, term: &str) -> TermId {
+    pub(crate) fn intern(&mut self, term: &str) -> TermId {
         if let Some(&id) = self.by_term.get(term) {
             return id;
         }
@@ -36,29 +36,6 @@ impl TermDict {
     /// Looks up an already-interned term.
     pub fn get(&self, term: &str) -> Option<TermId> {
         self.by_term.get(term).copied()
-    }
-
-    /// Resolves an id back to its term string.
-    pub fn term(&self, id: TermId) -> Option<&str> {
-        self.by_id.get(id.0 as usize).map(String::as_str)
-    }
-
-    /// Number of distinct terms.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// True iff no terms have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Iterates `(id, term)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (TermId, &str)> {
-        self.by_id
-            .iter()
-            .enumerate()
-            .map(|(i, term)| (TermId(i as u32), term.as_str()))
     }
 }
 
@@ -74,7 +51,7 @@ mod tests {
         let a_again = dict.intern("martha");
         assert_eq!(a, a_again);
         assert_ne!(a, b);
-        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.by_id.len(), 2);
     }
 
     #[test]
@@ -84,24 +61,25 @@ mod tests {
             let id = dict.intern(&format!("term{i}"));
             assert_eq!(id, TermId(i));
         }
-        assert_eq!(dict.term(TermId(42)), Some("term42"));
+        assert_eq!(dict.by_id[42], "term42");
         assert_eq!(dict.get("term99"), Some(TermId(99)));
+    }
+
+    #[test]
+    fn iter_yields_in_id_order() {
+        // Ids follow first-intern order, not term order.
+        let mut dict = TermDict::new();
+        dict.intern("b");
+        dict.intern("a");
+        assert_eq!(dict.get("b"), Some(TermId(0)));
+        assert_eq!(dict.get("a"), Some(TermId(1)));
+        assert_eq!(dict.by_id, ["b", "a"]);
     }
 
     #[test]
     fn unknown_lookups_return_none() {
         let dict = TermDict::new();
         assert!(dict.get("missing").is_none());
-        assert!(dict.term(TermId(0)).is_none());
-        assert!(dict.is_empty());
-    }
-
-    #[test]
-    fn iter_yields_in_id_order() {
-        let mut dict = TermDict::new();
-        dict.intern("b");
-        dict.intern("a");
-        let collected: Vec<_> = dict.iter().map(|(id, t)| (id.0, t.to_owned())).collect();
-        assert_eq!(collected, vec![(0, "b".to_owned()), (1, "a".to_owned())]);
+        assert!(dict.by_id.is_empty());
     }
 }

@@ -80,18 +80,6 @@ impl Document {
         self.terms.len()
     }
 
-    /// The normalized term frequency `count / length` for one term, or
-    /// zero when absent.
-    pub fn term_frequency(&self, term: TermId) -> f64 {
-        if self.length == 0 {
-            return 0.0;
-        }
-        match self.terms.binary_search_by_key(&term, |&(t, _)| t) {
-            Ok(i) => self.terms[i].1 as f64 / self.length as f64,
-            Err(_) => 0.0,
-        }
-    }
-
     /// Raw occurrence count for a term.
     pub fn term_count(&self, term: TermId) -> u32 {
         match self.terms.binary_search_by_key(&term, |&(t, _)| t) {
@@ -121,14 +109,12 @@ mod tests {
         assert_eq!(doc.distinct_terms(), 4);
         let martha = dict.get("martha").unwrap();
         assert_eq!(doc.term_count(martha), 2);
-        assert!((doc.term_frequency(martha) - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn missing_term_has_zero_frequency() {
         let mut dict = TermDict::new();
         let doc = raw("alpha beta").process(&Tokenizer::new(), &mut dict);
-        assert_eq!(doc.term_frequency(TermId(999)), 0.0);
         assert_eq!(doc.term_count(TermId(999)), 0);
     }
 
@@ -138,7 +124,6 @@ mod tests {
         let doc = raw("").process(&Tokenizer::new(), &mut dict);
         assert_eq!(doc.length, 0);
         assert_eq!(doc.distinct_terms(), 0);
-        assert_eq!(doc.term_frequency(TermId(0)), 0.0);
     }
 
     #[test]

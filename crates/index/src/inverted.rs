@@ -36,7 +36,7 @@ impl InvertedIndex {
     /// Equivalent to inserting every document into an empty index (a
     /// duplicated document id keeps the last copy, like re-insertion),
     /// but accumulates each term's postings and sorts them once via
-    /// [`PostingList::from_sorted`] instead of paying `upsert`'s
+    /// `PostingList::from_sorted` instead of paying `upsert`'s
     /// shift-on-insert cost per posting — the difference between
     /// O(total · list) and O(total log total) on corpus-scale builds.
     pub fn from_documents<'a, I>(docs: I) -> Self
@@ -93,7 +93,7 @@ impl InvertedIndex {
     /// postings land via [`PostingList::merge_from_sorted`] — so a
     /// batch of `B` documents costs `O(affected-list bytes + B log B)`
     /// instead of `upsert`'s per-posting shift.
-    pub fn insert_batch(&mut self, docs: &[Document]) {
+    pub(crate) fn insert_batch(&mut self, docs: &[Document]) {
         use std::collections::HashSet;
         if docs.is_empty() {
             return;
@@ -233,17 +233,12 @@ impl InvertedIndex {
     }
 
     /// The owning group of a document, if indexed.
-    pub fn document_group(&self, doc: DocId) -> Option<GroupId> {
+    pub(crate) fn document_group(&self, doc: DocId) -> Option<GroupId> {
         self.documents.get(&doc).map(|m| m.group)
     }
 
-    /// Iterates all indexed document ids (arbitrary order).
-    pub fn documents(&self) -> impl Iterator<Item = DocId> + '_ {
-        self.documents.keys().copied()
-    }
-
     /// Snapshot of per-term document frequencies, indexed by term id.
-    pub fn document_frequencies(&self) -> Vec<u64> {
+    pub(crate) fn document_frequencies(&self) -> Vec<u64> {
         self.postings.iter().map(|l| l.len() as u64).collect()
     }
 

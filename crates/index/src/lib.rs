@@ -6,14 +6,14 @@
 //! (Figure 1). This crate provides that substrate plus everything the
 //! evaluation section needs around it:
 //!
-//! * [`tokenizer`] / [`dict`] — document parsing and term interning,
-//! * [`doc`] / [`postings`] / [`inverted`] — documents, posting lists
+//! * `tokenizer` / `dict` — document parsing and term interning,
+//! * `doc` / `postings` / `inverted` — documents, posting lists
 //!   with term frequencies, and the index itself,
 //! * [`store`] — the posting-storage read contract
 //!   ([`store::PostingStore`]); the frozen block-compressed store lives
 //!   in the `zerber-postings` crate, the engine shard peers serve from
 //!   in `zerber-segment`,
-//! * [`stats`] — corpus statistics: document frequencies and the
+//! * `stats` — corpus statistics: document frequencies and the
 //!   normalized term-occurrence probability `p_t` of formula (2),
 //! * [`cost`] — the workload cost `Q` of formula (6),
 //! * [`topk`] — TF-IDF scoring and the Fagin-style Threshold Algorithm
@@ -22,32 +22,29 @@
 //!   [`cursor::BlockCursor`] sorted access with block-max peeking, and
 //!   the cursor-driven [`cursor::block_max_topk_cursors`] that only
 //!   decompresses blocks surviving the upper-bound test,
-//! * [`bloom`] — a Bloom filter, the substrate of the μ-Serv baseline
+//! * `bloom` — a Bloom filter, the substrate of the μ-Serv baseline
 //!   from related work \[3\],
-//! * [`baseline`] — the "ideal" trusted central index of Section 2: an
+//! * `baseline` — the "ideal" trusted central index of Section 2: an
 //!   ordinary inverted index with an access-control check on the ranked
 //!   result list.
 
-pub mod baseline;
-pub mod bloom;
+pub(crate) mod baseline;
+pub(crate) mod bloom;
 pub mod cost;
 pub mod cursor;
-pub mod dict;
-pub mod doc;
-pub mod inverted;
-pub mod postings;
-pub mod stats;
+pub(crate) mod dict;
+pub(crate) mod doc;
+pub(crate) mod inverted;
+pub(crate) mod postings;
+pub(crate) mod stats;
 pub mod store;
-pub mod tokenizer;
+pub(crate) mod tokenizer;
 pub mod topk;
-pub mod types;
+pub(crate) mod types;
 
 pub use baseline::CentralIndex;
 pub use bloom::BloomFilter;
-pub use cost::{workload_cost, QueryWorkload};
-pub use cursor::{
-    block_max_topk_cursors, BlockCursor, EmptyCursor, QueryCost, ShadowedMergeCursor, TopKScratch,
-};
+pub use cursor::{block_max_topk_cursors, BlockCursor, QueryCost, TopKScratch};
 pub use dict::TermDict;
 pub use doc::{Document, RawDocument};
 pub use inverted::InvertedIndex;

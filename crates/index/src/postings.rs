@@ -41,7 +41,7 @@ pub struct PostingList {
 
 impl PostingList {
     /// An empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -52,7 +52,7 @@ impl PostingList {
     ///
     /// Sort order is debug-asserted; in release builds the caller's
     /// contract is trusted.
-    pub fn from_sorted(entries: Vec<Posting>) -> Self {
+    pub(crate) fn from_sorted(entries: Vec<Posting>) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| w[0].doc < w[1].doc),
             "postings must be sorted by strictly increasing doc id"
@@ -61,7 +61,7 @@ impl PostingList {
     }
 
     /// Inserts or replaces the posting for `posting.doc`.
-    pub fn upsert(&mut self, posting: Posting) {
+    pub(crate) fn upsert(&mut self, posting: Posting) {
         match self.entries.binary_search_by_key(&posting.doc, |p| p.doc) {
             Ok(i) => self.entries[i] = posting,
             Err(i) => self.entries.insert(i, posting),
@@ -76,7 +76,7 @@ impl PostingList {
     ///
     /// Sort order of `updates` is debug-asserted, like
     /// [`PostingList::from_sorted`].
-    pub fn merge_from_sorted(&mut self, updates: Vec<Posting>) {
+    pub(crate) fn merge_from_sorted(&mut self, updates: Vec<Posting>) {
         debug_assert!(
             updates.windows(2).all(|w| w[0].doc < w[1].doc),
             "batched postings must be sorted by strictly increasing doc id"
@@ -118,35 +118,22 @@ impl PostingList {
     /// Keeps only the postings `keep` accepts (one pass, order
     /// preserved) — the batched counterpart of repeated
     /// [`PostingList::remove`].
-    pub fn retain(&mut self, keep: impl FnMut(&Posting) -> bool) {
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&Posting) -> bool) {
         self.entries.retain(keep);
     }
 
     /// Removes the posting for `doc`, returning it if present.
-    pub fn remove(&mut self, doc: DocId) -> Option<Posting> {
+    pub(crate) fn remove(&mut self, doc: DocId) -> Option<Posting> {
         match self.entries.binary_search_by_key(&doc, |p| p.doc) {
             Ok(i) => Some(self.entries.remove(i)),
             Err(_) => None,
         }
     }
 
-    /// Looks up the posting for `doc`.
-    pub fn get(&self, doc: DocId) -> Option<Posting> {
-        self.entries
-            .binary_search_by_key(&doc, |p| p.doc)
-            .ok()
-            .map(|i| self.entries[i])
-    }
-
     /// Document frequency: "the length of a term's posting list is its
     /// (global) document frequency" (Section 4).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True iff no document contains the term.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates postings in document-id order.
@@ -155,7 +142,7 @@ impl PostingList {
     }
 
     /// All postings as a slice.
-    pub fn as_slice(&self) -> &[Posting] {
+    pub(crate) fn as_slice(&self) -> &[Posting] {
         &self.entries
     }
 }
@@ -163,6 +150,11 @@ impl PostingList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The posting for `doc`, if the list holds one.
+    fn get(list: &PostingList, doc: DocId) -> Option<Posting> {
+        list.entries.iter().find(|p| p.doc == doc).copied()
+    }
 
     fn posting(doc: u32, count: u32) -> Posting {
         Posting {
@@ -207,7 +199,7 @@ mod tests {
         list.upsert(posting(1, 2));
         list.upsert(posting(1, 9));
         assert_eq!(list.len(), 1);
-        assert_eq!(list.get(DocId(1)).unwrap().count, 9);
+        assert_eq!(get(&list, DocId(1)).unwrap().count, 9);
     }
 
     #[test]
@@ -221,7 +213,7 @@ mod tests {
             looped.upsert(p);
         }
         assert_eq!(batched, looped);
-        assert_eq!(batched.get(DocId(3)).unwrap().count, 103);
+        assert_eq!(get(&batched, DocId(3)).unwrap().count, 103);
     }
 
     #[test]
@@ -247,7 +239,7 @@ mod tests {
         list.upsert(posting(1, 2));
         assert_eq!(list.remove(DocId(1)).unwrap().count, 2);
         assert!(list.remove(DocId(1)).is_none());
-        assert!(list.is_empty());
+        assert_eq!(list.len(), 0);
     }
 
     #[test]

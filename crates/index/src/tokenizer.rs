@@ -2,65 +2,28 @@
 //!
 //! "To index a document, its owner first parses the document and
 //! computes its elements" (Section 5.1). The tokenizer lower-cases,
-//! splits on non-alphanumeric characters and optionally drops very
-//! short tokens. Stop-word removal is *off* by default because the
-//! paper explicitly kept stop words: "we did not remove stop words"
-//! (Section 7.5) — the most frequent terms are exactly the ones whose
-//! protection/merging trade-off the evaluation studies.
+//! splits on non-alphanumeric characters and keeps every token. There
+//! is no stop-word removal because the paper explicitly kept stop
+//! words: "we did not remove stop words" (Section 7.5) — the most
+//! frequent terms are exactly the ones whose protection/merging
+//! trade-off the evaluation studies.
 
-use std::collections::HashSet;
+/// Tokens longer than this many characters are truncated (a defensive
+/// bound against pathological inputs).
+const MAX_TOKEN_LEN: usize = 64;
 
-/// Configurable tokenizer.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    min_token_len: usize,
-    max_token_len: usize,
-    stopwords: HashSet<String>,
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self {
-            min_token_len: 1,
-            max_token_len: 64,
-            stopwords: HashSet::new(),
-        }
-    }
-}
+/// The tokenizer every owner indexes with.
+#[derive(Debug, Clone, Default)]
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// A tokenizer with default settings (keep everything, like the
-    /// paper's evaluation).
+    /// A tokenizer that keeps everything, like the paper's evaluation.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops tokens shorter than `len` characters.
-    pub fn with_min_token_len(mut self, len: usize) -> Self {
-        self.min_token_len = len;
-        self
-    }
-
-    /// Truncates tokens longer than `len` characters (defensive bound
-    /// against pathological inputs).
-    pub fn with_max_token_len(mut self, len: usize) -> Self {
-        self.max_token_len = len.max(1);
-        self
-    }
-
-    /// Adds a stop-word list (lower-cased on insertion).
-    pub fn with_stopwords<I, S>(mut self, words: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        self.stopwords
-            .extend(words.into_iter().map(|w| w.as_ref().to_lowercase()));
-        self
+        Self
     }
 
     /// Tokenizes `text` into lower-case terms.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
+    pub(crate) fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
         let mut current = String::new();
         for ch in text.chars() {
@@ -79,15 +42,11 @@ impl Tokenizer {
     }
 
     fn flush(&self, current: &mut String, tokens: &mut Vec<String>) {
-        if current.chars().count() >= self.min_token_len && !self.stopwords.contains(current) {
-            let mut token = std::mem::take(current);
-            if token.chars().count() > self.max_token_len {
-                token = token.chars().take(self.max_token_len).collect();
-            }
-            tokens.push(token);
-        } else {
-            current.clear();
+        let mut token = std::mem::take(current);
+        if token.chars().count() > MAX_TOKEN_LEN {
+            token = token.chars().take(MAX_TOKEN_LEN).collect();
         }
+        tokens.push(token);
     }
 }
 
@@ -130,26 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn min_len_filter_applies() {
-        let tokenizer = Tokenizer::new().with_min_token_len(3);
-        assert_eq!(
-            tokenizer.tokenize("an ox ate the hay"),
-            vec!["ate", "the", "hay"]
-        );
-    }
-
-    #[test]
-    fn stopwords_are_dropped_case_insensitively() {
-        let tokenizer = Tokenizer::new().with_stopwords(["THE", "a"]);
-        assert_eq!(
-            tokenizer.tokenize("The CEO saw a buyout"),
-            vec!["ceo", "saw", "buyout"]
-        );
-    }
-
-    #[test]
     fn overlong_tokens_are_truncated() {
-        let tokenizer = Tokenizer::new().with_max_token_len(4);
-        assert_eq!(tokenizer.tokenize("hesselhofer"), vec!["hess"]);
+        let tokenizer = Tokenizer::new();
+        let long = "hesselhofer".repeat(7);
+        assert_eq!(
+            tokenizer.tokenize(&long),
+            vec![long[..MAX_TOKEN_LEN].to_owned()]
+        );
     }
 }

@@ -34,23 +34,18 @@ impl ScoredList {
     }
 
     /// Sorted access: the `i`-th best (doc, score) pair.
-    pub fn sorted_access(&self, i: usize) -> Option<(DocId, f64)> {
+    pub(crate) fn sorted_access(&self, i: usize) -> Option<(DocId, f64)> {
         self.by_score.get(i).copied()
     }
 
     /// Random access: the score contribution of `doc` (0 when absent).
-    pub fn random_access(&self, doc: DocId) -> f64 {
+    pub(crate) fn random_access(&self, doc: DocId) -> f64 {
         self.by_doc.get(&doc).copied().unwrap_or(0.0)
     }
 
     /// Number of scored documents.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.by_score.len()
-    }
-
-    /// True iff no document matches this term.
-    pub fn is_empty(&self) -> bool {
-        self.by_score.is_empty()
     }
 }
 
@@ -284,6 +279,6 @@ mod tests {
     fn tfidf_unknown_term_is_empty() {
         let index = InvertedIndex::new();
         let lists = tfidf_lists(&index, &[TermId(7)]);
-        assert!(lists[0].is_empty());
+        assert_eq!(lists[0].len(), 0);
     }
 }

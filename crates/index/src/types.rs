@@ -18,7 +18,7 @@ pub struct TermId(pub u32);
 pub struct DocId(pub u32);
 
 /// Number of low bits reserved for the per-host document number.
-pub const DOC_LOCAL_BITS: u32 = 20;
+pub(crate) const DOC_LOCAL_BITS: u32 = 20;
 
 impl DocId {
     /// Builds a document id from a hosting machine and a per-host

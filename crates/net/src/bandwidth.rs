@@ -97,15 +97,6 @@ impl TrafficMeter {
             .unwrap_or(0)
     }
 
-    /// Total uncompressed payload bytes sent over one directed link.
-    pub fn link_raw_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.links
-            .lock()
-            .get(&(from, to))
-            .map(|t| t.raw)
-            .unwrap_or(0)
-    }
-
     /// Total wire bytes sent by a node.
     pub fn sent_by(&self, node: NodeId) -> u64 {
         self.links
@@ -129,11 +120,6 @@ impl TrafficMeter {
     /// Grand total of wire bytes across every link.
     pub fn total(&self) -> u64 {
         self.links.lock().values().map(|t| t.wire).sum()
-    }
-
-    /// Grand total of uncompressed payload bytes across every link.
-    pub fn total_raw(&self) -> u64 {
-        self.links.lock().values().map(|t| t.raw).sum()
     }
 
     /// Overall compression savings: `1 - wire / raw` (0 when nothing
@@ -222,9 +208,7 @@ mod tests {
         // Share traffic: incompressible, wire == raw.
         meter.record(user, server, 2_000);
         assert_eq!(meter.link_bytes(server, user), 4_000);
-        assert_eq!(meter.link_raw_bytes(server, user), 10_000);
         assert_eq!(meter.total(), 6_000);
-        assert_eq!(meter.total_raw(), 12_000);
         assert!((meter.compression_savings() - 0.5).abs() < 1e-12);
         assert_eq!(meter.received_by(user), 4_000);
     }

@@ -27,12 +27,6 @@ pub fn entropy_bits_per_byte(data: &[u8]) -> f64 {
         .sum()
 }
 
-/// A crude compressibility proxy: the ratio of the estimated entropy
-/// to the 8 bits/byte of the raw encoding. 1.0 ⇒ incompressible.
-pub fn incompressibility(data: &[u8]) -> f64 {
-    entropy_bits_per_byte(data) / 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,7 +49,6 @@ mod tests {
         let data: Vec<u8> = (0..1 << 16).map(|_| rng.random()).collect();
         let entropy = entropy_bits_per_byte(&data);
         assert!(entropy > 7.95, "entropy {entropy}");
-        assert!(incompressibility(&data) > 0.99);
     }
 
     #[test]

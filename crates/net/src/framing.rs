@@ -44,10 +44,10 @@ use crate::message::{put_u32, put_u64, take, AuthToken};
 /// Upper bound on one frame's body, rejecting absurd length prefixes
 /// (a corrupted or hostile length would otherwise ask the reader to
 /// buffer gigabytes before the CRC could fail it).
-pub const MAX_FRAME_BODY: usize = 64 << 20;
+pub(crate) const MAX_FRAME_BODY: usize = 64 << 20;
 
 /// Fixed framing overhead per frame: length prefix + CRC.
-pub const FRAME_OVERHEAD: usize = 4 + 4;
+pub(crate) const FRAME_OVERHEAD: usize = 4 + 4;
 
 /// The longer of the two headers (a request's): kind, id, node, auth,
 /// trace.
@@ -65,7 +65,7 @@ const NODE_SERVER: u8 = 3;
 /// error to a transport fault instead of trusting any decoded field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// The length prefix exceeds [`MAX_FRAME_BODY`].
+    /// The length prefix exceeds `MAX_FRAME_BODY`.
     TooLarge(usize),
     /// The body checksum did not match: torn write or bit damage.
     Corrupt,
@@ -167,7 +167,7 @@ impl<P: AsRef<[u8]>> Frame<P> {
 
 impl<'a> FrameRef<'a> {
     /// The same frame holding its own copy of the payload.
-    pub fn to_frame(&self) -> Frame {
+    pub(crate) fn to_frame(&self) -> Frame {
         match *self {
             Frame::Request {
                 id,

@@ -13,21 +13,21 @@
 //!   frame of the sharded peer runtime, length-exact,
 //! * [`framing`] — length-prefixed, CRC-protected frames that carry
 //!   those messages over real byte streams (TCP / Unix sockets),
-//! * [`bandwidth`] — per-link traffic accounting and transfer-time
+//! * `bandwidth` — per-link traffic accounting and transfer-time
 //!   models for the paper's link speeds,
-//! * [`sizes`] — the storage/overhead arithmetic of Section 7.2
+//! * `sizes` — the storage/overhead arithmetic of Section 7.2
 //!   (Zerber elements ≈ 1.5× ordinary elements, n-fold replication),
-//! * [`entropy`] — a Shannon-entropy estimator used to demonstrate the
+//! * `entropy` — a Shannon-entropy estimator used to demonstrate the
 //!   incompressibility of secret shares.
 
-pub mod bandwidth;
-pub mod entropy;
+pub(crate) mod bandwidth;
+pub(crate) mod entropy;
 pub mod framing;
 pub mod message;
-pub mod sizes;
+pub(crate) mod sizes;
 
 pub use bandwidth::{LinkSpec, NodeId, TrafficMeter};
 pub use entropy::entropy_bits_per_byte;
-pub use framing::{Frame, FrameDecoder, FrameError, FrameRef};
+pub use framing::{Frame, FrameDecoder, FrameRef};
 pub use message::{AuthToken, Message, ShareColumns, StoredShare, WireDocument, WireError};
 pub use sizes::SizeModel;

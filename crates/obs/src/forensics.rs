@@ -46,11 +46,6 @@ impl SlowQueryLog {
     pub fn slowest(&self) -> Option<Arc<QueryTrace>> {
         relock(&self.entries).first().cloned()
     }
-
-    /// All kept traces, slowest first.
-    pub fn snapshot(&self) -> Vec<Arc<QueryTrace>> {
-        relock(&self.entries).clone()
-    }
 }
 
 /// A ring buffer of the last `cap` query traces — the always-on
@@ -116,7 +111,7 @@ mod tests {
         for (id, ms) in [(1, 5), (2, 50), (3, 1), (4, 20), (5, 30)] {
             log.offer(trace(id, ms));
         }
-        let kept: Vec<u64> = log.snapshot().iter().map(|t| t.id.0).collect();
+        let kept: Vec<u64> = relock(&log.entries).iter().map(|t| t.id.0).collect();
         assert_eq!(kept, vec![2, 5, 4]);
         assert_eq!(log.slowest().unwrap().id.0, 2);
     }

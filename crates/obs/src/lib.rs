@@ -36,7 +36,7 @@ mod trace;
 
 pub use forensics::{FlightRecorder, SlowQueryLog};
 pub use metrics::{
-    bucket_bounds, bucket_index, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
+    Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use trace::{QueryTrace, SpanRecord, SpanStatus, TraceId};

@@ -10,14 +10,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of histogram buckets: values 0–3 get exact buckets, then
 /// four sub-buckets per power of two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 252;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 252;
 
 /// Maps a recorded value to its bucket index.
 ///
 /// Buckets 0–3 hold the exact values 0–3; above that, value `v` with
 /// floor-log2 `p` lands in bucket `4p - 4 + s` where `s` is the two
 /// bits below the leading one — a fixed ≤ 25% relative bucket width.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < 4 {
         value as usize
     } else {
@@ -30,7 +30,7 @@ pub fn bucket_index(value: u64) -> usize {
 ///
 /// # Panics
 /// Panics if `index >= HISTOGRAM_BUCKETS`.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
     assert!(index < HISTOGRAM_BUCKETS, "bucket index out of range");
     let lower = |i: usize| -> u64 {
         if i < 4 {
@@ -81,12 +81,12 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.inner.value.load(Ordering::Relaxed)
     }
 
     /// The registered metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.inner.name
     }
 }
@@ -125,12 +125,12 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.inner.value.load(Ordering::Relaxed)
     }
 
     /// The registered metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.inner.name
     }
 }
@@ -158,18 +158,13 @@ impl Histogram {
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
     /// The registered metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.inner.name
     }
 
     /// A point-in-time copy of the buckets.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             name: self.inner.name.clone(),
             count: self.inner.count.load(Ordering::Relaxed),
@@ -362,33 +357,11 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot named `name` (the merge identity).
-    pub fn empty(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            count: 0,
-            sum: 0,
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    /// Folds `other` into `self` bucket-wise. Merging is commutative
-    /// and associative, so any merge order over any partition of the
-    /// underlying observations yields identical buckets
-    /// (property-tested below).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count = self.count.wrapping_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-
     /// The `q`-quantile (`0.0 < q <= 1.0`) as the upper bound of the
     /// bucket holding the ceil-rank observation — within one log-scale
     /// bucket (≤ 25% relative error above value 4) of the exact
     /// order statistic. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -406,16 +379,6 @@ impl HistogramSnapshot {
     /// Median readout.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
-    }
-
-    /// 95th-percentile readout.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile readout.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
     }
 }
 
@@ -557,56 +520,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Merging histogram snapshots is order-independent: any
-        /// partition of the observations, merged in any order, gives
-        /// the same buckets as recording everything into one
-        /// histogram.
-        #[test]
-        fn merge_is_order_independent(
-            groups in prop::collection::vec(
-                prop::collection::vec(0u64..1_000_000_000, 0..40),
-                1..8,
-            ),
-            shuffle_seed in any::<u64>(),
-        ) {
-            let registry = MetricsRegistry::new();
-            let reference = registry.histogram("zerber_test_ref_ns");
-            let mut parts: Vec<HistogramSnapshot> = Vec::new();
-            for (i, group) in groups.iter().enumerate() {
-                let part = registry.histogram(&format!("zerber_test_part{i}_ns"));
-                for &v in group {
-                    reference.record(v);
-                    part.record(v);
-                }
-                parts.push(part.snapshot());
-            }
-
-            // Merge in registration order…
-            let mut forward = HistogramSnapshot::empty("zerber_test_ref_ns");
-            for p in &parts {
-                forward.merge(p);
-            }
-            // …and in a seed-shuffled order.
-            let mut order: Vec<usize> = (0..parts.len()).collect();
-            let mut state = shuffle_seed | 1;
-            for i in (1..order.len()).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                order.swap(i, (state >> 33) as usize % (i + 1));
-            }
-            let mut shuffled = HistogramSnapshot::empty("zerber_test_ref_ns");
-            for &i in &order {
-                shuffled.merge(&parts[i]);
-            }
-
-            let expected = reference.snapshot();
-            prop_assert_eq!(&forward.buckets, &expected.buckets);
-            prop_assert_eq!(forward.count, expected.count);
-            prop_assert_eq!(forward.sum, expected.sum);
-            prop_assert_eq!(&shuffled.buckets, &expected.buckets);
-            prop_assert_eq!(shuffled.count, expected.count);
-            prop_assert_eq!(shuffled.sum, expected.sum);
-        }
 
         /// Quantile readout lands within one log-scale bucket of the
         /// exact order statistic.

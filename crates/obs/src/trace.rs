@@ -88,15 +88,6 @@ impl SpanRecord {
         matches!(self.status, SpanStatus::Failed(_))
     }
 
-    /// Total number of spans in this subtree, including `self`.
-    pub fn span_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanRecord::span_count)
-            .sum::<usize>()
-    }
-
     /// Depth-first search for the first span whose name starts with
     /// `prefix`.
     pub fn find(&self, prefix: &str) -> Option<&SpanRecord> {
@@ -141,11 +132,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Total number of spans in the tree.
-    pub fn span_count(&self) -> usize {
-        self.root.span_count()
-    }
-
     /// Renders the span tree as an indented ASCII block.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -193,8 +179,9 @@ mod tests {
                     SpanRecord::new("gather", ms(8), ms(2)).with_counter("candidates_examined", 5),
                 ),
         };
-        assert_eq!(trace.span_count(), 7);
         let text = trace.render();
+        // A header line, then one line per span.
+        assert_eq!(text.lines().count(), 1 + 7);
         assert!(text.contains("trace 00000000000000ab"));
         assert!(text.contains("[failed: timeout]"));
         assert!(text.contains("blocks_decoded=4"));

@@ -72,7 +72,7 @@ pub struct BlockMeta {
 
 /// Errors surfaced while decoding a block payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
+pub(crate) enum DecodeError {
     /// A varint was truncated or overflowed 64 bits.
     BadVarint,
     /// The payload ended before all packed fields were read.
@@ -183,7 +183,7 @@ fn bits_for(max: u32) -> u32 {
 /// metadata), then the counts bit-packed at the block's count width,
 /// then the doc lengths bit-packed at the block's length width, then
 /// the run-start positions bit-packed at the block's position width.
-pub fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> BlockMeta {
+pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> BlockMeta {
     assert!(!entries.is_empty() && entries.len() <= BLOCK_SIZE);
     debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
     let offset = out.len();
@@ -236,7 +236,7 @@ pub fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> BlockMeta {
 /// Every column is written straight into `out` — the gap column seeds
 /// the entries, then each bit-packed column fills its field in place —
 /// so a caller that reuses one buffer decodes without allocating.
-pub fn decode_block(
+pub(crate) fn decode_block(
     meta: &BlockMeta,
     data: &[u8],
     out: &mut Vec<RawEntry>,

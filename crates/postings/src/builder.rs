@@ -17,7 +17,7 @@ pub struct CompressedPostingBuilder {
 
 impl CompressedPostingBuilder {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -27,7 +27,7 @@ impl CompressedPostingBuilder {
     /// Panics if `entry.doc` does not exceed the previously pushed doc
     /// key — compressed lists are delta-coded and therefore
     /// append-only in doc order.
-    pub fn push(&mut self, entry: RawEntry) {
+    pub(crate) fn push(&mut self, entry: RawEntry) {
         if let Some(last) = self.last_doc {
             assert!(
                 entry.doc > last,
@@ -43,16 +43,6 @@ impl CompressedPostingBuilder {
         }
     }
 
-    /// Number of postings pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     fn seal_block(&mut self) {
         let meta = encode_block(&self.pending, &mut self.data);
         self.blocks.push(meta);
@@ -60,7 +50,7 @@ impl CompressedPostingBuilder {
     }
 
     /// Seals the final (possibly partial) block and returns the list.
-    pub fn build(mut self) -> CompressedPostingList {
+    pub(crate) fn build(mut self) -> CompressedPostingList {
         if !self.pending.is_empty() {
             self.seal_block();
         }

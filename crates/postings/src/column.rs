@@ -4,7 +4,7 @@
 //! columns several-fold gains nothing on Shamir share columns, whose
 //! bytes are computationally indistinguishable from uniform.
 //!
-//! Encoding: values are split into blocks of [`COLUMN_BLOCK`]; each
+//! Encoding: values are split into blocks of `COLUMN_BLOCK`; each
 //! block is delta-coded (ZigZag, so unsorted columns still work) and
 //! LEB128-encoded, **unless** that would be no smaller than the raw
 //! 8-byte little-endian layout, in which case the block is stored raw
@@ -15,10 +15,10 @@
 use crate::varint;
 
 /// Values per column block.
-pub const COLUMN_BLOCK: usize = 128;
+pub(crate) const COLUMN_BLOCK: usize = 128;
 
 /// Raw bytes per value (`u64` little-endian).
-pub const RAW_COLUMN_BYTES: usize = 8;
+pub(crate) const RAW_COLUMN_BYTES: usize = 8;
 
 const TAG_RAW: u8 = 0;
 const TAG_DELTA: u8 = 1;

@@ -12,27 +12,27 @@
 //! * [`crc`] — the workspace's one CRC-32 (slice-by-8), kept in the
 //!   lowest crate both its users (`zerber-segment`, `zerber-net`)
 //!   depend on,
-//! * [`block`] — the block codec: sorted doc-key deltas (varint) plus
+//! * `block` — the block codec: sorted doc-key deltas (varint) plus
 //!   bit-packed count/length columns in [`block::BLOCK_SIZE`]-posting
 //!   blocks, each carrying `(first_doc, last_doc, block_max_score)`
 //!   skip metadata,
-//! * [`builder`] — [`CompressedPostingBuilder`], the streaming
+//! * `builder` — [`CompressedPostingBuilder`], the streaming
 //!   sorted-order constructor,
-//! * [`list`] — the immutable [`CompressedPostingList`] and its
+//! * `list` — the immutable [`CompressedPostingList`] and its
 //!   decoding [`CompressedPostingIter`] with block-skipping
 //!   [`CompressedPostingIter::advance_to`],
-//! * [`merge`] — [`merge_compressed`], a k-way merge that streams
+//! * `merge` — [`merge_compressed`], a k-way merge that streams
 //!   blocks instead of materializing whole lists ([`merge_sorted`] is
 //!   the same merge over any sorted posting streams),
-//! * [`run`] — [`RunBuilder`], the SPIMI-style sorted-run
+//! * `run` — [`RunBuilder`], the SPIMI-style sorted-run
 //!   accumulator parallel bulk-load workers seal their document
 //!   slices with,
 //! * [`mod@column`] — a general integer-column codec with a raw escape,
 //!   used to reproduce the share-vs-plaintext compressibility
 //!   experiment,
-//! * [`store`] — [`CompressedPostingStore`], the
+//! * `store` — [`CompressedPostingStore`], the
 //!   [`zerber_index::store::PostingStore`] backend,
-//! * [`cursor`] — [`CompressedBlockCursor`], the decode-on-demand
+//! * `cursor` — [`CompressedBlockCursor`], the decode-on-demand
 //!   query cursor: block-max peeks and seeks from the skip metadata
 //!   alone, decompression only for blocks that survive the top-k
 //!   upper-bound test; [`DecodedEntriesCursor`] is the same contract
@@ -40,24 +40,21 @@
 
 #![deny(missing_docs)]
 
-pub mod block;
-pub mod builder;
+pub(crate) mod block;
+pub(crate) mod builder;
 pub mod column;
 pub mod crc;
-pub mod cursor;
-pub mod list;
-pub mod merge;
-pub mod run;
-pub mod store;
+pub(crate) mod cursor;
+pub(crate) mod list;
+pub(crate) mod merge;
+pub(crate) mod run;
+pub(crate) mod store;
 pub mod varint;
 
-pub use block::{BlockMeta, DecodeError, RawEntry, BLOCK_SIZE};
+pub use block::{BlockMeta, RawEntry, BLOCK_SIZE};
 pub use builder::CompressedPostingBuilder;
-pub use column::{
-    compression_ratio, decode_column, decode_column_prefix, encode_column, encode_column_into,
-};
 pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
-pub use list::{block_meta_bytes, CompressedPostingIter, CompressedPostingList, RAW_ELEMENT_BYTES};
+pub use list::{CompressedPostingIter, CompressedPostingList};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use run::{RunBuilder, SortedRun};
 pub use store::{to_posting, CompressedPostingStore};

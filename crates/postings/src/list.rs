@@ -7,14 +7,14 @@ use crate::varint;
 /// How many bytes one posting element occupies uncompressed on the wire — the
 /// paper's Section 7.3 accounting ("each posting element is encoded
 /// using 64 bits").
-pub const RAW_ELEMENT_BYTES: usize = 8;
+pub(crate) const RAW_ELEMENT_BYTES: usize = 8;
 
 /// Serialized size of one block's skip metadata: varint first doc
 /// key, varint `last_doc − first_doc`, the block-max term frequency
 /// quantized to 16 bits (an upper bound stays an upper bound under
 /// ceiling quantization), and a one-byte entry count. Payload offsets
 /// are implicit in serial order.
-pub fn block_meta_bytes(meta: &BlockMeta) -> usize {
+pub(crate) fn block_meta_bytes(meta: &BlockMeta) -> usize {
     varint::encoded_len(meta.first_doc) + varint::encoded_len(meta.last_doc - meta.first_doc) + 3
 }
 
@@ -72,24 +72,15 @@ impl CompressedPostingList {
     }
 
     /// Compressed footprint in bytes: encoded payload plus serialized
-    /// skip metadata ([`block_meta_bytes`] per block).
+    /// skip metadata (`block_meta_bytes` per block).
     pub fn compressed_bytes(&self) -> usize {
         self.data.len() + self.blocks.iter().map(block_meta_bytes).sum::<usize>()
     }
 
     /// Uncompressed wire footprint under the paper's 64-bit-element
     /// accounting.
-    pub fn raw_bytes(&self) -> usize {
+    pub(crate) fn raw_bytes(&self) -> usize {
         self.len * RAW_ELEMENT_BYTES
-    }
-
-    /// `raw_bytes / compressed_bytes` (1.0 for an empty list).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.is_empty() {
-            1.0
-        } else {
-            self.raw_bytes() as f64 / self.compressed_bytes() as f64
-        }
     }
 
     /// A decoding iterator positioned before the first posting.
@@ -174,7 +165,7 @@ impl CompressedPostingIter<'_> {
     }
 
     /// Postings not yet yielded.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         if self.block >= self.list.blocks.len() {
             return 0;
         }
@@ -321,18 +312,14 @@ mod tests {
     fn compression_beats_raw_on_dense_lists() {
         let docs: Vec<u64> = (0..10_000).map(|i| i * 5).collect();
         let list = list_of(&docs);
-        assert!(
-            list.compression_ratio() > 2.0,
-            "ratio {}",
-            list.compression_ratio()
-        );
+        let ratio = list.raw_bytes() as f64 / list.compressed_bytes() as f64;
+        assert!(ratio > 2.0, "ratio {ratio}");
     }
 
     #[test]
     fn empty_list_is_well_behaved() {
         let list = CompressedPostingList::default();
         assert!(list.is_empty());
-        assert_eq!(list.compression_ratio(), 1.0);
         assert!(list.iter().next().is_none());
         assert!(list.iter().advance_to(0).is_none());
         assert_eq!(list.iter().remaining(), 0);

@@ -99,11 +99,6 @@ impl RunBuilder {
         self.docs.is_empty()
     }
 
-    /// Number of documents pushed.
-    pub fn doc_count(&self) -> usize {
-        self.docs.len()
-    }
-
     /// Seals the run: sorts every term's postings by doc key and
     /// compresses them block by block.
     pub fn build(self) -> SortedRun {
@@ -137,7 +132,7 @@ mod tests {
         run.push_document(2, 8, [(0, 1)]);
         run.push_document(5, 2, [(3, 2)]);
         assert_eq!(run.weight(), 4);
-        assert_eq!(run.doc_count(), 3);
+        assert_eq!(run.docs.len(), 3);
         let sealed = run.build();
         assert_eq!(sealed.docs, vec![2, 5, 9]);
         assert_eq!(sealed.term_slots, 4);

@@ -27,7 +27,7 @@ pub fn to_posting(entry: RawEntry) -> Posting {
 /// A frozen, block-compressed snapshot of an index's posting lists.
 ///
 /// Term-addressed like the index it snapshots; each list is delta- and
-/// bit-packed per [`crate::block`] and carries per-block skip
+/// bit-packed per `crate::block` and carries per-block skip
 /// metadata, which [`CompressedBlockCursor`] reuses directly as the
 /// `block_max_score` bounds of block-max top-k.
 #[derive(Debug, Clone, Default)]

@@ -3,15 +3,11 @@
 //! The byte-oriented workhorse of the block codec: sorted doc-id
 //! deltas are small most of the time, so their LEB128 encodings are
 //! one or two bytes, while the format still round-trips the full
-//! `u64` range (a 64-bit value needs at most [`MAX_VARINT_BYTES`]
-//! bytes).
-
-/// Upper bound on the encoded size of one `u64` (⌈64 / 7⌉).
-pub const MAX_VARINT_BYTES: usize = 10;
+//! `u64` range (a 64-bit value needs at most ⌈64 / 7⌉ = 10 bytes).
 
 /// Appends the LEB128 encoding of `value` to `out` and returns the
 /// number of bytes written.
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
     let mut written = 0;
     loop {
         let byte = (value & 0x7f) as u8;
@@ -45,19 +41,19 @@ pub fn read_u64(input: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// The number of bytes [`write_u64`] emits for `value`.
-pub fn encoded_len(value: u64) -> usize {
+pub(crate) fn encoded_len(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).div_ceil(7).max(1)
 }
 
 /// ZigZag maps a signed integer to an unsigned one with small absolute
 /// values staying small — used by the generic column codec, whose
 /// deltas may be negative.
-pub fn zigzag(value: i64) -> u64 {
+pub(crate) fn zigzag(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(value: u64) -> i64 {
+pub(crate) fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
@@ -99,7 +95,7 @@ mod tests {
     #[test]
     fn max_u64_is_ten_bytes() {
         let mut buffer = Vec::new();
-        assert_eq!(write_u64(&mut buffer, u64::MAX), MAX_VARINT_BYTES);
+        assert_eq!(write_u64(&mut buffer, u64::MAX), 10);
     }
 
     #[test]

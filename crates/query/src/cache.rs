@@ -164,20 +164,17 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// How many bytes are currently charged (across all shards).
-    pub fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").bytes)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use zerber_index::DocId;
+
+    /// How many bytes are currently charged (across all shards).
+    fn charged(cache: &ResultCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().unwrap().bytes).sum()
+    }
 
     fn ranked(docs: &[u32]) -> Arc<Vec<RankedDoc>> {
         Arc::new(
@@ -199,16 +196,16 @@ mod tests {
         assert_eq!(hit.len(), 3);
         assert_eq!(hit[0].doc, DocId(1));
         assert_eq!(cache.len(), 1);
-        assert!(cache.bytes() > 0);
+        assert!(charged(&cache) > 0);
     }
 
     #[test]
     fn reinsert_replaces_without_double_charging() {
         let cache = ResultCache::new(CacheConfig::default());
         cache.insert(b"key".to_vec(), ranked(&[1]));
-        let bytes = cache.bytes();
+        let bytes = charged(&cache);
         cache.insert(b"key".to_vec(), ranked(&[1]));
-        assert_eq!(cache.bytes(), bytes, "same payload, same charge");
+        assert_eq!(charged(&cache), bytes, "same payload, same charge");
         assert_eq!(cache.len(), 1);
     }
 

@@ -100,7 +100,7 @@ pub fn execute(
 /// The distinct `(term, weight)` slots in first-occurrence order —
 /// the scoring slots of conjunctive and phrase evaluation (a phrase
 /// repeating a term constrains positions twice but scores it once).
-pub fn distinct_slots(slots: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
+pub(crate) fn distinct_slots(slots: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
     let mut distinct: Vec<(TermId, f64)> = Vec::with_capacity(slots.len());
     for &(term, weight) in slots {
         if !distinct.iter().any(|&(t, _)| t == term) {
@@ -158,7 +158,7 @@ fn phrase_match(phrase: &[usize], aligned: &[Box<dyn BlockCursor + '_>]) -> bool
 /// a rigorous rounding margin. Scores themselves are always summed in
 /// original slot order — bit-identical to the exhaustive oracle. The
 /// result lands in `scratch.ranked`.
-pub fn maxscore_topk(
+pub(crate) fn maxscore_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
     scratch: &mut TopKScratch,
@@ -271,7 +271,7 @@ fn safe_upper(computed: f64, n: usize) -> f64 {
 /// pruning — conjunctive selectivity already bounds the candidate set
 /// — so every match is scored and offered. The result lands in
 /// `scratch.ranked`.
-pub fn conjunctive_topk(
+pub(crate) fn conjunctive_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
     scratch: &mut TopKScratch,

@@ -5,27 +5,27 @@
 //! sits between the storage backends (anything implementing
 //! [`zerber_index::PostingStore`]) and the serving runtime:
 //!
-//! * [`ast`] — the query shapes ([`Query::Terms`] / [`Query::And`] /
+//! * `ast` — the query shapes ([`Query::Terms`] / [`Query::And`] /
 //!   [`Query::Phrase`]), normalization, and epoch-keyed cache keys;
 //! * [`plan()`] — the shape → evaluator planner, with a [`plan::Forced`]
 //!   override so benchmarks can pit TA against MaxScore head-to-head;
-//! * [`exec`] — the evaluators over [`zerber_index::BlockCursor`]
+//! * `exec` — the evaluators over [`zerber_index::BlockCursor`]
 //!   sorted access: the block-max Threshold Algorithm (re-exported
 //!   from `zerber-index`), MaxScore with whole-list σ partitioning,
 //!   conjunctive leapfrog, and phrase matching over the positional
 //!   column;
-//! * [`oracle`] — exhaustive reference evaluators; every [`exec`]
+//! * [`oracle`] — exhaustive reference evaluators; every `exec`
 //!   evaluator is property-tested **bit-identical** against them;
-//! * [`cache`] — the sharded LRU result cache whose keys embed the
+//! * `cache` — the sharded LRU result cache whose keys embed the
 //!   store epoch, so write invalidation is free.
 
-pub mod ast;
-pub mod cache;
-pub mod exec;
+pub(crate) mod ast;
+pub(crate) mod cache;
+pub(crate) mod exec;
 pub mod oracle;
-pub mod plan;
+pub(crate) mod plan;
 
 pub use ast::{Query, QueryShape};
 pub use cache::{CacheConfig, ResultCache};
-pub use exec::{conjunctive_topk, distinct_slots, execute, maxscore_topk, QueryOutcome};
+pub use exec::{execute, QueryOutcome};
 pub use plan::{plan, EvaluatorKind, Forced};

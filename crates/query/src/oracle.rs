@@ -1,5 +1,5 @@
 //! Exhaustive reference evaluators — the ground truth the cursor
-//! evaluators in [`crate::exec`] are property-tested against.
+//! evaluators in `crate::exec` are property-tested against.
 //!
 //! Every oracle walks the raw `Vec<Posting>` lists of a rebuilt
 //! [`InvertedIndex`] (no cursors, no pruning, no stored skip metadata,

@@ -63,18 +63,6 @@ pub enum EvaluatorKind {
     Phrase,
 }
 
-impl EvaluatorKind {
-    /// The metrics label (`zerber_query_plan_total{plan="…"}`).
-    pub fn label(self) -> &'static str {
-        match self {
-            EvaluatorKind::BlockMaxTa => "block_max_ta",
-            EvaluatorKind::MaxScore => "maxscore",
-            EvaluatorKind::Conjunctive => "conjunctive",
-            EvaluatorKind::Phrase => "phrase",
-        }
-    }
-}
-
 /// Picks the evaluator for a query of `shape` with `term_count` terms.
 pub fn plan(shape: QueryShape, term_count: usize, forced: Forced) -> EvaluatorKind {
     match shape {

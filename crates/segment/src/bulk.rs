@@ -51,7 +51,7 @@ impl Default for BulkConfig {
 
 impl BulkConfig {
     /// The effective worker count.
-    pub fn resolved_workers(&self) -> usize {
+    pub(crate) fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
         }

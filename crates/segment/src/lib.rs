@@ -6,15 +6,15 @@
 //! storage engine every shard peer serves from, which absorbs a *write
 //! stream* and survives crashes:
 //!
-//! * [`wal`] — the checksummed write-ahead log: a batch is
+//! * `wal` — the checksummed write-ahead log: a batch is
 //!   acknowledged only after its CRC'd record is on the log, and
 //!   recovery ignores torn tails without losing any acknowledged
 //!   batch,
-//! * [`memtable`] — the one [`Memtable`] every acknowledged batch is
+//! * `memtable` — the one `Memtable` every acknowledged batch is
 //!   folded into, newest op per document winning; it sits behind an
 //!   `Arc`, so reader snapshots are pointer copies and a write copies
 //!   it only while a snapshot still holds it,
-//! * [`segment`] — immutable on-disk segments ([`Segment`]): per-term
+//! * `segment` — immutable on-disk segments (`Segment`): per-term
 //!   `zerber_postings::CompressedPostingList`s with their block-max
 //!   skip metadata, the documents whose current version the segment
 //!   defines, and absorbed tombstones — written atomically and
@@ -23,7 +23,7 @@
 //!   parallel workers emit sorted runs in the segment format, one k-way
 //!   merge folds them into one segment registered through one atomic
 //!   manifest swap, and no WAL is written on the offline path,
-//! * [`store`] — the engine ([`SegmentStore`]): flush seals the
+//! * `store` — the engine ([`SegmentStore`]): flush seals the
 //!   memtable into a segment, size-balanced compaction (optionally on a
 //!   background thread) bounds the segment count by merging the
 //!   adjacent pair closest in size through the same streaming
@@ -76,18 +76,15 @@
 #![deny(missing_docs)]
 
 pub mod bulk;
-pub mod error;
-pub mod memtable;
-pub mod segment;
-pub mod store;
-pub mod wal;
+pub(crate) mod error;
+pub(crate) mod memtable;
+pub(crate) mod segment;
+pub(crate) mod store;
+pub(crate) mod wal;
 
-pub use bulk::{BulkConfig, BulkStats};
+pub use bulk::BulkConfig;
 pub use error::SegmentError;
-pub use memtable::Memtable;
-pub use segment::Segment;
 pub use store::{SegmentSnapshot, SegmentStore};
-pub use wal::WalOp;
 /// The checksum of every durable byte range in this crate (the
 /// workspace's one CRC-32, defined in `zerber-postings`).
 pub use zerber_postings::crc;

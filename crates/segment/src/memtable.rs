@@ -21,7 +21,7 @@ type NetOutcome<'a> = Option<(u32, &'a [(u32, u32)])>;
 
 /// The net effect of every batch applied since the last flush.
 #[derive(Debug, Default, Clone)]
-pub struct Memtable {
+pub(crate) struct Memtable {
     /// Documents whose newest op is an insert, ascending.
     live: Vec<u32>,
     /// Documents whose newest op is a delete, ascending.
@@ -49,7 +49,7 @@ impl Memtable {
     /// Returns the batch's flush pressure: live postings (minimum 1 per
     /// inserted document, so term-less documents still count) plus
     /// tombstones.
-    pub fn apply(&mut self, ops: &[WalOp]) -> usize {
+    pub(crate) fn apply(&mut self, ops: &[WalOp]) -> usize {
         // Only a doc's last op in the batch survives it; doc-ascending,
         // so a batch of fresh ids appends everywhere.
         let mut net: BTreeMap<u32, NetOutcome<'_>> = BTreeMap::new();
@@ -129,36 +129,36 @@ impl Memtable {
     }
 
     /// True iff no batch was applied since the last flush.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live.is_empty() && self.tombstones.is_empty()
     }
 
     /// Live documents, ascending.
-    pub fn live_docs(&self) -> &[u32] {
+    pub(crate) fn live_docs(&self) -> &[u32] {
         &self.live
     }
 
     /// Tombstoned documents, ascending.
-    pub fn tombstones(&self) -> &[u32] {
+    pub(crate) fn tombstones(&self) -> &[u32] {
         &self.tombstones
     }
 
     /// True iff the memtable defines `doc`'s current version (insert
     /// or tombstone) — the *shadowing* test: any posting for `doc` in a
     /// segment is dead.
-    pub fn touches(&self, doc: u32) -> bool {
+    pub(crate) fn touches(&self, doc: u32) -> bool {
         self.doc_terms.contains_key(&doc) || self.tombstones.binary_search(&doc).is_ok()
     }
 
     /// The postings of one term, doc-ascending (empty slice when the
     /// term is absent).
-    pub fn term_postings(&self, term: u32) -> &[RawEntry] {
+    pub(crate) fn term_postings(&self, term: u32) -> &[RawEntry] {
         self.terms.get(&term).map(TermList::as_slice).unwrap_or(&[])
     }
 
     /// Every term with at least one posting and its doc-ascending
     /// postings, term-ascending.
-    pub fn term_lists(&self) -> impl Iterator<Item = (u32, &[RawEntry])> + '_ {
+    pub(crate) fn term_lists(&self) -> impl Iterator<Item = (u32, &[RawEntry])> + '_ {
         let mut lists: Vec<(u32, &[RawEntry])> =
             self.terms.iter().map(|(&t, v)| (t, v.as_slice())).collect();
         lists.sort_unstable_by_key(|&(term, _)| term);
@@ -166,13 +166,13 @@ impl Memtable {
     }
 
     /// One past the highest term id inserted since the last flush.
-    pub fn term_slots(&self) -> u32 {
+    pub(crate) fn term_slots(&self) -> u32 {
         self.term_slots
     }
 
     /// Approximate heap bytes of the posting payload (for the
     /// storage-accounting hook).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.terms
             .values()
             .map(|list| std::mem::size_of_val(list.as_slice()))

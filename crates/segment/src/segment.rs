@@ -174,7 +174,7 @@ impl Source for Memtable {
 /// One immutable segment, fully resident (posting payloads stay
 /// block-compressed in memory; the file exists for recovery).
 #[derive(Debug)]
-pub struct Segment {
+pub(crate) struct Segment {
     file_name: String,
     live: Vec<u32>,
     tombstones: Vec<u32>,
@@ -189,27 +189,22 @@ pub struct Segment {
 
 impl Segment {
     /// The file this segment was loaded from / written to.
-    pub fn file_name(&self) -> &str {
+    pub(crate) fn file_name(&self) -> &str {
         &self.file_name
     }
 
     /// On-disk footprint in bytes.
-    pub fn disk_bytes(&self) -> u64 {
+    pub(crate) fn disk_bytes(&self) -> u64 {
         self.disk_bytes
     }
 
-    /// Documents whose current version lives here, ascending.
-    pub fn live_docs(&self) -> &[u32] {
-        &self.live
-    }
-
     /// Tombstones carried for older segments, ascending.
-    pub fn tombstones(&self) -> &[u32] {
+    pub(crate) fn tombstones(&self) -> &[u32] {
         &self.tombstones
     }
 
     /// The compressed list for a term, when present.
-    pub fn list(&self, term: u32) -> Option<&CompressedPostingList> {
+    pub(crate) fn list(&self, term: u32) -> Option<&CompressedPostingList> {
         self.terms
             .binary_search_by_key(&term, |&(t, _)| t)
             .ok()
@@ -217,13 +212,13 @@ impl Segment {
     }
 
     /// Total postings stored.
-    pub fn posting_count(&self) -> usize {
+    pub(crate) fn posting_count(&self) -> usize {
         self.postings
     }
 
     /// Compressed posting payload bytes (excluding doc/tombstone
     /// tables).
-    pub fn compressed_bytes(&self) -> usize {
+    pub(crate) fn compressed_bytes(&self) -> usize {
         self.terms.iter().map(|(_, l)| l.compressed_bytes()).sum()
     }
 }

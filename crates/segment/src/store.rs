@@ -162,10 +162,6 @@ struct Inner {
     policy: SegmentPolicy,
     state: RwLock<EngineState>,
     writer: Mutex<Writer>,
-    /// Cumulative bytes written to disk (WAL + every segment file,
-    /// including compaction rewrites) — the write-amplification
-    /// numerator.
-    written: AtomicU64,
     /// At most one compaction at a time (explicit or background).
     compaction: Mutex<()>,
     /// Distinguishes the run files of successive bulk loads on one
@@ -232,8 +228,7 @@ impl Inner {
             body.extend_from_slice(&(name.len() as u16).to_le_bytes());
             body.extend_from_slice(name);
         }
-        let bytes = write_framed(&self.dir.join(MANIFEST_FILE), &body)?;
-        self.written.fetch_add(bytes, Ordering::Relaxed);
+        write_framed(&self.dir.join(MANIFEST_FILE), &body)?;
         Ok(())
     }
 
@@ -262,8 +257,6 @@ impl Inner {
         let seq = writer.next_seq;
         writer.next_seq += 1;
         let segment = Arc::new(content.write(&self.dir, seq)?);
-        self.written
-            .fetch_add(segment.disk_bytes(), Ordering::Relaxed);
         let postings = segment.posting_count();
         let segments = {
             let mut state = self.state.write();
@@ -307,10 +300,7 @@ impl Inner {
         let merged: Option<Arc<Segment>> = if content.is_empty() {
             None
         } else {
-            let segment = Arc::new(content.write(&self.dir, seq)?);
-            self.written
-                .fetch_add(segment.disk_bytes(), Ordering::Relaxed);
-            Some(segment)
+            Some(Arc::new(content.write(&self.dir, seq)?))
         };
         let postings = merged.as_ref().map_or(0, |s| s.posting_count());
         let segments = {
@@ -432,7 +422,6 @@ impl SegmentStore {
                 mem_weight,
             }),
             writer: Mutex::new(Writer { wal, next_seq }),
-            written: AtomicU64::new(0),
             compaction: Mutex::new(()),
             bulk_epoch: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -507,14 +496,13 @@ impl SegmentStore {
     fn apply_locked(&self, writer: &mut Writer, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
         let sync = self.inner.policy.sync_wal;
         let appended = Instant::now();
-        let bytes = writer.wal.append(&ops, sync)?;
+        writer.wal.append(&ops, sync)?;
         let nanos = appended.elapsed().as_nanos() as u64;
         if sync {
             self.inner.obs.wal_fsync.record(nanos);
         } else {
             self.inner.obs.wal_append.record(nanos);
         }
-        self.inner.written.fetch_add(bytes, Ordering::Relaxed);
         let (added, over_threshold) = {
             let mut state = self.inner.state.write();
             let added = Arc::make_mut(&mut state.memtable).apply(&ops);
@@ -583,7 +571,7 @@ impl SegmentStore {
 
     /// Flush pressure currently in the memtable (live postings +
     /// tombstones).
-    pub fn memtable_postings(&self) -> usize {
+    pub(crate) fn memtable_postings(&self) -> usize {
         self.inner.state.read().mem_weight
     }
 
@@ -601,20 +589,13 @@ impl SegmentStore {
         segments + self.wal_bytes()
     }
 
-    /// Cumulative bytes ever written to disk (WAL records, every
-    /// segment file including compaction rewrites, manifests) — divide
-    /// by the logical data size for write amplification.
-    pub fn written_bytes(&self) -> u64 {
-        self.inner.written.load(Ordering::Relaxed)
-    }
-
     /// Loads a document batch through the offline SPIMI bulk path —
     /// the high-throughput alternative to [`SegmentStore::insert`]
     /// for corpus-sized batches.
     ///
     /// The batch is deduplicated (last copy of a document id wins,
     /// like the WAL path), partitioned across
-    /// [`BulkConfig::resolved_workers`] parallel workers that each
+    /// `BulkConfig::resolved_workers` parallel workers that each
     /// emit sorted `run-*.zrun` files *in the segment file format*
     /// (per-term compressed posting lists with block-max skip
     /// metadata, written tmp + fsync + rename), k-way merged into
@@ -788,10 +769,6 @@ impl SegmentStore {
         }
 
         // --- Phase 3: register atomically under the writer lock. ----
-        self.inner.written.fetch_add(
-            run_bytes.load(Ordering::Relaxed) + merge_bytes,
-            Ordering::Relaxed,
-        );
         let mut writer = self.inner.writer.lock();
         // Seal any live memtable first: state ingested before this
         // commit point must stay *older* than the bulk segment, which

@@ -27,7 +27,7 @@ use crate::error::SegmentError;
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// Insert (or replace) a document's postings.
     Insert {
         /// Document id.
@@ -58,7 +58,7 @@ fn get_u32(input: &[u8], pos: &mut usize) -> Option<u32> {
 }
 
 /// Serializes one batch into a record payload.
-pub fn encode_batch(ops: &[WalOp]) -> Vec<u8> {
+pub(crate) fn encode_batch(ops: &[WalOp]) -> Vec<u8> {
     let mut payload = Vec::new();
     put_u32(&mut payload, ops.len() as u32);
     for op in ops {
@@ -85,7 +85,7 @@ pub fn encode_batch(ops: &[WalOp]) -> Vec<u8> {
 /// Decodes a record payload. `None` signals a malformed payload (only
 /// reachable when a corrupted record also collides on its CRC — replay
 /// still treats it as a torn tail rather than trusting it).
-pub fn decode_batch(payload: &[u8]) -> Option<Vec<WalOp>> {
+pub(crate) fn decode_batch(payload: &[u8]) -> Option<Vec<WalOp>> {
     let mut pos = 0usize;
     let count = get_u32(payload, &mut pos)? as usize;
     let mut ops = Vec::with_capacity(count.min(1 << 20));
@@ -121,7 +121,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<Vec<WalOp>> {
 
 /// The append handle for the live log.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     bytes: u64,
 }
@@ -129,7 +129,7 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if absent) the log at `path`, positioned for
     /// appending after any existing records.
-    pub fn open(path: &Path) -> Result<Self, SegmentError> {
+    pub(crate) fn open(path: &Path) -> Result<Self, SegmentError> {
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -143,7 +143,7 @@ impl Wal {
     /// `sync`, the record is fsync'd before the call returns (the
     /// durability point against machine crashes — process crashes are
     /// covered by the OS page cache either way).
-    pub fn append(&mut self, ops: &[WalOp], sync: bool) -> Result<u64, SegmentError> {
+    pub(crate) fn append(&mut self, ops: &[WalOp], sync: bool) -> Result<u64, SegmentError> {
         let payload = encode_batch(ops);
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -159,7 +159,7 @@ impl Wal {
 
     /// Discards every record — called once the batches are durable in
     /// a sealed segment (and that segment is in the manifest).
-    pub fn truncate(&mut self) -> Result<(), SegmentError> {
+    pub(crate) fn truncate(&mut self) -> Result<(), SegmentError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.bytes = 0;
@@ -167,7 +167,7 @@ impl Wal {
     }
 
     /// Current log size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 }
@@ -176,7 +176,7 @@ impl Wal {
 /// batches in append order. A missing file is an empty log. A torn or
 /// corrupted tail ends the replay silently; everything before it is
 /// returned.
-pub fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
+pub(crate) fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
     let mut raw = Vec::new();
     match File::open(path) {
         Ok(mut file) => {

@@ -20,25 +20,25 @@ use zerber_index::{GroupId, UserId};
 /// [`GroupTable::groups_of`] hands out the `Arc`, and a membership
 /// change copies the set only while such a snapshot is still held.
 #[derive(Debug, Default)]
-pub struct GroupTable {
+pub(crate) struct GroupTable {
     memberships: RwLock<HashMap<UserId, Arc<HashSet<GroupId>>>>,
 }
 
 impl GroupTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a membership.
-    pub fn add(&self, user: UserId, group: GroupId) {
+    pub(crate) fn add(&self, user: UserId, group: GroupId) {
         let mut memberships = self.memberships.write();
         Arc::make_mut(memberships.entry(user).or_default()).insert(group);
     }
 
     /// Removes a membership; returns true iff it existed. Takes effect
     /// on the *next* query — nothing else needs touching.
-    pub fn remove(&self, user: UserId, group: GroupId) -> bool {
+    pub(crate) fn remove(&self, user: UserId, group: GroupId) -> bool {
         self.memberships
             .write()
             .get_mut(&user)
@@ -48,7 +48,7 @@ impl GroupTable {
 
     /// Snapshot of a user's groups (the `SELECT groupID FROM groups
     /// WHERE userID = ?` of Algorithm 2).
-    pub fn groups_of(&self, user: UserId) -> Arc<HashSet<GroupId>> {
+    pub(crate) fn groups_of(&self, user: UserId) -> Arc<HashSet<GroupId>> {
         self.memberships
             .read()
             .get(&user)

@@ -14,12 +14,10 @@
 //! accessor hands that state to the attack simulations of
 //! `zerber-attacks`.
 
-pub mod auth;
-pub mod groups;
-pub mod server;
-pub mod store;
+pub(crate) mod auth;
+pub(crate) mod groups;
+pub(crate) mod server;
+pub(crate) mod store;
 
 pub use auth::{AuthService, TokenAuth};
-pub use groups::GroupTable;
 pub use server::{AdversaryView, IndexServer, ServerError};
-pub use store::ShareStore;

@@ -102,11 +102,6 @@ impl IndexServer {
         }
     }
 
-    /// The server's index in the scheme (0-based).
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// The server's public x-coordinate.
     pub fn coordinate(&self) -> Fp {
         self.coordinate
@@ -205,7 +200,7 @@ impl IndexServer {
     }
 
     /// Payload bytes those elements occupy in the store (see
-    /// [`ShareStore::stored_bytes`]).
+    /// `ShareStore::stored_bytes`).
     pub fn stored_bytes(&self) -> usize {
         self.store.stored_bytes()
     }

@@ -121,19 +121,19 @@ fn readable_columns(
 
 /// Thread-safe share storage for one index server.
 #[derive(Debug, Default)]
-pub struct ShareStore {
+pub(crate) struct ShareStore {
     lists: RwLock<Lists>,
 }
 
 impl ShareStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a batch of shares (one disk append per touched list in
     /// the paper's cost model; batching amortizes the random I/O).
-    pub fn insert_batch(&self, entries: &[(PlId, StoredShare)]) {
+    pub(crate) fn insert_batch(&self, entries: &[(PlId, StoredShare)]) {
         let mut lists = self.lists.write();
         for &(pl, share) in entries {
             lists.entry(pl).or_default().unsettled.push(share);
@@ -147,7 +147,7 @@ impl ShareStore {
     /// under an addressed id between the check and the removal. Ids
     /// that match nothing are a no-op. Returns how many shares were
     /// actually removed.
-    pub fn delete_permitted<F>(
+    pub(crate) fn delete_permitted<F>(
         &self,
         elements: &[(PlId, ElementId)],
         mut permit: F,
@@ -184,7 +184,7 @@ impl ShareStore {
     /// runs of the groups `permit` accepts, concatenated in group-id
     /// order. One lock for the whole request, one `permit` call per
     /// run.
-    pub fn lookup<F>(&self, pl_ids: &[PlId], permit: F) -> Vec<ShareColumns>
+    pub(crate) fn lookup<F>(&self, pl_ids: &[PlId], permit: F) -> Vec<ShareColumns>
     where
         F: FnMut(GroupId) -> bool,
     {
@@ -207,12 +207,12 @@ impl ShareStore {
 
     /// Length of one merged posting list — the only statistic a
     /// compromised server can read off directly.
-    pub fn list_len(&self, pl: PlId) -> usize {
+    pub(crate) fn list_len(&self, pl: PlId) -> usize {
         self.lists.read().get(&pl).map_or(0, MergedList::len)
     }
 
     /// Snapshot of all list lengths.
-    pub fn list_lengths(&self) -> HashMap<PlId, usize> {
+    pub(crate) fn list_lengths(&self) -> HashMap<PlId, usize> {
         self.lists
             .read()
             .iter()
@@ -221,7 +221,7 @@ impl ShareStore {
     }
 
     /// Total stored shares.
-    pub fn total_elements(&self) -> usize {
+    pub(crate) fn total_elements(&self) -> usize {
         self.lists.read().values().map(MergedList::len).sum()
     }
 
@@ -229,7 +229,7 @@ impl ShareStore {
     /// allocator slack, no map overhead): a padded [`StoredShare`] per
     /// unsettled row, an id and a y-share per settled one plus one
     /// group id per run.
-    pub fn stored_bytes(&self) -> usize {
+    pub(crate) fn stored_bytes(&self) -> usize {
         use std::mem::size_of;
         let settled_row = size_of::<u64>() + size_of::<Fp>();
         let list_bytes = |list: &MergedList| {
@@ -243,7 +243,7 @@ impl ShareStore {
 
     /// Raw dump of one list (what an adversary on the box sees): run
     /// after run, then the unsettled rows.
-    pub fn raw_list(&self, pl: PlId) -> Vec<StoredShare> {
+    pub(crate) fn raw_list(&self, pl: PlId) -> Vec<StoredShare> {
         let lists = self.lists.read();
         let Some(list) = lists.get(&pl) else {
             return Vec::new();
@@ -267,7 +267,7 @@ impl ShareStore {
 
     /// Applies a mutation to every stored y-share (proactive refresh
     /// applies the per-server delta this way).
-    pub fn update_shares<F>(&self, mut update: F)
+    pub(crate) fn update_shares<F>(&self, mut update: F)
     where
         F: FnMut(ElementId, &mut Fp),
     {

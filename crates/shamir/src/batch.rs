@@ -43,7 +43,6 @@ impl<'a> BatchSplitter<'a> {
 #[derive(Debug, Clone)]
 pub struct BatchReconstructor {
     weights: Vec<Fp>,
-    servers: Vec<ServerId>,
 }
 
 impl BatchReconstructor {
@@ -57,34 +56,13 @@ impl BatchReconstructor {
                 got: servers.len(),
             });
         }
-        let chosen = &servers[..k];
-        let weights = scheme.weights_for(chosen)?;
-        Ok(Self {
-            weights,
-            servers: chosen.to_vec(),
-        })
-    }
-
-    /// The servers whose share rows this reconstructor expects, in
-    /// order.
-    pub fn servers(&self) -> &[ServerId] {
-        &self.servers
-    }
-
-    /// Reconstructs one secret from one y-share per expected server
-    /// (aligned with [`servers`](Self::servers)).
-    ///
-    /// # Panics
-    /// Panics if `ys.len()` differs from the number of expected servers.
-    #[inline]
-    pub fn reconstruct_one(&self, ys: &[Fp]) -> Fp {
-        assert_eq!(ys.len(), self.weights.len(), "one share per chosen server");
-        ys.iter().zip(&self.weights).map(|(&y, &w)| y * w).sum()
+        let weights = scheme.weights_for(&servers[..k])?;
+        Ok(Self { weights })
     }
 
     /// Reconstructs a whole batch. `rows[i]` must hold the shares from
-    /// `self.servers()[i]`, all rows equally long and aligned by
-    /// element.
+    /// the `i`-th server given to [`BatchReconstructor::new`], all rows
+    /// equally long and aligned by element.
     ///
     /// # Panics
     /// Panics if rows are missing or misaligned.
@@ -139,8 +117,8 @@ mod tests {
         let secret = Fp::new(5_000_000);
         let shares = scheme.split(secret, &mut rng);
         let reconstructor = BatchReconstructor::new(&scheme, &[ServerId(1), ServerId(2)]).unwrap();
-        let recovered = reconstructor.reconstruct_one(&[shares[1].y, shares[2].y]);
-        assert_eq!(recovered, secret);
+        let recovered = reconstructor.reconstruct_all(&[vec![shares[1].y], vec![shares[2].y]]);
+        assert_eq!(recovered, vec![secret]);
     }
 
     #[test]
@@ -158,12 +136,12 @@ mod tests {
         let scheme = scheme();
         let reconstructor =
             BatchReconstructor::new(&scheme, &[ServerId(0), ServerId(1), ServerId(2)]).unwrap();
-        assert_eq!(reconstructor.servers().len(), 2);
+        assert_eq!(reconstructor.weights.len(), 2);
         let secret = Fp::new(77);
         let shares = scheme.split(secret, &mut rng);
         assert_eq!(
-            reconstructor.reconstruct_one(&[shares[0].y, shares[1].y]),
-            secret
+            reconstructor.reconstruct_all(&[vec![shares[0].y], vec![shares[1].y]]),
+            vec![secret]
         );
     }
 

@@ -10,13 +10,13 @@
 //!
 //! The module layout mirrors the paper:
 //!
-//! * [`scheme`] — the public parameters `(p, k, x_1..x_n)` and the
+//! * `scheme` — the public parameters `(p, k, x_1..x_n)` and the
 //!   split/reconstruct operations (Algorithms 1a/1b), including the
 //!   O(k^3) Gaussian variant the paper describes and the O(k^2)
 //!   Lagrange variant used on the hot path.
-//! * [`batch`] — amortized splitting/reconstruction for whole documents
+//! * `batch` — amortized splitting/reconstruction for whole documents
 //!   and query responses ("700 elements per msec", Section 7.3).
-//! * [`proactive`] — share refresh à la Herzberg et al. \[21\], which the
+//! * `proactive` — share refresh à la Herzberg et al. \[21\], which the
 //!   paper cites for recovering from partial share exposure.
 
 //! # Example
@@ -34,10 +34,10 @@
 //! assert!(scheme.reconstruct(&shares[..1]).is_err());
 //! ```
 
-pub mod batch;
-pub mod error;
-pub mod proactive;
-pub mod scheme;
+pub(crate) mod batch;
+pub(crate) mod error;
+pub(crate) mod proactive;
+pub(crate) mod scheme;
 
 pub use batch::{BatchReconstructor, BatchSplitter};
 pub use error::ShamirError;

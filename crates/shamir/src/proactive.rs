@@ -81,15 +81,6 @@ impl RefreshRound {
             y: share.y + delta,
         }
     }
-
-    /// Applies the round in place to a server's whole share column of
-    /// `(element id, y-share)` pairs.
-    pub fn apply_all(&self, server: ServerId, column: &mut [(u64, Fp)]) {
-        let x = self.coordinates[server.index()];
-        for (element, y) in column {
-            *y += self.delta_at(*element, x);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,12 +158,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(34);
         let scheme = scheme();
         let round = RefreshRound::generate(&scheme, &mut rng);
-        let mut column: Vec<(u64, Fp)> = vec![(10, Fp::new(1)), (11, Fp::new(2)), (12, Fp::new(3))];
-        let before = column.clone();
-        round.apply_all(ServerId(0), &mut column);
-        for ((element, b), (_, a)) in before.iter().zip(&column) {
-            let delta = round.delta_for(ServerId(0), *element).unwrap();
-            assert_eq!(*b + delta, *a);
+        let x = scheme.coordinates()[0];
+        for (element, y) in [(10, Fp::new(1)), (11, Fp::new(2)), (12, Fp::new(3))] {
+            let refreshed = round.apply(ServerId(0), element, Share { x, y });
+            let delta = round.delta_for(ServerId(0), element).unwrap();
+            assert_eq!(refreshed, Share { x, y: y + delta });
         }
     }
 }

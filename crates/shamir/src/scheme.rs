@@ -21,7 +21,7 @@ pub struct ServerId(pub u32);
 
 impl ServerId {
     /// The position of this server in the scheme's coordinate list.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -93,7 +93,7 @@ impl SharingScheme {
     }
 
     /// The x-coordinate of one server.
-    pub fn coordinate(&self, server: ServerId) -> Option<Fp> {
+    pub(crate) fn coordinate(&self, server: ServerId) -> Option<Fp> {
         self.coordinates.get(server.index()).copied()
     }
 
@@ -113,15 +113,6 @@ impl SharingScheme {
             .collect()
     }
 
-    /// Like [`split`](Self::split) but writes the per-server y-values
-    /// into `out` (cleared first), avoiding a `Share` allocation per
-    /// element on the document-indexing hot path.
-    pub fn split_into<R: Rng + ?Sized>(&self, secret: Fp, rng: &mut R, out: &mut Vec<Fp>) {
-        out.clear();
-        let polynomial = Polynomial::random_with_constant(secret, self.k - 1, rng);
-        out.extend(self.coordinates.iter().map(|&x| polynomial.evaluate(x)));
-    }
-
     /// Algorithm 1a over a whole batch: splits every secret, returning
     /// `n` rows where row `i` holds the y-shares destined for server
     /// `i`, aligned with `secrets`.
@@ -130,8 +121,7 @@ impl SharingScheme {
     /// server's coordinate powers `x_i^0 … x_i^{k-1}` are precomputed
     /// once per call, and the fresh random coefficients live in one
     /// scratch buffer reused across elements — no `Polynomial` (or any
-    /// other) allocation per element, unlike
-    /// [`split`](Self::split)/[`split_into`](Self::split_into). Each
+    /// other) allocation per element, unlike [`split`](Self::split). Each
     /// share is the dot product `Σ_j c_j · x_i^j`, exactly the value
     /// Horner evaluation produces (field arithmetic is exact), and the
     /// coefficients are drawn in the same order — so the output is
@@ -208,19 +198,9 @@ impl SharingScheme {
         })
     }
 
-    /// Adds a new server with the given coordinate to the public
-    /// parameters. Existing stored shares remain valid.
-    pub fn add_server(&mut self, x: Fp) -> Result<ServerId, ShamirError> {
-        if x.is_zero() || self.coordinates.contains(&x) {
-            return Err(ShamirError::InvalidCoordinates);
-        }
-        self.coordinates.push(x);
-        Ok(ServerId(self.coordinates.len() as u32 - 1))
-    }
-
     /// Precomputes Lagrange weights at zero for a fixed subset of
     /// servers, enabling O(k) per-element reconstruction.
-    pub fn weights_for(&self, servers: &[ServerId]) -> Result<Vec<Fp>, ShamirError> {
+    pub(crate) fn weights_for(&self, servers: &[ServerId]) -> Result<Vec<Fp>, ShamirError> {
         if servers.len() < self.k {
             return Err(ShamirError::NotEnoughShares {
                 needed: self.k,
@@ -354,30 +334,16 @@ mod tests {
     #[test]
     fn dynamic_extension_preserves_existing_shares() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut scheme = scheme_2_of_3();
+        let scheme = scheme_2_of_3();
         let secret = Fp::new(987_654);
         let shares = scheme.split(secret, &mut rng);
 
         let new_x = Fp::new(44);
         let new_share = scheme.derive_share_for(&shares[..2], new_x).unwrap();
-        scheme.add_server(new_x).unwrap();
 
         // Old share + brand-new share reconstruct the same secret.
         let mixed = [shares[2], new_share];
         assert_eq!(scheme.reconstruct(&mixed).unwrap(), secret);
-    }
-
-    #[test]
-    fn add_server_rejects_existing_coordinate() {
-        let mut scheme = scheme_2_of_3();
-        assert_eq!(
-            scheme.add_server(Fp::new(11)).unwrap_err(),
-            ShamirError::InvalidCoordinates
-        );
-        assert_eq!(
-            scheme.add_server(Fp::ZERO).unwrap_err(),
-            ShamirError::InvalidCoordinates
-        );
     }
 
     #[test]
@@ -461,17 +427,5 @@ mod tests {
         let rows = scheme.split_batch(&[], &mut rng);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn split_into_matches_split() {
-        let mut rng_a = StdRng::seed_from_u64(10);
-        let mut rng_b = StdRng::seed_from_u64(10);
-        let scheme = scheme_2_of_3();
-        let secret = Fp::new(31_415);
-        let shares = scheme.split(secret, &mut rng_a);
-        let mut ys = Vec::new();
-        scheme.split_into(secret, &mut rng_b, &mut ys);
-        assert_eq!(shares.iter().map(|s| s.y).collect::<Vec<_>>(), ys);
     }
 }

@@ -53,23 +53,6 @@ impl MuServIndex {
         }
     }
 
-    /// Indexes a document: its terms go into the hosting site's Bloom
-    /// filter at the central index, and into the site's own inverted
-    /// index.
-    pub fn insert(&mut self, doc: &Document) {
-        let host = doc.id.host();
-        let filter = self.filters.entry(host).or_insert_with(|| {
-            BloomFilter::with_false_positive_rate(
-                self.expected_terms_per_site,
-                self.false_positive_rate,
-            )
-        });
-        for &(term, _) in &doc.terms {
-            filter.insert(&term.0.to_le_bytes());
-        }
-        self.sites.entry(host).or_default().insert(doc);
-    }
-
     /// Indexes a batch of documents: per-site grouping, one Bloom
     /// insert pass, and a bulk merge into each site's index
     /// (`CentralIndex::insert_batch`) — the non-quadratic construction
@@ -100,11 +83,6 @@ impl MuServIndex {
         for site in self.sites.values_mut() {
             site.add_user_to_group(user, group);
         }
-    }
-
-    /// Number of registered sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
     }
 
     /// Central-index lookup only: which sites *might* hold any of the
@@ -164,10 +142,11 @@ mod tests {
 
     fn deployment(fp_rate: f64) -> MuServIndex {
         let mut muserv = MuServIndex::new(100, fp_rate);
-        for host in 0..20u16 {
-            // Each site holds one doc with a site-specific term.
-            muserv.insert(&doc(host, 0, &[1000 + host as u32]));
-        }
+        // Each site holds one doc with a site-specific term.
+        let docs: Vec<Document> = (0..20u16)
+            .map(|host| doc(host, 0, &[1000 + host as u32]))
+            .collect();
+        muserv.insert_batch(&docs);
         muserv.add_user_to_group(UserId(1), GroupId(0));
         muserv
     }
@@ -220,11 +199,11 @@ mod tests {
         batched.insert_batch(&docs);
         let mut looped = MuServIndex::new(100, 0.01);
         for d in &docs {
-            looped.insert(d);
+            looped.insert_batch(std::slice::from_ref(d));
         }
         batched.add_user_to_group(UserId(1), GroupId(0));
         looped.add_user_to_group(UserId(1), GroupId(0));
-        assert_eq!(batched.site_count(), looped.site_count());
+        assert_eq!(batched.sites.len(), looped.sites.len());
         for term in [1000u32, 1005, 2000, 9999] {
             // Identical Bloom state (same per-site insert sequence per
             // filter) and identical indexes ⇒ identical answers.
@@ -244,7 +223,7 @@ mod tests {
     #[test]
     fn acl_still_applies_at_sites() {
         let mut muserv = MuServIndex::new(10, 0.01);
-        muserv.insert(&doc(0, 0, &[7]));
+        muserv.insert_batch(&[doc(0, 0, &[7])]);
         // No membership granted.
         let outcome = muserv.query(UserId(9), &[TermId(7)], 10);
         assert!(outcome.ranked.is_empty());

@@ -38,18 +38,10 @@ impl ShotgunSearch {
         Self::default()
     }
 
-    /// Indexes a document at its hosting site (derived from the doc
-    /// id).
-    pub fn insert(&mut self, doc: &Document) {
-        self.sites.entry(doc.id.host()).or_default().insert(doc);
-    }
-
     /// Indexes a batch of documents, grouped per hosting site and
     /// bulk-merged into each site's index
-    /// (`CentralIndex::insert_batch`). Use this for deployment
-    /// construction: the per-document `insert` path pays
-    /// `PostingList::upsert`'s shift-per-posting cost, which is
-    /// quadratic over a corpus-sized loop.
+    /// (`CentralIndex::insert_batch`), which avoids
+    /// `PostingList::upsert`'s shift-per-posting cost.
     pub fn insert_batch(&mut self, docs: &[Document]) {
         let mut per_site: HashMap<u16, Vec<Document>> = HashMap::new();
         for doc in docs {
@@ -60,24 +52,12 @@ impl ShotgunSearch {
         }
     }
 
-    /// Removes a document from its hosting site.
-    pub fn remove(&mut self, doc: zerber_index::DocId) -> bool {
-        self.sites
-            .get_mut(&doc.host())
-            .is_some_and(|site| site.remove(doc))
-    }
-
     /// Grants a membership — every site owner enforces access control
     /// on its own index, so the grant must reach all sites.
     pub fn add_user_to_group(&mut self, user: UserId, group: GroupId) {
         for site in self.sites.values_mut() {
             site.add_user_to_group(user, group);
         }
-    }
-
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
     }
 
     /// Broadcasts a query to every site and merges the per-site ranked
@@ -122,9 +102,11 @@ mod tests {
 
     fn deployment() -> ShotgunSearch {
         let mut shotgun = ShotgunSearch::new();
-        shotgun.insert(&doc(0, 1, 0, &[(10, 1)]));
-        shotgun.insert(&doc(1, 1, 0, &[(20, 1)]));
-        shotgun.insert(&doc(2, 1, 0, &[(30, 1)]));
+        shotgun.insert_batch(&[
+            doc(0, 1, 0, &[(10, 1)]),
+            doc(1, 1, 0, &[(20, 1)]),
+            doc(2, 1, 0, &[(30, 1)]),
+        ]);
         shotgun.add_user_to_group(UserId(1), GroupId(0));
         shotgun
     }
@@ -141,8 +123,7 @@ mod tests {
     #[test]
     fn acl_is_enforced_per_site() {
         let mut shotgun = ShotgunSearch::new();
-        shotgun.insert(&doc(0, 1, 0, &[(10, 1)]));
-        shotgun.insert(&doc(1, 1, 5, &[(10, 1)]));
+        shotgun.insert_batch(&[doc(0, 1, 0, &[(10, 1)]), doc(1, 1, 5, &[(10, 1)])]);
         shotgun.add_user_to_group(UserId(1), GroupId(0));
         let outcome = shotgun.query(UserId(1), &[TermId(10)], 10);
         assert_eq!(outcome.ranked.len(), 1);
@@ -152,7 +133,7 @@ mod tests {
     #[test]
     fn results_merge_across_sites() {
         let mut shotgun = deployment();
-        shotgun.insert(&doc(1, 2, 0, &[(10, 3)]));
+        shotgun.insert_batch(&[doc(1, 2, 0, &[(10, 3)])]);
         shotgun.add_user_to_group(UserId(1), GroupId(0));
         let outcome = shotgun.query(UserId(1), &[TermId(10)], 10);
         assert_eq!(outcome.ranked.len(), 2);
@@ -168,28 +149,19 @@ mod tests {
         batched.insert_batch(&docs);
         let mut looped = ShotgunSearch::new();
         for d in &docs {
-            looped.insert(d);
+            looped.insert_batch(std::slice::from_ref(d));
         }
         for search in [&mut batched, &mut looped] {
             search.add_user_to_group(UserId(1), GroupId(0));
             search.add_user_to_group(UserId(1), GroupId(1));
             search.add_user_to_group(UserId(1), GroupId(2));
         }
-        assert_eq!(batched.site_count(), looped.site_count());
+        assert_eq!(batched.sites.len(), looped.sites.len());
         for term in [0u32, 5, 50, 99] {
             let a = batched.query(UserId(1), &[TermId(term)], 20);
             let b = looped.query(UserId(1), &[TermId(term)], 20);
             assert_eq!(a.ranked, b.ranked, "term {term}");
             assert_eq!(a.sites_with_hits, b.sites_with_hits);
         }
-    }
-
-    #[test]
-    fn remove_deletes_from_the_right_site() {
-        let mut shotgun = deployment();
-        assert!(shotgun.remove(DocId::from_parts(0, 1)));
-        assert!(!shotgun.remove(DocId::from_parts(0, 1)));
-        let outcome = shotgun.query(UserId(1), &[TermId(10)], 10);
-        assert!(outcome.ranked.is_empty());
     }
 }

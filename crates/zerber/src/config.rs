@@ -6,7 +6,7 @@ use zerber_core::ElementCodec;
 use zerber_index::PostingBackend;
 
 /// A structurally invalid [`ZerberConfig`], caught by
-/// [`ZerberConfig::validate`] at bootstrap time instead of deep inside
+/// `ZerberConfig::validate` at bootstrap time instead of deep inside
 /// sharing or storage code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -24,7 +24,7 @@ pub enum ConfigError {
     NoPeers,
     /// The peer ring is smaller than the sharing degree: the `n`
     /// share-holding servers could not each sit on a *distinct* peer
-    /// (see [`ZerberConfig::validate`] for what that guards).
+    /// (see `ZerberConfig::validate` for what that guards).
     TooFewPeers {
         /// The configured ring width.
         peers: usize,
@@ -80,8 +80,7 @@ pub struct ZerberConfig {
     pub threshold: usize,
     /// Width of the peer ring: how many peers (and logical document
     /// shards) `runtime::ShardedSearch` launches.
-    /// [`ZerberConfig::validate`] also holds it to at least `servers`;
-    /// [`ZerberConfig::with_sharing`] widens it automatically.
+    /// `ZerberConfig::validate` also holds it to at least `servers`.
     pub peers: usize,
     /// Copies of each document shard in the peer runtime: shard `s`
     /// lives on peers `s, s+1, …, s+R-1 (mod peers)` (chord-style
@@ -135,16 +134,6 @@ impl ZerberConfig {
         self
     }
 
-    /// Overrides `n` and `k`. Widens the peer ring to at least `n` so
-    /// the configuration keeps validating (see
-    /// [`ZerberConfig::validate`]).
-    pub fn with_sharing(mut self, servers: usize, threshold: usize) -> Self {
-        self.servers = servers;
-        self.threshold = threshold;
-        self.peers = self.peers.max(servers);
-        self
-    }
-
     /// Overrides the peer-ring width.
     pub fn with_peers(mut self, peers: usize) -> Self {
         self.peers = peers;
@@ -171,7 +160,7 @@ impl ZerberConfig {
     /// need `n` distinct peers — so that a configuration accepted now
     /// stays valid when the share path is hosted on the peer ring
     /// (ROADMAP item 3(c)).
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.threshold == 0 {
             return Err(ConfigError::ThresholdZero);
         }
@@ -199,7 +188,7 @@ impl ZerberConfig {
     /// Called by `runtime::ShardedSearch::launch*` — the consumer of
     /// [`ZerberConfig::postings`] — whose ring is deliberately not
     /// held to the sharing invariants above.
-    pub fn validate_storage(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate_storage(&self) -> Result<(), ConfigError> {
         if let PostingBackend::Segmented { dir, compaction } = &self.postings {
             if dir.as_os_str().is_empty() {
                 return Err(ConfigError::InvalidSegmentPolicy {
@@ -256,8 +245,12 @@ mod tests {
             dir: std::path::PathBuf::from("/tmp/zerber-builders-never-created"),
             compaction: zerber_index::SegmentPolicy::default(),
         };
-        let config = ZerberConfig::default()
-            .with_sharing(5, 3)
+        let sharing = ZerberConfig {
+            servers: 5,
+            threshold: 3,
+            ..ZerberConfig::default()
+        };
+        let config = sharing
             .with_seed(1)
             .with_batch(BatchPolicy::batched(50))
             .with_postings(segmented.clone());
@@ -271,13 +264,6 @@ mod tests {
     #[test]
     fn default_config_validates() {
         assert_eq!(ZerberConfig::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn with_sharing_widens_the_ring() {
-        let config = ZerberConfig::default().with_sharing(5, 3);
-        assert_eq!(config.peers, 5);
-        assert_eq!(config.validate(), Ok(()));
     }
 
     #[test]

@@ -69,11 +69,11 @@
 #![deny(missing_docs)]
 
 pub mod baselines;
-pub mod config;
+pub(crate) mod config;
 pub mod runtime;
-pub mod system;
+pub(crate) mod system;
 
 pub use config::{ConfigError, ZerberConfig};
-pub use runtime::{IngestError, RuntimeHandle, ShardedSearch};
+pub use runtime::ShardedSearch;
 pub use system::{SystemError, ZerberSystem};
 pub use zerber_index::{PostingBackend, SegmentPolicy};

@@ -9,10 +9,10 @@
 //! have cut over is it untainted and readmitted. The wire protocol of
 //! one shipment is [`crate::runtime::repair`]'s.
 
-use zerber_dht::{ShardMap, ShardMove};
 use zerber_net::{AuthToken, NodeId};
 
 use super::membership::{MembershipTable, PeerStatus};
+use super::placement::{ShardMap, ShardMove};
 use super::repair::{self, rebuild_shard, Backoff, RepairError, RepairStats};
 use super::service::ShardService;
 use super::ShardedSearch;
@@ -133,7 +133,13 @@ impl ShardedSearch {
     /// shard starts serving again only when its snapshot commit (plus
     /// buffered-write replay) succeeds. Returns the total shipped.
     pub fn revive_peer(&self, peer: u32) -> Result<RepairStats, RepairError> {
-        let hosted = self.map.read().hosted_shards(peer, self.replicas);
+        let hosted = {
+            let map = self.map.read();
+            if !map.contains_peer(peer) {
+                return Err(RepairError::Protocol(format!("peer {peer} is not mapped")));
+            }
+            map.hosted_shards(peer, self.replicas)
+        };
         self.spawn_rebuilding(peer, hosted);
         self.repair_peer(peer)
     }
@@ -157,7 +163,7 @@ impl ShardedSearch {
         let mut total = RepairStats::default();
         for shard in map.hosted_shards(peer, self.replicas) {
             let replicas = map.replica_peers(shard, self.replicas);
-            self.ship_shard(shard, replicas.iter().map(|p| p.0), &[peer], &mut total)?;
+            self.ship_shard(shard, replicas, &[peer], &mut total)?;
         }
         self.tainted.lock().remove(&peer);
         self.update_membership(|membership| membership.admit(NodeId::IndexServer(peer)));
@@ -173,10 +179,9 @@ impl ShardedSearch {
     /// ships a superset snapshot and loses nothing) and queries keep
     /// serving the old assignment.
     fn migrate(&self, next: ShardMap, moves: &[ShardMove]) -> Result<RepairStats, RepairError> {
-        let gained = |mv: &ShardMove| mv.gained.iter().map(|p| p.0).collect::<Vec<u32>>();
         for mv in moves {
             let mut backoff = Backoff::for_seed(u64::from(mv.shard) ^ 0x0B5E_55ED_B00F_FEED);
-            for target in gained(mv) {
+            for &target in &mv.gained {
                 repair::begin_install(
                     self.transport.as_ref(),
                     Self::CONTROLLER,
@@ -190,8 +195,7 @@ impl ShardedSearch {
         *self.transition.lock() = Some(next.clone());
         let mut total = RepairStats::default();
         for mv in moves {
-            let sources = mv.sources.iter().map(|p| p.0);
-            self.ship_shard(mv.shard, sources, &gained(mv), &mut total)?;
+            self.ship_shard(mv.shard, mv.sources.iter().copied(), &mv.gained, &mut total)?;
         }
         *self.map.write() = next;
         *self.transition.lock() = None;

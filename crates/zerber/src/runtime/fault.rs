@@ -23,10 +23,9 @@
 //!   never arrives. This is the adversarial window for a replicated
 //!   query, and the one `tests/replicated_failover.rs` exercises.
 //!
-//! Random faults fire only between [`FaultInjectTransport::arm`] and
-//! [`FaultInjectTransport::disarm`], so a test can ingest cleanly and
-//! then turn chaos on for the query phase. Kills and mutes always
-//! apply.
+//! Random faults fire only after [`FaultInjectTransport::arm`], so a
+//! test can ingest cleanly and then turn chaos on for the query phase.
+//! Kills and mutes always apply.
 //!
 //! # Minimizing a failing seed
 //!
@@ -193,11 +192,6 @@ impl FaultInjectTransport {
     /// Turns the random fault plan on.
     pub fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Turns the random fault plan off (kills and mutes persist).
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
     }
 
     /// Kills `node`: every request to it fails immediately with

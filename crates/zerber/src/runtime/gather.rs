@@ -122,13 +122,13 @@ pub(crate) struct ShardFetch {
 
 impl ShardFetch {
     /// Extra (hedged) requests sent beyond the primary.
-    pub fn hedges(&self) -> usize {
+    pub(crate) fn hedges(&self) -> usize {
         self.attempts.len().saturating_sub(1)
     }
 
     /// Replicas that failed before one answered — reported, never
     /// silently dropped.
-    pub fn failed(&self) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {
+    pub(crate) fn failed(&self) -> impl Iterator<Item = (NodeId, TransportError)> + '_ {
         failed_attempts(&self.attempts)
     }
 }

@@ -27,7 +27,7 @@ use zerber_net::NodeId;
 
 /// Consecutive probe failures after which a `Suspect` peer is
 /// declared `Down` (the first failure already makes it `Suspect`).
-pub const DEFAULT_DOWN_AFTER: u32 = 3;
+pub(crate) const DEFAULT_DOWN_AFTER: u32 = 3;
 
 /// One peer's health as this controller sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,14 +59,17 @@ pub(crate) struct MembershipTable {
 impl MembershipTable {
     /// A table tracking `peers`, all initially `Up`, with the default
     /// failure-streak threshold.
-    pub fn new(peers: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn new(peers: impl IntoIterator<Item = NodeId>) -> Self {
         Self::with_down_after(peers, DEFAULT_DOWN_AFTER)
     }
 
     /// A table declaring peers `Down` after `down_after` consecutive
     /// failures (clamped to ≥ 1: a zero threshold would declare
     /// healthy peers dead).
-    pub fn with_down_after(peers: impl IntoIterator<Item = NodeId>, down_after: u32) -> Self {
+    pub(crate) fn with_down_after(
+        peers: impl IntoIterator<Item = NodeId>,
+        down_after: u32,
+    ) -> Self {
         Self {
             peers: peers
                 .into_iter()
@@ -86,7 +89,7 @@ impl MembershipTable {
 
     /// Starts (or resets) tracking `node` as `Up` — the join /
     /// post-repair path.
-    pub fn admit(&mut self, node: NodeId) {
+    pub(crate) fn admit(&mut self, node: NodeId) {
         self.peers.insert(
             node,
             PeerHealth {
@@ -97,14 +100,14 @@ impl MembershipTable {
     }
 
     /// Stops tracking `node` — the planned-leave path.
-    pub fn evict(&mut self, node: NodeId) {
+    pub(crate) fn evict(&mut self, node: NodeId) {
         self.peers.remove(&node);
     }
 
     /// Records a successful probe (or any successful RPC — data-plane
     /// traffic is evidence of life too). Returns the new status,
     /// always [`PeerStatus::Up`] for a tracked peer.
-    pub fn note_success(&mut self, node: NodeId) -> Option<PeerStatus> {
+    pub(crate) fn note_success(&mut self, node: NodeId) -> Option<PeerStatus> {
         let health = self.peers.get_mut(&node)?;
         health.failures = 0;
         health.status = PeerStatus::Up;
@@ -114,7 +117,7 @@ impl MembershipTable {
     /// Records a failed probe and returns the new status. The first
     /// failure demotes `Up` → `Suspect`; a streak of
     /// `down_after` declares `Down`.
-    pub fn note_failure(&mut self, node: NodeId) -> Option<PeerStatus> {
+    pub(crate) fn note_failure(&mut self, node: NodeId) -> Option<PeerStatus> {
         let down_after = self.down_after;
         let health = self.peers.get_mut(&node)?;
         health.failures = health.failures.saturating_add(1);
@@ -127,13 +130,13 @@ impl MembershipTable {
     }
 
     /// The tracked status of `node`.
-    pub fn status(&self, node: NodeId) -> Option<PeerStatus> {
+    pub(crate) fn status(&self, node: NodeId) -> Option<PeerStatus> {
         self.peers.get(&node).map(|h| h.status)
     }
 
     /// Peers currently believed `Up` (feeds the
     /// `zerber_membership_up` gauge).
-    pub fn up_count(&self) -> usize {
+    pub(crate) fn up_count(&self) -> usize {
         self.peers
             .values()
             .filter(|h| h.status == PeerStatus::Up)

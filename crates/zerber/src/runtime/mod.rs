@@ -21,11 +21,12 @@
 //! | `driver` | coordinator | membership and repair: heartbeat, kill / revive / repair, join / leave, the membership gauge — and the only two host-dependent steps (the table on [`ShardedSearch::connect`]) |
 //! | `gather` | coordinator | the hedged fan-out (first live replica per shard wins, the dead are reported) and the threshold-bounded top-k merge, provably identical to single-node evaluation (`tests/sharded_topk.rs`) |
 //! | `repair` | coordinator | the wire protocol of one shard shipment, the three install-frame shapes, the retry backoff |
-//! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; [`TermStats`] (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
+//! | `placement` | coordinator | [`ShardMap`]: the document → shard hash table fixed at launch, and each shard's live home peer and successor replicas under join / leave |
+//! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; `TermStats` (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
 //! | `service` | peer | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table with one constructor, [`ShardService::for_peer`] |
 //! | `shard` | peer | what sits around a shard's one store (`zerber_segment::SegmentStore`): wire ↔ `Document`, where a replica's files live, open-and-seed, install-and-reopen |
 //! | `peer` | peer | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
-//! | [`transport`], [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
+//! | `transport`, [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
 //! | [`fault`] | between | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
 //! | `handle` | share path | [`RuntimeHandle`], the share path's client stub |
 //!
@@ -43,7 +44,7 @@
 //!  ranked top-k  ◀── gather (TA bound) ◀── TopKResponse (sorted)
 //! ```
 //!
-//! [`ShardedSearch::query`] / [`ShardedSearch::query_from`] (the
+//! [`ShardedSearch::query`] / `ShardedSearch::query_from` (the
 //! uncached `Terms`/block-max-TA read) and
 //! [`ShardedSearch::query_shaped`] (the cached serving read) are both
 //! thin entries over this one path.
@@ -55,13 +56,14 @@ mod handle;
 mod membership;
 mod obs;
 mod peer;
+mod placement;
 mod read;
 mod repair;
 mod service;
 mod shard;
 pub mod socket;
 mod stats;
-pub mod transport;
+pub(crate) mod transport;
 mod write;
 
 use std::collections::HashSet;
@@ -70,7 +72,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use zerber_dht::ShardMap;
 use zerber_index::{Document, PostingBackend};
 use zerber_net::{NodeId, TrafficMeter};
 use zerber_query::{CacheConfig, ResultCache};
@@ -81,10 +82,10 @@ pub use handle::RuntimeHandle;
 pub use membership::PeerStatus;
 pub use obs::RuntimeObs;
 pub use peer::{PeerRuntime, PeerService};
+pub use placement::ShardMap;
 pub use read::{local_planned, local_topk, DegradedMode, QueryError, ShardedQueryOutcome};
 pub use repair::{RepairError, RepairStats};
 pub use service::{ServerService, ShardService};
-pub use stats::TermStats;
 pub use transport::{InProcTransport, PendingReply, Transport, TransportError};
 pub use write::IngestError;
 
@@ -94,8 +95,8 @@ use stats::StatsState;
 
 /// A concurrent, document-sharded top-k search deployment.
 ///
-/// Documents are placed on `config.peers` peer threads by the
-/// consistent-hash ring; each peer indexes its shard on its own
+/// Documents are placed on `config.peers` peer threads by
+/// [`ShardMap`]; each peer indexes its shard on its own
 /// thread (parallel build) and serves
 /// [`zerber_net::Message::PlanQuery`] with the planned evaluator over
 /// snapshots of its segment store. `query` is `&self` and
@@ -197,7 +198,7 @@ impl ShardedSearch {
     /// The plaintext sharded engine places no Shamir shares, so the
     /// only ring requirement is `peers ≥ 1` — a single-peer deployment
     /// is the legitimate scaling baseline. (The sharing invariants
-    /// are [`ZerberConfig::validate`]'s, checked at
+    /// are `ZerberConfig::validate`'s, checked at
     /// `ZerberSystem::bootstrap`.) This engine is what
     /// `config.postings` places: every replica is a
     /// `zerber_segment::SegmentStore` — seeded from `docs` as one
@@ -206,7 +207,7 @@ impl ShardedSearch {
     /// [`ShardedSearch::delete_document`] traffic — in a
     /// `peer-<p>-shard-<s>` subdirectory created only for the shards
     /// that peer actually hosts, after
-    /// [`ZerberConfig::validate_storage`] has accepted the setting.
+    /// `ZerberConfig::validate_storage` has accepted the setting.
     /// Under the default [`PostingBackend::Ephemeral`] the directories
     /// sit in per-peer scratch space that goes away with the peer;
     /// under [`PostingBackend::Segmented`] they are the caller's, and
@@ -216,8 +217,8 @@ impl ShardedSearch {
     /// `zerber_segment::SegmentStore` directly).
     ///
     /// With `config.replication = R > 1`, every logical shard is also
-    /// copied onto the `R - 1` successor peers on the ring
-    /// ([`ShardMap::replica_peers`]): writes fan to all copies, and
+    /// copied onto the `R - 1` successor peers of its home peer
+    /// ([`ShardMap`]): writes fan to all copies, and
     /// queries hedge to a successor when a replica is slow or dead —
     /// any single peer can be lost without losing a shard.
     pub fn launch(config: &ZerberConfig, docs: &[Document]) -> Result<Self, ConfigError> {
@@ -351,11 +352,6 @@ impl ShardedSearch {
         self.map.read().peer_count() as usize
     }
 
-    /// Number of logical shards (fixed at launch).
-    pub fn shard_count(&self) -> u32 {
-        self.map.read().shard_count()
-    }
-
     /// A copy of the current serving shard → peer assignment.
     pub fn shard_map(&self) -> ShardMap {
         self.map.read().clone()
@@ -397,12 +393,6 @@ impl ShardedSearch {
     /// gather, and segment layers record into.
     pub fn obs(&self) -> &RuntimeObs {
         &self.obs
-    }
-
-    /// A copy of the current global collection statistics (the IDF
-    /// source).
-    pub fn stats(&self) -> TermStats {
-        self.stats.read().stats.clone()
     }
 
     /// Number of live documents across all shards.

@@ -23,10 +23,10 @@ use zerber_obs::{
 };
 
 /// How many of the slowest queries the slow-query log retains.
-pub const SLOW_QUERY_LOG_CAPACITY: usize = 8;
+pub(crate) const SLOW_QUERY_LOG_CAPACITY: usize = 8;
 
 /// How many recent query traces the flight recorder retains.
-pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
+pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
 struct ObsInner {
     registry: MetricsRegistry,
@@ -104,7 +104,7 @@ pub(crate) struct QueryMetrics {
 
 impl QueryMetrics {
     /// The `zerber_query_plan_total` counter for `kind`.
-    pub fn plan_counter(&self, kind: zerber_query::EvaluatorKind) -> &Counter {
+    pub(crate) fn plan_counter(&self, kind: zerber_query::EvaluatorKind) -> &Counter {
         match kind {
             zerber_query::EvaluatorKind::BlockMaxTa => &self.plan_block_max_ta,
             zerber_query::EvaluatorKind::MaxScore => &self.plan_maxscore,
@@ -135,7 +135,7 @@ impl RuntimeObs {
     /// A handle recording into an existing `registry` — for sharing
     /// one registry between the query path and other instrumented
     /// components (socket transport, segment stores).
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
+    pub(crate) fn with_registry(registry: MetricsRegistry) -> Self {
         let metrics = QueryMetrics {
             latency: registry.histogram("zerber_query_latency_ns"),
             total: registry.counter("zerber_query_total"),
@@ -180,7 +180,7 @@ impl RuntimeObs {
 
     /// Allocates the next trace id (never zero — zero is the wire's
     /// *untraced* marker).
-    pub fn next_trace_id(&self) -> TraceId {
+    pub(crate) fn next_trace_id(&self) -> TraceId {
         TraceId(self.inner.next_trace.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -195,7 +195,7 @@ impl RuntimeObs {
     }
 
     /// Files a finished query trace into both forensics sinks.
-    pub fn record_trace(&self, trace: Arc<QueryTrace>) {
+    pub(crate) fn record_trace(&self, trace: Arc<QueryTrace>) {
         self.inner.flight_recorder.record(Arc::clone(&trace));
         self.inner.slow_queries.offer(trace);
     }
@@ -211,7 +211,7 @@ impl RuntimeObs {
     }
 
     /// Updates the `zerber_transport_bytes_total` gauge from `meter`.
-    pub fn sync_traffic(&self, meter: &TrafficMeter) {
+    pub(crate) fn sync_traffic(&self, meter: &TrafficMeter) {
         self.inner.metrics.bytes_total.set(meter.total() as i64);
     }
 

@@ -1,50 +1,52 @@
-//! Document sharding over the consistent-hash ring.
+//! Document placement: which logical shard a document lives on, and
+//! which live peers host each shard.
 //!
-//! The peer runtime partitions a collection *by document*: every
-//! document's postings live on exactly one logical shard, so a peer
-//! can rank its shard locally (each candidate's full score is
-//! computable from one shard) and the gather stage merges disjoint
-//! candidate sets. Placement is a [`ConsistentHashRing`] over the
-//! logical shards.
-//!
-//! Since PR 10 the map separates *logical shards* (fixed at launch;
-//! the unit documents hash onto) from *live peers* (which may join and
-//! leave): `home[shard]` names the peer holding the shard's primary
-//! copy, and replication walks the live-peer successor cycle from
-//! there. A membership change therefore never re-partitions documents
-//! — it only moves whole shard assignments, which is exactly what
-//! makes segment-directory shipping the migration unit.
+//! The paper leaves placement over a DHT as future work (Section 3);
+//! the runtime needs only its fixed-membership core. Documents hash
+//! onto a circle of [`POINTS_PER_SHARD`] points per logical shard, and
+//! the shards are fixed at launch, so the circle is built once and a
+//! lookup is one binary search. Every shard is homed on a live peer
+//! and replicated on its successors, and a join or leave moves whole
+//! shard assignments ([`ShardMove`]) instead of re-partitioning
+//! documents — which is what makes segment-directory shipping the
+//! migration unit.
 
 use zerber_index::DocId;
 
-use crate::ring::{ConsistentHashRing, PeerId};
+use super::transport::mix;
 
-/// Virtual ring points per peer.
-const VIRTUAL_NODES: u32 = 32;
+/// Hash points per logical shard on the placement circle.
+const POINTS_PER_SHARD: u32 = 32;
+/// Salts keeping shard points and document keys apart on the circle.
+const POINT_SALT: u64 = 0xD47u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+const DOC_SALT: u64 = 0x2E8Bu64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
 
 /// One shard whose replica set changes under a join/leave transition:
 /// the peers that must *gain* a copy (by migration from a current
 /// replica), the peers that stop hosting one, and the surviving
 /// replicas a copy can be shipped from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMove {
+pub(crate) struct ShardMove {
     /// The logical shard whose placement changes.
-    pub shard: u32,
+    pub(crate) shard: u32,
     /// Replicas under the *old* assignment — valid migration sources.
-    pub sources: Vec<PeerId>,
+    pub(crate) sources: Vec<u32>,
     /// Peers that host a copy under the new assignment but not the
     /// old: each needs the shard shipped to it before cutover.
-    pub gained: Vec<PeerId>,
+    pub(crate) gained: Vec<u32>,
     /// Peers that hosted a copy under the old assignment but no longer
     /// do (their directories become garbage after cutover).
-    pub dropped: Vec<PeerId>,
+    pub(crate) dropped: Vec<u32>,
 }
 
 /// A deterministic document → shard assignment over a fixed set of
 /// logical shards, plus the live shard → peer placement.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
-    ring: ConsistentHashRing,
+    /// `(position, shard)` for every point on the circle, ascending by
+    /// position. A document belongs to the first point at or after its
+    /// own position, wrapping.
+    points: Vec<(u64, u32)>,
     /// Logical shard count, fixed at construction.
     shards: u32,
     /// Live peer ids, sorted ascending. Initially `0..shards`.
@@ -61,12 +63,19 @@ impl ShardMap {
     /// Panics if `peers == 0`.
     pub fn new(peers: u32) -> Self {
         assert!(peers > 0, "need at least one peer");
-        let mut ring = ConsistentHashRing::new(VIRTUAL_NODES);
-        for p in 0..peers {
-            ring.join(PeerId(p));
-        }
+        let mut points: Vec<(u64, u32)> = (0..peers)
+            .flat_map(|shard| {
+                (0..POINTS_PER_SHARD).map(move |v| {
+                    (
+                        mix((u64::from(shard) << 32 | u64::from(v)) ^ POINT_SALT),
+                        shard,
+                    )
+                })
+            })
+            .collect();
+        points.sort_unstable();
         Self {
-            ring,
+            points,
             shards: peers,
             peers: (0..peers).collect(),
             home: (0..peers).collect(),
@@ -74,17 +83,17 @@ impl ShardMap {
     }
 
     /// Number of live peers in the map.
-    pub fn peer_count(&self) -> u32 {
+    pub(crate) fn peer_count(&self) -> u32 {
         self.peers.len() as u32
     }
 
     /// Number of logical shards (fixed at construction).
-    pub fn shard_count(&self) -> u32 {
+    pub(crate) fn shard_count(&self) -> u32 {
         self.shards
     }
 
     /// The live peer ids, sorted ascending.
-    pub fn peer_ids(&self) -> &[u32] {
+    pub(crate) fn peer_ids(&self) -> &[u32] {
         &self.peers
     }
 
@@ -93,21 +102,18 @@ impl ShardMap {
         self.peers.binary_search(&peer).is_ok()
     }
 
-    /// The shard that owns an arbitrary 64-bit key.
-    pub fn shard_of_key(&self, key: u64) -> PeerId {
-        self.ring.replicas_for(key, 1)[0]
-    }
-
     /// The shard that owns a document (and all of its postings).
-    pub fn shard_of(&self, doc: DocId) -> PeerId {
-        self.shard_of_key(u64::from(doc.0))
+    pub fn shard_of(&self, doc: DocId) -> u32 {
+        let at = mix(u64::from(doc.0) ^ DOC_SALT);
+        let next = self.points.partition_point(|&(point, _)| point < at);
+        self.points[next % self.points.len()].1
     }
 
     /// Splits a document set into per-shard groups, indexed by shard.
     pub fn partition<T: Clone>(&self, docs: &[T], id_of: impl Fn(&T) -> DocId) -> Vec<Vec<T>> {
         let mut shards: Vec<Vec<T>> = vec![Vec::new(); self.shards as usize];
         for doc in docs {
-            shards[self.shard_of(id_of(doc)).0 as usize].push(doc.clone());
+            shards[self.shard_of(id_of(doc)) as usize].push(doc.clone());
         }
         shards
     }
@@ -121,7 +127,7 @@ impl ShardMap {
     ///
     /// # Panics
     /// Panics if `replicas == 0` or `shard` is not a valid shard id.
-    pub fn replica_peers(&self, shard: u32, replicas: u32) -> Vec<PeerId> {
+    pub(crate) fn replica_peers(&self, shard: u32, replicas: u32) -> Vec<u32> {
         assert!(replicas > 0, "need at least one replica");
         assert!(shard < self.shards, "shard {shard} out of range");
         let live = self.peers.len() as u32;
@@ -130,20 +136,20 @@ impl ShardMap {
             .binary_search(&self.home[shard as usize])
             .expect("every shard homes on a live peer");
         (0..replicas.min(live))
-            .map(|j| PeerId(self.peers[(pos + j as usize) % self.peers.len()]))
+            .map(|j| self.peers[(pos + j as usize) % self.peers.len()])
             .collect()
     }
 
     /// The logical shards `peer` hosts under `replicas`-fold
-    /// replication — the exact inverse of [`ShardMap::replica_peers`].
+    /// replication — the exact inverse of `ShardMap::replica_peers`.
+    /// A peer outside the map hosts none.
     ///
     /// # Panics
-    /// Panics if `replicas == 0` or `peer` is not a live peer.
+    /// Panics if `replicas == 0`.
     pub fn hosted_shards(&self, peer: u32, replicas: u32) -> Vec<u32> {
         assert!(replicas > 0, "need at least one replica");
-        assert!(self.contains_peer(peer), "peer {peer} not in the map");
         (0..self.shards)
-            .filter(|&shard| self.replica_peers(shard, replicas).contains(&PeerId(peer)))
+            .filter(|&shard| self.replica_peers(shard, replicas).contains(&peer))
             .collect()
     }
 
@@ -161,10 +167,10 @@ impl ShardMap {
     ///
     /// # Panics
     /// Panics if `peer` is already a member or `replicas == 0`.
-    pub fn join(&mut self, peer: u32, replicas: u32) -> Vec<ShardMove> {
+    pub(crate) fn join(&mut self, peer: u32, replicas: u32) -> Vec<ShardMove> {
         assert!(!self.contains_peer(peer), "peer {peer} already joined");
         let old = self.snapshot_placement(replicas);
-        let at = self.peers.binary_search(&peer).unwrap_err();
+        let at = self.peers.partition_point(|&p| p < peer);
         self.peers.insert(at, peer);
         let fair = (self.shards as usize).div_ceil(self.peers.len());
         while self.primaries_of(peer) < fair {
@@ -190,7 +196,7 @@ impl ShardMap {
     /// # Panics
     /// Panics if `peer` is not a member, it is the last peer, or
     /// `replicas == 0`.
-    pub fn leave(&mut self, peer: u32, replicas: u32) -> Vec<ShardMove> {
+    pub(crate) fn leave(&mut self, peer: u32, replicas: u32) -> Vec<ShardMove> {
         assert!(self.peers.len() > 1, "cannot remove the last peer");
         let old = self.snapshot_placement(replicas);
         let at = self
@@ -228,23 +234,23 @@ impl ShardMap {
             .expect("at least one peer")
     }
 
-    fn snapshot_placement(&self, replicas: u32) -> Vec<Vec<PeerId>> {
+    fn snapshot_placement(&self, replicas: u32) -> Vec<Vec<u32>> {
         (0..self.shards)
             .map(|shard| self.replica_peers(shard, replicas))
             .collect()
     }
 
-    fn diff_placement(&self, old: &[Vec<PeerId>], replicas: u32) -> Vec<ShardMove> {
+    fn diff_placement(&self, old: &[Vec<u32>], replicas: u32) -> Vec<ShardMove> {
         (0..self.shards)
             .filter_map(|shard| {
                 let before = &old[shard as usize];
                 let after = self.replica_peers(shard, replicas);
-                let gained: Vec<PeerId> = after
+                let gained: Vec<u32> = after
                     .iter()
                     .filter(|p| !before.contains(p))
                     .copied()
                     .collect();
-                let dropped: Vec<PeerId> = before
+                let dropped: Vec<u32> = before
                     .iter()
                     .filter(|p| !after.contains(p))
                     .copied()
@@ -265,6 +271,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn placement_is_pinned() {
+        // Every document of every deployment keeps its shard, so stores
+        // written under one build serve under the next: any change to
+        // the points, the salts or the lookup moves documents and fails
+        // this fold of 16 deployments × 200 000 documents.
+        let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+        for shards in 1..=16u32 {
+            let map = ShardMap::new(shards);
+            for doc in 0..200_000u32 {
+                digest =
+                    (digest ^ u64::from(map.shard_of(DocId(doc)))).wrapping_mul(0x100_0000_01B3);
+            }
+        }
+        assert_eq!(digest, 0x1A69_F4F7_0547_B17E);
+    }
+
+    #[test]
     fn every_document_lands_on_exactly_one_peer() {
         let map = ShardMap::new(5);
         let docs: Vec<DocId> = (0..500).map(DocId).collect();
@@ -273,7 +296,7 @@ mod tests {
         assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 500);
         for (peer, shard) in shards.iter().enumerate() {
             for &doc in shard {
-                assert_eq!(map.shard_of(doc), PeerId(peer as u32));
+                assert_eq!(map.shard_of(doc), peer as u32);
             }
         }
     }
@@ -282,21 +305,22 @@ mod tests {
     fn single_peer_owns_everything() {
         let map = ShardMap::new(1);
         for d in 0..100 {
-            assert_eq!(map.shard_of(DocId(d)), PeerId(0));
+            assert_eq!(map.shard_of(DocId(d)), 0);
         }
     }
 
     #[test]
     fn load_is_roughly_balanced() {
         let map = ShardMap::new(8);
-        let docs: Vec<DocId> = (0..8_000).map(DocId).collect();
-        let shards = map.partition(&docs, |&d| d);
+        let mut load = [0usize; 8];
+        for doc in 0..8_000 {
+            load[map.shard_of(DocId(doc)) as usize] += 1;
+        }
         let expected = 1_000usize;
-        for (peer, shard) in shards.iter().enumerate() {
+        for (shard, &docs) in load.iter().enumerate() {
             assert!(
-                shard.len() > expected / 3 && shard.len() < expected * 3,
-                "peer {peer} owns {} of 8000 docs",
-                shard.len()
+                docs > expected / 3 && docs < expected * 3,
+                "shard {shard} owns {docs} of 8000 docs"
             );
         }
     }
@@ -310,11 +334,8 @@ mod tests {
     #[test]
     fn replica_sets_are_successor_runs() {
         let map = ShardMap::new(5);
-        assert_eq!(
-            map.replica_peers(3, 3),
-            vec![PeerId(3), PeerId(4), PeerId(0)]
-        );
-        assert_eq!(map.replica_peers(0, 1), vec![PeerId(0)]);
+        assert_eq!(map.replica_peers(3, 3), vec![3, 4, 0]);
+        assert_eq!(map.replica_peers(0, 1), vec![0]);
         // Over-replication clamps to one copy per peer.
         assert_eq!(map.replica_peers(2, 9).len(), 5);
     }
@@ -327,7 +348,7 @@ mod tests {
                 for shard in 0..peers {
                     for peer in map.replica_peers(shard, replicas) {
                         assert!(
-                            map.hosted_shards(peer.0, replicas).contains(&shard),
+                            map.hosted_shards(peer, replicas).contains(&shard),
                             "peer {peer:?} hosts a replica of shard {shard} \
                              but hosted_shards omits it (P={peers}, R={replicas})"
                         );
@@ -343,17 +364,25 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_outside_the_map_hosts_nothing() {
+        let mut map = ShardMap::new(3);
+        assert!(map.hosted_shards(7, 2).is_empty());
+        map.leave(1, 2);
+        assert!(map.hosted_shards(1, 2).is_empty());
+    }
+
+    #[test]
     fn join_rebalances_and_reports_exact_moves() {
         for replicas in 1..3u32 {
             let mut map = ShardMap::new(4);
-            let before: Vec<Vec<PeerId>> = (0..4).map(|s| map.replica_peers(s, replicas)).collect();
+            let before: Vec<Vec<u32>> = (0..4).map(|s| map.replica_peers(s, replicas)).collect();
             let moves = map.join(9, replicas);
             assert_eq!(map.peer_count(), 5);
             assert_eq!(map.shard_count(), 4, "shards never re-partition");
             assert!(map.contains_peer(9));
             // The joiner took over some hosting.
             assert!(
-                moves.iter().any(|m| m.gained.contains(&PeerId(9))),
+                moves.iter().any(|m| m.gained.contains(&9)),
                 "R={replicas}: joiner gained nothing: {moves:?}"
             );
             for m in &moves {
@@ -389,14 +418,14 @@ mod tests {
             // No shard is ever homed on (or replicated to) the leaver.
             for shard in 0..4 {
                 let set = map.replica_peers(shard, replicas);
-                assert!(!set.contains(&PeerId(1)), "R={replicas} shard {shard}");
+                assert!(!set.contains(&1), "R={replicas} shard {shard}");
                 assert_eq!(set.len() as u32, replicas.min(3));
             }
             // The leaver appears as a dropped host somewhere, and every
             // move still names it as a valid (pre-shutdown) source.
             assert!(moves
                 .iter()
-                .any(|m| m.dropped.contains(&PeerId(1)) || m.sources.contains(&PeerId(1))));
+                .any(|m| m.dropped.contains(&1) || m.sources.contains(&1)));
         }
     }
 

@@ -131,8 +131,8 @@ impl ShardedSearch {
                 let replicas = map
                     .replica_peers(shard, self.replicas)
                     .into_iter()
-                    .filter(|peer| !tainted.contains(&peer.0))
-                    .map(|peer| NodeId::IndexServer(peer.0))
+                    .filter(|peer| !tainted.contains(peer))
+                    .map(NodeId::IndexServer)
                     .collect();
                 (shard, replicas, request_payload(&build(shard)))
             })
@@ -140,7 +140,7 @@ impl ShardedSearch {
     }
 
     /// Executes a top-`k` query as anonymous client 0 (see
-    /// [`ShardedSearch::query_from`]).
+    /// `ShardedSearch::query_from`).
     pub fn query(&self, terms: &[TermId], k: usize) -> Result<ShardedQueryOutcome, QueryError> {
         self.query_from(0, terms, k)
     }
@@ -153,7 +153,7 @@ impl ShardedSearch {
     /// what the fault-injection tests rely on.
     /// [`ShardedSearch::query_shaped`] is the cached serving
     /// read over the same fan-out.
-    pub fn query_from(
+    pub(crate) fn query_from(
         &self,
         client: u32,
         terms: &[TermId],
@@ -173,7 +173,7 @@ impl ShardedSearch {
     /// The query is normalized, then probed against the epoch-keyed
     /// result cache; a hit answers without touching any peer (the
     /// trace records a `cache` span instead of a fan-out). A miss runs
-    /// the same fan-out as [`ShardedSearch::query_from`] and fills the
+    /// the same fan-out as `ShardedSearch::query_from` and fills the
     /// cache under the epoch the probe used. Because writes bump the
     /// epoch *after* every replica acknowledges, a key minted before a
     /// write can never be looked up after it: stale hits are

@@ -42,13 +42,13 @@ use crate::runtime::transport::{link_key, mix, Transport, TransportError};
 
 /// How many times each repair RPC is attempted before the rebuild is
 /// abandoned (transport errors only; faults never retry).
-pub const REPAIR_RPC_ATTEMPTS: u32 = 4;
+pub(crate) const REPAIR_RPC_ATTEMPTS: u32 = 4;
 
 /// Default first retry delay.
-pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(2);
+pub(crate) const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(2);
 
 /// Default retry-delay ceiling.
-pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
+pub(crate) const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// Capped exponential backoff with deterministic jitter.
 ///
@@ -68,7 +68,7 @@ pub(crate) struct Backoff {
 impl Backoff {
     /// A backoff starting at `base`, capped at `cap`, jittered from
     /// `seed`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
         Self {
             base,
             cap,
@@ -78,13 +78,13 @@ impl Backoff {
     }
 
     /// The defaults, jittered from `seed`.
-    pub fn for_seed(seed: u64) -> Self {
+    pub(crate) fn for_seed(seed: u64) -> Self {
         Self::new(DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_CAP, seed)
     }
 
     /// The next delay to sleep before retrying. Advances the attempt
     /// counter and the jitter stream.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self
             .base
             .saturating_mul(1u32 << self.attempt.min(16))

@@ -85,7 +85,7 @@ impl PeerService for ServerService {
 ///
 /// Without replication a peer hosts exactly its own shard; with
 /// `R`-fold replication it also carries copies of its `R - 1`
-/// predecessors' shards (see `zerber_dht::ShardMap::hosted_shards`),
+/// predecessors' shards (see [`crate::runtime::ShardMap::hosted_shards`]),
 /// and the `shard` field on [`Message::PlanQuery`] /
 /// [`Message::IndexDocs`] / [`Message::RemoveDoc`] selects which
 /// store serves the request. A request addressed to a shard this peer
@@ -226,7 +226,7 @@ impl ShardService {
     /// The service ring position `peer` runs — the one constructor,
     /// under either transport. With `Some(partition)` every shard in
     /// `hosted` serves `partition[shard]` (the output of
-    /// `zerber_dht::ShardMap::partition` over the launch corpus); with
+    /// [`crate::runtime::ShardMap::partition`] over the launch corpus); with
     /// `None` every one of them starts mid-rebuild — writes buffer
     /// from the first request, reads bounce with
     /// [`fault::REBUILDING`] — which is the *replacement* shape: a

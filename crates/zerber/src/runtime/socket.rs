@@ -441,7 +441,7 @@ impl Transport for SocketTransport {
 }
 
 /// A running socket peer: its accept loop, service thread, connection
-/// threads, and listen address. Dropping (or [`SocketPeer::shutdown`])
+/// threads, and listen address. Dropping (or `SocketPeer::shutdown`)
 /// closes the listener and every live connection — clients observe
 /// [`TransportError::PeerGone`], which is exactly what the
 /// kill-a-peer scenario injects.
@@ -460,7 +460,7 @@ impl SocketPeer {
 
     /// Stops accepting, severs every live connection, and joins the
     /// accept loop.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.closing.store(true, Ordering::SeqCst);
         for conn in self.conns.lock().iter() {
             conn.shutdown(std::net::Shutdown::Both).ok();

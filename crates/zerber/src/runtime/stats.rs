@@ -16,7 +16,7 @@ use zerber_index::{DocId, Document, TermId};
 /// collection before sharding, so every shard scores with the same
 /// weights a single node would use.
 #[derive(Debug, Clone, Default)]
-pub struct TermStats {
+pub(crate) struct TermStats {
     /// Total documents in the collection.
     pub doc_count: usize,
     /// Documents containing each term.
@@ -25,7 +25,7 @@ pub struct TermStats {
 
 impl TermStats {
     /// Gathers statistics from a document set.
-    pub fn from_documents(docs: &[Document]) -> Self {
+    pub(crate) fn from_documents(docs: &[Document]) -> Self {
         let mut df: HashMap<TermId, u32> = HashMap::new();
         for doc in docs {
             for &(term, _) in &doc.terms {
@@ -40,13 +40,13 @@ impl TermStats {
 
     /// The IDF factor of one term (0 for unseen terms) — delegates to
     /// the shared [`zerber_index::idf`] every ranking path uses.
-    pub fn idf(&self, term: TermId) -> f64 {
+    pub(crate) fn idf(&self, term: TermId) -> f64 {
         let df = self.df.get(&term).copied().unwrap_or(0) as usize;
         zerber_index::idf(self.doc_count, df)
     }
 
     /// Per-term `(term, idf)` weights for a query, in query order.
-    pub fn weights(&self, terms: &[TermId]) -> Vec<(TermId, f64)> {
+    pub(crate) fn weights(&self, terms: &[TermId]) -> Vec<(TermId, f64)> {
         terms.iter().map(|&t| (t, self.idf(t))).collect()
     }
 
@@ -55,7 +55,7 @@ impl TermStats {
     /// maintained statistics *identical* to a from-scratch rebuild —
     /// the invariant that keeps live-mutated deployments bit-identical
     /// to the oracle.
-    pub fn add_document(&mut self, terms: impl IntoIterator<Item = TermId>) {
+    pub(crate) fn add_document(&mut self, terms: impl IntoIterator<Item = TermId>) {
         self.doc_count += 1;
         for term in terms {
             *self.df.entry(term).or_insert(0) += 1;
@@ -63,7 +63,7 @@ impl TermStats {
     }
 
     /// Reverses [`TermStats::add_document`] for a removed document.
-    pub fn remove_document(&mut self, terms: impl IntoIterator<Item = TermId>) {
+    pub(crate) fn remove_document(&mut self, terms: impl IntoIterator<Item = TermId>) {
         self.doc_count = self.doc_count.saturating_sub(1);
         for term in terms {
             if let Some(df) = self.df.get_mut(&term) {

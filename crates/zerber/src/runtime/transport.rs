@@ -57,7 +57,7 @@ use zerber_net::{AuthToken, Message, NodeId, TrafficMeter, WireError};
 /// microseconds, and a *dead* one is detected immediately through the
 /// closed channel — the timeout only catches a peer that is alive but
 /// wedged.
-pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A collision-free 64-bit key per node (tag in the high half).
 pub(crate) fn node_key(node: NodeId) -> u64 {
@@ -119,14 +119,14 @@ impl std::error::Error for TransportError {}
 
 /// An encoded request [`Message`]: shared, because a write fan-out and
 /// a hedged read send the same bytes to several replicas.
-pub type RequestPayload = Arc<[u8]>;
+pub(crate) type RequestPayload = Arc<[u8]>;
 
 /// An encoded response [`Message`]: the buffer [`Message::encode`]
 /// returned, moved from the peer to the caller.
-pub type ReplyPayload = Vec<u8>;
+pub(crate) type ReplyPayload = Vec<u8>;
 
 /// Encodes `message` for sending — the one copy of a request payload.
-pub fn request_payload(message: &Message) -> RequestPayload {
+pub(crate) fn request_payload(message: &Message) -> RequestPayload {
     Arc::from(message.encode())
 }
 
@@ -134,7 +134,7 @@ pub fn request_payload(message: &Message) -> RequestPayload {
 /// `peer → client` link *before* delivery, so a response the client
 /// abandoned (hedged away, timed out) is still accounted — it crossed
 /// the wire regardless of who was listening.
-pub struct ReplySink {
+pub(crate) struct ReplySink {
     meter: Arc<TrafficMeter>,
     /// The responding peer (source of the response link).
     peer: NodeId,
@@ -147,7 +147,7 @@ impl ReplySink {
     /// A sink delivering to `tx`, metering `peer → client` response
     /// bytes on `meter`. Transport implementations (in-process and
     /// socket alike) build one per request.
-    pub fn new(
+    pub(crate) fn new(
         meter: Arc<TrafficMeter>,
         peer: NodeId,
         client: NodeId,
@@ -163,14 +163,14 @@ impl ReplySink {
 
     /// Meters and delivers one encoded response. A vanished requester
     /// is not the peer's problem — the send outcome is ignored.
-    pub fn send(&self, bytes: ReplyPayload) {
+    pub(crate) fn send(&self, bytes: ReplyPayload) {
         self.meter.record(self.peer, self.client, bytes.len());
         let _ = self.tx.send(bytes);
     }
 }
 
 /// A request as a peer thread receives it.
-pub struct RequestEnvelope {
+pub(crate) struct RequestEnvelope {
     /// The calling node (per-link accounting and reply routing).
     pub from: NodeId,
     /// The caller's session token.
@@ -181,6 +181,10 @@ pub struct RequestEnvelope {
     /// tree even when the peer is a separate process. Like the auth
     /// token it is envelope metadata, not payload, and is not counted
     /// in wire bytes.
+    #[expect(
+        dead_code,
+        reason = "no peer-side reader yet; peer spans will correlate on it"
+    )]
     pub trace: u64,
     /// Encoded request [`Message`].
     pub payload: RequestPayload,
@@ -189,7 +193,7 @@ pub struct RequestEnvelope {
 }
 
 /// What arrives in a peer's inbox.
-pub enum PeerInbox {
+pub(crate) enum PeerInbox {
     /// A client request awaiting a reply.
     Request(RequestEnvelope),
     /// Orderly shutdown: drain nothing further and exit the thread.
@@ -233,7 +237,7 @@ impl PendingReply {
 
     /// A pending that already failed. Used for dead peers and by the
     /// fault harness for dropped requests/responses.
-    pub fn failed(peer: NodeId, error: TransportError) -> Self {
+    pub(crate) fn failed(peer: NodeId, error: TransportError) -> Self {
         Self {
             peer,
             state: PendingState::Failed(error),
@@ -242,7 +246,7 @@ impl PendingReply {
 
     /// Wraps this pending so its response is withheld for `delay`
     /// (the fault harness's injected network delay).
-    pub fn delayed(self, delay: Duration) -> Self {
+    pub(crate) fn delayed(self, delay: Duration) -> Self {
         Self {
             peer: self.peer,
             state: PendingState::Delayed {
@@ -253,7 +257,7 @@ impl PendingReply {
     }
 
     /// The peer this request went to.
-    pub fn peer(&self) -> NodeId {
+    pub(crate) fn peer(&self) -> NodeId {
         self.peer
     }
 
@@ -285,7 +289,7 @@ impl PendingReply {
     /// `Err(Timeout)` leaves the pending intact — call `wait` or
     /// [`PendingReply::try_take`] again later to collect a late
     /// answer. Other errors are terminal and repeat on every call.
-    pub fn wait(&mut self, timeout: Duration) -> Result<Message, TransportError> {
+    pub(crate) fn wait(&mut self, timeout: Duration) -> Result<Message, TransportError> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(until) = self.settle_delay() {
@@ -321,7 +325,7 @@ impl PendingReply {
 
     /// Non-blocking poll: `Some` once the request has resolved (a
     /// response or a terminal error), `None` while still in flight.
-    pub fn try_take(&mut self) -> Option<Result<Message, TransportError>> {
+    pub(crate) fn try_take(&mut self) -> Option<Result<Message, TransportError>> {
         if self.settle_delay().is_some() {
             return None;
         }
@@ -351,7 +355,7 @@ pub trait Transport: Send + Sync {
     /// returns the in-flight handle. Never blocks on the peer:
     /// failures surface when the returned pending is waited on. This
     /// is the one required send primitive; implementations must
-    /// propagate `trace` onto the peer's [`RequestEnvelope`] (and, for
+    /// propagate `trace` onto the peer's `RequestEnvelope` (and, for
     /// the socket transport, onto the wire frame).
     fn begin_traced(
         &self,
@@ -376,7 +380,7 @@ pub trait Transport: Send + Sync {
     }
 
     /// Sends one request and blocks for the response (up to
-    /// [`DEFAULT_RPC_TIMEOUT`]).
+    /// `DEFAULT_RPC_TIMEOUT`).
     fn request(
         &self,
         from: NodeId,
@@ -398,7 +402,7 @@ pub struct InProcTransport {
 
 impl InProcTransport {
     /// A transport accounting on `meter`.
-    pub fn new(meter: Arc<TrafficMeter>) -> Self {
+    pub(crate) fn new(meter: Arc<TrafficMeter>) -> Self {
         Self {
             meter,
             inboxes: Mutex::new(HashMap::new()),
@@ -407,13 +411,13 @@ impl InProcTransport {
 
     /// Registers a peer's inbox under its address. Replaces any
     /// previous registration.
-    pub fn register(&self, node: NodeId, inbox: mpsc::Sender<PeerInbox>) {
+    pub(crate) fn register(&self, node: NodeId, inbox: mpsc::Sender<PeerInbox>) {
         self.inboxes.lock().insert(node, inbox);
     }
 
     /// Sends a shutdown signal to a peer's inbox (ignored if the peer
     /// is already gone).
-    pub fn shutdown(&self, node: NodeId) {
+    pub(crate) fn shutdown(&self, node: NodeId) {
         if let Some(inbox) = self.inboxes.lock().remove(&node) {
             let _ = inbox.send(PeerInbox::Shutdown);
         }

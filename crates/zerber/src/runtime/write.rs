@@ -83,17 +83,11 @@ impl ShardedSearch {
     /// assignment's replicas, so no acknowledged write can miss a
     /// peer that is about to start serving the shard.
     fn write_peers(&self, shard: u32) -> Vec<u32> {
-        let mut peers: Vec<u32> = self
-            .map
-            .read()
-            .replica_peers(shard, self.replicas)
-            .into_iter()
-            .map(|p| p.0)
-            .collect();
+        let mut peers = self.map.read().replica_peers(shard, self.replicas);
         if let Some(next) = self.transition.lock().as_ref() {
             for p in next.replica_peers(shard, self.replicas) {
-                if !peers.contains(&p.0) {
-                    peers.push(p.0);
+                if !peers.contains(&p) {
+                    peers.push(p);
                 }
             }
         }
@@ -205,10 +199,7 @@ impl ShardedSearch {
         {
             let map = self.map.read();
             for doc in docs {
-                per_shard
-                    .entry(map.shard_of(doc.id).0)
-                    .or_default()
-                    .push(doc);
+                per_shard.entry(map.shard_of(doc.id)).or_default().push(doc);
             }
         }
         let from = NodeId::Owner(owner);
@@ -244,14 +235,15 @@ impl ShardedSearch {
     }
 
     /// Inserts (or replaces) documents live, as owner node `owner`:
-    /// each document is routed to its shard by the consistent-hash
-    /// ring, shipped to *every* replica of that shard, and the global
-    /// statistics are updated exactly once that shard's replicas
-    /// acknowledge. Returns the number of documents shipped.
+    /// each document is routed to its shard by
+    /// [`ShardMap`](super::ShardMap), shipped to *every* replica of
+    /// that shard, and the global statistics are updated exactly once
+    /// that shard's replicas acknowledge. Returns the number of
+    /// documents shipped.
     ///
     /// On `Err` the batch may have landed *in part*: every shard whose
     /// replicas acknowledged stays applied **and accounted** (its
-    /// documents are served, counted in [`ShardedSearch::stats`], and
+    /// documents are served, counted in `ShardedSearch::stats`, and
     /// the serving epoch has moved past every cached result that
     /// predates them); only the failing shards' documents are missing.
     /// Re-sending the whole batch is safe — documents apply by id.
@@ -282,7 +274,7 @@ impl ShardedSearch {
     /// [`ShardedSearch::insert_documents`], fanned to every replica).
     /// Returns whether the document existed.
     pub fn delete_document(&self, owner: u32, doc: DocId) -> Result<bool, IngestError> {
-        let shard = self.map.read().shard_of(doc).0;
+        let shard = self.map.read().shard_of(doc);
         let from = NodeId::Owner(owner);
         let write = self.begin_write(from, shard, Message::RemoveDoc { shard, doc });
         let removed = match self.settle_write(from, write)? {
@@ -322,7 +314,7 @@ mod tests {
         search.set_degraded_mode(DegradedMode::FlaggedPartial);
         search.kill_peer(1);
         let map = search.shard_map();
-        let lands = |doc: &Document| map.replica_peers(map.shard_of(doc.id).0, 1)[0].0 == 0;
+        let lands = |doc: &Document| map.replica_peers(map.shard_of(doc.id), 1)[0] == 0;
 
         let mut landed: Vec<Document> = Vec::new();
         // Several rounds per entry point: at the parent the outcome

@@ -30,9 +30,10 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 
 use zerber::runtime::socket::{serve_peer, SocketTransport};
-use zerber::runtime::{local_planned, RuntimeObs, ShardService, ShardedSearch, Transport};
+use zerber::runtime::{
+    local_planned, RuntimeObs, ShardMap, ShardService, ShardedSearch, Transport,
+};
 use zerber::{PostingBackend, SegmentPolicy, ZerberConfig};
-use zerber_dht::ShardMap;
 use zerber_index::{DocId, Document, GroupId, RankedDoc, TermId};
 use zerber_net::{NodeId, TrafficMeter};
 use zerber_obs::MetricsRegistry;

@@ -23,7 +23,6 @@ pub use zerber_attacks;
 pub use zerber_client;
 pub use zerber_core;
 pub use zerber_corpus;
-pub use zerber_dht;
 pub use zerber_field;
 pub use zerber_index;
 pub use zerber_net;

@@ -14,7 +14,6 @@ use zerber_repro::zerber_attacks as _;
 use zerber_repro::zerber_client as _;
 use zerber_repro::zerber_core as _;
 use zerber_repro::zerber_corpus as _;
-use zerber_repro::zerber_dht as _;
 use zerber_repro::zerber_field as _;
 use zerber_repro::zerber_index as _;
 use zerber_repro::zerber_net as _;

@@ -9,11 +9,10 @@ use std::time::{Duration, Instant};
 
 use zerber::runtime::socket::{serve_peer, SocketTransport};
 use zerber::runtime::{
-    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, RuntimeObs, ShardService,
+    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, RuntimeObs, ShardMap, ShardService,
     ShardedSearch,
 };
 use zerber::{SegmentPolicy, ZerberConfig};
-use zerber_dht::ShardMap;
 use zerber_index::{DocId, Document, GroupId, TermId};
 use zerber_net::{NodeId, TrafficMeter};
 use zerber_query::{Forced, Query};

@@ -11,7 +11,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use zerber::runtime::{
     local_topk, ChaosAction, DegradedMode, FaultInjectTransport, FaultPlan, HedgePolicy,
-    PeerStatus, QueryError, ShardedSearch,
+    PeerStatus, QueryError, RepairError, ShardedSearch,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
@@ -251,6 +251,26 @@ fn leave_rehomes_shards_before_shutdown() {
     }
 }
 
+/// Reviving a peer the map does not know is refused with a typed error,
+/// like repairing, joining or leaving one, and spawns nothing: the
+/// deployment keeps serving exactly as before.
+#[test]
+fn reviving_an_unmapped_peer_is_a_protocol_error() {
+    let docs = corpus(40, 7);
+    let config = ZerberConfig::default().with_peers(3);
+    let search = ShardedSearch::launch(&config, &docs).expect("valid config");
+    assert!(matches!(
+        search.revive_peer(99),
+        Err(RepairError::Protocol(_))
+    ));
+    assert_eq!(search.peer_count(), 3);
+    let terms = [TermId(1), TermId(4)];
+    assert_eq!(
+        ranked_bits(&search.query(&terms, 5).expect("healthy")),
+        oracle_bits(&docs, &terms, 5)
+    );
+}
+
 /// Epoch integrity (fail-closed writes never invalidate the cache): a
 /// write that fails — every replica of its shard unreachable — must
 /// not bump the serving epoch, so results cached before the failure
@@ -278,7 +298,7 @@ fn failed_write_keeps_epoch_and_cached_results() {
     // Kill the only replica of some shard and aim a write at it.
     search.kill_peer(2);
     let doomed_id = (1000..)
-        .find(|&id| search.shard_map().shard_of(DocId(id)).0 == 2)
+        .find(|&id| search.shard_map().shard_of(DocId(id)) == 2)
         .expect("some id maps to the dead shard");
     let doomed = tagged(doomed_id);
     assert!(
@@ -334,7 +354,7 @@ fn flagged_partial_serves_covered_shards_without_caching() {
     let map = search.shard_map();
     let expected: Vec<(u32, u64)> = local_topk(&docs, &terms, docs.len())
         .iter()
-        .filter(|r| map.shard_of(r.doc).0 != 2)
+        .filter(|r| map.shard_of(r.doc) != 2)
         .take(6)
         .map(|r| (r.doc.0, r.score.to_bits()))
         .collect();

@@ -10,11 +10,10 @@ use std::time::Duration;
 
 use zerber::runtime::socket::{serve_peer, SocketPeer, SocketTransport};
 use zerber::runtime::{
-    local_planned, HedgePolicy, PeerStatus, PendingReply, RuntimeObs, ShardService, ShardedSearch,
-    Transport,
+    local_planned, HedgePolicy, PeerStatus, PendingReply, RuntimeObs, ShardMap, ShardService,
+    ShardedSearch, Transport,
 };
 use zerber::{PostingBackend, SegmentPolicy, ZerberConfig};
-use zerber_dht::ShardMap;
 use zerber_index::{DocId, Document, GroupId, RankedDoc, TermId};
 use zerber_net::{AuthToken, Message, NodeId, TrafficMeter};
 use zerber_obs::MetricsRegistry;
