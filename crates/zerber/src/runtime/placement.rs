@@ -312,6 +312,21 @@ mod tests {
     #[test]
     fn load_is_roughly_balanced() {
         let map = ShardMap::new(8);
+        let docs: Vec<DocId> = (0..8_000).map(DocId).collect();
+        let shards = map.partition(&docs, |&d| d);
+        let expected = 1_000usize;
+        for (peer, shard) in shards.iter().enumerate() {
+            assert!(
+                shard.len() > expected / 3 && shard.len() < expected * 3,
+                "peer {peer} owns {} of 8000 docs",
+                shard.len()
+            );
+        }
+    }
+
+    #[test]
+    fn circle_load_is_roughly_balanced() {
+        let map = ShardMap::new(8);
         let mut load = [0usize; 8];
         for doc in 0..8_000 {
             load[map.shard_of(DocId(doc)) as usize] += 1;
