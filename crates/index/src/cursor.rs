@@ -1,13 +1,13 @@
-//! Lazy decode-on-demand cursors for block-max top-k.
+//! Lazy decode-on-demand cursors and the one disjunctive evaluator.
 //!
 //! Ranking a query by first materializing every posting of every query
 //! term costs O(total postings) regardless of `k`. This module makes
 //! the read path lazy end-to-end: a [`BlockCursor`] exposes a term's
-//! scored postings *by block*, with the block-max skip metadata
-//! readable **without decoding** the block payload, and
-//! [`block_max_topk_cursors`] consults those bounds *before* touching
-//! entries — only blocks that survive the upper-bound test are ever
-//! decompressed.
+//! scored postings *by block*, with the skip metadata readable
+//! **without decoding** the block payload, and [`maxscore_topk`] ranks
+//! a disjunctive query by seeking the lists its σ bounds demote past
+//! whole blocks — a block is decompressed only when an essential list
+//! enumerates it or a seek lands in it.
 //!
 //! The trait has four implementations:
 //!
@@ -23,18 +23,16 @@
 //!   into one list first;
 //! * [`EmptyCursor`] — a term with no postings.
 //!
-//! Two pieces here are shared by every evaluator (this module's TA and
-//! the MaxScore / conjunctive / phrase evaluators in `zerber-query`):
-//! the [`TopKScratch`] collector, a bounded heap under the one result
-//! order, and — for the evaluators that select candidates lazily — the
-//! one-sweep minimum selection that also drives the merge cursor.
+//! Every evaluator (this module's MaxScore and the conjunctive / phrase
+//! evaluators in `zerber-query`) ranks through the [`TopKScratch`]
+//! collector, a bounded heap under the one result order.
 //!
-//! The cursor algorithm returns **bit-identical** results to the
-//! exhaustive oracle: per-document contributions are accumulated in
-//! list order exactly like [`crate::topk::naive_topk`], and pruning
-//! uses strict bounds, so ties can never be lost (property-tested in
-//! `zerber-postings`' `topk_properties.rs`, beside the cursors it
-//! needs as fixtures).
+//! MaxScore returns **bit-identical** results to the exhaustive
+//! oracle: per-document contributions are accumulated in list order
+//! exactly like [`crate::topk::naive_topk`], and pruning uses strict
+//! bounds with a rounding margin, so ties can never be lost
+//! (property-tested in `zerber-postings`' `topk_properties.rs`, beside
+//! the cursors it needs as fixtures).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -48,9 +46,9 @@ use crate::types::DocId;
 /// A cursor has a *logical position*: the next not-yet-consumed
 /// posting. The position's document id may be known only as a lower
 /// bound until [`BlockCursor::materialize`] decodes the current block
-/// — that deferral is what lets [`block_max_topk_cursors`] prove from
-/// [`BlockCursor::block_max`] alone that a block cannot contend and
-/// skip it via [`BlockCursor::advance_past`] without any decode.
+/// — that deferral is what lets [`maxscore_topk`] seek a demoted list
+/// past whole blocks via [`BlockCursor::advance_past`] without any
+/// decode.
 ///
 /// # Contract
 ///
@@ -92,7 +90,8 @@ pub trait BlockCursor {
 
     /// Upper bound on the score of every remaining posting with
     /// document `≤ block_last_doc()`. Only meaningful while
-    /// `!at_end()`.
+    /// `!at_end()`. No evaluator reads it: it is the per-block
+    /// metadata a block-level bound on MaxScore's lists would use.
     fn block_max(&self) -> f64;
 
     /// Static upper bound on the score of *every* posting in the
@@ -144,8 +143,8 @@ pub trait BlockCursor {
 /// Work accounting for one query: how many blocks the cursors actually
 /// decompressed versus how many exist across the query's posting
 /// lists, and how many candidates the evaluator fully scored.
-/// `blocks_decoded < blocks_total` is the proof that block-max pruning
-/// skipped real decode work; evaluation time over `postings_scored` is
+/// `blocks_decoded < blocks_total` is the proof that pruning skipped
+/// real decode work; evaluation time over `postings_scored` is
 /// the per-posting cost of the read path. Process-local: only the two
 /// block counts travel in `TopKResponse`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,8 +201,8 @@ impl Ord for ByRank {
 ///
 /// One bounded worst-first heap under [`RankedDoc::result_order`]:
 /// [`offer`](Self::offer) keeps a candidate iff it ranks before the
-/// worst of the `k` retained, [`kth_score`](Self::kth_score) reads the
-/// pruning threshold off the heap's top, and
+/// worst of the `k` retained, `kth_score` reads MaxScore's pruning
+/// threshold off the heap's top, and
 /// [`finish`](Self::finish) drains it best-first into
 /// [`ranked`](Self::ranked). The outcome is exactly
 /// `sort_by(result_order)` + `truncate(k)` over everything offered —
@@ -248,7 +247,7 @@ impl TopKScratch {
 
     /// The `k`-th best score so far — the threshold a new candidate
     /// must reach to matter — once `k` candidates are retained.
-    pub fn kth_score(&self) -> Option<f64> {
+    pub(crate) fn kth_score(&self) -> Option<f64> {
         self.heap
             .peek()
             .filter(|_| self.heap.len() == self.k)
@@ -277,72 +276,37 @@ impl TopKScratch {
     }
 }
 
-/// What candidate selection needs to see of a cursor — lets
-/// [`select_exact_min`] serve both the top-k driver's plain cursor
-/// slices and the merge cursor's ranked sub-cursors without
-/// duplicating the fixpoint.
-trait CursorSlot {
-    /// `None` at end, else the cursor's document lower bound and
-    /// whether it is exact.
-    fn frontier(&self) -> Option<(DocId, bool)>;
-    /// Materializes the cursor.
-    fn pin(&mut self);
-}
-
-impl<'a> CursorSlot for Box<dyn BlockCursor + 'a> {
-    fn frontier(&self) -> Option<(DocId, bool)> {
-        (!self.at_end()).then(|| (self.doc_lower_bound(), self.is_exact()))
-    }
-    fn pin(&mut self) {
-        let _ = self.materialize();
-    }
-}
-
-/// Finds the smallest current document across the slots' cursors,
-/// decoding only the cursors whose lower bound ties the running
-/// minimum: a cursor whose (metadata-only) bound already exceeds the
-/// minimum provably cannot hold the candidate and stays undecoded.
-/// Each round materializes *every* bound-tied cursor in one sweep and
-/// re-evaluates — the minimum cannot rise while a tied cursor is still
-/// inexact, so this pins exactly the cursors a one-at-a-time restart
-/// would, in a number of sweeps that does not grow with the cursor
-/// count. On return every cursor that might contain the candidate
-/// [`BlockCursor::is_exact`].
-fn select_exact_min<S: CursorSlot>(slots: &mut [S]) -> Option<DocId> {
-    loop {
-        let min = slots
-            .iter()
-            .filter_map(|slot| Some(slot.frontier()?.0))
-            .min()?;
-        let mut settled = true;
-        for slot in slots.iter_mut() {
-            if slot.frontier() == Some((min, false)) {
-                // May pin the position at `min`, raise the bound past
-                // it, or discover exhaustion — re-evaluate either way.
-                slot.pin();
-                settled = false;
-            }
-        }
-        if settled {
-            return Some(min);
-        }
-    }
-}
-
-/// The cursor-driven block-max Threshold Algorithm: document-at-a-time
-/// evaluation that consults each cursor's block maximum *before*
-/// decoding, decompressing only blocks that survive the upper-bound
-/// test.
+/// MaxScore top-k, the one disjunctive evaluator: cursors are
+/// partitioned by their static whole-list σ bound
+/// ([`BlockCursor::list_max_score`]) into *non-essential* (smallest
+/// bounds, their σ prefix sum strictly below the current k-th score)
+/// and *essential* (the rest). Candidates are enumerated from the
+/// essential frontier only — a document absent from every essential
+/// list scores at most the non-essential σ sum, which is strictly below
+/// the k-th score, so it can never rank — and non-essential lists are
+/// probed by `advance_past` seek per candidate. As the threshold rises,
+/// more lists demote; the demotion is monotone, so sorted-access work
+/// on long low-σ lists stops early.
 ///
-/// Whenever `k` results are retained and the sum of the current block
-/// maxima is *strictly* below the current `k`-th best score, no
-/// document inside the overlap of the current blocks can reach the
-/// top-`k`: every cursor jumps past the nearest block boundary without
-/// those blocks ever being decoded. Returns exactly the same ranked
-/// results as the exhaustive oracle (contributions are accumulated in
-/// list order, so even the floating-point sums match bit for bit); the
+/// Essential cursors are materialized **eagerly**: an essential list
+/// is enumerated in full by definition, so every block of it gets
+/// decoded whether its cursor is pinned now or when the frontier
+/// reaches it, and the candidate is simply the minimum of the pinned
+/// documents — one `materialize` per cursor, no bound-chasing
+/// fixpoint. The only decode laziness could have saved is the block a
+/// cursor stands before at the moment it demotes or the loop ends: at
+/// most one per cursor per query. A one-list query reads its whole
+/// list: the list's own σ bounds every score, so it never demotes.
+///
+/// Per-document pruning by partial score is deliberately **absent**: a
+/// partial-sum bound would be assembled in σ order, not slot order,
+/// and f64 addition is order-sensitive, so such a bound could undercut
+/// the true slot-order score by ulps and skip a tie. List-level σ
+/// prefix sums face the same hazard, which `safe_upper` covers with
+/// a rigorous rounding margin. Scores themselves are always summed in
+/// original slot order — bit-identical to the exhaustive oracle. The
 /// result lands in `scratch.ranked`.
-pub fn block_max_topk_cursors(
+pub fn maxscore_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
     scratch: &mut TopKScratch,
@@ -352,64 +316,100 @@ pub fn block_max_topk_cursors(
         return;
     }
 
+    // Cursor indices ascending by σ; `prefix[n]` = σ sum of the n
+    // smallest. Cursors stay in their original slots — `order` only
+    // names them — so contribution sums keep the slot order.
+    let mut order: Vec<usize> = (0..cursors.len()).collect();
+    order.sort_by(|&a, &b| {
+        cursors[a]
+            .list_max_score()
+            .total_cmp(&cursors[b].list_max_score())
+    });
+    let mut prefix = Vec::with_capacity(order.len() + 1);
+    let mut sum = 0.0f64;
+    prefix.push(sum);
+    for &i in &order {
+        sum += cursors[i].list_max_score();
+        prefix.push(sum);
+    }
+
+    // Count of non-essential cursors (a prefix of `order`); only ever
+    // grows, because the k-th score only rises.
+    let mut n_non = 0usize;
+    // Per slot: the essential cursor's pinned posting, then the
+    // candidate's contribution.
+    let mut heads: Vec<Option<(DocId, f64)>> = vec![None; cursors.len()];
+
     loop {
         if let Some(kth) = scratch.kth_score() {
-            let mut live = false;
-            let mut upper_bound = 0.0;
-            for cursor in cursors.iter() {
-                if !cursor.at_end() {
-                    live = true;
-                    upper_bound += cursor.block_max();
-                }
+            while n_non < order.len() && safe_upper(prefix[n_non + 1], n_non + 1) < kth {
+                n_non += 1;
             }
-            if !live {
-                break;
-            }
-            if upper_bound < kth {
-                // Skip to just past the nearest current-block boundary:
-                // every document up to it is bounded by `upper_bound`.
-                // Metadata only — nothing decodes.
-                let boundary = cursors
-                    .iter()
-                    .filter(|c| !c.at_end())
-                    .map(|c| c.block_last_doc())
-                    .min()
-                    .expect("a live cursor exists");
-                for cursor in cursors.iter_mut() {
-                    if !cursor.at_end() {
-                        cursor.advance_past(boundary);
-                    }
-                }
-                continue;
-            }
-        } else if cursors.iter().all(|c| c.at_end()) {
+        }
+        if n_non >= order.len() {
+            // Every document left is bounded strictly below the k-th
+            // score by the full σ sum.
             break;
         }
-
-        // A cursor may discover mid-materialization that only shadowed
-        // postings remained; loop back and re-test exhaustion.
-        let Some(candidate) = select_exact_min(cursors) else {
-            continue;
+        heads.fill(None);
+        for &i in &order[n_non..] {
+            heads[i] = cursors[i].materialize();
+        }
+        let Some(candidate) = heads.iter().flatten().map(|&(doc, _)| doc).min() else {
+            // Essential lists exhausted; whatever remains lives only
+            // in non-essential lists and is bounded below the k-th
+            // score (n_non > 0 implies the collector is full).
+            break;
         };
 
-        // Fully score the candidate. Every cursor that could contain
-        // it is exact (select_exact_min's postcondition); contributions
-        // are summed in list order, matching the oracle bit for bit.
-        let mut score = 0.0;
-        for cursor in cursors.iter_mut() {
-            if cursor.at_end() || !cursor.is_exact() {
+        // Essential cursors parked on the candidate contribute and
+        // advance; the others' pinned postings are not contributions.
+        for &i in &order[n_non..] {
+            match heads[i] {
+                Some((doc, _)) if doc == candidate => cursors[i].step(),
+                _ => heads[i] = None,
+            }
+        }
+        // Non-essential cursors are probed by seek: jump to the first
+        // posting ≥ candidate, contribute on a hit.
+        for &i in &order[..n_non] {
+            let cursor = &mut cursors[i];
+            if cursor.at_end() {
                 continue;
             }
-            let (doc, s) = cursor.materialize().expect("exact cursor has an entry");
-            if doc == candidate {
-                score += s;
-                cursor.step();
+            if candidate.0 > 0 {
+                cursor.advance_past(DocId(candidate.0 - 1));
             }
+            if cursor.at_end() || cursor.doc_lower_bound() > candidate {
+                continue;
+            }
+            if let Some((doc, score)) = cursor.materialize() {
+                if doc == candidate {
+                    heads[i] = Some((doc, score));
+                    cursor.step();
+                }
+            }
+        }
+
+        // Sum in original slot order — the bit-identity contract.
+        let mut score = 0.0;
+        for &(_, contribution) in heads.iter().flatten() {
+            score += contribution;
         }
         scratch.offer(candidate, score);
     }
 
     scratch.finish();
+}
+
+/// A rigorous upper bound on the sum of `n` non-negative f64 addends
+/// whose σ-order computed sum is `computed`: any other summation order
+/// (in particular the slot order actual scores use) differs from the
+/// exact sum by at most `(n-1)·ε` relatively, so inflating by `2nε`
+/// dominates both roundings. Without this margin a score equal to the
+/// bound up to one ulp could be pruned — a lost tie.
+fn safe_upper(computed: f64, n: usize) -> f64 {
+    computed * (1.0 + 2.0 * n as f64 * f64::EPSILON)
 }
 
 /// A cursor over a list that holds no postings at all.
@@ -508,6 +508,13 @@ struct MergeSub<C> {
 }
 
 impl<C: BlockCursor> MergeSub<C> {
+    /// `None` at end, else the cursor's document lower bound and
+    /// whether it is exact.
+    fn frontier(&self) -> Option<(DocId, bool)> {
+        let cursor = &self.cursor;
+        (!cursor.at_end()).then(|| (cursor.doc_lower_bound(), cursor.is_exact()))
+    }
+
     /// The sub-cursor's posting when it is pinned on `doc`.
     fn posting_on(&mut self, doc: DocId) -> Option<f64> {
         if self.cursor.at_end() || !self.cursor.is_exact() {
@@ -519,13 +526,34 @@ impl<C: BlockCursor> MergeSub<C> {
     }
 }
 
-impl<C: BlockCursor> CursorSlot for MergeSub<C> {
-    fn frontier(&self) -> Option<(DocId, bool)> {
-        let cursor = &self.cursor;
-        (!cursor.at_end()).then(|| (cursor.doc_lower_bound(), cursor.is_exact()))
-    }
-    fn pin(&mut self) {
-        let _ = self.cursor.materialize();
+/// Finds the smallest current document across the subs' cursors,
+/// decoding only the cursors whose lower bound ties the running
+/// minimum: a cursor whose (metadata-only) bound already exceeds the
+/// minimum provably cannot hold the candidate and stays undecoded.
+/// Each round materializes *every* bound-tied cursor in one sweep and
+/// re-evaluates — the minimum cannot rise while a tied cursor is still
+/// inexact, so this pins exactly the cursors a one-at-a-time restart
+/// would, in a number of sweeps that does not grow with the cursor
+/// count. On return every cursor that might contain the candidate
+/// [`BlockCursor::is_exact`].
+fn select_exact_min<C: BlockCursor>(subs: &mut [MergeSub<C>]) -> Option<DocId> {
+    loop {
+        let min = subs
+            .iter()
+            .filter_map(|sub| Some(sub.frontier()?.0))
+            .min()?;
+        let mut settled = true;
+        for sub in subs.iter_mut() {
+            if sub.frontier() == Some((min, false)) {
+                // May pin the position at `min`, raise the bound past
+                // it, or discover exhaustion — re-evaluate either way.
+                let _ = sub.cursor.materialize();
+                settled = false;
+            }
+        }
+        if settled {
+            return Some(min);
+        }
     }
 }
 
@@ -792,7 +820,7 @@ mod tests {
         assert_eq!(cursor.positions(), (0, 0));
         let mut cursors: Vec<Box<dyn BlockCursor + '_>> = vec![Box::new(EmptyCursor)];
         let mut scratch = TopKScratch::new();
-        block_max_topk_cursors(&mut cursors, 5, &mut scratch);
+        maxscore_topk(&mut cursors, 5, &mut scratch);
         assert!(scratch.ranked.is_empty());
     }
 }

@@ -19,9 +19,10 @@
 //! * [`topk`] — TF-IDF scoring and the Fagin-style Threshold Algorithm
 //!   used for client-side ranking (Section 5.4.2),
 //! * [`cursor`] — the lazy decode-on-demand query pipeline:
-//!   [`cursor::BlockCursor`] sorted access with block-max peeking, and
-//!   the cursor-driven [`cursor::block_max_topk_cursors`] that only
-//!   decompresses blocks surviving the upper-bound test,
+//!   [`cursor::BlockCursor`] sorted access with metadata-only seeks,
+//!   and [`cursor::maxscore_topk`], the one disjunctive evaluator,
+//!   which seeks its σ-demoted lists past blocks instead of decoding
+//!   them,
 //! * `bloom` — a Bloom filter, the substrate of the μ-Serv baseline
 //!   from related work \[3\],
 //! * `baseline` — the "ideal" trusted central index of Section 2: an
@@ -44,7 +45,7 @@ pub(crate) mod types;
 
 pub use baseline::CentralIndex;
 pub use bloom::BloomFilter;
-pub use cursor::{block_max_topk_cursors, BlockCursor, QueryCost, TopKScratch};
+pub use cursor::{maxscore_topk, BlockCursor, QueryCost, TopKScratch};
 pub use dict::TermDict;
 pub use doc::{Document, RawDocument};
 pub use inverted::InvertedIndex;

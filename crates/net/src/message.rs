@@ -228,9 +228,10 @@ pub enum Message {
         /// Query shape: 0 = disjunctive terms, 1 = conjunctive AND,
         /// 2 = exact phrase. Anything else is malformed.
         shape: u8,
-        /// Disjunctive evaluator override: 0 = planner default,
-        /// 1 = force block-max TA, 2 = force MaxScore. Anything else
-        /// is malformed.
+        /// The retired disjunctive evaluator override: always 0. The
+        /// values 1 and 2 once pinned evaluators that no longer exist;
+        /// a peer answers them, like any other value, as malformed.
+        /// The codec carries the byte without interpreting it.
         forced: u8,
         /// Query slots with their global IDF weights — phrase order
         /// (duplicates allowed) for the phrase shape.

@@ -4,8 +4,8 @@
 //! Each block carries `(first_doc, last_doc, block_max_score)` skip
 //! metadata ([`BlockMeta`]) so readers can decide from the block index
 //! alone whether a block can contain a sought document
-//! (`advance_to`) or contend for a top-k result (block-max TA) —
-//! without decoding the payload.
+//! (`advance_to`) and bound its scores — without decoding the
+//! payload.
 //!
 //! The codec layer works on 64-bit document keys even though the
 //! in-memory [`zerber_index::DocId`] is 32-bit today: the on-wire

@@ -8,8 +8,8 @@
 //! without touching the compressed bytes, and a block is decompressed
 //! only when [`BlockCursor::materialize`] has to pin an exact
 //! position. `advance_past` jumps whole blocks via the metadata alone,
-//! so the block-max Threshold Algorithm skips decode work — not just
-//! score evaluations — for blocks it proves non-contending.
+//! so MaxScore's seeks on a demoted list skip decode work — not just
+//! score evaluations — for every block they pass over.
 //!
 //! [`DecodedEntriesCursor`] is the same cursor over postings that are
 //! already decoded in memory (a memtable delta's `&[RawEntry]`): it
@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use crate::builder::CompressedPostingBuilder;
     use zerber_index::cursor::{
-        block_max_topk_cursors, QueryCost, Shadow, ShadowedMergeCursor, TopKScratch,
+        maxscore_topk, QueryCost, Shadow, ShadowedMergeCursor, TopKScratch,
     };
 
     fn list_of(docs: &[u64]) -> CompressedPostingList {
@@ -549,7 +549,7 @@ mod tests {
         ];
         let mut scratch = TopKScratch::new();
         for mut cursors in [decoded, compressed] {
-            block_max_topk_cursors(&mut cursors, 3, &mut scratch);
+            maxscore_topk(&mut cursors, 3, &mut scratch);
             let cost = QueryCost::of(&cursors);
             assert_eq!(scratch.ranked.len(), 3);
             assert_eq!(scratch.ranked[0].doc, DocId(0));

@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn lazy_cursors_rank_identically_and_prune_decode_work() {
-        use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+        use zerber_index::cursor::{maxscore_topk, QueryCost, TopKScratch};
         use zerber_index::topk::naive_topk;
         use zerber_index::{RankedDoc, ScoredList};
         // The reference: every posting of the index's uncompressed
@@ -224,7 +224,7 @@ mod tests {
         for k in [1usize, 5, 50] {
             let reference = raw_ranked(&index, &weights, k);
             let mut cursors = store.query_cursors(&weights);
-            block_max_topk_cursors(&mut cursors, k, &mut scratch);
+            maxscore_topk(&mut cursors, k, &mut scratch);
             let cost = QueryCost::of(&cursors);
             assert_eq!(scratch.ranked.len(), reference.len(), "k = {k}");
             for (lazy, r) in scratch.ranked.iter().zip(&reference) {
@@ -246,7 +246,7 @@ mod tests {
         let store = CompressedPostingStore::from_index(&selective);
         let weights = vec![(TermId(0), 8.0), (TermId(1), 0.1)];
         let mut cursors = store.query_cursors(&weights);
-        block_max_topk_cursors(&mut cursors, 3, &mut scratch);
+        maxscore_topk(&mut cursors, 3, &mut scratch);
         let cost = QueryCost::of(&cursors);
         assert!(
             cost.blocks_decoded < cost.blocks_total,

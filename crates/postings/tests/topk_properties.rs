@@ -1,5 +1,5 @@
 //! Property tests for the ranking algorithm in `zerber-index`: the
-//! cursor-driven block-max Threshold Algorithm must return exactly the
+//! cursor-driven MaxScore evaluator must return exactly the
 //! same top-k documents and scores as the exhaustive evaluation, for
 //! arbitrary corpora and k, while never decoding more blocks than
 //! exist. They live here because the driver needs real cursors to
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use zerber_index::cursor::{block_max_topk_cursors, QueryCost, TopKScratch};
+use zerber_index::cursor::{maxscore_topk, QueryCost, TopKScratch};
 use zerber_index::topk::naive_topk;
 use zerber_index::{BlockCursor, DocId, RankedDoc, ScoredList};
 use zerber_postings::{
@@ -81,7 +81,7 @@ fn block_max_ranked(fixtures: &[Fixture], k: usize) -> [(Vec<RankedDoc>, QueryCo
         .collect();
     [compressed, decoded].map(|mut cursors| {
         let mut scratch = TopKScratch::new();
-        block_max_topk_cursors(&mut cursors, k, &mut scratch);
+        maxscore_topk(&mut cursors, k, &mut scratch);
         (scratch.take_ranked(), QueryCost::of(&cursors))
     })
 }
@@ -133,8 +133,8 @@ proptest! {
 /// On a constructed selective corpus — a handful of dominant rare-term
 /// documents in front of a long, weak common list — the lazy pipeline
 /// must decode *strictly* fewer blocks than exist: once the heap holds
-/// the rare documents, the common tail's block maxima fall below the
-/// k-th score and whole blocks skip undecoded.
+/// the rare documents, the common list's σ falls below the k-th score,
+/// it demotes to non-essential, and seeks pass its blocks undecoded.
 #[test]
 fn selective_corpus_decodes_strictly_fewer_blocks() {
     let rare: Postings = (0..4).map(|d| (d, (1, 1))).collect();
@@ -177,7 +177,7 @@ fn block_max_matches_naive_on_fixed_example() {
 #[test]
 fn block_max_skips_cannot_lose_tied_docs() {
     // Every document but one ties at the k-th score, across three
-    // blocks; block-max pruning uses a strict bound, so all tied docs
+    // blocks; pruning uses a strict bound, so all tied docs
     // must survive for tie-breaking.
     let entries: Vec<(u32, u32)> = (0..300).map(|d| (d, if d == 1 { 9 } else { 5 })).collect();
     for (top, _) in block_max_ranked(&[Fixture::tenths(&entries)], 3) {

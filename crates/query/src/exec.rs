@@ -1,11 +1,12 @@
-//! The evaluators: block-max TA, MaxScore, conjunctive leapfrog, and
+//! Planned evaluation: MaxScore ([`maxscore_topk`], from
+//! `zerber-index`) for disjunctive queries, conjunctive leapfrog, and
 //! phrase matching — all over [`BlockCursor`] sorted access, all
 //! **bit-identical** to the exhaustive oracles in [`crate::oracle`].
 //!
 //! Bit-identity is the load-bearing invariant (shard fan-out merges
 //! candidate lists by exact score, so a one-ulp divergence between
 //! backends or evaluators would make sharded results depend on
-//! placement). It rests on three rules every evaluator here obeys:
+//! placement). It rests on three rules every evaluator obeys:
 //!
 //! 1. A document's score is the sum of its per-slot contributions
 //!    accumulated **in slot order** — f64 addition is commutative but
@@ -29,8 +30,7 @@
 //! ([`BlockCursor::positions`]).
 
 use zerber_index::{
-    block_max_topk_cursors, BlockCursor, DocId, PostingStore, QueryCost, RankedDoc, TermId,
-    TopKScratch,
+    maxscore_topk, BlockCursor, DocId, PostingStore, QueryCost, RankedDoc, TermId, TopKScratch,
 };
 
 use crate::ast::QueryShape;
@@ -51,6 +51,8 @@ pub struct QueryOutcome {
 /// query's `(term, weight)` pairs in query order (phrase order for
 /// [`QueryShape::Phrase`], duplicates allowed); weights must be
 /// non-negative and finite.
+///
+/// `forced` is kept only for `benchmark/`; ROADMAP item 1 deletes it.
 pub fn execute(
     store: &dyn PostingStore,
     shape: QueryShape,
@@ -60,29 +62,21 @@ pub fn execute(
     scratch: &mut TopKScratch,
 ) -> QueryOutcome {
     let plan = plan(shape, slots.len(), forced);
-    // Conjunctive and phrase evaluation score each distinct term once.
-    let distinct;
-    let scoring = match plan {
-        EvaluatorKind::BlockMaxTa | EvaluatorKind::MaxScore => slots,
-        EvaluatorKind::Conjunctive | EvaluatorKind::Phrase => {
-            distinct = distinct_slots(slots);
-            &distinct
-        }
-    };
-    let mut cursors = store.query_cursors(scoring);
+    // Conjunctive and phrase evaluation score each distinct term once;
+    // each phrase slot reads positions from its term's cursor.
+    let mut cursors;
     match plan {
-        EvaluatorKind::BlockMaxTa => block_max_topk_cursors(&mut cursors, k, scratch),
-        EvaluatorKind::MaxScore => maxscore_topk(&mut cursors, k, scratch),
-        EvaluatorKind::Conjunctive => conjunctive_topk(&mut cursors, k, scratch, |_| true),
+        EvaluatorKind::MaxScore => {
+            cursors = store.query_cursors(slots);
+            maxscore_topk(&mut cursors, k, scratch);
+        }
+        EvaluatorKind::Conjunctive => {
+            cursors = store.query_cursors(&distinct_slots(slots).0);
+            conjunctive_topk(&mut cursors, k, scratch, |_| true);
+        }
         EvaluatorKind::Phrase => {
-            // Each phrase slot reads positions from its term's cursor.
-            let phrase: Vec<usize> = slots
-                .iter()
-                .map(|&(term, _)| {
-                    let cursor = scoring.iter().position(|&(t, _)| t == term);
-                    cursor.expect("every slot's term is a scoring slot")
-                })
-                .collect();
+            let (distinct, phrase) = distinct_slots(slots);
+            cursors = store.query_cursors(&distinct);
             conjunctive_topk(&mut cursors, k, scratch, |aligned| {
                 phrase_match(&phrase, aligned)
             });
@@ -99,15 +93,22 @@ pub fn execute(
 
 /// The distinct `(term, weight)` slots in first-occurrence order —
 /// the scoring slots of conjunctive and phrase evaluation (a phrase
-/// repeating a term constrains positions twice but scores it once).
-pub(crate) fn distinct_slots(slots: &[(TermId, f64)]) -> Vec<(TermId, f64)> {
+/// repeating a term constrains positions twice but scores it once) —
+/// and, per slot of `slots`, the index of its term's distinct slot.
+pub(crate) fn distinct_slots(slots: &[(TermId, f64)]) -> (Vec<(TermId, f64)>, Vec<usize>) {
     let mut distinct: Vec<(TermId, f64)> = Vec::with_capacity(slots.len());
+    let mut slot_of = Vec::with_capacity(slots.len());
     for &(term, weight) in slots {
-        if !distinct.iter().any(|&(t, _)| t == term) {
-            distinct.push((term, weight));
-        }
+        let at = match distinct.iter().position(|&(t, _)| t == term) {
+            Some(at) => at,
+            None => {
+                distinct.push((term, weight));
+                distinct.len() - 1
+            }
+        };
+        slot_of.push(at);
     }
-    distinct
+    (distinct, slot_of)
 }
 
 /// Does the document every cursor in `aligned` stands on contain the
@@ -130,138 +131,6 @@ fn phrase_match(phrase: &[usize], aligned: &[Box<dyn BlockCursor + '_>]) -> bool
     lo < hi
 }
 
-/// MaxScore top-k: cursors are partitioned by their static whole-list
-/// σ bound ([`BlockCursor::list_max_score`]) into *non-essential*
-/// (smallest bounds, their σ prefix sum strictly below the current
-/// k-th score) and *essential* (the rest). Candidates are enumerated
-/// from the essential frontier only — a document absent from every
-/// essential list scores at most the non-essential σ sum, which is
-/// strictly below the k-th score, so it can never rank — and
-/// non-essential lists are probed by `advance_past` seek per
-/// candidate. As the threshold rises, more lists demote; the demotion
-/// is monotone, so sorted-access work on long low-σ lists stops early.
-///
-/// Essential cursors are materialized **eagerly**: an essential list
-/// is enumerated in full by definition, so every block of it gets
-/// decoded whether its cursor is pinned now or when the frontier
-/// reaches it, and the candidate is simply the minimum of the pinned
-/// documents — one `materialize` per cursor, no bound-chasing
-/// fixpoint. The only decode laziness could have saved is the block a
-/// cursor stands before at the moment it demotes or the loop ends: at
-/// most one per cursor per query.
-///
-/// Per-document pruning by partial score is deliberately **absent**: a
-/// partial-sum bound would be assembled in σ order, not slot order,
-/// and f64 addition is order-sensitive, so such a bound could undercut
-/// the true slot-order score by ulps and skip a tie. List-level σ
-/// prefix sums face the same hazard, which `safe_upper` covers with
-/// a rigorous rounding margin. Scores themselves are always summed in
-/// original slot order — bit-identical to the exhaustive oracle. The
-/// result lands in `scratch.ranked`.
-pub(crate) fn maxscore_topk(
-    cursors: &mut [Box<dyn BlockCursor + '_>],
-    k: usize,
-    scratch: &mut TopKScratch,
-) {
-    scratch.begin(k);
-    if k == 0 || cursors.is_empty() {
-        return;
-    }
-
-    // Cursor indices ascending by σ; `prefix[n]` = σ sum of the n
-    // smallest. Cursors stay in their original slots — `order` only
-    // names them — so contribution sums keep the slot order.
-    let mut order: Vec<usize> = (0..cursors.len()).collect();
-    order.sort_by(|&a, &b| {
-        cursors[a]
-            .list_max_score()
-            .total_cmp(&cursors[b].list_max_score())
-    });
-    let mut prefix = Vec::with_capacity(order.len() + 1);
-    prefix.push(0.0f64);
-    for &i in &order {
-        prefix.push(prefix.last().unwrap() + cursors[i].list_max_score());
-    }
-
-    // Count of non-essential cursors (a prefix of `order`); only ever
-    // grows, because the k-th score only rises.
-    let mut n_non = 0usize;
-    // Per slot: the essential cursor's pinned posting, then the
-    // candidate's contribution.
-    let mut heads: Vec<Option<(DocId, f64)>> = vec![None; cursors.len()];
-
-    loop {
-        if let Some(kth) = scratch.kth_score() {
-            while n_non < order.len() && safe_upper(prefix[n_non + 1], n_non + 1) < kth {
-                n_non += 1;
-            }
-        }
-        if n_non >= order.len() {
-            // Every document left is bounded strictly below the k-th
-            // score by the full σ sum.
-            break;
-        }
-        heads.fill(None);
-        for &i in &order[n_non..] {
-            heads[i] = cursors[i].materialize();
-        }
-        let Some(candidate) = heads.iter().flatten().map(|&(doc, _)| doc).min() else {
-            // Essential lists exhausted; whatever remains lives only
-            // in non-essential lists and is bounded below the k-th
-            // score (n_non > 0 implies the collector is full).
-            break;
-        };
-
-        // Essential cursors parked on the candidate contribute and
-        // advance; the others' pinned postings are not contributions.
-        for &i in &order[n_non..] {
-            match heads[i] {
-                Some((doc, _)) if doc == candidate => cursors[i].step(),
-                _ => heads[i] = None,
-            }
-        }
-        // Non-essential cursors are probed by seek: jump to the first
-        // posting ≥ candidate, contribute on a hit.
-        for &i in &order[..n_non] {
-            let cursor = &mut cursors[i];
-            if cursor.at_end() {
-                continue;
-            }
-            if candidate.0 > 0 {
-                cursor.advance_past(DocId(candidate.0 - 1));
-            }
-            if cursor.at_end() || cursor.doc_lower_bound() > candidate {
-                continue;
-            }
-            if let Some((doc, score)) = cursor.materialize() {
-                if doc == candidate {
-                    heads[i] = Some((doc, score));
-                    cursor.step();
-                }
-            }
-        }
-
-        // Sum in original slot order — the bit-identity contract.
-        let mut score = 0.0;
-        for &(_, contribution) in heads.iter().flatten() {
-            score += contribution;
-        }
-        scratch.offer(candidate, score);
-    }
-
-    scratch.finish();
-}
-
-/// A rigorous upper bound on the sum of `n` non-negative f64 addends
-/// whose σ-order computed sum is `computed`: any other summation order
-/// (in particular the slot order actual scores use) differs from the
-/// exact sum by at most `(n-1)·ε` relatively, so inflating by `2nε`
-/// dominates both roundings. Without this margin a score equal to the
-/// bound up to one ulp could be pruned — a lost tie.
-fn safe_upper(computed: f64, n: usize) -> f64 {
-    computed * (1.0 + 2.0 * n as f64 * f64::EPSILON)
-}
-
 /// Conjunctive leapfrog top-k: all cursors align on a document via
 /// `advance_past` seeks to the running maximum; each aligned document
 /// passes through `accept` (the phrase filter — handed the aligned
@@ -278,7 +147,7 @@ pub(crate) fn conjunctive_topk(
     mut accept: impl FnMut(&[Box<dyn BlockCursor + '_>]) -> bool,
 ) {
     scratch.begin(k);
-    if cursors.is_empty() {
+    if k == 0 || cursors.is_empty() {
         return;
     }
     'scan: loop {
@@ -293,29 +162,25 @@ pub(crate) fn conjunctive_topk(
         }
         // Leapfrog: cursors strictly below the target seek past
         // `target - 1`; a single pass may overshoot (raising the
-        // target), so re-run until alignment.
+        // target), so re-run until alignment. The same pass sums the
+        // contributions in slot order — the bit-identity contract —
+        // which is the candidate's score once every cursor is aligned.
         let mut aligned = true;
+        let mut score = 0.0;
         for cursor in cursors.iter_mut() {
-            let Some((doc, _)) = cursor.materialize() else {
+            let Some((doc, contribution)) = cursor.materialize() else {
                 break 'scan;
             };
             if doc < target {
                 cursor.advance_past(DocId(target.0 - 1));
                 aligned = false;
             }
+            score += contribution;
         }
         if !aligned {
             continue;
         }
         if accept(cursors) {
-            // Slot-order contribution sum — the bit-identity contract.
-            let mut score = 0.0;
-            for cursor in cursors.iter_mut() {
-                let (doc, contribution) =
-                    cursor.materialize().expect("aligned cursor has an entry");
-                debug_assert_eq!(doc, target);
-                score += contribution;
-            }
             scratch.offer(target, score);
         }
         for cursor in cursors.iter_mut() {
@@ -323,4 +188,30 @@ pub(crate) fn conjunctive_topk(
         }
     }
     scratch.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zerber_index::{Document, GroupId, InvertedIndex};
+    use zerber_postings::CompressedPostingStore;
+
+    #[test]
+    fn k_zero_decodes_nothing_on_every_shape() {
+        let docs: Vec<Document> = (0..300u32)
+            .map(|d| {
+                let terms = vec![(TermId(1), 1), (TermId(2), 1 + d % 2)];
+                Document::from_term_counts(DocId(d), GroupId(0), terms)
+            })
+            .collect();
+        let store = CompressedPostingStore::from_index(&InvertedIndex::from_documents(&docs));
+        let slots = [(TermId(1), 1.0), (TermId(2), 0.5)];
+        let mut scratch = TopKScratch::new();
+        for shape in [QueryShape::Terms, QueryShape::And, QueryShape::Phrase] {
+            let outcome = execute(&store, shape, &slots, 0, Forced::Auto, &mut scratch);
+            assert!(outcome.ranked.is_empty(), "{shape:?}");
+            assert_eq!(outcome.cost.blocks_decoded, 0, "{shape:?}");
+            assert!(outcome.cost.blocks_total > 0, "{shape:?}");
+        }
+    }
 }

@@ -7,13 +7,11 @@
 //!
 //! * `ast` — the query shapes ([`Query::Terms`] / [`Query::And`] /
 //!   [`Query::Phrase`]), normalization, and epoch-keyed cache keys;
-//! * [`plan()`] — the shape → evaluator planner, with a [`plan::Forced`]
-//!   override so benchmarks can pit TA against MaxScore head-to-head;
-//! * `exec` — the evaluators over [`zerber_index::BlockCursor`]
-//!   sorted access: the block-max Threshold Algorithm (re-exported
-//!   from `zerber-index`), MaxScore with whole-list σ partitioning,
-//!   conjunctive leapfrog, and phrase matching over the positional
-//!   column;
+//! * [`plan()`] — the shape → evaluator table, one evaluator per shape;
+//! * `exec` — planned evaluation over [`zerber_index::BlockCursor`]
+//!   sorted access: MaxScore with whole-list σ partitioning (from
+//!   `zerber-index`, [`zerber_index::maxscore_topk`]), conjunctive
+//!   leapfrog, and phrase matching over the positional column;
 //! * [`oracle`] — exhaustive reference evaluators; every `exec`
 //!   evaluator is property-tested **bit-identical** against them;
 //! * `cache` — the sharded LRU result cache whose keys embed the

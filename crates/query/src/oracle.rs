@@ -37,7 +37,7 @@ pub fn oracle_terms(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) ->
 
 /// Exhaustive conjunctive top-k over the distinct slots.
 pub fn oracle_and(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) -> Vec<RankedDoc> {
-    rank(conjunctive_matches(index, &distinct_slots(slots)), k)
+    rank(conjunctive_matches(index, &distinct_slots(slots).0), k)
 }
 
 /// Exhaustive phrase top-k: conjunctive matches over the distinct
@@ -47,7 +47,7 @@ pub fn oracle_phrase(index: &InvertedIndex, slots: &[(TermId, f64)], k: usize) -
     if phrase.is_empty() {
         return Vec::new();
     }
-    let matches = conjunctive_matches(index, &distinct_slots(slots))
+    let matches = conjunctive_matches(index, &distinct_slots(slots).0)
         .filter(|ranked| naive_phrase_match(index, &phrase, ranked.doc));
     rank(matches, k)
 }

@@ -1,58 +1,46 @@
-//! The planner: shape + term count → evaluator.
+//! The planner: query shape → evaluator.
 //!
-//! Planning is deliberately table-driven: `Phrase` and `And` shapes
-//! *require* their evaluators (semantics, not cost), and only the
-//! disjunctive `Terms` shape has a real choice — block-max Threshold
-//! Algorithm versus MaxScore. MaxScore's list-level partitioning only
-//! pays off with at least two lists (with one list there is nothing to
-//! demote to non-essential), so single-term queries stay on the TA
-//! path. Callers can pin the disjunctive evaluator with [`Forced`] —
-//! the benchmark harness does, to measure the two head-to-head on the
-//! same workload.
+//! Every shape has exactly one evaluator: `Terms` ranks under MaxScore
+//! ([`zerber_index::maxscore_topk`]), `And` under the conjunctive
+//! leapfrog and `Phrase` under the leapfrog plus the positional filter.
+//! `Phrase` and `And` need theirs for their semantics. MaxScore serves
+//! every `Terms` query, one-term ones included: it reads a lone list in
+//! full where a block-max Threshold Algorithm could skip blocks, and
+//! that second evaluator measured no faster on the served workloads.
 
 use crate::ast::QueryShape;
 
-/// Caller override for the disjunctive evaluator choice. Applies only
-/// to [`QueryShape::Terms`]; `And`/`Phrase` evaluators are fixed by
-/// semantics.
+/// The retired disjunctive-evaluator override. Its one value, `Auto`,
+/// is byte 0 of the shard query frame; the bytes 1 and 2 once pinned
+/// evaluators that no longer exist and now decode as malformed.
+///
+/// Kept only for `benchmark/`; ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Forced {
     /// Let the planner choose.
     #[default]
     Auto,
-    /// Pin the block-max Threshold Algorithm.
-    BlockMaxTa,
-    /// Pin the MaxScore evaluator.
-    MaxScore,
 }
 
 impl Forced {
     /// Stable single-byte encoding for wire frames.
+    ///
+    /// Kept only for `benchmark/`; ROADMAP item 1 deletes it.
     pub fn as_u8(self) -> u8 {
         match self {
             Forced::Auto => 0,
-            Forced::BlockMaxTa => 1,
-            Forced::MaxScore => 2,
         }
     }
 
-    /// Inverse of [`Forced::as_u8`]; `None` on an unknown byte.
+    /// Inverse of [`Forced::as_u8`]; `None` on any other byte.
     pub fn from_u8(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(Forced::Auto),
-            1 => Some(Forced::BlockMaxTa),
-            2 => Some(Forced::MaxScore),
-            _ => None,
-        }
+        (byte == 0).then_some(Forced::Auto)
     }
 }
 
 /// The evaluator a query runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvaluatorKind {
-    /// Cursor-driven block-max Threshold Algorithm
-    /// ([`zerber_index::block_max_topk_cursors`]).
-    BlockMaxTa,
     /// MaxScore: whole-list σ bounds partition cursors into essential
     /// and non-essential; candidates come only from the essential
     /// frontier, non-essential lists are probed by seek.
@@ -63,17 +51,15 @@ pub enum EvaluatorKind {
     Phrase,
 }
 
-/// Picks the evaluator for a query of `shape` with `term_count` terms.
-pub fn plan(shape: QueryShape, term_count: usize, forced: Forced) -> EvaluatorKind {
+/// Picks the evaluator for a query of `shape`.
+///
+/// `term_count` and `forced` do not enter the choice: kept only for
+/// `benchmark/`; ROADMAP item 1 deletes them.
+pub fn plan(shape: QueryShape, _term_count: usize, _forced: Forced) -> EvaluatorKind {
     match shape {
-        QueryShape::Phrase => EvaluatorKind::Phrase,
+        QueryShape::Terms => EvaluatorKind::MaxScore,
         QueryShape::And => EvaluatorKind::Conjunctive,
-        QueryShape::Terms => match forced {
-            Forced::BlockMaxTa => EvaluatorKind::BlockMaxTa,
-            Forced::MaxScore => EvaluatorKind::MaxScore,
-            Forced::Auto if term_count >= 2 => EvaluatorKind::MaxScore,
-            Forced::Auto => EvaluatorKind::BlockMaxTa,
-        },
+        QueryShape::Phrase => EvaluatorKind::Phrase,
     }
 }
 
@@ -82,38 +68,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shapes_with_fixed_semantics_ignore_forcing() {
-        for forced in [Forced::Auto, Forced::BlockMaxTa, Forced::MaxScore] {
-            assert_eq!(plan(QueryShape::Phrase, 3, forced), EvaluatorKind::Phrase);
-            assert_eq!(plan(QueryShape::And, 3, forced), EvaluatorKind::Conjunctive);
+    fn each_shape_has_one_evaluator() {
+        for (shape, evaluator) in [
+            (QueryShape::Terms, EvaluatorKind::MaxScore),
+            (QueryShape::And, EvaluatorKind::Conjunctive),
+            (QueryShape::Phrase, EvaluatorKind::Phrase),
+        ] {
+            for term_count in [1, 2, 5] {
+                assert_eq!(plan(shape, term_count, Forced::Auto), evaluator);
+            }
         }
-    }
-
-    #[test]
-    fn disjunctive_planning_depends_on_term_count_and_forcing() {
-        assert_eq!(
-            plan(QueryShape::Terms, 1, Forced::Auto),
-            EvaluatorKind::BlockMaxTa
-        );
-        assert_eq!(
-            plan(QueryShape::Terms, 2, Forced::Auto),
-            EvaluatorKind::MaxScore
-        );
-        assert_eq!(
-            plan(QueryShape::Terms, 5, Forced::BlockMaxTa),
-            EvaluatorKind::BlockMaxTa
-        );
-        assert_eq!(
-            plan(QueryShape::Terms, 1, Forced::MaxScore),
-            EvaluatorKind::MaxScore
-        );
     }
 
     #[test]
     fn forced_bytes_round_trip() {
-        for forced in [Forced::Auto, Forced::BlockMaxTa, Forced::MaxScore] {
-            assert_eq!(Forced::from_u8(forced.as_u8()), Some(forced));
+        assert_eq!(Forced::from_u8(Forced::Auto.as_u8()), Some(Forced::Auto));
+        // 1 and 2 are retired overrides: malformed, like any other byte.
+        for byte in 1..=u8::MAX {
+            assert_eq!(Forced::from_u8(byte), None, "byte {byte}");
         }
-        assert_eq!(Forced::from_u8(9), None);
     }
 }

@@ -1,6 +1,6 @@
 //! The evaluator bit-identity battery: every planned evaluator —
-//! MaxScore, conjunctive, phrase, and the block-max TA it shares a
-//! planner with — returns **bit-for-bit** the same ranked results as
+//! MaxScore, conjunctive, phrase — returns **bit-for-bit** the same
+//! ranked results as
 //! the exhaustive oracles (which walk the live index's lists), on
 //! arbitrary corpora, across both posting backends (compressed blocks
 //! in memory, and an LSM snapshot straddling two flushed segments and
@@ -167,19 +167,13 @@ proptest! {
         let want = oracle::oracle_terms(&index, &slots, k);
         let mut scratch = TopKScratch::new();
         for_each_backend(&docs, |backend, store| {
-            for forced in [Forced::BlockMaxTa, Forced::MaxScore] {
-                let outcome =
-                    execute(store, QueryShape::Terms, &slots, k, forced, &mut scratch);
-                assert_bit_identical(
-                    &format!("{backend}/{forced:?}"),
-                    &outcome.ranked,
-                    &want,
-                );
-                assert!(
-                    outcome.cost.blocks_decoded <= outcome.cost.blocks_total,
-                    "{backend}/{forced:?}: decoded beyond total"
-                );
-            }
+            let outcome =
+                execute(store, QueryShape::Terms, &slots, k, Forced::Auto, &mut scratch);
+            assert_bit_identical(&format!("{backend}/terms"), &outcome.ranked, &want);
+            assert!(
+                outcome.cost.blocks_decoded <= outcome.cost.blocks_total,
+                "{backend}/terms: decoded beyond total"
+            );
         });
     }
 
@@ -267,7 +261,7 @@ fn selective_maxscore_decodes_strictly_fewer_blocks() {
         QueryShape::Terms,
         &slots,
         3,
-        Forced::MaxScore,
+        Forced::Auto,
         &mut scratch,
     );
     assert_eq!(outcome.ranked.len(), 3);

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use zerber_index::cursor::{block_max_topk_cursors, TopKScratch};
+use zerber_index::cursor::{maxscore_topk, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_segment::bulk::BulkFailpoint;
@@ -90,7 +90,7 @@ fn tiny_bulk() -> BulkConfig {
 fn ranked_bits(store: &dyn PostingStore, weights: &[(TermId, f64)]) -> Vec<(DocId, u64)> {
     let mut cursors = store.query_cursors(weights);
     let mut scratch = TopKScratch::new();
-    block_max_topk_cursors(&mut cursors, 12, &mut scratch);
+    maxscore_topk(&mut cursors, 12, &mut scratch);
     scratch
         .ranked
         .iter()

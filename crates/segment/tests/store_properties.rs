@@ -1,13 +1,13 @@
 //! Property: under *arbitrary* interleaved insert / delete / flush /
 //! compact schedules, a [`SegmentStore`] snapshot is indistinguishable
 //! from a rebuild-from-scratch oracle — same live documents, same
-//! document frequencies, and **bit-identical** block-max top-k — and
+//! document frequencies, and **bit-identical** MaxScore top-k — and
 //! reopening the store from disk preserves all of it.
 //!
 //! The oracle is the plain mutable [`InvertedIndex`] rebuilt from the
 //! current live document set, ranked exhaustively (`naive_topk` over
 //! every posting). The store side answers through the
-//! *lazy* `PostingStore::query_cursors` + `block_max_topk_cursors`
+//! *lazy* `PostingStore::query_cursors` + `maxscore_topk`
 //! pipeline the runtime serves queries with (the memtable merged over
 //! compressed segment cursors under the shadowing rule, decode on
 //! demand).
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use zerber_index::cursor::{block_max_topk_cursors, BlockCursor, QueryCost, TopKScratch};
+use zerber_index::cursor::{maxscore_topk, BlockCursor, QueryCost, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
 use zerber_postings::RawEntry;
@@ -101,7 +101,7 @@ fn oracle_topk(live: &BTreeMap<u32, Document>, terms: &[u32], k: usize) -> Vec<(
 fn ranked_bits(store: &dyn PostingStore, weights: &[(TermId, f64)], k: usize) -> Vec<(DocId, u64)> {
     let mut cursors = store.query_cursors(weights);
     let mut scratch = TopKScratch::new();
-    block_max_topk_cursors(&mut cursors, k, &mut scratch);
+    maxscore_topk(&mut cursors, k, &mut scratch);
     let cost = QueryCost::of(&cursors);
     assert!(
         cost.blocks_decoded <= cost.blocks_total,

@@ -45,7 +45,7 @@
 //! ```
 //!
 //! [`ShardedSearch::query`] / `ShardedSearch::query_from` (the
-//! uncached `Terms`/block-max-TA read) and
+//! uncached `Terms` read) and
 //! [`ShardedSearch::query_shaped`] (the cached serving read) are both
 //! thin entries over this one path.
 

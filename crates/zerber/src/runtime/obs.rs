@@ -82,7 +82,6 @@ pub(crate) struct QueryMetrics {
     /// `zerber_query_plan_total{plan=...}`: one counter per evaluator
     /// the planner picked (labels are baked into the metric name so
     /// the hot path never formats).
-    pub plan_block_max_ta: Counter,
     pub plan_maxscore: Counter,
     pub plan_conjunctive: Counter,
     pub plan_phrase: Counter,
@@ -106,7 +105,6 @@ impl QueryMetrics {
     /// The `zerber_query_plan_total` counter for `kind`.
     pub(crate) fn plan_counter(&self, kind: zerber_query::EvaluatorKind) -> &Counter {
         match kind {
-            zerber_query::EvaluatorKind::BlockMaxTa => &self.plan_block_max_ta,
             zerber_query::EvaluatorKind::MaxScore => &self.plan_maxscore,
             zerber_query::EvaluatorKind::Conjunctive => &self.plan_conjunctive,
             zerber_query::EvaluatorKind::Phrase => &self.plan_phrase,
@@ -152,7 +150,6 @@ impl RuntimeObs {
             cache_hits: registry.counter("zerber_cache_hits_total"),
             cache_misses: registry.counter("zerber_cache_misses_total"),
             cache_evictions: registry.counter("zerber_cache_evictions_total"),
-            plan_block_max_ta: registry.counter("zerber_query_plan_total{plan=\"block_max_ta\"}"),
             plan_maxscore: registry.counter("zerber_query_plan_total{plan=\"maxscore\"}"),
             plan_conjunctive: registry.counter("zerber_query_plan_total{plan=\"conjunctive\"}"),
             plan_phrase: registry.counter("zerber_query_plan_total{plan=\"phrase\"}"),

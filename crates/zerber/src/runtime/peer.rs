@@ -158,12 +158,12 @@ mod tests {
     use zerber_obs::MetricsRegistry;
     use zerber_server::{IndexServer, ServerError, TokenAuth};
 
-    /// A single-term disjunctive ranked read, pinned to block-max TA.
+    /// A single-term disjunctive ranked read.
     fn topk_query(shard: u32, term: u32, weight: f64, k: u32) -> Message {
         Message::PlanQuery {
             shard,
             shape: 0,
-            forced: 1,
+            forced: 0,
             terms: vec![(TermId(term), weight)],
             k,
         }
@@ -295,6 +295,9 @@ mod tests {
             (topk_query(0, 1, f64::INFINITY, 1), fault::MALFORMED),
             (topk_query(0, 1, -1.0, 1), fault::MALFORMED),
             (unknown_bytes(3, 0), fault::MALFORMED),
+            // The retired evaluator overrides, and a never-used byte.
+            (unknown_bytes(0, 1), fault::MALFORMED),
+            (unknown_bytes(0, 2), fault::MALFORMED),
             (unknown_bytes(0, 3), fault::MALFORMED),
             // A shard this peer does not host: reported, not misrouted.
             (topk_query(7, 1, 1.0, 1), fault::UNSUPPORTED),

@@ -146,11 +146,11 @@ impl ShardedSearch {
     }
 
     /// The uncached disjunctive read: ranks `terms` (in caller order,
-    /// duplicates scoring twice) under the block-max Threshold
-    /// Algorithm as client `client` (distinct clients get distinct
-    /// links in the traffic accounting). It never probes or fills the
-    /// result cache, so every call reaches the transport — which is
-    /// what the fault-injection tests rely on.
+    /// duplicates scoring twice) under MaxScore as client `client`
+    /// (distinct clients get distinct links in the traffic
+    /// accounting). It never probes or fills the result cache, so
+    /// every call reaches the transport — which is what the
+    /// fault-injection tests rely on.
     /// [`ShardedSearch::query_shaped`] is the cached serving
     /// read over the same fan-out.
     pub(crate) fn query_from(
@@ -163,7 +163,7 @@ impl ShardedSearch {
             terms: terms.to_vec(),
             k,
         };
-        self.fetch_and_gather(client, &query, Forced::BlockMaxTa, Instant::now())
+        self.fetch_and_gather(client, &query, Instant::now())
     }
 
     /// The cached serving read: executes a shaped top-`k` query
@@ -179,16 +179,13 @@ impl ShardedSearch {
     /// write can never be looked up after it: stale hits are
     /// structurally impossible, not scrubbed.
     ///
-    /// `forced` overrides the disjunctive planner choice
-    /// ([`Forced::BlockMaxTa`] / [`Forced::MaxScore`]) so benchmarks
-    /// can pit the evaluators against each other; every evaluator is
-    /// bit-identical to the exhaustive oracle, so `forced` changes
-    /// cost, never results.
+    /// `forced` is kept only for `benchmark/`; ROADMAP item 1 deletes
+    /// it.
     pub fn query_shaped(
         &self,
         client: u32,
         query: Query,
-        forced: Forced,
+        _forced: Forced,
     ) -> Result<ShardedQueryOutcome, QueryError> {
         let started = Instant::now();
         let normalized = query.normalized();
@@ -201,7 +198,7 @@ impl ShardedSearch {
                 .with_counter("hit", 1)
                 .with_counter("epoch", epoch);
             let id = self.obs.next_trace_id();
-            let trace = self.finish_query(started, id, &normalized, forced, None, vec![cache_span]);
+            let trace = self.finish_query(started, id, &normalized, None, vec![cache_span]);
             return Ok(ShardedQueryOutcome {
                 ranked: ranked.as_ref().clone(),
                 peers_contacted: 0,
@@ -213,7 +210,7 @@ impl ShardedSearch {
             });
         }
         metrics.cache_misses.inc();
-        let outcome = self.fetch_and_gather(client, &normalized, forced, started)?;
+        let outcome = self.fetch_and_gather(client, &normalized, started)?;
         // Fill the cache under the epoch the probe used: if a write
         // landed mid-flight the epoch has moved on, this key names a
         // dead epoch, and no future probe can ever read it. A partial
@@ -245,7 +242,6 @@ impl ShardedSearch {
         &self,
         client: u32,
         query: &Query,
-        forced: Forced,
         started: Instant,
     ) -> Result<ShardedQueryOutcome, QueryError> {
         let k = query.k();
@@ -254,7 +250,7 @@ impl ShardedSearch {
             .plan_counter(zerber_query::plan(
                 query.shape(),
                 query.terms().len(),
-                forced,
+                Forced::Auto,
             ))
             .inc();
 
@@ -265,7 +261,7 @@ impl ShardedSearch {
         let shards = self.query_shards(|shard| Message::PlanQuery {
             shard,
             shape: query.shape().as_u8(),
-            forced: forced.as_u8(),
+            forced: Forced::Auto.as_u8(),
             terms: weights.clone(),
             k: wire_k,
         });
@@ -293,7 +289,7 @@ impl ShardedSearch {
                     // per-replica errors.
                     let failure = format!("shard {} unavailable", unavailable.shard);
                     let spans = vec![fanout_span];
-                    self.finish_query(started, trace_id, query, forced, Some(failure), spans);
+                    self.finish_query(started, trace_id, query, Some(failure), spans);
                     return Err(QueryError::Unavailable(unavailable));
                 }
             }
@@ -317,7 +313,7 @@ impl ShardedSearch {
             .add(gathered.candidates_examined as u64);
         self.obs.sync_traffic(self.traffic());
         let spans = vec![fanout_span, gather_span];
-        let trace = self.finish_query(started, trace_id, query, forced, None, spans);
+        let trace = self.finish_query(started, trace_id, query, None, spans);
 
         Ok(ShardedQueryOutcome {
             ranked: gathered.ranked,
@@ -340,7 +336,6 @@ impl ShardedSearch {
         started: Instant,
         id: TraceId,
         query: &Query,
-        forced: Forced,
         failure: Option<String>,
         children: Vec<SpanRecord>,
     ) -> Arc<QueryTrace> {
@@ -359,7 +354,7 @@ impl ShardedSearch {
         let trace = Arc::new(QueryTrace {
             id,
             label: format!(
-                "{:?} terms={:?} k={} forced={forced:?}",
+                "{:?} terms={:?} k={}",
                 query.shape(),
                 query.terms(),
                 query.k()
@@ -463,8 +458,8 @@ impl ShardedSearch {
 }
 
 /// The single-node reference for [`ShardedSearch::query`]: the same
-/// global IDF weights, the same block-max Threshold Algorithm over
-/// `terms` in caller order — on one unsharded in-memory store. `query`
+/// global IDF weights, the same MaxScore evaluation over `terms` in
+/// caller order — on one unsharded in-memory store. `query`
 /// returns exactly this wherever the shards' files live (the
 /// `sharded_topk` property test proves bit-identity for arbitrary
 /// corpora, peer counts, and `k`).
@@ -473,7 +468,7 @@ pub fn local_topk(docs: &[Document], terms: &[TermId], k: usize) -> Vec<RankedDo
         terms: terms.to_vec(),
         k,
     };
-    evaluate_locally(docs, &query, Forced::BlockMaxTa)
+    evaluate_locally(docs, &query)
 }
 
 /// The single-node reference for the shaped-query path: the same
@@ -481,13 +476,13 @@ pub fn local_topk(docs: &[Document], terms: &[TermId], k: usize) -> Vec<RankedDo
 /// caching, or the wire. [`ShardedSearch::query_shaped`] returns
 /// exactly this (the `sharded_topk` shaped properties prove
 /// bit-identity for arbitrary corpora, shapes, peer counts, and `k`).
-pub fn local_planned(docs: &[Document], query: &Query, forced: Forced) -> Vec<RankedDoc> {
-    evaluate_locally(docs, &query.clone().normalized(), forced)
+pub fn local_planned(docs: &[Document], query: &Query) -> Vec<RankedDoc> {
+    evaluate_locally(docs, &query.clone().normalized())
 }
 
 /// Evaluates `query` (terms in the order given) over one unsharded
 /// store of `docs` with global IDF weights.
-fn evaluate_locally(docs: &[Document], query: &Query, forced: Forced) -> Vec<RankedDoc> {
+fn evaluate_locally(docs: &[Document], query: &Query) -> Vec<RankedDoc> {
     let store = CompressedPostingStore::from_index(&InvertedIndex::from_documents(docs));
     let slots = TermStats::from_documents(docs).weights(query.terms());
     zerber_query::execute(
@@ -495,7 +490,7 @@ fn evaluate_locally(docs: &[Document], query: &Query, forced: Forced) -> Vec<Ran
         query.shape(),
         &slots,
         query.k(),
-        forced,
+        Forced::Auto,
         &mut zerber_index::TopKScratch::new(),
     )
     .ranked

@@ -92,11 +92,11 @@ impl PeerService for ServerService {
 /// does not host bounces as an `UNSUPPORTED` fault — reported, never
 /// silently misrouted.
 ///
-/// Queries run [`zerber_query::execute`] — the planner-chosen
-/// evaluator — over an MVCC snapshot of the addressed store and its
-/// lazy [`zerber_index::PostingStore::query_cursors`], which peek the
-/// segments' stored block-max skip metadata and only decompress blocks
-/// that survive the upper-bound test. The service owns the
+/// Queries run [`zerber_query::execute`] — the shape's one evaluator —
+/// over an MVCC snapshot of the addressed store and its lazy
+/// [`zerber_index::PostingStore::query_cursors`], which seek by the
+/// segments' stored skip metadata and decompress only the blocks an
+/// evaluator reads. The service owns the
 /// [`TopKScratch`] (every evaluator's top-k collector), reused across
 /// every RPC this peer serves. [`Message::IndexDocs`] and
 /// [`Message::RemoveDoc`] mutate the addressed shard; a store that
@@ -627,7 +627,7 @@ mod tests {
                 || Message::PlanQuery {
                     shard: SHARD,
                     shape: 0,
-                    forced: 1,
+                    forced: 0,
                     terms: vec![(TermId(7), 1.0)],
                     k: 4,
                 },

@@ -209,7 +209,7 @@ mod tests {
             QueryShape::Terms,
             &weights,
             8,
-            Forced::BlockMaxTa,
+            Forced::Auto,
             &mut TopKScratch::new(),
         );
         assert!(outcome.cost.blocks_decoded <= outcome.cost.blocks_total);

@@ -629,7 +629,7 @@ mod tests {
         Message::PlanQuery {
             shard: 0,
             shape: 0,
-            forced: 1,
+            forced: 0,
             terms: vec![(TermId(7), 1.0)],
             k,
         }

@@ -194,7 +194,7 @@ fn main() {
         let outcome = search
             .query_shaped(0, query.clone(), Forced::Auto)
             .expect("a live replica covers every shard");
-        let expected = local_planned(live, &query, Forced::Auto);
+        let expected = local_planned(live, &query);
         assert_eq!(
             outcome.ranked, expected,
             "socket top-k must match single-node"

@@ -299,9 +299,8 @@ fn cache_and_plan_counters_track_the_shaped_path() {
     assert!(cache_span.counters.iter().any(|&(name, _)| name == "hit"));
     assert!(hit.trace.root.find("fan_out").is_none());
 
-    // One miss per remaining evaluator: single-term Terms plans the
-    // block-max TA, And the conjunctive leapfrog, Phrase the phrase
-    // filter.
+    // One miss per remaining shape: single-term Terms plans MaxScore
+    // too, And the conjunctive leapfrog, Phrase the phrase filter.
     for query in [
         Query::Terms {
             terms: vec![TermId(2)],
@@ -325,10 +324,10 @@ fn cache_and_plan_counters_track_the_shaped_path() {
     assert_eq!(metrics.counter("zerber_cache_hits_total"), Some(1));
     assert_eq!(metrics.counter("zerber_cache_misses_total"), Some(4));
     assert_eq!(metrics.counter("zerber_cache_evictions_total"), Some(0));
-    for plan in ["maxscore", "block_max_ta", "conjunctive", "phrase"] {
+    for (plan, misses) in [("maxscore", 2), ("conjunctive", 1), ("phrase", 1)] {
         assert_eq!(
             metrics.counter(&format!("zerber_query_plan_total{{plan=\"{plan}\"}}")),
-            Some(1),
+            Some(misses),
             "plan counter for {plan}"
         );
     }
@@ -344,7 +343,7 @@ fn cache_and_plan_counters_track_the_shaped_path() {
 /// `query()` is the uncached read: it never probes or fills the result
 /// cache — not even when the shaped path has cached the very same
 /// query — so every call reaches the peers, and it counts under the
-/// block-max-TA plan it pins.
+/// MaxScore plan every `Terms` query runs.
 #[test]
 fn uncached_query_bypasses_the_result_cache_and_counts_its_plan() {
     let docs = corpus(100, 11);
@@ -365,7 +364,7 @@ fn uncached_query_bypasses_the_result_cache_and_counts_its_plan() {
         k: 5,
     };
     let cached = search
-        .query_shaped(0, shaped, Forced::BlockMaxTa)
+        .query_shaped(0, shaped, Forced::Auto)
         .expect("healthy");
     assert_eq!(cached.ranked, first.ranked);
     assert_eq!(search.result_cache().len(), 1);
@@ -378,9 +377,9 @@ fn uncached_query_bypasses_the_result_cache_and_counts_its_plan() {
     assert_eq!(metrics.counter("zerber_cache_misses_total"), Some(1));
     assert_eq!(search.result_cache().len(), 1);
     assert_eq!(
-        metrics.counter("zerber_query_plan_total{plan=\"block_max_ta\"}"),
+        metrics.counter("zerber_query_plan_total{plan=\"maxscore\"}"),
         Some(3),
-        "two query() calls and one forced shaped miss"
+        "two query() calls and one shaped miss"
     );
 }
 

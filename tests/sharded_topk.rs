@@ -1,5 +1,5 @@
 //! Property test for the sharded peer runtime: fan-out/gather top-k
-//! must be *bit-identical* to single-node `block_max_topk` — same
+//! must be *bit-identical* to single-node evaluation — same
 //! documents, same order, same f64 score bits — for arbitrary
 //! corpora, peer counts, and k. Deployments run on the default
 //! in-memory backend; that the segmented backend serves the same bits
@@ -77,7 +77,7 @@ proptest! {
     }
 
     /// The shaped path extends the theorem to every planned evaluator:
-    /// Terms (TA or MaxScore), And (conjunctive leapfrog), and Phrase
+    /// Terms (MaxScore), And (conjunctive leapfrog), and Phrase
     /// (positional filter) through the full PlanQuery fan-out — and
     /// the second, cache-served answer is the same bits again.
     #[test]
@@ -87,7 +87,6 @@ proptest! {
         k in 1usize..12,
         query in arb_query(),
         shape in 0u8..3,
-        force_maxscore in any::<bool>(),
     ) {
         let docs = materialize(&corpus);
         let terms: Vec<TermId> = query.into_iter().map(TermId).collect();
@@ -96,21 +95,16 @@ proptest! {
             1 => Query::And { terms, k },
             _ => Query::Phrase { terms, k },
         };
-        let forced = if force_maxscore {
-            Forced::MaxScore
-        } else {
-            Forced::Auto
-        };
         let config = ZerberConfig::default().with_peers(peers);
 
-        let expected = local_planned(&docs, &shaped, forced);
+        let expected = local_planned(&docs, &shaped);
         let search = ShardedSearch::launch(&config, &docs).expect("valid config");
         let miss = search
-            .query_shaped(0, shaped.clone(), forced)
+            .query_shaped(0, shaped.clone(), Forced::Auto)
             .expect("peers alive");
         prop_assert!(miss.peers_contacted > 0, "first ask must fan out");
         let hit = search
-            .query_shaped(0, shaped, forced)
+            .query_shaped(0, shaped, Forced::Auto)
             .expect("cache answers");
         prop_assert_eq!(hit.peers_contacted, 0, "second ask must hit the cache");
         for outcome in [&miss, &hit] {
@@ -169,10 +163,7 @@ fn writes_invalidate_the_shaped_result_cache() {
         .query_shaped(0, query.clone(), Forced::Auto)
         .expect("healthy");
     assert!(after_insert.peers_contacted > 0, "stale hit after insert");
-    assert_eq!(
-        after_insert.ranked,
-        local_planned(&docs, &query, Forced::Auto)
-    );
+    assert_eq!(after_insert.ranked, local_planned(&docs, &query));
 
     assert!(search.delete_document(0, DocId(2)).expect("delete"));
     docs.retain(|d| d.id != DocId(2));
@@ -180,10 +171,7 @@ fn writes_invalidate_the_shaped_result_cache() {
         .query_shaped(0, query.clone(), Forced::Auto)
         .expect("healthy");
     assert!(after_delete.peers_contacted > 0, "stale hit after delete");
-    assert_eq!(
-        after_delete.ranked,
-        local_planned(&docs, &query, Forced::Auto)
-    );
+    assert_eq!(after_delete.ranked, local_planned(&docs, &query));
 
     let bulk: Vec<Document> = (1000..1010u32)
         .map(|d| Document::from_term_counts(DocId(d), GroupId(0), vec![(TermId(7), 2)]))
@@ -194,10 +182,7 @@ fn writes_invalidate_the_shaped_result_cache() {
         .query_shaped(0, query.clone(), Forced::Auto)
         .expect("healthy");
     assert!(after_bulk.peers_contacted > 0, "stale hit after bulk load");
-    assert_eq!(
-        after_bulk.ranked,
-        local_planned(&docs, &query, Forced::Auto)
-    );
+    assert_eq!(after_bulk.ranked, local_planned(&docs, &query));
 
     // And with no further writes, the refreshed entry serves again.
     assert_eq!(

@@ -153,7 +153,7 @@ fn a_connected_deployment_writes_caches_fails_over_and_repairs_over_tcp() {
             let outcome = search
                 .query_shaped(0, query.clone(), Forced::Auto)
                 .unwrap_or_else(|e| panic!("{query:?}: {e}"));
-            let expected = local_planned(live, &query, Forced::Auto);
+            let expected = local_planned(live, &query);
             assert_eq!(bits(&outcome.ranked), bits(&expected), "{query:?}");
             assert!(!expected.is_empty(), "{query:?} matches nothing");
             failed.extend(outcome.failed_peers.iter().map(|(node, _)| *node));
