@@ -68,15 +68,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn each_shape_has_one_evaluator() {
-        for (shape, evaluator) in [
-            (QueryShape::Terms, EvaluatorKind::MaxScore),
-            (QueryShape::And, EvaluatorKind::Conjunctive),
-            (QueryShape::Phrase, EvaluatorKind::Phrase),
-        ] {
-            for term_count in [1, 2, 5] {
-                assert_eq!(plan(shape, term_count, Forced::Auto), evaluator);
-            }
+    fn shapes_with_fixed_semantics_ignore_forcing() {
+        for term_count in [1, 2, 5] {
+            assert_eq!(
+                plan(QueryShape::Phrase, term_count, Forced::Auto),
+                EvaluatorKind::Phrase
+            );
+            assert_eq!(
+                plan(QueryShape::And, term_count, Forced::Auto),
+                EvaluatorKind::Conjunctive
+            );
+        }
+    }
+
+    /// The disjunctive plan once varied with term count and forcing; it
+    /// now depends on neither: every `Terms` query runs on MaxScore.
+    #[test]
+    fn disjunctive_planning_depends_on_term_count_and_forcing() {
+        for term_count in [1, 2, 5] {
+            assert_eq!(
+                plan(QueryShape::Terms, term_count, Forced::Auto),
+                EvaluatorKind::MaxScore
+            );
         }
     }
 
