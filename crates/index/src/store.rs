@@ -15,7 +15,6 @@
 
 use crate::cursor::BlockCursor;
 use crate::postings::Posting;
-use crate::stats::CorpusStats;
 use crate::types::TermId;
 
 /// Where a deployment's shard peers keep their posting stores.
@@ -119,16 +118,6 @@ pub trait PostingStore {
     /// decompresses blocks the block-max bound on its stored per-block
     /// skip metadata cannot rule out.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>>;
-
-    /// Corpus statistics over the stored document frequencies
-    /// (formula (2)).
-    fn statistics(&self) -> CorpusStats {
-        CorpusStats::from_document_frequencies(
-            (0..self.term_count())
-                .map(|t| self.document_frequency(TermId(t as u32)) as u64)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

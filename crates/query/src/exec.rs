@@ -34,7 +34,7 @@ use zerber_index::{
 };
 
 use crate::ast::QueryShape;
-use crate::plan::{plan, EvaluatorKind, Forced};
+use crate::plan::Forced;
 
 /// The result of one planned query evaluation on one store.
 #[derive(Debug, Clone)]
@@ -43,14 +43,12 @@ pub struct QueryOutcome {
     pub ranked: Vec<RankedDoc>,
     /// Block decode and scoring accounting for the evaluation.
     pub cost: QueryCost,
-    /// The evaluator the planner chose.
-    pub plan: EvaluatorKind,
 }
 
-/// Plans and evaluates one query against a store. `slots` are the
-/// query's `(term, weight)` pairs in query order (phrase order for
-/// [`QueryShape::Phrase`], duplicates allowed); weights must be
-/// non-negative and finite.
+/// Evaluates one query against a store on its shape's evaluator
+/// ([`crate::plan()`]). `slots` are the query's `(term, weight)` pairs
+/// in query order (phrase order for [`QueryShape::Phrase`], duplicates
+/// allowed); weights must be non-negative and finite.
 ///
 /// `forced` is kept only for `benchmark/`; ROADMAP item 1 deletes it.
 pub fn execute(
@@ -58,23 +56,22 @@ pub fn execute(
     shape: QueryShape,
     slots: &[(TermId, f64)],
     k: usize,
-    forced: Forced,
+    _forced: Forced,
     scratch: &mut TopKScratch,
 ) -> QueryOutcome {
-    let plan = plan(shape, slots.len(), forced);
     // Conjunctive and phrase evaluation score each distinct term once;
     // each phrase slot reads positions from its term's cursor.
     let mut cursors;
-    match plan {
-        EvaluatorKind::MaxScore => {
+    match shape {
+        QueryShape::Terms => {
             cursors = store.query_cursors(slots);
             maxscore_topk(&mut cursors, k, scratch);
         }
-        EvaluatorKind::Conjunctive => {
+        QueryShape::And => {
             cursors = store.query_cursors(&distinct_slots(slots).0);
             conjunctive_topk(&mut cursors, k, scratch, |_| true);
         }
-        EvaluatorKind::Phrase => {
+        QueryShape::Phrase => {
             let (distinct, phrase) = distinct_slots(slots);
             cursors = store.query_cursors(&distinct);
             conjunctive_topk(&mut cursors, k, scratch, |aligned| {
@@ -87,7 +84,6 @@ pub fn execute(
     QueryOutcome {
         ranked: scratch.take_ranked(),
         cost,
-        plan,
     }
 }
 

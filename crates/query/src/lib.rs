@@ -26,4 +26,4 @@ pub(crate) mod plan;
 pub use ast::{Query, QueryShape};
 pub use cache::{CacheConfig, ResultCache};
 pub use exec::{execute, QueryOutcome};
-pub use plan::{plan, EvaluatorKind, Forced};
+pub use plan::{plan, Forced};

@@ -38,29 +38,15 @@ impl Forced {
     }
 }
 
-/// The evaluator a query runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EvaluatorKind {
-    /// MaxScore: whole-list σ bounds partition cursors into essential
-    /// and non-essential; candidates come only from the essential
-    /// frontier, non-essential lists are probed by seek.
-    MaxScore,
-    /// Conjunctive leapfrog over `advance_past` seeks.
-    Conjunctive,
-    /// Conjunctive leapfrog plus the positional phrase filter.
-    Phrase,
-}
-
-/// Picks the evaluator for a query of `shape`.
+/// The evaluator table: a query of `shape` runs on MaxScore
+/// (`Terms`), the conjunctive leapfrog (`And`) or the leapfrog plus
+/// the positional filter (`Phrase`) — one evaluator per shape, so the
+/// shape names it and this returns `shape`.
 ///
-/// `term_count` and `forced` do not enter the choice: kept only for
-/// `benchmark/`; ROADMAP item 1 deletes them.
-pub fn plan(shape: QueryShape, _term_count: usize, _forced: Forced) -> EvaluatorKind {
-    match shape {
-        QueryShape::Terms => EvaluatorKind::MaxScore,
-        QueryShape::And => EvaluatorKind::Conjunctive,
-        QueryShape::Phrase => EvaluatorKind::Phrase,
-    }
+/// Kept, with `term_count` and `forced`, only for `benchmark/`;
+/// ROADMAP item 1 deletes them.
+pub fn plan(shape: QueryShape, _term_count: usize, _forced: Forced) -> QueryShape {
+    shape
 }
 
 #[cfg(test)]
@@ -70,14 +56,9 @@ mod tests {
     #[test]
     fn shapes_with_fixed_semantics_ignore_forcing() {
         for term_count in [1, 2, 5] {
-            assert_eq!(
-                plan(QueryShape::Phrase, term_count, Forced::Auto),
-                EvaluatorKind::Phrase
-            );
-            assert_eq!(
-                plan(QueryShape::And, term_count, Forced::Auto),
-                EvaluatorKind::Conjunctive
-            );
+            for shape in [QueryShape::Phrase, QueryShape::And] {
+                assert_eq!(plan(shape, term_count, Forced::Auto), shape);
+            }
         }
     }
 
@@ -88,7 +69,7 @@ mod tests {
         for term_count in [1, 2, 5] {
             assert_eq!(
                 plan(QueryShape::Terms, term_count, Forced::Auto),
-                EvaluatorKind::MaxScore
+                QueryShape::Terms
             );
         }
     }

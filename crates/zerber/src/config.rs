@@ -2,7 +2,6 @@
 
 use zerber_client::BatchPolicy;
 use zerber_core::merge::MergeConfig;
-use zerber_core::ElementCodec;
 use zerber_index::PostingBackend;
 
 /// A structurally invalid [`ZerberConfig`], caught by
@@ -20,17 +19,8 @@ pub enum ConfigError {
         /// The configured server count `n`.
         servers: usize,
     },
-    /// The peer count is zero — nothing can host a shard or a share.
+    /// The peer count is zero — nothing can host a shard.
     NoPeers,
-    /// The peer ring is smaller than the sharing degree: the `n`
-    /// share-holding servers could not each sit on a *distinct* peer
-    /// (see `ZerberConfig::validate` for what that guards).
-    TooFewPeers {
-        /// The configured ring width.
-        peers: usize,
-        /// The minimum ring width (`servers`).
-        need: usize,
-    },
     /// The posting backend's directory is empty or its policy is
     /// degenerate (a zero flush threshold or segment bound would wedge
     /// the engine).
@@ -51,11 +41,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ThresholdExceedsServers { threshold, servers } => write!(
                 f,
                 "threshold k = {threshold} exceeds server count n = {servers}"
-            ),
-            ConfigError::TooFewPeers { peers, need } => write!(
-                f,
-                "peer ring has {peers} peers but the n = {need} share-holding servers need \
-                 distinct peers"
             ),
             ConfigError::InvalidSegmentPolicy { reason } => {
                 write!(f, "posting backend misconfigured: {reason}")
@@ -79,8 +64,9 @@ pub struct ZerberConfig {
     /// 2-out-of-3).
     pub threshold: usize,
     /// Width of the peer ring: how many peers (and logical document
-    /// shards) `runtime::ShardedSearch` launches.
-    /// `ZerberConfig::validate` also holds it to at least `servers`.
+    /// shards) `runtime::ShardedSearch` launches. The share path
+    /// ([`crate::ZerberSystem`]) does not read it: its `servers` run as
+    /// their own peers.
     pub peers: usize,
     /// Copies of each document shard in the peer runtime: shard `s`
     /// lives on peers `s, s+1, …, s+R-1 (mod peers)` (chord-style
@@ -92,8 +78,6 @@ pub struct ZerberConfig {
     pub replication: usize,
     /// Posting-list merging configuration.
     pub merge: MergeConfig,
-    /// Posting-element bit layout.
-    pub codec: ElementCodec,
     /// Owner-side update batching.
     pub batch: BatchPolicy,
     /// Where each shard replica of the plaintext peer runtime
@@ -119,7 +103,6 @@ impl Default for ZerberConfig {
             peers: 3,
             replication: 1,
             merge: MergeConfig::dfm(1024),
-            codec: ElementCodec::default(),
             batch: BatchPolicy::batched(4096),
             postings: PostingBackend::default(),
             seed: 0xEDB7_2008,
@@ -146,20 +129,10 @@ impl ZerberConfig {
         self
     }
 
-    /// Checks the structural invariants: `1 ≤ threshold ≤ servers ≤
-    /// peers`, at least one replica, and
-    /// [`ZerberConfig::validate_storage`]. Called by
-    /// `ZerberSystem::bootstrap` so a misconfiguration fails fast with
-    /// a typed error.
-    ///
-    /// `servers ≤ peers` guards no code path today: `ZerberSystem`
-    /// runs its `n` servers as `n` peer threads whatever `peers` says,
-    /// and nothing places shares on the ring. It is kept as the
-    /// paper's security precondition stated on the config — no box may
-    /// hold two shares of one element (Section 5.1), i.e. `n` servers
-    /// need `n` distinct peers — so that a configuration accepted now
-    /// stays valid when the share path is hosted on the peer ring
-    /// (ROADMAP item 3(c)).
+    /// Checks the structural invariants: `1 ≤ threshold ≤ servers`,
+    /// at least one replica, and [`ZerberConfig::validate_storage`].
+    /// Called by `ZerberSystem::bootstrap` so a misconfiguration fails
+    /// fast with a typed error.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.threshold == 0 {
             return Err(ConfigError::ThresholdZero);
@@ -168,12 +141,6 @@ impl ZerberConfig {
             return Err(ConfigError::ThresholdExceedsServers {
                 threshold: self.threshold,
                 servers: self.servers,
-            });
-        }
-        if self.peers < self.servers {
-            return Err(ConfigError::TooFewPeers {
-                peers: self.peers,
-                need: self.servers,
             });
         }
         if self.replication == 0 {
@@ -264,16 +231,6 @@ mod tests {
     #[test]
     fn default_config_validates() {
         assert_eq!(ZerberConfig::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn undersized_ring_is_rejected() {
-        // Fewer ring peers than share-holding servers.
-        let config = ZerberConfig::default().with_peers(2);
-        assert_eq!(
-            config.validate(),
-            Err(ConfigError::TooFewPeers { peers: 2, need: 3 })
-        );
     }
 
     #[test]

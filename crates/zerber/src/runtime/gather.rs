@@ -208,7 +208,10 @@ pub(crate) fn hedged_fan_out(
 ) -> Vec<Result<ShardFetch, ShardUnavailable>> {
     let base = Instant::now();
     // Phase 1: the primary attempt for every shard — sends only, so
-    // every shard's work overlaps.
+    // every shard's work overlaps. In process a send returns at once;
+    // over sockets it can block on a dial, the in-flight cap or a
+    // retry backoff (see `Transport::begin_traced`), and the shards
+    // behind it wait their turn to be sent.
     let mut primaries: Vec<Option<PendingReply>> = shards
         .iter()
         .map(|(_, replicas, payload)| {
@@ -401,7 +404,9 @@ pub(crate) fn gather_topk(
     scratch.cursors.clear();
     scratch.cursors.resize(per_peer.len(), 0);
     let cursors = &mut scratch.cursors;
-    let mut ranked: Vec<RankedDoc> = Vec::with_capacity(k);
+    // "Everything" is a legal `k` (`usize::MAX`): reserve for what can
+    // be returned, not for what was asked.
+    let mut ranked: Vec<RankedDoc> = Vec::with_capacity(k.min(candidates_received));
 
     while ranked.len() < k {
         // Sorted access over every peer's head; the best head is the

@@ -16,7 +16,7 @@
 //! | module | side | owns |
 //! |---|---|---|
 //! | this file | coordinator | [`ShardedSearch`]'s fields, `launch*` (host) and `connect` (the one place the struct is built), accessors — what a deployment *is* |
-//! | `read` | coordinator | the ranked-read path: cache probe → hedged fan-out → degraded-mode decision → gather → one epilogue; the single-node references [`local_topk`] / [`local_planned`] |
+//! | `read` | coordinator | the ranked-read path: cache probe → hedged fan-out → fail closed on an unanswered shard → gather → one epilogue; the single-node references [`local_topk`] / [`local_planned`] |
 //! | `write` | coordinator | the write fan-out: route → begin every shard → settle (retry, then taint) → account, for insert, bulk load and delete |
 //! | `driver` | coordinator | membership and repair: heartbeat, kill / revive / repair, join / leave, the membership gauge — and the only two host-dependent steps (the table on [`ShardedSearch::connect`]) |
 //! | `gather` | coordinator | the hedged fan-out (first live replica per shard wins, the dead are reported) and the threshold-bounded top-k merge, provably identical to single-node evaluation (`tests/sharded_topk.rs`) |
@@ -83,7 +83,7 @@ pub use membership::PeerStatus;
 pub use obs::RuntimeObs;
 pub use peer::{PeerRuntime, PeerService};
 pub use placement::ShardMap;
-pub use read::{local_planned, local_topk, DegradedMode, QueryError, ShardedQueryOutcome};
+pub use read::{local_planned, local_topk, QueryError, ShardedQueryOutcome};
 pub use repair::{RepairError, RepairStats};
 pub use service::{ServerService, ShardService};
 pub use transport::{InProcTransport, PendingReply, Transport, TransportError};
@@ -167,8 +167,6 @@ pub struct ShardedSearch {
     tainted: Mutex<HashSet<u32>>,
     /// Heartbeat-driven peer health (feeds `zerber_membership_up`).
     membership: Mutex<MembershipTable>,
-    /// What queries do about a shard with no live replica.
-    degraded: RwLock<DegradedMode>,
     /// Where a host-spawned replacement peer keeps its stores (a
     /// connected deployment's peers bring their own).
     backend: PostingBackend,
@@ -334,7 +332,6 @@ impl ShardedSearch {
             transition: Mutex::new(None),
             tainted: Mutex::new(HashSet::new()),
             membership: Mutex::new(membership),
-            degraded: RwLock::new(DegradedMode::default()),
             backend: config.postings.clone(),
             replicas,
             policy: HedgePolicy::default(),
@@ -360,11 +357,6 @@ impl ShardedSearch {
     /// Copies of each shard (clamped to the peer count at launch).
     pub fn replication(&self) -> u32 {
         self.replicas
-    }
-
-    /// What queries do when a shard has no answering replica.
-    pub fn set_degraded_mode(&self, mode: DegradedMode) {
-        *self.degraded.write() = mode;
     }
 
     /// The peers currently excluded from query fan-out because they
@@ -496,6 +488,35 @@ mod tests {
         // Each client got its own metered links.
         for client in 0..6u32 {
             assert!(search.traffic().sent_by(NodeId::User(client)) > 0);
+        }
+    }
+
+    /// `usize::MAX` asks for every match: each shape returns exactly
+    /// what the single-node reference does, and the gather reserves for
+    /// the candidates it received, not for `k`.
+    #[test]
+    fn unbounded_k_returns_every_match_on_every_shape() {
+        use zerber_query::{Forced, Query};
+        let docs = corpus(60, 6);
+        let search = ShardedSearch::launch(&ZerberConfig::default().with_peers(3), &docs).unwrap();
+        let k = usize::MAX;
+        let all = search.query(&[TermId(1)], k).unwrap();
+        assert_eq!(all.ranked, local_topk(&docs, &[TermId(1)], k));
+        let terms = vec![TermId(1), TermId(2)];
+        for query in [
+            Query::Terms {
+                terms: terms.clone(),
+                k,
+            },
+            Query::And {
+                terms: terms.clone(),
+                k,
+            },
+            Query::Phrase { terms, k },
+        ] {
+            let served = search.query_shaped(0, query.clone(), Forced::Auto).unwrap();
+            assert!(!served.ranked.is_empty(), "{query:?}");
+            assert_eq!(served.ranked, local_planned(&docs, &query), "{query:?}");
         }
     }
 

@@ -21,6 +21,7 @@ use zerber_obs::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, QueryTrace,
     SlowQueryLog, TraceId,
 };
+use zerber_query::QueryShape;
 
 /// How many of the slowest queries the slow-query log retains.
 pub(crate) const SLOW_QUERY_LOG_CAPACITY: usize = 8;
@@ -79,9 +80,9 @@ pub(crate) struct QueryMetrics {
     /// `zerber_cache_evictions_total`: entries pushed out by the LRU
     /// byte budget.
     pub cache_evictions: Counter,
-    /// `zerber_query_plan_total{plan=...}`: one counter per evaluator
-    /// the planner picked (labels are baked into the metric name so
-    /// the hot path never formats).
+    /// `zerber_query_plan_total{plan=...}`: one counter per query
+    /// shape, labelled by the evaluator that shape runs on (labels are
+    /// baked into the metric name so the hot path never formats).
     pub plan_maxscore: Counter,
     pub plan_conjunctive: Counter,
     pub plan_phrase: Counter,
@@ -102,12 +103,12 @@ pub(crate) struct QueryMetrics {
 }
 
 impl QueryMetrics {
-    /// The `zerber_query_plan_total` counter for `kind`.
-    pub(crate) fn plan_counter(&self, kind: zerber_query::EvaluatorKind) -> &Counter {
-        match kind {
-            zerber_query::EvaluatorKind::MaxScore => &self.plan_maxscore,
-            zerber_query::EvaluatorKind::Conjunctive => &self.plan_conjunctive,
-            zerber_query::EvaluatorKind::Phrase => &self.plan_phrase,
+    /// The `zerber_query_plan_total` counter for a query of `shape`.
+    pub(crate) fn plan_counter(&self, shape: QueryShape) -> &Counter {
+        match shape {
+            QueryShape::Terms => &self.plan_maxscore,
+            QueryShape::And => &self.plan_conjunctive,
+            QueryShape::Phrase => &self.plan_phrase,
         }
     }
 }
@@ -127,13 +128,7 @@ impl Default for RuntimeObs {
 impl RuntimeObs {
     /// A fresh handle with its own registry and forensics sinks.
     pub fn new() -> Self {
-        Self::with_registry(MetricsRegistry::new())
-    }
-
-    /// A handle recording into an existing `registry` — for sharing
-    /// one registry between the query path and other instrumented
-    /// components (socket transport, segment stores).
-    pub(crate) fn with_registry(registry: MetricsRegistry) -> Self {
+        let registry = MetricsRegistry::new();
         let metrics = QueryMetrics {
             latency: registry.histogram("zerber_query_latency_ns"),
             total: registry.counter("zerber_query_total"),

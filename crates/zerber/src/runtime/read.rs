@@ -1,11 +1,12 @@
 //! The read path: every ranked read of a [`ShardedSearch`] — cached
-//! or not, complete, degraded or failed — runs through this module,
-//! and so do the single-node references the tests compare it with.
+//! or not, complete or failed — runs through this module, and so do
+//! the single-node references the tests compare it with.
 //!
-//! This module owns two decisions: *what a query does about a shard
-//! nobody answers for* ([`DegradedMode`]) and *what every finished
-//! query leaves behind* — one epilogue records its latency, counts it
-//! and files its trace, whichever of the three exits it took.
+//! A shard nobody answers for fails the query closed
+//! ([`QueryError::Unavailable`]): a silently partial top-k is a
+//! *wrong* top-k. The one decision this module owns is *what every
+//! finished query leaves behind* — one epilogue records its latency,
+//! counts it and files its trace, whichever of the three exits it took.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -56,29 +57,10 @@ pub struct ShardedQueryOutcome {
     /// settled, each with its terminal error (timeout vs. dead link
     /// vs. fault) — the dead are reported, never silently dropped.
     pub failed_peers: Vec<(NodeId, TransportError)>,
-    /// Shards *no* replica answered for, served as empty under
-    /// [`DegradedMode::FlaggedPartial`]. Empty on a complete answer —
-    /// and always empty under [`DegradedMode::FailClosed`], which
-    /// turns the first uncovered shard into a [`QueryError`].
-    pub partial_shards: Vec<u32>,
     /// The assembled span tree of this query: fan-out, per-shard RPC
     /// attempts (with hedges, failures, and duplicates), peer-side
     /// decode, and gather merge.
     pub trace: Arc<QueryTrace>,
-}
-
-/// What a query does when a shard has no answering replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedMode {
-    /// Fail the whole query with the per-replica evidence
-    /// ([`QueryError::Unavailable`]). The default: a silently partial
-    /// top-k is a *wrong* top-k.
-    #[default]
-    FailClosed,
-    /// Serve the covered shards and *flag* the uncovered ones in
-    /// [`ShardedQueryOutcome::partial_shards`]. Partial answers never
-    /// fill the result cache.
-    FlaggedPartial,
 }
 
 /// Why a query could not complete. With the hedged gather, individual
@@ -205,7 +187,6 @@ impl ShardedSearch {
                 candidates_received: 0,
                 candidates_examined: 0,
                 failed_peers: Vec::new(),
-                partial_shards: Vec::new(),
                 trace,
             });
         }
@@ -213,20 +194,16 @@ impl ShardedSearch {
         let outcome = self.fetch_and_gather(client, &normalized, started)?;
         // Fill the cache under the epoch the probe used: if a write
         // landed mid-flight the epoch has moved on, this key names a
-        // dead epoch, and no future probe can ever read it. A partial
-        // answer (flagged-degraded mode with shards missing) never
-        // fills the cache — it is not *the* answer for this epoch.
-        if outcome.partial_shards.is_empty() {
-            let evicted = self.cache.insert(key, Arc::new(outcome.ranked.clone()));
-            metrics.cache_evictions.add(evicted);
-        }
+        // dead epoch, and no future probe can ever read it.
+        let evicted = self.cache.insert(key, Arc::new(outcome.ranked.clone()));
+        metrics.cache_evictions.add(evicted);
         Ok(outcome)
     }
 
     /// The one ranked-read path behind every public query entry point:
     /// global IDF weights → one [`Message::PlanQuery`] per shard →
-    /// hedged, traced fan-out → degraded-mode decision → gather →
-    /// [`ShardedSearch::finish_query`]. `query`'s terms ship in the
+    /// hedged, traced fan-out → fail closed on an unanswered shard →
+    /// gather → [`ShardedSearch::finish_query`]. `query`'s terms ship in the
     /// order given (the caller normalizes, or not); `started` is when
     /// the caller's query began, so the trace covers any work done
     /// before the fan-out.
@@ -246,13 +223,7 @@ impl ShardedSearch {
     ) -> Result<ShardedQueryOutcome, QueryError> {
         let k = query.k();
         let metrics = self.obs.metrics();
-        metrics
-            .plan_counter(zerber_query::plan(
-                query.shape(),
-                query.terms().len(),
-                Forced::Auto,
-            ))
-            .inc();
+        metrics.plan_counter(query.shape()).inc();
 
         let weights = self.stats.read().stats.weights(query.terms());
         // Saturate rather than truncate: document ids are 32-bit, so
@@ -268,19 +239,13 @@ impl ShardedSearch {
         let trace_id = self.obs.next_trace_id();
         let (fetches, fanout_span) = self.traced_fanout(NodeId::User(client), trace_id, &shards);
 
-        let degraded = *self.degraded.read();
         let mut per_shard: Vec<Vec<RankedDoc>> = Vec::with_capacity(fetches.len());
         let mut failed_peers: Vec<(NodeId, TransportError)> = Vec::new();
-        let mut partial_shards: Vec<u32> = Vec::new();
         for fetch in fetches {
             match fetch {
                 Ok(fetch) => {
                     failed_peers.extend(fetch.failed());
                     per_shard.push(fetch.answer.candidates);
-                }
-                Err(unavailable) if degraded == DegradedMode::FlaggedPartial => {
-                    partial_shards.push(unavailable.shard);
-                    failed_peers.extend(unavailable.failed());
                 }
                 Err(unavailable) => {
                     // A failed-closed query still counts, and leaves a
@@ -321,7 +286,6 @@ impl ShardedSearch {
             candidates_received: gathered.candidates_received,
             candidates_examined: gathered.candidates_examined,
             failed_peers,
-            partial_shards,
             trace,
         })
     }

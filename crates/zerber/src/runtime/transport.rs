@@ -352,11 +352,16 @@ pub trait Transport: Send + Sync {
     fn meter(&self) -> &Arc<TrafficMeter>;
 
     /// Sends one pre-encoded request carrying a query-trace id and
-    /// returns the in-flight handle. Never blocks on the peer:
-    /// failures surface when the returned pending is waited on. This
-    /// is the one required send primitive; implementations must
-    /// propagate `trace` onto the peer's `RequestEnvelope` (and, for
-    /// the socket transport, onto the wire frame).
+    /// returns the in-flight handle; failures surface when the
+    /// returned pending is waited on. In process it never blocks on
+    /// the peer. Over `socket::SocketTransport` it can, three ways:
+    /// dialling a new link waits up to `CONNECT_TIMEOUT` (5 s), a link
+    /// with `MAX_IN_FLIGHT` (64) unanswered requests holds the send
+    /// until one drains, and a failed dial or write sleeps a backoff
+    /// before each of up to `RETRIES` (2) re-dials. This is the one
+    /// required send primitive; implementations must propagate `trace`
+    /// onto the peer's `RequestEnvelope` (and, for the socket
+    /// transport, onto the wire frame).
     fn begin_traced(
         &self,
         from: NodeId,

@@ -298,9 +298,10 @@ impl ShardedSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{local_topk, DegradedMode};
+    use crate::runtime::local_topk;
     use crate::ZerberConfig;
     use zerber_index::{GroupId, TermId};
+    use zerber_query::{Forced, QueryShape};
 
     /// A batch that fails on one shard still counts on the other: the
     /// frame was already on the live shard's peer, so its documents
@@ -311,10 +312,12 @@ mod tests {
     fn a_partly_failed_batch_is_accounted_where_it_landed() {
         let config = ZerberConfig::default().with_peers(2);
         let search = ShardedSearch::launch(&config, &[]).unwrap();
-        search.set_degraded_mode(DegradedMode::FlaggedPartial);
         search.kill_peer(1);
         let map = search.shard_map();
         let lands = |doc: &Document| map.replica_peers(map.shard_of(doc.id), 1)[0] == 0;
+        let live_shard = (0..map.shard_count())
+            .find(|&shard| map.replica_peers(shard, 1)[0] == 0)
+            .unwrap();
 
         let mut landed: Vec<Document> = Vec::new();
         // Several rounds per entry point: at the parent the outcome
@@ -337,10 +340,37 @@ mod tests {
 
             assert_eq!(search.document_count(), landed.len(), "round {round}");
             assert!(search.serving_epoch() > epoch, "round {round}");
+            // The live shard serves exactly the landed documents, under
+            // the coordinator's weights: ask its peer directly.
             let terms = [TermId(1), TermId(9)];
-            let served = search.query(&terms, 10).unwrap();
-            assert_eq!(served.partial_shards.len(), 1);
-            assert_eq!(served.ranked, local_topk(&landed, &terms, 10));
+            let query = Message::PlanQuery {
+                shard: live_shard,
+                shape: QueryShape::Terms.as_u8(),
+                forced: Forced::Auto.as_u8(),
+                terms: search.stats.read().stats.weights(&terms),
+                k: 10,
+            };
+            let served = search
+                .transport()
+                .request(
+                    NodeId::User(0),
+                    NodeId::IndexServer(0),
+                    AuthToken(0),
+                    &query,
+                )
+                .unwrap();
+            let Message::TopKResponse { candidates, .. } = served else {
+                panic!("round {round}: expected a top-k answer, got {served:?}");
+            };
+            let got: Vec<(u32, u64)> = candidates
+                .iter()
+                .map(|(doc, score)| (doc.0, score.to_bits()))
+                .collect();
+            let want: Vec<(u32, u64)> = local_topk(&landed, &terms, 10)
+                .iter()
+                .map(|r| (r.doc.0, r.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "round {round}");
         }
     }
 }

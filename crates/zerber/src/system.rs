@@ -11,7 +11,7 @@ use zerber_client::{
     DocumentOwner, OwnerError, QueryClient, QueryError, QueryOutcome, ServerHandle,
 };
 use zerber_core::merge::{MergeError, MergePlan};
-use zerber_core::{CodecError, MappingTable};
+use zerber_core::{CodecError, ElementCodec, MappingTable};
 use zerber_index::{CorpusStats, Document, GroupId, TermId, UserId};
 use zerber_net::{AuthToken, NodeId, TrafficMeter};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
@@ -238,7 +238,7 @@ impl ZerberSystem {
             let owner = DocumentOwner::new(
                 group.0,
                 token,
-                self.config.codec,
+                ElementCodec::default(),
                 self.scheme.clone(),
                 self.table.clone(),
                 self.config.batch,
@@ -298,7 +298,7 @@ impl ZerberSystem {
     ) -> Result<QueryOutcome, SystemError> {
         let client = QueryClient::new(
             self.session(user),
-            self.config.codec,
+            ElementCodec::default(),
             self.table.clone(),
             self.config.threshold,
         );
@@ -384,16 +384,19 @@ mod tests {
 
     #[test]
     fn bootstrap_rejects_invalid_configs() {
-        // A ring narrower than the sharing degree fails fast at
+        // A threshold no quorum of servers can reach fails fast at
         // bootstrap.
-        let config = ZerberConfig::default().with_peers(1);
+        let config = ZerberConfig {
+            threshold: 4,
+            ..ZerberConfig::default()
+        };
         match ZerberSystem::bootstrap(config, &stats()) {
-            Err(SystemError::Config(crate::config::ConfigError::TooFewPeers {
-                peers: 1,
-                need: 3,
+            Err(SystemError::Config(crate::config::ConfigError::ThresholdExceedsServers {
+                threshold: 4,
+                servers: 3,
             })) => {}
-            Err(other) => panic!("expected TooFewPeers, got {other:?}"),
-            Ok(_) => panic!("expected TooFewPeers, got a running system"),
+            Err(other) => panic!("expected ThresholdExceedsServers, got {other:?}"),
+            Ok(_) => panic!("expected ThresholdExceedsServers, got a running system"),
         }
     }
 

@@ -1,5 +1,5 @@
 //! Self-healing integration tests: replica rebuild after a kill,
-//! join/leave rebalancing, degraded-mode policy, heartbeat debounce,
+//! join/leave rebalancing, fail-closed reads, heartbeat debounce,
 //! and the churn property — arbitrary kill→write→revive cycles with at
 //! least one live replica per shard stay bit-identical to the oracle,
 //! and a repaired cluster converges identical to a from-scratch
@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use zerber::runtime::{
-    local_topk, ChaosAction, DegradedMode, FaultInjectTransport, FaultPlan, HedgePolicy,
-    PeerStatus, QueryError, RepairError, ShardedSearch,
+    local_topk, ChaosAction, FaultInjectTransport, FaultPlan, HedgePolicy, PeerStatus, QueryError,
+    RepairError, ShardedSearch,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
@@ -323,12 +323,11 @@ fn failed_write_keeps_epoch_and_cached_results() {
     assert_eq!(ranked_bits(&hit), ranked_bits(&warm));
 }
 
-/// [`DegradedMode::FlaggedPartial`]: the same lost unreplicated shard
-/// that fails closed by default instead serves the covered shards,
-/// flags the uncovered one, reports the dead replica — and never
-/// fills the result cache with the partial answer.
+/// A lost unreplicated shard fails every read closed: the plain and
+/// the shaped path both report the uncovered shard, and the failed
+/// query leaves nothing in the result cache.
 #[test]
-fn flagged_partial_serves_covered_shards_without_caching() {
+fn a_lost_shard_fails_closed_without_caching() {
     let docs = corpus(80, 7);
     let config = ZerberConfig::default().with_peers(3); // replication = 1
     let mut search = ShardedSearch::launch(&config, &docs).expect("valid config");
@@ -338,45 +337,20 @@ fn flagged_partial_serves_covered_shards_without_caching() {
     let terms = [TermId(1), TermId(4)];
     match search.query(&terms, 6) {
         Err(QueryError::Unavailable(shard)) => assert_eq!(shard.shard, 2),
-        other => panic!("FailClosed is the default, got {other:?}"),
+        other => panic!("a lost shard fails the query closed, got {other:?}"),
     }
-
-    search.set_degraded_mode(DegradedMode::FlaggedPartial);
-    let outcome = search.query(&terms, 6).expect("flagged partial serves");
-    assert_eq!(outcome.partial_shards, vec![2]);
-    assert!(outcome
-        .failed_peers
-        .iter()
-        .any(|(node, _)| *node == NodeId::IndexServer(2)));
-
-    // The answer is exactly the oracle restricted to the covered
-    // shards: global ranking, minus the lost shard's documents.
-    let map = search.shard_map();
-    let expected: Vec<(u32, u64)> = local_topk(&docs, &terms, docs.len())
-        .iter()
-        .filter(|r| map.shard_of(r.doc) != 2)
-        .take(6)
-        .map(|r| (r.doc.0, r.score.to_bits()))
-        .collect();
-    assert_eq!(ranked_bits(&outcome), expected);
-
-    // A partial answer is not *the* answer for this epoch: the shaped
-    // path must refuse to cache it.
-    let shaped = search
-        .query_shaped(
-            0,
-            Query::Terms {
-                terms: terms.to_vec(),
-                k: 6,
-            },
-            Forced::Auto,
-        )
-        .expect("flagged partial serves the shaped path too");
-    assert_eq!(shaped.partial_shards, vec![2]);
+    let shaped = Query::Terms {
+        terms: terms.to_vec(),
+        k: 6,
+    };
+    match search.query_shaped(0, shaped, Forced::Auto) {
+        Err(QueryError::Unavailable(shard)) => assert_eq!(shard.shard, 2),
+        other => panic!("the shaped path fails closed too, got {other:?}"),
+    }
     assert_eq!(
         search.result_cache().len(),
         0,
-        "a partial answer must never fill the result cache"
+        "a failed query must never fill the result cache"
     );
 }
 
