@@ -7,23 +7,22 @@
 //!
 //! ```text
 //! documents ──dedup (last copy wins)──► W worker slices
-//!   worker w: RunBuilder ──(≥ run_postings)──► run-E-w-N.zrun
-//!             (segment file format, tmp + fsync + rename)
-//!   one k-way merge_streaming of every run ──► seg-S.zseg  (or rename
-//!                                              a lone run in place)
+//!   worker w: RunBuilder ──(≥ run_postings)──► sealed run, in memory
+//!             (a segment image: compressed lists + skip metadata)
+//!   one k-way merge_streaming of every run ──► seg-S.zseg, written once
+//!                                              (a lone run is the image)
 //!   writer lock: flush memtable, append the bulk segment, MANIFEST
-//!   delete run files
 //! ```
 //!
 //! The workers parallelize run building only: however many there are,
-//! one load commits exactly one segment, so a bulk-loaded term is read
-//! by one cursor rather than a shadowed merge of the load's own
-//! doc-disjoint parts.
+//! one load writes exactly one file and commits exactly one segment,
+//! so a bulk-loaded term is read by one cursor rather than a shadowed
+//! merge of the load's own doc-disjoint parts.
 //!
 //! No WAL record is ever written: the MANIFEST swap is the atomic
-//! commit point, and any file a crash strands (`.tmp`, `.zrun`, or an
-//! unlisted `.zseg`) is garbage-collected on the next open — the load
-//! is all-or-nothing.
+//! commit point. A crash before it leaves nothing, or one unlisted
+//! `.zseg` (or its `.tmp`), which the next open garbage-collects — the
+//! load is all-or-nothing.
 
 use zerber_index::Document;
 
@@ -35,8 +34,8 @@ pub struct BulkConfig {
     /// many-peer deployment do not oversubscribe the machine).
     pub workers: usize,
     /// A worker seals its current run once it holds this many
-    /// postings (term-less documents count 1) — the bound on worker
-    /// memory.
+    /// postings (term-less documents count 1) — the bound on its
+    /// unsealed builder. Sealed runs stay resident until the merge.
     pub run_postings: usize,
 }
 
@@ -70,12 +69,10 @@ pub struct BulkStats {
     pub docs: usize,
     /// Postings stored in the bulk segment.
     pub postings: usize,
-    /// Sorted runs the workers emitted.
+    /// Sorted runs the workers sealed.
     pub runs: usize,
-    /// How many bytes were written for the run files.
-    pub run_bytes: u64,
-    /// How many bytes the merge phase rewrote (a lone run is renamed
-    /// in place and costs nothing here).
+    /// How many bytes the merge phase wrote (a lone run is written
+    /// once, unmerged, and costs nothing here).
     pub merge_bytes: u64,
 }
 
@@ -86,20 +83,13 @@ pub struct BulkStats {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BulkFailpoint {
-    /// Die once `n` run files have been written (mid phase 1).
-    AfterRun(usize),
-    /// Die with every run on disk, before any merge output exists.
-    BeforeMerge,
-    /// Die once the merged segment file is written (end of phase 2,
-    /// nothing registered).
+    /// Die once the segment file is written (end of phase 2, nothing
+    /// registered): the directory holds one unlisted `.zseg`.
     AfterMerge,
     /// Die with the memtable sealed under the writer lock, just before
     /// the bulk segment's MANIFEST swap — the last moment the load
     /// must be invisible.
     BeforeManifest,
-    /// Die after the MANIFEST swap but before run-file deletion — the
-    /// load must be fully visible and the strays collectable.
-    BeforeRunGc,
 }
 
 /// Keeps the last copy of every document id ("only the most recent

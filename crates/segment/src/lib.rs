@@ -20,9 +20,10 @@
 //!   defines, and absorbed tombstones — written atomically and
 //!   CRC-verified on load,
 //! * [`bulk`] — the offline SPIMI bulk-build knobs ([`BulkConfig`]):
-//!   parallel workers emit sorted runs in the segment format, one k-way
-//!   merge folds them into one segment registered through one atomic
-//!   manifest swap, and no WAL is written on the offline path,
+//!   parallel workers seal sorted runs in memory as segment images, one
+//!   k-way merge folds them into one segment, written as the load's one
+//!   file and registered through one atomic manifest swap, and no WAL
+//!   is written on the offline path,
 //! * `store` — the engine ([`SegmentStore`]): flush seals the
 //!   memtable into a segment, size-balanced compaction (optionally on a
 //!   background thread) bounds the segment count by merging the

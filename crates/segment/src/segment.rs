@@ -171,59 +171,20 @@ impl Source for Memtable {
     }
 }
 
-/// One immutable segment, fully resident (posting payloads stay
-/// block-compressed in memory; the file exists for recovery).
+/// The image of one segment: per-term compressed lists plus the doc
+/// tables the shadowing rule reads. A bulk worker's sealed run, a
+/// merge's output and a loaded segment file all hold one, so one
+/// [`Source`] impl serves every compressed input of a merge or a read.
 #[derive(Debug)]
-pub(crate) struct Segment {
-    file_name: String,
+pub(crate) struct SegmentContent {
     live: Vec<u32>,
     tombstones: Vec<u32>,
     term_slots: u32,
     /// `(term, list)` sorted by term id; only non-empty lists.
     terms: Vec<(u32, CompressedPostingList)>,
-    /// Postings across `terms`, counted once at write/load: the
-    /// compaction window rule reads it for every segment.
-    postings: usize,
-    disk_bytes: u64,
 }
 
-impl Segment {
-    /// The file this segment was loaded from / written to.
-    pub(crate) fn file_name(&self) -> &str {
-        &self.file_name
-    }
-
-    /// On-disk footprint in bytes.
-    pub(crate) fn disk_bytes(&self) -> u64 {
-        self.disk_bytes
-    }
-
-    /// Tombstones carried for older segments, ascending.
-    pub(crate) fn tombstones(&self) -> &[u32] {
-        &self.tombstones
-    }
-
-    /// The compressed list for a term, when present.
-    pub(crate) fn list(&self, term: u32) -> Option<&CompressedPostingList> {
-        self.terms
-            .binary_search_by_key(&term, |&(t, _)| t)
-            .ok()
-            .map(|i| &self.terms[i].1)
-    }
-
-    /// Total postings stored.
-    pub(crate) fn posting_count(&self) -> usize {
-        self.postings
-    }
-
-    /// Compressed posting payload bytes (excluding doc/tombstone
-    /// tables).
-    pub(crate) fn compressed_bytes(&self) -> usize {
-        self.terms.iter().map(|(_, l)| l.compressed_bytes()).sum()
-    }
-}
-
-impl Source for Segment {
+impl Source for SegmentContent {
     fn touches(&self, doc: u32) -> bool {
         self.live.binary_search(&doc).is_ok() || self.tombstones.binary_search(&doc).is_ok()
     }
@@ -248,12 +209,48 @@ impl Source for Segment {
     }
 }
 
-/// The merged image of a stack of sources, not yet on disk.
-pub(crate) struct SegmentContent {
-    live: Vec<u32>,
-    tombstones: Vec<u32>,
-    term_slots: u32,
-    terms: Vec<(u32, CompressedPostingList)>,
+/// One immutable segment: its image, fully resident (posting payloads
+/// stay block-compressed in memory; the file exists for recovery), and
+/// the file that holds it.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    content: SegmentContent,
+    file_name: String,
+    /// Postings across the image's lists, counted once at write/load:
+    /// the compaction window rule reads it for every segment.
+    postings: usize,
+    disk_bytes: u64,
+}
+
+impl Segment {
+    fn new(content: SegmentContent, file_name: String, disk_bytes: u64) -> Self {
+        Self {
+            postings: content.terms.iter().map(|(_, l)| l.len()).sum(),
+            content,
+            file_name,
+            disk_bytes,
+        }
+    }
+
+    /// The image: its lists, and the [`Source`] reads and merges see.
+    pub(crate) fn content(&self) -> &SegmentContent {
+        &self.content
+    }
+
+    /// The file this segment was loaded from / written to.
+    pub(crate) fn file_name(&self) -> &str {
+        &self.file_name
+    }
+
+    /// On-disk footprint in bytes.
+    pub(crate) fn disk_bytes(&self) -> u64 {
+        self.disk_bytes
+    }
+
+    /// Total postings stored.
+    pub(crate) fn posting_count(&self) -> usize {
+        self.postings
+    }
 }
 
 /// Merges sources (recency-ordered, oldest first) into one segment
@@ -407,16 +404,26 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SegmentError> {
+        let bytes = self.bytes;
+        let (head, _) = bytes[self.pos..]
+            .split_first_chunk()
+            .ok_or_else(|| self.corrupt("body shorter than declared layout"))?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     pub(crate) fn u16(&mut self) -> Result<u16, SegmentError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 B")))
+        self.array().map(u16::from_le_bytes)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 B")))
+        self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 B")))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn u32_vec(&mut self) -> Result<Vec<u32>, SegmentError> {
@@ -466,27 +473,26 @@ pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
     };
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    if raw.len() < 20 {
+    let Some((header, body)) = raw.split_first_chunk::<20>() else {
         return Err(corrupt("shorter than the frame header"));
-    }
-    let magic = u32::from_le_bytes(raw[0..4].try_into().expect("4 B"));
-    let version = u32::from_le_bytes(raw[4..8].try_into().expect("4 B"));
-    let body_len = u64::from_le_bytes(raw[8..16].try_into().expect("8 B")) as usize;
-    let crc = u32::from_le_bytes(raw[16..20].try_into().expect("4 B"));
+    };
+    let mut r = Reader::new(header, &name);
+    let (magic, version, body_len, crc) = (r.u32()?, r.u32()?, r.u64()?, r.u32()?);
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
     }
     if version != VERSION {
         return Err(corrupt("unsupported version"));
     }
-    if raw.len() != 20 + body_len {
+    // `body_len` is read from the file: compared, never added to.
+    if body.len() as u64 != body_len {
         return Err(corrupt("length mismatch"));
     }
-    let body = raw.split_off(20);
-    if crc32(&body) != crc {
+    if crc32(body) != crc {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(body)
+    raw.drain(..20);
+    Ok(raw)
 }
 
 impl SegmentContent {
@@ -506,26 +512,30 @@ impl SegmentContent {
         }
     }
 
-    /// True iff the merge produced no state at all (nothing to
-    /// persist).
+    /// True iff the image holds no state at all (nothing to persist).
     pub(crate) fn is_empty(&self) -> bool {
         self.live.is_empty() && self.tombstones.is_empty()
     }
 
-    /// Persists the image as `seg-<seq>.zseg` in `dir`.
-    pub(crate) fn write(self, dir: &Path, seq: u64) -> Result<Segment, SegmentError> {
-        self.write_named(dir, format!("seg-{seq:06}.zseg"))
+    /// The compressed list for a term, when present.
+    pub(crate) fn list(&self, term: u32) -> Option<&CompressedPostingList> {
+        self.terms
+            .binary_search_by_key(&term, |&(t, _)| t)
+            .ok()
+            .map(|i| &self.terms[i].1)
     }
 
-    /// Persists the image under an explicit file name (the bulk-build
-    /// path writes intermediate runs as `run-*.zrun` files in the same
-    /// format, so a run that survives alone can be *renamed* into a
-    /// segment instead of rewritten).
-    pub(crate) fn write_named(
-        self,
-        dir: &Path,
-        file_name: String,
-    ) -> Result<Segment, SegmentError> {
+    /// Compressed posting payload bytes (excluding doc/tombstone
+    /// tables).
+    pub(crate) fn compressed_bytes(&self) -> usize {
+        self.terms.iter().map(|(_, l)| l.compressed_bytes()).sum()
+    }
+
+    /// Persists the image as `seg-<seq>.zseg` in `dir` through
+    /// [`write_framed`] (tmp + fsync + rename + directory fsync), so
+    /// the file exists completely or not at all. Flush, compaction and
+    /// the bulk load each write their segment once, here.
+    pub(crate) fn write(self, dir: &Path, seq: u64) -> Result<Segment, SegmentError> {
         let mut body = Vec::new();
         put_u32(&mut body, self.term_slots);
         put_u32(&mut body, self.live.len() as u32);
@@ -551,28 +561,13 @@ impl SegmentContent {
                 put_u64(&mut body, block.offset as u64);
             }
         }
+        let file_name = format!("seg-{seq:06}.zseg");
         let disk_bytes = write_framed(&dir.join(&file_name), &body)?;
-        Ok(Segment {
-            file_name,
-            live: self.live,
-            tombstones: self.tombstones,
-            term_slots: self.term_slots,
-            postings: self.terms.iter().map(|(_, l)| l.len()).sum(),
-            terms: self.terms,
-            disk_bytes,
-        })
+        Ok(Segment::new(self, file_name, disk_bytes))
     }
 }
 
 impl Segment {
-    /// Rebinds the in-memory image to a new file name after the file
-    /// itself was atomically renamed on disk (bulk-build run
-    /// adoption).
-    pub(crate) fn renamed(mut self, file_name: String) -> Segment {
-        self.file_name = file_name;
-        self
-    }
-
     /// Loads and verifies a segment file.
     pub(crate) fn load(path: &Path) -> Result<Segment, SegmentError> {
         let body = read_framed(path)?;
@@ -606,15 +601,8 @@ impl Segment {
             terms.push((term, CompressedPostingList::from_parts(data, blocks, len)));
         }
         r.finish()?;
-        Ok(Segment {
-            file_name,
-            live,
-            tombstones,
-            term_slots,
-            postings: terms.iter().map(|(_, l)| l.len()).sum(),
-            terms,
-            disk_bytes: (20 + body.len()) as u64,
-        })
+        let content = SegmentContent::from_parts(live, tombstones, term_slots, terms);
+        Ok(Segment::new(content, file_name, (20 + body.len()) as u64))
     }
 }
 
@@ -641,16 +629,14 @@ mod tests {
     }
 
     /// Runs `check` over the deltas as they are (decoded inputs) and
-    /// over each sealed into its own segment file (compressed inputs):
-    /// the one merge must decide identically through both.
+    /// over each sealed into its own segment image (compressed
+    /// inputs): the one merge must decide identically through both.
     fn through_both_forms(deltas: &[Memtable], check: impl Fn(&[&dyn Source])) {
         let decoded: Vec<&dyn Source> = deltas.iter().map(|d| d as &dyn Source).collect();
         check(&decoded);
-        let dir = ScratchDir::new("segment-forms");
-        let sealed: Vec<Segment> = deltas
+        let sealed: Vec<SegmentContent> = deltas
             .iter()
-            .enumerate()
-            .map(|(i, d)| merge_streaming(&[d], false).write(&dir, i as u64).unwrap())
+            .map(|d| merge_streaming(&[d], false))
             .collect();
         let compressed: Vec<&dyn Source> = sealed.iter().map(|s| s as &dyn Source).collect();
         check(&compressed);
@@ -737,14 +723,11 @@ mod tests {
 
     #[test]
     fn unshadowed_single_input_lists_are_carried_over_verbatim() {
-        let dir = ScratchDir::new("segment-carry");
         // Term 0 spans three blocks in `base`; doc 400 holds only
         // term 1.
         let mut ops: Vec<WalOp> = (0..300u32).map(|d| insert(d, &[(0, 1 + d % 3)])).collect();
         ops.push(insert(400, &[(1, 1)]));
-        let base = merge_streaming(&[&delta(&ops)], false)
-            .write(&dir, 0)
-            .unwrap();
+        let base = merge_streaming(&[&delta(&ops)], false);
         let original = base.list(0).unwrap();
         assert_eq!(original.blocks().len(), 3);
 
@@ -777,10 +760,11 @@ mod tests {
         let content = merge_streaming(&[&delta(&many), &delta(&[WalOp::Delete { doc: 3 }])], false);
         let written = content.write(&dir, 7).unwrap();
         let loaded = Segment::load(&dir.join(written.file_name())).unwrap();
-        assert_eq!(loaded.live_docs(), written.live_docs());
-        assert_eq!(loaded.tombstones(), written.tombstones());
         assert_eq!(loaded.posting_count(), written.posting_count());
         assert_eq!(loaded.disk_bytes(), written.disk_bytes());
+        let (loaded, written) = (loaded.content(), written.content());
+        assert_eq!(loaded.live_docs(), written.live_docs());
+        assert_eq!(loaded.tombstones(), written.tombstones());
         for term in 0..45u32 {
             assert_eq!(
                 loaded.term_entries(term),

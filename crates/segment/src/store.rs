@@ -48,7 +48,7 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
@@ -164,10 +164,6 @@ struct Inner {
     writer: Mutex<Writer>,
     /// At most one compaction at a time (explicit or background).
     compaction: Mutex<()>,
-    /// Distinguishes the run files of successive bulk loads on one
-    /// open store, so an aborted load's strays (collected only at the
-    /// next open) can never collide with a later load's runs.
-    bulk_epoch: AtomicU64,
     /// The MVCC snapshot epoch: bumped under the state write lock by
     /// every mutation that changes what a snapshot would see (applied
     /// batches, flushes, compactions, bulk commits). Result caches key
@@ -292,7 +288,7 @@ impl Inner {
         // Only a window starting at the oldest segment leaves nothing
         // older for its tombstones to mask; any other carries them.
         let gc_tombstones = at == 0;
-        let sources: Vec<&dyn Source> = inputs.iter().map(|s| s.as_ref() as &dyn Source).collect();
+        let sources: Vec<&dyn Source> = inputs.iter().map(|s| s.content() as &dyn Source).collect();
         let content = merge_streaming(&sources, gc_tombstones);
         let mut writer = self.writer.lock();
         let seq = writer.next_seq;
@@ -328,7 +324,7 @@ impl Inner {
         obs.compactions.inc();
         obs.compaction_postings.add(postings as u64);
         if gc_tombstones {
-            let retired: usize = inputs.iter().map(|s| s.tombstones().len()).sum();
+            let retired: usize = inputs.iter().map(|s| s.content().tombstones().len()).sum();
             obs.tombstones_gc.add(retired as u64);
         }
         obs.segments.set(segments.len() as i64);
@@ -392,9 +388,7 @@ impl SegmentStore {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            // `.zrun` files are bulk-build intermediates: a completed
-            // load deletes them, so any survivor is from a crash and
-            // never listed in the manifest.
+            // Run files: an older build that crashed mid-load left some.
             let is_garbage =
                 (name.ends_with(".zseg") || name.ends_with(".zrun") || name.ends_with(".tmp"))
                     && !listed.contains(name.as_str());
@@ -423,7 +417,6 @@ impl SegmentStore {
             }),
             writer: Mutex::new(Writer { wal, next_seq }),
             compaction: Mutex::new(()),
-            bulk_epoch: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             obs,
         });
@@ -594,21 +587,22 @@ impl SegmentStore {
     /// for corpus-sized batches.
     ///
     /// The batch is deduplicated (last copy of a document id wins,
-    /// like the WAL path), partitioned across
-    /// `BulkConfig::resolved_workers` parallel workers that each
-    /// emit sorted `run-*.zrun` files *in the segment file format*
-    /// (per-term compressed posting lists with block-max skip
-    /// metadata, written tmp + fsync + rename), k-way merged into
-    /// exactly one L1 segment (a lone run is renamed into place), and
-    /// registered in the `MANIFEST` under the writer lock — after
-    /// sealing any live memtable, so the bulk segment is strictly
-    /// newest and replaces overlapping documents exactly like a fresh
-    /// insert would. One load is one segment whatever the worker
-    /// count, so each of its terms is read by one cursor.
+    /// like the WAL path) and partitioned across
+    /// `BulkConfig::resolved_workers` parallel workers, each of which
+    /// seals sorted runs *in memory* as segment images (per-term
+    /// compressed posting lists with block-max skip metadata). One
+    /// k-way merge folds every run into exactly one segment (a lone
+    /// run already is it), which is written once as `seg-*.zseg`
+    /// (tmp + fsync + rename + directory fsync) and registered in the
+    /// `MANIFEST` under the writer lock — after sealing any live
+    /// memtable, so the bulk segment is strictly newest and replaces
+    /// overlapping documents exactly like a fresh insert would. One
+    /// load is one file and one segment whatever the worker count, so
+    /// each of its terms is read by one cursor.
     ///
     /// **No WAL record is written.** The manifest swap is the single
-    /// atomic commit point: a crash at any earlier step leaves only
-    /// unlisted `.zrun`/`.zseg`/`.tmp` files, which the next
+    /// atomic commit point: a crash at any earlier step leaves nothing
+    /// or one unlisted `.zseg` (or its `.tmp`), which the next
     /// [`SegmentStore::open`] garbage-collects — the load is
     /// all-or-nothing (property- and crash-tested in
     /// `tests/bulk_build_properties.rs`). Queries running from
@@ -619,118 +613,95 @@ impl SegmentStore {
         docs: &[Document],
         config: BulkConfig,
     ) -> Result<BulkStats, SegmentError> {
-        Ok(self
-            .bulk_load_inner(docs, config, None)?
-            .expect("no failpoint was armed"))
+        self.bulk_load_inner(docs, config, None)
     }
 
-    /// Test hook: [`SegmentStore::bulk_load`] that "crashes" (returns
-    /// `Ok(None)` leaving the on-disk state as-is) at the given
-    /// boundary. Not part of the stable API.
+    /// Test hook: [`SegmentStore::bulk_load`] that "crashes" at the
+    /// given boundary — it returns there, leaving the on-disk state as
+    /// it is and the load unregistered. Not part of the stable API.
     #[doc(hidden)]
     pub fn bulk_load_failpoint(
         &self,
         docs: &[Document],
         config: BulkConfig,
         failpoint: BulkFailpoint,
-    ) -> Result<Option<BulkStats>, SegmentError> {
+    ) -> Result<(), SegmentError> {
         self.bulk_load_inner(docs, config, Some(failpoint))
+            .map(drop)
     }
 
+    /// The bulk load; at an armed failpoint it returns there, with
+    /// empty stats.
     fn bulk_load_inner(
         &self,
         docs: &[Document],
         config: BulkConfig,
         failpoint: Option<BulkFailpoint>,
-    ) -> Result<Option<BulkStats>, SegmentError> {
+    ) -> Result<BulkStats, SegmentError> {
         let started = Instant::now();
         let unique = dedup_last(docs);
         if unique.is_empty() {
-            return Ok(Some(BulkStats::default()));
+            return Ok(BulkStats::default());
         }
         let workers = config.resolved_workers().max(1);
         let run_budget = config.run_postings.max(1);
-        let epoch = self.inner.bulk_epoch.fetch_add(1, Ordering::Relaxed);
-        let dir = self.inner.dir.clone();
 
-        // --- Phase 1: parallel SPIMI workers emit sorted runs. ------
-        let runs_written = AtomicUsize::new(0);
-        let run_bytes = AtomicU64::new(0);
-        // An armed failpoint "kills the process" cooperatively: once
-        // set, every worker stops, and the call returns `Ok(None)`
-        // with the disk exactly as the crash left it.
-        let died = AtomicBool::new(false);
+        // --- Phase 1: parallel SPIMI workers seal sorted runs. ------
         let chunk = unique.len().div_ceil(workers);
-        let worker_results: Vec<Result<Vec<Segment>, SegmentError>> = thread::scope(|scope| {
+        let runs: Vec<SegmentContent> = thread::scope(|scope| {
             let handles: Vec<_> = unique
                 .chunks(chunk)
-                .enumerate()
-                .map(|(w, slice)| {
-                    let (dir, died) = (&dir, &died);
-                    let (runs_written, run_bytes) = (&runs_written, &run_bytes);
-                    scope.spawn(move || -> Result<Vec<Segment>, SegmentError> {
-                        let mut runs: Vec<Segment> = Vec::new();
-                        let mut next_run = 0usize;
-                        let seal = |builder: RunBuilder,
-                                    next_run: &mut usize|
-                         -> Result<Segment, SegmentError> {
-                            let sealed = builder.build();
-                            let name = format!("run-{epoch:04}-{w:03}-{next_run:03}.zrun");
-                            *next_run += 1;
-                            let content = SegmentContent::from_parts(
-                                sealed.docs,
+                .map(|slice| {
+                    scope.spawn(move || {
+                        let seal = |builder: RunBuilder| {
+                            let run = builder.build();
+                            SegmentContent::from_parts(
+                                run.docs,
                                 Vec::new(),
-                                sealed.term_slots,
-                                sealed.terms,
-                            );
-                            let segment = content.write_named(dir, name)?;
-                            run_bytes.fetch_add(segment.disk_bytes(), Ordering::Relaxed);
-                            let total = runs_written.fetch_add(1, Ordering::Relaxed) + 1;
-                            if let Some(BulkFailpoint::AfterRun(n)) = failpoint {
-                                if total >= n {
-                                    died.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            Ok(segment)
+                                run.term_slots,
+                                run.terms,
+                            )
                         };
+                        let mut runs = Vec::new();
                         let mut builder = RunBuilder::new();
                         for doc in slice {
-                            if died.load(Ordering::Relaxed) {
-                                return Ok(runs);
-                            }
                             builder.push_document(
                                 doc.id.0,
                                 doc.length,
                                 doc.terms.iter().map(|&(t, c)| (t.0, c)),
                             );
                             if builder.weight() >= run_budget {
-                                runs.push(seal(std::mem::take(&mut builder), &mut next_run)?);
+                                runs.push(seal(std::mem::take(&mut builder)));
                             }
                         }
-                        if !builder.is_empty() && !died.load(Ordering::Relaxed) {
-                            runs.push(seal(builder, &mut next_run)?);
+                        if !builder.is_empty() {
+                            runs.push(seal(builder));
                         }
-                        Ok(runs)
+                        runs
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("bulk worker panicked"))
+                .flat_map(|h| h.join().expect("bulk worker panicked"))
                 .collect()
         });
-        let mut runs: Vec<Segment> = Vec::new();
-        for result in worker_results {
-            runs.extend(result?);
-        }
-        if died.load(Ordering::Relaxed) || matches!(failpoint, Some(BulkFailpoint::BeforeMerge)) {
-            return Ok(None);
-        }
 
-        // --- Phase 2: merge every run into one L1 segment. ---------
-        let postings: usize = runs.iter().map(Segment::posting_count).sum();
+        // --- Phase 2: merge every run into one segment, written once.
         let run_count = runs.len();
-        let run_names: Vec<String> = runs.iter().map(|r| r.file_name().to_owned()).collect();
+        let (content, merged) = match <[SegmentContent; 1]>::try_from(runs) {
+            // One run *is* the segment's image: nothing to merge.
+            Ok([run]) => (run, false),
+            // Runs are doc-disjoint and tombstone-free by construction:
+            // nothing is shadowed, so the merge carries single-run lists
+            // over and k-way merges the rest unfiltered. The runs are
+            // freed before the merged image is serialized, so at most
+            // two copies of the load are resident, not three.
+            Err(runs) => {
+                let sources: Vec<&dyn Source> = runs.iter().map(|run| run as &dyn Source).collect();
+                (merge_streaming(&sources, true), true)
+            }
+        };
         // Reserve the segment's seq under the writer lock. The
         // reservation only becomes durable with the registration
         // manifest; after a crash the number is simply reused (any
@@ -740,32 +711,12 @@ impl SegmentStore {
             writer.next_seq += 1;
             writer.next_seq - 1
         };
-        let (segment, merge_bytes) = match <[Segment; 1]>::try_from(runs) {
-            // One run *is* the segment: adopt it with an atomic rename
-            // instead of a rewrite (no write amplification).
-            Ok([run]) => {
-                let seg_name = format!("seg-{seq:06}.zseg");
-                std::fs::rename(dir.join(run.file_name()), dir.join(&seg_name))?;
-                std::fs::File::open(&dir)?.sync_all()?;
-                (run.renamed(seg_name), 0)
-            }
-            // Runs are doc-disjoint and tombstone-free by construction:
-            // nothing is shadowed, so the merge carries single-run lists
-            // over and k-way merges the rest unfiltered.
-            Err(runs) => {
-                let sources: Vec<&dyn Source> = runs.iter().map(|run| run as &dyn Source).collect();
-                let content = merge_streaming(&sources, true);
-                // Free the runs before serializing the merged image, so
-                // at most two copies of the load are resident, not three.
-                drop(sources);
-                drop(runs);
-                let segment = content.write(&dir, seq)?;
-                let bytes = segment.disk_bytes();
-                (segment, bytes)
-            }
-        };
-        if matches!(failpoint, Some(BulkFailpoint::AfterMerge)) {
-            return Ok(None);
+        let segment = content.write(&self.inner.dir, seq)?;
+        // A lone run is written once, not rewritten: no merge bytes.
+        let merge_bytes = if merged { segment.disk_bytes() } else { 0 };
+        let postings = segment.posting_count();
+        if failpoint == Some(BulkFailpoint::AfterMerge) {
+            return Ok(BulkStats::default());
         }
 
         // --- Phase 3: register atomically under the writer lock. ----
@@ -774,8 +725,8 @@ impl SegmentStore {
         // commit point must stay *older* than the bulk segment, which
         // replaces overlapping documents like a fresh insert.
         self.inner.flush_locked(&mut writer)?;
-        if matches!(failpoint, Some(BulkFailpoint::BeforeManifest)) {
-            return Ok(None);
+        if failpoint == Some(BulkFailpoint::BeforeManifest) {
+            return Ok(BulkStats::default());
         }
         let segments = {
             let mut state = self.inner.state.write();
@@ -785,14 +736,6 @@ impl SegmentStore {
         };
         self.inner.write_manifest(writer.next_seq, &segments)?;
         drop(writer);
-        if matches!(failpoint, Some(BulkFailpoint::BeforeRunGc)) {
-            return Ok(None);
-        }
-
-        // --- Phase 4: the manifest no longer references the runs. ---
-        for name in &run_names {
-            let _ = std::fs::remove_file(dir.join(name));
-        }
         self.wake_compactor();
         let obs = &self.inner.obs;
         obs.bulk_docs.add(unique.len() as u64);
@@ -800,13 +743,12 @@ impl SegmentStore {
         obs.bulk_merge_bytes.add(merge_bytes);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);
         obs.segments.set(segments.len() as i64);
-        Ok(Some(BulkStats {
+        Ok(BulkStats {
             docs: unique.len(),
             postings,
             runs: run_count,
-            run_bytes: run_bytes.load(Ordering::Relaxed),
             merge_bytes,
-        }))
+        })
     }
 
     /// Exports a consistent on-disk snapshot of the store for replica
@@ -915,7 +857,7 @@ impl SegmentSnapshot {
         let memtable = (!self.memtable.is_empty()).then_some(self.memtable.as_ref() as &dyn Source);
         self.segments
             .iter()
-            .map(|s| s.as_ref() as &dyn Source)
+            .map(|s| s.content() as &dyn Source)
             .chain(memtable)
             .collect()
     }
@@ -1013,7 +955,11 @@ impl PostingStore for SegmentSnapshot {
     }
 
     fn posting_bytes(&self) -> usize {
-        let segments: usize = self.segments.iter().map(|s| s.compressed_bytes()).sum();
+        let segments: usize = self
+            .segments
+            .iter()
+            .map(|s| s.content().compressed_bytes())
+            .sum();
         segments + self.memtable.approx_bytes()
     }
 
@@ -1042,7 +988,7 @@ impl PostingStore for SegmentSnapshot {
             .map(|&(term, weight)| {
                 let mut subs: Vec<(usize, SourceCursor<'a>)> = Vec::new();
                 for (rank, segment) in self.segments.iter().enumerate() {
-                    if let Some(list) = segment.list(term.0) {
+                    if let Some(list) = segment.content().list(term.0) {
                         if !list.is_empty() {
                             let cursor = CompressedBlockCursor::new(list, weight);
                             subs.push((rank, SourceCursor::Segment(cursor)));

@@ -52,9 +52,9 @@ fn put_u32(out: &mut Vec<u8>, value: u32) {
 }
 
 fn get_u32(input: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes = input.get(*pos..*pos + 4)?;
+    let bytes = input.get(*pos..)?.first_chunk()?;
     *pos += 4;
-    Some(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
+    Some(u32::from_le_bytes(*bytes))
 }
 
 /// Serializes one batch into a record payload.
@@ -186,25 +186,26 @@ pub(crate) fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
         Err(e) => return Err(e.into()),
     }
     let mut batches = Vec::new();
-    let mut pos = 0usize;
+    let mut rest = raw.as_slice();
     // Ends at the clean end of the log, a torn header/payload, or a
     // corrupted record — whichever comes first.
-    while let Some(header) = raw.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        let Some(payload) = raw.get(pos + 8..pos + 8 + len) else {
+    while let Some((len, tail)) = rest.split_first_chunk() {
+        let Some((crc, tail)) = tail.split_first_chunk() else {
+            break; // torn header
+        };
+        let Some(payload) = tail.get(..u32::from_le_bytes(*len) as usize) else {
             break; // torn payload
         };
-        if crc32(payload) != crc {
+        if crc32(payload) != u32::from_le_bytes(*crc) {
             break; // corrupted tail
         }
         let Some(ops) = decode_batch(payload) else {
             break; // CRC collision on garbage — still a tail
         };
         batches.push(ops);
-        pos += 8 + len;
+        rest = &tail[payload.len()..];
     }
-    // Anything from `pos` on is a torn header or payload: ignored.
+    // Anything left in `rest` is a torn header or payload: ignored.
     Ok(batches)
 }
 

@@ -1,7 +1,7 @@
 //! Property battery for the offline SPIMI bulk-build path.
 //!
-//! Two obligations, mirroring the WAL-path batteries in
-//! `store_properties.rs` and `recovery_properties.rs`:
+//! Three obligations, the first two mirroring the WAL-path batteries
+//! in `store_properties.rs` and `recovery_properties.rs`:
 //!
 //! 1. **Differential**: over arbitrary corpora (duplicate ids, odd
 //!    shapes, term-less docs) a [`SegmentStore::bulk_load`] must be
@@ -11,13 +11,15 @@
 //!    from a rebuild-from-scratch [`InvertedIndex`] oracle, including
 //!    after interleaved post-bulk inserts and deletes.
 //! 2. **Crash safety**: the bulk load killed at *every* step boundary
-//!    (after each run file, before the merge, after the merge, before
-//!    the manifest swap, before run GC) reopens to an all-or-nothing
-//!    state with every stray `run-*.zrun` / `*.tmp` file
-//!    garbage-collected, and the store keeps working.
+//!    that leaves something on disk (after the segment file is written,
+//!    before the manifest swap) reopens to an all-or-nothing state with
+//!    the unlisted segment garbage-collected, and the store keeps
+//!    working. Runs are sealed in memory, so a load's only file is its
+//!    one segment.
 //! 3. **One load, one segment**: whatever the worker count and however
-//!    many runs the workers seal, a load registers exactly one segment,
-//!    and a load of one run is adopted by rename, rewriting nothing.
+//!    many runs the workers seal, a load writes and registers exactly
+//!    one segment, and a load of one run is written once, merging
+//!    nothing.
 
 use std::collections::BTreeMap;
 
@@ -160,17 +162,22 @@ fn posting_image(
         .collect()
 }
 
-/// Disk entries that only a mid-bulk crash leaves behind.
+/// The names in `dir` with one of the given extensions, sorted.
+fn files_ending(dir: &std::path::Path, extensions: &[&str]) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| extensions.iter().any(|ext| name.ends_with(ext)))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Disk entries that only a mid-bulk crash leaves behind: temp files,
+/// and run files, which no load writes.
 fn stray_files(dir: &std::path::Path) -> Vec<String> {
-    let mut strays = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("read store dir") {
-        let name = entry.expect("dir entry").file_name();
-        let name = name.to_string_lossy().into_owned();
-        if name.ends_with(".zrun") || name.ends_with(".tmp") {
-            strays.push(name);
-        }
-    }
-    strays
+    files_ending(dir, &[".zrun", ".tmp"])
 }
 
 proptest! {
@@ -249,16 +256,9 @@ proptest! {
     fn bulk_load_killed_at_any_boundary_is_all_or_nothing(
         preload in prop::collection::vec(arb_doc(), 0..10),
         corpus in prop::collection::vec(arb_doc(), 1..30),
-        boundary in 0usize..5,
-        step in 1usize..4,
+        boundary in 0usize..2,
     ) {
-        let failpoint = match boundary {
-            0 => BulkFailpoint::AfterRun(step),
-            1 => BulkFailpoint::BeforeMerge,
-            2 => BulkFailpoint::AfterMerge,
-            3 => BulkFailpoint::BeforeManifest,
-            _ => BulkFailpoint::BeforeRunGc,
-        };
+        let failpoint = [BulkFailpoint::AfterMerge, BulkFailpoint::BeforeManifest][boundary];
         let dir = ScratchDir::new("bulk-crash");
         let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
 
@@ -275,31 +275,18 @@ proptest! {
         }
 
         let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
-        let outcome = store
+        store
             .bulk_load_failpoint(&docs, tiny_bulk(), failpoint)
             .expect("an aborted bulk load is not an error");
-        // The load is durable iff it ran to completion (a counted
-        // failpoint like `AfterRun(3)` never fires on a small corpus)
-        // or the kill landed at `BeforeRunGc` — the one boundary past
-        // the manifest swap, where only the cleanup was lost.
-        let committed = outcome.is_some() || matches!(failpoint, BulkFailpoint::BeforeRunGc);
         drop(store); // "crash": nothing else runs before reopen
 
-        let expected = if committed {
-            let mut all = before.clone();
-            for doc in &docs {
-                all.insert(doc.id.0, doc.clone());
-            }
-            all
-        } else {
-            before.clone()
-        };
+        // Both boundaries precede the manifest swap: nothing landed.
         let reopened = SegmentStore::open(&dir, tiny_policy()).expect("reopen");
-        check_snapshot(&reopened.snapshot(), &expected)?;
+        check_snapshot(&reopened.snapshot(), &before)?;
         prop_assert_eq!(
             stray_files(&dir),
             Vec::<String>::new(),
-            "open-time GC must remove every orphaned run/tmp file"
+            "open-time GC must remove every orphaned tmp file"
         );
 
         // The survivor keeps working: the same batch bulk-loads
@@ -367,7 +354,7 @@ proptest! {
             workers
         );
         if stats.runs == 1 {
-            prop_assert_eq!(stats.merge_bytes, 0, "a lone run is renamed, not rewritten");
+            prop_assert_eq!(stats.merge_bytes, 0, "a lone run is written once, not merged");
         } else {
             prop_assert!(stats.merge_bytes > 0);
         }
@@ -377,4 +364,48 @@ proptest! {
         }
         check_snapshot(&store.snapshot(), &live)?;
     }
+}
+
+/// A load of many runs from several workers, killed once its segment
+/// is written, has put exactly one file on disk — that unlisted
+/// segment, no run or temp file — and reopens to the pre-load state.
+#[test]
+fn a_multi_run_load_puts_one_file_on_disk() {
+    let dir = ScratchDir::new("bulk-one-file");
+    let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+    let preload: Vec<Document> = (0..4).map(|id| materialize(id, &[(0, 1)])).collect();
+    store.insert(&preload).expect("preload");
+    store.flush().expect("preload flush");
+    let before: BTreeMap<u32, Document> = preload.into_iter().map(|d| (d.id.0, d)).collect();
+    let listed = files_ending(&dir, &[".zseg"]);
+
+    let docs: Vec<Document> = (0..60)
+        .map(|id| materialize(id, &[(id % 7, 1 + id % 3), (MAX_TERM - 1, 1)]))
+        .collect();
+    let config = BulkConfig {
+        workers: 3,
+        run_postings: 4,
+    };
+    store
+        .bulk_load_failpoint(&docs, config, BulkFailpoint::AfterMerge)
+        .expect("an aborted bulk load is not an error");
+    drop(store);
+
+    let segments = files_ending(&dir, &[".zseg"]);
+    let written: Vec<&String> = segments.iter().filter(|s| !listed.contains(s)).collect();
+    assert_eq!(written.len(), 1, "one unlisted segment, got {segments:?}");
+    assert_eq!(
+        stray_files(&dir),
+        Vec::<String>::new(),
+        "no run or tmp file"
+    );
+
+    let reopened = SegmentStore::open(&dir, tiny_policy()).expect("reopen");
+    assert_eq!(files_ending(&dir, &[".zseg"]), listed, "open collects it");
+    check_snapshot(&reopened.snapshot(), &before).expect("nothing landed");
+    let stats = reopened.bulk_load(&docs, config).expect("retry bulk");
+    assert!(stats.runs > 3, "the load sealed many runs: {}", stats.runs);
+    let mut all = before;
+    all.extend(docs.into_iter().map(|d| (d.id.0, d)));
+    check_snapshot(&reopened.snapshot(), &all).expect("the retry landed");
 }

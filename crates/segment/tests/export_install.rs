@@ -4,7 +4,8 @@
 //! contents (export seals them first) — and installed stores must
 //! survive reopening like any other store. Hostile snapshot files —
 //! path-escaping names, a set without a manifest, a CRC-valid manifest
-//! with a malformed body — are refused as `SegmentError::Corrupt`.
+//! with a malformed body, a frame header declaring a body of `u64::MAX`
+//! bytes — are refused as `SegmentError::Corrupt`.
 
 use std::collections::BTreeMap;
 
@@ -170,6 +171,37 @@ fn hostile_manifests_open_as_corrupt() {
     std::fs::write(&manifest, &valid).unwrap();
     let reopened = SegmentStore::open(&dir, policy()).unwrap();
     assert_eq!(reopened.snapshot().live_doc_count(), 2);
+}
+
+/// A MANIFEST or segment whose frame header declares a body length of
+/// `u64::MAX` bytes opens as `Corrupt`: the declared length is compared
+/// with the file's, never added to.
+#[test]
+fn frame_headers_declaring_a_huge_body_open_as_corrupt() {
+    let dir = ScratchDir::new("export-hostile-length");
+    let store = SegmentStore::open(&dir, policy()).unwrap();
+    store.insert(&[doc(1, &[(0, 1)])]).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    let segment = std::fs::read_dir(&*dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "zseg"))
+        .expect("the flush wrote a segment");
+    for path in [dir.join("MANIFEST.zman"), segment] {
+        let valid = std::fs::read(&path).unwrap();
+        let mut hostile = valid.clone();
+        // Frame layout: magic u32 | version u32 | body length u64 | …
+        hostile[8..16].copy_from_slice(&[0xFF; 8]);
+        std::fs::write(&path, &hostile).unwrap();
+        match SegmentStore::open(&dir, policy()) {
+            Err(SegmentError::Corrupt { .. }) => {}
+            other => panic!("{}: expected Corrupt, got {other:?}", path.display()),
+        }
+        std::fs::write(&path, &valid).unwrap();
+    }
+    let reopened = SegmentStore::open(&dir, policy()).unwrap();
+    assert_eq!(reopened.snapshot().live_doc_count(), 1);
 }
 
 proptest! {

@@ -68,9 +68,10 @@ pub(crate) struct QueryMetrics {
     /// `zerber_peer_blocks_skipped_total` (block-max pruning wins).
     pub blocks_skipped: Counter,
     /// `zerber_transport_bytes_total` gauge: the deployment-wide
-    /// payload-byte sum, pulled from the [`TrafficMeter`] at sync
-    /// points (the meter stays the source of truth for the paper's
-    /// bandwidth accounting; the registry mirrors it at read time).
+    /// payload-byte sum, pulled from the [`TrafficMeter`] by
+    /// [`RuntimeObs::snapshot_with_traffic`] (the meter stays the
+    /// source of truth for the paper's bandwidth accounting; the
+    /// registry mirrors it at read time).
     pub bytes_total: Gauge,
     /// `zerber_cache_hits_total`: planned queries answered from the
     /// epoch-keyed result cache.
@@ -198,13 +199,8 @@ impl RuntimeObs {
     /// registry mirrors it at read time instead of double-counting on
     /// the hot path.
     pub fn snapshot_with_traffic(&self, meter: &TrafficMeter) -> MetricsSnapshot {
-        self.sync_traffic(meter);
-        self.inner.registry.snapshot()
-    }
-
-    /// Updates the `zerber_transport_bytes_total` gauge from `meter`.
-    pub(crate) fn sync_traffic(&self, meter: &TrafficMeter) {
         self.inner.metrics.bytes_total.set(meter.total() as i64);
+        self.inner.registry.snapshot()
     }
 
     pub(crate) fn metrics(&self) -> &QueryMetrics {

@@ -276,7 +276,6 @@ impl ShardedSearch {
         metrics
             .candidates_examined
             .add(gathered.candidates_examined as u64);
-        self.obs.sync_traffic(self.traffic());
         let spans = vec![fanout_span, gather_span];
         let trace = self.finish_query(started, trace_id, query, None, spans);
 
