@@ -24,9 +24,6 @@
 //! * `merge` — [`merge_compressed`], a k-way merge that streams
 //!   blocks instead of materializing whole lists ([`merge_sorted`] is
 //!   the same merge over any sorted posting streams),
-//! * `run` — [`RunBuilder`], the SPIMI-style sorted-run
-//!   accumulator parallel bulk-load workers seal their document
-//!   slices with,
 //! * [`mod@column`] — a general integer-column codec with a raw escape,
 //!   used to reproduce the share-vs-plaintext compressibility
 //!   experiment,
@@ -47,7 +44,6 @@ pub mod crc;
 pub(crate) mod cursor;
 pub(crate) mod list;
 pub(crate) mod merge;
-pub(crate) mod run;
 pub(crate) mod store;
 pub mod varint;
 
@@ -56,5 +52,4 @@ pub use builder::CompressedPostingBuilder;
 pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
 pub use list::{CompressedPostingIter, CompressedPostingList};
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
-pub use run::{RunBuilder, SortedRun};
 pub use store::{to_posting, CompressedPostingStore};

@@ -6,8 +6,8 @@
 //! pipeline:
 //!
 //! ```text
-//! documents ──dedup (last copy wins)──► W worker slices
-//!   worker w: RunBuilder ──(≥ run_postings)──► sealed run, in memory
+//! documents ──sort by id, last copy wins──► W doc-ascending slices
+//!   worker w: Memtable ──(≥ run_postings)──► sealed run, in memory
 //!             (a segment image: compressed lists + skip metadata)
 //!   one k-way merge_streaming of every run ──► seg-S.zseg, written once
 //!                                              (a lone run is the image)
@@ -24,8 +24,6 @@
 //! `.zseg` (or its `.tmp`), which the next open garbage-collects — the
 //! load is all-or-nothing.
 
-use zerber_index::Document;
-
 /// Tuning for one [`crate::SegmentStore::bulk_load`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BulkConfig {
@@ -33,9 +31,9 @@ pub struct BulkConfig {
     /// parallelism (capped at 8 so per-shard loads inside a
     /// many-peer deployment do not oversubscribe the machine).
     pub workers: usize,
-    /// A worker seals its current run once it holds this many
-    /// postings (term-less documents count 1) — the bound on its
-    /// unsealed builder. Sealed runs stay resident until the merge.
+    /// A worker seals its memtable once it holds this many postings
+    /// (term-less documents count 1) — the bound on its unsealed
+    /// memtable. Sealed runs stay resident until the merge.
     pub run_postings: usize,
 }
 
@@ -90,39 +88,4 @@ pub enum BulkFailpoint {
     /// the bulk segment's MANIFEST swap — the last moment the load
     /// must be invisible.
     BeforeManifest,
-}
-
-/// Keeps the last copy of every document id ("only the most recent
-/// copy of the document"), preserving first-occurrence order — the
-/// same batch semantics as the WAL path's `Memtable::apply`.
-pub(crate) fn dedup_last(docs: &[Document]) -> Vec<&Document> {
-    let mut last: std::collections::HashMap<u32, usize> =
-        std::collections::HashMap::with_capacity(docs.len());
-    for (i, doc) in docs.iter().enumerate() {
-        last.insert(doc.id.0, i);
-    }
-    docs.iter()
-        .enumerate()
-        .filter(|(i, doc)| last[&doc.id.0] == *i)
-        .map(|(_, doc)| doc)
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use zerber_index::{DocId, GroupId, TermId};
-
-    #[test]
-    fn dedup_keeps_the_last_copy() {
-        let doc = |id: u32, count: u32| {
-            Document::from_term_counts(DocId(id), GroupId(0), vec![(TermId(0), count)])
-        };
-        let docs = vec![doc(1, 1), doc(2, 1), doc(1, 9)];
-        let unique = dedup_last(&docs);
-        assert_eq!(unique.len(), 2);
-        assert_eq!(unique[0].id, DocId(2));
-        assert_eq!(unique[1].id, DocId(1));
-        assert_eq!(unique[1].terms[0].1, 9);
-    }
 }

@@ -7,12 +7,18 @@
 //! copy; a write folds in place through `Arc::make_mut`, which copies
 //! the table only while a snapshot still holds the old one. Sealing a
 //! segment merges this one source through the block compressor.
+//!
+//! A bulk-load worker's run is a [`Memtable`] too: it adds each document
+//! of its slice once through [`Memtable::insert_live`] and, at
+//! `BulkConfig::run_postings` weight, [`Memtable::seal`] consumes it
+//! into an in-memory segment image.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use zerber_postings::RawEntry;
+use zerber_postings::{CompressedPostingBuilder, RawEntry};
 
+use crate::segment::SegmentContent;
 use crate::wal::WalOp;
 
 /// A doc's net outcome within a batch: its `(length, term counts)` when
@@ -67,14 +73,7 @@ impl Memtable {
         for (doc, outcome) in net {
             self.retire(doc);
             match outcome {
-                Some((length, terms)) => {
-                    // A term-less document still weighs 1: every
-                    // touched doc must add flush pressure, or a stream
-                    // of empty inserts could grow the WAL and the
-                    // memtable forever without crossing the threshold.
-                    weight += terms.len().max(1);
-                    self.insert_live(doc, length, terms);
-                }
+                Some((length, terms)) => weight += self.insert_live(doc, length, terms.to_vec()),
                 None => {
                     insert_sorted(&mut self.tombstones, doc);
                     weight += 1;
@@ -101,8 +100,17 @@ impl Memtable {
         remove_sorted(&mut self.live, doc);
     }
 
-    fn insert_live(&mut self, doc: u32, length: u32, terms: &[(u32, u32)]) {
-        let mut terms = terms.to_vec();
+    /// Adds a document the table does not hold and returns its weight:
+    /// its postings, or 1 if term-less — every touched doc must add flush
+    /// pressure, or a stream of empty inserts could grow the WAL and the
+    /// memtable forever without crossing the threshold.
+    pub(crate) fn insert_live(
+        &mut self,
+        doc: u32,
+        length: u32,
+        mut terms: Vec<(u32, u32)>,
+    ) -> usize {
+        debug_assert!(!self.touches(doc), "doc {doc} is already here");
         // Canonical token-stream positions: terms in ascending id
         // order, each occupying `count` consecutive slots.
         terms.sort_unstable_by_key(|&(term, _)| term);
@@ -125,7 +133,31 @@ impl Memtable {
         }
         insert_sorted(&mut self.live, doc);
         self.doc_terms
-            .insert(doc, terms.into_iter().map(|(term, _)| term).collect());
+            .insert(doc, terms.iter().map(|&(term, _)| term).collect());
+        terms.len().max(1)
+    }
+
+    /// Consumes the table into a segment image — a bulk worker's run
+    /// seal. Each list is compressed as flush's merge of this table
+    /// alone compresses it, and its postings are freed once it is, so
+    /// the raw table does not outlive its image.
+    pub(crate) fn seal(self) -> SegmentContent {
+        drop(self.doc_terms);
+        let mut lists: Vec<(u32, TermList)> = self.terms.into_iter().collect();
+        lists.sort_unstable_by_key(|&(term, _)| term);
+        let terms = lists
+            .into_iter()
+            .map(|(term, list)| {
+                let entries = list.as_slice().iter().copied();
+                (term, CompressedPostingBuilder::from_sorted(entries))
+            })
+            .collect();
+        SegmentContent {
+            live: self.live,
+            tombstones: self.tombstones,
+            term_slots: self.term_slots,
+            terms,
+        }
     }
 
     /// True iff no batch was applied since the last flush.

@@ -177,11 +177,11 @@ impl Source for Memtable {
 /// [`Source`] impl serves every compressed input of a merge or a read.
 #[derive(Debug)]
 pub(crate) struct SegmentContent {
-    live: Vec<u32>,
-    tombstones: Vec<u32>,
-    term_slots: u32,
+    pub(crate) live: Vec<u32>,
+    pub(crate) tombstones: Vec<u32>,
+    pub(crate) term_slots: u32,
     /// `(term, list)` sorted by term id; only non-empty lists.
-    terms: Vec<(u32, CompressedPostingList)>,
+    pub(crate) terms: Vec<(u32, CompressedPostingList)>,
 }
 
 impl Source for SegmentContent {
@@ -496,22 +496,6 @@ pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
 }
 
 impl SegmentContent {
-    /// Assembles an image from already-built parts (a bulk worker's
-    /// sealed run).
-    pub(crate) fn from_parts(
-        live: Vec<u32>,
-        tombstones: Vec<u32>,
-        term_slots: u32,
-        terms: Vec<(u32, CompressedPostingList)>,
-    ) -> Self {
-        Self {
-            live,
-            tombstones,
-            term_slots,
-            terms,
-        }
-    }
-
     /// True iff the image holds no state at all (nothing to persist).
     pub(crate) fn is_empty(&self) -> bool {
         self.live.is_empty() && self.tombstones.is_empty()
@@ -601,7 +585,12 @@ impl Segment {
             terms.push((term, CompressedPostingList::from_parts(data, blocks, len)));
         }
         r.finish()?;
-        let content = SegmentContent::from_parts(live, tombstones, term_slots, terms);
+        let content = SegmentContent {
+            live,
+            tombstones,
+            term_slots,
+            terms,
+        };
         Ok(Segment::new(content, file_name, (20 + body.len()) as u64))
     }
 }

@@ -59,11 +59,9 @@ use zerber_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor, ShadowedMergeCursor};
 use zerber_index::{DocId, Document, Posting, PostingStore, SegmentPolicy, TermId};
-use zerber_postings::{
-    to_posting, CompressedBlockCursor, DecodedEntriesCursor, RawEntry, RunBuilder,
-};
+use zerber_postings::{to_posting, CompressedBlockCursor, DecodedEntriesCursor, RawEntry};
 
-use crate::bulk::{dedup_last, BulkConfig, BulkFailpoint, BulkStats};
+use crate::bulk::{BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
@@ -586,19 +584,20 @@ impl SegmentStore {
     /// the high-throughput alternative to [`SegmentStore::insert`]
     /// for corpus-sized batches.
     ///
-    /// The batch is deduplicated (last copy of a document id wins,
-    /// like the WAL path) and partitioned across
-    /// `BulkConfig::resolved_workers` parallel workers, each of which
-    /// seals sorted runs *in memory* as segment images (per-term
-    /// compressed posting lists with block-max skip metadata). One
-    /// k-way merge folds every run into exactly one segment (a lone
-    /// run already is it), which is written once as `seg-*.zseg`
-    /// (tmp + fsync + rename + directory fsync) and registered in the
-    /// `MANIFEST` under the writer lock — after sealing any live
-    /// memtable, so the bulk segment is strictly newest and replaces
-    /// overlapping documents exactly like a fresh insert would. One
-    /// load is one file and one segment whatever the worker count, so
-    /// each of its terms is read by one cursor.
+    /// The batch is sorted by document id, keeping the last copy of
+    /// each id (like the WAL path), and cut into doc-ascending slices
+    /// across `BulkConfig::resolved_workers` parallel workers. Each
+    /// worker fills a memtable, the WAL path's in-memory index, and
+    /// seals it *in memory* into a segment image (per-term compressed
+    /// posting lists with block-max skip metadata) whenever it reaches
+    /// `BulkConfig::run_postings`. One k-way merge folds every run
+    /// into exactly one segment (a lone run already is it), which is
+    /// written once as `seg-*.zseg` (tmp + fsync + rename + directory
+    /// fsync) and registered in the `MANIFEST` under the writer lock —
+    /// after sealing any live memtable, so the bulk segment is strictly
+    /// newest and replaces overlapping documents exactly like a fresh
+    /// insert would. One load is one file and one segment whatever the
+    /// worker count, so each of its terms is read by one cursor.
     ///
     /// **No WAL record is written.** The manifest swap is the single
     /// atomic commit point: a crash at any earlier step leaves nothing
@@ -639,7 +638,12 @@ impl SegmentStore {
         failpoint: Option<BulkFailpoint>,
     ) -> Result<BulkStats, SegmentError> {
         let started = Instant::now();
-        let unique = dedup_last(docs);
+        // Doc-ascending, last copy of each id wins: the stable sort of
+        // the reversed batch puts each id's last copy first, where the
+        // dedup keeps it. Sorted, every worker's memtable appends.
+        let mut unique: Vec<&Document> = docs.iter().rev().collect();
+        unique.sort_by_key(|doc| doc.id.0);
+        unique.dedup_by_key(|doc| doc.id.0);
         if unique.is_empty() {
             return Ok(BulkStats::default());
         }
@@ -653,29 +657,19 @@ impl SegmentStore {
                 .chunks(chunk)
                 .map(|slice| {
                     scope.spawn(move || {
-                        let seal = |builder: RunBuilder| {
-                            let run = builder.build();
-                            SegmentContent::from_parts(
-                                run.docs,
-                                Vec::new(),
-                                run.term_slots,
-                                run.terms,
-                            )
-                        };
                         let mut runs = Vec::new();
-                        let mut builder = RunBuilder::new();
+                        let mut run = Memtable::default();
+                        let mut weight = 0;
                         for doc in slice {
-                            builder.push_document(
-                                doc.id.0,
-                                doc.length,
-                                doc.terms.iter().map(|&(t, c)| (t.0, c)),
-                            );
-                            if builder.weight() >= run_budget {
-                                runs.push(seal(std::mem::take(&mut builder)));
+                            let terms = doc.terms.iter().map(|&(t, c)| (t.0, c)).collect();
+                            weight += run.insert_live(doc.id.0, doc.length, terms);
+                            if weight >= run_budget {
+                                runs.push(std::mem::take(&mut run).seal());
+                                weight = 0;
                             }
                         }
-                        if !builder.is_empty() {
-                            runs.push(seal(builder));
+                        if !run.is_empty() {
+                            runs.push(run.seal());
                         }
                         runs
                     })
@@ -683,7 +677,7 @@ impl SegmentStore {
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("bulk worker panicked"))
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
 

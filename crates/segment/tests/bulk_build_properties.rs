@@ -20,6 +20,10 @@
 //!    many runs the workers seal, a load writes and registers exactly
 //!    one segment, and a load of one run is written once, merging
 //!    nothing.
+//! 4. **A load's segment is a flush's segment**: many merged runs, one
+//!    consumed memtable and a flushed WAL batch of the same corpus
+//!    leave the same file, byte for byte — block layout and skip
+//!    metadata included — whatever order the batch arrives in.
 
 use std::collections::BTreeMap;
 
@@ -363,6 +367,65 @@ proptest! {
             live.insert(doc.id.0, doc);
         }
         check_snapshot(&store.snapshot(), &live)?;
+    }
+}
+
+/// The bytes of the one segment file a fresh store holds after `fill`,
+/// or `None` when it holds none; more than one fails the case.
+fn lone_segment(
+    tag: &str,
+    fill: impl FnOnce(&SegmentStore),
+) -> Result<Option<Vec<u8>>, TestCaseError> {
+    let dir = ScratchDir::new(tag);
+    let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+    fill(&store);
+    drop(store);
+    let segments = files_ending(&dir, &[".zseg"]);
+    prop_assert!(segments.len() <= 1, "{}: {:?}", tag, segments);
+    Ok(segments
+        .first()
+        .map(|name| std::fs::read(dir.join(name)).expect("read segment")))
+}
+
+/// [`lone_segment`] after one bulk load of `docs`.
+fn loaded_segment(
+    tag: &str,
+    docs: &[Document],
+    config: BulkConfig,
+) -> Result<Option<Vec<u8>>, TestCaseError> {
+    lone_segment(tag, |store| {
+        store.bulk_load(docs, config).expect("bulk load");
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn a_load_writes_the_segment_a_flush_writes(
+        corpus in prop::collection::vec(arb_doc(), 0..40),
+    ) {
+        let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
+        let one_run = BulkConfig { workers: 1, run_postings: usize::MAX };
+        let runs = loaded_segment("bulk-bytes-runs", &docs, tiny_bulk())?;
+        let sealed = loaded_segment("bulk-bytes-one", &docs, one_run)?;
+        let flushed = lone_segment("bulk-bytes-wal", |store| {
+            store.insert(&docs).expect("insert");
+            store.flush().expect("flush");
+        })?;
+        prop_assert_eq!(runs.is_none(), docs.is_empty(), "one segment iff any doc");
+        prop_assert!(runs == sealed, "merged runs and one sealed memtable differ");
+        prop_assert!(runs == flushed, "a load and a flush differ");
+
+        // Distinct ids, so reversing changes the order and not which
+        // copy wins.
+        let mut distinct: BTreeMap<u32, Document> = BTreeMap::new();
+        distinct.extend(docs.iter().map(|doc| (doc.id.0, doc.clone())));
+        let forward: Vec<Document> = distinct.into_values().collect();
+        let backward: Vec<Document> = forward.iter().rev().cloned().collect();
+        let forward_bytes = loaded_segment("bulk-bytes-fwd", &forward, tiny_bulk())?;
+        let backward_bytes = loaded_segment("bulk-bytes-rev", &backward, tiny_bulk())?;
+        prop_assert!(forward_bytes == runs, "the distinct batch differs");
+        prop_assert!(forward_bytes == backward_bytes, "the reversed batch differs");
     }
 }
 

@@ -732,6 +732,44 @@ mod tests {
         }
     }
 
+    /// A document whose term counts overflow `u32` when summed is
+    /// refused at the wire, on both write frames, and the shard keeps
+    /// serving.
+    #[test]
+    fn term_counts_overflowing_positions_are_malformed() {
+        let mut service = service_in(State::Serving);
+        let mut rpc = |frame| answer_of(service.handle(NodeId::Owner(0), AuthToken(0), frame));
+        let hostile = || {
+            vec![WireDocument {
+                doc: DocId(2),
+                group: GroupId(0),
+                length: 1,
+                terms: vec![(TermId(0), u32::MAX), (TermId(1), 1)],
+            }]
+        };
+        let frames = [
+            Message::IndexDocs {
+                shard: SHARD,
+                docs: hostile(),
+            },
+            Message::BulkLoad {
+                shard: SHARD,
+                docs: hostile(),
+            },
+        ];
+        for frame in frames {
+            assert_eq!(rpc(frame), Answer::Fault(fault::MALFORMED));
+        }
+        let query = Message::PlanQuery {
+            shard: SHARD,
+            shape: 0,
+            forced: 0,
+            terms: vec![(TermId(7), 1.0)],
+            k: 4,
+        };
+        assert_eq!(rpc(query), Answer::TopK);
+    }
+
     /// What the table's footnotes say: a restart of a failed ship
     /// keeps the owed writes, and they replay at commit.
     #[test]

@@ -32,17 +32,23 @@ pub(crate) fn to_wire(doc: &Document) -> WireDocument {
 
 /// Validates and converts one wire document. Wire input is untrusted:
 /// unsorted or duplicate terms would violate `Document`'s invariant
-/// (and panic deep in the index), so they are refused here.
+/// (and panic deep in the index), and so would counts whose sum does
+/// not fit a `u32` — the store lays each term's occurrences out after
+/// the smaller terms', as `u32` token positions — so both are refused
+/// here.
 pub(crate) fn from_wire(wire: WireDocument) -> Option<Document> {
-    wire.terms
-        .windows(2)
-        .all(|w| w[0].0 < w[1].0)
-        .then_some(Document {
-            id: wire.doc,
-            group: wire.group,
-            terms: wire.terms,
-            length: wire.length,
-        })
+    let sorted = wire.terms.windows(2).all(|w| w[0].0 < w[1].0);
+    let positions_fit = wire
+        .terms
+        .iter()
+        .try_fold(0u32, |end, &(_, count)| end.checked_add(count))
+        .is_some();
+    (sorted && positions_fit).then_some(Document {
+        id: wire.doc,
+        group: wire.group,
+        terms: wire.terms,
+        length: wire.length,
+    })
 }
 
 /// Where one peer's replica stores live, and under which policy: the
