@@ -17,7 +17,7 @@ use zerber_field::Fp;
 use zerber_index::{DocId, Document, GroupId, TermId, UserId};
 use zerber_net::{AuthToken, Message};
 use zerber_server::{IndexServer, TokenAuth};
-use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
+use zerber_shamir::{BatchReconstructor, ServerId, SharingScheme};
 
 fn bench_split(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -27,9 +27,8 @@ fn bench_split(c: &mut Criterion) {
     });
 
     let secrets: Vec<Fp> = (0..5_000u64).map(Fp::new).collect();
-    let splitter = BatchSplitter::new(&scheme);
     c.bench_function("shamir/split_5000_element_document", |b| {
-        b.iter(|| black_box(splitter.split_all(black_box(&secrets), &mut rng)))
+        b.iter(|| black_box(scheme.split_batch(black_box(&secrets), &mut rng)))
     });
 }
 
@@ -47,7 +46,7 @@ fn bench_reconstruct(c: &mut Criterion) {
 
     // The batch fast path behind the paper's "700 elements per msec".
     let secrets: Vec<Fp> = (0..10_000u64).map(Fp::new).collect();
-    let rows = BatchSplitter::new(&scheme).split_all(&secrets, &mut rng);
+    let rows = scheme.split_batch(&secrets, &mut rng);
     let reconstructor = BatchReconstructor::new(&scheme, &[ServerId(0), ServerId(1)]).unwrap();
     let selected = vec![rows[0].clone(), rows[1].clone()];
     c.bench_function("shamir/batch_reconstruct_10k_elements", |b| {

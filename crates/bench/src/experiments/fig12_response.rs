@@ -58,12 +58,12 @@ pub fn run(scale: Scale) -> Fig12 {
 /// weights (2-out-of-3, like the paper's setup).
 pub(crate) fn measure_decrypt_throughput() -> f64 {
     use zerber_field::Fp;
-    use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
+    use zerber_shamir::{BatchReconstructor, ServerId, SharingScheme};
 
     let mut rng = StdRng::seed_from_u64(99);
     let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
     let secrets: Vec<Fp> = (0..50_000u64).map(Fp::new).collect();
-    let rows = BatchSplitter::new(&scheme).split_all(&secrets, &mut rng);
+    let rows = scheme.split_batch(&secrets, &mut rng);
     let reconstructor = BatchReconstructor::new(&scheme, &[ServerId(0), ServerId(1)]).unwrap();
     let selected = vec![rows[0].clone(), rows[1].clone()];
 

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 use zerber_field::Fp;
-use zerber_shamir::{BatchReconstructor, BatchSplitter, ServerId, SharingScheme};
+use zerber_shamir::{BatchReconstructor, ServerId, SharingScheme};
 
 use crate::report::Table;
 
@@ -42,19 +42,18 @@ pub fn run() -> Micro {
 
     // --- Split a 5,000-distinct-term document. -----------------------
     let secrets: Vec<Fp> = (0..5_000u64).map(|v| Fp::new(v * 977 + 13)).collect();
-    let splitter = BatchSplitter::new(&scheme);
     // Warm-up + timed runs.
-    let _ = splitter.split_all(&secrets, &mut rng);
+    let _ = scheme.split_batch(&secrets, &mut rng);
     let runs = 20;
     let start = Instant::now();
     for _ in 0..runs {
-        std::hint::black_box(splitter.split_all(&secrets, &mut rng));
+        std::hint::black_box(scheme.split_batch(&secrets, &mut rng));
     }
     let split_5000_ms = start.elapsed().as_secs_f64() * 1_000.0 / runs as f64;
 
     // --- Decrypt throughput, Lagrange fast path. ---------------------
     let big: Vec<Fp> = (0..200_000u64).map(Fp::new).collect();
-    let rows = splitter.split_all(&big, &mut rng);
+    let rows = scheme.split_batch(&big, &mut rng);
     let reconstructor = BatchReconstructor::new(&scheme, &[ServerId(0), ServerId(2)]).unwrap();
     let selected = vec![rows[0].clone(), rows[2].clone()];
     let start = Instant::now();

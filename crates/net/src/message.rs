@@ -323,8 +323,6 @@ pub enum Message {
     SnapshotManifest {
         /// The snapshotted shard.
         shard: u32,
-        /// The shard store's durable epoch at snapshot time.
-        epoch: u64,
         /// `(file name, byte length, crc32)` per snapshot file.
         files: Vec<(String, u64, u32)>,
     },
@@ -345,25 +343,30 @@ pub enum Message {
         /// The file bytes.
         payload: Vec<u8>,
     },
-    /// Repair controller → rebuilding replica: install one snapshot
-    /// file into the shard's staging directory (tmp + fsync + rename,
-    /// same protocol as the segment store's own commits). An empty
-    /// `name` with `commit = false` *begins* a rebuild (the replica
-    /// starts buffering live writes); `commit = true` atomically cuts
-    /// the staged files over to serving and replays the buffer.
-    InstallShard {
+    /// Repair controller → rebuilding replica: begin a rebuild. The
+    /// replica drops any staged files and buffers live writes from now
+    /// on, until [`Message::InstallCommit`].
+    InstallBegin {
         /// The shard being rebuilt.
         shard: u32,
-        /// The snapshot epoch the staged files belong to.
-        epoch: u64,
-        /// Staged file name; empty for begin/commit control frames.
+    },
+    /// Repair controller → rebuilding replica: stage one snapshot
+    /// file, checked against its CRC.
+    InstallFile {
+        /// The shard being rebuilt.
+        shard: u32,
+        /// The file's name inside the snapshot.
         name: String,
         /// CRC32 of `payload`.
         crc: u32,
-        /// True on the final frame: cut over and start serving.
-        commit: bool,
-        /// The file bytes (empty for control frames).
+        /// The file bytes.
         payload: Vec<u8>,
+    },
+    /// Repair controller → rebuilding replica: restore the shard from
+    /// the staged files, replay the buffered writes and serve.
+    InstallCommit {
+        /// The shard being rebuilt.
+        shard: u32,
     },
     /// Membership prober → peer: liveness probe. Any reachable peer
     /// answers [`Message::Pong`] regardless of role.
@@ -436,13 +439,17 @@ const TAG_REMOVE_DOC: u8 = 13;
 const TAG_BULK_LOAD: u8 = 14;
 const TAG_PLAN_QUERY: u8 = 15;
 const TAG_PREPARE_SNAPSHOT: u8 = 16;
-const TAG_SNAPSHOT_MANIFEST: u8 = 17;
+// Tags 17 and 20 are retired too: the snapshot manifest that carried
+// the store's epoch, and the install frame that multiplexed three steps.
 const TAG_FETCH_SEGMENT: u8 = 18;
 const TAG_SEGMENT_DATA: u8 = 19;
-const TAG_INSTALL_SHARD: u8 = 20;
 const TAG_PING: u8 = 21;
 const TAG_PONG: u8 = 22;
 const TAG_SHARE_COLUMNS: u8 = 23;
+const TAG_SNAPSHOT_MANIFEST: u8 = 24;
+const TAG_INSTALL_BEGIN: u8 = 25;
+const TAG_INSTALL_FILE: u8 = 26;
+const TAG_INSTALL_COMMIT: u8 = 27;
 
 impl Message {
     /// Serializes the message into the buffer a transport sends: the
@@ -562,14 +569,9 @@ impl Message {
                 buffer.push(TAG_PREPARE_SNAPSHOT);
                 put_u32(&mut buffer, *shard);
             }
-            Message::SnapshotManifest {
-                shard,
-                epoch,
-                files,
-            } => {
+            Message::SnapshotManifest { shard, files } => {
                 buffer.push(TAG_SNAPSHOT_MANIFEST);
                 put_u32(&mut buffer, *shard);
-                put_u64(&mut buffer, *epoch);
                 put_u32(&mut buffer, files.len() as u32);
                 for (name, len, crc) in files {
                     put_string(&mut buffer, name);
@@ -588,22 +590,26 @@ impl Message {
                 put_u32(&mut buffer, payload.len() as u32);
                 buffer.extend_from_slice(payload);
             }
-            Message::InstallShard {
+            Message::InstallBegin { shard } => {
+                buffer.push(TAG_INSTALL_BEGIN);
+                put_u32(&mut buffer, *shard);
+            }
+            Message::InstallFile {
                 shard,
-                epoch,
                 name,
                 crc,
-                commit,
                 payload,
             } => {
-                buffer.push(TAG_INSTALL_SHARD);
+                buffer.push(TAG_INSTALL_FILE);
                 put_u32(&mut buffer, *shard);
-                put_u64(&mut buffer, *epoch);
                 put_string(&mut buffer, name);
                 put_u32(&mut buffer, *crc);
-                buffer.push(u8::from(*commit));
                 put_u32(&mut buffer, payload.len() as u32);
                 buffer.extend_from_slice(payload);
+            }
+            Message::InstallCommit { shard } => {
+                buffer.push(TAG_INSTALL_COMMIT);
+                put_u32(&mut buffer, *shard);
             }
             Message::Ping => {
                 buffer.push(TAG_PING);
@@ -615,10 +621,11 @@ impl Message {
         buffer
     }
 
-    /// Deserializes a message.
+    /// Deserializes a message. The frame must fill `buffer` exactly:
+    /// a byte after the message is a second spelling of it, and fails.
     pub fn decode(mut buffer: &[u8]) -> Result<Self, WireError> {
         let tag = read_u8(&mut buffer)?;
-        match tag {
+        let message = match tag {
             TAG_INSERT => {
                 let count = read_u32(&mut buffer)? as usize;
                 let mut entries = Vec::with_capacity(count.min(1 << 20));
@@ -626,7 +633,7 @@ impl Message {
                     let pl = PlId(read_u32(&mut buffer)?);
                     entries.push((pl, read_share(&mut buffer)?));
                 }
-                Ok(Message::InsertBatch { entries })
+                Message::InsertBatch { entries }
             }
             TAG_DELETE => {
                 let count = read_u32(&mut buffer)? as usize;
@@ -636,7 +643,7 @@ impl Message {
                     let element = ElementId(read_u64(&mut buffer)?);
                     elements.push((pl, element));
                 }
-                Ok(Message::Delete { elements })
+                Message::Delete { elements }
             }
             TAG_QUERY => {
                 let auth = AuthToken(read_u64(&mut buffer)?);
@@ -645,7 +652,7 @@ impl Message {
                 for _ in 0..count {
                     pl_ids.push(PlId(read_u32(&mut buffer)?));
                 }
-                Ok(Message::Query { auth, pl_ids })
+                Message::Query { auth, pl_ids }
             }
             TAG_SHARE_COLUMNS => {
                 // Every declared count is checked against the bytes
@@ -687,10 +694,7 @@ impl Message {
                         shares,
                     });
                 }
-                if !buffer.is_empty() {
-                    return Err(WireError::Malformed("bytes after the last list"));
-                }
-                Ok(Message::QueryResponse { lists })
+                Message::QueryResponse { lists }
             }
             TAG_PLAN_QUERY => {
                 let shard = read_u32(&mut buffer)?;
@@ -704,13 +708,13 @@ impl Message {
                     let weight = f64::from_bits(read_u64(&mut buffer)?);
                     terms.push((term, weight));
                 }
-                Ok(Message::PlanQuery {
+                Message::PlanQuery {
                     shard,
                     shape,
                     forced,
                     terms,
                     k,
-                })
+                }
             }
             TAG_TOPK_RESPONSE => {
                 let decode_ns = read_u64(&mut buffer)?;
@@ -723,40 +727,39 @@ impl Message {
                     let score = f64::from_bits(read_u64(&mut buffer)?);
                     candidates.push((doc, score));
                 }
-                Ok(Message::TopKResponse {
+                Message::TopKResponse {
                     decode_ns,
                     blocks_decoded,
                     blocks_total,
                     candidates,
-                })
+                }
             }
             TAG_INDEX_DOCS => {
                 let (shard, docs) = read_document_batch(&mut buffer)?;
-                Ok(Message::IndexDocs { shard, docs })
+                Message::IndexDocs { shard, docs }
             }
             TAG_BULK_LOAD => {
                 let (shard, docs) = read_document_batch(&mut buffer)?;
-                Ok(Message::BulkLoad { shard, docs })
+                Message::BulkLoad { shard, docs }
             }
-            TAG_REMOVE_DOC => Ok(Message::RemoveDoc {
+            TAG_REMOVE_DOC => Message::RemoveDoc {
                 shard: read_u32(&mut buffer)?,
                 doc: DocId(read_u32(&mut buffer)?),
-            }),
-            TAG_INSERT_OK => Ok(Message::InsertOk),
-            TAG_DELETE_OK => Ok(Message::DeleteOk {
+            },
+            TAG_INSERT_OK => Message::InsertOk,
+            TAG_DELETE_OK => Message::DeleteOk {
                 removed: read_u64(&mut buffer)?,
-            }),
+            },
             TAG_FAULT => {
                 let code = read_u8(&mut buffer)?;
                 let group = GroupId(read_u32(&mut buffer)?);
-                Ok(Message::Fault { code, group })
+                Message::Fault { code, group }
             }
-            TAG_PREPARE_SNAPSHOT => Ok(Message::PrepareSnapshot {
+            TAG_PREPARE_SNAPSHOT => Message::PrepareSnapshot {
                 shard: read_u32(&mut buffer)?,
-            }),
+            },
             TAG_SNAPSHOT_MANIFEST => {
                 let shard = read_u32(&mut buffer)?;
-                let epoch = read_u64(&mut buffer)?;
                 let count = read_u32(&mut buffer)? as usize;
                 let mut files = Vec::with_capacity(count.min(1 << 20));
                 for _ in 0..count {
@@ -765,42 +768,44 @@ impl Message {
                     let crc = read_u32(&mut buffer)?;
                     files.push((name, len, crc));
                 }
-                Ok(Message::SnapshotManifest {
-                    shard,
-                    epoch,
-                    files,
-                })
+                Message::SnapshotManifest { shard, files }
             }
             TAG_FETCH_SEGMENT => {
                 let shard = read_u32(&mut buffer)?;
                 let name = read_string(&mut buffer)?;
-                Ok(Message::FetchSegment { shard, name })
+                Message::FetchSegment { shard, name }
             }
             TAG_SEGMENT_DATA => {
                 let crc = read_u32(&mut buffer)?;
                 let payload = read_slice(&mut buffer)?.to_vec();
-                Ok(Message::SegmentData { crc, payload })
+                Message::SegmentData { crc, payload }
             }
-            TAG_INSTALL_SHARD => {
+            TAG_INSTALL_BEGIN => Message::InstallBegin {
+                shard: read_u32(&mut buffer)?,
+            },
+            TAG_INSTALL_FILE => {
                 let shard = read_u32(&mut buffer)?;
-                let epoch = read_u64(&mut buffer)?;
                 let name = read_string(&mut buffer)?;
                 let crc = read_u32(&mut buffer)?;
-                let commit = read_u8(&mut buffer)? != 0;
                 let payload = read_slice(&mut buffer)?.to_vec();
-                Ok(Message::InstallShard {
+                Message::InstallFile {
                     shard,
-                    epoch,
                     name,
                     crc,
-                    commit,
                     payload,
-                })
+                }
             }
-            TAG_PING => Ok(Message::Ping),
-            TAG_PONG => Ok(Message::Pong),
-            other => Err(WireError::UnknownTag(other)),
+            TAG_INSTALL_COMMIT => Message::InstallCommit {
+                shard: read_u32(&mut buffer)?,
+            },
+            TAG_PING => Message::Ping,
+            TAG_PONG => Message::Pong,
+            other => return Err(WireError::UnknownTag(other)),
+        };
+        if !buffer.is_empty() {
+            return Err(WireError::Malformed("bytes after the message"));
         }
+        Ok(message)
     }
 }
 
@@ -924,35 +929,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_batch_round_trips() {
-        let message = Message::InsertBatch {
+    fn insert_batch() -> Message {
+        Message::InsertBatch {
             entries: vec![
                 (PlId(1), share(100, 2, 12345)),
                 (PlId(9), share(101, 3, 99999)),
             ],
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
+        }
     }
 
-    #[test]
-    fn delete_round_trips() {
-        let message = Message::Delete {
+    fn delete() -> Message {
+        Message::Delete {
             elements: vec![(PlId(4), ElementId(77)), (PlId(4), ElementId(78))],
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
+        }
     }
 
-    #[test]
-    fn query_round_trips() {
-        let message = Message::Query {
+    fn query() -> Message {
+        Message::Query {
             auth: AuthToken(0xdead_beef),
             pl_ids: vec![PlId(0), PlId(31_999)],
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
+        }
     }
 
     fn columns(pl: u32, rows: &[(u64, u64)]) -> ShareColumns {
@@ -963,19 +959,178 @@ mod tests {
         list
     }
 
-    #[test]
-    fn response_round_trips() {
-        let message = Message::QueryResponse {
+    fn response() -> Message {
+        Message::QueryResponse {
             lists: vec![columns(5, &[(1, 1), (2, 2)]), columns(6, &[])],
-        };
+        }
+    }
+
+    /// 0.1 has no finite binary expansion; bit-level transport must
+    /// still reproduce it exactly.
+    fn topk_messages() -> [Message; 2] {
+        [
+            Message::PlanQuery {
+                shard: 2,
+                shape: 0,
+                forced: 1,
+                terms: vec![(TermId(7), 0.1), (TermId(9), 3.75)],
+                k: 10,
+            },
+            Message::TopKResponse {
+                decode_ns: 123_456,
+                blocks_decoded: 3,
+                blocks_total: 11,
+                candidates: vec![(DocId(3), 1.0 / 3.0), (DocId(1), 0.0)],
+            },
+        ]
+    }
+
+    fn plan_queries() -> Vec<Message> {
+        [(0u8, 0u8), (1, 0), (2, 0), (0, 1), (0, 2)]
+            .into_iter()
+            .map(|(shape, forced)| Message::PlanQuery {
+                shard: 3,
+                shape,
+                forced,
+                terms: vec![(TermId(7), 0.1), (TermId(7), 0.1), (TermId(2), 3.75)],
+                k: 10,
+            })
+            .collect()
+    }
+
+    fn index_docs() -> Message {
+        Message::IndexDocs {
+            shard: 5,
+            docs: vec![
+                WireDocument {
+                    doc: DocId(7),
+                    group: GroupId(1),
+                    length: 12,
+                    terms: vec![(TermId(3), 2), (TermId(9), 10)],
+                },
+                WireDocument {
+                    doc: DocId(8),
+                    group: GroupId(0),
+                    length: 0,
+                    terms: vec![],
+                },
+            ],
+        }
+    }
+
+    fn bulk_load() -> Message {
+        Message::BulkLoad {
+            shard: 2,
+            docs: vec![
+                WireDocument {
+                    doc: DocId(41),
+                    group: GroupId(3),
+                    length: 6,
+                    terms: vec![(TermId(0), 1), (TermId(5), 4)],
+                },
+                WireDocument {
+                    doc: DocId(42),
+                    group: GroupId(3),
+                    length: 0,
+                    terms: vec![],
+                },
+            ],
+        }
+    }
+
+    fn remove_doc() -> Message {
+        Message::RemoveDoc {
+            shard: 1,
+            doc: DocId::from_parts(3, 99),
+        }
+    }
+
+    fn control_messages() -> [Message; 3] {
+        [
+            Message::InsertOk,
+            Message::DeleteOk { removed: 42 },
+            Message::Fault {
+                code: crate::message::fault::NOT_GROUP_MEMBER,
+                group: GroupId(9),
+            },
+        ]
+    }
+
+    fn repair_frames() -> Vec<Message> {
+        vec![
+            Message::PrepareSnapshot { shard: 3 },
+            Message::SnapshotManifest {
+                shard: 3,
+                files: vec![
+                    ("MANIFEST".to_string(), 96, 0xdead_beef),
+                    ("seg-000001.zseg".to_string(), 4096, 0x1234_5678),
+                ],
+            },
+            Message::SnapshotManifest {
+                shard: 0,
+                files: vec![],
+            },
+            Message::FetchSegment {
+                shard: 3,
+                name: "seg-000001.zseg".to_string(),
+            },
+            Message::SegmentData {
+                crc: 0xcafe_f00d,
+                payload: b"segment bytes".to_vec(),
+            },
+            Message::InstallBegin { shard: 3 },
+            Message::InstallFile {
+                shard: 3,
+                name: "seg-000001.zseg".to_string(),
+                crc: 0xcafe_f00d,
+                payload: b"segment bytes".to_vec(),
+            },
+            Message::InstallFile {
+                shard: 3,
+                name: String::new(),
+                crc: 0,
+                payload: Vec::new(),
+            },
+            Message::InstallCommit { shard: 3 },
+            Message::Ping,
+            Message::Pong,
+        ]
+    }
+
+    fn assert_round_trips(message: &Message) {
+        assert_eq!(&Message::decode(&message.encode()).unwrap(), message);
+    }
+
+    /// Every prefix of `message`'s encoding is refused.
+    fn assert_every_cut_fails(message: &Message) {
         let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
         for cut in 0..encoded.len() {
             assert!(
                 Message::decode(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
+                "{message:?}: cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn insert_batch_round_trips() {
+        assert_round_trips(&insert_batch());
+    }
+
+    #[test]
+    fn delete_round_trips() {
+        assert_round_trips(&delete());
+    }
+
+    #[test]
+    fn query_round_trips() {
+        assert_round_trips(&query());
+    }
+
+    #[test]
+    fn response_round_trips() {
+        assert_round_trips(&response());
+        assert_every_cut_fails(&response());
     }
 
     #[test]
@@ -992,7 +1147,7 @@ mod tests {
         trailing.push(0);
         assert_eq!(
             Message::decode(&trailing).unwrap_err(),
-            WireError::Malformed("bytes after the last list")
+            WireError::Malformed("bytes after the message")
         );
 
         // p itself is the non-canonical spelling of a zero share.
@@ -1022,218 +1177,89 @@ mod tests {
 
     #[test]
     fn topk_messages_round_trip_exact_floats() {
-        // 0.1 has no finite binary expansion; bit-level transport must
-        // still reproduce it exactly.
-        let query = Message::PlanQuery {
-            shard: 2,
-            shape: 0,
-            forced: 1,
-            terms: vec![(TermId(7), 0.1), (TermId(9), 3.75)],
-            k: 10,
-        };
-        let encoded = query.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), query);
-
-        let response = Message::TopKResponse {
-            decode_ns: 123_456,
-            blocks_decoded: 3,
-            blocks_total: 11,
-            candidates: vec![(DocId(3), 1.0 / 3.0), (DocId(1), 0.0)],
-        };
-        let encoded = response.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), response);
+        for message in topk_messages() {
+            assert_round_trips(&message);
+        }
     }
 
     #[test]
     fn plan_query_round_trips_and_rejects_every_cut() {
-        for (shape, forced) in [(0u8, 0u8), (1, 0), (2, 0), (0, 1), (0, 2)] {
-            let message = Message::PlanQuery {
-                shard: 3,
-                shape,
-                forced,
-                terms: vec![(TermId(7), 0.1), (TermId(7), 0.1), (TermId(2), 3.75)],
-                k: 10,
-            };
-            let encoded = message.encode();
-            assert_eq!(Message::decode(&encoded).unwrap(), message);
-            for cut in 0..encoded.len() {
-                assert!(
-                    Message::decode(&encoded[..cut]).is_err(),
-                    "cut at {cut} should fail"
-                );
-            }
+        for message in plan_queries() {
+            assert_round_trips(&message);
+            assert_every_cut_fails(&message);
         }
     }
 
     #[test]
     fn index_docs_round_trips() {
-        let message = Message::IndexDocs {
-            shard: 5,
-            docs: vec![
-                WireDocument {
-                    doc: DocId(7),
-                    group: GroupId(1),
-                    length: 12,
-                    terms: vec![(TermId(3), 2), (TermId(9), 10)],
-                },
-                WireDocument {
-                    doc: DocId(8),
-                    group: GroupId(0),
-                    length: 0,
-                    terms: vec![],
-                },
-            ],
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
-        for cut in 0..encoded.len() {
-            assert!(
-                Message::decode(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
+        assert_round_trips(&index_docs());
+        assert_every_cut_fails(&index_docs());
     }
 
     #[test]
     fn bulk_load_round_trips() {
-        let message = Message::BulkLoad {
-            shard: 2,
-            docs: vec![
-                WireDocument {
-                    doc: DocId(41),
-                    group: GroupId(3),
-                    length: 6,
-                    terms: vec![(TermId(0), 1), (TermId(5), 4)],
-                },
-                WireDocument {
-                    doc: DocId(42),
-                    group: GroupId(3),
-                    length: 0,
-                    terms: vec![],
-                },
-            ],
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
-        for cut in 0..encoded.len() {
-            assert!(
-                Message::decode(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
+        assert_round_trips(&bulk_load());
+        assert_every_cut_fails(&bulk_load());
     }
 
     #[test]
     fn remove_doc_round_trips() {
-        let message = Message::RemoveDoc {
-            shard: 1,
-            doc: DocId::from_parts(3, 99),
-        };
-        let encoded = message.encode();
-        assert_eq!(Message::decode(&encoded).unwrap(), message);
+        assert_round_trips(&remove_doc());
     }
 
     #[test]
     fn control_messages_round_trip() {
-        for message in [
-            Message::InsertOk,
-            Message::DeleteOk { removed: 42 },
-            Message::Fault {
-                code: crate::message::fault::NOT_GROUP_MEMBER,
-                group: GroupId(9),
-            },
-        ] {
-            let encoded = message.encode();
-            assert_eq!(Message::decode(&encoded).unwrap(), message);
+        for message in control_messages() {
+            assert_round_trips(&message);
         }
     }
 
     #[test]
     fn repair_frames_round_trip_and_reject_every_cut() {
-        let messages = [
-            Message::PrepareSnapshot { shard: 3 },
-            Message::SnapshotManifest {
-                shard: 3,
-                epoch: 17,
-                files: vec![
-                    ("MANIFEST".to_string(), 96, 0xdead_beef),
-                    ("seg-000001.zseg".to_string(), 4096, 0x1234_5678),
-                ],
-            },
-            Message::SnapshotManifest {
-                shard: 0,
-                epoch: 0,
-                files: vec![],
-            },
-            Message::FetchSegment {
-                shard: 3,
-                name: "seg-000001.zseg".to_string(),
-            },
-            Message::SegmentData {
-                crc: 0xcafe_f00d,
-                payload: b"segment bytes".to_vec(),
-            },
-            Message::InstallShard {
-                shard: 3,
-                epoch: 17,
-                name: "seg-000001.zseg".to_string(),
-                crc: 0xcafe_f00d,
-                commit: false,
-                payload: b"segment bytes".to_vec(),
-            },
-            Message::InstallShard {
-                shard: 3,
-                epoch: 17,
-                name: String::new(),
-                crc: 0,
-                commit: true,
-                payload: Vec::new(),
-            },
-            Message::Ping,
-            Message::Pong,
-        ];
-        for message in messages {
-            let encoded = message.encode();
-            assert_eq!(Message::decode(&encoded).unwrap(), message);
-            for cut in 0..encoded.len() {
-                assert!(
-                    Message::decode(&encoded[..cut]).is_err(),
-                    "{message:?}: cut at {cut} should fail"
-                );
-            }
+        for message in repair_frames() {
+            assert_round_trips(&message);
+            assert_every_cut_fails(&message);
+        }
+    }
+
+    /// A frame has one spelling: whatever its tag, a byte appended to
+    /// it makes it undecodable.
+    #[test]
+    fn a_trailing_byte_fails_every_frame() {
+        let frames = [insert_batch(), delete(), query(), response(), remove_doc()]
+            .into_iter()
+            .chain(topk_messages())
+            .chain(plan_queries())
+            .chain([index_docs(), bulk_load()])
+            .chain(control_messages())
+            .chain(repair_frames());
+        for message in frames {
+            let mut trailing = message.encode();
+            trailing.push(0);
+            assert_eq!(
+                Message::decode(&trailing),
+                Err(WireError::Malformed("bytes after the message")),
+                "{message:?}"
+            );
         }
     }
 
     #[test]
     fn truncated_topk_errors() {
-        let message = Message::TopKResponse {
+        assert_every_cut_fails(&Message::TopKResponse {
             decode_ns: 1,
             blocks_decoded: 2,
             blocks_total: 3,
             candidates: vec![(DocId(1), 2.0)],
-        };
-        let encoded = message.encode();
-        for cut in 0..encoded.len() {
-            assert!(
-                Message::decode(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
+        });
     }
 
     #[test]
     fn truncated_buffers_error() {
-        let message = Message::Query {
+        assert_every_cut_fails(&Message::Query {
             auth: AuthToken(1),
             pl_ids: vec![PlId(1)],
-        };
-        let encoded = message.encode();
-        for cut in 0..encoded.len() {
-            assert!(
-                Message::decode(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
+        });
     }
 
     #[test]
@@ -1243,9 +1269,10 @@ mod tests {
             WireError::UnknownTag(42)
         );
         // The retired tags (the row-wise share response, snippet
-        // request / response, the old ranked read) stay undecodable,
-        // body or not.
-        for tag in [4, 5, 6, 7] {
+        // request / response, the old ranked read, the epoch-carrying
+        // snapshot manifest, the multiplexed install frame) stay
+        // undecodable, body or not.
+        for tag in [4, 5, 6, 7, 17, 20] {
             let retired = [tag, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
             assert_eq!(
                 Message::decode(&retired).unwrap_err(),

@@ -1,14 +1,16 @@
 //! The wire format, byte for byte: one instance of every live message
-//! tag (1–3, 8–23) and of both frame kinds, pinned as hex. A change to
-//! the codec's plumbing must leave this file passing unmodified; a
-//! change to the format has to edit a line here and say so.
+//! tag (1–3, 8–16, 18, 19, 21–27) and of both frame kinds, pinned as
+//! hex, and the retired tags 17 and 20 refused in their last pinned
+//! shape. A change to the codec's plumbing must leave this file
+//! passing unmodified; a change to the format has to edit a line here
+//! and say so.
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::{DocId, GroupId, TermId};
 use zerber_net::framing::{Frame, FrameDecoder};
 use zerber_net::message::fault;
-use zerber_net::{AuthToken, Message, NodeId, ShareColumns, StoredShare, WireDocument};
+use zerber_net::{AuthToken, Message, NodeId, ShareColumns, StoredShare, WireDocument, WireError};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|byte| format!("{byte:02x}")).collect()
@@ -32,7 +34,7 @@ fn document() -> WireDocument {
 }
 
 /// `(tag, message, encoding)` for every tag but the two that carry a
-/// file payload (19, 20 — pinned below from their bytes, so this file
+/// file payload (19, 26 — pinned below from their bytes, so this file
 /// never names the payload's type).
 fn golden_messages() -> Vec<(u8, Message, &'static str)> {
     let mut columns = ShareColumns::new(PlId(5));
@@ -125,15 +127,6 @@ fn golden_messages() -> Vec<(u8, Message, &'static str)> {
         ),
         (16, Message::PrepareSnapshot { shard: 3 }, "1000000003"),
         (
-            17,
-            Message::SnapshotManifest {
-                shard: 3,
-                epoch: 17,
-                files: vec![("MANIFEST".to_string(), 96, 0xdead_beef)],
-            },
-            "1100000003000000000000001100000001000000084d414e49464553540000000000000060deadbeef",
-        ),
-        (
             18,
             Message::FetchSegment {
                 shard: 3,
@@ -150,12 +143,32 @@ fn golden_messages() -> Vec<(u8, Message, &'static str)> {
             },
             "1700000002000000050201c881808080c00190030123456789abcdef00000000000000020000000600",
         ),
+        (
+            24,
+            Message::SnapshotManifest {
+                shard: 3,
+                files: vec![("MANIFEST".to_string(), 96, 0xdead_beef)],
+            },
+            "180000000300000001000000084d414e49464553540000000000000060deadbeef",
+        ),
+        (25, Message::InstallBegin { shard: 3 }, "1900000003"),
+        (27, Message::InstallCommit { shard: 3 }, "1b00000003"),
     ]
 }
 
 const SEGMENT_DATA: &str = "13cafef00d0000000d7365676d656e74206279746573";
-const INSTALL_SHARD: &str = "140000000300000000000000110000000f7365672d3030303030312e7a736567\
-     cafef00d010000000d7365676d656e74206279746573";
+const INSTALL_FILE: &str = "1a000000030000000f7365672d3030303030312e7a736567\
+     cafef00d0000000d7365676d656e74206279746573";
+
+/// The last pinned bytes of the two retired repair frames: tag 17, the
+/// snapshot manifest that carried the source store's epoch, and tag
+/// 20, the install frame whose steps a name and a commit byte told
+/// apart.
+const RETIRED: [&str; 2] = [
+    "1100000003000000000000001100000001000000084d414e49464553540000000000000060deadbeef",
+    "140000000300000000000000110000000f7365672d3030303030312e7a736567\
+     cafef00d010000000d7365676d656e74206279746573",
+];
 
 #[test]
 fn every_live_tag_encodes_to_its_pinned_bytes() {
@@ -178,28 +191,40 @@ fn every_live_tag_encodes_to_its_pinned_bytes() {
     assert_eq!(hex(&segment_data.encode()), SEGMENT_DATA);
     tags.push(unhex(SEGMENT_DATA)[0]);
 
-    let install = Message::decode(&unhex(INSTALL_SHARD)).expect("tag 20 decodes");
+    let install = Message::decode(&unhex(INSTALL_FILE)).expect("tag 26 decodes");
     match &install {
-        Message::InstallShard {
+        Message::InstallFile {
             shard,
-            epoch,
             name,
             crc,
-            commit,
             payload,
         } => {
-            assert_eq!((*shard, *epoch, *crc, *commit), (3, 17, 0xcafe_f00d, true));
+            assert_eq!((*shard, *crc), (3, 0xcafe_f00d));
             assert_eq!(name, "seg-000001.zseg");
             assert_eq!(payload[..], b"segment bytes"[..]);
         }
-        other => panic!("tag 20 decoded as {other:?}"),
+        other => panic!("tag 26 decoded as {other:?}"),
     }
-    assert_eq!(hex(&install.encode()), INSTALL_SHARD);
-    tags.push(unhex(INSTALL_SHARD)[0]);
+    assert_eq!(hex(&install.encode()), INSTALL_FILE);
+    tags.push(unhex(INSTALL_FILE)[0]);
 
     tags.sort_unstable();
-    let live: Vec<u8> = (1..=3).chain(8..=23).collect();
+    let live: Vec<u8> = (1..=3)
+        .chain(8..=16)
+        .chain(18..=19)
+        .chain(21..=27)
+        .collect();
     assert_eq!(tags, live, "one instance of every live tag");
+}
+
+#[test]
+fn the_retired_repair_tags_stay_undecodable() {
+    for (tag, retired) in [17, 20].into_iter().zip(RETIRED) {
+        assert_eq!(
+            Message::decode(&unhex(retired)),
+            Err(WireError::UnknownTag(tag))
+        );
+    }
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //! * [`oracle`] — exhaustive reference evaluators; every `exec`
 //!   evaluator is property-tested **bit-identical** against them;
 //! * `cache` — the sharded LRU result cache whose keys embed the
-//!   store epoch, so write invalidation is free.
+//!   serving epoch `ShardedSearch` bumps after every acknowledged
+//!   write, so write invalidation is free.
 
 pub(crate) mod ast;
 pub(crate) mod cache;

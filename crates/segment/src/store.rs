@@ -48,7 +48,6 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
@@ -162,11 +161,6 @@ struct Inner {
     writer: Mutex<Writer>,
     /// At most one compaction at a time (explicit or background).
     compaction: Mutex<()>,
-    /// The MVCC snapshot epoch: bumped under the state write lock by
-    /// every mutation that changes what a snapshot would see (applied
-    /// batches, flushes, compactions, bulk commits). Result caches key
-    /// on it, so any write invalidates cached results for free.
-    epoch: AtomicU64,
     /// Instrument handles, in the registry the store was opened with.
     obs: SegmentMetrics,
 }
@@ -244,7 +238,6 @@ impl Inner {
             let mut state = self.state.write();
             state.memtable = Arc::default();
             state.mem_weight = 0;
-            self.epoch.fetch_add(1, Ordering::Relaxed);
             drop(state);
             return writer.wal.truncate();
         }
@@ -257,7 +250,6 @@ impl Inner {
             state.segments.push(segment);
             state.memtable = Arc::default();
             state.mem_weight = 0;
-            self.epoch.fetch_add(1, Ordering::Relaxed);
             state.segments.clone()
         };
         self.write_manifest(writer.next_seq, &segments)?;
@@ -306,7 +298,6 @@ impl Inner {
                 .zip(&inputs)
                 .all(|(a, b)| Arc::ptr_eq(a, b)));
             state.segments.splice(at..at + 2, merged);
-            self.epoch.fetch_add(1, Ordering::Relaxed);
             state.segments.clone()
         };
         self.write_manifest(writer.next_seq, &segments)?;
@@ -415,7 +406,6 @@ impl SegmentStore {
             }),
             writer: Mutex::new(Writer { wal, next_seq }),
             compaction: Mutex::new(()),
-            epoch: AtomicU64::new(0),
             obs,
         });
         let compactor = policy.background.then(|| {
@@ -498,7 +488,6 @@ impl SegmentStore {
             let mut state = self.inner.state.write();
             let added = Arc::make_mut(&mut state.memtable).apply(&ops);
             state.mem_weight += added;
-            self.inner.epoch.fetch_add(1, Ordering::Relaxed);
             (
                 added,
                 state.mem_weight >= self.inner.policy.flush_postings.max(1),
@@ -542,17 +531,7 @@ impl SegmentStore {
         SegmentSnapshot {
             segments: state.segments.clone(),
             memtable: Arc::clone(&state.memtable),
-            epoch: self.inner.epoch.load(Ordering::Relaxed),
         }
-    }
-
-    /// The MVCC snapshot epoch: monotonically increasing, bumped by
-    /// every mutation path (applied insert/delete batches, flushes,
-    /// compactions, bulk commits). Two equal epochs guarantee
-    /// identical query results, so epoch-keyed result caches are
-    /// invalidated for free by any write.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Relaxed)
     }
 
     /// Number of on-disk segments.
@@ -725,7 +704,6 @@ impl SegmentStore {
         let segments = {
             let mut state = self.inner.state.write();
             state.segments.push(Arc::new(segment));
-            self.inner.epoch.fetch_add(1, Ordering::Relaxed);
             state.segments.clone()
         };
         self.inner.write_manifest(writer.next_seq, &segments)?;
@@ -748,20 +726,18 @@ impl SegmentStore {
     /// Exports a consistent on-disk snapshot of the store for replica
     /// rebuild: seals the memtable (so the WAL holds nothing the
     /// segments don't), then — with compaction quiesced so no listed
-    /// file can be rewritten or deleted mid-read — returns the MVCC
-    /// epoch plus the manifest and every live segment file as named
-    /// byte blobs. The manifest always ships, an empty store's too: it
-    /// is what tells [`SegmentStore::install_files`] a whole snapshot
-    /// arrived. Feeding the returned set to `install_files` and opening
-    /// the target directory yields a store with identical query results.
-    #[allow(clippy::type_complexity)]
-    pub fn export_files(&self) -> Result<(u64, Vec<(String, Vec<u8>)>), SegmentError> {
+    /// file can be rewritten or deleted mid-read — returns the manifest
+    /// and every live segment file as named byte blobs. The manifest
+    /// always ships, an empty store's too: it is what tells
+    /// [`SegmentStore::install_files`] a whole snapshot arrived. Feeding
+    /// the returned set to `install_files` and opening the target
+    /// directory yields a store with identical query results.
+    pub fn export_files(&self) -> Result<Vec<(String, Vec<u8>)>, SegmentError> {
         // Same order as `compact_once`: compaction lock before writer
         // lock, so this cannot deadlock against the compactor.
         let _quiesce = self.inner.compaction.lock();
         let mut writer = self.inner.writer.lock();
         self.inner.flush_locked(&mut writer)?;
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
         let manifest = self.inner.dir.join(MANIFEST_FILE);
         if !manifest.exists() {
             // A store that never sealed a segment has written none.
@@ -773,7 +749,7 @@ impl SegmentStore {
             let bytes = std::fs::read(self.inner.dir.join(&name))?;
             files.push((name, bytes));
         }
-        Ok((epoch, files))
+        Ok(files)
     }
 
     /// Stages an exported file set into `dir` using the same
@@ -832,8 +808,6 @@ impl Drop for SegmentStore {
 pub struct SegmentSnapshot {
     segments: Vec<Arc<Segment>>,
     memtable: Arc<Memtable>,
-    /// The store's MVCC epoch at capture time.
-    epoch: u64,
 }
 
 impl std::fmt::Debug for SegmentSnapshot {
@@ -921,13 +895,6 @@ impl SegmentSnapshot {
     /// a batch applied since the last flush, else 0.
     pub fn delta_len(&self) -> usize {
         usize::from(!self.memtable.is_empty())
-    }
-
-    /// The store's MVCC epoch at capture time. Snapshots with equal
-    /// epochs see identical data, so this is the cache-key component
-    /// that makes epoch-keyed result caches write-consistent.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 }
 

@@ -1,13 +1,10 @@
-//! The MVCC epoch contract: every mutation path that changes what a
-//! snapshot would see — applied insert/delete batches, flushes,
-//! compactions, bulk commits — strictly increases
-//! [`SegmentStore::epoch`], and snapshots capture the epoch they were
-//! taken at. Epoch-keyed result caches rely on exactly this: a stale
-//! entry can never be served because its key names an epoch no current
-//! snapshot reports.
+//! Snapshot isolation: a snapshot keeps answering from the store as it
+//! was when the snapshot was taken, whatever is written after, and its
+//! cursors report each live document's canonical positions under
+//! shadowing.
 
 use zerber_index::{DocId, Document, GroupId, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::{BulkConfig, ScratchDir, SegmentSnapshot, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentSnapshot, SegmentStore};
 
 fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
     Document::from_term_counts(
@@ -26,59 +23,8 @@ fn policy() -> SegmentPolicy {
     }
 }
 
-/// Runs one mutation and asserts the epoch strictly increased.
-fn bumps(store: &SegmentStore, what: &str, mutate: impl FnOnce(&SegmentStore)) {
-    let before = store.epoch();
-    mutate(store);
-    assert!(
-        store.epoch() > before,
-        "{what} must bump the epoch (stayed at {before})"
-    );
-}
-
-#[test]
-fn every_mutation_path_bumps_the_epoch() {
-    let dir = ScratchDir::new("epoch");
-    let store = SegmentStore::open(&dir, policy()).expect("open");
-
-    bumps(&store, "insert", |s| {
-        s.insert(&[doc(1, &[(0, 2), (3, 1)])]).expect("insert");
-    });
-    bumps(&store, "delete", |s| {
-        assert!(s.delete(DocId(1)).expect("delete"));
-    });
-    bumps(&store, "delete of an absent doc", |s| {
-        // Still a mutation: it appends a tombstone a snapshot can see.
-        assert!(!s.delete(DocId(99)).expect("delete"));
-    });
-    bumps(&store, "flush", |s| {
-        s.insert(&[doc(2, &[(1, 1)])]).expect("insert");
-        s.flush().expect("flush");
-    });
-    bumps(&store, "flush that seals an all-tombstone memtable", |s| {
-        s.delete(DocId(2)).expect("delete");
-        s.flush().expect("flush");
-    });
-    bumps(&store, "compaction", |s| {
-        // Two segments with max_segments = 1 force a merge.
-        s.insert(&[doc(3, &[(2, 1)])]).expect("insert");
-        s.flush().expect("flush");
-        let segments = s.segment_count();
-        s.compact().expect("compact");
-        assert!(s.segment_count() < segments, "compaction must have run");
-    });
-    bumps(&store, "bulk load", |s| {
-        s.bulk_load(&[doc(7, &[(4, 2)])], BulkConfig::default())
-            .expect("bulk load");
-    });
-
-    // A no-op flush (empty memtable) leaves visible state unchanged;
-    // the epoch may stay put — what matters is it never goes back.
-    let before = store.epoch();
-    store.flush().expect("no-op flush");
-    assert!(store.epoch() >= before, "the epoch never decreases");
-}
-
+/// A snapshot captures the store at its point in time: a later write
+/// is seen by a later snapshot and not by the pinned one.
 #[test]
 fn snapshots_capture_the_epoch_and_stay_pinned() {
     let dir = ScratchDir::new("epoch-snap");
@@ -86,14 +32,8 @@ fn snapshots_capture_the_epoch_and_stay_pinned() {
     store.insert(&[doc(1, &[(0, 1)])]).expect("insert");
 
     let old = store.snapshot();
-    assert_eq!(old.epoch(), store.epoch());
-
     store.insert(&[doc(2, &[(0, 3)])]).expect("insert");
     let new = store.snapshot();
-    assert!(
-        new.epoch() > old.epoch(),
-        "a write must separate the snapshots' epochs"
-    );
     // The pinned snapshot still answers from its own world.
     assert_eq!(old.document_frequency(TermId(0)), 1);
     assert_eq!(new.document_frequency(TermId(0)), 2);

@@ -56,8 +56,7 @@ fn export_then_install_reproduces_the_store() {
     source.delete(DocId(2)).unwrap();
     // Deliberately no flush: the export must seal the memtable itself.
 
-    let (epoch, files) = source.export_files().unwrap();
-    assert!(epoch > 0);
+    let files = source.export_files().unwrap();
     assert!(
         files.iter().any(|(name, _)| name == "MANIFEST.zman"),
         "manifest must ship with the snapshot"
@@ -82,7 +81,7 @@ fn export_then_install_reproduces_the_store() {
 fn empty_store_exports_and_installs_cleanly() {
     let source_dir = ScratchDir::new("export-empty-src");
     let source = SegmentStore::open(&source_dir, policy()).unwrap();
-    let (_, files) = source.export_files().unwrap();
+    let files = source.export_files().unwrap();
     let clone_dir = ScratchDir::new("export-empty-dst");
     SegmentStore::install_files(&clone_dir, &files).unwrap();
     let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
@@ -237,7 +236,7 @@ proptest! {
                 source.flush().unwrap();
             }
         }
-        let (_, files) = source.export_files().unwrap();
+        let files = source.export_files().unwrap();
         let clone_dir = ScratchDir::new("export-prop-dst");
         SegmentStore::install_files(&clone_dir, &files).unwrap();
         let clone = SegmentStore::open(&clone_dir, policy()).unwrap();

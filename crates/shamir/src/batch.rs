@@ -1,42 +1,16 @@
-//! Batch splitting and reconstruction.
+//! Batch reconstruction.
 //!
-//! Section 7.3 of the paper reports that creating the secret shares for
-//! one server for a 5,000-distinct-term document takes 33 ms and that
-//! 700 elements are decrypted per millisecond. Both numbers rely on
-//! amortization: the polynomial buffer is reused across elements when
-//! splitting, and the Lagrange weights are computed once per *server
-//! subset* and reused for every element when reconstructing.
-
-use rand::Rng;
+//! Section 7.3 of the paper reports that 700 elements are decrypted
+//! per millisecond. That number relies on amortization: the Lagrange
+//! weights are computed once per *server subset* and reused for every
+//! element. The splitting side of the same section, 33 ms per server
+//! for a 5,000-distinct-term document, is
+//! [`SharingScheme::split_batch`].
 
 use zerber_field::Fp;
 
 use crate::error::ShamirError;
 use crate::scheme::{ServerId, SharingScheme};
-
-/// Splits many secrets under one scheme, producing a share matrix laid
-/// out per server (the shape in which shares are shipped to the index
-/// servers).
-#[derive(Debug)]
-pub struct BatchSplitter<'a> {
-    scheme: &'a SharingScheme,
-}
-
-impl<'a> BatchSplitter<'a> {
-    /// Creates a splitter bound to a scheme.
-    pub fn new(scheme: &'a SharingScheme) -> Self {
-        Self { scheme }
-    }
-
-    /// Splits `secrets`, returning `n` rows where row `i` holds the
-    /// y-shares destined for server `i`, aligned with `secrets` —
-    /// delegates to [`SharingScheme::split_batch`], the allocation-free
-    /// per-element fast path (precomputed coordinate power tables, one
-    /// reused coefficient scratch).
-    pub fn split_all<R: Rng + ?Sized>(&self, secrets: &[Fp], rng: &mut R) -> Vec<Vec<Fp>> {
-        self.scheme.split_batch(secrets, rng)
-    }
-}
 
 /// Reconstructs many secrets from per-server share rows with
 /// precomputed Lagrange weights — O(k) per element.
@@ -100,7 +74,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let scheme = scheme();
         let secrets: Vec<Fp> = (0..100u64).map(|v| Fp::new(v * v + 7)).collect();
-        let rows = BatchSplitter::new(&scheme).split_all(&secrets, &mut rng);
+        let rows = scheme.split_batch(&secrets, &mut rng);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.len() == secrets.len()));
 

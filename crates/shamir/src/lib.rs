@@ -14,8 +14,9 @@
 //!   split/reconstruct operations (Algorithms 1a/1b), including the
 //!   O(k^3) Gaussian variant the paper describes and the O(k^2)
 //!   Lagrange variant used on the hot path.
-//! * `batch` — amortized splitting/reconstruction for whole documents
-//!   and query responses ("700 elements per msec", Section 7.3).
+//! * `batch` — amortized reconstruction of whole query responses
+//!   ("700 elements per msec", Section 7.3); amortized splitting is
+//!   `SharingScheme::split_batch`.
 //! * `proactive` — share refresh à la Herzberg et al. \[21\], which the
 //!   paper cites for recovering from partial share exposure.
 
@@ -39,7 +40,7 @@ pub(crate) mod error;
 pub(crate) mod proactive;
 pub(crate) mod scheme;
 
-pub use batch::{BatchReconstructor, BatchSplitter};
+pub use batch::BatchReconstructor;
 pub use error::ShamirError;
 pub use proactive::RefreshRound;
 pub use scheme::{ServerId, Share, SharingScheme};

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zerber_field::{Fp, MODULUS};
-use zerber_shamir::{BatchReconstructor, BatchSplitter, RefreshRound, ServerId, SharingScheme};
+use zerber_shamir::{BatchReconstructor, RefreshRound, ServerId, SharingScheme};
 
 fn arb_secret() -> impl Strategy<Value = Fp> {
     (0..MODULUS).prop_map(Fp::from_canonical)
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
-        let rows = BatchSplitter::new(&scheme).split_all(&secrets, &mut rng);
+        let rows = scheme.split_batch(&secrets, &mut rng);
         let reconstructor =
             BatchReconstructor::new(&scheme, &[ServerId(2), ServerId(0)]).unwrap();
         let selected = vec![rows[2].clone(), rows[0].clone()];

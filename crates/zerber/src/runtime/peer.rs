@@ -149,7 +149,6 @@ impl Drop for PeerRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::repair::InstallFrame;
     use crate::runtime::service::{ServerService, ShardService};
     use crate::runtime::transport::Transport;
     use zerber_field::Fp;
@@ -506,7 +505,7 @@ mod tests {
 
         // Begin: from here on the target owes every write it acks.
         assert_eq!(
-            rpc(target, &InstallFrame::Begin.message(0, 0)),
+            rpc(target, &Message::InstallBegin { shard: 0 }),
             Message::InsertOk
         );
         // A write lands on both the source (pre-snapshot, so it is in
@@ -547,14 +546,10 @@ mod tests {
         );
 
         // Snapshot the source and stream every file to the target.
-        let (epoch, manifest) = match rpc(source, &Message::PrepareSnapshot { shard: 0 }) {
-            Message::SnapshotManifest {
-                shard,
-                epoch,
-                files,
-            } => {
+        let manifest = match rpc(source, &Message::PrepareSnapshot { shard: 0 }) {
+            Message::SnapshotManifest { shard, files } => {
                 assert_eq!(shard, 0);
-                (epoch, files)
+                files
             }
             other => panic!("unexpected response {other:?}"),
         };
@@ -578,14 +573,19 @@ mod tests {
             assert_eq!(
                 rpc(
                     target,
-                    &InstallFrame::File { name, crc, payload }.message(0, epoch)
+                    &Message::InstallFile {
+                        shard: 0,
+                        name,
+                        crc,
+                        payload,
+                    }
                 ),
                 Message::InsertOk
             );
         }
         // Commit: restore + replay + cut over.
         assert_eq!(
-            rpc(target, &InstallFrame::Commit.message(0, epoch)),
+            rpc(target, &Message::InstallCommit { shard: 0 }),
             Message::InsertOk
         );
 
@@ -634,7 +634,7 @@ mod tests {
 
         // Commit on a *serving* shard is a protocol error — and the
         // store must survive it.
-        match rpc(&InstallFrame::Commit.message(0, 0)) {
+        match rpc(&Message::InstallCommit { shard: 0 }) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
@@ -651,19 +651,20 @@ mod tests {
 
         // Begin, then a torn file frame (CRC mismatch): rejected, and
         // the stage stays clean for a clean retry.
-        assert_eq!(rpc(&InstallFrame::Begin.message(0, 0)), Message::InsertOk);
-        let torn = InstallFrame::File {
+        assert_eq!(rpc(&Message::InstallBegin { shard: 0 }), Message::InsertOk);
+        let torn = Message::InstallFile {
+            shard: 0,
             name: "MANIFEST.zman".into(),
             crc: 0xDEAD_BEEF,
             payload: b"not the right bytes".to_vec(),
         };
-        match rpc(&torn.message(0, 0)) {
+        match rpc(&torn) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }
         // Committing garbage staged files re-enters Rebuilding rather
         // than serving a broken store.
-        match rpc(&InstallFrame::Commit.message(0, 0)) {
+        match rpc(&Message::InstallCommit { shard: 0 }) {
             Message::Fault { code, .. } => assert_eq!(code, fault::REPAIR),
             other => panic!("unexpected response {other:?}"),
         }

@@ -2,22 +2,24 @@
 //! shard copy by streaming a live replica's snapshot over the wire,
 //! with capped-exponential-backoff retries on every hop.
 //!
-//! One rebuild is four phases of [`Message`] frames, in an order
-//! chosen so that **no acknowledged write can be lost**:
+//! One rebuild is four phases of [`Message`] frames, one frame per
+//! step, in an order chosen so that **no acknowledged write can be
+//! lost**:
 //!
 //! ```text
 //!  controller              target (rebuilding)        source (live)
 //!  ──────────              ───────────────────        ─────────────
-//!  1. InstallShard begin ─▶ buffer writes from now
+//!  1. InstallBegin ───────▶ buffer writes from now
 //!  2.                                      PrepareSnapshot ─▶ freeze
 //!     ◀──────────────────────────────────── SnapshotManifest
 //!  3. FetchSegment ──────────────────────────────────▶ (per file)
 //!     ◀─────────────────────────────────────── SegmentData (CRC)
-//!     InstallShard file ──▶ stage (CRC re-check)
-//!  4. InstallShard commit ▶ restore + replay buffer + serve
+//!     InstallFile ────────▶ stage (CRC re-check)
+//!  4. InstallCommit ──────▶ restore + replay buffer + serve
 //! ```
 //!
-//! The begin frame lands *before* the source snapshots, so every
+//! The target acknowledges each install frame with
+//! [`Message::InsertOk`]. The begin frame lands *before* the source snapshots, so every
 //! write is either in the shipped snapshot (acked by the source
 //! pre-freeze) or in the target's replay buffer (acked by the target
 //! post-begin) — possibly both, which is safe because replay
@@ -199,73 +201,6 @@ fn expect_ack(what: &str, response: Message) -> Result<(), RepairError> {
     }
 }
 
-/// The three shapes of the one rebuild-target frame,
-/// [`Message::InstallShard`]. The wire convention — which field values
-/// mean which shape — lives in this block only:
-/// [`InstallFrame::message`] writes a shape, [`InstallFrame::classify`]
-/// reads it back.
-#[derive(Debug, PartialEq)]
-pub(crate) enum InstallFrame {
-    /// Enter `Rebuilding`: buffer every write from now on. Sent before
-    /// the snapshot exists, so by convention under epoch `0`.
-    Begin,
-    /// Stage one CRC-checked snapshot file.
-    File {
-        /// The file's name inside the snapshot.
-        name: String,
-        /// CRC32 the payload must hash to.
-        crc: u32,
-        /// The file's bytes.
-        payload: Vec<u8>,
-    },
-    /// Restore from the staged files, replay the buffer, serve.
-    Commit,
-}
-
-impl InstallFrame {
-    /// This shape as a frame for `shard`, of snapshot `epoch`: only a
-    /// file frame is named, only a commit frame sets the flag.
-    pub(crate) fn message(self, shard: u32, epoch: u64) -> Message {
-        let (name, crc, commit, payload) = match self {
-            InstallFrame::Begin => (String::new(), 0, false, Vec::new()),
-            InstallFrame::File { name, crc, payload } => (name, crc, false, payload),
-            InstallFrame::Commit => (String::new(), 0, true, Vec::new()),
-        };
-        Message::InstallShard {
-            shard,
-            epoch,
-            name,
-            crc,
-            commit,
-            payload,
-        }
-    }
-
-    /// Reads an install frame back as `(shard, shape)`; any other
-    /// message comes back unchanged. The commit flag wins over a name,
-    /// and an unnamed uncommitted frame is a begin whatever else it
-    /// carries.
-    pub(crate) fn classify(message: Message) -> Result<(u32, InstallFrame), Message> {
-        let Message::InstallShard {
-            shard,
-            name,
-            crc,
-            commit,
-            payload,
-            ..
-        } = message
-        else {
-            return Err(message);
-        };
-        let shape = match (commit, name.is_empty()) {
-            (true, _) => InstallFrame::Commit,
-            (false, true) => InstallFrame::Begin,
-            (false, false) => InstallFrame::File { name, crc, payload },
-        };
-        Ok((shard, shape))
-    }
-}
-
 /// Phase 1 of a rebuild on its own: tells `target` to start
 /// write-buffering `shard`. [`rebuild_shard`] opens with it, and a
 /// join/leave migration sends it to every peer *gaining* a shard
@@ -280,7 +215,7 @@ pub(crate) fn begin_install(
     shard: u32,
     backoff: &mut Backoff,
 ) -> Result<(), RepairError> {
-    let begin = InstallFrame::Begin.message(shard, 0);
+    let begin = Message::InstallBegin { shard };
     expect_ack(
         "begin",
         repair_rpc(transport, from, auth, target, &begin, backoff)?,
@@ -315,18 +250,14 @@ pub(crate) fn rebuild_shard(
     begin_install(transport, from, auth, target, shard, &mut backoff)?;
 
     // Phase 2 — snapshot the source.
-    let (epoch, manifest) = match rpc(source, &Message::PrepareSnapshot { shard }, &mut backoff)? {
-        Message::SnapshotManifest {
-            shard: got,
-            epoch,
-            files,
-        } => {
+    let manifest = match rpc(source, &Message::PrepareSnapshot { shard }, &mut backoff)? {
+        Message::SnapshotManifest { shard: got, files } => {
             if got != shard {
                 return Err(RepairError::Protocol(format!(
                     "manifest for shard {got}, wanted {shard}"
                 )));
             }
-            (epoch, files)
+            files
         }
         other => {
             return Err(RepairError::Protocol(format!(
@@ -360,13 +291,18 @@ pub(crate) fn rebuild_shard(
         stats.segments += 1;
         stats.bytes += payload.len() as u64;
         let what = format!("install of {name:?}");
-        let install = InstallFrame::File { name, crc, payload }.message(shard, epoch);
+        let install = Message::InstallFile {
+            shard,
+            name,
+            crc,
+            payload,
+        };
         expect_ack(&what, rpc(target, &install, &mut backoff)?)?;
     }
 
     // Phase 4 — commit: the target restores, replays its buffer, and
     // cuts over to serving.
-    let commit = InstallFrame::Commit.message(shard, epoch);
+    let commit = Message::InstallCommit { shard };
     expect_ack("commit", rpc(target, &commit, &mut backoff)?)?;
 
     let metrics = obs.metrics();
@@ -412,35 +348,5 @@ mod tests {
         // Different seeds give different jitter somewhere.
         let mut c = Backoff::new(base, cap, 43);
         assert_ne!(delays, (0..12).map(|_| c.next_delay()).collect::<Vec<_>>());
-    }
-
-    /// The wire convention of the install frame, pinned from both
-    /// sides: what each shape puts on the wire, and that the
-    /// classifier reads each shape (and nothing else) back.
-    #[test]
-    fn install_frames_round_trip_through_the_classifier() {
-        assert_eq!(
-            InstallFrame::Begin.message(3, 0),
-            Message::InstallShard {
-                shard: 3,
-                epoch: 0,
-                name: String::new(),
-                crc: 0,
-                commit: false,
-                payload: Vec::new(),
-            }
-        );
-        let file = || InstallFrame::File {
-            name: "a.zseg".into(),
-            crc: 7,
-            payload: b"segment bytes".to_vec(),
-        };
-        for shape in [|| InstallFrame::Begin, file, || InstallFrame::Commit] {
-            assert_eq!(
-                InstallFrame::classify(shape().message(3, 9)),
-                Ok((3, shape()))
-            );
-        }
-        assert_eq!(InstallFrame::classify(Message::Ping), Err(Message::Ping));
     }
 }

@@ -29,7 +29,6 @@ use zerber_segment::{BulkConfig, SegmentError, SegmentStore};
 use zerber_server::IndexServer;
 
 use crate::runtime::peer::{fault_frame, PeerService};
-use crate::runtime::repair::InstallFrame;
 use crate::runtime::shard::{from_wire, ShardHome};
 
 /// The index-server role as a peer service: the narrow
@@ -112,9 +111,9 @@ impl PeerService for ServerService {
 ///  RemoveDoc        DeleteOk{n}        DeleteOk{0} (buff.)  UNSUPPORTED
 ///  PrepareSnapshot  SnapshotManifest   REBUILDING           UNSUPPORTED
 ///  FetchSegment     SegmentData if that file was prepared, else REPAIR
-///  install begin    InsertOk → Rebuilding (a restart keeps the buffer)
-///  install file     REPAIR             InsertOk (staged)    REPAIR
-///  install commit   REPAIR             InsertOk → Serving   REPAIR
+///  InstallBegin     InsertOk → Rebuilding (a restart keeps the buffer)
+///  InstallFile      REPAIR             InsertOk (staged)    REPAIR
+///  InstallCommit    REPAIR             InsertOk → Serving   REPAIR
 /// ```
 ///
 /// Only the two arrows change a shard's state; a commit whose restore
@@ -290,14 +289,15 @@ impl PeerService for ShardService {
             Message::RemoveDoc { shard, doc } => self.write(shard, WriteOp::Remove(doc)),
             Message::PrepareSnapshot { shard } => self.prepare_snapshot(shard),
             Message::FetchSegment { shard, name } => self.fetch_segment(shard, &name),
-            other => match InstallFrame::classify(other) {
-                Ok((shard, InstallFrame::Begin)) => self.install_begin(shard),
-                Ok((shard, InstallFrame::File { name, crc, payload })) => {
-                    self.install_file(shard, name, crc, payload)
-                }
-                Ok((shard, InstallFrame::Commit)) => self.install_commit(shard),
-                Err(_) => fault_frame(fault::UNSUPPORTED),
-            },
+            Message::InstallBegin { shard } => self.install_begin(shard),
+            Message::InstallFile {
+                shard,
+                name,
+                crc,
+                payload,
+            } => self.install_file(shard, name, crc, payload),
+            Message::InstallCommit { shard } => self.install_commit(shard),
+            _ => fault_frame(fault::UNSUPPORTED),
         }
     }
 }
@@ -405,7 +405,7 @@ impl ShardService {
             None => return fault_frame(fault::UNSUPPORTED),
         };
         match store.export_files() {
-            Ok((epoch, files)) => {
+            Ok(files) => {
                 let manifest = files
                     .iter()
                     .map(|(name, bytes)| (name.clone(), bytes.len() as u64, crc32(bytes)))
@@ -413,7 +413,6 @@ impl ShardService {
                 self.pending_snapshot.insert(shard, files);
                 Message::SnapshotManifest {
                     shard,
-                    epoch,
                     files: manifest,
                 }
             }
@@ -555,14 +554,16 @@ mod tests {
     fn file_frames() -> Vec<Message> {
         let home = ShardHome::new(&PostingBackend::Ephemeral, 0, &MetricsRegistry::new());
         let store = home.build(SHARD, &live_docs());
-        let (_, files) = store.export_files().expect("export");
+        let files = store.export_files().expect("export");
         assert_eq!(files[0].0, MANIFEST);
         assert!(files.len() > 1, "the seed is a sealed segment");
         files
             .into_iter()
-            .map(|(name, payload)| {
-                let crc = crc32(&payload);
-                InstallFrame::File { name, crc, payload }.message(SHARD, 1)
+            .map(|(name, payload)| Message::InstallFile {
+                shard: SHARD,
+                crc: crc32(&payload),
+                name,
+                payload,
             })
             .collect()
     }
@@ -590,7 +591,7 @@ mod tests {
         let owner = NodeId::Owner(0);
         let setup: Vec<Message> = match state {
             State::Serving => vec![Message::PrepareSnapshot { shard: SHARD }],
-            State::Rebuilding => std::iter::once(InstallFrame::Begin.message(SHARD, 0))
+            State::Rebuilding => std::iter::once(Message::InstallBegin { shard: SHARD })
                 .chain(file_frames())
                 .collect(),
             State::NotHosted => vec![],
@@ -695,8 +696,8 @@ mod tests {
                 ],
             ),
             (
-                "install begin",
-                || InstallFrame::Begin.message(SHARD, 0),
+                "InstallBegin",
+                || Message::InstallBegin { shard: SHARD },
                 [
                     (InsertOk, Rebuilding),
                     (InsertOk, Rebuilding),
@@ -704,7 +705,7 @@ mod tests {
                 ],
             ),
             (
-                "install file",
+                "InstallFile",
                 file_frame,
                 [
                     (Fault(REPAIR), Serving),
@@ -713,8 +714,8 @@ mod tests {
                 ],
             ),
             (
-                "install commit",
-                || InstallFrame::Commit.message(SHARD, 1),
+                "InstallCommit",
+                || Message::InstallCommit { shard: SHARD },
                 [
                     (Fault(REPAIR), Serving),
                     (InsertOk, Serving),
@@ -783,18 +784,14 @@ mod tests {
         assert_eq!(rpc(write), Answer::InsertOk);
         // The restart drops the staged files (a commit now has nothing
         // to restore from) but not the buffered write.
-        assert_eq!(rpc(InstallFrame::Begin.message(SHARD, 0)), Answer::InsertOk);
-        assert_eq!(
-            rpc(InstallFrame::Commit.message(SHARD, 1)),
-            Answer::Fault(fault::REPAIR)
-        );
+        let begin = || Message::InstallBegin { shard: SHARD };
+        let commit = || Message::InstallCommit { shard: SHARD };
+        assert_eq!(rpc(begin()), Answer::InsertOk);
+        assert_eq!(rpc(commit()), Answer::Fault(fault::REPAIR));
         for frame in file_frames() {
             assert_eq!(rpc(frame), Answer::InsertOk);
         }
-        assert_eq!(
-            rpc(InstallFrame::Commit.message(SHARD, 1)),
-            Answer::InsertOk
-        );
+        assert_eq!(rpc(commit()), Answer::InsertOk);
         let removed = Message::RemoveDoc {
             shard: SHARD,
             doc: DocId(2),

@@ -267,7 +267,7 @@ mod tests {
         let addition = doc(100, &[(0, 2), (9, 4)]);
         source.insert(std::slice::from_ref(&addition)).unwrap();
         assert!(source.delete(DocId(9)).unwrap());
-        let (_, files) = source.export_files().unwrap();
+        let files = source.export_files().unwrap();
         // Shard 1's directory holds a stale replica the install replaces.
         drop(home.build(1, &[doc(777, &[(9, 1)])]));
         let restored = home.restore(1, &files).unwrap();

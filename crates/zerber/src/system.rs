@@ -104,6 +104,12 @@ impl From<OwnerError> for SystemError {
 /// way of ordinary users).
 const OWNER_USER_BASE: u32 = 0x4000_0000;
 
+/// A group's owner daemon with the server handles it ships through.
+struct GroupOwner {
+    owner: DocumentOwner,
+    handles: Vec<Arc<dyn ServerHandle>>,
+}
+
 /// A complete simulated deployment.
 ///
 /// Since the runtime refactor this is a genuinely *concurrent* system:
@@ -122,8 +128,7 @@ pub struct ZerberSystem {
     scheme: SharingScheme,
     table: Arc<MappingTable>,
     plan: MergePlan,
-    owners: HashMap<GroupId, DocumentOwner>,
-    owner_handles: HashMap<GroupId, Vec<Arc<dyn ServerHandle>>>,
+    owners: HashMap<GroupId, GroupOwner>,
     /// One session token per querying user, issued on first use.
     sessions: Mutex<HashMap<UserId, AuthToken>>,
     rng: StdRng,
@@ -168,7 +173,6 @@ impl ZerberSystem {
             table,
             plan,
             owners: HashMap::new(),
-            owner_handles: HashMap::new(),
             sessions: Mutex::new(HashMap::new()),
             rng,
         })
@@ -220,36 +224,45 @@ impl ZerberSystem {
     /// default batch policy. Returns the number of posting elements
     /// produced.
     pub fn index_document(&mut self, doc: &Document) -> Result<usize, SystemError> {
-        let produced = self.enqueue_document(doc)?;
-        let owner = self.owners.get_mut(&doc.group).expect("just enqueued");
-        owner.flush(&self.owner_handles[&doc.group])?;
+        let (produced, group) = self.enqueue_document(doc)?;
+        group.owner.flush(&group.handles)?;
         Ok(produced)
     }
 
-    /// Hands a document to its group's owner, which ships whatever its
+    /// Hands a document to its group's owner (created on first use),
+    /// which ships whatever its
     /// [`BatchPolicy`](zerber_client::BatchPolicy) says is due and
-    /// keeps the rest queued.
-    fn enqueue_document(&mut self, doc: &Document) -> Result<usize, SystemError> {
+    /// keeps the rest queued. Returns the elements produced and the
+    /// owner.
+    fn enqueue_document(
+        &mut self,
+        doc: &Document,
+    ) -> Result<(usize, &mut GroupOwner), SystemError> {
         let group = doc.group;
-        if !self.owners.contains_key(&group) {
+        // The closure borrows only the fields it names, so it can run
+        // while the entry holds `owners`.
+        let slot = self.owners.entry(group).or_insert_with(|| {
             let owner_user = UserId(OWNER_USER_BASE + group.0);
-            self.add_membership(owner_user, group);
-            let token = self.auth.issue(owner_user);
+            for server in &self.servers {
+                server.add_user_to_group(owner_user, group);
+            }
             let owner = DocumentOwner::new(
                 group.0,
-                token,
+                self.auth.issue(owner_user),
                 ElementCodec::default(),
                 self.scheme.clone(),
                 self.table.clone(),
                 self.config.batch,
             );
-            let handles = self.handles_for(NodeId::Owner(group.0));
-            self.owners.insert(group, owner);
-            self.owner_handles.insert(group, handles);
-        }
-        let owner = self.owners.get_mut(&group).expect("just inserted");
-        let handles = self.owner_handles.get(&group).expect("just inserted");
-        Ok(owner.index_document(doc, handles, &mut self.rng)?)
+            GroupOwner {
+                owner,
+                handles: handles_for(&self.runtime, &self.scheme, NodeId::Owner(group.0)),
+            }
+        });
+        let produced = slot
+            .owner
+            .index_document(doc, &slot.handles, &mut self.rng)?;
+        Ok((produced, slot))
     }
 
     /// Indexes a whole corpus, batching across documents, and flushes
@@ -259,7 +272,7 @@ impl ZerberSystem {
     pub fn index_corpus(&mut self, docs: &[Document]) -> Result<usize, SystemError> {
         let enqueued: Result<usize, SystemError> = docs
             .iter()
-            .try_fold(0, |total, doc| Ok(total + self.enqueue_document(doc)?));
+            .try_fold(0, |total, doc| Ok(total + self.enqueue_document(doc)?.0));
         let flushed = self.flush_owners();
         let total = enqueued?;
         flushed?;
@@ -268,9 +281,8 @@ impl ZerberSystem {
 
     /// Flushes every owner's pending batches.
     pub fn flush_owners(&mut self) -> Result<(), SystemError> {
-        for (group, owner) in self.owners.iter_mut() {
-            let handles = &self.owner_handles[group];
-            owner.flush(handles)?;
+        for group in self.owners.values_mut() {
+            group.owner.flush(&group.handles)?;
         }
         Ok(())
     }
@@ -281,11 +293,10 @@ impl ZerberSystem {
         group: GroupId,
         doc: zerber_index::DocId,
     ) -> Result<usize, SystemError> {
-        let Some(owner) = self.owners.get_mut(&group) else {
+        let Some(group) = self.owners.get_mut(&group) else {
             return Ok(0);
         };
-        let handles = &self.owner_handles[&group];
-        Ok(owner.delete_document(doc, handles)?)
+        Ok(group.owner.delete_document(doc, &group.handles)?)
     }
 
     /// Executes a keyword query as `user`, returning the top
@@ -302,7 +313,7 @@ impl ZerberSystem {
             self.table.clone(),
             self.config.threshold,
         );
-        let handles = self.handles_for(NodeId::User(user.0));
+        let handles = handles_for(&self.runtime, &self.scheme, NodeId::User(user.0));
         Ok(client.execute(terms, &handles, k_results)?)
     }
 
@@ -331,23 +342,28 @@ impl ZerberSystem {
     pub fn elements_per_server(&self) -> usize {
         self.servers.first().map_or(0, |s| s.total_elements())
     }
+}
 
-    fn handles_for(&self, from: NodeId) -> Vec<Arc<dyn ServerHandle>> {
-        let transport: Arc<dyn crate::runtime::Transport> = self.runtime.transport().clone();
-        self.scheme
-            .coordinates()
-            .iter()
-            .enumerate()
-            .map(|(i, &coordinate)| {
-                Arc::new(RuntimeHandle::new(
-                    transport.clone(),
-                    from,
-                    NodeId::IndexServer(i as u32),
-                    coordinate,
-                )) as Arc<dyn ServerHandle>
-            })
-            .collect()
-    }
+/// One handle per index server, for requests sent as `from`.
+fn handles_for(
+    runtime: &PeerRuntime,
+    scheme: &SharingScheme,
+    from: NodeId,
+) -> Vec<Arc<dyn ServerHandle>> {
+    let transport: Arc<dyn crate::runtime::Transport> = runtime.transport().clone();
+    scheme
+        .coordinates()
+        .iter()
+        .enumerate()
+        .map(|(i, &coordinate)| {
+            Arc::new(RuntimeHandle::new(
+                transport.clone(),
+                from,
+                NodeId::IndexServer(i as u32),
+                coordinate,
+            )) as Arc<dyn ServerHandle>
+        })
+        .collect()
 }
 
 #[cfg(test)]

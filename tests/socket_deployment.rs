@@ -68,10 +68,8 @@ impl Transport for Recording {
         trace: u64,
         payload: Arc<[u8]>,
     ) -> PendingReply {
-        if let Ok(Message::InstallShard { name, .. }) = Message::decode(&payload) {
-            if !name.is_empty() {
-                self.installed.lock().unwrap().push(name);
-            }
+        if let Ok(Message::InstallFile { name, .. }) = Message::decode(&payload) {
+            self.installed.lock().unwrap().push(name);
         }
         self.sockets.begin_traced(from, to, auth, trace, payload)
     }
