@@ -138,6 +138,26 @@ pub trait BlockCursor {
     /// them. A no-op when the current position is already beyond
     /// `bound`.
     fn advance_past(&mut self, bound: DocId);
+
+    /// Consumes every remaining posting with document `< end`,
+    /// appending each `(doc, score)` to `out` in document order — the
+    /// postings, scores and final state of the walk that materializes
+    /// and steps while [`doc_lower_bound`](Self::doc_lower_bound) is
+    /// below `end`, decoding the same blocks. `end` is a `u64` so that
+    /// `u32::MAX + 1` takes every document. This default body is that
+    /// walk; the block cursors override it to copy each decoded block's
+    /// run below `end` in one pass.
+    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
+        while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
+            match self.materialize() {
+                Some((doc, score)) if u64::from(doc.0) < end => {
+                    out.push((doc, score));
+                    self.step();
+                }
+                _ => return,
+            }
+        }
+    }
 }
 
 /// Work accounting for one query: how many blocks the cursors actually
@@ -207,15 +227,66 @@ impl Ord for ByRank {
 /// [`ranked`](Self::ranked). The outcome is exactly
 /// `sort_by(result_order)` + `truncate(k)` over everything offered —
 /// the same total order, so which candidates were dropped early can
-/// never show in the result.
+/// never show in the result. It also holds [`maxscore_topk`]'s window
+/// buffers, so a reused scratch evaluates without allocating per
+/// window.
 #[derive(Debug, Default)]
 pub struct TopKScratch {
     heap: BinaryHeap<ByRank>,
     k: usize,
     scored: u64,
+    window: Window,
     /// The ranked output of the most recent evaluation: `(score desc,
     /// doc asc)`, at most `k` long.
     pub ranked: Vec<RankedDoc>,
+}
+
+/// Documents one [`maxscore_topk`] window spans at most.
+const WINDOW: u64 = 4096;
+/// `u64` words in a window's presence bitset.
+const WINDOW_WORDS: usize = WINDOW as usize / 64;
+
+/// One MaxScore window: the essential lists' postings inside it and
+/// the documents any of them holds. Its size follows the postings
+/// drained, never the query's slot count, and it is empty between
+/// windows.
+#[derive(Debug, Default)]
+struct Window {
+    /// Every essential slot's postings in the window, slot after slot.
+    drained: Vec<(DocId, f64)>,
+    /// Bit `offset % 64` of word `offset / 64`: some essential list
+    /// holds the document `offset` past the window's base.
+    present: Vec<u64>,
+}
+
+/// How one query slot contributes to the current window's candidates.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Essential when the window opened: its postings in the window
+    /// are `drained[next..end]`, ascending.
+    Drained { next: usize, end: usize },
+    /// Non-essential, probed by seek.
+    Probed,
+}
+
+impl Slot {
+    /// A drained slot's score for `candidate` (`0.0` when absent),
+    /// consuming its posting; candidates ascend, so it is the run's
+    /// head or nothing.
+    fn take(&mut self, drained: &[(DocId, f64)], candidate: DocId) -> f64 {
+        match self {
+            Slot::Drained { next, end } if *next < *end && drained[*next].0 == candidate => {
+                *next += 1;
+                drained[*next - 1].1
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Does this drained slot hold `candidate`?
+    fn holds(&self, drained: &[(DocId, f64)], candidate: DocId) -> bool {
+        matches!(*self, Slot::Drained { next, end } if next < end && drained[next].0 == candidate)
+    }
 }
 
 impl TopKScratch {
@@ -259,6 +330,17 @@ impl TopKScratch {
         self.scored
     }
 
+    /// Heap bytes the scratch keeps between evaluations. It follows
+    /// `k` and what one window of an ordinary query drains, never the
+    /// number of slots a query names.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.heap.capacity() * size_of::<ByRank>()
+            + self.ranked.capacity() * size_of::<RankedDoc>()
+            + self.window.drained.capacity() * size_of::<(DocId, f64)>()
+            + self.window.present.capacity() * size_of::<u64>()
+    }
+
     /// Drains the retained candidates into [`ranked`](Self::ranked),
     /// best first.
     pub fn finish(&mut self) {
@@ -281,31 +363,46 @@ impl TopKScratch {
 /// ([`BlockCursor::list_max_score`]) into *non-essential* (smallest
 /// bounds, their σ prefix sum strictly below the current k-th score)
 /// and *essential* (the rest). Candidates are enumerated from the
-/// essential frontier only — a document absent from every essential
+/// essential lists only — a document absent from every essential
 /// list scores at most the non-essential σ sum, which is strictly below
 /// the k-th score, so it can never rank — and non-essential lists are
 /// probed by `advance_past` seek per candidate. As the threshold rises,
 /// more lists demote; the demotion is monotone, so sorted-access work
 /// on long low-σ lists stops early.
 ///
-/// Essential cursors are materialized **eagerly**: an essential list
-/// is enumerated in full by definition, so every block of it gets
-/// decoded whether its cursor is pinned now or when the frontier
-/// reaches it, and the candidate is simply the minimum of the pinned
-/// documents — one `materialize` per cursor, no bound-chasing
-/// fixpoint. The only decode laziness could have saved is the block a
-/// cursor stands before at the moment it demotes or the loop ends: at
-/// most one per cursor per query. A one-list query reads its whole
-/// list: the list's own σ bounds every score, so it never demotes.
+/// Essential lists are consumed one **block-aligned window** at a time.
+/// Every essential cursor is pinned on its next posting (one
+/// `materialize` each); the window runs from the lowest pinned document
+/// `base` up to `base + WINDOW` or the first current-block end among
+/// them, whichever comes first, and each essential cursor drains its
+/// postings inside it ([`BlockCursor::drain_below`]) into the scratch,
+/// one ascending run per slot, while a bitset marks the documents they
+/// hold. The window's documents are then walked in ascending order:
+/// each drained slot contributes its run's head when that is the
+/// candidate, non-essential lists are probed by seek, and the sum is
+/// offered. The buffers grow with the postings drained, not with the
+/// slot count, so a query naming many absent terms holds no more memory
+/// than its postings need. An essential list is enumerated in full by
+/// definition, so pinning decodes nothing it would not decode anyway,
+/// except the block a cursor stands before when it demotes or the loop
+/// ends — at most one per cursor per query. Ending a window at the
+/// first block end means no essential cursor enters a new block inside
+/// one, so the partition is re-read before every block any essential
+/// cursor decodes. Inside a window the threshold is still re-read per
+/// candidate: a document held only by lists demoted since the window
+/// began is skipped unscored, and the evaluation stops once every list
+/// is non-essential. A one-list query reads its whole list: the list's
+/// own σ bounds every score, so it never demotes.
 ///
 /// Per-document pruning by partial score is deliberately **absent**: a
 /// partial-sum bound would be assembled in σ order, not slot order,
 /// and f64 addition is order-sensitive, so such a bound could undercut
 /// the true slot-order score by ulps and skip a tie. List-level σ
 /// prefix sums face the same hazard, which `safe_upper` covers with
-/// a rigorous rounding margin. Scores themselves are always summed in
-/// original slot order — bit-identical to the exhaustive oracle. The
-/// result lands in `scratch.ranked`.
+/// a rigorous rounding margin. Scores themselves are always summed over
+/// every slot in original slot order, an absent slot adding `+0.0` (the
+/// identity for non-negative scores) — bit-identical to the exhaustive
+/// oracle. The result lands in `scratch.ranked`.
 pub fn maxscore_topk(
     cursors: &mut [Box<dyn BlockCursor + '_>],
     k: usize,
@@ -315,17 +412,18 @@ pub fn maxscore_topk(
     if k == 0 || cursors.is_empty() {
         return;
     }
+    let slots = cursors.len();
 
     // Cursor indices ascending by σ; `prefix[n]` = σ sum of the n
     // smallest. Cursors stay in their original slots — `order` only
     // names them — so contribution sums keep the slot order.
-    let mut order: Vec<usize> = (0..cursors.len()).collect();
+    let mut order: Vec<usize> = (0..slots).collect();
     order.sort_by(|&a, &b| {
         cursors[a]
             .list_max_score()
             .total_cmp(&cursors[b].list_max_score())
     });
-    let mut prefix = Vec::with_capacity(order.len() + 1);
+    let mut prefix = Vec::with_capacity(slots + 1);
     let mut sum = 0.0f64;
     prefix.push(sum);
     for &i in &order {
@@ -336,70 +434,114 @@ pub fn maxscore_topk(
     // Count of non-essential cursors (a prefix of `order`); only ever
     // grows, because the k-th score only rises.
     let mut n_non = 0usize;
-    // Per slot: the essential cursor's pinned posting, then the
-    // candidate's contribution.
-    let mut heads: Vec<Option<(DocId, f64)>> = vec![None; cursors.len()];
-
-    loop {
+    let demote = |n_non: &mut usize, scratch: &TopKScratch| {
         if let Some(kth) = scratch.kth_score() {
-            while n_non < order.len() && safe_upper(prefix[n_non + 1], n_non + 1) < kth {
-                n_non += 1;
+            while *n_non < slots && safe_upper(prefix[*n_non + 1], *n_non + 1) < kth {
+                *n_non += 1;
             }
         }
-        if n_non >= order.len() {
+    };
+    let mut window = std::mem::take(&mut scratch.window);
+    window.present.resize(WINDOW_WORDS, 0);
+    let mut state = vec![Slot::Drained { next: 0, end: 0 }; slots];
+
+    loop {
+        demote(&mut n_non, scratch);
+        if n_non >= slots {
             // Every document left is bounded strictly below the k-th
             // score by the full σ sum.
             break;
         }
-        heads.fill(None);
-        for &i in &order[n_non..] {
-            heads[i] = cursors[i].materialize();
+        for &i in &order[..n_non] {
+            if let Slot::Drained { .. } = state[i] {
+                state[i] = Slot::Probed;
+            }
         }
-        let Some(candidate) = heads.iter().flatten().map(|&(doc, _)| doc).min() else {
+        let essential = &order[n_non..];
+        let (mut base, mut end) = (u64::MAX, u64::MAX);
+        for &i in essential {
+            if let Some((doc, _)) = cursors[i].materialize() {
+                base = base.min(u64::from(doc.0));
+                end = end.min(u64::from(cursors[i].block_last_doc().0) + 1);
+            }
+        }
+        if base == u64::MAX {
             // Essential lists exhausted; whatever remains lives only
             // in non-essential lists and is bounded below the k-th
             // score (n_non > 0 implies the collector is full).
             break;
-        };
-
-        // Essential cursors parked on the candidate contribute and
-        // advance; the others' pinned postings are not contributions.
-        for &i in &order[n_non..] {
-            match heads[i] {
-                Some((doc, _)) if doc == candidate => cursors[i].step(),
-                _ => heads[i] = None,
-            }
         }
-        // Non-essential cursors are probed by seek: jump to the first
-        // posting ≥ candidate, contribute on a hit.
-        for &i in &order[..n_non] {
-            let cursor = &mut cursors[i];
-            if cursor.at_end() {
-                continue;
-            }
-            if candidate.0 > 0 {
-                cursor.advance_past(DocId(candidate.0 - 1));
-            }
-            if cursor.at_end() || cursor.doc_lower_bound() > candidate {
-                continue;
-            }
-            if let Some((doc, score)) = cursor.materialize() {
-                if doc == candidate {
-                    heads[i] = Some((doc, score));
-                    cursor.step();
+        let end = end.min(base + WINDOW);
+        window.drained.clear();
+        for &i in essential {
+            let next = window.drained.len();
+            cursors[i].drain_below(end, &mut window.drained);
+            let end = window.drained.len();
+            state[i] = Slot::Drained { next, end };
+        }
+        for &(doc, _) in &window.drained {
+            let offset = u64::from(doc.0) - base;
+            window.present[(offset / 64) as usize] |= 1 << (offset % 64);
+        }
+
+        let n_window = n_non;
+        for word in 0..(end - base).div_ceil(64) as usize {
+            let mut bits = std::mem::take(&mut window.present[word]);
+            while bits != 0 {
+                let offset = word as u64 * 64 + u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                let candidate = DocId((base + offset) as u32);
+                demote(&mut n_non, scratch);
+                let drained = &window.drained;
+                if n_non != n_window
+                    && !order[n_non..]
+                        .iter()
+                        .any(|&i| state[i].holds(drained, candidate))
+                {
+                    // Held only by lists demoted inside this window.
+                    for slot in &mut state {
+                        slot.take(drained, candidate);
+                    }
+                    continue;
                 }
+                // Sum in original slot order — the bit-identity contract.
+                let mut score = 0.0;
+                for (cursor, slot) in cursors.iter_mut().zip(&mut state) {
+                    score += match slot {
+                        Slot::Drained { .. } => slot.take(drained, candidate),
+                        Slot::Probed => probe(&mut **cursor, candidate),
+                    };
+                }
+                scratch.offer(candidate, score);
             }
         }
-
-        // Sum in original slot order — the bit-identity contract.
-        let mut score = 0.0;
-        for &(_, contribution) in heads.iter().flatten() {
-            score += contribution;
-        }
-        scratch.offer(candidate, score);
     }
 
+    // Hand the buffers back, keeping no more than an ordinary query
+    // drains per window.
+    window.drained.clear();
+    window.drained.shrink_to(WINDOW as usize);
+    scratch.window = window;
     scratch.finish();
+}
+
+/// A non-essential cursor's score for `candidate`, found by seek: jump
+/// to its first posting `≥ candidate` and take it on a hit (`0.0` on a
+/// miss).
+fn probe(cursor: &mut dyn BlockCursor, candidate: DocId) -> f64 {
+    if candidate.0 > 0 {
+        cursor.advance_past(DocId(candidate.0 - 1));
+    }
+    if cursor.at_end() || cursor.doc_lower_bound() > candidate {
+        return 0.0;
+    }
+    match cursor.materialize() {
+        Some((doc, score)) if doc == candidate => {
+            cursor.step();
+            score
+        }
+        _ => 0.0,
+    }
 }
 
 /// A rigorous upper bound on the sum of `n` non-negative f64 addends
@@ -618,6 +760,24 @@ impl<C: BlockCursor, S: Shadow> ShadowedMergeCursor<C, S> {
             }
         }
     }
+
+    /// Where the merge stands once the leading sub `at` has moved past
+    /// the selected posting: on the sub's next posting if it is already
+    /// decoded and below both the other subs' frontier and the sub's
+    /// watermark (the merge's next live posting, found without a
+    /// probe), else unselected.
+    fn resume_lead(&mut self, at: usize) {
+        let sub = &mut self.subs[at];
+        if !sub.cursor.is_exact() {
+            return;
+        }
+        if let Some((next, score)) = sub.cursor.materialize() {
+            let key = u64::from(next.0);
+            if key < self.rest_min && key < sub.live_below {
+                self.current = Some((next, score, at));
+            }
+        }
+    }
 }
 
 impl<C: BlockCursor, S: Shadow> BlockCursor for ShadowedMergeCursor<C, S> {
@@ -727,21 +887,10 @@ impl<C: BlockCursor, S: Shadow> BlockCursor for ShadowedMergeCursor<C, S> {
             self.step_subs_on(doc);
             return;
         }
-        // Only the leading sub holds `doc`. Its next posting, if
-        // already decoded, below every other sub's frontier and under
-        // its watermark, is the merge's next live posting: nothing is
-        // probed, selected or decoded.
-        let sub = &mut self.subs[at];
-        sub.cursor.step();
-        if !sub.cursor.is_exact() {
-            return;
-        }
-        if let Some((next, score)) = sub.cursor.materialize() {
-            let key = u64::from(next.0);
-            if key < self.rest_min && key < sub.live_below {
-                self.current = Some((next, score, at));
-            }
-        }
+        // Only the leading sub holds `doc`: nothing is probed,
+        // selected or decoded while its next posting stays in the lead.
+        self.subs[at].cursor.step();
+        self.resume_lead(at);
     }
 
     fn advance_past(&mut self, bound: DocId) {
@@ -755,6 +904,34 @@ impl<C: BlockCursor, S: Shadow> BlockCursor for ShadowedMergeCursor<C, S> {
             if !sub.cursor.at_end() {
                 sub.cursor.advance_past(bound);
             }
+        }
+    }
+
+    /// The bulk form of [`step`](BlockCursor::step)'s fast path: once
+    /// a selected posting sits below the other subs' frontier, every
+    /// posting its sub holds below that frontier and its watermark is
+    /// the merge's next live posting, so that sub drains the run
+    /// itself. Every other posting takes the general
+    /// `materialize`/`step` step.
+    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
+        while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
+            let Some((doc, score, at)) = self.materialize().and(self.current) else {
+                return;
+            };
+            if u64::from(doc.0) >= end {
+                return;
+            }
+            out.push((doc, score));
+            if u64::from(doc.0) >= self.rest_min {
+                self.step();
+                continue;
+            }
+            self.current = None;
+            let sub = &mut self.subs[at];
+            sub.cursor.step();
+            let stop = end.min(self.rest_min).min(sub.live_below);
+            sub.cursor.drain_below(stop, out);
+            self.resume_lead(at);
         }
     }
 }

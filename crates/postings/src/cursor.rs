@@ -28,6 +28,11 @@ fn doc_id(key: u64) -> DocId {
     DocId(u32::try_from(key).expect("doc keys originate from 32-bit DocIds"))
 }
 
+/// The `(doc, tf · weight)` posting a cursor surfaces for `entry`.
+fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
+    (doc_id(entry.doc), entry.term_frequency() * weight)
+}
+
 /// A lazy, weighted scoring cursor over one compressed posting list.
 ///
 /// Entries surface as `(doc, tf · weight)` — exactly the values a
@@ -95,8 +100,7 @@ impl<'a> CompressedBlockCursor<'a> {
     }
 
     fn entry(&self) -> (DocId, f64) {
-        let entry = self.buffer[self.pos];
-        (doc_id(entry.doc), entry.term_frequency() * self.weight)
+        scored(&self.buffer[self.pos], self.weight)
     }
 }
 
@@ -201,6 +205,30 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         }
         self.exact = false;
         self.normalize();
+    }
+
+    /// Decodes each block once, as `materialize` would, and copies its
+    /// run below `end` out in one pass, leaving the cursor where the
+    /// `step` after that run's last posting would.
+    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
+        while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
+            if self.materialize().is_none() {
+                return;
+            }
+            let run = &self.buffer[self.pos..];
+            let taken = run.partition_point(|e| e.doc < end);
+            let Some(last) = run[..taken].last() else {
+                return;
+            };
+            self.bound = last.doc + 1;
+            out.extend(run[..taken].iter().map(|e| scored(e, self.weight)));
+            self.pos += taken;
+            if self.pos < self.buffer.len() {
+                return;
+            }
+            self.exact = false;
+            self.block += 1;
+        }
     }
 }
 
@@ -324,8 +352,7 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
                 self.decoded += 1;
             }
         }
-        let entry = self.entries[self.pos];
-        Some((doc_id(entry.doc), entry.term_frequency() * self.weight))
+        Some(scored(&self.entries[self.pos], self.weight))
     }
 
     fn positions(&self) -> (u32, u32) {
@@ -352,6 +379,30 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
         }
         self.exact = false;
         self.normalize();
+    }
+
+    /// Examines each block once, as `materialize` would, and copies
+    /// its run below `end` out in one pass, leaving the cursor where
+    /// the `step` after that run's last posting would.
+    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
+        while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
+            if self.materialize().is_none() {
+                return;
+            }
+            let block_end = self.block_end();
+            let run = &self.entries[self.pos..block_end];
+            let taken = run.partition_point(|e| e.doc < end);
+            let Some(last) = run[..taken].last() else {
+                return;
+            };
+            self.bound = last.doc + 1;
+            out.extend(run[..taken].iter().map(|e| scored(e, self.weight)));
+            self.pos += taken;
+            if self.pos < block_end {
+                return;
+            }
+            self.exact = false;
+        }
     }
 }
 

@@ -62,13 +62,58 @@ impl CompressedPostingList {
     /// [`CompressedPostingList::blocks`] /
     /// [`CompressedPostingList::len`] back from storage).
     ///
-    /// The parts are trusted to come from a builder-produced list —
-    /// storage layers must checksum their files and treat a mismatch
-    /// as corruption *before* reconstructing; decoding malformed
-    /// payloads panics like any builder-contract violation.
-    pub fn from_parts(data: Vec<u8>, blocks: Vec<BlockMeta>, len: usize) -> Self {
-        debug_assert_eq!(blocks.iter().map(|b| b.len as usize).sum::<usize>(), len);
-        Self { data, blocks, len }
+    /// The block metadata is checked against every invariant the
+    /// builder keeps, in O(blocks) and without decoding: each block
+    /// holds 1..=[`BLOCK_SIZE`] postings over a document span wide
+    /// enough for them, blocks ascend by document without overlap,
+    /// payload offsets ascend from 0 inside `data`, block maxima are
+    /// finite and non-negative, and the block lengths sum to `len`.
+    /// The payload bytes themselves are trusted: storage layers must
+    /// checksum their files and treat a mismatch as corruption
+    /// *before* reconstructing, and decoding a malformed payload panics
+    /// like any builder-contract violation.
+    pub fn from_parts(
+        data: Vec<u8>,
+        blocks: Vec<BlockMeta>,
+        len: usize,
+    ) -> Result<Self, &'static str> {
+        let mut total = 0usize;
+        let mut previous: Option<&BlockMeta> = None;
+        for block in &blocks {
+            let count = usize::from(block.len);
+            if !(1..=BLOCK_SIZE).contains(&count) {
+                return Err("block length outside 1..=BLOCK_SIZE");
+            }
+            if block
+                .last_doc
+                .checked_sub(block.first_doc)
+                .is_none_or(|span| span < count as u64 - 1)
+            {
+                return Err("block document span cannot hold its postings");
+            }
+            if !(block.max_tf.is_finite() && block.max_tf >= 0.0) {
+                return Err("block maximum not finite and non-negative");
+            }
+            if block.offset >= data.len() {
+                return Err("block offset past the payload");
+            }
+            match previous {
+                None if block.offset != 0 => return Err("first block offset not 0"),
+                Some(previous) if block.first_doc <= previous.last_doc => {
+                    return Err("blocks out of document order");
+                }
+                Some(previous) if block.offset <= previous.offset => {
+                    return Err("block offsets out of order");
+                }
+                _ => {}
+            }
+            total += count;
+            previous = Some(block);
+        }
+        if total != len {
+            return Err("block lengths do not sum to the list length");
+        }
+        Ok(Self { data, blocks, len })
     }
 
     /// Compressed footprint in bytes: encoded payload plus serialized

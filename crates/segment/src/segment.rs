@@ -564,6 +564,10 @@ impl Segment {
         let term_slots = r.u32()?;
         let live = r.u32_vec()?;
         let tombstones = r.u32_vec()?;
+        // The shadow test binary-searches both tables.
+        if !live.is_sorted_by(|a, b| a < b) || !tombstones.is_sorted_by(|a, b| a < b) {
+            return Err(r.corrupt("document table out of order"));
+        }
         let term_count = r.u32()? as usize;
         let mut terms = Vec::with_capacity(term_count.min(1 << 22));
         for _ in 0..term_count {
@@ -582,7 +586,21 @@ impl Segment {
                     offset: r.u64()? as usize,
                 });
             }
-            terms.push((term, CompressedPostingList::from_parts(data, blocks, len)));
+            let list = CompressedPostingList::from_parts(data, blocks, len)
+                .map_err(|why| r.corrupt(why))?;
+            // Doc keys originate from 32-bit document ids; blocks ascend,
+            // so the last one bounds them all.
+            if list
+                .blocks()
+                .last()
+                .is_some_and(|block| block.last_doc > u64::from(u32::MAX))
+            {
+                return Err(r.corrupt("document key beyond 32 bits"));
+            }
+            if terms.last().is_some_and(|&(previous, _)| previous >= term) {
+                return Err(r.corrupt("terms out of order"));
+            }
+            terms.push((term, list));
         }
         r.finish()?;
         let content = SegmentContent {
@@ -800,6 +818,77 @@ mod tests {
             Err(SegmentError::Corrupt { .. })
         ));
         std::fs::write(&path, &pristine).unwrap();
+        assert!(Segment::load(&path).is_ok());
+    }
+
+    #[test]
+    fn block_metadata_no_builder_writes_opens_as_corrupt() {
+        // One term over 200 documents: two blocks, whose metadata ends
+        // the body (first_doc, last_doc, max_tf, len, offset: 34 bytes
+        // each). Every patch below is re-framed with a valid CRC, as
+        // disk damage the CRC misses or a hostile installer would be.
+        let dir = ScratchDir::new("segment-metadata");
+        let ops: Vec<WalOp> = (0..200u32)
+            .map(|d| insert(d * 2, &[(0, 1 + d % 3)]))
+            .collect();
+        let segment = merge_streaming(&[&delta(&ops)], false)
+            .write(&dir, 1)
+            .unwrap();
+        let path = dir.join(segment.file_name());
+        let list = segment.content().list(0).unwrap();
+        assert_eq!(list.blocks().len(), 2);
+        let data_len = list.data().len();
+        let pristine = std::fs::read(&path).unwrap()[20..].to_vec();
+        let block = |b: usize| pristine.len() - 34 * (2 - b);
+        let list_len = block(0) - 4 - data_len - 16;
+        // After term_slots and the live count.
+        let live = 8;
+        let check = |case: &str, edits: &[(usize, &[u8])]| {
+            let mut body = pristine.clone();
+            for &(at, bytes) in edits {
+                body[at..at + bytes.len()].copy_from_slice(bytes);
+            }
+            assert_ne!(body, pristine, "{case}");
+            write_framed(&path, &body).unwrap();
+            assert!(
+                matches!(Segment::load(&path), Err(SegmentError::Corrupt { .. })),
+                "{case}"
+            );
+        };
+        let (past_u32, u64_le) = (1u64 << 32, u64::to_le_bytes);
+        check(
+            "document key beyond 32 bits",
+            &[
+                (block(1), &u64_le(past_u32)),
+                (block(1) + 8, &u64_le(past_u32 + 200)),
+            ],
+        );
+        check("blocks overlap", &[(block(1), &u64_le(254))]);
+        check("first after last", &[(block(0), &u64_le(255))]);
+        check("span too narrow", &[(block(0) + 8, &u64_le(5))]);
+        check("NaN maximum", &[(block(0) + 16, &f64::NAN.to_le_bytes())]);
+        check(
+            "infinite maximum",
+            &[(block(1) + 16, &f64::INFINITY.to_le_bytes())],
+        );
+        check(
+            "negative maximum",
+            &[(block(0) + 16, &(-1.0f64).to_le_bytes())],
+        );
+        check("empty block", &[(block(1) + 24, &0u16.to_le_bytes())]);
+        check("oversized block", &[(block(0) + 24, &129u16.to_le_bytes())]);
+        check(
+            "offset past the payload",
+            &[(block(1) + 26, &u64_le(data_len as u64))],
+        );
+        check("offsets out of order", &[(block(1) + 26, &u64_le(0))]);
+        check("first offset not 0", &[(block(0) + 26, &u64_le(1))]);
+        check("list length", &[(list_len, &u64_le(201))]);
+        check(
+            "live table out of order",
+            &[(live, &2u32.to_le_bytes()), (live + 4, &0u32.to_le_bytes())],
+        );
+        write_framed(&path, &pristine).unwrap();
         assert!(Segment::load(&path).is_ok());
     }
 }

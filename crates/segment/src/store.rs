@@ -1039,6 +1039,9 @@ impl BlockCursor for SourceCursor<'_> {
     fn advance_past(&mut self, bound: DocId) {
         each!(self, cursor => cursor.advance_past(bound))
     }
+    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
+        each!(self, cursor => cursor.drain_below(end, out))
+    }
 }
 
 #[cfg(test)]

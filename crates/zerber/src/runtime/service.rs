@@ -771,6 +771,36 @@ mod tests {
         assert_eq!(rpc(query), Answer::TopK);
     }
 
+    /// A query naming 100 000 slots — absent terms and one present
+    /// term, interleaved — is answered, and the peer's reused scratch
+    /// keeps no more than an ordinary query leaves behind.
+    #[test]
+    fn a_query_with_many_slots_answers_and_leaves_the_scratch_small() {
+        let mut service = service_in(State::Serving);
+        let terms = (0..100_000)
+            .map(|i| match i % 2 {
+                0 => (TermId(1_000 + i), 1.0),
+                _ => (TermId(7), 0.5),
+            })
+            .collect();
+        let query = Message::PlanQuery {
+            shard: SHARD,
+            shape: 0,
+            forced: 0,
+            terms,
+            k: 4,
+        };
+        match service.handle(NodeId::Owner(0), AuthToken(0), query) {
+            Message::TopKResponse { candidates, .. } => {
+                let docs: Vec<DocId> = candidates.iter().map(|&(doc, _)| doc).collect();
+                assert_eq!(docs, [DocId(1)]);
+            }
+            other => panic!("expected candidates, got {other:?}"),
+        }
+        let retained = service.scratch.retained_bytes();
+        assert!(retained <= 128 << 10, "the scratch keeps {retained} bytes");
+    }
+
     /// What the table's footnotes say: a restart of a failed ship
     /// keeps the owed writes, and they replay at commit.
     #[test]
