@@ -13,7 +13,7 @@
 //!
 //! * `CompressedBlockCursor` (in `zerber-postings`) — decodes straight
 //!   from the stored compressed blocks, skipping via the persisted
-//!   `(first_doc, last_doc, max_tf)` index; `DecodedEntriesCursor`
+//!   `(first_doc, last_doc)` block index; `DecodedEntriesCursor`
 //!   beside it borrows the memtable's decoded postings ("decoded"
 //!   there counts blocks whose entries the algorithm actually
 //!   examined);
@@ -54,10 +54,10 @@ use crate::types::DocId;
 ///
 /// * Postings are in strictly increasing document order; scores are
 ///   non-negative and finite.
-/// * While [`at_end`](Self::at_end) is `false`, the three metadata
+/// * While [`at_end`](Self::at_end) is `false`, the two metadata
 ///   methods are callable without decoding:
-///   [`block_max`](Self::block_max) upper-bounds every remaining score
-///   up to and including [`block_last_doc`](Self::block_last_doc), and
+///   [`block_last_doc`](Self::block_last_doc) is the last document the
+///   current block(s) cover, and
 ///   [`doc_lower_bound`](Self::doc_lower_bound) lower-bounds the next
 ///   posting's document (it is *exact* when
 ///   [`is_exact`](Self::is_exact) is `true`).
@@ -87,12 +87,6 @@ pub trait BlockCursor {
     /// `true` once the cursor is certainly exhausted (metadata-only
     /// check; see the trait contract for the merged-cursor caveat).
     fn at_end(&self) -> bool;
-
-    /// Upper bound on the score of every remaining posting with
-    /// document `≤ block_last_doc()`. Only meaningful while
-    /// `!at_end()`. No evaluator reads it: it is the per-block
-    /// metadata a block-level bound on MaxScore's lists would use.
-    fn block_max(&self) -> f64;
 
     /// Static upper bound on the score of *every* posting in the
     /// underlying list(s) — the whole-list σ bound MaxScore partitions
@@ -568,9 +562,6 @@ impl BlockCursor for EmptyCursor {
     fn at_end(&self) -> bool {
         true
     }
-    fn block_max(&self) -> f64 {
-        0.0
-    }
     fn list_max_score(&self) -> f64 {
         0.0
     }
@@ -791,15 +782,6 @@ impl<C: BlockCursor, S: Shadow> BlockCursor for ShadowedMergeCursor<C, S> {
 
     fn at_end(&self) -> bool {
         self.current.is_none() && (self.done || self.live_subs().next().is_none())
-    }
-
-    fn block_max(&self) -> f64 {
-        // Valid bound for every document ≤ `block_last_doc()`: such a
-        // document, if present at all, sits inside some live sub's
-        // current block, whose maximum is included in this fold.
-        self.live_subs()
-            .map(|s| s.cursor.block_max())
-            .fold(0.0f64, f64::max)
     }
 
     fn list_max_score(&self) -> f64 {

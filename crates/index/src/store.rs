@@ -21,8 +21,8 @@ use crate::types::TermId;
 ///
 /// A deployment setting, not an engine choice: every shard replica is
 /// served from the `zerber-segment` LSM store — a WAL-journaled
-/// memtable over immutable block-compressed segments (varint doc-id
-/// deltas, bit-packed counts, per-block skip metadata) with
+/// memtable over immutable block-compressed segments (bit-packed doc
+/// gaps, counts, lengths and positions, per-block skip metadata) with
 /// compaction — so live inserts and deletes cost their own postings.
 /// The variants differ in where the files live and how long.
 ///
@@ -115,8 +115,8 @@ pub trait PostingStore {
     /// do not depend on the backend, so ranking is bit-identical across
     /// backends (property-tested); what differs is the decode work,
     /// reported through [`BlockCursor::decoded_blocks`]: a store only
-    /// decompresses blocks the block-max bound on its stored per-block
-    /// skip metadata cannot rule out.
+    /// decompresses the blocks its cursors land in, and seeks pass the
+    /// rest on their stored skip metadata.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>>;
 }
 

@@ -60,8 +60,8 @@ pub struct RankedDoc {
 
 impl RankedDoc {
     /// The canonical result ordering — score descending, ties broken
-    /// by ascending document id. Every ranking path (TA, block-max
-    /// TA, the sharded gather merge) sorts by exactly this, which is
+    /// by ascending document id. Every ranking path (TA, MaxScore,
+    /// the sharded gather merge) sorts by exactly this, which is
     /// what makes their outputs comparable element for element.
     ///
     /// # Panics

@@ -44,17 +44,23 @@
 //!   is a sequence of ≤ 128-posting blocks:
 //!
 //!   ```text
-//!   block index entry: first_doc varint | (last_doc − first_doc) varint
-//!                      | max_tf u16 (ceil-quantized) | len u8
-//!   block payload:     count_bits u8 | length_bits u8
-//!                      | LEB128 doc-key gaps (len-1 varints)
+//!   block index entry: first_doc | last_doc | len
+//!   block payload:     gap_bits u8 (bit 7: patched) | count_bits u8
+//!                      | length_bits u8 | position_bits u8
+//!                      | [exception count u8 | exception bits u8]   (patched)
+//!                      | doc-key gaps − 1, bit-packed at gap_bits (len − 1)
+//!                      | [exception gap indices u8 each
+//!                      |  | their high bits, bit-packed]            (patched)
 //!                      | counts, bit-packed at count_bits
 //!                      | doc lengths, bit-packed at length_bits
+//!                      | run-start positions, bit-packed at position_bits
+//!   per list:          one maximum term frequency
 //!   ```
 //!
-//!   The `(first_doc, last_doc, max_tf)` triple doubles as skip
-//!   metadata: readers seek (`advance_to`) and prune (block-max
-//!   top-k) from the block index without decoding payloads.
+//!   The `(first_doc, last_doc)` pair is skip metadata: readers seek
+//!   (`advance_to`) from the block index without decoding payloads.
+//!   The list maximum times a term's IDF bounds every score the list
+//!   contributes — the σ bound MaxScore partitions lists by.
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::{Fp, MODULUS};

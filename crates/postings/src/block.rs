@@ -1,18 +1,37 @@
-//! The block codec: fixed-size groups of postings encoded as varint
-//! doc-id deltas plus bit-packed counts and document lengths.
+//! The block codec: fixed-size groups of postings, every column
+//! bit-packed at one width per block (frame of reference).
 //!
-//! Each block carries `(first_doc, last_doc, block_max_score)` skip
-//! metadata ([`BlockMeta`]) so readers can decide from the block index
-//! alone whether a block can contain a sought document
-//! (`advance_to`) and bound its scores — without decoding the
-//! payload.
+//! A block's payload is four width bytes — doc gap, count, length,
+//! position — followed by the packed columns: the `len − 1` doc-key
+//! gaps, each stored as `gap − 1` (so a duplicate document cannot be
+//! written), then the counts, the document lengths and the run-start
+//! positions. A few wide gaps must not widen a whole block (document
+//! ids that jump between hosts do that), so the gap column is
+//! *patched* when that packs smaller (PFOR): bit 7 of its width byte
+//! is set, two bytes after the widths give the exception count and
+//! width, and after the gap column come each exception's gap index (one
+//! byte) and its high bits, packed. The header bytes and `len` fix
+//! every column's offset and the payload's size, so a list's block
+//! index can be checked against its data without decoding
+//! ([`payload_end`]) and a reader can unpack one column alone:
+//! [`DecodedBlock::decode`] leaves the positions packed until
+//! [`DecodedBlock::position`] asks for one. Every column decodes
+//! through one per-width unpack loop (`unpack`): an unaligned 8-byte
+//! little-endian load, a shift and a mask per value — the scalar form
+//! of Lemire & Boytsov, *Decoding billions of integers per second
+//! through vectorization* (SPE 2015), whose patched codecs this gap
+//! column follows.
+//!
+//! Each block carries `(first_doc, last_doc)` skip metadata
+//! ([`BlockMeta`]) so readers can decide from the block index alone
+//! whether a block can contain a sought document (`advance_to`)
+//! without decoding the payload.
 //!
 //! The codec layer works on 64-bit document keys even though the
 //! in-memory [`zerber_index::DocId`] is 32-bit today: the on-wire
 //! format must survive a wider id space (host ⊕ sequence layouts), so
-//! delta decoding is exercised with gaps ≥ 2³² in the property tests.
-
-use crate::varint;
+//! gap widths run up to 64 bits and decoding is exercised with gaps
+//! ≥ 2³² in the tests.
 
 /// Postings per block. 128 keeps a block's decoded form within two
 /// cache lines per column while amortizing the per-block metadata to
@@ -44,263 +63,511 @@ impl RawEntry {
     /// Normalized term frequency `count / doc_length` (0 when the
     /// length is 0), mirroring `Posting::term_frequency`.
     pub fn term_frequency(&self) -> f64 {
-        if self.doc_length == 0 {
-            0.0
-        } else {
-            f64::from(self.count) / f64::from(self.doc_length)
-        }
+        term_frequency(self.count, self.doc_length)
+    }
+}
+
+/// `count / length`, 0 when the length is 0: [`RawEntry::term_frequency`]
+/// over a decoded block's columns.
+#[inline]
+pub(crate) fn term_frequency(count: u32, length: u32) -> f64 {
+    if length == 0 {
+        0.0
+    } else {
+        f64::from(count) / f64::from(length)
     }
 }
 
 /// Skip metadata for one encoded block, kept uncompressed in the block
 /// index.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Smallest doc key in the block.
     pub first_doc: u64,
     /// Largest doc key in the block.
     pub last_doc: u64,
-    /// Maximum normalized term frequency in the block — multiplied by
-    /// a term's IDF this is the `block_max_score` bound of block-max
-    /// top-k.
-    pub max_tf: f64,
     /// Number of postings in the block (1..=[`BLOCK_SIZE`]).
     pub len: u16,
     /// Byte offset of the block payload in the list's data buffer.
     pub offset: usize,
 }
 
-/// Errors surfaced while decoding a block payload.
+/// Errors surfaced while reading a block payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DecodeError {
-    /// A varint was truncated or overflowed 64 bits.
-    BadVarint,
-    /// The payload ended before all packed fields were read.
+    /// The block's posting count is outside 1..=[`BLOCK_SIZE`].
+    BadLength,
+    /// A width byte exceeds its column's value width.
+    BadWidth,
+    /// The payload ends before its widths say it does.
     Truncated,
-    /// A doc-id delta of zero (duplicate doc) or an overflowing key.
-    BadDelta,
+    /// The doc gaps overflow a 64-bit key.
+    Overflow,
+    /// An exception names a gap the block does not have.
+    BadException,
+}
+
+impl DecodeError {
+    /// The reason, as list validation reports it.
+    pub(crate) fn reason(self) -> &'static str {
+        match self {
+            DecodeError::BadLength => "block length outside 1..=BLOCK_SIZE",
+            DecodeError::BadWidth => "block column width out of range",
+            DecodeError::Truncated => "block payload past the end of the data",
+            DecodeError::Overflow => "doc key overflows 64 bits",
+            DecodeError::BadException => "gap exception index out of range",
+        }
+    }
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadVarint => write!(f, "truncated or overlong varint"),
-            DecodeError::Truncated => write!(f, "block payload shorter than declared"),
-            DecodeError::BadDelta => write!(f, "non-increasing or overflowing doc key"),
-        }
+        f.write_str(self.reason())
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// LSB-first bit packer used for the count and doc-length columns.
-struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
-    acc: u64,
-    filled: u32,
+/// The width bytes that open every payload.
+const WIDTH_BYTES: usize = 4;
+
+/// The columns in payload order.
+const GAPS: usize = 0;
+const COUNTS: usize = 1;
+const LENGTHS: usize = 2;
+const POSITIONS: usize = 3;
+
+/// Widest value per column: doc gaps are 64-bit, the rest 32-bit.
+const MAX_WIDTH: [u32; 4] = [64, 32, 32, 32];
+
+/// Set in the gap width byte when the block's gap column is patched.
+const PATCHED: u8 = 0x80;
+
+fn bits_for(value: u64) -> u32 {
+    64 - value.leading_zeros()
 }
 
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        Self {
-            out,
-            acc: 0,
-            filled: 0,
-        }
-    }
-
-    fn push(&mut self, value: u32, width: u32) {
-        debug_assert!(width <= 32);
-        debug_assert!(width == 32 || u64::from(value) < (1u64 << width));
-        self.acc |= u64::from(value) << self.filled;
-        self.filled += width;
-        while self.filled >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.filled -= 8;
-        }
-    }
-
-    fn finish(mut self) {
-        if self.filled > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc = 0;
-            self.filled = 0;
-        }
+/// The low `width` bits.
+fn mask(width: u32) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - width)
     }
 }
 
-/// LSB-first bit reader matching [`BitWriter`].
-struct BitReader<'a> {
-    input: &'a [u8],
-    pos: usize,
-    acc: u64,
-    available: u32,
+/// How many bytes `values` values take packed at `width` bits.
+fn column_bytes(values: usize, width: u32) -> usize {
+    (values * width as usize).div_ceil(8)
 }
 
-impl<'a> BitReader<'a> {
-    fn new(input: &'a [u8]) -> Self {
-        Self {
-            input,
-            pos: 0,
-            acc: 0,
-            available: 0,
-        }
-    }
+/// A gap column's exceptions: the gaps too wide for the column's
+/// width, whose high bits are stored apart.
+#[derive(Debug, Clone, Copy, Default)]
+struct Exceptions {
+    /// How many (0 when the column is not patched).
+    count: usize,
+    /// Width of their high bits, packed after their indices.
+    width: u32,
+    /// Offset of their one-byte gap indices in the list's data.
+    start: usize,
+}
 
-    fn pull(&mut self, width: u32) -> Result<u32, DecodeError> {
-        debug_assert!(width <= 32);
-        while self.available < width {
-            let byte = *self.input.get(self.pos).ok_or(DecodeError::Truncated)?;
-            self.acc |= u64::from(byte) << self.available;
-            self.available += 8;
-            self.pos += 1;
-        }
-        let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-        let value = (self.acc & mask) as u32;
-        self.acc >>= width;
-        self.available -= width;
-        Ok(value)
-    }
+/// Where one block's columns sit in its list's data.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    widths: [u32; 4],
+    /// Byte offset of each column in the list's data.
+    starts: [usize; 4],
+    exceptions: Exceptions,
+    /// One past the payload's last byte.
+    end: usize,
+}
 
-    /// How many bytes are consumed so far (buffered-but-unread bits count as
-    /// consumed — call only at column boundaries after whole-byte
-    /// alignment).
-    fn bytes_consumed(&self) -> usize {
-        self.pos
+impl Layout {
+    /// Reads the width bytes of the block at `meta` and places its
+    /// columns, checking the widths and that the payload fits `data`.
+    fn of(meta: &BlockMeta, data: &[u8]) -> Result<Self, DecodeError> {
+        let len = usize::from(meta.len);
+        if !(1..=BLOCK_SIZE).contains(&len) {
+            return Err(DecodeError::BadLength);
+        }
+        let payload = data.get(meta.offset..).ok_or(DecodeError::Truncated)?;
+        let header = payload
+            .first_chunk::<WIDTH_BYTES>()
+            .ok_or(DecodeError::Truncated)?;
+        let mut widths = header.map(u32::from);
+        let mut at = meta.offset + WIDTH_BYTES;
+        let mut exceptions = Exceptions::default();
+        if header[GAPS] & PATCHED != 0 {
+            widths[GAPS] = u32::from(header[GAPS] & !PATCHED);
+            let [count, width] = *payload[WIDTH_BYTES..]
+                .first_chunk()
+                .ok_or(DecodeError::Truncated)?;
+            let (count, width) = (usize::from(count), u32::from(width));
+            if !(1..len).contains(&count) || width == 0 || widths[GAPS] + width > 64 {
+                return Err(DecodeError::BadWidth);
+            }
+            at += 2;
+            exceptions = Exceptions {
+                count,
+                width,
+                start: 0,
+            };
+        }
+        if widths.iter().zip(MAX_WIDTH).any(|(&w, max)| w > max) {
+            return Err(DecodeError::BadWidth);
+        }
+        let mut starts = [0; 4];
+        for (column, start) in starts.iter_mut().enumerate() {
+            *start = at;
+            let values = if column == GAPS { len - 1 } else { len };
+            at += column_bytes(values, widths[column]);
+            if column == GAPS {
+                exceptions.start = at;
+                at += exceptions.count + column_bytes(exceptions.count, exceptions.width);
+            }
+        }
+        if at > data.len() {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(Self {
+            widths,
+            starts,
+            exceptions,
+            end: at,
+        })
     }
 }
 
-fn bits_for(max: u32) -> u32 {
-    32 - max.leading_zeros()
+/// One past the last payload byte of the block at `meta`: its width
+/// bytes and `len` fix its size. Checks what [`DecodedBlock::decode`]
+/// needs of the layout — length and widths in range, payload inside
+/// `data` — in O(1), without unpacking.
+pub(crate) fn payload_end(meta: &BlockMeta, data: &[u8]) -> Result<usize, DecodeError> {
+    Layout::of(meta, data).map(|layout| layout.end)
+}
+
+/// Appends `values` packed LSB-first at `width` bits, zero-padded to
+/// a whole byte. A value goes into the 64-bit accumulator 32 bits at a
+/// time at most, so the accumulator flushes four bytes at a time and
+/// never overflows.
+fn pack(out: &mut Vec<u8>, width: u32, values: impl Iterator<Item = u64>) {
+    let (mut acc, mut filled) = (0u64, 0u32);
+    let mut put = |value: u64, width: u32| {
+        acc |= value << filled;
+        filled += width;
+        if filled >= 32 {
+            out.extend_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            filled -= 32;
+        }
+    };
+    for value in values {
+        debug_assert!(width == 64 || value >> width == 0);
+        if width > 32 {
+            put(value & mask(32), 32);
+            put(value >> 32, width - 32);
+        } else {
+            put(value, width);
+        }
+    }
+    out.extend_from_slice(&acc.to_le_bytes()[..filled.div_ceil(8) as usize]);
+}
+
+/// Value `index` of a column packed LSB-first at `width` bits from the
+/// start of `src` (which must hold the whole column): an unaligned
+/// 8-byte little-endian load, a shift and a mask — plus the ninth byte
+/// a value wider than 56 bits can straddle. Only a value whose 8-byte
+/// window would pass `src`'s end is assembled byte by byte.
+#[inline(always)]
+fn read(src: &[u8], index: usize, width: u32) -> u64 {
+    if width == 0 {
+        return 0;
+    }
+    let bit = index * width as usize;
+    let (at, shift) = (bit / 8, (bit % 8) as u32);
+    let value = match src.get(at..at + 8) {
+        Some(window) => {
+            let low = u64::from_le_bytes(window.try_into().expect("eight bytes")) >> shift;
+            if width + shift > 64 {
+                low | u64::from(src[at + 8]) << (64 - shift)
+            } else {
+                low
+            }
+        }
+        None => {
+            let end = (bit + width as usize).div_ceil(8);
+            let bytes = src[at..end].iter().enumerate();
+            let acc = bytes.fold(0u128, |acc, (k, &b)| acc | u128::from(b) << (8 * k));
+            (acc >> shift) as u64
+        }
+    };
+    value & mask(width)
+}
+
+/// Unpacks `out.len()` values of `W` bits from the front of `src`.
+/// Eight values span exactly `W` bytes, so each group of eight is
+/// [`read`] from one `W + 8`-byte slice at constant offsets: one bounds
+/// check per group, none per value. The values after the last group
+/// whose slice fits are read from `src` one by one.
+#[inline(always)]
+fn unpack<const W: u32>(src: &[u8], out: &mut [u64]) {
+    let width = W as usize;
+    let mut unpacked = 0;
+    if W > 0 {
+        for (group, slots) in out.chunks_exact_mut(8).enumerate() {
+            let Some(bytes) = src.get(group * width..group * width + width + 8) else {
+                break;
+            };
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = read(bytes, j, W);
+            }
+            unpacked += 8;
+        }
+    }
+    for (index, slot) in out.iter_mut().enumerate().skip(unpacked) {
+        *slot = read(src, index, W);
+    }
+}
+
+/// [`unpack`] at a width known only at run time: one `match` picks
+/// the loop monomorphised for it.
+fn unpack_column(src: &[u8], width: u32, out: &mut [u64]) {
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match width {
+                $($w => unpack::<$w>(src, out),)*
+                _ => unreachable!("column widths are checked before unpacking"),
+            }
+        };
+    }
+    by_width!(
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
+        63 64
+    )
+}
+
+/// The width to pack a block's gaps at, the width of the high bits of
+/// the gaps too wide for it and how many those are (0 and 0: none).
+/// `wider[w]` counts the gaps whose `gap − 1` takes exactly `w` bits;
+/// bit `w` of `present` is set when any does. A patched column pays two
+/// header bytes, an index byte per exception and the exceptions' high
+/// bits. Only 0 and the widths some gap takes are tried, widest first,
+/// and ties keep the wider: between two such widths the exceptions stay
+/// the same and a wider low column costs more, so a width in between
+/// saves at most the rounding of the two packed columns.
+fn gap_widths(gaps: usize, wider: &[u8; 65], present: u128) -> (u32, u32, usize) {
+    let top = 127u32.saturating_sub(present.leading_zeros());
+    let (mut best, mut best_bytes) = ((top, 0, 0), column_bytes(gaps, top));
+    let (mut exceptions, mut above) = (0usize, top);
+    while above > 0 {
+        exceptions += usize::from(wider[above as usize]);
+        let below = present & ((1u128 << above) - 1);
+        let width = 127u32.saturating_sub(below.leading_zeros());
+        let high = top - width;
+        let bytes = column_bytes(gaps, width) + 2 + exceptions + column_bytes(exceptions, high);
+        if bytes < best_bytes {
+            (best, best_bytes) = ((width, high, exceptions), bytes);
+        }
+        above = width;
+    }
+    best
 }
 
 /// Encodes one block of postings (sorted by strictly increasing doc
-/// key) onto `out`, returning its skip metadata.
-///
-/// Payload layout, after the three width bytes:
-/// varint doc-key gaps for entries 1.. (the first doc lives in the
-/// metadata), then the counts bit-packed at the block's count width,
-/// then the doc lengths bit-packed at the block's length width, then
-/// the run-start positions bit-packed at the block's position width.
-pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> BlockMeta {
+/// key) onto `out`, returning its skip metadata and the block's largest
+/// term frequency. One pass over the entries finds all four widths
+/// (the OR of a column's values has its maximum's bit length; the gaps
+/// are counted by bit length, which picks the gap width and its
+/// exceptions), then each column is packed.
+pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMeta, f64) {
     assert!(!entries.is_empty() && entries.len() <= BLOCK_SIZE);
     debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
     let offset = out.len();
-    let count_bits = bits_for(entries.iter().map(|e| e.count).max().expect("non-empty"));
-    let length_bits = bits_for(
-        entries
-            .iter()
-            .map(|e| e.doc_length)
-            .max()
-            .expect("non-empty"),
+    let mut any = [0u64; 4];
+    let (mut wider, mut present) = ([0u8; 65], 0u128);
+    let mut max_tf = 0.0f64;
+    for (i, entry) in entries.iter().enumerate() {
+        if i > 0 {
+            let bits = bits_for(entry.doc - entries[i - 1].doc - 1);
+            wider[bits as usize] += 1;
+            present |= 1 << bits;
+        }
+        any[COUNTS] |= u64::from(entry.count);
+        any[LENGTHS] |= u64::from(entry.doc_length);
+        any[POSITIONS] |= u64::from(entry.pos);
+        max_tf = max_tf.max(entry.term_frequency());
+    }
+    let mut widths = any.map(bits_for);
+    let (high, exceptions);
+    (widths[GAPS], high, exceptions) = gap_widths(entries.len() - 1, &wider, present);
+    out.extend(widths.map(|w| w as u8));
+    let gaps = || entries.windows(2).map(|pair| pair[1].doc - pair[0].doc - 1);
+    let low = mask(widths[GAPS]);
+    let wide = || gaps().enumerate().filter(move |&(_, gap)| gap & !low != 0);
+    if high > 0 {
+        out[offset] |= PATCHED;
+        out.extend([exceptions as u8, high as u8]);
+    }
+    pack(out, widths[GAPS], gaps().map(|gap| gap & low));
+    if high > 0 {
+        out.extend(wide().map(|(i, _)| i as u8));
+        pack(out, high, wide().map(|(_, gap)| gap >> widths[GAPS]));
+    }
+    pack(
+        out,
+        widths[COUNTS],
+        entries.iter().map(|e| u64::from(e.count)),
     );
-    let pos_bits = bits_for(entries.iter().map(|e| e.pos).max().expect("non-empty"));
-    out.push(count_bits as u8);
-    out.push(length_bits as u8);
-    out.push(pos_bits as u8);
-    for pair in entries.windows(2) {
-        varint::write_u64(out, pair[1].doc - pair[0].doc);
-    }
-    let mut counts = BitWriter::new(out);
-    for entry in entries {
-        counts.push(entry.count, count_bits);
-    }
-    counts.finish();
-    let mut lengths = BitWriter::new(out);
-    for entry in entries {
-        lengths.push(entry.doc_length, length_bits);
-    }
-    lengths.finish();
-    let mut positions = BitWriter::new(out);
-    for entry in entries {
-        positions.push(entry.pos, pos_bits);
-    }
-    positions.finish();
-    BlockMeta {
+    pack(
+        out,
+        widths[LENGTHS],
+        entries.iter().map(|e| u64::from(e.doc_length)),
+    );
+    pack(
+        out,
+        widths[POSITIONS],
+        entries.iter().map(|e| u64::from(e.pos)),
+    );
+    let meta = BlockMeta {
         first_doc: entries[0].doc,
         last_doc: entries[entries.len() - 1].doc,
-        max_tf: entries
-            .iter()
-            .map(RawEntry::term_frequency)
-            .fold(0.0, f64::max),
         len: entries.len() as u16,
         offset,
-    }
+    };
+    (meta, max_tf)
 }
 
-/// Decodes the block at `meta` from the list's data buffer into
-/// `out` (cleared first; its contents are unspecified after an error).
-/// Returns the number of payload bytes read.
-///
-/// Every column is written straight into `out` — the gap column seeds
-/// the entries, then each bit-packed column fills its field in place —
-/// so a caller that reuses one buffer decodes without allocating.
-pub(crate) fn decode_block(
-    meta: &BlockMeta,
-    data: &[u8],
-    out: &mut Vec<RawEntry>,
-) -> Result<usize, DecodeError> {
-    out.clear();
-    let len = meta.len as usize;
-    let payload = data.get(meta.offset..).ok_or(DecodeError::Truncated)?;
-    let [count_bits, length_bits, pos_bits, rest @ ..] = payload else {
-        return Err(DecodeError::Truncated);
-    };
-    let (count_bits, length_bits, pos_bits) = (
-        u32::from(*count_bits),
-        u32::from(*length_bits),
-        u32::from(*pos_bits),
-    );
-    if count_bits > 32 || length_bits > 32 || pos_bits > 32 {
-        return Err(DecodeError::Truncated);
+/// One block unpacked into columns, reused block after block by a
+/// reader. Entries `0..len()` are valid. [`DecodedBlock::decode`]
+/// fills the doc, count and length columns; the positions stay packed
+/// until [`DecodedBlock::decode_positions`] unpacks them all or
+/// [`DecodedBlock::position`] reads one. The four columns share one
+/// allocation sized to the largest block decoded, so a reader of a
+/// short list allocates once, for its few postings.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DecodedBlock {
+    len: usize,
+    /// Slots per column.
+    stride: usize,
+    /// The doc, count, length and position columns, `stride` slots
+    /// each, end to end.
+    columns: Vec<u64>,
+    /// The packed position column: its offset in the list's data and
+    /// its width.
+    position_column: (usize, u32),
+}
+
+impl DecodedBlock {
+    /// Postings held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
-    let mut doc = meta.first_doc;
-    let mut cursor = 0usize;
-    for i in 0..len {
-        if i > 0 {
-            let (gap, used) = varint::read_u64(&rest[cursor..]).ok_or(DecodeError::BadVarint)?;
-            cursor += used;
-            doc = doc.checked_add(gap).ok_or(DecodeError::BadDelta)?;
-            if gap == 0 {
-                return Err(DecodeError::BadDelta);
+
+    fn column(&self, column: usize) -> &[u64] {
+        &self.columns[column * self.stride..][..self.len]
+    }
+
+    /// The doc keys held, ascending.
+    pub(crate) fn docs(&self) -> &[u64] {
+        self.column(GAPS)
+    }
+
+    /// The occurrence counts held (each fits a `u32`).
+    pub(crate) fn counts(&self) -> &[u64] {
+        self.column(COUNTS)
+    }
+
+    /// The document lengths held (each fits a `u32`).
+    pub(crate) fn lengths(&self) -> &[u64] {
+        self.column(LENGTHS)
+    }
+
+    /// Unpacks the doc, count and length columns of the block at `meta`
+    /// from its list's `data`. The doc column is one prefix-sum pass
+    /// over the unpacked gaps, overflow checked. On error the block
+    /// holds nothing.
+    pub(crate) fn decode(&mut self, meta: &BlockMeta, data: &[u8]) -> Result<(), DecodeError> {
+        self.len = 0;
+        let layout = Layout::of(meta, data)?;
+        let len = usize::from(meta.len);
+        if self.stride < len {
+            self.stride = len;
+            self.columns = vec![0; 4 * len];
+        }
+        let mut columns = self.columns.chunks_exact_mut(self.stride);
+        let mut next = || &mut columns.next().expect("four columns")[..len];
+        let (docs, counts, lengths) = (next(), next(), next());
+        // Each column runs to the data's end: a window that reads past
+        // the column into the next one is masked off.
+        let column = |c: usize| &data[layout.starts[c]..];
+        docs[0] = meta.first_doc;
+        unpack_column(column(GAPS), layout.widths[GAPS], &mut docs[1..]);
+        let exceptions = layout.exceptions;
+        if exceptions.count > 0 {
+            let indices = &data[exceptions.start..][..exceptions.count];
+            let high = &data[exceptions.start + exceptions.count..];
+            for (k, &i) in indices.iter().enumerate() {
+                let gap = docs[1..]
+                    .get_mut(usize::from(i))
+                    .ok_or(DecodeError::BadException)?;
+                *gap |= read(high, k, exceptions.width) << layout.widths[GAPS];
             }
         }
-        out.push(RawEntry {
-            doc,
-            count: 0,
-            doc_length: 0,
-            pos: 0,
-        });
+        let mut overflow = false;
+        let mut doc = meta.first_doc;
+        for slot in &mut docs[1..] {
+            let (next, over) = doc.overflowing_add(*slot);
+            let (next, over_one) = next.overflowing_add(1);
+            overflow |= over | over_one;
+            (*slot, doc) = (next, next);
+        }
+        if overflow {
+            return Err(DecodeError::Overflow);
+        }
+        unpack_column(column(COUNTS), layout.widths[COUNTS], counts);
+        unpack_column(column(LENGTHS), layout.widths[LENGTHS], lengths);
+        self.position_column = (layout.starts[POSITIONS], layout.widths[POSITIONS]);
+        self.len = len;
+        Ok(())
     }
-    let counts_bytes = (len * count_bits as usize).div_ceil(8);
-    let lengths_bytes = (len * length_bits as usize).div_ceil(8);
-    let pos_bytes = (len * pos_bits as usize).div_ceil(8);
-    let columns = rest.get(cursor..).ok_or(DecodeError::Truncated)?;
-    let mut counts = BitReader::new(columns);
-    for entry in out.iter_mut() {
-        entry.count = counts.pull(count_bits)?;
+
+    /// Unpacks the whole position column of the block last decoded
+    /// from `data`.
+    pub(crate) fn decode_positions(&mut self, data: &[u8]) {
+        let (start, width) = self.position_column;
+        let positions = &mut self.columns[POSITIONS * self.stride..][..self.len];
+        unpack_column(&data[start..], width, positions);
     }
-    debug_assert_eq!(counts.bytes_consumed(), counts_bytes);
-    let length_column = columns.get(counts_bytes..).ok_or(DecodeError::Truncated)?;
-    let mut lengths = BitReader::new(length_column);
-    for entry in out.iter_mut() {
-        entry.doc_length = lengths.pull(length_bits)?;
+
+    /// Entry `i`'s run-start position, read from the packed column in
+    /// `data` (the block's list's data).
+    pub(crate) fn position(&self, data: &[u8], i: usize) -> u32 {
+        debug_assert!(i < self.len);
+        let (start, width) = self.position_column;
+        read(&data[start..], i, width) as u32
     }
-    debug_assert_eq!(lengths.bytes_consumed(), lengths_bytes);
-    let pos_column = length_column
-        .get(lengths_bytes..)
-        .ok_or(DecodeError::Truncated)?;
-    let mut positions = BitReader::new(pos_column);
-    for entry in out.iter_mut() {
-        entry.pos = positions.pull(pos_bits)?;
+
+    /// Entry `i` in full; the positions must have been decoded.
+    pub(crate) fn entry(&self, i: usize) -> RawEntry {
+        debug_assert!(i < self.len);
+        let at = |column: usize| self.columns[column * self.stride + i];
+        RawEntry {
+            doc: at(GAPS),
+            count: at(COUNTS) as u32,
+            doc_length: at(LENGTHS) as u32,
+            pos: at(POSITIONS) as u32,
+        }
     }
-    Ok(3 + cursor + counts_bytes + lengths_bytes + pos_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn entry(doc: u64, count: u32, doc_length: u32) -> RawEntry {
         RawEntry {
@@ -311,20 +578,32 @@ mod tests {
         }
     }
 
+    /// Encodes `entries` alone into a fresh buffer.
+    fn encode(entries: &[RawEntry]) -> (BlockMeta, Vec<u8>) {
+        let mut data = Vec::new();
+        let (meta, _) = encode_block(entries, &mut data);
+        (meta, data)
+    }
+
+    /// Fully decodes the block at `meta`.
+    fn decode(meta: &BlockMeta, data: &[u8]) -> Result<Vec<RawEntry>, DecodeError> {
+        let mut block = DecodedBlock::default();
+        block.decode(meta, data)?;
+        block.decode_positions(data);
+        Ok((0..block.len()).map(|i| block.entry(i)).collect())
+    }
+
     #[test]
     fn round_trips_a_block() {
         let entries: Vec<RawEntry> = (0..100)
             .map(|i| entry(i * 7 + 3, (i % 13) as u32, 100 + (i % 5) as u32))
             .collect();
-        let mut data = Vec::new();
-        let meta = encode_block(&entries, &mut data);
+        let (meta, data) = encode(&entries);
         assert_eq!(meta.first_doc, 3);
         assert_eq!(meta.last_doc, 99 * 7 + 3);
         assert_eq!(meta.len, 100);
-        let mut decoded = Vec::new();
-        let used = decode_block(&meta, &data, &mut decoded).unwrap();
-        assert_eq!(used, data.len());
-        assert_eq!(decoded, entries);
+        assert_eq!(payload_end(&meta, &data), Ok(data.len()));
+        assert_eq!(decode(&meta, &data).unwrap(), entries);
     }
 
     #[test]
@@ -334,34 +613,36 @@ mod tests {
             entry(5 + (1u64 << 33), 2, 20),
             entry(u64::MAX - 1, 3, 30),
         ];
-        let mut data = Vec::new();
-        let meta = encode_block(&entries, &mut data);
-        let mut decoded = Vec::new();
-        decode_block(&meta, &data, &mut decoded).unwrap();
-        assert_eq!(decoded, entries);
+        let (meta, data) = encode(&entries);
+        assert_eq!(data[0], 64, "a gap of nearly 2^64 packs at full width");
+        assert_eq!(decode(&meta, &data).unwrap(), entries);
 
-        let single = vec![entry(42, 0, 0)];
+        let single = vec![RawEntry {
+            doc: 42,
+            count: 0,
+            doc_length: 0,
+            pos: 0,
+        }];
         let mut data = Vec::new();
-        let meta = encode_block(&single, &mut data);
-        assert_eq!(meta.max_tf, 0.0);
-        let mut decoded = Vec::new();
-        decode_block(&meta, &data, &mut decoded).unwrap();
-        assert_eq!(decoded, single);
+        let (meta, max_tf) = encode_block(&single, &mut data);
+        assert_eq!(max_tf, 0.0);
+        assert_eq!(data, [0; 4], "one posting of zeros is its width bytes");
+        assert_eq!(decode(&meta, &data).unwrap(), single);
     }
 
     #[test]
     fn max_tf_bounds_every_entry() {
         let entries = vec![entry(1, 5, 50), entry(2, 9, 10), entry(3, 1, 100)];
-        let mut data = Vec::new();
-        let meta = encode_block(&entries, &mut data);
-        assert!((meta.max_tf - 0.9).abs() < 1e-12);
-        assert!(entries.iter().all(|e| e.term_frequency() <= meta.max_tf));
+        let (_, max_tf) = encode_block(&entries, &mut Vec::new());
+        assert!((max_tf - 0.9).abs() < 1e-12);
+        assert!(entries.iter().all(|e| e.term_frequency() <= max_tf));
     }
 
     #[test]
     fn uniform_zero_columns_pack_to_nothing() {
-        // All counts, lengths, and positions zero ⇒ zero bit width ⇒
-        // only the three width bytes plus the gap varints.
+        // Consecutive docs (every gap − 1 is 0) and all counts,
+        // lengths and positions zero ⇒ zero bit widths ⇒ only the four
+        // width bytes.
         let entries: Vec<RawEntry> = (1..=64)
             .map(|doc| RawEntry {
                 doc,
@@ -370,25 +651,244 @@ mod tests {
                 pos: 0,
             })
             .collect();
-        let mut data = Vec::new();
-        let meta = encode_block(&entries, &mut data);
-        assert_eq!(data.len(), 3 + 63); // 63 one-byte gaps of 1
-        let mut decoded = Vec::new();
-        decode_block(&meta, &data, &mut decoded).unwrap();
-        assert_eq!(decoded, entries);
+        let (meta, data) = encode(&entries);
+        assert_eq!(data, [0; 4]);
+        assert_eq!(decode(&meta, &data).unwrap(), entries);
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let entries: Vec<RawEntry> = (1..=10).map(|doc| entry(doc, 3, 7)).collect();
-        let mut data = Vec::new();
-        let meta = encode_block(&entries, &mut data);
-        let mut decoded = Vec::new();
+        let entries: Vec<RawEntry> = (1..=10).map(|doc| entry(doc * 3, 3, 7)).collect();
+        let (meta, data) = encode(&entries);
         for cut in 0..data.len() {
-            assert!(
-                decode_block(&meta, &data[..cut], &mut decoded).is_err(),
-                "cut at {cut} should fail"
+            assert!(decode(&meta, &data[..cut]).is_err(), "cut at {cut}");
+            assert!(payload_end(&meta, &data[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn widths_out_of_range_and_overflowing_gaps_are_rejected() {
+        let entries: Vec<RawEntry> = (1..=10).map(|doc| entry(doc * 3, 3, 7)).collect();
+        let (meta, data) = encode(&entries);
+        for (column, max) in MAX_WIDTH.into_iter().enumerate() {
+            let mut bad = data.clone();
+            bad[column] = max as u8 + 1;
+            assert_eq!(payload_end(&meta, &bad), Err(DecodeError::BadWidth));
+            assert_eq!(decode(&meta, &bad), Err(DecodeError::BadWidth));
+        }
+        let empty = BlockMeta { len: 0, ..meta };
+        assert_eq!(payload_end(&empty, &data), Err(DecodeError::BadLength));
+        // Gaps summing past u64::MAX.
+        let (meta, data) = encode(&[entry(0, 1, 1), entry(u64::MAX, 1, 1)]);
+        let late = BlockMeta {
+            first_doc: 1,
+            ..meta
+        };
+        assert_eq!(decode(&late, &data), Err(DecodeError::Overflow));
+    }
+
+    #[test]
+    fn outlying_gaps_are_patched_not_widened() {
+        // 99 consecutive docs, then a jump of 2^40: packing every
+        // `gap − 1` at 40 bits would take 495 bytes; the patched column
+        // packs them at width 0 and stores the one wide gap apart.
+        let mut docs: Vec<u64> = (0..100).collect();
+        docs.push(99 + (1 << 40));
+        let entries: Vec<RawEntry> = docs.iter().map(|&doc| entry(doc, 1, 1)).collect();
+        let (meta, data) = encode(&entries);
+        assert_eq!(data[..WIDTH_BYTES + 2], [PATCHED, 1, 1, 10, 1, 40]);
+        // Header, no low bits, one index byte and 40 high bits, then
+        // counts, lengths and positions.
+        let columns = 2 * column_bytes(101, 1) + column_bytes(101, 10);
+        assert_eq!(data.len(), WIDTH_BYTES + 2 + 1 + 5 + columns);
+        assert_eq!(decode(&meta, &data).unwrap(), entries);
+        // An exception index past the gap column fails the decode.
+        let index = WIDTH_BYTES + 2;
+        assert_eq!(data[index], 99);
+        let mut bad = data.clone();
+        bad[index] = 100;
+        assert_eq!(decode(&meta, &bad), Err(DecodeError::BadException));
+        // Header bytes out of range fail the layout check.
+        for (at, byte) in [
+            (WIDTH_BYTES, 0),
+            (WIDTH_BYTES, 101),
+            (WIDTH_BYTES + 1, 0),
+            (WIDTH_BYTES + 1, 65),
+        ] {
+            let mut bad = data.clone();
+            bad[at] = byte;
+            assert_eq!(
+                payload_end(&meta, &bad),
+                Err(DecodeError::BadWidth),
+                "byte {at} = {byte}"
             );
         }
+    }
+
+    #[test]
+    fn lazy_positions_equal_the_full_decode_under_steps_and_seeks() {
+        use crate::{CompressedBlockCursor, CompressedPostingBuilder};
+        use zerber_index::cursor::BlockCursor;
+        use zerber_index::DocId;
+        let mut rng = StdRng::seed_from_u64(43);
+        for case in 0..300 {
+            // Lists of one to five blocks, gaps at a random width with
+            // the odd outlier (so some blocks are patched), and
+            // positions at every width up to 32 bits.
+            let n = rng.random_range(1..=640usize);
+            let gap_bits = rng.random_range(0..=16u32);
+            let pos_bits = rng.random_range(0..=32u32);
+            let mut doc = rng.random_range(0..1000u64);
+            let entries: Vec<RawEntry> = (0..n)
+                .map(|i| {
+                    if i > 0 {
+                        let bits = if rng.random_range(0..50u32) == 0 {
+                            22
+                        } else {
+                            gap_bits
+                        };
+                        doc += 1 + rng.random_range(0..1u64 << bits);
+                    }
+                    RawEntry {
+                        doc,
+                        count: rng.random_range(0..20),
+                        doc_length: rng.random_range(0..500),
+                        pos: (rng.random::<u64>() & mask(pos_bits)) as u32,
+                    }
+                })
+                .collect();
+            let list = CompressedPostingBuilder::from_sorted(entries.iter().copied());
+            assert_eq!(list.decode_all(), entries, "case {case}");
+            let mut cursor = CompressedBlockCursor::new(&list, 1.0);
+            let mut bound = 0u64;
+            loop {
+                let want = entries.iter().find(|e| e.doc >= bound);
+                let got = cursor.materialize().map(|(doc, _)| u64::from(doc.0));
+                assert_eq!(got, want.map(|e| e.doc), "case {case} bound {bound}");
+                let Some(want) = want else { break };
+                assert_eq!(cursor.positions(), (want.pos, want.count), "case {case}");
+                if rng.random_range(0..3u32) == 0 {
+                    bound = want.doc + rng.random_range(1..400u64);
+                    cursor.advance_past(DocId((bound - 1) as u32));
+                } else {
+                    bound = want.doc + 1;
+                    cursor.step();
+                }
+            }
+        }
+    }
+
+    /// Random sorted entries whose doc gaps, counts, lengths and
+    /// positions pack at exactly the given widths (`widths[0]` bounds
+    /// `gap − 1`), starting at `first`. `None` when `first` leaves no
+    /// room for `n` postings at that gap width.
+    fn block_at_widths(
+        rng: &mut StdRng,
+        n: usize,
+        widths: [u32; 4],
+        first: u64,
+    ) -> Option<Vec<RawEntry>> {
+        let value = |rng: &mut StdRng, width: u32| -> u64 {
+            match width {
+                0 => 0,
+                64 => rng.random(),
+                w => rng.random_range(0..1u64 << w),
+            }
+        };
+        let top = |width: u32| {
+            if width == 0 {
+                0
+            } else {
+                u64::MAX >> (64 - width)
+            }
+        };
+        let mut entries = Vec::with_capacity(n);
+        let mut doc = first;
+        for i in 0..n {
+            if i > 0 {
+                // The second entry's gap sets the width exactly; later
+                // ones share what room the key space has left.
+                let gap = if i > 1 {
+                    let room = (u64::MAX - doc) / (n - i) as u64;
+                    value(rng, widths[0]).min(room.saturating_sub(1))
+                } else if widths[0] == 0 {
+                    0
+                } else {
+                    1 << (widths[0] - 1)
+                };
+                doc = doc.checked_add(gap)?.checked_add(1)?;
+            }
+            let field = |rng: &mut StdRng, c: usize| {
+                (if i == n - 1 {
+                    top(widths[c])
+                } else {
+                    value(rng, widths[c])
+                }) as u32
+            };
+            entries.push(RawEntry {
+                doc,
+                count: field(rng, 1),
+                doc_length: field(rng, 2),
+                pos: field(rng, 3),
+            });
+        }
+        Some(entries)
+    }
+
+    #[test]
+    fn random_blocks_round_trip_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut patched_blocks = 0;
+        for gap_width in 0..=64u32 {
+            for field_width in 0..=32u32 {
+                let n = match rng.random_range(0..4u32) {
+                    0 => rng.random_range(1..=4usize),
+                    1 => BLOCK_SIZE,
+                    _ => rng.random_range(1..=BLOCK_SIZE),
+                };
+                let widths = [
+                    gap_width,
+                    field_width,
+                    rng.random_range(0..=32),
+                    rng.random_range(0..=32),
+                ];
+                let first = if rng.random_range(0..4u32) == 0 {
+                    rng.random()
+                } else {
+                    rng.random_range(0..1u64 << 40)
+                };
+                let entries = block_at_widths(&mut rng, n, widths, first)
+                    .or_else(|| block_at_widths(&mut rng, n, widths, 0))
+                    .expect("a block from 0 always fits");
+                let (meta, data) = encode(&entries);
+                if entries.len() > 1 {
+                    // The low width plus the exceptions' high width
+                    // spans the widest gap.
+                    let patched = data[0] & PATCHED != 0;
+                    let high = if patched { data[WIDTH_BYTES + 1] } else { 0 };
+                    assert_eq!(u32::from((data[0] & !PATCHED) + high), gap_width);
+                    patched_blocks += usize::from(patched);
+                }
+                let end = payload_end(&meta, &data).unwrap();
+                assert_eq!(end, data.len(), "{widths:?}");
+                assert_eq!(decode(&meta, &data).unwrap(), entries, "{widths:?}");
+                // Decoding inside a longer buffer reads the same.
+                let mut padded = vec![0xA5; 3];
+                let (meta, _) = encode_block(&entries, &mut padded);
+                padded.extend([0xFF; 11]);
+                assert_eq!(decode(&meta, &padded).unwrap(), entries, "{widths:?}");
+                for cut in meta.offset..meta.offset + data.len() {
+                    assert!(
+                        decode(&meta, &padded[..cut]).is_err(),
+                        "{widths:?} cut {cut}"
+                    );
+                }
+            }
+        }
+        assert!(patched_blocks > 100, "{patched_blocks} patched blocks");
+        // The largest representable key behind a full-width gap.
+        let entries = vec![entry(0, 1, 2), entry(u64::MAX - 1, 3, 4)];
+        let (meta, data) = encode(&entries);
+        assert_eq!(decode(&meta, &data).unwrap(), entries);
     }
 }

@@ -1,6 +1,6 @@
 //! Construction of block-compressed posting lists.
 
-use crate::block::{encode_block, RawEntry, BLOCK_SIZE};
+use crate::block::{encode_block, BlockMeta, RawEntry, BLOCK_SIZE};
 use crate::list::CompressedPostingList;
 
 /// Streaming builder: accepts postings in strictly increasing doc-key
@@ -9,7 +9,8 @@ use crate::list::CompressedPostingList;
 #[derive(Debug, Default)]
 pub struct CompressedPostingBuilder {
     data: Vec<u8>,
-    blocks: Vec<crate::block::BlockMeta>,
+    blocks: Vec<BlockMeta>,
+    max_tf: f64,
     pending: Vec<RawEntry>,
     len: usize,
     last_doc: Option<u64>,
@@ -44,8 +45,9 @@ impl CompressedPostingBuilder {
     }
 
     fn seal_block(&mut self) {
-        let meta = encode_block(&self.pending, &mut self.data);
+        let (meta, max_tf) = encode_block(&self.pending, &mut self.data);
         self.blocks.push(meta);
+        self.max_tf = self.max_tf.max(max_tf);
         self.pending.clear();
     }
 
@@ -58,6 +60,7 @@ impl CompressedPostingBuilder {
             data: self.data,
             blocks: self.blocks,
             len: self.len,
+            max_tf: self.max_tf,
         }
     }
 
@@ -120,6 +123,6 @@ mod tests {
         assert_eq!(blocks[0].first_doc, 0);
         assert_eq!(blocks[0].last_doc, 254);
         assert_eq!(blocks[1].first_doc, 256);
-        assert!((blocks[0].max_tf - 3.0 / 8.0).abs() < 1e-12);
+        assert!((list.max_tf() - 3.0 / 8.0).abs() < 1e-12);
     }
 }

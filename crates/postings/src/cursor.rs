@@ -2,26 +2,31 @@
 //!
 //! [`CompressedBlockCursor`] implements
 //! [`zerber_index::cursor::BlockCursor`] directly against the stored
-//! block payloads: the `(first_doc, last_doc, max_tf)` skip metadata
-//! answers every peek ([`BlockCursor::block_max`],
-//! [`BlockCursor::block_last_doc`], [`BlockCursor::doc_lower_bound`])
-//! without touching the compressed bytes, and a block is decompressed
-//! only when [`BlockCursor::materialize`] has to pin an exact
-//! position. `advance_past` jumps whole blocks via the metadata alone,
-//! so MaxScore's seeks on a demoted list skip decode work — not just
-//! score evaluations — for every block they pass over.
+//! block payloads: the `(first_doc, last_doc)` skip metadata answers
+//! the peeks ([`BlockCursor::block_last_doc`],
+//! [`BlockCursor::doc_lower_bound`]) without touching the compressed
+//! bytes, the list's one maximum term frequency gives
+//! [`BlockCursor::list_max_score`], and a block is decompressed only
+//! when [`BlockCursor::materialize`] has to pin an exact position.
+//! `advance_past` jumps whole blocks via the metadata alone, so
+//! MaxScore's seeks on a demoted list skip decode work — not just
+//! score evaluations — for every block they pass over. A decoded block
+//! is held as columns; [`BlockCursor::drain_below`] scores a run of
+//! them in one pass.
 //!
 //! [`DecodedEntriesCursor`] is the same cursor over postings that are
 //! already decoded in memory (a memtable delta's `&[RawEntry]`): it
 //! borrows the slice, so opening one copies and sorts nothing.
 //!
-//! Both read the positional run of the posting they stand on
-//! ([`BlockCursor::positions`]) from the entry itself.
+//! Both hand out the positional run of the posting they stand on
+//! ([`BlockCursor::positions`]). The compressed cursor leaves a
+//! block's position column packed when it decodes the block and reads
+//! one value from it per call — only phrase evaluation asks.
 
 use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
 
-use crate::block::{decode_block, RawEntry, BLOCK_SIZE};
+use crate::block::{term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
 use crate::list::CompressedPostingList;
 
 fn doc_id(key: u64) -> DocId {
@@ -44,16 +49,16 @@ fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
 pub struct CompressedBlockCursor<'a> {
     list: &'a CompressedPostingList,
     weight: f64,
-    /// Static whole-list score bound: max block max_tf × weight,
-    /// computed once at construction for MaxScore partitioning.
+    /// Static whole-list score bound: the list's max_tf × weight.
     max_score: f64,
     /// The logical position's doc key must be ≥ this.
     bound: u64,
     /// Current block (normalized: first block whose `last_doc` reaches
     /// `bound`; `blocks.len()` when exhausted).
     block: usize,
-    /// Decoded entries of `decoded_block`.
-    buffer: Vec<RawEntry>,
+    /// The doc, count and length columns of `decoded_block`; its
+    /// positions stay packed.
+    buffer: DecodedBlock,
     /// Which block `buffer` holds (`usize::MAX` = none yet).
     decoded_block: usize,
     /// Index of the current posting in `buffer`, valid while `exact`.
@@ -66,18 +71,13 @@ impl<'a> CompressedBlockCursor<'a> {
     /// A cursor positioned before the first posting, scoring with
     /// `weight` (a non-negative finite IDF factor).
     pub fn new(list: &'a CompressedPostingList, weight: f64) -> Self {
-        let max_score = list
-            .blocks()
-            .iter()
-            .map(|meta| meta.max_tf * weight)
-            .fold(0.0, f64::max);
         Self {
             list,
             weight,
-            max_score,
+            max_score: list.max_tf() * weight,
             bound: 0,
             block: 0,
-            buffer: Vec::with_capacity(BLOCK_SIZE),
+            buffer: DecodedBlock::default(),
             decoded_block: usize::MAX,
             pos: 0,
             exact: false,
@@ -99,8 +99,12 @@ impl<'a> CompressedBlockCursor<'a> {
         }
     }
 
-    fn entry(&self) -> (DocId, f64) {
-        scored(&self.buffer[self.pos], self.weight)
+    /// Posting `i` of the decoded block, scored. Its key fits a
+    /// [`DocId`]: the block's `last_doc` was checked when it decoded.
+    fn scored_at(&self, i: usize) -> (DocId, f64) {
+        let block = &self.buffer;
+        let tf = term_frequency(block.counts()[i] as u32, block.lengths()[i] as u32);
+        (DocId(block.docs()[i] as u32), tf * self.weight)
     }
 }
 
@@ -117,10 +121,6 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         self.block >= self.list.blocks().len()
     }
 
-    fn block_max(&self) -> f64 {
-        self.list.blocks()[self.block].max_tf * self.weight
-    }
-
     fn list_max_score(&self) -> f64 {
         self.max_score
     }
@@ -131,7 +131,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
 
     fn doc_lower_bound(&self) -> DocId {
         if self.exact {
-            return doc_id(self.buffer[self.pos].doc);
+            return DocId(self.buffer.docs()[self.pos] as u32);
         }
         let first = self.list.blocks()[self.block].first_doc;
         doc_id(first.max(self.bound))
@@ -143,7 +143,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
 
     fn materialize(&mut self) -> Option<(DocId, f64)> {
         if self.exact {
-            return Some(self.entry());
+            return Some(self.scored_at(self.pos));
         }
         loop {
             self.normalize();
@@ -151,12 +151,14 @@ impl BlockCursor for CompressedBlockCursor<'_> {
                 return None;
             }
             if self.decoded_block != self.block {
-                decode_block(
-                    &self.list.blocks()[self.block],
-                    self.list.data(),
-                    &mut self.buffer,
-                )
-                .expect("builder-produced blocks decode cleanly");
+                let meta = &self.list.blocks()[self.block];
+                assert!(
+                    meta.last_doc <= u64::from(u32::MAX),
+                    "doc keys originate from 32-bit DocIds"
+                );
+                self.buffer
+                    .decode(meta, self.list.data())
+                    .expect("builder-produced blocks decode cleanly");
                 self.decoded_block = self.block;
                 self.decoded += 1;
                 self.pos = 0;
@@ -164,10 +166,10 @@ impl BlockCursor for CompressedBlockCursor<'_> {
             // `pos` never runs ahead of the bound inside a decoded
             // block, so the search resumes from it.
             let bound = self.bound;
-            self.pos += self.buffer[self.pos..].partition_point(|e| e.doc < bound);
+            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| d < bound);
             if self.pos < self.buffer.len() {
                 self.exact = true;
-                return Some(self.entry());
+                return Some(self.scored_at(self.pos));
             }
             // The metadata's `last_doc ≥ bound` cannot hold for a
             // fully consumed block; kept as a guard — move on and
@@ -176,10 +178,12 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         }
     }
 
+    /// The one read of a packed position: phrase evaluation alone
+    /// asks, so decoding a block leaves the column packed.
     fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
-        let entry = self.buffer[self.pos];
-        (entry.pos, entry.count)
+        let pos = self.buffer.position(self.list.data(), self.pos);
+        (pos, self.buffer.counts()[self.pos] as u32)
     }
 
     /// O(1) inside a decoded block: the next buffered entry becomes
@@ -187,7 +191,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     /// back to the metadata-only state.
     fn step(&mut self) {
         debug_assert!(self.exact, "step requires a materialized position");
-        self.bound = self.buffer[self.pos].doc + 1;
+        self.bound = self.buffer.docs()[self.pos] + 1;
         self.pos += 1;
         if self.pos == self.buffer.len() {
             self.exact = false;
@@ -196,7 +200,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn advance_past(&mut self, bound: DocId) {
-        if self.exact && self.buffer[self.pos].doc > u64::from(bound.0) {
+        if self.exact && self.buffer.docs()[self.pos] > u64::from(bound.0) {
             return;
         }
         let target = u64::from(bound.0) + 1;
@@ -207,23 +211,33 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         self.normalize();
     }
 
-    /// Decodes each block once, as `materialize` would, and copies its
-    /// run below `end` out in one pass, leaving the cursor where the
-    /// `step` after that run's last posting would.
+    /// Decodes each block once, as `materialize` would, and scores its
+    /// run below `end` straight off the columns in one pass, leaving
+    /// the cursor where the `step` after that run's last posting
+    /// would.
     fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
         while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
             if self.materialize().is_none() {
                 return;
             }
-            let run = &self.buffer[self.pos..];
-            let taken = run.partition_point(|e| e.doc < end);
-            let Some(last) = run[..taken].last() else {
+            let block = &self.buffer;
+            let (from, docs) = (self.pos, block.docs());
+            let to = from + docs[from..].partition_point(|&d| d < end);
+            if to == from {
                 return;
-            };
-            self.bound = last.doc + 1;
-            out.extend(run[..taken].iter().map(|e| scored(e, self.weight)));
-            self.pos += taken;
-            if self.pos < self.buffer.len() {
+            }
+            self.bound = docs[to - 1] + 1;
+            let weight = self.weight;
+            let columns = docs[from..to]
+                .iter()
+                .zip(&block.counts()[from..to])
+                .zip(&block.lengths()[from..to]);
+            out.extend(columns.map(|((&doc, &count), &length)| {
+                let tf = term_frequency(count as u32, length as u32);
+                (DocId(doc as u32), tf * weight)
+            }));
+            self.pos = to;
+            if to < docs.len() {
                 return;
             }
             self.exact = false;
@@ -237,13 +251,12 @@ impl BlockCursor for CompressedBlockCursor<'_> {
 /// `(doc, tf · weight)` values and the same [`BLOCK_SIZE`]-entry block
 /// granularity as [`CompressedBlockCursor`], with "decoded" counting
 /// the blocks whose entries the evaluator actually examined. Opening
-/// one costs a single pass for the block maxima — no copy, no sort.
+/// one costs a single pass for the list maximum — no copy, no sort.
 #[derive(Debug)]
 pub struct DecodedEntriesCursor<'a> {
     entries: &'a [RawEntry],
     weight: f64,
-    /// Per block: max term frequency × weight.
-    block_max: Vec<f64>,
+    /// Max term frequency × weight over the entries.
     max_score: f64,
     /// The logical position's doc key must be ≥ this.
     bound: u64,
@@ -262,20 +275,13 @@ impl<'a> DecodedEntriesCursor<'a> {
     /// doc-ascending), scoring with `weight`.
     pub fn new(entries: &'a [RawEntry], weight: f64) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
-        let block_max: Vec<f64> = entries
-            .chunks(BLOCK_SIZE)
-            .map(|block| {
-                block
-                    .iter()
-                    .map(|e| e.term_frequency() * weight)
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        let max_score = block_max.iter().copied().fold(0.0, f64::max);
+        let max_score = entries
+            .iter()
+            .map(|e| e.term_frequency() * weight)
+            .fold(0.0, f64::max);
         Self {
             entries,
             weight,
-            block_max,
             max_score,
             bound: 0,
             pos: 0,
@@ -304,7 +310,7 @@ impl<'a> DecodedEntriesCursor<'a> {
 
 impl BlockCursor for DecodedEntriesCursor<'_> {
     fn total_blocks(&self) -> usize {
-        self.block_max.len()
+        self.entries.len().div_ceil(BLOCK_SIZE)
     }
 
     fn decoded_blocks(&self) -> usize {
@@ -313,10 +319,6 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
 
     fn at_end(&self) -> bool {
         self.pos >= self.entries.len()
-    }
-
-    fn block_max(&self) -> f64 {
-        self.block_max[self.block()]
     }
 
     fn list_max_score(&self) -> f64 {
@@ -502,7 +504,7 @@ mod tests {
         cursor.advance_past(DocId(3));
         assert_eq!(cursor.materialize().unwrap().0, DocId(900));
         // The metadata peeks never decode.
-        assert!(cursor.block_max() > 0.0);
+        assert_eq!(cursor.block_last_doc(), DocId(1023));
         assert_eq!(cursor.decoded_blocks(), 1);
     }
 
@@ -539,7 +541,6 @@ mod tests {
                     if let Some(want) = want {
                         assert!(!cursor.at_end());
                         assert!(u64::from(cursor.doc_lower_bound().0) <= want.doc);
-                        assert!(cursor.block_max() >= want.term_frequency() * 1.5);
                         assert!(u64::from(cursor.block_last_doc().0) >= want.doc);
                     }
                     let got = cursor.materialize();
@@ -584,8 +585,8 @@ mod tests {
     fn selective_query_decodes_strictly_fewer_blocks() {
         // One rare, high-scoring term at the front of the id space and
         // one long, low-scoring common list: once the heap fills with
-        // rare-term documents, the common tail's block maxima fall
-        // below the k-th score and those blocks are skipped undecoded.
+        // rare-term documents, the common list's σ bound falls below
+        // the k-th score and its remaining blocks are skipped undecoded.
         let rare = tenths(&(0..4).map(|doc| (doc, 10)).collect::<Vec<_>>());
         let common = tenths(&(0..4096).map(|doc| (doc, 10)).collect::<Vec<_>>());
         let rare_list = CompressedPostingBuilder::from_sorted(rare.iter().copied());

@@ -12,10 +12,12 @@
 //! * [`crc`] — the workspace's one CRC-32 (slice-by-8), kept in the
 //!   lowest crate both its users (`zerber-segment`, `zerber-net`)
 //!   depend on,
-//! * `block` — the block codec: sorted doc-key deltas (varint) plus
-//!   bit-packed count/length columns in [`block::BLOCK_SIZE`]-posting
-//!   blocks, each carrying `(first_doc, last_doc, block_max_score)`
-//!   skip metadata,
+//! * `block` — the block codec: [`block::BLOCK_SIZE`]-posting blocks
+//!   whose doc-key gaps, counts, lengths and positions are each
+//!   bit-packed at one width per block (frame of reference; gaps too
+//!   wide for their block's width are patched in apart) and unpacked by
+//!   one fixed-width loop per width, each block carrying
+//!   `(first_doc, last_doc)` skip metadata,
 //! * `builder` — [`CompressedPostingBuilder`], the streaming
 //!   sorted-order constructor,
 //! * `list` — the immutable [`CompressedPostingList`] and its
@@ -30,10 +32,12 @@
 //! * `store` — [`CompressedPostingStore`], the
 //!   [`zerber_index::store::PostingStore`] backend,
 //! * `cursor` — [`CompressedBlockCursor`], the decode-on-demand
-//!   query cursor: block-max peeks and seeks from the skip metadata
-//!   alone, decompression only for blocks that survive the top-k
-//!   upper-bound test; [`DecodedEntriesCursor`] is the same contract
-//!   over postings already decoded in memory.
+//!   query cursor: seeks from the skip metadata alone, one list-wide
+//!   score bound from the list's maximum term frequency, decompression
+//!   only for the blocks a query lands in, and positions read off the
+//!   packed column only when phrase evaluation asks;
+//!   [`DecodedEntriesCursor`] is the same contract over postings
+//!   already decoded in memory.
 
 #![deny(missing_docs)]
 

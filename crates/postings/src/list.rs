@@ -1,7 +1,7 @@
 //! The immutable block-compressed posting list and its decoding
 //! iterator.
 
-use crate::block::{decode_block, BlockMeta, RawEntry, BLOCK_SIZE};
+use crate::block::{payload_end, BlockMeta, DecodedBlock, RawEntry};
 use crate::varint;
 
 /// How many bytes one posting element occupies uncompressed on the wire — the
@@ -10,18 +10,24 @@ use crate::varint;
 pub(crate) const RAW_ELEMENT_BYTES: usize = 8;
 
 /// Serialized size of one block's skip metadata: varint first doc
-/// key, varint `last_doc − first_doc`, the block-max term frequency
-/// quantized to 16 bits (an upper bound stays an upper bound under
-/// ceiling quantization), and a one-byte entry count. Payload offsets
-/// are implicit in serial order.
-pub(crate) fn block_meta_bytes(meta: &BlockMeta) -> usize {
-    varint::encoded_len(meta.first_doc) + varint::encoded_len(meta.last_doc - meta.first_doc) + 3
+/// key, varint `last_doc − first_doc`, and a one-byte entry count.
+/// Payload offsets are implicit in serial order: each payload's size
+/// follows from its width bytes and count.
+fn block_meta_bytes(meta: &BlockMeta) -> usize {
+    varint::encoded_len(meta.first_doc) + varint::encoded_len(meta.last_doc - meta.first_doc) + 1
 }
 
-/// An immutable, block-compressed posting list: varint doc-key deltas
-/// and bit-packed count/length columns in fixed-size blocks, plus an
-/// uncompressed block index carrying `(first_doc, last_doc,
-/// block_max_score)` skip metadata.
+/// Serialized size of the list's maximum term frequency: 16 bits,
+/// ceiling-quantized (an upper bound stays an upper bound). The list
+/// and its segment keep the exact `f64`, so the score bound MaxScore
+/// partitions by is the same in every store.
+const MAX_TF_BYTES: usize = 2;
+
+/// An immutable, block-compressed posting list: every column
+/// bit-packed at one width per [`crate::BLOCK_SIZE`]-posting block,
+/// a block index carrying `(first_doc, last_doc)` skip metadata, and
+/// the list's largest term frequency, which bounds every score the
+/// list can contribute.
 ///
 /// Built by [`crate::CompressedPostingBuilder`]; read through
 /// [`CompressedPostingIter`], which decodes one block at a time and
@@ -31,6 +37,7 @@ pub struct CompressedPostingList {
     pub(crate) data: Vec<u8>,
     pub(crate) blocks: Vec<BlockMeta>,
     pub(crate) len: usize,
+    pub(crate) max_tf: f64,
 }
 
 impl CompressedPostingList {
@@ -50,76 +57,88 @@ impl CompressedPostingList {
     }
 
     /// The encoded payload bytes (block payloads in serial order).
-    /// Together with [`CompressedPostingList::blocks`] and
-    /// [`CompressedPostingList::len`] this is the list's complete
+    /// Together with [`CompressedPostingList::blocks`],
+    /// [`CompressedPostingList::len`] and
+    /// [`CompressedPostingList::max_tf`] this is the list's complete
     /// state — the serialization surface for on-disk segment files.
     pub fn data(&self) -> &[u8] {
         &self.data
     }
 
+    /// The largest normalized term frequency of any posting (0 for an
+    /// empty list): times a term's IDF, the list's score bound.
+    pub fn max_tf(&self) -> f64 {
+        self.max_tf
+    }
+
     /// Reassembles a list from its serialized parts (the inverse of
     /// reading [`CompressedPostingList::data`] /
     /// [`CompressedPostingList::blocks`] /
-    /// [`CompressedPostingList::len`] back from storage).
+    /// [`CompressedPostingList::len`] /
+    /// [`CompressedPostingList::max_tf`] back from storage).
     ///
-    /// The block metadata is checked against every invariant the
-    /// builder keeps, in O(blocks) and without decoding: each block
-    /// holds 1..=[`BLOCK_SIZE`] postings over a document span wide
-    /// enough for them, blocks ascend by document without overlap,
-    /// payload offsets ascend from 0 inside `data`, block maxima are
-    /// finite and non-negative, and the block lengths sum to `len`.
-    /// The payload bytes themselves are trusted: storage layers must
-    /// checksum their files and treat a mismatch as corruption
-    /// *before* reconstructing, and decoding a malformed payload panics
-    /// like any builder-contract violation.
+    /// The parts are checked against every invariant the builder keeps
+    /// that can be read without unpacking a column, in O(blocks): each
+    /// block holds 1..=[`crate::BLOCK_SIZE`] postings over a document
+    /// span wide enough for them, blocks ascend by document without
+    /// overlap, every column width is in range, each payload — whose
+    /// size its width bytes and `len` fix — starts where the previous
+    /// one ends (the first at 0) and the last ends at `data.len()`, the
+    /// block lengths sum to `len`, and the maximum is finite and
+    /// non-negative. The packed values themselves are trusted: storage
+    /// layers must checksum their files and treat a mismatch as
+    /// corruption *before* reconstructing, and decoding a malformed
+    /// payload panics like any builder-contract violation.
     pub fn from_parts(
         data: Vec<u8>,
         blocks: Vec<BlockMeta>,
         len: usize,
+        max_tf: f64,
     ) -> Result<Self, &'static str> {
+        if !(max_tf.is_finite() && max_tf >= 0.0) {
+            return Err("list maximum not finite and non-negative");
+        }
         let mut total = 0usize;
+        let mut end = 0usize;
         let mut previous: Option<&BlockMeta> = None;
         for block in &blocks {
             let count = usize::from(block.len);
-            if !(1..=BLOCK_SIZE).contains(&count) {
-                return Err("block length outside 1..=BLOCK_SIZE");
-            }
             if block
                 .last_doc
                 .checked_sub(block.first_doc)
-                .is_none_or(|span| span < count as u64 - 1)
+                .is_none_or(|span| span < (count as u64).saturating_sub(1))
             {
                 return Err("block document span cannot hold its postings");
             }
-            if !(block.max_tf.is_finite() && block.max_tf >= 0.0) {
-                return Err("block maximum not finite and non-negative");
+            if previous.is_some_and(|previous| block.first_doc <= previous.last_doc) {
+                return Err("blocks out of document order");
             }
-            if block.offset >= data.len() {
-                return Err("block offset past the payload");
+            if block.offset != end {
+                return Err("block payload does not start where the previous one ends");
             }
-            match previous {
-                None if block.offset != 0 => return Err("first block offset not 0"),
-                Some(previous) if block.first_doc <= previous.last_doc => {
-                    return Err("blocks out of document order");
-                }
-                Some(previous) if block.offset <= previous.offset => {
-                    return Err("block offsets out of order");
-                }
-                _ => {}
-            }
+            end = payload_end(block, &data).map_err(|error| error.reason())?;
             total += count;
             previous = Some(block);
+        }
+        if end != data.len() {
+            return Err("block payloads do not end where the data does");
         }
         if total != len {
             return Err("block lengths do not sum to the list length");
         }
-        Ok(Self { data, blocks, len })
+        Ok(Self {
+            data,
+            blocks,
+            len,
+            max_tf,
+        })
     }
 
-    /// Compressed footprint in bytes: encoded payload plus serialized
-    /// skip metadata (`block_meta_bytes` per block).
+    /// Compressed footprint in bytes: the packed payloads plus the
+    /// serialized block index (`block_meta_bytes` per block) and list
+    /// maximum.
     pub fn compressed_bytes(&self) -> usize {
-        self.data.len() + self.blocks.iter().map(block_meta_bytes).sum::<usize>()
+        self.data.len() + self.blocks.iter().map(block_meta_bytes).sum::<usize>() + MAX_TF_BYTES
     }
 
     /// Uncompressed wire footprint under the paper's 64-bit-element
@@ -133,7 +152,7 @@ impl CompressedPostingList {
         CompressedPostingIter {
             list: self,
             block: 0,
-            buffer: Vec::with_capacity(BLOCK_SIZE),
+            buffer: DecodedBlock::default(),
             pos: 0,
             decoded_block: usize::MAX,
         }
@@ -145,6 +164,14 @@ impl CompressedPostingList {
         self.iter().collect()
     }
 
+    /// Fully decodes block `block` into `buffer`, positions included.
+    pub(crate) fn decode_into(&self, block: usize, buffer: &mut DecodedBlock) {
+        buffer
+            .decode(&self.blocks[block], &self.data)
+            .expect("builder-produced blocks decode cleanly");
+        buffer.decode_positions(&self.data);
+    }
+
     /// The posting for `doc`, if the list contains one: a point lookup
     /// through the block index (one block decoded at most). Kept for
     /// the segment merge, which probes a list for a handful of
@@ -153,15 +180,13 @@ impl CompressedPostingList {
     /// posting they stand on.
     pub fn entry_for(&self, doc: u64) -> Option<RawEntry> {
         let block = self.blocks.partition_point(|b| b.last_doc < doc);
-        let meta = self.blocks.get(block)?;
-        if meta.first_doc > doc {
+        if self.blocks.get(block)?.first_doc > doc {
             return None;
         }
-        let mut buffer = Vec::with_capacity(meta.len as usize);
-        decode_block(meta, &self.data, &mut buffer)
-            .expect("builder-produced blocks decode cleanly");
-        let at = buffer.binary_search_by_key(&doc, |e| e.doc).ok()?;
-        Some(buffer[at])
+        let mut buffer = DecodedBlock::default();
+        self.decode_into(block, &mut buffer);
+        let at = buffer.docs().binary_search(&doc).ok()?;
+        Some(buffer.entry(at))
     }
 }
 
@@ -183,8 +208,8 @@ pub struct CompressedPostingIter<'a> {
     list: &'a CompressedPostingList,
     /// Index of the current block.
     block: usize,
-    /// Decoded entries of `decoded_block`.
-    buffer: Vec<RawEntry>,
+    /// The columns of `decoded_block`.
+    buffer: DecodedBlock,
     /// Next position within `buffer`.
     pos: usize,
     /// Which block `buffer` holds (`usize::MAX` = none yet).
@@ -197,12 +222,7 @@ impl CompressedPostingIter<'_> {
             return false;
         }
         if self.decoded_block != self.block {
-            decode_block(
-                &self.list.blocks[self.block],
-                &self.list.data,
-                &mut self.buffer,
-            )
-            .expect("builder-produced blocks decode cleanly");
+            self.list.decode_into(self.block, &mut self.buffer);
             self.decoded_block = self.block;
             self.pos = 0;
         }
@@ -238,10 +258,10 @@ impl CompressedPostingIter<'_> {
             if !self.ensure_decoded() {
                 return None;
             }
-            self.pos += self.buffer[self.pos..].partition_point(|e| e.doc < doc);
-            if let Some(&entry) = self.buffer.get(self.pos) {
+            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| d < doc);
+            if self.pos < self.buffer.len() {
                 self.pos += 1;
-                return Some(entry);
+                return Some(self.buffer.entry(self.pos - 1));
             }
             // The current block had already been consumed up to its
             // end; resume the search in the next block.
@@ -258,9 +278,9 @@ impl Iterator for CompressedPostingIter<'_> {
             if !self.ensure_decoded() {
                 return None;
             }
-            if let Some(entry) = self.buffer.get(self.pos) {
+            if self.pos < self.buffer.len() {
                 self.pos += 1;
-                return Some(*entry);
+                return Some(self.buffer.entry(self.pos - 1));
             }
             self.block += 1;
         }

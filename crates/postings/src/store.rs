@@ -26,10 +26,10 @@ pub fn to_posting(entry: RawEntry) -> Posting {
 
 /// A frozen, block-compressed snapshot of an index's posting lists.
 ///
-/// Term-addressed like the index it snapshots; each list is delta- and
-/// bit-packed per `crate::block` and carries per-block skip
-/// metadata, which [`CompressedBlockCursor`] reuses directly as the
-/// `block_max_score` bounds of block-max top-k.
+/// Term-addressed like the index it snapshots; each list is bit-packed
+/// per `crate::block` and carries per-block skip metadata and its
+/// maximum term frequency, which [`CompressedBlockCursor`] reads
+/// directly for seeks and for its whole-list score bound.
 #[derive(Debug, Clone, Default)]
 pub struct CompressedPostingStore {
     lists: Vec<CompressedPostingList>,
@@ -121,8 +121,7 @@ impl PostingStore for CompressedPostingStore {
     /// One [`CompressedBlockCursor`] per term, decoding
     /// straight from the stored blocks on demand — the lazy hot path.
     /// No posting is touched here at all; the cursor's metadata peeks
-    /// serve the block-max bounds and only surviving blocks ever
-    /// decompress.
+    /// serve seeks and only the blocks a query lands in decompress.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
         terms
             .iter()

@@ -15,8 +15,8 @@
 //!   `Arc`, so reader snapshots are pointer copies and a write copies
 //!   it only while a snapshot still holds it,
 //! * `segment` — immutable on-disk segments (`Segment`): per-term
-//!   `zerber_postings::CompressedPostingList`s with their block-max
-//!   skip metadata, the documents whose current version the segment
+//!   `zerber_postings::CompressedPostingList`s with their skip
+//!   metadata and score maxima, the documents whose current version the segment
 //!   defines, and absorbed tombstones — written atomically and
 //!   CRC-verified on load,
 //! * [`bulk`] — the offline SPIMI bulk-build knobs ([`BulkConfig`]):

@@ -346,10 +346,12 @@ fn holds_any(list: &CompressedPostingList, docs: &[u32]) -> bool {
 }
 
 const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
-/// Version 2 added the bit-packed positional column to block
-/// payloads; version-1 files would decode garbage positions, so the
-/// bump rejects them cleanly as unsupported.
-const VERSION: u32 = 2;
+/// Version 3 bit-packs each block's doc gaps behind a fourth width
+/// byte and stores one term-frequency maximum per list instead of one
+/// per block; version 2 added the positional column. An older file
+/// would decode garbage, so the bump rejects it cleanly as
+/// unsupported. The manifest shares this frame and its version.
+const VERSION: u32 = 3;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -536,11 +538,11 @@ impl SegmentContent {
             put_u64(&mut body, list.len() as u64);
             put_u64(&mut body, list.data().len() as u64);
             body.extend_from_slice(list.data());
+            put_u64(&mut body, list.max_tf().to_bits());
             put_u32(&mut body, list.blocks().len() as u32);
             for block in list.blocks() {
                 put_u64(&mut body, block.first_doc);
                 put_u64(&mut body, block.last_doc);
-                put_u64(&mut body, block.max_tf.to_bits());
                 body.extend_from_slice(&block.len.to_le_bytes());
                 put_u64(&mut body, block.offset as u64);
             }
@@ -575,18 +577,18 @@ impl Segment {
             let len = r.u64()? as usize;
             let data_len = r.u64()? as usize;
             let data = r.take(data_len)?.to_vec();
+            let max_tf = f64::from_bits(r.u64()?);
             let block_count = r.u32()? as usize;
             let mut blocks = Vec::with_capacity(block_count.min(1 << 22));
             for _ in 0..block_count {
                 blocks.push(BlockMeta {
                     first_doc: r.u64()?,
                     last_doc: r.u64()?,
-                    max_tf: f64::from_bits(r.u64()?),
                     len: r.u16()?,
                     offset: r.u64()? as usize,
                 });
             }
-            let list = CompressedPostingList::from_parts(data, blocks, len)
+            let list = CompressedPostingList::from_parts(data, blocks, len, max_tf)
                 .map_err(|why| r.corrupt(why))?;
             // Doc keys originate from 32-bit document ids; blocks ascend,
             // so the last one bounds them all.
@@ -778,8 +780,8 @@ mod tests {
                 written.term_entries(term),
                 "term {term}"
             );
-            // Skip metadata (incl. block maxima) must round-trip
-            // bit-exactly — the block-max pruning depends on it.
+            // Skip metadata and the list maximum must round-trip
+            // bit-exactly — MaxScore's σ bounds depend on it.
             match (loaded.list(term), written.list(term)) {
                 (Some(a), Some(b)) => assert_eq!(a, b),
                 (None, None) => {}
@@ -821,37 +823,83 @@ mod tests {
         assert!(Segment::load(&path).is_ok());
     }
 
-    #[test]
-    fn block_metadata_no_builder_writes_opens_as_corrupt() {
-        // One term over 200 documents: two blocks, whose metadata ends
-        // the body (first_doc, last_doc, max_tf, len, offset: 34 bytes
-        // each). Every patch below is re-framed with a valid CRC, as
-        // disk damage the CRC misses or a hostile installer would be.
-        let dir = ScratchDir::new("segment-metadata");
-        let ops: Vec<WalOp> = (0..200u32)
-            .map(|d| insert(d * 2, &[(0, 1 + d % 3)]))
-            .collect();
-        let segment = merge_streaming(&[&delta(&ops)], false)
-            .write(&dir, 1)
-            .unwrap();
-        let path = dir.join(segment.file_name());
-        let list = segment.content().list(0).unwrap();
-        assert_eq!(list.blocks().len(), 2);
-        let data_len = list.data().len();
-        let pristine = std::fs::read(&path).unwrap()[20..].to_vec();
-        let block = |b: usize| pristine.len() - 34 * (2 - b);
-        let list_len = block(0) - 4 - data_len - 16;
-        // After term_slots and the live count.
-        let live = 8;
-        let check = |case: &str, edits: &[(usize, &[u8])]| {
-            let mut body = pristine.clone();
+    /// A one-term segment over 200 documents (two blocks), written to a
+    /// scratch dir: its file, its body (frame header stripped) and the
+    /// body offsets of its list's fields. The list's fields end the
+    /// body: `data`, the list maximum (8 bytes), the block count, then
+    /// each block's `first_doc`, `last_doc`, `len`, `offset` (26 bytes).
+    struct TwoBlocks {
+        _dir: ScratchDir,
+        path: PathBuf,
+        body: Vec<u8>,
+        data_len: usize,
+        /// Offset of the list maximum; the data ends here.
+        max: usize,
+        /// Each block's payload offset in the data.
+        payloads: [usize; 2],
+    }
+
+    impl TwoBlocks {
+        fn new(name: &str) -> Self {
+            let dir = ScratchDir::new(name);
+            let ops: Vec<WalOp> = (0..200u32)
+                .map(|d| insert(d * 2, &[(0, 1 + d % 3)]))
+                .collect();
+            let segment = merge_streaming(&[&delta(&ops)], false)
+                .write(&dir, 1)
+                .unwrap();
+            let path = dir.join(segment.file_name());
+            let list = segment.content().list(0).unwrap();
+            assert_eq!(list.blocks().len(), 2);
+            let data_len = list.data().len();
+            let body = std::fs::read(&path).unwrap()[20..].to_vec();
+            let max = body.len() - 2 * 26 - 4 - 8;
+            let payloads = [0, 1].map(|b| list.blocks()[b].offset);
+            Self {
+                _dir: dir,
+                path,
+                body,
+                data_len,
+                max,
+                payloads,
+            }
+        }
+
+        /// Offset of block `b`'s index entry.
+        fn block(&self, b: usize) -> usize {
+            self.body.len() - 26 * (2 - b)
+        }
+
+        /// Offset of the list's data.
+        fn data(&self) -> usize {
+            self.max - self.data_len
+        }
+
+        /// Patches the body, re-frames it with a valid CRC — as disk
+        /// damage the CRC misses or a hostile installer would — and
+        /// loads it.
+        fn load_patched(&self, edits: &[(usize, &[u8])]) -> Result<Segment, SegmentError> {
+            let mut body = self.body.clone();
             for &(at, bytes) in edits {
                 body[at..at + bytes.len()].copy_from_slice(bytes);
             }
-            assert_ne!(body, pristine, "{case}");
-            write_framed(&path, &body).unwrap();
+            assert_ne!(body, self.body);
+            write_framed(&self.path, &body).unwrap();
+            Segment::load(&self.path)
+        }
+    }
+
+    #[test]
+    fn block_metadata_no_builder_writes_opens_as_corrupt() {
+        let file = TwoBlocks::new("segment-metadata");
+        let (block, max) = (|b| file.block(b), file.max);
+        // The list's posting count and data length precede its data.
+        let list_len = file.data() - 16;
+        // After term_slots and the live count.
+        let live = 8;
+        let check = |case: &str, edits: &[(usize, &[u8])]| {
             assert!(
-                matches!(Segment::load(&path), Err(SegmentError::Corrupt { .. })),
+                matches!(file.load_patched(edits), Err(SegmentError::Corrupt { .. })),
                 "{case}"
             );
         };
@@ -866,29 +914,47 @@ mod tests {
         check("blocks overlap", &[(block(1), &u64_le(254))]);
         check("first after last", &[(block(0), &u64_le(255))]);
         check("span too narrow", &[(block(0) + 8, &u64_le(5))]);
-        check("NaN maximum", &[(block(0) + 16, &f64::NAN.to_le_bytes())]);
-        check(
-            "infinite maximum",
-            &[(block(1) + 16, &f64::INFINITY.to_le_bytes())],
-        );
-        check(
-            "negative maximum",
-            &[(block(0) + 16, &(-1.0f64).to_le_bytes())],
-        );
-        check("empty block", &[(block(1) + 24, &0u16.to_le_bytes())]);
-        check("oversized block", &[(block(0) + 24, &129u16.to_le_bytes())]);
+        check("NaN maximum", &[(max, &f64::NAN.to_le_bytes())]);
+        check("infinite maximum", &[(max, &f64::INFINITY.to_le_bytes())]);
+        check("negative maximum", &[(max, &(-1.0f64).to_le_bytes())]);
+        check("empty block", &[(block(1) + 16, &0u16.to_le_bytes())]);
+        check("oversized block", &[(block(0) + 16, &129u16.to_le_bytes())]);
         check(
             "offset past the payload",
-            &[(block(1) + 26, &u64_le(data_len as u64))],
+            &[(block(1) + 18, &u64_le(file.data_len as u64))],
         );
-        check("offsets out of order", &[(block(1) + 26, &u64_le(0))]);
-        check("first offset not 0", &[(block(0) + 26, &u64_le(1))]);
+        check("offsets out of order", &[(block(1) + 18, &u64_le(0))]);
+        check("first offset not 0", &[(block(0) + 18, &u64_le(1))]);
         check("list length", &[(list_len, &u64_le(201))]);
         check(
             "live table out of order",
             &[(live, &2u32.to_le_bytes()), (live + 4, &0u32.to_le_bytes())],
         );
-        write_framed(&path, &pristine).unwrap();
-        assert!(Segment::load(&path).is_ok());
+        write_framed(&file.path, &file.body).unwrap();
+        assert!(Segment::load(&file.path).is_ok());
+    }
+
+    #[test]
+    fn a_width_byte_no_builder_writes_opens_as_corrupt() {
+        // Each block's payload size follows from its four width bytes
+        // and its length, so a flipped width either leaves its range or
+        // moves where the payload ends: either way the list no longer
+        // tiles its data, and the load — not a query — refuses it.
+        let file = TwoBlocks::new("segment-widths");
+        for payload in file.payloads {
+            for column in 0..4 {
+                let at = file.data() + payload + column;
+                for flip in [0x01u8, 0x10, 0x80] {
+                    let width = [file.body[at] ^ flip];
+                    assert!(
+                        matches!(
+                            file.load_patched(&[(at, &width)]),
+                            Err(SegmentError::Corrupt { .. })
+                        ),
+                        "width byte {column} ^ {flip:#x}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -568,7 +568,7 @@ impl SegmentStore {
     /// across `BulkConfig::resolved_workers` parallel workers. Each
     /// worker fills a memtable, the WAL path's in-memory index, and
     /// seals it *in memory* into a segment image (per-term compressed
-    /// posting lists with block-max skip metadata) whenever it reaches
+    /// posting lists with skip metadata) whenever it reaches
     /// `BulkConfig::run_postings`. One k-way merge folds every run
     /// into exactly one segment (a lone run already is it), which is
     /// written once as `seg-*.zseg` (tmp + fsync + rename + directory
@@ -928,9 +928,9 @@ impl PostingStore for SegmentSnapshot {
     /// merges the memtable *over* the on-disk segments under the
     /// doc-level shadowing rule **without flattening**: segment
     /// postings stay block-compressed behind a
-    /// [`CompressedBlockCursor`] (their stored block maxima serve the
-    /// peeks; a block decompresses only when the top-k bound cannot
-    /// rule it out), the memtable's list — already decoded in memory —
+    /// [`CompressedBlockCursor`] (their stored skip metadata serves the
+    /// peeks; a block decompresses only when a cursor lands in it),
+    /// the memtable's list — already decoded in memory —
     /// is borrowed by a [`DecodedEntriesCursor`], so a term has at most
     /// `segments + 1` sub-cursors (held in a `SourceCursor` enum, not
     /// a box), and the shadow test walks the newer sources' doc tables
@@ -1011,9 +1011,6 @@ impl BlockCursor for SourceCursor<'_> {
     }
     fn at_end(&self) -> bool {
         each!(self, cursor => cursor.at_end())
-    }
-    fn block_max(&self) -> f64 {
-        each!(self, cursor => cursor.block_max())
     }
     fn list_max_score(&self) -> f64 {
         each!(self, cursor => cursor.list_max_score())

@@ -65,7 +65,7 @@ pub(crate) struct QueryMetrics {
     pub decode_latency: Histogram,
     /// `zerber_peer_blocks_decoded_total`.
     pub blocks_decoded: Counter,
-    /// `zerber_peer_blocks_skipped_total` (block-max pruning wins).
+    /// `zerber_peer_blocks_skipped_total` (blocks pruning left undecoded).
     pub blocks_skipped: Counter,
     /// `zerber_transport_bytes_total` gauge: the deployment-wide
     /// payload-byte sum, pulled from the [`TrafficMeter`] by

@@ -314,8 +314,8 @@ impl ShardService {
         // Wire input is untrusted (the transport is designed to be
         // swappable for sockets): a NaN weight would panic this thread
         // inside the result ordering, and a negative one would turn
-        // the block maxima into lower bounds and silently corrupt the
-        // pruning. Reject both as malformed — and likewise the two raw
+        // the lists' score bounds into lower bounds and silently
+        // corrupt the pruning. Reject both as malformed — and likewise the two raw
         // bytes the planner consumes: an unknown shape or override is
         // malformed, not a panic.
         if terms
