@@ -88,7 +88,7 @@ impl ShardedSearch {
         let backend = self.backend.clone();
         let registry = self.obs.registry().clone();
         host.spawn_peer(NodeId::IndexServer(peer), move || {
-            ShardService::for_peer(&backend, peer, hosted, None, &registry)
+            ShardService::for_peer(&backend, peer, hosted, true, &registry)
         });
     }
 

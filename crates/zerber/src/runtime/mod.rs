@@ -24,7 +24,7 @@
 //! | `placement` | coordinator | [`ShardMap`]: the document → shard hash table fixed at launch, and each shard's live home peer and successor replicas under join / leave |
 //! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; `TermStats` (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
 //! | `service` | peer | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table with one constructor, [`ShardService::for_peer`] |
-//! | `shard` | peer | what sits around a shard's one store (`zerber_segment::SegmentStore`): wire ↔ `Document`, where a replica's files live, open-and-seed, install-and-reopen |
+//! | `shard` | peer | what sits around a shard's one store (`zerber_segment::SegmentStore`): wire ↔ `Document`, where a replica's files live, open-empty, install-and-reopen |
 //! | `peer` | peer | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
 //! | `transport`, [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
 //! | [`fault`] | between | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
@@ -190,8 +190,11 @@ pub struct ShardedSearch {
 }
 
 impl ShardedSearch {
-    /// Places `docs` on `config.peers` shards and spawns one
-    /// indexing/serving thread per shard.
+    /// Spawns one serving thread per ring position of `config`, each
+    /// hosting its shards' stores empty, then bulk-loads `docs` through
+    /// [`ShardedSearch::bulk_load`] — the one way a corpus enters a
+    /// deployment, so a launched corpus is routed, replicated and
+    /// accounted exactly like any later load.
     ///
     /// The plaintext sharded engine places no Shamir shares, so the
     /// only ring requirement is `peers ≥ 1` — a single-peer deployment
@@ -199,19 +202,15 @@ impl ShardedSearch {
     /// are `ZerberConfig::validate`'s, checked at
     /// `ZerberSystem::bootstrap`.) This engine is what
     /// `config.postings` places: every replica is a
-    /// `zerber_segment::SegmentStore` — seeded from `docs` as one
-    /// sealed, block-compressed segment, then taking live
-    /// [`ShardedSearch::insert_documents`] /
-    /// [`ShardedSearch::delete_document`] traffic — in a
-    /// `peer-<p>-shard-<s>` subdirectory created only for the shards
-    /// that peer actually hosts, after
-    /// `ZerberConfig::validate_storage` has accepted the setting.
-    /// Under the default [`PostingBackend::Ephemeral`] the directories
-    /// sit in per-peer scratch space that goes away with the peer;
-    /// under [`PostingBackend::Segmented`] they are the caller's, and
-    /// must be *fresh*: global statistics are computed from `docs`,
-    /// so a shard peer panics rather than silently merge previously
-    /// recovered state (reopen such stores with
+    /// `zerber_segment::SegmentStore` in a `peer-<p>-shard-<s>`
+    /// subdirectory created only for the shards that peer actually
+    /// hosts, after `ZerberConfig::validate_storage` has accepted the
+    /// setting. Under the default [`PostingBackend::Ephemeral`] the
+    /// directories sit in per-peer scratch space that goes away with
+    /// the peer; under [`PostingBackend::Segmented`] they are the
+    /// caller's, and must be *fresh*: the global statistics start
+    /// empty, so a shard peer panics rather than silently serve
+    /// previously recovered state (reopen such stores with
     /// `zerber_segment::SegmentStore` directly).
     ///
     /// With `config.replication = R > 1`, every logical shard is also
@@ -219,6 +218,10 @@ impl ShardedSearch {
     /// ([`ShardMap`]): writes fan to all copies, and
     /// queries hedge to a successor when a replica is slow or dead —
     /// any single peer can be lost without losing a shard.
+    ///
+    /// # Panics
+    /// Panics, naming the shard, if a shard does not acknowledge its
+    /// part of `docs`.
     pub fn launch(config: &ZerberConfig, docs: &[Document]) -> Result<Self, ConfigError> {
         Self::launch_with_transport(config, docs, |transport| transport)
     }
@@ -228,11 +231,13 @@ impl ShardedSearch {
     /// transport the *coordinator* will speak through. Peers always
     /// reply via the inner transport; only the client side is wrapped
     /// — which is exactly where the fault-injection harness
-    /// ([`FaultInjectTransport`]) sits.
+    /// ([`FaultInjectTransport`]) sits. `docs` loads through the inner
+    /// transport before the wrapper is installed, so a wrapper sees
+    /// only the requests made after launch.
     ///
     /// Launching is *host, then coordinate*: spawn one peer thread per
-    /// ring position, each running [`ShardService::for_peer`] over its
-    /// partition of `docs`, then [`ShardedSearch::connect`] to them.
+    /// ring position, each running [`ShardService::for_peer`], then
+    /// [`ShardedSearch::connect`] to them and load `docs`.
     pub fn launch_with_transport<F>(
         config: &ZerberConfig,
         docs: &[Document],
@@ -243,38 +248,36 @@ impl ShardedSearch {
     {
         let (map, replicas) = Self::ring(config)?;
         config.validate_storage()?;
-        // Every peer needs read access to the shards it hosts (its own
-        // plus, under replication, its predecessors'), so the
-        // partition is shared rather than moved into one initializer.
-        let shards = Arc::new(map.partition(docs, |doc| doc.id));
         let obs = RuntimeObs::new();
         let host = PeerRuntime::new(Arc::new(TrafficMeter::new()));
-        let (built, all_built) = std::sync::mpsc::channel::<()>();
+        let (opened, all_opened) = std::sync::mpsc::channel::<()>();
         for &peer in map.peer_ids() {
-            let built = built.clone();
+            let opened = opened.clone();
             let backend = config.postings.clone();
-            let shards = Arc::clone(&shards);
             let hosted = map.hosted_shards(peer, replicas);
             // One registry for the whole deployment: instruments
             // aggregate across peers.
             let registry = obs.registry().clone();
             // The initializer runs on the peer's thread: every hosted
-            // replica store opens and seeds in parallel across all peers.
+            // replica store opens in parallel across all peers.
             host.spawn_peer(NodeId::IndexServer(peer), move || {
-                let service =
-                    ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry);
-                drop(built);
+                let service = ShardService::for_peer(&backend, peer, hosted, false, &registry);
+                drop(opened);
                 service
             });
         }
         // A launched deployment is a serving one: wait until every peer
-        // has let go of its handle (built its stores, or died trying —
+        // has let go of its handle (opened its stores, or died trying —
         // which its first request reports), so no first query hedges
-        // around a peer that is still writing its seed segment.
-        drop(built);
-        let _ = all_built.recv();
-        let transport = wrap(Arc::clone(host.transport()));
-        let mut search = Self::connect(config, docs, transport, obs)?;
+        // around a peer that is still opening them.
+        drop(opened);
+        let _ = all_opened.recv();
+        let inner = Arc::clone(host.transport());
+        let mut search = Self::connect(config, Arc::clone(&inner) as Arc<dyn Transport>, obs)?;
+        if let Err((shard, error)) = search.write_documents(0, docs, Self::BULK_LOAD) {
+            panic!("launch could not load shard {shard}: {error}");
+        }
+        search.transport = wrap(inner);
         search.host = Some(host);
         Ok(search)
     }
@@ -296,13 +299,14 @@ impl ShardedSearch {
     /// one [`ShardService::for_peer`] per ring position of `config`
     /// (`NodeId::IndexServer(0..peers)`, hosting what
     /// `ShardMap::hosted_shards` says, under `config.replication`),
-    /// between them holding exactly `docs` — over TCP
+    /// every one of them empty — over TCP
     /// ([`socket::SocketTransport`] + [`socket::serve_peer`]) or any
     /// other [`Transport`]. Everything a deployment does besides
     /// running its peers is built here, once: shard map, global
-    /// statistics from `docs`, result cache, serving epoch, taint set,
-    /// membership, hedge policy; `obs` receives the metrics and traces
-    /// (hand the same registry to the transport to see both).
+    /// statistics (empty: only acknowledged writes move them), result
+    /// cache, serving epoch, taint set, membership, hedge policy; `obs`
+    /// receives the metrics and traces (hand the same registry to the
+    /// transport to see both).
     ///
     /// Every read, every write, [`ShardedSearch::heartbeat`],
     /// [`ShardedSearch::repair_peer`] and the migration inside
@@ -318,7 +322,6 @@ impl ShardedSearch {
     /// | `repair_peer` | re-ships every hosted shard | the same |
     pub fn connect(
         config: &ZerberConfig,
-        docs: &[Document],
         transport: Arc<dyn Transport>,
         obs: RuntimeObs,
     ) -> Result<Self, ConfigError> {
@@ -335,7 +338,7 @@ impl ShardedSearch {
             backend: config.postings.clone(),
             replicas,
             policy: HedgePolicy::default(),
-            stats: RwLock::new(StatsState::from_documents(docs)),
+            stats: RwLock::new(StatsState::default()),
             obs,
             cache: ResultCache::new(CacheConfig::default()),
             epoch: AtomicU64::new(0),
@@ -584,18 +587,17 @@ mod tests {
         // A deployment whose peers refuse every write (here: none of
         // them hosts the shard a write is routed to) takes no
         // documents; the typed rejection must reach the caller.
-        let docs = corpus(20, 4);
         let config = ZerberConfig::default().with_peers(2);
         let host = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         for peer in 0..2u32 {
             host.spawn_peer(NodeId::IndexServer(peer), move || {
                 // Logical shard 9 is outside the two-shard map.
                 let registry = zerber_obs::MetricsRegistry::new();
-                ShardService::for_peer(&PostingBackend::Ephemeral, peer, [9], None, &registry)
+                ShardService::for_peer(&PostingBackend::Ephemeral, peer, [9], true, &registry)
             });
         }
         let transport = Arc::clone(host.transport()) as Arc<dyn Transport>;
-        let search = ShardedSearch::connect(&config, &docs, transport, RuntimeObs::new()).unwrap();
+        let search = ShardedSearch::connect(&config, transport, RuntimeObs::new()).unwrap();
         let doc = Document::from_term_counts(DocId(900), GroupId(0), vec![(TermId(1), 1)]);
         assert!(matches!(
             search.insert_documents(0, &[doc]),
@@ -614,6 +616,23 @@ mod tests {
         );
         let zero = ZerberConfig::default().with_peers(0);
         assert!(ShardedSearch::launch(&zero, &docs).is_err());
+    }
+
+    /// A shard that cannot take its part of the corpus fails the launch
+    /// in the caller, not on a peer thread behind an `Ok`: here the
+    /// peer refuses to open a store that recovered a previous launch.
+    #[test]
+    #[should_panic(expected = "launch could not load shard 0")]
+    fn a_launch_over_recovered_stores_panics_naming_the_shard() {
+        let dir = zerber_segment::ScratchDir::new("sharded-recovered-unit");
+        let backend = PostingBackend::Segmented {
+            dir: dir.to_path_buf(),
+            compaction: zerber_index::SegmentPolicy::default(),
+        };
+        let config = ZerberConfig::default().with_peers(1).with_postings(backend);
+        let docs = corpus(20, 4);
+        drop(ShardedSearch::launch(&config, &docs).unwrap());
+        let _ = ShardedSearch::launch(&config, &docs);
     }
 
     #[test]

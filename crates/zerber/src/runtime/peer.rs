@@ -168,17 +168,21 @@ mod tests {
         }
     }
 
-    /// Peer 0 of a default (ephemeral) deployment hosting shard 0:
-    /// serving `docs`, or (`None`) waiting to be shipped them.
-    fn shard_zero(docs: Option<&[Document]>) -> ShardService {
-        let partition = docs.map(|docs| [docs.to_vec()]);
-        let partition = partition.as_ref().map(|p| p.as_slice());
+    /// Peer 0 of a default (ephemeral) deployment hosting shard 0,
+    /// empty: serving, or (`rebuilding`) waiting to be shipped it.
+    fn shard_zero(rebuilding: bool) -> ShardService {
         let registry = MetricsRegistry::new();
-        ShardService::for_peer(&PostingBackend::Ephemeral, 0, [0], partition, &registry)
+        ShardService::for_peer(&PostingBackend::Ephemeral, 0, [0], rebuilding, &registry)
     }
 
+    /// Shard 0 serving `docs`, loaded as one `BulkLoad` frame.
     fn live_shard(docs: &[Document]) -> ShardService {
-        shard_zero(Some(docs))
+        let mut service = shard_zero(false);
+        let docs = docs.iter().map(crate::runtime::shard::to_wire).collect();
+        let load = Message::BulkLoad { shard: 0, docs };
+        let ack = service.handle(NodeId::Owner(0), AuthToken(0), load);
+        assert_eq!(ack, Message::InsertOk);
+        service
     }
 
     /// The inbox hands over a message whether it lands while the peer
@@ -326,7 +330,7 @@ mod tests {
     fn wrong_request_type_is_a_typed_fault() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || live_shard(&[]));
+        runtime.spawn_peer(node, || shard_zero(false));
         match runtime
             .transport()
             .request(NodeId::User(0), node, AuthToken(0), &Message::InsertOk)
@@ -341,7 +345,7 @@ mod tests {
     fn unhosted_shards_fault_on_mutation_frames() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || live_shard(&[]));
+        runtime.spawn_peer(node, || shard_zero(false));
         let insert = Message::IndexDocs {
             shard: 5,
             docs: vec![wire_doc(1, 0, 1)],
@@ -368,7 +372,7 @@ mod tests {
     fn mutable_shard_takes_inserts_and_deletes_over_the_wire() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || live_shard(&[]));
+        runtime.spawn_peer(node, || shard_zero(false));
         let transport = runtime.transport().clone();
         let insert = Message::IndexDocs {
             shard: 0,
@@ -473,8 +477,8 @@ mod tests {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let source = NodeId::IndexServer(0);
         let target = NodeId::IndexServer(1);
-        runtime.spawn_peer(source, || live_shard(&[]));
-        runtime.spawn_peer(target, || shard_zero(None));
+        runtime.spawn_peer(source, || shard_zero(false));
+        runtime.spawn_peer(target, || shard_zero(true));
         let transport = runtime.transport().clone();
         let controller = NodeId::Owner(0);
         let rpc = |node, message: &Message| {
@@ -617,7 +621,7 @@ mod tests {
     fn rebuild_frames_reject_corruption_and_misuse() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || live_shard(&[]));
+        runtime.spawn_peer(node, || shard_zero(false));
         let transport = runtime.transport().clone();
         let rpc = |message: &Message| {
             transport
@@ -680,7 +684,7 @@ mod tests {
     fn ping_pong_and_revive_reregistration() {
         let runtime = PeerRuntime::new(Arc::new(TrafficMeter::new()));
         let node = NodeId::IndexServer(0);
-        runtime.spawn_peer(node, || live_shard(&[]));
+        runtime.spawn_peer(node, || shard_zero(false));
         let transport = runtime.transport().clone();
         let ping = |t: &Arc<InProcTransport>| {
             t.request(NodeId::Owner(0), node, AuthToken(0), &Message::Ping)
@@ -690,7 +694,7 @@ mod tests {
         transport.shutdown(node);
         assert!(ping(&transport).is_err());
         // ...until a respawn re-registers the same address.
-        runtime.spawn_peer(node, || shard_zero(None));
+        runtime.spawn_peer(node, || shard_zero(true));
         assert_eq!(ping(&transport).unwrap(), Message::Pong);
     }
 }

@@ -109,15 +109,6 @@ impl ShardMap {
         self.points[next % self.points.len()].1
     }
 
-    /// Splits a document set into per-shard groups, indexed by shard.
-    pub fn partition<T: Clone>(&self, docs: &[T], id_of: impl Fn(&T) -> DocId) -> Vec<Vec<T>> {
-        let mut shards: Vec<Vec<T>> = vec![Vec::new(); self.shards as usize];
-        for doc in docs {
-            shards[self.shard_of(id_of(doc)) as usize].push(doc.clone());
-        }
-        shards
-    }
-
     /// The peers hosting copies of logical shard `shard` under
     /// `replicas`-fold replication: the shard's home peer plus its
     /// successors on the live-peer cycle (chord-style successor lists —
@@ -290,15 +281,13 @@ mod tests {
     #[test]
     fn every_document_lands_on_exactly_one_peer() {
         let map = ShardMap::new(5);
-        let docs: Vec<DocId> = (0..500).map(DocId).collect();
-        let shards = map.partition(&docs, |&d| d);
-        assert_eq!(shards.len(), 5);
-        assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 500);
-        for (peer, shard) in shards.iter().enumerate() {
-            for &doc in shard {
-                assert_eq!(map.shard_of(doc), peer as u32);
-            }
+        let mut load = [0usize; 5];
+        for doc in (0..500).map(DocId) {
+            let shard = map.shard_of(doc);
+            assert_eq!(map.replica_peers(shard, 1), vec![shard]);
+            load[shard as usize] += 1;
         }
+        assert!(load.iter().all(|&docs| docs > 0), "{load:?}");
     }
 
     #[test]
@@ -311,15 +300,19 @@ mod tests {
 
     #[test]
     fn load_is_roughly_balanced() {
-        let map = ShardMap::new(8);
-        let docs: Vec<DocId> = (0..8_000).map(DocId).collect();
-        let shards = map.partition(&docs, |&d| d);
-        let expected = 1_000usize;
-        for (peer, shard) in shards.iter().enumerate() {
+        // Replicated: each of 5 peers hosts about 2/5 of the documents.
+        let map = ShardMap::new(5);
+        let mut load = [0usize; 5];
+        for doc in 0..5_000 {
+            for peer in map.replica_peers(map.shard_of(DocId(doc)), 2) {
+                load[peer as usize] += 1;
+            }
+        }
+        let expected = 2_000usize;
+        for (peer, &docs) in load.iter().enumerate() {
             assert!(
-                shard.len() > expected / 3 && shard.len() < expected * 3,
-                "peer {peer} owns {} of 8000 docs",
-                shard.len()
+                docs > expected / 3 && docs < expected * 3,
+                "peer {peer} hosts {docs} of 5000 docs"
             );
         }
     }

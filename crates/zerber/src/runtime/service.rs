@@ -223,15 +223,13 @@ fn shard_fault(_: SegmentError) -> Message {
 
 impl ShardService {
     /// The service ring position `peer` runs — the one constructor,
-    /// under either transport. With `Some(partition)` every shard in
-    /// `hosted` serves `partition[shard]` (the output of
-    /// [`crate::runtime::ShardMap::partition`] over the launch corpus); with
-    /// `None` every one of them starts mid-rebuild — writes buffer
-    /// from the first request, reads bounce with
-    /// [`fault::REBUILDING`] — which is the *replacement* shape: a
-    /// peer started in place of a dead one, or joining the ring, must
-    /// never serve the stale (or empty) state it woke up with, only
-    /// what the repair controller ships it.
+    /// under either transport. Every shard in `hosted` starts empty:
+    /// serving, so documents arrive only as `BulkLoad` / `IndexDocs`
+    /// frames; or (`rebuilding`) mid-rebuild — writes buffer from the
+    /// first request, reads bounce with [`fault::REBUILDING`] — which
+    /// is the *replacement* shape: a peer started in place of a dead
+    /// one, or joining the ring, must never serve the stale (or empty)
+    /// state it woke up with, only what the repair controller ships it.
     ///
     /// Each store lives in its own `peer-<p>-shard-<s>` subdirectory of
     /// where `backend` says (for [`PostingBackend::Ephemeral`], a
@@ -240,25 +238,23 @@ impl ShardService {
     /// restored from an installed snapshot.
     ///
     /// # Panics
-    /// Panics if a store cannot open a fresh directory — see
+    /// Panics if a serving store cannot open a fresh directory — see
     /// `ShardedSearch::launch`.
     pub fn for_peer(
         backend: &PostingBackend,
         peer: u32,
         hosted: impl IntoIterator<Item = u32>,
-        partition: Option<&[Vec<Document>]>,
+        rebuilding: bool,
         registry: &MetricsRegistry,
     ) -> Self {
         let home = ShardHome::new(backend, peer, registry);
         let stores = hosted
             .into_iter()
             .map(|shard| {
-                let state = match partition {
-                    Some(partition) => {
-                        let docs = &partition[shard as usize];
-                        HostedShard::Serving(home.build(shard, docs))
-                    }
-                    None => HostedShard::rebuilding(Vec::new()),
+                let state = if rebuilding {
+                    HostedShard::rebuilding(Vec::new())
+                } else {
+                    HostedShard::Serving(home.build(shard))
                 };
                 (shard, state)
             })
@@ -553,7 +549,10 @@ mod tests {
     /// A valid snapshot of `live_docs()`, one install frame per file.
     fn file_frames() -> Vec<Message> {
         let home = ShardHome::new(&PostingBackend::Ephemeral, 0, &MetricsRegistry::new());
-        let store = home.build(SHARD, &live_docs());
+        let store = home.build(SHARD);
+        store
+            .bulk_load(&live_docs(), BulkConfig::default())
+            .expect("seed");
         let files = store.export_files().expect("export");
         assert_eq!(files[0].0, MANIFEST);
         assert!(files.len() > 1, "the seed is a sealed segment");
@@ -580,17 +579,22 @@ mod tests {
             State::Serving => SHARD,
             State::Rebuilding | State::NotHosted => SHARD + 1,
         };
-        let partition = vec![live_docs(); 2];
         let mut service = ShardService::for_peer(
             &PostingBackend::Ephemeral,
             0,
             [hosted],
-            Some(&partition),
+            false,
             &MetricsRegistry::new(),
         );
         let owner = NodeId::Owner(0);
         let setup: Vec<Message> = match state {
-            State::Serving => vec![Message::PrepareSnapshot { shard: SHARD }],
+            State::Serving => vec![
+                Message::BulkLoad {
+                    shard: SHARD,
+                    docs: vec![wire_doc(1)],
+                },
+                Message::PrepareSnapshot { shard: SHARD },
+            ],
             State::Rebuilding => std::iter::once(Message::InstallBegin { shard: SHARD })
                 .chain(file_frames())
                 .collect(),

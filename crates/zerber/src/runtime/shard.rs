@@ -10,15 +10,15 @@
 //! free. [`crate::runtime::service`] calls the store directly; what is
 //! left here is what sits *around* a store: the wire ↔ [`Document`]
 //! conversion, where a replica's files live ([`ShardHome`]), how a
-//! fresh replica is opened and seeded, and how a shipped one is
-//! installed and reopened.
+//! fresh replica is opened empty, and how a shipped one is installed
+//! and reopened.
 
 use std::path::PathBuf;
 
 use zerber_index::{Document, PostingBackend, SegmentPolicy};
 use zerber_net::WireDocument;
 use zerber_obs::MetricsRegistry;
-use zerber_segment::{BulkConfig, ScratchDir, SegmentError, SegmentStore};
+use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
 /// A document as it crosses the wire.
 pub(crate) fn to_wire(doc: &Document) -> WireDocument {
@@ -98,23 +98,20 @@ impl ShardHome {
         self.root.join(format!("peer-{peer:03}-shard-{shard:03}"))
     }
 
-    /// Opens `shard`'s store in its fresh directory and seeds it with
-    /// `docs` through [`SegmentStore::bulk_load`], exactly as a
-    /// `BulkLoad` frame loads a batch: one load commits one
-    /// block-compressed segment, which is what a shard's reads should
-    /// start from whatever the machine's core count.
+    /// Opens `shard`'s store in its fresh directory, empty: documents
+    /// reach it only as write frames.
     ///
     /// # Panics
-    /// Panics if the directory cannot be opened or seeded, **or if it
-    /// already holds recovered documents**: a `ShardedSearch`
-    /// deployment computes its global IDF statistics from the
-    /// launch-time document set alone, so silently merging recovered
-    /// state would serve documents the statistics don't know about —
-    /// diverging from the single-node oracle instead of failing. Reopen
-    /// recovered stores with [`SegmentStore::open`] directly, or launch
-    /// into a fresh directory. (A shard that cannot come up correctly
-    /// is a deployment bug, matching the runtime's dead-peer stance.)
-    pub(crate) fn build(&self, shard: u32, docs: &[Document]) -> SegmentStore {
+    /// Panics if the directory cannot be opened, **or if it already
+    /// holds recovered documents**: a `ShardedSearch` deployment's
+    /// global IDF statistics count only the writes it acknowledged, so
+    /// silently serving recovered state would serve documents the
+    /// statistics don't know about — diverging from the single-node
+    /// oracle instead of failing. Reopen recovered stores with
+    /// [`SegmentStore::open`] directly, or launch into a fresh
+    /// directory. (A shard that cannot come up correctly is a
+    /// deployment bug, matching the runtime's dead-peer stance.)
+    pub(crate) fn build(&self, shard: u32) -> SegmentStore {
         let dir = self.dir(shard);
         let store = SegmentStore::open_observed(dir.clone(), self.policy, &self.registry)
             .expect("shard store opens");
@@ -127,9 +124,6 @@ impl ShardHome {
              stores with SegmentStore::open directly)",
             dir.display()
         );
-        store
-            .bulk_load(docs, BulkConfig::default())
-            .expect("shard store seeds");
         store
     }
 
@@ -158,6 +152,7 @@ mod tests {
     use zerber_index::cursor::TopKScratch;
     use zerber_index::{DocId, GroupId, InvertedIndex, TermId};
     use zerber_query::{execute, Forced, QueryShape};
+    use zerber_segment::BulkConfig;
 
     fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
         Document::from_term_counts(
@@ -186,6 +181,14 @@ mod tests {
             },
         };
         ShardHome::new(&backend, 0, &MetricsRegistry::new())
+    }
+
+    /// `shard`'s fresh store, loaded with `docs` as a `BulkLoad` frame
+    /// loads a batch.
+    fn seeded(home: &ShardHome, shard: u32, docs: &[Document]) -> SegmentStore {
+        let store = home.build(shard);
+        store.bulk_load(docs, BulkConfig::default()).unwrap();
+        store
     }
 
     /// The rebuilt index over `docs_live` and its IDF weights for
@@ -231,7 +234,7 @@ mod tests {
     #[test]
     fn a_seeded_store_tracks_the_oracle_through_insert_replace_delete_and_bulk() {
         let scratch = ScratchDir::new("shard-oracle");
-        let store = small_home(&scratch).build(0, &corpus());
+        let store = seeded(&small_home(&scratch), 0, &corpus());
         assert_eq!(topk_of(&store, &corpus()), oracle(&corpus()));
         assert!(
             store.segment_count() > 0,
@@ -263,13 +266,13 @@ mod tests {
     fn a_shipped_snapshot_installs_reopens_and_keeps_taking_writes() {
         let scratch = ScratchDir::new("shard-ship");
         let home = small_home(&scratch);
-        let source = home.build(0, &corpus());
+        let source = seeded(&home, 0, &corpus());
         let addition = doc(100, &[(0, 2), (9, 4)]);
         source.insert(std::slice::from_ref(&addition)).unwrap();
         assert!(source.delete(DocId(9)).unwrap());
         let files = source.export_files().unwrap();
         // Shard 1's directory holds a stale replica the install replaces.
-        drop(home.build(1, &[doc(777, &[(9, 1)])]));
+        drop(seeded(&home, 1, &[doc(777, &[(9, 1)])]));
         let restored = home.restore(1, &files).unwrap();
         let mut live = corpus();
         live.retain(|d| d.id != DocId(9));

@@ -610,16 +610,14 @@ mod tests {
 
     fn shard_peer(docs: &[Document], node: NodeId, meter: Arc<TrafficMeter>) -> SocketPeer {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let partition = [docs.to_vec()];
+        let docs = docs.iter().map(crate::runtime::shard::to_wire).collect();
         let init = move || {
             let registry = MetricsRegistry::new();
-            ShardService::for_peer(
-                &PostingBackend::Ephemeral,
-                0,
-                [0],
-                Some(&partition),
-                &registry,
-            )
+            let mut service =
+                ShardService::for_peer(&PostingBackend::Ephemeral, 0, [0], false, &registry);
+            let load = Message::BulkLoad { shard: 0, docs };
+            assert_eq!(service.handle(node, AuthToken(0), load), Message::InsertOk);
+            service
         };
         serve_peer(listener, node, init, meter).unwrap()
     }

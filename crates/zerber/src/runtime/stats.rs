@@ -12,9 +12,9 @@ use std::collections::HashMap;
 use zerber_index::{DocId, Document, TermId};
 
 /// Global collection statistics driving IDF weights: total documents
-/// and per-term document frequency. Computed over the *full*
-/// collection before sharding, so every shard scores with the same
-/// weights a single node would use.
+/// and per-term document frequency. Kept over the *whole* collection,
+/// not per shard, so every shard scores with the same weights a single
+/// node would use.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TermStats {
     /// Total documents in the collection.
@@ -24,18 +24,15 @@ pub(crate) struct TermStats {
 }
 
 impl TermStats {
-    /// Gathers statistics from a document set.
+    /// Gathers statistics from a document set in which, as on the
+    /// write path, the last copy of a repeated document id wins.
     pub(crate) fn from_documents(docs: &[Document]) -> Self {
-        let mut df: HashMap<TermId, u32> = HashMap::new();
-        for doc in docs {
-            for &(term, _) in &doc.terms {
-                *df.entry(term).or_insert(0) += 1;
-            }
+        let last: HashMap<DocId, &Document> = docs.iter().map(|doc| (doc.id, doc)).collect();
+        let mut stats = Self::default();
+        for doc in last.values() {
+            stats.add_document(distinct_terms(doc));
         }
-        Self {
-            doc_count: docs.len(),
-            df,
-        }
+        stats
     }
 
     /// The IDF factor of one term (0 for unseen terms) — delegates to
@@ -82,20 +79,13 @@ fn distinct_terms(doc: &Document) -> Vec<TermId> {
 
 /// [`TermStats`] plus the terms each live document was accounted
 /// with, so a replacement or delete can take exactly those back out.
+#[derive(Default)]
 pub(super) struct StatsState {
     pub(super) stats: TermStats,
     pub(super) doc_terms: HashMap<DocId, Vec<TermId>>,
 }
 
 impl StatsState {
-    /// The statistics of a launch corpus.
-    pub(super) fn from_documents(docs: &[Document]) -> Self {
-        Self {
-            stats: TermStats::from_documents(docs),
-            doc_terms: docs.iter().map(|d| (d.id, distinct_terms(d))).collect(),
-        }
-    }
-
     /// Accounts documents a shard's replicas just acknowledged, in
     /// arrival order: a document id already present is a replacement,
     /// and its previous terms are taken back out.

@@ -186,13 +186,13 @@ impl ShardedSearch {
     /// and the first error is returned only after every begun shard
     /// has been settled: a frame that is already on its peers will be
     /// applied whatever happens to its neighbours, so it must be
-    /// waited for and counted.
-    fn write_documents(
+    /// waited for and counted. The error names the shard it came from.
+    pub(super) fn write_documents(
         &self,
         owner: u32,
         docs: &[Document],
         frame: fn(u32, Vec<WireDocument>) -> Message,
-    ) -> Result<usize, IngestError> {
+    ) -> Result<usize, (u32, IngestError)> {
         // Group per shard, preserving arrival order within each group
         // (later copies of a doc id must win).
         let mut per_shard: BTreeMap<u32, Vec<&Document>> = BTreeMap::new();
@@ -222,12 +222,15 @@ impl ShardedSearch {
                     self.epoch.fetch_add(1, Ordering::Release);
                 }
                 Ok(other) => {
-                    first_error.get_or_insert(IngestError::Protocol(format!(
-                        "shard {shard} acknowledged a write with {other:?}"
-                    )));
+                    first_error.get_or_insert((
+                        shard,
+                        IngestError::Protocol(format!(
+                            "shard {shard} acknowledged a write with {other:?}"
+                        )),
+                    ));
                 }
                 Err(error) => {
-                    first_error.get_or_insert(error);
+                    first_error.get_or_insert((shard, error));
                 }
             }
         }
@@ -252,10 +255,9 @@ impl ShardedSearch {
     /// mutation they catch — a query observes either the old or the
     /// new state of each document, never a torn one.
     pub fn insert_documents(&self, owner: u32, docs: &[Document]) -> Result<usize, IngestError> {
-        self.write_documents(owner, docs, |shard, docs| Message::IndexDocs {
-            shard,
-            docs,
-        })
+        let frame = |shard, docs| Message::IndexDocs { shard, docs };
+        self.write_documents(owner, docs, frame)
+            .map_err(|(_, error)| error)
     }
 
     /// Bulk-loads documents along the offline path, as owner node
@@ -267,8 +269,13 @@ impl ShardedSearch {
     /// builds its *own* copy of the shard from the same wire batch, so
     /// replicas stay bit-identical without shipping segment files.
     pub fn bulk_load(&self, owner: u32, docs: &[Document]) -> Result<usize, IngestError> {
-        self.write_documents(owner, docs, |shard, docs| Message::BulkLoad { shard, docs })
+        self.write_documents(owner, docs, Self::BULK_LOAD)
+            .map_err(|(_, error)| error)
     }
+
+    /// The frame of one shard's part of a bulk load.
+    pub(super) const BULK_LOAD: fn(u32, Vec<WireDocument>) -> Message =
+        |shard, docs| Message::BulkLoad { shard, docs };
 
     /// Deletes one document live (routed like
     /// [`ShardedSearch::insert_documents`], fanned to every replica).

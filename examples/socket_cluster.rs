@@ -12,12 +12,13 @@
 //!
 //! The example re-executes itself as the peers: when
 //! `ZERBER_SOCKET_PEER` is set (`<peer>:<serve|rebuild>:<storage root>`)
-//! the process is a shard peer — it indexes its partition of the
-//! (deterministic) corpus, or with `rebuild` starts empty and waits to
-//! be shipped its shards; serves on an ephemeral loopback port; prints
-//! `READY <addr>`; and holds until its stdin closes, when it prints
-//! its own metrics registry and exits. The parent spawns the children,
-//! registers their addresses, and drives everything over real TCP.
+//! the process is a shard peer — it starts empty, serving (the parent
+//! then bulk-loads the corpus through the coordinator), or with
+//! `rebuild` waiting to be shipped its shards; serves on an ephemeral
+//! loopback port; prints `READY <addr>`; and holds until its stdin
+//! closes, when it prints its own metrics registry and exits. The
+//! parent spawns the children, registers their addresses, and drives
+//! everything over real TCP.
 //!
 //! The whole session is observed on both sides of the wire: the run
 //! ends with each peer process's `zerber_segment_*` write-path metrics
@@ -67,29 +68,19 @@ fn document(d: u32) -> Document {
     Document::from_term_counts(DocId(d), GroupId(0), terms.collect())
 }
 
-/// The launch corpus — a pure function of nothing, so parent and
-/// children agree on every document without any IPC.
-fn corpus() -> Vec<Document> {
-    (0..400).map(document).collect()
-}
-
-/// Child role: serve one ring position until stdin closes, then print
-/// this process's own metrics and exit. With `rebuild` the peer starts
-/// *empty*, every hosted shard mid-rebuild — it buffers writes and
+/// Child role: serve one ring position, empty, until stdin closes,
+/// then print this process's own metrics and exit. With `rebuild`
+/// every hosted shard starts mid-rebuild — it buffers writes and
 /// bounces reads until the coordinator ships each shard's snapshot
 /// over the socket and commits it: the replacement process for a
 /// SIGKILLed peer.
 fn run_peer(peer: u32, rebuild: bool, root: &Path) {
     let backend = cluster_config(root).postings;
-    let map = ShardMap::new(PEERS);
-    let hosted = map.hosted_shards(peer, REPLICATION);
+    let hosted = ShardMap::new(PEERS).hosted_shards(peer, REPLICATION);
     let registry = MetricsRegistry::new();
     let init = {
         let registry = registry.clone();
-        move || {
-            let partition = (!rebuild).then(|| map.partition(&corpus(), |doc| doc.id));
-            ShardService::for_peer(&backend, peer, hosted, partition.as_deref(), &registry)
-        }
+        move || ShardService::for_peer(&backend, peer, hosted, rebuild, &registry)
     };
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let meter = Arc::new(TrafficMeter::new());
@@ -171,9 +162,9 @@ fn main() {
         return;
     }
 
-    // --- 1. Spawn one child process per ring position; connect. -----
+    // --- 1. Spawn one empty child per ring position; connect; load. -
     let root = zerber_segment::ScratchDir::new("socket-cluster");
-    let mut live = corpus();
+    let mut live: Vec<Document> = (0..400).map(document).collect();
     let obs = RuntimeObs::new();
     let meter = Arc::new(TrafficMeter::new());
     let transport = Arc::new(SocketTransport::new(meter).observed(obs.registry()));
@@ -181,8 +172,11 @@ fn main() {
         .map(|peer| Some(spawn_peer(&transport, peer, false, &root)))
         .collect();
     let wire = Arc::clone(&transport) as Arc<dyn Transport>;
-    let search = ShardedSearch::connect(&cluster_config(&root), &live, wire, obs)
+    let search = ShardedSearch::connect(&cluster_config(&root), wire, obs)
         .expect("the cluster's configuration is valid");
+    search
+        .bulk_load(0, &live)
+        .expect("a replica of every shard acknowledges");
 
     // Every read goes through the coordinator's serving path and must
     // equal single-node evaluation over the documents written so far.

@@ -173,16 +173,15 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
         .with_peers(PEERS as usize)
         .with_replication(REPLICATION as usize);
     let map = ShardMap::new(PEERS);
-    let shards = Arc::new(map.partition(&docs, |doc| doc.id));
     let obs = RuntimeObs::new();
     let transport = SocketTransport::new(Arc::new(TrafficMeter::new())).observed(obs.registry());
     let mut peers = Vec::new();
     for peer in 0..PEERS {
         let hosted = map.hosted_shards(peer, REPLICATION);
-        let (backend, shards) = (config.postings.clone(), Arc::clone(&shards));
+        let backend = config.postings.clone();
         let init = move || {
             let registry = zerber_obs::MetricsRegistry::new();
-            ShardService::for_peer(&backend, peer, hosted, Some(&shards), &registry)
+            ShardService::for_peer(&backend, peer, hosted, false, &registry)
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let node = NodeId::IndexServer(peer);
@@ -191,8 +190,8 @@ fn socket_cluster_query_yields_a_complete_consistent_trace() {
         transport.register(node, handle.addr());
         peers.push(handle);
     }
-    let search =
-        ShardedSearch::connect(&config, &docs, Arc::new(transport), obs).expect("valid config");
+    let search = ShardedSearch::connect(&config, Arc::new(transport), obs).expect("valid config");
+    search.bulk_load(0, &docs).expect("every shard loads");
 
     let terms = [TermId(3), TermId(9)];
     let started = Instant::now();

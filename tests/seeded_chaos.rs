@@ -132,6 +132,13 @@ fn pinned_run() -> (
     let docs = corpus(130, 17);
     let config = ZerberConfig::default().with_peers(4).with_replication(2);
     let (search, chaos) = launch_chaotic(&config, &docs, pinned_plan());
+    // The launch load went through the host's own transport: the
+    // schedule's clock starts at the first query.
+    assert_eq!(chaos.requests_seen(), 0);
+    assert_eq!(
+        chaos.counts(),
+        zerber::runtime::fault::FaultCounts::default()
+    );
     chaos.arm();
     let observed = (0..40u32)
         .map(|q| {

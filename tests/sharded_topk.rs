@@ -12,8 +12,12 @@
 //! accumulate in the same query-term order, and the gather stage is a
 //! sorted merge with the threshold-algorithm bound under the same
 //! `(score desc, doc asc)` tie-breaking.
+//!
+//! Corpora may repeat a document id with different terms. As on every
+//! write path, the last copy wins: it is the one the peers serve, the
+//! one the global statistics count and the one the oracle indexes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use zerber::runtime::{local_planned, local_topk, ShardedSearch};
@@ -23,13 +27,19 @@ use zerber_query::{Forced, Query};
 
 /// An arbitrary corpus: doc id → (term → count), with gaps in the doc
 /// id space and shared vocabulary so shards genuinely overlap on
-/// terms.
-fn arb_corpus() -> impl Strategy<Value = BTreeMap<u32, BTreeMap<u32, u32>>> {
-    prop::collection::btree_map(
-        0u32..500,
-        prop::collection::btree_map(0u32..30, 1u32..6, 1..8),
-        1..80,
-    )
+/// terms; then up to three later copies of existing ids, each with
+/// terms of its own.
+fn arb_corpus() -> impl Strategy<Value = Vec<Document>> {
+    let terms = || prop::collection::btree_map(0u32..30, 1u32..6, 1..8);
+    let docs = prop::collection::btree_map(0u32..500, terms(), 1..80);
+    let repeats = prop::collection::vec((0usize..80, terms()), 0..4);
+    (docs, repeats).prop_map(|(docs, repeats)| {
+        let ids: Vec<u32> = docs.keys().copied().collect();
+        let copies = repeats
+            .into_iter()
+            .map(|(at, terms)| (ids[at % ids.len()], terms));
+        docs.into_iter().chain(copies).map(materialize).collect()
+    })
 }
 
 fn arb_query() -> impl Strategy<Value = Vec<u32>> {
@@ -37,28 +47,30 @@ fn arb_query() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..35, 1..5)
 }
 
-fn materialize(corpus: &BTreeMap<u32, BTreeMap<u32, u32>>) -> Vec<Document> {
-    corpus
+fn materialize((doc, terms): (u32, BTreeMap<u32, u32>)) -> Document {
+    let terms = terms.into_iter().map(|(t, c)| (TermId(t), c)).collect();
+    Document::from_term_counts(DocId(doc), GroupId(0), terms)
+}
+
+/// How many distinct document ids `docs` holds, and one it repeats.
+fn distinct_ids(docs: &[Document]) -> (usize, Option<DocId>) {
+    let mut seen = BTreeSet::new();
+    let repeated = docs
         .iter()
-        .map(|(&doc, terms)| {
-            Document::from_term_counts(
-                DocId(doc),
-                GroupId(0),
-                terms.iter().map(|(&t, &c)| (TermId(t), c)).collect(),
-            )
-        })
-        .collect()
+        .map(|d| d.id)
+        .filter(|&id| !seen.insert(id))
+        .last();
+    (seen.len(), repeated)
 }
 
 proptest! {
     #[test]
     fn sharded_gather_is_bit_identical_to_single_node(
-        corpus in arb_corpus(),
+        docs in arb_corpus(),
         peers in 1usize..9,
         k in 1usize..15,
         query in arb_query(),
     ) {
-        let docs = materialize(&corpus);
         let terms: Vec<TermId> = query.into_iter().map(TermId).collect();
         let config = ZerberConfig::default().with_peers(peers);
 
@@ -74,21 +86,34 @@ proptest! {
         }
         // The gather never examines more than k candidates.
         prop_assert!(outcome.candidates_examined <= k);
+
+        // A repeated id is one document, before and after its delete.
+        let (distinct, repeated) = distinct_ids(&docs);
+        prop_assert_eq!(search.document_count(), distinct);
+        if let Some(doc) = repeated {
+            prop_assert!(search.delete_document(0, doc).expect("peers alive"));
+            prop_assert_eq!(search.document_count(), distinct - 1);
+            let live: Vec<Document> = docs.iter().filter(|d| d.id != doc).cloned().collect();
+            let after = search.query(&terms, k).expect("peers alive");
+            prop_assert_eq!(after.ranked, local_topk(&live, &terms, k));
+        }
     }
 
     /// The shaped path extends the theorem to every planned evaluator:
     /// Terms (MaxScore), And (conjunctive leapfrog), and Phrase
     /// (positional filter) through the full PlanQuery fan-out — and
-    /// the second, cache-served answer is the same bits again.
+    /// the second, cache-served answer is the same bits again —
+    /// whether the corpus came in through `launch` or a later
+    /// `bulk_load`.
     #[test]
     fn shaped_sharded_queries_are_bit_identical_to_local_planned(
-        corpus in arb_corpus(),
+        docs in arb_corpus(),
         peers in 1usize..7,
         k in 1usize..12,
         query in arb_query(),
         shape in 0u8..3,
+        loaded_later in any::<bool>(),
     ) {
-        let docs = materialize(&corpus);
         let terms: Vec<TermId> = query.into_iter().map(TermId).collect();
         let shaped = match shape {
             0 => Query::Terms { terms, k },
@@ -98,7 +123,14 @@ proptest! {
         let config = ZerberConfig::default().with_peers(peers);
 
         let expected = local_planned(&docs, &shaped);
-        let search = ShardedSearch::launch(&config, &docs).expect("valid config");
+        let search = if loaded_later {
+            let search = ShardedSearch::launch(&config, &[]).expect("valid config");
+            search.bulk_load(0, &docs).expect("peers alive");
+            search
+        } else {
+            ShardedSearch::launch(&config, &docs).expect("valid config")
+        };
+        prop_assert_eq!(search.document_count(), distinct_ids(&docs).0);
         let miss = search
             .query_shaped(0, shaped.clone(), Forced::Auto)
             .expect("peers alive");

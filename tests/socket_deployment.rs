@@ -38,11 +38,8 @@ fn doc(id: u32) -> Document {
 fn serve(config: &ZerberConfig, peer: u32, rebuilding: bool) -> SocketPeer {
     let hosted = ShardMap::new(PEERS).hosted_shards(peer, REPLICATION);
     let backend = config.postings.clone();
-    let init = move || {
-        let empty = vec![Vec::new(); PEERS as usize];
-        let partition = (!rebuilding).then_some(empty.as_slice());
-        ShardService::for_peer(&backend, peer, hosted, partition, &MetricsRegistry::new())
-    };
+    let init =
+        move || ShardService::for_peer(&backend, peer, hosted, rebuilding, &MetricsRegistry::new());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let meter = Arc::new(TrafficMeter::new());
     serve_peer(listener, NodeId::IndexServer(peer), init, meter).expect("serve on loopback")
@@ -109,7 +106,7 @@ fn a_connected_deployment_writes_caches_fails_over_and_repairs_over_tcp() {
     });
     let transport = Arc::clone(&wire) as Arc<dyn Transport>;
     let mut search =
-        ShardedSearch::connect(&config, &[], transport, RuntimeObs::new()).expect("valid config");
+        ShardedSearch::connect(&config, transport, RuntimeObs::new()).expect("valid config");
     search.set_hedge_policy(HedgePolicy {
         hedge_after: Duration::from_millis(250),
         deadline: Duration::from_secs(10),
