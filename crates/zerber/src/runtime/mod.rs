@@ -113,6 +113,7 @@ use stats::StatsState;
 /// use zerber::runtime::{local_topk, ShardedSearch};
 /// use zerber::ZerberConfig;
 /// use zerber_index::{DocId, Document, GroupId, TermId};
+/// use zerber_net::NodeId;
 ///
 /// // 40 documents; term 9 is everywhere, terms 0–6 rotate.
 /// let docs: Vec<Document> = (0..40u32)
@@ -136,8 +137,8 @@ use stats::StatsState;
 ///
 /// // The sharded result is identical to single-node evaluation…
 /// assert_eq!(outcome.ranked, local_topk(&docs, &query, 5));
-/// // …and every byte that crossed a link was accounted for.
-/// assert!(search.traffic().total() > 0);
+/// // …and the query's bytes were accounted for.
+/// assert!(search.traffic().sent_by(NodeId::User(0)) > 0);
 /// ```
 pub struct ShardedSearch {
     /// The in-process peer threads of a *launched* deployment; `None`
@@ -194,7 +195,8 @@ impl ShardedSearch {
     /// hosting its shards' stores empty, then bulk-loads `docs` through
     /// [`ShardedSearch::bulk_load`] — the one way a corpus enters a
     /// deployment, so a launched corpus is routed, replicated and
-    /// accounted exactly like any later load.
+    /// accounted exactly like any later load. The load's frames count
+    /// in [`ShardedSearch::traffic`] like any other.
     ///
     /// The plaintext sharded engine places no Shamir shares, so the
     /// only ring requirement is `peers ≥ 1` — a single-peer deployment

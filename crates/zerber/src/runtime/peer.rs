@@ -86,8 +86,8 @@ impl PeerRuntime {
     }
 
     /// Spawns one peer thread at `node`. `init` runs *on the new
-    /// thread* to build the service state, so per-peer construction
-    /// (e.g. indexing a document shard) parallelizes across peers.
+    /// thread* to build the service state, so peers open their stores
+    /// in parallel.
     ///
     /// Respawning a node that was previously shut down re-registers
     /// its inbox — this is the *revive* path of the repair protocol.
