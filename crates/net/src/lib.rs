@@ -29,5 +29,7 @@ pub(crate) mod sizes;
 pub use bandwidth::{LinkSpec, NodeId, TrafficMeter};
 pub use entropy::entropy_bits_per_byte;
 pub use framing::{Frame, FrameDecoder, FrameRef};
-pub use message::{AuthToken, Message, ShareColumns, StoredShare, WireDocument, WireError};
+pub use message::{
+    AuthToken, DocumentFrame, Message, ShareColumns, StoredShare, WireDocument, WireError,
+};
 pub use sizes::SizeModel;

@@ -64,7 +64,7 @@
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::{Fp, MODULUS};
-use zerber_index::{DocId, GroupId, TermId};
+use zerber_index::{DocId, Document, GroupId, TermId};
 use zerber_postings::column::{decode_column_prefix, encode_column_into};
 use zerber_postings::varint;
 
@@ -182,6 +182,42 @@ pub struct WireDocument {
     pub length: u32,
     /// Distinct terms with raw occurrence counts, sorted by term id.
     pub terms: Vec<(TermId, u32)>,
+}
+
+impl WireDocument {
+    fn fields(&self) -> DocumentFields<'_> {
+        (self.doc, self.group, self.length, &self.terms)
+    }
+}
+
+/// The two frames that carry a document batch, encoded straight from
+/// the caller's borrowed [`Document`]s: a write fan-out ships a batch
+/// it does not own without first copying every document into a
+/// [`Message`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DocumentFrame {
+    /// A [`Message::IndexDocs`] frame.
+    IndexDocs,
+    /// A [`Message::BulkLoad`] frame.
+    BulkLoad,
+}
+
+impl DocumentFrame {
+    /// The frame for `shard` carrying `docs`, in one buffer of exactly
+    /// its size: byte for byte what [`Message::encode`] writes for the
+    /// same batch held as [`WireDocument`]s.
+    pub fn encode(self, shard: u32, docs: &[&Document]) -> Vec<u8> {
+        let tag = match self {
+            DocumentFrame::IndexDocs => TAG_INDEX_DOCS,
+            DocumentFrame::BulkLoad => TAG_BULK_LOAD,
+        };
+        let fields = docs
+            .iter()
+            .map(|doc| (doc.id, doc.group, doc.length, doc.terms.as_slice()));
+        let mut buffer = Vec::new();
+        put_document_batch(&mut buffer, tag, shard, fields);
+        buffer
+    }
 }
 
 /// Every message of the Zerber wire protocol.
@@ -539,20 +575,12 @@ impl Message {
                 }
             }
             Message::IndexDocs { shard, docs } => {
-                buffer.push(TAG_INDEX_DOCS);
-                put_u32(&mut buffer, *shard);
-                put_u32(&mut buffer, docs.len() as u32);
-                for doc in docs {
-                    put_wire_document(&mut buffer, doc);
-                }
+                let fields = docs.iter().map(WireDocument::fields);
+                put_document_batch(&mut buffer, TAG_INDEX_DOCS, *shard, fields);
             }
             Message::BulkLoad { shard, docs } => {
-                buffer.push(TAG_BULK_LOAD);
-                put_u32(&mut buffer, *shard);
-                put_u32(&mut buffer, docs.len() as u32);
-                for doc in docs {
-                    put_wire_document(&mut buffer, doc);
-                }
+                let fields = docs.iter().map(WireDocument::fields);
+                put_document_batch(&mut buffer, TAG_BULK_LOAD, *shard, fields);
             }
             Message::RemoveDoc { shard, doc } => {
                 buffer.push(TAG_REMOVE_DOC);
@@ -815,14 +843,34 @@ impl Message {
     }
 }
 
-fn put_wire_document(buffer: &mut Vec<u8>, doc: &WireDocument) {
-    put_u32(buffer, doc.doc.0);
-    put_u32(buffer, doc.group.0);
-    put_u32(buffer, doc.length);
-    put_u32(buffer, doc.terms.len() as u32);
-    for (term, count) in &doc.terms {
-        put_u32(buffer, term.0);
-        put_u32(buffer, *count);
+/// One document's fields in the order a batch frame lays them out:
+/// id, group, length, then the `(term, count)` pairs.
+type DocumentFields<'a> = (DocId, GroupId, u32, &'a [(TermId, u32)]);
+
+/// Appends the `tag | shard | document batch` frame of
+/// [`Message::IndexDocs`] and [`Message::BulkLoad`], after reserving
+/// exactly its size: the one encoder behind [`Message::encode`] and
+/// [`DocumentFrame::encode`], so both write the same bytes.
+fn put_document_batch<'a>(
+    buffer: &mut Vec<u8>,
+    tag: u8,
+    shard: u32,
+    docs: impl ExactSizeIterator<Item = DocumentFields<'a>> + Clone,
+) {
+    let body: usize = docs.clone().map(|(.., terms)| 16 + 8 * terms.len()).sum();
+    buffer.reserve_exact(9 + body);
+    buffer.push(tag);
+    put_u32(buffer, shard);
+    put_u32(buffer, docs.len() as u32);
+    for (doc, group, length, terms) in docs {
+        put_u32(buffer, doc.0);
+        put_u32(buffer, group.0);
+        put_u32(buffer, length);
+        put_u32(buffer, terms.len() as u32);
+        for (term, count) in terms {
+            put_u32(buffer, term.0);
+            put_u32(buffer, *count);
+        }
     }
 }
 
@@ -1206,6 +1254,34 @@ mod tests {
     fn bulk_load_round_trips() {
         assert_round_trips(&bulk_load());
         assert_every_cut_fails(&bulk_load());
+    }
+
+    /// A batch encoded from borrowed documents is the batch `Message`
+    /// encodes, in a buffer with no spare room.
+    #[test]
+    fn a_document_frame_encodes_the_message_bytes_exactly() {
+        for (kind, message) in [
+            (DocumentFrame::IndexDocs, index_docs()),
+            (DocumentFrame::BulkLoad, bulk_load()),
+        ] {
+            let (Message::IndexDocs { shard, docs } | Message::BulkLoad { shard, docs }) = &message
+            else {
+                unreachable!("a document batch");
+            };
+            let docs: Vec<Document> = docs
+                .iter()
+                .map(|wire| Document {
+                    id: wire.doc,
+                    group: wire.group,
+                    terms: wire.terms.clone(),
+                    length: wire.length,
+                })
+                .collect();
+            let borrowed: Vec<&Document> = docs.iter().collect();
+            let frame = kind.encode(*shard, &borrowed);
+            assert_eq!(frame, message.encode(), "{kind:?}");
+            assert_eq!(frame.capacity(), frame.len(), "{kind:?}");
+        }
     }
 
     #[test]

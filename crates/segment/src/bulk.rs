@@ -19,6 +19,12 @@
 //! so a bulk-loaded term is read by one cursor rather than a shadowed
 //! merge of the load's own doc-disjoint parts.
 //!
+//! What is resident: the batch until every run is sealed (an owned
+//! batch, `bulk_load(docs)`, is freed there; a borrowed one, `&docs`,
+//! stays its caller's), the runs until the merge, then the merged
+//! image and its serialised body. A load through the peer runtime
+//! hands over the batch it decoded, so the merge reuses its memory.
+//!
 //! No WAL record is ever written: the MANIFEST swap is the atomic
 //! commit point. A crash before it leaves nothing, or one unlisted
 //! `.zseg` (or its `.tmp`), which the next open garbage-collects — the

@@ -466,19 +466,24 @@ pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<u64, SegmentError
 }
 
 /// Reads a framed file back, verifying magic, version, length and
-/// checksum before returning the body.
+/// checksum before returning the body. The header is read first and
+/// its length checked against the file's before anything is
+/// allocated; the body is then read into a buffer of exactly that
+/// size, where it stays.
 pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
     let name = path.display().to_string();
     let corrupt = |reason| SegmentError::Corrupt {
         file: name.clone(),
         reason,
     };
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let Some((header, body)) = raw.split_first_chunk::<20>() else {
+    let mut file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut header = [0u8; 20];
+    if file_len < header.len() as u64 {
         return Err(corrupt("shorter than the frame header"));
-    };
-    let mut r = Reader::new(header, &name);
+    }
+    file.read_exact(&mut header)?;
+    let mut r = Reader::new(&header, &name);
     let (magic, version, body_len, crc) = (r.u32()?, r.u32()?, r.u64()?, r.u32()?);
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
@@ -487,14 +492,18 @@ pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
         return Err(corrupt("unsupported version"));
     }
     // `body_len` is read from the file: compared, never added to.
+    if file_len - header.len() as u64 != body_len {
+        return Err(corrupt("length mismatch"));
+    }
+    let mut body = Vec::with_capacity(body_len as usize);
+    file.take(body_len).read_to_end(&mut body)?;
     if body.len() as u64 != body_len {
         return Err(corrupt("length mismatch"));
     }
-    if crc32(body) != crc {
+    if crc32(&body) != crc {
         return Err(corrupt("checksum mismatch"));
     }
-    raw.drain(..20);
-    Ok(raw)
+    Ok(body)
 }
 
 impl SegmentContent {

@@ -46,6 +46,7 @@
 //! place (`Arc::make_mut`); while a snapshot still holds the old one,
 //! that write folds into a copy, so the snapshot keeps its world.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -586,25 +587,29 @@ impl SegmentStore {
     /// `tests/bulk_build_properties.rs`). Queries running from
     /// [`SegmentStore::snapshot`]s and the background compactor are
     /// never blocked for longer than the registration lock handover.
-    pub fn bulk_load(
+    ///
+    /// The batch is borrowed (`&docs`) or handed over (`docs`): an
+    /// owned batch is freed as soon as the runs are sealed, so the
+    /// merge and the segment write reuse its memory.
+    pub fn bulk_load<'a>(
         &self,
-        docs: &[Document],
+        docs: impl Into<Cow<'a, [Document]>>,
         config: BulkConfig,
     ) -> Result<BulkStats, SegmentError> {
-        self.bulk_load_inner(docs, config, None)
+        self.bulk_load_inner(docs.into(), config, None)
     }
 
     /// Test hook: [`SegmentStore::bulk_load`] that "crashes" at the
     /// given boundary — it returns there, leaving the on-disk state as
     /// it is and the load unregistered. Not part of the stable API.
     #[doc(hidden)]
-    pub fn bulk_load_failpoint(
+    pub fn bulk_load_failpoint<'a>(
         &self,
-        docs: &[Document],
+        docs: impl Into<Cow<'a, [Document]>>,
         config: BulkConfig,
         failpoint: BulkFailpoint,
     ) -> Result<(), SegmentError> {
-        self.bulk_load_inner(docs, config, Some(failpoint))
+        self.bulk_load_inner(docs.into(), config, Some(failpoint))
             .map(drop)
     }
 
@@ -612,7 +617,7 @@ impl SegmentStore {
     /// empty stats.
     fn bulk_load_inner(
         &self,
-        docs: &[Document],
+        docs: Cow<'_, [Document]>,
         config: BulkConfig,
         failpoint: Option<BulkFailpoint>,
     ) -> Result<BulkStats, SegmentError> {
@@ -659,6 +664,11 @@ impl SegmentStore {
                 .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
+        // The runs hold every posting now: let the batch go (an owned
+        // one is freed) before the merge allocates the segment image.
+        let doc_count = unique.len();
+        drop(unique);
+        drop(docs);
 
         // --- Phase 2: merge every run into one segment, written once.
         let run_count = runs.len();
@@ -710,13 +720,13 @@ impl SegmentStore {
         drop(writer);
         self.wake_compactor();
         let obs = &self.inner.obs;
-        obs.bulk_docs.add(unique.len() as u64);
+        obs.bulk_docs.add(doc_count as u64);
         obs.bulk_runs.add(run_count as u64);
         obs.bulk_merge_bytes.add(merge_bytes);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);
         obs.segments.set(segments.len() as i64);
         Ok(BulkStats {
-            docs: unique.len(),
+            docs: doc_count,
             postings,
             runs: run_count,
             merge_bytes,

@@ -330,7 +330,7 @@ impl Transport for FaultInjectTransport {
         bound += u64::from(plan.torn);
         if roll < bound {
             self.counts.lock().torn += 1;
-            let torn = RequestPayload::from(&payload[..payload.len() / 2]);
+            let torn = RequestPayload::new(payload[..payload.len() / 2].to_vec());
             return self.inner.begin_traced(from, to, auth, trace, torn);
         }
         bound += u64::from(plan.delay);

@@ -73,7 +73,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use zerber_index::{Document, PostingBackend};
-use zerber_net::{NodeId, TrafficMeter};
+use zerber_net::{DocumentFrame, NodeId, TrafficMeter};
 use zerber_query::{CacheConfig, ResultCache};
 
 pub use fault::{ChaosAction, FaultInjectTransport, FaultPlan};
@@ -276,7 +276,7 @@ impl ShardedSearch {
         let _ = all_opened.recv();
         let inner = Arc::clone(host.transport());
         let mut search = Self::connect(config, Arc::clone(&inner) as Arc<dyn Transport>, obs)?;
-        if let Err((shard, error)) = search.write_documents(0, docs, Self::BULK_LOAD) {
+        if let Err((shard, error)) = search.write_documents(0, docs, DocumentFrame::BulkLoad) {
             panic!("launch could not load shard {shard}: {error}");
         }
         search.transport = wrap(inner);

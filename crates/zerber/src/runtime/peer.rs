@@ -1,11 +1,14 @@
 //! Peer threads: how a service gets its frames.
 //!
 //! A *peer* is one OS thread with an inbox. The thread decodes each
-//! request from its wire bytes, hands it to its [`PeerService`], and
-//! replies with the encoded response — `serve`, the one service loop
-//! both the in-process [`PeerRuntime`] and the TCP
-//! [`serve_peer`](crate::runtime::socket::serve_peer) run. What the
-//! frames *do* is [`crate::runtime::service`]'s business.
+//! request from its wire bytes, lets the bytes go, hands the decoded
+//! request to its [`PeerService`], and replies with the encoded
+//! response — `serve`, the one service loop both the in-process
+//! [`PeerRuntime`] and the TCP
+//! [`serve_peer`](crate::runtime::socket::serve_peer) run. So a bulk
+//! frame is resident until it is decoded, not through the index build
+//! it starts. What the frames *do* is [`crate::runtime::service`]'s
+//! business.
 //!
 //! Service state is built *inside* the peer thread (the spawn takes an
 //! initializer closure), so expensive shard construction — tokenizing,
@@ -23,7 +26,7 @@ use zerber_index::GroupId;
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Message, NodeId, TrafficMeter};
 
-use crate::runtime::transport::{InProcTransport, PeerInbox};
+use crate::runtime::transport::{InProcTransport, PeerInbox, RequestEnvelope};
 
 /// One peer's request handler. `handle` runs on the peer's own thread;
 /// requests from concurrent clients are serialized per peer.
@@ -43,19 +46,30 @@ pub(crate) fn fault_frame(code: u8) -> Message {
 
 /// The service loop of one peer: decode → answer → encode → reply,
 /// until an explicit [`PeerInbox::Shutdown`] or until every sender is
-/// dropped.
+/// dropped. The request bytes are let go as soon as they are decoded:
+/// a bulk frame is as large as the batch it carries, and the service
+/// may run a whole index build on the decoded copy.
 pub(crate) fn serve(mut service: impl PeerService, requests: &mpsc::Receiver<PeerInbox>) {
     while let Some(PeerInbox::Request(envelope)) = next_message(requests) {
-        let response = match Message::decode(&envelope.payload) {
+        let RequestEnvelope {
+            from,
+            auth,
+            payload,
+            reply,
+            ..
+        } = envelope;
+        let decoded = Message::decode(&payload);
+        drop(payload);
+        let response = match decoded {
             // Liveness probes are answered by the peer *loop*, not the
             // service: any service type is probeable, and a Pong
             // proves the thread itself is draining its inbox.
             Ok(Message::Ping) => Message::Pong,
-            Ok(request) => service.handle(envelope.from, envelope.auth, request),
+            Ok(request) => service.handle(from, auth, request),
             Err(_) => fault_frame(fault::MALFORMED),
         };
         // The ReplySink meters the response before delivery.
-        envelope.reply.send(response.encode());
+        reply.send(response.encode());
     }
 }
 
@@ -178,8 +192,9 @@ mod tests {
     /// Shard 0 serving `docs`, loaded as one `BulkLoad` frame.
     fn live_shard(docs: &[Document]) -> ShardService {
         let mut service = shard_zero(false);
-        let docs = docs.iter().map(crate::runtime::shard::to_wire).collect();
-        let load = Message::BulkLoad { shard: 0, docs };
+        let docs: Vec<&Document> = docs.iter().collect();
+        let frame = zerber_net::DocumentFrame::BulkLoad.encode(0, &docs);
+        let load = Message::decode(&frame).expect("a bulk-load frame");
         let ack = service.handle(NodeId::Owner(0), AuthToken(0), load);
         assert_eq!(ack, Message::InsertOk);
         service

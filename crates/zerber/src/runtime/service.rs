@@ -167,25 +167,31 @@ enum WriteOp {
 }
 
 impl WriteOp {
-    /// Applies the write; returns how many documents it removed.
-    /// A bulk batch replaces older copies of its documents exactly
-    /// like an insert batch, but skips the WAL and builds segments
-    /// directly (the SPIMI path in `zerber-segment`).
-    fn apply(&self, store: &SegmentStore) -> Result<u64, SegmentError> {
+    /// Applies the write and returns its acknowledgement. A bulk batch
+    /// replaces older copies of its documents exactly like an insert
+    /// batch, but skips the WAL and builds segments directly (the
+    /// SPIMI path in `zerber-segment`), which takes the batch by value
+    /// and frees it once its runs are sealed.
+    fn apply(self, store: &SegmentStore) -> Result<Message, SegmentError> {
         match self {
-            WriteOp::Insert(docs) => store.insert(docs).map(|_| 0),
-            WriteOp::Bulk(docs) => store.bulk_load(docs, BulkConfig::default()).map(|_| 0),
-            WriteOp::Remove(doc) => store.delete(*doc).map(u64::from),
+            WriteOp::Insert(docs) => store.insert(&docs).map(|_| Message::InsertOk),
+            WriteOp::Bulk(docs) => store
+                .bulk_load(docs, BulkConfig::default())
+                .map(|_| Message::InsertOk),
+            WriteOp::Remove(doc) => store.delete(doc).map(|removed| Message::DeleteOk {
+                removed: u64::from(removed),
+            }),
         }
     }
 
-    /// The acknowledgement of this write once it removed `removed`
-    /// documents (`0` from a buffering copy, which cannot know — a
-    /// live replica's count wins at the coordinator).
-    fn ack(&self, removed: u64) -> Message {
+    /// The acknowledgement of this write from a buffering copy, which
+    /// cannot know whether a delete removed anything: it acks
+    /// `removed: 0`, and a live replica's count wins at the
+    /// coordinator.
+    fn buffered_ack(&self) -> Message {
         match self {
             WriteOp::Insert(_) | WriteOp::Bulk(_) => Message::InsertOk,
-            WriteOp::Remove(_) => Message::DeleteOk { removed },
+            WriteOp::Remove(_) => Message::DeleteOk { removed: 0 },
         }
     }
 }
@@ -373,16 +379,13 @@ impl ShardService {
 
     fn write(&mut self, shard: u32, op: WriteOp) -> Message {
         match self.stores.get_mut(&shard) {
-            Some(HostedShard::Serving(store)) => match op.apply(store) {
-                Ok(removed) => op.ack(removed),
-                Err(e) => shard_fault(e),
-            },
+            Some(HostedShard::Serving(store)) => op.apply(store).unwrap_or_else(shard_fault),
             Some(HostedShard::Rebuilding { buffered, .. }) => {
                 // Acknowledge into the replay buffer: the cluster-wide
                 // all-replicas-ack discipline keeps committing while
                 // this copy is shipped, and the buffer replays
                 // (idempotently) at commit.
-                let ack = op.ack(0);
+                let ack = op.buffered_ack();
                 buffered.push(op);
                 ack
             }
@@ -477,7 +480,7 @@ impl ShardService {
                 return fault_frame(fault::REPAIR);
             }
         };
-        for write in &buffered {
+        for write in buffered {
             if let Err(e) = write.apply(&store) {
                 // Never serve a possibly-diverged store: drop it and
                 // stay rebuilding with nothing owed (the controller
@@ -551,7 +554,7 @@ mod tests {
         let home = ShardHome::new(&PostingBackend::Ephemeral, 0, &MetricsRegistry::new());
         let store = home.build(SHARD);
         store
-            .bulk_load(&live_docs(), BulkConfig::default())
+            .bulk_load(live_docs(), BulkConfig::default())
             .expect("seed");
         let files = store.export_files().expect("export");
         assert_eq!(files[0].0, MANIFEST);

@@ -8,8 +8,8 @@
 //! — and the segment store does both: writes land in its WAL +
 //! memtable, reads run on cheap MVCC snapshots, and crash recovery is
 //! free. [`crate::runtime::service`] calls the store directly; what is
-//! left here is what sits *around* a store: the wire ↔ [`Document`]
-//! conversion, where a replica's files live ([`ShardHome`]), how a
+//! left here is what sits *around* a store: the checked wire →
+//! [`Document`] conversion, where a replica's files live ([`ShardHome`]), how a
 //! fresh replica is opened empty, and how a shipped one is installed
 //! and reopened.
 
@@ -19,16 +19,6 @@ use zerber_index::{Document, PostingBackend, SegmentPolicy};
 use zerber_net::WireDocument;
 use zerber_obs::MetricsRegistry;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
-
-/// A document as it crosses the wire.
-pub(crate) fn to_wire(doc: &Document) -> WireDocument {
-    WireDocument {
-        doc: doc.id,
-        group: doc.group,
-        length: doc.length,
-        terms: doc.terms.clone(),
-    }
-}
 
 /// Validates and converts one wire document. Wire input is untrusted:
 /// unsorted or duplicate terms would violate `Document`'s invariant

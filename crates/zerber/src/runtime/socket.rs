@@ -373,7 +373,7 @@ impl SocketTransport {
             from,
             auth,
             trace,
-            payload,
+            payload: payload.as_slice(),
         }
         .encode();
         // The request leaves the client here: meter the payload (not
@@ -585,7 +585,7 @@ fn serve_connection(
             from,
             auth,
             trace,
-            payload: RequestPayload::from(payload),
+            payload: RequestPayload::new(payload.to_vec()),
             reply: ReplySink::new(Arc::clone(&meter), node, from, tx),
         };
         if inbox.send(PeerInbox::Request(envelope)).is_err() {
@@ -610,12 +610,13 @@ mod tests {
 
     fn shard_peer(docs: &[Document], node: NodeId, meter: Arc<TrafficMeter>) -> SocketPeer {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let docs = docs.iter().map(crate::runtime::shard::to_wire).collect();
+        let docs: Vec<&Document> = docs.iter().collect();
+        let frame = zerber_net::DocumentFrame::BulkLoad.encode(0, &docs);
         let init = move || {
             let registry = MetricsRegistry::new();
             let mut service =
                 ShardService::for_peer(&PostingBackend::Ephemeral, 0, [0], false, &registry);
-            let load = Message::BulkLoad { shard: 0, docs };
+            let load = Message::decode(&frame).expect("a bulk-load frame");
             assert_eq!(service.handle(node, AuthToken(0), load), Message::InsertOk);
             service
         };
@@ -784,7 +785,7 @@ mod tests {
             NodeId::User(0),
             node,
             AuthToken(0),
-            RequestPayload::from(&b"\xFF\xFE\xFD"[..]),
+            RequestPayload::new(b"\xFF\xFE\xFD".to_vec()),
         );
         match pending.wait(Duration::from_secs(10)).unwrap() {
             Message::Fault { code, .. } => {

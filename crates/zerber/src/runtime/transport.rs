@@ -37,10 +37,11 @@
 //!
 //! What carries an encoded frame is decided here: a request travels as
 //! a [`RequestPayload`], a reply as a [`ReplyPayload`], and there is no
-//! third type, so no hop converts. In process a request is copied once
-//! after it is built and a reply never; the socket transport copies a
-//! payload once into the frame it writes and once out of the stream
-//! buffer it was read into.
+//! third type, so no hop converts. In process neither is ever copied:
+//! the buffer a request was encoded into is shared by every replica it
+//! goes to, and a reply moves; the socket transport copies a payload
+//! once into the frame it writes and once out of the stream buffer it
+//! was read into.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -117,17 +118,19 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// An encoded request [`Message`]: shared, because a write fan-out and
-/// a hedged read send the same bytes to several replicas.
-pub(crate) type RequestPayload = Arc<[u8]>;
+/// An encoded request [`Message`]: the buffer it was encoded into,
+/// shared, because a write fan-out and a hedged read send the same
+/// bytes to several replicas.
+pub(crate) type RequestPayload = Arc<Vec<u8>>;
 
 /// An encoded response [`Message`]: the buffer [`Message::encode`]
 /// returned, moved from the peer to the caller.
 pub(crate) type ReplyPayload = Vec<u8>;
 
-/// Encodes `message` for sending — the one copy of a request payload.
+/// Encodes `message` for sending — the one buffer of a request
+/// payload, shared as it is.
 pub(crate) fn request_payload(message: &Message) -> RequestPayload {
-    Arc::from(message.encode())
+    Arc::new(message.encode())
 }
 
 /// The response path of one request: meters the bytes on the

@@ -13,11 +13,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use zerber_index::{DocId, Document};
-use zerber_net::{AuthToken, Message, NodeId, WireDocument};
+use zerber_net::{AuthToken, DocumentFrame, Message, NodeId};
 
 use super::repair::Backoff;
-use super::shard::to_wire;
-use super::transport::{request_payload, PendingReply, TransportError, DEFAULT_RPC_TIMEOUT};
+use super::transport::{
+    request_payload, PendingReply, RequestPayload, TransportError, DEFAULT_RPC_TIMEOUT,
+};
 use super::ShardedSearch;
 
 /// Why a live mutation did not land.
@@ -70,10 +71,12 @@ fn merge_write_ack(best: &mut Option<Message>, response: Message) {
     }
 }
 
-/// One shard's write, begun on every replica and not yet settled.
+/// One shard's write, begun on every replica and not yet settled. It
+/// holds no copy of the frame: the replicas' envelopes share the one
+/// encoded buffer until each peer has decoded it, and a retry
+/// re-encodes.
 struct ShardWrite {
     shard: u32,
-    request: Message,
     replicas: Vec<(u32, PendingReply)>,
 }
 
@@ -94,10 +97,10 @@ impl ShardedSearch {
         peers
     }
 
-    /// Begins `request` on every replica of `shard` (all sends leave
-    /// before any wait, so the round trip costs the slowest replica).
-    fn begin_write(&self, from: NodeId, shard: u32, request: Message) -> ShardWrite {
-        let payload = request_payload(&request);
+    /// Begins the encoded `payload` on every replica of `shard` (all
+    /// sends leave before any wait, so the round trip costs the
+    /// slowest replica).
+    fn begin_write(&self, from: NodeId, shard: u32, payload: RequestPayload) -> ShardWrite {
         let replicas = self
             .write_peers(shard)
             .into_iter()
@@ -109,11 +112,7 @@ impl ShardedSearch {
                 (peer, pending)
             })
             .collect();
-        ShardWrite {
-            shard,
-            request,
-            replicas,
-        }
+        ShardWrite { shard, replicas }
     }
 
     /// Settles one shard's replica write fan-out under the
@@ -133,8 +132,14 @@ impl ShardedSearch {
     ///
     /// Responses are merged preferring the highest `DeleteOk.removed`:
     /// a mid-rebuild replica buffers the delete and acks `removed: 0`,
-    /// so a live replica's count must win.
-    fn settle_write(&self, from: NodeId, write: ShardWrite) -> Result<Message, IngestError> {
+    /// so a live replica's count must win. A retry sends what `encode`
+    /// builds afresh: the frame the write began with is gone by then.
+    fn settle_write(
+        &self,
+        from: NodeId,
+        write: ShardWrite,
+        encode: impl Fn() -> RequestPayload,
+    ) -> Result<Message, IngestError> {
         let mut best: Option<Message> = None;
         let mut last_error: Option<TransportError> = None;
         let mut retry: Vec<u32> = Vec::new();
@@ -156,7 +161,8 @@ impl ShardedSearch {
                 let to = NodeId::IndexServer(peer);
                 match self
                     .transport
-                    .request(from, to, AuthToken(0), &write.request)
+                    .begin(from, to, AuthToken(0), encode())
+                    .wait(DEFAULT_RPC_TIMEOUT)
                 {
                     Ok(Message::Fault { code, .. }) => return Err(IngestError::Rejected { code }),
                     Ok(response) => {
@@ -180,18 +186,19 @@ impl ShardedSearch {
 
     /// The one routine behind [`ShardedSearch::insert_documents`] and
     /// [`ShardedSearch::bulk_load`]: route by the shard map, encode
-    /// one `frame` per shard, begin *every* shard's replica fan-out,
-    /// then settle each. A shard is accounted — statistics, document
-    /// registry, serving epoch — the moment its replicas acknowledge,
-    /// and the first error is returned only after every begun shard
-    /// has been settled: a frame that is already on its peers will be
-    /// applied whatever happens to its neighbours, so it must be
-    /// waited for and counted. The error names the shard it came from.
+    /// one `frame` per shard straight from the borrowed documents,
+    /// begin *every* shard's replica fan-out, then settle each. A
+    /// shard is accounted — statistics, document registry, serving
+    /// epoch — the moment its replicas acknowledge, and the first
+    /// error is returned only after every begun shard has been
+    /// settled: a frame that is already on its peers will be applied
+    /// whatever happens to its neighbours, so it must be waited for
+    /// and counted. The error names the shard it came from.
     pub(super) fn write_documents(
         &self,
         owner: u32,
         docs: &[Document],
-        frame: fn(u32, Vec<WireDocument>) -> Message,
+        frame: DocumentFrame,
     ) -> Result<usize, (u32, IngestError)> {
         // Group per shard, preserving arrival order within each group
         // (later copies of a doc id must win).
@@ -203,17 +210,15 @@ impl ShardedSearch {
             }
         }
         let from = NodeId::Owner(owner);
+        let encode = |shard, group: &[&Document]| Arc::new(frame.encode(shard, group));
         let inflight: Vec<(ShardWrite, Vec<&Document>)> = per_shard
             .into_iter()
-            .map(|(shard, group)| {
-                let request = frame(shard, group.iter().map(|doc| to_wire(doc)).collect());
-                (self.begin_write(from, shard, request), group)
-            })
+            .map(|(shard, group)| (self.begin_write(from, shard, encode(shard, &group)), group))
             .collect();
         let mut first_error = None;
         for (write, group) in inflight {
             let shard = write.shard;
-            match self.settle_write(from, write) {
+            match self.settle_write(from, write, || encode(shard, &group)) {
                 Ok(Message::InsertOk) => {
                     self.stats.write().account_written(group);
                     // Bump per acknowledged shard, not once at the
@@ -255,8 +260,7 @@ impl ShardedSearch {
     /// mutation they catch — a query observes either the old or the
     /// new state of each document, never a torn one.
     pub fn insert_documents(&self, owner: u32, docs: &[Document]) -> Result<usize, IngestError> {
-        let frame = |shard, docs| Message::IndexDocs { shard, docs };
-        self.write_documents(owner, docs, frame)
+        self.write_documents(owner, docs, DocumentFrame::IndexDocs)
             .map_err(|(_, error)| error)
     }
 
@@ -269,13 +273,9 @@ impl ShardedSearch {
     /// builds its *own* copy of the shard from the same wire batch, so
     /// replicas stay bit-identical without shipping segment files.
     pub fn bulk_load(&self, owner: u32, docs: &[Document]) -> Result<usize, IngestError> {
-        self.write_documents(owner, docs, Self::BULK_LOAD)
+        self.write_documents(owner, docs, DocumentFrame::BulkLoad)
             .map_err(|(_, error)| error)
     }
-
-    /// The frame of one shard's part of a bulk load.
-    pub(super) const BULK_LOAD: fn(u32, Vec<WireDocument>) -> Message =
-        |shard, docs| Message::BulkLoad { shard, docs };
 
     /// Deletes one document live (routed like
     /// [`ShardedSearch::insert_documents`], fanned to every replica).
@@ -283,8 +283,9 @@ impl ShardedSearch {
     pub fn delete_document(&self, owner: u32, doc: DocId) -> Result<bool, IngestError> {
         let shard = self.map.read().shard_of(doc);
         let from = NodeId::Owner(owner);
-        let write = self.begin_write(from, shard, Message::RemoveDoc { shard, doc });
-        let removed = match self.settle_write(from, write)? {
+        let encode = || request_payload(&Message::RemoveDoc { shard, doc });
+        let write = self.begin_write(from, shard, encode());
+        let removed = match self.settle_write(from, write, encode)? {
             Message::DeleteOk { removed } => removed > 0,
             other => {
                 return Err(IngestError::Protocol(format!(

@@ -227,7 +227,7 @@ impl Transport for WrongFrameTransport {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: Arc<Vec<u8>>,
     ) -> PendingReply {
         if to == self.liar && matches!(Message::decode(&payload), Ok(Message::PlanQuery { .. })) {
             let (tx, rx) = std::sync::mpsc::channel();

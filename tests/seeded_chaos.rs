@@ -27,7 +27,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use zerber::runtime::{
-    local_topk, FaultInjectTransport, FaultPlan, HedgePolicy, QueryError, ShardedSearch,
+    local_topk, ChaosAction, FaultInjectTransport, FaultPlan, HedgePolicy, QueryError,
+    ShardedSearch,
 };
 use zerber::ZerberConfig;
 use zerber_index::{DocId, Document, GroupId, TermId};
@@ -279,6 +280,59 @@ fn replica_killed_mid_bulk_load_taints_then_repairs_clean() {
             "query {q} after repair"
         );
     }
+}
+
+/// A replica that misses its first `BulkLoad` send and is back before
+/// the retry: the retry re-encodes the frame from the caller's
+/// documents, lands, and nothing is tainted. The revived replica then
+/// holds the load on its own, bit-identically to the oracle, with the
+/// other replica killed.
+#[test]
+fn a_bulk_load_retry_that_lands_taints_nothing() {
+    let config = ZerberConfig::default().with_peers(2).with_replication(2);
+    let initial = corpus(60, 12);
+    let (search, chaos) = launch_chaotic(&config, &initial, FaultPlan::quiet(11));
+    assert_eq!(chaos.requests_seen(), 0, "launch loads behind the harness");
+
+    // One shard, so the load is exactly two sends, one per replica:
+    // whichever goes to peer 1 fails, and the retry is the third.
+    let map = search.shard_map();
+    let bulk: Vec<Document> = (200..400u32)
+        .filter(|&d| map.shard_of(DocId(d)) == 0)
+        .map(|d| {
+            Document::from_term_counts(
+                DocId(d),
+                GroupId(0),
+                vec![(TermId(d % 11), 2 + d % 3), (TermId(11), 1)],
+            )
+        })
+        .collect();
+    assert!(!bulk.is_empty());
+    let peer = NodeId::IndexServer(1);
+    chaos.at_request(1, ChaosAction::Kill(peer));
+    chaos.at_request(3, ChaosAction::Revive(peer));
+    assert_eq!(
+        search.bulk_load(0, &bulk).expect("the retry lands"),
+        bulk.len()
+    );
+    assert_eq!(chaos.requests_seen(), 3, "two sends and one retry");
+    assert!(search.tainted_peers().is_empty());
+
+    let live: Vec<Document> = initial.iter().chain(bulk.iter()).cloned().collect();
+    assert_eq!(search.document_count(), live.len());
+    let check = |when: &str| {
+        for q in 0..12u32 {
+            let terms = [TermId(q), TermId((q * 5 + 2) % 12)];
+            assert_eq!(
+                observe(search.query(&terms, 10)),
+                Observed::Ok(oracle_bits(&live, &terms, 10)),
+                "query {q} {when}"
+            );
+        }
+    };
+    check("with both replicas");
+    chaos.kill(NodeId::IndexServer(0));
+    check("from the retried replica alone");
 }
 
 proptest! {

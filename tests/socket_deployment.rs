@@ -63,7 +63,7 @@ impl Transport for Recording {
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: Arc<[u8]>,
+        payload: Arc<Vec<u8>>,
     ) -> PendingReply {
         if let Ok(Message::InstallFile { name, .. }) = Message::decode(&payload) {
             self.installed.lock().unwrap().push(name);
