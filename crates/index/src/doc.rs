@@ -75,6 +75,22 @@ impl Document {
         }
     }
 
+    /// Whether the document holds its invariant: term ids strictly
+    /// ascending (so none repeats), and counts whose sum fits a `u32`
+    /// — a store lays each term's occurrences out after the smaller
+    /// terms', as `u32` token positions. Every door a document enters
+    /// a store through (the wire, `insert`, `bulk_load`) refuses one
+    /// that fails this, rather than panic deep in the index.
+    pub fn is_well_formed(&self) -> bool {
+        let ascending = self.terms.windows(2).all(|w| w[0].0 < w[1].0);
+        ascending
+            && self
+                .terms
+                .iter()
+                .try_fold(0u32, |end, &(_, count)| end.checked_add(count))
+                .is_some()
+    }
+
     /// Number of distinct terms (the `N` of Algorithm 1a).
     pub fn distinct_terms(&self) -> usize {
         self.terms.len()
@@ -139,5 +155,20 @@ mod tests {
     fn duplicate_terms_panic() {
         let _ =
             Document::from_term_counts(DocId(9), GroupId(1), vec![(TermId(5), 2), (TermId(5), 3)]);
+    }
+
+    #[test]
+    fn well_formed_means_ascending_terms_and_positions_that_fit() {
+        let doc = |terms: Vec<(TermId, u32)>| Document {
+            id: DocId(1),
+            group: GroupId(0),
+            length: 1,
+            terms,
+        };
+        assert!(doc(vec![]).is_well_formed());
+        assert!(doc(vec![(TermId(1), 2), (TermId(u32::MAX), u32::MAX - 2)]).is_well_formed());
+        assert!(!doc(vec![(TermId(5), 2), (TermId(5), 3)]).is_well_formed());
+        assert!(!doc(vec![(TermId(6), 1), (TermId(5), 1)]).is_well_formed());
+        assert!(!doc(vec![(TermId(1), u32::MAX), (TermId(2), 1)]).is_well_formed());
     }
 }

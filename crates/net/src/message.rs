@@ -314,11 +314,12 @@ pub enum Message {
         docs: Vec<WireDocument>,
     },
     /// Owner → shard peer: bulk-load a batch of plaintext documents
-    /// through the offline SPIMI path — same payload as
+    /// through the offline bulk path — same payload as
     /// [`Message::IndexDocs`], but the peer indexes it WAL-free
-    /// (parallel sorted runs, k-way merge, one atomic manifest swap)
-    /// instead of journaling it. Replicas each build their own copy;
-    /// like every write, the frame fans to all replicas of the shard.
+    /// (term-partitioned workers compress each list once, one atomic
+    /// manifest swap) instead of journaling it. Replicas each build
+    /// their own copy; like every write, the frame fans to all replicas
+    /// of the shard.
     BulkLoad {
         /// The logical shard these documents belong to.
         shard: u32,

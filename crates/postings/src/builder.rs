@@ -18,7 +18,7 @@ pub struct CompressedPostingBuilder {
 
 impl CompressedPostingBuilder {
     /// An empty builder.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Self::default()
     }
 
@@ -28,7 +28,7 @@ impl CompressedPostingBuilder {
     /// Panics if `entry.doc` does not exceed the previously pushed doc
     /// key — compressed lists are delta-coded and therefore
     /// append-only in doc order.
-    pub(crate) fn push(&mut self, entry: RawEntry) {
+    pub fn push(&mut self, entry: RawEntry) {
         if let Some(last) = self.last_doc {
             assert!(
                 entry.doc > last,
@@ -52,7 +52,7 @@ impl CompressedPostingBuilder {
     }
 
     /// Seals the final (possibly partial) block and returns the list.
-    pub(crate) fn build(mut self) -> CompressedPostingList {
+    pub fn build(mut self) -> CompressedPostingList {
         if !self.pending.is_empty() {
             self.seal_block();
         }

@@ -1,29 +1,29 @@
-//! Offline bulk-build (SPIMI) knobs and accounting.
+//! Offline bulk-build knobs and accounting.
 //!
 //! The bulk path lives on [`crate::SegmentStore::bulk_load`]; this
 //! module holds its configuration, its returned accounting, and the
 //! crash-injection failpoints the recovery tests drive it with. The
-//! pipeline:
+//! pipeline, a term-partitioned inversion:
 //!
 //! ```text
-//! documents ──sort by id, last copy wins──► W doc-ascending slices
-//!   worker w: Memtable ──(≥ run_postings)──► sealed run, in memory
-//!             (a segment image: compressed lists + skip metadata)
-//!   one k-way merge_streaming of every run ──► seg-S.zseg, written once
-//!                                              (a lone run is the image)
+//! documents ──sort by id, last copy wins──► one doc-ascending batch
+//!   worker w of W (parallel): scan the whole batch; push each posting
+//!     of a term t with t % W == w into t's block compressor
+//!   the workers' disjoint lists, sorted by term ──► seg-S.zseg, written once
 //!   writer lock: flush memtable, append the bulk segment, MANIFEST
 //! ```
 //!
-//! The workers parallelize run building only: however many there are,
-//! one load writes exactly one file and commits exactly one segment,
-//! so a bulk-loaded term is read by one cursor rather than a shadowed
-//! merge of the load's own doc-disjoint parts.
+//! Each posting is compressed once and never decoded: a list is final
+//! when its worker's scan ends, so nothing is merged. However many
+//! workers there are, one load writes exactly one file, byte for byte
+//! the one a flush of the same batch writes, and commits exactly one
+//! segment.
 //!
-//! What is resident: the batch until every run is sealed (an owned
+//! What is resident: the batch until the lists are built (an owned
 //! batch, `bulk_load(docs)`, is freed there; a borrowed one, `&docs`,
-//! stays its caller's), the runs until the merge, then the merged
-//! image and its serialised body. A load through the peer runtime
-//! hands over the batch it decoded, so the merge reuses its memory.
+//! stays its caller's) beside the lists growing in the workers'
+//! compressors, then the image and its serialised body. A load through
+//! the peer runtime hands over the batch it decoded.
 //!
 //! No WAL record is ever written: the MANIFEST swap is the atomic
 //! commit point. A crash before it leaves nothing, or one unlisted
@@ -31,25 +31,13 @@
 //! load is all-or-nothing.
 
 /// Tuning for one [`crate::SegmentStore::bulk_load`] call.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BulkConfig {
-    /// Parallel SPIMI workers; `0` resolves to the available
-    /// parallelism (capped at 8 so per-shard loads inside a
-    /// many-peer deployment do not oversubscribe the machine).
+    /// Parallel workers, each owning a share of the vocabulary; `0`
+    /// resolves to the available parallelism (capped at 8 so per-shard
+    /// loads inside a many-peer deployment do not oversubscribe the
+    /// machine).
     pub workers: usize,
-    /// A worker seals its memtable once it holds this many postings
-    /// (term-less documents count 1) — the bound on its unsealed
-    /// memtable. Sealed runs stay resident until the merge.
-    pub run_postings: usize,
-}
-
-impl Default for BulkConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            run_postings: 1 << 20,
-        }
-    }
 }
 
 impl BulkConfig {
@@ -65,19 +53,14 @@ impl BulkConfig {
     }
 }
 
-/// What one bulk load did — the bench harness derives docs/s and the
-/// bulk share of write amplification from these.
+/// What one bulk load did — the bench harness derives docs/s from
+/// these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BulkStats {
     /// Distinct documents loaded (after last-copy-wins dedup).
     pub docs: usize,
     /// Postings stored in the bulk segment.
     pub postings: usize,
-    /// Sorted runs the workers sealed.
-    pub runs: usize,
-    /// How many bytes the merge phase wrote (a lone run is written
-    /// once, unmerged, and costs nothing here).
-    pub merge_bytes: u64,
 }
 
 /// Crash-injection points for the recovery tests: the bulk build
@@ -89,7 +72,7 @@ pub struct BulkStats {
 pub enum BulkFailpoint {
     /// Die once the segment file is written (end of phase 2, nothing
     /// registered): the directory holds one unlisted `.zseg`.
-    AfterMerge,
+    AfterWrite,
     /// Die with the memtable sealed under the writer lock, just before
     /// the bulk segment's MANIFEST swap — the last moment the load
     /// must be invisible.

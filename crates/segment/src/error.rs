@@ -1,5 +1,7 @@
 //! Error type of the storage engine.
 
+use zerber_index::DocId;
+
 /// Failures surfaced by the segmented store.
 ///
 /// A *torn WAL tail* is not an error — recovery ignores it by design.
@@ -17,6 +19,10 @@ pub enum SegmentError {
         /// What check failed.
         reason: &'static str,
     },
+    /// A document handed to `insert` or `bulk_load` breaks
+    /// `Document`'s invariant (`Document::is_well_formed`); the call
+    /// wrote nothing.
+    MalformedDocument(DocId),
 }
 
 impl std::fmt::Display for SegmentError {
@@ -26,6 +32,11 @@ impl std::fmt::Display for SegmentError {
             SegmentError::Corrupt { file, reason } => {
                 write!(f, "corrupt store file {file}: {reason}")
             }
+            SegmentError::MalformedDocument(doc) => write!(
+                f,
+                "document {} repeats or misorders a term id, or its counts overflow a u32",
+                doc.0
+            ),
         }
     }
 }
@@ -34,7 +45,7 @@ impl std::error::Error for SegmentError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SegmentError::Io(e) => Some(e),
-            SegmentError::Corrupt { .. } => None,
+            SegmentError::Corrupt { .. } | SegmentError::MalformedDocument(_) => None,
         }
     }
 }

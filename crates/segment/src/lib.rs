@@ -19,11 +19,11 @@
 //!   metadata and score maxima, the documents whose current version the segment
 //!   defines, and absorbed tombstones — written atomically and
 //!   CRC-verified on load,
-//! * [`bulk`] — the offline SPIMI bulk-build knobs ([`BulkConfig`]):
-//!   parallel workers seal sorted runs in memory as segment images, one
-//!   k-way merge folds them into one segment, written as the load's one
-//!   file and registered through one atomic manifest swap, and no WAL
-//!   is written on the offline path,
+//! * [`bulk`] — the offline bulk-build knobs ([`BulkConfig`]): parallel
+//!   workers, each owning a share of the vocabulary, compress every
+//!   posting once straight into its list; the lists are the load's one
+//!   segment, written once and registered through one atomic manifest
+//!   swap, and no WAL is written on the offline path,
 //! * `store` — the engine ([`SegmentStore`]): flush seals the
 //!   memtable into a segment, size-balanced compaction (optionally on a
 //!   background thread) bounds the segment count by merging the

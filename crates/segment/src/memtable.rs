@@ -6,19 +6,15 @@
 //! engine keeps it behind an `Arc`, so a reader snapshot is a pointer
 //! copy; a write folds in place through `Arc::make_mut`, which copies
 //! the table only while a snapshot still holds the old one. Sealing a
-//! segment merges this one source through the block compressor.
-//!
-//! A bulk-load worker's run is a [`Memtable`] too: it adds each document
-//! of its slice once through [`Memtable::insert_live`] and, at
-//! `BulkConfig::run_postings` weight, [`Memtable::seal`] consumes it
-//! into an in-memory segment image.
+//! segment merges this one source through the block compressor. The
+//! table serves the WAL path only: a bulk load compresses its postings
+//! straight into the segment and builds no memtable.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use zerber_postings::{CompressedPostingBuilder, RawEntry};
+use zerber_postings::RawEntry;
 
-use crate::segment::SegmentContent;
 use crate::wal::WalOp;
 
 /// A doc's net outcome within a batch: its `(length, term counts)` when
@@ -104,12 +100,7 @@ impl Memtable {
     /// its postings, or 1 if term-less — every touched doc must add flush
     /// pressure, or a stream of empty inserts could grow the WAL and the
     /// memtable forever without crossing the threshold.
-    pub(crate) fn insert_live(
-        &mut self,
-        doc: u32,
-        length: u32,
-        mut terms: Vec<(u32, u32)>,
-    ) -> usize {
+    fn insert_live(&mut self, doc: u32, length: u32, mut terms: Vec<(u32, u32)>) -> usize {
         debug_assert!(!self.touches(doc), "doc {doc} is already here");
         // Canonical token-stream positions: terms in ascending id
         // order, each occupying `count` consecutive slots.
@@ -135,29 +126,6 @@ impl Memtable {
         self.doc_terms
             .insert(doc, terms.iter().map(|&(term, _)| term).collect());
         terms.len().max(1)
-    }
-
-    /// Consumes the table into a segment image — a bulk worker's run
-    /// seal. Each list is compressed as flush's merge of this table
-    /// alone compresses it, and its postings are freed once it is, so
-    /// the raw table does not outlive its image.
-    pub(crate) fn seal(self) -> SegmentContent {
-        drop(self.doc_terms);
-        let mut lists: Vec<(u32, TermList)> = self.terms.into_iter().collect();
-        lists.sort_unstable_by_key(|&(term, _)| term);
-        let terms = lists
-            .into_iter()
-            .map(|(term, list)| {
-                let entries = list.as_slice().iter().copied();
-                (term, CompressedPostingBuilder::from_sorted(entries))
-            })
-            .collect();
-        SegmentContent {
-            live: self.live,
-            tombstones: self.tombstones,
-            term_slots: self.term_slots,
-            terms,
-        }
     }
 
     /// True iff no batch was applied since the last flush.

@@ -18,8 +18,8 @@
 //! therefore records the documents it *touches* (inserts ∪
 //! tombstones), and a posting from source `i` is live iff no newer
 //! source touches its document. The crate-internal `merge_streaming`
-//! applies exactly that rule for flush, compaction and the bulk run
-//! merge alike; readers apply it lazily per query.
+//! applies exactly that rule for flush and compaction alike; readers
+//! apply it lazily per query.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -172,9 +172,9 @@ impl Source for Memtable {
 }
 
 /// The image of one segment: per-term compressed lists plus the doc
-/// tables the shadowing rule reads. A bulk worker's sealed run, a
-/// merge's output and a loaded segment file all hold one, so one
-/// [`Source`] impl serves every compressed input of a merge or a read.
+/// tables the shadowing rule reads. A merge's output, a bulk load's
+/// lists and a loaded segment file all hold one, so one [`Source`]
+/// impl serves every compressed input of a merge or a read.
 #[derive(Debug)]
 pub(crate) struct SegmentContent {
     pub(crate) live: Vec<u32>,
@@ -254,10 +254,10 @@ impl Segment {
 }
 
 /// Merges sources (recency-ordered, oldest first) into one segment
-/// image under the shadowing rule — the one merge behind flush,
-/// compaction and the bulk run merge. With `gc_tombstones`, tombstones
-/// are dropped — only sound when the merge covers the *oldest* level,
-/// so no older posting can be left for a tombstone to mask.
+/// image under the shadowing rule — the one merge behind flush and
+/// compaction. With `gc_tombstones`, tombstones are dropped — only
+/// sound when the merge covers the *oldest* level, so no older posting
+/// can be left for a tombstone to mask.
 ///
 /// Streaming: document ownership is resolved once from the sorted
 /// doc tables into a (typically tiny) sorted list of shadowed docs per

@@ -23,8 +23,8 @@
 //! what the shadowing rule reads; balanced, so a segment is rewritten
 //! only once its neighbour has grown to its own order of magnitude —
 //! O(log n) rewrites per posting instead of the whole base per flush.
-//! Flush, compaction and the bulk run merge all run the same streaming
-//! shadow-aware merge (`segment::merge_streaming`).
+//! Flush and compaction run the same streaming shadow-aware merge
+//! (`segment::merge_streaming`); a bulk load merges nothing.
 //!
 //! # Crash safety
 //!
@@ -47,7 +47,7 @@
 //! that write folds into a copy, so the snapshot keeps its world.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -59,7 +59,10 @@ use zerber_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor, ShadowedMergeCursor};
 use zerber_index::{DocId, Document, Posting, PostingStore, SegmentPolicy, TermId};
-use zerber_postings::{to_posting, CompressedBlockCursor, DecodedEntriesCursor, RawEntry};
+use zerber_postings::{
+    to_posting, CompressedBlockCursor, CompressedPostingBuilder, CompressedPostingList,
+    DecodedEntriesCursor, RawEntry,
+};
 
 use crate::bulk::{BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
@@ -124,14 +127,8 @@ struct SegmentMetrics {
     /// `zerber_segment_bulk_docs_total`: documents loaded through the
     /// offline bulk path.
     bulk_docs: Counter,
-    /// `zerber_segment_bulk_runs_total`: SPIMI runs the bulk workers
-    /// emitted.
-    bulk_runs: Counter,
-    /// `zerber_segment_bulk_merge_bytes_total`: bytes rewritten by the
-    /// bulk run-merge phase.
-    bulk_merge_bytes: Counter,
     /// `zerber_segment_bulk_build_ns`: end-to-end duration of one
-    /// bulk load (dedup → runs → merge → manifest).
+    /// bulk load (dedup → lists → write → manifest).
     bulk_build: Histogram,
 }
 
@@ -148,8 +145,6 @@ impl SegmentMetrics {
             flush_postings: registry.counter("zerber_segment_flush_postings_total"),
             compaction_postings: registry.counter("zerber_segment_compaction_postings_total"),
             bulk_docs: registry.counter("zerber_segment_bulk_docs_total"),
-            bulk_runs: registry.counter("zerber_segment_bulk_runs_total"),
-            bulk_merge_bytes: registry.counter("zerber_segment_bulk_merge_bytes_total"),
             bulk_build: registry.histogram("zerber_segment_bulk_build_ns"),
         }
     }
@@ -322,6 +317,49 @@ impl Inner {
     }
 }
 
+/// Refuses a batch that holds a document breaking `Document`'s
+/// invariant, naming the first one.
+fn refuse_malformed(docs: &[Document]) -> Result<(), SegmentError> {
+    match docs.iter().find(|doc| !doc.is_well_formed()) {
+        Some(doc) => Err(SegmentError::MalformedDocument(doc.id)),
+        None => Ok(()),
+    }
+}
+
+/// One bulk worker's share of the inversion: the lists of the terms
+/// `t` with `t % parts == part`, term-ascending, each built by pushing
+/// its postings in the batch's doc order into one compressor — the
+/// order, and so the bytes, a flush of the same batch gives it. A
+/// posting's `pos` is the running sum of its document's counts in term
+/// order, as the memtable lays it out.
+fn invert_partition(
+    docs: &[&Document],
+    part: u32,
+    parts: u32,
+) -> Vec<(u32, CompressedPostingList)> {
+    let mut builders: HashMap<u32, CompressedPostingBuilder> = HashMap::new();
+    for doc in docs {
+        let mut pos = 0u32;
+        for &(TermId(term), count) in &doc.terms {
+            if term % parts == part {
+                builders.entry(term).or_default().push(RawEntry {
+                    doc: u64::from(doc.id.0),
+                    count,
+                    doc_length: doc.length,
+                    pos,
+                });
+            }
+            pos += count;
+        }
+    }
+    let mut lists: Vec<(u32, CompressedPostingList)> = builders
+        .into_iter()
+        .map(|(term, builder)| (term, builder.build()))
+        .collect();
+    lists.sort_unstable_by_key(|&(term, _)| term);
+    lists
+}
+
 /// The compaction window rule, as a pure decision over the segments'
 /// posting counts (oldest first): `None` while at most `max_segments`
 /// exist, otherwise the index of the older half of the adjacent pair
@@ -436,8 +474,10 @@ impl SegmentStore {
     /// elements written; a term-less document counts as 1). The batch
     /// is acknowledged once its WAL record is written (and, under
     /// [`SegmentPolicy::sync_wal`], synced): from that moment it
-    /// survives a crash.
+    /// survives a crash. A batch holding a document that is not
+    /// [`Document::is_well_formed`] is refused whole, before the WAL.
     pub fn insert(&self, docs: &[Document]) -> Result<usize, SegmentError> {
+        refuse_malformed(docs)?;
         if docs.is_empty() {
             return Ok(0);
         }
@@ -560,24 +600,24 @@ impl SegmentStore {
         segments + self.wal_bytes()
     }
 
-    /// Loads a document batch through the offline SPIMI bulk path —
-    /// the high-throughput alternative to [`SegmentStore::insert`]
-    /// for corpus-sized batches.
+    /// Loads a document batch through the offline bulk path — the
+    /// high-throughput alternative to [`SegmentStore::insert`] for
+    /// corpus-sized batches.
     ///
     /// The batch is sorted by document id, keeping the last copy of
-    /// each id (like the WAL path), and cut into doc-ascending slices
-    /// across `BulkConfig::resolved_workers` parallel workers. Each
-    /// worker fills a memtable, the WAL path's in-memory index, and
-    /// seals it *in memory* into a segment image (per-term compressed
-    /// posting lists with skip metadata) whenever it reaches
-    /// `BulkConfig::run_postings`. One k-way merge folds every run
-    /// into exactly one segment (a lone run already is it), which is
-    /// written once as `seg-*.zseg` (tmp + fsync + rename + directory
-    /// fsync) and registered in the `MANIFEST` under the writer lock —
-    /// after sealing any live memtable, so the bulk segment is strictly
-    /// newest and replaces overlapping documents exactly like a fresh
-    /// insert would. One load is one file and one segment whatever the
-    /// worker count, so each of its terms is read by one cursor.
+    /// each id (like the WAL path). `BulkConfig::resolved_workers`
+    /// workers then split the *vocabulary*: worker `w` of `W` scans the
+    /// whole sorted batch and pushes each posting of a term `t` with
+    /// `t % W == w` straight into that term's block compressor, so
+    /// every list is final when the scan ends and each posting is
+    /// compressed once. The workers' disjoint lists, in term order,
+    /// are the segment image, written once as `seg-*.zseg` (tmp +
+    /// fsync + rename + directory fsync) and registered in the
+    /// `MANIFEST` under the writer lock — after sealing any live
+    /// memtable, so the bulk segment is strictly newest and replaces
+    /// overlapping documents exactly like a fresh insert would. The
+    /// file is byte for byte the one a flush of the same batch writes,
+    /// whatever the worker count.
     ///
     /// **No WAL record is written.** The manifest swap is the single
     /// atomic commit point: a crash at any earlier step leaves nothing
@@ -587,10 +627,12 @@ impl SegmentStore {
     /// `tests/bulk_build_properties.rs`). Queries running from
     /// [`SegmentStore::snapshot`]s and the background compactor are
     /// never blocked for longer than the registration lock handover.
+    /// A batch holding a document that is not
+    /// [`Document::is_well_formed`] is refused whole, before any work.
     ///
     /// The batch is borrowed (`&docs`) or handed over (`docs`): an
-    /// owned batch is freed as soon as the runs are sealed, so the
-    /// merge and the segment write reuse its memory.
+    /// owned batch is freed as soon as the lists are built, before the
+    /// segment is serialised.
     pub fn bulk_load<'a>(
         &self,
         docs: impl Into<Cow<'a, [Document]>>,
@@ -622,69 +664,49 @@ impl SegmentStore {
         failpoint: Option<BulkFailpoint>,
     ) -> Result<BulkStats, SegmentError> {
         let started = Instant::now();
+        refuse_malformed(&docs)?;
         // Doc-ascending, last copy of each id wins: the stable sort of
         // the reversed batch puts each id's last copy first, where the
-        // dedup keeps it. Sorted, every worker's memtable appends.
+        // dedup keeps it. Sorted, every list is pushed in doc order.
         let mut unique: Vec<&Document> = docs.iter().rev().collect();
         unique.sort_by_key(|doc| doc.id.0);
         unique.dedup_by_key(|doc| doc.id.0);
         if unique.is_empty() {
             return Ok(BulkStats::default());
         }
-        let workers = config.resolved_workers().max(1);
-        let run_budget = config.run_postings.max(1);
+        let workers = config.resolved_workers().max(1) as u32;
 
-        // --- Phase 1: parallel SPIMI workers seal sorted runs. ------
-        let chunk = unique.len().div_ceil(workers);
-        let runs: Vec<SegmentContent> = thread::scope(|scope| {
-            let handles: Vec<_> = unique
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let mut runs = Vec::new();
-                        let mut run = Memtable::default();
-                        let mut weight = 0;
-                        for doc in slice {
-                            let terms = doc.terms.iter().map(|&(t, c)| (t.0, c)).collect();
-                            weight += run.insert_live(doc.id.0, doc.length, terms);
-                            if weight >= run_budget {
-                                runs.push(std::mem::take(&mut run).seal());
-                                weight = 0;
-                            }
-                        }
-                        if !run.is_empty() {
-                            runs.push(run.seal());
-                        }
-                        runs
-                    })
-                })
+        // --- Phase 1: term-partitioned workers build the lists. -----
+        let mut terms: Vec<(u32, CompressedPostingList)> = thread::scope(|scope| {
+            let unique = &unique;
+            let handles: Vec<_> = (0..workers)
+                .map(|part| scope.spawn(move || invert_partition(unique, part, workers)))
                 .collect();
             handles
                 .into_iter()
                 .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        // The runs hold every posting now: let the batch go (an owned
-        // one is freed) before the merge allocates the segment image.
+        terms.sort_unstable_by_key(|&(term, _)| term);
+        // The image: what a flush of the batch's memtable holds.
+        let content = SegmentContent {
+            live: unique.iter().map(|doc| doc.id.0).collect(),
+            tombstones: Vec::new(),
+            term_slots: unique
+                .iter()
+                .filter_map(|doc| doc.terms.last())
+                .map(|&(TermId(term), _)| term + 1)
+                .max()
+                .unwrap_or(0),
+            terms,
+        };
+        // The lists hold every posting now: let the batch go (an owned
+        // one is freed) before the image is serialised.
         let doc_count = unique.len();
         drop(unique);
         drop(docs);
 
-        // --- Phase 2: merge every run into one segment, written once.
-        let run_count = runs.len();
-        let (content, merged) = match <[SegmentContent; 1]>::try_from(runs) {
-            // One run *is* the segment's image: nothing to merge.
-            Ok([run]) => (run, false),
-            // Runs are doc-disjoint and tombstone-free by construction:
-            // nothing is shadowed, so the merge carries single-run lists
-            // over and k-way merges the rest unfiltered. The runs are
-            // freed before the merged image is serialized, so at most
-            // two copies of the load are resident, not three.
-            Err(runs) => {
-                let sources: Vec<&dyn Source> = runs.iter().map(|run| run as &dyn Source).collect();
-                (merge_streaming(&sources, true), true)
-            }
-        };
+        // --- Phase 2: write the segment once. ------------------------
         // Reserve the segment's seq under the writer lock. The
         // reservation only becomes durable with the registration
         // manifest; after a crash the number is simply reused (any
@@ -695,10 +717,8 @@ impl SegmentStore {
             writer.next_seq - 1
         };
         let segment = content.write(&self.inner.dir, seq)?;
-        // A lone run is written once, not rewritten: no merge bytes.
-        let merge_bytes = if merged { segment.disk_bytes() } else { 0 };
         let postings = segment.posting_count();
-        if failpoint == Some(BulkFailpoint::AfterMerge) {
+        if failpoint == Some(BulkFailpoint::AfterWrite) {
             return Ok(BulkStats::default());
         }
 
@@ -721,15 +741,11 @@ impl SegmentStore {
         self.wake_compactor();
         let obs = &self.inner.obs;
         obs.bulk_docs.add(doc_count as u64);
-        obs.bulk_runs.add(run_count as u64);
-        obs.bulk_merge_bytes.add(merge_bytes);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);
         obs.segments.set(segments.len() as i64);
         Ok(BulkStats {
             docs: doc_count,
             postings,
-            runs: run_count,
-            merge_bytes,
         })
     }
 

@@ -1,4 +1,4 @@
-//! Property battery for the offline SPIMI bulk-build path.
+//! Property battery for the offline bulk-build path.
 //!
 //! Three obligations, the first two mirroring the WAL-path batteries
 //! in `store_properties.rs` and `recovery_properties.rs`:
@@ -14,16 +14,15 @@
 //!    that leaves something on disk (after the segment file is written,
 //!    before the manifest swap) reopens to an all-or-nothing state with
 //!    the unlisted segment garbage-collected, and the store keeps
-//!    working. Runs are sealed in memory, so a load's only file is its
-//!    one segment.
-//! 3. **One load, one segment**: whatever the worker count and however
-//!    many runs the workers seal, a load writes and registers exactly
-//!    one segment, and a load of one run is written once, merging
-//!    nothing.
-//! 4. **A load's segment is a flush's segment**: many merged runs, one
-//!    consumed memtable and a flushed WAL batch of the same corpus
-//!    leave the same file, byte for byte — block layout and skip
-//!    metadata included — whatever order the batch arrives in.
+//!    working. The lists are built in memory, so a load's only file is
+//!    its one segment.
+//! 3. **One load, one segment**: whatever the worker count, a load
+//!    writes and registers exactly one segment.
+//! 4. **A load's segment is a flush's segment**: a load under any
+//!    partitioning of the vocabulary across workers and a flushed WAL
+//!    batch of the same corpus leave the same file, byte for byte —
+//!    block layout and skip metadata included — whatever order the
+//!    batch arrives in.
 
 use std::collections::BTreeMap;
 
@@ -82,13 +81,9 @@ fn tiny_policy() -> SegmentPolicy {
     }
 }
 
-/// Tiny runs and single-worker-unfriendly settings so small corpora
-/// still exercise multi-run seals and the k-way merge.
+/// Several workers, so even small corpora split their vocabulary.
 fn tiny_bulk() -> BulkConfig {
-    BulkConfig {
-        workers: 3,
-        run_postings: 6,
-    }
+    BulkConfig { workers: 3 }
 }
 
 /// A store's bit-pattern top-12 through the cursor pipeline the
@@ -262,7 +257,7 @@ proptest! {
         corpus in prop::collection::vec(arb_doc(), 1..30),
         boundary in 0usize..2,
     ) {
-        let failpoint = [BulkFailpoint::AfterMerge, BulkFailpoint::BeforeManifest][boundary];
+        let failpoint = [BulkFailpoint::AfterWrite, BulkFailpoint::BeforeManifest][boundary];
         let dir = ScratchDir::new("bulk-crash");
         let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
 
@@ -331,7 +326,6 @@ proptest! {
         history in prop::collection::vec(arb_op(), 0..8),
         corpus in prop::collection::vec(arb_doc(), 1..40),
         workers in 1usize..=4,
-        run_postings in prop_oneof![1usize..8, Just(1usize << 20)],
     ) {
         // The store under test and a twin with the same history: the
         // twin's plain flush counts what the load's own memtable seal
@@ -348,20 +342,13 @@ proptest! {
         let sealed = twin.segment_count() - before;
 
         let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
-        let config = BulkConfig { workers, run_postings };
-        let stats = store.bulk_load(&docs, config).expect("bulk load");
+        store.bulk_load(&docs, BulkConfig { workers }).expect("bulk load");
         prop_assert_eq!(
             store.segment_count(),
             before + sealed + 1,
-            "{} runs from {} workers commit one segment",
-            stats.runs,
+            "{} workers commit one segment",
             workers
         );
-        if stats.runs == 1 {
-            prop_assert_eq!(stats.merge_bytes, 0, "a lone run is written once, not merged");
-        } else {
-            prop_assert!(stats.merge_bytes > 0);
-        }
         prop_assert_eq!(stray_files(&dir), Vec::<String>::new());
         for doc in docs {
             live.insert(doc.id.0, doc);
@@ -405,7 +392,7 @@ proptest! {
         corpus in prop::collection::vec(arb_doc(), 0..40),
     ) {
         let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
-        let one_run = BulkConfig { workers: 1, run_postings: usize::MAX };
+        let one_run = BulkConfig { workers: 1 };
         let runs = loaded_segment("bulk-bytes-runs", &docs, tiny_bulk())?;
         let sealed = loaded_segment("bulk-bytes-one", &docs, one_run)?;
         let flushed = lone_segment("bulk-bytes-wal", |store| {
@@ -429,11 +416,53 @@ proptest! {
     }
 }
 
-/// A load of many runs from several workers, killed once its segment
-/// is written, has put exactly one file on disk — that unlisted
-/// segment, no run or temp file — and reopens to the pre-load state.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn every_partitioning_writes_the_bytes_a_flush_writes(
+        corpus in prop::collection::vec(arb_doc(), 0..40),
+    ) {
+        let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
+        let flushed = lone_segment("bulk-parts-wal", |store| {
+            store.insert(&docs).expect("insert");
+            store.flush().expect("flush");
+        })?;
+        for workers in 1..=8 {
+            let loaded = loaded_segment("bulk-parts", &docs, BulkConfig { workers })?;
+            prop_assert!(loaded == flushed, "{} workers and a flush differ", workers);
+        }
+    }
+}
+
+/// A term id at the top of the `u32` range lands in its worker's share
+/// like any other and reads back from the loaded segment, before and
+/// after a reopen.
 #[test]
-fn a_multi_run_load_puts_one_file_on_disk() {
+fn a_top_of_range_term_loads_and_reads_back() {
+    let dir = ScratchDir::new("bulk-top-term");
+    let top = TermId(u32::MAX - 1);
+    let docs = vec![
+        Document::from_term_counts(DocId(3), GroupId(0), vec![(TermId(2), 1), (top, 4)]),
+        Document::from_term_counts(DocId(7), GroupId(0), vec![(top, 2)]),
+    ];
+    let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+    store.bulk_load(&docs, tiny_bulk()).expect("bulk load");
+    let check = |store: &SegmentStore| {
+        let postings = store.snapshot().live_postings(top);
+        let read: Vec<(u64, u32, u32)> = postings.iter().map(|e| (e.doc, e.count, e.pos)).collect();
+        assert_eq!(read, vec![(3, 4, 1), (7, 2, 0)]);
+        assert_eq!(store.snapshot().term_count(), u32::MAX as usize);
+    };
+    check(&store);
+    drop(store);
+    check(&SegmentStore::open(&dir, tiny_policy()).expect("reopen"));
+}
+
+/// A load from several workers, killed once its segment is written,
+/// has put exactly one file on disk — that unlisted segment, no run or
+/// temp file — and reopens to the pre-load state.
+#[test]
+fn a_many_worker_load_puts_one_file_on_disk() {
     let dir = ScratchDir::new("bulk-one-file");
     let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
     let preload: Vec<Document> = (0..4).map(|id| materialize(id, &[(0, 1)])).collect();
@@ -445,12 +474,9 @@ fn a_multi_run_load_puts_one_file_on_disk() {
     let docs: Vec<Document> = (0..60)
         .map(|id| materialize(id, &[(id % 7, 1 + id % 3), (MAX_TERM - 1, 1)]))
         .collect();
-    let config = BulkConfig {
-        workers: 3,
-        run_postings: 4,
-    };
+    let config = BulkConfig { workers: 3 };
     store
-        .bulk_load_failpoint(&docs, config, BulkFailpoint::AfterMerge)
+        .bulk_load_failpoint(&docs, config, BulkFailpoint::AfterWrite)
         .expect("an aborted bulk load is not an error");
     drop(store);
 
@@ -467,7 +493,7 @@ fn a_multi_run_load_puts_one_file_on_disk() {
     assert_eq!(files_ending(&dir, &[".zseg"]), listed, "open collects it");
     check_snapshot(&reopened.snapshot(), &before).expect("nothing landed");
     let stats = reopened.bulk_load(&docs, config).expect("retry bulk");
-    assert!(stats.runs > 3, "the load sealed many runs: {}", stats.runs);
+    assert_eq!(stats.docs, docs.len());
     let mut all = before;
     all.extend(docs.into_iter().map(|d| (d.id.0, d)));
     check_snapshot(&reopened.snapshot(), &all).expect("the retry landed");

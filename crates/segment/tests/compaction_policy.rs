@@ -80,10 +80,7 @@ fn policy_cost(docs: &[Document], max_segments: usize) -> PolicyCost {
     let dir = ScratchDir::new("compaction-policy");
     let registry = MetricsRegistry::new();
     let store = SegmentStore::open_observed(&dir, policy, &registry).unwrap();
-    let one_segment = BulkConfig {
-        workers: 1,
-        ..BulkConfig::default()
-    };
+    let one_segment = BulkConfig { workers: 1 };
     store.bulk_load(base, one_segment).unwrap();
     assert_eq!(store.segment_count(), 1);
     let mut base_file = largest_segment(&dir);

@@ -187,10 +187,7 @@ fn check_schedule(
         // the middle third, whose copies in the first are stale (other
         // counts, plus a term no base document has), so a newer load
         // must shadow an older one.
-        let config = BulkConfig {
-            workers: 3,
-            run_postings: 16,
-        };
+        let config = BulkConfig { workers: 3 };
         let (lo, hi) = (base.len() / 3, (2 * base.len()).div_ceil(3));
         let stale = |doc: &Document| {
             let mut terms: Vec<(TermId, u32)> =
@@ -511,4 +508,76 @@ fn a_pinned_snapshot_keeps_its_world_while_writes_fold_in() -> Result<(), TestCa
     prop_assert_eq!((replayed.segment_len(), replayed.delta_len()), (1, 1));
     assert_matches_oracle(&replayed, &live, "after the WAL replay")?;
     Ok(())
+}
+
+/// The names and bytes of every file in `dir`, sorted.
+fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .map(|path| {
+            let name = path
+                .file_name()
+                .expect("a file")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A document that breaks `Document`'s invariant — a repeated term id,
+/// misordered term ids, or counts whose sum overflows a `u32` — is
+/// refused at the store's door with a typed error, and the refused
+/// call writes nothing: not to the WAL (a flush and a reopen see only
+/// the good documents), not as a bulk segment.
+#[test]
+fn a_malformed_document_is_refused_with_nothing_written() {
+    use zerber_segment::SegmentError::MalformedDocument;
+    let malformed = |terms: Vec<(TermId, u32)>| Document {
+        id: DocId(9),
+        group: GroupId(0),
+        length: 3,
+        terms,
+    };
+    let shapes = [
+        malformed(vec![(TermId(4), 1), (TermId(4), 2)]),
+        malformed(vec![(TermId(5), 1), (TermId(4), 2)]),
+        malformed(vec![(TermId(1), u32::MAX), (TermId(2), 1)]),
+    ];
+    for bad in shapes {
+        let dir = ScratchDir::new("malformed");
+        let store = SegmentStore::open(&dir, SegmentPolicy::default()).expect("open");
+        let good = vec![materialize(1, &[(4, 2)]), materialize(2, &[(4, 1), (7, 1)])];
+        store.insert(&good).expect("a good batch");
+        let before = files(&dir);
+
+        let inserted = store.insert(&[good[0].clone(), bad.clone()]).map(drop);
+        assert!(
+            matches!(inserted, Err(MalformedDocument(DocId(9)))),
+            "{inserted:?}"
+        );
+        assert_eq!(files(&dir), before, "insert wrote nothing");
+        let loaded = store.bulk_load(vec![good[1].clone(), bad], BulkConfig::default());
+        assert!(
+            matches!(loaded, Err(MalformedDocument(DocId(9)))),
+            "{loaded:?}"
+        );
+        assert_eq!(files(&dir), before, "bulk_load wrote nothing");
+
+        store.flush().expect("the flush completes");
+        drop(store);
+        let reopened = SegmentStore::open(&dir, SegmentPolicy::default()).expect("reopen");
+        let live: BTreeMap<u32, Document> = good.into_iter().map(|d| (d.id.0, d)).collect();
+        assert_eq!(reopened.snapshot().live_doc_count(), live.len());
+        assert!(!reopened.snapshot().contains_doc(DocId(9)));
+        for term in [4, 7] {
+            assert_eq!(
+                reopened.snapshot().document_frequency(TermId(term)),
+                oracle_df(&live, term)
+            );
+        }
+    }
 }

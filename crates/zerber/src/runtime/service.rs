@@ -170,8 +170,8 @@ impl WriteOp {
     /// Applies the write and returns its acknowledgement. A bulk batch
     /// replaces older copies of its documents exactly like an insert
     /// batch, but skips the WAL and builds segments directly (the
-    /// SPIMI path in `zerber-segment`), which takes the batch by value
-    /// and frees it once its runs are sealed.
+    /// bulk path in `zerber-segment`), which takes the batch by value
+    /// and frees it once its lists are built.
     fn apply(self, store: &SegmentStore) -> Result<Message, SegmentError> {
         match self {
             WriteOp::Insert(docs) => store.insert(&docs).map(|_| Message::InsertOk),

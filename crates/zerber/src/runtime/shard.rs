@@ -20,25 +20,16 @@ use zerber_net::WireDocument;
 use zerber_obs::MetricsRegistry;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
-/// Validates and converts one wire document. Wire input is untrusted:
-/// unsorted or duplicate terms would violate `Document`'s invariant
-/// (and panic deep in the index), and so would counts whose sum does
-/// not fit a `u32` — the store lays each term's occurrences out after
-/// the smaller terms', as `u32` token positions — so both are refused
-/// here.
+/// Converts one wire document, refusing one that breaks `Document`'s
+/// invariant ([`Document::is_well_formed`]): wire input is untrusted.
 pub(crate) fn from_wire(wire: WireDocument) -> Option<Document> {
-    let sorted = wire.terms.windows(2).all(|w| w[0].0 < w[1].0);
-    let positions_fit = wire
-        .terms
-        .iter()
-        .try_fold(0u32, |end, &(_, count)| end.checked_add(count))
-        .is_some();
-    (sorted && positions_fit).then_some(Document {
+    let doc = Document {
         id: wire.doc,
         group: wire.group,
         terms: wire.terms,
         length: wire.length,
-    })
+    };
+    doc.is_well_formed().then_some(doc)
 }
 
 /// Where one peer's replica stores live, and under which policy: the

@@ -268,7 +268,7 @@ impl ShardedSearch {
     /// `owner`. Routing, replacement, accounting and error semantics
     /// are those of [`ShardedSearch::insert_documents`], but the batch
     /// ships as [`Message::BulkLoad`], so a segmented replica builds
-    /// block-compressed segments through the parallel SPIMI path (no
+    /// block-compressed segments through the parallel bulk path (no
     /// WAL write) instead of journaling every posting. Each replica
     /// builds its *own* copy of the shard from the same wire batch, so
     /// replicas stay bit-identical without shipping segment files.

@@ -416,7 +416,7 @@ fn prometheus_exposition_parses_with_required_families() {
     }
     store.flush().expect("flush");
     store.compact().expect("compact");
-    // And one offline bulk load, so the SPIMI instruments carry
+    // And one offline bulk load, so the bulk instruments carry
     // samples too.
     let bulk: Vec<Document> = (500..560u32)
         .map(|d| {
@@ -435,12 +435,8 @@ fn prometheus_exposition_parses_with_required_families() {
     let moved = |name: &str| metrics.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(moved("zerber_segment_bulk_docs_total"), bulk.len() as u64);
     assert_eq!(
-        moved("zerber_segment_bulk_runs_total"),
-        bulk_stats.runs as u64
-    );
-    assert_eq!(
-        moved("zerber_segment_bulk_merge_bytes_total"),
-        bulk_stats.merge_bytes
+        moved("zerber_segment_bulk_docs_total"),
+        bulk_stats.docs as u64
     );
 
     let text = search
