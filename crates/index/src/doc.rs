@@ -76,14 +76,17 @@ impl Document {
     }
 
     /// Whether the document holds its invariant: term ids strictly
-    /// ascending (so none repeats), and counts whose sum fits a `u32`
-    /// — a store lays each term's occurrences out after the smaller
-    /// terms', as `u32` token positions. Every door a document enters
-    /// a store through (the wire, `insert`, `bulk_load`) refuses one
-    /// that fails this, rather than panic deep in the index.
+    /// ascending (so none repeats) and below `u32::MAX`, as a store
+    /// keeps one slot per id up to the largest and that count must fit
+    /// a `u32`; and counts whose sum fits a `u32`, as a store lays each
+    /// term's occurrences out after the smaller terms' as `u32` token
+    /// positions. Every door a document enters a store through (the
+    /// wire, `insert`, `bulk_load`) refuses one that fails this,
+    /// rather than panic deep in the index.
     pub fn is_well_formed(&self) -> bool {
         let ascending = self.terms.windows(2).all(|w| w[0].0 < w[1].0);
         ascending
+            && self.terms.last().is_none_or(|&(term, _)| term.0 < u32::MAX)
             && self
                 .terms
                 .iter()
@@ -166,7 +169,8 @@ mod tests {
             terms,
         };
         assert!(doc(vec![]).is_well_formed());
-        assert!(doc(vec![(TermId(1), 2), (TermId(u32::MAX), u32::MAX - 2)]).is_well_formed());
+        assert!(!doc(vec![(TermId(1), 2), (TermId(u32::MAX), u32::MAX - 2)]).is_well_formed());
+        assert!(doc(vec![(TermId(1), 2), (TermId(u32::MAX - 1), u32::MAX - 2)]).is_well_formed());
         assert!(!doc(vec![(TermId(5), 2), (TermId(5), 3)]).is_well_formed());
         assert!(!doc(vec![(TermId(6), 1), (TermId(5), 1)]).is_well_formed());
         assert!(!doc(vec![(TermId(1), u32::MAX), (TermId(2), 1)]).is_well_formed());

@@ -546,6 +546,7 @@ fn a_malformed_document_is_refused_with_nothing_written() {
         malformed(vec![(TermId(4), 1), (TermId(4), 2)]),
         malformed(vec![(TermId(5), 1), (TermId(4), 2)]),
         malformed(vec![(TermId(1), u32::MAX), (TermId(2), 1)]),
+        malformed(vec![(TermId(4), 1), (TermId(u32::MAX), 2)]),
     ];
     for bad in shapes {
         let dir = ScratchDir::new("malformed");

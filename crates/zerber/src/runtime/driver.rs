@@ -13,7 +13,7 @@ use zerber_net::{AuthToken, NodeId};
 
 use super::membership::{MembershipTable, PeerStatus};
 use super::placement::{ShardMap, ShardMove};
-use super::repair::{self, rebuild_shard, Backoff, RepairError, RepairStats};
+use super::repair::{self, rebuild_shard, RepairError, RepairStats};
 use super::service::ShardService;
 use super::ShardedSearch;
 
@@ -180,7 +180,6 @@ impl ShardedSearch {
     /// serving the old assignment.
     fn migrate(&self, next: ShardMap, moves: &[ShardMove]) -> Result<RepairStats, RepairError> {
         for mv in moves {
-            let mut backoff = Backoff::for_seed(u64::from(mv.shard) ^ 0x0B5E_55ED_B00F_FEED);
             for &target in &mv.gained {
                 repair::begin_install(
                     self.transport.as_ref(),
@@ -188,7 +187,6 @@ impl ShardedSearch {
                     AuthToken(0),
                     NodeId::IndexServer(target),
                     mv.shard,
-                    &mut backoff,
                 )?;
             }
         }

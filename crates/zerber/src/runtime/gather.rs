@@ -209,9 +209,10 @@ pub(crate) fn hedged_fan_out(
     let base = Instant::now();
     // Phase 1: the primary attempt for every shard — sends only, so
     // every shard's work overlaps. In process a send returns at once;
-    // over sockets it can block on a dial, the in-flight cap or a
-    // retry backoff (see `Transport::begin_traced`), and the shards
-    // behind it wait their turn to be sent.
+    // over sockets it can block on a dial or the in-flight cap (see
+    // `Transport::begin_traced`), and the shards behind it wait their
+    // turn to be sent. A send that fails is not sent again here: the
+    // hedge tries the next replica.
     let mut primaries: Vec<Option<PendingReply>> = shards
         .iter()
         .map(|(_, replicas, payload)| {

@@ -20,13 +20,13 @@
 //! | `write` | coordinator | the write fan-out: route → begin every shard → settle (retry, then taint) → account, for insert, bulk load and delete |
 //! | `driver` | coordinator | membership and repair: heartbeat, kill / revive / repair, join / leave, the membership gauge — and the only two host-dependent steps (the table on [`ShardedSearch::connect`]) |
 //! | `gather` | coordinator | the hedged fan-out (first live replica per shard wins, the dead are reported) and the threshold-bounded top-k merge, provably identical to single-node evaluation (`tests/sharded_topk.rs`) |
-//! | `repair` | coordinator | the wire protocol of one shard shipment, the three install-frame shapes, the retry backoff |
+//! | `repair` | coordinator | the wire protocol of one shard shipment, the three install-frame shapes, and `retry`, the one loop that sends a request again (seeded backoff), shared by repair hops and the write fan-out |
 //! | `placement` | coordinator | [`ShardMap`]: the document → shard hash table fixed at launch, and each shard's live home peer and successor replicas under join / leave |
 //! | `membership`, `stats`, `obs` | coordinator | the Up / Suspect / Down table heartbeats feed; `TermStats` (the global IDF source) and the per-document registry that keeps it exact; [`RuntimeObs`], the per-deployment metrics and trace sinks |
 //! | `service` | peer | what each frame does: [`ServerService`] (share-holding index server) and [`ShardService`], a (state × frame) decision table with one constructor, [`ShardService::for_peer`] |
 //! | `shard` | peer | what sits around a shard's one store (`zerber_segment::SegmentStore`): wire ↔ `Document`, where a replica's files live, open-empty, install-and-reopen |
 //! | `peer` | peer | how a service gets its frames: [`PeerService`], the one service loop, [`PeerRuntime`]'s threads and inboxes |
-//! | `transport`, [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
+//! | `transport`, [`socket`] | between | the message-passing substrate: exact [`zerber_net::Message`] wire bytes, metered per link, a [`PendingReply`] per request, one attempt per send — [`InProcTransport`], and [`socket::SocketTransport`] / [`socket::serve_peer`] over length-framed TCP |
 //! | [`fault`] | between | the deterministic chaos harness: seeded drops, delays, duplicates, torn writes, kills |
 //! | `handle` | share path | [`RuntimeHandle`], the share path's client stub |
 //!

@@ -1,6 +1,7 @@
 //! The repair controller: rebuilds a dead (or joining) replica's
 //! shard copy by streaming a live replica's snapshot over the wire,
-//! with capped-exponential-backoff retries on every hop.
+//! with capped-exponential-backoff retries on every hop — and the one
+//! retry loop ([`retry`]) that those hops and the write fan-out share.
 //!
 //! One rebuild is four phases of [`Message`] frames, one frame per
 //! step, in an order chosen so that **no acknowledged write can be
@@ -28,75 +29,66 @@
 //! controller against the manifest, once by the target against the
 //! frame.
 //!
-//! Retries use [`Backoff`]: capped exponential delay with seeded
-//! (deterministic) jitter, so chaos tests reproduce from a seed while
-//! real deployments still avoid thundering-herd redials. Only
+//! Retrying is the coordinator's alone: a transport's `begin` is one
+//! attempt, and [`retry`] is the only loop that sends again. It sleeps
+//! a [`Backoff`] between attempts — capped exponential delay with
+//! seeded (deterministic) jitter, so chaos tests reproduce from a seed
+//! while real deployments still avoid thundering-herd redials. Only
 //! *transport* errors retry — a typed fault is the peer answering
 //! "no", and repeating the question would not change the answer.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use zerber_net::framing::crc32;
 use zerber_net::{AuthToken, Message, NodeId};
 
 use crate::runtime::obs::RuntimeObs;
-use crate::runtime::transport::{link_key, mix, Transport, TransportError};
+use crate::runtime::transport::{
+    link_key, mix, request_payload, RequestPayload, Transport, TransportError, DEFAULT_RPC_TIMEOUT,
+};
 
 /// How many times each repair RPC is attempted before the rebuild is
 /// abandoned (transport errors only; faults never retry).
-pub(crate) const REPAIR_RPC_ATTEMPTS: u32 = 4;
+const REPAIR_RPC_ATTEMPTS: u32 = 4;
 
-/// Default first retry delay.
-pub(crate) const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(2);
+/// First retry delay.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
 
-/// Default retry-delay ceiling.
-pub(crate) const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(100);
+/// Retry-delay ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// Capped exponential backoff with deterministic jitter.
 ///
-/// Attempt `n` waits a uniformly jittered duration in
-/// `[d/2, d]` where `d = min(cap, base · 2ⁿ)` — exponential growth
-/// bounds retry pressure, the cap bounds worst-case latency, and the
-/// half-to-full jitter window desynchronizes concurrent retriers
-/// without ever collapsing the delay to zero.
+/// Attempt `n` waits a uniformly jittered duration in `[d/2, d]`
+/// where `d = min(BACKOFF_CAP, BACKOFF_BASE · 2ⁿ)` — exponential
+/// growth bounds retry pressure, the cap bounds worst-case latency,
+/// and the half-to-full jitter window desynchronizes concurrent
+/// retriers without ever collapsing the delay to zero.
 #[derive(Debug, Clone)]
-pub(crate) struct Backoff {
-    base: Duration,
-    cap: Duration,
+struct Backoff {
     attempt: u32,
     state: u64,
 }
 
 impl Backoff {
-    /// A backoff starting at `base`, capped at `cap`, jittered from
-    /// `seed`.
-    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+    /// A backoff jittered from `seed`.
+    fn for_seed(seed: u64) -> Self {
         Self {
-            base,
-            cap,
             attempt: 0,
             state: seed,
         }
     }
 
-    /// The defaults, jittered from `seed`.
-    pub(crate) fn for_seed(seed: u64) -> Self {
-        Self::new(DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_CAP, seed)
-    }
-
     /// The next delay to sleep before retrying. Advances the attempt
     /// counter and the jitter stream.
-    pub(crate) fn next_delay(&mut self) -> Duration {
-        let exp = self
-            .base
+    fn next_delay(&mut self) -> Duration {
+        let exp = BACKOFF_BASE
             .saturating_mul(1u32 << self.attempt.min(16))
-            .min(self.cap);
+            .min(BACKOFF_CAP);
         self.attempt = self.attempt.saturating_add(1);
         self.state = mix(self.state);
         let nanos = exp.as_nanos() as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
         // Uniform in [nanos/2, nanos].
         let jittered = nanos / 2 + self.state % (nanos / 2 + 1);
         Duration::from_nanos(jittered)
@@ -147,45 +139,61 @@ pub struct RepairStats {
     pub bytes: u64,
 }
 
-/// Sends `message` to `to`, retrying transport failures up to
-/// `attempts` times with `backoff` sleeps in between. A decoded
-/// response — fault or not — returns immediately: the peer is alive
-/// and has spoken.
-fn retry_request(
+/// The coordinator's one retry loop: sends what `encode` builds to
+/// `to` once per attempt in `attempts`, until one is answered. The
+/// attempts are numbered from the request's first send, so a caller
+/// that made attempt 0 itself (the write fan-out) passes `1..n`; every
+/// attempt but the zeroth sleeps a [`Backoff`] first, seeded from the
+/// link and `shard`. Only a transport error sends again: a decoded
+/// answer — fault or not — returns at once, as the peer is alive and
+/// has spoken. An empty range sends nothing and reports the peer gone.
+pub(crate) fn retry(
     transport: &dyn Transport,
     from: NodeId,
     to: NodeId,
     auth: AuthToken,
-    message: &Message,
-    attempts: u32,
-    backoff: &mut Backoff,
+    shard: u32,
+    attempts: Range<u32>,
+    encode: impl Fn() -> RequestPayload,
 ) -> Result<Message, TransportError> {
-    let mut last = None;
-    for attempt in 0..attempts.max(1) {
+    let mut backoff = Backoff::for_seed((u64::from(shard) << 32) ^ link_key(from, to));
+    let mut last = TransportError::PeerGone(to);
+    for attempt in attempts {
         if attempt > 0 {
             std::thread::sleep(backoff.next_delay());
         }
-        match transport.request(from, to, auth, message) {
-            Ok(response) => return Ok(response),
-            Err(e) => last = Some(e),
+        match transport
+            .begin(from, to, auth, encode())
+            .wait(DEFAULT_RPC_TIMEOUT)
+        {
+            Err(error) => last = error,
+            answered => return answered,
         }
     }
-    Err(last.expect("at least one attempt"))
+    Err(last)
 }
 
-/// One repair RPC: transport failures retry [`REPAIR_RPC_ATTEMPTS`]
-/// times under `backoff`; a fault is the peer answering "no" and
-/// becomes [`RepairError::Refused`] at once.
+/// One repair RPC about `shard`: transport failures retry up to
+/// [`REPAIR_RPC_ATTEMPTS`] attempts; a fault is the peer answering
+/// "no" and becomes [`RepairError::Refused`] at once.
 fn repair_rpc(
     transport: &dyn Transport,
     from: NodeId,
     auth: AuthToken,
     to: NodeId,
+    shard: u32,
     message: &Message,
-    backoff: &mut Backoff,
 ) -> Result<Message, RepairError> {
-    let attempts = REPAIR_RPC_ATTEMPTS;
-    match retry_request(transport, from, to, auth, message, attempts, backoff) {
+    let encode = || request_payload(message);
+    match retry(
+        transport,
+        from,
+        to,
+        auth,
+        shard,
+        0..REPAIR_RPC_ATTEMPTS,
+        encode,
+    ) {
         Ok(Message::Fault { code, .. }) => Err(RepairError::Refused { node: to, code }),
         Ok(response) => Ok(response),
         Err(error) => Err(RepairError::Transport(error)),
@@ -213,12 +221,11 @@ pub(crate) fn begin_install(
     auth: AuthToken,
     target: NodeId,
     shard: u32,
-    backoff: &mut Backoff,
 ) -> Result<(), RepairError> {
     let begin = Message::InstallBegin { shard };
     expect_ack(
         "begin",
-        repair_rpc(transport, from, auth, target, &begin, backoff)?,
+        repair_rpc(transport, from, auth, target, shard, &begin)?,
     )
 }
 
@@ -236,21 +243,15 @@ pub(crate) fn rebuild_shard(
     obs: &RuntimeObs,
 ) -> Result<RepairStats, RepairError> {
     let started = Instant::now();
-    // Jitter seeded from the (shard, source, target) triple: two
-    // controllers repairing different shards never share a schedule,
-    // and reruns of the same repair reproduce exactly.
-    let mut backoff = Backoff::for_seed((u64::from(shard) << 32) ^ link_key(source, target));
-    let rpc = |to: NodeId, message: &Message, backoff: &mut Backoff| {
-        repair_rpc(transport, from, auth, to, message, backoff)
-    };
+    let rpc = |to: NodeId, message: &Message| repair_rpc(transport, from, auth, to, shard, message);
 
     // Phase 1 — begin: the target buffers every write it acks from
     // here on, *before* the source freezes its snapshot, so the
     // buffer ∪ snapshot covers all acknowledged writes.
-    begin_install(transport, from, auth, target, shard, &mut backoff)?;
+    begin_install(transport, from, auth, target, shard)?;
 
     // Phase 2 — snapshot the source.
-    let manifest = match rpc(source, &Message::PrepareSnapshot { shard }, &mut backoff)? {
+    let manifest = match rpc(source, &Message::PrepareSnapshot { shard })? {
         Message::SnapshotManifest { shard: got, files } => {
             if got != shard {
                 return Err(RepairError::Protocol(format!(
@@ -273,7 +274,7 @@ pub(crate) fn rebuild_shard(
             shard,
             name: name.clone(),
         };
-        let payload = match rpc(source, &fetch, &mut backoff)? {
+        let payload = match rpc(source, &fetch)? {
             Message::SegmentData {
                 crc: framed,
                 payload,
@@ -297,13 +298,13 @@ pub(crate) fn rebuild_shard(
             crc,
             payload,
         };
-        expect_ack(&what, rpc(target, &install, &mut backoff)?)?;
+        expect_ack(&what, rpc(target, &install)?)?;
     }
 
     // Phase 4 — commit: the target restores, replays its buffer, and
     // cuts over to serving.
     let commit = Message::InstallCommit { shard };
-    expect_ack("commit", rpc(target, &commit, &mut backoff)?)?;
+    expect_ack("commit", rpc(target, &commit)?)?;
 
     let metrics = obs.metrics();
     metrics.repair_rebuilds.inc();
@@ -331,10 +332,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let base = Duration::from_millis(2);
-        let cap = Duration::from_millis(100);
-        let mut a = Backoff::new(base, cap, 42);
-        let mut b = Backoff::new(base, cap, 42);
+        let (base, cap) = (BACKOFF_BASE, BACKOFF_CAP);
+        let mut a = Backoff::for_seed(42);
+        let mut b = Backoff::for_seed(42);
         let delays: Vec<Duration> = (0..12).map(|_| a.next_delay()).collect();
         // Deterministic: same seed, same schedule.
         assert_eq!(delays, (0..12).map(|_| b.next_delay()).collect::<Vec<_>>());
@@ -346,7 +346,51 @@ mod tests {
         // The cap binds: late delays never exceed it.
         assert!(delays[11] <= cap);
         // Different seeds give different jitter somewhere.
-        let mut c = Backoff::new(base, cap, 43);
+        let mut c = Backoff::for_seed(43);
         assert_ne!(delays, (0..12).map(|_| c.next_delay()).collect::<Vec<_>>());
+    }
+
+    /// Over TCP a transport error costs one connection per attempt: a
+    /// listener that hangs up on every connection sees exactly as many
+    /// as the attempt range names, for a repair hop and for a write's
+    /// retries alike.
+    #[test]
+    fn retry_dials_once_per_attempt_over_tcp() {
+        use crate::runtime::socket::SocketTransport;
+        use std::net::{TcpListener, TcpStream};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use zerber_net::TrafficMeter;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let hang_up = {
+            let (accepted, stop) = (Arc::clone(&accepted), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    drop(conn);
+                }
+            })
+        };
+        let transport = SocketTransport::new(Arc::new(TrafficMeter::new()));
+        let to = NodeId::IndexServer(0);
+        transport.register(to, addr);
+        let ping = || request_payload(&Message::Ping);
+        let from = NodeId::Owner(0);
+        for (attempts, dials) in [(0..REPAIR_RPC_ATTEMPTS, 4), (1..3, 2)] {
+            accepted.store(0, Ordering::SeqCst);
+            let outcome = retry(&transport, from, to, AuthToken(0), 0, attempts, ping);
+            assert_eq!(outcome, Err(TransportError::PeerGone(to)));
+            assert_eq!(accepted.load(Ordering::SeqCst), dials);
+        }
+        stop.store(true, Ordering::SeqCst);
+        TcpStream::connect(addr).ok();
+        hang_up.join().unwrap();
     }
 }

@@ -24,7 +24,9 @@
 //! write, a torn frame, or a closed socket kills the link — every
 //! pending request on it resolves to [`TransportError::PeerGone`], and
 //! the next `begin` dials a fresh connection (so a restarted peer is
-//! picked up transparently).
+//! picked up transparently). A `begin` is one attempt: a failed dial
+//! or write fails its pending at once, as a closed in-process inbox
+//! does, and whether to send again is the coordinator's decision.
 //!
 //! # Metering
 //!
@@ -54,8 +56,8 @@ use zerber_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::runtime::peer::{self, PeerService};
 use crate::runtime::transport::{
-    link_key, PeerInbox, PendingReply, ReplyPayload, ReplySink, RequestEnvelope, RequestPayload,
-    Transport, TransportError,
+    PeerInbox, PendingReply, ReplyPayload, ReplySink, RequestEnvelope, RequestPayload, Transport,
+    TransportError,
 };
 
 /// Dial timeout for a new link.
@@ -68,15 +70,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Unanswered requests allowed per link before `begin` blocks
 /// (backpressure toward the caller).
 const MAX_IN_FLIGHT: usize = 64;
-
-/// Extra attempts after a failed dial or a write that killed the
-/// link; each retry re-dials a fresh connection, so a peer that
-/// restarts mid-burst is picked up without the caller noticing.
-const RETRIES: u32 = 2;
-
-/// Base delay of the capped-exponential, seeded-jitter backoff
-/// between retries (the cap is eight doublings above it).
-const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The in-flight gate of one link: counts unanswered requests and
 /// wakes writers as responses drain them. Uses the std primitives
@@ -338,34 +331,41 @@ fn spawn_link_reader(
     });
 }
 
-impl SocketTransport {
-    /// One begin attempt: take (or dial) the link, gate, register the
-    /// pending, write the frame. A `PeerGone` result killed the link,
-    /// so the caller may retry on a fresh connection.
-    fn begin_attempt(
+impl Transport for SocketTransport {
+    fn meter(&self) -> &Arc<TrafficMeter> {
+        &self.meter
+    }
+
+    /// One attempt: take (or dial) the link, gate, register the
+    /// pending, write the frame. A failure here killed the link (or
+    /// found no peer), so the next `begin` dials fresh; whether to
+    /// send again is the caller's decision.
+    fn begin_traced(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
         trace: u64,
-        payload: &RequestPayload,
-    ) -> Result<PendingReply, TransportError> {
-        let link = self.link(from, to)?;
+        payload: RequestPayload,
+    ) -> PendingReply {
+        self.obs.requests.inc();
+        let gone = || PendingReply::failed(to, TransportError::PeerGone(to));
+        let link = match self.link(from, to) {
+            Ok(link) => link,
+            Err(error) => return PendingReply::failed(to, error),
+        };
         if !link.inflight.acquire(MAX_IN_FLIGHT) {
-            return Err(TransportError::PeerGone(to));
+            return gone();
         }
         let id = link.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let mut pending = link.pending.lock();
-            match pending.as_mut() {
-                Some(map) => {
-                    map.insert(id, tx);
-                }
-                None => {
-                    link.inflight.release();
-                    return Err(TransportError::PeerGone(to));
-                }
+        match link.pending.lock().as_mut() {
+            Some(map) => {
+                map.insert(id, tx);
+            }
+            None => {
+                link.inflight.release();
+                return gone();
             }
         }
         let frame = Frame::Request {
@@ -395,48 +395,9 @@ impl SocketTransport {
             self.obs.write_failures.inc();
             link.pending.lock().take();
             link.inflight.kill();
-            return Err(TransportError::PeerGone(to));
+            return gone();
         }
-        Ok(PendingReply::from_channel(to, rx))
-    }
-}
-
-impl Transport for SocketTransport {
-    fn meter(&self) -> &Arc<TrafficMeter> {
-        &self.meter
-    }
-
-    fn begin_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        auth: AuthToken,
-        trace: u64,
-        payload: RequestPayload,
-    ) -> PendingReply {
-        self.obs.requests.inc();
-        let mut backoff = crate::runtime::repair::Backoff::new(
-            RETRY_BACKOFF,
-            RETRY_BACKOFF.saturating_mul(1 << 8),
-            link_key(from, to),
-        );
-        let mut last = TransportError::PeerGone(to);
-        for attempt in 0..=RETRIES {
-            if attempt > 0 {
-                thread::sleep(backoff.next_delay());
-            }
-            match self.begin_attempt(from, to, auth, trace, &payload) {
-                Ok(pending) => return pending,
-                // An unregistered peer cannot be retried into
-                // existence; everything else killed the link, so the
-                // next attempt dials fresh.
-                Err(error @ TransportError::UnknownPeer(_)) => {
-                    return PendingReply::failed(to, error)
-                }
-                Err(error) => last = error,
-            }
-        }
-        PendingReply::failed(to, last)
+        PendingReply::from_channel(to, rx)
     }
 }
 
@@ -444,12 +405,15 @@ impl Transport for SocketTransport {
 /// threads, and listen address. Dropping (or `SocketPeer::shutdown`)
 /// closes the listener and every live connection — clients observe
 /// [`TransportError::PeerGone`], which is exactly what the
-/// kill-a-peer scenario injects.
+/// kill-a-peer scenario injects — and returns only once the service
+/// has been dropped on its own thread.
 pub struct SocketPeer {
     addr: SocketAddr,
     closing: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     accept: Option<thread::JoinHandle<()>>,
+    inbox: std::sync::mpsc::Sender<PeerInbox>,
+    service: Option<thread::JoinHandle<()>>,
 }
 
 impl SocketPeer {
@@ -458,8 +422,10 @@ impl SocketPeer {
         self.addr
     }
 
-    /// Stops accepting, severs every live connection, and joins the
-    /// accept loop.
+    /// Stops accepting, severs every live connection, joins the
+    /// accept loop, then stops and joins the service thread, so the
+    /// service (and whatever scratch space it removes on drop) is
+    /// gone when this returns.
     pub(crate) fn shutdown(&mut self) {
         self.closing.store(true, Ordering::SeqCst);
         for conn in self.conns.lock().iter() {
@@ -468,6 +434,10 @@ impl SocketPeer {
         // Wake the accept loop with a throwaway dial.
         TcpStream::connect_timeout(&self.addr, Duration::from_millis(200)).ok();
         if let Some(handle) = self.accept.take() {
+            handle.join().ok();
+        }
+        let _ = self.inbox.send(PeerInbox::Shutdown);
+        if let Some(handle) = self.service.take() {
             handle.join().ok();
         }
     }
@@ -509,9 +479,10 @@ where
     // meters each response on the peer's meter before handing it to
     // the connection thread for framing).
     let (inbox, requests) = std::sync::mpsc::channel::<PeerInbox>();
-    thread::spawn(move || peer::serve(init(), &requests));
+    let service = thread::spawn(move || peer::serve(init(), &requests));
 
     let accept = {
+        let inbox = inbox.clone();
         let closing = Arc::clone(&closing);
         let conns = Arc::clone(&conns);
         thread::spawn(move || {
@@ -554,6 +525,8 @@ where
         closing,
         conns,
         accept: Some(accept),
+        inbox,
+        service: Some(service),
     })
 }
 
@@ -739,6 +712,71 @@ mod tests {
         assert_eq!(
             transport.request(NodeId::User(0), node, AuthToken(0), &Message::InsertOk),
             Err(TransportError::PeerGone(node))
+        );
+    }
+
+    #[test]
+    fn a_begin_to_a_vacated_address_is_one_attempt() {
+        let transport = SocketTransport::new(Arc::new(TrafficMeter::new()));
+        let node = NodeId::IndexServer(4);
+        let vacated = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        transport.register(node, vacated);
+        // A refused dial fails its pending at once, with no sleep and
+        // no second dial: sending again is the coordinator's call.
+        let started = std::time::Instant::now();
+        for _ in 0..20 {
+            assert_eq!(
+                transport.request(NodeId::User(0), node, AuthToken(0), &Message::Ping),
+                Err(TransportError::PeerGone(node))
+            );
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(150),
+            "20 refused requests took {took:?}"
+        );
+    }
+
+    /// A service that raises `dropped` when its peer thread lets it go.
+    struct DropFlag {
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl PeerService for DropFlag {
+        fn handle(&mut self, _: NodeId, _: AuthToken, _: Message) -> Message {
+            Message::InsertOk
+        }
+    }
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn dropping_a_socket_peer_drops_its_service() {
+        let node = NodeId::IndexServer(2);
+        let dropped = Arc::new(AtomicBool::new(false));
+        let service = DropFlag {
+            dropped: Arc::clone(&dropped),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let meter = Arc::new(TrafficMeter::new());
+        let peer = serve_peer(listener, node, move || service, meter).unwrap();
+        let transport = SocketTransport::new(Arc::new(TrafficMeter::new()));
+        transport.register(node, peer.addr());
+        assert_eq!(
+            transport.request(NodeId::User(0), node, AuthToken(0), &Message::InsertOk),
+            Ok(Message::InsertOk)
+        );
+        drop(peer);
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the service outlived its SocketPeer"
         );
     }
 

@@ -209,12 +209,6 @@ enum PendingState {
     /// The request already failed (unknown peer, dead peer, injected
     /// fault); every wait reports the same error.
     Failed(TransportError),
-    /// The response is withheld until an instant (an injected network
-    /// delay); after that it behaves as the inner pending.
-    Delayed {
-        until: Instant,
-        inner: Box<PendingState>,
-    },
 }
 
 /// One in-flight request: the handle [`Transport::begin`] returns.
@@ -226,6 +220,9 @@ enum PendingState {
 pub struct PendingReply {
     peer: NodeId,
     state: PendingState,
+    /// Nothing resolves before this instant (an injected network
+    /// delay).
+    not_before: Option<Instant>,
 }
 
 impl PendingReply {
@@ -235,6 +232,7 @@ impl PendingReply {
         Self {
             peer,
             state: PendingState::Channel(rx),
+            not_before: None,
         }
     }
 
@@ -244,47 +242,20 @@ impl PendingReply {
         Self {
             peer,
             state: PendingState::Failed(error),
+            not_before: None,
         }
     }
 
-    /// Wraps this pending so its response is withheld for `delay`
-    /// (the fault harness's injected network delay).
-    pub(crate) fn delayed(self, delay: Duration) -> Self {
-        Self {
-            peer: self.peer,
-            state: PendingState::Delayed {
-                until: Instant::now() + delay,
-                inner: Box::new(self.state),
-            },
-        }
+    /// Withholds this pending's outcome for `delay` from now (the
+    /// fault harness's injected network delay).
+    pub(crate) fn delayed(mut self, delay: Duration) -> Self {
+        self.not_before = Some(Instant::now() + delay);
+        self
     }
 
     /// The peer this request went to.
     pub(crate) fn peer(&self) -> NodeId {
         self.peer
-    }
-
-    /// Unwraps elapsed delay layers. Returns the instant the caller
-    /// must not wait past for the *remaining* delay, if any.
-    fn settle_delay(&mut self) -> Option<Instant> {
-        loop {
-            match &self.state {
-                PendingState::Delayed { until, .. } => {
-                    let until = *until;
-                    if Instant::now() < until {
-                        return Some(until);
-                    }
-                    // Delay elapsed: splice the inner state in.
-                    let placeholder = PendingState::Failed(TransportError::Timeout(self.peer));
-                    if let PendingState::Delayed { inner, .. } =
-                        std::mem::replace(&mut self.state, placeholder)
-                    {
-                        self.state = *inner;
-                    }
-                }
-                _ => return None,
-            }
-        }
     }
 
     /// Blocks up to `timeout` for the response.
@@ -294,34 +265,28 @@ impl PendingReply {
     /// answer. Other errors are terminal and repeat on every call.
     pub(crate) fn wait(&mut self, timeout: Duration) -> Result<Message, TransportError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(until) = self.settle_delay() {
-                if until >= deadline {
-                    // The injected delay outlasts the caller's
-                    // patience: behave exactly like a slow peer.
-                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                    return Err(TransportError::Timeout(self.peer));
-                }
-                std::thread::sleep(until.saturating_duration_since(Instant::now()));
-                continue;
+        if let Some(until) = self.not_before {
+            if until >= deadline {
+                // The injected delay outlasts the caller's patience:
+                // behave exactly like a slow peer.
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return Err(TransportError::Timeout(self.peer));
             }
-            match &mut self.state {
-                PendingState::Failed(error) => return Err(*error),
-                PendingState::Channel(rx) => {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    return match rx.recv_timeout(budget) {
-                        Ok(bytes) => Message::decode(&bytes).map_err(TransportError::Wire),
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            Err(TransportError::Timeout(self.peer))
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            let error = TransportError::PeerGone(self.peer);
-                            self.state = PendingState::Failed(error);
-                            Err(error)
-                        }
-                    };
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        match &mut self.state {
+            PendingState::Failed(error) => Err(*error),
+            PendingState::Channel(rx) => {
+                let budget = deadline.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(budget) {
+                    Ok(bytes) => Message::decode(&bytes).map_err(TransportError::Wire),
+                    Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout(self.peer)),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        let error = TransportError::PeerGone(self.peer);
+                        self.state = PendingState::Failed(error);
+                        Err(error)
+                    }
                 }
-                PendingState::Delayed { .. } => unreachable!("settled above"),
             }
         }
     }
@@ -329,7 +294,7 @@ impl PendingReply {
     /// Non-blocking poll: `Some` once the request has resolved (a
     /// response or a terminal error), `None` while still in flight.
     pub(crate) fn try_take(&mut self) -> Option<Result<Message, TransportError>> {
-        if self.settle_delay().is_some() {
+        if self.not_before.is_some_and(|until| Instant::now() < until) {
             return None;
         }
         match &mut self.state {
@@ -343,7 +308,6 @@ impl PendingReply {
                     Some(Err(error))
                 }
             },
-            PendingState::Delayed { .. } => unreachable!("settled above"),
         }
     }
 }
@@ -356,15 +320,17 @@ pub trait Transport: Send + Sync {
 
     /// Sends one pre-encoded request carrying a query-trace id and
     /// returns the in-flight handle; failures surface when the
-    /// returned pending is waited on. In process it never blocks on
-    /// the peer. Over `socket::SocketTransport` it can, three ways:
-    /// dialling a new link waits up to `CONNECT_TIMEOUT` (5 s), a link
-    /// with `MAX_IN_FLIGHT` (64) unanswered requests holds the send
-    /// until one drains, and a failed dial or write sleeps a backoff
-    /// before each of up to `RETRIES` (2) re-dials. This is the one
-    /// required send primitive; implementations must propagate `trace`
-    /// onto the peer's `RequestEnvelope` (and, for the socket
-    /// transport, onto the wire frame).
+    /// returned pending is waited on. It is one attempt on every
+    /// transport: nothing here sends twice, and a failed send is a
+    /// failed pending, so retrying is the caller's decision (the
+    /// coordinator's one retry loop, `repair::retry`). In process it
+    /// never blocks on the peer. Over `socket::SocketTransport` it
+    /// can, two ways: dialling a new link waits up to
+    /// `CONNECT_TIMEOUT` (5 s), and a link with `MAX_IN_FLIGHT` (64)
+    /// unanswered requests holds the send until one drains. This is
+    /// the one required send primitive; implementations must
+    /// propagate `trace` onto the peer's `RequestEnvelope` (and, for
+    /// the socket transport, onto the wire frame).
     fn begin_traced(
         &self,
         from: NodeId,

@@ -15,11 +15,16 @@ use std::sync::Arc;
 use zerber_index::{DocId, Document};
 use zerber_net::{AuthToken, DocumentFrame, Message, NodeId};
 
-use super::repair::Backoff;
+use super::repair;
 use super::transport::{
     request_payload, PendingReply, RequestPayload, TransportError, DEFAULT_RPC_TIMEOUT,
 };
 use super::ShardedSearch;
+
+/// How many times a write is sent to each replica before the replica
+/// is tainted: the fan-out's send, then the retries of
+/// [`repair::retry`] (transport errors only; faults never retry).
+const WRITE_ATTEMPTS: u32 = 3;
 
 /// Why a live mutation did not land.
 #[derive(Debug)]
@@ -122,7 +127,8 @@ impl ShardedSearch {
     ///   ([`IngestError::Rejected`], no epoch bump, cache intact) —
     ///   the store itself said no, and retrying cannot change that;
     /// * a **transport failure** retries briefly with jittered
-    ///   backoff; a replica that still will not take the write is
+    ///   backoff, up to [`WRITE_ATTEMPTS`] sends in all; a replica
+    ///   that still will not take the write is
     ///   *tainted* — excluded from query fan-out until
     ///   [`ShardedSearch::repair_peer`] re-ships it the shard
     ///   (re-shipping is idempotent: replay applies documents by id);
@@ -153,30 +159,24 @@ impl ShardedSearch {
                 }
             }
         }
-        let mut backoff = Backoff::for_seed(u64::from(write.shard) ^ 0x57A7_E0F5_ED11_BEEF);
         for peer in retry {
-            let mut landed = false;
-            for _ in 0..2 {
-                std::thread::sleep(backoff.next_delay());
-                let to = NodeId::IndexServer(peer);
-                match self
-                    .transport
-                    .begin(from, to, AuthToken(0), encode())
-                    .wait(DEFAULT_RPC_TIMEOUT)
-                {
-                    Ok(Message::Fault { code, .. }) => return Err(IngestError::Rejected { code }),
-                    Ok(response) => {
-                        merge_write_ack(&mut best, response);
-                        landed = true;
-                        break;
-                    }
-                    Err(error) => last_error = Some(error),
+            match repair::retry(
+                self.transport.as_ref(),
+                from,
+                NodeId::IndexServer(peer),
+                AuthToken(0),
+                write.shard,
+                1..WRITE_ATTEMPTS,
+                &encode,
+            ) {
+                Ok(Message::Fault { code, .. }) => return Err(IngestError::Rejected { code }),
+                Ok(response) => merge_write_ack(&mut best, response),
+                Err(error) => {
+                    last_error = Some(error);
+                    // The replica missed an acknowledged write: it may
+                    // not serve queries again until repaired.
+                    self.tainted.lock().insert(peer);
                 }
-            }
-            if !landed {
-                // The replica missed an acknowledged write: it may
-                // not serve queries again until repaired.
-                self.tainted.lock().insert(peer);
             }
         }
         best.ok_or_else(|| {
@@ -310,6 +310,45 @@ mod tests {
     use crate::ZerberConfig;
     use zerber_index::{GroupId, TermId};
     use zerber_query::{Forced, QueryShape};
+
+    /// A write to a dead replica is sent [`WRITE_ATTEMPTS`] times in
+    /// all, then taints it; a repair hop to it is sent four times,
+    /// then gives up. Each send is one `begin` on the harness, which
+    /// counts them.
+    #[test]
+    fn a_dead_replica_costs_three_write_sends_and_four_per_repair_hop() {
+        use crate::runtime::fault::{FaultInjectTransport, FaultPlan};
+        use crate::runtime::repair::RepairError;
+
+        let config = ZerberConfig::default().with_peers(2).with_replication(2);
+        let mut harness = None;
+        let search = ShardedSearch::launch_with_transport(&config, &[], |inner| {
+            let chaos = Arc::new(FaultInjectTransport::new(inner, FaultPlan::quiet(3)));
+            harness = Some(Arc::clone(&chaos));
+            chaos
+        })
+        .unwrap();
+        let chaos = harness.unwrap();
+        let dead = NodeId::IndexServer(1);
+        chaos.kill(dead);
+
+        let doc = Document::from_term_counts(DocId(1), GroupId(0), vec![(TermId(2), 1)]);
+        let before = chaos.requests_seen();
+        assert_eq!(search.insert_documents(0, &[doc]).unwrap(), 1);
+        assert_eq!(
+            chaos.requests_seen() - before,
+            1 + u64::from(WRITE_ATTEMPTS)
+        );
+        assert_eq!(search.tainted_peers(), [1]);
+
+        let before = chaos.requests_seen();
+        let repaired = search.repair_peer(1);
+        assert!(
+            matches!(repaired, Err(RepairError::Transport(TransportError::PeerGone(node))) if node == dead),
+            "{repaired:?}"
+        );
+        assert_eq!(chaos.requests_seen() - before, 4, "one hop, four sends");
+    }
 
     /// A batch that fails on one shard still counts on the other: the
     /// frame was already on the live shard's peer, so its documents
