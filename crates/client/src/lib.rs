@@ -25,6 +25,8 @@
 //! Modules: `transport` (the narrow server interface), `owner`,
 //! `batching`, `query`, [`ranking`], `snippets`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod batching;
 pub(crate) mod mixing;
 pub(crate) mod owner;

@@ -124,15 +124,19 @@ pub struct QueryOutcome {
 /// is skipped. Element ids are unique within a list, so both walks
 /// emit each complete share set exactly once.
 ///
+/// An empty `lists` emits nothing and returns `false`.
+///
 /// # Panics
-/// Panics if `lists` is empty or `weights` has a different length.
+/// Panics if `weights` has a different length than `lists`.
 pub fn recombine(
     lists: &[&ShareColumns],
     weights: &[Fp],
     mut emit: impl FnMut(ElementId, Fp),
 ) -> bool {
     assert_eq!(lists.len(), weights.len(), "one Lagrange weight per list");
-    let (first, others) = lists.split_first().expect("at least one list");
+    let Some((first, others)) = lists.split_first() else {
+        return false;
+    };
     let ids = first.elements();
     let aligned = if others.iter().all(|list| list.elements() == ids) {
         ids.len()

@@ -20,6 +20,8 @@
 //! * `entropy` — a Shannon-entropy estimator used to demonstrate the
 //!   incompressibility of secret shares.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod bandwidth;
 pub(crate) mod entropy;
 pub mod framing;

@@ -715,9 +715,8 @@ impl Message {
                     }
                     // `Fp::new` would quietly reduce a value ≥ p; on
                     // the wire that is a second spelling of one share.
-                    let y =
-                        |bytes: &[u8]| u64::from_be_bytes(bytes.try_into().expect("chunks of 8"));
-                    let column = buffer[..share_bytes].chunks_exact(8);
+                    let y = |bytes: &[u8; 8]| u64::from_be_bytes(*bytes);
+                    let column = buffer[..share_bytes].as_chunks::<8>().0.iter();
                     if column.clone().any(|bytes| y(bytes) >= MODULUS) {
                         return Err(WireError::Malformed("y-share not below the modulus"));
                     }

@@ -14,6 +14,8 @@
 //! accessor hands that state to the attack simulations of
 //! `zerber-attacks`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod auth;
 pub(crate) mod groups;
 pub(crate) mod server;

@@ -185,6 +185,14 @@ impl IndexServer {
     /// stored y-share is shifted by this server's delta for that
     /// element (each element is an independent sharing, so each gets
     /// its own zero-constant delta polynomial).
+    ///
+    /// # Panics
+    /// Panics if this server's id is not a server of the scheme `round`
+    /// was generated for.
+    #[expect(
+        clippy::expect_used,
+        reason = "a deployment numbers its servers by the scheme's coordinates, and a round covers every coordinate"
+    )]
     pub fn apply_refresh(&self, round: &RefreshRound) {
         let server = zerber_shamir::ServerId(self.id);
         self.store.update_shares(|element, share| {

@@ -44,9 +44,8 @@ impl Run {
     /// Drops every row of `element`; returns how many there were.
     fn remove(&mut self, element: u64) -> usize {
         let before = self.elements.len();
-        let mut kept = self.elements.iter().map(|&id| id != element);
-        self.shares
-            .retain(|_| kept.next().expect("one share per id"));
+        let mut ids = self.elements.iter();
+        self.shares.retain(|_| ids.next() != Some(&element));
         self.elements.retain(|&id| id != element);
         before - self.elements.len()
     }

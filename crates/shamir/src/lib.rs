@@ -35,6 +35,8 @@
 //! assert!(scheme.reconstruct(&shares[..1]).is_err());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod batch;
 pub(crate) mod error;
 pub(crate) mod proactive;

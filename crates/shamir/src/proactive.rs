@@ -72,6 +72,14 @@ impl RefreshRound {
     }
 
     /// Applies the round to `server`'s share of element `element`.
+    ///
+    /// # Panics
+    /// Panics if `server` is not a server of the scheme the round was
+    /// generated for.
+    #[expect(
+        clippy::expect_used,
+        reason = "a round holds every coordinate of its scheme, so only a foreign server id misses"
+    )]
     pub fn apply(&self, server: ServerId, element: u64, share: Share) -> Share {
         let delta = self
             .delta_for(server, element)

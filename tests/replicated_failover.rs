@@ -69,11 +69,14 @@ fn launch_chaotic(
 fn peer_killed_between_fanout_and_gather_does_not_lose_the_query() {
     let docs = corpus(150, 13);
     let config = ZerberConfig::default().with_peers(4).with_replication(2);
-    let (search, chaos) = launch_chaotic(&config, &docs, FaultPlan::quiet(0));
+    let (mut search, chaos) = launch_chaotic(&config, &docs, FaultPlan::quiet(0));
     let terms = [TermId(2), TermId(9)];
     let expected = local_topk(&docs, &terms, 10);
 
-    // Baseline: healthy replicated deployment matches the oracle.
+    // Baseline: healthy replicated deployment matches the oracle. It
+    // runs under the shipped hedging policy, so a healthy peer that a
+    // busy machine slows past `fast_hedging`'s 3 ms is not a hedge.
+    search.set_hedge_policy(HedgePolicy::default());
     let healthy = search.query(&terms, 10).expect("all peers alive");
     assert_eq!(healthy.ranked, expected);
     assert_eq!(hedges_total(&search), 0, "healthy cluster never hedges");
@@ -84,6 +87,7 @@ fn peer_killed_between_fanout_and_gather_does_not_lose_the_query() {
     // is precisely "died between fan-out and gather".
     let dead = NodeId::IndexServer(1);
     chaos.mute(dead);
+    search.set_hedge_policy(fast_hedging());
     let outcome = search.query(&terms, 10).expect("replica covers the shard");
     assert_eq!(outcome.ranked.len(), expected.len());
     for (got, want) in outcome.ranked.iter().zip(&expected) {
