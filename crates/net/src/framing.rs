@@ -16,7 +16,7 @@
 //! frame     := len:u32 | body | crc32(body):u32
 //!              (len counts body + crc, capped at MAX_FRAME_BODY)
 //! body      := kind:u8 | header | payload
-//! REQUEST   : kind=1 | id:u64 | from:node | auth:u64 | trace:u64 | payload
+//! REQUEST   : kind=3 | id:u64 | from:node | auth:u64 | payload
 //! RESPONSE  : kind=2 | id:u64 | payload
 //! node      := tag:u8 (1=User 2=Owner 3=IndexServer) | index:u32
 //! payload   := one encoded zerber_net::Message
@@ -24,15 +24,14 @@
 //!
 //! `id` correlates a response with its request so one connection can
 //! carry many requests concurrently (pipelining): the client stamps a
-//! fresh id per RPC and the peer echoes it back. `trace` carries the
-//! caller's query-trace id (zero = untraced) so a peer can correlate
-//! its work with the client-side span tree even across processes. The
-//! frame CRC covers the whole body, so a flipped bit anywhere —
+//! fresh id per RPC and the peer echoes it back. Kind 1 is retired:
+//! it was a request that also carried a query-trace id no peer read,
+//! and it now decodes as [`FrameError::BadKind`]. The frame CRC covers the whole body, so a flipped bit anywhere —
 //! header or payload — is detected before `Message::decode` ever sees
 //! the bytes.
 //!
 //! The *accounted* wire bytes of an RPC remain the encoded payload's
-//! length: framing overhead (17–38 B per frame) plays the role of the
+//! length: framing overhead (17–30 B per frame) plays the role of the
 //! envelope in the in-process transport, which the
 //! paper's bandwidth model also excludes (it sizes payloads only).
 
@@ -49,11 +48,10 @@ pub(crate) const MAX_FRAME_BODY: usize = 64 << 20;
 /// Fixed framing overhead per frame: length prefix + CRC.
 pub(crate) const FRAME_OVERHEAD: usize = 4 + 4;
 
-/// The longer of the two headers (a request's): kind, id, node, auth,
-/// trace.
-const MAX_HEADER: usize = 1 + 8 + 5 + 8 + 8;
+/// The longer of the two headers (a request's): kind, id, node, auth.
+const MAX_HEADER: usize = 1 + 8 + 5 + 8;
 
-const KIND_REQUEST: u8 = 1;
+const KIND_REQUEST: u8 = 3;
 const KIND_RESPONSE: u8 = 2;
 
 const NODE_USER: u8 = 1;
@@ -105,8 +103,6 @@ pub enum Frame<P = Vec<u8>> {
         from: NodeId,
         /// The caller's session token.
         auth: AuthToken,
-        /// The caller's query-trace id (zero = untraced).
-        trace: u64,
         /// Encoded request [`crate::Message`] bytes.
         payload: P,
     },
@@ -131,18 +127,11 @@ impl<P: AsRef<[u8]>> Frame<P> {
         // The length prefix counts body + CRC; written last.
         put_u32(&mut out, 0);
         match self {
-            Frame::Request {
-                id,
-                from,
-                auth,
-                trace,
-                ..
-            } => {
+            Frame::Request { id, from, auth, .. } => {
                 out.push(KIND_REQUEST);
                 put_u64(&mut out, *id);
                 put_node(&mut out, *from);
                 put_u64(&mut out, auth.0);
-                put_u64(&mut out, *trace);
             }
             Frame::Response { id, .. } => {
                 out.push(KIND_RESPONSE);
@@ -173,13 +162,11 @@ impl<'a> FrameRef<'a> {
                 id,
                 from,
                 auth,
-                trace,
                 payload,
             } => Frame::Request {
                 id,
                 from,
                 auth,
-                trace,
                 payload: payload.to_vec(),
             },
             Frame::Response { id, payload } => Frame::Response {
@@ -196,7 +183,6 @@ impl<'a> FrameRef<'a> {
                 id: take_u64(&mut body)?,
                 from: take_node(&mut body)?,
                 auth: AuthToken(take_u64(&mut body)?),
-                trace: take_u64(&mut body)?,
                 payload: body,
             }),
             KIND_RESPONSE => Ok(Frame::Response {
@@ -359,7 +345,6 @@ mod tests {
             id: 7,
             from: NodeId::User(3),
             auth: AuthToken(0xFEED),
-            trace: 0xDECAF,
             payload: payload.to_vec(),
         }
     }

@@ -104,7 +104,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 id,
                 from,
                 auth: AuthToken(auth),
-                trace: auth.rotate_left(13),
                 payload: message.encode().to_vec(),
             }
         ),
@@ -125,7 +124,6 @@ proptest! {
             id,
             from: NodeId::User(1),
             auth: AuthToken(id ^ 0xA5A5),
-            trace: id.wrapping_mul(31),
             payload: message.encode().to_vec(),
         };
         let encoded = frame.encode();

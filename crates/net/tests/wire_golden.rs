@@ -1,14 +1,14 @@
 //! The wire format, byte for byte: one instance of every live message
-//! tag (1–3, 8–16, 18, 19, 21–27) and of both frame kinds, pinned as
-//! hex, and the retired tags 17 and 20 refused in their last pinned
-//! shape. A change to the codec's plumbing must leave this file
+//! tag (1–3, 8–16, 18, 19, 21–27) and of both frame kinds (request 3,
+//! response 2), pinned as hex, and the retired tags 17 and 20 and the
+//! retired request kind 1 refused in their last pinned shape. A change to the codec's plumbing must leave this file
 //! passing unmodified; a change to the format has to edit a line here
 //! and say so.
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::{DocId, GroupId, TermId};
-use zerber_net::framing::{Frame, FrameDecoder};
+use zerber_net::framing::{Frame, FrameDecoder, FrameError};
 use zerber_net::message::fault;
 use zerber_net::{AuthToken, Message, NodeId, ShareColumns, StoredShare, WireDocument, WireError};
 
@@ -233,7 +233,6 @@ fn both_frame_kinds_encode_to_their_pinned_bytes() {
         id: 7,
         from: NodeId::Owner(3),
         auth: AuthToken(0xfeed),
-        trace: 0xdecaf,
         payload: unhex("0a000000000000002a"),
     };
     let response = Frame::Response {
@@ -243,8 +242,8 @@ fn both_frame_kinds_encode_to_their_pinned_bytes() {
     let pinned = [
         (
             request,
-            "0000002b0100000000000000070200000003000000000000feed00000000000decaf\
-             0a000000000000002a05b5e206",
+            "000000230300000000000000070200000003000000000000feed\
+             0a000000000000002a9f72906c",
         ),
         (response, "0000001302ffffffffffffffff0b020000000924bfb8c0"),
     ];
@@ -255,4 +254,17 @@ fn both_frame_kinds_encode_to_their_pinned_bytes() {
         assert_eq!(decoder.next_frame(), Ok(Some(frame)));
         assert_eq!(decoder.pending_bytes(), 0);
     }
+}
+
+/// The request frame of kind 1, which also carried a query-trace id,
+/// in its last pinned shape: its CRC holds, and its kind is refused.
+const RETIRED_REQUEST: &str =
+    "0000002b0100000000000000070200000003000000000000feed00000000000decaf\
+     0a000000000000002a05b5e206";
+
+#[test]
+fn the_retired_request_kind_stays_undecodable() {
+    let mut decoder = FrameDecoder::new();
+    decoder.push(&unhex(RETIRED_REQUEST));
+    assert_eq!(decoder.next_frame(), Err(FrameError::BadKind(1)));
 }

@@ -10,10 +10,9 @@
 use std::fmt;
 use std::time::Duration;
 
-/// A query's trace identifier, carried on every request envelope (and
-/// across the socket transport's request frames) so a peer-side
-/// observer can correlate work with the client-side span tree. Zero
-/// means "untraced".
+/// A query's trace identifier: the key its span tree is recorded
+/// under in the coordinator's slow-query log and flight recorder. It
+/// stays on the coordinator; requests to peers do not carry it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
@@ -121,7 +120,7 @@ impl SpanRecord {
 /// wall clock.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryTrace {
-    /// The trace id carried on every request this query sent.
+    /// The trace id, unique within one coordinator.
     pub id: TraceId,
     /// Human label for the query (terms, k).
     pub label: String,

@@ -78,8 +78,8 @@ pub(crate) fn term_frequency(count: u32, length: u32) -> f64 {
     }
 }
 
-/// Skip metadata for one encoded block, kept uncompressed in the block
-/// index.
+/// Skip metadata for one encoded block: the value of its entry in the
+/// list's block index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Smallest doc key in the block.
@@ -119,14 +119,6 @@ impl DecodeError {
         }
     }
 }
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.reason())
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// The width bytes that open every payload.
 const WIDTH_BYTES: usize = 4;
@@ -281,6 +273,10 @@ fn pack(out: &mut Vec<u8>, width: u32, values: impl Iterator<Item = u64>) {
 /// a value wider than 56 bits can straddle. Only a value whose 8-byte
 /// window would pass `src`'s end is assembled byte by byte.
 #[inline(always)]
+#[expect(
+    clippy::expect_used,
+    reason = "`get(at..at + 8)` returned exactly eight bytes"
+)]
 fn read(src: &[u8], index: usize, width: u32) -> u64 {
     if width == 0 {
         return 0;
@@ -497,9 +493,9 @@ impl DecodedBlock {
             self.stride = len;
             self.columns = vec![0; 4 * len];
         }
-        let mut columns = self.columns.chunks_exact_mut(self.stride);
-        let mut next = || &mut columns.next().expect("four columns")[..len];
-        let (docs, counts, lengths) = (next(), next(), next());
+        let (docs, rest) = self.columns.split_at_mut(self.stride);
+        let (counts, lengths) = rest.split_at_mut(self.stride);
+        let (docs, counts, lengths) = (&mut docs[..len], &mut counts[..len], &mut lengths[..len]);
         // Each column runs to the data's end: a window that reads past
         // the column into the next one is masked off.
         let column = |c: usize| &data[layout.starts[c]..];

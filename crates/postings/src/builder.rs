@@ -1,15 +1,18 @@
 //! Construction of block-compressed posting lists.
 
-use crate::block::{encode_block, BlockMeta, RawEntry, BLOCK_SIZE};
-use crate::list::CompressedPostingList;
+use crate::block::{encode_block, RawEntry, BLOCK_SIZE};
+use crate::list::{index_entry, CompressedPostingList, HEAD};
 
 /// Streaming builder: accepts postings in strictly increasing doc-key
 /// order and seals a block every [`BLOCK_SIZE`] postings, so peak
 /// memory is one block regardless of list length.
 #[derive(Debug, Default)]
 pub struct CompressedPostingBuilder {
-    data: Vec<u8>,
-    blocks: Vec<BlockMeta>,
+    /// The list's record so far: room for its head, then the sealed
+    /// blocks' payloads.
+    record: Vec<u8>,
+    /// The sealed blocks' index entries.
+    index: Vec<u8>,
     max_tf: f64,
     pending: Vec<RawEntry>,
     len: usize,
@@ -45,8 +48,12 @@ impl CompressedPostingBuilder {
     }
 
     fn seal_block(&mut self) {
-        let (meta, max_tf) = encode_block(&self.pending, &mut self.data);
-        self.blocks.push(meta);
+        if self.record.is_empty() {
+            self.record.resize(HEAD, 0);
+        }
+        let (meta, max_tf) = encode_block(&self.pending, &mut self.record);
+        self.index
+            .extend_from_slice(&index_entry(&meta, meta.offset - HEAD));
         self.max_tf = self.max_tf.max(max_tf);
         self.pending.clear();
     }
@@ -56,12 +63,7 @@ impl CompressedPostingBuilder {
         if !self.pending.is_empty() {
             self.seal_block();
         }
-        CompressedPostingList {
-            data: self.data,
-            blocks: self.blocks,
-            len: self.len,
-            max_tf: self.max_tf,
-        }
+        CompressedPostingList::seal(self.record, &self.index, self.len, self.max_tf)
     }
 
     /// Convenience: compresses an already-sorted slice of postings.
@@ -92,7 +94,7 @@ mod tests {
         let list = CompressedPostingBuilder::from_sorted((0..256u64).map(entry));
         assert_eq!(list.len(), 256);
         assert_eq!(list.blocks().len(), 2);
-        assert_eq!(list.blocks()[1].len, 128);
+        assert_eq!(list.block(1).len, 128);
         assert_eq!(list.decode_all().len(), 256);
     }
 
@@ -100,7 +102,7 @@ mod tests {
     fn empty_builder_yields_empty_list() {
         let list = CompressedPostingBuilder::new().build();
         assert!(list.is_empty());
-        assert!(list.blocks().is_empty());
+        assert_eq!(list.blocks().len(), 0);
     }
 
     #[test]
@@ -119,10 +121,9 @@ mod tests {
             doc_length: 8,
             pos: i as u32,
         }));
-        let blocks = list.blocks();
-        assert_eq!(blocks[0].first_doc, 0);
-        assert_eq!(blocks[0].last_doc, 254);
-        assert_eq!(blocks[1].first_doc, 256);
+        assert_eq!(list.block(0).first_doc, 0);
+        assert_eq!(list.block(0).last_doc, 254);
+        assert_eq!(list.block(1).first_doc, 256);
         assert!((list.max_tf() - 3.0 / 8.0).abs() < 1e-12);
     }
 }

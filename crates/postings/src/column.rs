@@ -79,8 +79,8 @@ pub fn decode_column_prefix(input: &[u8]) -> Option<(Vec<u64>, usize)> {
         match tag {
             TAG_RAW => {
                 let raw = input.get(cursor..cursor + block.len() * RAW_COLUMN_BYTES)?;
-                for (value, bytes) in block.iter_mut().zip(raw.chunks_exact(RAW_COLUMN_BYTES)) {
-                    *value = u64::from_le_bytes(bytes.try_into().expect("chunks of 8"));
+                for (value, &bytes) in block.iter_mut().zip(raw.as_chunks::<RAW_COLUMN_BYTES>().0) {
+                    *value = u64::from_le_bytes(bytes);
                 }
                 cursor += raw.len();
             }

@@ -47,15 +47,15 @@ const fn build_tables() -> [[u32; 256]; 8] {
 /// The CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8 B")) ^ u64::from(crc);
+    let (words, rest) = bytes.as_chunks::<8>();
+    for &word in words {
+        let word = u64::from_le_bytes(word) ^ u64::from(crc);
         crc = 0;
         for (lane, table) in TABLES.iter().rev().enumerate() {
             crc ^= table[((word >> (8 * lane)) & 0xFF) as usize];
         }
     }
-    for &byte in chunks.remainder() {
+    for &byte in rest {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc

@@ -27,9 +27,18 @@ use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
 
 use crate::block::{term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
-use crate::list::CompressedPostingList;
+use crate::list::{decode_block, meta, CompressedPostingList, ENTRY};
 
-fn doc_id(key: u64) -> DocId {
+/// The [`DocId`] of a doc key.
+///
+/// # Panics
+/// Panics on a key wider than a [`DocId`]: every key in a list was
+/// built from one, so this is a corrupted or foreign list.
+#[expect(
+    clippy::expect_used,
+    reason = "every doc key in a list was built from a 32-bit DocId"
+)]
+pub(crate) fn doc_id(key: u64) -> DocId {
     DocId(u32::try_from(key).expect("doc keys originate from 32-bit DocIds"))
 }
 
@@ -47,7 +56,9 @@ fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
 /// skipped real decompression.
 #[derive(Debug)]
 pub struct CompressedBlockCursor<'a> {
-    list: &'a CompressedPostingList,
+    /// The list's block index and payloads.
+    index: &'a [[u8; ENTRY]],
+    data: &'a [u8],
     weight: f64,
     /// Static whole-list score bound: the list's max_tf × weight.
     max_score: f64,
@@ -72,7 +83,8 @@ impl<'a> CompressedBlockCursor<'a> {
     /// `weight` (a non-negative finite IDF factor).
     pub fn new(list: &'a CompressedPostingList, weight: f64) -> Self {
         Self {
-            list,
+            index: list.index(),
+            data: list.data(),
             weight,
             max_score: list.max_tf() * weight,
             bound: 0,
@@ -89,13 +101,13 @@ impl<'a> CompressedBlockCursor<'a> {
     /// only, nothing decodes. The current block is tested first:
     /// sequential reads and short seeks stay inside it.
     fn normalize(&mut self) {
-        let blocks = self.list.blocks();
-        if blocks
+        let (index, bound) = (self.index, self.bound);
+        if index
             .get(self.block)
-            .is_some_and(|meta| meta.last_doc < self.bound)
+            .is_some_and(|entry| meta(entry).last_doc < bound)
         {
             self.block += 1;
-            self.block += blocks[self.block..].partition_point(|meta| meta.last_doc < self.bound);
+            self.block += index[self.block..].partition_point(|entry| meta(entry).last_doc < bound);
         }
     }
 
@@ -110,7 +122,7 @@ impl<'a> CompressedBlockCursor<'a> {
 
 impl BlockCursor for CompressedBlockCursor<'_> {
     fn total_blocks(&self) -> usize {
-        self.list.blocks().len()
+        self.index.len()
     }
 
     fn decoded_blocks(&self) -> usize {
@@ -118,7 +130,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn at_end(&self) -> bool {
-        self.block >= self.list.blocks().len()
+        self.block >= self.index.len()
     }
 
     fn list_max_score(&self) -> f64 {
@@ -126,14 +138,14 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn block_last_doc(&self) -> DocId {
-        doc_id(self.list.blocks()[self.block].last_doc)
+        doc_id(meta(&self.index[self.block]).last_doc)
     }
 
     fn doc_lower_bound(&self) -> DocId {
         if self.exact {
             return DocId(self.buffer.docs()[self.pos] as u32);
         }
-        let first = self.list.blocks()[self.block].first_doc;
+        let first = meta(&self.index[self.block]).first_doc;
         doc_id(first.max(self.bound))
     }
 
@@ -151,14 +163,12 @@ impl BlockCursor for CompressedBlockCursor<'_> {
                 return None;
             }
             if self.decoded_block != self.block {
-                let meta = &self.list.blocks()[self.block];
+                let entry = &self.index[self.block];
                 assert!(
-                    meta.last_doc <= u64::from(u32::MAX),
+                    meta(entry).last_doc <= u64::from(u32::MAX),
                     "doc keys originate from 32-bit DocIds"
                 );
-                self.buffer
-                    .decode(meta, self.list.data())
-                    .expect("builder-produced blocks decode cleanly");
+                decode_block(&mut self.buffer, entry, self.data);
                 self.decoded_block = self.block;
                 self.decoded += 1;
                 self.pos = 0;
@@ -182,7 +192,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     /// asks, so decoding a block leaves the column packed.
     fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
-        let pos = self.buffer.position(self.list.data(), self.pos);
+        let pos = self.buffer.position(self.data, self.pos);
         (pos, self.buffer.counts()[self.pos] as u32)
     }
 

@@ -20,9 +20,10 @@
 //!   `(first_doc, last_doc)` skip metadata,
 //! * `builder` — [`CompressedPostingBuilder`], the streaming
 //!   sorted-order constructor,
-//! * `list` — the immutable [`CompressedPostingList`] and its
-//!   decoding [`CompressedPostingIter`] with block-skipping
-//!   [`CompressedPostingIter::advance_to`],
+//! * `list` — the immutable [`CompressedPostingList`], a view of one
+//!   list record (the layout a segment file stores) in a shared
+//!   buffer, and its decoding [`CompressedPostingIter`] with
+//!   block-skipping [`CompressedPostingIter::advance_to`],
 //! * `merge` — [`merge_compressed`], a k-way merge that streams
 //!   blocks instead of materializing whole lists ([`merge_sorted`] is
 //!   the same merge over any sorted posting streams),
@@ -40,6 +41,7 @@
 //!   already decoded in memory.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub(crate) mod block;
 pub(crate) mod builder;

@@ -31,23 +31,23 @@ pub fn merge_compressed(lists: &[&CompressedPostingList]) -> CompressedPostingLi
 /// either behind a caller's filter.
 pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> CompressedPostingList {
     // Min-heap keyed on (doc, input index): pops group duplicates of a
-    // doc together, in ascending recency order.
+    // doc together, in ascending recency order. While `(doc, i)` is in
+    // the heap, `heads[i]` holds input i's posting for it.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(iters.len());
-    let mut current: Vec<Option<RawEntry>> = Vec::with_capacity(iters.len());
-    for (i, iter) in iters.iter_mut().enumerate() {
-        let entry = iter.next();
-        if let Some(e) = entry {
-            heap.push(Reverse((e.doc, i)));
-        }
-        current.push(entry);
+    let blank = RawEntry {
+        doc: 0,
+        count: 0,
+        doc_length: 0,
+        pos: 0,
+    };
+    let mut heads = vec![blank; iters.len()];
+    for i in 0..iters.len() {
+        refill(&mut iters, &mut heads, &mut heap, i);
     }
 
     let mut builder = CompressedPostingBuilder::new();
-    while let Some(Reverse((doc, first_idx))) = heap.pop() {
-        let mut winner = (
-            first_idx,
-            current[first_idx].expect("heap entry is buffered"),
-        );
+    while let Some(Reverse((doc, first))) = heap.pop() {
+        let (mut winner, mut entry) = (first, heads[first]);
         // Drain every other list parked on the same doc; recency
         // (highest list index) wins.
         while let Some(&Reverse((d, i))) = heap.peek() {
@@ -55,27 +55,27 @@ pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> Compress
                 break;
             }
             heap.pop();
-            let entry = current[i].expect("heap entry is buffered");
-            if i > winner.0 {
-                winner = (i, entry);
+            if i > winner {
+                (winner, entry) = (i, heads[i]);
             }
-            refill(&mut iters, &mut current, &mut heap, i);
+            refill(&mut iters, &mut heads, &mut heap, i);
         }
-        builder.push(winner.1);
-        refill(&mut iters, &mut current, &mut heap, first_idx);
+        builder.push(entry);
+        refill(&mut iters, &mut heads, &mut heap, first);
     }
     builder.build()
 }
 
+/// Parks input `idx`'s next posting in `heads` and the heap.
 fn refill<I: Iterator<Item = RawEntry>>(
     iters: &mut [I],
-    current: &mut [Option<RawEntry>],
+    heads: &mut [RawEntry],
     heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
     idx: usize,
 ) {
-    current[idx] = iters[idx].next();
-    if let Some(e) = current[idx] {
-        heap.push(Reverse((e.doc, idx)));
+    if let Some(entry) = iters[idx].next() {
+        heads[idx] = entry;
+        heap.push(Reverse((entry.doc, idx)));
     }
 }
 

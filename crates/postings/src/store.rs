@@ -2,23 +2,21 @@
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor};
 use zerber_index::store::PostingStore;
-use zerber_index::{DocId, InvertedIndex, Posting, TermId};
+use zerber_index::{InvertedIndex, Posting, TermId};
 
 use crate::block::RawEntry;
 use crate::builder::CompressedPostingBuilder;
-use crate::cursor::CompressedBlockCursor;
+use crate::cursor::{doc_id, CompressedBlockCursor};
 use crate::list::CompressedPostingList;
 
 /// A decoded block entry as the index layer's [`Posting`].
 ///
 /// # Panics
-/// Panics on a doc key wider than [`DocId`]: every key in a list was
-/// built from a `DocId`, so this is a corrupted or foreign list.
+/// Panics on a doc key wider than a [`zerber_index::DocId`]: every key
+/// in a list was built from one, so this is a corrupted or foreign list.
 pub fn to_posting(entry: RawEntry) -> Posting {
     Posting {
-        // Doc keys built from `DocId` round-trip losslessly: the codec
-        // layer is wider (u64) than today's 32-bit ids by design.
-        doc: DocId(u32::try_from(entry.doc).expect("doc key fits the DocId width")),
+        doc: doc_id(entry.doc),
         count: entry.count,
         doc_length: entry.doc_length,
     }
@@ -138,6 +136,7 @@ impl PostingStore for CompressedPostingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zerber_index::DocId;
     use zerber_index::Document;
     use zerber_index::GroupId;
 

@@ -9,7 +9,7 @@
 //! documents ──sort by id, last copy wins──► one doc-ascending batch
 //!   worker w of W (parallel): scan the whole batch; push each posting
 //!     of a term t with t % W == w into t's block compressor
-//!   the workers' disjoint lists, sorted by term ──► seg-S.zseg, written once
+//!   the workers' disjoint lists, in term order ──► the body ──► seg-S.zseg
 //!   writer lock: flush memtable, append the bulk segment, MANIFEST
 //! ```
 //!
@@ -22,8 +22,11 @@
 //! What is resident: the batch until the lists are built (an owned
 //! batch, `bulk_load(docs)`, is freed there; a borrowed one, `&docs`,
 //! stays its caller's) beside the lists growing in the workers'
-//! compressors, then the image and its serialised body. A load through
-//! the peer runtime hands over the batch it decoded.
+//! compressors, then the segment body, allocated at its exact size,
+//! with each list freed once its record is appended. The body is what
+//! the store keeps and the file it writes; the lists it serves are
+//! views of it. A load through the peer runtime hands over the batch
+//! it decoded.
 //!
 //! No WAL record is ever written: the MANIFEST swap is the atomic
 //! commit point. A crash before it leaves nothing, or one unlisted

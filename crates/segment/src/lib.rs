@@ -75,6 +75,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bulk;
 pub(crate) mod error;
@@ -99,6 +100,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The caller owns cleanup (`std::fs::remove_dir_all`); a leaked
 /// directory under `$TMPDIR` is the worst failure mode. [`ScratchDir`]
 /// is the same directory with the cleanup attached.
+#[expect(
+    clippy::expect_used,
+    reason = "test and example scaffolding: without a writable temp dir nothing can run"
+)]
 pub fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nanos = std::time::SystemTime::now()

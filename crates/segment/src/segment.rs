@@ -8,6 +8,10 @@
 //! a segment either exists completely or not at all — and carry a
 //! CRC-32 over the whole body, verified on load.
 //!
+//! In memory a segment is its file body: each list is a view of its
+//! record in it. A merge or a bulk load lays the body out record by
+//! record and writes it as it is; a load keeps the body it read.
+//!
 //! # Shadowing
 //!
 //! Document updates are whole-document replacements ("only the most
@@ -21,14 +25,16 @@
 //! applies exactly that rule for flush and compaction alike; readers
 //! apply it lazily per query.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use zerber_index::cursor::Shadow;
 use zerber_index::DocId;
 use zerber_postings::{
-    merge_sorted, BlockMeta, CompressedPostingIter, CompressedPostingList, RawEntry, BLOCK_SIZE,
+    merge_sorted, CompressedPostingIter, CompressedPostingList, RawEntry, BLOCK_SIZE,
 };
 
 use crate::crc::crc32;
@@ -171,16 +177,19 @@ impl Source for Memtable {
     }
 }
 
-/// The image of one segment: per-term compressed lists plus the doc
-/// tables the shadowing rule reads. A merge's output, a bulk load's
-/// lists and a loaded segment file all hold one, so one [`Source`]
-/// impl serves every compressed input of a merge or a read.
-#[derive(Debug)]
+/// The image of one segment: its file body, the doc tables the
+/// shadowing rule reads, and a view of each list's record in the body.
+/// A merge's output, a bulk load's lists and a loaded segment file all
+/// hold one, parsed from the body by [`SegmentContent::parse`], so one
+/// [`Source`] impl serves every compressed input of a merge or a read.
 pub(crate) struct SegmentContent {
+    /// The body of the segment's file.
+    body: Arc<Vec<u8>>,
     pub(crate) live: Vec<u32>,
     pub(crate) tombstones: Vec<u32>,
     pub(crate) term_slots: u32,
-    /// `(term, list)` sorted by term id; only non-empty lists.
+    /// `(term, list)` sorted by term id; only non-empty lists, each a
+    /// view of its record in `body`.
     pub(crate) terms: Vec<(u32, CompressedPostingList)>,
 }
 
@@ -209,26 +218,23 @@ impl Source for SegmentContent {
     }
 }
 
-/// One immutable segment: its image, fully resident (posting payloads
-/// stay block-compressed in memory; the file exists for recovery), and
-/// the file that holds it.
-#[derive(Debug)]
+/// One immutable segment: its image, fully resident (the file body,
+/// posting payloads block-compressed; the file exists for recovery),
+/// and the file that holds it.
 pub(crate) struct Segment {
     content: SegmentContent,
     file_name: String,
     /// Postings across the image's lists, counted once at write/load:
     /// the compaction window rule reads it for every segment.
     postings: usize,
-    disk_bytes: u64,
 }
 
 impl Segment {
-    fn new(content: SegmentContent, file_name: String, disk_bytes: u64) -> Self {
+    fn new(content: SegmentContent, file_name: String) -> Self {
         Self {
             postings: content.terms.iter().map(|(_, l)| l.len()).sum(),
             content,
             file_name,
-            disk_bytes,
         }
     }
 
@@ -242,9 +248,9 @@ impl Segment {
         &self.file_name
     }
 
-    /// On-disk footprint in bytes.
+    /// On-disk footprint in bytes: the frame header and the body.
     pub(crate) fn disk_bytes(&self) -> u64 {
-        self.disk_bytes
+        (20 + self.content.body.len()) as u64
     }
 
     /// Total postings stored.
@@ -303,13 +309,12 @@ pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> Se
     }
     held.sort_by_key(|&(term, _, _)| term);
 
-    let mut terms = Vec::new();
-    for group in held.chunk_by(|a, b| a.0 == b.0) {
-        let merged = match *group {
+    let lists = held.chunk_by(|a, b| a.0 == b.0).filter_map(|group| {
+        let list = match *group {
             [(_, i, TermPostings::Compressed(list))] if !holds_any(list, &shadowed[i]) => {
-                list.clone()
+                Cow::Borrowed(list)
             }
-            _ => merge_sorted(
+            _ => Cow::Owned(merge_sorted(
                 group
                     .iter()
                     .map(|&(_, i, list)| {
@@ -318,19 +323,46 @@ pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> Se
                             .filter(move |e| dead.binary_search(&(e.doc as u32)).is_err())
                     })
                     .collect(),
-            ),
+            )),
         };
-        if !merged.is_empty() {
-            terms.push((group[0].0, merged));
-        }
-    }
+        (!list.is_empty()).then_some((group[0].0, list))
+    });
+    let term_slots = inputs.iter().map(|s| s.term_slots()).max().unwrap_or(0);
+    lay_out(term_slots, &live, &tombstones, lists, 0)
+}
 
-    SegmentContent {
-        live,
-        tombstones,
-        term_slots: inputs.iter().map(|s| s.term_slots()).max().unwrap_or(0),
-        terms,
+/// Lays out a segment body — term slots, the live and tombstone tables,
+/// the list count, then each list's record after its term id, terms
+/// ascending — with room for `list_bytes` of term ids and records, and
+/// returns the image it holds. An owned list is freed once its record
+/// is appended.
+#[expect(
+    clippy::expect_used,
+    reason = "every record appended was sealed by the builder or parsed from a checked body"
+)]
+pub(crate) fn lay_out<'a>(
+    term_slots: u32,
+    live: &[u32],
+    tombstones: &[u32],
+    lists: impl Iterator<Item = (u32, Cow<'a, CompressedPostingList>)>,
+    list_bytes: usize,
+) -> SegmentContent {
+    let mut body = Vec::with_capacity(16 + 4 * (live.len() + tombstones.len()) + list_bytes);
+    put_u32(&mut body, term_slots);
+    for table in [live, tombstones] {
+        put_u32(&mut body, table.len() as u32);
+        body.extend(table.iter().flat_map(|doc| doc.to_le_bytes()));
     }
+    let (count_at, mut count) = (body.len(), 0u32);
+    put_u32(&mut body, 0);
+    for (term, list) in lists {
+        put_u32(&mut body, term);
+        body.extend_from_slice(list.record());
+        count += 1;
+    }
+    body[count_at..][..4].copy_from_slice(&count.to_le_bytes());
+    body.shrink_to_fit();
+    SegmentContent::parse(body, "segment being written").expect("valid lists lay out a valid body")
 }
 
 /// Does `list` hold a posting of any of `docs`? Exact when probing
@@ -354,10 +386,6 @@ const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
 const VERSION: u32 = 3;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -443,13 +471,12 @@ impl<'a> Reader<'a> {
 /// rename, then fsyncs the parent directory so the *rename itself* is
 /// durable — the manifest protocol truncates the WAL only after this
 /// returns, so a power loss must not be able to keep the truncation
-/// while dropping the rename's directory entry. Returns the file
-/// size.
-pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<u64, SegmentError> {
+/// while dropping the rename's directory entry.
+pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<(), SegmentError> {
     let mut header = Vec::with_capacity(20);
     put_u32(&mut header, MAGIC);
     put_u32(&mut header, VERSION);
-    put_u64(&mut header, body.len() as u64);
+    header.extend_from_slice(&(body.len() as u64).to_le_bytes());
     put_u32(&mut header, crc32(body));
     let tmp: PathBuf = path.with_extension("tmp");
     {
@@ -462,7 +489,7 @@ pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<u64, SegmentError
     if let Some(parent) = path.parent() {
         File::open(parent)?.sync_all()?;
     }
-    Ok((header.len() + body.len()) as u64)
+    Ok(())
 }
 
 /// Reads a framed file back, verifying magic, version, length and
@@ -529,49 +556,21 @@ impl SegmentContent {
     /// Persists the image as `seg-<seq>.zseg` in `dir` through
     /// [`write_framed`] (tmp + fsync + rename + directory fsync), so
     /// the file exists completely or not at all. Flush, compaction and
-    /// the bulk load each write their segment once, here.
+    /// the bulk load each write their segment once, here: the body as
+    /// it was laid out.
     pub(crate) fn write(self, dir: &Path, seq: u64) -> Result<Segment, SegmentError> {
-        let mut body = Vec::new();
-        put_u32(&mut body, self.term_slots);
-        put_u32(&mut body, self.live.len() as u32);
-        for &doc in &self.live {
-            put_u32(&mut body, doc);
-        }
-        put_u32(&mut body, self.tombstones.len() as u32);
-        for &doc in &self.tombstones {
-            put_u32(&mut body, doc);
-        }
-        put_u32(&mut body, self.terms.len() as u32);
-        for (term, list) in &self.terms {
-            put_u32(&mut body, *term);
-            put_u64(&mut body, list.len() as u64);
-            put_u64(&mut body, list.data().len() as u64);
-            body.extend_from_slice(list.data());
-            put_u64(&mut body, list.max_tf().to_bits());
-            put_u32(&mut body, list.blocks().len() as u32);
-            for block in list.blocks() {
-                put_u64(&mut body, block.first_doc);
-                put_u64(&mut body, block.last_doc);
-                body.extend_from_slice(&block.len.to_le_bytes());
-                put_u64(&mut body, block.offset as u64);
-            }
-        }
         let file_name = format!("seg-{seq:06}.zseg");
-        let disk_bytes = write_framed(&dir.join(&file_name), &body)?;
-        Ok(Segment::new(self, file_name, disk_bytes))
+        write_framed(&dir.join(&file_name), &self.body)?;
+        Ok(Segment::new(self, file_name))
     }
-}
 
-impl Segment {
-    /// Loads and verifies a segment file.
-    pub(crate) fn load(path: &Path) -> Result<Segment, SegmentError> {
-        let body = read_framed(path)?;
-        let name = path.display().to_string();
-        let file_name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| name.clone());
-        let mut r = Reader::new(&body, &name);
+    /// Parses a segment body (read from `file`) into the image that
+    /// views it: the doc tables are read out, and each list is checked
+    /// where its record lies ([`CompressedPostingList::parse`]) and
+    /// kept as a view of it. No list is copied.
+    pub(crate) fn parse(body: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
+        let body = Arc::new(body);
+        let mut r = Reader::new(&body, file);
         let term_slots = r.u32()?;
         let live = r.u32_vec()?;
         let tombstones = r.u32_vec()?;
@@ -580,30 +579,17 @@ impl Segment {
             return Err(r.corrupt("document table out of order"));
         }
         let term_count = r.u32()? as usize;
-        let mut terms = Vec::with_capacity(term_count.min(1 << 22));
+        let mut terms: Vec<(u32, CompressedPostingList)> =
+            Vec::with_capacity(term_count.min(1 << 22));
         for _ in 0..term_count {
             let term = r.u32()?;
-            let len = r.u64()? as usize;
-            let data_len = r.u64()? as usize;
-            let data = r.take(data_len)?.to_vec();
-            let max_tf = f64::from_bits(r.u64()?);
-            let block_count = r.u32()? as usize;
-            let mut blocks = Vec::with_capacity(block_count.min(1 << 22));
-            for _ in 0..block_count {
-                blocks.push(BlockMeta {
-                    first_doc: r.u64()?,
-                    last_doc: r.u64()?,
-                    len: r.u16()?,
-                    offset: r.u64()? as usize,
-                });
-            }
-            let list = CompressedPostingList::from_parts(data, blocks, len, max_tf)
-                .map_err(|why| r.corrupt(why))?;
+            let list = CompressedPostingList::parse(&body, r.pos).map_err(|why| r.corrupt(why))?;
+            r.take(list.record().len())?;
             // Doc keys originate from 32-bit document ids; blocks ascend,
             // so the last one bounds them all.
             if list
                 .blocks()
-                .last()
+                .next_back()
                 .is_some_and(|block| block.last_doc > u64::from(u32::MAX))
             {
                 return Err(r.corrupt("document key beyond 32 bits"));
@@ -614,13 +600,26 @@ impl Segment {
             terms.push((term, list));
         }
         r.finish()?;
-        let content = SegmentContent {
+        Ok(SegmentContent {
+            body,
             live,
             tombstones,
             term_slots,
             terms,
-        };
-        Ok(Segment::new(content, file_name, (20 + body.len()) as u64))
+        })
+    }
+}
+
+impl Segment {
+    /// Loads and verifies a segment file, keeping the body it read.
+    pub(crate) fn load(path: &Path) -> Result<Segment, SegmentError> {
+        let name = path.display().to_string();
+        let file_name = path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| name.clone());
+        let content = SegmentContent::parse(read_framed(path)?, &name)?;
+        Ok(Segment::new(content, file_name))
     }
 }
 
@@ -863,7 +862,7 @@ mod tests {
             let data_len = list.data().len();
             let body = std::fs::read(&path).unwrap()[20..].to_vec();
             let max = body.len() - 2 * 26 - 4 - 8;
-            let payloads = [0, 1].map(|b| list.blocks()[b].offset);
+            let payloads = [0, 1].map(|b| list.block(b).offset);
             Self {
                 _dir: dir,
                 path,

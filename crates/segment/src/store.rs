@@ -68,8 +68,7 @@ use crate::bulk::{BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
-    merge_streaming, read_framed, write_framed, Reader, Segment, SegmentContent, ShadowProbe,
-    Source,
+    lay_out, merge_streaming, read_framed, write_framed, Reader, Segment, ShadowProbe, Source,
 };
 use crate::wal::{replay, Wal, WalOp};
 
@@ -182,6 +181,13 @@ impl std::fmt::Debug for SegmentStore {
     }
 }
 
+/// Could `name` reach outside the directory it is joined to? Empty
+/// names, path separators and `..` are refused wherever a file name
+/// arrives from outside: in a MANIFEST, and in a snapshot's file set.
+fn escapes(name: &str) -> bool {
+    name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..")
+}
+
 fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
     let body = read_framed(path)?;
     let file = path.display().to_string();
@@ -193,6 +199,9 @@ fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
         let len = usize::from(r.u16()?);
         let name = std::str::from_utf8(r.take(len)?)
             .map_err(|_| r.corrupt("segment name is not UTF-8"))?;
+        if escapes(name) {
+            return Err(r.corrupt("segment name escapes the store directory"));
+        }
         names.push(name.to_owned());
     }
     r.finish()?;
@@ -212,8 +221,7 @@ impl Inner {
             body.extend_from_slice(&(name.len() as u16).to_le_bytes());
             body.extend_from_slice(name);
         }
-        write_framed(&self.dir.join(MANIFEST_FILE), &body)?;
-        Ok(())
+        write_framed(&self.dir.join(MANIFEST_FILE), &body)
     }
 
     /// Seals the memtable into one segment and resets it to empty.
@@ -610,8 +618,9 @@ impl SegmentStore {
     /// whole sorted batch and pushes each posting of a term `t` with
     /// `t % W == w` straight into that term's block compressor, so
     /// every list is final when the scan ends and each posting is
-    /// compressed once. The workers' disjoint lists, in term order,
-    /// are the segment image, written once as `seg-*.zseg` (tmp +
+    /// compressed once. The workers' disjoint lists are appended in
+    /// term order to the segment body, each freed once appended, and
+    /// the body is written once as `seg-*.zseg` (tmp +
     /// fsync + rename + directory fsync) and registered in the
     /// `MANIFEST` under the writer lock — after sealing any live
     /// memtable, so the bulk segment is strictly newest and replaces
@@ -632,7 +641,7 @@ impl SegmentStore {
     ///
     /// The batch is borrowed (`&docs`) or handed over (`docs`): an
     /// owned batch is freed as soon as the lists are built, before the
-    /// segment is serialised.
+    /// body is laid out.
     pub fn bulk_load<'a>(
         &self,
         docs: impl Into<Cow<'a, [Document]>>,
@@ -688,23 +697,25 @@ impl SegmentStore {
                 .collect()
         });
         terms.sort_unstable_by_key(|&(term, _)| term);
-        // The image: what a flush of the batch's memtable holds.
-        let content = SegmentContent {
-            live: unique.iter().map(|doc| doc.id.0).collect(),
-            tombstones: Vec::new(),
-            term_slots: unique
-                .iter()
-                .filter_map(|doc| doc.terms.last())
-                .map(|&(TermId(term), _)| term + 1)
-                .max()
-                .unwrap_or(0),
-            terms,
-        };
+        let live: Vec<u32> = unique.iter().map(|doc| doc.id.0).collect();
+        let term_slots = unique
+            .iter()
+            .filter_map(|doc| doc.terms.last())
+            .map(|&(TermId(term), _)| term + 1)
+            .max()
+            .unwrap_or(0);
         // The lists hold every posting now: let the batch go (an owned
-        // one is freed) before the image is serialised.
+        // one is freed) before the body is laid out.
         let doc_count = unique.len();
         drop(unique);
         drop(docs);
+        // The body, what a flush of the batch's memtable writes: sized
+        // exactly, each list freed once its record is appended.
+        let list_bytes = terms.iter().map(|(_, list)| 4 + list.record().len()).sum();
+        let lists = terms
+            .into_iter()
+            .map(|(term, list)| (term, Cow::Owned(list)));
+        let content = lay_out(term_slots, &live, &[], lists, list_bytes);
 
         // --- Phase 2: write the segment once. ------------------------
         // Reserve the segment's seq under the writer lock. The
@@ -792,7 +803,7 @@ impl SegmentStore {
     ) -> Result<(), SegmentError> {
         let dir = dir.into();
         for (name, _) in files {
-            if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
+            if escapes(name) {
                 return Err(SegmentError::Corrupt {
                     file: name.clone(),
                     reason: "snapshot file name escapes the target directory",

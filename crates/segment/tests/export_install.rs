@@ -4,8 +4,9 @@
 //! contents (export seals them first) — and installed stores must
 //! survive reopening like any other store. Hostile snapshot files —
 //! path-escaping names, a set without a manifest, a CRC-valid manifest
-//! with a malformed body, a frame header declaring a body of `u64::MAX`
-//! bytes — are refused as `SegmentError::Corrupt`.
+//! with a malformed body or naming a file outside its store, a frame
+//! header declaring a body of `u64::MAX` bytes — are refused as
+//! `SegmentError::Corrupt`.
 
 use std::collections::BTreeMap;
 
@@ -158,6 +159,28 @@ fn hostile_manifests_open_as_corrupt() {
     let mut trailing = body.to_vec();
     trailing.push(0);
     hostile.push(("trailing byte".into(), trailing));
+    // A sibling store with a segment of its own, named from this one's
+    // manifest by a relative path and by an absolute one.
+    let sibling = ScratchDir::new("export-hostile-sibling");
+    let other = SegmentStore::open(&sibling, policy()).unwrap();
+    other.insert(&[doc(42, &[(0, 1)])]).unwrap();
+    other.flush().unwrap();
+    drop(other);
+    let naming = |name: &str| {
+        let mut named = body[..8].to_vec();
+        named.extend_from_slice(&1u32.to_le_bytes());
+        named.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        named.extend_from_slice(name.as_bytes());
+        named
+    };
+    let sibling_name = sibling.file_name().unwrap().to_str().unwrap();
+    let climbing = format!("../{sibling_name}/seg-000001.zseg");
+    hostile.push(("a name climbing out".into(), naming(&climbing)));
+    let absolute = sibling.join("seg-000001.zseg");
+    hostile.push((
+        "an absolute name".into(),
+        naming(absolute.to_str().unwrap()),
+    ));
 
     for (what, body) in hostile {
         std::fs::write(&manifest, reframed(&body)).unwrap();

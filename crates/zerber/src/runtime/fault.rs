@@ -266,12 +266,11 @@ impl Transport for FaultInjectTransport {
         self.inner.meter()
     }
 
-    fn begin_traced(
+    fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
-        trace: u64,
         payload: RequestPayload,
     ) -> PendingReply {
         // The membership script runs on the global request clock,
@@ -284,11 +283,11 @@ impl Transport for FaultInjectTransport {
         if self.muted.lock().contains(&to) {
             // Delivered and executed; the response (metered at the
             // peer) vanishes on the way back.
-            drop(self.inner.begin_traced(from, to, auth, trace, payload));
+            drop(self.inner.begin(from, to, auth, payload));
             return PendingReply::failed(to, TransportError::Timeout(to));
         }
         if !self.armed.load(Ordering::SeqCst) {
-            return self.inner.begin_traced(from, to, auth, trace, payload);
+            return self.inner.begin(from, to, auth, payload);
         }
 
         let seq = {
@@ -312,7 +311,7 @@ impl Transport for FaultInjectTransport {
         bound += u64::from(plan.drop_response);
         if roll < bound {
             self.counts.lock().dropped_responses += 1;
-            drop(self.inner.begin_traced(from, to, auth, trace, payload));
+            drop(self.inner.begin(from, to, auth, payload));
             return PendingReply::failed(to, TransportError::Timeout(to));
         }
         bound += u64::from(plan.duplicate);
@@ -321,27 +320,24 @@ impl Transport for FaultInjectTransport {
             // and response bytes are both metered, the client reads
             // only the original.
             self.counts.lock().duplicated += 1;
-            drop(
-                self.inner
-                    .begin_traced(from, to, auth, trace, Arc::clone(&payload)),
-            );
-            return self.inner.begin_traced(from, to, auth, trace, payload);
+            drop(self.inner.begin(from, to, auth, Arc::clone(&payload)));
+            return self.inner.begin(from, to, auth, payload);
         }
         bound += u64::from(plan.torn);
         if roll < bound {
             self.counts.lock().torn += 1;
             let torn = RequestPayload::new(payload[..payload.len() / 2].to_vec());
-            return self.inner.begin_traced(from, to, auth, trace, torn);
+            return self.inner.begin(from, to, auth, torn);
         }
         bound += u64::from(plan.delay);
         if roll < bound {
             self.counts.lock().delayed += 1;
             return self
                 .inner
-                .begin_traced(from, to, auth, trace, payload)
+                .begin(from, to, auth, payload)
                 .delayed(plan.delay_for);
         }
-        self.inner.begin_traced(from, to, auth, trace, payload)
+        self.inner.begin(from, to, auth, payload)
     }
 }
 

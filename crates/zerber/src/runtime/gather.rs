@@ -202,7 +202,6 @@ pub(crate) fn hedged_fan_out(
     transport: &dyn Transport,
     from: NodeId,
     auth: AuthToken,
-    trace: u64,
     shards: &[ShardRequest],
     policy: &HedgePolicy,
 ) -> Vec<Result<ShardFetch, ShardUnavailable>> {
@@ -210,7 +209,7 @@ pub(crate) fn hedged_fan_out(
     // Phase 1: the primary attempt for every shard — sends only, so
     // every shard's work overlaps. In process a send returns at once;
     // over sockets it can block on a dial or the in-flight cap (see
-    // `Transport::begin_traced`), and the shards behind it wait their
+    // `Transport::begin`), and the shards behind it wait their
     // turn to be sent. A send that fails is not sent again here: the
     // hedge tries the next replica.
     let mut primaries: Vec<Option<PendingReply>> = shards
@@ -218,7 +217,7 @@ pub(crate) fn hedged_fan_out(
         .map(|(_, replicas, payload)| {
             replicas
                 .first()
-                .map(|&node| transport.begin_traced(from, node, auth, trace, Arc::clone(payload)))
+                .map(|&node| transport.begin(from, node, auth, Arc::clone(payload)))
         })
         .collect();
     // Phase 2: settle shard by shard, hedging down each replica list.
@@ -230,7 +229,6 @@ pub(crate) fn hedged_fan_out(
                 transport,
                 from,
                 auth,
-                trace,
                 *shard,
                 replicas,
                 payload,
@@ -257,7 +255,6 @@ fn settle_shard(
     transport: &dyn Transport,
     from: NodeId,
     auth: AuthToken,
-    trace: u64,
     shard: u32,
     replicas: &[NodeId],
     payload: &RequestPayload,
@@ -302,10 +299,7 @@ fn settle_shard(
         if let Some(&node) = replicas.get(next_replica) {
             next_replica += 1;
             let now = Instant::now();
-            attempt = Some((
-                transport.begin_traced(from, node, auth, trace, Arc::clone(payload)),
-                now,
-            ));
+            attempt = Some((transport.begin(from, node, auth, Arc::clone(payload)), now));
         }
     }
 

@@ -31,8 +31,7 @@ pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
 struct ObsInner {
     registry: MetricsRegistry,
-    /// Next trace id; starts at 1 because zero means *untraced* on the
-    /// wire.
+    /// Next trace id, from 1.
     next_trace: AtomicU64,
     slow_queries: SlowQueryLog,
     flight_recorder: FlightRecorder,
@@ -171,8 +170,7 @@ impl RuntimeObs {
         &self.inner.registry
     }
 
-    /// Allocates the next trace id (never zero — zero is the wire's
-    /// *untraced* marker).
+    /// Allocates the next trace id.
     pub(crate) fn next_trace_id(&self) -> TraceId {
         TraceId(self.inner.next_trace.fetch_add(1, Ordering::Relaxed))
     }

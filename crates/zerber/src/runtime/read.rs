@@ -237,7 +237,7 @@ impl ShardedSearch {
             k: wire_k,
         });
         let trace_id = self.obs.next_trace_id();
-        let (fetches, fanout_span) = self.traced_fanout(NodeId::User(client), trace_id, &shards);
+        let (fetches, fanout_span) = self.traced_fanout(NodeId::User(client), &shards);
 
         let mut per_shard: Vec<Vec<RankedDoc>> = Vec::with_capacity(fetches.len());
         let mut failed_peers: Vec<(NodeId, TransportError)> = Vec::new();
@@ -329,7 +329,7 @@ impl ShardedSearch {
         trace
     }
 
-    /// Runs [`hedged_fan_out`] under `trace`, folds the per-attempt
+    /// Runs [`hedged_fan_out`], folds the per-attempt
     /// RPC timings and the peers' decode accounting into the registry,
     /// and builds the `fan_out` span (one child per shard, one
     /// grandchild per replica attempt, a `decode` great-grandchild
@@ -338,12 +338,11 @@ impl ShardedSearch {
     fn traced_fanout(
         &self,
         from: NodeId,
-        trace: TraceId,
         shards: &[gather::ShardRequest],
     ) -> (Vec<Result<ShardFetch, ShardUnavailable>>, SpanRecord) {
         let started = Instant::now();
         let transport = self.transport.as_ref();
-        let fetches = hedged_fan_out(transport, from, AuthToken(0), trace.0, shards, &self.policy);
+        let fetches = hedged_fan_out(transport, from, AuthToken(0), shards, &self.policy);
         let fanout_wall = started.elapsed();
         let metrics = self.obs.metrics();
 

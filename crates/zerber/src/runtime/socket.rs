@@ -162,7 +162,7 @@ impl Link {
 /// Client-side socket instrumentation handles, pre-registered so the
 /// hot path never touches the registry's name table.
 struct SocketMetrics {
-    /// `zerber_socket_requests_total`: frames handed to `begin_traced`.
+    /// `zerber_socket_requests_total`: frames handed to `begin`.
     requests: Counter,
     /// `zerber_socket_write_failures_total`: writes that killed a link
     /// (timeout or error — alignment after a partial write is
@@ -340,12 +340,11 @@ impl Transport for SocketTransport {
     /// pending, write the frame. A failure here killed the link (or
     /// found no peer), so the next `begin` dials fresh; whether to
     /// send again is the caller's decision.
-    fn begin_traced(
+    fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
-        trace: u64,
         payload: RequestPayload,
     ) -> PendingReply {
         self.obs.requests.inc();
@@ -372,7 +371,6 @@ impl Transport for SocketTransport {
             id,
             from,
             auth,
-            trace,
             payload: payload.as_slice(),
         }
         .encode();
@@ -546,7 +544,6 @@ fn serve_connection(
             id,
             from,
             auth,
-            trace,
             payload,
         } = frame
         else {
@@ -557,7 +554,6 @@ fn serve_connection(
         let envelope = RequestEnvelope {
             from,
             auth,
-            trace,
             payload: RequestPayload::new(payload.to_vec()),
             reply: ReplySink::new(Arc::clone(&meter), node, from, tx),
         };

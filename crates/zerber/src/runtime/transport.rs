@@ -178,17 +178,6 @@ pub(crate) struct RequestEnvelope {
     pub from: NodeId,
     /// The caller's session token.
     pub auth: AuthToken,
-    /// The caller's query-trace id (zero = untraced). Carried by the
-    /// envelope — and by the socket transport's request frames — so
-    /// peer-side work can be correlated with the client-side span
-    /// tree even when the peer is a separate process. Like the auth
-    /// token it is envelope metadata, not payload, and is not counted
-    /// in wire bytes.
-    #[expect(
-        dead_code,
-        reason = "no peer-side reader yet; peer spans will correlate on it"
-    )]
-    pub trace: u64,
     /// Encoded request [`Message`].
     pub payload: RequestPayload,
     /// Channel for the encoded response [`Message`].
@@ -318,8 +307,8 @@ pub trait Transport: Send + Sync {
     /// The traffic meter every byte through this transport lands on.
     fn meter(&self) -> &Arc<TrafficMeter>;
 
-    /// Sends one pre-encoded request carrying a query-trace id and
-    /// returns the in-flight handle; failures surface when the
+    /// Sends one pre-encoded request and returns the in-flight
+    /// handle; failures surface when the
     /// returned pending is waited on. It is one attempt on every
     /// transport: nothing here sends twice, and a failed send is a
     /// failed pending, so retrying is the caller's decision (the
@@ -328,30 +317,14 @@ pub trait Transport: Send + Sync {
     /// can, two ways: dialling a new link waits up to
     /// `CONNECT_TIMEOUT` (5 s), and a link with `MAX_IN_FLIGHT` (64)
     /// unanswered requests holds the send until one drains. This is
-    /// the one required send primitive; implementations must
-    /// propagate `trace` onto the peer's `RequestEnvelope` (and, for
-    /// the socket transport, onto the wire frame).
-    fn begin_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        auth: AuthToken,
-        trace: u64,
-        payload: RequestPayload,
-    ) -> PendingReply;
-
-    /// Sends one pre-encoded untraced request (trace id zero) — the
-    /// convenience form for control-plane and ingest traffic that no
-    /// span tree follows.
+    /// the one required send primitive.
     fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
         payload: RequestPayload,
-    ) -> PendingReply {
-        self.begin_traced(from, to, auth, 0, payload)
-    }
+    ) -> PendingReply;
 
     /// Sends one request and blocks for the response (up to
     /// `DEFAULT_RPC_TIMEOUT`).
@@ -403,12 +376,11 @@ impl Transport for InProcTransport {
         &self.meter
     }
 
-    fn begin_traced(
+    fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
-        trace: u64,
         payload: RequestPayload,
     ) -> PendingReply {
         let Some(inbox) = self.inboxes.lock().get(&to).cloned() else {
@@ -420,7 +392,6 @@ impl Transport for InProcTransport {
         let envelope = RequestEnvelope {
             from,
             auth,
-            trace,
             payload,
             reply: ReplySink {
                 meter: Arc::clone(&self.meter),

@@ -9,10 +9,14 @@
 //!   live before the call and not counted. On top of it sit one
 //!   encoded `BulkLoad` frame per shard until its peer has decoded it,
 //!   the decoded batch beside the lists its workers build, and then
-//!   the image and its serialised body.
+//!   the segment body the lists are appended to, each freed once
+//!   appended.
 //! * **In the store** (`SegmentStore::bulk_load` handed an owned
 //!   batch): the batch is live before the call and freed once the
-//!   lists are built, before the image is serialised.
+//!   lists are built, before the body is laid out.
+//! * **What the store keeps, and what reopening it takes**: the body
+//!   of its segment file and a table of where each list's record lies,
+//!   against the file's size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -148,10 +152,9 @@ fn a_runtime_bulk_load_holds_its_batch_once() {
 
 /// The store path, with one worker so the peak does not hang on
 /// scheduling. The peak comes as the scan ends, with every list built
-/// and each term's partial last block still buffered: 2.26 × the batch
+/// and each term's partial last block still buffered: 2.21 × the batch
 /// above the live heap that held it, asserted under 2.4 ×. A batch
-/// handed over by value is freed there, before the image is
-/// serialised.
+/// handed over by value is freed there, before the body is laid out.
 #[test]
 fn an_owned_batch_is_freed_before_the_write() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -170,4 +173,41 @@ fn an_owned_batch_is_freed_before_the_write() {
     println!("store load: peak {peak} B above live, {multiple:.2} x the batch ({bytes} B)");
     assert_eq!(store.snapshot().live_doc_count(), count);
     assert!(multiple < 2.4, "{multiple:.2} x the batch at the peak");
+}
+
+/// What a store keeps of a load, and what reopening it takes: the
+/// segment is held as the body of its file, so after a one-worker load
+/// the store's live heap stays within 1.15 × its `disk_bytes()`, and
+/// `open` peaks within 1.3 × the segment bytes above the live heap
+/// before it — the body it reads, and a table of where each list's
+/// record starts in it.
+#[test]
+fn a_store_holds_its_segment_once() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = ScratchDir::new("load-memory-kept");
+    let store = SegmentStore::open(dir.to_path_buf(), SegmentPolicy::default()).expect("opens");
+    let before = LIVE.load(Ordering::Relaxed);
+    let docs = corpus(3_000);
+    store
+        .bulk_load(docs, BulkConfig { workers: 1 })
+        .expect("the load commits");
+    let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let disk = store.disk_bytes();
+    let segments = disk - store.wal_bytes();
+    let kept_multiple = kept as f64 / disk as f64;
+    println!("loaded store: keeps {kept} B live, {kept_multiple:.2} x its {disk} B on disk");
+    drop(store);
+
+    let peak = peak_above_live(|| {
+        let reopened =
+            SegmentStore::open(dir.to_path_buf(), SegmentPolicy::default()).expect("reopens");
+        assert_eq!(reopened.snapshot().live_doc_count(), 3_000);
+    });
+    let open_multiple = peak as f64 / segments as f64;
+    println!("reopen: peak {peak} B above live, {open_multiple:.2} x its {segments} B of segments");
+    assert!(kept_multiple <= 1.15, "{kept_multiple:.2} x disk kept live");
+    assert!(
+        open_multiple <= 1.3,
+        "{open_multiple:.2} x the segments at the peak"
+    );
 }

@@ -225,12 +225,11 @@ impl Transport for WrongFrameTransport {
         self.inner.meter()
     }
 
-    fn begin_traced(
+    fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
-        trace: u64,
         payload: Arc<Vec<u8>>,
     ) -> PendingReply {
         if to == self.liar && matches!(Message::decode(&payload), Ok(Message::PlanQuery { .. })) {
@@ -238,7 +237,7 @@ impl Transport for WrongFrameTransport {
             tx.send(Message::InsertOk.encode().to_vec()).unwrap();
             return PendingReply::from_channel(to, rx);
         }
-        self.inner.begin_traced(from, to, auth, trace, payload)
+        self.inner.begin(from, to, auth, payload)
     }
 }
 

@@ -57,18 +57,17 @@ impl Transport for Recording {
         self.sockets.meter()
     }
 
-    fn begin_traced(
+    fn begin(
         &self,
         from: NodeId,
         to: NodeId,
         auth: AuthToken,
-        trace: u64,
         payload: Arc<Vec<u8>>,
     ) -> PendingReply {
         if let Ok(Message::InstallFile { name, .. }) = Message::decode(&payload) {
             self.installed.lock().unwrap().push(name);
         }
-        self.sockets.begin_traced(from, to, auth, trace, payload)
+        self.sockets.begin(from, to, auth, payload)
     }
 }
 
