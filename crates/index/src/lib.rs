@@ -29,6 +29,8 @@
 //!   ordinary inverted index with an access-control check on the ranked
 //!   result list.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod baseline;
 pub(crate) mod bloom;
 pub mod cost;

@@ -95,23 +95,14 @@ impl PostingList {
         }
         let mut merged = Vec::with_capacity(self.entries.len() + updates.len());
         let mut old = self.entries.drain(..).peekable();
-        let mut new = updates.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(o), Some(n)) => match o.doc.cmp(&n.doc) {
-                    std::cmp::Ordering::Less => merged.push(old.next().expect("peeked")),
-                    std::cmp::Ordering::Greater => merged.push(new.next().expect("peeked")),
-                    std::cmp::Ordering::Equal => {
-                        old.next();
-                        merged.push(new.next().expect("peeked")); // update wins
-                    }
-                },
-                (Some(_), None) => merged.push(old.next().expect("peeked")),
-                (None, Some(_)) => merged.push(new.next().expect("peeked")),
-                (None, None) => break,
+        for update in updates {
+            while let Some(kept) = old.next_if(|o| o.doc < update.doc) {
+                merged.push(kept);
             }
+            old.next_if(|o| o.doc == update.doc); // the update wins
+            merged.push(update);
         }
-        drop(old);
+        merged.extend(old);
         self.entries = merged;
     }
 

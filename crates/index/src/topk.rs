@@ -25,7 +25,7 @@ pub struct ScoredList {
 impl ScoredList {
     /// Builds a list from arbitrary-order (doc, score) pairs.
     pub fn new(mut entries: Vec<(DocId, f64)>) -> Self {
-        entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let by_doc = entries.iter().copied().collect();
         Self {
             by_score: entries,
@@ -64,13 +64,11 @@ impl RankedDoc {
     /// the sharded gather merge) sorts by exactly this, which is
     /// what makes their outputs comparable element for element.
     ///
-    /// # Panics
-    /// Panics on NaN scores (no ranking path produces them).
+    /// Scores compare by [`f64::total_cmp`]: no ranking path produces
+    /// a NaN, and on other scores that is the numeric order (with
+    /// `-0.0` below `0.0`).
     pub fn result_order(a: &Self, b: &Self) -> std::cmp::Ordering {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are non-NaN")
-            .then(a.doc.cmp(&b.doc))
+        b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc))
     }
 
     /// True iff `self` ranks strictly before `other` in

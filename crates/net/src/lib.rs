@@ -33,5 +33,6 @@ pub use entropy::entropy_bits_per_byte;
 pub use framing::{Frame, FrameDecoder, FrameRef};
 pub use message::{
     AuthToken, DocumentFrame, Message, ShareColumns, StoredShare, WireDocument, WireError,
+    MAX_QUERY_SLOTS,
 };
 pub use sizes::SizeModel;

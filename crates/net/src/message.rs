@@ -464,6 +464,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// The most term slots a [`Message::PlanQuery`] may carry. Each slot
+/// costs the serving peer a cursor, so decoding refuses a larger count
+/// as malformed, before allocating for it.
+pub const MAX_QUERY_SLOTS: usize = 4_096;
+
 const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_QUERY: u8 = 3;
@@ -736,7 +741,12 @@ impl Message {
                 let forced = read_u8(&mut buffer)?;
                 let k = read_u32(&mut buffer)?;
                 let count = read_u32(&mut buffer)? as usize;
-                let mut terms = Vec::with_capacity(count.min(1 << 20));
+                if count > MAX_QUERY_SLOTS {
+                    return Err(WireError::Malformed(
+                        "more query slots than MAX_QUERY_SLOTS",
+                    ));
+                }
+                let mut terms = Vec::with_capacity(count);
                 for _ in 0..count {
                     let term = TermId(read_u32(&mut buffer)?);
                     let weight = f64::from_bits(read_u64(&mut buffer)?);
@@ -1185,6 +1195,34 @@ mod tests {
     fn response_round_trips() {
         assert_round_trips(&response());
         assert_every_cut_fails(&response());
+    }
+
+    /// A query of `MAX_QUERY_SLOTS` slots decodes; one more slot is
+    /// refused as malformed, whether or not the bytes for it follow.
+    #[test]
+    fn a_plan_query_is_capped_at_max_query_slots() {
+        let query = |slots: usize| Message::PlanQuery {
+            shard: 0,
+            shape: 0,
+            forced: 0,
+            terms: (0..slots as u32).map(|t| (TermId(t % 7), 1.0)).collect(),
+            k: 10,
+        };
+        let at_cap = query(MAX_QUERY_SLOTS);
+        assert_eq!(Message::decode(&at_cap.encode()), Ok(at_cap));
+        let refused = Err(WireError::Malformed(
+            "more query slots than MAX_QUERY_SLOTS",
+        ));
+        assert_eq!(
+            Message::decode(&query(MAX_QUERY_SLOTS + 1).encode()),
+            refused
+        );
+        // A count of 2^32 - 1 slots with nothing behind it: refused by
+        // the cap, not read until the bytes run out.
+        let mut bare = query(0).encode().to_vec();
+        let count_at = bare.len() - 4;
+        bare[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(Message::decode(&bare), refused);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use zerber_index::RankedDoc;
 
@@ -63,13 +65,15 @@ impl CacheShard {
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let (_, key) = self
-                .recency
-                .pop_first()
-                .expect("over-budget shard has entries");
-            let entry = self.map.remove(&key).expect("recency index names an entry");
-            self.bytes -= entry.bytes;
-            evicted += 1;
+            // An over-budget shard has entries, each named once in the
+            // recency index.
+            let Some((_, key)) = self.recency.pop_first() else {
+                break;
+            };
+            if let Some(entry) = self.map.remove(&key) {
+                self.bytes -= entry.bytes;
+                evicted += 1;
+            }
         }
         evicted
     }
@@ -114,7 +118,7 @@ impl ResultCache {
 
     /// Looks a key up, refreshing its recency on a hit.
     pub fn get(&self, key: &[u8]) -> Option<Arc<Vec<RankedDoc>>> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(key).lock();
         let tick = self.tick();
         let entry = shard.map.get_mut(key)?;
         let old = std::mem::replace(&mut entry.tick, tick);
@@ -132,7 +136,7 @@ impl ResultCache {
         if bytes > self.shard_budget {
             return 0;
         }
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(&key).lock();
         let tick = self.tick();
         if let Some(old) = shard.map.remove(&key) {
             shard.bytes -= old.bytes;
@@ -154,10 +158,7 @@ impl ResultCache {
 
     /// Entries currently cached (across all shards).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// True when no entry is cached.
@@ -173,7 +174,7 @@ mod tests {
 
     /// How many bytes are currently charged (across all shards).
     fn charged(cache: &ResultCache) -> usize {
-        cache.shards.iter().map(|s| s.lock().unwrap().bytes).sum()
+        cache.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
     fn ranked(docs: &[u32]) -> Arc<Vec<RankedDoc>> {

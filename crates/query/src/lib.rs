@@ -18,6 +18,8 @@
 //!   serving epoch `ShardedSearch` bumps after every acknowledged
 //!   write, so write invalidation is free.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod ast;
 pub(crate) mod cache;
 pub(crate) mod exec;

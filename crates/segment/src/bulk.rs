@@ -10,7 +10,8 @@
 //!   worker w of W (parallel): scan the whole batch; push each posting
 //!     of a term t with t % W == w into t's block compressor
 //!   the workers' disjoint lists, in term order ──► the body ──► seg-S.zseg
-//!   writer lock: flush memtable, append the bulk segment, MANIFEST
+//!   writer lock: seal the frozen and active memtables, append the
+//!     bulk segment, MANIFEST
 //! ```
 //!
 //! Each posting is compressed once and never decoded: a list is final
@@ -76,7 +77,7 @@ pub enum BulkFailpoint {
     /// Die once the segment file is written (end of phase 2, nothing
     /// registered): the directory holds one unlisted `.zseg`.
     AfterWrite,
-    /// Die with the memtable sealed under the writer lock, just before
+    /// Die with the memtables sealed under the writer lock, just before
     /// the bulk segment's MANIFEST swap — the last moment the load
     /// must be invisible.
     BeforeManifest,

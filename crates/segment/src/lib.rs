@@ -9,7 +9,8 @@
 //! * `wal` — the checksummed write-ahead log: a batch is
 //!   acknowledged only after its CRC'd record is on the log, and
 //!   recovery ignores torn tails without losing any acknowledged
-//!   batch,
+//!   batch; a log is rotated when its memtable freezes and deleted once
+//!   the segment holding its batches is listed,
 //! * `memtable` — the one `Memtable` every acknowledged batch is
 //!   folded into, newest op per document winning; it sits behind an
 //!   `Arc`, so reader snapshots are pointer copies and a write copies
@@ -24,9 +25,10 @@
 //!   posting once straight into its list; the lists are the load's one
 //!   segment, written once and registered through one atomic manifest
 //!   swap, and no WAL is written on the offline path,
-//! * `store` — the engine ([`SegmentStore`]): flush seals the
-//!   memtable into a segment, size-balanced compaction (optionally on a
-//!   background thread) bounds the segment count by merging the
+//! * `store` — the engine ([`SegmentStore`]): at the flush threshold a
+//!   write freezes the memtable and a flusher thread seals it into a
+//!   segment off the write path, size-balanced compaction (optionally
+//!   on a background thread) bounds the segment count by merging the
 //!   adjacent pair closest in size through the same streaming
 //!   shadow-aware merge, garbage-collecting tombstones when a merge
 //!   reaches the oldest segment, a `MANIFEST` names the
@@ -126,7 +128,8 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 ///
 /// Drop every [`SegmentStore`] opened underneath *before* the guard
 /// (declare the guard first, or as the last field): a store's
-/// background compactor writes into the directory until it is joined.
+/// background flusher and compactor write into the directory until
+/// they are joined.
 #[derive(Debug)]
 pub struct ScratchDir(PathBuf);
 

@@ -4,17 +4,41 @@
 //! # Write path
 //!
 //! ```text
-//! insert/delete batch
-//!   │ 1. append checksummed WAL record (ack point)
-//!   │ 2. fold the batch into the memtable (brief write lock)
+//! insert/delete batch                          (writer lock)
+//!   │ 1. append checksummed record to wal.log  (ack point)
+//!   │ 2. fold the batch into the active memtable
 //!   ▼
-//! memtable ──(≥ flush_postings)──────► seal: memtable → seg-N.zseg
-//!                                      → MANIFEST → truncate WAL
-//! [segments ...] ──(> max_segments)──► merge the best-balanced adjacent
-//!                                      pair → one segment (tombstone GC
-//!                                      iff it starts at the oldest)
-//!                                      → MANIFEST → rm inputs
+//! active ─(≥ flush_postings, none frozen)─► freeze, O(1): wal.log →
+//!                                           wal-N.log, fresh wal.log;
+//!                                           active → frozen; wake flusher
+//! frozen ─(flusher thread)────────────────► seal: merge → seg-N.zseg →
+//!                                           MANIFEST (commit lock) →
+//!                                           rm wal-N.log → slot empty
+//! [segments ...] ─(> max_segments)────────► merge the best-balanced
+//!                                           adjacent pair → one segment,
+//!                                           written with no lock (GC of
+//!                                           tombstones iff it starts at
+//!                                           the oldest) → splice +
+//!                                           MANIFEST (commit lock) → rm
+//!                                           inputs
 //! ```
+//!
+//! Below the active table's cap (see Backpressure) the writer lock
+//! covers no file write but the WAL append and the freeze's rename:
+//! segments are written by threads that hold no lock a writer takes.
+//! With `background: false` there is no flusher, and the crossing write
+//! runs the same seal inline.
+//!
+//! # Backpressure
+//!
+//! At most one table is frozen. While it is being sealed, writers keep
+//! folding into the active table; the write that brings the active
+//! table to [`ACTIVE_CAP`] × `flush_postings` waits for the seal in
+//! flight (it runs the seal itself if the flusher has not started it),
+//! then freezes. Each wait is recorded in
+//! `zerber_segment_write_stall_ns`. When a seal ends, the flusher
+//! freezes the active table itself if it crossed the threshold
+//! meanwhile.
 //!
 //! # Compaction windows
 //!
@@ -23,26 +47,37 @@
 //! what the shadowing rule reads; balanced, so a segment is rewritten
 //! only once its neighbour has grown to its own order of magnitude —
 //! O(log n) rewrites per posting instead of the whole base per flush.
-//! Flush and compaction run the same streaming shadow-aware merge
+//! Seal and compaction run the same streaming shadow-aware merge
 //! (`segment::merge_streaming`); a bulk load merges nothing.
 //!
 //! # Crash safety
 //!
 //! The `MANIFEST` names the live segment set and is replaced
 //! atomically (temp file + rename); segment files are written the same
-//! way. Any crash therefore leaves one of two recoverable worlds:
-//! either the manifest predates the crash (unlisted segment files are
-//! garbage and deleted on open; the WAL still holds the batches) or it
-//! includes the new segment (the WAL tail is then redundant — replay
-//! re-applies batches whose content the segment already carries, which
-//! is idempotent under newest-wins). The WAL is truncated only *after*
-//! the manifest naming its data is durable.
+//! way, and a log is only ever appended to, renamed or deleted. Open
+//! deletes unlisted segment files, then replays every `wal-*.log` in
+//! ascending `seq` and `wal.log` after them. So each crash window
+//! recovers:
+//!
+//! * **rotated, not sealed** — `wal-N.log` still holds the frozen
+//!   batches, and a `seg-N` the manifest does not list is garbage;
+//! * **sealed, log not yet deleted** — the manifest lists `seg-N`, and
+//!   replaying `wal-N.log` re-applies batches `seg-N` already carries,
+//!   which is idempotent under newest-wins: no segment holding later
+//!   batches is listed until the log is gone (the next seal waits for
+//!   the slot, and a bulk load seals — deleting every rotated log —
+//!   before it registers);
+//! * **compaction written, not spliced** — an unlisted file.
+//!
+//! Each window is staged from files and reopened in
+//! `tests/crash_windows.rs`.
 //!
 //! # Snapshots
 //!
-//! Readers clone `Arc`s of the current segment list and the memtable —
-//! no locks are held while a query runs, so sustained top-k load never
-//! blocks ingest and vice versa. A write folds into the memtable in
+//! Readers clone `Arc`s of the segment list, the frozen table and the
+//! active memtable (read order: segments → frozen → active) — no locks
+//! are held while a query runs, so sustained top-k load never blocks
+//! ingest and vice versa. A write folds into the active memtable in
 //! place (`Arc::make_mut`); while a snapshot still holds the old one,
 //! that write folds into a copy, so the snapshot keeps its world.
 
@@ -70,30 +105,42 @@ use crate::memtable::Memtable;
 use crate::segment::{
     lay_out, merge_streaming, read_framed, write_framed, Reader, Segment, ShadowProbe, Source,
 };
-use crate::wal::{replay, Wal, WalOp};
+use crate::wal::{replay, rotated_logs, Wal, WalOp, WAL_FILE};
 
-const WAL_FILE: &str = "wal.log";
 const MANIFEST_FILE: &str = "MANIFEST.zman";
 
+/// The active memtable's cap while a frozen table is being sealed, in
+/// multiples of `flush_postings`: the write that reaches it waits for
+/// the seal. With at most one frozen table, the two memtables hold
+/// about `(1 + ACTIVE_CAP) × flush_postings` between them at most.
+const ACTIVE_CAP: usize = 2;
+
+/// A frozen memtable on its way to becoming the segment `seq`. Its
+/// batches are in the rotated logs numbered up to `seq` (more than one
+/// when logs replayed at open froze with it), which its seal deletes
+/// once the manifest names the segment.
+struct Frozen {
+    memtable: Arc<Memtable>,
+    seq: u64,
+}
+
 /// The engine's current world: segments oldest → newest, then the
-/// memtable over them. Read access clones the `Arc`s.
+/// frozen table, then the active memtable over them. Read access
+/// clones the `Arc`s.
 struct EngineState {
     segments: Vec<Arc<Segment>>,
+    /// The table being sealed, if any: one slot, so at most one table
+    /// is frozen.
+    frozen: Option<Frozen>,
+    /// The active memtable every acknowledged batch folds into.
     memtable: Arc<Memtable>,
     /// Flush pressure: the sum of the weights of the batches applied
-    /// since the last flush.
+    /// to the active memtable since it was last frozen.
     mem_weight: usize,
 }
 
-/// The WAL handle plus the segment sequence counter; its mutex also
-/// serializes all mutations (WAL order = apply order = ack order).
-struct Writer {
-    wal: Wal,
-    next_seq: u64,
-}
-
 /// Pre-registered instrument handles of one store. Lives on [`Inner`]
-/// so the background compactor thread (which only holds an
+/// so the background flusher and compactor threads (which only hold an
 /// `Arc<Inner>`) can record as well.
 struct SegmentMetrics {
     /// `zerber_segment_wal_fsync_ns`: WAL append+fsync latency when
@@ -102,9 +149,12 @@ struct SegmentMetrics {
     /// `zerber_segment_wal_append_ns`: buffered WAL append latency
     /// when `sync_wal` is off.
     wal_append: Histogram,
-    /// `zerber_segment_flush_ns`: memtable-seal (memtable → segment +
-    /// manifest + WAL truncate) duration.
+    /// `zerber_segment_flush_ns`: one seal (frozen table → segment +
+    /// manifest + log delete), wherever it runs.
     flush: Histogram,
+    /// `zerber_segment_write_stall_ns`: how long a write at the active
+    /// table's cap waited for the seal in flight.
+    write_stall: Histogram,
     /// `zerber_segment_compaction_ns`: one compaction step (one pair
     /// merge).
     compaction: Histogram,
@@ -137,6 +187,7 @@ impl SegmentMetrics {
             wal_fsync: registry.histogram("zerber_segment_wal_fsync_ns"),
             wal_append: registry.histogram("zerber_segment_wal_append_ns"),
             flush: registry.histogram("zerber_segment_flush_ns"),
+            write_stall: registry.histogram("zerber_segment_write_stall_ns"),
             compaction: registry.histogram("zerber_segment_compaction_ns"),
             segments: registry.gauge("zerber_segment_segments"),
             compactions: registry.counter("zerber_segment_compactions_total"),
@@ -149,11 +200,26 @@ impl SegmentMetrics {
     }
 }
 
+/// The store's shared core. Its locks are always taken in this order,
+/// each step optional: `compaction` → `writer` → `sealing` → `commit`,
+/// with `state` innermost and held only to read or swap `Arc`s. The
+/// writer never waits on `compaction`, and waits on `sealing` only at
+/// the active table's cap.
 struct Inner {
     dir: PathBuf,
     policy: SegmentPolicy,
     state: RwLock<EngineState>,
-    writer: Mutex<Writer>,
+    /// The active log. Its lock serialises every mutation (WAL order =
+    /// apply order = ack order) and every freeze.
+    writer: Mutex<Wal>,
+    /// At most one seal at a time, held from merging the frozen table
+    /// to emptying its slot: waiting on it is waiting for the slot.
+    sealing: Mutex<()>,
+    /// The next segment sequence number. Held for every change to the
+    /// segment set — a seal's install, a compaction's splice, a bulk
+    /// load's registration — and every MANIFEST write, so a manifest
+    /// always matches the state it was derived from.
+    commit: Mutex<u64>,
     /// At most one compaction at a time (explicit or background).
     compaction: Mutex<()>,
     /// Instrument handles, in the registry the store was opened with.
@@ -165,9 +231,12 @@ struct Inner {
 /// See the [crate docs](crate) for a full open → ingest → crash →
 /// recover example. All methods take `&self`: the store is shared
 /// across threads behind an `Arc` (or borrowed) — ingest, queries, and
-/// background compaction proceed concurrently.
+/// background sealing and compaction proceed concurrently.
 pub struct SegmentStore {
     inner: Arc<Inner>,
+    /// The background threads (`background: true`): each woken through
+    /// its channel, each exiting when the channel disconnects.
+    flusher: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
     compactor: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
 }
 
@@ -210,8 +279,8 @@ fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
 
 impl Inner {
     /// Writes the manifest naming the given segment order. Called with
-    /// the writer lock held, so manifest contents always match the
-    /// engine state it was derived from.
+    /// the commit lock held (its value is `next_seq`), so manifest
+    /// contents always match the engine state they were derived from.
     fn write_manifest(&self, next_seq: u64, segments: &[Arc<Segment>]) -> Result<(), SegmentError> {
         let mut body = Vec::new();
         body.extend_from_slice(&next_seq.to_le_bytes());
@@ -224,50 +293,128 @@ impl Inner {
         write_framed(&self.dir.join(MANIFEST_FILE), &body)
     }
 
-    /// Seals the memtable into one segment and resets it to empty.
-    /// Writer lock held by the caller: the memtable cannot change
-    /// underneath.
-    fn flush_locked(&self, writer: &mut Writer) -> Result<(), SegmentError> {
-        let (memtable, no_segments) = {
+    /// Takes the next segment sequence number. It becomes durable only
+    /// with a manifest (or a rotated log's name); after a crash an
+    /// unused number is simply reused.
+    fn reserve_seq(&self) -> u64 {
+        let mut next_seq = self.commit.lock();
+        *next_seq += 1;
+        *next_seq - 1
+    }
+
+    /// The flush threshold, in memtable weight.
+    fn threshold(&self) -> usize {
+        self.policy.flush_postings.max(1)
+    }
+
+    /// Freezes the active memtable in O(1): rotates `wal.log` to
+    /// `wal-<seq>.log` under a fresh `seq`, moves the table into the
+    /// frozen slot and starts an empty one. Writer lock held by the
+    /// caller, and the slot empty. Returns whether anything froze (an
+    /// empty table does not).
+    fn freeze(&self, wal: &mut Wal) -> Result<bool, SegmentError> {
+        if self.state.read().memtable.is_empty() {
+            return Ok(false);
+        }
+        let seq = self.reserve_seq();
+        wal.rotate(&self.dir, seq, self.policy.sync_wal)?;
+        let mut state = self.state.write();
+        debug_assert!(state.frozen.is_none(), "one frozen table at a time");
+        let memtable = std::mem::take(&mut state.memtable);
+        state.frozen = Some(Frozen { memtable, seq });
+        state.mem_weight = 0;
+        Ok(true)
+    }
+
+    /// The one seal: writes the frozen table as segment `seq`, lists it
+    /// in the MANIFEST, deletes its logs and empties the slot — a no-op
+    /// while the slot is empty. `sealing` is held throughout, so a
+    /// caller that finds a seal in flight waits for it and then finds
+    /// the slot empty. On an error the table and its logs stay frozen,
+    /// and the next call retries.
+    fn seal_frozen(&self) -> Result<(), SegmentError> {
+        let _one_seal = self.sealing.lock();
+        // Only the holder of `sealing` changes a full slot: what is
+        // read here stays put until this seal empties it.
+        let (memtable, seq, no_segments) = {
             let state = self.state.read();
-            (Arc::clone(&state.memtable), state.segments.is_empty())
+            let Some(frozen) = &state.frozen else {
+                return Ok(());
+            };
+            let no_segments = state.segments.is_empty();
+            (Arc::clone(&frozen.memtable), frozen.seq, no_segments)
         };
-        if memtable.is_empty() {
-            return Ok(());
-        }
         let started = Instant::now();
-        // With no older segments a tombstone has nothing to mask.
+        // With no older segments a tombstone has nothing to mask. None
+        // can appear meanwhile: seals are serial, and a bulk load seals
+        // before it registers.
         let content = merge_streaming(&[memtable.as_ref()], no_segments);
-        if content.is_empty() {
-            let mut state = self.state.write();
-            state.memtable = Arc::default();
-            state.mem_weight = 0;
-            drop(state);
-            return writer.wal.truncate();
-        }
-        let seq = writer.next_seq;
-        writer.next_seq += 1;
-        let segment = Arc::new(content.write(&self.dir, seq)?);
-        let postings = segment.posting_count();
-        let segments = {
-            let mut state = self.state.write();
-            state.segments.push(segment);
-            state.memtable = Arc::default();
-            state.mem_weight = 0;
-            state.segments.clone()
+        let segment = if content.is_empty() {
+            None
+        } else {
+            Some(Arc::new(content.write(&self.dir, seq)?))
         };
-        self.write_manifest(writer.next_seq, &segments)?;
-        // Only now is the WAL redundant.
-        writer.wal.truncate()?;
+        let postings = segment.as_ref().map_or(0, |s| s.posting_count());
+        let next_seq = self.commit.lock();
+        let mut segments = self.state.read().segments.clone();
+        if let Some(segment) = segment {
+            segments.push(segment);
+            self.write_manifest(*next_seq, &segments)?;
+        }
+        // Only now are the logs redundant. They go before the slot
+        // empties, so no segment holding later batches is ever listed
+        // beside them.
+        for (n, log) in rotated_logs(&self.dir)? {
+            if n <= seq {
+                std::fs::remove_file(log)?;
+            }
+        }
+        let count = segments.len();
+        {
+            let mut state = self.state.write();
+            state.segments = segments;
+            state.frozen = None;
+        }
+        drop(next_seq);
         self.obs.flush.record(started.elapsed().as_nanos() as u64);
         self.obs.flush_postings.add(postings as u64);
-        self.obs.segments.set(segments.len() as i64);
+        self.obs.segments.set(count as i64);
         Ok(())
+    }
+
+    /// Seals the frozen table, then the active one: the synchronous
+    /// seal of `flush()`, `export_files`, a bulk load's registration
+    /// and, with no flusher, of every threshold crossing. Writer lock
+    /// held by the caller, so nothing refills the slot in between.
+    fn seal_both(&self, wal: &mut Wal) -> Result<(), SegmentError> {
+        self.seal_frozen()?;
+        if self.freeze(wal)? {
+            self.seal_frozen()?;
+        }
+        Ok(())
+    }
+
+    /// The flusher's check once a seal is done: freezes the active
+    /// table if it crossed the threshold while the slot was full.
+    /// Returns whether it froze.
+    fn freeze_if_due(&self) -> Result<bool, SegmentError> {
+        let mut wal = self.writer.lock();
+        let due = {
+            let state = self.state.read();
+            state.frozen.is_none() && state.mem_weight >= self.threshold()
+        };
+        if due {
+            self.freeze(&mut wal)
+        } else {
+            Ok(false)
+        }
     }
 
     /// One compaction step: when more than `max_segments` segments
     /// exist, merge the adjacent pair [`balanced_pair`] names into one
-    /// segment. Returns whether it did anything.
+    /// segment. The merge and the file write hold no lock a writer
+    /// takes; only the splice and its manifest hold `commit`. Returns
+    /// whether it did anything.
     fn compact_once(&self) -> Result<bool, SegmentError> {
         let _at_most_one = self.compaction.lock();
         let (at, inputs) = {
@@ -284,18 +431,16 @@ impl Inner {
         let gc_tombstones = at == 0;
         let sources: Vec<&dyn Source> = inputs.iter().map(|s| s.content() as &dyn Source).collect();
         let content = merge_streaming(&sources, gc_tombstones);
-        let mut writer = self.writer.lock();
-        let seq = writer.next_seq;
-        writer.next_seq += 1;
         let merged: Option<Arc<Segment>> = if content.is_empty() {
             None
         } else {
-            Some(Arc::new(content.write(&self.dir, seq)?))
+            Some(Arc::new(content.write(&self.dir, self.reserve_seq())?))
         };
         let postings = merged.as_ref().map_or(0, |s| s.posting_count());
+        let next_seq = self.commit.lock();
         let segments = {
             let mut state = self.state.write();
-            // Flushes and bulk loads only append, and `compaction` is
+            // Seals and bulk loads only append, and `compaction` is
             // locked: the inputs are still at `at`.
             debug_assert!(state.segments[at..at + 2]
                 .iter()
@@ -304,8 +449,8 @@ impl Inner {
             state.segments.splice(at..at + 2, merged);
             state.segments.clone()
         };
-        self.write_manifest(writer.next_seq, &segments)?;
-        drop(writer);
+        self.write_manifest(*next_seq, &segments)?;
+        drop(next_seq);
         // The inputs are no longer reachable from the manifest; their
         // files are garbage (readers still holding snapshot Arcs read
         // from memory, not the files).
@@ -392,9 +537,10 @@ fn balanced_pair(sizes: &[usize], max_segments: usize) -> Option<usize> {
 impl SegmentStore {
     /// Opens (or creates) the store rooted at `dir` and recovers its
     /// durable state: the manifest's segment set is loaded and
-    /// CRC-verified, stray files from interrupted flushes or
-    /// compactions are deleted, and the WAL is replayed — every fully
-    /// written batch back into the memtable, a torn tail ignored. The
+    /// CRC-verified, stray files from interrupted seals or compactions
+    /// are deleted, and the logs are replayed — every rotated
+    /// `wal-*.log` in `seq` order, then `wal.log`, every fully written
+    /// batch back into the memtable, a torn tail ignored. The
     /// store's instruments go to a registry of its own, which nobody
     /// reads; pass one to [`SegmentStore::open_observed`] to see them.
     pub fn open(dir: impl Into<PathBuf>, policy: SegmentPolicy) -> Result<Self, SegmentError> {
@@ -403,9 +549,9 @@ impl SegmentStore {
 
     /// [`SegmentStore::open`] with the write-path instruments
     /// (`zerber_segment_*` WAL fsync/append, flush and compaction
-    /// histograms, segment-count gauge, compaction and tombstone-GC
-    /// counters) registered in `registry`. The background compactor
-    /// records through the same handles.
+    /// and write-stall histograms, segment-count gauge, compaction and
+    /// tombstone-GC counters) registered in `registry`. The background
+    /// flusher and compactor record through the same handles.
     pub fn open_observed(
         dir: impl Into<PathBuf>,
         policy: SegmentPolicy,
@@ -436,11 +582,23 @@ impl SegmentStore {
         for name in &names {
             segments.push(Arc::new(Segment::load(&dir.join(name))?));
         }
+        // A rotated log's seq was reserved in memory, maybe past the
+        // manifest's `next_seq`: start above it, so that nothing
+        // written later wears it.
+        let mut next_seq = next_seq;
+        let mut logs = Vec::new();
+        for (seq, path) in rotated_logs(&dir)? {
+            next_seq = next_seq.max(seq + 1);
+            logs.push(path);
+        }
+        logs.push(dir.join(WAL_FILE));
         let mut memtable = Memtable::default();
-        let mem_weight = replay(&dir.join(WAL_FILE))?
-            .iter()
-            .map(|batch| memtable.apply(batch))
-            .sum();
+        let mut mem_weight = 0;
+        for log in &logs {
+            for batch in replay(log)? {
+                mem_weight += memtable.apply(&batch);
+            }
+        }
         let wal = Wal::open(&dir.join(WAL_FILE))?;
         obs.segments.set(segments.len() as i64);
         let inner = Arc::new(Inner {
@@ -448,10 +606,13 @@ impl SegmentStore {
             policy,
             state: RwLock::new(EngineState {
                 segments,
+                frozen: None,
                 memtable: Arc::new(memtable),
                 mem_weight,
             }),
-            writer: Mutex::new(Writer { wal, next_seq }),
+            writer: Mutex::new(wal),
+            sealing: Mutex::new(()),
+            commit: Mutex::new(next_seq),
             compaction: Mutex::new(()),
             obs,
         });
@@ -469,7 +630,28 @@ impl SegmentStore {
             });
             (signal, handle)
         });
-        Ok(Self { inner, compactor })
+        // The flusher runs beside the compactor, so a seal never queues
+        // behind a compaction step. It wakes the compactor after each
+        // seal; its clone of that channel goes when it exits.
+        let flusher = compactor.as_ref().map(|(compactor, _)| {
+            let (worker, compactor) = (Arc::clone(&inner), compactor.clone());
+            let (signal, wakeups) = mpsc::channel::<()>();
+            let handle = thread::spawn(move || {
+                while wakeups.recv().is_ok() {
+                    while wakeups.try_recv().is_ok() {}
+                    // A failed seal keeps its table and logs frozen:
+                    // the next signal, or a write at the cap, retries.
+                    while worker.seal_frozen().is_ok() && worker.freeze_if_due().unwrap_or(false) {}
+                    let _ = compactor.send(());
+                }
+            });
+            (signal, handle)
+        });
+        Ok(Self {
+            inner,
+            flusher,
+            compactor,
+        })
     }
 
     /// The store's root directory.
@@ -507,43 +689,62 @@ impl SegmentStore {
     /// order under concurrent writers. Durable like
     /// [`SegmentStore::insert`].
     pub fn delete(&self, doc: DocId) -> Result<bool, SegmentError> {
-        let mut writer = self.inner.writer.lock();
+        let mut wal = self.inner.writer.lock();
         let existed = self.snapshot().contains_doc(doc);
-        self.apply_locked(&mut writer, vec![WalOp::Delete { doc: doc.0 }])?;
-        drop(writer);
+        self.apply_locked(&mut wal, vec![WalOp::Delete { doc: doc.0 }])?;
+        drop(wal);
         self.wake_compactor();
         Ok(existed)
     }
 
     fn apply(&self, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
-        let mut writer = self.inner.writer.lock();
-        let added = self.apply_locked(&mut writer, ops)?;
-        drop(writer);
+        let mut wal = self.inner.writer.lock();
+        let added = self.apply_locked(&mut wal, ops)?;
+        drop(wal);
         self.wake_compactor();
         Ok(added)
     }
 
-    fn apply_locked(&self, writer: &mut Writer, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
-        let sync = self.inner.policy.sync_wal;
+    /// Journals and folds one batch, then — at the threshold — freezes
+    /// the active table for the flusher, or seals inline without one.
+    fn apply_locked(&self, wal: &mut Wal, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
+        let inner = &self.inner;
+        let sync = inner.policy.sync_wal;
         let appended = Instant::now();
-        writer.wal.append(&ops, sync)?;
+        wal.append(&ops, sync)?;
         let nanos = appended.elapsed().as_nanos() as u64;
         if sync {
-            self.inner.obs.wal_fsync.record(nanos);
+            inner.obs.wal_fsync.record(nanos);
         } else {
-            self.inner.obs.wal_append.record(nanos);
+            inner.obs.wal_append.record(nanos);
         }
-        let (added, over_threshold) = {
-            let mut state = self.inner.state.write();
+        let (added, weight, slot_full) = {
+            let mut state = inner.state.write();
             let added = Arc::make_mut(&mut state.memtable).apply(&ops);
             state.mem_weight += added;
-            (
-                added,
-                state.mem_weight >= self.inner.policy.flush_postings.max(1),
-            )
+            (added, state.mem_weight, state.frozen.is_some())
         };
-        if over_threshold {
-            self.inner.flush_locked(writer)?;
+        let threshold = inner.threshold();
+        if weight < threshold {
+            return Ok(added);
+        }
+        let Some((flusher, _)) = &self.flusher else {
+            inner.seal_both(wal)?;
+            return Ok(added);
+        };
+        if slot_full {
+            if weight < threshold.saturating_mul(ACTIVE_CAP) {
+                return Ok(added);
+            }
+            let stalled = Instant::now();
+            inner.seal_frozen()?;
+            inner
+                .obs
+                .write_stall
+                .record(stalled.elapsed().as_nanos() as u64);
+        }
+        if inner.freeze(wal)? {
+            let _ = flusher.send(());
         }
         Ok(added)
     }
@@ -554,12 +755,14 @@ impl SegmentStore {
         }
     }
 
-    /// Seals the memtable into a segment now, regardless of the flush
-    /// threshold.
+    /// Seals the memtables into segments now, regardless of the flush
+    /// threshold: a frozen table first (waiting for the seal in flight,
+    /// if any), then the active one. On return every acknowledged batch
+    /// is in a listed segment and `wal.log` is empty.
     pub fn flush(&self) -> Result<(), SegmentError> {
-        let mut writer = self.inner.writer.lock();
-        self.inner.flush_locked(&mut writer)?;
-        drop(writer);
+        let mut wal = self.inner.writer.lock();
+        self.inner.seal_both(&mut wal)?;
+        drop(wal);
         self.wake_compactor();
         Ok(())
     }
@@ -579,6 +782,7 @@ impl SegmentStore {
         let state = self.inner.state.read();
         SegmentSnapshot {
             segments: state.segments.clone(),
+            frozen: state.frozen.as_ref().map(|f| Arc::clone(&f.memtable)),
             memtable: Arc::clone(&state.memtable),
         }
     }
@@ -588,24 +792,31 @@ impl SegmentStore {
         self.inner.state.read().segments.len()
     }
 
-    /// Flush pressure currently in the memtable (live postings +
+    /// Flush pressure currently in the active memtable (live postings +
     /// tombstones).
     pub(crate) fn memtable_postings(&self) -> usize {
         self.inner.state.read().mem_weight
     }
 
-    /// Current WAL size in bytes.
+    /// Current size of the active log, `wal.log`, in bytes.
     pub fn wal_bytes(&self) -> u64 {
-        self.inner.writer.lock().wal.bytes()
+        self.inner.writer.lock().bytes()
     }
 
-    /// Current on-disk footprint: live segment files plus the WAL.
+    /// Current on-disk footprint: live segment files, the rotated logs
+    /// not yet deleted, and the active log.
     pub fn disk_bytes(&self) -> u64 {
         let segments: u64 = {
             let state = self.inner.state.read();
             state.segments.iter().map(|s| s.disk_bytes()).sum()
         };
-        segments + self.wal_bytes()
+        let rotated: u64 = rotated_logs(&self.inner.dir)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(_, log)| std::fs::metadata(log).ok())
+            .map(|meta| meta.len())
+            .sum();
+        segments + rotated + self.wal_bytes()
     }
 
     /// Loads a document batch through the offline bulk path — the
@@ -622,9 +833,10 @@ impl SegmentStore {
     /// term order to the segment body, each freed once appended, and
     /// the body is written once as `seg-*.zseg` (tmp +
     /// fsync + rename + directory fsync) and registered in the
-    /// `MANIFEST` under the writer lock — after sealing any live
-    /// memtable, so the bulk segment is strictly newest and replaces
-    /// overlapping documents exactly like a fresh insert would. The
+    /// `MANIFEST` under the writer lock — after sealing the frozen and
+    /// the active memtable, so the bulk segment is strictly newest and
+    /// replaces overlapping documents exactly like a fresh insert
+    /// would, and no rotated log is left to replay over it. The
     /// file is byte for byte the one a flush of the same batch writes,
     /// whatever the worker count.
     ///
@@ -718,15 +930,10 @@ impl SegmentStore {
         let content = lay_out(term_slots, &live, &[], lists, list_bytes);
 
         // --- Phase 2: write the segment once. ------------------------
-        // Reserve the segment's seq under the writer lock. The
-        // reservation only becomes durable with the registration
+        // The reservation only becomes durable with the registration
         // manifest; after a crash the number is simply reused (any
         // stray file wearing it was collected at open).
-        let seq = {
-            let mut writer = self.inner.writer.lock();
-            writer.next_seq += 1;
-            writer.next_seq - 1
-        };
+        let seq = self.inner.reserve_seq();
         let segment = content.write(&self.inner.dir, seq)?;
         let postings = segment.posting_count();
         if failpoint == Some(BulkFailpoint::AfterWrite) {
@@ -734,21 +941,24 @@ impl SegmentStore {
         }
 
         // --- Phase 3: register atomically under the writer lock. ----
-        let mut writer = self.inner.writer.lock();
-        // Seal any live memtable first: state ingested before this
-        // commit point must stay *older* than the bulk segment, which
-        // replaces overlapping documents like a fresh insert.
-        self.inner.flush_locked(&mut writer)?;
+        let mut wal = self.inner.writer.lock();
+        // Seal both memtables first: state ingested before this commit
+        // point must stay *older* than the bulk segment, which replaces
+        // overlapping documents like a fresh insert — and every rotated
+        // log must be gone before it is listed, or a replay of an older
+        // batch would shadow it.
+        self.inner.seal_both(&mut wal)?;
         if failpoint == Some(BulkFailpoint::BeforeManifest) {
             return Ok(BulkStats::default());
         }
+        let next_seq = self.inner.commit.lock();
         let segments = {
             let mut state = self.inner.state.write();
             state.segments.push(Arc::new(segment));
             state.segments.clone()
         };
-        self.inner.write_manifest(writer.next_seq, &segments)?;
-        drop(writer);
+        self.inner.write_manifest(*next_seq, &segments)?;
+        drop((next_seq, wal));
         self.wake_compactor();
         let obs = &self.inner.obs;
         obs.bulk_docs.add(doc_count as u64);
@@ -761,7 +971,7 @@ impl SegmentStore {
     }
 
     /// Exports a consistent on-disk snapshot of the store for replica
-    /// rebuild: seals the memtable (so the WAL holds nothing the
+    /// rebuild: seals both memtables (so no log holds anything the
     /// segments don't), then — with compaction quiesced so no listed
     /// file can be rewritten or deleted mid-read — returns the manifest
     /// and every live segment file as named byte blobs. The manifest
@@ -773,12 +983,12 @@ impl SegmentStore {
         // Same order as `compact_once`: compaction lock before writer
         // lock, so this cannot deadlock against the compactor.
         let _quiesce = self.inner.compaction.lock();
-        let mut writer = self.inner.writer.lock();
-        self.inner.flush_locked(&mut writer)?;
+        let mut wal = self.inner.writer.lock();
+        self.inner.seal_both(&mut wal)?;
         let manifest = self.inner.dir.join(MANIFEST_FILE);
         if !manifest.exists() {
             // A store that never sealed a segment has written none.
-            self.inner.write_manifest(writer.next_seq, &[])?;
+            self.inner.write_manifest(*self.inner.commit.lock(), &[])?;
         }
         let (_, names) = parse_manifest(&manifest)?;
         let mut files = vec![(MANIFEST_FILE.to_string(), std::fs::read(&manifest)?)];
@@ -829,21 +1039,28 @@ impl SegmentStore {
 }
 
 impl Drop for SegmentStore {
+    /// Joins the flusher, which seals what it was signalled to, then
+    /// the compactor, whose channel closes once the flusher's clone of
+    /// it is gone.
     fn drop(&mut self) {
-        if let Some((signal, handle)) = self.compactor.take() {
+        for (signal, handle) in [self.flusher.take(), self.compactor.take()]
+            .into_iter()
+            .flatten()
+        {
             drop(signal); // disconnects the channel; the worker exits
             let _ = handle.join();
         }
     }
 }
 
-/// A frozen view of the store: the `Arc`'d segments and memtable.
-/// Implements [`PostingStore`], so the query evaluators,
-/// `ShardedSearch`, and the peer runtime's shard service run on it
-/// unchanged.
+/// A point-in-time view of the store: the `Arc`'d segments, frozen
+/// table and memtable. Implements [`PostingStore`], so the query
+/// evaluators, `ShardedSearch`, and the peer runtime's shard service
+/// run on it unchanged.
 #[derive(Clone)]
 pub struct SegmentSnapshot {
     segments: Vec<Arc<Segment>>,
+    frozen: Option<Arc<Memtable>>,
     memtable: Arc<Memtable>,
 }
 
@@ -857,13 +1074,22 @@ impl std::fmt::Debug for SegmentSnapshot {
 }
 
 impl SegmentSnapshot {
-    /// Segments oldest → newest, then the memtable unless it is empty.
+    /// The in-memory tables that hold a batch, older first: the frozen
+    /// table, then the active memtable.
+    fn tables(&self) -> impl Iterator<Item = &Memtable> {
+        let frozen = self.frozen.as_deref();
+        frozen
+            .into_iter()
+            .chain([self.memtable.as_ref()])
+            .filter(|table| !table.is_empty())
+    }
+
+    /// Segments oldest → newest, then [`SegmentSnapshot::tables`].
     fn sources(&self) -> Vec<&dyn Source> {
-        let memtable = (!self.memtable.is_empty()).then_some(self.memtable.as_ref() as &dyn Source);
         self.segments
             .iter()
             .map(|s| s.content() as &dyn Source)
-            .chain(memtable)
+            .chain(self.tables().map(|table| table as &dyn Source))
             .collect()
     }
 
@@ -928,10 +1154,11 @@ impl SegmentSnapshot {
         self.segments.len()
     }
 
-    /// Number of in-memory sources in view: 1 while the memtable holds
-    /// a batch applied since the last flush, else 0.
+    /// Number of in-memory sources in view: the frozen table while it
+    /// is being sealed, plus the active memtable while it holds a batch
+    /// applied since the last freeze — at most 2.
     pub fn delta_len(&self) -> usize {
-        usize::from(!self.memtable.is_empty())
+        self.tables().count()
     }
 }
 
@@ -958,20 +1185,20 @@ impl PostingStore for SegmentSnapshot {
             .iter()
             .map(|s| s.content().compressed_bytes())
             .sum();
-        segments + self.memtable.approx_bytes()
+        segments + self.tables().map(Memtable::approx_bytes).sum::<usize>()
     }
 
     /// The lazy read path. Each term gets one cursor that
-    /// merges the memtable *over* the on-disk segments under the
+    /// merges the memtables *over* the on-disk segments under the
     /// doc-level shadowing rule **without flattening**: segment
     /// postings stay block-compressed behind a
     /// [`CompressedBlockCursor`] (their stored skip metadata serves the
     /// peeks; a block decompresses only when a cursor lands in it),
-    /// the memtable's list — already decoded in memory —
+    /// each memtable's list — already decoded in memory —
     /// is borrowed by a [`DecodedEntriesCursor`], so a term has at most
-    /// `segments + 1` sub-cursors (held in a `SourceCursor` enum, not
+    /// `segments + 2` sub-cursors (held in a `SourceCursor` enum, not
     /// a box), and the shadow test walks the newer sources' doc tables
-    /// with one forward-only finger each (`ShadowProbe`; the memtable
+    /// with one forward-only finger each (`ShadowProbe`; a memtable
     /// is one live/tombstone pair). Every sub-cursor reads its
     /// posting's positional run off the entry it stands on, so phrase
     /// queries need no per-document lookup here.
@@ -993,10 +1220,12 @@ impl PostingStore for SegmentSnapshot {
                         }
                     }
                 }
-                let entries = self.memtable.term_postings(term.0);
-                if !entries.is_empty() {
-                    let cursor = DecodedEntriesCursor::new(entries, weight);
-                    subs.push((self.segments.len(), SourceCursor::Memtable(cursor)));
+                for (rank, table) in (self.segments.len()..).zip(self.tables()) {
+                    let entries = table.term_postings(term.0);
+                    if !entries.is_empty() {
+                        let cursor = DecodedEntriesCursor::new(entries, weight);
+                        subs.push((rank, SourceCursor::Memtable(cursor)));
+                    }
                 }
                 let subs = match <[_; 1]>::try_from(subs) {
                     Err(none) if none.is_empty() => return Box::new(EmptyCursor) as Box<_>,

@@ -17,13 +17,53 @@
 //! keeps every acknowledged batch and never applies a partial one
 //! (property-tested in `tests/recovery_properties.rs` by truncating
 //! and corrupting logs at arbitrary byte offsets).
+//!
+//! # Files
+//!
+//! The active log is `wal.log`. When the memtable it journals freezes,
+//! the log is *rotated*: renamed to `wal-<seq>.log`, where `seq` is the
+//! sequence number of the segment the frozen table will become, and a
+//! fresh `wal.log` takes the next batch. A log is never truncated or
+//! rewritten; a rotated one is deleted once the manifest names the
+//! segment holding its batches. Recovery replays every `wal-*.log` in
+//! ascending `seq`, then `wal.log`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
 use crate::error::SegmentError;
+
+/// The active log's file name.
+pub(crate) const WAL_FILE: &str = "wal.log";
+
+/// The name the active log is rotated to when its memtable freezes
+/// into the segment numbered `seq`.
+fn rotated_name(seq: u64) -> String {
+    format!("wal-{seq:06}.log")
+}
+
+/// The rotated logs in `dir`, `seq`-ascending — the order recovery
+/// replays them in, before `wal.log`.
+pub(crate) fn rotated_logs(dir: &Path) -> Result<Vec<(u64, PathBuf)>, SegmentError> {
+    let mut logs = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let seq = name.to_str().and_then(|name| {
+            name.strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()
+        });
+        if let Some(seq) = seq {
+            logs.push((seq, entry.path()));
+        }
+    }
+    logs.sort_unstable();
+    Ok(logs)
+}
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,12 +197,26 @@ impl Wal {
         Ok(record.len() as u64)
     }
 
-    /// Discards every record — called once the batches are durable in
-    /// a sealed segment (and that segment is in the manifest).
-    pub(crate) fn truncate(&mut self) -> Result<(), SegmentError> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.bytes = 0;
+    /// Rotates the log at `dir/wal.log`: renames it to
+    /// `wal-<seq>.log` and starts a fresh, empty `wal.log`. With `sync`,
+    /// the directory is synced before
+    /// the first append to the new log, so the rename is as durable as
+    /// the records that follow it. If the new log cannot be opened the
+    /// rename is undone and this handle keeps appending where it did.
+    pub(crate) fn rotate(&mut self, dir: &Path, seq: u64, sync: bool) -> Result<(), SegmentError> {
+        let (active, rotated) = (dir.join(WAL_FILE), dir.join(rotated_name(seq)));
+        std::fs::rename(&active, &rotated)?;
+        let fresh = match Self::open(&active) {
+            Ok(fresh) => fresh,
+            Err(e) => {
+                let _ = std::fs::rename(&rotated, &active);
+                return Err(e);
+            }
+        };
+        if sync {
+            File::open(dir)?.sync_all()?;
+        }
+        *self = fresh;
         Ok(())
     }
 
@@ -303,6 +357,22 @@ mod tests {
             assert!(recovered.len() >= intact, "byte {at}");
             assert_eq!(recovered[..intact], batches[..intact], "byte {at}");
         }
+    }
+
+    #[test]
+    fn rotation_renames_the_log_and_starts_an_empty_one() {
+        let dir = ScratchDir::new("wal-rotate");
+        let mut wal = Wal::open(&dir.join(WAL_FILE)).unwrap();
+        let batches = sample_batches();
+        wal.append(&batches[0], false).unwrap();
+        wal.rotate(&dir, 7, true).unwrap();
+        let rotated = dir.join("wal-000007.log");
+        assert_eq!(wal.bytes(), 0);
+        wal.append(&batches[1], false).unwrap();
+        drop(wal);
+        assert_eq!(replay(&rotated).unwrap(), batches[..1]);
+        assert_eq!(replay(&dir.join(WAL_FILE)).unwrap(), batches[1..2]);
+        assert_eq!(rotated_logs(&dir).unwrap(), vec![(7, rotated)]);
     }
 
     #[test]

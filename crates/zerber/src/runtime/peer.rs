@@ -319,6 +319,17 @@ mod tests {
             (unknown_bytes(0, 3), fault::MALFORMED),
             // A shard this peer does not host: reported, not misrouted.
             (topk_query(7, 1, 1.0, 1), fault::UNSUPPORTED),
+            // More slots than a query may cost: refused at decode.
+            (
+                Message::PlanQuery {
+                    shard: 0,
+                    shape: 0,
+                    forced: 0,
+                    terms: vec![(TermId(1), 1.0); zerber_net::MAX_QUERY_SLOTS + 1],
+                    k: 1,
+                },
+                fault::MALFORMED,
+            ),
         ] {
             match runtime
                 .transport()
