@@ -37,11 +37,13 @@ pub struct Bandwidth {
     /// Fraction of baseline bytes saved by compression on the
     /// server→user link (from the raw-vs-wire traffic accounting).
     pub baseline_compression_savings: f64,
-    /// KB per query measured on the wire format (one server).
+    /// KB per query measured on the wire format (one server), with the
+    /// user's session serving every list no server changed from what it
+    /// decoded before.
     pub kb_per_query_wire: f64,
-    /// Response bytes per share element measured on the wire format
-    /// (frame and list headers included) — what the paper's model
-    /// prices at 1.5 × 8 B.
+    /// Response bytes per share element that crossed the wire (frame,
+    /// list headers and unchanged answers included) — what the
+    /// paper's model prices at 1.5 × 8 B.
     pub wire_bytes_per_element: f64,
     /// Total top-10 response size (elements + 10 snippets), bytes.
     pub top10_response_bytes: f64,
@@ -90,6 +92,7 @@ pub fn run(scale: Scale) -> Bandwidth {
 
     let model = SizeModel::default();
     let mut elements = 0usize;
+    let mut fetched = 0usize;
     let mut terms = 0usize;
     let mut queries = 0usize;
     for query in log.queries.iter().take(sample_queries) {
@@ -98,6 +101,7 @@ pub fn run(scale: Scale) -> Bandwidth {
         }
         let outcome = system.query(user, query, 10).expect("query");
         elements += outcome.elements_received;
+        fetched += outcome.elements_fetched;
         terms += query.len();
         queries += 1;
     }
@@ -132,7 +136,7 @@ pub fn run(scale: Scale) -> Bandwidth {
             && matches!(to, zerber_net::NodeId::User(_))
     });
     let kb_per_query_wire = wire_down as f64 / k / queries.max(1) as f64 / 1024.0;
-    let wire_bytes_per_element = wire_down as f64 / elements.max(1) as f64;
+    let wire_bytes_per_element = wire_down as f64 / fetched.max(1) as f64;
 
     let elements_per_query = elements_per_term * terms_per_query;
     let top10_response_bytes =

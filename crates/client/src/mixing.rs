@@ -174,7 +174,7 @@ mod tests {
 
         let reader = auth.issue(UserId(0));
         let total: usize = servers[0]
-            .begin_fetch(reader, &[PlId(0), PlId(1)])
+            .begin_fetch(reader, &[(PlId(0), None), (PlId(1), None)])
             .wait()
             .unwrap()
             .iter()

@@ -285,7 +285,11 @@ mod tests {
         for server in &servers {
             let mut total = 0;
             for pl in 0..8u32 {
-                total += server.begin_fetch(token, &[PlId(pl)]).wait().unwrap()[0].len();
+                total += server
+                    .begin_fetch(token, &[(PlId(pl), None)])
+                    .wait()
+                    .unwrap()[0]
+                    .len();
             }
             assert_eq!(total, 3);
         }
@@ -313,7 +317,11 @@ mod tests {
         let token = auth.issue(UserId(1));
         for server in &servers {
             for pl in 0..8u32 {
-                assert!(server.begin_fetch(token, &[PlId(pl)]).wait().unwrap()[0].is_empty());
+                assert!(server
+                    .begin_fetch(token, &[(PlId(pl), None)])
+                    .wait()
+                    .unwrap()[0]
+                    .is_empty());
             }
         }
     }

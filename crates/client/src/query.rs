@@ -7,23 +7,41 @@
 //! streaming pass: [`recombine`] compares the `k` element-id columns of
 //! each list once, sums straight down the share columns and hands
 //! every complete share set's weighted sum to the decoder, false
-//! positives (elements of co-merged terms) are dropped as they are
-//! decrypted, and [`crate::ranking::rank`] scores what is left. Nothing
-//! on this path hashes; a response that does not have the requested
-//! shape is a [`QueryError`], not a panic.
+//! positives (elements of co-merged terms) are dropped, and
+//! [`crate::ranking::rank`] scores what is left. Nothing on this path
+//! hashes a row; a response that does not have the requested shape is
+//! a [`QueryError`], not a panic.
+//!
+//! A client keeps what it decoded. Per merged list it holds the
+//! decoded elements and the [`ListVersion`] they were read at, names
+//! that version in its next request for the list, and serves the list
+//! from memory when all `k` servers answer "unchanged". A refresh
+//! changes shares, never the secrets they decode to, so it bumps no
+//! version. Rows are recombined only from `k` answers stamped with one
+//! version and one refresh round; a mixed answer is asked again, a
+//! bounded number of times. A list whose sums did not all decode is
+//! not kept.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use zerber_core::{ElementCodec, ElementId, MappingTable, PlId, PostingElement};
 use zerber_field::{lagrange_weights_at_zero, Fp};
 use zerber_index::{RankedDoc, TermId};
-use zerber_net::{AuthToken, ShareColumns};
+use zerber_net::{AuthToken, ListVersion, ShareColumns};
 use zerber_obs::SpanRecord;
 use zerber_server::ServerError;
 
 use crate::ranking::rank;
 use crate::transport::{PendingFetch, ServerHandle};
+
+/// How often `execute` asks its `k` servers for a list before answers
+/// at different versions or refresh rounds are an error: the first
+/// request and three re-requests.
+const FETCH_ATTEMPTS: usize = 4;
 
 /// Why a query produced no outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +66,16 @@ pub enum QueryError {
         /// The list answered there (`None` past the answer's end).
         answered: Option<PlId>,
     },
+    /// The `k` servers answered a list at different versions or
+    /// refresh rounds on every one of `attempts` requests: a write or
+    /// a refresh that did not finish meanwhile, or a server that
+    /// missed one. Shares of different rounds are never recombined.
+    MixedAnswers {
+        /// The first list still mixed.
+        pl: PlId,
+        /// Requests made.
+        attempts: usize,
+    },
     /// A server rejected the request.
     Server(ServerError),
 }
@@ -67,6 +95,11 @@ impl std::fmt::Display for QueryError {
                 f,
                 "server {server} answered {answered:?} at list position {position}, \
                  requested {requested:?}"
+            ),
+            QueryError::MixedAnswers { pl, attempts } => write!(
+                f,
+                "servers answered {pl:?} at different versions or refresh rounds \
+                 {attempts} times"
             ),
             QueryError::Server(e) => write!(f, "server error: {e}"),
         }
@@ -92,20 +125,25 @@ pub struct QueryOutcome {
     /// group by group (ascending group id), insert order inside a
     /// group. `ranked` does not depend on this order.
     pub matching_elements: Vec<PostingElement>,
-    /// Posting elements received from each contacted server (the
+    /// Posting elements the query read from each contacted server,
+    /// summed — served from the client's cache or fetched alike (the
     /// response-size driver of Section 7.3).
     pub elements_received: usize,
+    /// Rows that crossed the wire: what the servers sent, re-requests
+    /// included. A list served from the cache sends none.
+    pub elements_fetched: usize,
     /// Elements discarded as false positives (co-merged terms).
     pub false_positives: usize,
     /// Complete share sets whose sum is not a codeword (a corrupt or
-    /// foreign share, or shares from different refresh rounds). They
-    /// are left out of the result; above zero, the result may be short.
+    /// foreign share). They are left out of the result; above zero,
+    /// the result may be short.
     pub undecodable: usize,
     /// Merged posting lists requested.
     pub lists_requested: usize,
     /// Where the time went: an `execute` span with children `fetch`
-    /// (counters `lists`, `shares`), `recombine` (`realigned_lists`,
-    /// `matching`, `undecodable`) and `rank` (`elements`, `docs`).
+    /// (counters `lists`, `shares`, `cached_lists`, `fetched_rows`),
+    /// `recombine` (`realigned_lists`, `matching`, `undecodable`) and
+    /// `rank` (`elements`, `docs`).
     pub trace: SpanRecord,
 }
 
@@ -182,17 +220,41 @@ pub fn recombine(
     true
 }
 
-/// The querying client.
+/// A merged list as the client last recombined it.
+#[derive(Debug)]
+struct CachedList {
+    /// The version all `k` servers stamped the rows with.
+    version: ListVersion,
+    /// Every element the list's sums decoded to, in recombination
+    /// order.
+    elements: Vec<PostingElement>,
+    /// Rows the `k` servers sent for it: what serving it again counts
+    /// as received.
+    received: usize,
+}
+
+/// One requested list once the `k` servers agree on it.
+enum Agreed {
+    /// All answered "unchanged" at the version the cache holds.
+    Cached(Arc<CachedList>),
+    /// All sent rows at one version and one refresh round.
+    Rows(Vec<ShareColumns>),
+}
+
+/// The querying client. It keeps, per merged list it has read, the
+/// decoded elements and their version, for as long as it lives.
 pub struct QueryClient {
     token: AuthToken,
     codec: ElementCodec,
     table: Arc<MappingTable>,
     threshold: usize,
+    cache: Mutex<HashMap<PlId, Arc<CachedList>>>,
 }
 
 impl QueryClient {
-    /// Creates a client. `threshold` is the scheme's `k` — how many
-    /// servers must answer before decryption is possible.
+    /// Creates a client with nothing cached. `threshold` is the
+    /// scheme's `k` — how many servers must answer before decryption
+    /// is possible.
     pub fn new(
         token: AuthToken,
         codec: ElementCodec,
@@ -205,7 +267,13 @@ impl QueryClient {
             codec,
             table,
             threshold,
+            cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The session token every request of this client presents.
+    pub fn token(&self) -> AuthToken {
+        self.token
     }
 
     /// Executes a keyword query against at least `k` of the given
@@ -231,28 +299,18 @@ impl QueryClient {
         pl_ids.sort_unstable();
         pl_ids.dedup();
 
-        // 2. Fetch the accessible share columns from k servers: every
-        //    request is on its way before the first answer is waited
-        //    for, so the round trip costs the slowest server rather
-        //    than the sum (the servers run on their own peer threads
-        //    behind the runtime transport). Responses stay aligned
-        //    with `contacted` order for the Lagrange weights below.
-        let fetches: Vec<PendingFetch> = contacted
-            .iter()
-            .map(|server| server.begin_fetch(self.token, &pl_ids))
-            .collect();
-        let mut responses = Vec::with_capacity(contacted.len());
-        for (server, fetch) in fetches.into_iter().enumerate() {
-            let lists = fetch.wait()?;
-            check_shape(server, &pl_ids, &lists)?;
-            responses.push(lists);
-        }
+        // 2. Fetch what changed since this client last read it.
+        let held: Vec<Option<Arc<CachedList>>> = {
+            let cache = self.cache.lock();
+            pl_ids.iter().map(|pl| cache.get(pl).cloned()).collect()
+        };
+        let (agreed, elements_fetched) = self.fetch(contacted, &pl_ids, &held)?;
         let fetched_at = started.elapsed();
 
         // 3. Recombine list by list; 4. decrypt each complete share
-        //    set as it is summed and drop false positives. ACLs are
-        //    identical on honest servers, so an element arrives from
-        //    all k servers or none.
+        //    set as it is summed, keep what decoded, and drop false
+        //    positives. ACLs are identical on honest servers, so an
+        //    element arrives from all k servers or none.
         let coordinates: Vec<Fp> = contacted.iter().map(|s| s.coordinate()).collect();
         let weights = lagrange_weights_at_zero(&coordinates);
         let mut query_terms = terms.to_vec();
@@ -263,21 +321,50 @@ impl QueryClient {
         let mut elements_received = 0usize;
         let mut undecodable = 0usize;
         let mut realigned_lists = 0u64;
-        let mut rows: Vec<&ShareColumns> = Vec::with_capacity(responses.len());
-        for position in 0..pl_ids.len() {
-            rows.clear();
-            rows.extend(responses.iter().map(|lists| &lists[position]));
-            elements_received += rows.iter().map(|row| row.len()).sum::<usize>();
-            let realigned = recombine(&rows, &weights, |_, sum| {
-                // A sum this codec did not produce (a corrupt or
-                // foreign share) is left out, and counted.
-                match self.codec.decode(sum) {
-                    Ok(element) if query_terms.contains(&element.term) => matching.push(element),
-                    Ok(_) => false_positives += 1,
-                    Err(_) => undecodable += 1,
+        let mut cached_lists = 0u64;
+        let mut decoded_lists = Vec::new();
+        for (&pl, agreed) in pl_ids.iter().zip(agreed) {
+            let list = match agreed {
+                Agreed::Cached(list) => {
+                    cached_lists += 1;
+                    list
                 }
-            });
-            realigned_lists += u64::from(realigned);
+                Agreed::Rows(columns) => {
+                    let rows: Vec<&ShareColumns> = columns.iter().collect();
+                    let mut elements = Vec::with_capacity(columns[0].len());
+                    let mut failed = 0usize;
+                    let realigned = recombine(&rows, &weights, |_, sum| {
+                        // A sum this codec did not produce (a corrupt or
+                        // foreign share) is left out, and counted.
+                        match self.codec.decode(sum) {
+                            Ok(element) => elements.push(element),
+                            Err(_) => failed += 1,
+                        }
+                    });
+                    realigned_lists += u64::from(realigned);
+                    undecodable += failed;
+                    let list = Arc::new(CachedList {
+                        version: columns[0].version,
+                        elements,
+                        received: columns.iter().map(ShareColumns::len).sum(),
+                    });
+                    if failed == 0 {
+                        decoded_lists.push((pl, list.clone()));
+                    }
+                    list
+                }
+            };
+            elements_received += list.received;
+            for &element in &list.elements {
+                if query_terms.contains(&element.term) {
+                    matching.push(element);
+                } else {
+                    false_positives += 1;
+                }
+            }
+        }
+        if !decoded_lists.is_empty() {
+            self.cache.lock().extend(decoded_lists);
         }
         let recombined_at = started.elapsed();
 
@@ -290,7 +377,9 @@ impl QueryClient {
             .with_child(
                 SpanRecord::new("fetch", Duration::ZERO, fetched_at)
                     .with_counter("lists", pl_ids.len() as u64)
-                    .with_counter("shares", elements_received as u64),
+                    .with_counter("shares", elements_received as u64)
+                    .with_counter("cached_lists", cached_lists)
+                    .with_counter("fetched_rows", elements_fetched as u64),
             )
             .with_child(
                 SpanRecord::new("recombine", fetched_at, recombined_at - fetched_at)
@@ -307,30 +396,102 @@ impl QueryClient {
             ranked,
             matching_elements: matching,
             elements_received,
+            elements_fetched,
             false_positives,
             undecodable,
             lists_requested: pl_ids.len(),
             trace,
         })
     }
+
+    /// Asks the `contacted` servers for every list in `pl_ids`, naming
+    /// the version `held` has of it, until the servers agree on each —
+    /// all "unchanged" at the held version, or all rows at one version
+    /// and one round — and returns the agreed answers in `pl_ids`
+    /// order with the rows fetched on the way. Every request begins at
+    /// all `k` servers before the first answer is waited for, so the
+    /// round trip costs the slowest server rather than the sum (the
+    /// servers run on their own peer threads behind the runtime
+    /// transport). A re-request names only the lists still mixed.
+    fn fetch(
+        &self,
+        contacted: &[Arc<dyn ServerHandle>],
+        pl_ids: &[PlId],
+        held: &[Option<Arc<CachedList>>],
+    ) -> Result<(Vec<Agreed>, usize), QueryError> {
+        let mut agreed: Vec<Option<Agreed>> = pl_ids.iter().map(|_| None).collect();
+        let mut mixed: Vec<usize> = (0..pl_ids.len()).collect();
+        let mut fetched = 0usize;
+        for _ in 0..FETCH_ATTEMPTS {
+            let requests: Vec<(PlId, Option<ListVersion>)> = mixed
+                .iter()
+                .map(|&at| (pl_ids[at], held[at].as_ref().map(|list| list.version)))
+                .collect();
+            let fetches: Vec<PendingFetch> = contacted
+                .iter()
+                .map(|server| server.begin_fetch(self.token, &requests))
+                .collect();
+            let mut answers = Vec::with_capacity(contacted.len());
+            for (server, fetch) in fetches.into_iter().enumerate() {
+                let lists = fetch.wait()?;
+                check_shape(server, &requests, &lists)?;
+                fetched += lists.iter().map(ShareColumns::len).sum::<usize>();
+                answers.push(lists.into_iter());
+            }
+            mixed.retain(|&at| {
+                // The shape check leaves one answer per server here.
+                let columns: Vec<ShareColumns> =
+                    answers.iter_mut().flat_map(Iterator::next).collect();
+                agreed[at] = agree(columns, held[at].as_ref());
+                agreed[at].is_none()
+            });
+            if mixed.is_empty() {
+                return Ok((agreed.into_iter().flatten().collect(), fetched));
+            }
+        }
+        Err(QueryError::MixedAnswers {
+            pl: pl_ids[mixed[0]],
+            attempts: FETCH_ATTEMPTS,
+        })
+    }
+}
+
+/// What the `k` answers to one list agree on, if anything: all
+/// "unchanged" at the version the client holds, or all rows stamped
+/// with one version and one refresh round. Unchanged answers need not
+/// share a round — what the client keeps is decoded.
+fn agree(columns: Vec<ShareColumns>, held: Option<&Arc<CachedList>>) -> Option<Agreed> {
+    let first = columns.first()?;
+    let (version, round, unchanged) = (first.version, first.round, first.is_unchanged());
+    let same = |list: &ShareColumns| list.version == version && list.is_unchanged() == unchanged;
+    if !columns.iter().all(same) {
+        return None;
+    }
+    if unchanged {
+        let current = held.filter(|list| list.version == version);
+        return current.cloned().map(Agreed::Cached);
+    }
+    let one_round = columns.iter().all(|list| list.round == round);
+    one_round.then_some(Agreed::Rows(columns))
 }
 
 /// A server must answer exactly the requested lists in request order —
 /// what lets `execute` index its answer by list position.
 fn check_shape(
     server: usize,
-    requested: &[PlId],
+    requested: &[(PlId, Option<ListVersion>)],
     lists: &[ShareColumns],
 ) -> Result<(), QueryError> {
+    let asked = |position: usize| requested.get(position).map(|&(pl, _)| pl);
     let answered = |position: usize| lists.get(position).map(|list| list.pl);
     match (0..requested.len().max(lists.len()))
-        .find(|&position| requested.get(position).copied() != answered(position))
+        .find(|&position| asked(position) != answered(position))
     {
         None => Ok(()),
         Some(position) => Err(QueryError::MalformedResponse {
             server,
             position,
-            requested: requested.get(position).copied(),
+            requested: asked(position),
             answered: answered(position),
         }),
     }
@@ -551,8 +712,15 @@ mod tests {
         ) -> Result<usize, ServerError> {
             self.inner.delete(token, elements)
         }
-        fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
+        fn begin_fetch(
+            &self,
+            token: AuthToken,
+            lists: &[(PlId, Option<ListVersion>)],
+        ) -> PendingFetch {
             let forge = |honest: ShareColumns| {
+                if honest.is_unchanged() {
+                    return honest;
+                }
                 let mut list = ShareColumns::new(honest.pl);
                 for (element, share) in honest.rows() {
                     list.push(
@@ -564,9 +732,9 @@ mod tests {
                         },
                     );
                 }
-                list
+                list.stamped(honest.version, honest.round)
             };
-            let answer = self.inner.begin_fetch(token, pl_ids).wait();
+            let answer = self.inner.begin_fetch(token, lists).wait();
             PendingFetch::ready(answer.map(|lists| lists.into_iter().map(forge).collect()))
         }
     }
@@ -583,7 +751,7 @@ mod tests {
         // Move server 1's share of one element so that the pair sums
         // to 2^60, one past the codec's 60 payload bits.
         let token = w.auth.issue(UserId(2));
-        let pl = [w.table.lookup(TermId(10))];
+        let pl = [(w.table.lookup(TermId(10)), None)];
         let honest: Vec<ShareColumns> = w.servers[..2]
             .iter()
             .map(|server| server.begin_fetch(token, &pl).wait().unwrap().remove(0))

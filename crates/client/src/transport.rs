@@ -8,11 +8,13 @@
 //! sends the request and returns at once, [`PendingFetch::wait`]
 //! collects the answer. A query begins all `k` of its fetches on its
 //! own thread before waiting for the first, so servers behind a
-//! transport work in parallel and nothing is spawned.
+//! transport work in parallel and nothing is spawned. Each requested
+//! list names the [`ListVersion`] the client holds, if any; a list
+//! still at it comes back [`ShareColumns::unchanged`].
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
-use zerber_net::{AuthToken, ShareColumns, StoredShare};
+use zerber_net::{AuthToken, ListVersion, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError};
 
 /// What a lookup answers: one [`ShareColumns`] per requested list.
@@ -68,9 +70,10 @@ pub trait ServerHandle: Send + Sync {
     ) -> Result<usize, ServerError>;
 
     /// Begins fetching the accessible parts of the requested posting
-    /// lists. Must not block on the server; its answer — or its
-    /// rejection — comes out of [`PendingFetch::wait`].
-    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch;
+    /// lists, each paired with the version the caller holds of it.
+    /// Must not block on the server; its answer — or its rejection —
+    /// comes out of [`PendingFetch::wait`].
+    fn begin_fetch(&self, token: AuthToken, lists: &[(PlId, Option<ListVersion>)]) -> PendingFetch;
 }
 
 impl ServerHandle for IndexServer {
@@ -94,8 +97,8 @@ impl ServerHandle for IndexServer {
         IndexServer::delete(self, token, elements)
     }
 
-    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
-        PendingFetch::ready(self.get_posting_lists(token, pl_ids))
+    fn begin_fetch(&self, token: AuthToken, lists: &[(PlId, Option<ListVersion>)]) -> PendingFetch {
+        PendingFetch::ready(self.lookup(token, lists))
     }
 }
 

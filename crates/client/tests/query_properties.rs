@@ -5,6 +5,11 @@
 //! Threshold Algorithm and full-sort references over per-term scored
 //! lists, and `rank`'s radix grouping against the comparison sort it
 //! replaced. Two fixed examples pin what a tampered answer turns into.
+//!
+//! The client's cache of decoded lists is checked against the client
+//! it replaced — a fresh one per query — under inserts, deletes,
+//! refreshes (one racing a query) and membership changes, and a fixed
+//! example pins what a refresh caught in flight does.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,9 +31,9 @@ use zerber_index::topk::naive_topk;
 use zerber_index::{
     threshold_topk, DocId, Document, GroupId, RankedDoc, ScoredList, TermId, TopKScratch, UserId,
 };
-use zerber_net::{AuthToken, ShareColumns, StoredShare};
+use zerber_net::{AuthToken, ListVersion, ShareColumns, StoredShare};
 use zerber_server::{IndexServer, ServerError, TokenAuth};
-use zerber_shamir::SharingScheme;
+use zerber_shamir::{RefreshRound, SharingScheme};
 
 const READER: UserId = UserId(1);
 const GROUPS: u32 = 3;
@@ -57,17 +62,40 @@ fn to_rows(answer: Vec<ShareColumns>) -> Lists {
     answer.iter().map(|list| (list.pl, rows(list))).collect()
 }
 
-fn to_columns(lists: &Lists) -> Vec<ShareColumns> {
+/// A list's stamps: its version, the server's round, and whether it
+/// was answered unchanged.
+type Stamp = (ListVersion, u64, bool);
+
+fn stamps(answer: &[ShareColumns]) -> Vec<(PlId, Stamp)> {
+    let stamp = |list: &ShareColumns| (list.version, list.round, list.is_unchanged());
+    answer.iter().map(|list| (list.pl, stamp(list))).collect()
+}
+
+/// `lists` as the server would have answered them with the `stamps`
+/// of its honest answer (an unchanged list left empty stays
+/// unchanged; a list it never answered is unstamped).
+fn to_columns(lists: &Lists, stamps: &[(PlId, Stamp)]) -> Vec<ShareColumns> {
     lists
         .iter()
         .map(|(pl, rows)| {
+            let stamp = stamps.iter().find(|(stamped, _)| stamped == pl);
+            let (version, round, unchanged) = stamp.map_or_else(Default::default, |&(_, s)| s);
+            if unchanged && rows.is_empty() {
+                return ShareColumns::unchanged(*pl, version, round);
+            }
             let mut list = ShareColumns::new(*pl);
             for row in rows {
                 list.push(row.element, row.share);
             }
-            list
+            list.stamped(version, round)
         })
         .collect()
+}
+
+/// Every list unconditionally: the request of a client with nothing
+/// cached.
+fn unconditional(lists: &[PlId]) -> Vec<(PlId, Option<ListVersion>)> {
+    lists.iter().map(|&pl| (pl, None)).collect()
 }
 
 /// Lists `recombine` summed straight down after one slice comparison,
@@ -222,11 +250,12 @@ impl<F: Fn(&mut Lists) + Send + Sync> ServerHandle for Tampering<F> {
     ) -> Result<usize, ServerError> {
         self.inner.delete(token, elements)
     }
-    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
-        PendingFetch::ready(self.inner.begin_fetch(token, pl_ids).wait().map(|answer| {
+    fn begin_fetch(&self, token: AuthToken, lists: &[(PlId, Option<ListVersion>)]) -> PendingFetch {
+        PendingFetch::ready(self.inner.begin_fetch(token, lists).wait().map(|answer| {
+            let stamps = stamps(&answer);
             let mut lists = to_rows(answer);
             (self.tamper)(&mut lists);
-            to_columns(&lists)
+            to_columns(&lists, &stamps)
         }))
     }
 }
@@ -426,7 +455,7 @@ proptest! {
         let requested = world.requested(&terms);
         let answers: Vec<Vec<ShareColumns>> = contacted
             .iter()
-            .map(|s| s.begin_fetch(world.token, &requested).wait().unwrap())
+            .map(|s| s.begin_fetch(world.token, &unconditional(&requested)).wait().unwrap())
             .collect();
         let responses: Vec<Lists> = answers.iter().cloned().map(to_rows).collect();
         let coordinates: Vec<Fp> = contacted.iter().map(|s| s.coordinate()).collect();
@@ -629,12 +658,16 @@ fn a_misshapen_answer_is_an_error_not_a_panic() {
 #[test]
 fn misaligned_rows_are_realigned_and_partial_sets_skipped() {
     let world = World::build(&six_documents(), (2, 3), 8);
-    let client = world.client();
+    // A fresh client per query: a warm one would serve the list from
+    // its cache and recombine nothing.
+    let execute = |servers: &[Arc<dyn ServerHandle>]| {
+        world.client().execute(&[TermId(10)], servers, 10).unwrap()
+    };
     let recombine_counters = |outcome: &QueryOutcome| {
         let span = outcome.trace.find("recombine").expect("stage span");
         span.counters.clone()
     };
-    let honest = client.execute(&[TermId(10)], &world.servers, 10).unwrap();
+    let honest = execute(&world.servers);
     assert_eq!(
         recombine_counters(&honest),
         vec![("realigned_lists", 0), ("matching", 6), ("undecodable", 0)]
@@ -642,7 +675,7 @@ fn misaligned_rows_are_realigned_and_partial_sets_skipped() {
 
     // The same shares in another order decrypt to the same ranking.
     let reversed = tampered(&world, 1, |lists| lists[0].1.reverse());
-    let outcome = client.execute(&[TermId(10)], &reversed, 10).unwrap();
+    let outcome = execute(&reversed);
     assert_eq!(bits(&outcome.ranked), bits(&honest.ranked));
     assert_eq!(recombine_counters(&outcome)[0], ("realigned_lists", 1));
 
@@ -651,8 +684,320 @@ fn misaligned_rows_are_realigned_and_partial_sets_skipped() {
     let lossy = tampered(&world, 0, |lists| {
         lists[0].1.remove(2);
     });
-    let outcome = client.execute(&[TermId(10)], &lossy, 10).unwrap();
+    let outcome = execute(&lossy);
     assert_eq!(outcome.matching_elements.len(), 5);
     assert_eq!(outcome.elements_received, 11);
     assert_eq!(recombine_counters(&outcome)[0], ("realigned_lists", 1));
+}
+
+/// The user who writes every document below: a member of every group,
+/// whatever the reader's groups are.
+const OWNER: UserId = UserId(2);
+
+/// A 2-of-3 deployment whose servers the tests below also reach
+/// directly: to refresh them, to change the reader's groups, and to
+/// race a refresh with a query.
+struct Deployment {
+    raw: Vec<Arc<IndexServer>>,
+    servers: Vec<Arc<dyn ServerHandle>>,
+    scheme: SharingScheme,
+    owner: DocumentOwner,
+    reader: AuthToken,
+    table: Arc<MappingTable>,
+    rng: StdRng,
+}
+
+impl Deployment {
+    /// The reader starts in group 0 only.
+    fn new(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let auth = Arc::new(TokenAuth::new());
+        let scheme = SharingScheme::random(2, 3, &mut rng).unwrap();
+        let raw: Vec<Arc<IndexServer>> = scheme
+            .coordinates()
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let server = IndexServer::new(i as u32, x, auth.clone());
+                for group in 0..GROUPS {
+                    server.add_user_to_group(OWNER, GroupId(group));
+                }
+                server.add_user_to_group(READER, GroupId(0));
+                Arc::new(server)
+            })
+            .collect();
+        let servers = raw
+            .iter()
+            .map(|server| server.clone() as Arc<dyn ServerHandle>)
+            .collect();
+        let table = Arc::new(MappingTable::hash_only(LISTS, seed));
+        let owner = DocumentOwner::new(
+            0,
+            auth.issue(OWNER),
+            ElementCodec::default(),
+            scheme.clone(),
+            table.clone(),
+            BatchPolicy::batched(16),
+        );
+        Self {
+            raw,
+            servers,
+            scheme,
+            owner,
+            reader: auth.issue(READER),
+            table,
+            rng,
+        }
+    }
+
+    /// A reader's client with nothing cached.
+    fn client(&self) -> QueryClient {
+        QueryClient::new(self.reader, ElementCodec::default(), self.table.clone(), 2)
+    }
+
+    fn insert(&mut self, doc: &Document) {
+        let owner = &mut self.owner;
+        owner
+            .index_document(doc, &self.servers, &mut self.rng)
+            .unwrap();
+        owner.flush(&self.servers).unwrap();
+    }
+
+    fn round(&mut self) -> RefreshRound {
+        RefreshRound::generate(&self.scheme, &mut self.rng)
+    }
+
+    fn refresh(&mut self) {
+        let round = self.round();
+        for server in &self.raw {
+            server.apply_refresh(&round);
+        }
+    }
+
+    fn set_reader_membership(&self, group: GroupId, member: bool) {
+        for server in &self.raw {
+            if member {
+                server.add_user_to_group(READER, group);
+            } else {
+                server.remove_user_from_group(READER, group);
+            }
+        }
+    }
+
+    /// The servers, with server 1 — the last of the two a client
+    /// contacts — applying `round` between its next `begin_fetch` and
+    /// its answer: server 0 has answered at the round before by then.
+    /// With `catch_up` the round then reaches servers 0 and 2, as a
+    /// refresh visiting one server after another does; without, they
+    /// never get it.
+    fn racing(&self, round: RefreshRound, catch_up: bool) -> Vec<Arc<dyn ServerHandle>> {
+        let then = if catch_up {
+            vec![self.raw[0].clone(), self.raw[2].clone()]
+        } else {
+            Vec::new()
+        };
+        let mut servers = self.servers.clone();
+        servers[1] = Arc::new(Racing {
+            inner: self.raw[1].clone(),
+            round: parking_lot::Mutex::new(Some(round)),
+            then,
+        });
+        servers
+    }
+}
+
+/// A server that a refresh reaches while its answer is being made.
+struct Racing {
+    inner: Arc<IndexServer>,
+    round: parking_lot::Mutex<Option<RefreshRound>>,
+    /// Servers the refresh reaches after this one has answered.
+    then: Vec<Arc<IndexServer>>,
+}
+
+impl ServerHandle for Racing {
+    fn coordinate(&self) -> Fp {
+        self.inner.coordinate()
+    }
+    fn insert_batch(
+        &self,
+        token: AuthToken,
+        entries: &[(PlId, StoredShare)],
+    ) -> Result<(), ServerError> {
+        self.inner.insert_batch(token, entries)
+    }
+    fn delete(
+        &self,
+        token: AuthToken,
+        elements: &[(PlId, ElementId)],
+    ) -> Result<usize, ServerError> {
+        self.inner.delete(token, elements)
+    }
+    fn begin_fetch(&self, token: AuthToken, lists: &[(PlId, Option<ListVersion>)]) -> PendingFetch {
+        let Some(round) = self.round.lock().take() else {
+            return PendingFetch::ready(self.inner.lookup(token, lists));
+        };
+        self.inner.apply_refresh(&round);
+        let answer = self.inner.lookup(token, lists);
+        for server in &self.then {
+            server.apply_refresh(&round);
+        }
+        PendingFetch::ready(answer)
+    }
+}
+
+fn fetch_counter(outcome: &QueryOutcome, name: &str) -> u64 {
+    let span = outcome.trace.find("fetch").expect("stage span");
+    let found = span.counters.iter().find(|(counter, _)| *counter == name);
+    found.expect("fetch counter").1
+}
+
+#[test]
+fn a_refresh_in_flight_is_asked_again_never_recombined() {
+    let mut deployment = Deployment::new(11);
+    for doc in six_documents() {
+        deployment.insert(&doc);
+    }
+    let terms = [TermId(10)];
+    let quiet = deployment
+        .client()
+        .execute(&terms, &deployment.servers, 10)
+        .unwrap();
+    assert_eq!(quiet.elements_fetched, 12, "six rows from each of two");
+
+    // Server 1 answers at the new round, server 0 at the old one: the
+    // list is asked again, by then at one round everywhere.
+    let round = deployment.round();
+    let racing = deployment.racing(round, true);
+    let client = deployment.client();
+    let raced = client.execute(&terms, &racing, 10).unwrap();
+    assert_eq!(bits(&raced.ranked), bits(&quiet.ranked));
+    assert_eq!(raced.undecodable, 0);
+    assert_eq!(raced.elements_received, quiet.elements_received);
+    assert_eq!(raced.elements_fetched, 2 * quiet.elements_fetched);
+    // What it decoded survives the refresh: the next query sends
+    // versions and receives no rows.
+    let warm = client.execute(&terms, &deployment.servers, 10).unwrap();
+    assert_eq!(bits(&warm.ranked), bits(&quiet.ranked));
+    assert_eq!(warm.elements_received, quiet.elements_received);
+    assert_eq!(warm.elements_fetched, 0);
+    assert_eq!(fetch_counter(&warm, "cached_lists"), 1);
+    assert_eq!(fetch_counter(&warm, "fetched_rows"), 0);
+
+    // A server the round never reaches: a typed error after the last
+    // re-request, not undecodable rows, and nothing kept.
+    let round = deployment.round();
+    let stranded = deployment.racing(round.clone(), false);
+    let client = deployment.client();
+    let error = client.execute(&terms, &stranded, 10).unwrap_err();
+    let pl = deployment.table.lookup(TermId(10));
+    assert_eq!(error, QueryError::MixedAnswers { pl, attempts: 4 });
+    for server in [&deployment.raw[0], &deployment.raw[2]] {
+        server.apply_refresh(&round);
+    }
+    let caught_up = client.execute(&terms, &deployment.servers, 10).unwrap();
+    assert_eq!(bits(&caught_up.ranked), bits(&quiet.ranked));
+    assert_eq!(fetch_counter(&caught_up, "cached_lists"), 0);
+    assert_eq!(caught_up.elements_fetched, quiet.elements_fetched);
+}
+
+/// Lists served from the cache, and racing queries that fetched rows,
+/// over the whole run of property (e).
+static CACHED_LISTS: AtomicUsize = AtomicUsize::new(0);
+static RACED_FETCHES: AtomicUsize = AtomicUsize::new(0);
+
+/// One to five terms, counts one to seven, in a random group.
+fn random_document(id: u32, rng: &mut StdRng) -> Document {
+    let terms: std::collections::BTreeMap<u32, u32> = (0..rng.random_range(1..6))
+        .map(|_| (rng.random_range(0..VOCABULARY), rng.random_range(1..8)))
+        .collect();
+    Document::from_term_counts(
+        DocId(id),
+        GroupId(rng.random_range(0..GROUPS)),
+        terms.into_iter().map(|(t, c)| (TermId(t), c)).collect(),
+    )
+}
+
+fn sorted_keys(elements: &[PostingElement]) -> Vec<(u32, u32, u32)> {
+    let mut keys: Vec<_> = elements.iter().map(element_key).collect();
+    keys.sort_unstable();
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// (e) A client that lives through inserts, deletes, proactive
+    /// refreshes — some racing its own query — and changes to its
+    /// reader's groups answers every query exactly as a client with
+    /// nothing cached: the same ranking, score bits included, the
+    /// same matching elements as a multiset, the same logical counts.
+    fn a_long_lived_client_answers_like_a_fresh_one_in_every_case(
+        seed in any::<u64>(),
+        steps in prop::collection::vec((0u8..14, any::<u64>()), 8..40),
+    ) {
+        let mut deployment = Deployment::new(seed);
+        let long_lived = deployment.client();
+        let mut live: Vec<DocId> = Vec::new();
+        let mut next_doc = 0u32;
+        for (kind, payload) in steps {
+            let mut rng = StdRng::seed_from_u64(payload);
+            let group = GroupId(rng.random_range(0..GROUPS));
+            match kind {
+                0..=3 => {
+                    let doc = random_document(next_doc, &mut rng);
+                    next_doc += 1;
+                    deployment.insert(&doc);
+                    live.push(doc.id);
+                }
+                4 if !live.is_empty() => {
+                    let doc = live.swap_remove(rng.random_range(0..live.len()));
+                    deployment.owner.delete_document(doc, &deployment.servers).unwrap();
+                }
+                5 => deployment.refresh(),
+                6 => deployment.set_reader_membership(group, true),
+                7 => deployment.set_reader_membership(group, false),
+                _ => {
+                    let terms: Vec<TermId> = (0..rng.random_range(1..4))
+                        .map(|_| TermId(rng.random_range(0..VOCABULARY)))
+                        .collect();
+                    let racing = kind == 8;
+                    let servers = if racing {
+                        let round = deployment.round();
+                        deployment.racing(round, true)
+                    } else {
+                        deployment.servers.clone()
+                    };
+                    let kept = long_lived.execute(&terms, &servers, 10).unwrap();
+                    let fresh = deployment.client().execute(&terms, &deployment.servers, 10).unwrap();
+                    prop_assert_eq!(bits(&kept.ranked), bits(&fresh.ranked));
+                    prop_assert_eq!(
+                        sorted_keys(&kept.matching_elements),
+                        sorted_keys(&fresh.matching_elements)
+                    );
+                    let counts = |o: &QueryOutcome| {
+                        (o.elements_received, o.false_positives, o.undecodable, o.lists_requested)
+                    };
+                    prop_assert_eq!(counts(&kept), counts(&fresh));
+                    CACHED_LISTS.fetch_add(fetch_counter(&kept, "cached_lists") as usize, Ordering::Relaxed);
+                    if racing && kept.elements_fetched > 0 {
+                        RACED_FETCHES.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Property (e) over its generated cases — which must have served
+/// lists from the cache and raced refreshes against fetches, or the
+/// property says nothing about either.
+#[test]
+fn a_long_lived_client_answers_like_a_fresh_one() {
+    a_long_lived_client_answers_like_a_fresh_one_in_every_case();
+    let cached = CACHED_LISTS.load(Ordering::Relaxed);
+    let raced = RACED_FETCHES.load(Ordering::Relaxed);
+    assert!(
+        cached > 0 && raced > 0,
+        "{cached} lists served from the cache, {raced} racing queries fetched rows"
+    );
 }

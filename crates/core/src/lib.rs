@@ -47,6 +47,8 @@
 //! assert!(plan.achieved_r() >= 1.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod analysis;
 pub(crate) mod element;
 pub(crate) mod mapping;

@@ -33,26 +33,23 @@ pub(crate) fn breadth_first_merge<R: Rng + ?Sized>(
     for (&term, &p) in terms.iter().zip(probabilities) {
         // Line 5: keep assigning "while … the sum of the p_t of terms
         // assigned to this posting list is less than 1/r".
-        let open = matches!(masses.last(), Some(&mass) if mass < threshold);
-        if !open {
-            lists.push(Vec::new());
-            masses.push(0.0);
+        match (lists.last_mut(), masses.last_mut()) {
+            (Some(list), Some(mass)) if *mass < threshold => {
+                list.push(term);
+                *mass += p;
+            }
+            _ => {
+                lists.push(vec![term]);
+                masses.push(p);
+            }
         }
-        lists.last_mut().expect("just pushed").push(term);
-        *masses.last_mut().expect("just pushed") += p;
     }
 
     // Lines 7-8: delete an underweight last list and scatter its terms.
-    if lists.len() > 1 {
-        if let Some(&last_mass) = masses.last() {
-            if last_mass < threshold {
-                let orphans = lists.pop().expect("non-empty");
-                masses.pop();
-                for term in orphans {
-                    let target = rng.random_range(0..lists.len());
-                    lists[target].push(term);
-                }
-            }
+    if lists.len() > 1 && masses.last().is_some_and(|&mass| mass < threshold) {
+        for term in lists.pop().into_iter().flatten() {
+            let target = rng.random_range(0..lists.len());
+            lists[target].push(term);
         }
     }
 

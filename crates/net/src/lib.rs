@@ -32,7 +32,7 @@ pub use bandwidth::{LinkSpec, NodeId, TrafficMeter};
 pub use entropy::entropy_bits_per_byte;
 pub use framing::{Frame, FrameDecoder, FrameRef};
 pub use message::{
-    AuthToken, DocumentFrame, Message, ShareColumns, StoredShare, WireDocument, WireError,
-    MAX_QUERY_SLOTS,
+    AuthToken, DocumentFrame, ListVersion, Message, ShareColumns, StoredShare, WireDocument,
+    WireError, MAX_QUERY_SLOTS,
 };
 pub use sizes::SizeModel;

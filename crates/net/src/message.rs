@@ -10,12 +10,16 @@
 //!
 //! Two posting payload encodings exist in the stack:
 //!
-//! * **Share columns (this module).** A [`Message::QueryResponse`]
-//!   carries, per requested list, one [`ShareColumns`]: the element-id
-//!   column and the y-share column of the runs the caller may read,
-//!   and no group column (the client never read it). The routing
-//!   column compresses — ids are `owner << 40 | sequence`, monotone
-//!   within a `(list, group)` run — so it goes through
+//! * **Share columns (this module).** A [`Message::Query`] names, per
+//!   merged list, the [`ListVersion`] the client already holds, if
+//!   any. A [`Message::QueryResponse`] carries, per requested list,
+//!   one [`ShareColumns`] stamped with the list's version and the
+//!   server's refresh round: either "unchanged" (the client's version
+//!   is current, no rows follow) or the element-id column and the
+//!   y-share column of the runs the caller may read, and no group
+//!   column (the client never read it). The routing column
+//!   compresses — ids are `owner << 40 | sequence`, monotone within a
+//!   `(list, group)` run — so it goes through
 //!   `zerber_postings::column`, the codec the `compression`
 //!   experiment measures. The y column does not: shares are
 //!   near-uniform field elements (`crate::entropy` measures ≈ 8
@@ -23,18 +27,24 @@
 //!   Section 7.3 claim, so they go out raw. Byte by byte:
 //!
 //!   ```text
-//!   tag u8 = 23 | list count u32
-//!   per list:     pl u32
-//!                 id column:    LEB128 count
-//!                               per ≤ 128 ids: tag u8
-//!                                 1 → ZigZag LEB128 deltas (first from 0)
-//!                                 0 → ids raw, 8 B little-endian each
-//!                 share column: count × u64 big-endian, each < p
+//!   request:  tag u8 = 28 | auth u64 | list count u32
+//!             per list:  pl u32 | held u8: 0 → no version follows
+//!                                          1 → content LEB128 | membership LEB128
+//!   response: tag u8 = 29 | list count u32
+//!             per list:  pl u32 | content LEB128 | membership LEB128
+//!                        | round LEB128 | state u8: 0 → unchanged, no rows
+//!                                                   1 → rows follow
+//!                        id column:    LEB128 count
+//!                                      per ≤ 128 ids: tag u8
+//!                                        1 → ZigZag LEB128 deltas (first from 0)
+//!                                        0 → ids raw, 8 B little-endian each
+//!                        share column: count × u64 big-endian, each < p
 //!   ```
 //!
-//!   One count serves both columns, so they cannot disagree in
-//!   length. [`Message::InsertBatch`] still ships [`StoredShare`]s row
-//!   by row (element id 8 B + group id 4 B + y-share 8 B).
+//!   Every LEB128 is minimal. One count serves both columns, so they
+//!   cannot disagree in length. [`Message::InsertBatch`] still ships
+//!   [`StoredShare`]s row by row (element id 8 B + group id 4 B +
+//!   y-share 8 B).
 //!
 //! * **Block-compressed plaintext postings (`zerber-postings`).**
 //!   Baseline engines ship plaintext posting lists, which do
@@ -90,40 +100,92 @@ pub struct StoredShare {
     pub share: Fp,
 }
 
+/// What a server stamps on every list it answers: how often the list
+/// changed there, and how often the reader's groups did. Both counts
+/// only grow, so a list whose version is unchanged holds exactly the
+/// rows it held, for the same reader; honest servers apply the same
+/// writes and membership changes, so they agree on it. A proactive
+/// refresh changes shares, never secrets, and bumps neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ListVersion {
+    /// Shares inserted into and deleted from the list on this server.
+    pub content: u64,
+    /// Group memberships the requesting user gained or lost on this
+    /// server.
+    pub membership: u64,
+}
+
 /// One merged posting list of a [`Message::QueryResponse`]: the
 /// element ids and y-shares the caller may read, as two parallel
-/// columns. Row `i` is the share `shares()[i]` of element
+/// columns, stamped with the list's [`ListVersion`] and the server's
+/// refresh round. Row `i` is the share `shares()[i]` of element
 /// `elements()[i]`; the columns are private so they cannot differ in
-/// length.
+/// length. An [`unchanged`](Self::unchanged) answer holds no rows: the
+/// list is still at the version the client named.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShareColumns {
     /// The merged posting list these columns belong to.
     pub pl: PlId,
+    /// The list's version the answer was read at.
+    pub version: ListVersion,
+    /// How many proactive refreshes the answering server had applied:
+    /// shares of one element from servers at different rounds do not
+    /// lie on one polynomial.
+    pub round: u64,
+    unchanged: bool,
     elements: Vec<u64>,
     shares: Vec<Fp>,
 }
 
 impl ShareColumns {
-    /// The empty answer for one list.
+    /// The empty answer for one list, unstamped.
     pub fn new(pl: PlId) -> Self {
-        Self {
-            pl,
-            elements: Vec::new(),
-            shares: Vec::new(),
-        }
+        Self::with_capacity(pl, 0)
     }
 
     /// The empty answer for one list, with room for `rows` rows.
     pub fn with_capacity(pl: PlId, rows: usize) -> Self {
         Self {
             pl,
+            version: ListVersion::default(),
+            round: 0,
+            unchanged: false,
             elements: Vec::with_capacity(rows),
             shares: Vec::with_capacity(rows),
         }
     }
 
+    /// The answer "still at `version`": no rows, a few bytes on the
+    /// wire.
+    pub fn unchanged(pl: PlId, version: ListVersion, round: u64) -> Self {
+        Self {
+            version,
+            round,
+            unchanged: true,
+            ..Self::new(pl)
+        }
+    }
+
+    /// These columns, stamped with `version` and `round`.
+    pub fn stamped(self, version: ListVersion, round: u64) -> Self {
+        Self {
+            version,
+            round,
+            ..self
+        }
+    }
+
+    /// Whether this is an [`unchanged`](Self::unchanged) answer.
+    pub fn is_unchanged(&self) -> bool {
+        self.unchanged
+    }
+
     /// Appends one row.
+    ///
+    /// # Panics
+    /// Panics on an unchanged answer.
     pub fn push(&mut self, element: ElementId, share: Fp) {
+        assert!(!self.unchanged, "an unchanged answer holds no rows");
         self.elements.push(element.0);
         self.shares.push(share);
     }
@@ -131,13 +193,14 @@ impl ShareColumns {
     /// Appends a run of rows held as columns already.
     ///
     /// # Panics
-    /// Panics if the two columns differ in length.
+    /// Panics if the two columns differ in length, or on an unchanged
+    /// answer.
     pub fn extend_from_columns(&mut self, elements: &[u64], shares: &[Fp]) {
+        assert!(!self.unchanged, "an unchanged answer holds no rows");
         assert_eq!(elements.len(), shares.len(), "one share per element id");
         self.elements.extend_from_slice(elements);
         self.shares.extend_from_slice(shares);
     }
-
     /// Rows held.
     pub fn len(&self) -> usize {
         self.elements.len()
@@ -238,14 +301,18 @@ pub enum Message {
     },
     /// User → server: fetch the accessible parts of these posting
     /// lists. The user "does not divulge which terms she is querying",
-    /// only list ids.
+    /// only list ids, each with the version of it she already holds,
+    /// if any: the server answers a list still at that version
+    /// "unchanged".
     Query {
         /// Authentication token.
         auth: AuthToken,
-        /// Requested merged posting lists.
-        pl_ids: Vec<PlId>,
+        /// Requested merged posting lists, each with the version the
+        /// client holds.
+        lists: Vec<(PlId, Option<ListVersion>)>,
     },
-    /// Server → user: per-list share columns, ACL-filtered.
+    /// Server → user: per-list share columns, ACL-filtered and
+    /// stamped.
     QueryResponse {
         /// One entry per requested list, in request order.
         lists: Vec<ShareColumns>,
@@ -471,13 +538,12 @@ pub const MAX_QUERY_SLOTS: usize = 4_096;
 
 const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
-const TAG_QUERY: u8 = 3;
-// Tags 4–7 are retired (4, once `TAG_RESPONSE`, the row-wise share
-// response that spent 12 of every 20 bytes on clear-text routing
-// fields; 5 and 6 the snippet frames no service ever answered —
-// snippets are served by direct call — and 7 the pre-`PlanQuery`
-// ranked-read frame) and must never be reused: an old client's frame
-// has to keep failing to decode.
+// Tags 3–7 are retired (3, the share request that named no version;
+// 4, once `TAG_RESPONSE`, the row-wise share response that spent 12
+// of every 20 bytes on clear-text routing fields; 5 and 6 the snippet
+// frames no service ever answered — snippets are served by direct
+// call — and 7 the pre-`PlanQuery` ranked-read frame) and must never
+// be reused: an old client's frame has to keep failing to decode.
 const TAG_TOPK_RESPONSE: u8 = 8;
 const TAG_INSERT_OK: u8 = 9;
 const TAG_DELETE_OK: u8 = 10;
@@ -493,11 +559,14 @@ const TAG_FETCH_SEGMENT: u8 = 18;
 const TAG_SEGMENT_DATA: u8 = 19;
 const TAG_PING: u8 = 21;
 const TAG_PONG: u8 = 22;
-const TAG_SHARE_COLUMNS: u8 = 23;
+// Tag 23 is retired: the share response that carried no version and
+// no refresh round.
 const TAG_SNAPSHOT_MANIFEST: u8 = 24;
 const TAG_INSTALL_BEGIN: u8 = 25;
 const TAG_INSTALL_FILE: u8 = 26;
 const TAG_INSTALL_COMMIT: u8 = 27;
+const TAG_LIST_QUERY: u8 = 28;
+const TAG_STAMPED_COLUMNS: u8 = 29;
 
 impl Message {
     /// Serializes the message into the buffer a transport sends: the
@@ -523,21 +592,34 @@ impl Message {
                     put_u64(&mut buffer, element.0);
                 }
             }
-            Message::Query { auth, pl_ids } => {
-                buffer.push(TAG_QUERY);
+            Message::Query { auth, lists } => {
+                buffer.push(TAG_LIST_QUERY);
                 put_u64(&mut buffer, auth.0);
-                put_u32(&mut buffer, pl_ids.len() as u32);
-                for pl in pl_ids {
+                put_u32(&mut buffer, lists.len() as u32);
+                for (pl, held) in lists {
                     put_u32(&mut buffer, pl.0);
+                    match held {
+                        None => buffer.push(0),
+                        Some(version) => {
+                            buffer.push(1);
+                            put_version(&mut buffer, version);
+                        }
+                    }
                 }
             }
             Message::QueryResponse { lists } => {
                 // A delta-coded id rarely needs more than two bytes.
-                buffer.reserve(5 + lists.iter().map(|list| 9 + 10 * list.len()).sum::<usize>());
-                buffer.push(TAG_SHARE_COLUMNS);
+                buffer.reserve(5 + lists.iter().map(|list| 16 + 10 * list.len()).sum::<usize>());
+                buffer.push(TAG_STAMPED_COLUMNS);
                 put_u32(&mut buffer, lists.len() as u32);
                 for list in lists {
                     put_u32(&mut buffer, list.pl.0);
+                    put_version(&mut buffer, &list.version);
+                    varint::write_u64(&mut buffer, list.round);
+                    buffer.push(u8::from(!list.unchanged));
+                    if list.unchanged {
+                        continue;
+                    }
                     encode_column_into(&list.elements, &mut buffer);
                     let column = buffer.len();
                     buffer.resize(column + 8 * list.shares.len(), 0);
@@ -685,26 +767,46 @@ impl Message {
                 }
                 Message::Delete { elements }
             }
-            TAG_QUERY => {
+            TAG_LIST_QUERY => {
                 let auth = AuthToken(read_u64(&mut buffer)?);
+                // A list is at least its id and its held-version flag.
                 let count = read_u32(&mut buffer)? as usize;
-                let mut pl_ids = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    pl_ids.push(PlId(read_u32(&mut buffer)?));
+                if count > buffer.len() / 5 {
+                    return Err(WireError::Truncated);
                 }
-                Message::Query { auth, pl_ids }
+                let mut lists = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let pl = PlId(read_u32(&mut buffer)?);
+                    let held = match read_u8(&mut buffer)? {
+                        0 => None,
+                        1 => Some(read_version(&mut buffer)?),
+                        _ => return Err(WireError::Malformed("held-version flag not 0 or 1")),
+                    };
+                    lists.push((pl, held));
+                }
+                Message::Query { auth, lists }
             }
-            TAG_SHARE_COLUMNS => {
+            TAG_STAMPED_COLUMNS => {
                 // Every declared count is checked against the bytes
                 // left before anything is allocated for it: a list is
-                // at least its id and an empty column's count byte.
+                // at least its id, three one-byte stamps and its state.
                 let list_count = read_u32(&mut buffer)? as usize;
-                if list_count > buffer.len() / 5 {
+                if list_count > buffer.len() / 8 {
                     return Err(WireError::Truncated);
                 }
                 let mut lists = Vec::with_capacity(list_count);
                 for _ in 0..list_count {
                     let pl = PlId(read_u32(&mut buffer)?);
+                    let version = read_version(&mut buffer)?;
+                    let round = read_leb128(&mut buffer)?;
+                    match read_u8(&mut buffer)? {
+                        0 => {
+                            lists.push(ShareColumns::unchanged(pl, version, round));
+                            continue;
+                        }
+                        1 => {}
+                        _ => return Err(WireError::Malformed("list state not 0 or 1")),
+                    }
                     // A row is at least one id byte and eight share
                     // bytes; the id column leads with its row count.
                     let rows = varint::read_u64(buffer).map_or(0, |(rows, _)| rows);
@@ -729,6 +831,9 @@ impl Message {
                     buffer = &buffer[share_bytes..];
                     lists.push(ShareColumns {
                         pl,
+                        version,
+                        round,
+                        unchanged: false,
                         elements,
                         shares,
                     });
@@ -911,6 +1016,29 @@ fn read_document_batch(buffer: &mut &[u8]) -> Result<(u32, Vec<WireDocument>), W
     Ok((shard, docs))
 }
 
+fn put_version(buffer: &mut Vec<u8>, version: &ListVersion) {
+    varint::write_u64(buffer, version.content);
+    varint::write_u64(buffer, version.membership);
+}
+
+fn read_version(buffer: &mut &[u8]) -> Result<ListVersion, WireError> {
+    Ok(ListVersion {
+        content: read_leb128(buffer)?,
+        membership: read_leb128(buffer)?,
+    })
+}
+
+/// One minimal LEB128 integer: a longer spelling of the same value
+/// (a trailing zero group) is malformed.
+fn read_leb128(buffer: &mut &[u8]) -> Result<u64, WireError> {
+    let (value, used) = varint::read_u64(buffer).ok_or(WireError::Truncated)?;
+    if used > 1 && buffer[used - 1] == 0 {
+        return Err(WireError::Malformed("LEB128 integer not minimal"));
+    }
+    *buffer = &buffer[used..];
+    Ok(value)
+}
+
 fn put_share(buffer: &mut Vec<u8>, share: &StoredShare) {
     put_u64(buffer, share.element.0);
     put_u32(buffer, share.group.0);
@@ -1008,10 +1136,21 @@ mod tests {
         }
     }
 
+    fn version(content: u64, membership: u64) -> ListVersion {
+        ListVersion {
+            content,
+            membership,
+        }
+    }
+
     fn query() -> Message {
         Message::Query {
             auth: AuthToken(0xdead_beef),
-            pl_ids: vec![PlId(0), PlId(31_999)],
+            lists: vec![
+                (PlId(0), None),
+                (PlId(31_999), Some(version(300, 2))),
+                (PlId(7), Some(version(0, 0))),
+            ],
         }
     }
 
@@ -1025,7 +1164,11 @@ mod tests {
 
     fn response() -> Message {
         Message::QueryResponse {
-            lists: vec![columns(5, &[(1, 1), (2, 2)]), columns(6, &[])],
+            lists: vec![
+                columns(5, &[(1, 1), (2, 2)]).stamped(version(1 << 20, 3), 200),
+                columns(6, &[]),
+                ShareColumns::unchanged(PlId(7), version(9, 1), 4),
+            ],
         }
     }
 
@@ -1189,6 +1332,49 @@ mod tests {
     #[test]
     fn query_round_trips() {
         assert_round_trips(&query());
+        assert_every_cut_fails(&query());
+    }
+
+    /// A flag or state byte other than 0 and 1, or a version with a
+    /// longer spelling than it needs, is refused.
+    #[test]
+    fn versioned_frames_have_one_spelling() {
+        let request = Message::Query {
+            auth: AuthToken(1),
+            lists: vec![(PlId(2), None)],
+        }
+        .encode();
+        let mut flag = request.clone();
+        *flag.last_mut().unwrap() = 2;
+        assert_eq!(
+            Message::decode(&flag),
+            Err(WireError::Malformed("held-version flag not 0 or 1"))
+        );
+
+        let unchanged = Message::QueryResponse {
+            lists: vec![ShareColumns::unchanged(PlId(2), version(5, 0), 1)],
+        }
+        .encode();
+        // tag | list count | pl | content | membership | round | state.
+        assert_eq!(hex(&unchanged), "1d000000010000000205000100");
+        assert_eq!(unchanged.len(), 1 + 4 + 4 + 4);
+        let mut state = unchanged.clone();
+        *state.last_mut().unwrap() = 2;
+        assert_eq!(
+            Message::decode(&state),
+            Err(WireError::Malformed("list state not 0 or 1"))
+        );
+        // The content count 5 spelled in two bytes.
+        let mut padded = unchanged[..9].to_vec();
+        padded.extend([0x85, 0x00, 0x00, 0x01, 0x00]);
+        assert_eq!(
+            Message::decode(&padded),
+            Err(WireError::Malformed("LEB128 integer not minimal"))
+        );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|byte| format!("{byte:02x}")).collect()
     }
 
     #[test]
@@ -1231,9 +1417,9 @@ mod tests {
             lists: vec![columns(5, &[(1, 1), (2, 2)])],
         }
         .encode();
-        // tag | list count | pl | column (count, block tag, 2 deltas) |
-        // two 8-byte shares.
-        assert_eq!(encoded.len(), 1 + 4 + 4 + 4 + 16);
+        // tag | list count | pl | version and round | state | column
+        // (count, block tag, 2 deltas) | two 8-byte shares.
+        assert_eq!(encoded.len(), 1 + 4 + 4 + 3 + 1 + 4 + 16);
 
         let mut trailing = encoded.to_vec();
         trailing.push(0);
@@ -1252,7 +1438,7 @@ mod tests {
         );
 
         let mut bad_block_tag = encoded.to_vec();
-        bad_block_tag[10] = 9;
+        bad_block_tag[14] = 9;
         assert_eq!(
             Message::decode(&bad_block_tag).unwrap_err(),
             WireError::Malformed("id column does not decode")
@@ -1260,9 +1446,9 @@ mod tests {
 
         // Counts nothing backs are refused before any allocation: 2^32
         // lists, then one list of 2^56 ids.
-        let lists = [TAG_SHARE_COLUMNS, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0];
+        let lists = [TAG_STAMPED_COLUMNS, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0];
         assert_eq!(Message::decode(&lists).unwrap_err(), WireError::Truncated);
-        let mut ids = vec![TAG_SHARE_COLUMNS, 0, 0, 0, 1, 0, 0, 0, 1];
+        let mut ids = vec![TAG_STAMPED_COLUMNS, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1];
         ids.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 0]);
         assert_eq!(Message::decode(&ids).unwrap_err(), WireError::Truncated);
     }
@@ -1378,7 +1564,7 @@ mod tests {
     fn truncated_buffers_error() {
         assert_every_cut_fails(&Message::Query {
             auth: AuthToken(1),
-            pl_ids: vec![PlId(1)],
+            lists: vec![(PlId(1), Some(version(1, 0)))],
         });
     }
 
@@ -1388,11 +1574,12 @@ mod tests {
             Message::decode(&[42]).unwrap_err(),
             WireError::UnknownTag(42)
         );
-        // The retired tags (the row-wise share response, snippet
-        // request / response, the old ranked read, the epoch-carrying
-        // snapshot manifest, the multiplexed install frame) stay
-        // undecodable, body or not.
-        for tag in [4, 5, 6, 7, 17, 20] {
+        // The retired tags (the unversioned share request, the
+        // row-wise share response, snippet request / response, the old
+        // ranked read, the epoch-carrying snapshot manifest, the
+        // multiplexed install frame, the unstamped share response)
+        // stay undecodable, body or not.
+        for tag in [3, 4, 5, 6, 7, 17, 20, 23] {
             let retired = [tag, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
             assert_eq!(
                 Message::decode(&retired).unwrap_err(),

@@ -1,7 +1,8 @@
 //! The wire format, byte for byte: one instance of every live message
-//! tag (1–3, 8–16, 18, 19, 21–27) and of both frame kinds (request 3,
-//! response 2), pinned as hex, and the retired tags 17 and 20 and the
-//! retired request kind 1 refused in their last pinned shape. A change to the codec's plumbing must leave this file
+//! tag (1, 2, 8–16, 18, 19, 21, 22, 24–29) and of both frame kinds
+//! (request 3, response 2), pinned as hex, and the retired tags 3, 17,
+//! 20 and 23 and the retired request kind 1 refused in their last
+//! pinned shape. A change to the codec's plumbing must leave this file
 //! passing unmodified; a change to the format has to edit a line here
 //! and say so.
 
@@ -10,7 +11,9 @@ use zerber_field::Fp;
 use zerber_index::{DocId, GroupId, TermId};
 use zerber_net::framing::{Frame, FrameDecoder, FrameError};
 use zerber_net::message::fault;
-use zerber_net::{AuthToken, Message, NodeId, ShareColumns, StoredShare, WireDocument, WireError};
+use zerber_net::{
+    AuthToken, ListVersion, Message, NodeId, ShareColumns, StoredShare, WireDocument, WireError,
+};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|byte| format!("{byte:02x}")).collect()
@@ -37,9 +40,14 @@ fn document() -> WireDocument {
 /// file payload (19, 26 — pinned below from their bytes, so this file
 /// never names the payload's type).
 fn golden_messages() -> Vec<(u8, Message, &'static str)> {
+    let version = |content, membership| ListVersion {
+        content,
+        membership,
+    };
     let mut columns = ShareColumns::new(PlId(5));
     columns.push(ElementId((3 << 40) | 100), Fp::new(0x0123_4567_89ab_cdef));
     columns.push(ElementId((3 << 40) | 300), Fp::new(2));
+    let columns = columns.stamped(version(2, 1), 3);
     vec![
         (
             1,
@@ -61,14 +69,6 @@ fn golden_messages() -> Vec<(u8, Message, &'static str)> {
                 elements: vec![(PlId(4), ElementId(77)), (PlId(4), ElementId(78))],
             },
             "020000000200000004000000000000004d00000004000000000000004e",
-        ),
-        (
-            3,
-            Message::Query {
-                auth: AuthToken(0xdead_beef),
-                pl_ids: vec![PlId(0), PlId(31_999)],
-            },
-            "0300000000deadbeef000000020000000000007cff",
         ),
         (
             8,
@@ -137,13 +137,6 @@ fn golden_messages() -> Vec<(u8, Message, &'static str)> {
         (21, Message::Ping, "15"),
         (22, Message::Pong, "16"),
         (
-            23,
-            Message::QueryResponse {
-                lists: vec![columns, ShareColumns::new(PlId(6))],
-            },
-            "1700000002000000050201c881808080c00190030123456789abcdef00000000000000020000000600",
-        ),
-        (
             24,
             Message::SnapshotManifest {
                 shard: 3,
@@ -153,6 +146,26 @@ fn golden_messages() -> Vec<(u8, Message, &'static str)> {
         ),
         (25, Message::InstallBegin { shard: 3 }, "1900000003"),
         (27, Message::InstallCommit { shard: 3 }, "1b00000003"),
+        (
+            28,
+            Message::Query {
+                auth: AuthToken(0xdead_beef),
+                lists: vec![(PlId(0), None), (PlId(31_999), Some(version(300, 2)))],
+            },
+            "1c00000000deadbeef00000002000000000000007cff01ac0202",
+        ),
+        (
+            29,
+            Message::QueryResponse {
+                lists: vec![
+                    columns,
+                    ShareColumns::unchanged(PlId(6), version(0, 1), 3),
+                ],
+            },
+            "1d000000020000000502010301\
+             0201c881808080c00190030123456789abcdef0000000000000002\
+             0000000600010300",
+        ),
     ]
 }
 
@@ -209,10 +222,11 @@ fn every_live_tag_encodes_to_its_pinned_bytes() {
     tags.push(unhex(INSTALL_FILE)[0]);
 
     tags.sort_unstable();
-    let live: Vec<u8> = (1..=3)
+    let live: Vec<u8> = (1..=2)
         .chain(8..=16)
         .chain(18..=19)
-        .chain(21..=27)
+        .chain(21..=22)
+        .chain(24..=29)
         .collect();
     assert_eq!(tags, live, "one instance of every live tag");
 }
@@ -220,6 +234,24 @@ fn every_live_tag_encodes_to_its_pinned_bytes() {
 #[test]
 fn the_retired_repair_tags_stay_undecodable() {
     for (tag, retired) in [17, 20].into_iter().zip(RETIRED) {
+        assert_eq!(
+            Message::decode(&unhex(retired)),
+            Err(WireError::UnknownTag(tag))
+        );
+    }
+}
+
+/// The last pinned bytes of the two retired share frames: tag 3, the
+/// request that named no version, and tag 23, the response that carried
+/// neither a version nor a refresh round.
+const RETIRED_SHARE: [&str; 2] = [
+    "0300000000deadbeef000000020000000000007cff",
+    "1700000002000000050201c881808080c00190030123456789abcdef00000000000000020000000600",
+];
+
+#[test]
+fn the_retired_share_tags_stay_undecodable() {
+    for (tag, retired) in [3, 23].into_iter().zip(RETIRED_SHARE) {
         assert_eq!(
             Message::decode(&unhex(retired)),
             Err(WireError::UnknownTag(tag))

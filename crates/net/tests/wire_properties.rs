@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::GroupId;
-use zerber_net::{AuthToken, Message, ShareColumns, StoredShare};
+use zerber_net::{AuthToken, ListVersion, Message, ShareColumns, StoredShare};
 
 fn arb_share() -> impl Strategy<Value = StoredShare> {
     (any::<u64>(), any::<u32>(), 0..zerber_field::MODULUS).prop_map(|(e, g, y)| StoredShare {
@@ -28,18 +28,40 @@ fn arb_element() -> impl Strategy<Value = ElementId> {
     })
 }
 
+/// A list version with counts of one to ten LEB128 bytes.
+fn arb_version() -> impl Strategy<Value = ListVersion> {
+    (0u32..64, any::<u64>(), 0u32..64, any::<u64>()).prop_map(|(a, content, b, membership)| {
+        ListVersion {
+            content: content >> a,
+            membership: membership >> b,
+        }
+    })
+}
+
+/// The version a request holds for a list, if any.
+fn arb_held() -> impl Strategy<Value = Option<ListVersion>> {
+    (any::<bool>(), arb_version()).prop_map(|(held, version)| held.then_some(version))
+}
+
 /// A share response of up to `lists` lists of fewer than `rows` rows:
-/// empty lists, one-element lists and lists past the id column's
-/// 128-value block among them.
+/// unchanged lists, empty lists, one-element lists and lists past the
+/// id column's 128-value block among them, at any version and round.
 fn arb_response(lists: usize, rows: usize) -> impl Strategy<Value = Message> {
     let row = (arb_element(), 0..zerber_field::MODULUS);
-    let list = (any::<u32>(), prop::collection::vec(row, 0..rows)).prop_map(|(pl, rows)| {
-        let mut list = ShareColumns::new(PlId(pl));
-        for (element, y) in rows {
-            list.push(element, Fp::from_canonical(y));
-        }
-        list
-    });
+    let stamp = (arb_version(), any::<u64>(), 0u8..4);
+    let list = (any::<u32>(), stamp, prop::collection::vec(row, 0..rows)).prop_map(
+        |(pl, (version, round, state), rows)| {
+            let round = round >> (16 * state);
+            if state == 0 {
+                return ShareColumns::unchanged(PlId(pl), version, round);
+            }
+            let mut list = ShareColumns::new(PlId(pl));
+            for (element, y) in rows {
+                list.push(element, Fp::from_canonical(y));
+            }
+            list.stamped(version, round)
+        },
+    );
     prop::collection::vec(list, 0..lists).prop_map(|lists| Message::QueryResponse { lists })
 }
 
@@ -104,11 +126,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
         .prop_map(|elements| Message::Delete { elements }),
         (
             any::<u64>(),
-            prop::collection::vec(any::<u32>().prop_map(PlId), 0..40)
+            prop::collection::vec((any::<u32>().prop_map(PlId), arb_held()), 0..40)
         )
-            .prop_map(|(auth, pl_ids)| Message::Query {
+            .prop_map(|(auth, lists)| Message::Query {
                 auth: AuthToken(auth),
-                pl_ids,
+                lists,
             }),
         arb_response(8, 300),
     ]

@@ -7,7 +7,7 @@
 
 /// Appends the LEB128 encoding of `value` to `out` and returns the
 /// number of bytes written.
-pub(crate) fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
+pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
     let mut written = 0;
     loop {
         let byte = (value & 0x7f) as u8;

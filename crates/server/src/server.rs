@@ -7,7 +7,7 @@ use std::sync::Arc;
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::{GroupId, UserId};
-use zerber_net::{AuthToken, ShareColumns, StoredShare};
+use zerber_net::{AuthToken, ListVersion, ShareColumns, StoredShare};
 use zerber_shamir::RefreshRound;
 
 use crate::auth::AuthService;
@@ -164,27 +164,46 @@ impl IndexServer {
     /// Algorithm 2 (server side): authenticate, load the user's
     /// groups, return the accessible parts of the requested lists —
     /// one [`ShareColumns`] per list, in request order, each the runs
-    /// of the user's groups in group-id order. The answer depends on
-    /// the request and on what the server already stores in the clear
-    /// (group table, group and element id of every share), so serving
-    /// it this way reveals nothing Section 5.3 did not already grant.
-    pub fn get_posting_lists(
+    /// of the user's groups in group-id order — except that a list
+    /// still at the [`ListVersion`] the request holds for it is
+    /// answered [`unchanged`](ShareColumns::unchanged). Every answer is
+    /// stamped with the list's version for this user and this
+    /// server's refresh round. The answer depends on the request and
+    /// on what the server already stores in the clear (group table,
+    /// group and element id of every share, its own write and
+    /// membership history), so serving it this way reveals nothing
+    /// Section 5.3 did not already grant.
+    pub fn lookup(
         &self,
         token: AuthToken,
-        pl_ids: &[PlId],
+        requests: &[(PlId, Option<ListVersion>)],
     ) -> Result<Vec<ShareColumns>, ServerError> {
         let user = self
             .auth
             .authenticate(token)
             .ok_or(ServerError::AuthFailed)?;
-        let groups = self.groups.groups_of(user);
-        Ok(self.store.lookup(pl_ids, |group| groups.contains(&group)))
+        let membership = self.groups.membership(user);
+        let permit = |group| membership.groups.contains(&group);
+        Ok(self.store.lookup(requests, membership.changes, permit))
+    }
+
+    /// [`IndexServer::lookup`] holding no version: every requested
+    /// list answered with its rows.
+    pub fn get_posting_lists(
+        &self,
+        token: AuthToken,
+        pl_ids: &[PlId],
+    ) -> Result<Vec<ShareColumns>, ServerError> {
+        let requests: Vec<(PlId, Option<ListVersion>)> =
+            pl_ids.iter().map(|&pl| (pl, None)).collect();
+        self.lookup(token, &requests)
     }
 
     /// Applies a proactive refresh round (Section 5.1 / \[21\]): every
     /// stored y-share is shifted by this server's delta for that
     /// element (each element is an independent sharing, so each gets
-    /// its own zero-constant delta polynomial).
+    /// its own zero-constant delta polynomial), and this server's
+    /// refresh round goes up by one.
     ///
     /// # Panics
     /// Panics if this server's id is not a server of the scheme `round`
@@ -195,7 +214,7 @@ impl IndexServer {
     )]
     pub fn apply_refresh(&self, round: &RefreshRound) {
         let server = zerber_shamir::ServerId(self.id);
-        self.store.update_shares(|element, share| {
+        self.store.refresh(|element, share| {
             *share += round
                 .delta_for(server, element.0)
                 .expect("refresh round covers this server");

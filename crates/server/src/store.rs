@@ -17,6 +17,12 @@
 //! lookup, a delete — sorts the tail into them first, a list's worth
 //! at a time, while that list's runs are in cache.
 //!
+//! Every list counts the shares inserted into it and deleted from it —
+//! its content version — and the store counts the proactive refreshes
+//! it applied: a lookup stamps each answer with both, read under the
+//! lock the rows are read under, and answers a list still at the
+//! version the caller holds with no rows at all.
+//!
 //! The store never sees terms, document ids or term frequencies — only
 //! opaque y-shares plus the clear-text routing fields (element id,
 //! group id) the protocol requires. Laying a list out by group teaches
@@ -25,13 +31,14 @@
 //! them.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
 use zerber_index::GroupId;
-use zerber_net::{ShareColumns, StoredShare};
+use zerber_net::{ListVersion, ShareColumns, StoredShare};
 
 /// The shares one group holds in one merged list, in insert order.
 #[derive(Debug, Default)]
@@ -53,13 +60,15 @@ impl Run {
 
 /// One merged posting list: its runs in ascending group order — the
 /// order a lookup concatenates them in; `runs[i]` is the run of
-/// `groups[i]`, and a run emptied by deletes stays — and the rows
-/// inserted since the runs were last needed.
+/// `groups[i]`, and a run emptied by deletes stays — the rows inserted
+/// since the runs were last needed, and how many shares were ever
+/// inserted or deleted.
 #[derive(Debug, Default)]
 struct MergedList {
     groups: Vec<GroupId>,
     runs: Vec<Run>,
     unsettled: Vec<StoredShare>,
+    version: u64,
 }
 
 impl MergedList {
@@ -96,14 +105,24 @@ impl MergedList {
 
 type Lists = HashMap<PlId, MergedList>;
 
-/// The answer to a lookup over settled lists.
+/// The answer to a lookup over settled lists, at refresh round `round`.
 fn readable_columns(
     lists: &Lists,
-    pl_ids: &[PlId],
+    round: u64,
+    requests: &[(PlId, Option<ListVersion>)],
+    membership: u64,
     mut permit: impl FnMut(GroupId) -> bool,
 ) -> Vec<ShareColumns> {
-    let columns = |&pl: &PlId| {
-        let runs = lists.get(&pl).into_iter().flat_map(MergedList::runs);
+    let columns = |&(pl, held): &(PlId, Option<ListVersion>)| {
+        let list = lists.get(&pl);
+        let version = ListVersion {
+            content: list.map_or(0, |list| list.version),
+            membership,
+        };
+        if held == Some(version) {
+            return ShareColumns::unchanged(pl, version, round);
+        }
+        let runs = list.into_iter().flat_map(MergedList::runs);
         let readable: Vec<&Run> = runs
             .filter(|&(group, _)| permit(group))
             .map(|(_, run)| run)
@@ -113,15 +132,18 @@ fn readable_columns(
         for run in readable {
             columns.extend_from_columns(&run.elements, &run.shares);
         }
-        columns
+        columns.stamped(version, round)
     };
-    pl_ids.iter().map(columns).collect()
+    requests.iter().map(columns).collect()
 }
 
 /// Thread-safe share storage for one index server.
 #[derive(Debug, Default)]
 pub(crate) struct ShareStore {
     lists: RwLock<Lists>,
+    /// Refreshes applied: written only under `lists`' write lock and
+    /// read under its read lock, so it always matches the shares.
+    round: AtomicU64,
 }
 
 impl ShareStore {
@@ -135,7 +157,9 @@ impl ShareStore {
     pub(crate) fn insert_batch(&self, entries: &[(PlId, StoredShare)]) {
         let mut lists = self.lists.write();
         for &(pl, share) in entries {
-            lists.entry(pl).or_default().unsettled.push(share);
+            let list = lists.entry(pl).or_default();
+            list.unsettled.push(share);
+            list.version += 1;
         }
     }
 
@@ -168,40 +192,49 @@ impl ShareStore {
         }
         let mut removed = 0usize;
         for &(pl, element) in elements {
-            for run in lists
-                .get_mut(&pl)
-                .into_iter()
-                .flat_map(|list| &mut list.runs)
-            {
-                removed += run.remove(element.0);
-            }
+            let Some(list) = lists.get_mut(&pl) else {
+                continue;
+            };
+            let gone: usize = list.runs.iter_mut().map(|run| run.remove(element.0)).sum();
+            list.version += gone as u64;
+            removed += gone;
         }
         Ok(removed)
     }
 
     /// Algorithm 2's lookup: per requested list, in request order, the
     /// runs of the groups `permit` accepts, concatenated in group-id
-    /// order. One lock for the whole request, one `permit` call per
-    /// run.
-    pub(crate) fn lookup<F>(&self, pl_ids: &[PlId], permit: F) -> Vec<ShareColumns>
+    /// order — or, for a list whose version (its content count paired
+    /// with `membership`) is the one the caller holds, the unchanged
+    /// answer. Every answer is stamped with that version and the
+    /// store's refresh round. One lock for the whole request, one
+    /// `permit` call per run.
+    pub(crate) fn lookup<F>(
+        &self,
+        requests: &[(PlId, Option<ListVersion>)],
+        membership: u64,
+        permit: F,
+    ) -> Vec<ShareColumns>
     where
         F: FnMut(GroupId) -> bool,
     {
+        let round = || self.round.load(Ordering::Relaxed);
         let lists = self.lists.read();
-        let settled = |pl| lists.get(pl).is_none_or(|list| list.unsettled.is_empty());
-        if pl_ids.iter().all(settled) {
-            return readable_columns(&lists, pl_ids, permit);
+        let settled =
+            |(pl, _): &(PlId, _)| lists.get(pl).is_none_or(|list| list.unsettled.is_empty());
+        if requests.iter().all(settled) {
+            return readable_columns(&lists, round(), requests, membership, permit);
         }
         // First read since an insert: settle under the write lock and
         // answer from there, so no insert gets in between.
         drop(lists);
         let mut lists = self.lists.write();
-        for pl in pl_ids {
+        for (pl, _) in requests {
             if let Some(list) = lists.get_mut(pl) {
                 list.settle();
             }
         }
-        readable_columns(&lists, pl_ids, permit)
+        readable_columns(&lists, round(), requests, membership, permit)
     }
 
     /// Length of one merged posting list — the only statistic a
@@ -264,13 +297,15 @@ impl ShareStore {
         dump
     }
 
-    /// Applies a mutation to every stored y-share (proactive refresh
-    /// applies the per-server delta this way).
-    pub(crate) fn update_shares<F>(&self, mut update: F)
+    /// Applies a proactive refresh: `update` shifts every stored
+    /// y-share by this server's delta, and the round count goes up by
+    /// one under the same lock. No list's version changes.
+    pub(crate) fn refresh<F>(&self, mut update: F)
     where
         F: FnMut(ElementId, &mut Fp),
     {
         let mut lists = self.lists.write();
+        self.round.fetch_add(1, Ordering::Relaxed);
         for list in lists.values_mut() {
             for run in &mut list.runs {
                 for (&element, share) in run.elements.iter().zip(&mut run.shares) {
@@ -296,13 +331,17 @@ mod tests {
         }
     }
 
+    fn unconditional(pl_ids: &[PlId]) -> Vec<(PlId, Option<ListVersion>)> {
+        pl_ids.iter().map(|&pl| (pl, None)).collect()
+    }
+
     #[test]
     fn insert_then_read_back() {
         let store = ShareStore::new();
         store.insert_batch(&[(PlId(1), share(1, 0)), (PlId(1), share(2, 1))]);
         assert_eq!(store.list_len(PlId(1)), 2);
         assert_eq!(store.total_elements(), 2);
-        let group0 = &store.lookup(&[PlId(1)], |g| g == GroupId(0))[0];
+        let group0 = &store.lookup(&unconditional(&[PlId(1)]), 0, |g| g == GroupId(0))[0];
         assert_eq!(group0.elements(), [1]);
         assert_eq!(group0.shares(), [Fp::new(31)]);
     }
@@ -332,7 +371,7 @@ mod tests {
     fn unknown_list_is_empty() {
         let store = ShareStore::new();
         assert_eq!(store.list_len(PlId(42)), 0);
-        assert!(store.lookup(&[PlId(42)], |_| true)[0].is_empty());
+        assert!(store.lookup(&unconditional(&[PlId(42)]), 0, |_| true)[0].is_empty());
         assert!(store.raw_list(PlId(42)).is_empty());
     }
 
@@ -349,7 +388,7 @@ mod tests {
     fn update_all_visits_every_share() {
         let store = ShareStore::new();
         store.insert_batch(&[(PlId(0), share(1, 0)), (PlId(1), share(2, 0))]);
-        store.update_shares(|_, share| *share += Fp::ONE);
+        store.refresh(|_, share| *share += Fp::ONE);
         assert_eq!(store.raw_list(PlId(0))[0].share, Fp::new(32));
         assert_eq!(store.raw_list(PlId(1))[0].share, Fp::new(63));
     }
@@ -370,7 +409,7 @@ mod tests {
             rows.iter().map(|s| s.element.0).collect()
         };
         assert_eq!(dump(&store), [10, 11, 12, 13]);
-        let lists = store.lookup(&[PlId(2), PlId(1)], |g| g != GroupId(1));
+        let lists = store.lookup(&unconditional(&[PlId(2), PlId(1)]), 0, |g| g != GroupId(1));
         assert_eq!(lists[0].pl, PlId(2));
         assert!(lists[0].is_empty());
         assert_eq!(lists[1].elements(), [11, 10, 12]);
@@ -391,8 +430,46 @@ mod tests {
             Err(GroupId(2))
         );
         assert_eq!(store.delete_permitted(&both, |_| true), Ok(2));
-        assert_eq!(store.lookup(&[PlId(1)], |_| true)[0].elements(), [11, 12]);
+        assert_eq!(
+            store.lookup(&unconditional(&[PlId(1)]), 0, |_| true)[0].elements(),
+            [11, 12]
+        );
         assert_eq!(store.list_lengths()[&PlId(1)], 2);
         assert_eq!(store.total_elements(), 3);
+    }
+
+    #[test]
+    fn writes_bump_the_version_and_refreshes_the_round() {
+        let store = ShareStore::new();
+        let stamp = |store: &ShareStore, held: Option<ListVersion>, membership| {
+            let answer = &store.lookup(&[(PlId(1), held)], membership, |_| true)[0];
+            (answer.is_unchanged(), answer.version.content, answer.round)
+        };
+        let at = |content, membership| {
+            Some(ListVersion {
+                content,
+                membership,
+            })
+        };
+        assert_eq!(stamp(&store, None, 0), (false, 0, 0));
+        assert_eq!(stamp(&store, at(0, 0), 0), (true, 0, 0));
+        store.insert_batch(&[(PlId(1), share(1, 0)), (PlId(1), share(2, 1))]);
+        assert_eq!(stamp(&store, at(0, 0), 0), (false, 2, 0));
+        assert_eq!(stamp(&store, at(2, 0), 0), (true, 2, 0));
+        // Another membership count is another version of the list.
+        assert_eq!(stamp(&store, at(2, 0), 1), (false, 2, 0));
+        store.refresh(|_, share| *share += Fp::ONE);
+        assert_eq!(stamp(&store, at(2, 0), 0), (true, 2, 1));
+        // A delete bumps by what it removed; a no-op delete not at all.
+        assert_eq!(
+            store.delete_permitted(&[(PlId(1), ElementId(9))], |_| true),
+            Ok(0)
+        );
+        assert_eq!(stamp(&store, at(2, 0), 0), (true, 2, 1));
+        assert_eq!(
+            store.delete_permitted(&[(PlId(1), ElementId(1))], |_| true),
+            Ok(1)
+        );
+        assert_eq!(stamp(&store, at(2, 0), 0), (false, 3, 1));
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
-use zerber_net::{AuthToken, Message, NodeId, StoredShare};
+use zerber_net::{AuthToken, ListVersion, Message, NodeId, StoredShare};
 use zerber_server::ServerError;
 
 use zerber_client::{PendingFetch, ServerHandle};
@@ -100,10 +100,10 @@ impl ServerHandle for RuntimeHandle {
         }
     }
 
-    fn begin_fetch(&self, token: AuthToken, pl_ids: &[PlId]) -> PendingFetch {
+    fn begin_fetch(&self, token: AuthToken, lists: &[(PlId, Option<ListVersion>)]) -> PendingFetch {
         let request = Message::Query {
             auth: token,
-            pl_ids: pl_ids.to_vec(),
+            lists: lists.to_vec(),
         };
         let payload = request_payload(&request);
         let mut reply = self.transport.begin(self.from, self.to, token, payload);
@@ -154,7 +154,10 @@ mod tests {
         let upstream = meter.link_bytes(user, node);
         assert!(upstream > 0, "insert bytes recorded");
 
-        let lists = handle.begin_fetch(token, &[PlId(0)]).wait().unwrap();
+        let lists = handle
+            .begin_fetch(token, &[(PlId(0), None)])
+            .wait()
+            .unwrap();
         assert_eq!(lists[0].len(), 1);
         assert!(meter.link_bytes(node, user) > 0, "response bytes recorded");
         assert!(meter.link_bytes(user, node) > upstream, "query bytes added");
@@ -167,7 +170,10 @@ mod tests {
         let (_runtime, handle, _token, _meter) = world();
         let bogus = AuthToken(4242);
         assert_eq!(
-            handle.begin_fetch(bogus, &[PlId(0)]).wait().unwrap_err(),
+            handle
+                .begin_fetch(bogus, &[(PlId(0), None)])
+                .wait()
+                .unwrap_err(),
             ServerError::AuthFailed
         );
         let share = StoredShare {
@@ -199,7 +205,10 @@ mod tests {
             Err(ServerError::Unavailable)
         );
         assert_eq!(
-            handle.begin_fetch(token, &[PlId(0)]).wait().unwrap_err(),
+            handle
+                .begin_fetch(token, &[(PlId(0), None)])
+                .wait()
+                .unwrap_err(),
             ServerError::Unavailable
         );
     }

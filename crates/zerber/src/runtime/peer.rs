@@ -245,7 +245,7 @@ mod tests {
 
         let query = Message::Query {
             auth: token,
-            pl_ids: vec![zerber_core::PlId(0)],
+            lists: vec![(zerber_core::PlId(0), None)],
         };
         match transport
             .request(NodeId::User(1), node, token, &query)

@@ -64,9 +64,9 @@ impl PeerService for ServerService {
             // Queries carry their token in the message body (the wire
             // format of Section 5.4.2); the envelope token is the same
             // session token and is ignored here.
-            Message::Query { auth, pl_ids } => self
+            Message::Query { auth, lists } => self
                 .server
-                .get_posting_lists(auth, &pl_ids)
+                .lookup(auth, &lists)
                 .map(|lists| Message::QueryResponse { lists }),
             _ => return fault_frame(fault::UNSUPPORTED),
         };

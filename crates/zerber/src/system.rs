@@ -110,6 +110,13 @@ struct GroupOwner {
     handles: Vec<Arc<dyn ServerHandle>>,
 }
 
+/// A logged-in user: one query client — its token and what it has
+/// decoded so far — and the server handles it asks through.
+struct Session {
+    client: QueryClient,
+    handles: Vec<Arc<dyn ServerHandle>>,
+}
+
 /// A complete simulated deployment.
 ///
 /// Since the runtime refactor this is a genuinely *concurrent* system:
@@ -129,8 +136,8 @@ pub struct ZerberSystem {
     table: Arc<MappingTable>,
     plan: MergePlan,
     owners: HashMap<GroupId, GroupOwner>,
-    /// One session token per querying user, issued on first use.
-    sessions: Mutex<HashMap<UserId, AuthToken>>,
+    /// One session per querying user, opened on first use.
+    sessions: Mutex<HashMap<UserId, Arc<Session>>>,
     rng: StdRng,
 }
 
@@ -300,32 +307,40 @@ impl ZerberSystem {
     }
 
     /// Executes a keyword query as `user`, returning the top
-    /// `k_results`.
+    /// `k_results`. The user's session client serves every list no
+    /// server changed since its last query from what it decoded then.
     pub fn query(
         &self,
         user: UserId,
         terms: &[TermId],
         k_results: usize,
     ) -> Result<QueryOutcome, SystemError> {
-        let client = QueryClient::new(
-            self.session(user),
-            ElementCodec::default(),
-            self.table.clone(),
-            self.config.threshold,
-        );
-        let handles = handles_for(&self.runtime, &self.scheme, NodeId::User(user.0));
-        Ok(client.execute(terms, &handles, k_results)?)
+        let session = self.open_session(user);
+        Ok(session.client.execute(terms, &session.handles, k_results)?)
+    }
+
+    /// `user`'s session, opened on first use and then reused.
+    fn open_session(&self, user: UserId) -> Arc<Session> {
+        let mut sessions = self.sessions.lock();
+        let session = sessions.entry(user).or_insert_with(|| {
+            Arc::new(Session {
+                client: QueryClient::new(
+                    self.auth.issue(user),
+                    ElementCodec::default(),
+                    self.table.clone(),
+                    self.config.threshold,
+                ),
+                handles: handles_for(&self.runtime, &self.scheme, NodeId::User(user.0)),
+            })
+        });
+        session.clone()
     }
 
     /// The session token `user` is logged in under (issued on first
     /// use, then reused): what every query of theirs presents, and all
     /// a malicious insider holds — the servers decide what it may do.
     pub fn session(&self, user: UserId) -> AuthToken {
-        *self
-            .sessions
-            .lock()
-            .entry(user)
-            .or_insert_with(|| self.auth.issue(user))
+        self.open_session(user).client.token()
     }
 
     /// Applies one proactive refresh round to every server (Section
@@ -459,7 +474,7 @@ mod tests {
         sys.add_membership(UserId(1), GroupId(0));
         sys.index_document(&doc(1, 0, &[(5, 2)])).unwrap();
         sys.query(UserId(1), &[TermId(5)], 10).unwrap();
-        let token = sys.sessions.lock()[&UserId(1)];
+        let token = sys.session(UserId(1));
         assert!(sys.auth.revoke(token));
         match sys.query(UserId(1), &[TermId(5)], 10) {
             Err(SystemError::Server(ServerError::AuthFailed)) => {}
