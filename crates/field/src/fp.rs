@@ -201,6 +201,10 @@ impl Div for Fp {
     /// Panics on division by zero.
     #[inline]
     #[allow(clippy::suspicious_arithmetic_impl)] // division IS mul by inverse in Z_p
+    #[expect(
+        clippy::expect_used,
+        reason = "every non-zero element of Z_p has an inverse; a zero divisor is the documented panic"
+    )]
     fn div(self, rhs: Fp) -> Fp {
         self * rhs.inverse().expect("division by zero in Z_p")
     }

@@ -32,6 +32,8 @@
 //! assert_eq!(interpolate_at_zero(&points), secret);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod fp;
 pub(crate) mod linalg;
 pub(crate) mod mix;

@@ -89,6 +89,10 @@ pub fn lagrange_weights_at_zero(xs: &[Fp]) -> Vec<Fp> {
             );
             denominator *= difference;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the duplicate-x assert leaves a product of non-zero differences, which Z_p inverts"
+        )]
         weights.push(numerator * denominator.inverse().expect("non-zero denominator"));
     }
     weights
@@ -130,7 +134,12 @@ pub fn interpolate_at(points: &[(Fp, Fp)], target: Fp) -> Fp {
             );
             denominator *= difference;
         }
-        result += yi * numerator * denominator.inverse().expect("non-zero denominator");
+        #[expect(
+            clippy::expect_used,
+            reason = "the duplicate-x assert leaves a product of non-zero differences, which Z_p inverts"
+        )]
+        let inverse = denominator.inverse().expect("non-zero denominator");
+        result += yi * numerator * inverse;
     }
     result
 }

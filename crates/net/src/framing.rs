@@ -38,7 +38,7 @@
 use std::io::{self, Read};
 
 use crate::bandwidth::NodeId;
-use crate::message::{put_u32, put_u64, take, AuthToken};
+use crate::message::{AuthToken, Wire};
 
 /// Upper bound on one frame's body, rejecting absurd length prefixes
 /// (a corrupted or hostile length would otherwise ask the reader to
@@ -125,22 +125,22 @@ impl<P: AsRef<[u8]>> Frame<P> {
         let payload = self.payload();
         let mut out = Vec::with_capacity(FRAME_OVERHEAD + MAX_HEADER + payload.len());
         // The length prefix counts body + CRC; written last.
-        put_u32(&mut out, 0);
+        0u32.put(&mut out);
         match self {
             Frame::Request { id, from, auth, .. } => {
                 out.push(KIND_REQUEST);
-                put_u64(&mut out, *id);
+                id.put(&mut out);
                 put_node(&mut out, *from);
-                put_u64(&mut out, auth.0);
+                auth.put(&mut out);
             }
             Frame::Response { id, .. } => {
                 out.push(KIND_RESPONSE);
-                put_u64(&mut out, *id);
+                id.put(&mut out);
             }
         }
         out.extend_from_slice(payload);
         let crc = crc32(&out[4..]);
-        put_u32(&mut out, crc);
+        crc.put(&mut out);
         let framed_len = (out.len() - 4) as u32;
         out[..4].copy_from_slice(&framed_len.to_be_bytes());
         out
@@ -177,7 +177,7 @@ impl<'a> FrameRef<'a> {
     }
 
     fn decode_body(mut body: &'a [u8]) -> Result<Self, FrameError> {
-        let [kind] = take(&mut body).ok_or(FrameError::Malformed)?;
+        let kind = u8::take(&mut body).map_err(|_| FrameError::Malformed)?;
         match kind {
             KIND_REQUEST => Ok(Frame::Request {
                 id: take_u64(&mut body)?,
@@ -201,12 +201,11 @@ fn put_node(buffer: &mut Vec<u8>, node: NodeId) {
         NodeId::IndexServer(i) => (NODE_SERVER, i),
     };
     buffer.push(tag);
-    put_u32(buffer, index);
+    index.put(buffer);
 }
 
 fn take_node(buffer: &mut &[u8]) -> Result<NodeId, FrameError> {
-    let [tag] = take(buffer).ok_or(FrameError::Malformed)?;
-    let index = u32::from_be_bytes(take(buffer).ok_or(FrameError::Malformed)?);
+    let (tag, index) = <(u8, u32)>::take(buffer).map_err(|_| FrameError::Malformed)?;
     match tag {
         NODE_USER => Ok(NodeId::User(index)),
         NODE_OWNER => Ok(NodeId::Owner(index)),
@@ -216,9 +215,7 @@ fn take_node(buffer: &mut &[u8]) -> Result<NodeId, FrameError> {
 }
 
 fn take_u64(buffer: &mut &[u8]) -> Result<u64, FrameError> {
-    take(buffer)
-        .map(u64::from_be_bytes)
-        .ok_or(FrameError::Malformed)
+    u64::take(buffer).map_err(|_| FrameError::Malformed)
 }
 
 /// Incremental frame reassembly over an arbitrarily chunked byte

@@ -247,12 +247,6 @@ pub struct WireDocument {
     pub terms: Vec<(TermId, u32)>,
 }
 
-impl WireDocument {
-    fn fields(&self) -> DocumentFields<'_> {
-        (self.doc, self.group, self.length, &self.terms)
-    }
-}
-
 /// The two frames that carry a document batch, encoded straight from
 /// the caller's borrowed [`Document`]s: a write fan-out ships a batch
 /// it does not own without first copying every document into a
@@ -271,219 +265,305 @@ impl DocumentFrame {
     /// same batch held as [`WireDocument`]s.
     pub fn encode(self, shard: u32, docs: &[&Document]) -> Vec<u8> {
         let tag = match self {
-            DocumentFrame::IndexDocs => TAG_INDEX_DOCS,
-            DocumentFrame::BulkLoad => TAG_BULK_LOAD,
+            DocumentFrame::IndexDocs => tag::IndexDocs,
+            DocumentFrame::BulkLoad => tag::BulkLoad,
         };
-        let fields = docs
-            .iter()
-            .map(|doc| (doc.id, doc.group, doc.length, doc.terms.as_slice()));
+        // Five bytes now, then exactly the batch's size once it is known.
         let mut buffer = Vec::new();
-        put_document_batch(&mut buffer, tag, shard, fields);
+        (tag, shard).put(&mut buffer);
+        put_document_batch(&mut buffer, docs, |doc| {
+            (doc.id, doc.group, doc.length, &doc.terms)
+        });
         buffer
     }
 }
 
-/// Every message of the Zerber wire protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Owner → server: insert a batch of element shares (Section 5.4.1
-    /// batching).
-    InsertBatch {
-        /// Target posting list per entry.
-        entries: Vec<(PlId, StoredShare)>,
-    },
-    /// Owner → server: delete elements by id. Element-wise because the
-    /// server cannot see document ids: "To delete a document, its
-    /// owner must delete each element separately" (Section 7.3).
-    Delete {
-        /// `(list, element)` pairs to remove.
-        elements: Vec<(PlId, ElementId)>,
-    },
-    /// User → server: fetch the accessible parts of these posting
-    /// lists. The user "does not divulge which terms she is querying",
-    /// only list ids, each with the version of it she already holds,
-    /// if any: the server answers a list still at that version
-    /// "unchanged".
-    Query {
-        /// Authentication token.
-        auth: AuthToken,
-        /// Requested merged posting lists, each with the version the
-        /// client holds.
-        lists: Vec<(PlId, Option<ListVersion>)>,
-    },
-    /// Server → user: per-list share columns, ACL-filtered and
-    /// stamped.
-    QueryResponse {
-        /// One entry per requested list, in request order.
-        lists: Vec<ShareColumns>,
-    },
-    /// User → shard peer: rank the top `k` documents for a weighted
-    /// term query (the sharded plaintext serving path of the peer
-    /// runtime) — the one ranked-read frame. It carries the query
-    /// shape and an evaluator override, so it serves disjunctive,
-    /// conjunctive, and phrase evaluation alike. The shape and override
-    /// are raw bytes here (this crate stays independent of the query
-    /// crate); the serving layer converts them. Weights are the
-    /// per-term IDF factors computed from *global* collection
-    /// statistics, shipped as exact `f64` bit patterns so every shard
-    /// scores with bit-identical floats. The peer answers with a
-    /// [`Message::TopKResponse`].
-    PlanQuery {
-        /// Which logical shard this peer should answer from. Under
-        /// replication a peer hosts several shard stores; the id
-        /// routes the query to the right one and lets any replica of
-        /// a shard serve the identical request.
-        shard: u32,
-        /// Query shape: 0 = disjunctive terms, 1 = conjunctive AND,
-        /// 2 = exact phrase. Anything else is malformed.
-        shape: u8,
-        /// The retired disjunctive evaluator override: always 0. The
-        /// values 1 and 2 once pinned evaluators that no longer exist;
-        /// a peer answers them, like any other value, as malformed.
-        /// The codec carries the byte without interpreting it.
-        forced: u8,
-        /// Query slots with their global IDF weights — phrase order
-        /// (duplicates allowed) for the phrase shape.
-        terms: Vec<(TermId, f64)>,
-        /// How many ranked results to return.
-        k: u32,
-    },
-    /// Shard peer → user: the shard-local top-k, sorted by score
-    /// descending then document id ascending — the sorted-access order
-    /// the gather stage's threshold bound relies on. The response also
-    /// carries the peer-side execution stats (decode wall clock and
-    /// block accounting), so the client can assemble a complete
-    /// per-query span tree even when the peer is a separate process
-    /// behind the socket transport.
-    TopKResponse {
-        /// Peer-side wall clock of the top-k evaluation, nanoseconds
-        /// (measured on the peer's own clock; meaningful as a
-        /// duration, not as an offset).
-        decode_ns: u64,
-        /// Posting blocks the peer actually decompressed.
-        blocks_decoded: u32,
-        /// Posting blocks present across the query's lists (what an
-        /// eager evaluation would decode).
-        blocks_total: u32,
-        /// Ranked `(doc, score)` candidates, at most `k` of them.
-        candidates: Vec<(DocId, f64)>,
-    },
-    /// Owner → shard peer: index a batch of plaintext documents (the
-    /// mutable-shard ingest path of the peer runtime). Unlike share
-    /// inserts, the peer sees the documents in the clear — this frame
-    /// belongs to the *plaintext baseline* serving engine only.
-    IndexDocs {
-        /// The logical shard these documents belong to (writes fan to
-        /// every replica of the shard; each applies them to its copy).
-        shard: u32,
-        /// Documents to index; re-sent document ids replace the
-        /// previous version ("only the most recent copy").
-        docs: Vec<WireDocument>,
-    },
-    /// Owner → shard peer: bulk-load a batch of plaintext documents
-    /// through the offline bulk path — same payload as
-    /// [`Message::IndexDocs`], but the peer indexes it WAL-free
-    /// (term-partitioned workers compress each list once, one atomic
-    /// manifest swap) instead of journaling it. Replicas each build
-    /// their own copy; like every write, the frame fans to all replicas
-    /// of the shard.
-    BulkLoad {
-        /// The logical shard these documents belong to.
-        shard: u32,
-        /// Documents to load; re-sent document ids replace the
-        /// previous version ("only the most recent copy").
-        docs: Vec<WireDocument>,
-    },
-    /// Owner → shard peer: remove one document and all its postings.
-    RemoveDoc {
-        /// The logical shard the document lives on.
-        shard: u32,
-        /// The document to drop.
-        doc: DocId,
-    },
-    /// Server → owner: a share batch was accepted.
-    InsertOk,
-    /// Server → owner: deletion outcome.
-    DeleteOk {
-        /// Elements actually removed.
-        removed: u64,
-    },
-    /// Server → client: an RPC fault (failed authentication, missing
-    /// group membership, or an unsupported request for this peer
-    /// role). `code` is one of the `fault` constants; `group`
-    /// identifies the offending group for membership faults and is
-    /// zero otherwise.
-    Fault {
-        /// Fault discriminant (see [`fault`]).
-        code: u8,
-        /// Offending group for [`fault::NOT_GROUP_MEMBER`].
-        group: GroupId,
-    },
-    /// Repair controller → live replica: freeze a consistent snapshot
-    /// of this shard's on-disk state and describe it. The peer answers
-    /// with a [`Message::SnapshotManifest`].
-    PrepareSnapshot {
-        /// The shard to snapshot.
-        shard: u32,
-    },
-    /// Live replica → repair controller: the frozen snapshot's file
-    /// inventory. Each entry names one immutable file (segment or
-    /// manifest) with its byte length and CRC32, so the controller can
-    /// fetch files one by one and verify every frame independently.
-    SnapshotManifest {
-        /// The snapshotted shard.
-        shard: u32,
-        /// `(file name, byte length, crc32)` per snapshot file.
-        files: Vec<(String, u64, u32)>,
-    },
-    /// Repair controller → live replica: stream one named snapshot
-    /// file. The peer answers with a [`Message::SegmentData`].
-    FetchSegment {
-        /// The snapshotted shard the file belongs to.
-        shard: u32,
-        /// File name from the [`Message::SnapshotManifest`].
-        name: String,
-    },
-    /// Live replica → repair controller: the bytes of one snapshot
-    /// file, CRC-framed so a corrupt hop is detected before the file
-    /// is ever installed.
-    SegmentData {
-        /// CRC32 of `payload`.
-        crc: u32,
-        /// The file bytes.
-        payload: Vec<u8>,
-    },
-    /// Repair controller → rebuilding replica: begin a rebuild. The
-    /// replica drops any staged files and buffers live writes from now
-    /// on, until [`Message::InstallCommit`].
-    InstallBegin {
-        /// The shard being rebuilt.
-        shard: u32,
-    },
-    /// Repair controller → rebuilding replica: stage one snapshot
-    /// file, checked against its CRC.
-    InstallFile {
-        /// The shard being rebuilt.
-        shard: u32,
-        /// The file's name inside the snapshot.
-        name: String,
-        /// CRC32 of `payload`.
-        crc: u32,
-        /// The file bytes.
-        payload: Vec<u8>,
-    },
-    /// Repair controller → rebuilding replica: restore the shard from
-    /// the staged files, replay the buffered writes and serve.
-    InstallCommit {
-        /// The shard being rebuilt.
-        shard: u32,
-    },
-    /// Membership prober → peer: liveness probe. Any reachable peer
-    /// answers [`Message::Pong`] regardless of role.
-    Ping,
-    /// Peer → membership prober: liveness acknowledgement.
-    Pong,
+/// Generates [`Message`], its tag bytes, [`Message::encode`] and
+/// [`Message::decode`] from the rows of [`wire_frames!`]: each field is
+/// written and read in row order through its type's [`Wire`] impl.
+macro_rules! message_codec {
+    ($(
+        $(#[$meta:meta])*
+        $tag:literal $name:ident $({ $(
+            $(#[$field_meta:meta])*
+            $field:ident: $ty:ty $(where len <= $cap:ident else $rule:literal)?
+        ),* $(,)? })?
+    ),* $(,)?) => {
+        /// Every message of the Zerber wire protocol.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $($(#[$meta])* $name $({ $($(#[$field_meta])* $field: $ty,)* })?,)*
+        }
+
+        /// Each frame's tag byte, named after its variant.
+        #[allow(non_upper_case_globals)]
+        mod tag {
+            $(pub(super) const $name: u8 = $tag;)*
+        }
+
+        impl Message {
+            /// Serializes the message into the buffer a transport sends: the
+            /// caller owns it and nothing downstream needs another type.
+            pub fn encode(&self) -> Vec<u8> {
+                // Room for a query and its top-10 answer: the frames of the
+                // read path never regrow, the bulky ones grow or reserve below.
+                let mut buffer: Vec<u8> = Vec::with_capacity(256);
+                match self {
+                    $(Message::$name $({ $($field),* })? => {
+                        buffer.push(tag::$name);
+                        $($($field.put(&mut buffer);)*)?
+                    })*
+                }
+                buffer
+            }
+
+            /// Deserializes a message. The frame must fill `buffer` exactly:
+            /// a byte after the message is a second spelling of it, and fails.
+            pub fn decode(mut buffer: &[u8]) -> Result<Self, WireError> {
+                let message = match u8::take(&mut buffer)? {
+                    $(tag::$name => Message::$name $({ $($field: {
+                        // A count above its cap fails first, bytes or not.
+                        $(if buffer.first_chunk().is_some_and(|n| u32::from_be_bytes(*n) as usize > $cap) {
+                            return Err(WireError::Malformed($rule));
+                        })?
+                        Wire::take(&mut buffer)?
+                    }),* })?,)*
+                    other => return Err(WireError::UnknownTag(other)),
+                };
+                if !buffer.is_empty() {
+                    return Err(WireError::Malformed("bytes after the message"));
+                }
+                Ok(message)
+            }
+        }
+    };
 }
+
+// Retired tags, never to be reused — an old client's frame has to keep
+// failing to decode: 3, the share request that named no version; 4,
+// once `TAG_RESPONSE`, the row-wise share response that spent 12 of
+// every 20 bytes on clear-text routing fields; 5 and 6, the snippet
+// frames no service ever answered (snippets are served by direct
+// call); 7, the pre-`PlanQuery` ranked-read frame; 17, the snapshot
+// manifest that carried the store's epoch; 20, the install frame that
+// multiplexed three steps; 23, the share response that carried no
+// version and no refresh round.
+
+/// The wire protocol's frame table: one row per [`Message`](crate::Message)
+/// variant, `tag Name { field: Type, .. }` with its doc comments, fields
+/// in wire order. A `Vec` field's count is checked against the bytes
+/// left before anything is allocated for it; `where len <= CAP else
+/// "rule"` refuses a larger count first, as malformed. Invokes
+/// `$callback!` with the rows, so code outside this crate (the codec's
+/// property tests) can walk every frame; the callback site imports the
+/// types the rows name.
+#[macro_export]
+macro_rules! wire_frames {
+    ($callback:ident) => {
+        $callback! {
+            /// Owner → server: insert a batch of element shares (Section 5.4.1
+            /// batching).
+            1 InsertBatch {
+                /// Target posting list per entry.
+                entries: Vec<(PlId, StoredShare)>,
+            },
+            /// Owner → server: delete elements by id. Element-wise because the
+            /// server cannot see document ids: "To delete a document, its
+            /// owner must delete each element separately" (Section 7.3).
+            2 Delete {
+                /// `(list, element)` pairs to remove.
+                elements: Vec<(PlId, ElementId)>,
+            },
+            /// User → server: fetch the accessible parts of these posting
+            /// lists. The user "does not divulge which terms she is querying",
+            /// only list ids, each with the version of it she already holds,
+            /// if any: the server answers a list still at that version
+            /// "unchanged".
+            28 Query {
+                /// Authentication token.
+                auth: AuthToken,
+                /// Requested merged posting lists, each with the version the
+                /// client holds.
+                lists: Vec<(PlId, Option<ListVersion>)>,
+            },
+            /// Server → user: per-list share columns, ACL-filtered and
+            /// stamped.
+            29 QueryResponse {
+                /// One entry per requested list, in request order.
+                lists: Vec<ShareColumns>,
+            },
+            /// User → shard peer: rank the top `k` documents for a weighted
+            /// term query (the sharded plaintext serving path of the peer
+            /// runtime) — the one ranked-read frame. It carries the query
+            /// shape and an evaluator override, so it serves disjunctive,
+            /// conjunctive, and phrase evaluation alike. The shape and override
+            /// are raw bytes here (this crate stays independent of the query
+            /// crate); the serving layer converts them. Weights are the
+            /// per-term IDF factors computed from *global* collection
+            /// statistics, shipped as exact `f64` bit patterns so every shard
+            /// scores with bit-identical floats. The peer answers with a
+            /// [`Message::TopKResponse`].
+            15 PlanQuery {
+                /// Which logical shard this peer should answer from. Under
+                /// replication a peer hosts several shard stores; the id
+                /// routes the query to the right one and lets any replica of
+                /// a shard serve the identical request.
+                shard: u32,
+                /// Query shape: 0 = disjunctive terms, 1 = conjunctive AND,
+                /// 2 = exact phrase. Anything else is malformed.
+                shape: u8,
+                /// The retired disjunctive evaluator override: always 0. The
+                /// values 1 and 2 once pinned evaluators that no longer exist;
+                /// a peer answers them, like any other value, as malformed.
+                /// The codec carries the byte without interpreting it.
+                forced: u8,
+                /// How many ranked results to return.
+                k: u32,
+                /// Query slots with their global IDF weights — phrase order
+                /// (duplicates allowed) for the phrase shape.
+                terms: Vec<(TermId, f64)>
+                    where len <= MAX_QUERY_SLOTS else "more query slots than MAX_QUERY_SLOTS",
+            },
+            /// Shard peer → user: the shard-local top-k, sorted by score
+            /// descending then document id ascending — the sorted-access order
+            /// the gather stage's threshold bound relies on. The response also
+            /// carries the peer-side execution stats (decode wall clock and
+            /// block accounting), so the client can assemble a complete
+            /// per-query span tree even when the peer is a separate process
+            /// behind the socket transport.
+            8 TopKResponse {
+                /// Peer-side wall clock of the top-k evaluation, nanoseconds
+                /// (measured on the peer's own clock; meaningful as a
+                /// duration, not as an offset).
+                decode_ns: u64,
+                /// Posting blocks the peer actually decompressed.
+                blocks_decoded: u32,
+                /// Posting blocks present across the query's lists (what an
+                /// eager evaluation would decode).
+                blocks_total: u32,
+                /// Ranked `(doc, score)` candidates, at most `k` of them.
+                candidates: Vec<(DocId, f64)>,
+            },
+            /// Owner → shard peer: index a batch of plaintext documents (the
+            /// mutable-shard ingest path of the peer runtime). Unlike share
+            /// inserts, the peer sees the documents in the clear — this frame
+            /// belongs to the *plaintext baseline* serving engine only.
+            12 IndexDocs {
+                /// The logical shard these documents belong to (writes fan to
+                /// every replica of the shard; each applies them to its copy).
+                shard: u32,
+                /// Documents to index; re-sent document ids replace the
+                /// previous version ("only the most recent copy").
+                docs: Vec<WireDocument>,
+            },
+            /// Owner → shard peer: bulk-load a batch of plaintext documents
+            /// through the offline bulk path — same payload as
+            /// [`Message::IndexDocs`], but the peer indexes it WAL-free
+            /// (term-partitioned workers compress each list once, one atomic
+            /// manifest swap) instead of journaling it. Replicas each build
+            /// their own copy; like every write, the frame fans to all replicas
+            /// of the shard.
+            14 BulkLoad {
+                /// The logical shard these documents belong to.
+                shard: u32,
+                /// Documents to load; re-sent document ids replace the
+                /// previous version ("only the most recent copy").
+                docs: Vec<WireDocument>,
+            },
+            /// Owner → shard peer: remove one document and all its postings.
+            13 RemoveDoc {
+                /// The logical shard the document lives on.
+                shard: u32,
+                /// The document to drop.
+                doc: DocId,
+            },
+            /// Server → owner: a share batch was accepted.
+            9 InsertOk,
+            /// Server → owner: deletion outcome.
+            10 DeleteOk {
+                /// Elements actually removed.
+                removed: u64,
+            },
+            /// Server → client: an RPC fault (failed authentication, missing
+            /// group membership, or an unsupported request for this peer
+            /// role). `code` is one of the `fault` constants; `group`
+            /// identifies the offending group for membership faults and is
+            /// zero otherwise.
+            11 Fault {
+                /// Fault discriminant (see [`fault`]).
+                code: u8,
+                /// Offending group for [`fault::NOT_GROUP_MEMBER`].
+                group: GroupId,
+            },
+            /// Repair controller → live replica: freeze a consistent snapshot
+            /// of this shard's on-disk state and describe it. The peer answers
+            /// with a [`Message::SnapshotManifest`].
+            16 PrepareSnapshot {
+                /// The shard to snapshot.
+                shard: u32,
+            },
+            /// Live replica → repair controller: the frozen snapshot's file
+            /// inventory. Each entry names one immutable file (segment or
+            /// manifest) with its byte length and CRC32, so the controller can
+            /// fetch files one by one and verify every frame independently.
+            24 SnapshotManifest {
+                /// The snapshotted shard.
+                shard: u32,
+                /// `(file name, byte length, crc32)` per snapshot file.
+                files: Vec<(String, u64, u32)>,
+            },
+            /// Repair controller → live replica: stream one named snapshot
+            /// file. The peer answers with a [`Message::SegmentData`].
+            18 FetchSegment {
+                /// The snapshotted shard the file belongs to.
+                shard: u32,
+                /// File name from the [`Message::SnapshotManifest`].
+                name: String,
+            },
+            /// Live replica → repair controller: the bytes of one snapshot
+            /// file, CRC-framed so a corrupt hop is detected before the file
+            /// is ever installed.
+            19 SegmentData {
+                /// CRC32 of `payload`.
+                crc: u32,
+                /// The file bytes.
+                payload: Vec<u8>,
+            },
+            /// Repair controller → rebuilding replica: begin a rebuild. The
+            /// replica drops any staged files and buffers live writes from now
+            /// on, until [`Message::InstallCommit`].
+            25 InstallBegin {
+                /// The shard being rebuilt.
+                shard: u32,
+            },
+            /// Repair controller → rebuilding replica: stage one snapshot
+            /// file, checked against its CRC.
+            26 InstallFile {
+                /// The shard being rebuilt.
+                shard: u32,
+                /// The file's name inside the snapshot.
+                name: String,
+                /// CRC32 of `payload`.
+                crc: u32,
+                /// The file bytes.
+                payload: Vec<u8>,
+            },
+            /// Repair controller → rebuilding replica: restore the shard from
+            /// the staged files, replay the buffered writes and serve.
+            27 InstallCommit {
+                /// The shard being rebuilt.
+                shard: u32,
+            },
+            /// Membership prober → peer: liveness probe. Any reachable peer
+            /// answers [`Message::Pong`] regardless of role.
+            21 Ping,
+            /// Peer → membership prober: liveness acknowledgement.
+            22 Pong,
+        }
+    };
+}
+
+wire_frames!(message_codec);
 
 /// Fault codes carried by [`Message::Fault`].
 pub mod fault {
@@ -536,582 +616,276 @@ impl std::error::Error for WireError {}
 /// as malformed, before allocating for it.
 pub const MAX_QUERY_SLOTS: usize = 4_096;
 
-const TAG_INSERT: u8 = 1;
-const TAG_DELETE: u8 = 2;
-// Tags 3–7 are retired (3, the share request that named no version;
-// 4, once `TAG_RESPONSE`, the row-wise share response that spent 12
-// of every 20 bytes on clear-text routing fields; 5 and 6 the snippet
-// frames no service ever answered — snippets are served by direct
-// call — and 7 the pre-`PlanQuery` ranked-read frame) and must never
-// be reused: an old client's frame has to keep failing to decode.
-const TAG_TOPK_RESPONSE: u8 = 8;
-const TAG_INSERT_OK: u8 = 9;
-const TAG_DELETE_OK: u8 = 10;
-const TAG_FAULT: u8 = 11;
-const TAG_INDEX_DOCS: u8 = 12;
-const TAG_REMOVE_DOC: u8 = 13;
-const TAG_BULK_LOAD: u8 = 14;
-const TAG_PLAN_QUERY: u8 = 15;
-const TAG_PREPARE_SNAPSHOT: u8 = 16;
-// Tags 17 and 20 are retired too: the snapshot manifest that carried
-// the store's epoch, and the install frame that multiplexed three steps.
-const TAG_FETCH_SEGMENT: u8 = 18;
-const TAG_SEGMENT_DATA: u8 = 19;
-const TAG_PING: u8 = 21;
-const TAG_PONG: u8 = 22;
-// Tag 23 is retired: the share response that carried no version and
-// no refresh round.
-const TAG_SNAPSHOT_MANIFEST: u8 = 24;
-const TAG_INSTALL_BEGIN: u8 = 25;
-const TAG_INSTALL_FILE: u8 = 26;
-const TAG_INSTALL_COMMIT: u8 = 27;
-const TAG_LIST_QUERY: u8 = 28;
-const TAG_STAMPED_COLUMNS: u8 = 29;
-
-impl Message {
-    /// Serializes the message into the buffer a transport sends: the
-    /// caller owns it and nothing downstream needs another type.
-    pub fn encode(&self) -> Vec<u8> {
-        // Room for a query and its top-10 answer: the frames of the
-        // read path never regrow, the bulky ones grow or reserve below.
-        let mut buffer: Vec<u8> = Vec::with_capacity(256);
-        match self {
-            Message::InsertBatch { entries } => {
-                buffer.push(TAG_INSERT);
-                put_u32(&mut buffer, entries.len() as u32);
-                for (pl, share) in entries {
-                    put_u32(&mut buffer, pl.0);
-                    put_share(&mut buffer, share);
-                }
-            }
-            Message::Delete { elements } => {
-                buffer.push(TAG_DELETE);
-                put_u32(&mut buffer, elements.len() as u32);
-                for (pl, element) in elements {
-                    put_u32(&mut buffer, pl.0);
-                    put_u64(&mut buffer, element.0);
-                }
-            }
-            Message::Query { auth, lists } => {
-                buffer.push(TAG_LIST_QUERY);
-                put_u64(&mut buffer, auth.0);
-                put_u32(&mut buffer, lists.len() as u32);
-                for (pl, held) in lists {
-                    put_u32(&mut buffer, pl.0);
-                    match held {
-                        None => buffer.push(0),
-                        Some(version) => {
-                            buffer.push(1);
-                            put_version(&mut buffer, version);
-                        }
-                    }
-                }
-            }
-            Message::QueryResponse { lists } => {
-                // A delta-coded id rarely needs more than two bytes.
-                buffer.reserve(5 + lists.iter().map(|list| 16 + 10 * list.len()).sum::<usize>());
-                buffer.push(TAG_STAMPED_COLUMNS);
-                put_u32(&mut buffer, lists.len() as u32);
-                for list in lists {
-                    put_u32(&mut buffer, list.pl.0);
-                    put_version(&mut buffer, &list.version);
-                    varint::write_u64(&mut buffer, list.round);
-                    buffer.push(u8::from(!list.unchanged));
-                    if list.unchanged {
-                        continue;
-                    }
-                    encode_column_into(&list.elements, &mut buffer);
-                    let column = buffer.len();
-                    buffer.resize(column + 8 * list.shares.len(), 0);
-                    for (bytes, share) in buffer[column..].chunks_exact_mut(8).zip(&list.shares) {
-                        bytes.copy_from_slice(&share.value().to_be_bytes());
-                    }
-                }
-            }
-            Message::PlanQuery {
-                shard,
-                shape,
-                forced,
-                terms,
-                k,
-            } => {
-                buffer.push(TAG_PLAN_QUERY);
-                put_u32(&mut buffer, *shard);
-                buffer.push(*shape);
-                buffer.push(*forced);
-                put_u32(&mut buffer, *k);
-                put_u32(&mut buffer, terms.len() as u32);
-                for (term, weight) in terms {
-                    put_u32(&mut buffer, term.0);
-                    put_u64(&mut buffer, weight.to_bits());
-                }
-            }
-            Message::TopKResponse {
-                decode_ns,
-                blocks_decoded,
-                blocks_total,
-                candidates,
-            } => {
-                buffer.push(TAG_TOPK_RESPONSE);
-                put_u64(&mut buffer, *decode_ns);
-                put_u32(&mut buffer, *blocks_decoded);
-                put_u32(&mut buffer, *blocks_total);
-                put_u32(&mut buffer, candidates.len() as u32);
-                for (doc, score) in candidates {
-                    put_u32(&mut buffer, doc.0);
-                    put_u64(&mut buffer, score.to_bits());
-                }
-            }
-            Message::IndexDocs { shard, docs } => {
-                let fields = docs.iter().map(WireDocument::fields);
-                put_document_batch(&mut buffer, TAG_INDEX_DOCS, *shard, fields);
-            }
-            Message::BulkLoad { shard, docs } => {
-                let fields = docs.iter().map(WireDocument::fields);
-                put_document_batch(&mut buffer, TAG_BULK_LOAD, *shard, fields);
-            }
-            Message::RemoveDoc { shard, doc } => {
-                buffer.push(TAG_REMOVE_DOC);
-                put_u32(&mut buffer, *shard);
-                put_u32(&mut buffer, doc.0);
-            }
-            Message::InsertOk => {
-                buffer.push(TAG_INSERT_OK);
-            }
-            Message::DeleteOk { removed } => {
-                buffer.push(TAG_DELETE_OK);
-                put_u64(&mut buffer, *removed);
-            }
-            Message::Fault { code, group } => {
-                buffer.push(TAG_FAULT);
-                buffer.push(*code);
-                put_u32(&mut buffer, group.0);
-            }
-            Message::PrepareSnapshot { shard } => {
-                buffer.push(TAG_PREPARE_SNAPSHOT);
-                put_u32(&mut buffer, *shard);
-            }
-            Message::SnapshotManifest { shard, files } => {
-                buffer.push(TAG_SNAPSHOT_MANIFEST);
-                put_u32(&mut buffer, *shard);
-                put_u32(&mut buffer, files.len() as u32);
-                for (name, len, crc) in files {
-                    put_string(&mut buffer, name);
-                    put_u64(&mut buffer, *len);
-                    put_u32(&mut buffer, *crc);
-                }
-            }
-            Message::FetchSegment { shard, name } => {
-                buffer.push(TAG_FETCH_SEGMENT);
-                put_u32(&mut buffer, *shard);
-                put_string(&mut buffer, name);
-            }
-            Message::SegmentData { crc, payload } => {
-                buffer.push(TAG_SEGMENT_DATA);
-                put_u32(&mut buffer, *crc);
-                put_u32(&mut buffer, payload.len() as u32);
-                buffer.extend_from_slice(payload);
-            }
-            Message::InstallBegin { shard } => {
-                buffer.push(TAG_INSTALL_BEGIN);
-                put_u32(&mut buffer, *shard);
-            }
-            Message::InstallFile {
-                shard,
-                name,
-                crc,
-                payload,
-            } => {
-                buffer.push(TAG_INSTALL_FILE);
-                put_u32(&mut buffer, *shard);
-                put_string(&mut buffer, name);
-                put_u32(&mut buffer, *crc);
-                put_u32(&mut buffer, payload.len() as u32);
-                buffer.extend_from_slice(payload);
-            }
-            Message::InstallCommit { shard } => {
-                buffer.push(TAG_INSTALL_COMMIT);
-                put_u32(&mut buffer, *shard);
-            }
-            Message::Ping => {
-                buffer.push(TAG_PING);
-            }
-            Message::Pong => {
-                buffer.push(TAG_PONG);
-            }
-        }
-        buffer
+/// A frame field's encoding: one spelling per value, so whatever
+/// decodes re-encodes to the bytes it came from (but for a share
+/// list's id column, whose blocks have two encodings).
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes a value encodes to: a count of values the bytes
+    /// left cannot hold is refused before anything is allocated.
+    const MIN_BYTES: usize;
+    /// Appends the value.
+    fn put(&self, buffer: &mut Vec<u8>);
+    /// Reads one value off the front of `buffer`.
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError>;
+    /// Appends `items` as a `Vec` field: a `u32` count, then each item.
+    fn put_vec(items: &[Self], buffer: &mut Vec<u8>) {
+        (items.len() as u32).put(buffer);
+        items.iter().for_each(|item| item.put(buffer));
     }
-
-    /// Deserializes a message. The frame must fill `buffer` exactly:
-    /// a byte after the message is a second spelling of it, and fails.
-    pub fn decode(mut buffer: &[u8]) -> Result<Self, WireError> {
-        let tag = read_u8(&mut buffer)?;
-        let message = match tag {
-            TAG_INSERT => {
-                let count = read_u32(&mut buffer)? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let pl = PlId(read_u32(&mut buffer)?);
-                    entries.push((pl, read_share(&mut buffer)?));
-                }
-                Message::InsertBatch { entries }
-            }
-            TAG_DELETE => {
-                let count = read_u32(&mut buffer)? as usize;
-                let mut elements = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let pl = PlId(read_u32(&mut buffer)?);
-                    let element = ElementId(read_u64(&mut buffer)?);
-                    elements.push((pl, element));
-                }
-                Message::Delete { elements }
-            }
-            TAG_LIST_QUERY => {
-                let auth = AuthToken(read_u64(&mut buffer)?);
-                // A list is at least its id and its held-version flag.
-                let count = read_u32(&mut buffer)? as usize;
-                if count > buffer.len() / 5 {
-                    return Err(WireError::Truncated);
-                }
-                let mut lists = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let pl = PlId(read_u32(&mut buffer)?);
-                    let held = match read_u8(&mut buffer)? {
-                        0 => None,
-                        1 => Some(read_version(&mut buffer)?),
-                        _ => return Err(WireError::Malformed("held-version flag not 0 or 1")),
-                    };
-                    lists.push((pl, held));
-                }
-                Message::Query { auth, lists }
-            }
-            TAG_STAMPED_COLUMNS => {
-                // Every declared count is checked against the bytes
-                // left before anything is allocated for it: a list is
-                // at least its id, three one-byte stamps and its state.
-                let list_count = read_u32(&mut buffer)? as usize;
-                if list_count > buffer.len() / 8 {
-                    return Err(WireError::Truncated);
-                }
-                let mut lists = Vec::with_capacity(list_count);
-                for _ in 0..list_count {
-                    let pl = PlId(read_u32(&mut buffer)?);
-                    let version = read_version(&mut buffer)?;
-                    let round = read_leb128(&mut buffer)?;
-                    match read_u8(&mut buffer)? {
-                        0 => {
-                            lists.push(ShareColumns::unchanged(pl, version, round));
-                            continue;
-                        }
-                        1 => {}
-                        _ => return Err(WireError::Malformed("list state not 0 or 1")),
-                    }
-                    // A row is at least one id byte and eight share
-                    // bytes; the id column leads with its row count.
-                    let rows = varint::read_u64(buffer).map_or(0, |(rows, _)| rows);
-                    if rows > (buffer.len() / 9) as u64 {
-                        return Err(WireError::Truncated);
-                    }
-                    let (elements, used) = decode_column_prefix(buffer)
-                        .ok_or(WireError::Malformed("id column does not decode"))?;
-                    buffer = &buffer[used..];
-                    let share_bytes = elements.len() * 8;
-                    if buffer.len() < share_bytes {
-                        return Err(WireError::Truncated);
-                    }
-                    // `Fp::new` would quietly reduce a value ≥ p; on
-                    // the wire that is a second spelling of one share.
-                    let y = |bytes: &[u8; 8]| u64::from_be_bytes(*bytes);
-                    let column = buffer[..share_bytes].as_chunks::<8>().0.iter();
-                    if column.clone().any(|bytes| y(bytes) >= MODULUS) {
-                        return Err(WireError::Malformed("y-share not below the modulus"));
-                    }
-                    let shares = column.map(|bytes| Fp::from_canonical(y(bytes))).collect();
-                    buffer = &buffer[share_bytes..];
-                    lists.push(ShareColumns {
-                        pl,
-                        version,
-                        round,
-                        unchanged: false,
-                        elements,
-                        shares,
-                    });
-                }
-                Message::QueryResponse { lists }
-            }
-            TAG_PLAN_QUERY => {
-                let shard = read_u32(&mut buffer)?;
-                let shape = read_u8(&mut buffer)?;
-                let forced = read_u8(&mut buffer)?;
-                let k = read_u32(&mut buffer)?;
-                let count = read_u32(&mut buffer)? as usize;
-                if count > MAX_QUERY_SLOTS {
-                    return Err(WireError::Malformed(
-                        "more query slots than MAX_QUERY_SLOTS",
-                    ));
-                }
-                let mut terms = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let term = TermId(read_u32(&mut buffer)?);
-                    let weight = f64::from_bits(read_u64(&mut buffer)?);
-                    terms.push((term, weight));
-                }
-                Message::PlanQuery {
-                    shard,
-                    shape,
-                    forced,
-                    terms,
-                    k,
-                }
-            }
-            TAG_TOPK_RESPONSE => {
-                let decode_ns = read_u64(&mut buffer)?;
-                let blocks_decoded = read_u32(&mut buffer)?;
-                let blocks_total = read_u32(&mut buffer)?;
-                let count = read_u32(&mut buffer)? as usize;
-                let mut candidates = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let doc = DocId(read_u32(&mut buffer)?);
-                    let score = f64::from_bits(read_u64(&mut buffer)?);
-                    candidates.push((doc, score));
-                }
-                Message::TopKResponse {
-                    decode_ns,
-                    blocks_decoded,
-                    blocks_total,
-                    candidates,
-                }
-            }
-            TAG_INDEX_DOCS => {
-                let (shard, docs) = read_document_batch(&mut buffer)?;
-                Message::IndexDocs { shard, docs }
-            }
-            TAG_BULK_LOAD => {
-                let (shard, docs) = read_document_batch(&mut buffer)?;
-                Message::BulkLoad { shard, docs }
-            }
-            TAG_REMOVE_DOC => Message::RemoveDoc {
-                shard: read_u32(&mut buffer)?,
-                doc: DocId(read_u32(&mut buffer)?),
-            },
-            TAG_INSERT_OK => Message::InsertOk,
-            TAG_DELETE_OK => Message::DeleteOk {
-                removed: read_u64(&mut buffer)?,
-            },
-            TAG_FAULT => {
-                let code = read_u8(&mut buffer)?;
-                let group = GroupId(read_u32(&mut buffer)?);
-                Message::Fault { code, group }
-            }
-            TAG_PREPARE_SNAPSHOT => Message::PrepareSnapshot {
-                shard: read_u32(&mut buffer)?,
-            },
-            TAG_SNAPSHOT_MANIFEST => {
-                let shard = read_u32(&mut buffer)?;
-                let count = read_u32(&mut buffer)? as usize;
-                let mut files = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let name = read_string(&mut buffer)?;
-                    let len = read_u64(&mut buffer)?;
-                    let crc = read_u32(&mut buffer)?;
-                    files.push((name, len, crc));
-                }
-                Message::SnapshotManifest { shard, files }
-            }
-            TAG_FETCH_SEGMENT => {
-                let shard = read_u32(&mut buffer)?;
-                let name = read_string(&mut buffer)?;
-                Message::FetchSegment { shard, name }
-            }
-            TAG_SEGMENT_DATA => {
-                let crc = read_u32(&mut buffer)?;
-                let payload = read_slice(&mut buffer)?.to_vec();
-                Message::SegmentData { crc, payload }
-            }
-            TAG_INSTALL_BEGIN => Message::InstallBegin {
-                shard: read_u32(&mut buffer)?,
-            },
-            TAG_INSTALL_FILE => {
-                let shard = read_u32(&mut buffer)?;
-                let name = read_string(&mut buffer)?;
-                let crc = read_u32(&mut buffer)?;
-                let payload = read_slice(&mut buffer)?.to_vec();
-                Message::InstallFile {
-                    shard,
-                    name,
-                    crc,
-                    payload,
-                }
-            }
-            TAG_INSTALL_COMMIT => Message::InstallCommit {
-                shard: read_u32(&mut buffer)?,
-            },
-            TAG_PING => Message::Ping,
-            TAG_PONG => Message::Pong,
-            other => return Err(WireError::UnknownTag(other)),
-        };
-        if !buffer.is_empty() {
-            return Err(WireError::Malformed("bytes after the message"));
+    /// Reads a `Vec` field's `count` items, a count the bytes left hold.
+    fn take_vec(count: usize, buffer: &mut &[u8]) -> Result<Vec<Self>, WireError> {
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::take(buffer)?);
         }
-        Ok(message)
+        Ok(items)
     }
 }
 
-/// One document's fields in the order a batch frame lays them out:
-/// id, group, length, then the `(term, count)` pairs.
-type DocumentFields<'a> = (DocId, GroupId, u32, &'a [(TermId, u32)]);
+/// A `u32` count of entries of at least `min_bytes` each, refused if
+/// the bytes left cannot hold them.
+fn take_count(buffer: &mut &[u8], min_bytes: usize) -> Result<usize, WireError> {
+    let count = u32::take(buffer)? as usize;
+    (count <= buffer.len() / min_bytes)
+        .then_some(count)
+        .ok_or(WireError::Truncated)
+}
 
-/// Appends the `tag | shard | document batch` frame of
-/// [`Message::IndexDocs`] and [`Message::BulkLoad`], after reserving
-/// exactly its size: the one encoder behind [`Message::encode`] and
-/// [`DocumentFrame::encode`], so both write the same bytes.
-fn put_document_batch<'a>(
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        T::put_vec(self, buffer);
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        let count = take_count(buffer, T::MIN_BYTES)?;
+        T::take_vec(count, buffer)
+    }
+}
+
+/// Big-endian integers: every integer this crate reads off the wire
+/// comes through here. A byte string (a `Vec<u8>`) is copied whole.
+macro_rules! wire_integers {
+    ($($int:ty $({ $($bulk:item)* })?),*) => {$(
+        impl Wire for $int {
+            const MIN_BYTES: usize = size_of::<$int>();
+            fn put(&self, buffer: &mut Vec<u8>) {
+                buffer.extend_from_slice(&self.to_be_bytes());
+            }
+            fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+                let (bytes, rest) = buffer.split_first_chunk().ok_or(WireError::Truncated)?;
+                *buffer = rest;
+                Ok(<$int>::from_be_bytes(*bytes))
+            }
+            $($($bulk)*)?
+        }
+    )*};
+}
+
+wire_integers!(u32, u64, u8 {
+    fn put_vec(bytes: &[u8], buffer: &mut Vec<u8>) {
+        (bytes.len() as u32).put(buffer);
+        buffer.extend_from_slice(bytes);
+    }
+    fn take_vec(count: usize, buffer: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+        let (bytes, rest) = buffer.split_at_checked(count).ok_or(WireError::Truncated)?;
+        *buffer = rest;
+        Ok(bytes.to_vec())
+    }
+});
+
+macro_rules! wire_tuples {
+    ($(($($part:ident $index:tt),+)),*) => {$(
+        impl<$($part: Wire),+> Wire for ($($part,)+) {
+            const MIN_BYTES: usize = 0 $(+ $part::MIN_BYTES)+;
+            fn put(&self, buffer: &mut Vec<u8>) {
+                $(self.$index.put(buffer);)+
+            }
+            fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($part::take(buffer)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuples!((A 0, B 1), (A 0, B 1, C 2), (A 0, B 1, C 2, D 3));
+
+/// A minimal LEB128 integer: a longer spelling of the same value (a
+/// trailing zero group) is malformed.
+struct Leb128(u64);
+
+impl Wire for Leb128 {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        varint::write_u64(buffer, self.0);
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        let (value, used) = varint::read_u64(buffer).ok_or(WireError::Truncated)?;
+        if used > 1 && buffer[used - 1] == 0 {
+            return Err(WireError::Malformed("LEB128 integer not minimal"));
+        }
+        *buffer = &buffer[used..];
+        Ok(Leb128(value))
+    }
+}
+
+/// Types that travel as another wire type: `Type as Wire: into, from`,
+/// or an id newtype, `Id(integer)`, as the integer it wraps.
+macro_rules! wire_as {
+    ($($id:ident($int:ty)),*) => {
+        wire_as! { $($id as $int: |id| id.0, |int| Ok($id(int));)* }
+    };
+    ($($ty:ty as $wire:ty: $into:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = <$wire as Wire>::MIN_BYTES;
+            fn put(&self, buffer: &mut Vec<u8>) {
+                let into: fn(&$ty) -> $wire = $into;
+                into(self).put(buffer);
+            }
+            fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+                let from: fn($wire) -> Result<$ty, WireError> = $from;
+                from(Wire::take(buffer)?)
+            }
+        }
+    )*};
+}
+
+wire_as! { AuthToken(u64), PlId(u32), ElementId(u64), GroupId(u32), TermId(u32), DocId(u32) }
+
+wire_as! {
+    // Scores and IDF weights travel as their exact bit patterns.
+    f64 as u64: |value| value.to_bits(), |bits| Ok(f64::from_bits(bits));
+    // `Fp::new` would quietly reduce a value ≥ p; on the wire that is
+    // a second spelling of one share.
+    Fp as u64: |share| share.value(), |y| match y < MODULUS {
+        true => Ok(Fp::from_canonical(y)),
+        false => Err(WireError::Malformed("y-share not below the modulus")),
+    };
+    StoredShare as (ElementId, GroupId, Fp): |row| (row.element, row.group, row.share),
+        |(element, group, share)| Ok(StoredShare { element, group, share });
+    ListVersion as (Leb128, Leb128): |v| (Leb128(v.content), Leb128(v.membership)),
+        |(Leb128(content), Leb128(membership))| Ok(ListVersion { content, membership });
+}
+
+/// A file name: a `u32` byte length and that many bytes of UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        u8::put_vec(self.as_bytes(), buffer);
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        String::from_utf8(Wire::take(buffer)?).map_err(|_| WireError::Malformed("string not UTF-8"))
+    }
+}
+
+/// The version a request holds for a list: a flag byte, and the
+/// version after a 1.
+impl Wire for Option<ListVersion> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        u8::from(self.is_some()).put(buffer);
+        self.iter().for_each(|version| version.put(buffer));
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::take(buffer)? {
+            0 => Ok(None),
+            1 => ListVersion::take(buffer).map(Some),
+            _ => Err(WireError::Malformed("held-version flag not 0 or 1")),
+        }
+    }
+}
+
+/// One list of a share response, columnar (see the module docs).
+impl Wire for ShareColumns {
+    /// A list is at least its id, three one-byte stamps and its state.
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        // A delta-coded id rarely needs more than two bytes.
+        buffer.reserve(16 + 10 * self.len());
+        let state = u8::from(!self.unchanged);
+        (self.pl, self.version, Leb128(self.round), state).put(buffer);
+        if !self.unchanged {
+            encode_column_into(&self.elements, buffer);
+            self.shares.iter().for_each(|share| share.put(buffer));
+        }
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        let (pl, version, Leb128(round), state): (_, _, _, u8) = Wire::take(buffer)?;
+        match state {
+            0 => return Ok(ShareColumns::unchanged(pl, version, round)),
+            1 => {}
+            _ => return Err(WireError::Malformed("list state not 0 or 1")),
+        }
+        // A row is at least one id byte and eight share bytes; the id
+        // column leads with its row count.
+        let rows = varint::read_u64(buffer).map_or(0, |(rows, _)| rows);
+        if rows > (buffer.len() / 9) as u64 {
+            return Err(WireError::Truncated);
+        }
+        let (elements, used) = decode_column_prefix(buffer)
+            .ok_or(WireError::Malformed("id column does not decode"))?;
+        *buffer = &buffer[used..];
+        let shares = Fp::take_vec(elements.len(), buffer)?;
+        let list = ShareColumns::new(pl).stamped(version, round);
+        Ok(ShareColumns {
+            elements,
+            shares,
+            ..list
+        })
+    }
+}
+
+/// Appends a document batch — its count, then each document's id,
+/// group, length and terms — after reserving exactly its size: the one
+/// encoder behind [`Message::encode`] and [`DocumentFrame::encode`], so
+/// both write the same bytes.
+fn put_document_batch<D>(
     buffer: &mut Vec<u8>,
-    tag: u8,
-    shard: u32,
-    docs: impl ExactSizeIterator<Item = DocumentFields<'a>> + Clone,
+    docs: &[D],
+    fields: impl Fn(&D) -> (DocId, GroupId, u32, &[(TermId, u32)]),
 ) {
-    let body: usize = docs.clone().map(|(.., terms)| 16 + 8 * terms.len()).sum();
-    buffer.reserve_exact(9 + body);
-    buffer.push(tag);
-    put_u32(buffer, shard);
-    put_u32(buffer, docs.len() as u32);
-    for (doc, group, length, terms) in docs {
-        put_u32(buffer, doc.0);
-        put_u32(buffer, group.0);
-        put_u32(buffer, length);
-        put_u32(buffer, terms.len() as u32);
-        for (term, count) in terms {
-            put_u32(buffer, term.0);
-            put_u32(buffer, *count);
-        }
+    let terms: usize = docs.iter().map(|doc| fields(doc).3.len()).sum();
+    buffer.reserve_exact(4 + 16 * docs.len() + 8 * terms);
+    (docs.len() as u32).put(buffer);
+    for (doc, group, length, terms) in docs.iter().map(fields) {
+        (doc, group, length).put(buffer);
+        Wire::put_vec(terms, buffer);
     }
 }
 
-/// The shared `shard + document batch` payload of
-/// [`Message::IndexDocs`] and [`Message::BulkLoad`].
-fn read_document_batch(buffer: &mut &[u8]) -> Result<(u32, Vec<WireDocument>), WireError> {
-    let shard = read_u32(buffer)?;
-    let doc_count = read_u32(buffer)? as usize;
-    let mut docs = Vec::with_capacity(doc_count.min(1 << 20));
-    for _ in 0..doc_count {
-        let doc = DocId(read_u32(buffer)?);
-        let group = GroupId(read_u32(buffer)?);
-        let length = read_u32(buffer)?;
-        let term_count = read_u32(buffer)? as usize;
-        let mut terms = Vec::with_capacity(term_count.min(1 << 20));
-        for _ in 0..term_count {
+impl Wire for WireDocument {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, buffer: &mut Vec<u8>) {
+        (self.doc, self.group, self.length).put(buffer);
+        Wire::put_vec(&self.terms, buffer);
+    }
+    fn take(buffer: &mut &[u8]) -> Result<Self, WireError> {
+        let (doc, group, length) = Wire::take(buffer)?;
+        let count = take_count(buffer, <(TermId, u32)>::MIN_BYTES)?;
+        let mut terms = Vec::with_capacity(count);
+        for _ in 0..count {
             // One read per `term u32 | count u32` pair.
-            let pair = read_u64(buffer)?;
+            let pair = u64::take(buffer)?;
             terms.push((TermId((pair >> 32) as u32), pair as u32));
         }
-        docs.push(WireDocument {
+        Ok(WireDocument {
             doc,
             group,
             length,
             terms,
+        })
+    }
+    fn put_vec(docs: &[Self], buffer: &mut Vec<u8>) {
+        put_document_batch(buffer, docs, |doc| {
+            (doc.doc, doc.group, doc.length, &doc.terms)
         });
     }
-    Ok((shard, docs))
-}
-
-fn put_version(buffer: &mut Vec<u8>, version: &ListVersion) {
-    varint::write_u64(buffer, version.content);
-    varint::write_u64(buffer, version.membership);
-}
-
-fn read_version(buffer: &mut &[u8]) -> Result<ListVersion, WireError> {
-    Ok(ListVersion {
-        content: read_leb128(buffer)?,
-        membership: read_leb128(buffer)?,
-    })
-}
-
-/// One minimal LEB128 integer: a longer spelling of the same value
-/// (a trailing zero group) is malformed.
-fn read_leb128(buffer: &mut &[u8]) -> Result<u64, WireError> {
-    let (value, used) = varint::read_u64(buffer).ok_or(WireError::Truncated)?;
-    if used > 1 && buffer[used - 1] == 0 {
-        return Err(WireError::Malformed("LEB128 integer not minimal"));
-    }
-    *buffer = &buffer[used..];
-    Ok(value)
-}
-
-fn put_share(buffer: &mut Vec<u8>, share: &StoredShare) {
-    put_u64(buffer, share.element.0);
-    put_u32(buffer, share.group.0);
-    put_u64(buffer, share.share.value());
-}
-
-pub(crate) fn put_u32(buffer: &mut Vec<u8>, value: u32) {
-    buffer.extend_from_slice(&value.to_be_bytes());
-}
-
-pub(crate) fn put_u64(buffer: &mut Vec<u8>, value: u64) {
-    buffer.extend_from_slice(&value.to_be_bytes());
-}
-
-/// Splits `N` bytes off the front of `buffer`; `None`, and nothing
-/// consumed, if fewer are left. Every integer this crate reads off the
-/// wire — big-endian, like the ones it writes — comes through here.
-pub(crate) fn take<const N: usize>(buffer: &mut &[u8]) -> Option<[u8; N]> {
-    let (head, rest) = buffer.split_first_chunk::<N>()?;
-    *buffer = rest;
-    Some(*head)
-}
-
-fn read_u8(buffer: &mut &[u8]) -> Result<u8, WireError> {
-    take(buffer).map(|[byte]| byte).ok_or(WireError::Truncated)
-}
-
-fn read_u32(buffer: &mut &[u8]) -> Result<u32, WireError> {
-    take(buffer)
-        .map(u32::from_be_bytes)
-        .ok_or(WireError::Truncated)
-}
-
-fn read_u64(buffer: &mut &[u8]) -> Result<u64, WireError> {
-    take(buffer)
-        .map(u64::from_be_bytes)
-        .ok_or(WireError::Truncated)
-}
-
-fn put_string(buffer: &mut Vec<u8>, value: &str) {
-    put_u32(buffer, value.len() as u32);
-    buffer.extend_from_slice(value.as_bytes());
-}
-
-fn read_string(buffer: &mut &[u8]) -> Result<String, WireError> {
-    Ok(String::from_utf8_lossy(read_slice(buffer)?).into_owned())
-}
-
-/// A `u32` length and that many bytes after it.
-fn read_slice<'a>(buffer: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
-    let len = read_u32(buffer)? as usize;
-    if buffer.len() < len {
-        return Err(WireError::Truncated);
-    }
-    let (value, rest) = buffer.split_at(len);
-    *buffer = rest;
-    Ok(value)
-}
-
-fn read_share(buffer: &mut &[u8]) -> Result<StoredShare, WireError> {
-    let element = ElementId(read_u64(buffer)?);
-    let group = GroupId(read_u32(buffer)?);
-    let share = Fp::new(read_u64(buffer)?);
-    Ok(StoredShare {
-        element,
-        group,
-        share,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TAG_STAMPED_COLUMNS: u8 = tag::QueryResponse;
 
     fn share(e: u64, g: u32, y: u64) -> StoredShare {
         StoredShare {
@@ -1319,14 +1093,50 @@ mod tests {
         }
     }
 
+    /// `Fp::new` would reduce a y-share ≥ p to a smaller one: a second
+    /// spelling of that share, which an inserted share may not have
+    /// any more than a fetched one.
     #[test]
-    fn insert_batch_round_trips() {
-        assert_round_trips(&insert_batch());
+    fn an_inserted_share_has_one_spelling() {
+        let mut frame = insert_batch().encode();
+        let last_share = frame.len() - 8;
+        frame[last_share..].copy_from_slice(&(MODULUS + 5).to_be_bytes());
+        assert_eq!(
+            Message::decode(&frame),
+            Err(WireError::Malformed("y-share not below the modulus"))
+        );
     }
 
+    /// A file name that is not UTF-8 is refused, not replaced by
+    /// U+FFFD (which would re-encode as other bytes).
     #[test]
-    fn delete_round_trips() {
-        assert_round_trips(&delete());
+    fn a_file_name_is_utf8() {
+        let name = || "x".to_string();
+        for message in [
+            Message::FetchSegment {
+                shard: 3,
+                name: name(),
+            },
+            Message::SnapshotManifest {
+                shard: 3,
+                files: vec![(name(), 96, 7)],
+            },
+            Message::InstallFile {
+                shard: 3,
+                name: name(),
+                crc: 7,
+                payload: b"body".to_vec(),
+            },
+        ] {
+            let mut frame = message.encode();
+            let at = frame.iter().position(|&byte| byte == b'x').unwrap();
+            frame[at] = 0xff;
+            assert_eq!(
+                Message::decode(&frame),
+                Err(WireError::Malformed("string not UTF-8")),
+                "{message:?}"
+            );
+        }
     }
 
     #[test]
@@ -1506,11 +1316,6 @@ mod tests {
             assert_eq!(frame, message.encode(), "{kind:?}");
             assert_eq!(frame.capacity(), frame.len(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn remove_doc_round_trips() {
-        assert_round_trips(&remove_doc());
     }
 
     #[test]

@@ -1,93 +1,15 @@
 //! Property tests for the length-framed socket codec: arbitrary
-//! `zerber_net` messages survive encode → split-at-every-byte-boundary
+//! `zerber_net` messages of every live tag (generated from the frame
+//! table) survive encode → split-at-every-byte-boundary
 //! reassembly → decode, and damaged frames fail closed — an error,
 //! never a panic and never a silently different message.
 
+mod support;
+
 use proptest::prelude::*;
-use zerber_core::{ElementId, PlId};
-use zerber_field::Fp;
-use zerber_index::{DocId, GroupId, TermId};
+use support::arb_message;
 use zerber_net::framing::{Frame, FrameDecoder};
-use zerber_net::{AuthToken, Message, NodeId, StoredShare, WireDocument};
-
-fn arb_share() -> impl Strategy<Value = StoredShare> {
-    (any::<u64>(), any::<u32>(), 0..zerber_field::MODULUS).prop_map(|(e, g, y)| StoredShare {
-        element: ElementId(e),
-        group: GroupId(g),
-        share: Fp::from_canonical(y),
-    })
-}
-
-fn arb_wire_doc() -> impl Strategy<Value = WireDocument> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        prop::collection::vec((any::<u32>().prop_map(TermId), any::<u32>()), 0..10),
-    )
-        .prop_map(|(doc, group, length, terms)| WireDocument {
-            doc: DocId(doc),
-            group: GroupId(group),
-            length,
-            terms,
-        })
-}
-
-/// Arbitrary non-NaN float (NaN would defeat the equality assertions
-/// without exercising anything extra in a bit-exact codec).
-fn arb_f64() -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(|bits| {
-        let value = f64::from_bits(bits);
-        if value.is_nan() {
-            0.5
-        } else {
-            value
-        }
-    })
-}
-
-/// Every message family, including the shard-addressed serving frames
-/// the socket transport actually carries.
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        prop::collection::vec((any::<u32>().prop_map(PlId), arb_share()), 0..20)
-            .prop_map(|entries| Message::InsertBatch { entries }),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            prop::collection::vec((any::<u32>().prop_map(TermId), arb_f64()), 0..8)
-        )
-            .prop_map(|(shard, k, terms)| Message::PlanQuery {
-                shard,
-                shape: 0,
-                forced: 1,
-                terms,
-                k,
-            }),
-        (
-            any::<u64>(),
-            any::<u32>(),
-            any::<u32>(),
-            prop::collection::vec((any::<u32>().prop_map(DocId), arb_f64()), 0..12)
-        )
-            .prop_map(|(decode_ns, blocks_decoded, blocks_total, candidates)| {
-                Message::TopKResponse {
-                    decode_ns,
-                    blocks_decoded,
-                    blocks_total,
-                    candidates,
-                }
-            }),
-        (any::<u32>(), prop::collection::vec(arb_wire_doc(), 0..6))
-            .prop_map(|(shard, docs)| Message::IndexDocs { shard, docs }),
-        (any::<u32>(), any::<u32>()).prop_map(|(shard, doc)| Message::RemoveDoc {
-            shard,
-            doc: DocId(doc),
-        }),
-        any::<u64>().prop_map(|removed| Message::DeleteOk { removed }),
-        Just(Message::InsertOk),
-    ]
-}
+use zerber_net::{AuthToken, Message, NodeId};
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
     prop_oneof![

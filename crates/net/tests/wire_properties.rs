@@ -1,74 +1,28 @@
 //! Property tests for the wire protocol: every message round-trips,
 //! and neither truncation nor garbage decodes to something it is not.
+//! The generators come from the frame table (`support`), so every live
+//! tag is covered.
+
+mod support;
 
 use proptest::prelude::*;
 use zerber_core::{ElementId, PlId};
 use zerber_field::Fp;
-use zerber_index::GroupId;
-use zerber_net::{AuthToken, ListVersion, Message, ShareColumns, StoredShare};
+use zerber_net::{Message, ShareColumns};
 
-fn arb_share() -> impl Strategy<Value = StoredShare> {
-    (any::<u64>(), any::<u32>(), 0..zerber_field::MODULUS).prop_map(|(e, g, y)| StoredShare {
-        element: ElementId(e),
-        group: GroupId(g),
-        share: Fp::from_canonical(y),
-    })
-}
-
-/// Element ids as owners mint them (`owner << 40 | sequence`, a few
-/// owners so a column jumps between them) or, one time in four, any
-/// 64 bits at all — in whatever order the generator produced them.
-fn arb_element() -> impl Strategy<Value = ElementId> {
-    (0u8..4, 0u64..6, 0u64..5_000, any::<u64>()).prop_map(|(kind, owner, sequence, wild)| {
-        ElementId(if kind == 0 {
-            wild
-        } else {
-            (owner << 40) | sequence
-        })
-    })
-}
-
-/// A list version with counts of one to ten LEB128 bytes.
-fn arb_version() -> impl Strategy<Value = ListVersion> {
-    (0u32..64, any::<u64>(), 0u32..64, any::<u64>()).prop_map(|(a, content, b, membership)| {
-        ListVersion {
-            content: content >> a,
-            membership: membership >> b,
-        }
-    })
-}
-
-/// The version a request holds for a list, if any.
-fn arb_held() -> impl Strategy<Value = Option<ListVersion>> {
-    (any::<bool>(), arb_version()).prop_map(|(held, version)| held.then_some(version))
-}
-
-/// A share response of up to `lists` lists of fewer than `rows` rows:
-/// unchanged lists, empty lists, one-element lists and lists past the
-/// id column's 128-value block among them, at any version and round.
+/// A share response of up to `lists` lists of fewer than `rows` rows.
 fn arb_response(lists: usize, rows: usize) -> impl Strategy<Value = Message> {
-    let row = (arb_element(), 0..zerber_field::MODULUS);
-    let stamp = (arb_version(), any::<u64>(), 0u8..4);
-    let list = (any::<u32>(), stamp, prop::collection::vec(row, 0..rows)).prop_map(
-        |(pl, (version, round, state), rows)| {
-            let round = round >> (16 * state);
-            if state == 0 {
-                return ShareColumns::unchanged(PlId(pl), version, round);
-            }
-            let mut list = ShareColumns::new(PlId(pl));
-            for (element, y) in rows {
-                list.push(element, Fp::from_canonical(y));
-            }
-            list.stamped(version, round)
-        },
-    );
-    prop::collection::vec(list, 0..lists).prop_map(|lists| Message::QueryResponse { lists })
+    prop::collection::vec(support::arb_columns(rows), 0..lists)
+        .prop_map(|lists| Message::QueryResponse { lists })
 }
 
-/// No strict prefix of a share response decodes, and a response with
-/// any one byte changed either fails to decode or decodes to something
-/// the encoder could have sent (it survives its own round trip) —
-/// never a panic, never a value outside the frame's domain.
+/// No strict prefix of a frame decodes, and a frame with any one byte
+/// changed either fails to decode or decodes to the message that
+/// encodes to exactly those bytes — never a panic, never a second
+/// spelling of a value. A share response's id column has two block
+/// encodings (deltas and the raw escape), so a damaged one need only
+/// decode to something the encoder could have sent: it survives its
+/// own round trip.
 fn assert_fails_closed(message: &Message) -> Result<(), TestCaseError> {
     let encoded = message.encode();
     for cut in 0..encoded.len() {
@@ -78,8 +32,19 @@ fn assert_fails_closed(message: &Message) -> Result<(), TestCaseError> {
     for at in 0..damaged.len() {
         for mask in [0x01, 0x80, 0xff] {
             damaged[at] ^= mask;
-            if let Ok(decoded) = Message::decode(&damaged) {
-                prop_assert_eq!(Message::decode(&decoded.encode()), Ok(decoded));
+            match Message::decode(&damaged) {
+                Err(_) => {}
+                Ok(decoded @ Message::QueryResponse { .. }) => {
+                    prop_assert_eq!(Message::decode(&decoded.encode()), Ok(decoded));
+                }
+                Ok(decoded) => prop_assert_eq!(
+                    decoded.encode(),
+                    damaged.clone(),
+                    "byte {} ^ {:#x} of {:?}",
+                    at,
+                    mask,
+                    message
+                ),
             }
             damaged[at] ^= mask;
         }
@@ -112,39 +77,17 @@ fn a_damaged_multi_block_share_response_fails_closed() {
     assert_fails_closed(&message).unwrap();
 }
 
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        prop::collection::vec((any::<u32>().prop_map(PlId), arb_share()), 0..40)
-            .prop_map(|entries| Message::InsertBatch { entries }),
-        prop::collection::vec(
-            (
-                any::<u32>().prop_map(PlId),
-                any::<u64>().prop_map(ElementId)
-            ),
-            0..40
-        )
-        .prop_map(|elements| Message::Delete { elements }),
-        (
-            any::<u64>(),
-            prop::collection::vec((any::<u32>().prop_map(PlId), arb_held()), 0..40)
-        )
-            .prop_map(|(auth, lists)| Message::Query {
-                auth: AuthToken(auth),
-                lists,
-            }),
-        arb_response(8, 300),
-    ]
-}
-
 proptest! {
     #[test]
-    fn encode_decode_round_trips(message in arb_message()) {
+    fn encode_decode_round_trips(
+        message in prop_oneof![support::arb_message(), arb_response(8, 300)],
+    ) {
         let encoded = message.encode();
         prop_assert_eq!(Message::decode(&encoded).unwrap(), message);
     }
 
     #[test]
-    fn truncation_never_decodes_to_the_same_message(message in arb_message()) {
+    fn truncation_never_decodes_to_the_same_message(message in support::arb_message()) {
         let encoded = message.encode();
         prop_assume!(encoded.len() > 1);
         // Cutting the last byte must not silently yield the original.
@@ -157,6 +100,16 @@ proptest! {
     #[test]
     fn a_damaged_share_response_fails_closed(message in arb_response(4, 24)) {
         assert_fails_closed(&message)?;
+    }
+
+    /// One message of each of the 21 live tags per case, every byte of
+    /// it damaged three ways.
+    #[test]
+    fn every_damaged_frame_fails_closed(messages in support::every_frame()) {
+        prop_assert_eq!(messages.len(), 21);
+        for message in &messages {
+            assert_fails_closed(message)?;
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! see `ARCHITECTURE.md` for the full catalogue.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod forensics;
 mod metrics;
