@@ -23,8 +23,6 @@
 //!   and [`cursor::maxscore_topk`], the one disjunctive evaluator,
 //!   which seeks its σ-demoted lists past blocks instead of decoding
 //!   them,
-//! * `bloom` — a Bloom filter, the substrate of the μ-Serv baseline
-//!   from related work \[3\],
 //! * `baseline` — the "ideal" trusted central index of Section 2: an
 //!   ordinary inverted index with an access-control check on the ranked
 //!   result list.
@@ -32,7 +30,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub(crate) mod baseline;
-pub(crate) mod bloom;
 pub mod cost;
 pub mod cursor;
 pub(crate) mod dict;
@@ -46,7 +43,6 @@ pub mod topk;
 pub(crate) mod types;
 
 pub use baseline::CentralIndex;
-pub use bloom::BloomFilter;
 pub use cursor::{maxscore_topk, BlockCursor, QueryCost, TopKScratch};
 pub use dict::TermDict;
 pub use doc::{Document, RawDocument};

@@ -61,8 +61,9 @@ pub struct SegmentPolicy {
     /// pair closest in size, repeatedly, down to this count). Must be
     /// ≥ 1.
     pub max_segments: usize,
-    /// Run compaction on a background thread (`true`) or inline at
-    /// flush time (`false`; deterministic, used by tests).
+    /// Queue seals and compactions on the process's background
+    /// scheduler (`true`), or seal inline at the threshold and compact
+    /// only on `compact()` (`false`; deterministic, used by tests).
     pub background: bool,
     /// `fsync` the WAL after every acknowledged batch. Durability
     /// against machine crashes costs one disk sync per batch; process

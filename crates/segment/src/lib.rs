@@ -26,15 +26,15 @@
 //!   segment, written once and registered through one atomic manifest
 //!   swap, and no WAL is written on the offline path,
 //! * `store` — the engine ([`SegmentStore`]): at the flush threshold a
-//!   write freezes the memtable and a flusher thread seals it into a
-//!   segment off the write path, size-balanced compaction (optionally
-//!   on a background thread) bounds the segment count by merging the
-//!   adjacent pair closest in size through the same streaming
-//!   shadow-aware merge, garbage-collecting tombstones when a merge
-//!   reaches the oldest segment, a `MANIFEST` names the
-//!   live segment set atomically, and [`SegmentSnapshot`] implements
-//!   `zerber_index::PostingStore` so the query evaluators and the
-//!   sharded peer runtime serve from it unchanged.
+//!   write freezes the memtable, and the process's one background
+//!   scheduler (`background`, seals before compactions) seals it into
+//!   a segment off the write path; size-balanced compaction bounds the
+//!   segment count by merging the adjacent pair closest in size
+//!   through the same streaming shadow-aware merge, garbage-collecting
+//!   tombstones when a merge reaches the oldest segment, a `MANIFEST`
+//!   names the live segment set atomically, and [`SegmentSnapshot`]
+//!   implements `zerber_index::PostingStore` so the query evaluators
+//!   and the sharded peer runtime serve from it unchanged.
 //!
 //! # Open → ingest → crash → recover
 //!
@@ -79,6 +79,7 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub(crate) mod background;
 pub mod bulk;
 pub(crate) mod error;
 pub(crate) mod memtable;
@@ -128,8 +129,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 ///
 /// Drop every [`SegmentStore`] opened underneath *before* the guard
 /// (declare the guard first, or as the last field): a store's
-/// background flusher and compactor write into the directory until
-/// they are joined.
+/// background jobs write into the directory until it drops.
 #[derive(Debug)]
 pub struct ScratchDir(PathBuf);
 

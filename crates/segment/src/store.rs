@@ -10,8 +10,8 @@
 //!   ▼
 //! active ─(≥ flush_postings, none frozen)─► freeze, O(1): wal.log →
 //!                                           wal-N.log, fresh wal.log;
-//!                                           active → frozen; wake flusher
-//! frozen ─(flusher thread)────────────────► seal: merge → seg-N.zseg →
+//!                                           active → frozen; queue seal
+//! frozen ─(scheduler: seals first)────────► seal: merge → seg-N.zseg →
 //!                                           MANIFEST (commit lock) →
 //!                                           rm wal-N.log → slot empty
 //! [segments ...] ─(> max_segments)────────► merge the best-balanced
@@ -25,20 +25,20 @@
 //!
 //! Below the active table's cap (see Backpressure) the writer lock
 //! covers no file write but the WAL append and the freeze's rename:
-//! segments are written by threads that hold no lock a writer takes.
-//! With `background: false` there is no flusher, and the crossing write
-//! runs the same seal inline.
+//! segments are written by the process's background scheduler
+//! (`background.rs`), whose workers hold no lock a writer takes. With
+//! `background: false` nothing is queued: the crossing write runs the
+//! same seal inline, and only `compact()` compacts.
 //!
 //! # Backpressure
 //!
 //! At most one table is frozen. While it is being sealed, writers keep
 //! folding into the active table; the write that brings the active
 //! table to [`ACTIVE_CAP`] × `flush_postings` waits for the seal in
-//! flight (it runs the seal itself if the flusher has not started it),
-//! then freezes. Each wait is recorded in
-//! `zerber_segment_write_stall_ns`. When a seal ends, the flusher
-//! freezes the active table itself if it crossed the threshold
-//! meanwhile.
+//! flight (it runs the seal itself if no worker has started it), then
+//! freezes. Each wait is recorded in `zerber_segment_write_stall_ns`.
+//! When a queued seal ends, it freezes the active table itself if it
+//! crossed the threshold meanwhile.
 //!
 //! # Compaction windows
 //!
@@ -84,7 +84,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -99,6 +99,7 @@ use zerber_postings::{
     DecodedEntriesCursor, RawEntry,
 };
 
+use crate::background::{cancel, submit, Job};
 use crate::bulk::{BulkConfig, BulkFailpoint, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
@@ -140,8 +141,7 @@ struct EngineState {
 }
 
 /// Pre-registered instrument handles of one store. Lives on [`Inner`]
-/// so the background flusher and compactor threads (which only hold an
-/// `Arc<Inner>`) can record as well.
+/// so background jobs (which only hold the `Inner`) record as well.
 struct SegmentMetrics {
     /// `zerber_segment_wal_fsync_ns`: WAL append+fsync latency when
     /// `sync_wal` is on (the durable-ack critical path).
@@ -205,7 +205,7 @@ impl SegmentMetrics {
 /// with `state` innermost and held only to read or swap `Arc`s. The
 /// writer never waits on `compaction`, and waits on `sealing` only at
 /// the active table's cap.
-struct Inner {
+pub(crate) struct Inner {
     dir: PathBuf,
     policy: SegmentPolicy,
     state: RwLock<EngineState>,
@@ -234,10 +234,6 @@ struct Inner {
 /// background sealing and compaction proceed concurrently.
 pub struct SegmentStore {
     inner: Arc<Inner>,
-    /// The background threads (`background: true`): each woken through
-    /// its channel, each exiting when the channel disconnects.
-    flusher: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
-    compactor: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
 }
 
 impl std::fmt::Debug for SegmentStore {
@@ -332,7 +328,7 @@ impl Inner {
     /// caller that finds a seal in flight waits for it and then finds
     /// the slot empty. On an error the table and its logs stay frozen,
     /// and the next call retries.
-    fn seal_frozen(&self) -> Result<(), SegmentError> {
+    pub(crate) fn seal_frozen(&self) -> Result<(), SegmentError> {
         let _one_seal = self.sealing.lock();
         // Only the holder of `sealing` changes a full slot: what is
         // read here stays put until this seal empties it.
@@ -384,8 +380,9 @@ impl Inner {
 
     /// Seals the frozen table, then the active one: the synchronous
     /// seal of `flush()`, `export_files`, a bulk load's registration
-    /// and, with no flusher, of every threshold crossing. Writer lock
-    /// held by the caller, so nothing refills the slot in between.
+    /// and, with `background: false`, of every threshold crossing.
+    /// Writer lock held by the caller, so nothing refills the slot in
+    /// between.
     fn seal_both(&self, wal: &mut Wal) -> Result<(), SegmentError> {
         self.seal_frozen()?;
         if self.freeze(wal)? {
@@ -394,10 +391,10 @@ impl Inner {
         Ok(())
     }
 
-    /// The flusher's check once a seal is done: freezes the active
+    /// A seal job's check once its seal is done: freezes the active
     /// table if it crossed the threshold while the slot was full.
     /// Returns whether it froze.
-    fn freeze_if_due(&self) -> Result<bool, SegmentError> {
+    pub(crate) fn freeze_if_due(&self) -> Result<bool, SegmentError> {
         let mut wal = self.writer.lock();
         let due = {
             let state = self.state.read();
@@ -415,7 +412,7 @@ impl Inner {
     /// segment. The merge and the file write hold no lock a writer
     /// takes; only the splice and its manifest hold `commit`. Returns
     /// whether it did anything.
-    fn compact_once(&self) -> Result<bool, SegmentError> {
+    pub(crate) fn compact_once(&self) -> Result<bool, SegmentError> {
         let _at_most_one = self.compaction.lock();
         let (at, inputs) = {
             let state = self.state.read();
@@ -550,8 +547,8 @@ impl SegmentStore {
     /// [`SegmentStore::open`] with the write-path instruments
     /// (`zerber_segment_*` WAL fsync/append, flush and compaction
     /// and write-stall histograms, segment-count gauge, compaction and
-    /// tombstone-GC counters) registered in `registry`. The background
-    /// flusher and compactor record through the same handles.
+    /// tombstone-GC counters) registered in `registry`. Background
+    /// seals and compactions record through the same handles.
     pub fn open_observed(
         dir: impl Into<PathBuf>,
         policy: SegmentPolicy,
@@ -616,42 +613,10 @@ impl SegmentStore {
             compaction: Mutex::new(()),
             obs,
         });
-        let compactor = policy.background.then(|| {
-            let worker = Arc::clone(&inner);
-            let (signal, wakeups) = mpsc::channel::<()>();
-            let handle = thread::spawn(move || {
-                while wakeups.recv().is_ok() {
-                    // A failed background step leaves extra segments
-                    // behind; the next signal retries. Reads and
-                    // writes stay correct at any segment count.
-                    while worker.compact_once().unwrap_or(false) {}
-                    while wakeups.try_recv().is_ok() {}
-                }
-            });
-            (signal, handle)
-        });
-        // The flusher runs beside the compactor, so a seal never queues
-        // behind a compaction step. It wakes the compactor after each
-        // seal; its clone of that channel goes when it exits.
-        let flusher = compactor.as_ref().map(|(compactor, _)| {
-            let (worker, compactor) = (Arc::clone(&inner), compactor.clone());
-            let (signal, wakeups) = mpsc::channel::<()>();
-            let handle = thread::spawn(move || {
-                while wakeups.recv().is_ok() {
-                    while wakeups.try_recv().is_ok() {}
-                    // A failed seal keeps its table and logs frozen:
-                    // the next signal, or a write at the cap, retries.
-                    while worker.seal_frozen().is_ok() && worker.freeze_if_due().unwrap_or(false) {}
-                    let _ = compactor.send(());
-                }
-            });
-            (signal, handle)
-        });
-        Ok(Self {
-            inner,
-            flusher,
-            compactor,
-        })
+        let store = Self { inner };
+        // A store dropped with compactions pending resumes them here.
+        store.schedule(Job::Compact);
+        Ok(store)
     }
 
     /// The store's root directory.
@@ -692,21 +657,16 @@ impl SegmentStore {
         let mut wal = self.inner.writer.lock();
         let existed = self.snapshot().contains_doc(doc);
         self.apply_locked(&mut wal, vec![WalOp::Delete { doc: doc.0 }])?;
-        drop(wal);
-        self.wake_compactor();
         Ok(existed)
     }
 
     fn apply(&self, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
-        let mut wal = self.inner.writer.lock();
-        let added = self.apply_locked(&mut wal, ops)?;
-        drop(wal);
-        self.wake_compactor();
-        Ok(added)
+        self.apply_locked(&mut self.inner.writer.lock(), ops)
     }
 
     /// Journals and folds one batch, then — at the threshold — freezes
-    /// the active table for the flusher, or seals inline without one.
+    /// the active table and queues its seal, or with `background:
+    /// false` seals inline.
     fn apply_locked(&self, wal: &mut Wal, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
         let inner = &self.inner;
         let sync = inner.policy.sync_wal;
@@ -728,10 +688,10 @@ impl SegmentStore {
         if weight < threshold {
             return Ok(added);
         }
-        let Some((flusher, _)) = &self.flusher else {
+        if !inner.policy.background {
             inner.seal_both(wal)?;
             return Ok(added);
-        };
+        }
         if slot_full {
             if weight < threshold.saturating_mul(ACTIVE_CAP) {
                 return Ok(added);
@@ -744,14 +704,15 @@ impl SegmentStore {
                 .record(stalled.elapsed().as_nanos() as u64);
         }
         if inner.freeze(wal)? {
-            let _ = flusher.send(());
+            self.schedule(Job::Seal);
         }
         Ok(added)
     }
 
-    fn wake_compactor(&self) {
-        if let Some((signal, _)) = &self.compactor {
-            let _ = signal.send(());
+    /// Queues `job` on the process's scheduler, with `background: true`.
+    fn schedule(&self, job: Job) {
+        if self.inner.policy.background {
+            submit(&self.inner, job);
         }
     }
 
@@ -763,7 +724,7 @@ impl SegmentStore {
         let mut wal = self.inner.writer.lock();
         self.inner.seal_both(&mut wal)?;
         drop(wal);
-        self.wake_compactor();
+        self.schedule(Job::Compact);
         Ok(())
     }
 
@@ -846,7 +807,7 @@ impl SegmentStore {
     /// [`SegmentStore::open`] garbage-collects — the load is
     /// all-or-nothing (property- and crash-tested in
     /// `tests/bulk_build_properties.rs`). Queries running from
-    /// [`SegmentStore::snapshot`]s and the background compactor are
+    /// [`SegmentStore::snapshot`]s and background compactions are
     /// never blocked for longer than the registration lock handover.
     /// A batch holding a document that is not
     /// [`Document::is_well_formed`] is refused whole, before any work.
@@ -959,7 +920,7 @@ impl SegmentStore {
         };
         self.inner.write_manifest(*next_seq, &segments)?;
         drop((next_seq, wal));
-        self.wake_compactor();
+        self.schedule(Job::Compact);
         let obs = &self.inner.obs;
         obs.bulk_docs.add(doc_count as u64);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);
@@ -981,7 +942,7 @@ impl SegmentStore {
     /// directory yields a store with identical query results.
     pub fn export_files(&self) -> Result<Vec<(String, Vec<u8>)>, SegmentError> {
         // Same order as `compact_once`: compaction lock before writer
-        // lock, so this cannot deadlock against the compactor.
+        // lock, so this cannot deadlock against a compaction job.
         let _quiesce = self.inner.compaction.lock();
         let mut wal = self.inner.writer.lock();
         self.inner.seal_both(&mut wal)?;
@@ -1039,17 +1000,12 @@ impl SegmentStore {
 }
 
 impl Drop for SegmentStore {
-    /// Joins the flusher, which seals what it was signalled to, then
-    /// the compactor, whose channel closes once the flusher's clone of
-    /// it is gone.
+    /// Drops the store's queued jobs and waits for its running one, so
+    /// no file of the store is written once this returns. A table left
+    /// frozen is replayed from its rotated log at the next open, as
+    /// after a crash.
     fn drop(&mut self) {
-        for (signal, handle) in [self.flusher.take(), self.compactor.take()]
-            .into_iter()
-            .flatten()
-        {
-            drop(signal); // disconnects the channel; the worker exits
-            let _ = handle.join();
-        }
+        cancel(&self.inner);
     }
 }
 

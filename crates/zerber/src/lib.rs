@@ -1,5 +1,5 @@
 //! The Zerber system facade: a full simulated deployment of the
-//! EDBT'08 design, plus the baseline systems it is evaluated against.
+//! EDBT'08 design.
 //!
 //! A [`ZerberSystem`] wires together:
 //!
@@ -23,10 +23,8 @@
 //! launches its peers in-process or connects to peers already serving
 //! over TCP (see its docs for a 4-peer end-to-end example).
 //!
-//! The [`baselines`] module provides the comparators used throughout
-//! the paper: the trusted central index ("ideal scheme", Section 2),
-//! the shotgun per-owner broadcast (Section 1), and a μ-Serv-style
-//! Bloom-filter site index (Section 3, \[3\]).
+//! The trusted central index of Section 2, the "ideal scheme" every
+//! answer is checked against, is [`zerber_index::CentralIndex`].
 //!
 //! # Example
 //!
@@ -67,8 +65,8 @@
 //! ```
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baselines;
 pub(crate) mod config;
 pub mod runtime;
 pub(crate) mod system;

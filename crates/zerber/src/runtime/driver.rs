@@ -67,12 +67,17 @@ impl ShardedSearch {
                     if membership.status(node).is_none() {
                         membership.admit(node);
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the peer is admitted just above, so its status is tracked"
+                    )]
                     let status = if alive {
                         membership.note_success(node)
                     } else {
                         membership.note_failure(node)
-                    };
-                    (node, status.expect("probed peers are tracked"))
+                    }
+                    .expect("probed peers are tracked");
+                    (node, status)
                 })
                 .collect()
         })

@@ -122,6 +122,10 @@ impl ShardMap {
         assert!(replicas > 0, "need at least one replica");
         assert!(shard < self.shards, "shard {shard} out of range");
         let live = self.peers.len() as u32;
+        #[expect(
+            clippy::expect_used,
+            reason = "`join` and `leave` re-home every shard onto a member"
+        )]
         let pos = self
             .peers
             .binary_search(&self.home[shard as usize])
@@ -165,12 +169,13 @@ impl ShardMap {
         self.peers.insert(at, peer);
         let fair = (self.shards as usize).div_ceil(self.peers.len());
         while self.primaries_of(peer) < fair {
+            // Below its share, the joiner leaves another peer holding a
+            // primary: the most loaded one.
             let donor = self.most_loaded_peer_except(peer);
-            let shard = self
-                .home
-                .iter()
-                .position(|&h| h == donor)
-                .expect("donor holds a primary");
+            let Some(shard) = donor.and_then(|donor| self.home.iter().position(|&h| h == donor))
+            else {
+                break;
+            };
             self.home[shard] = peer;
         }
         self.diff_placement(&old, replicas)
@@ -208,15 +213,18 @@ impl ShardMap {
         self.home.iter().filter(|&&h| h == peer).count()
     }
 
-    fn most_loaded_peer_except(&self, except: u32) -> u32 {
-        *self
-            .peers
+    fn most_loaded_peer_except(&self, except: u32) -> Option<u32> {
+        self.peers
             .iter()
-            .filter(|&&p| p != except)
-            .max_by_key(|&&p| (self.primaries_of(p), std::cmp::Reverse(p)))
-            .expect("at least one other peer")
+            .copied()
+            .filter(|&p| p != except)
+            .max_by_key(|&p| (self.primaries_of(p), std::cmp::Reverse(p)))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`leave` asserts a second peer before it removes one"
+    )]
     fn least_loaded_peer(&self) -> u32 {
         *self
             .peers

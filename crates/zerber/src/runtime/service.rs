@@ -131,8 +131,8 @@ impl PeerService for ServerService {
 /// access-controlled collections behind it.
 pub struct ShardService {
     /// The stores this peer hosts, by logical shard id. Declared
-    /// before `home`: the stores drop (and join their compactors)
-    /// before an ephemeral home removes their directories.
+    /// before `home`: the stores drop (and wait for their background
+    /// jobs) before an ephemeral home removes their directories.
     stores: HashMap<u32, HostedShard>,
     /// Per-peer reusable query scratch (the top-k heap), shared
     /// across all hosted stores (requests are serialized per peer).

@@ -41,7 +41,7 @@ pub(crate) fn from_wire(wire: WireDocument) -> Option<Document> {
 /// instruments (WAL, flush, compaction, bulk) into one registry.
 ///
 /// Holders drop their stores first (declare the home *after* them): a
-/// store's compactor writes into the directory until it is joined.
+/// store's background jobs write into the directory until it drops.
 pub(crate) struct ShardHome {
     root: PathBuf,
     peer: u32,
@@ -94,6 +94,10 @@ impl ShardHome {
     /// deployment bug, matching the runtime's dead-peer stance.)
     pub(crate) fn build(&self, shard: u32) -> SegmentStore {
         let dir = self.dir(shard);
+        #[expect(
+            clippy::expect_used,
+            reason = "a shard that cannot open its store is a deployment bug (see Panics)"
+        )]
         let store = SegmentStore::open_observed(dir.clone(), self.policy, &self.registry)
             .expect("shard store opens");
         let recovered = store.snapshot().live_doc_count();

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -100,12 +100,21 @@ impl InFlight {
         }
     }
 
+    /// The gate's state. No holder panics mid-update (it counts and
+    /// flags), so a poisoned lock still holds a consistent state.
+    fn lock(&self) -> MutexGuard<'_, InFlightState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Blocks until a slot frees up (or the link dies). Returns
     /// whether the link is still usable.
     fn acquire(&self, cap: usize) -> bool {
-        let mut state = self.state.lock().expect("in-flight gate poisoned");
+        let mut state = self.lock();
         while state.count >= cap && !state.dead {
-            state = self.drained.wait(state).expect("in-flight gate poisoned");
+            state = self
+                .drained
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if state.dead {
             return false;
@@ -116,7 +125,7 @@ impl InFlight {
     }
 
     fn release(&self) {
-        let mut state = self.state.lock().expect("in-flight gate poisoned");
+        let mut state = self.lock();
         // `kill` may already have zeroed the count (and the gauge);
         // never double-decrement.
         if state.count > 0 {
@@ -128,7 +137,7 @@ impl InFlight {
     }
 
     fn kill(&self) {
-        let mut state = self.state.lock().expect("in-flight gate poisoned");
+        let mut state = self.lock();
         state.dead = true;
         // Requests still in flight on a dead link will never be
         // released; keep the aggregate gauge honest.

@@ -179,9 +179,15 @@ impl ShardedSearch {
                 }
             }
         }
-        best.ok_or_else(|| {
-            IngestError::Transport(last_error.expect("no ack from any replica implies an error"))
-        })
+        if let Some(ack) = best {
+            return Ok(ack);
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "a write has at least one replica, and each one acked, faulted (returned above) or failed"
+        )]
+        let error = last_error.expect("no ack from any replica implies an error");
+        Err(IngestError::Transport(error))
     }
 
     /// The one routine behind [`ShardedSearch::insert_documents`] and

@@ -3,11 +3,10 @@
 //! (ordinary inverted index + ACL check), while never storing a
 //! plaintext term anywhere central.
 
-use zerber::baselines::CentralIndex;
 use zerber::{ZerberConfig, ZerberSystem};
 use zerber_core::merge::MergeConfig;
 use zerber_corpus::{CorpusConfig, SyntheticCorpus};
-use zerber_index::{DocId, GroupId, TermId, UserId};
+use zerber_index::{CentralIndex, DocId, GroupId, TermId, UserId};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {

@@ -6,13 +6,12 @@
 //! reader's session cache cold and warm.
 
 use proptest::prelude::*;
-use zerber::baselines::CentralIndex;
 use zerber::{ZerberConfig, ZerberSystem};
 use zerber_core::analysis::response_sizes;
 use zerber_core::merge::MergeConfig;
 use zerber_core::PlId;
 use zerber_corpus::{CorpusConfig, SyntheticCorpus};
-use zerber_index::{DocId, Document, GroupId, TermId, UserId};
+use zerber_index::{CentralIndex, DocId, Document, GroupId, TermId, UserId};
 
 fn arb_document(index: u32) -> impl Strategy<Value = Document> {
     (
