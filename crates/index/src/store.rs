@@ -61,9 +61,11 @@ pub struct SegmentPolicy {
     /// pair closest in size, repeatedly, down to this count). Must be
     /// ≥ 1.
     pub max_segments: usize,
-    /// Queue seals and compactions on the process's background
-    /// scheduler (`true`), or seal inline at the threshold and compact
-    /// only on `compact()` (`false`; deterministic, used by tests).
+    /// Who runs the seals and compactions a store queues: the
+    /// process's background scheduler (`true`), or the caller of
+    /// `SegmentStore::step()`, one job at a time (`false`;
+    /// deterministic, used by tests). A store nobody steps still seals
+    /// at the active table's cap and compacts on `compact()`.
     pub background: bool,
     /// `fsync` the WAL after every acknowledged batch. Durability
     /// against machine crashes costs one disk sync per batch; process

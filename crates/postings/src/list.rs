@@ -102,6 +102,9 @@ pub struct CompressedPostingList {
 }
 
 impl CompressedPostingList {
+    /// The fewest bytes a record takes: a list of no blocks.
+    pub const MIN_RECORD_BYTES: usize = HEAD + MID;
+
     /// The list over a record of its own: `record` holds [`HEAD`]
     /// bytes of room and then the block payloads (or nothing, for no
     /// blocks), `index` their entries ([`index_entry`]). Writes the

@@ -7,11 +7,16 @@
 //! seal runs and no compaction does, a queued compaction goes before
 //! queued seals. A store has at most one queued job of each kind, and a
 //! job holds its store weakly.
+//!
+//! A store opened with `background: false` queues the same jobs, under
+//! the same one-of-each-kind rule, on a queue of its own instead: no
+//! worker runs them, and [`step`] runs one on the caller's thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread;
 
+use crate::error::SegmentError;
 use crate::store::Inner;
 
 /// The pool's threads, spawned with the first job: three, so that two
@@ -20,8 +25,9 @@ use crate::store::Inner;
 /// at the active table's cap while the one sealer served both stores.
 const WORKERS: usize = 3;
 
-/// One kind of background work on a store.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// One kind of background work on a store, in the order [`step`]
+/// takes them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Job {
     /// Seal the frozen table, then queue a compaction, and another
     /// seal if the active table froze meanwhile.
@@ -94,19 +100,7 @@ fn work() {
             // A job that fails or panics leaves its store as it was,
             // for the next submit to retry, and stops no worker. One
             // step a job, so the stores take turns.
-            let _ = catch_unwind(AssertUnwindSafe(|| match job {
-                Job::Seal => {
-                    if store.seal_frozen().is_ok() && store.freeze_if_due().unwrap_or(false) {
-                        submit(&store, job);
-                    }
-                    submit(&store, Job::Compact);
-                }
-                Job::Compact => {
-                    if store.compact_once().unwrap_or(false) {
-                        submit(&store, job);
-                    }
-                }
-            }));
+            let _ = catch_unwind(AssertUnwindSafe(|| run(&store, job)));
         }
         guard = lock(queue);
         let ended = guard
@@ -120,8 +114,36 @@ fn work() {
     }
 }
 
-/// Queues `job` on `store` unless one of its kind is queued already.
+/// One job's body, wherever it runs: a seal queues a compaction, and
+/// another seal if the active table froze meanwhile; a compaction that
+/// merged queues the next.
+fn run(store: &Arc<Inner>, job: Job) -> Result<(), SegmentError> {
+    match job {
+        Job::Seal => {
+            let refrozen = store.seal_frozen().and_then(|()| store.freeze_if_due());
+            if let Ok(true) = refrozen {
+                submit(store, job);
+            }
+            submit(store, Job::Compact);
+            refrozen.map(drop)
+        }
+        Job::Compact => {
+            if store.compact_once()? {
+                submit(store, job);
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Queues `job` on `store` unless one of its kind is queued already:
+/// on the process's queue, or with `background: false` on the store's
+/// own.
 pub(crate) fn submit(store: &Arc<Inner>, job: Job) {
+    if !store.policy.background {
+        store.stepped.lock().insert(job);
+        return;
+    }
     let (queue, changed) = scheduler();
     let (mut guard, mine) = (lock(queue), of(store));
     let queued = guard
@@ -132,6 +154,17 @@ pub(crate) fn submit(store: &Arc<Inner>, job: Job) {
         guard.queued.push((Arc::downgrade(store), job));
         changed.notify_all();
     }
+}
+
+/// Runs the first job on `store`'s own queue — a seal before a
+/// compaction — on the calling thread, and returns whether there was
+/// one. A job's error is returned; the job is not queued again.
+pub(crate) fn step(store: &Arc<Inner>) -> Result<bool, SegmentError> {
+    let Some(job) = store.stepped.lock().pop_first() else {
+        return Ok(false);
+    };
+    run(store, job)?;
+    Ok(true)
 }
 
 /// Drops `store`'s queued jobs and waits for its running ones: on

@@ -1,8 +1,7 @@
 //! Offline bulk-build knobs and accounting.
 //!
 //! The bulk path lives on [`crate::SegmentStore::bulk_load`]; this
-//! module holds its configuration, its returned accounting, and the
-//! crash-injection failpoints the recovery tests drive it with. The
+//! module holds its configuration and its returned accounting. The
 //! pipeline, a term-partitioned inversion:
 //!
 //! ```text
@@ -65,20 +64,4 @@ pub struct BulkStats {
     pub docs: usize,
     /// Postings stored in the bulk segment.
     pub postings: usize,
-}
-
-/// Crash-injection points for the recovery tests: the bulk build
-/// returns early *as if the process died* at the named boundary,
-/// leaving exactly the on-disk state a real crash would. Hidden from
-/// docs; not part of the stable API.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BulkFailpoint {
-    /// Die once the segment file is written (end of phase 2, nothing
-    /// registered): the directory holds one unlisted `.zseg`.
-    AfterWrite,
-    /// Die with the memtables sealed under the writer lock, just before
-    /// the bulk segment's MANIFEST swap — the last moment the load
-    /// must be invisible.
-    BeforeManifest,
 }

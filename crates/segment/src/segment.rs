@@ -385,13 +385,14 @@ const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
 /// unsupported. The manifest shares this frame and its version.
 const VERSION: u32 = 3;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// A bounds-checked little-endian reader over a CRC-verified body
-/// (segment files and the manifest): running past the end — or not
-/// reaching it — is [`SegmentError::Corrupt`], never a panic.
+/// (segment files, the manifest and log records): running past the
+/// end — or not reaching it — is [`SegmentError::Corrupt`], never a
+/// panic.
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -456,9 +457,21 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
+    /// A `u32` count of entries of at least `min_bytes` each, refused
+    /// if the bytes left cannot hold them: nothing is allocated for a
+    /// count the body cannot back.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, SegmentError> {
+        let count = self.u32()? as usize;
+        let left = self.bytes.len() - self.pos;
+        if count > left / min_bytes {
+            return Err(self.corrupt("count beyond the bytes left"));
+        }
+        Ok(count)
+    }
+
     fn u32_vec(&mut self) -> Result<Vec<u32>, SegmentError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 22));
+        let n = self.count(4)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.u32()?);
         }
@@ -578,9 +591,9 @@ impl SegmentContent {
         if !live.is_sorted_by(|a, b| a < b) || !tombstones.is_sorted_by(|a, b| a < b) {
             return Err(r.corrupt("document table out of order"));
         }
-        let term_count = r.u32()? as usize;
-        let mut terms: Vec<(u32, CompressedPostingList)> =
-            Vec::with_capacity(term_count.min(1 << 22));
+        // A term's record: its id, then its list's.
+        let term_count = r.count(4 + CompressedPostingList::MIN_RECORD_BYTES)?;
+        let mut terms: Vec<(u32, CompressedPostingList)> = Vec::with_capacity(term_count);
         for _ in 0..term_count {
             let term = r.u32()?;
             let list = CompressedPostingList::parse(&body, r.pos).map_err(|why| r.corrupt(why))?;

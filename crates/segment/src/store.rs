@@ -25,17 +25,17 @@
 //!
 //! Below the active table's cap (see Backpressure) the writer lock
 //! covers no file write but the WAL append and the freeze's rename:
-//! segments are written by the process's background scheduler
-//! (`background.rs`), whose workers hold no lock a writer takes. With
-//! `background: false` nothing is queued: the crossing write runs the
-//! same seal inline, and only `compact()` compacts.
+//! segments are written by the jobs a store queues (`background.rs`),
+//! which hold no lock a writer takes. `background: false` changes only
+//! who runs them: not the process's workers, but a caller of
+//! [`SegmentStore::step`], one job at a time.
 //!
 //! # Backpressure
 //!
 //! At most one table is frozen. While it is being sealed, writers keep
 //! folding into the active table; the write that brings the active
 //! table to [`ACTIVE_CAP`] × `flush_postings` waits for the seal in
-//! flight (it runs the seal itself if no worker has started it), then
+//! flight (it runs the seal itself if no job has started it), then
 //! freezes. Each wait is recorded in `zerber_segment_write_stall_ns`.
 //! When a queued seal ends, it freezes the active table itself if it
 //! crossed the threshold meanwhile.
@@ -82,7 +82,7 @@
 //! that write folds into a copy, so the snapshot keeps its world.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
@@ -99,8 +99,8 @@ use zerber_postings::{
     DecodedEntriesCursor, RawEntry,
 };
 
-use crate::background::{cancel, submit, Job};
-use crate::bulk::{BulkConfig, BulkFailpoint, BulkStats};
+use crate::background::{cancel, step, submit, Job};
+use crate::bulk::{BulkConfig, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
@@ -207,7 +207,7 @@ impl SegmentMetrics {
 /// the active table's cap.
 pub(crate) struct Inner {
     dir: PathBuf,
-    policy: SegmentPolicy,
+    pub(crate) policy: SegmentPolicy,
     state: RwLock<EngineState>,
     /// The active log. Its lock serialises every mutation (WAL order =
     /// apply order = ack order) and every freeze.
@@ -224,6 +224,9 @@ pub(crate) struct Inner {
     compaction: Mutex<()>,
     /// Instrument handles, in the registry the store was opened with.
     obs: SegmentMetrics,
+    /// With `background: false`, the store's queued jobs, which
+    /// [`SegmentStore::step`] runs.
+    pub(crate) stepped: Mutex<BTreeSet<Job>>,
 }
 
 /// A durable, crash-safe posting store with live inserts and deletes.
@@ -258,8 +261,9 @@ fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
     let file = path.display().to_string();
     let mut r = Reader::new(&body, &file);
     let next_seq = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut names = Vec::with_capacity(count.min(1 << 16));
+    // A name: its `u16` length, then at least one byte.
+    let count = r.count(3)?;
+    let mut names = Vec::with_capacity(count);
     for _ in 0..count {
         let len = usize::from(r.u16()?);
         let name = std::str::from_utf8(r.take(len)?)
@@ -379,10 +383,9 @@ impl Inner {
     }
 
     /// Seals the frozen table, then the active one: the synchronous
-    /// seal of `flush()`, `export_files`, a bulk load's registration
-    /// and, with `background: false`, of every threshold crossing.
-    /// Writer lock held by the caller, so nothing refills the slot in
-    /// between.
+    /// seal of `flush()`, `export_files` and a bulk load's
+    /// registration. Writer lock held by the caller, so nothing refills
+    /// the slot in between.
     fn seal_both(&self, wal: &mut Wal) -> Result<(), SegmentError> {
         self.seal_frozen()?;
         if self.freeze(wal)? {
@@ -563,6 +566,14 @@ impl SegmentStore {
         } else {
             (1, Vec::new())
         };
+        // Checked before anything is collected: a manifest naming a
+        // file the directory lacks is damaged, and deletes nothing.
+        if let Some(name) = names.iter().find(|name| !dir.join(name).is_file()) {
+            return Err(SegmentError::Corrupt {
+                file: dir.join(name).display().to_string(),
+                reason: "segment listed in the MANIFEST is missing",
+            });
+        }
         let listed: HashSet<&str> = names.iter().map(String::as_str).collect();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
@@ -612,11 +623,11 @@ impl SegmentStore {
             commit: Mutex::new(next_seq),
             compaction: Mutex::new(()),
             obs,
+            stepped: Mutex::default(),
         });
-        let store = Self { inner };
         // A store dropped with compactions pending resumes them here.
-        store.schedule(Job::Compact);
-        Ok(store)
+        submit(&inner, Job::Compact);
+        Ok(Self { inner })
     }
 
     /// The store's root directory.
@@ -665,8 +676,7 @@ impl SegmentStore {
     }
 
     /// Journals and folds one batch, then — at the threshold — freezes
-    /// the active table and queues its seal, or with `background:
-    /// false` seals inline.
+    /// the active table and queues its seal.
     fn apply_locked(&self, wal: &mut Wal, ops: Vec<WalOp>) -> Result<usize, SegmentError> {
         let inner = &self.inner;
         let sync = inner.policy.sync_wal;
@@ -688,10 +698,6 @@ impl SegmentStore {
         if weight < threshold {
             return Ok(added);
         }
-        if !inner.policy.background {
-            inner.seal_both(wal)?;
-            return Ok(added);
-        }
         if slot_full {
             if weight < threshold.saturating_mul(ACTIVE_CAP) {
                 return Ok(added);
@@ -704,16 +710,23 @@ impl SegmentStore {
                 .record(stalled.elapsed().as_nanos() as u64);
         }
         if inner.freeze(wal)? {
-            self.schedule(Job::Seal);
+            submit(inner, Job::Seal);
         }
         Ok(added)
     }
 
-    /// Queues `job` on the process's scheduler, with `background: true`.
-    fn schedule(&self, job: Job) {
-        if self.inner.policy.background {
-            submit(&self.inner, job);
-        }
+    /// Runs one of the jobs a `background: false` store has queued — a
+    /// seal before a compaction — on the calling thread, and returns
+    /// whether there was one: `while store.step()? {}` drains them. A
+    /// write that crosses the flush threshold freezes the active table
+    /// and queues its seal, a seal queues a compaction, and a
+    /// compaction that merged queues the next. A store nobody steps
+    /// still seals once a frozen table waits beside twice the threshold
+    /// in the active one, and compacts on [`SegmentStore::compact`].
+    /// With `background: true` the process's workers run the jobs, and
+    /// this returns `Ok(false)`.
+    pub fn step(&self) -> Result<bool, SegmentError> {
+        step(&self.inner)
     }
 
     /// Seals the memtables into segments now, regardless of the flush
@@ -724,7 +737,7 @@ impl SegmentStore {
         let mut wal = self.inner.writer.lock();
         self.inner.seal_both(&mut wal)?;
         drop(wal);
-        self.schedule(Job::Compact);
+        submit(&self.inner, Job::Compact);
         Ok(())
     }
 
@@ -820,31 +833,7 @@ impl SegmentStore {
         docs: impl Into<Cow<'a, [Document]>>,
         config: BulkConfig,
     ) -> Result<BulkStats, SegmentError> {
-        self.bulk_load_inner(docs.into(), config, None)
-    }
-
-    /// Test hook: [`SegmentStore::bulk_load`] that "crashes" at the
-    /// given boundary — it returns there, leaving the on-disk state as
-    /// it is and the load unregistered. Not part of the stable API.
-    #[doc(hidden)]
-    pub fn bulk_load_failpoint<'a>(
-        &self,
-        docs: impl Into<Cow<'a, [Document]>>,
-        config: BulkConfig,
-        failpoint: BulkFailpoint,
-    ) -> Result<(), SegmentError> {
-        self.bulk_load_inner(docs.into(), config, Some(failpoint))
-            .map(drop)
-    }
-
-    /// The bulk load; at an armed failpoint it returns there, with
-    /// empty stats.
-    fn bulk_load_inner(
-        &self,
-        docs: Cow<'_, [Document]>,
-        config: BulkConfig,
-        failpoint: Option<BulkFailpoint>,
-    ) -> Result<BulkStats, SegmentError> {
+        let docs: Cow<'_, [Document]> = docs.into();
         let started = Instant::now();
         refuse_malformed(&docs)?;
         // Doc-ascending, last copy of each id wins: the stable sort of
@@ -897,9 +886,6 @@ impl SegmentStore {
         let seq = self.inner.reserve_seq();
         let segment = content.write(&self.inner.dir, seq)?;
         let postings = segment.posting_count();
-        if failpoint == Some(BulkFailpoint::AfterWrite) {
-            return Ok(BulkStats::default());
-        }
 
         // --- Phase 3: register atomically under the writer lock. ----
         let mut wal = self.inner.writer.lock();
@@ -909,9 +895,6 @@ impl SegmentStore {
         // log must be gone before it is listed, or a replay of an older
         // batch would shadow it.
         self.inner.seal_both(&mut wal)?;
-        if failpoint == Some(BulkFailpoint::BeforeManifest) {
-            return Ok(BulkStats::default());
-        }
         let next_seq = self.inner.commit.lock();
         let segments = {
             let mut state = self.inner.state.write();
@@ -920,7 +903,7 @@ impl SegmentStore {
         };
         self.inner.write_manifest(*next_seq, &segments)?;
         drop((next_seq, wal));
-        self.schedule(Job::Compact);
+        submit(&self.inner, Job::Compact);
         let obs = &self.inner.obs;
         obs.bulk_docs.add(doc_count as u64);
         obs.bulk_build.record(started.elapsed().as_nanos() as u64);

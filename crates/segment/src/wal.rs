@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
 use crate::error::SegmentError;
+use crate::segment::{put_u32, Reader};
 
 /// The active log's file name.
 pub(crate) const WAL_FILE: &str = "wal.log";
@@ -87,16 +88,6 @@ pub(crate) enum WalOp {
 const OP_INSERT: u8 = 0x01;
 const OP_DELETE: u8 = 0x02;
 
-fn put_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn get_u32(input: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes = input.get(*pos..)?.first_chunk()?;
-    *pos += 4;
-    Some(u32::from_le_bytes(*bytes))
-}
-
 /// Serializes one batch into a record payload.
 pub(crate) fn encode_batch(ops: &[WalOp]) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -126,37 +117,27 @@ pub(crate) fn encode_batch(ops: &[WalOp]) -> Vec<u8> {
 /// reachable when a corrupted record also collides on its CRC — replay
 /// still treats it as a torn tail rather than trusting it).
 pub(crate) fn decode_batch(payload: &[u8]) -> Option<Vec<WalOp>> {
-    let mut pos = 0usize;
-    let count = get_u32(payload, &mut pos)? as usize;
-    let mut ops = Vec::with_capacity(count.min(1 << 20));
+    let mut r = Reader::new(payload, WAL_FILE);
+    // A delete, the shortest op: its tag and document.
+    let count = r.count(5).ok()?;
+    let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = *payload.get(pos)?;
-        pos += 1;
-        match tag {
-            OP_INSERT => {
-                let doc = get_u32(payload, &mut pos)?;
-                let length = get_u32(payload, &mut pos)?;
-                let term_count = get_u32(payload, &mut pos)? as usize;
-                let mut terms = Vec::with_capacity(term_count.min(1 << 20));
+        let op = match r.take(1).ok()? {
+            [OP_INSERT] => {
+                let (doc, length) = (r.u32().ok()?, r.u32().ok()?);
+                let term_count = r.count(8).ok()?;
+                let mut terms = Vec::with_capacity(term_count);
                 for _ in 0..term_count {
-                    let term = get_u32(payload, &mut pos)?;
-                    let count = get_u32(payload, &mut pos)?;
-                    terms.push((term, count));
+                    terms.push((r.u32().ok()?, r.u32().ok()?));
                 }
-                ops.push(WalOp::Insert { doc, length, terms });
+                WalOp::Insert { doc, length, terms }
             }
-            OP_DELETE => {
-                let doc = get_u32(payload, &mut pos)?;
-                ops.push(WalOp::Delete { doc });
-            }
+            [OP_DELETE] => WalOp::Delete { doc: r.u32().ok()? },
             _ => return None,
-        }
+        };
+        ops.push(op);
     }
-    if pos == payload.len() {
-        Some(ops)
-    } else {
-        None
-    }
+    r.finish().ok().map(|()| ops)
 }
 
 /// The append handle for the live log.

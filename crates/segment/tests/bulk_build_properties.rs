@@ -14,8 +14,10 @@
 //!    that leaves something on disk (after the segment file is written,
 //!    before the manifest swap) reopens to an all-or-nothing state with
 //!    the unlisted segment garbage-collected, and the store keeps
-//!    working. The lists are built in memory, so a load's only file is
-//!    its one segment.
+//!    working. Each crash state is staged from files: the pre-load
+//!    files, as written or as the load's registration seals them, plus
+//!    the one segment a real load of the batch wrote. The lists are
+//!    built in memory, so a load's only file is its one segment.
 //! 3. **One load, one segment**: whatever the worker count, a load
 //!    writes and registers exactly one segment.
 //! 4. **A load's segment is a flush's segment**: a load under any
@@ -25,13 +27,13 @@
 //!    batch arrives in.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use proptest::prelude::*;
 
 use zerber_index::cursor::{maxscore_topk, TopKScratch};
 use zerber_index::topk::{naive_topk, tfidf_lists};
 use zerber_index::{DocId, Document, GroupId, InvertedIndex, PostingStore, SegmentPolicy, TermId};
-use zerber_segment::bulk::BulkFailpoint;
 use zerber_segment::{BulkConfig, ScratchDir, SegmentStore};
 
 const MAX_DOC: u32 = 80;
@@ -179,6 +181,38 @@ fn stray_files(dir: &std::path::Path) -> Vec<String> {
     files_ending(dir, &[".zrun", ".tmp"])
 }
 
+/// A directory's files, by name.
+type Files = BTreeMap<String, Vec<u8>>;
+
+/// Every file in `dir`.
+fn files(dir: &Path) -> Files {
+    std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .map(|path| {
+            let name = path.file_name().expect("a file name");
+            let bytes = std::fs::read(&path).expect("read a store file");
+            (name.to_string_lossy().into_owned(), bytes)
+        })
+        .collect()
+}
+
+/// The files in `dir` that `earlier` does not name.
+fn new_files(dir: &Path, earlier: &Files) -> Files {
+    let mut now = files(dir);
+    now.retain(|name, _| !earlier.contains_key(name));
+    now
+}
+
+/// A fresh directory holding `files`: a crash state, staged.
+fn staged(tag: &str, files: &Files) -> ScratchDir {
+    let dir = ScratchDir::new(tag);
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("stage a file");
+    }
+    dir
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     #[test]
@@ -257,9 +291,8 @@ proptest! {
         corpus in prop::collection::vec(arb_doc(), 1..30),
         boundary in 0usize..2,
     ) {
-        let failpoint = [BulkFailpoint::AfterWrite, BulkFailpoint::BeforeManifest][boundary];
-        let dir = ScratchDir::new("bulk-crash");
-        let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+        let live = ScratchDir::new("bulk-crash-live");
+        let store = SegmentStore::open(&live, tiny_policy()).expect("open");
 
         // Pre-bulk state that must survive the crash untouched.
         let mut before: BTreeMap<u32, Document> = BTreeMap::new();
@@ -267,19 +300,33 @@ proptest! {
             preload.iter().map(|(id, t)| materialize(*id, t)).collect();
         if !preload_docs.is_empty() {
             store.insert(&preload_docs).expect("preload");
-            store.flush().expect("preload flush");
             for doc in &preload_docs {
                 before.insert(doc.id.0, doc.clone());
             }
         }
+        // The pre-load files at each boundary: as the writes left them
+        // once the segment is written, and sealed just before the
+        // manifest swap (the registration seals both memtables first).
+        let written = files(&live);
+        store.flush().expect("preload flush");
+        let sealed = files(&live);
 
         let docs: Vec<Document> = corpus.iter().map(|(id, t)| materialize(*id, t)).collect();
-        store
-            .bulk_load_failpoint(&docs, tiny_bulk(), failpoint)
-            .expect("an aborted bulk load is not an error");
-        drop(store); // "crash": nothing else runs before reopen
+        store.bulk_load(&docs, tiny_bulk()).expect("bulk load");
+        drop(store);
+        let segment: Files = new_files(&live, &sealed)
+            .into_iter()
+            .filter(|(name, _)| name.ends_with(".zseg"))
+            .collect();
+        prop_assert_eq!(segment.len(), 1, "one load, one segment");
 
-        // Both boundaries precede the manifest swap: nothing landed.
+        // Killed at the boundary: its pre-load files and the load's
+        // segment, which no manifest lists. Both boundaries precede
+        // the manifest swap: nothing landed.
+        let after_write = boundary == 0;
+        let mut crashed = if after_write { written } else { sealed };
+        crashed.extend(segment);
+        let dir = staged("bulk-crash", &crashed);
         let reopened = SegmentStore::open(&dir, tiny_policy()).expect("reopen");
         check_snapshot(&reopened.snapshot(), &before)?;
         prop_assert_eq!(
@@ -458,37 +505,43 @@ fn a_top_of_range_term_loads_and_reads_back() {
     check(&SegmentStore::open(&dir, tiny_policy()).expect("reopen"));
 }
 
-/// A load from several workers, killed once its segment is written,
-/// has put exactly one file on disk — that unlisted segment, no run or
-/// temp file — and reopens to the pre-load state.
+/// A load from several workers puts exactly one file on disk — its
+/// segment, no run or temp file — and, killed once that file is
+/// written, reopens to the pre-load state.
 #[test]
 fn a_many_worker_load_puts_one_file_on_disk() {
-    let dir = ScratchDir::new("bulk-one-file");
-    let store = SegmentStore::open(&dir, tiny_policy()).expect("open");
+    let live = ScratchDir::new("bulk-one-file-live");
+    let store = SegmentStore::open(&live, tiny_policy()).expect("open");
     let preload: Vec<Document> = (0..4).map(|id| materialize(id, &[(0, 1)])).collect();
     store.insert(&preload).expect("preload");
     store.flush().expect("preload flush");
     let before: BTreeMap<u32, Document> = preload.into_iter().map(|d| (d.id.0, d)).collect();
-    let listed = files_ending(&dir, &[".zseg"]);
+    let preloaded = files(&live);
+    let listed = files_ending(&live, &[".zseg"]);
 
     let docs: Vec<Document> = (0..60)
         .map(|id| materialize(id, &[(id % 7, 1 + id % 3), (MAX_TERM - 1, 1)]))
         .collect();
     let config = BulkConfig { workers: 3 };
-    store
-        .bulk_load_failpoint(&docs, config, BulkFailpoint::AfterWrite)
-        .expect("an aborted bulk load is not an error");
+    store.bulk_load(&docs, config).expect("bulk load");
     drop(store);
 
-    let segments = files_ending(&dir, &[".zseg"]);
-    let written: Vec<&String> = segments.iter().filter(|s| !listed.contains(s)).collect();
-    assert_eq!(written.len(), 1, "one unlisted segment, got {segments:?}");
+    let written = new_files(&live, &preloaded);
+    let names: Vec<&String> = written.keys().collect();
+    assert!(
+        names.len() == 1 && names[0].ends_with(".zseg"),
+        "one new segment, got {names:?}"
+    );
     assert_eq!(
-        stray_files(&dir),
+        stray_files(&live),
         Vec::<String>::new(),
         "no run or tmp file"
     );
 
+    // Killed once the segment is written: the pre-load files and it.
+    let mut crashed = preloaded;
+    crashed.extend(written);
+    let dir = staged("bulk-one-file", &crashed);
     let reopened = SegmentStore::open(&dir, tiny_policy()).expect("reopen");
     assert_eq!(files_ending(&dir, &[".zseg"]), listed, "open collects it");
     check_snapshot(&reopened.snapshot(), &before).expect("nothing landed");

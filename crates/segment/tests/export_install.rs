@@ -4,9 +4,10 @@
 //! contents (export seals them first) — and installed stores must
 //! survive reopening like any other store. Hostile snapshot files —
 //! path-escaping names, a set without a manifest, a CRC-valid manifest
-//! with a malformed body or naming a file outside its store, a frame
-//! header declaring a body of `u64::MAX` bytes — are refused as
-//! `SegmentError::Corrupt`.
+//! with a malformed body or naming a file outside its store or not in
+//! it, a frame header declaring a body of `u64::MAX` bytes, any byte of
+//! a segment or MANIFEST body damaged behind a correct CRC — are
+//! refused as `SegmentError::Corrupt` or open, and never panic.
 
 use std::collections::BTreeMap;
 
@@ -181,6 +182,12 @@ fn hostile_manifests_open_as_corrupt() {
         "an absolute name".into(),
         naming(absolute.to_str().unwrap()),
     ));
+    // A damaged name, found by `every_damaged_body_opens_or_fails_closed`:
+    // it named no file, and open collected the real segments first.
+    hostile.push((
+        "a segment the directory lacks".into(),
+        naming("seg-000003.zseg"),
+    ));
 
     for (what, body) in hostile {
         std::fs::write(&manifest, reframed(&body)).unwrap();
@@ -224,6 +231,60 @@ fn frame_headers_declaring_a_huge_body_open_as_corrupt() {
     }
     let reopened = SegmentStore::open(&dir, policy()).unwrap();
     assert_eq!(reopened.snapshot().live_doc_count(), 1);
+}
+
+/// Every byte of a small store's segment body and MANIFEST body,
+/// damaged under three masks and re-framed with a correct CRC — what a
+/// hostile peer's `InstallFile` can ship — opens as `Ok`, and serves
+/// its lists, or as `Corrupt`, and never panics.
+#[test]
+fn every_damaged_body_opens_or_fails_closed() {
+    let source_dir = ScratchDir::new("export-damage-src");
+    let source = SegmentStore::open(&source_dir, policy()).unwrap();
+    source.insert(&[doc(1, &[(0, 2), (3, 1)])]).unwrap();
+    source.flush().unwrap();
+    source
+        .insert(&[doc(2, &[(0, 1), (7, 3)]), doc(5, &[(3, 2)])])
+        .unwrap();
+    source.delete(DocId(1)).unwrap();
+    let files = source.export_files().unwrap();
+    drop(source);
+    let segment = files
+        .iter()
+        .rposition(|(name, _)| name.ends_with(".zseg"))
+        .unwrap();
+    // Frame layout: magic u32 | version u32 | body length u64 | CRC-32
+    // of the body | body.
+    let reframed = |header: &[u8], body: &[u8]| {
+        let mut file = header[..8].to_vec();
+        file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        file.extend_from_slice(&zerber_segment::crc::crc32(body).to_le_bytes());
+        file.extend_from_slice(body);
+        file
+    };
+    let mut failures = Vec::new();
+    for target in [0, segment] {
+        let (header, body) = files[target].1.split_at(20);
+        for at in 0..body.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut damaged = body.to_vec();
+                damaged[at] ^= mask;
+                let mut shipped = files.clone();
+                shipped[target].1 = reframed(header, &damaged);
+                let dir = ScratchDir::new("export-damage");
+                SegmentStore::install_files(&dir, &shipped).unwrap();
+                let what = format!("{} byte {at} ^ {mask:#04x}", files[target].0);
+                // An opened store serves every list without panicking.
+                let served = || SegmentStore::open(&dir, policy()).map(|s| postings_table(&s, 8));
+                match std::panic::catch_unwind(served) {
+                    Ok(Ok(_) | Err(SegmentError::Corrupt { .. })) => {}
+                    Ok(Err(other)) => failures.push(format!("{what}: {other}")),
+                    Err(_) => failures.push(format!("{what}: panicked")),
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }
 
 proptest! {

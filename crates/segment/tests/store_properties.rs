@@ -177,7 +177,7 @@ fn check_schedule(
     let policy = SegmentPolicy {
         flush_postings,
         max_segments,
-        background: false, // deterministic compaction points
+        background: false, // stepped: deterministic seal and compaction points
         sync_wal: false,
     };
     let store = SegmentStore::open(&dir, policy).expect("open");
@@ -243,6 +243,8 @@ fn check_schedule(
                 );
             }
         }
+        // The jobs the op queued, run here: deterministic points.
+        while store.step().expect("step") {}
         // Every batch folds into one memtable: never a stack.
         prop_assert!(store.snapshot().delta_len() <= 1, "after {:?}", op);
     }
