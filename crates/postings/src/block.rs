@@ -10,42 +10,43 @@
 //! *patched* when that packs smaller (PFOR): bit 7 of its width byte
 //! is set, two bytes after the widths give the exception count and
 //! width, and after the gap column come each exception's gap index (one
-//! byte) and its high bits, packed. The header bytes and `len` fix
-//! every column's offset and the payload's size, so a list's block
-//! index can be checked against its data without decoding
-//! ([`payload_end`]) and a reader can unpack one column alone:
+//! byte) and its high bits, packed. The header bytes, the exception
+//! indices and `len` fix every column's offset and the payload's size,
+//! so a list's block index can be checked against its data without
+//! decoding ([`payload_end`]) and a reader can unpack one column alone:
 //! [`DecodedBlock::decode`] leaves the positions packed until
-//! [`DecodedBlock::position`] asks for one. Every column decodes
-//! through one per-width unpack loop (`unpack`): an unaligned 8-byte
-//! little-endian load, a shift and a mask per value — the scalar form
-//! of Lemire & Boytsov, *Decoding billions of integers per second
-//! through vectorization* (SPE 2015), whose patched codecs this gap
-//! column follows.
+//! [`DecodedBlock::position`] asks for one.
+//!
+//! Every column is 32-bit: a doc key is the `u32`
+//! [`zerber_index::DocId`] it was built from, and counts, lengths and
+//! positions are `u32` too. So no column packs wider than 32 bits, and
+//! every value decodes through one per-width unpack loop (`unpack`): an
+//! unaligned 8-byte little-endian load, a shift and a mask per value —
+//! the scalar form of Lemire & Boytsov, *Decoding billions of integers
+//! per second through vectorization* (SPE 2015), whose 32-bit patched
+//! codecs this gap column follows. The one thing the layout cannot
+//! bound is the gaps' sum, which may run past `u32::MAX`: decoding
+//! reports that as [`DecodeError::Overflow`].
 //!
 //! Each block carries `(first_doc, last_doc)` skip metadata
 //! ([`BlockMeta`]) so readers can decide from the block index alone
 //! whether a block can contain a sought document (`advance_to`)
 //! without decoding the payload.
-//!
-//! The codec layer works on 64-bit document keys even though the
-//! in-memory [`zerber_index::DocId`] is 32-bit today: the on-wire
-//! format must survive a wider id space (host ⊕ sequence layouts), so
-//! gap widths run up to 64 bits and decoding is exercised with gaps
-//! ≥ 2³² in the tests.
 
 /// Postings per block. 128 keeps a block's decoded form within two
 /// cache lines per column while amortizing the per-block metadata to
 /// under a bit per posting.
 pub const BLOCK_SIZE: usize = 128;
 
-/// One posting at the codec layer: a 64-bit doc key plus the raw
-/// occurrence count, document length (the fields of
-/// [`zerber_index::Posting`]), and the first position of the term's
-/// occurrence run in the document's canonical token stream.
+/// One posting at the codec layer: the document's 32-bit key (its
+/// [`zerber_index::DocId`]) plus the raw occurrence count, document
+/// length (the fields of [`zerber_index::Posting`]), and the first
+/// position of the term's occurrence run in the document's canonical
+/// token stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawEntry {
     /// Document key, strictly increasing within a list.
-    pub doc: u64,
+    pub doc: u32,
     /// Raw occurrence count of the term in the document.
     pub count: u32,
     /// Document length (term-frequency denominator).
@@ -83,9 +84,9 @@ pub(crate) fn term_frequency(count: u32, length: u32) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Smallest doc key in the block.
-    pub first_doc: u64,
+    pub first_doc: u32,
     /// Largest doc key in the block.
-    pub last_doc: u64,
+    pub last_doc: u32,
     /// Number of postings in the block (1..=[`BLOCK_SIZE`]).
     pub len: u16,
     /// Byte offset of the block payload in the list's data buffer.
@@ -101,7 +102,7 @@ pub(crate) enum DecodeError {
     BadWidth,
     /// The payload ends before its widths say it does.
     Truncated,
-    /// The doc gaps overflow a 64-bit key.
+    /// The doc gaps overflow a 32-bit key.
     Overflow,
     /// An exception names a gap the block does not have.
     BadException,
@@ -114,7 +115,7 @@ impl DecodeError {
             DecodeError::BadLength => "block length outside 1..=BLOCK_SIZE",
             DecodeError::BadWidth => "block column width out of range",
             DecodeError::Truncated => "block payload past the end of the data",
-            DecodeError::Overflow => "doc key overflows 64 bits",
+            DecodeError::Overflow => "doc key overflows 32 bits",
             DecodeError::BadException => "gap exception index out of range",
         }
     }
@@ -129,23 +130,20 @@ const COUNTS: usize = 1;
 const LENGTHS: usize = 2;
 const POSITIONS: usize = 3;
 
-/// Widest value per column: doc gaps are 64-bit, the rest 32-bit.
-const MAX_WIDTH: [u32; 4] = [64, 32, 32, 32];
+/// Widest value of any column, a patched gap's low and high bits
+/// together included.
+const MAX_WIDTH: u32 = 32;
 
 /// Set in the gap width byte when the block's gap column is patched.
 const PATCHED: u8 = 0x80;
 
-fn bits_for(value: u64) -> u32 {
-    64 - value.leading_zeros()
+fn bits_for(value: u32) -> u32 {
+    32 - value.leading_zeros()
 }
 
 /// The low `width` bits.
-fn mask(width: u32) -> u64 {
-    if width == 0 {
-        0
-    } else {
-        u64::MAX >> (64 - width)
-    }
+fn mask(width: u32) -> u32 {
+    u32::MAX.checked_shr(32 - width).unwrap_or(0)
 }
 
 /// How many bytes `values` values take packed at `width` bits.
@@ -178,7 +176,8 @@ struct Layout {
 
 impl Layout {
     /// Reads the width bytes of the block at `meta` and places its
-    /// columns, checking the widths and that the payload fits `data`.
+    /// columns, checking the widths, that the payload fits `data` and
+    /// that every exception names a gap of the block.
     fn of(meta: &BlockMeta, data: &[u8]) -> Result<Self, DecodeError> {
         let len = usize::from(meta.len);
         if !(1..=BLOCK_SIZE).contains(&len) {
@@ -197,7 +196,7 @@ impl Layout {
                 .first_chunk()
                 .ok_or(DecodeError::Truncated)?;
             let (count, width) = (usize::from(count), u32::from(width));
-            if !(1..len).contains(&count) || width == 0 || widths[GAPS] + width > 64 {
+            if !(1..len).contains(&count) || width == 0 || widths[GAPS] + width > MAX_WIDTH {
                 return Err(DecodeError::BadWidth);
             }
             at += 2;
@@ -207,7 +206,7 @@ impl Layout {
                 start: 0,
             };
         }
-        if widths.iter().zip(MAX_WIDTH).any(|(&w, max)| w > max) {
+        if widths.iter().any(|&w| w > MAX_WIDTH) {
             return Err(DecodeError::BadWidth);
         }
         let mut starts = [0; 4];
@@ -223,6 +222,10 @@ impl Layout {
         if at > data.len() {
             return Err(DecodeError::Truncated);
         }
+        let indices = &data[exceptions.start..][..exceptions.count];
+        if indices.iter().any(|&i| usize::from(i) >= len - 1) {
+            return Err(DecodeError::BadException);
+        }
         Ok(Self {
             widths,
             starts,
@@ -234,34 +237,26 @@ impl Layout {
 
 /// One past the last payload byte of the block at `meta`: its width
 /// bytes and `len` fix its size. Checks what [`DecodedBlock::decode`]
-/// needs of the layout — length and widths in range, payload inside
-/// `data` — in O(1), without unpacking.
+/// needs of the layout — length, widths and exception indices in
+/// range, payload inside `data` — in O(1), without unpacking.
 pub(crate) fn payload_end(meta: &BlockMeta, data: &[u8]) -> Result<usize, DecodeError> {
     Layout::of(meta, data).map(|layout| layout.end)
 }
 
 /// Appends `values` packed LSB-first at `width` bits, zero-padded to
-/// a whole byte. A value goes into the 64-bit accumulator 32 bits at a
-/// time at most, so the accumulator flushes four bytes at a time and
-/// never overflows.
-fn pack(out: &mut Vec<u8>, width: u32, values: impl Iterator<Item = u64>) {
+/// a whole byte. The 64-bit accumulator holds under 32 bits before a
+/// value goes in, so it flushes four bytes at a time and never
+/// overflows.
+fn pack(out: &mut Vec<u8>, width: u32, values: impl Iterator<Item = u32>) {
     let (mut acc, mut filled) = (0u64, 0u32);
-    let mut put = |value: u64, width: u32| {
-        acc |= value << filled;
+    for value in values {
+        debug_assert!(value & !mask(width) == 0);
+        acc |= u64::from(value) << filled;
         filled += width;
         if filled >= 32 {
             out.extend_from_slice(&(acc as u32).to_le_bytes());
             acc >>= 32;
             filled -= 32;
-        }
-    };
-    for value in values {
-        debug_assert!(width == 64 || value >> width == 0);
-        if width > 32 {
-            put(value & mask(32), 32);
-            put(value >> 32, width - 32);
-        } else {
-            put(value, width);
         }
     }
     out.extend_from_slice(&acc.to_le_bytes()[..filled.div_ceil(8) as usize]);
@@ -269,37 +264,26 @@ fn pack(out: &mut Vec<u8>, width: u32, values: impl Iterator<Item = u64>) {
 
 /// Value `index` of a column packed LSB-first at `width` bits from the
 /// start of `src` (which must hold the whole column): an unaligned
-/// 8-byte little-endian load, a shift and a mask — plus the ninth byte
-/// a value wider than 56 bits can straddle. Only a value whose 8-byte
-/// window would pass `src`'s end is assembled byte by byte.
+/// 8-byte little-endian load, a shift and a mask. A value spans at
+/// most 32 + 7 bits, so one load always holds it; only a value whose
+/// 8-byte window would pass `src`'s end is read from a zero-padded
+/// copy of the tail.
 #[inline(always)]
-#[expect(
-    clippy::expect_used,
-    reason = "`get(at..at + 8)` returned exactly eight bytes"
-)]
-fn read(src: &[u8], index: usize, width: u32) -> u64 {
+fn read(src: &[u8], index: usize, width: u32) -> u32 {
     if width == 0 {
         return 0;
     }
     let bit = index * width as usize;
-    let (at, shift) = (bit / 8, (bit % 8) as u32);
-    let value = match src.get(at..at + 8) {
-        Some(window) => {
-            let low = u64::from_le_bytes(window.try_into().expect("eight bytes")) >> shift;
-            if width + shift > 64 {
-                low | u64::from(src[at + 8]) << (64 - shift)
-            } else {
-                low
-            }
-        }
+    let (tail, shift) = (&src[bit / 8..], bit % 8);
+    let word = match tail.first_chunk::<8>() {
+        Some(window) => u64::from_le_bytes(*window),
         None => {
-            let end = (bit + width as usize).div_ceil(8);
-            let bytes = src[at..end].iter().enumerate();
-            let acc = bytes.fold(0u128, |acc, (k, &b)| acc | u128::from(b) << (8 * k));
-            (acc >> shift) as u64
+            let mut window = [0; 8];
+            window[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(window)
         }
     };
-    value & mask(width)
+    (word >> shift) as u32 & mask(width)
 }
 
 /// Unpacks `out.len()` values of `W` bits from the front of `src`.
@@ -308,7 +292,7 @@ fn read(src: &[u8], index: usize, width: u32) -> u64 {
 /// check per group, none per value. The values after the last group
 /// whose slice fits are read from `src` one by one.
 #[inline(always)]
-fn unpack<const W: u32>(src: &[u8], out: &mut [u64]) {
+fn unpack<const W: u32>(src: &[u8], out: &mut [u32]) {
     let width = W as usize;
     let mut unpacked = 0;
     if W > 0 {
@@ -329,7 +313,7 @@ fn unpack<const W: u32>(src: &[u8], out: &mut [u64]) {
 
 /// [`unpack`] at a width known only at run time: one `match` picks
 /// the loop monomorphised for it.
-fn unpack_column(src: &[u8], width: u32, out: &mut [u64]) {
+fn unpack_column(src: &[u8], width: u32, out: &mut [u32]) {
     macro_rules! by_width {
         ($($w:literal)*) => {
             match width {
@@ -340,8 +324,6 @@ fn unpack_column(src: &[u8], width: u32, out: &mut [u64]) {
     }
     by_width!(
         0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
-        63 64
     )
 }
 
@@ -354,14 +336,14 @@ fn unpack_column(src: &[u8], width: u32, out: &mut [u64]) {
 /// and ties keep the wider: between two such widths the exceptions stay
 /// the same and a wider low column costs more, so a width in between
 /// saves at most the rounding of the two packed columns.
-fn gap_widths(gaps: usize, wider: &[u8; 65], present: u128) -> (u32, u32, usize) {
-    let top = 127u32.saturating_sub(present.leading_zeros());
+fn gap_widths(gaps: usize, wider: &[u8; 33], present: u64) -> (u32, u32, usize) {
+    let top = 63u32.saturating_sub(present.leading_zeros());
     let (mut best, mut best_bytes) = ((top, 0, 0), column_bytes(gaps, top));
     let (mut exceptions, mut above) = (0usize, top);
     while above > 0 {
         exceptions += usize::from(wider[above as usize]);
-        let below = present & ((1u128 << above) - 1);
-        let width = 127u32.saturating_sub(below.leading_zeros());
+        let below = present & ((1u64 << above) - 1);
+        let width = 63u32.saturating_sub(below.leading_zeros());
         let high = top - width;
         let bytes = column_bytes(gaps, width) + 2 + exceptions + column_bytes(exceptions, high);
         if bytes < best_bytes {
@@ -382,8 +364,8 @@ pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMet
     assert!(!entries.is_empty() && entries.len() <= BLOCK_SIZE);
     debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
     let offset = out.len();
-    let mut any = [0u64; 4];
-    let (mut wider, mut present) = ([0u8; 65], 0u128);
+    let mut any = [0u32; 4];
+    let (mut wider, mut present) = ([0u8; 33], 0u64);
     let mut max_tf = 0.0f64;
     for (i, entry) in entries.iter().enumerate() {
         if i > 0 {
@@ -391,9 +373,9 @@ pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMet
             wider[bits as usize] += 1;
             present |= 1 << bits;
         }
-        any[COUNTS] |= u64::from(entry.count);
-        any[LENGTHS] |= u64::from(entry.doc_length);
-        any[POSITIONS] |= u64::from(entry.pos);
+        any[COUNTS] |= entry.count;
+        any[LENGTHS] |= entry.doc_length;
+        any[POSITIONS] |= entry.pos;
         max_tf = max_tf.max(entry.term_frequency());
     }
     let mut widths = any.map(bits_for);
@@ -412,21 +394,9 @@ pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMet
         out.extend(wide().map(|(i, _)| i as u8));
         pack(out, high, wide().map(|(_, gap)| gap >> widths[GAPS]));
     }
-    pack(
-        out,
-        widths[COUNTS],
-        entries.iter().map(|e| u64::from(e.count)),
-    );
-    pack(
-        out,
-        widths[LENGTHS],
-        entries.iter().map(|e| u64::from(e.doc_length)),
-    );
-    pack(
-        out,
-        widths[POSITIONS],
-        entries.iter().map(|e| u64::from(e.pos)),
-    );
+    pack(out, widths[COUNTS], entries.iter().map(|e| e.count));
+    pack(out, widths[LENGTHS], entries.iter().map(|e| e.doc_length));
+    pack(out, widths[POSITIONS], entries.iter().map(|e| e.pos));
     let meta = BlockMeta {
         first_doc: entries[0].doc,
         last_doc: entries[entries.len() - 1].doc,
@@ -450,7 +420,7 @@ pub(crate) struct DecodedBlock {
     stride: usize,
     /// The doc, count, length and position columns, `stride` slots
     /// each, end to end.
-    columns: Vec<u64>,
+    columns: Vec<u32>,
     /// The packed position column: its offset in the list's data and
     /// its width.
     position_column: (usize, u32),
@@ -462,22 +432,22 @@ impl DecodedBlock {
         self.len
     }
 
-    fn column(&self, column: usize) -> &[u64] {
+    fn column(&self, column: usize) -> &[u32] {
         &self.columns[column * self.stride..][..self.len]
     }
 
     /// The doc keys held, ascending.
-    pub(crate) fn docs(&self) -> &[u64] {
+    pub(crate) fn docs(&self) -> &[u32] {
         self.column(GAPS)
     }
 
-    /// The occurrence counts held (each fits a `u32`).
-    pub(crate) fn counts(&self) -> &[u64] {
+    /// The occurrence counts held.
+    pub(crate) fn counts(&self) -> &[u32] {
         self.column(COUNTS)
     }
 
-    /// The document lengths held (each fits a `u32`).
-    pub(crate) fn lengths(&self) -> &[u64] {
+    /// The document lengths held.
+    pub(crate) fn lengths(&self) -> &[u32] {
         self.column(LENGTHS)
     }
 
@@ -503,13 +473,11 @@ impl DecodedBlock {
         unpack_column(column(GAPS), layout.widths[GAPS], &mut docs[1..]);
         let exceptions = layout.exceptions;
         if exceptions.count > 0 {
+            // `Layout::of` checked every index against the gap count.
             let indices = &data[exceptions.start..][..exceptions.count];
             let high = &data[exceptions.start + exceptions.count..];
             for (k, &i) in indices.iter().enumerate() {
-                let gap = docs[1..]
-                    .get_mut(usize::from(i))
-                    .ok_or(DecodeError::BadException)?;
-                *gap |= read(high, k, exceptions.width) << layout.widths[GAPS];
+                docs[1 + usize::from(i)] |= read(high, k, exceptions.width) << layout.widths[GAPS];
             }
         }
         let mut overflow = false;
@@ -543,7 +511,7 @@ impl DecodedBlock {
     pub(crate) fn position(&self, data: &[u8], i: usize) -> u32 {
         debug_assert!(i < self.len);
         let (start, width) = self.position_column;
-        read(&data[start..], i, width) as u32
+        read(&data[start..], i, width)
     }
 
     /// Entry `i` in full; the positions must have been decoded.
@@ -552,9 +520,9 @@ impl DecodedBlock {
         let at = |column: usize| self.columns[column * self.stride + i];
         RawEntry {
             doc: at(GAPS),
-            count: at(COUNTS) as u32,
-            doc_length: at(LENGTHS) as u32,
-            pos: at(POSITIONS) as u32,
+            count: at(COUNTS),
+            doc_length: at(LENGTHS),
+            pos: at(POSITIONS),
         }
     }
 }
@@ -565,12 +533,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn entry(doc: u64, count: u32, doc_length: u32) -> RawEntry {
+    fn entry(doc: u32, count: u32, doc_length: u32) -> RawEntry {
         RawEntry {
             doc,
             count,
             doc_length,
-            pos: (doc % 1000) as u32,
+            pos: doc % 1000,
         }
     }
 
@@ -592,7 +560,7 @@ mod tests {
     #[test]
     fn round_trips_a_block() {
         let entries: Vec<RawEntry> = (0..100)
-            .map(|i| entry(i * 7 + 3, (i % 13) as u32, 100 + (i % 5) as u32))
+            .map(|i| entry(i * 7 + 3, i % 13, 100 + i % 5))
             .collect();
         let (meta, data) = encode(&entries);
         assert_eq!(meta.first_doc, 3);
@@ -606,11 +574,12 @@ mod tests {
     fn round_trips_single_entry_and_giant_gaps() {
         let entries = vec![
             entry(5, 1, 10),
-            entry(5 + (1u64 << 33), 2, 20),
-            entry(u64::MAX - 1, 3, 30),
+            entry(6 + (1 << 31), 2, 20),
+            entry(u32::MAX, 3, 30),
         ];
         let (meta, data) = encode(&entries);
-        assert_eq!(data[0], 64, "a gap of nearly 2^64 packs at full width");
+        assert_eq!(data[0], 32, "a gap of 2^31 + 1 packs at full width");
+        assert_eq!(meta.last_doc, u32::MAX);
         assert_eq!(decode(&meta, &data).unwrap(), entries);
 
         let single = vec![RawEntry {
@@ -666,16 +635,16 @@ mod tests {
     fn widths_out_of_range_and_overflowing_gaps_are_rejected() {
         let entries: Vec<RawEntry> = (1..=10).map(|doc| entry(doc * 3, 3, 7)).collect();
         let (meta, data) = encode(&entries);
-        for (column, max) in MAX_WIDTH.into_iter().enumerate() {
+        for column in 0..WIDTH_BYTES {
             let mut bad = data.clone();
-            bad[column] = max as u8 + 1;
+            bad[column] = MAX_WIDTH as u8 + 1;
             assert_eq!(payload_end(&meta, &bad), Err(DecodeError::BadWidth));
             assert_eq!(decode(&meta, &bad), Err(DecodeError::BadWidth));
         }
         let empty = BlockMeta { len: 0, ..meta };
         assert_eq!(payload_end(&empty, &data), Err(DecodeError::BadLength));
-        // Gaps summing past u64::MAX.
-        let (meta, data) = encode(&[entry(0, 1, 1), entry(u64::MAX, 1, 1)]);
+        // Gaps summing past u32::MAX.
+        let (meta, data) = encode(&[entry(0, 1, 1), entry(u32::MAX, 1, 1)]);
         let late = BlockMeta {
             first_doc: 1,
             ..meta
@@ -684,32 +653,65 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_gaps_past_the_key_space_overflow() {
+        // Payloads no builder writes, whose layout is sound: the check
+        // that needs no decode passes them, the decode refuses them.
+        let cases: [(&[u8], u32, u16); 3] = [
+            // One full-width gap − 1 of u32::MAX − 1 after doc 1.
+            (&[32, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF], 1, 2),
+            // Three zero-width gaps (each a step of 1) from u32::MAX − 2.
+            (&[0, 0, 0, 0], u32::MAX - 2, 4),
+            // A patched gap whose 31 high bits above a 1-bit low column
+            // reach 2^32 − 2 after doc 2.
+            (
+                &[PATCHED | 1, 0, 0, 0, 1, 31, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F],
+                2,
+                2,
+            ),
+        ];
+        for (data, first_doc, len) in cases {
+            let meta = BlockMeta {
+                first_doc,
+                last_doc: u32::MAX,
+                len,
+                offset: 0,
+            };
+            assert_eq!(payload_end(&meta, data), Ok(data.len()), "{data:?}");
+            assert_eq!(decode(&meta, data), Err(DecodeError::Overflow), "{data:?}");
+        }
+    }
+
+    #[test]
     fn outlying_gaps_are_patched_not_widened() {
-        // 99 consecutive docs, then a jump of 2^40: packing every
-        // `gap − 1` at 40 bits would take 495 bytes; the patched column
+        // 99 consecutive docs, then a jump of 2^24: packing every
+        // `gap − 1` at 24 bits would take 300 bytes; the patched column
         // packs them at width 0 and stores the one wide gap apart.
-        let mut docs: Vec<u64> = (0..100).collect();
-        docs.push(99 + (1 << 40));
+        let mut docs: Vec<u32> = (0..100).collect();
+        docs.push(99 + (1 << 24));
         let entries: Vec<RawEntry> = docs.iter().map(|&doc| entry(doc, 1, 1)).collect();
         let (meta, data) = encode(&entries);
-        assert_eq!(data[..WIDTH_BYTES + 2], [PATCHED, 1, 1, 10, 1, 40]);
-        // Header, no low bits, one index byte and 40 high bits, then
+        assert_eq!(data[..WIDTH_BYTES + 2], [PATCHED, 1, 1, 9, 1, 24]);
+        // Header, no low bits, one index byte and 24 high bits, then
         // counts, lengths and positions.
-        let columns = 2 * column_bytes(101, 1) + column_bytes(101, 10);
-        assert_eq!(data.len(), WIDTH_BYTES + 2 + 1 + 5 + columns);
+        let columns = 2 * column_bytes(101, 1) + column_bytes(101, 9);
+        assert_eq!(data.len(), WIDTH_BYTES + 2 + 1 + 3 + columns);
         assert_eq!(decode(&meta, &data).unwrap(), entries);
-        // An exception index past the gap column fails the decode.
+        // An exception index past the gap column fails the layout
+        // check, and so the decode.
         let index = WIDTH_BYTES + 2;
         assert_eq!(data[index], 99);
-        let mut bad = data.clone();
-        bad[index] = 100;
-        assert_eq!(decode(&meta, &bad), Err(DecodeError::BadException));
+        for byte in [100, 200, 255] {
+            let mut bad = data.clone();
+            bad[index] = byte;
+            assert_eq!(payload_end(&meta, &bad), Err(DecodeError::BadException));
+            assert_eq!(decode(&meta, &bad), Err(DecodeError::BadException));
+        }
         // Header bytes out of range fail the layout check.
         for (at, byte) in [
             (WIDTH_BYTES, 0),
             (WIDTH_BYTES, 101),
             (WIDTH_BYTES + 1, 0),
-            (WIDTH_BYTES + 1, 65),
+            (WIDTH_BYTES + 1, 33),
         ] {
             let mut bad = data.clone();
             bad[at] = byte;
@@ -734,7 +736,7 @@ mod tests {
             let n = rng.random_range(1..=640usize);
             let gap_bits = rng.random_range(0..=16u32);
             let pos_bits = rng.random_range(0..=32u32);
-            let mut doc = rng.random_range(0..1000u64);
+            let mut doc = rng.random_range(0..1000u32);
             let entries: Vec<RawEntry> = (0..n)
                 .map(|i| {
                     if i > 0 {
@@ -743,29 +745,29 @@ mod tests {
                         } else {
                             gap_bits
                         };
-                        doc += 1 + rng.random_range(0..1u64 << bits);
+                        doc += 1 + rng.random_range(0..1u32 << bits);
                     }
                     RawEntry {
                         doc,
                         count: rng.random_range(0..20),
                         doc_length: rng.random_range(0..500),
-                        pos: (rng.random::<u64>() & mask(pos_bits)) as u32,
+                        pos: rng.random::<u32>() & mask(pos_bits),
                     }
                 })
                 .collect();
             let list = CompressedPostingBuilder::from_sorted(entries.iter().copied());
             assert_eq!(list.decode_all(), entries, "case {case}");
             let mut cursor = CompressedBlockCursor::new(&list, 1.0);
-            let mut bound = 0u64;
+            let mut bound = 0u32;
             loop {
                 let want = entries.iter().find(|e| e.doc >= bound);
-                let got = cursor.materialize().map(|(doc, _)| u64::from(doc.0));
+                let got = cursor.materialize().map(|(doc, _)| doc.0);
                 assert_eq!(got, want.map(|e| e.doc), "case {case} bound {bound}");
                 let Some(want) = want else { break };
                 assert_eq!(cursor.positions(), (want.pos, want.count), "case {case}");
                 if rng.random_range(0..3u32) == 0 {
-                    bound = want.doc + rng.random_range(1..400u64);
-                    cursor.advance_past(DocId((bound - 1) as u32));
+                    bound = want.doc + rng.random_range(1..400u32);
+                    cursor.advance_past(DocId(bound - 1));
                 } else {
                     bound = want.doc + 1;
                     cursor.step();
@@ -782,20 +784,13 @@ mod tests {
         rng: &mut StdRng,
         n: usize,
         widths: [u32; 4],
-        first: u64,
+        first: u32,
     ) -> Option<Vec<RawEntry>> {
-        let value = |rng: &mut StdRng, width: u32| -> u64 {
+        let value = |rng: &mut StdRng, width: u32| -> u32 {
             match width {
                 0 => 0,
-                64 => rng.random(),
-                w => rng.random_range(0..1u64 << w),
-            }
-        };
-        let top = |width: u32| {
-            if width == 0 {
-                0
-            } else {
-                u64::MAX >> (64 - width)
+                32 => rng.random(),
+                w => rng.random_range(0..1u32 << w),
             }
         };
         let mut entries = Vec::with_capacity(n);
@@ -805,7 +800,7 @@ mod tests {
                 // The second entry's gap sets the width exactly; later
                 // ones share what room the key space has left.
                 let gap = if i > 1 {
-                    let room = (u64::MAX - doc) / (n - i) as u64;
+                    let room = (u32::MAX - doc) / (n - i) as u32;
                     value(rng, widths[0]).min(room.saturating_sub(1))
                 } else if widths[0] == 0 {
                     0
@@ -815,11 +810,11 @@ mod tests {
                 doc = doc.checked_add(gap)?.checked_add(1)?;
             }
             let field = |rng: &mut StdRng, c: usize| {
-                (if i == n - 1 {
-                    top(widths[c])
+                if i == n - 1 {
+                    mask(widths[c])
                 } else {
                     value(rng, widths[c])
-                }) as u32
+                }
             };
             entries.push(RawEntry {
                 doc,
@@ -835,7 +830,7 @@ mod tests {
     fn random_blocks_round_trip_at_every_width() {
         let mut rng = StdRng::seed_from_u64(41);
         let mut patched_blocks = 0;
-        for gap_width in 0..=64u32 {
+        for gap_width in 0..=MAX_WIDTH {
             for field_width in 0..=32u32 {
                 let n = match rng.random_range(0..4u32) {
                     0 => rng.random_range(1..=4usize),
@@ -851,7 +846,7 @@ mod tests {
                 let first = if rng.random_range(0..4u32) == 0 {
                     rng.random()
                 } else {
-                    rng.random_range(0..1u64 << 40)
+                    rng.random_range(0..1u32 << 20)
                 };
                 let entries = block_at_widths(&mut rng, n, widths, first)
                     .or_else(|| block_at_widths(&mut rng, n, widths, 0))
@@ -882,8 +877,8 @@ mod tests {
             }
         }
         assert!(patched_blocks > 100, "{patched_blocks} patched blocks");
-        // The largest representable key behind a full-width gap.
-        let entries = vec![entry(0, 1, 2), entry(u64::MAX - 1, 3, 4)];
+        // The largest key behind the widest gap.
+        let entries = vec![entry(0, 1, 2), entry(u32::MAX, 3, 4)];
         let (meta, data) = encode(&entries);
         assert_eq!(decode(&meta, &data).unwrap(), entries);
     }

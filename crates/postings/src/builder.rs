@@ -16,7 +16,7 @@ pub struct CompressedPostingBuilder {
     max_tf: f64,
     pending: Vec<RawEntry>,
     len: usize,
-    last_doc: Option<u64>,
+    last_doc: Option<u32>,
 }
 
 impl CompressedPostingBuilder {
@@ -80,7 +80,7 @@ impl CompressedPostingBuilder {
 mod tests {
     use super::*;
 
-    fn entry(doc: u64) -> RawEntry {
+    fn entry(doc: u32) -> RawEntry {
         RawEntry {
             doc,
             count: 1,
@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn builds_exact_multiples_of_the_block_size() {
-        let list = CompressedPostingBuilder::from_sorted((0..256u64).map(entry));
+        let list = CompressedPostingBuilder::from_sorted((0..256u32).map(entry));
         assert_eq!(list.len(), 256);
         assert_eq!(list.blocks().len(), 2);
         assert_eq!(list.block(1).len, 128);
@@ -115,11 +115,11 @@ mod tests {
 
     #[test]
     fn block_metadata_tracks_contents() {
-        let list = CompressedPostingBuilder::from_sorted((0..200u64).map(|i| RawEntry {
+        let list = CompressedPostingBuilder::from_sorted((0..200u32).map(|i| RawEntry {
             doc: i * 2,
-            count: (i % 4) as u32,
+            count: i % 4,
             doc_length: 8,
-            pos: i as u32,
+            pos: i,
         }));
         assert_eq!(list.block(0).first_doc, 0);
         assert_eq!(list.block(0).last_doc, 254);

@@ -29,22 +29,16 @@ use zerber_index::DocId;
 use crate::block::{term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
 use crate::list::{decode_block, meta, CompressedPostingList, ENTRY};
 
-/// The [`DocId`] of a doc key.
-///
-/// # Panics
-/// Panics on a key wider than a [`DocId`]: every key in a list was
-/// built from one, so this is a corrupted or foreign list.
-#[expect(
-    clippy::expect_used,
-    reason = "every doc key in a list was built from a 32-bit DocId"
-)]
-pub(crate) fn doc_id(key: u64) -> DocId {
-    DocId(u32::try_from(key).expect("doc keys originate from 32-bit DocIds"))
-}
-
 /// The `(doc, tf · weight)` posting a cursor surfaces for `entry`.
 fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
-    (doc_id(entry.doc), entry.term_frequency() * weight)
+    (DocId(entry.doc), entry.term_frequency() * weight)
+}
+
+/// `doc`, raised to a cursor's exclusive seek `bound`. A cursor not at
+/// its end holds a doc at or past its bound, so there the bound fits a
+/// [`DocId`]; past `u32::MAX` it saturates.
+fn at_least(doc: u32, bound: u64) -> DocId {
+    DocId(doc.max(u32::try_from(bound).unwrap_or(u32::MAX)))
 }
 
 /// A lazy, weighted scoring cursor over one compressed posting list.
@@ -62,7 +56,8 @@ pub struct CompressedBlockCursor<'a> {
     weight: f64,
     /// Static whole-list score bound: the list's max_tf × weight.
     max_score: f64,
-    /// The logical position's doc key must be ≥ this.
+    /// The logical position's doc key must be ≥ this; `u32::MAX + 1`
+    /// once the last key is consumed.
     bound: u64,
     /// Current block (normalized: first block whose `last_doc` reaches
     /// `bound`; `blocks.len()` when exhausted).
@@ -104,19 +99,19 @@ impl<'a> CompressedBlockCursor<'a> {
         let (index, bound) = (self.index, self.bound);
         if index
             .get(self.block)
-            .is_some_and(|entry| meta(entry).last_doc < bound)
+            .is_some_and(|entry| u64::from(meta(entry).last_doc) < bound)
         {
             self.block += 1;
-            self.block += index[self.block..].partition_point(|entry| meta(entry).last_doc < bound);
+            self.block += index[self.block..]
+                .partition_point(|entry| u64::from(meta(entry).last_doc) < bound);
         }
     }
 
-    /// Posting `i` of the decoded block, scored. Its key fits a
-    /// [`DocId`]: the block's `last_doc` was checked when it decoded.
+    /// Posting `i` of the decoded block, scored.
     fn scored_at(&self, i: usize) -> (DocId, f64) {
         let block = &self.buffer;
-        let tf = term_frequency(block.counts()[i] as u32, block.lengths()[i] as u32);
-        (DocId(block.docs()[i] as u32), tf * self.weight)
+        let tf = term_frequency(block.counts()[i], block.lengths()[i]);
+        (DocId(block.docs()[i]), tf * self.weight)
     }
 }
 
@@ -138,15 +133,14 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn block_last_doc(&self) -> DocId {
-        doc_id(meta(&self.index[self.block]).last_doc)
+        DocId(meta(&self.index[self.block]).last_doc)
     }
 
     fn doc_lower_bound(&self) -> DocId {
         if self.exact {
-            return DocId(self.buffer.docs()[self.pos] as u32);
+            return DocId(self.buffer.docs()[self.pos]);
         }
-        let first = meta(&self.index[self.block]).first_doc;
-        doc_id(first.max(self.bound))
+        at_least(meta(&self.index[self.block]).first_doc, self.bound)
     }
 
     fn is_exact(&self) -> bool {
@@ -163,12 +157,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
                 return None;
             }
             if self.decoded_block != self.block {
-                let entry = &self.index[self.block];
-                assert!(
-                    meta(entry).last_doc <= u64::from(u32::MAX),
-                    "doc keys originate from 32-bit DocIds"
-                );
-                decode_block(&mut self.buffer, entry, self.data);
+                decode_block(&mut self.buffer, &self.index[self.block], self.data);
                 self.decoded_block = self.block;
                 self.decoded += 1;
                 self.pos = 0;
@@ -176,7 +165,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
             // `pos` never runs ahead of the bound inside a decoded
             // block, so the search resumes from it.
             let bound = self.bound;
-            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| d < bound);
+            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| u64::from(d) < bound);
             if self.pos < self.buffer.len() {
                 self.exact = true;
                 return Some(self.scored_at(self.pos));
@@ -193,7 +182,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
         let pos = self.buffer.position(self.data, self.pos);
-        (pos, self.buffer.counts()[self.pos] as u32)
+        (pos, self.buffer.counts()[self.pos])
     }
 
     /// O(1) inside a decoded block: the next buffered entry becomes
@@ -201,7 +190,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     /// back to the metadata-only state.
     fn step(&mut self) {
         debug_assert!(self.exact, "step requires a materialized position");
-        self.bound = self.buffer.docs()[self.pos] + 1;
+        self.bound = u64::from(self.buffer.docs()[self.pos]) + 1;
         self.pos += 1;
         if self.pos == self.buffer.len() {
             self.exact = false;
@@ -210,7 +199,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn advance_past(&mut self, bound: DocId) {
-        if self.exact && self.buffer.docs()[self.pos] > u64::from(bound.0) {
+        if self.exact && self.buffer.docs()[self.pos] > bound.0 {
             return;
         }
         let target = u64::from(bound.0) + 1;
@@ -232,19 +221,18 @@ impl BlockCursor for CompressedBlockCursor<'_> {
             }
             let block = &self.buffer;
             let (from, docs) = (self.pos, block.docs());
-            let to = from + docs[from..].partition_point(|&d| d < end);
+            let to = from + docs[from..].partition_point(|&d| u64::from(d) < end);
             if to == from {
                 return;
             }
-            self.bound = docs[to - 1] + 1;
+            self.bound = u64::from(docs[to - 1]) + 1;
             let weight = self.weight;
             let columns = docs[from..to]
                 .iter()
                 .zip(&block.counts()[from..to])
                 .zip(&block.lengths()[from..to]);
             out.extend(columns.map(|((&doc, &count), &length)| {
-                let tf = term_frequency(count as u32, length as u32);
-                (DocId(doc as u32), tf * weight)
+                (DocId(doc), term_frequency(count, length) * weight)
             }));
             self.pos = to;
             if to < docs.len() {
@@ -268,7 +256,8 @@ pub struct DecodedEntriesCursor<'a> {
     weight: f64,
     /// Max term frequency × weight over the entries.
     max_score: f64,
-    /// The logical position's doc key must be ≥ this.
+    /// The logical position's doc key must be ≥ this; `u32::MAX + 1`
+    /// once the last key is consumed.
     bound: u64,
     /// Index of the next not-yet-consumed entry candidate: every entry
     /// before it is below the bound.
@@ -312,7 +301,9 @@ impl<'a> DecodedEntriesCursor<'a> {
     /// Skips whole blocks that end before the bound by their last
     /// entry alone, leaving `pos` at the start of the landing block.
     fn normalize(&mut self) {
-        while self.pos < self.entries.len() && self.entries[self.block_end() - 1].doc < self.bound {
+        while self.pos < self.entries.len()
+            && u64::from(self.entries[self.block_end() - 1].doc) < self.bound
+        {
             self.pos = self.block_end();
         }
     }
@@ -336,11 +327,11 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
     }
 
     fn block_last_doc(&self) -> DocId {
-        doc_id(self.entries[self.block_end() - 1].doc)
+        DocId(self.entries[self.block_end() - 1].doc)
     }
 
     fn doc_lower_bound(&self) -> DocId {
-        doc_id(self.entries[self.pos].doc.max(self.bound))
+        at_least(self.entries[self.pos].doc, self.bound)
     }
 
     fn is_exact(&self) -> bool {
@@ -357,7 +348,7 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
             // search ends inside it.
             let bound = self.bound;
             let end = self.block_end();
-            self.pos += self.entries[self.pos..end].partition_point(|e| e.doc < bound);
+            self.pos += self.entries[self.pos..end].partition_point(|e| u64::from(e.doc) < bound);
             self.exact = true;
             if self.last_touched != self.block() {
                 self.last_touched = self.block();
@@ -375,14 +366,14 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
 
     fn step(&mut self) {
         debug_assert!(self.exact, "step requires a materialized position");
-        self.bound = self.entries[self.pos].doc + 1;
+        self.bound = u64::from(self.entries[self.pos].doc) + 1;
         self.pos += 1;
         // Exact stays free only inside the block already examined.
         self.exact = self.pos < self.entries.len() && !self.pos.is_multiple_of(BLOCK_SIZE);
     }
 
     fn advance_past(&mut self, bound: DocId) {
-        if self.exact && self.entries[self.pos].doc > u64::from(bound.0) {
+        if self.exact && self.entries[self.pos].doc > bound.0 {
             return;
         }
         let target = u64::from(bound.0) + 1;
@@ -403,11 +394,11 @@ impl BlockCursor for DecodedEntriesCursor<'_> {
             }
             let block_end = self.block_end();
             let run = &self.entries[self.pos..block_end];
-            let taken = run.partition_point(|e| e.doc < end);
+            let taken = run.partition_point(|e| u64::from(e.doc) < end);
             let Some(last) = run[..taken].last() else {
                 return;
             };
-            self.bound = last.doc + 1;
+            self.bound = u64::from(last.doc) + 1;
             out.extend(run[..taken].iter().map(|e| scored(e, self.weight)));
             self.pos += taken;
             if self.pos < block_end {
@@ -426,17 +417,17 @@ mod tests {
         maxscore_topk, QueryCost, Shadow, ShadowedMergeCursor, TopKScratch,
     };
 
-    fn list_of(docs: &[u64]) -> CompressedPostingList {
+    fn list_of(docs: &[u32]) -> CompressedPostingList {
         CompressedPostingBuilder::from_sorted(docs.iter().map(|&doc| RawEntry {
             doc,
-            count: (doc % 7) as u32 + 1,
+            count: doc % 7 + 1,
             doc_length: 100,
-            pos: (doc % 50) as u32,
+            pos: doc % 50,
         }))
     }
 
     /// Entries scoring `count / 10` under weight 1.
-    fn tenths(entries: &[(u64, u32)]) -> Vec<RawEntry> {
+    fn tenths(entries: &[(u32, u32)]) -> Vec<RawEntry> {
         entries
             .iter()
             .map(|&(doc, count)| RawEntry {
@@ -450,18 +441,14 @@ mod tests {
 
     #[test]
     fn cursor_walk_yields_every_entry_in_order() {
-        let entries = tenths(
-            &(0..300)
-                .map(|i| (i * 3, 1 + i as u32 % 9))
-                .collect::<Vec<_>>(),
-        );
+        let entries = tenths(&(0..300).map(|i| (i * 3, 1 + i % 9)).collect::<Vec<_>>());
         let mut cursor = DecodedEntriesCursor::new(&entries, 1.0);
         let mut seen = Vec::new();
         while let Some((doc, score)) = cursor.materialize() {
-            seen.push((u64::from(doc.0), score));
+            seen.push((doc.0, score));
             cursor.step();
         }
-        let expected: Vec<(u64, f64)> = entries
+        let expected: Vec<(u32, f64)> = entries
             .iter()
             .map(|e| (e.doc, e.term_frequency()))
             .collect();
@@ -486,15 +473,15 @@ mod tests {
 
     #[test]
     fn cursor_walk_matches_the_decoding_iterator() {
-        let docs: Vec<u64> = (0..400).map(|i| i * 3).collect();
+        let docs: Vec<u32> = (0..400).map(|i| i * 3).collect();
         let list = list_of(&docs);
         let mut cursor = CompressedBlockCursor::new(&list, 2.0);
         let mut seen = Vec::new();
         while let Some((doc, score)) = cursor.materialize() {
-            seen.push((u64::from(doc.0), score));
+            seen.push((doc.0, score));
             cursor.step();
         }
-        let expected: Vec<(u64, f64)> = list
+        let expected: Vec<(u32, f64)> = list
             .iter()
             .map(|e| (e.doc, e.term_frequency() * 2.0))
             .collect();
@@ -504,7 +491,7 @@ mod tests {
 
     #[test]
     fn advance_past_skips_blocks_without_decoding() {
-        let docs: Vec<u64> = (0..1024).collect(); // 8 full blocks
+        let docs: Vec<u32> = (0..1024).collect(); // 8 full blocks
         let list = list_of(&docs);
         let mut cursor = CompressedBlockCursor::new(&list, 1.0);
         cursor.advance_past(DocId(899));
@@ -520,7 +507,7 @@ mod tests {
 
     #[test]
     fn metadata_bounds_are_sound_without_decode() {
-        let docs: Vec<u64> = (0..300).map(|i| i * 2 + 10).collect();
+        let docs: Vec<u32> = (0..300).map(|i| i * 2 + 10).collect();
         let list = list_of(&docs);
         let cursor = CompressedBlockCursor::new(&list, 1.5);
         assert!(!cursor.at_end());
@@ -535,28 +522,28 @@ mod tests {
         // surface, through both cursors, exactly the entries a plain
         // scan of the list yields from the same bound — doc, score and
         // positional run — with identical block accounting.
-        let docs: Vec<u64> = (0..300).map(|i| i * 5 + (i % 3)).collect();
+        let docs: Vec<u32> = (0..300).map(|i| i * 5 + (i % 3)).collect();
         let list = list_of(&docs);
         let entries = list.decode_all();
-        for stride in [1u64, 2, 7, 64, 127, 128, 129, 500, 2000] {
+        for stride in [1u32, 2, 7, 64, 127, 128, 129, 500, 2000] {
             let mut compressed = CompressedBlockCursor::new(&list, 1.5);
             let mut decoded = DecodedEntriesCursor::new(&entries, 1.5);
             assert_eq!(compressed.total_blocks(), decoded.total_blocks());
             assert_eq!(compressed.list_max_score(), decoded.list_max_score());
-            let mut bound = 0u64;
-            let mut turn = 0u64;
+            let mut bound = 0u32;
+            let mut turn = 0u32;
             loop {
                 let want = entries.iter().find(|e| e.doc >= bound);
                 for cursor in [&mut compressed as &mut dyn BlockCursor, &mut decoded] {
                     if let Some(want) = want {
                         assert!(!cursor.at_end());
-                        assert!(u64::from(cursor.doc_lower_bound().0) <= want.doc);
-                        assert!(u64::from(cursor.block_last_doc().0) >= want.doc);
+                        assert!(cursor.doc_lower_bound().0 <= want.doc);
+                        assert!(cursor.block_last_doc().0 >= want.doc);
                     }
                     let got = cursor.materialize();
                     assert_eq!(
                         got,
-                        want.map(|e| (DocId(e.doc as u32), e.term_frequency() * 1.5)),
+                        want.map(|e| (DocId(e.doc), e.term_frequency() * 1.5)),
                         "stride {stride} bound {bound}"
                     );
                     if let Some(want) = want {
@@ -571,8 +558,8 @@ mod tests {
                 turn += 1;
                 if turn.is_multiple_of(3) {
                     bound = want.doc + stride;
-                    compressed.advance_past(DocId((bound - 1) as u32));
-                    decoded.advance_past(DocId((bound - 1) as u32));
+                    compressed.advance_past(DocId(bound - 1));
+                    decoded.advance_past(DocId(bound - 1));
                 } else {
                     bound = want.doc + 1;
                     compressed.step();

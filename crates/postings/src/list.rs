@@ -2,10 +2,13 @@
 //! in a shared buffer — and its decoding iterator. The record, as a
 //! built list holds it and a segment body stores it after its term id
 //! (little-endian): `len` u64, `data_len` u64, the block payloads,
-//! `max_tf` as f64 bits, the block count u32, then one 26-byte index
-//! entry per block (`first_doc` u64, `last_doc` u64, `len` u16, payload
-//! `offset` u64). [`CompressedPostingList::parse`] reads one where it
-//! lies; `seal` writes one.
+//! `max_tf` as f64 bits, the block count u32, then one 18-byte index
+//! entry per block (`first_doc` u32, `last_doc` u32, `len` u16, payload
+//! `offset` u64). Doc keys are 32-bit; `len`, `data_len` and `offset`
+//! count postings and bytes, and keep 64 bits.
+//! [`CompressedPostingList::parse`] reads one where it lies and checks
+//! it in O(blocks); [`CompressedPostingList::verify`] decodes it once,
+//! for a record no builder of this process wrote; `seal` writes one.
 
 use std::sync::Arc;
 
@@ -22,23 +25,17 @@ pub(crate) const RAW_ELEMENT_BYTES: usize = 8;
 pub(crate) const HEAD: usize = 16;
 const MID: usize = 12;
 /// The size of one block-index entry, in bytes.
-pub(crate) const ENTRY: usize = 26;
-
-/// The little-endian `u64` at `at`.
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    let mut word = [0; 8];
-    word.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(word)
-}
+pub(crate) const ENTRY: usize = 18;
 
 /// The block an index entry describes.
 #[inline]
 pub(crate) fn meta(entry: &[u8; ENTRY]) -> BlockMeta {
+    let [f0, f1, f2, f3, l0, l1, l2, l3, n0, n1, offset @ ..] = *entry;
     BlockMeta {
-        first_doc: u64_at(entry, 0),
-        last_doc: u64_at(entry, 8),
-        len: u16::from_le_bytes([entry[16], entry[17]]),
-        offset: u64_at(entry, 18) as usize,
+        first_doc: u32::from_le_bytes([f0, f1, f2, f3]),
+        last_doc: u32::from_le_bytes([l0, l1, l2, l3]),
+        len: u16::from_le_bytes([n0, n1]),
+        offset: u64::from_le_bytes(offset) as usize,
     }
 }
 
@@ -46,7 +43,7 @@ pub(crate) fn meta(entry: &[u8; ENTRY]) -> BlockMeta {
 /// `buffer`, positions left packed.
 #[expect(
     clippy::expect_used,
-    reason = "a list's blocks were checked against its data when it was sealed or parsed"
+    reason = "a list's blocks were checked against its data when it was sealed, parsed or verified"
 )]
 pub(crate) fn decode_block(buffer: &mut DecodedBlock, entry: &[u8; ENTRY], data: &[u8]) {
     buffer
@@ -58,10 +55,10 @@ pub(crate) fn decode_block(buffer: &mut DecodedBlock, entry: &[u8; ENTRY], data:
 /// the data.
 pub(crate) fn index_entry(meta: &BlockMeta, offset: usize) -> [u8; ENTRY] {
     let mut entry = [0; ENTRY];
-    entry[..8].copy_from_slice(&meta.first_doc.to_le_bytes());
-    entry[8..16].copy_from_slice(&meta.last_doc.to_le_bytes());
-    entry[16..18].copy_from_slice(&meta.len.to_le_bytes());
-    entry[18..].copy_from_slice(&(offset as u64).to_le_bytes());
+    entry[..4].copy_from_slice(&meta.first_doc.to_le_bytes());
+    entry[4..8].copy_from_slice(&meta.last_doc.to_le_bytes());
+    entry[8..10].copy_from_slice(&meta.len.to_le_bytes());
+    entry[10..].copy_from_slice(&(offset as u64).to_le_bytes());
     entry
 }
 
@@ -70,7 +67,8 @@ pub(crate) fn index_entry(meta: &BlockMeta, offset: usize) -> [u8; ENTRY] {
 /// one-byte entry count. Payload offsets are implicit in serial order:
 /// each payload's size follows from its width bytes and count.
 fn block_meta_bytes(meta: &BlockMeta) -> usize {
-    varint::encoded_len(meta.first_doc) + varint::encoded_len(meta.last_doc - meta.first_doc) + 1
+    let span = meta.last_doc - meta.first_doc;
+    varint::encoded_len(meta.first_doc.into()) + varint::encoded_len(span.into()) + 1
 }
 
 /// Serialized size of the list's maximum term frequency: 16 bits,
@@ -131,10 +129,14 @@ impl CompressedPostingList {
     /// O(blocks) against every invariant the builder keeps that can be
     /// read without unpacking a column: the record lies inside `buf`,
     /// the maximum is finite and non-negative, and the block index
-    /// tiles the data in document order (each check below names its
-    /// own). The packed values are trusted: storage layers checksum
-    /// their files *before* parsing, and a malformed payload panics
-    /// when decoded, like any builder-contract violation.
+    /// tiles the data in document order, each block's widths and
+    /// exception indices in range (each check below names its own).
+    /// One thing only a decode shows: whether a block's gaps sum to its
+    /// `last_doc` without passing `u32::MAX`. A store's own files were
+    /// written by this process's builder and are checksummed before
+    /// they are parsed; a record from elsewhere goes through
+    /// [`CompressedPostingList::verify`] as well, since decoding a
+    /// block that fails it panics.
     pub fn parse(buf: &Arc<Vec<u8>>, at: usize) -> Result<Self, &'static str> {
         const SHORT: &str = "list record past the end of its buffer";
         let bytes = |at: usize| buf.get(at..).ok_or(SHORT);
@@ -165,7 +167,7 @@ impl CompressedPostingList {
             if block
                 .last_doc
                 .checked_sub(block.first_doc)
-                .is_none_or(|span| span < (count as u64).saturating_sub(1))
+                .is_none_or(|span| span < u32::from(block.len).saturating_sub(1))
             {
                 return Err("block document span cannot hold its postings");
             }
@@ -186,6 +188,21 @@ impl CompressedPostingList {
             return Err("block lengths do not sum to the list length");
         }
         Ok(list)
+    }
+
+    /// Decodes every block of a parsed list once and checks that each
+    /// ends on its index entry's `last_doc`: O(postings), for a list
+    /// whose bytes no builder of this process wrote. A list that
+    /// passes decodes cleanly wherever it is read.
+    pub fn verify(&self) -> Result<(), &'static str> {
+        let mut buffer = DecodedBlock::default();
+        for block in self.blocks() {
+            buffer.decode(&block, self.data()).map_err(|e| e.reason())?;
+            if buffer.docs().last() != Some(&block.last_doc) {
+                return Err("block does not end on its last document");
+            }
+        }
+        Ok(())
     }
 
     /// Number of postings.
@@ -225,7 +242,7 @@ impl CompressedPostingList {
 
     /// The first block from `from` on whose largest doc key reaches
     /// `doc` (the block count when none does), from the index alone.
-    pub(crate) fn seek(&self, from: usize, doc: u64) -> usize {
+    pub(crate) fn seek(&self, from: usize, doc: u32) -> usize {
         from + self.index()[from..].partition_point(|entry| meta(entry).last_doc < doc)
     }
 
@@ -277,7 +294,7 @@ impl CompressedPostingList {
     /// shadowed documents to decide whether it can be carried over
     /// byte-for-byte; queries never call it — cursors hand out the
     /// posting they stand on.
-    pub fn entry_for(&self, doc: u64) -> Option<RawEntry> {
+    pub fn entry_for(&self, doc: u32) -> Option<RawEntry> {
         let block = self.seek(0, doc);
         if block == self.block_count || self.block(block).first_doc > doc {
             return None;
@@ -367,7 +384,7 @@ impl CompressedPostingIter<'_> {
     /// The next posting with doc key ≥ `doc`, consuming everything
     /// before it. Whole blocks whose `last_doc` precedes the target
     /// are skipped without decoding.
-    pub fn advance_to(&mut self, doc: u64) -> Option<RawEntry> {
+    pub fn advance_to(&mut self, doc: u32) -> Option<RawEntry> {
         loop {
             // Skip blocks entirely below the target via the block
             // index alone.
@@ -414,32 +431,39 @@ mod tests {
     use super::*;
     use crate::builder::CompressedPostingBuilder;
 
-    fn list_of(docs: &[u64]) -> CompressedPostingList {
+    fn list_of(docs: &[u32]) -> CompressedPostingList {
         let mut builder = CompressedPostingBuilder::new();
         for &doc in docs {
             builder.push(RawEntry {
                 doc,
-                count: (doc % 7) as u32 + 1,
+                count: doc % 7 + 1,
                 doc_length: 100,
-                pos: (doc % 50) as u32,
+                pos: doc % 50,
             });
         }
         builder.build()
     }
 
     #[test]
+    fn a_posting_and_an_index_entry_are_32_bit_wide() {
+        // A doc key wider than 32 bits would grow both.
+        assert_eq!(std::mem::size_of::<RawEntry>(), 16);
+        assert_eq!(ENTRY, 18);
+    }
+
+    #[test]
     fn iterates_across_block_boundaries() {
-        let docs: Vec<u64> = (0..300).map(|i| i * 3).collect();
+        let docs: Vec<u32> = (0..300).map(|i| i * 3).collect();
         let list = list_of(&docs);
         assert_eq!(list.len(), 300);
         assert_eq!(list.blocks().len(), 3); // 128 + 128 + 44
-        let decoded: Vec<u64> = list.iter().map(|e| e.doc).collect();
+        let decoded: Vec<u32> = list.iter().map(|e| e.doc).collect();
         assert_eq!(decoded, docs);
     }
 
     #[test]
     fn advance_to_skips_blocks() {
-        let docs: Vec<u64> = (0..1000).map(|i| i * 2).collect();
+        let docs: Vec<u32> = (0..1000).map(|i| i * 2).collect();
         let list = list_of(&docs);
         let mut iter = list.iter();
         // Target deep inside a later block: exact hit.
@@ -447,12 +471,12 @@ mod tests {
         // Between entries: next larger doc.
         assert_eq!(iter.advance_to(1501).unwrap().doc, 1502);
         // Past the end.
-        assert!(iter.advance_to(u64::MAX).is_none());
+        assert!(iter.advance_to(u32::MAX).is_none());
     }
 
     #[test]
     fn advance_interleaves_with_next() {
-        let docs: Vec<u64> = (0..500).collect();
+        let docs: Vec<u32> = (0..500).collect();
         let list = list_of(&docs);
         let mut iter = list.iter();
         assert_eq!(iter.next().unwrap().doc, 0);
@@ -464,7 +488,7 @@ mod tests {
 
     #[test]
     fn advance_after_exhausting_a_block_moves_on() {
-        let docs: Vec<u64> = (0..256).collect();
+        let docs: Vec<u32> = (0..256).collect();
         let list = list_of(&docs);
         let mut iter = list.iter();
         for _ in 0..128 {
@@ -477,22 +501,22 @@ mod tests {
 
     #[test]
     fn entry_for_finds_exactly_the_stored_docs() {
-        let docs: Vec<u64> = (0..500).map(|i| i * 3 + 1).collect();
+        let docs: Vec<u32> = (0..500).map(|i| i * 3 + 1).collect();
         let list = list_of(&docs);
         for &doc in &docs {
             let entry = list.entry_for(doc).expect("stored doc");
             assert_eq!(entry.doc, doc);
-            assert_eq!(entry.pos, (doc % 50) as u32);
+            assert_eq!(entry.pos, doc % 50);
         }
         assert!(list.entry_for(0).is_none());
         assert!(list.entry_for(2).is_none()); // between stored keys
-        assert!(list.entry_for(u64::MAX).is_none());
+        assert!(list.entry_for(u32::MAX).is_none());
         assert!(CompressedPostingList::default().entry_for(7).is_none());
     }
 
     #[test]
     fn a_record_parses_where_it_lies() {
-        let docs: Vec<u64> = (0..300).map(|i| i * 3).collect();
+        let docs: Vec<u32> = (0..300).map(|i| i * 3).collect();
         let list = list_of(&docs);
         let mut bytes = vec![0xAB; 5];
         bytes.extend_from_slice(list.record());
@@ -507,9 +531,62 @@ mod tests {
         assert!(CompressedPostingList::parse(&cut, 5).is_err());
     }
 
+    /// `list`'s record with `edits` applied, parsed where it lies.
+    fn parse_patched(
+        list: &CompressedPostingList,
+        edits: &[(usize, &[u8])],
+    ) -> Result<CompressedPostingList, &'static str> {
+        let mut record = list.record().to_vec();
+        for &(at, bytes) in edits {
+            record[at..at + bytes.len()].copy_from_slice(bytes);
+        }
+        CompressedPostingList::parse(&Arc::new(record), 0)
+    }
+
+    #[test]
+    fn an_exception_index_past_the_gaps_fails_the_parse() {
+        // 128 docs with a 2^24 jump every 40: one block whose gap
+        // column is patched at width 0, with three 25-bit exceptions.
+        let docs: Vec<u32> = (0..128).map(|i| i + ((i / 40) << 24)).collect();
+        let list = list_of(&docs);
+        let payload = HEAD;
+        assert_eq!(list.record()[payload..][..6], [0x80, 3, 7, 6, 3, 25]);
+        let first_index = payload + 6;
+        assert_eq!(list.record()[first_index], 39);
+        assert!(parse_patched(&list, &[(first_index, &[126])]).is_ok());
+        for index in [127, 200, 255] {
+            assert_eq!(
+                parse_patched(&list, &[(first_index, &[index])]).err(),
+                Some("gap exception index out of range"),
+                "index {index}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_refuses_what_only_a_decode_shows() {
+        // One block of ten even docs, 0 to 18.
+        let list = list_of(&(0..10).map(|i| 2 * i).collect::<Vec<u32>>());
+        assert_eq!(list.verify(), Ok(()));
+        let entry = list.record().len() - ENTRY;
+        // A last doc the gaps do not reach, and a first doc whose gaps
+        // pass u32::MAX: each span holds ten postings, so both parse.
+        let wrong_last = parse_patched(&list, &[(entry + 4, &100u32.to_le_bytes())]).unwrap();
+        assert_eq!(
+            wrong_last.verify(),
+            Err("block does not end on its last document")
+        );
+        let past_max = (u32::MAX - 9).to_le_bytes();
+        let overflowing = parse_patched(&list, &[(entry, &past_max), (entry + 4, &[0xFF; 4])]);
+        assert_eq!(
+            overflowing.unwrap().verify(),
+            Err("doc key overflows 32 bits")
+        );
+    }
+
     #[test]
     fn compression_beats_raw_on_dense_lists() {
-        let docs: Vec<u64> = (0..10_000).map(|i| i * 5).collect();
+        let docs: Vec<u32> = (0..10_000).map(|i| i * 5).collect();
         let list = list_of(&docs);
         let ratio = list.raw_bytes() as f64 / list.compressed_bytes() as f64;
         assert!(ratio > 2.0, "ratio {ratio}");

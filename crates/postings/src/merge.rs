@@ -33,7 +33,7 @@ pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> Compress
     // Min-heap keyed on (doc, input index): pops group duplicates of a
     // doc together, in ascending recency order. While `(doc, i)` is in
     // the heap, `heads[i]` holds input i's posting for it.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(iters.len());
+    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(iters.len());
     let blank = RawEntry {
         doc: 0,
         count: 0,
@@ -70,7 +70,7 @@ pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> Compress
 fn refill<I: Iterator<Item = RawEntry>>(
     iters: &mut [I],
     heads: &mut [RawEntry],
-    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    heap: &mut BinaryHeap<Reverse<(u32, usize)>>,
     idx: usize,
 ) {
     if let Some(entry) = iters[idx].next() {
@@ -104,7 +104,7 @@ pub fn naive_merge(lists: &[&CompressedPostingList]) -> Vec<RawEntry> {
 mod tests {
     use super::*;
 
-    fn list_from(entries: &[(u64, u32)]) -> CompressedPostingList {
+    fn list_from(entries: &[(u32, u32)]) -> CompressedPostingList {
         CompressedPostingBuilder::from_sorted(entries.iter().map(|&(doc, count)| RawEntry {
             doc,
             count,
@@ -118,7 +118,7 @@ mod tests {
         let a = list_from(&[(1, 1), (4, 1), (9, 1)]);
         let b = list_from(&[(2, 2), (3, 2)]);
         let merged = merge_compressed(&[&a, &b]);
-        let docs: Vec<u64> = merged.iter().map(|e| e.doc).collect();
+        let docs: Vec<u32> = merged.iter().map(|e| e.doc).collect();
         assert_eq!(docs, vec![1, 2, 3, 4, 9]);
     }
 

@@ -2,21 +2,17 @@
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor};
 use zerber_index::store::PostingStore;
-use zerber_index::{InvertedIndex, Posting, TermId};
+use zerber_index::{DocId, InvertedIndex, Posting, TermId};
 
 use crate::block::RawEntry;
 use crate::builder::CompressedPostingBuilder;
-use crate::cursor::{doc_id, CompressedBlockCursor};
+use crate::cursor::CompressedBlockCursor;
 use crate::list::CompressedPostingList;
 
 /// A decoded block entry as the index layer's [`Posting`].
-///
-/// # Panics
-/// Panics on a doc key wider than a [`zerber_index::DocId`]: every key
-/// in a list was built from one, so this is a corrupted or foreign list.
 pub fn to_posting(entry: RawEntry) -> Posting {
     Posting {
-        doc: doc_id(entry.doc),
+        doc: DocId(entry.doc),
         count: entry.count,
         doc_length: entry.doc_length,
     }
@@ -53,7 +49,7 @@ impl CompressedPostingStore {
                         let pos = *slot;
                         *slot += posting.count;
                         RawEntry {
-                            doc: u64::from(posting.doc.0),
+                            doc: posting.doc.0,
                             count: posting.count,
                             doc_length: posting.doc_length,
                             pos,

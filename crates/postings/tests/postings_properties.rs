@@ -1,6 +1,7 @@
 //! Property tests for the compressed posting codec: encode→decode is
 //! the identity for arbitrary sorted lists (including empty,
-//! single-element, and ≥ 2³² doc-key gaps), `advance_to` agrees with
+//! single-element, and keys and gaps up to the top of the 32-bit key
+//! space), `advance_to` agrees with
 //! linear scanning, the streaming k-way merge matches the naive
 //! merge, and the column codec round-trips arbitrary columns.
 
@@ -12,15 +13,15 @@ use zerber_postings::{
     RawEntry,
 };
 
-/// Sorted lists with doc keys drawn from the full u64 range, so block
-/// and list boundaries see gaps far beyond 2³².
+/// Sorted lists with doc keys drawn from the full u32 range, so block
+/// and list boundaries see gaps of up to 32 bits.
 fn arb_entries() -> impl Strategy<Value = Vec<RawEntry>> {
     prop::collection::btree_map(
-        any::<u64>(),
+        any::<u32>(),
         (any::<u32>(), any::<u32>(), any::<u32>()),
         0..400,
     )
-    .prop_map(|map: BTreeMap<u64, (u32, u32, u32)>| {
+    .prop_map(|map: BTreeMap<u32, (u32, u32, u32)>| {
         map.into_iter()
             .map(|(doc, (count, doc_length, pos))| RawEntry {
                 doc,
@@ -45,7 +46,7 @@ proptest! {
     }
 
     #[test]
-    fn single_element_lists_round_trip(doc in any::<u64>(), count in any::<u32>()) {
+    fn single_element_lists_round_trip(doc in any::<u32>(), count in any::<u32>()) {
         let entries = vec![RawEntry { doc, count, doc_length: count / 2, pos: count.wrapping_mul(3) }];
         prop_assert_eq!(compress(&entries).decode_all(), entries);
     }
@@ -53,7 +54,7 @@ proptest! {
     #[test]
     fn advance_to_matches_linear_scan(
         entries in arb_entries(),
-        targets in prop::collection::vec(any::<u64>(), 1..20),
+        targets in prop::collection::vec(any::<u32>(), 1..20),
     ) {
         let list = compress(&entries);
         let mut iter = list.iter();
@@ -91,19 +92,25 @@ proptest! {
 }
 
 #[test]
-fn gaps_beyond_u32_cross_block_boundaries() {
-    // 200 entries straddling a block boundary, every gap ≥ 2³².
-    let entries: Vec<RawEntry> = (0..200u64)
+fn keys_at_the_top_of_the_range_cross_block_boundaries() {
+    // 200 entries straddling a block boundary: doc 0, a gap of
+    // u32::MAX − 198, then consecutive docs up to u32::MAX itself.
+    let doc = |i: u32| if i == 0 { 0 } else { u32::MAX - 199 + i };
+    let entries: Vec<RawEntry> = (0..200u32)
         .map(|i| RawEntry {
-            doc: i << 33,
-            count: i as u32,
-            doc_length: 1 + i as u32,
-            pos: (i as u32) * 2,
+            doc: doc(i),
+            count: i,
+            doc_length: 1 + i,
+            pos: i * 2,
         })
         .collect();
     let list = compress(&entries);
     assert_eq!(list.blocks().len(), 2);
+    assert_eq!(list.block(1).last_doc, u32::MAX);
     assert_eq!(list.decode_all(), entries);
     let mut iter = list.iter();
-    assert_eq!(iter.advance_to(150 << 33).unwrap().doc, 150 << 33);
+    assert_eq!(iter.advance_to(1).unwrap().doc, doc(1));
+    assert_eq!(iter.advance_to(doc(150)).unwrap().doc, doc(150));
+    assert_eq!(iter.advance_to(u32::MAX).unwrap().doc, u32::MAX);
+    assert!(iter.advance_to(u32::MAX).is_none());
 }

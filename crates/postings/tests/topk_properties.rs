@@ -34,7 +34,7 @@ impl Fixture {
         let entries: Vec<RawEntry> = postings
             .iter()
             .map(|(&doc, &(count, doc_length))| RawEntry {
-                doc: u64::from(doc),
+                doc,
                 count,
                 doc_length,
                 pos: 0,
@@ -63,7 +63,7 @@ impl Fixture {
         ScoredList::new(
             self.entries
                 .iter()
-                .map(|e| (DocId(e.doc as u32), e.term_frequency() * self.weight))
+                .map(|e| (DocId(e.doc), e.term_frequency() * self.weight))
                 .collect(),
         )
     }
@@ -320,7 +320,7 @@ fn arb_sources() -> impl Strategy<Value = Vec<(Postings, Vec<u32>)>> {
 fn script_over(lists: &[&CompressedPostingList], picks: &[(u8, usize, u32)]) -> Vec<(Action, u32)> {
     let mut targets = vec![0u32, 2_100];
     for block in lists.iter().flat_map(|list| list.blocks()) {
-        let (first, last) = (block.first_doc as u32, block.last_doc as u32);
+        let (first, last) = (block.first_doc, block.last_doc);
         targets.extend([first, last, last + 1, first + (last - first) / 2]);
     }
     let mut script: Vec<(Action, u32)> = picks
@@ -441,7 +441,7 @@ fn a_demoted_lower_slot_keeps_the_slot_order_sum() {
     let scores = |f: &Fixture, doc: DocId| {
         f.entries
             .iter()
-            .find(|e| e.doc == u64::from(doc.0))
+            .find(|e| e.doc == doc.0)
             .map_or(0.0, |e| e.term_frequency() * f.weight)
     };
     assert!(naive_ranked(&fixtures, 3).iter().any(|r| {

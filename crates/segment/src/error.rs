@@ -25,6 +25,14 @@ pub enum SegmentError {
     MalformedDocument(DocId),
 }
 
+impl SegmentError {
+    /// `file` failed the check `reason` names.
+    pub(crate) fn corrupt(file: impl Into<String>, reason: &'static str) -> Self {
+        let file = file.into();
+        SegmentError::Corrupt { file, reason }
+    }
+}
+
 impl std::fmt::Display for SegmentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -88,7 +88,7 @@ impl Memtable {
         };
         for term in terms {
             if let Entry::Occupied(mut list) = self.terms.entry(term) {
-                if !list.get_mut().remove(u64::from(doc)) {
+                if !list.get_mut().remove(doc) {
                     list.remove();
                 }
             }
@@ -109,7 +109,7 @@ impl Memtable {
         for &(term, count) in &terms {
             self.term_slots = self.term_slots.max(term + 1);
             let entry = RawEntry {
-                doc: u64::from(doc),
+                doc,
                 count,
                 doc_length: length,
                 pos: next_pos,
@@ -218,7 +218,7 @@ impl TermList {
     }
 
     /// Drops `doc`'s postings; returns whether any posting is left.
-    fn remove(&mut self, doc: u64) -> bool {
+    fn remove(&mut self, doc: u32) -> bool {
         match self {
             Self::One(entry) => entry.doc != doc,
             Self::Many(entries) => {
@@ -302,7 +302,7 @@ mod tests {
             docs.iter().map(|&doc| insert(doc, &[(7, 1)])).collect()
         };
         let (memtable, _) = folded(&[batch(&[5, 1, 9, 3]), batch(&[4, 11, 0])]);
-        let docs: Vec<u64> = memtable.term_postings(7).iter().map(|e| e.doc).collect();
+        let docs: Vec<u32> = memtable.term_postings(7).iter().map(|e| e.doc).collect();
         assert_eq!(docs, vec![0, 1, 3, 4, 5, 9, 11]);
         assert_eq!(memtable.live_docs(), &[0, 1, 3, 4, 5, 9, 11]);
         let terms: Vec<u32> = memtable.term_lists().map(|(t, _)| t).collect();
@@ -350,7 +350,7 @@ mod tests {
                         for (term, count) in terms {
                             delta.term_slots = delta.term_slots.max(term + 1);
                             delta.terms.entry(term).or_default().push(RawEntry {
-                                doc: u64::from(doc),
+                                doc,
                                 count,
                                 doc_length: length,
                                 pos: next_pos,
@@ -392,7 +392,7 @@ mod tests {
                 .extend(delta.tombstones.iter().filter(owned));
             for (&term, entries) in &delta.terms {
                 let list = image.terms.entry(term).or_default();
-                list.extend(entries.iter().filter(|e| owner(e.doc as u32) == Some(i)));
+                list.extend(entries.iter().filter(|e| owner(e.doc) == Some(i)));
             }
             image.term_slots = image.term_slots.max(delta.term_slots);
         }

@@ -320,7 +320,7 @@ pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> Se
                     .map(|&(_, i, list)| {
                         let dead = &shadowed[i];
                         list.iter()
-                            .filter(move |e| dead.binary_search(&(e.doc as u32)).is_err())
+                            .filter(move |e| dead.binary_search(&e.doc).is_err())
                     })
                     .collect(),
             )),
@@ -373,17 +373,16 @@ fn holds_any(list: &CompressedPostingList, docs: &[u32]) -> bool {
     if docs.len() * BLOCK_SIZE > list.len() {
         return true;
     }
-    docs.iter()
-        .any(|&doc| list.entry_for(u64::from(doc)).is_some())
+    docs.iter().any(|&doc| list.entry_for(doc).is_some())
 }
 
 const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
-/// Version 3 bit-packs each block's doc gaps behind a fourth width
-/// byte and stores one term-frequency maximum per list instead of one
-/// per block; version 2 added the positional column. An older file
-/// would decode garbage, so the bump rejects it cleanly as
-/// unsupported. The manifest shares this frame and its version.
-const VERSION: u32 = 3;
+/// Version 4 holds a block index's doc keys as `u32`, 3 packed gaps
+/// behind a fourth width byte with one maximum per list, 2 added
+/// positions. An older file would decode garbage, so the bump rejects
+/// it cleanly as unsupported. The manifest shares this frame and its
+/// version.
+const VERSION: u32 = 4;
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -409,10 +408,7 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn corrupt(&self, reason: &'static str) -> SegmentError {
-        SegmentError::Corrupt {
-            file: self.file.to_owned(),
-            reason,
-        }
+        SegmentError::corrupt(self.file, reason)
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
@@ -505,25 +501,24 @@ pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<(), SegmentError>
     Ok(())
 }
 
-/// Reads a framed file back, verifying magic, version, length and
-/// checksum before returning the body. The header is read first and
-/// its length checked against the file's before anything is
-/// allocated; the body is then read into a buffer of exactly that
-/// size, where it stays.
+/// The body of the framed file at `path`, checked by [`unframe`].
 pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
-    let name = path.display().to_string();
-    let corrupt = |reason| SegmentError::Corrupt {
-        file: name.clone(),
-        reason,
-    };
-    let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
+    let file = File::open(path)?;
+    unframe(&file, file.metadata()?.len(), &path.display().to_string())
+}
+
+/// The body of the `len`-byte frame `src` reads, once its magic,
+/// version, length and checksum hold. The header is read first and its
+/// length checked against `len` before anything is allocated; the body
+/// is then read into a buffer of exactly that size, where it stays.
+pub(crate) fn unframe(mut src: impl Read, len: u64, name: &str) -> Result<Vec<u8>, SegmentError> {
+    let corrupt = |reason| SegmentError::corrupt(name, reason);
     let mut header = [0u8; 20];
-    if file_len < header.len() as u64 {
+    if len < header.len() as u64 {
         return Err(corrupt("shorter than the frame header"));
     }
-    file.read_exact(&mut header)?;
-    let mut r = Reader::new(&header, &name);
+    src.read_exact(&mut header)?;
+    let mut r = Reader::new(&header, name);
     let (magic, version, body_len, crc) = (r.u32()?, r.u32()?, r.u64()?, r.u32()?);
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
@@ -532,11 +527,11 @@ pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
         return Err(corrupt("unsupported version"));
     }
     // `body_len` is read from the file: compared, never added to.
-    if file_len - header.len() as u64 != body_len {
+    if len - header.len() as u64 != body_len {
         return Err(corrupt("length mismatch"));
     }
     let mut body = Vec::with_capacity(body_len as usize);
-    file.take(body_len).read_to_end(&mut body)?;
+    src.take(body_len).read_to_end(&mut body)?;
     if body.len() as u64 != body_len {
         return Err(corrupt("length mismatch"));
     }
@@ -598,15 +593,6 @@ impl SegmentContent {
             let term = r.u32()?;
             let list = CompressedPostingList::parse(&body, r.pos).map_err(|why| r.corrupt(why))?;
             r.take(list.record().len())?;
-            // Doc keys originate from 32-bit document ids; blocks ascend,
-            // so the last one bounds them all.
-            if list
-                .blocks()
-                .next_back()
-                .is_some_and(|block| block.last_doc > u64::from(u32::MAX))
-            {
-                return Err(r.corrupt("document key beyond 32 bits"));
-            }
             if terms.last().is_some_and(|&(previous, _)| previous >= term) {
                 return Err(r.corrupt("terms out of order"));
             }
@@ -848,7 +834,7 @@ mod tests {
     /// scratch dir: its file, its body (frame header stripped) and the
     /// body offsets of its list's fields. The list's fields end the
     /// body: `data`, the list maximum (8 bytes), the block count, then
-    /// each block's `first_doc`, `last_doc`, `len`, `offset` (26 bytes).
+    /// each block's `first_doc`, `last_doc`, `len`, `offset` (18 bytes).
     struct TwoBlocks {
         _dir: ScratchDir,
         path: PathBuf,
@@ -874,7 +860,7 @@ mod tests {
             assert_eq!(list.blocks().len(), 2);
             let data_len = list.data().len();
             let body = std::fs::read(&path).unwrap()[20..].to_vec();
-            let max = body.len() - 2 * 26 - 4 - 8;
+            let max = body.len() - 2 * 18 - 4 - 8;
             let payloads = [0, 1].map(|b| list.block(b).offset);
             Self {
                 _dir: dir,
@@ -888,7 +874,7 @@ mod tests {
 
         /// Offset of block `b`'s index entry.
         fn block(&self, b: usize) -> usize {
-            self.body.len() - 26 * (2 - b)
+            self.body.len() - 18 * (2 - b)
         }
 
         /// Offset of the list's data.
@@ -924,28 +910,21 @@ mod tests {
                 "{case}"
             );
         };
-        let (past_u32, u64_le) = (1u64 << 32, u64::to_le_bytes);
-        check(
-            "document key beyond 32 bits",
-            &[
-                (block(1), &u64_le(past_u32)),
-                (block(1) + 8, &u64_le(past_u32 + 200)),
-            ],
-        );
-        check("blocks overlap", &[(block(1), &u64_le(254))]);
-        check("first after last", &[(block(0), &u64_le(255))]);
-        check("span too narrow", &[(block(0) + 8, &u64_le(5))]);
+        let (u32_le, u64_le) = (u32::to_le_bytes, u64::to_le_bytes);
+        check("blocks overlap", &[(block(1), &u32_le(254))]);
+        check("first after last", &[(block(0), &u32_le(255))]);
+        check("span too narrow", &[(block(0) + 4, &u32_le(5))]);
         check("NaN maximum", &[(max, &f64::NAN.to_le_bytes())]);
         check("infinite maximum", &[(max, &f64::INFINITY.to_le_bytes())]);
         check("negative maximum", &[(max, &(-1.0f64).to_le_bytes())]);
-        check("empty block", &[(block(1) + 16, &0u16.to_le_bytes())]);
-        check("oversized block", &[(block(0) + 16, &129u16.to_le_bytes())]);
+        check("empty block", &[(block(1) + 8, &0u16.to_le_bytes())]);
+        check("oversized block", &[(block(0) + 8, &129u16.to_le_bytes())]);
         check(
             "offset past the payload",
-            &[(block(1) + 18, &u64_le(file.data_len as u64))],
+            &[(block(1) + 10, &u64_le(file.data_len as u64))],
         );
-        check("offsets out of order", &[(block(1) + 18, &u64_le(0))]);
-        check("first offset not 0", &[(block(0) + 18, &u64_le(1))]);
+        check("offsets out of order", &[(block(1) + 10, &u64_le(0))]);
+        check("first offset not 0", &[(block(0) + 10, &u64_le(1))]);
         check("list length", &[(list_len, &u64_le(201))]);
         check(
             "live table out of order",

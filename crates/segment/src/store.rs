@@ -104,7 +104,8 @@ use crate::bulk::{BulkConfig, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
-    lay_out, merge_streaming, read_framed, write_framed, Reader, Segment, ShadowProbe, Source,
+    lay_out, merge_streaming, read_framed, unframe, write_framed, Reader, Segment, SegmentContent,
+    ShadowProbe, Source,
 };
 use crate::wal::{replay, rotated_logs, Wal, WalOp, WAL_FILE};
 
@@ -496,7 +497,7 @@ fn invert_partition(
         for &(TermId(term), count) in &doc.terms {
             if term % parts == part {
                 builders.entry(term).or_default().push(RawEntry {
-                    doc: u64::from(doc.id.0),
+                    doc: doc.id.0,
                     count,
                     doc_length: doc.length,
                     pos,
@@ -569,10 +570,11 @@ impl SegmentStore {
         // Checked before anything is collected: a manifest naming a
         // file the directory lacks is damaged, and deletes nothing.
         if let Some(name) = names.iter().find(|name| !dir.join(name).is_file()) {
-            return Err(SegmentError::Corrupt {
-                file: dir.join(name).display().to_string(),
-                reason: "segment listed in the MANIFEST is missing",
-            });
+            let reason = "segment listed in the MANIFEST is missing";
+            return Err(SegmentError::corrupt(
+                dir.join(name).display().to_string(),
+                reason,
+            ));
         }
         let listed: HashSet<&str> = names.iter().map(String::as_str).collect();
         for entry in std::fs::read_dir(&dir)? {
@@ -945,30 +947,36 @@ impl SegmentStore {
 
     /// Stages an exported file set into `dir` using the same
     /// durability protocol as the store's own commits (tmp + fsync +
-    /// rename, then directory fsync). File names are confined to the
-    /// target directory — anything resembling a path escapes with a
-    /// `Corrupt` error — and a set without a manifest is refused the
-    /// same way: it is no snapshot, and opening it would serve an empty
-    /// store. After staging, open the directory with
+    /// rename, then directory fsync), once every file has passed. A
+    /// name resembling a path escapes, and a set without a manifest is
+    /// no snapshot (opening it would serve an empty store): both are
+    /// `Corrupt`, as is a `.zseg` that fails its load or the decode of
+    /// any block ([`CompressedPostingList::verify`]), since no builder
+    /// of this process wrote it. Then open `dir` with
     /// [`SegmentStore::open`] (or `open_observed`) to serve from it.
     pub fn install_files(
         dir: impl Into<PathBuf>,
         files: &[(String, Vec<u8>)],
     ) -> Result<(), SegmentError> {
         let dir = dir.into();
-        for (name, _) in files {
+        for (name, bytes) in files {
             if escapes(name) {
-                return Err(SegmentError::Corrupt {
-                    file: name.clone(),
-                    reason: "snapshot file name escapes the target directory",
-                });
+                let reason = "snapshot file name escapes the target directory";
+                return Err(SegmentError::corrupt(name, reason));
+            }
+            if name.ends_with(".zseg") {
+                let body = unframe(bytes.as_slice(), bytes.len() as u64, name)?;
+                for (_, list) in SegmentContent::parse(body, name)?.terms {
+                    list.verify()
+                        .map_err(|why| SegmentError::corrupt(name, why))?;
+                }
             }
         }
         if !files.iter().any(|(name, _)| name == MANIFEST_FILE) {
-            return Err(SegmentError::Corrupt {
-                file: MANIFEST_FILE.to_string(),
-                reason: "snapshot carries no manifest",
-            });
+            return Err(SegmentError::corrupt(
+                MANIFEST_FILE,
+                "snapshot carries no manifest",
+            ));
         }
         std::fs::create_dir_all(&dir)?;
         for (name, bytes) in files {
@@ -1037,7 +1045,7 @@ impl SegmentSnapshot {
     pub fn live_postings(&self, term: TermId) -> Vec<RawEntry> {
         let sources = self.sources();
         // Newest source wins per (term, doc)…
-        let mut merged: std::collections::BTreeMap<u64, (usize, RawEntry)> = Default::default();
+        let mut merged: std::collections::BTreeMap<u32, (usize, RawEntry)> = Default::default();
         for (i, source) in sources.iter().enumerate() {
             for entry in source.term_entries(term.0) {
                 merged.insert(entry.doc, (i, entry));
@@ -1048,11 +1056,7 @@ impl SegmentSnapshot {
         // so this is exactly the doc-level shadowing rule).
         merged
             .into_values()
-            .filter(|&(i, entry)| {
-                !sources[i + 1..]
-                    .iter()
-                    .any(|newer| newer.touches(entry.doc as u32))
-            })
+            .filter(|&(i, entry)| !sources[i + 1..].iter().any(|s| s.touches(entry.doc)))
             .map(|(_, entry)| entry)
             .collect()
     }

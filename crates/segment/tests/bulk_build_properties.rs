@@ -496,7 +496,7 @@ fn a_top_of_range_term_loads_and_reads_back() {
     store.bulk_load(&docs, tiny_bulk()).expect("bulk load");
     let check = |store: &SegmentStore| {
         let postings = store.snapshot().live_postings(top);
-        let read: Vec<(u64, u32, u32)> = postings.iter().map(|e| (e.doc, e.count, e.pos)).collect();
+        let read: Vec<(u32, u32, u32)> = postings.iter().map(|e| (e.doc, e.count, e.pos)).collect();
         assert_eq!(read, vec![(3, 4, 1), (7, 2, 0)]);
         assert_eq!(store.snapshot().term_count(), u32::MAX as usize);
     };

@@ -90,7 +90,7 @@ fn oracle_image(oracle: &Oracle) -> Image {
                 .filter_map(|(&doc, terms)| {
                     let at = terms.iter().position(|&(t, _)| t == term)?;
                     Some(RawEntry {
-                        doc: u64::from(doc),
+                        doc,
                         count: terms[at].1,
                         doc_length: terms.iter().map(|&(_, c)| c).sum(),
                         pos: terms[..at].iter().map(|&(_, c)| c).sum(),

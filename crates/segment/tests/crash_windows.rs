@@ -161,7 +161,7 @@ fn entries(oracle: &Oracle, term: u32) -> Vec<RawEntry> {
             let at = terms.iter().position(|&(t, _)| t == term)?;
             let pos = terms[..at].iter().map(|&(_, c)| c).sum();
             Some(RawEntry {
-                doc: u64::from(doc),
+                doc,
                 count: terms[at].1,
                 doc_length: terms.iter().map(|&(_, c)| c).sum(),
                 pos,

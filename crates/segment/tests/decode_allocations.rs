@@ -81,11 +81,11 @@ fn open_measured(dir: &Path) -> (Result<SegmentStore, SegmentError>, usize) {
 }
 
 /// `body` in the frame segments and MANIFESTs share: magic "ZSEG",
-/// version 3, body length, CRC-32 of the body, body.
+/// version 4, body length, CRC-32 of the body, body.
 fn framed(body: &[u8]) -> Vec<u8> {
     let mut file = Vec::new();
     file.extend_from_slice(&0x5A53_4547u32.to_le_bytes());
-    file.extend_from_slice(&3u32.to_le_bytes());
+    file.extend_from_slice(&4u32.to_le_bytes());
     file.extend_from_slice(&(body.len() as u64).to_le_bytes());
     file.extend_from_slice(&crc32(body).to_le_bytes());
     file.extend_from_slice(body);
@@ -167,7 +167,11 @@ fn no_declared_count_allocates_beyond_its_bytes() {
         }
         let (opened, largest) = open_measured(&dir);
         match opened {
-            Err(SegmentError::Corrupt { .. }) if !what.starts_with("log") => {}
+            // Refused for its count, not for a frame version a format
+            // bump left behind.
+            Err(SegmentError::Corrupt { reason, .. }) if !what.starts_with("log") => {
+                assert_ne!(reason, "unsupported version", "{what}");
+            }
             Ok(store) if what.starts_with("log") => {
                 assert_eq!(store.snapshot().live_doc_count(), 0, "{what}");
             }

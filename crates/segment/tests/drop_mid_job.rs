@@ -22,21 +22,21 @@ const TERMS: u32 = 8;
 type Oracle = BTreeMap<u32, Vec<(u32, u32)>>;
 
 /// Per term, the `(doc, count)` of every live posting.
-fn oracle_image(oracle: &Oracle) -> Vec<Vec<(u64, u32)>> {
+fn oracle_image(oracle: &Oracle) -> Vec<Vec<(u32, u32)>> {
     (0..TERMS)
         .map(|term| {
             oracle
                 .iter()
                 .filter_map(|(&doc, terms)| {
                     let &(_, count) = terms.iter().find(|&&(t, _)| t == term)?;
-                    Some((u64::from(doc), count))
+                    Some((doc, count))
                 })
                 .collect()
         })
         .collect()
 }
 
-fn snapshot_image(snapshot: &SegmentSnapshot) -> Vec<Vec<(u64, u32)>> {
+fn snapshot_image(snapshot: &SegmentSnapshot) -> Vec<Vec<(u32, u32)>> {
     (0..TERMS)
         .map(|term| {
             let entries = snapshot.live_postings(TermId(term));

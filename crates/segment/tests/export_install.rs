@@ -14,6 +14,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use zerber_index::{DocId, Document, GroupId, SegmentPolicy, TermId};
+use zerber_postings::{CompressedPostingBuilder, CompressedPostingList, RawEntry};
+use zerber_segment::crc::crc32;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
 fn policy() -> SegmentPolicy {
@@ -39,7 +41,7 @@ fn postings_table(store: &SegmentStore, terms: u32) -> BTreeMap<u32, Vec<(u32, u
             let entries = snapshot
                 .live_postings(TermId(t))
                 .into_iter()
-                .map(|e| (e.doc as u32, e.count, e.doc_length))
+                .map(|e| (e.doc, e.count, e.doc_length))
                 .collect();
             (t, entries)
         })
@@ -233,19 +235,46 @@ fn frame_headers_declaring_a_huge_body_open_as_corrupt() {
     assert_eq!(reopened.snapshot().live_doc_count(), 1);
 }
 
+/// `body` behind the frame `header` opens with (magic and version),
+/// with its length and a correct CRC-32: layout magic u32 | version
+/// u32 | body length u64 | CRC-32 of the body | body.
+fn reframed(header: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut file = header[..8].to_vec();
+    file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    file.extend_from_slice(&crc32(body).to_le_bytes());
+    file.extend_from_slice(body);
+    file
+}
+
+/// Installs `files` into a fresh directory, opens it and reads every
+/// list of terms `0..terms`, catching a panic anywhere on the way.
+fn install_and_serve(
+    files: &[(String, Vec<u8>)],
+    terms: u32,
+) -> std::thread::Result<Result<(), SegmentError>> {
+    let dir = ScratchDir::new("export-served");
+    std::panic::catch_unwind(|| {
+        SegmentStore::install_files(&dir, files)?;
+        SegmentStore::open(&dir, policy()).map(|store| drop(postings_table(&store, terms)))
+    })
+}
+
 /// Every byte of a small store's segment body and MANIFEST body,
 /// damaged under three masks and re-framed with a correct CRC — what a
-/// hostile peer's `InstallFile` can ship — opens as `Ok`, and serves
-/// its lists, or as `Corrupt`, and never panics.
+/// hostile peer's `InstallFile` can ship — installs and opens as `Ok`,
+/// and serves its lists, or fails as `Corrupt`, and never panics. One
+/// list's block is patched, so the damage reaches exception indices
+/// and high bits too.
 #[test]
 fn every_damaged_body_opens_or_fails_closed() {
     let source_dir = ScratchDir::new("export-damage-src");
     let source = SegmentStore::open(&source_dir, policy()).unwrap();
     source.insert(&[doc(1, &[(0, 2), (3, 1)])]).unwrap();
     source.flush().unwrap();
-    source
-        .insert(&[doc(2, &[(0, 1), (7, 3)]), doc(5, &[(3, 2)])])
-        .unwrap();
+    let patched = [6, 7, 8, 1 << 20];
+    let mut batch = vec![doc(2, &[(0, 1), (7, 3)]), doc(5, &[(3, 2)])];
+    batch.extend(patched.map(|id| doc(id, &[(9, 1)])));
+    source.insert(&batch).unwrap();
     source.delete(DocId(1)).unwrap();
     let files = source.export_files().unwrap();
     drop(source);
@@ -253,15 +282,16 @@ fn every_damaged_body_opens_or_fails_closed() {
         .iter()
         .rposition(|(name, _)| name.ends_with(".zseg"))
         .unwrap();
-    // Frame layout: magic u32 | version u32 | body length u64 | CRC-32
-    // of the body | body.
-    let reframed = |header: &[u8], body: &[u8]| {
-        let mut file = header[..8].to_vec();
-        file.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        file.extend_from_slice(&zerber_segment::crc::crc32(body).to_le_bytes());
-        file.extend_from_slice(body);
-        file
-    };
+    // Term 9's list is one block whose gap column is patched.
+    let list = CompressedPostingBuilder::from_sorted(patched.map(|doc| RawEntry {
+        doc,
+        count: 1,
+        doc_length: 1,
+        pos: 0,
+    }));
+    assert_eq!(list.data()[0], 0x80, "a patched zero-width gap column");
+    let record = list.record();
+    assert!(files[segment].1.windows(record.len()).any(|w| w == record));
     let mut failures = Vec::new();
     for target in [0, segment] {
         let (header, body) = files[target].1.split_at(20);
@@ -271,12 +301,8 @@ fn every_damaged_body_opens_or_fails_closed() {
                 damaged[at] ^= mask;
                 let mut shipped = files.clone();
                 shipped[target].1 = reframed(header, &damaged);
-                let dir = ScratchDir::new("export-damage");
-                SegmentStore::install_files(&dir, &shipped).unwrap();
                 let what = format!("{} byte {at} ^ {mask:#04x}", files[target].0);
-                // An opened store serves every list without panicking.
-                let served = || SegmentStore::open(&dir, policy()).map(|s| postings_table(&s, 8));
-                match std::panic::catch_unwind(served) {
+                match install_and_serve(&shipped, 10) {
                     Ok(Ok(_) | Err(SegmentError::Corrupt { .. })) => {}
                     Ok(Err(other)) => failures.push(format!("{what}: {other}")),
                     Err(_) => failures.push(format!("{what}: panicked")),
@@ -285,6 +311,80 @@ fn every_damaged_body_opens_or_fails_closed() {
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// A CRC-valid segment no builder writes, whose block index is sound
+/// but one of whose blocks cannot decode, ships with a MANIFEST naming
+/// it: install refuses it as `Corrupt` and stages nothing, and no
+/// reader panics on it.
+#[test]
+fn hand_built_segments_with_undecodable_blocks_are_refused() {
+    let entries = |docs: &[u32]| -> CompressedPostingList {
+        CompressedPostingBuilder::from_sorted(docs.iter().map(|&doc| RawEntry {
+            doc,
+            count: 1,
+            doc_length: 1,
+            pos: 0,
+        }))
+    };
+    // 128 docs with a 2^24 jump every 40: the block's gap column is
+    // patched at width 0 with three exceptions, whose indices follow
+    // the record's 16-byte head, the 4 width bytes and the exception
+    // count and width.
+    let jumps: Vec<u32> = (0..128).map(|i| i + ((i / 40) << 24)).collect();
+    let mut bad_index = entries(&jumps).record().to_vec();
+    assert_eq!(bad_index[16..22], [0x80, 1, 1, 0, 3, 25]);
+    assert_eq!(bad_index[22], 39, "the first exception's gap index");
+    bad_index[22] = 200;
+    // Ten docs two apart, re-based by the index entry (the record's
+    // last 18 bytes: first_doc u32 | last_doc u32 | len u16 | offset
+    // u64) so that their gaps pass u32::MAX.
+    let evens: Vec<u32> = (0..10).map(|i| 2 * i).collect();
+    let mut overflowing = entries(&evens).record().to_vec();
+    let entry = overflowing.len() - 18;
+    overflowing[entry..entry + 4].copy_from_slice(&(u32::MAX - 9).to_le_bytes());
+    overflowing[entry + 4..entry + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+
+    // The frame this build writes, from an empty store's export.
+    let empty = ScratchDir::new("export-handbuilt-empty");
+    let exported = SegmentStore::open(&empty, policy())
+        .unwrap()
+        .export_files()
+        .unwrap();
+    let header = &exported[0].1[..20];
+    let name = "seg-000001.zseg";
+    // MANIFEST body: next_seq u64 | count u32 | (length u16 | name).
+    let mut manifest = 2u64.to_le_bytes().to_vec();
+    manifest.extend_from_slice(&1u32.to_le_bytes());
+    manifest.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    manifest.extend_from_slice(name.as_bytes());
+    for (what, docs, record) in [
+        ("an exception index past the gaps", &jumps, bad_index),
+        ("gaps past u32::MAX", &evens, overflowing),
+    ] {
+        // Segment body: term slots | live count | live docs | tombstone
+        // count | term count | term id | the list's record.
+        let mut body = 1u32.to_le_bytes().to_vec();
+        body.extend_from_slice(&(docs.len() as u32).to_le_bytes());
+        body.extend(docs.iter().flat_map(|doc| doc.to_le_bytes()));
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&record);
+        let files = vec![
+            ("MANIFEST.zman".to_string(), reframed(header, &manifest)),
+            (name.to_string(), reframed(header, &body)),
+        ];
+        match install_and_serve(&files, 1) {
+            Ok(Err(SegmentError::Corrupt { .. })) => {}
+            Ok(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Err(_) => panic!("{what}: panicked"),
+        }
+        // Nothing was staged.
+        let dir = ScratchDir::new("export-handbuilt");
+        assert!(SegmentStore::install_files(&dir, &files).is_err());
+        assert!(std::fs::read_dir(&*dir).unwrap().next().is_none(), "{what}");
+    }
 }
 
 proptest! {

@@ -89,16 +89,16 @@ fn reopen_copy_matches(dir: &Path, oracle: &Oracle, when: &str) {
     let snapshot = store.snapshot();
     assert_eq!(snapshot.live_doc_count(), oracle.len(), "{when}");
     for term in 0..TERMS {
-        let got: Vec<(u64, u32)> = snapshot
+        let got: Vec<(u32, u32)> = snapshot
             .live_postings(TermId(term))
             .iter()
             .map(|entry| (entry.doc, entry.count))
             .collect();
-        let want: Vec<(u64, u32)> = oracle
+        let want: Vec<(u32, u32)> = oracle
             .iter()
             .filter_map(|(&doc, terms)| {
                 let &(_, count) = terms.iter().find(|&&(t, _)| t == term)?;
-                Some((u64::from(doc), count))
+                Some((doc, count))
             })
             .collect();
         assert_eq!(got, want, "{when}: term {term}");

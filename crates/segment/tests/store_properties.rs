@@ -322,13 +322,13 @@ fn drive_script(
     rng: &mut StdRng,
 ) -> Result<(), TestCaseError> {
     // The next posting the script may see is at or past `bound`.
-    let mut bound = 0u64;
+    let mut bound = 0u32;
     let mut pinned: Option<RawEntry> = None;
     loop {
         let want = live.iter().find(|e| e.doc >= bound);
         if let Some(want) = want {
             prop_assert!(!cursor.at_end());
-            prop_assert!(u64::from(cursor.doc_lower_bound().0) <= want.doc);
+            prop_assert!(cursor.doc_lower_bound().0 <= want.doc);
         }
         match (rng.random_range(0..5u32), pinned) {
             (0 | 1, Some(entry)) => {
@@ -338,9 +338,9 @@ fn drive_script(
             }
             (2, _) => {
                 // Within a block, across a boundary, or far ahead.
-                let reach = [1u64, 3, 64, 256, 700][rng.random_range(0..5usize)];
+                let reach = [1u32, 3, 64, 256, 700][rng.random_range(0..5usize)];
                 let past = bound.saturating_sub(1) + rng.random_range(0..reach);
-                cursor.advance_past(DocId(past as u32));
+                cursor.advance_past(DocId(past));
                 bound = bound.max(past + 1);
                 pinned = pinned.filter(|entry| entry.doc >= bound);
             }
@@ -348,7 +348,7 @@ fn drive_script(
                 let got = cursor.materialize();
                 prop_assert_eq!(
                     got,
-                    want.map(|e| (DocId(e.doc as u32), e.term_frequency() * weight))
+                    want.map(|e| (DocId(e.doc), e.term_frequency() * weight))
                 );
                 let Some(&want) = want else {
                     prop_assert!(cursor.at_end());

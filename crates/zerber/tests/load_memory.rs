@@ -152,8 +152,8 @@ fn a_runtime_bulk_load_holds_its_batch_once() {
 
 /// The store path, with one worker so the peak does not hang on
 /// scheduling. The peak comes as the scan ends, with every list built
-/// and each term's partial last block still buffered: 2.21 × the batch
-/// above the live heap that held it, asserted under 2.4 ×. A batch
+/// and each term's partial last block still buffered: 1.65 × the batch
+/// above the live heap that held it, asserted under 1.81 ×. A batch
 /// handed over by value is freed there, before the body is laid out.
 #[test]
 fn an_owned_batch_is_freed_before_the_write() {
@@ -172,7 +172,7 @@ fn an_owned_batch_is_freed_before_the_write() {
     let multiple = peak as f64 / bytes as f64;
     println!("store load: peak {peak} B above live, {multiple:.2} x the batch ({bytes} B)");
     assert_eq!(store.snapshot().live_doc_count(), count);
-    assert!(multiple < 2.4, "{multiple:.2} x the batch at the peak");
+    assert!(multiple < 1.81, "{multiple:.2} x the batch at the peak");
 }
 
 /// What a store keeps of a load, and what reopening it takes: the
