@@ -67,8 +67,9 @@
 //!   per list:          one maximum term frequency
 //!   ```
 //!
-//!   The `(first_doc, last_doc)` pair is skip metadata: readers seek
-//!   (`advance_to`) from the block index without decoding payloads.
+//!   The `(first_doc, last_doc)` pair is skip metadata: a reader seeks
+//!   (the block cursor's `advance_past`) from the block index without
+//!   decoding payloads.
 //!   The list maximum times a term's IDF bounds every score the list
 //!   contributes — the σ bound MaxScore partitions lists by.
 

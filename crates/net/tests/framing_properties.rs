@@ -126,3 +126,57 @@ proptest! {
         while let Ok(Some(_)) = decoder.next_frame() {}
     }
 }
+
+/// Every byte of one encoded request frame and one encoded response
+/// frame, damaged under three masks: the decoder refuses the damage
+/// with a `FrameError`, waits for bytes a grown length prefix declares
+/// (a stream that ends there is torn), or yields exactly the frame
+/// whose encoding the damaged bytes are — never a different frame, and
+/// never a panic.
+#[test]
+fn every_damaged_byte_fails_closed() {
+    use zerber_core::{ElementId, PlId};
+    use zerber_index::DocId;
+    let request = Frame::Request {
+        id: 0x0102_0304_0506_0708,
+        from: NodeId::Owner(7),
+        auth: AuthToken(0xA5A5_5A5A),
+        payload: Message::Delete {
+            elements: vec![(PlId(4), ElementId(77)), (PlId(4), ElementId(78))],
+        }
+        .encode()
+        .to_vec(),
+    };
+    let response = Frame::Response {
+        id: 42,
+        payload: Message::TopKResponse {
+            decode_ns: 123_456,
+            blocks_decoded: 3,
+            blocks_total: 11,
+            candidates: vec![(DocId(3), 1.0 / 3.0), (DocId(1), 0.0)],
+        }
+        .encode()
+        .to_vec(),
+    };
+    for frame in [request, response] {
+        let encoded = frame.encode();
+        for at in 0..encoded.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut damaged = encoded.clone();
+                damaged[at] ^= mask;
+                let declared = u32::from_be_bytes(*damaged.first_chunk().unwrap()) as usize;
+                let mut decoder = FrameDecoder::new();
+                decoder.push(&damaged);
+                let what = format!("byte {at} ^ {mask:#04x} of {frame:?}");
+                match std::panic::catch_unwind(move || decoder.next_frame()) {
+                    Ok(Err(_)) => {}
+                    Ok(Ok(None)) => assert!(4 + declared > damaged.len(), "{what}: stalled"),
+                    Ok(Ok(Some(decoded))) => {
+                        assert_eq!(decoded.encode(), damaged, "{what}: a different frame")
+                    }
+                    Err(_) => panic!("{what}: panicked"),
+                }
+            }
+        }
+    }
+}

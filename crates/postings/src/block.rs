@@ -29,9 +29,9 @@
 //! reports that as [`DecodeError::Overflow`].
 //!
 //! Each block carries `(first_doc, last_doc)` skip metadata
-//! ([`BlockMeta`]) so readers can decide from the block index alone
-//! whether a block can contain a sought document (`advance_to`)
-//! without decoding the payload.
+//! ([`BlockMeta`]) so a reader can decide from the block index alone
+//! whether a block can contain a sought document (the block cursor's
+//! `advance_past`) without decoding the payload.
 
 /// Postings per block. 128 keeps a block's decoded form within two
 /// cache lines per column while amortizing the per-block metadata to
@@ -408,18 +408,17 @@ pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMet
 
 /// One block unpacked into columns, reused block after block by a
 /// reader. Entries `0..len()` are valid. [`DecodedBlock::decode`]
-/// fills the doc, count and length columns; the positions stay packed
-/// until [`DecodedBlock::decode_positions`] unpacks them all or
-/// [`DecodedBlock::position`] reads one. The four columns share one
-/// allocation sized to the largest block decoded, so a reader of a
-/// short list allocates once, for its few postings.
+/// fills the doc, count and length columns; the positions stay packed,
+/// and [`DecodedBlock::position`] reads one at a time. The three
+/// columns share one allocation sized to the largest block decoded, so
+/// a reader of a short list allocates once, for its few postings.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodedBlock {
     len: usize,
     /// Slots per column.
     stride: usize,
-    /// The doc, count, length and position columns, `stride` slots
-    /// each, end to end.
+    /// The doc, count and length columns, `stride` slots each, end to
+    /// end.
     columns: Vec<u32>,
     /// The packed position column: its offset in the list's data and
     /// its width.
@@ -461,7 +460,7 @@ impl DecodedBlock {
         let len = usize::from(meta.len);
         if self.stride < len {
             self.stride = len;
-            self.columns = vec![0; 4 * len];
+            self.columns = vec![0; 3 * len];
         }
         let (docs, rest) = self.columns.split_at_mut(self.stride);
         let (counts, lengths) = rest.split_at_mut(self.stride);
@@ -498,14 +497,6 @@ impl DecodedBlock {
         Ok(())
     }
 
-    /// Unpacks the whole position column of the block last decoded
-    /// from `data`.
-    pub(crate) fn decode_positions(&mut self, data: &[u8]) {
-        let (start, width) = self.position_column;
-        let positions = &mut self.columns[POSITIONS * self.stride..][..self.len];
-        unpack_column(&data[start..], width, positions);
-    }
-
     /// Entry `i`'s run-start position, read from the packed column in
     /// `data` (the block's list's data).
     pub(crate) fn position(&self, data: &[u8], i: usize) -> u32 {
@@ -514,15 +505,16 @@ impl DecodedBlock {
         read(&data[start..], i, width)
     }
 
-    /// Entry `i` in full; the positions must have been decoded.
-    pub(crate) fn entry(&self, i: usize) -> RawEntry {
+    /// Entry `i` in full, its position read as [`DecodedBlock::position`]
+    /// reads it.
+    pub(crate) fn entry(&self, data: &[u8], i: usize) -> RawEntry {
         debug_assert!(i < self.len);
         let at = |column: usize| self.columns[column * self.stride + i];
         RawEntry {
             doc: at(GAPS),
             count: at(COUNTS),
             doc_length: at(LENGTHS),
-            pos: at(POSITIONS),
+            pos: self.position(data, i),
         }
     }
 }
@@ -553,8 +545,7 @@ mod tests {
     fn decode(meta: &BlockMeta, data: &[u8]) -> Result<Vec<RawEntry>, DecodeError> {
         let mut block = DecodedBlock::default();
         block.decode(meta, data)?;
-        block.decode_positions(data);
-        Ok((0..block.len()).map(|i| block.entry(i)).collect())
+        Ok((0..block.len()).map(|i| block.entry(data, i)).collect())
     }
 
     #[test]

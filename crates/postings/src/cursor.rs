@@ -22,6 +22,12 @@
 //! ([`BlockCursor::positions`]). The compressed cursor leaves a
 //! block's position column packed when it decodes the block and reads
 //! one value from it per call — only phrase evaluation asks.
+//!
+//! The compressed cursor is also the one reader of a list outside
+//! queries: as an `Iterator` of [`RawEntry`] it serves
+//! [`CompressedPostingList::iter`] — merges, full decodes, the
+//! in-memory store's `postings` and a segment merge's carry-over
+//! probe — with the same block walk and the same decode.
 
 use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
@@ -113,6 +119,59 @@ impl<'a> CompressedBlockCursor<'a> {
         let tf = term_frequency(block.counts()[i], block.lengths()[i]);
         (DocId(block.docs()[i]), tf * self.weight)
     }
+
+    /// [`BlockCursor::materialize`] without the score (its body, so
+    /// inlined there): pins the first posting at or past the bound,
+    /// decoding its block unless the buffer holds it already; false at
+    /// the end of the list.
+    #[inline(always)]
+    fn pin(&mut self) -> bool {
+        if self.exact {
+            return true;
+        }
+        loop {
+            self.normalize();
+            if self.at_end() {
+                return false;
+            }
+            if self.decoded_block != self.block {
+                decode_block(&mut self.buffer, &self.index[self.block], self.data);
+                self.decoded_block = self.block;
+                self.decoded += 1;
+                self.pos = 0;
+            }
+            // `pos` never runs ahead of the bound inside a decoded
+            // block, so the search resumes from it.
+            let bound = self.bound;
+            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| u64::from(d) < bound);
+            if self.pos < self.buffer.len() {
+                self.exact = true;
+                return true;
+            }
+            // The metadata's `last_doc ≥ bound` cannot hold for a
+            // fully consumed block; kept as a guard — move on and
+            // re-normalize.
+            self.block += 1;
+        }
+    }
+}
+
+/// The list's postings in full, from the one at the cursor on: each
+/// `next` pins a posting as `materialize` would, reads it off the
+/// decoded columns (its position off the packed column) and steps past
+/// it. Merges, full decodes and [`crate::CompressedPostingStore`]'s
+/// `postings` read a list this way; no score is computed.
+impl Iterator for CompressedBlockCursor<'_> {
+    type Item = RawEntry;
+
+    fn next(&mut self) -> Option<RawEntry> {
+        if !self.pin() {
+            return None;
+        }
+        let entry = self.buffer.entry(self.data, self.pos);
+        self.step();
+        Some(entry)
+    }
 }
 
 impl BlockCursor for CompressedBlockCursor<'_> {
@@ -148,33 +207,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn materialize(&mut self) -> Option<(DocId, f64)> {
-        if self.exact {
-            return Some(self.scored_at(self.pos));
-        }
-        loop {
-            self.normalize();
-            if self.at_end() {
-                return None;
-            }
-            if self.decoded_block != self.block {
-                decode_block(&mut self.buffer, &self.index[self.block], self.data);
-                self.decoded_block = self.block;
-                self.decoded += 1;
-                self.pos = 0;
-            }
-            // `pos` never runs ahead of the bound inside a decoded
-            // block, so the search resumes from it.
-            let bound = self.bound;
-            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| u64::from(d) < bound);
-            if self.pos < self.buffer.len() {
-                self.exact = true;
-                return Some(self.scored_at(self.pos));
-            }
-            // The metadata's `last_doc ≥ bound` cannot hold for a
-            // fully consumed block; kept as a guard — move on and
-            // re-normalize.
-            self.block += 1;
-        }
+        self.pin().then(|| self.scored_at(self.pos))
     }
 
     /// The one read of a packed position: phrase evaluation alone
@@ -216,7 +249,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     /// would.
     fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
         while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
-            if self.materialize().is_none() {
+            if !self.pin() {
                 return;
             }
             let block = &self.buffer;

@@ -22,8 +22,8 @@
 //!   sorted-order constructor,
 //! * `list` — the immutable [`CompressedPostingList`], a view of one
 //!   list record (the layout a segment file stores) in a shared
-//!   buffer, and its decoding [`CompressedPostingIter`] with
-//!   block-skipping [`CompressedPostingIter::advance_to`],
+//!   buffer; [`CompressedPostingList::iter`] reads it through the
+//!   block cursor below,
 //! * `merge` — [`merge_compressed`], a k-way merge that streams
 //!   blocks instead of materializing whole lists ([`merge_sorted`] is
 //!   the same merge over any sorted posting streams),
@@ -32,12 +32,14 @@
 //!   experiment,
 //! * `store` — [`CompressedPostingStore`], the
 //!   [`zerber_index::store::PostingStore`] backend,
-//! * `cursor` — [`CompressedBlockCursor`], the decode-on-demand
-//!   query cursor: seeks from the skip metadata alone, one list-wide
+//! * `cursor` — [`CompressedBlockCursor`], the one reader of a
+//!   compressed list: seeks from the skip metadata alone, one list-wide
 //!   score bound from the list's maximum term frequency, decompression
-//!   only for the blocks a query lands in, and positions read off the
-//!   packed column only when phrase evaluation asks;
-//!   [`DecodedEntriesCursor`] is the same contract over postings
+//!   only for the blocks a reader lands in, and positions read off the
+//!   packed column one at a time. Queries drive it as a
+//!   [`zerber_index::cursor::BlockCursor`]; merges, full decodes and
+//!   point probes walk it as an iterator of [`RawEntry`];
+//!   [`DecodedEntriesCursor`] is the query contract over postings
 //!   already decoded in memory.
 
 #![deny(missing_docs)]
@@ -56,6 +58,6 @@ pub mod varint;
 pub use block::{BlockMeta, RawEntry, BLOCK_SIZE};
 pub use builder::CompressedPostingBuilder;
 pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
-pub use list::{CompressedPostingIter, CompressedPostingList};
+pub use list::CompressedPostingList;
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use store::{to_posting, CompressedPostingStore};

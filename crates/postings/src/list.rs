@@ -1,18 +1,18 @@
 //! The immutable block-compressed posting list — a view of one record
-//! in a shared buffer — and its decoding iterator. The record, as a
-//! built list holds it and a segment body stores it after its term id
-//! (little-endian): `len` u64, `data_len` u64, the block payloads,
-//! `max_tf` as f64 bits, the block count u32, then one 18-byte index
-//! entry per block (`first_doc` u32, `last_doc` u32, `len` u16, payload
-//! `offset` u64). Doc keys are 32-bit; `len`, `data_len` and `offset`
-//! count postings and bytes, and keep 64 bits.
-//! [`CompressedPostingList::parse`] reads one where it lies and checks
-//! it in O(blocks); [`CompressedPostingList::verify`] decodes it once,
-//! for a record no builder of this process wrote; `seal` writes one.
+//! in a shared buffer. The record, as a built list holds it and a
+//! segment body stores it after its term id (little-endian): `len`
+//! u64, `data_len` u64, the block payloads, `max_tf` as f64 bits, the
+//! block count u32, then one 18-byte index entry per block (`first_doc`
+//! u32, `last_doc` u32, `len` u16, payload `offset` u64). Doc keys are
+//! 32-bit; `len`, `data_len` and `offset` count postings and bytes, and
+//! keep 64 bits. [`CompressedPostingList::parse`] reads one where it
+//! lies and checks it in O(blocks); [`CompressedPostingList::verify`]
+//! decodes it once, for a record read from a file; `seal` writes one.
 
 use std::sync::Arc;
 
 use crate::block::{payload_end, BlockMeta, DecodedBlock, RawEntry};
+use crate::cursor::CompressedBlockCursor;
 use crate::varint;
 
 /// How many bytes one posting element occupies uncompressed on the wire — the
@@ -40,10 +40,12 @@ pub(crate) fn meta(entry: &[u8; ENTRY]) -> BlockMeta {
 }
 
 /// Decodes the block at `entry` of a checked list's `data` into
-/// `buffer`, positions left packed.
+/// `buffer`, positions left packed: the one read-path decode, behind
+/// [`CompressedBlockCursor`]. Every list a reader holds was laid out
+/// by this process's builder or verified when its file was read.
 #[expect(
     clippy::expect_used,
-    reason = "a list's blocks were checked against its data when it was sealed, parsed or verified"
+    reason = "a list is built by this process's builder or verified when read from a file"
 )]
 pub(crate) fn decode_block(buffer: &mut DecodedBlock, entry: &[u8; ENTRY], data: &[u8]) {
     buffer
@@ -86,8 +88,9 @@ const MAX_TF_BYTES: usize = 2;
 /// The list is a view of its record (see the module docs) in a shared
 /// buffer: its own when [`crate::CompressedPostingBuilder`] built it, a
 /// segment body when parsed from one; a clone shares the buffer. Read
-/// it through [`CompressedPostingIter`], which decodes one block at a
-/// time and skips whole blocks on [`CompressedPostingIter::advance_to`].
+/// it through a [`CompressedBlockCursor`] — a query's, or
+/// [`CompressedPostingList::iter`]'s — which decodes one block at a
+/// time and skips whole blocks on `advance_past`.
 #[derive(Clone)]
 pub struct CompressedPostingList {
     buf: Arc<Vec<u8>>,
@@ -132,11 +135,11 @@ impl CompressedPostingList {
     /// tiles the data in document order, each block's widths and
     /// exception indices in range (each check below names its own).
     /// One thing only a decode shows: whether a block's gaps sum to its
-    /// `last_doc` without passing `u32::MAX`. A store's own files were
-    /// written by this process's builder and are checksummed before
-    /// they are parsed; a record from elsewhere goes through
-    /// [`CompressedPostingList::verify`] as well, since decoding a
-    /// block that fails it panics.
+    /// `last_doc` without passing `u32::MAX`. So a record read from a
+    /// file — a store's own segment at open, or one a peer shipped —
+    /// goes through [`CompressedPostingList::verify`] as well, since
+    /// decoding a block that fails it panics; only a body this
+    /// process's builder just laid out is parsed alone.
     pub fn parse(buf: &Arc<Vec<u8>>, at: usize) -> Result<Self, &'static str> {
         const SHORT: &str = "list record past the end of its buffer";
         let bytes = |at: usize| buf.get(at..).ok_or(SHORT);
@@ -192,8 +195,10 @@ impl CompressedPostingList {
 
     /// Decodes every block of a parsed list once and checks that each
     /// ends on its index entry's `last_doc`: O(postings), for a list
-    /// whose bytes no builder of this process wrote. A list that
-    /// passes decodes cleanly wherever it is read.
+    /// read from a file, which a checksum does not prove this
+    /// process's builder wrote. A list that passes decodes cleanly
+    /// wherever it is read. The admission check, not a reader: it keeps
+    /// its own fallible decode.
     pub fn verify(&self) -> Result<(), &'static str> {
         let mut buffer = DecodedBlock::default();
         for block in self.blocks() {
@@ -240,12 +245,6 @@ impl CompressedPostingList {
         self.index().iter().map(meta)
     }
 
-    /// The first block from `from` on whose largest doc key reaches
-    /// `doc` (the block count when none does), from the index alone.
-    pub(crate) fn seek(&self, from: usize, doc: u32) -> usize {
-        from + self.index()[from..].partition_point(|entry| meta(entry).last_doc < doc)
-    }
-
     /// The largest normalized term frequency of any posting (0 for an
     /// empty list): times a term's IDF, the list's score bound.
     pub(crate) fn max_tf(&self) -> f64 {
@@ -265,44 +264,17 @@ impl CompressedPostingList {
         self.len * RAW_ELEMENT_BYTES
     }
 
-    /// A decoding iterator positioned before the first posting.
-    pub fn iter(&self) -> CompressedPostingIter<'_> {
-        CompressedPostingIter {
-            list: self,
-            block: 0,
-            buffer: DecodedBlock::default(),
-            pos: 0,
-            decoded_block: usize::MAX,
-        }
+    /// The list's postings in order, read through one
+    /// [`CompressedBlockCursor`] (weight 1): each block decodes once,
+    /// as a query would decode it.
+    pub fn iter(&self) -> CompressedBlockCursor<'_> {
+        CompressedBlockCursor::new(self, 1.0)
     }
 
     /// Decodes the whole list (test/diagnostic convenience; hot paths
     /// should stream through [`CompressedPostingList::iter`]).
     pub fn decode_all(&self) -> Vec<RawEntry> {
         self.iter().collect()
-    }
-
-    /// Fully decodes block `block` into `buffer`, positions included.
-    pub(crate) fn decode_into(&self, block: usize, buffer: &mut DecodedBlock) {
-        decode_block(buffer, &self.index()[block], self.data());
-        buffer.decode_positions(self.data());
-    }
-
-    /// The posting for `doc`, if the list contains one: a point lookup
-    /// through the block index (one block decoded at most). Kept for
-    /// the segment merge, which probes a list for a handful of
-    /// shadowed documents to decide whether it can be carried over
-    /// byte-for-byte; queries never call it — cursors hand out the
-    /// posting they stand on.
-    pub fn entry_for(&self, doc: u32) -> Option<RawEntry> {
-        let block = self.seek(0, doc);
-        if block == self.block_count || self.block(block).first_doc > doc {
-            return None;
-        }
-        let mut buffer = DecodedBlock::default();
-        self.decode_into(block, &mut buffer);
-        let at = buffer.docs().binary_search(&doc).ok()?;
-        Some(buffer.entry(at))
     }
 }
 
@@ -329,100 +301,10 @@ impl Default for CompressedPostingList {
 
 impl<'a> IntoIterator for &'a CompressedPostingList {
     type Item = RawEntry;
-    type IntoIter = CompressedPostingIter<'a>;
+    type IntoIter = CompressedBlockCursor<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-/// Streaming decoder over a [`CompressedPostingList`].
-///
-/// Holds at most one decoded block; `advance_to` consults only the
-/// block index to jump over blocks that cannot contain the target.
-#[derive(Debug, Clone)]
-pub struct CompressedPostingIter<'a> {
-    list: &'a CompressedPostingList,
-    /// Index of the current block.
-    block: usize,
-    /// The columns of `decoded_block`.
-    buffer: DecodedBlock,
-    /// Next position within `buffer`.
-    pos: usize,
-    /// Which block `buffer` holds (`usize::MAX` = none yet).
-    decoded_block: usize,
-}
-
-impl CompressedPostingIter<'_> {
-    fn ensure_decoded(&mut self) -> bool {
-        if self.block >= self.list.block_count {
-            return false;
-        }
-        if self.decoded_block != self.block {
-            self.list.decode_into(self.block, &mut self.buffer);
-            self.decoded_block = self.block;
-            self.pos = 0;
-        }
-        true
-    }
-
-    /// Postings not yet yielded.
-    pub(crate) fn remaining(&self) -> usize {
-        if self.block >= self.list.block_count {
-            return 0;
-        }
-        let blocks = self.list.blocks().skip(self.block);
-        let total: usize = blocks.map(|b| usize::from(b.len)).sum();
-        let consumed = if self.decoded_block == self.block {
-            self.pos
-        } else {
-            0
-        };
-        total - consumed
-    }
-
-    /// The next posting with doc key ≥ `doc`, consuming everything
-    /// before it. Whole blocks whose `last_doc` precedes the target
-    /// are skipped without decoding.
-    pub fn advance_to(&mut self, doc: u32) -> Option<RawEntry> {
-        loop {
-            // Skip blocks entirely below the target via the block
-            // index alone.
-            self.block = self.list.seek(self.block, doc);
-            if !self.ensure_decoded() {
-                return None;
-            }
-            self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| d < doc);
-            if self.pos < self.buffer.len() {
-                self.pos += 1;
-                return Some(self.buffer.entry(self.pos - 1));
-            }
-            // The current block had already been consumed up to its
-            // end; resume the search in the next block.
-            self.block += 1;
-        }
-    }
-}
-
-impl Iterator for CompressedPostingIter<'_> {
-    type Item = RawEntry;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if !self.ensure_decoded() {
-                return None;
-            }
-            if self.pos < self.buffer.len() {
-                self.pos += 1;
-                return Some(self.buffer.entry(self.pos - 1));
-            }
-            self.block += 1;
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.remaining();
-        (remaining, Some(remaining))
     }
 }
 
@@ -430,6 +312,8 @@ impl Iterator for CompressedPostingIter<'_> {
 mod tests {
     use super::*;
     use crate::builder::CompressedPostingBuilder;
+    use zerber_index::cursor::BlockCursor;
+    use zerber_index::DocId;
 
     fn list_of(docs: &[u32]) -> CompressedPostingList {
         let mut builder = CompressedPostingBuilder::new();
@@ -461,17 +345,26 @@ mod tests {
         assert_eq!(decoded, docs);
     }
 
+    /// The first unconsumed posting from `doc` on, consumed.
+    fn seek(cursor: &mut CompressedBlockCursor<'_>, doc: u32) -> Option<RawEntry> {
+        if let Some(below) = doc.checked_sub(1) {
+            cursor.advance_past(DocId(below));
+        }
+        cursor.next()
+    }
+
     #[test]
-    fn advance_to_skips_blocks() {
+    fn seeks_skip_blocks() {
         let docs: Vec<u32> = (0..1000).map(|i| i * 2).collect();
         let list = list_of(&docs);
         let mut iter = list.iter();
         // Target deep inside a later block: exact hit.
-        assert_eq!(iter.advance_to(1000).unwrap().doc, 1000);
+        assert_eq!(seek(&mut iter, 1000).unwrap().doc, 1000);
+        assert_eq!(iter.decoded_blocks(), 1, "only the landing block");
         // Between entries: next larger doc.
-        assert_eq!(iter.advance_to(1501).unwrap().doc, 1502);
+        assert_eq!(seek(&mut iter, 1501).unwrap().doc, 1502);
         // Past the end.
-        assert!(iter.advance_to(u32::MAX).is_none());
+        assert!(seek(&mut iter, u32::MAX).is_none());
     }
 
     #[test]
@@ -480,10 +373,11 @@ mod tests {
         let list = list_of(&docs);
         let mut iter = list.iter();
         assert_eq!(iter.next().unwrap().doc, 0);
-        assert_eq!(iter.advance_to(130).unwrap().doc, 130);
+        assert_eq!(seek(&mut iter, 130).unwrap().doc, 130);
         assert_eq!(iter.next().unwrap().doc, 131);
-        assert_eq!(iter.advance_to(131).unwrap().doc, 132);
-        assert_eq!(iter.remaining(), 500 - 133);
+        assert_eq!(seek(&mut iter, 131).unwrap().doc, 132);
+        // What is left to yield.
+        assert_eq!(iter.count(), 500 - 133);
     }
 
     #[test]
@@ -496,22 +390,26 @@ mod tests {
         }
         // Target inside the consumed block: never rewinds, lands on
         // the first entry of the next block.
-        assert_eq!(iter.advance_to(5).unwrap().doc, 128);
+        assert_eq!(seek(&mut iter, 5).unwrap().doc, 128);
     }
 
     #[test]
-    fn entry_for_finds_exactly_the_stored_docs() {
+    fn point_probes_find_exactly_the_stored_docs() {
+        // Each probe on a fresh cursor: a seek, then a key check.
         let docs: Vec<u32> = (0..500).map(|i| i * 3 + 1).collect();
         let list = list_of(&docs);
+        let probe = |list: &CompressedPostingList, doc| {
+            seek(&mut list.iter(), doc).filter(|e| e.doc == doc)
+        };
         for &doc in &docs {
-            let entry = list.entry_for(doc).expect("stored doc");
+            let entry = probe(&list, doc).expect("stored doc");
             assert_eq!(entry.doc, doc);
             assert_eq!(entry.pos, doc % 50);
         }
-        assert!(list.entry_for(0).is_none());
-        assert!(list.entry_for(2).is_none()); // between stored keys
-        assert!(list.entry_for(u32::MAX).is_none());
-        assert!(CompressedPostingList::default().entry_for(7).is_none());
+        assert!(probe(&list, 0).is_none());
+        assert!(probe(&list, 2).is_none()); // between stored keys
+        assert!(probe(&list, u32::MAX).is_none());
+        assert!(probe(&CompressedPostingList::default(), 7).is_none());
     }
 
     #[test]
@@ -597,7 +495,7 @@ mod tests {
         let list = CompressedPostingList::default();
         assert!(list.is_empty());
         assert!(list.iter().next().is_none());
-        assert!(list.iter().advance_to(0).is_none());
-        assert_eq!(list.iter().remaining(), 0);
+        assert!(seek(&mut list.iter(), 0).is_none());
+        assert_eq!(list.iter().count(), 0);
     }
 }

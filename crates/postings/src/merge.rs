@@ -3,7 +3,7 @@
 //! Segment compaction and server-side list consolidation both need to
 //! combine many sorted lists into one. The merge here streams: each
 //! input contributes one decoded block at a time through its
-//! [`crate::CompressedPostingIter`] (or any other sorted posting
+//! [`crate::CompressedBlockCursor`] (or any other sorted posting
 //! stream, see [`merge_sorted`]) and output blocks are sealed as
 //! they fill, so peak memory is `O(k · BLOCK_SIZE)` instead of the
 //! total posting count a `Vec<Posting>`-materializing merge would
@@ -27,7 +27,7 @@ pub fn merge_compressed(lists: &[&CompressedPostingList]) -> CompressedPostingLi
 }
 
 /// [`merge_compressed`] over arbitrary doc-key-sorted posting streams
-/// (same latest-input-wins rule) — block iterators, decoded slices, or
+/// (same latest-input-wins rule) — block cursors, decoded slices, or
 /// either behind a caller's filter.
 pub fn merge_sorted<I: Iterator<Item = RawEntry>>(mut iters: Vec<I>) -> CompressedPostingList {
     // Min-heap keyed on (doc, input index): pops group duplicates of a

@@ -1,16 +1,18 @@
 //! Property tests for the compressed posting codec: encode→decode is
 //! the identity for arbitrary sorted lists (including empty,
 //! single-element, and keys and gaps up to the top of the 32-bit key
-//! space), `advance_to` agrees with
-//! linear scanning, the streaming k-way merge matches the naive
+//! space), the block cursor's seeks (`advance_past`, then `next`) agree
+//! with linear scanning, the streaming k-way merge matches the naive
 //! merge, and the column codec round-trips arbitrary columns.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use zerber_index::cursor::BlockCursor;
+use zerber_index::DocId;
 use zerber_postings::{
-    column, merge_compressed, naive_merge, CompressedPostingBuilder, CompressedPostingList,
-    RawEntry,
+    column, merge_compressed, naive_merge, CompressedBlockCursor, CompressedPostingBuilder,
+    CompressedPostingList, RawEntry,
 };
 
 /// Sorted lists with doc keys drawn from the full u32 range, so block
@@ -37,6 +39,19 @@ fn compress(entries: &[RawEntry]) -> CompressedPostingList {
     CompressedPostingBuilder::from_sorted(entries.iter().copied())
 }
 
+/// The first unconsumed posting with doc key >= `target`, consumed:
+/// the cursor's `advance_past` to just below the target, then `next`,
+/// whose `materialize` must score the same posting.
+fn seek(cursor: &mut CompressedBlockCursor<'_>, target: u32) -> Option<RawEntry> {
+    if let Some(below) = target.checked_sub(1) {
+        cursor.advance_past(DocId(below));
+    }
+    let scored = cursor.materialize();
+    let entry = cursor.next();
+    assert_eq!(scored, entry.map(|e| (DocId(e.doc), e.term_frequency())));
+    entry
+}
+
 proptest! {
     #[test]
     fn encode_decode_is_identity(entries in arb_entries()) {
@@ -52,19 +67,19 @@ proptest! {
     }
 
     #[test]
-    fn advance_to_matches_linear_scan(
+    fn advance_past_matches_linear_scan(
         entries in arb_entries(),
         targets in prop::collection::vec(any::<u32>(), 1..20),
     ) {
         let list = compress(&entries);
         let mut iter = list.iter();
-        // Reference cursor: the iterator never rewinds, so each call
-        // returns the first *unconsumed* entry with doc >= target.
+        // Reference cursor: the iterator never rewinds, so each seek
+        // lands on the first *unconsumed* entry with doc >= target.
         let mut next_idx = 0usize;
         for target in targets {
             let pos = next_idx + entries[next_idx..].partition_point(|e| e.doc < target);
             let expected = entries.get(pos).copied();
-            let got = iter.advance_to(target);
+            let got = seek(&mut iter, target);
             prop_assert_eq!(got, expected);
             next_idx = match expected {
                 Some(_) => pos + 1,
@@ -109,8 +124,8 @@ fn keys_at_the_top_of_the_range_cross_block_boundaries() {
     assert_eq!(list.block(1).last_doc, u32::MAX);
     assert_eq!(list.decode_all(), entries);
     let mut iter = list.iter();
-    assert_eq!(iter.advance_to(1).unwrap().doc, doc(1));
-    assert_eq!(iter.advance_to(doc(150)).unwrap().doc, doc(150));
-    assert_eq!(iter.advance_to(u32::MAX).unwrap().doc, u32::MAX);
-    assert!(iter.advance_to(u32::MAX).is_none());
+    assert_eq!(seek(&mut iter, 1).unwrap().doc, doc(1));
+    assert_eq!(seek(&mut iter, doc(150)).unwrap().doc, doc(150));
+    assert_eq!(seek(&mut iter, u32::MAX).unwrap().doc, u32::MAX);
+    assert!(seek(&mut iter, u32::MAX).is_none());
 }

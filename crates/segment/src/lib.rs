@@ -18,8 +18,8 @@
 //! * `segment` — immutable on-disk segments (`Segment`): per-term
 //!   `zerber_postings::CompressedPostingList`s with their skip
 //!   metadata and score maxima, the documents whose current version the segment
-//!   defines, and absorbed tombstones — written atomically and
-//!   CRC-verified on load,
+//!   defines, and absorbed tombstones — written atomically, and
+//!   CRC-checked and every list decoded once on load,
 //! * [`bulk`] — the offline bulk-build knobs ([`BulkConfig`]): parallel
 //!   workers, each owning a share of the vocabulary, compress every
 //!   posting once straight into its list; the lists are the load's one

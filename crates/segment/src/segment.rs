@@ -6,7 +6,8 @@
 //! *current version* this segment defines, and the tombstones it
 //! absorbed. Files are written to a temp name, fsync'd, and renamed —
 //! a segment either exists completely or not at all — and carry a
-//! CRC-32 over the whole body, verified on load.
+//! CRC-32 over the whole body, verified on load with a decode of every
+//! list.
 //!
 //! In memory a segment is its file body: each list is a view of its
 //! record in it. A merge or a bulk load lays the body out record by
@@ -31,10 +32,10 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use zerber_index::cursor::Shadow;
+use zerber_index::cursor::{BlockCursor, Shadow};
 use zerber_index::DocId;
 use zerber_postings::{
-    merge_sorted, CompressedPostingIter, CompressedPostingList, RawEntry, BLOCK_SIZE,
+    merge_sorted, CompressedBlockCursor, CompressedPostingList, RawEntry, BLOCK_SIZE,
 };
 
 use crate::crc::crc32;
@@ -141,7 +142,7 @@ impl<'a> TermPostings<'a> {
 }
 
 enum TermIter<'a> {
-    Compressed(CompressedPostingIter<'a>),
+    Compressed(CompressedBlockCursor<'a>),
     Decoded(std::slice::Iter<'a, RawEntry>),
 }
 
@@ -270,7 +271,7 @@ impl Segment {
 /// input; terms are grouped by the inputs that actually hold them; a
 /// list is carried over byte-for-byte when one input holds the term
 /// and none of its docs is shadowed, and otherwise the inputs' block
-/// iterators are k-way merged through the shadow filter straight into
+/// cursors are k-way merged through the shadow filter straight into
 /// the block compressor.
 pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> SegmentContent {
     // Newest → oldest, `newer` holds every doc a newer input touches:
@@ -365,15 +366,22 @@ pub(crate) fn lay_out<'a>(
     SegmentContent::parse(body, "segment being written").expect("valid lists lay out a valid body")
 }
 
-/// Does `list` hold a posting of any of `docs`? Exact when probing
-/// (one block decode per doc) costs no more than streaming the list
-/// through the filter would; a conservative `true` otherwise, which
-/// only sends the list down the re-encoding path.
+/// Does `list` hold a posting of any of `docs` (ascending)? Exact when
+/// probing (a block decode per doc at most) costs no more than
+/// streaming the list through the filter would; a conservative `true`
+/// otherwise, which only sends the list down the re-encoding path. One
+/// cursor walks the probes, so each block decodes once.
 fn holds_any(list: &CompressedPostingList, docs: &[u32]) -> bool {
     if docs.len() * BLOCK_SIZE > list.len() {
         return true;
     }
-    docs.iter().any(|&doc| list.entry_for(doc).is_some())
+    let mut cursor = list.iter();
+    docs.iter().any(|&doc| {
+        if let Some(below) = doc.checked_sub(1) {
+            cursor.advance_past(DocId(below));
+        }
+        cursor.materialize().is_some_and(|(at, _)| at == DocId(doc))
+    })
 }
 
 const MAGIC: u32 = 0x5A53_4547; // "ZSEG"
@@ -575,7 +583,8 @@ impl SegmentContent {
     /// Parses a segment body (read from `file`) into the image that
     /// views it: the doc tables are read out, and each list is checked
     /// where its record lies ([`CompressedPostingList::parse`]) and
-    /// kept as a view of it. No list is copied.
+    /// kept as a view of it. No list is copied. A body this process did
+    /// not lay out goes through [`SegmentContent::read`] instead.
     pub(crate) fn parse(body: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
         let body = Arc::new(body);
         let mut r = Reader::new(&body, file);
@@ -607,17 +616,31 @@ impl SegmentContent {
             terms,
         })
     }
+
+    /// [`SegmentContent::parse`], then every list decoded once
+    /// ([`CompressedPostingList::verify`]), for a body read from a file:
+    /// its checksum does not prove this process's builder wrote it.
+    /// O(postings); a list that passes decodes wherever it is read.
+    pub(crate) fn read(body: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
+        let content = Self::parse(body, file)?;
+        for (_, list) in &content.terms {
+            list.verify()
+                .map_err(|why| SegmentError::corrupt(file, why))?;
+        }
+        Ok(content)
+    }
 }
 
 impl Segment {
-    /// Loads and verifies a segment file, keeping the body it read.
+    /// Loads a segment file, checksum and every list verified
+    /// ([`SegmentContent::read`]), keeping the body it read.
     pub(crate) fn load(path: &Path) -> Result<Segment, SegmentError> {
         let name = path.display().to_string();
         let file_name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| name.clone());
-        let content = SegmentContent::parse(read_framed(path)?, &name)?;
+        let content = SegmentContent::read(read_framed(path)?, &name)?;
         Ok(Segment::new(content, file_name))
     }
 }
@@ -765,6 +788,56 @@ mod tests {
         assert_ne!(&merged.terms[0].1, original);
         assert_eq!(merged.terms[0].1, expected);
         assert_eq!(merged.tombstones, vec![130]);
+    }
+
+    #[test]
+    fn holds_any_answers_exactly_as_a_scan_of_the_list() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 1 000 postings, docs 3i + 1, in eight blocks: up to seven
+        // probed docs are answered exactly.
+        let list = CompressedPostingBuilder::from_sorted((0..1000u32).map(|i| RawEntry {
+            doc: 3 * i + 1,
+            count: 1,
+            doc_length: 1,
+            pos: i,
+        }));
+        assert_eq!(list.blocks().len(), 8);
+        let stored = list.decode_all();
+        let scan = |docs: &[u32]| {
+            docs.iter()
+                .any(|doc| stored.binary_search_by_key(doc, |e| e.doc).is_ok())
+        };
+        let (first, last) = (|b| list.block(b).first_doc, |b| list.block(b).last_doc);
+        let mut cases: Vec<Vec<u32>> = vec![
+            vec![],
+            // Inside one block: between stored docs, then on one.
+            vec![first(2) + 1, first(2) + 2, last(2) - 1],
+            vec![first(2) + 1, first(2) + 3],
+            // Outside the list: before its first doc, after its last.
+            vec![0],
+            vec![last(7) + 1, last(7) + 2, u32::MAX],
+            vec![0, last(7) + 1],
+            // Across block boundaries: between two blocks, then on
+            // either side of one.
+            vec![last(0) + 1, last(0) + 2, last(3) + 1],
+            vec![last(0) + 1, first(1)],
+            vec![last(0), first(1)],
+            vec![last(4) + 2, last(7)],
+        ];
+        let mut rng = StdRng::seed_from_u64(55);
+        for _ in 0..300 {
+            let mut docs: Vec<u32> = (0..rng.random_range(0..=7))
+                .map(|_| rng.random_range(0..3100))
+                .collect();
+            docs.sort_unstable();
+            docs.dedup();
+            cases.push(docs);
+        }
+        for docs in cases {
+            assert!(docs.len() * BLOCK_SIZE <= list.len());
+            assert_eq!(holds_any(&list, &docs), scan(&docs), "{docs:?}");
+        }
     }
 
     #[test]

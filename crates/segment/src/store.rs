@@ -537,9 +537,9 @@ fn balanced_pair(sizes: &[usize], max_segments: usize) -> Option<usize> {
 
 impl SegmentStore {
     /// Opens (or creates) the store rooted at `dir` and recovers its
-    /// durable state: the manifest's segment set is loaded and
-    /// CRC-verified, stray files from interrupted seals or compactions
-    /// are deleted, and the logs are replayed — every rotated
+    /// durable state: the manifest's segment set is loaded (CRC-checked,
+    /// each list decoded once), stray files from interrupted seals or
+    /// compactions are deleted, and the logs are replayed — every rotated
     /// `wal-*.log` in `seq` order, then `wal.log`, every fully written
     /// batch back into the memtable, a torn tail ignored. The
     /// store's instruments go to a registry of its own, which nobody
@@ -966,10 +966,7 @@ impl SegmentStore {
             }
             if name.ends_with(".zseg") {
                 let body = unframe(bytes.as_slice(), bytes.len() as u64, name)?;
-                for (_, list) in SegmentContent::parse(body, name)?.terms {
-                    list.verify()
-                        .map_err(|why| SegmentError::corrupt(name, why))?;
-                }
+                SegmentContent::read(body, name)?;
             }
         }
         if !files.iter().any(|(name, _)| name == MANIFEST_FILE) {

@@ -316,7 +316,8 @@ fn every_damaged_body_opens_or_fails_closed() {
 /// A CRC-valid segment no builder writes, whose block index is sound
 /// but one of whose blocks cannot decode, ships with a MANIFEST naming
 /// it: install refuses it as `Corrupt` and stages nothing, and no
-/// reader panics on it.
+/// reader panics on it. Written into a store directory directly, the
+/// open refuses it as `Corrupt` too.
 #[test]
 fn hand_built_segments_with_undecodable_blocks_are_refused() {
     let entries = |docs: &[u32]| -> CompressedPostingList {
@@ -384,6 +385,20 @@ fn hand_built_segments_with_undecodable_blocks_are_refused() {
         let dir = ScratchDir::new("export-handbuilt");
         assert!(SegmentStore::install_files(&dir, &files).is_err());
         assert!(std::fs::read_dir(&*dir).unwrap().next().is_none(), "{what}");
+        // Written straight into a store directory, past
+        // `install_files`: the open decodes every list and refuses it.
+        let dir = ScratchDir::new("export-handbuilt-direct");
+        for (name, bytes) in &files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let opened = std::panic::catch_unwind(|| {
+            SegmentStore::open(&dir, policy()).map(|store| drop(postings_table(&store, 1)))
+        });
+        match opened {
+            Ok(Err(SegmentError::Corrupt { .. })) => {}
+            Ok(other) => panic!("{what}, written directly: expected Corrupt, got {other:?}"),
+            Err(_) => panic!("{what}, written directly: panicked"),
+        }
     }
 }
 
