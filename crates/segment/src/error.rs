@@ -4,10 +4,11 @@ use zerber_index::DocId;
 
 /// Failures surfaced by the segmented store.
 ///
-/// A *torn WAL tail* is not an error — recovery ignores it by design.
+/// A *torn WAL tail* is not an error — recovery cuts it off by design.
 /// `Corrupt` means a file that must be internally consistent (a
 /// segment or the manifest, both written atomically via
-/// temp-file-then-rename) failed its checksum or layout checks.
+/// temp-file-then-rename, or under `sync_wal` a rotated log) failed
+/// its checksum or layout checks.
 #[derive(Debug)]
 pub enum SegmentError {
     /// An underlying filesystem operation failed.

@@ -8,9 +8,10 @@
 //!
 //! * `wal` — the checksummed write-ahead log: a batch is
 //!   acknowledged only after its CRC'd record is on the log, and
-//!   recovery ignores torn tails without losing any acknowledged
-//!   batch; a log is rotated when its memtable freezes and deleted once
-//!   the segment holding its batches is listed,
+//!   recovery stops at the first bad record across the logs and cuts
+//!   it off before the next append, losing no acknowledged batch; a
+//!   log is rotated when its memtable freezes and deleted once the
+//!   segment holding its batches is listed,
 //! * `memtable` — the one `Memtable` every acknowledged batch is
 //!   folded into, newest op per document winning; it sits behind an
 //!   `Arc`, so reader snapshots are pointer copies and a write copies
@@ -68,7 +69,7 @@
 //! bytes.extend_from_slice(&[0x17, 0x00, 0x00, 0x00]); // torn partial record
 //! std::fs::write(&wal, &bytes).unwrap();
 //!
-//! // Recovery replays every acknowledged batch and ignores the tail.
+//! // Recovery replays every acknowledged batch and cuts the tail off.
 //! let recovered = SegmentStore::open(&dir, policy).unwrap();
 //! let snapshot = recovered.snapshot();
 //! assert_eq!(snapshot.document_frequency(TermId(7)), 3); // docs 1, 2, 9

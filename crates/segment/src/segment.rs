@@ -9,9 +9,10 @@
 //! CRC-32 over the whole body, verified on load with a decode of every
 //! list.
 //!
-//! In memory a segment is its file body: each list is a view of its
-//! record in it. A merge or a bulk load lays the body out record by
-//! record and writes it as it is; a load keeps the body it read.
+//! In memory a segment is its file: each list is a view of its record
+//! in it. A merge or a bulk load lays the file out record by record
+//! and writes it as it is; a load keeps the file it read, and an
+//! install the buffer it was shipped in.
 //!
 //! # Shadowing
 //!
@@ -28,7 +29,7 @@
 
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -178,14 +179,15 @@ impl Source for Memtable {
     }
 }
 
-/// The image of one segment: its file body, the doc tables the
-/// shadowing rule reads, and a view of each list's record in the body.
-/// A merge's output, a bulk load's lists and a loaded segment file all
-/// hold one, parsed from the body by [`SegmentContent::parse`], so one
-/// [`Source`] impl serves every compressed input of a merge or a read.
+/// The image of one segment: its file, the doc tables the shadowing
+/// rule reads, and a view of each list's record in the file's body.
+/// A merge's output, a bulk load's lists and a loaded or shipped
+/// segment file all hold one, parsed by [`SegmentContent::parse`], so
+/// one [`Source`] impl serves every compressed input of a merge or a
+/// read.
 pub(crate) struct SegmentContent {
-    /// The body of the segment's file.
-    body: Arc<Vec<u8>>,
+    /// The segment's file: its frame header, then its body.
+    pub(crate) frame: Arc<Vec<u8>>,
     pub(crate) live: Vec<u32>,
     pub(crate) tombstones: Vec<u32>,
     pub(crate) term_slots: u32,
@@ -251,7 +253,7 @@ impl Segment {
 
     /// On-disk footprint in bytes: the frame header and the body.
     pub(crate) fn disk_bytes(&self) -> u64 {
-        (20 + self.content.body.len()) as u64
+        self.content.frame.len() as u64
     }
 
     /// Total postings stored.
@@ -332,11 +334,11 @@ pub(crate) fn merge_streaming(inputs: &[&dyn Source], gc_tombstones: bool) -> Se
     lay_out(term_slots, &live, &tombstones, lists, 0)
 }
 
-/// Lays out a segment body — term slots, the live and tombstone tables,
-/// the list count, then each list's record after its term id, terms
-/// ascending — with room for `list_bytes` of term ids and records, and
-/// returns the image it holds. An owned list is freed once its record
-/// is appended.
+/// Lays out a segment file — the frame header, then a body of term
+/// slots, the live and tombstone tables, the list count and each list's
+/// record after its term id, terms ascending — with room for
+/// `list_bytes` of term ids and records, and returns the image it
+/// holds. An owned list is freed once its record is appended.
 #[expect(
     clippy::expect_used,
     reason = "every record appended was sealed by the builder or parsed from a checked body"
@@ -348,7 +350,9 @@ pub(crate) fn lay_out<'a>(
     lists: impl Iterator<Item = (u32, Cow<'a, CompressedPostingList>)>,
     list_bytes: usize,
 ) -> SegmentContent {
-    let mut body = Vec::with_capacity(16 + 4 * (live.len() + tombstones.len()) + list_bytes);
+    let mut body =
+        Vec::with_capacity(HEADER + 16 + 4 * (live.len() + tombstones.len()) + list_bytes);
+    body.resize(HEADER, 0);
     put_u32(&mut body, term_slots);
     for table in [live, tombstones] {
         put_u32(&mut body, table.len() as u32);
@@ -363,6 +367,7 @@ pub(crate) fn lay_out<'a>(
     }
     body[count_at..][..4].copy_from_slice(&count.to_le_bytes());
     body.shrink_to_fit();
+    seal_frame(&mut body);
     SegmentContent::parse(body, "segment being written").expect("valid lists lay out a valid body")
 }
 
@@ -483,50 +488,28 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Writes `body` to `path` under the shared framed layout (magic,
-/// version, length, CRC-32, body) via a temp file + fsync + atomic
-/// rename, then fsyncs the parent directory so the *rename itself* is
-/// durable — the manifest protocol truncates the WAL only after this
-/// returns, so a power loss must not be able to keep the truncation
-/// while dropping the rename's directory entry.
-pub(crate) fn write_framed(path: &Path, body: &[u8]) -> Result<(), SegmentError> {
-    let mut header = Vec::with_capacity(20);
-    put_u32(&mut header, MAGIC);
-    put_u32(&mut header, VERSION);
-    header.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    put_u32(&mut header, crc32(body));
-    let tmp: PathBuf = path.with_extension("tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&header)?;
-        file.write_all(body)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        File::open(parent)?.sync_all()?;
-    }
-    Ok(())
+/// The size of a frame header — magic, version, body length, CRC-32 —
+/// which a frame's writer leaves room for before its body.
+pub(crate) const HEADER: usize = 20;
+
+/// Fills in the header of `frame` for the body behind it.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (header, body) = frame.split_at_mut(HEADER);
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    header[16..].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
-/// The body of the framed file at `path`, checked by [`unframe`].
-pub(crate) fn read_framed(path: &Path) -> Result<Vec<u8>, SegmentError> {
-    let file = File::open(path)?;
-    unframe(&file, file.metadata()?.len(), &path.display().to_string())
-}
-
-/// The body of the `len`-byte frame `src` reads, once its magic,
-/// version, length and checksum hold. The header is read first and its
-/// length checked against `len` before anything is allocated; the body
-/// is then read into a buffer of exactly that size, where it stays.
-pub(crate) fn unframe(mut src: impl Read, len: u64, name: &str) -> Result<Vec<u8>, SegmentError> {
+/// Checks a segment or MANIFEST file, `frame`, where it lies: its
+/// magic, version, length (the declared length is compared with the
+/// body's, never added to) and checksum.
+pub(crate) fn check_frame(frame: &[u8], name: &str) -> Result<(), SegmentError> {
     let corrupt = |reason| SegmentError::corrupt(name, reason);
-    let mut header = [0u8; 20];
-    if len < header.len() as u64 {
+    let Some((header, body)) = frame.split_at_checked(HEADER) else {
         return Err(corrupt("shorter than the frame header"));
-    }
-    src.read_exact(&mut header)?;
-    let mut r = Reader::new(&header, name);
+    };
+    let mut r = Reader::new(header, name);
     let (magic, version, body_len, crc) = (r.u32()?, r.u32()?, r.u64()?, r.u32()?);
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
@@ -534,19 +517,33 @@ pub(crate) fn unframe(mut src: impl Read, len: u64, name: &str) -> Result<Vec<u8
     if version != VERSION {
         return Err(corrupt("unsupported version"));
     }
-    // `body_len` is read from the file: compared, never added to.
-    if len - header.len() as u64 != body_len {
-        return Err(corrupt("length mismatch"));
-    }
-    let mut body = Vec::with_capacity(body_len as usize);
-    src.take(body_len).read_to_end(&mut body)?;
     if body.len() as u64 != body_len {
         return Err(corrupt("length mismatch"));
     }
-    if crc32(&body) != crc {
+    if crc32(body) != crc {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(body)
+    Ok(())
+}
+
+/// Writes `frame` to `path` via a temp file + fsync + atomic rename,
+/// so the file exists whole or not at all, then fsyncs the parent
+/// directory so the *rename itself* is durable — the manifest protocol
+/// deletes a log only after this returns, so a power loss must not be
+/// able to keep the deletion while dropping the rename's directory
+/// entry.
+pub(crate) fn write_framed(path: &Path, frame: &[u8]) -> Result<(), SegmentError> {
+    let tmp: PathBuf = path.with_extension("tmp");
+    {
+        let mut file = File::create(&tmp)?;
+        file.write_all(frame)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        File::open(parent)?.sync_all()?;
+    }
+    Ok(())
 }
 
 impl SegmentContent {
@@ -572,22 +569,24 @@ impl SegmentContent {
     /// Persists the image as `seg-<seq>.zseg` in `dir` through
     /// [`write_framed`] (tmp + fsync + rename + directory fsync), so
     /// the file exists completely or not at all. Flush, compaction and
-    /// the bulk load each write their segment once, here: the body as
+    /// the bulk load each write their segment once, here: the frame as
     /// it was laid out.
     pub(crate) fn write(self, dir: &Path, seq: u64) -> Result<Segment, SegmentError> {
         let file_name = format!("seg-{seq:06}.zseg");
-        write_framed(&dir.join(&file_name), &self.body)?;
+        write_framed(&dir.join(&file_name), &self.frame)?;
         Ok(Segment::new(self, file_name))
     }
 
-    /// Parses a segment body (read from `file`) into the image that
-    /// views it: the doc tables are read out, and each list is checked
-    /// where its record lies ([`CompressedPostingList::parse`]) and
-    /// kept as a view of it. No list is copied. A body this process did
-    /// not lay out goes through [`SegmentContent::read`] instead.
-    pub(crate) fn parse(body: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
-        let body = Arc::new(body);
-        let mut r = Reader::new(&body, file);
+    /// Parses the body of a checked segment frame (read from `file`)
+    /// into the image that views it: the doc tables are read out, and
+    /// each list is checked where its record lies
+    /// ([`CompressedPostingList::parse`]) and kept as a view of it. No
+    /// list is copied. A frame this process did not lay out goes
+    /// through [`Segment::read`] instead.
+    pub(crate) fn parse(frame: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
+        let frame = Arc::new(frame);
+        let mut r = Reader::new(&frame, file);
+        r.take(HEADER)?;
         let term_slots = r.u32()?;
         let live = r.u32_vec()?;
         let tombstones = r.u32_vec()?;
@@ -600,7 +599,7 @@ impl SegmentContent {
         let mut terms: Vec<(u32, CompressedPostingList)> = Vec::with_capacity(term_count);
         for _ in 0..term_count {
             let term = r.u32()?;
-            let list = CompressedPostingList::parse(&body, r.pos).map_err(|why| r.corrupt(why))?;
+            let list = CompressedPostingList::parse(&frame, r.pos).map_err(|why| r.corrupt(why))?;
             r.take(list.record().len())?;
             if terms.last().is_some_and(|&(previous, _)| previous >= term) {
                 return Err(r.corrupt("terms out of order"));
@@ -609,39 +608,28 @@ impl SegmentContent {
         }
         r.finish()?;
         Ok(SegmentContent {
-            body,
+            frame,
             live,
             tombstones,
             term_slots,
             terms,
         })
     }
-
-    /// [`SegmentContent::parse`], then every list decoded once
-    /// ([`CompressedPostingList::verify`]), for a body read from a file:
-    /// its checksum does not prove this process's builder wrote it.
-    /// O(postings); a list that passes decodes wherever it is read.
-    pub(crate) fn read(body: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
-        let content = Self::parse(body, file)?;
-        for (_, list) in &content.terms {
-            list.verify()
-                .map_err(|why| SegmentError::corrupt(file, why))?;
-        }
-        Ok(content)
-    }
 }
 
 impl Segment {
-    /// Loads a segment file, checksum and every list verified
-    /// ([`SegmentContent::read`]), keeping the body it read.
-    pub(crate) fn load(path: &Path) -> Result<Segment, SegmentError> {
-        let name = path.display().to_string();
-        let file_name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| name.clone());
-        let content = SegmentContent::read(read_framed(path)?, &name)?;
-        Ok(Segment::new(content, file_name))
+    /// The segment in the file `file_name`, given whole as `frame` and
+    /// kept: checked ([`check_frame`]), parsed, and every list decoded
+    /// once ([`CompressedPostingList::verify`]) — a checksum does not
+    /// prove this process's builder wrote it — in O(postings).
+    pub(crate) fn read(frame: Vec<u8>, file_name: &str) -> Result<Segment, SegmentError> {
+        check_frame(&frame, file_name)?;
+        let content = SegmentContent::parse(frame, file_name)?;
+        for (_, list) in &content.terms {
+            let corrupt = |why| SegmentError::corrupt(file_name, why);
+            list.verify().map_err(corrupt)?;
+        }
+        Ok(Segment::new(content, file_name.to_owned()))
     }
 }
 
@@ -651,6 +639,19 @@ mod tests {
     use crate::wal::WalOp;
     use crate::ScratchDir;
     use zerber_postings::CompressedPostingBuilder;
+
+    /// The segment in the file at `path`, as an open loads it.
+    fn load(path: &Path) -> Result<Segment, SegmentError> {
+        Segment::read(std::fs::read(path)?, "segment under test")
+    }
+
+    /// `body` behind a frame header this build writes.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0; HEADER];
+        frame.extend_from_slice(body);
+        seal_frame(&mut frame);
+        frame
+    }
 
     /// A memtable holding one batch: one input of a merge.
     fn delta(ops: &[WalOp]) -> Memtable {
@@ -848,7 +849,7 @@ mod tests {
             .collect();
         let content = merge_streaming(&[&delta(&many), &delta(&[WalOp::Delete { doc: 3 }])], false);
         let written = content.write(&dir, 7).unwrap();
-        let loaded = Segment::load(&dir.join(written.file_name())).unwrap();
+        let loaded = load(&dir.join(written.file_name())).unwrap();
         assert_eq!(loaded.posting_count(), written.posting_count());
         assert_eq!(loaded.disk_bytes(), written.disk_bytes());
         let (loaded, written) = (loaded.content(), written.content());
@@ -882,25 +883,22 @@ mod tests {
             let mut damaged = pristine.clone();
             damaged[at] ^= 0x10;
             std::fs::write(&path, &damaged).unwrap();
-            assert!(Segment::load(&path).is_err(), "byte {at}");
+            assert!(load(&path).is_err(), "byte {at}");
         }
         // Truncations too.
         for cut in 0..pristine.len() {
             std::fs::write(&path, &pristine[..cut]).unwrap();
-            assert!(Segment::load(&path).is_err(), "cut {cut}");
+            assert!(load(&path).is_err(), "cut {cut}");
         }
         // A checksummed body that declares a posting payload of
         // u64::MAX bytes (the field after term_slots, one live doc, no
         // tombstones, term_count, term id and posting count).
-        let mut hostile = pristine[20..].to_vec();
+        let mut hostile = pristine[HEADER..].to_vec();
         hostile[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
-        write_framed(&path, &hostile).unwrap();
-        assert!(matches!(
-            Segment::load(&path),
-            Err(SegmentError::Corrupt { .. })
-        ));
+        write_framed(&path, &framed(&hostile)).unwrap();
+        assert!(matches!(load(&path), Err(SegmentError::Corrupt { .. })));
         std::fs::write(&path, &pristine).unwrap();
-        assert!(Segment::load(&path).is_ok());
+        assert!(load(&path).is_ok());
     }
 
     /// A one-term segment over 200 documents (two blocks), written to a
@@ -964,8 +962,8 @@ mod tests {
                 body[at..at + bytes.len()].copy_from_slice(bytes);
             }
             assert_ne!(body, self.body);
-            write_framed(&self.path, &body).unwrap();
-            Segment::load(&self.path)
+            write_framed(&self.path, &framed(&body)).unwrap();
+            load(&self.path)
         }
     }
 
@@ -1003,8 +1001,8 @@ mod tests {
             "live table out of order",
             &[(live, &2u32.to_le_bytes()), (live + 4, &0u32.to_le_bytes())],
         );
-        write_framed(&file.path, &file.body).unwrap();
-        assert!(Segment::load(&file.path).is_ok());
+        write_framed(&file.path, &framed(&file.body)).unwrap();
+        assert!(load(&file.path).is_ok());
     }
 
     #[test]

@@ -54,10 +54,11 @@
 //!
 //! The `MANIFEST` names the live segment set and is replaced
 //! atomically (temp file + rename); segment files are written the same
-//! way, and a log is only ever appended to, renamed or deleted. Open
-//! deletes unlisted segment files, then replays every `wal-*.log` in
-//! ascending `seq` and `wal.log` after them. So each crash window
-//! recovers:
+//! way, and a log is only ever appended to, renamed, deleted, or cut at
+//! open. Open deletes unlisted segment files, then replays every
+//! `wal-*.log` in ascending `seq` and `wal.log` after them, up to the
+//! first bad record across them all (`wal::recover`). So each crash
+//! window recovers:
 //!
 //! * **rotated, not sealed** — `wal-N.log` still holds the frozen
 //!   batches, and a `seg-N` the manifest does not list is garbage;
@@ -104,10 +105,10 @@ use crate::bulk::{BulkConfig, BulkStats};
 use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
-    lay_out, merge_streaming, read_framed, unframe, write_framed, Reader, Segment, SegmentContent,
-    ShadowProbe, Source,
+    check_frame, lay_out, merge_streaming, seal_frame, write_framed, Reader, Segment, ShadowProbe,
+    Source, HEADER,
 };
-use crate::wal::{replay, rotated_logs, Wal, WalOp, WAL_FILE};
+use crate::wal::{recover, rotated_logs, Wal, WalOp};
 
 const MANIFEST_FILE: &str = "MANIFEST.zman";
 
@@ -257,10 +258,17 @@ fn escapes(name: &str) -> bool {
     name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..")
 }
 
-fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
-    let body = read_framed(path)?;
-    let file = path.display().to_string();
-    let mut r = Reader::new(&body, &file);
+/// The next segment sequence number a MANIFEST file, given whole as
+/// `frame`, holds, and the segments it lists, oldest first: each file
+/// given whole by `frame_of` once the manifest has parsed, and read
+/// once ([`Segment::read`]).
+fn load_manifest(
+    frame: &[u8],
+    mut frame_of: impl FnMut(&str) -> Result<Vec<u8>, SegmentError>,
+) -> Result<(u64, Vec<Arc<Segment>>), SegmentError> {
+    check_frame(frame, MANIFEST_FILE)?;
+    let mut r = Reader::new(frame, MANIFEST_FILE);
+    r.take(HEADER)?;
     let next_seq = r.u64()?;
     // A name: its `u16` length, then at least one byte.
     let count = r.count(3)?;
@@ -272,10 +280,33 @@ fn parse_manifest(path: &Path) -> Result<(u64, Vec<String>), SegmentError> {
         if escapes(name) {
             return Err(r.corrupt("segment name escapes the store directory"));
         }
-        names.push(name.to_owned());
+        // Not a `.log` either, which open would recover and cut.
+        if !name.ends_with(".zseg") {
+            return Err(r.corrupt("segment name is not a .zseg file"));
+        }
+        names.push(name);
     }
     r.finish()?;
-    Ok((next_seq, names))
+    let read = |name: &&str| Ok(Arc::new(Segment::read(frame_of(name)?, name)?));
+    let segments = names
+        .iter()
+        .map(read)
+        .collect::<Result<_, SegmentError>>()?;
+    Ok((next_seq, segments))
+}
+
+/// The MANIFEST file naming `segments` in order, under `next_seq`.
+fn manifest_frame(next_seq: u64, segments: &[Arc<Segment>]) -> Vec<u8> {
+    let mut frame = vec![0; HEADER];
+    frame.extend_from_slice(&next_seq.to_le_bytes());
+    frame.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+    for segment in segments {
+        let name = segment.file_name().as_bytes();
+        frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        frame.extend_from_slice(name);
+    }
+    seal_frame(&mut frame);
+    frame
 }
 
 impl Inner {
@@ -283,15 +314,8 @@ impl Inner {
     /// the commit lock held (its value is `next_seq`), so manifest
     /// contents always match the engine state they were derived from.
     fn write_manifest(&self, next_seq: u64, segments: &[Arc<Segment>]) -> Result<(), SegmentError> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&next_seq.to_le_bytes());
-        body.extend_from_slice(&(segments.len() as u32).to_le_bytes());
-        for segment in segments {
-            let name = segment.file_name().as_bytes();
-            body.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            body.extend_from_slice(name);
-        }
-        write_framed(&self.dir.join(MANIFEST_FILE), &body)
+        let frame = manifest_frame(next_seq, segments);
+        write_framed(&self.dir.join(MANIFEST_FILE), &frame)
     }
 
     /// Takes the next segment sequence number. It becomes durable only
@@ -540,10 +564,13 @@ impl SegmentStore {
     /// durable state: the manifest's segment set is loaded (CRC-checked,
     /// each list decoded once), stray files from interrupted seals or
     /// compactions are deleted, and the logs are replayed — every rotated
-    /// `wal-*.log` in `seq` order, then `wal.log`, every fully written
-    /// batch back into the memtable, a torn tail ignored. The
-    /// store's instruments go to a registry of its own, which nobody
-    /// reads; pass one to [`SegmentStore::open_observed`] to see them.
+    /// `wal-*.log` in `seq` order, then `wal.log` — up to the first bad
+    /// record across them all. Before the first append that log is cut
+    /// there and every later one removed; under
+    /// [`SegmentPolicy::sync_wal`], a bad record in a rotated log is
+    /// damage, and the open is `Corrupt`. The store's instruments go to
+    /// a registry of its own, which nobody reads; pass one to
+    /// [`SegmentStore::open_observed`] to see them.
     pub fn open(dir: impl Into<PathBuf>, policy: SegmentPolicy) -> Result<Self, SegmentError> {
         Self::open_observed(dir, policy, &MetricsRegistry::new())
     }
@@ -559,24 +586,36 @@ impl SegmentStore {
         registry: &MetricsRegistry,
     ) -> Result<Self, SegmentError> {
         let dir = dir.into();
-        let obs = SegmentMetrics::register(registry);
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST_FILE);
-        let (next_seq, names) = if manifest.exists() {
-            parse_manifest(&manifest)?
+        // Loaded before anything is collected: a manifest naming a file
+        // the directory lacks is damaged, and deletes nothing.
+        let (next_seq, segments) = if manifest.exists() {
+            load_manifest(&std::fs::read(&manifest)?, |name| {
+                let path = dir.join(name);
+                if !path.is_file() {
+                    return Err(SegmentError::corrupt(name, "listed segment is missing"));
+                }
+                Ok(std::fs::read(path)?)
+            })?
         } else {
             (1, Vec::new())
         };
-        // Checked before anything is collected: a manifest naming a
-        // file the directory lacks is damaged, and deletes nothing.
-        if let Some(name) = names.iter().find(|name| !dir.join(name).is_file()) {
-            let reason = "segment listed in the MANIFEST is missing";
-            return Err(SegmentError::corrupt(
-                dir.join(name).display().to_string(),
-                reason,
-            ));
-        }
-        let listed: HashSet<&str> = names.iter().map(String::as_str).collect();
+        Self::assemble(dir, next_seq, segments, policy, registry)
+    }
+
+    /// The one way a store comes up, from [`SegmentStore::open`] or
+    /// [`SegmentStore::install`], over the manifest's `segments`: files
+    /// it does not list are deleted, and the logs are recovered into the
+    /// memtable (`wal::recover`).
+    fn assemble(
+        dir: PathBuf,
+        next_seq: u64,
+        segments: Vec<Arc<Segment>>,
+        policy: SegmentPolicy,
+        registry: &MetricsRegistry,
+    ) -> Result<Self, SegmentError> {
+        let listed: HashSet<&str> = segments.iter().map(|s| s.file_name()).collect();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -588,28 +627,12 @@ impl SegmentStore {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
-        let mut segments = Vec::with_capacity(names.len());
-        for name in &names {
-            segments.push(Arc::new(Segment::load(&dir.join(name))?));
-        }
-        // A rotated log's seq was reserved in memory, maybe past the
-        // manifest's `next_seq`: start above it, so that nothing
-        // written later wears it.
-        let mut next_seq = next_seq;
-        let mut logs = Vec::new();
-        for (seq, path) in rotated_logs(&dir)? {
-            next_seq = next_seq.max(seq + 1);
-            logs.push(path);
-        }
-        logs.push(dir.join(WAL_FILE));
         let mut memtable = Memtable::default();
         let mut mem_weight = 0;
-        for log in &logs {
-            for batch in replay(log)? {
-                mem_weight += memtable.apply(&batch);
-            }
-        }
-        let wal = Wal::open(&dir.join(WAL_FILE))?;
+        let (rotated_seq, wal) = recover(&dir, policy.sync_wal, |batch| {
+            mem_weight += memtable.apply(&batch);
+        })?;
+        let obs = SegmentMetrics::register(registry);
         obs.segments.set(segments.len() as i64);
         let inner = Arc::new(Inner {
             dir,
@@ -622,7 +645,10 @@ impl SegmentStore {
             }),
             writer: Mutex::new(wal),
             sealing: Mutex::new(()),
-            commit: Mutex::new(next_seq),
+            // A rotated log's seq was reserved in memory, maybe past
+            // the manifest's `next_seq`: start above it, so that
+            // nothing written later wears it.
+            commit: Mutex::new(next_seq.max(rotated_seq)),
             compaction: Mutex::new(()),
             obs,
             stepped: Mutex::default(),
@@ -916,74 +942,59 @@ impl SegmentStore {
         })
     }
 
-    /// Exports a consistent on-disk snapshot of the store for replica
-    /// rebuild: seals both memtables (so no log holds anything the
-    /// segments don't), then — with compaction quiesced so no listed
-    /// file can be rewritten or deleted mid-read — returns the manifest
-    /// and every live segment file as named byte blobs. The manifest
-    /// always ships, an empty store's too: it is what tells
-    /// [`SegmentStore::install_files`] a whole snapshot arrived. Feeding
-    /// the returned set to `install_files` and opening the target
-    /// directory yields a store with identical query results.
+    /// A consistent snapshot of the store for replica rebuild, which
+    /// [`SegmentStore::install`] opens: both memtables sealed, a
+    /// manifest naming the live segments (an empty store's too: it
+    /// tells install a whole set arrived) and each segment's file,
+    /// copied from memory, as named byte blobs.
     pub fn export_files(&self) -> Result<Vec<(String, Vec<u8>)>, SegmentError> {
-        // Same order as `compact_once`: compaction lock before writer
-        // lock, so this cannot deadlock against a compaction job.
-        let _quiesce = self.inner.compaction.lock();
         let mut wal = self.inner.writer.lock();
         self.inner.seal_both(&mut wal)?;
-        let manifest = self.inner.dir.join(MANIFEST_FILE);
-        if !manifest.exists() {
-            // A store that never sealed a segment has written none.
-            self.inner.write_manifest(*self.inner.commit.lock(), &[])?;
-        }
-        let (_, names) = parse_manifest(&manifest)?;
-        let mut files = vec![(MANIFEST_FILE.to_string(), std::fs::read(&manifest)?)];
-        for name in names {
-            let bytes = std::fs::read(self.inner.dir.join(&name))?;
-            files.push((name, bytes));
+        let segments = self.inner.state.read().segments.clone();
+        let manifest = manifest_frame(*self.inner.commit.lock(), &segments);
+        let mut files = vec![(MANIFEST_FILE.to_string(), manifest)];
+        for segment in &segments {
+            let frame = segment.content().frame.to_vec();
+            files.push((segment.file_name().to_owned(), frame));
         }
         Ok(files)
     }
 
-    /// Stages an exported file set into `dir` using the same
-    /// durability protocol as the store's own commits (tmp + fsync +
-    /// rename, then directory fsync), once every file has passed. A
-    /// name resembling a path escapes, and a set without a manifest is
-    /// no snapshot (opening it would serve an empty store): both are
-    /// `Corrupt`, as is a `.zseg` that fails its load or the decode of
-    /// any block ([`CompressedPostingList::verify`]), since no builder
-    /// of this process wrote it. Then open `dir` with
-    /// [`SegmentStore::open`] (or `open_observed`) to serve from it.
-    pub fn install_files(
+    /// Opens, in `dir` and observed into `registry`, the store a shipped
+    /// file set ([`SegmentStore::export_files`]) holds. Each segment is
+    /// checked and every list decoded once in the buffer it arrived in
+    /// ([`CompressedPostingList::verify`]), which it keeps; only then
+    /// are the files staged (tmp + fsync + rename + directory fsync, the
+    /// manifest last). Nothing is read back. An escaping name, no
+    /// manifest (that would serve an empty store), a listed segment
+    /// missing, a file not listed, and a frame or segment that fails
+    /// are `Corrupt`, and stage nothing.
+    pub fn install(
         dir: impl Into<PathBuf>,
-        files: &[(String, Vec<u8>)],
-    ) -> Result<(), SegmentError> {
+        mut files: Vec<(String, Vec<u8>)>,
+        policy: SegmentPolicy,
+        registry: &MetricsRegistry,
+    ) -> Result<Self, SegmentError> {
         let dir = dir.into();
-        for (name, bytes) in files {
-            if escapes(name) {
-                let reason = "snapshot file name escapes the target directory";
-                return Err(SegmentError::corrupt(name, reason));
-            }
-            if name.ends_with(".zseg") {
-                let body = unframe(bytes.as_slice(), bytes.len() as u64, name)?;
-                SegmentContent::read(body, name)?;
-            }
+        if let Some((name, _)) = files.iter().find(|(name, _)| escapes(name)) {
+            let reason = "snapshot file name escapes the target directory";
+            return Err(SegmentError::corrupt(name, reason));
         }
-        if !files.iter().any(|(name, _)| name == MANIFEST_FILE) {
-            return Err(SegmentError::corrupt(
-                MANIFEST_FILE,
-                "snapshot carries no manifest",
-            ));
+        let mut take = |name: &str| match files.iter().position(|(shipped, _)| shipped == name) {
+            Some(at) => Ok(files.swap_remove(at).1),
+            None => Err(SegmentError::corrupt(name, "snapshot file is missing")),
+        };
+        let manifest = take(MANIFEST_FILE)?;
+        let (next_seq, segments) = load_manifest(&manifest, take)?;
+        if let Some((name, _)) = files.first() {
+            return Err(SegmentError::corrupt(name, "snapshot file not listed"));
         }
         std::fs::create_dir_all(&dir)?;
-        for (name, bytes) in files {
-            let tmp = dir.join(format!("{name}.tmp"));
-            std::fs::write(&tmp, bytes)?;
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, dir.join(name))?;
+        for segment in &segments {
+            write_framed(&dir.join(segment.file_name()), &segment.content().frame)?;
         }
-        std::fs::File::open(&dir)?.sync_all()?;
-        Ok(())
+        write_framed(&dir.join(MANIFEST_FILE), &manifest)?;
+        Self::assemble(dir, next_seq, segments, policy, registry)
     }
 }
 

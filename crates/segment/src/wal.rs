@@ -12,24 +12,28 @@
 //!
 //! (all fields little-endian). Replay reads records until the file
 //! ends or a record fails its length or checksum — everything from the
-//! first bad byte on is a *torn tail* from an interrupted write and is
-//! ignored. Acknowledged batches always precede the tail, so recovery
-//! keeps every acknowledged batch and never applies a partial one
-//! (property-tested in `tests/recovery_properties.rs` by truncating
-//! and corrupting logs at arbitrary byte offsets).
+//! first bad byte on is a *torn tail* from an interrupted write. A
+//! failed append cuts its partial record off again, and until that cut
+//! succeeds the log takes no append and no rotation, so acknowledged
+//! batches always precede the tail: recovery keeps every acknowledged
+//! batch and never applies a partial one (property-tested in
+//! `tests/recovery_properties.rs` by truncating and corrupting logs at
+//! arbitrary byte offsets).
 //!
 //! # Files
 //!
 //! The active log is `wal.log`. When the memtable it journals freezes,
 //! the log is *rotated*: renamed to `wal-<seq>.log`, where `seq` is the
 //! sequence number of the segment the frozen table will become, and a
-//! fresh `wal.log` takes the next batch. A log is never truncated or
-//! rewritten; a rotated one is deleted once the manifest names the
-//! segment holding its batches. Recovery replays every `wal-*.log` in
-//! ascending `seq`, then `wal.log`.
+//! fresh `wal.log` takes the next batch. A rotated log is deleted once
+//! the manifest names the segment holding its batches. [`recover`]
+//! replays every `wal-*.log` in ascending `seq`, then `wal.log`, up to
+//! the first bad record across them all; it cuts that log there and
+//! removes the later ones before `wal.log` takes an append
+//! (`tests/wal_recovery.rs`).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
@@ -145,11 +149,13 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Option<Vec<WalOp>> {
 pub(crate) struct Wal {
     file: File,
     bytes: u64,
+    /// A failed append left bytes after `bytes` that are not cut yet.
+    partial: bool,
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log at `path`, positioned for
-    /// appending after any existing records.
+    /// Opens (creating if absent) the log at `path` for appending after
+    /// its end — after its last good record once [`recover`] has cut it.
     pub(crate) fn open(path: &Path) -> Result<Self, SegmentError> {
         let mut file = OpenOptions::new()
             .create(true)
@@ -157,7 +163,21 @@ impl Wal {
             .read(true)
             .open(path)?;
         let bytes = file.seek(SeekFrom::End(0))?;
-        Ok(Self { file, bytes })
+        Ok(Self {
+            file,
+            bytes,
+            partial: false,
+        })
+    }
+
+    /// Cuts what a failed append left after the last whole record. No
+    /// record may follow a part of one: replay would stop there.
+    fn cut_partial(&mut self) -> Result<(), SegmentError> {
+        if self.partial {
+            self.file.set_len(self.bytes)?;
+            self.partial = false;
+        }
+        Ok(())
     }
 
     /// Appends one batch record; returns the bytes written. With
@@ -165,14 +185,22 @@ impl Wal {
     /// durability point against machine crashes — process crashes are
     /// covered by the OS page cache either way).
     pub(crate) fn append(&mut self, ops: &[WalOp], sync: bool) -> Result<u64, SegmentError> {
+        self.cut_partial()?;
         let payload = encode_batch(ops);
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&crc32(&payload).to_le_bytes());
         record.extend_from_slice(&payload);
-        self.file.write_all(&record)?;
-        if sync {
-            self.file.sync_data()?;
+        let mut written = self.file.write_all(&record);
+        if sync && written.is_ok() {
+            written = self.file.sync_data();
+        }
+        if let Err(e) = written {
+            // Not acknowledged. A cut that fails here is retried before
+            // the next append or rotation, which fail while it does.
+            self.partial = true;
+            let _ = self.cut_partial();
+            return Err(e.into());
         }
         self.bytes += record.len() as u64;
         Ok(record.len() as u64)
@@ -185,6 +213,7 @@ impl Wal {
     /// the records that follow it. If the new log cannot be opened the
     /// rename is undone and this handle keeps appending where it did.
     pub(crate) fn rotate(&mut self, dir: &Path, seq: u64, sync: bool) -> Result<(), SegmentError> {
+        self.cut_partial()?;
         let (active, rotated) = (dir.join(WAL_FILE), dir.join(rotated_name(seq)));
         std::fs::rename(&active, &rotated)?;
         let fresh = match Self::open(&active) {
@@ -207,23 +236,19 @@ impl Wal {
     }
 }
 
-/// Replays the log at `path`: all fully-written, checksum-valid
-/// batches in append order. A missing file is an empty log. A torn or
-/// corrupted tail ends the replay silently; everything before it is
-/// returned.
-pub(crate) fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
-    let mut raw = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut raw)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+/// Replays the log at `path`: its fully written, checksum-valid
+/// batches in append order, up to its first bad record (a torn header
+/// or payload, a checksum or a payload that fails), and — if a record
+/// failed — the offset where the good ones end. A missing file is an
+/// empty log.
+pub(crate) fn replay(path: &Path) -> Result<(Vec<Vec<WalOp>>, Option<u64>), SegmentError> {
+    let raw = match std::fs::read(path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
-    }
+    };
     let mut batches = Vec::new();
     let mut rest = raw.as_slice();
-    // Ends at the clean end of the log, a torn header/payload, or a
-    // corrupted record — whichever comes first.
     while let Some((len, tail)) = rest.split_first_chunk() {
         let Some((crc, tail)) = tail.split_first_chunk() else {
             break; // torn header
@@ -232,16 +257,59 @@ pub(crate) fn replay(path: &Path) -> Result<Vec<Vec<WalOp>>, SegmentError> {
             break; // torn payload
         };
         if crc32(payload) != u32::from_le_bytes(*crc) {
-            break; // corrupted tail
+            break; // damaged record
         }
         let Some(ops) = decode_batch(payload) else {
-            break; // CRC collision on garbage — still a tail
+            break; // CRC collision on garbage
         };
         batches.push(ops);
         rest = &tail[payload.len()..];
     }
-    // Anything left in `rest` is a torn header or payload: ignored.
-    Ok(batches)
+    let damaged = (!rest.is_empty()).then_some((raw.len() - rest.len()) as u64);
+    Ok((batches, damaged))
+}
+
+/// Recovers the logs in `dir` — every rotated log in `seq` order, then
+/// `wal.log` — handing each good batch to `apply`, and opens `wal.log`
+/// for the next append. Returns one past the highest rotated `seq`,
+/// and the log. The rule is *point in time*: replay stops at the first
+/// bad record across all logs, and nothing after it is replayed by
+/// this open or any later one. So before the first append the later
+/// logs are removed (`wal.log` included, the directory synced) and the
+/// damaged log is cut at its last good record — a later write never
+/// lies behind a record replay stops at. With `sync`, every record of
+/// a rotated log was synced before the rotation, so a bad one there is
+/// damage, not a torn write: the open is `Corrupt`.
+pub(crate) fn recover(
+    dir: &Path,
+    sync: bool,
+    mut apply: impl FnMut(Vec<WalOp>),
+) -> Result<(u64, Wal), SegmentError> {
+    let rotated = rotated_logs(dir)?;
+    let after = rotated.last().map_or(0, |&(seq, _)| seq + 1);
+    let mut logs: Vec<PathBuf> = rotated.into_iter().map(|(_, log)| log).collect();
+    logs.push(dir.join(WAL_FILE));
+    for (i, log) in logs.iter().enumerate() {
+        let (batches, damaged) = replay(log)?;
+        batches.into_iter().for_each(&mut apply);
+        let Some(end) = damaged else { continue };
+        let later = &logs[i + 1..];
+        if sync && !later.is_empty() {
+            let reason = "damaged record in a rotated log";
+            return Err(SegmentError::corrupt(log.display().to_string(), reason));
+        }
+        // Later logs first: a crash before the cut finds the same bad
+        // record, and nothing behind it, at the next open.
+        for later in later.iter().filter(|later| later.exists()) {
+            std::fs::remove_file(later)?;
+        }
+        File::open(dir)?.sync_all()?;
+        let file = OpenOptions::new().write(true).open(log)?;
+        file.set_len(end)?;
+        file.sync_all()?;
+        break;
+    }
+    Ok((after, Wal::open(&dir.join(WAL_FILE))?))
 }
 
 #[cfg(test)]
@@ -282,13 +350,13 @@ mod tests {
         }
         assert!(wal.bytes() > 0);
         drop(wal);
-        assert_eq!(replay(&path).unwrap(), sample_batches());
+        assert_eq!(replay(&path).unwrap().0, sample_batches());
     }
 
     #[test]
     fn missing_log_is_empty() {
         let dir = ScratchDir::new("wal-missing");
-        assert!(replay(&dir.join("absent.log")).unwrap().is_empty());
+        assert!(replay(&dir.join("absent.log")).unwrap().0.is_empty());
     }
 
     #[test]
@@ -306,12 +374,15 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let recovered = replay(&path).unwrap();
+            let (recovered, damaged) = replay(&path).unwrap();
             // Exactly the batches whose records fit entirely below the
-            // cut — a strict prefix, never a partial batch.
+            // cut — a strict prefix, never a partial batch — and where
+            // the last of them ends, if a torn one follows.
             let expect = boundaries.iter().filter(|&&b| b <= cut as u64).count() - 1;
             assert_eq!(recovered.len(), expect, "cut at {cut}");
             assert_eq!(recovered, batches[..expect], "cut at {cut}");
+            let end = boundaries[expect];
+            assert_eq!(damaged, (end < cut as u64).then_some(end), "cut at {cut}");
         }
     }
 
@@ -332,7 +403,7 @@ mod tests {
             let mut damaged = full.clone();
             damaged[at] ^= 0x40;
             std::fs::write(&path, &damaged).unwrap();
-            let recovered = replay(&path).unwrap();
+            let recovered = replay(&path).unwrap().0;
             // Records strictly before the damaged one must survive.
             let intact = boundaries.iter().filter(|&&b| b <= at as u64).count() - 1;
             assert!(recovered.len() >= intact, "byte {at}");
@@ -351,9 +422,36 @@ mod tests {
         assert_eq!(wal.bytes(), 0);
         wal.append(&batches[1], false).unwrap();
         drop(wal);
-        assert_eq!(replay(&rotated).unwrap(), batches[..1]);
-        assert_eq!(replay(&dir.join(WAL_FILE)).unwrap(), batches[1..2]);
+        assert_eq!(replay(&rotated).unwrap().0, batches[..1]);
+        assert_eq!(replay(&dir.join(WAL_FILE)).unwrap().0, batches[1..2]);
         assert_eq!(rotated_logs(&dir).unwrap(), vec![(7, rotated)]);
+    }
+
+    /// An append whose write and cut both fail holds the log: no
+    /// append or rotation until the cut succeeds, and then the next
+    /// record follows the last whole one.
+    #[test]
+    fn a_failed_cut_holds_the_log_until_it_succeeds() {
+        let dir = ScratchDir::new("wal-failed-cut");
+        let path = dir.join(WAL_FILE);
+        let batches = sample_batches();
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&batches[0], false).unwrap();
+        // A read-only handle fails the write and the cut alike.
+        let writable = std::mem::replace(&mut wal.file, File::open(&path).unwrap());
+        assert!(wal.append(&batches[1], false).is_err());
+        assert!(wal.partial);
+        // What a write that failed part-way leaves behind.
+        let mut torn = OpenOptions::new().append(true).open(&path).unwrap();
+        torn.write_all(&[7; 5]).unwrap();
+        assert!(wal.append(&batches[1], false).is_err());
+        assert!(wal.rotate(&dir, 7, false).is_err());
+        assert!(rotated_logs(&dir).unwrap().is_empty());
+        wal.file = writable;
+        wal.append(&batches[2], false).unwrap();
+        drop(wal);
+        let whole = vec![batches[0].clone(), batches[2].clone()];
+        assert_eq!(replay(&path).unwrap(), (whole, None));
     }
 
     #[test]
@@ -365,6 +463,6 @@ mod tests {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(batch, true).unwrap();
         }
-        assert_eq!(replay(&path).unwrap(), batches);
+        assert_eq!(replay(&path).unwrap().0, batches);
     }
 }

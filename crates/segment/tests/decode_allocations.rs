@@ -1,22 +1,25 @@
-//! No file makes `SegmentStore::open` allocate for a count its bytes
-//! cannot back. Segments and MANIFESTs arrive from other peers through
-//! `install_files`, opened behind a CRC their sender computed, and a
-//! log record's CRC is as easy to forge. So for every counted field —
+//! No file makes `SegmentStore::open` or `SegmentStore::install`
+//! allocate for a count its bytes cannot back. Segments and MANIFESTs
+//! arrive from other peers through `install`, behind a CRC their sender
+//! computed, and a log record's CRC is as easy to forge. So for every
+//! counted field —
 //! a segment's live documents, tombstones and terms, a MANIFEST's
 //! names, a log record's operations and an insert's terms — a
 //! CRC-valid file that declares 2^32 − 1 entries and carries none must
 //! fail closed: a segment or a MANIFEST opens as `Corrupt`, and a log
-//! record is a torn tail, applying nothing. No single allocation made
-//! while opening it may exceed what an empty store's open makes plus a
-//! small multiple of the file's size. A counting `#[global_allocator]`
-//! (this test binary only) records the largest allocation the opening
-//! thread makes.
+//! record is a torn tail, applying nothing; a segment or a MANIFEST
+//! shipped to `install` is `Corrupt` too. No single allocation made
+//! while opening or installing it may exceed what an empty store's
+//! open makes plus a small multiple of the file's size. A counting
+//! `#[global_allocator]` (this test binary only) records the largest
+//! allocation the opening thread makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
 use zerber_index::SegmentPolicy;
+use zerber_obs::MetricsRegistry;
 use zerber_segment::crc::crc32;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
@@ -78,6 +81,22 @@ fn open_measured(dir: &Path) -> (Result<SegmentStore, SegmentError>, usize) {
     let opened = SegmentStore::open(dir, policy());
     MEASURING.set(false);
     (opened, LARGEST.get())
+}
+
+/// Installs `files` into a fresh directory and returns the outcome,
+/// with the largest single allocation made meanwhile.
+fn install_measured(files: &Files) -> (Result<SegmentStore, SegmentError>, usize) {
+    let dir = ScratchDir::new("alloc-install");
+    let registry = MetricsRegistry::new();
+    let files = files
+        .iter()
+        .map(|(name, file)| (name.to_string(), file.clone()))
+        .collect();
+    LARGEST.set(0);
+    MEASURING.set(true);
+    let installed = SegmentStore::install(&dir, files, policy(), &registry);
+    MEASURING.set(false);
+    (installed, LARGEST.get())
 }
 
 /// `body` in the frame segments and MANIFESTs share: magic "ZSEG",
@@ -165,22 +184,28 @@ fn no_declared_count_allocates_beyond_its_bytes() {
             std::fs::write(dir.join(name), file).expect("stage a file");
             bytes += file.len();
         }
-        let (opened, largest) = open_measured(&dir);
-        match opened {
-            // Refused for its count, not for a frame version a format
-            // bump left behind.
-            Err(SegmentError::Corrupt { reason, .. }) if !what.starts_with("log") => {
-                assert_ne!(reason, "unsupported version", "{what}");
-            }
-            Ok(store) if what.starts_with("log") => {
-                assert_eq!(store.snapshot().live_doc_count(), 0, "{what}");
-            }
-            other => panic!("{what}: fails closed, got {other:?}"),
+        let mut outcomes = vec![("open", open_measured(&dir))];
+        // Logs never ship: only a segment or a MANIFEST is installed.
+        if !what.starts_with("log") {
+            outcomes.push(("install", install_measured(&files)));
         }
-        let limit = floor + 16 * bytes;
-        assert!(
-            largest <= limit,
-            "{what}: a {bytes}-byte store allocated {largest} bytes at once (limit {limit})"
-        );
+        for (how, (opened, largest)) in outcomes {
+            match opened {
+                // Refused for its count, not for a frame version a
+                // format bump left behind.
+                Err(SegmentError::Corrupt { reason, .. }) if !what.starts_with("log") => {
+                    assert_ne!(reason, "unsupported version", "{what} ({how})");
+                }
+                Ok(store) if what.starts_with("log") => {
+                    assert_eq!(store.snapshot().live_doc_count(), 0, "{what}");
+                }
+                other => panic!("{what} ({how}): fails closed, got {other:?}"),
+            }
+            let limit = floor + 16 * bytes;
+            assert!(
+                largest <= limit,
+                "{what} ({how}): a {bytes}-byte store allocated {largest} bytes at once (limit {limit})"
+            );
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Replica-rebuild snapshot shipping: `export_files` on a live store
-//! plus `install_files` into a fresh directory must reproduce a store
+//! plus `install` into a fresh directory must reproduce a store
 //! with identical query-visible state — including un-flushed memtable
 //! contents (export seals them first) — and installed stores must
 //! survive reopening like any other store. Hostile snapshot files —
 //! path-escaping names, a set without a manifest, a CRC-valid manifest
-//! with a malformed body or naming a file outside its store or not in
-//! it, a frame header declaring a body of `u64::MAX` bytes, any byte of
+//! with a malformed body or naming a file outside its store, not in it
+//! or not a `.zseg`, a frame header declaring a body of `u64::MAX` bytes, any byte of
 //! a segment or MANIFEST body damaged behind a correct CRC — are
 //! refused as `SegmentError::Corrupt` or open, and never panic.
 
@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use zerber_index::{DocId, Document, GroupId, SegmentPolicy, TermId};
+use zerber_obs::MetricsRegistry;
 use zerber_postings::{CompressedPostingBuilder, CompressedPostingList, RawEntry};
 use zerber_segment::crc::crc32;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
@@ -24,6 +25,11 @@ fn policy() -> SegmentPolicy {
         max_segments: 2,
         ..SegmentPolicy::default()
     }
+}
+
+/// Installs `files` into `dir` under [`policy`].
+fn install(dir: &ScratchDir, files: Vec<(String, Vec<u8>)>) -> Result<SegmentStore, SegmentError> {
+    SegmentStore::install(dir, files, policy(), &MetricsRegistry::new())
 }
 
 fn doc(id: u32, terms: &[(u32, u32)]) -> Document {
@@ -67,8 +73,7 @@ fn export_then_install_reproduces_the_store() {
     );
 
     let clone_dir = ScratchDir::new("export-dst");
-    SegmentStore::install_files(&clone_dir, &files).unwrap();
-    let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
+    let clone = install(&clone_dir, files).unwrap();
     assert_eq!(postings_table(&source, 8), postings_table(&clone, 8));
     assert!(clone.snapshot().contains_doc(DocId(1)));
     assert!(!clone.snapshot().contains_doc(DocId(2)));
@@ -87,17 +92,16 @@ fn empty_store_exports_and_installs_cleanly() {
     let source = SegmentStore::open(&source_dir, policy()).unwrap();
     let files = source.export_files().unwrap();
     let clone_dir = ScratchDir::new("export-empty-dst");
-    SegmentStore::install_files(&clone_dir, &files).unwrap();
-    let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
+    let clone = install(&clone_dir, files).unwrap();
     assert_eq!(clone.snapshot().live_doc_count(), 0);
 }
 
 #[test]
 fn install_rejects_path_escaping_names() {
     for name in ["../evil", "a/b", "a\\b", ""] {
-        let err = SegmentStore::install_files(
+        let err = install(
             &ScratchDir::new("export-escape"),
-            &[(name.to_string(), vec![1, 2, 3])],
+            vec![(name.to_string(), vec![1, 2, 3])],
         )
         .unwrap_err();
         assert!(
@@ -114,10 +118,42 @@ fn install_rejects_a_set_without_a_manifest() {
     for files in [vec![], vec![("seg-000001.zseg".to_string(), vec![1, 2, 3])]] {
         let dir = ScratchDir::new("export-no-manifest");
         assert!(matches!(
-            SegmentStore::install_files(&dir, &files),
+            install(&dir, files),
             Err(SegmentError::Corrupt { .. })
         ));
         assert!(std::fs::read_dir(&*dir).unwrap().next().is_none());
+    }
+}
+
+/// A valid segment listed and shipped under a log's name is refused
+/// before anything is staged: open would recover the file as a log
+/// and cut it.
+#[test]
+fn install_refuses_a_segment_named_as_a_log() {
+    let source_dir = ScratchDir::new("export-log-name-src");
+    let source = SegmentStore::open(&source_dir, policy()).unwrap();
+    source.insert(&[doc(1, &[(0, 1)])]).unwrap();
+    let mut files = source.export_files().unwrap();
+    let [(_, manifest), (_, segment)] = <[_; 2]>::try_from(std::mem::take(&mut files)).unwrap();
+    let (header, body) = manifest.split_at(20);
+    for name in ["wal.log", "wal-000001.log", "MANIFEST.zman"] {
+        let mut named = body[..12].to_vec();
+        named.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        named.extend_from_slice(name.as_bytes());
+        let mut renamed = header[..8].to_vec();
+        renamed.extend_from_slice(&(named.len() as u64).to_le_bytes());
+        renamed.extend_from_slice(&crc32(&named).to_le_bytes());
+        renamed.extend_from_slice(&named);
+        let dir = ScratchDir::new("export-log-name");
+        let shipped = vec![
+            ("MANIFEST.zman".to_string(), renamed),
+            (name.to_string(), segment.clone()),
+        ];
+        match install(&dir, shipped) {
+            Err(SegmentError::Corrupt { .. }) => {}
+            other => panic!("{name}: expected Corrupt, got {other:?}"),
+        }
+        assert!(std::fs::read_dir(&*dir).unwrap().next().is_none(), "{name}");
     }
 }
 
@@ -246,16 +282,15 @@ fn reframed(header: &[u8], body: &[u8]) -> Vec<u8> {
     file
 }
 
-/// Installs `files` into a fresh directory, opens it and reads every
-/// list of terms `0..terms`, catching a panic anywhere on the way.
+/// Installs `files` into a fresh directory and reads every list of
+/// terms `0..terms`, catching a panic anywhere on the way.
 fn install_and_serve(
-    files: &[(String, Vec<u8>)],
+    files: Vec<(String, Vec<u8>)>,
     terms: u32,
 ) -> std::thread::Result<Result<(), SegmentError>> {
     let dir = ScratchDir::new("export-served");
     std::panic::catch_unwind(|| {
-        SegmentStore::install_files(&dir, files)?;
-        SegmentStore::open(&dir, policy()).map(|store| drop(postings_table(&store, terms)))
+        install(&dir, files).map(|store| drop(postings_table(&store, terms)))
     })
 }
 
@@ -302,7 +337,7 @@ fn every_damaged_body_opens_or_fails_closed() {
                 let mut shipped = files.clone();
                 shipped[target].1 = reframed(header, &damaged);
                 let what = format!("{} byte {at} ^ {mask:#04x}", files[target].0);
-                match install_and_serve(&shipped, 10) {
+                match install_and_serve(shipped, 10) {
                     Ok(Ok(_) | Err(SegmentError::Corrupt { .. })) => {}
                     Ok(Err(other)) => failures.push(format!("{what}: {other}")),
                     Err(_) => failures.push(format!("{what}: panicked")),
@@ -376,17 +411,17 @@ fn hand_built_segments_with_undecodable_blocks_are_refused() {
             ("MANIFEST.zman".to_string(), reframed(header, &manifest)),
             (name.to_string(), reframed(header, &body)),
         ];
-        match install_and_serve(&files, 1) {
+        match install_and_serve(files.clone(), 1) {
             Ok(Err(SegmentError::Corrupt { .. })) => {}
             Ok(other) => panic!("{what}: expected Corrupt, got {other:?}"),
             Err(_) => panic!("{what}: panicked"),
         }
         // Nothing was staged.
         let dir = ScratchDir::new("export-handbuilt");
-        assert!(SegmentStore::install_files(&dir, &files).is_err());
+        assert!(install(&dir, files.clone()).is_err());
         assert!(std::fs::read_dir(&*dir).unwrap().next().is_none(), "{what}");
         // Written straight into a store directory, past
-        // `install_files`: the open decodes every list and refuses it.
+        // `install`: the open decodes every list and refuses it.
         let dir = ScratchDir::new("export-handbuilt-direct");
         for (name, bytes) in &files {
             std::fs::write(dir.join(name), bytes).unwrap();
@@ -437,8 +472,7 @@ proptest! {
         }
         let files = source.export_files().unwrap();
         let clone_dir = ScratchDir::new("export-prop-dst");
-        SegmentStore::install_files(&clone_dir, &files).unwrap();
-        let clone = SegmentStore::open(&clone_dir, policy()).unwrap();
+        let clone = install(&clone_dir, files).unwrap();
         prop_assert_eq!(postings_table(&source, 10), postings_table(&clone, 10));
         prop_assert_eq!(
             source.snapshot().live_doc_count(),

@@ -448,11 +448,12 @@ impl ShardService {
         Message::InsertOk
     }
 
-    /// Stages one CRC-checked snapshot file. A file frame without a
-    /// begin is a protocol error.
+    /// Stages one CRC-checked snapshot file, in place of a copy a resend
+    /// staged. A file frame without a begin is a protocol error.
     fn install_file(&mut self, shard: u32, name: String, crc: u32, payload: Vec<u8>) -> Message {
         match self.stores.get_mut(&shard) {
             Some(HostedShard::Rebuilding { staged, .. }) if crc32(&payload) == crc => {
+                staged.retain(|(staged, _)| *staged != name);
                 staged.push((name, payload));
                 Message::InsertOk
             }
@@ -472,7 +473,7 @@ impl ShardService {
             }
             _ => return fault_frame(fault::REPAIR),
         };
-        let store = match self.home.restore(shard, &staged) {
+        let store = match self.home.restore(shard, staged) {
             Ok(store) => store,
             Err(_) => {
                 // Keep the owed writes; the controller re-ships.
@@ -806,6 +807,29 @@ mod tests {
         }
         let retained = service.scratch.retained_bytes();
         assert!(retained <= 128 << 10, "the scratch keeps {retained} bytes");
+    }
+
+    /// A ship whose every file frame arrives twice (a retry after a
+    /// lost answer, a duplicating link) stages each file once and
+    /// commits.
+    #[test]
+    fn a_file_frame_delivered_twice_stages_once_and_commits() {
+        let mut service = service_in(State::Rebuilding);
+        let mut rpc = |frame| answer_of(service.handle(NodeId::Owner(0), AuthToken(0), frame));
+        for frame in file_frames() {
+            assert_eq!(rpc(frame), Answer::InsertOk);
+        }
+        assert_eq!(
+            rpc(Message::InstallCommit { shard: SHARD }),
+            Answer::InsertOk
+        );
+        assert_eq!(state_of(&service), State::Serving);
+        let removed = Message::RemoveDoc {
+            shard: SHARD,
+            doc: DocId(1),
+        };
+        let answer = answer_of(service.handle(NodeId::Owner(0), AuthToken(0), removed));
+        assert_eq!(answer, Answer::DeleteOk(1), "the shipped doc is served");
     }
 
     /// What the table's footnotes say: a restart of a failed ship

@@ -10,8 +10,7 @@
 //! free. [`crate::runtime::service`] calls the store directly; what is
 //! left here is what sits *around* a store: the checked wire →
 //! [`Document`] conversion, where a replica's files live ([`ShardHome`]), how a
-//! fresh replica is opened empty, and how a shipped one is installed
-//! and reopened.
+//! fresh replica is opened empty, and how a shipped one is installed.
 
 use std::path::PathBuf;
 
@@ -112,22 +111,18 @@ impl ShardHome {
         store
     }
 
-    /// Installs a shipped snapshot (the files of
-    /// [`SegmentStore::export_files`]) as `shard`'s store and reopens
-    /// it, observed like the store it replaces. Any
-    /// previous contents are discarded first — a rebuild *replaces* the
-    /// replica, and stale segments or WAL records must not survive into
-    /// the installed state — and there is no fresh-directory assertion:
-    /// recovered documents are exactly what a rebuild installs.
+    /// Installs a shipped snapshot as `shard`'s store, observed like
+    /// the store it replaces, over a directory emptied first: a rebuild
+    /// *replaces* the replica, so no stale segment or WAL record
+    /// survives into it, and what it serves is what was shipped.
     pub(crate) fn restore(
         &self,
         shard: u32,
-        files: &[(String, Vec<u8>)],
+        files: Vec<(String, Vec<u8>)>,
     ) -> Result<SegmentStore, SegmentError> {
         let dir = self.dir(shard);
         std::fs::remove_dir_all(&dir).ok();
-        SegmentStore::install_files(&dir, files)?;
-        SegmentStore::open_observed(dir, self.policy, &self.registry)
+        SegmentStore::install(dir, files, self.policy, &self.registry)
     }
 }
 
@@ -258,7 +253,7 @@ mod tests {
         let files = source.export_files().unwrap();
         // Shard 1's directory holds a stale replica the install replaces.
         drop(seeded(&home, 1, &[doc(777, &[(9, 1)])]));
-        let restored = home.restore(1, &files).unwrap();
+        let restored = home.restore(1, files).unwrap();
         let mut live = corpus();
         live.retain(|d| d.id != DocId(9));
         live.push(addition);
@@ -280,12 +275,12 @@ mod tests {
         let home = small_home(&scratch);
         // No files at all is no snapshot — not an empty shard.
         assert!(matches!(
-            home.restore(0, &[]),
+            home.restore(0, Vec::new()),
             Err(SegmentError::Corrupt { .. })
         ));
-        let garbage = [("MANIFEST.zman".to_string(), vec![0xFF, 0xFE])];
+        let garbage = vec![("MANIFEST.zman".to_string(), vec![0xFF, 0xFE])];
         assert!(matches!(
-            home.restore(0, &garbage),
+            home.restore(0, garbage),
             Err(SegmentError::Corrupt { .. })
         ));
     }
