@@ -12,10 +12,9 @@
 //! width, and after the gap column come each exception's gap index (one
 //! byte) and its high bits, packed. The header bytes, the exception
 //! indices and `len` fix every column's offset and the payload's size,
-//! so a list's block index can be checked against its data without
-//! decoding ([`payload_end`]) and a reader can unpack one column alone:
-//! [`DecodedBlock::decode`] leaves the positions packed until
-//! [`DecodedBlock::position`] asks for one.
+//! so a reader can unpack one column alone: [`DecodedBlock::decode`]
+//! leaves the positions packed until [`DecodedBlock::position`] asks
+//! for one.
 //!
 //! Every column is 32-bit: a doc key is the `u32`
 //! [`zerber_index::DocId`] it was built from, and counts, lengths and
@@ -24,9 +23,11 @@
 //! unaligned 8-byte little-endian load, a shift and a mask per value —
 //! the scalar form of Lemire & Boytsov, *Decoding billions of integers
 //! per second through vectorization* (SPE 2015), whose 32-bit patched
-//! codecs this gap column follows. The one thing the layout cannot
-//! bound is the gaps' sum, which may run past `u32::MAX`: decoding
-//! reports that as [`DecodeError::Overflow`].
+//! codecs this gap column follows. The layout cannot bound what the
+//! columns hold — gaps may sum past `u32::MAX` or miss `last_doc`, a
+//! posting may score above its list's maximum — so [`check_block`]
+//! proves it once, in the one list check, and [`DecodedBlock::decode`]
+//! trusts it.
 //!
 //! Each block carries `(first_doc, last_doc)` skip metadata
 //! ([`BlockMeta`]) so a reader can decide from the block index alone
@@ -93,7 +94,7 @@ pub struct BlockMeta {
     pub offset: usize,
 }
 
-/// Errors surfaced while reading a block payload.
+/// Why [`check_block`] refuses a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DecodeError {
     /// The block's posting count is outside 1..=[`BLOCK_SIZE`].
@@ -106,6 +107,10 @@ pub(crate) enum DecodeError {
     Overflow,
     /// An exception names a gap the block does not have.
     BadException,
+    /// The doc gaps land on another key than the block's `last_doc`.
+    WrongLastDoc,
+    /// A posting's term frequency exceeds the list's maximum.
+    AboveMaximum,
 }
 
 impl DecodeError {
@@ -117,6 +122,8 @@ impl DecodeError {
             DecodeError::Truncated => "block payload past the end of the data",
             DecodeError::Overflow => "doc key overflows 32 bits",
             DecodeError::BadException => "gap exception index out of range",
+            DecodeError::WrongLastDoc => "block does not end on its last document",
+            DecodeError::AboveMaximum => "posting term frequency above the list maximum",
         }
     }
 }
@@ -175,39 +182,20 @@ struct Layout {
 }
 
 impl Layout {
-    /// Reads the width bytes of the block at `meta` and places its
-    /// columns, checking the widths, that the payload fits `data` and
-    /// that every exception names a gap of the block.
-    fn of(meta: &BlockMeta, data: &[u8]) -> Result<Self, DecodeError> {
+    /// Places the columns of the block at `meta` in its list's `data`
+    /// from its width bytes, trusting them: [`check_block`] proves them
+    /// before anything else reads the block.
+    fn of(meta: &BlockMeta, data: &[u8]) -> Self {
         let len = usize::from(meta.len);
-        if !(1..=BLOCK_SIZE).contains(&len) {
-            return Err(DecodeError::BadLength);
-        }
-        let payload = data.get(meta.offset..).ok_or(DecodeError::Truncated)?;
-        let header = payload
-            .first_chunk::<WIDTH_BYTES>()
-            .ok_or(DecodeError::Truncated)?;
-        let mut widths = header.map(u32::from);
+        let header = &data[meta.offset..];
+        let mut widths: [u32; 4] = std::array::from_fn(|column| header[column].into());
         let mut at = meta.offset + WIDTH_BYTES;
         let mut exceptions = Exceptions::default();
         if header[GAPS] & PATCHED != 0 {
             widths[GAPS] = u32::from(header[GAPS] & !PATCHED);
-            let [count, width] = *payload[WIDTH_BYTES..]
-                .first_chunk()
-                .ok_or(DecodeError::Truncated)?;
-            let (count, width) = (usize::from(count), u32::from(width));
-            if !(1..len).contains(&count) || width == 0 || widths[GAPS] + width > MAX_WIDTH {
-                return Err(DecodeError::BadWidth);
-            }
+            exceptions.count = usize::from(header[WIDTH_BYTES]);
+            exceptions.width = u32::from(header[WIDTH_BYTES + 1]);
             at += 2;
-            exceptions = Exceptions {
-                count,
-                width,
-                start: 0,
-            };
-        }
-        if widths.iter().any(|&w| w > MAX_WIDTH) {
-            return Err(DecodeError::BadWidth);
         }
         let mut starts = [0; 4];
         for (column, start) in starts.iter_mut().enumerate() {
@@ -219,28 +207,96 @@ impl Layout {
                 at += exceptions.count + column_bytes(exceptions.count, exceptions.width);
             }
         }
-        if at > data.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let indices = &data[exceptions.start..][..exceptions.count];
-        if indices.iter().any(|&i| usize::from(i) >= len - 1) {
-            return Err(DecodeError::BadException);
-        }
-        Ok(Self {
+        Self {
             widths,
             starts,
             exceptions,
             end: at,
-        })
+        }
+    }
+
+    /// Unpacks the block's `len − 1` stored gaps (each `gap − 1`) into
+    /// `out`, the exceptions' high bits included.
+    fn gaps(&self, data: &[u8], out: &mut [u32]) {
+        self.unpack(data, GAPS, out);
+        let exceptions = self.exceptions;
+        let indices = &data[exceptions.start..][..exceptions.count];
+        let high = &data[exceptions.start + exceptions.count..];
+        for (k, &i) in indices.iter().enumerate() {
+            out[usize::from(i)] |= read(high, k, exceptions.width) << self.widths[GAPS];
+        }
+    }
+
+    /// Unpacks `out.len()` values of `column` into `out`. A column runs
+    /// to the data's end: a window that reads past it into the next one
+    /// is masked off.
+    fn unpack(&self, data: &[u8], column: usize, out: &mut [u32]) {
+        unpack_column(&data[self.starts[column]..], self.widths[column], out);
     }
 }
 
-/// One past the last payload byte of the block at `meta`: its width
-/// bytes and `len` fix its size. Checks what [`DecodedBlock::decode`]
-/// needs of the layout — length, widths and exception indices in
-/// range, payload inside `data` — in O(1), without unpacking.
-pub(crate) fn payload_end(meta: &BlockMeta, data: &[u8]) -> Result<usize, DecodeError> {
-    Layout::of(meta, data).map(|layout| layout.end)
+/// One past the last payload byte of the block at `meta` in its list's
+/// `data`, once the block is proven to read back as its index entry
+/// says: its length, widths and exception indices in range, its payload
+/// inside `data`, its gaps — unpacked into stack scratch, as its counts
+/// and lengths are, and summed in `u64` — landing exactly on
+/// `last_doc`, and no posting's term frequency above `max_tf`, its
+/// list's maximum. The positions are not unpacked.
+pub(crate) fn check_block(
+    meta: &BlockMeta,
+    data: &[u8],
+    max_tf: f64,
+) -> Result<usize, DecodeError> {
+    let len = usize::from(meta.len);
+    if !(1..=BLOCK_SIZE).contains(&len) {
+        return Err(DecodeError::BadLength);
+    }
+    let header = data.get(meta.offset..).ok_or(DecodeError::Truncated)?;
+    let patched = header.first().is_some_and(|&gaps| gaps & PATCHED != 0);
+    if header.len() < WIDTH_BYTES + if patched { 2 } else { 0 } {
+        return Err(DecodeError::Truncated);
+    }
+    let layout = Layout::of(meta, data);
+    let (widths, exceptions) = (layout.widths, layout.exceptions);
+    let exceptions_fit = (1..len).contains(&exceptions.count)
+        && exceptions.width > 0
+        && widths[GAPS] + exceptions.width <= MAX_WIDTH;
+    if (patched && !exceptions_fit) || widths.iter().any(|&w| w > MAX_WIDTH) {
+        return Err(DecodeError::BadWidth);
+    }
+    if layout.end > data.len() {
+        return Err(DecodeError::Truncated);
+    }
+    let indices = &data[exceptions.start..][..exceptions.count];
+    if indices.iter().any(|&i| usize::from(i) >= len - 1) {
+        return Err(DecodeError::BadException);
+    }
+    // The gaps go through the count scratch first.
+    let (mut counts, mut lengths) = ([0; BLOCK_SIZE], [0; BLOCK_SIZE]);
+    layout.gaps(data, &mut counts[..len - 1]);
+    let gaps: u64 = counts[..len - 1].iter().map(|&gap| u64::from(gap)).sum();
+    let last = u64::from(meta.first_doc) + gaps + (len - 1) as u64;
+    if last > u64::from(u32::MAX) {
+        return Err(DecodeError::Overflow);
+    }
+    if last != u64::from(meta.last_doc) {
+        return Err(DecodeError::WrongLastDoc);
+    }
+    layout.unpack(data, COUNTS, &mut counts[..len]);
+    layout.unpack(data, LENGTHS, &mut lengths[..len]);
+    // The largest count / length, found exactly by cross-multiplying
+    // (each product fits a `u64`): rounding is monotone, so its
+    // quotient is the block's largest term frequency.
+    let (mut count, mut length) = (0, 1);
+    for (&c, &l) in counts[..len].iter().zip(&lengths[..len]) {
+        if l > 0 && u64::from(c) * u64::from(length) > u64::from(count) * u64::from(l) {
+            (count, length) = (c, l);
+        }
+    }
+    if term_frequency(count, length) > max_tf {
+        return Err(DecodeError::AboveMaximum);
+    }
+    Ok(layout.end)
 }
 
 /// Appends `values` packed LSB-first at `width` bits, zero-padded to
@@ -451,12 +507,11 @@ impl DecodedBlock {
     }
 
     /// Unpacks the doc, count and length columns of the block at `meta`
-    /// from its list's `data`. The doc column is one prefix-sum pass
-    /// over the unpacked gaps, overflow checked. On error the block
-    /// holds nothing.
-    pub(crate) fn decode(&mut self, meta: &BlockMeta, data: &[u8]) -> Result<(), DecodeError> {
-        self.len = 0;
-        let layout = Layout::of(meta, data)?;
+    /// from its list's `data`: the doc column is one prefix-sum pass
+    /// over the unpacked gaps. The block was laid out by this process's
+    /// builder or proven by [`check_block`], so nothing is checked here.
+    pub(crate) fn decode(&mut self, meta: &BlockMeta, data: &[u8]) {
+        let layout = Layout::of(meta, data);
         let len = usize::from(meta.len);
         if self.stride < len {
             self.stride = len;
@@ -465,36 +520,17 @@ impl DecodedBlock {
         let (docs, rest) = self.columns.split_at_mut(self.stride);
         let (counts, lengths) = rest.split_at_mut(self.stride);
         let (docs, counts, lengths) = (&mut docs[..len], &mut counts[..len], &mut lengths[..len]);
-        // Each column runs to the data's end: a window that reads past
-        // the column into the next one is masked off.
-        let column = |c: usize| &data[layout.starts[c]..];
         docs[0] = meta.first_doc;
-        unpack_column(column(GAPS), layout.widths[GAPS], &mut docs[1..]);
-        let exceptions = layout.exceptions;
-        if exceptions.count > 0 {
-            // `Layout::of` checked every index against the gap count.
-            let indices = &data[exceptions.start..][..exceptions.count];
-            let high = &data[exceptions.start + exceptions.count..];
-            for (k, &i) in indices.iter().enumerate() {
-                docs[1 + usize::from(i)] |= read(high, k, exceptions.width) << layout.widths[GAPS];
-            }
-        }
-        let mut overflow = false;
+        layout.gaps(data, &mut docs[1..]);
         let mut doc = meta.first_doc;
         for slot in &mut docs[1..] {
-            let (next, over) = doc.overflowing_add(*slot);
-            let (next, over_one) = next.overflowing_add(1);
-            overflow |= over | over_one;
-            (*slot, doc) = (next, next);
+            doc += *slot + 1;
+            *slot = doc;
         }
-        if overflow {
-            return Err(DecodeError::Overflow);
-        }
-        unpack_column(column(COUNTS), layout.widths[COUNTS], counts);
-        unpack_column(column(LENGTHS), layout.widths[LENGTHS], lengths);
+        layout.unpack(data, COUNTS, counts);
+        layout.unpack(data, LENGTHS, lengths);
         self.position_column = (layout.starts[POSITIONS], layout.widths[POSITIONS]);
         self.len = len;
-        Ok(())
     }
 
     /// Entry `i`'s run-start position, read from the packed column in
@@ -541,10 +577,16 @@ mod tests {
         (meta, data)
     }
 
-    /// Fully decodes the block at `meta`.
+    /// Checks the block at `meta` under a maximum no posting passes.
+    fn check(meta: &BlockMeta, data: &[u8]) -> Result<usize, DecodeError> {
+        check_block(meta, data, f64::MAX)
+    }
+
+    /// Fully decodes the block at `meta`, once [`check`] passes it.
     fn decode(meta: &BlockMeta, data: &[u8]) -> Result<Vec<RawEntry>, DecodeError> {
+        check(meta, data)?;
         let mut block = DecodedBlock::default();
-        block.decode(meta, data)?;
+        block.decode(meta, data);
         Ok((0..block.len()).map(|i| block.entry(data, i)).collect())
     }
 
@@ -557,7 +599,7 @@ mod tests {
         assert_eq!(meta.first_doc, 3);
         assert_eq!(meta.last_doc, 99 * 7 + 3);
         assert_eq!(meta.len, 100);
-        assert_eq!(payload_end(&meta, &data), Ok(data.len()));
+        assert_eq!(check(&meta, &data), Ok(data.len()));
         assert_eq!(decode(&meta, &data).unwrap(), entries);
     }
 
@@ -589,9 +631,17 @@ mod tests {
     #[test]
     fn max_tf_bounds_every_entry() {
         let entries = vec![entry(1, 5, 50), entry(2, 9, 10), entry(3, 1, 100)];
-        let (_, max_tf) = encode_block(&entries, &mut Vec::new());
+        let mut data = Vec::new();
+        let (meta, max_tf) = encode_block(&entries, &mut data);
         assert!((max_tf - 0.9).abs() < 1e-12);
         assert!(entries.iter().all(|e| e.term_frequency() <= max_tf));
+        // The check holds a block to the maximum it is given.
+        assert_eq!(check_block(&meta, &data, max_tf), Ok(data.len()));
+        let below = f64::from_bits(max_tf.to_bits() - 1);
+        assert_eq!(
+            check_block(&meta, &data, below),
+            Err(DecodeError::AboveMaximum)
+        );
     }
 
     #[test]
@@ -617,8 +667,7 @@ mod tests {
         let entries: Vec<RawEntry> = (1..=10).map(|doc| entry(doc * 3, 3, 7)).collect();
         let (meta, data) = encode(&entries);
         for cut in 0..data.len() {
-            assert!(decode(&meta, &data[..cut]).is_err(), "cut at {cut}");
-            assert!(payload_end(&meta, &data[..cut]).is_err(), "cut at {cut}");
+            assert!(check(&meta, &data[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -629,24 +678,23 @@ mod tests {
         for column in 0..WIDTH_BYTES {
             let mut bad = data.clone();
             bad[column] = MAX_WIDTH as u8 + 1;
-            assert_eq!(payload_end(&meta, &bad), Err(DecodeError::BadWidth));
-            assert_eq!(decode(&meta, &bad), Err(DecodeError::BadWidth));
+            assert_eq!(check(&meta, &bad), Err(DecodeError::BadWidth));
         }
         let empty = BlockMeta { len: 0, ..meta };
-        assert_eq!(payload_end(&empty, &data), Err(DecodeError::BadLength));
+        assert_eq!(check(&empty, &data), Err(DecodeError::BadLength));
         // Gaps summing past u32::MAX.
         let (meta, data) = encode(&[entry(0, 1, 1), entry(u32::MAX, 1, 1)]);
         let late = BlockMeta {
             first_doc: 1,
             ..meta
         };
-        assert_eq!(decode(&late, &data), Err(DecodeError::Overflow));
+        assert_eq!(check(&late, &data), Err(DecodeError::Overflow));
     }
 
     #[test]
     fn hand_built_gaps_past_the_key_space_overflow() {
-        // Payloads no builder writes, whose layout is sound: the check
-        // that needs no decode passes them, the decode refuses them.
+        // Payloads no builder writes, whose layout is sound: the sum of
+        // their gaps refuses them.
         let cases: [(&[u8], u32, u16); 3] = [
             // One full-width gap − 1 of u32::MAX − 1 after doc 1.
             (&[32, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF], 1, 2),
@@ -667,8 +715,7 @@ mod tests {
                 len,
                 offset: 0,
             };
-            assert_eq!(payload_end(&meta, data), Ok(data.len()), "{data:?}");
-            assert_eq!(decode(&meta, data), Err(DecodeError::Overflow), "{data:?}");
+            assert_eq!(check(&meta, data), Err(DecodeError::Overflow), "{data:?}");
         }
     }
 
@@ -687,17 +734,15 @@ mod tests {
         let columns = 2 * column_bytes(101, 1) + column_bytes(101, 9);
         assert_eq!(data.len(), WIDTH_BYTES + 2 + 1 + 3 + columns);
         assert_eq!(decode(&meta, &data).unwrap(), entries);
-        // An exception index past the gap column fails the layout
-        // check, and so the decode.
+        // An exception index past the gap column fails the check.
         let index = WIDTH_BYTES + 2;
         assert_eq!(data[index], 99);
         for byte in [100, 200, 255] {
             let mut bad = data.clone();
             bad[index] = byte;
-            assert_eq!(payload_end(&meta, &bad), Err(DecodeError::BadException));
-            assert_eq!(decode(&meta, &bad), Err(DecodeError::BadException));
+            assert_eq!(check(&meta, &bad), Err(DecodeError::BadException));
         }
-        // Header bytes out of range fail the layout check.
+        // Header bytes out of range fail it too.
         for (at, byte) in [
             (WIDTH_BYTES, 0),
             (WIDTH_BYTES, 101),
@@ -707,7 +752,7 @@ mod tests {
             let mut bad = data.clone();
             bad[at] = byte;
             assert_eq!(
-                payload_end(&meta, &bad),
+                check(&meta, &bad),
                 Err(DecodeError::BadWidth),
                 "byte {at} = {byte}"
             );
@@ -851,7 +896,12 @@ mod tests {
                     assert_eq!(u32::from((data[0] & !PATCHED) + high), gap_width);
                     patched_blocks += usize::from(patched);
                 }
-                let end = payload_end(&meta, &data).unwrap();
+                // The builder's maximum passes the check.
+                let max_tf = entries
+                    .iter()
+                    .map(RawEntry::term_frequency)
+                    .fold(0.0, f64::max);
+                let end = check_block(&meta, &data, max_tf).unwrap();
                 assert_eq!(end, data.len(), "{widths:?}");
                 assert_eq!(decode(&meta, &data).unwrap(), entries, "{widths:?}");
                 // Decoding inside a longer buffer reads the same.

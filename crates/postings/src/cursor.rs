@@ -33,7 +33,7 @@ use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
 
 use crate::block::{term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
-use crate::list::{decode_block, meta, CompressedPostingList, ENTRY};
+use crate::list::{meta, CompressedPostingList, ENTRY};
 
 /// The `(doc, tf · weight)` posting a cursor surfaces for `entry`.
 fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
@@ -135,7 +135,8 @@ impl<'a> CompressedBlockCursor<'a> {
                 return false;
             }
             if self.decoded_block != self.block {
-                decode_block(&mut self.buffer, &self.index[self.block], self.data);
+                self.buffer
+                    .decode(&meta(&self.index[self.block]), self.data);
                 self.decoded_block = self.block;
                 self.decoded += 1;
                 self.pos = 0;

@@ -5,13 +5,15 @@
 //! block count u32, then one 18-byte index entry per block (`first_doc`
 //! u32, `last_doc` u32, `len` u16, payload `offset` u64). Doc keys are
 //! 32-bit; `len`, `data_len` and `offset` count postings and bytes, and
-//! keep 64 bits. [`CompressedPostingList::parse`] reads one where it
-//! lies and checks it in O(blocks); [`CompressedPostingList::verify`]
-//! decodes it once, for a record read from a file; `seal` writes one.
+//! keep 64 bits. `seal` writes one; [`CompressedPostingList::parse`]
+//! reads one where it lies and proves it, in one walk of its blocks,
+//! against everything a reader relies on. Every list in the process was
+//! sealed by the builder or proven by `parse`, so a reader decodes its
+//! blocks without checking them again.
 
 use std::sync::Arc;
 
-use crate::block::{payload_end, BlockMeta, DecodedBlock, RawEntry};
+use crate::block::{check_block, BlockMeta, DecodeError, RawEntry};
 use crate::cursor::CompressedBlockCursor;
 use crate::varint;
 
@@ -37,20 +39,6 @@ pub(crate) fn meta(entry: &[u8; ENTRY]) -> BlockMeta {
         len: u16::from_le_bytes([n0, n1]),
         offset: u64::from_le_bytes(offset) as usize,
     }
-}
-
-/// Decodes the block at `entry` of a checked list's `data` into
-/// `buffer`, positions left packed: the one read-path decode, behind
-/// [`CompressedBlockCursor`]. Every list a reader holds was laid out
-/// by this process's builder or verified when its file was read.
-#[expect(
-    clippy::expect_used,
-    reason = "a list is built by this process's builder or verified when read from a file"
-)]
-pub(crate) fn decode_block(buffer: &mut DecodedBlock, entry: &[u8; ENTRY], data: &[u8]) {
-    buffer
-        .decode(&meta(entry), data)
-        .expect("builder-produced blocks decode cleanly");
 }
 
 /// The index entry of `meta`, whose payload starts `offset` bytes into
@@ -128,18 +116,19 @@ impl CompressedPostingList {
         }
     }
 
-    /// A view of the record that starts at `at` in `buf`, checked in
-    /// O(blocks) against every invariant the builder keeps that can be
-    /// read without unpacking a column: the record lies inside `buf`,
-    /// the maximum is finite and non-negative, and the block index
-    /// tiles the data in document order, each block's widths and
-    /// exception indices in range (each check below names its own).
-    /// One thing only a decode shows: whether a block's gaps sum to its
-    /// `last_doc` without passing `u32::MAX`. So a record read from a
-    /// file — a store's own segment at open, or one a peer shipped —
-    /// goes through [`CompressedPostingList::verify`] as well, since
-    /// decoding a block that fails it panics; only a body this
-    /// process's builder just laid out is parsed alone.
+    /// A view of the record that starts at `at` in `buf`, proven in one
+    /// walk of its block index against every invariant a reader relies
+    /// on (each check below and in `check_block` names its own): the
+    /// record lies inside `buf`, the maximum is finite and non-negative,
+    /// and the block index tiles the data in document order. Each block's
+    /// widths and exception indices are in range, its gaps land exactly
+    /// on its `last_doc` without passing `u32::MAX`, and none of its
+    /// postings scores above the maximum, which MaxScore's bounds trust.
+    /// That unpacks each block's gap, count and length columns into
+    /// stack scratch: O(postings), and no allocation. Every list in the
+    /// process was sealed by the builder or proven here — a record read
+    /// from a file, a store's own segment at open or one a peer shipped,
+    /// as much as a body this process's builder just laid out.
     pub fn parse(buf: &Arc<Vec<u8>>, at: usize) -> Result<Self, &'static str> {
         const SHORT: &str = "list record past the end of its buffer";
         let bytes = |at: usize| buf.get(at..).ok_or(SHORT);
@@ -166,22 +155,14 @@ impl CompressedPostingList {
         let (data, mut total, mut end) = (list.data(), 0usize, 0usize);
         let mut previous: Option<BlockMeta> = None;
         for block in list.blocks() {
-            let count = usize::from(block.len);
-            if block
-                .last_doc
-                .checked_sub(block.first_doc)
-                .is_none_or(|span| span < u32::from(block.len).saturating_sub(1))
-            {
-                return Err("block document span cannot hold its postings");
-            }
             if previous.is_some_and(|previous| block.first_doc <= previous.last_doc) {
                 return Err("blocks out of document order");
             }
             if block.offset != end {
                 return Err("block payload does not start where the previous one ends");
             }
-            end = payload_end(&block, data).map_err(|error| error.reason())?;
-            total += count;
+            end = check_block(&block, data, max_tf).map_err(DecodeError::reason)?;
+            total += usize::from(block.len);
             previous = Some(block);
         }
         if end != data.len() {
@@ -191,23 +172,6 @@ impl CompressedPostingList {
             return Err("block lengths do not sum to the list length");
         }
         Ok(list)
-    }
-
-    /// Decodes every block of a parsed list once and checks that each
-    /// ends on its index entry's `last_doc`: O(postings), for a list
-    /// read from a file, which a checksum does not prove this
-    /// process's builder wrote. A list that passes decodes cleanly
-    /// wherever it is read. The admission check, not a reader: it keeps
-    /// its own fallible decode.
-    pub fn verify(&self) -> Result<(), &'static str> {
-        let mut buffer = DecodedBlock::default();
-        for block in self.blocks() {
-            buffer.decode(&block, self.data()).map_err(|e| e.reason())?;
-            if buffer.docs().last() != Some(&block.last_doc) {
-                return Err("block does not end on its last document");
-            }
-        }
-        Ok(())
     }
 
     /// Number of postings.
@@ -462,24 +426,22 @@ mod tests {
     }
 
     #[test]
-    fn verify_refuses_what_only_a_decode_shows() {
+    fn parse_refuses_gaps_that_miss_their_last_doc() {
         // One block of ten even docs, 0 to 18.
         let list = list_of(&(0..10).map(|i| 2 * i).collect::<Vec<u32>>());
-        assert_eq!(list.verify(), Ok(()));
+        assert_eq!(parse_patched(&list, &[]), Ok(list.clone()));
         let entry = list.record().len() - ENTRY;
         // A last doc the gaps do not reach, and a first doc whose gaps
-        // pass u32::MAX: each span holds ten postings, so both parse.
-        let wrong_last = parse_patched(&list, &[(entry + 4, &100u32.to_le_bytes())]).unwrap();
+        // pass u32::MAX: each span holds ten postings, and the layout is
+        // sound, so only the sum of the gaps refuses them.
+        let wrong_last = parse_patched(&list, &[(entry + 4, &100u32.to_le_bytes())]);
         assert_eq!(
-            wrong_last.verify(),
-            Err("block does not end on its last document")
+            wrong_last.err(),
+            Some("block does not end on its last document")
         );
         let past_max = (u32::MAX - 9).to_le_bytes();
         let overflowing = parse_patched(&list, &[(entry, &past_max), (entry + 4, &[0xFF; 4])]);
-        assert_eq!(
-            overflowing.unwrap().verify(),
-            Err("doc key overflows 32 bits")
-        );
+        assert_eq!(overflowing.err(), Some("doc key overflows 32 bits"));
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! single-element, and keys and gaps up to the top of the 32-bit key
 //! space), the block cursor's seeks (`advance_past`, then `next`) agree
 //! with linear scanning, the streaming k-way merge matches the naive
-//! merge, and the column codec round-trips arbitrary columns.
+//! merge, and the column codec round-trips arbitrary columns. A list
+//! record damaged anywhere parses only if it reads back as its block
+//! index and its maximum say.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use zerber_index::cursor::BlockCursor;
@@ -128,4 +132,84 @@ fn keys_at_the_top_of_the_range_cross_block_boundaries() {
     assert_eq!(seek(&mut iter, doc(150)).unwrap().doc, doc(150));
     assert_eq!(seek(&mut iter, u32::MAX).unwrap().doc, u32::MAX);
     assert!(seek(&mut iter, u32::MAX).is_none());
+}
+
+/// Why `list` does not read back as its record says, if it does not:
+/// a read must yield exactly `len()` postings, strictly ascending, each
+/// block ending on its index entry's `last_doc`, and none scoring above
+/// the list's stated maximum (its score bound at weight 1).
+fn inconsistency(list: &CompressedPostingList) -> Option<String> {
+    let read = catch_unwind(AssertUnwindSafe(|| list.decode_all()));
+    let Ok(entries) = read else {
+        return Some("the read panicked".into());
+    };
+    if entries.len() != list.len() {
+        return Some(format!("{} postings of {}", entries.len(), list.len()));
+    }
+    if !entries.windows(2).all(|pair| pair[0].doc < pair[1].doc) {
+        return Some("doc keys not strictly ascending".into());
+    }
+    let mut rest = entries.as_slice();
+    for (b, block) in list.blocks().enumerate() {
+        let (held, later) = rest.split_at(usize::from(block.len));
+        if held.last().map(|e| e.doc) != Some(block.last_doc) {
+            return Some(format!("block {b} does not end on its last_doc"));
+        }
+        rest = later;
+    }
+    let max = list.iter().list_max_score();
+    entries
+        .iter()
+        .find(|e| e.term_frequency() > max)
+        .map(|e| format!("doc {} scores above the maximum {max}", e.doc))
+}
+
+#[test]
+fn a_damaged_record_parses_only_if_it_reads_back_consistently() {
+    // Three blocks: dense, patched (a 2^24 jump every 40 docs) and one
+    // ending at u32::MAX, over counts and lengths of several widths.
+    let dense = 0..128u32;
+    let patched = (0..128u32).map(|i| 1000 + i + ((i / 40) << 24));
+    let top = (0..44u32).map(|i| u32::MAX - 3 * (43 - i));
+    let entries: Vec<RawEntry> = dense
+        .chain(patched)
+        .chain(top)
+        .map(|doc| RawEntry {
+            doc,
+            count: doc % 5 + 1,
+            doc_length: doc % 97 + 10,
+            pos: doc % 300,
+        })
+        .collect();
+    let list = compress(&entries);
+    assert_eq!(list.blocks().len(), 3);
+    assert_ne!(
+        list.data()[list.block(1).offset] & 0x80,
+        0,
+        "block 1 is patched"
+    );
+    assert_eq!(list.block(2).last_doc, u32::MAX);
+    assert_eq!(inconsistency(&list), None);
+    let record = list.record();
+    let (mut parsed, mut failures) = (0, Vec::new());
+    for at in 0..record.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut damaged = record.to_vec();
+            damaged[at] ^= mask;
+            let Ok(damaged) = CompressedPostingList::parse(&Arc::new(damaged), 0) else {
+                continue;
+            };
+            parsed += 1;
+            if let Some(why) = inconsistency(&damaged) {
+                failures.push(format!("byte {at} ^ {mask:#04x}: {why}"));
+            }
+        }
+    }
+    // Damage to a position, for one, leaves a consistent list.
+    assert!(parsed > 0);
+    assert!(
+        failures.is_empty(),
+        "{} of {parsed} parsed damaged records read back inconsistently: {failures:#?}",
+        failures.len()
+    );
 }

@@ -20,7 +20,7 @@
 //!   `zerber_postings::CompressedPostingList`s with their skip
 //!   metadata and score maxima, the documents whose current version the segment
 //!   defines, and absorbed tombstones — written atomically, and
-//!   CRC-checked and every list decoded once on load,
+//!   CRC-checked and every list proven by `parse` on load,
 //! * [`bulk`] — the offline bulk-build knobs ([`BulkConfig`]): parallel
 //!   workers, each owning a share of the vocabulary, compress every
 //!   posting once straight into its list; the lists are the load's one

@@ -6,8 +6,10 @@
 //! *current version* this segment defines, and the tombstones it
 //! absorbed. Files are written to a temp name, fsync'd, and renamed —
 //! a segment either exists completely or not at all — and carry a
-//! CRC-32 over the whole body, verified on load with a decode of every
-//! list.
+//! CRC-32 over the whole body, verified on load. Every list in the
+//! process was sealed by the builder or proven by
+//! [`CompressedPostingList::parse`], the one check a list gets: a
+//! segment being written and a segment read from a file alike.
 //!
 //! In memory a segment is its file: each list is a view of its record
 //! in it. A merge or a bulk load lays the file out record by record
@@ -579,10 +581,9 @@ impl SegmentContent {
 
     /// Parses the body of a checked segment frame (read from `file`)
     /// into the image that views it: the doc tables are read out, and
-    /// each list is checked where its record lies
+    /// each list is proven where its record lies
     /// ([`CompressedPostingList::parse`]) and kept as a view of it. No
-    /// list is copied. A frame this process did not lay out goes
-    /// through [`Segment::read`] instead.
+    /// list is copied.
     pub(crate) fn parse(frame: Vec<u8>, file: &str) -> Result<Self, SegmentError> {
         let frame = Arc::new(frame);
         let mut r = Reader::new(&frame, file);
@@ -619,16 +620,12 @@ impl SegmentContent {
 
 impl Segment {
     /// The segment in the file `file_name`, given whole as `frame` and
-    /// kept: checked ([`check_frame`]), parsed, and every list decoded
-    /// once ([`CompressedPostingList::verify`]) — a checksum does not
-    /// prove this process's builder wrote it — in O(postings).
+    /// kept: its frame checked ([`check_frame`]), then its body parsed,
+    /// each list proven by [`CompressedPostingList::parse`] — a checksum
+    /// does not prove this process's builder wrote it — in O(postings).
     pub(crate) fn read(frame: Vec<u8>, file_name: &str) -> Result<Segment, SegmentError> {
         check_frame(&frame, file_name)?;
         let content = SegmentContent::parse(frame, file_name)?;
-        for (_, list) in &content.terms {
-            let corrupt = |why| SegmentError::corrupt(file_name, why);
-            list.verify().map_err(corrupt)?;
-        }
         Ok(Segment::new(content, file_name.to_owned()))
     }
 }

@@ -562,15 +562,15 @@ fn balanced_pair(sizes: &[usize], max_segments: usize) -> Option<usize> {
 impl SegmentStore {
     /// Opens (or creates) the store rooted at `dir` and recovers its
     /// durable state: the manifest's segment set is loaded (CRC-checked,
-    /// each list decoded once), stray files from interrupted seals or
-    /// compactions are deleted, and the logs are replayed — every rotated
-    /// `wal-*.log` in `seq` order, then `wal.log` — up to the first bad
-    /// record across them all. Before the first append that log is cut
-    /// there and every later one removed; under
-    /// [`SegmentPolicy::sync_wal`], a bad record in a rotated log is
-    /// damage, and the open is `Corrupt`. The store's instruments go to
-    /// a registry of its own, which nobody reads; pass one to
-    /// [`SegmentStore::open_observed`] to see them.
+    /// each list proven by [`CompressedPostingList::parse`]: every list
+    /// a store holds was sealed by the builder or proven there), stray
+    /// files from interrupted seals or compactions are deleted, and the
+    /// logs are replayed — every rotated `wal-*.log` in `seq` order, then
+    /// `wal.log` — up to the first bad record across them all. Before the
+    /// first append that log is cut there and every later one removed;
+    /// under [`SegmentPolicy::sync_wal`], a bad record in a rotated log
+    /// is damage, and the open is `Corrupt`. Instruments go to a private
+    /// registry; pass one to [`SegmentStore::open_observed`] to see them.
     pub fn open(dir: impl Into<PathBuf>, policy: SegmentPolicy) -> Result<Self, SegmentError> {
         Self::open_observed(dir, policy, &MetricsRegistry::new())
     }
@@ -961,14 +961,14 @@ impl SegmentStore {
     }
 
     /// Opens, in `dir` and observed into `registry`, the store a shipped
-    /// file set ([`SegmentStore::export_files`]) holds. Each segment is
-    /// checked and every list decoded once in the buffer it arrived in
-    /// ([`CompressedPostingList::verify`]), which it keeps; only then
-    /// are the files staged (tmp + fsync + rename + directory fsync, the
-    /// manifest last). Nothing is read back. An escaping name, no
-    /// manifest (that would serve an empty store), a listed segment
-    /// missing, a file not listed, and a frame or segment that fails
-    /// are `Corrupt`, and stage nothing.
+    /// file set ([`SegmentStore::export_files`]) holds. Each segment's
+    /// frame is checked and each list proven in the buffer it arrived
+    /// in ([`CompressedPostingList::parse`], as an open proves it),
+    /// which it keeps; only then are the files staged (tmp + fsync +
+    /// rename + directory fsync, the manifest last). Nothing is read
+    /// back. An escaping name, no manifest (that would serve an empty
+    /// store), a listed segment missing, a file not listed, and a frame
+    /// or segment that fails are `Corrupt`, and stage nothing.
     pub fn install(
         dir: impl Into<PathBuf>,
         mut files: Vec<(String, Vec<u8>)>,

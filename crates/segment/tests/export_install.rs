@@ -7,15 +7,21 @@
 //! with a malformed body or naming a file outside its store, not in it
 //! or not a `.zseg`, a frame header declaring a body of `u64::MAX` bytes, any byte of
 //! a segment or MANIFEST body damaged behind a correct CRC — are
-//! refused as `SegmentError::Corrupt` or open, and never panic.
+//! refused as `SegmentError::Corrupt` or open, and never panic. A list
+//! whose stored maximum understates its postings is refused too, since
+//! MaxScore would rank by it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use zerber_index::cursor::{maxscore_topk, BlockCursor, TopKScratch};
 use zerber_index::{DocId, Document, GroupId, SegmentPolicy, TermId};
 use zerber_obs::MetricsRegistry;
-use zerber_postings::{CompressedPostingBuilder, CompressedPostingList, RawEntry};
+use zerber_postings::{
+    CompressedBlockCursor, CompressedPostingBuilder, CompressedPostingList, RawEntry,
+};
 use zerber_segment::crc::crc32;
 use zerber_segment::{ScratchDir, SegmentError, SegmentStore};
 
@@ -434,6 +440,88 @@ fn hand_built_segments_with_undecodable_blocks_are_refused() {
             Ok(other) => panic!("{what}, written directly: expected Corrupt, got {other:?}"),
             Err(_) => panic!("{what}, written directly: panicked"),
         }
+    }
+}
+
+/// A list whose stored maximum understates its postings would rank
+/// wrongly and silently, since MaxScore demotes a list by its maximum.
+/// List A holds doc 1 at 1/100 and doc 500 at 10/10, list B docs 1..199
+/// at 1/2: stored honestly, the top document is 500 at 1.0. With A's
+/// maximum lowered from 1.0 to 0.01 behind a valid CRC, the parse
+/// refuses A, and a segment holding it is `Corrupt` on install, which
+/// stages nothing, and on open.
+#[test]
+fn a_list_with_an_understated_maximum_is_refused_not_ranked() {
+    let list = |entries: &[(u32, u32, u32)]| {
+        CompressedPostingBuilder::from_sorted(entries.iter().map(|&(doc, count, doc_length)| {
+            RawEntry {
+                doc,
+                count,
+                doc_length,
+                pos: 0,
+            }
+        }))
+    };
+    let a = list(&[(1, 1, 100), (500, 10, 10)]);
+    let b = list(&(1..200).map(|doc| (doc, 1, 2)).collect::<Vec<_>>());
+    let mut cursors: Vec<Box<dyn BlockCursor + '_>> = vec![
+        Box::new(CompressedBlockCursor::new(&a, 1.0)),
+        Box::new(CompressedBlockCursor::new(&b, 1.0)),
+    ];
+    let mut scratch = TopKScratch::new();
+    maxscore_topk(&mut cursors, 1, &mut scratch);
+    let top: Vec<(DocId, f64)> = scratch.ranked.iter().map(|r| (r.doc, r.score)).collect();
+    assert_eq!(top, [(DocId(500), 1.0)]);
+
+    // A's record opens with `len` and `data_len` (8 bytes each); its
+    // maximum follows the data.
+    let max = 16 + a.data().len();
+    let understate = |record: &mut [u8]| {
+        assert_eq!(record[max..max + 8], 1.0f64.to_le_bytes());
+        record[max..max + 8].copy_from_slice(&0.01f64.to_le_bytes());
+    };
+    let mut understated = a.record().to_vec();
+    understate(&mut understated);
+    assert_eq!(
+        CompressedPostingList::parse(&Arc::new(understated), 0).err(),
+        Some("posting term frequency above the list maximum")
+    );
+
+    // A store whose term 0 is list A: doc 1 is 100 tokens long and
+    // doc 500 ten, each term's run starting at position 0.
+    let source_dir = ScratchDir::new("export-understated-src");
+    let source = SegmentStore::open(&source_dir, policy()).unwrap();
+    source
+        .insert(&[doc(1, &[(0, 1), (1, 99)]), doc(500, &[(0, 10)])])
+        .unwrap();
+    let mut files = source.export_files().unwrap();
+    drop(source);
+    let segment = files
+        .iter()
+        .position(|(name, _)| name.ends_with(".zseg"))
+        .unwrap();
+    let (header, body) = files[segment].1.split_at(20);
+    let mut body = body.to_vec();
+    let at = body
+        .windows(a.record().len())
+        .position(|w| w == a.record())
+        .expect("the segment stores list A as built");
+    understate(&mut body[at..]);
+    files[segment].1 = reframed(header, &body);
+
+    let dir = ScratchDir::new("export-understated");
+    match install(&dir, files.clone()) {
+        Err(SegmentError::Corrupt { .. }) => {}
+        other => panic!("install: expected Corrupt, got {other:?}"),
+    }
+    assert!(std::fs::read_dir(&*dir).unwrap().next().is_none());
+    let dir = ScratchDir::new("export-understated-direct");
+    for (name, bytes) in &files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    match SegmentStore::open(&dir, policy()) {
+        Err(SegmentError::Corrupt { .. }) => {}
+        other => panic!("open: expected Corrupt, got {other:?}"),
     }
 }
 
