@@ -9,14 +9,13 @@
 //! whole blocks — a block is decompressed only when an essential list
 //! enumerates it or a seek lands in it.
 //!
-//! The trait has four implementations:
+//! The trait has three implementations:
 //!
 //! * `CompressedBlockCursor` (in `zerber-postings`) — decodes straight
 //!   from the stored compressed blocks, skipping via the persisted
-//!   `(first_doc, last_doc)` block index; `DecodedEntriesCursor`
-//!   beside it borrows the memtable's decoded postings ("decoded"
-//!   there counts blocks whose entries the algorithm actually
-//!   examined);
+//!   `(first_doc, last_doc)` block index, or reads a memtable's
+//!   decoded postings in place, cut into the blocks a seal would write
+//!   (there "decoded" counts the blocks the cursor loaded);
 //! * [`ShadowedMergeCursor`] — merges several sub-cursors (the
 //!   memtable's list over on-disk segments, at most one sub-cursor per
 //!   source) under the doc-level shadowing rule without flattening them

@@ -12,9 +12,8 @@
 //! width, and after the gap column come each exception's gap index (one
 //! byte) and its high bits, packed. The header bytes, the exception
 //! indices and `len` fix every column's offset and the payload's size,
-//! so a reader can unpack one column alone: [`DecodedBlock::decode`]
-//! leaves the positions packed until [`DecodedBlock::position`] asks
-//! for one.
+//! so a reader can unpack one column alone (the list check unpacks
+//! three); [`DecodedBlock::decode`] unpacks all four.
 //!
 //! Every column is 32-bit: a doc key is the `u32`
 //! [`zerber_index::DocId`] it was built from, and counts, lengths and
@@ -284,19 +283,28 @@ pub(crate) fn check_block(
     }
     layout.unpack(data, COUNTS, &mut counts[..len]);
     layout.unpack(data, LENGTHS, &mut lengths[..len]);
-    // The largest count / length, found exactly by cross-multiplying
-    // (each product fits a `u64`): rounding is monotone, so its
-    // quotient is the block's largest term frequency.
+    let postings = counts[..len]
+        .iter()
+        .copied()
+        .zip(lengths[..len].iter().copied());
+    if max_term_frequency(postings) > max_tf {
+        return Err(DecodeError::AboveMaximum);
+    }
+    Ok(layout.end)
+}
+
+/// The largest term frequency of `(count, length)` postings (0 for
+/// none), exactly that of their largest `count / length`: that one is
+/// found by cross-multiplying (each product fits a `u64`), and rounding
+/// is monotone, so one division gives the largest quotient.
+pub(crate) fn max_term_frequency(postings: impl Iterator<Item = (u32, u32)>) -> f64 {
     let (mut count, mut length) = (0, 1);
-    for (&c, &l) in counts[..len].iter().zip(&lengths[..len]) {
+    for (c, l) in postings {
         if l > 0 && u64::from(c) * u64::from(length) > u64::from(count) * u64::from(l) {
             (count, length) = (c, l);
         }
     }
-    if term_frequency(count, length) > max_tf {
-        return Err(DecodeError::AboveMaximum);
-    }
-    Ok(layout.end)
+    term_frequency(count, length)
 }
 
 /// Appends `values` packed LSB-first at `width` bits, zero-padded to
@@ -462,23 +470,20 @@ pub(crate) fn encode_block(entries: &[RawEntry], out: &mut Vec<u8>) -> (BlockMet
     (meta, max_tf)
 }
 
-/// One block unpacked into columns, reused block after block by a
-/// reader. Entries `0..len()` are valid. [`DecodedBlock::decode`]
-/// fills the doc, count and length columns; the positions stay packed,
-/// and [`DecodedBlock::position`] reads one at a time. The three
-/// columns share one allocation sized to the largest block decoded, so
-/// a reader of a short list allocates once, for its few postings.
+/// One block unpacked into its four columns, reused block after block
+/// by a reader. Entries `0..len()` are valid. [`DecodedBlock::decode`]
+/// unpacks a compressed block into the columns and
+/// [`DecodedBlock::fill`] copies decoded postings in. The columns share
+/// one allocation sized to the largest block held, so a reader of a
+/// short list allocates once, for its few postings.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodedBlock {
     len: usize,
     /// Slots per column.
     stride: usize,
-    /// The doc, count and length columns, `stride` slots each, end to
-    /// end.
+    /// The doc, count, length and position columns, `stride` slots
+    /// each, end to end.
     columns: Vec<u32>,
-    /// The packed position column: its offset in the list's data and
-    /// its width.
-    position_column: (usize, u32),
 }
 
 impl DecodedBlock {
@@ -506,20 +511,32 @@ impl DecodedBlock {
         self.column(LENGTHS)
     }
 
-    /// Unpacks the doc, count and length columns of the block at `meta`
-    /// from its list's `data`: the doc column is one prefix-sum pass
-    /// over the unpacked gaps. The block was laid out by this process's
-    /// builder or proven by [`check_block`], so nothing is checked here.
-    pub(crate) fn decode(&mut self, meta: &BlockMeta, data: &[u8]) {
-        let layout = Layout::of(meta, data);
-        let len = usize::from(meta.len);
+    /// The run-start positions held.
+    pub(crate) fn positions(&self) -> &[u32] {
+        self.column(POSITIONS)
+    }
+
+    /// The four columns, in payload order, resized to hold `len`
+    /// postings.
+    fn columns_mut(&mut self, len: usize) -> [&mut [u32]; 4] {
         if self.stride < len {
             self.stride = len;
-            self.columns = vec![0; 3 * len];
+            self.columns = vec![0; 4 * len];
         }
+        self.len = len;
         let (docs, rest) = self.columns.split_at_mut(self.stride);
-        let (counts, lengths) = rest.split_at_mut(self.stride);
-        let (docs, counts, lengths) = (&mut docs[..len], &mut counts[..len], &mut lengths[..len]);
+        let (counts, rest) = rest.split_at_mut(self.stride);
+        let (lengths, positions) = rest.split_at_mut(self.stride);
+        [docs, counts, lengths, positions].map(|column| &mut column[..len])
+    }
+
+    /// Unpacks the block at `meta` from its list's `data`: the doc
+    /// column is one prefix-sum pass over the unpacked gaps. The block
+    /// was laid out by this process's builder or proven by
+    /// [`check_block`], so nothing is checked here.
+    pub(crate) fn decode(&mut self, meta: &BlockMeta, data: &[u8]) {
+        let layout = Layout::of(meta, data);
+        let [docs, counts, lengths, positions] = self.columns_mut(usize::from(meta.len));
         docs[0] = meta.first_doc;
         layout.gaps(data, &mut docs[1..]);
         let mut doc = meta.first_doc;
@@ -529,28 +546,30 @@ impl DecodedBlock {
         }
         layout.unpack(data, COUNTS, counts);
         layout.unpack(data, LENGTHS, lengths);
-        self.position_column = (layout.starts[POSITIONS], layout.widths[POSITIONS]);
-        self.len = len;
+        layout.unpack(data, POSITIONS, positions);
     }
 
-    /// Entry `i`'s run-start position, read from the packed column in
-    /// `data` (the block's list's data).
-    pub(crate) fn position(&self, data: &[u8], i: usize) -> u32 {
-        debug_assert!(i < self.len);
-        let (start, width) = self.position_column;
-        read(&data[start..], i, width)
+    /// Copies `entries` — at most a block's worth, doc-ascending — into
+    /// the columns.
+    pub(crate) fn fill(&mut self, entries: &[RawEntry]) {
+        let [docs, counts, lengths, positions] = self.columns_mut(entries.len());
+        for (i, entry) in entries.iter().enumerate() {
+            docs[i] = entry.doc;
+            counts[i] = entry.count;
+            lengths[i] = entry.doc_length;
+            positions[i] = entry.pos;
+        }
     }
 
-    /// Entry `i` in full, its position read as [`DecodedBlock::position`]
-    /// reads it.
-    pub(crate) fn entry(&self, data: &[u8], i: usize) -> RawEntry {
+    /// Entry `i` in full.
+    pub(crate) fn entry(&self, i: usize) -> RawEntry {
         debug_assert!(i < self.len);
         let at = |column: usize| self.columns[column * self.stride + i];
         RawEntry {
             doc: at(GAPS),
             count: at(COUNTS),
             doc_length: at(LENGTHS),
-            pos: self.position(data, i),
+            pos: at(POSITIONS),
         }
     }
 }
@@ -587,7 +606,7 @@ mod tests {
         check(meta, data)?;
         let mut block = DecodedBlock::default();
         block.decode(meta, data);
-        Ok((0..block.len()).map(|i| block.entry(data, i)).collect())
+        Ok((0..block.len()).map(|i| block.entry(i)).collect())
     }
 
     #[test]
@@ -760,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_positions_equal_the_full_decode_under_steps_and_seeks() {
+    fn positions_equal_the_full_decode_under_steps_and_seeks() {
         use crate::{CompressedBlockCursor, CompressedPostingBuilder};
         use zerber_index::cursor::BlockCursor;
         use zerber_index::DocId;

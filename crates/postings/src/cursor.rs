@@ -1,29 +1,26 @@
-//! The query cursors over codec-layer postings.
+//! The one query cursor over codec-layer postings.
 //!
 //! [`CompressedBlockCursor`] implements
-//! [`zerber_index::cursor::BlockCursor`] directly against the stored
-//! block payloads: the `(first_doc, last_doc)` skip metadata answers
-//! the peeks ([`BlockCursor::block_last_doc`],
-//! [`BlockCursor::doc_lower_bound`]) without touching the compressed
-//! bytes, the list's one maximum term frequency gives
-//! [`BlockCursor::list_max_score`], and a block is decompressed only
-//! when [`BlockCursor::materialize`] has to pin an exact position.
-//! `advance_past` jumps whole blocks via the metadata alone, so
-//! MaxScore's seeks on a demoted list skip decode work — not just
-//! score evaluations — for every block they pass over. A decoded block
-//! is held as columns; [`BlockCursor::drain_below`] scores a run of
-//! them in one pass.
+//! [`zerber_index::cursor::BlockCursor`] over [`BLOCK_SIZE`]-posting
+//! blocks from either of two sources, chosen when it opens: a stored
+//! compressed list ([`CompressedBlockCursor::new`]), or postings already
+//! decoded in memory — a memtable's doc-ascending `&[RawEntry]`, cut
+//! where a builder would seal it ([`CompressedBlockCursor::decoded`]).
+//! The source answers block-level questions only: how many blocks, a
+//! block's `(first_doc, last_doc)`, the first block reaching a bound,
+//! and loading a block into the cursor's columns. For a compressed list
+//! the block index answers the peeks
+//! ([`BlockCursor::block_last_doc`], [`BlockCursor::doc_lower_bound`])
+//! without touching the compressed bytes, and a block is decompressed
+//! only when [`BlockCursor::materialize`] has to pin an exact position.
+//! `advance_past` jumps whole blocks by their bounds alone, so
+//! MaxScore's seeks on a demoted list skip decode work — not just score
+//! evaluations — for every block they pass over. Every per-posting read
+//! is the same code for both sources, over the loaded block's four
+//! columns; [`BlockCursor::drain_below`] scores a run of them in one
+//! pass, and [`BlockCursor::positions`] reads the position column.
 //!
-//! [`DecodedEntriesCursor`] is the same cursor over postings that are
-//! already decoded in memory (a memtable delta's `&[RawEntry]`): it
-//! borrows the slice, so opening one copies and sorts nothing.
-//!
-//! Both hand out the positional run of the posting they stand on
-//! ([`BlockCursor::positions`]). The compressed cursor leaves a
-//! block's position column packed when it decodes the block and reads
-//! one value from it per call — only phrase evaluation asks.
-//!
-//! The compressed cursor is also the one reader of a list outside
+//! The cursor is also the one reader of a compressed list outside
 //! queries: as an `Iterator` of [`RawEntry`] it serves
 //! [`CompressedPostingList::iter`] — merges, full decodes, the
 //! in-memory store's `postings` and a segment merge's carry-over
@@ -32,13 +29,8 @@
 use zerber_index::cursor::BlockCursor;
 use zerber_index::DocId;
 
-use crate::block::{term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
+use crate::block::{max_term_frequency, term_frequency, DecodedBlock, RawEntry, BLOCK_SIZE};
 use crate::list::{meta, CompressedPostingList, ENTRY};
-
-/// The `(doc, tf · weight)` posting a cursor surfaces for `entry`.
-fn scored(entry: &RawEntry, weight: f64) -> (DocId, f64) {
-    (DocId(entry.doc), entry.term_frequency() * weight)
-}
 
 /// `doc`, raised to a cursor's exclusive seek `bound`. A cursor not at
 /// its end holds a doc at or past its bound, so there the bound fits a
@@ -47,18 +39,93 @@ fn at_least(doc: u32, bound: u64) -> DocId {
     DocId(doc.max(u32::try_from(bound).unwrap_or(u32::MAX)))
 }
 
-/// A lazy, weighted scoring cursor over one compressed posting list.
+/// Where a cursor's blocks come from. Only block-level questions are
+/// asked of it; the cursor reads every posting off the block it loads.
+#[derive(Debug, Clone, Copy)]
+enum Blocks<'a> {
+    /// A compressed list's block index and payloads.
+    Compressed {
+        index: &'a [[u8; ENTRY]],
+        data: &'a [u8],
+    },
+    /// Decoded postings, strictly doc-ascending, cut into
+    /// [`BLOCK_SIZE`]-entry blocks.
+    Decoded(&'a [RawEntry]),
+}
+
+impl Blocks<'_> {
+    fn count(self) -> usize {
+        match self {
+            Blocks::Compressed { index, .. } => index.len(),
+            Blocks::Decoded(entries) => entries.len().div_ceil(BLOCK_SIZE),
+        }
+    }
+
+    /// Block `block`'s first and last doc.
+    fn bounds(self, block: usize) -> (u32, u32) {
+        match self {
+            Blocks::Compressed { index, .. } => {
+                let meta = meta(&index[block]);
+                (meta.first_doc, meta.last_doc)
+            }
+            Blocks::Decoded(entries) => {
+                let run = run(entries, block);
+                (run[0].doc, run[run.len() - 1].doc)
+            }
+        }
+    }
+
+    /// The first block from `from` on whose last doc reaches `bound`;
+    /// the block count when none does.
+    fn reaching(self, from: usize, bound: u64) -> usize {
+        match self {
+            Blocks::Compressed { index, .. } => {
+                from + index[from..]
+                    .partition_point(|entry| u64::from(meta(entry).last_doc) < bound)
+            }
+            Blocks::Decoded(entries) => {
+                // The block holding the first entry at or past the bound.
+                let start = (from * BLOCK_SIZE).min(entries.len());
+                let at = start + entries[start..].partition_point(|e| u64::from(e.doc) < bound);
+                if at == entries.len() {
+                    self.count()
+                } else {
+                    at / BLOCK_SIZE
+                }
+            }
+        }
+    }
+
+    /// Loads block `block` into `buffer`.
+    fn load(self, block: usize, buffer: &mut DecodedBlock) {
+        match self {
+            Blocks::Compressed { index, data } => buffer.decode(&meta(&index[block]), data),
+            Blocks::Decoded(entries) => buffer.fill(run(entries, block)),
+        }
+    }
+}
+
+/// Block `block` of decoded `entries`: the postings a builder seals
+/// into it.
+fn run(entries: &[RawEntry], block: usize) -> &[RawEntry] {
+    let start = block * BLOCK_SIZE;
+    &entries[start..entries.len().min(start + BLOCK_SIZE)]
+}
+
+/// A lazy, weighted scoring cursor over one term's postings, stored
+/// compressed or held decoded.
 ///
 /// Entries surface as `(doc, tf · weight)` — exactly the values a
 /// full decode of the list yields, so rankings are bit-identical to
 /// the exhaustive oracle's; only the decode work differs. The per-cursor
-/// decode counter feeds the query-cost accounting that proves pruning
-/// skipped real decompression.
+/// count of blocks loaded feeds the query-cost accounting that proves
+/// pruning skipped real decompression; a decoded source counts the
+/// blocks its compressed form would decode.
 #[derive(Debug)]
 pub struct CompressedBlockCursor<'a> {
-    /// The list's block index and payloads.
-    index: &'a [[u8; ENTRY]],
-    data: &'a [u8],
+    blocks: Blocks<'a>,
+    /// How many blocks `blocks` holds.
+    total: usize,
     weight: f64,
     /// Static whole-list score bound: the list's max_tf × weight.
     max_score: f64,
@@ -66,10 +133,9 @@ pub struct CompressedBlockCursor<'a> {
     /// once the last key is consumed.
     bound: u64,
     /// Current block (normalized: first block whose `last_doc` reaches
-    /// `bound`; `blocks.len()` when exhausted).
+    /// `bound`; `total` when exhausted).
     block: usize,
-    /// The doc, count and length columns of `decoded_block`; its
-    /// positions stay packed.
+    /// The columns of `decoded_block`.
     buffer: DecodedBlock,
     /// Which block `buffer` holds (`usize::MAX` = none yet).
     decoded_block: usize,
@@ -80,14 +146,35 @@ pub struct CompressedBlockCursor<'a> {
 }
 
 impl<'a> CompressedBlockCursor<'a> {
-    /// A cursor positioned before the first posting, scoring with
-    /// `weight` (a non-negative finite IDF factor).
+    /// A cursor positioned before the first posting of `list`, scoring
+    /// with `weight` (a non-negative finite IDF factor).
     pub fn new(list: &'a CompressedPostingList, weight: f64) -> Self {
-        Self {
+        let blocks = Blocks::Compressed {
             index: list.index(),
             data: list.data(),
+        };
+        Self::over(blocks, list.max_tf() * weight, weight)
+    }
+
+    /// A cursor positioned before the first of `entries` (strictly
+    /// doc-ascending), scoring with `weight`. Its blocks are the
+    /// [`BLOCK_SIZE`]-entry runs a builder would seal the entries into,
+    /// and its list bound is the one their compressed list would carry
+    /// (found as the list check finds a block's), so it ranks and
+    /// counts as that list's cursor does. Opening one copies and sorts
+    /// nothing.
+    pub fn decoded(entries: &'a [RawEntry], weight: f64) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
+        let max_tf = max_term_frequency(entries.iter().map(|e| (e.count, e.doc_length)));
+        Self::over(Blocks::Decoded(entries), max_tf * weight, weight)
+    }
+
+    fn over(blocks: Blocks<'a>, max_score: f64, weight: f64) -> Self {
+        Self {
+            blocks,
+            total: blocks.count(),
             weight,
-            max_score: list.max_tf() * weight,
+            max_score,
             bound: 0,
             block: 0,
             buffer: DecodedBlock::default(),
@@ -98,22 +185,16 @@ impl<'a> CompressedBlockCursor<'a> {
         }
     }
 
-    /// Skips blocks whose `last_doc` precedes the bound — metadata
-    /// only, nothing decodes. The current block is tested first:
+    /// Skips blocks whose `last_doc` precedes the bound — block bounds
+    /// only, nothing loads. The current block is tested first:
     /// sequential reads and short seeks stay inside it.
     fn normalize(&mut self) {
-        let (index, bound) = (self.index, self.bound);
-        if index
-            .get(self.block)
-            .is_some_and(|entry| u64::from(meta(entry).last_doc) < bound)
-        {
-            self.block += 1;
-            self.block += index[self.block..]
-                .partition_point(|entry| u64::from(meta(entry).last_doc) < bound);
+        if self.block < self.total && u64::from(self.blocks.bounds(self.block).1) < self.bound {
+            self.block = self.blocks.reaching(self.block + 1, self.bound);
         }
     }
 
-    /// Posting `i` of the decoded block, scored.
+    /// Posting `i` of the loaded block, scored.
     fn scored_at(&self, i: usize) -> (DocId, f64) {
         let block = &self.buffer;
         let tf = term_frequency(block.counts()[i], block.lengths()[i]);
@@ -122,7 +203,7 @@ impl<'a> CompressedBlockCursor<'a> {
 
     /// [`BlockCursor::materialize`] without the score (its body, so
     /// inlined there): pins the first posting at or past the bound,
-    /// decoding its block unless the buffer holds it already; false at
+    /// loading its block unless the buffer holds it already; false at
     /// the end of the list.
     #[inline(always)]
     fn pin(&mut self) -> bool {
@@ -135,13 +216,12 @@ impl<'a> CompressedBlockCursor<'a> {
                 return false;
             }
             if self.decoded_block != self.block {
-                self.buffer
-                    .decode(&meta(&self.index[self.block]), self.data);
+                self.blocks.load(self.block, &mut self.buffer);
                 self.decoded_block = self.block;
                 self.decoded += 1;
                 self.pos = 0;
             }
-            // `pos` never runs ahead of the bound inside a decoded
+            // `pos` never runs ahead of the bound inside a loaded
             // block, so the search resumes from it.
             let bound = self.bound;
             self.pos += self.buffer.docs()[self.pos..].partition_point(|&d| u64::from(d) < bound);
@@ -149,8 +229,8 @@ impl<'a> CompressedBlockCursor<'a> {
                 self.exact = true;
                 return true;
             }
-            // The metadata's `last_doc ≥ bound` cannot hold for a
-            // fully consumed block; kept as a guard — move on and
+            // The block's `last_doc ≥ bound` cannot hold for a fully
+            // consumed block; kept as a guard — move on and
             // re-normalize.
             self.block += 1;
         }
@@ -159,9 +239,9 @@ impl<'a> CompressedBlockCursor<'a> {
 
 /// The list's postings in full, from the one at the cursor on: each
 /// `next` pins a posting as `materialize` would, reads it off the
-/// decoded columns (its position off the packed column) and steps past
-/// it. Merges, full decodes and [`crate::CompressedPostingStore`]'s
-/// `postings` read a list this way; no score is computed.
+/// loaded columns and steps past it. Merges, full decodes and
+/// [`crate::CompressedPostingStore`]'s `postings` read a list this way;
+/// no score is computed.
 impl Iterator for CompressedBlockCursor<'_> {
     type Item = RawEntry;
 
@@ -169,7 +249,7 @@ impl Iterator for CompressedBlockCursor<'_> {
         if !self.pin() {
             return None;
         }
-        let entry = self.buffer.entry(self.data, self.pos);
+        let entry = self.buffer.entry(self.pos);
         self.step();
         Some(entry)
     }
@@ -177,7 +257,7 @@ impl Iterator for CompressedBlockCursor<'_> {
 
 impl BlockCursor for CompressedBlockCursor<'_> {
     fn total_blocks(&self) -> usize {
-        self.index.len()
+        self.total
     }
 
     fn decoded_blocks(&self) -> usize {
@@ -185,7 +265,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn at_end(&self) -> bool {
-        self.block >= self.index.len()
+        self.block >= self.total
     }
 
     fn list_max_score(&self) -> f64 {
@@ -193,14 +273,14 @@ impl BlockCursor for CompressedBlockCursor<'_> {
     }
 
     fn block_last_doc(&self) -> DocId {
-        DocId(meta(&self.index[self.block]).last_doc)
+        DocId(self.blocks.bounds(self.block).1)
     }
 
     fn doc_lower_bound(&self) -> DocId {
         if self.exact {
             return DocId(self.buffer.docs()[self.pos]);
         }
-        at_least(meta(&self.index[self.block]).first_doc, self.bound)
+        at_least(self.blocks.bounds(self.block).0, self.bound)
     }
 
     fn is_exact(&self) -> bool {
@@ -211,17 +291,17 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         self.pin().then(|| self.scored_at(self.pos))
     }
 
-    /// The one read of a packed position: phrase evaluation alone
-    /// asks, so decoding a block leaves the column packed.
     fn positions(&self) -> (u32, u32) {
         debug_assert!(self.exact, "positions requires a materialized position");
-        let pos = self.buffer.position(self.data, self.pos);
-        (pos, self.buffer.counts()[self.pos])
+        (
+            self.buffer.positions()[self.pos],
+            self.buffer.counts()[self.pos],
+        )
     }
 
-    /// O(1) inside a decoded block: the next buffered entry becomes
-    /// the (still exact) current posting; only leaving the block drops
-    /// back to the metadata-only state.
+    /// O(1) inside a loaded block: the next buffered entry becomes the
+    /// (still exact) current posting; only leaving the block drops back
+    /// to the bounds-only state.
     fn step(&mut self) {
         debug_assert!(self.exact, "step requires a materialized position");
         self.bound = u64::from(self.buffer.docs()[self.pos]) + 1;
@@ -244,7 +324,7 @@ impl BlockCursor for CompressedBlockCursor<'_> {
         self.normalize();
     }
 
-    /// Decodes each block once, as `materialize` would, and scores its
+    /// Loads each block once, as `materialize` would, and scores its
     /// run below `end` straight off the columns in one pass, leaving
     /// the cursor where the `step` after that run's last posting
     /// would.
@@ -274,171 +354,6 @@ impl BlockCursor for CompressedBlockCursor<'_> {
             }
             self.exact = false;
             self.block += 1;
-        }
-    }
-}
-
-/// A weighted scoring cursor borrowing postings that are already
-/// decoded (a memtable delta's per-term slice): the same
-/// `(doc, tf · weight)` values and the same [`BLOCK_SIZE`]-entry block
-/// granularity as [`CompressedBlockCursor`], with "decoded" counting
-/// the blocks whose entries the evaluator actually examined. Opening
-/// one costs a single pass for the list maximum — no copy, no sort.
-#[derive(Debug)]
-pub struct DecodedEntriesCursor<'a> {
-    entries: &'a [RawEntry],
-    weight: f64,
-    /// Max term frequency × weight over the entries.
-    max_score: f64,
-    /// The logical position's doc key must be ≥ this; `u32::MAX + 1`
-    /// once the last key is consumed.
-    bound: u64,
-    /// Index of the next not-yet-consumed entry candidate: every entry
-    /// before it is below the bound.
-    pos: usize,
-    exact: bool,
-    decoded: usize,
-    /// Last block counted as decoded (blocks are touched in
-    /// non-decreasing order, so equality suffices for distinctness).
-    last_touched: usize,
-}
-
-impl<'a> DecodedEntriesCursor<'a> {
-    /// A cursor positioned before the first of `entries` (strictly
-    /// doc-ascending), scoring with `weight`.
-    pub fn new(entries: &'a [RawEntry], weight: f64) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].doc < w[1].doc));
-        let max_score = entries
-            .iter()
-            .map(|e| e.term_frequency() * weight)
-            .fold(0.0, f64::max);
-        Self {
-            entries,
-            weight,
-            max_score,
-            bound: 0,
-            pos: 0,
-            exact: false,
-            decoded: 0,
-            last_touched: usize::MAX,
-        }
-    }
-
-    fn block(&self) -> usize {
-        self.pos / BLOCK_SIZE
-    }
-
-    fn block_end(&self) -> usize {
-        ((self.block() + 1) * BLOCK_SIZE).min(self.entries.len())
-    }
-
-    /// Skips whole blocks that end before the bound by their last
-    /// entry alone, leaving `pos` at the start of the landing block.
-    fn normalize(&mut self) {
-        while self.pos < self.entries.len()
-            && u64::from(self.entries[self.block_end() - 1].doc) < self.bound
-        {
-            self.pos = self.block_end();
-        }
-    }
-}
-
-impl BlockCursor for DecodedEntriesCursor<'_> {
-    fn total_blocks(&self) -> usize {
-        self.entries.len().div_ceil(BLOCK_SIZE)
-    }
-
-    fn decoded_blocks(&self) -> usize {
-        self.decoded
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.entries.len()
-    }
-
-    fn list_max_score(&self) -> f64 {
-        self.max_score
-    }
-
-    fn block_last_doc(&self) -> DocId {
-        DocId(self.entries[self.block_end() - 1].doc)
-    }
-
-    fn doc_lower_bound(&self) -> DocId {
-        at_least(self.entries[self.pos].doc, self.bound)
-    }
-
-    fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    fn materialize(&mut self) -> Option<(DocId, f64)> {
-        if !self.exact {
-            self.normalize();
-            if self.at_end() {
-                return None;
-            }
-            // The landing block's last entry reaches the bound, so the
-            // search ends inside it.
-            let bound = self.bound;
-            let end = self.block_end();
-            self.pos += self.entries[self.pos..end].partition_point(|e| u64::from(e.doc) < bound);
-            self.exact = true;
-            if self.last_touched != self.block() {
-                self.last_touched = self.block();
-                self.decoded += 1;
-            }
-        }
-        Some(scored(&self.entries[self.pos], self.weight))
-    }
-
-    fn positions(&self) -> (u32, u32) {
-        debug_assert!(self.exact, "positions requires a materialized position");
-        let entry = self.entries[self.pos];
-        (entry.pos, entry.count)
-    }
-
-    fn step(&mut self) {
-        debug_assert!(self.exact, "step requires a materialized position");
-        self.bound = u64::from(self.entries[self.pos].doc) + 1;
-        self.pos += 1;
-        // Exact stays free only inside the block already examined.
-        self.exact = self.pos < self.entries.len() && !self.pos.is_multiple_of(BLOCK_SIZE);
-    }
-
-    fn advance_past(&mut self, bound: DocId) {
-        if self.exact && self.entries[self.pos].doc > bound.0 {
-            return;
-        }
-        let target = u64::from(bound.0) + 1;
-        if target > self.bound {
-            self.bound = target;
-        }
-        self.exact = false;
-        self.normalize();
-    }
-
-    /// Examines each block once, as `materialize` would, and copies
-    /// its run below `end` out in one pass, leaving the cursor where
-    /// the `step` after that run's last posting would.
-    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
-        while !self.at_end() && u64::from(self.doc_lower_bound().0) < end {
-            if self.materialize().is_none() {
-                return;
-            }
-            let block_end = self.block_end();
-            let run = &self.entries[self.pos..block_end];
-            let taken = run.partition_point(|e| u64::from(e.doc) < end);
-            let Some(last) = run[..taken].last() else {
-                return;
-            };
-            self.bound = u64::from(last.doc) + 1;
-            out.extend(run[..taken].iter().map(|e| scored(e, self.weight)));
-            self.pos += taken;
-            if self.pos < block_end {
-                return;
-            }
-            self.exact = false;
         }
     }
 }
@@ -476,7 +391,7 @@ mod tests {
     #[test]
     fn cursor_walk_yields_every_entry_in_order() {
         let entries = tenths(&(0..300).map(|i| (i * 3, 1 + i % 9)).collect::<Vec<_>>());
-        let mut cursor = DecodedEntriesCursor::new(&entries, 1.0);
+        let mut cursor = CompressedBlockCursor::decoded(&entries, 1.0);
         let mut seen = Vec::new();
         while let Some((doc, score)) = cursor.materialize() {
             seen.push((doc.0, score));
@@ -494,7 +409,7 @@ mod tests {
     #[test]
     fn advance_past_skips_blocks_without_touching_them() {
         let entries = tenths(&(0..1024).map(|doc| (doc, 5)).collect::<Vec<_>>());
-        let mut cursor = DecodedEntriesCursor::new(&entries, 1.0);
+        let mut cursor = CompressedBlockCursor::decoded(&entries, 1.0);
         cursor.advance_past(DocId(899));
         assert_eq!(cursor.materialize(), Some((DocId(900), 0.5)));
         // Only the landing block was examined.
@@ -552,16 +467,18 @@ mod tests {
 
     #[test]
     fn cursors_agree_with_the_entries_under_steps_and_seeks() {
-        // Three blocks with gaps. Every script of steps and seeks must
-        // surface, through both cursors, exactly the entries a plain
-        // scan of the list yields from the same bound — doc, score and
-        // positional run — with identical block accounting.
+        // Three blocks with gaps, the last of 44 postings. Every script
+        // of steps and seeks — seeks past the end included — must
+        // surface, through the cursor over either source, exactly the
+        // entries a plain scan of the list yields from the same bound —
+        // doc, score and positional run — with identical block
+        // accounting.
         let docs: Vec<u32> = (0..300).map(|i| i * 5 + (i % 3)).collect();
         let list = list_of(&docs);
         let entries = list.decode_all();
         for stride in [1u32, 2, 7, 64, 127, 128, 129, 500, 2000] {
             let mut compressed = CompressedBlockCursor::new(&list, 1.5);
-            let mut decoded = DecodedEntriesCursor::new(&entries, 1.5);
+            let mut decoded = CompressedBlockCursor::decoded(&entries, 1.5);
             assert_eq!(compressed.total_blocks(), decoded.total_blocks());
             assert_eq!(compressed.list_max_score(), decoded.list_max_score());
             let mut bound = 0u32;
@@ -623,8 +540,8 @@ mod tests {
         let rare_list = CompressedPostingBuilder::from_sorted(rare.iter().copied());
         let common_list = CompressedPostingBuilder::from_sorted(common.iter().copied());
         let decoded: Vec<Box<dyn BlockCursor + '_>> = vec![
-            Box::new(DecodedEntriesCursor::new(&rare, 100.0)),
-            Box::new(DecodedEntriesCursor::new(&common, 0.001)),
+            Box::new(CompressedBlockCursor::decoded(&rare, 100.0)),
+            Box::new(CompressedBlockCursor::decoded(&common, 0.001)),
         ];
         let compressed: Vec<Box<dyn BlockCursor + '_>> = vec![
             Box::new(CompressedBlockCursor::new(&rare_list, 100.0)),
@@ -684,7 +601,7 @@ mod tests {
         // Everything in the only source is shadowed: the metadata
         // cannot know, but materialize must settle it.
         let only = tenths(&[(5, 5)]);
-        let subs = vec![(0, DecodedEntriesCursor::new(&only, 1.0))];
+        let subs = vec![(0, CompressedBlockCursor::decoded(&only, 1.0))];
         let mut merged = ShadowedMergeCursor::new(subs, NewerTouch(vec![vec![5]]));
         assert!(!merged.at_end());
         assert!(merged.materialize().is_none());

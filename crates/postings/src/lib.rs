@@ -32,15 +32,14 @@
 //!   experiment,
 //! * `store` — [`CompressedPostingStore`], the
 //!   [`zerber_index::store::PostingStore`] backend,
-//! * `cursor` — [`CompressedBlockCursor`], the one reader of a
-//!   compressed list: seeks from the skip metadata alone, one list-wide
-//!   score bound from the list's maximum term frequency, decompression
-//!   only for the blocks a reader lands in, and positions read off the
-//!   packed column one at a time. Queries drive it as a
+//! * `cursor` — [`CompressedBlockCursor`], the one reader of a list,
+//!   stored compressed or held decoded in memory (a memtable's): seeks
+//!   from the block bounds alone, one list-wide score bound from the
+//!   list's maximum term frequency, and a block loaded into four
+//!   columns only when a reader lands in it. Queries drive it as a
 //!   [`zerber_index::cursor::BlockCursor`]; merges, full decodes and
-//!   point probes walk it as an iterator of [`RawEntry`];
-//!   [`DecodedEntriesCursor`] is the query contract over postings
-//!   already decoded in memory.
+//!   point probes walk a compressed list with it as an iterator of
+//!   [`RawEntry`].
 
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -57,7 +56,7 @@ pub mod varint;
 
 pub use block::{BlockMeta, RawEntry, BLOCK_SIZE};
 pub use builder::CompressedPostingBuilder;
-pub use cursor::{CompressedBlockCursor, DecodedEntriesCursor};
+pub use cursor::CompressedBlockCursor;
 pub use list::CompressedPostingList;
 pub use merge::{merge_compressed, merge_sorted, naive_merge};
 pub use store::{to_posting, CompressedPostingStore};

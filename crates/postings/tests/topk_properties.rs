@@ -4,9 +4,10 @@
 //! arbitrary corpora and k, while never decoding more blocks than
 //! exist, and the bulk `drain_below` it reads essential lists with
 //! must equal the posting-at-a-time walk. They live here because the
-//! evaluator needs real cursors to rank over: every case runs over both
-//! [`CompressedBlockCursor`] and [`DecodedEntriesCursor`], on lists
-//! long enough to span several [`BLOCK_SIZE`]-posting blocks.
+//! evaluator needs real cursors to rank over: every case runs the
+//! [`CompressedBlockCursor`] over both of its sources — a compressed
+//! list and the same postings decoded in memory — on lists long enough
+//! to span several [`BLOCK_SIZE`]-posting blocks.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,8 +16,7 @@ use zerber_index::cursor::{maxscore_topk, QueryCost, Shadow, ShadowedMergeCursor
 use zerber_index::topk::naive_topk;
 use zerber_index::{BlockCursor, DocId, RankedDoc, ScoredList};
 use zerber_postings::{
-    CompressedBlockCursor, CompressedPostingBuilder, CompressedPostingList, DecodedEntriesCursor,
-    RawEntry, BLOCK_SIZE,
+    CompressedBlockCursor, CompressedPostingBuilder, CompressedPostingList, RawEntry, BLOCK_SIZE,
 };
 
 /// Doc → `(count, doc_length)`: one term's postings as generated.
@@ -78,7 +78,9 @@ fn block_max_ranked(fixtures: &[Fixture], k: usize) -> [(Vec<RankedDoc>, QueryCo
         .collect();
     let decoded: Vec<Box<dyn BlockCursor + '_>> = fixtures
         .iter()
-        .map(|f| Box::new(DecodedEntriesCursor::new(&f.entries, f.weight)) as Box<dyn BlockCursor>)
+        .map(|f| {
+            Box::new(CompressedBlockCursor::decoded(&f.entries, f.weight)) as Box<dyn BlockCursor>
+        })
         .collect();
     [compressed, decoded].map(|mut cursors| {
         let mut scratch = TopKScratch::new();
@@ -360,8 +362,8 @@ proptest! {
             &script,
         )?;
         drains_like_the_walk(
-            &mut DecodedEntriesCursor::new(&only.entries, weight),
-            &mut DecodedEntriesCursor::new(&only.entries, weight),
+            &mut CompressedBlockCursor::decoded(&only.entries, weight),
+            &mut CompressedBlockCursor::decoded(&only.entries, weight),
             &script,
         )?;
 
@@ -390,7 +392,7 @@ proptest! {
             let subs = fixtures
                 .iter()
                 .enumerate()
-                .map(|(rank, f)| (rank, DecodedEntriesCursor::new(&f.entries, weight)))
+                .map(|(rank, f)| (rank, CompressedBlockCursor::decoded(&f.entries, weight)))
                 .collect();
             ShadowedMergeCursor::new(subs, shadow.clone())
         };

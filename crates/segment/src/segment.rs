@@ -55,8 +55,8 @@ pub(crate) trait Source {
     fn live_docs(&self) -> &[u32];
     /// Documents tombstoned here, ascending.
     fn tombstones(&self) -> &[u32];
-    /// Decoded postings for one term, doc-ascending.
-    fn term_entries(&self, term: u32) -> Vec<RawEntry>;
+    /// One term's postings, when it has any.
+    fn list(&self, term: u32) -> Option<TermPostings<'_>>;
     /// Every non-empty term with its postings, term-ascending.
     fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_>;
     /// One past the highest term id.
@@ -136,7 +136,17 @@ pub(crate) enum TermPostings<'a> {
 }
 
 impl<'a> TermPostings<'a> {
-    fn iter(self) -> TermIter<'a> {
+    /// The one query cursor over either form, scoring with `weight`.
+    pub(crate) fn cursor(self, weight: f64) -> CompressedBlockCursor<'a> {
+        match self {
+            Self::Compressed(list) => CompressedBlockCursor::new(list, weight),
+            Self::Decoded(entries) => CompressedBlockCursor::decoded(entries, weight),
+        }
+    }
+
+    /// The postings in order. A merge reads a memtable's slice as it
+    /// lies, not through the cursor's block copy.
+    pub(crate) fn iter(self) -> TermIter<'a> {
         match self {
             Self::Compressed(list) => TermIter::Compressed(list.iter()),
             Self::Decoded(entries) => TermIter::Decoded(entries.iter()),
@@ -144,7 +154,7 @@ impl<'a> TermPostings<'a> {
     }
 }
 
-enum TermIter<'a> {
+pub(crate) enum TermIter<'a> {
     Compressed(CompressedBlockCursor<'a>),
     Decoded(std::slice::Iter<'a, RawEntry>),
 }
@@ -170,8 +180,9 @@ impl Source for Memtable {
     fn tombstones(&self) -> &[u32] {
         Memtable::tombstones(self)
     }
-    fn term_entries(&self, term: u32) -> Vec<RawEntry> {
-        self.term_postings(term).to_vec()
+    fn list(&self, term: u32) -> Option<TermPostings<'_>> {
+        let entries = self.term_postings(term);
+        (!entries.is_empty()).then_some(TermPostings::Decoded(entries))
     }
     fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_> {
         Box::new(Memtable::term_lists(self).map(|(t, entries)| (t, TermPostings::Decoded(entries))))
@@ -208,8 +219,9 @@ impl Source for SegmentContent {
     fn tombstones(&self) -> &[u32] {
         &self.tombstones
     }
-    fn term_entries(&self, term: u32) -> Vec<RawEntry> {
-        self.list(term).map(|l| l.decode_all()).unwrap_or_default()
+    fn list(&self, term: u32) -> Option<TermPostings<'_>> {
+        let list = SegmentContent::list(self, term).filter(|list| !list.is_empty());
+        list.map(TermPostings::Compressed)
     }
     fn term_lists(&self) -> Box<dyn Iterator<Item = (u32, TermPostings<'_>)> + '_> {
         Box::new(
@@ -854,8 +866,8 @@ mod tests {
         assert_eq!(loaded.tombstones(), written.tombstones());
         for term in 0..45u32 {
             assert_eq!(
-                loaded.term_entries(term),
-                written.term_entries(term),
+                loaded.list(term).map(CompressedPostingList::decode_all),
+                written.list(term).map(CompressedPostingList::decode_all),
                 "term {term}"
             );
             // Skip metadata and the list maximum must round-trip

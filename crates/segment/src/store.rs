@@ -95,10 +95,7 @@ use zerber_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use zerber_index::cursor::{BlockCursor, EmptyCursor, ShadowedMergeCursor};
 use zerber_index::{DocId, Document, Posting, PostingStore, SegmentPolicy, TermId};
-use zerber_postings::{
-    to_posting, CompressedBlockCursor, CompressedPostingBuilder, CompressedPostingList,
-    DecodedEntriesCursor, RawEntry,
-};
+use zerber_postings::{to_posting, CompressedPostingBuilder, CompressedPostingList, RawEntry};
 
 use crate::background::{cancel, step, submit, Job};
 use crate::bulk::{BulkConfig, BulkStats};
@@ -106,7 +103,7 @@ use crate::error::SegmentError;
 use crate::memtable::Memtable;
 use crate::segment::{
     check_frame, lay_out, merge_streaming, seal_frame, write_framed, Reader, Segment, ShadowProbe,
-    Source, HEADER,
+    Source, TermPostings, HEADER,
 };
 use crate::wal::{recover, rotated_logs, Wal, WalOp};
 
@@ -1055,7 +1052,7 @@ impl SegmentSnapshot {
         // Newest source wins per (term, doc)…
         let mut merged: std::collections::BTreeMap<u32, (usize, RawEntry)> = Default::default();
         for (i, source) in sources.iter().enumerate() {
-            for entry in source.term_entries(term.0) {
+            for entry in source.list(term.0).into_iter().flat_map(TermPostings::iter) {
                 merged.insert(entry.doc, (i, entry));
             }
         }
@@ -1139,122 +1136,43 @@ impl PostingStore for SegmentSnapshot {
         segments + self.tables().map(Memtable::approx_bytes).sum::<usize>()
     }
 
-    /// The lazy read path. Each term gets one cursor that
-    /// merges the memtables *over* the on-disk segments under the
-    /// doc-level shadowing rule **without flattening**: segment
-    /// postings stay block-compressed behind a
-    /// [`CompressedBlockCursor`] (their stored skip metadata serves the
-    /// peeks; a block decompresses only when a cursor lands in it),
-    /// each memtable's list — already decoded in memory —
-    /// is borrowed by a [`DecodedEntriesCursor`], so a term has at most
-    /// `segments + 2` sub-cursors (held in a `SourceCursor` enum, not
-    /// a box), and the shadow test walks the newer sources' doc tables
-    /// with one forward-only finger each (`ShadowProbe`; a memtable
-    /// is one live/tombstone pair). Every sub-cursor reads its
-    /// posting's positional run off the entry it stands on, so phrase
-    /// queries need no per-document lookup here.
-    /// Entry values coincide with [`PostingStore::postings`]' masked
-    /// merge, so ranking is bit-identical to a rebuilt index
-    /// (property-tested in `store_properties.rs`); only the decode work
-    /// differs.
+    /// The lazy read path. Each term gets one cursor that merges the
+    /// memtables *over* the on-disk segments under the doc-level
+    /// shadowing rule **without flattening**: each source that holds
+    /// the term gives one [`zerber_postings::CompressedBlockCursor`],
+    /// over a segment's stored list (its skip metadata serves the
+    /// peeks, and a block decompresses only when the cursor lands in
+    /// it) or over a memtable's decoded list, borrowed in place. So a
+    /// term has at most `segments + 2` sub-cursors, all of one type, and
+    /// the shadow test walks the newer sources' doc tables with one
+    /// forward-only finger each (`ShadowProbe`; a memtable is one
+    /// live/tombstone pair). Every sub-cursor reads its posting's
+    /// positional run off the block it holds, so phrase queries need no
+    /// per-document lookup here. Entry values coincide with
+    /// [`PostingStore::postings`]' masked merge, so ranking is
+    /// bit-identical to a rebuilt index (property-tested in
+    /// `store_properties.rs`); only the decode work differs.
     fn query_cursors<'a>(&'a self, terms: &[(TermId, f64)]) -> Vec<Box<dyn BlockCursor + 'a>> {
         let sources = self.sources();
         terms
             .iter()
-            .map(|&(term, weight)| {
-                let mut subs: Vec<(usize, SourceCursor<'a>)> = Vec::new();
-                for (rank, segment) in self.segments.iter().enumerate() {
-                    if let Some(list) = segment.content().list(term.0) {
-                        if !list.is_empty() {
-                            let cursor = CompressedBlockCursor::new(list, weight);
-                            subs.push((rank, SourceCursor::Segment(cursor)));
-                        }
-                    }
-                }
-                for (rank, table) in (self.segments.len()..).zip(self.tables()) {
-                    let entries = table.term_postings(term.0);
-                    if !entries.is_empty() {
-                        let cursor = DecodedEntriesCursor::new(entries, weight);
-                        subs.push((rank, SourceCursor::Memtable(cursor)));
-                    }
-                }
+            .map(|&(term, weight)| -> Box<dyn BlockCursor + 'a> {
+                let subs: Vec<_> = sources
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(rank, source)| Some((rank, source.list(term.0)?.cursor(weight))))
+                    .collect();
                 let subs = match <[_; 1]>::try_from(subs) {
-                    Err(none) if none.is_empty() => return Box::new(EmptyCursor) as Box<_>,
+                    Err(none) if none.is_empty() => return Box::new(EmptyCursor),
                     // A term living entirely in the newest source can
                     // never be shadowed: skip the merge wrapper.
-                    Ok([(rank, cursor)]) if rank + 1 == sources.len() => return cursor.boxed(),
+                    Ok([(rank, cursor)]) if rank + 1 == sources.len() => return Box::new(cursor),
                     Ok(one) => one.into(),
                     Err(many) => many,
                 };
                 Box::new(ShadowedMergeCursor::new(subs, ShadowProbe::new(&sources)))
-                    as Box<dyn BlockCursor + 'a>
             })
             .collect()
-    }
-}
-
-/// A merge's sub-cursor over one source: a segment's compressed list
-/// or the memtable's decoded one. An enum, not a box, so the merge
-/// calls its sub-cursors without dynamic dispatch.
-enum SourceCursor<'a> {
-    Segment(CompressedBlockCursor<'a>),
-    Memtable(DecodedEntriesCursor<'a>),
-}
-
-/// Runs `$call` on whichever cursor a [`SourceCursor`] holds, bound
-/// to `$cursor`.
-macro_rules! each {
-    ($source:expr, $cursor:ident => $call:expr) => {
-        match $source {
-            SourceCursor::Segment($cursor) => $call,
-            SourceCursor::Memtable($cursor) => $call,
-        }
-    };
-}
-
-impl<'a> SourceCursor<'a> {
-    /// The cursor itself, boxed without the enum around it.
-    fn boxed(self) -> Box<dyn BlockCursor + 'a> {
-        each!(self, cursor => Box::new(cursor))
-    }
-}
-
-impl BlockCursor for SourceCursor<'_> {
-    fn total_blocks(&self) -> usize {
-        each!(self, cursor => cursor.total_blocks())
-    }
-    fn decoded_blocks(&self) -> usize {
-        each!(self, cursor => cursor.decoded_blocks())
-    }
-    fn at_end(&self) -> bool {
-        each!(self, cursor => cursor.at_end())
-    }
-    fn list_max_score(&self) -> f64 {
-        each!(self, cursor => cursor.list_max_score())
-    }
-    fn block_last_doc(&self) -> DocId {
-        each!(self, cursor => cursor.block_last_doc())
-    }
-    fn doc_lower_bound(&self) -> DocId {
-        each!(self, cursor => cursor.doc_lower_bound())
-    }
-    fn is_exact(&self) -> bool {
-        each!(self, cursor => cursor.is_exact())
-    }
-    fn materialize(&mut self) -> Option<(DocId, f64)> {
-        each!(self, cursor => cursor.materialize())
-    }
-    fn positions(&self) -> (u32, u32) {
-        each!(self, cursor => cursor.positions())
-    }
-    fn step(&mut self) {
-        each!(self, cursor => cursor.step())
-    }
-    fn advance_past(&mut self, bound: DocId) {
-        each!(self, cursor => cursor.advance_past(bound))
-    }
-    fn drain_below(&mut self, end: u64, out: &mut Vec<(DocId, f64)>) {
-        each!(self, cursor => cursor.drain_below(end, out))
     }
 }
 

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use zerber_index::cursor::BlockCursor;
 use zerber_index::{DocId, Document, GroupId, PostingStore, SegmentPolicy, TermId};
 use zerber_obs::MetricsRegistry;
-use zerber_postings::{DecodedEntriesCursor, RawEntry};
+use zerber_postings::{CompressedBlockCursor, RawEntry};
 use zerber_segment::{ScratchDir, SegmentSnapshot, SegmentStore};
 
 const DOCS: u32 = 40;
@@ -97,7 +97,7 @@ fn oracle_image(oracle: &Oracle) -> Image {
                     })
                 })
                 .collect();
-            let walked = walk(&mut DecodedEntriesCursor::new(&entries, WEIGHT));
+            let walked = walk(&mut CompressedBlockCursor::decoded(&entries, WEIGHT));
             (entries, walked)
         })
         .collect()
